@@ -14,7 +14,7 @@ that generic packages do not expose efficiently:
 Design: nodes are hash-consed into parallel lists (level / lo / hi) and
 identified by integer ids. Ids ``0`` and ``1`` are the FALSE and TRUE
 terminals. Reduction invariants (no redundant node, no duplicate node)
-are enforced by :meth:`BddEngine._mk`, making every function canonical:
+are enforced by :meth:`BddEngine.mk`, making every function canonical:
 two BDDs are semantically equal iff their ids are equal. All binary
 operations are memoized in operation caches keyed by operand ids, which
 exploits that canonicity (the paper: "we exploit canonicity to
@@ -88,6 +88,25 @@ class BddEngine:
             self._hi.append(hi)
             self._unique[key] = node
         return node
+
+    def mk(self, level: int, lo: int, hi: int) -> int:
+        """The function ``if variable level then hi else lo``.
+
+        The public node constructor, for builders that already know the
+        shape of their diagram (a prefix cube, a FIB trie) and would
+        otherwise spend ``and_``/``or_`` calls rediscovering it. The
+        result is canonical like any other: equal cofactors collapse,
+        equal nodes are shared. ``level`` must come before every
+        variable ``lo`` and ``hi`` test, which is what keeps the diagram
+        ordered; a violation raises :class:`ValueError`.
+        """
+        levels = self._level
+        if not (0 <= level < self.num_vars and level < levels[lo] and level < levels[hi]):
+            raise ValueError(
+                f"variable level {level} is out of range or not above "
+                "its cofactors' levels"
+            )
+        return self._mk(level, lo, hi)
 
     def var(self, level: int) -> int:
         """The function that is true iff variable ``level`` is 1."""
@@ -305,7 +324,7 @@ class BddEngine:
         that every further operand is merged into; pairing operands in a
         balanced tree keeps intermediate diagrams small and the
         operation caches hot, which is markedly faster for wide folds
-        (ACL line unions, per-prefix FIB spaces, own-IP sets). The
+        (ACL line unions, per-action FIB spaces, own-IP sets). The
         result is identical by canonicity: AND is associative,
         commutative, and idempotent, so operands are also deduplicated
         and id-sorted for deterministic cache keys.
@@ -347,14 +366,6 @@ class BddEngine:
                 reduced.append(layer[-1])
             layer = reduced
         return layer[0]
-
-    def all_and(self, operands: Iterable[int]) -> int:
-        """Back-compat alias for :meth:`and_all`."""
-        return self.and_all(operands)
-
-    def all_or(self, operands: Iterable[int]) -> int:
-        """Back-compat alias for :meth:`or_all`."""
-        return self.or_all(operands)
 
     # ------------------------------------------------------------------
     # Quantification, renaming, relational product

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import pickle
+import threading
 import time
 import warnings as _warnings
 from dataclasses import dataclass
@@ -115,6 +116,13 @@ class Session:
         self._fibs: Optional[Dict[str, Fib]] = None
         self._analyzer: Optional[NetworkAnalyzer] = None
         self._tracer: Optional[TracerouteEngine] = None
+        #: Guards the lazy stages (dataplane -> fibs -> analyzer): the
+        #: service answers questions on one session from several worker
+        #: threads, and two builds of one stage would hand callers
+        #: halves of different analyzers (a graph and an encoder that
+        #: do not belong together). Re-entrant because each stage reads
+        #: the one before it.
+        self._stage_lock = threading.RLock()
         #: Cached provenance re-derivation (recorder, dataplane, fibs) —
         #: populated on the first explain_route call (Stage 4).
         self._provenance: Optional[
@@ -280,24 +288,24 @@ class Session:
         """Stage 2: the computed data plane (lazily derived; served from
         the content-addressed cache when one backs this session)."""
         if self._dataplane is None:
-            cached = None
-            if self._cache is not None:
-                cached = self._cache.load("dataplane", self.snapshot_key)
-            if cached is not None:
-                self._dataplane = cached
-            else:
-                started = time.perf_counter()
-                self._dataplane = compute_dataplane(
-                    self.snapshot, self.settings, self.semantics
-                )
-                obs.observe_phase(
-                    "dataplane", time.perf_counter() - started
-                )
-                if self._cache is not None:
-                    self._cache.store(
-                        "dataplane", self.snapshot_key, self._dataplane
-                    )
+            with self._stage_lock:
+                if self._dataplane is None:
+                    self._dataplane = self._load_or_compute_dataplane()
         return self._dataplane
+
+    def _load_or_compute_dataplane(self) -> DataPlane:
+        if self._cache is not None:
+            cached = self._cache.load("dataplane", self.snapshot_key)
+            if cached is not None:
+                return cached
+        started = time.perf_counter()
+        dataplane = compute_dataplane(
+            self.snapshot, self.settings, self.semantics
+        )
+        obs.observe_phase("dataplane", time.perf_counter() - started)
+        if self._cache is not None:
+            self._cache.store("dataplane", self.snapshot_key, dataplane)
+        return dataplane
 
     @property
     def snapshot_key(self) -> str:
@@ -335,17 +343,23 @@ class Session:
     @property
     def fibs(self) -> Dict[str, Fib]:
         if self._fibs is None:
-            with obs.span("fib"):
-                self._fibs = compute_fibs(self.dataplane)
+            with self._stage_lock:
+                if self._fibs is None:
+                    with obs.span("fib"):
+                        self._fibs = compute_fibs(self.dataplane)
         return self._fibs
 
     @property
     def analyzer(self) -> NetworkAnalyzer:
         """Stage 3: the BDD verification engine (lazily built)."""
         if self._analyzer is None:
-            started = time.perf_counter()
-            self._analyzer = NetworkAnalyzer(self.dataplane, fibs=self.fibs)
-            obs.observe_phase("bdd", time.perf_counter() - started)
+            with self._stage_lock:
+                if self._analyzer is None:
+                    started = time.perf_counter()
+                    self._analyzer = NetworkAnalyzer(
+                        self.dataplane, fibs=self.fibs
+                    )
+                    obs.observe_phase("bdd", time.perf_counter() - started)
         return self._analyzer
 
     def coverage_report(self) -> CoverageReport:

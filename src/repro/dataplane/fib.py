@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, TypeVar
 
 from repro.hdr.ip import Ip, Prefix
 from repro.provenance import record as prov
@@ -25,11 +25,22 @@ from repro.routing.route import (
 
 _MAX_RESOLUTION_DEPTH = 8
 
+A = TypeVar("A")
+
 
 class FibActionType(enum.Enum):
     FORWARD = "forward"
     DROP_NULL = "drop-null"  # null-routed / discard
     DROP_NO_ROUTE = "drop-no-route"  # unresolvable
+
+
+#: What a FIB entry does with a packet: ``(action, out_interface,
+#: arp_ip)``. Entries of different prefixes with one key are
+#: indistinguishable to forwarding.
+ActionKey = Tuple[FibActionType, Optional[str], Optional[Ip]]
+
+#: The fate of an address no prefix covers (and of unresolvable routes).
+NO_ROUTE_KEY: ActionKey = (FibActionType.DROP_NO_ROUTE, None, None)
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,6 +58,10 @@ class FibEntry:
     out_interface: Optional[str] = None
     arp_ip: Optional[Ip] = None
     source_route: Optional[object] = None  # provenance for annotations
+
+    @property
+    def action_key(self) -> ActionKey:
+        return (self.action, self.out_interface, self.arp_ip)
 
     def describe(self) -> str:
         if self.action is not FibActionType.FORWARD:
@@ -78,6 +93,20 @@ class Fib:
 
     def entries(self) -> List[Tuple[Prefix, List[FibEntry]]]:
         return list(self._trie.items())
+
+    def lpm_classes(
+        self, join: Callable[[int, A, A], A], full: A, empty: A
+    ) -> Dict[FrozenSet[ActionKey], A]:
+        """The forwarding equivalence classes of this FIB: destination
+        addresses partitioned by the *set* of actions their longest
+        matching prefix takes (several under ECMP; ``{NO_ROUTE_KEY}``
+        where nothing matches). One pass over the FIB's own trie; the
+        address sets are built in the caller's algebra, see
+        :meth:`PrefixTrie.lpm_partition`."""
+        return self._trie.lpm_partition(
+            lambda entries: frozenset(entry.action_key for entry in entries),
+            join, full, empty, default=frozenset((NO_ROUTE_KEY,)),
+        )
 
     def __len__(self) -> int:
         return sum(len(entries) for _, entries in self._trie.items())
@@ -188,10 +217,9 @@ def _resolve_via_rib(state, original, next_hop: Optional[Ip], depth) -> List[Fib
         for entry in _resolve_route(state, original, resolving, depth + 1, next_hop):
             entries.append(entry)
     # Deduplicate ECMP duplicates deterministically.
-    unique: Dict[Tuple, FibEntry] = {}
+    unique: Dict[ActionKey, FibEntry] = {}
     for entry in entries:
-        key = (entry.action, entry.out_interface, entry.arp_ip)
-        unique.setdefault(key, entry)
+        unique.setdefault(entry.action_key, entry)
     return [unique[key] for key in sorted(unique, key=repr)]
 
 

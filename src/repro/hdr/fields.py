@@ -122,6 +122,17 @@ class HeaderLayout:
         self._paired[WAYPOINT] = False
         level += num_waypoint_bits
         self.num_vars = level
+        # The layout never changes after this point; the per-field level
+        # tuples are what every constraint builder walks.
+        self._vars_of: Dict[str, Tuple[int, ...]] = {
+            name: tuple(self.var(name, b) for b in range(width))
+            for name, width in self._width.items()
+        }
+        self._out_vars_of: Dict[str, Tuple[int, ...]] = {
+            name: tuple(self.out_var(name, b) for b in range(self._width[name]))
+            for name, paired in self._paired.items()
+            if paired
+        }
 
     def fields(self) -> Tuple[str, ...]:
         """All fields in variable order (header then extension fields)."""
@@ -150,11 +161,13 @@ class HeaderLayout:
 
     def vars_of(self, field: str) -> Tuple[int, ...]:
         """All input-variable levels of ``field``, MSB first."""
-        return tuple(self.var(field, b) for b in range(self._width[field]))
+        return self._vars_of[field]
 
     def out_vars_of(self, field: str) -> Tuple[int, ...]:
         """All output-variable levels of a paired field, MSB first."""
-        return tuple(self.out_var(field, b) for b in range(self._width[field]))
+        if not self._paired[field]:
+            raise ValueError(f"field {field!r} has no output variables")
+        return self._out_vars_of[field]
 
     def rename_out_to_in(self, fields: Iterable[str]) -> Dict[int, int]:
         """Rename map taking output variables back to input variables."""

@@ -38,6 +38,7 @@ class PacketEncoder:
         if self.engine.num_vars < self.layout.num_vars:
             raise ValueError("engine universe smaller than layout")
         self._field_cube_cache: Dict[Tuple[str, ...], int] = {}
+        self._prefix_cache: Dict[Tuple[str, Prefix, bool], int] = {}
 
     # ------------------------------------------------------------------
     # Constraints on input variables
@@ -89,14 +90,27 @@ class PacketEncoder:
 
     def ip_in_prefix(self, field: str, prefix: "Prefix | str", _out: bool = False) -> int:
         """BDD for an IP-valued field inside a prefix (tests only the
-        first ``prefix.length`` bits — the canonical compact encoding)."""
+        first ``prefix.length`` bits — the canonical compact encoding).
+
+        The cube is a chain, so it is built node by node from the last
+        tested bit up, and kept: ACLs, source scoping and the lint
+        route-space name the same prefixes over and over."""
         prefix = prefix if isinstance(prefix, Prefix) else Prefix(prefix)
-        var_of = self.layout.out_var if _out else self.layout.var
-        network = prefix.network
-        assignment = {
-            var_of(field, bit): network.bit(bit) for bit in range(prefix.length)
-        }
-        return self.engine.from_assignment(assignment)
+        key = (field, prefix, _out)
+        node = self._prefix_cache.get(key)
+        if node is None:
+            layout = self.layout
+            levels = layout.out_vars_of(field) if _out else layout.vars_of(field)
+            mk = self.engine.mk
+            network = prefix.network.value
+            node = TRUE
+            for bit in reversed(range(prefix.length)):
+                if (network >> (31 - bit)) & 1:
+                    node = mk(levels[bit], FALSE, node)
+                else:
+                    node = mk(levels[bit], node, FALSE)
+            self._prefix_cache[key] = node
+        return node
 
     def ip_in_prefixes(self, field: str, prefixes: Iterable["Prefix | str"]) -> int:
         """Union of :meth:`ip_in_prefix` over several prefixes

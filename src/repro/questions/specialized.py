@@ -67,7 +67,7 @@ def service_reachable(
         encoder.ip_eq(f.DST_IP, service_ip),
         engine.and_(
             encoder.field_eq(f.DST_PORT, port),
-            engine.all_or(encoder.protocol(p) for p in protocols),
+            engine.or_all(encoder.protocol(p) for p in protocols),
         ),
     )
     if client_locations is None:
@@ -126,7 +126,7 @@ def service_unreachable(
         encoder.ip_eq(f.DST_IP, service_ip),
         engine.and_(
             encoder.field_eq(f.DST_PORT, port),
-            engine.all_or(encoder.protocol(p) for p in protocols),
+            engine.or_all(encoder.protocol(p) for p in protocols),
         ),
     )
     if from_locations is None:

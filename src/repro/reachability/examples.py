@@ -47,7 +47,7 @@ def default_preferences(
     # connection from an ephemeral port.
     preferences.append(encoder.tcp())
     preferences.append(
-        engine.all_or(
+        engine.or_all(
             encoder.field_eq(f.DST_PORT, port) for port in _COMMON_DST_PORTS
         )
     )

@@ -16,19 +16,18 @@ instrumented return-direction pass of bidirectional reachability.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.bdd.engine import FALSE, TRUE, BddEngine
 from repro.config.model import Device
 from repro.dataplane.acl import acl_permit_space
-from repro.dataplane.fib import Fib, FibActionType, FibEntry
+from repro.dataplane.fib import ActionKey, Fib, FibActionType
 from repro.dataplane.nat import NatPipeline
 from repro.hdr import fields as f
 from repro.hdr.headerspace import PacketEncoder
-from repro.hdr.ip import Ip, Prefix
+from repro.hdr.ip import Ip
 from repro.routing.engine import DataPlane
-from repro.routing.prefix_trie import PrefixTrie
 from repro.routing.topology import InterfaceId
 
 
@@ -75,9 +74,9 @@ def disp_node(node: str, disposition: Disposition) -> GraphNode:
 class EdgeFunction:
     """Base edge semantics: how a packet set crosses an edge.
 
-    Edge functions are the graph's hot per-edge objects — large
-    networks allocate one per FIB entry and ACL hop — so every subclass
-    declares ``__slots__`` to drop the per-instance ``__dict__``.
+    Edge functions are the graph's hot per-edge objects — one per FIB
+    action, ACL hop and link — so every subclass declares ``__slots__``
+    to drop the per-instance ``__dict__``.
     """
 
     __slots__ = ()
@@ -324,32 +323,62 @@ def build_forwarding_graph(
     encoder = encoder or PacketEncoder()
     options = options or GraphBuildOptions()
     graph = ForwardingGraph(encoder)
-    engine = encoder.engine
     snapshot = dataplane.snapshot
-    topology = dataplane.topology
-
-    # Own-IP sets per device (packets the device accepts).
-    own_ips: Dict[str, int] = {}
     for hostname in snapshot.hostnames():
         device = snapshot.device(hostname)
-        own_ips[hostname] = engine.or_all(
-            encoder.ip_eq(f.DST_IP, address)
-            for _name, address, _len in device.interface_ips()
-        )
-
-    zone_indices: Dict[str, Dict[str, int]] = {}
-    for hostname in snapshot.hostnames():
-        device = snapshot.device(hostname)
-        names = sorted(device.zones)
-        zone_indices[hostname] = {name: i + 1 for i, name in enumerate(names)}
-
-    for hostname in snapshot.hostnames():
-        device = snapshot.device(hostname)
+        zones = {name: i + 1 for i, name in enumerate(sorted(device.zones))}
         _build_device_pipeline(
-            graph, device, fibs[hostname], own_ips[hostname],
-            zone_indices[hostname], topology, options,
+            graph, device, fibs[hostname], own_ip_space(device, encoder),
+            zones, dataplane.topology, options,
         )
     return graph
+
+
+_DROP_DISPOSITIONS = {
+    FibActionType.DROP_NULL: Disposition.NULL_ROUTED,
+    FibActionType.DROP_NO_ROUTE: Disposition.NO_ROUTE,
+}
+
+
+def own_ip_space(device: Device, encoder: PacketEncoder) -> int:
+    """Packets the device accepts: destined to one of its addresses."""
+    return encoder.engine.or_all(
+        encoder.ip_eq(f.DST_IP, address)
+        for _name, address, _len in device.interface_ips()
+    )
+
+
+def fib_action_spaces(
+    fib: Fib, own_ip_set: int, encoder: PacketEncoder
+) -> Dict[ActionKey, int]:
+    """The packet set each action of ``fib`` applies to: longest-prefix
+    match, minus the device's own addresses (accepted before the
+    lookup). Empty sets are left out; what no prefix covers is under
+    ``NO_ROUTE_KEY`` together with the unresolvable routes.
+
+    With dst-IP bits as BDD variables, MSB first (§4.2.2), the FIB's
+    trie is the skeleton of these BDDs: one bottom-up pass builds the
+    forwarding classes node by node, nothing is subtracted, and an
+    action's space is the union of the classes naming it (DESIGN.md,
+    "Forwarding-graph build").
+    """
+    engine = encoder.engine
+    levels = encoder.layout.vars_of(f.DST_IP)
+    parts: Dict[ActionKey, List[int]] = {}
+    for keys, space in fib.lpm_classes(
+        lambda depth, lo, hi: engine.mk(levels[depth], lo, hi), TRUE, FALSE
+    ).items():
+        for key in keys:
+            parts.setdefault(key, []).append(space)
+    not_accepted = engine.not_(own_ip_set)
+    spaces: Dict[ActionKey, int] = {}
+    # Sorted: a class is a frozenset, whose order follows the hash seed,
+    # and node ids must not.
+    for key in sorted(parts, key=repr):
+        space = engine.and_(engine.or_all(parts[key]), not_accepted)
+        if space != FALSE:
+            spaces[key] = space
+    return spaces
 
 
 def _build_device_pipeline(
@@ -415,69 +444,39 @@ def _build_device_pipeline(
             graph.add_edge(current, fwd_node(hostname), Identity(engine))
 
     # --- FIB lookup: fwd -> accept / out chains / drops ----------------
+    # One edge per action, not per prefix: parallel constraint edges
+    # carry exactly the union of their labels.
     fwd = fwd_node(hostname)
     graph.add_edge(
         fwd,
         disp_node(hostname, Disposition.ACCEPTED),
         Constraint(engine, own_ip_set, "destined to device"),
     )
-    not_accepted = engine.not_(own_ip_set)
-    # Effective per-entry spaces: prefix match minus longer prefixes.
-    shadow = PrefixTrie()
-    for prefix, _entries in fib.entries():
-        shadow.add(prefix, True)
     # Per out-interface: which packet spaces are forwarded toward which
     # next hop (arp_ip None = deliver toward the destination itself).
-    # Per-entry parts are collected and unioned once with the balanced
-    # n-ary kernel rather than folded left (FIBs are the widest unions
-    # in the graph build).
-    routed_parts: List[int] = []
-    arp_parts: Dict[str, Dict[Optional[Ip], List[int]]] = {}
-    for prefix, entries in fib.entries():
-        space = engine.diff(
-            encoder.ip_in_prefix(f.DST_IP, prefix),
-            engine.or_all(
-                encoder.ip_in_prefix(f.DST_IP, longer)
-                for longer in shadow.covered_prefixes(prefix)
+    arp_spaces: Dict[str, Dict[Optional[Ip], int]] = {}
+    for (action, out_interface, arp_ip), space in fib_action_spaces(
+        fib, own_ip_set, encoder
+    ).items():
+        if action is FibActionType.FORWARD:
+            arp_spaces.setdefault(out_interface, {})[arp_ip] = space
+        else:
+            dropped = _DROP_DISPOSITIONS[action]
+            graph.add_edge(
+                fwd,
+                disp_node(hostname, dropped),
+                Constraint(engine, space, dropped.value),
+            )
+    for out_interface in sorted(arp_spaces):
+        graph.add_edge(
+            fwd,
+            ("out", hostname, out_interface),
+            Constraint(
+                engine,
+                engine.or_all(arp_spaces[out_interface].values()),
+                f"fib -> {out_interface}",
             ),
         )
-        space = engine.and_(space, not_accepted)
-        routed_parts.append(space)
-        if space == FALSE:
-            continue
-        for entry in entries:
-            if entry.action is FibActionType.DROP_NULL:
-                graph.add_edge(
-                    fwd,
-                    disp_node(hostname, Disposition.NULL_ROUTED),
-                    Constraint(engine, space, f"null route {prefix}"),
-                )
-            elif entry.action is FibActionType.DROP_NO_ROUTE:
-                graph.add_edge(
-                    fwd,
-                    disp_node(hostname, Disposition.NO_ROUTE),
-                    Constraint(engine, space, f"unresolvable {prefix}"),
-                )
-            else:
-                out_point = ("out", hostname, entry.out_interface)
-                graph.add_edge(
-                    fwd,
-                    out_point,
-                    Constraint(engine, space, f"fib {prefix} -> {entry.out_interface}"),
-                )
-                per_arp = arp_parts.setdefault(entry.out_interface, {})
-                per_arp.setdefault(entry.arp_ip, []).append(space)
-    routed_space = engine.or_all(routed_parts)
-    arp_spaces: Dict[str, Dict[Optional[Ip], int]] = {
-        iface: {arp_ip: engine.or_all(parts) for arp_ip, parts in per.items()}
-        for iface, per in arp_parts.items()
-    }
-    no_route_space = engine.diff(engine.not_(own_ip_set), routed_space)
-    graph.add_edge(
-        fwd,
-        disp_node(hostname, Disposition.NO_ROUTE),
-        Constraint(engine, no_route_space, "no matching route"),
-    )
 
     # --- egress side: out -> zone policy -> src NAT -> out ACL -> wire --
     for iface in sorted(device.interfaces.values(), key=lambda i: i.name):

@@ -447,7 +447,7 @@ class NetworkAnalyzer:
                 self.graph.edges.append(edge)
             self.graph.rebuild_indices()
             if sessions:
-                forward_base = engine.all_or(sessions.values())
+                forward_base = engine.or_all(sessions.values())
             else:
                 forward_base = delivered
             return_header = engine.permute(forward_base, swap)

@@ -1,17 +1,30 @@
 """A binary trie over IPv4 prefixes for longest-prefix matching.
 
 Used by RIBs (resolve a next hop), FIBs (forward a concrete packet), and
-the BDD dataflow-graph builder (enumerate entries with their "shadowed by
-longer prefixes" structure).
+the BDD dataflow-graph builder (:meth:`PrefixTrie.lpm_partition`: with
+destination-address bits as consecutive BDD variables, the trie is the
+skeleton of the device's forwarding BDDs).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generic, Iterator, List, Optional, Tuple, TypeVar
+from typing import (
+    Callable,
+    Dict,
+    Generic,
+    Hashable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    TypeVar,
+)
 
 from repro.hdr.ip import Ip, Prefix
 
 V = TypeVar("V")
+C = TypeVar("C", bound=Hashable)  # a class of addresses
+A = TypeVar("A")  # a set of addresses in the caller's algebra
 
 
 class _Node(Generic[V]):
@@ -141,50 +154,66 @@ class PrefixTrie(Generic[V]):
                 break
         return result
 
-    def covered_prefixes(self, prefix: Prefix) -> List[Prefix]:
-        """All stored prefixes strictly longer than and inside ``prefix``."""
-        node = self._walk(prefix, create=False, allow_partial=True)
-        if node is None:
-            return []
-        result: List[Prefix] = []
-        start_network = (
-            prefix.network.value >> (32 - prefix.length) if prefix.length else 0
-        )
-        stack = [(node, start_network, prefix.length)]
-        while stack:
-            current, network, depth = stack.pop()
-            # Exclude the node at `prefix` itself (depth == prefix.length).
-            if current.values is not None and depth > prefix.length:
-                result.append(Prefix(network << (32 - depth) if depth else 0, depth))
-            if depth == 32:
-                continue
-            for bit in (0, 1):
-                child = current.children[bit]
-                if child is not None:
-                    stack.append((child, (network << 1) | bit, depth + 1))
-        result.sort()
-        return result
+    def lpm_partition(
+        self,
+        class_of: Callable[[List[V]], C],
+        join: Callable[[int, A, A], A],
+        full: A,
+        empty: A,
+        default: C,
+    ) -> Dict[C, A]:
+        """The longest-prefix-match partition of the address space, as
+        one bottom-up fold over the trie.
+
+        Every address matches exactly one stored prefix (its longest) or
+        none; ``class_of(values)`` names the class of a stored prefix's
+        addresses and ``default`` the class of unmatched ones. Returns
+        ``{class: set}`` with the sets built by the caller's algebra:
+        ``full``/``empty`` are all/none of the addresses below a node,
+        and ``join(depth, lo, hi)`` is the set whose addresses with bit
+        ``depth`` (0 = most significant) clear are in ``lo`` and set are
+        in ``hi``. A child that is absent inherits the class of the
+        longest stored prefix above it, so no set is ever subtracted
+        from another. The classes of the result are pairwise disjoint
+        and cover the space; classes that no address falls in are left
+        out.
+        """
+
+        def fold(node: _Node[V], depth: int, inherited: C) -> Dict[C, A]:
+            if node.values is not None:
+                inherited = class_of(node.values)
+            zero, one = node.children
+            if zero is None and one is None:
+                return {inherited: full}
+            below = depth + 1
+            lo = {inherited: full} if zero is None else fold(zero, below, inherited)
+            hi = {inherited: full} if one is None else fold(one, below, inherited)
+            joined = {
+                cls: join(depth, part, hi.get(cls, empty))
+                for cls, part in lo.items()
+            }
+            for cls, part in hi.items():
+                if cls not in lo:
+                    joined[cls] = join(depth, empty, part)
+            return joined
+
+        return fold(self._root, 0, default)
 
     # -- internals -------------------------------------------------------
 
     def _walk_create(self, prefix: Prefix) -> _Node[V]:
         return self._walk(prefix, create=True)
 
-    def _walk(
-        self, prefix: Prefix, create: bool = False, allow_partial: bool = False
-    ) -> Optional[_Node[V]]:
+    def _walk(self, prefix: Prefix, create: bool = False) -> Optional[_Node[V]]:
         node = self._root
         value = prefix.network.value
         for depth in range(prefix.length):
             bit = (value >> (31 - depth)) & 1
             child = node.children[bit]
             if child is None:
-                if create:
-                    child = _Node()
-                    node.children[bit] = child
-                elif allow_partial:
+                if not create:
                     return None
-                else:
-                    return None
+                child = _Node()
+                node.children[bit] = child
             node = child
         return node

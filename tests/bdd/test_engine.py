@@ -78,14 +78,14 @@ class TestBasics:
         assert engine.ite(engine.var(0), FALSE, TRUE) == engine.nvar(0)
         assert engine.ite(engine.var(0), g, g) == g
 
-    def test_all_and_or(self, engine):
+    def test_and_all_or_all(self, engine):
         vs = [engine.var(i) for i in range(4)]
-        assert engine.all_and([]) == TRUE
-        assert engine.all_or([]) == FALSE
-        conj = engine.all_and(vs)
+        assert engine.and_all([]) == TRUE
+        assert engine.or_all([]) == FALSE
+        conj = engine.and_all(vs)
         for i in range(4):
             assert engine.implies(conj, vs[i])
-        disj = engine.all_or(vs)
+        disj = engine.or_all(vs)
         assert engine.implies(vs[2], disj)
 
 
@@ -166,6 +166,22 @@ class TestStructure:
         f = engine.and_(engine.var(0), engine.var(1))
         assert engine.restrict(f, 0, 1) == engine.var(1)
         assert engine.restrict(f, 0, 0) == FALSE
+
+    def test_mk_is_canonical(self, engine):
+        assert engine.mk(2, FALSE, TRUE) == engine.var(2)
+        assert engine.mk(2, engine.var(5), engine.var(5)) == engine.var(5)
+        both = engine.mk(0, FALSE, engine.mk(1, FALSE, TRUE))
+        assert both == engine.and_(engine.var(0), engine.var(1))
+        ite = engine.mk(1, engine.var(4), engine.nvar(6))
+        assert ite == engine.ite(engine.var(1), engine.nvar(6), engine.var(4))
+
+    def test_mk_rejects_unordered_cofactors(self, engine):
+        with pytest.raises(ValueError):
+            engine.mk(3, engine.var(3), TRUE)
+        with pytest.raises(ValueError):
+            engine.mk(5, FALSE, engine.var(1))
+        with pytest.raises(ValueError):
+            engine.mk(8, FALSE, TRUE)
 
     def test_clear_caches_preserves_functions(self, engine):
         f = engine.and_(engine.var(0), engine.var(1))

@@ -94,7 +94,3 @@ class TestEdgeCases:
         assert engine.or_all([engine.var(1), engine.nvar(1)]) == TRUE
         assert engine.and_all([engine.var(1), engine.nvar(1)]) == FALSE
 
-    def test_back_compat_aliases(self, engine):
-        operands = [engine.var(0), engine.var(1), engine.nvar(2)]
-        assert engine.all_or(operands) == engine.or_all(operands)
-        assert engine.all_and(operands) == engine.and_all(operands)

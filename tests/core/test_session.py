@@ -1,5 +1,8 @@
 """Tests for the public Session API."""
 
+import sys
+import threading
+
 import pytest
 
 from repro import HeaderSpace, Ip, Packet, Session
@@ -42,6 +45,58 @@ class TestLifecycle:
         with pytest.raises(NotConvergedError) as excinfo:
             bad.assert_converged()
         assert "10.0.0.0/8" in str(excinfo.value)
+
+
+class TestConcurrentLazyStages:
+    def test_questions_on_a_fresh_session_share_one_analyzer(self, monkeypatch):
+        """The service asks questions of one session from several worker
+        threads; right after a PATCH the session is fresh and all of
+        them enter the lazy stages. Two builds used to pair one
+        analyzer's graph with the other's encoder (500 ``IndexError``)."""
+        import repro.core.session as session_module
+
+        built = []
+
+        class CountingAnalyzer(session_module.NetworkAnalyzer):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(session_module, "NetworkAnalyzer", CountingAnalyzer)
+        fresh = Session.from_texts(net1(3))
+        workers = 4  # more than the cores of a CI box
+        start = threading.Barrier(workers)
+        answers, errors = {}, []
+
+        def ask(slot):
+            try:
+                start.wait(timeout=60)
+                answer = fresh.reachability()
+                count = fresh.encoder.engine.sat_count
+                answers[slot] = {
+                    disposition: count(packet_set)
+                    for disposition, packet_set in answer.by_disposition.items()
+                }
+            except Exception as error:  # the race's IndexError lands here
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=ask, args=(slot,)) for slot in range(workers)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)  # many switches inside every stage
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert len(built) == 1 and fresh.analyzer is built[0]
+        assert len(answers) == workers and answers[0]
+        assert all(answer == answers[0] for answer in answers.values())
 
 
 class TestSnapshotKey:

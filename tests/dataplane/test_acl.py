@@ -115,7 +115,7 @@ class TestBddEncoding:
             for j in range(i + 1, len(spaces)):
                 assert engine.and_(spaces[i][1], spaces[j][1]) == FALSE
         # Their union is everything any line matches.
-        union = engine.all_or(space for _line, space in spaces)
+        union = engine.or_all(space for _line, space in spaces)
         assert union == TRUE  # ALLOW_ALL matches everything eventually
 
     def test_shadowed_line_has_empty_space(self, enc):

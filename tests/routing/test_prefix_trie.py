@@ -86,20 +86,64 @@ class TestBasics:
             Prefix("10.1.0.0/16"),
         ]
 
-    def test_covered_prefixes(self):
-        trie = PrefixTrie()
-        trie.add(Prefix("10.0.0.0/8"), "a")
-        trie.add(Prefix("10.1.0.0/16"), "b")
-        trie.add(Prefix("10.1.2.0/24"), "c")
-        trie.add(Prefix("11.0.0.0/8"), "other")
-        covered = trie.covered_prefixes(Prefix("10.0.0.0/8"))
-        assert covered == [Prefix("10.1.0.0/16"), Prefix("10.1.2.0/24")]
-
     def test_zero_length_prefix(self):
         trie = PrefixTrie()
         trie.add(Prefix("0.0.0.0/0"), "default")
         assert trie.longest_match(Ip("255.255.255.255"))[0] == Prefix("0.0.0.0/0")
         assert [p for p, _ in trie.items()] == [Prefix("0.0.0.0/0")]
+
+
+def _partition(trie):
+    """lpm_partition in a plain decision-tree algebra: a set is True
+    (everything below), None (nothing) or (depth, lo, hi)."""
+    return trie.lpm_partition(
+        lambda values: tuple(values),
+        lambda depth, lo, hi: (depth, lo, hi),
+        True, None, default=(),
+    )
+
+
+def _member(tree, address: int) -> bool:
+    while isinstance(tree, tuple):
+        depth, lo, hi = tree
+        tree = hi if (address >> (31 - depth)) & 1 else lo
+    return tree is True
+
+
+class TestLpmPartition:
+    def test_empty_trie_is_all_default(self):
+        assert _partition(PrefixTrie()) == {(): True}
+
+    def test_nested_prefixes_never_subtract(self):
+        trie = PrefixTrie()
+        trie.add(Prefix("10.0.0.0/8"), "a")
+        trie.add(Prefix("10.1.0.0/16"), "b")
+        trie.add(Prefix("10.1.0.0/16"), "c")  # ECMP: one class of two
+        classes = _partition(trie)
+        assert set(classes) == {(), ("a",), ("b", "c")}
+        assert _member(classes[("b", "c")], Ip("10.1.2.3").value)
+        assert _member(classes[("a",)], Ip("10.2.0.1").value)
+        assert not _member(classes[("a",)], Ip("10.1.2.3").value)
+        assert _member(classes[()], Ip("11.0.0.1").value)
+
+    def test_fully_shadowed_and_removed_prefixes_have_no_class(self):
+        trie = PrefixTrie()
+        trie.add(Prefix("10.0.0.0/8"), "shadowed")
+        trie.add(Prefix("10.0.0.0/9"), "low")
+        trie.add(Prefix("10.128.0.0/9"), "high")
+        trie.add(Prefix("12.0.0.0/8"), "gone")
+        trie.remove_prefix(Prefix("12.0.0.0/8"))
+        assert set(_partition(trie)) == {(), ("low",), ("high",)}
+
+    def test_same_class_on_both_sides_merges(self):
+        trie = PrefixTrie()
+        trie.add(Prefix("0.0.0.0/1"), "x")
+        trie.add(Prefix("128.0.0.0/1"), "x")
+        assert trie.lpm_partition(
+            lambda values: values[0],
+            lambda depth, lo, hi: lo if lo == hi else (depth, lo, hi),
+            True, None, default="none",
+        ) == {"x": True}
 
 
 @st.composite
@@ -135,3 +179,22 @@ class TestAgainstLinearScan:
         for p in prefixes:
             trie.add(p, "v")
         assert {p for p, _ in trie.items()} == set(prefixes)
+
+    @given(st.lists(_prefix(), min_size=0, max_size=25),
+           st.lists(st.integers(min_value=0, max_value=0xFFFFFFFF),
+                    min_size=1, max_size=20))
+    @settings(max_examples=150)
+    def test_partition_agrees_with_longest_match(self, prefixes, probes):
+        trie = PrefixTrie()
+        for p in prefixes:
+            trie.add(p, str(p))
+        classes = _partition(trie)
+        # Probe the edges of every prefix too: that is where a wrong
+        # inheritance would show.
+        probes = probes + [p.network.value for p in prefixes]
+        probes += [p.network.value | (0xFFFFFFFF >> p.length) for p in prefixes]
+        for probe in probes:
+            match = trie.longest_match(probe)
+            expected = tuple(match[1]) if match else ()
+            holders = [cls for cls, tree in classes.items() if _member(tree, probe)]
+            assert holders == [expected]
