@@ -154,8 +154,7 @@ def measure_network(name: str) -> Dict[str, object]:
         # recompute of the edited snapshot (both timed through to FIBs).
         # The inert edit (NTP) is the paper's review workload — most
         # config review diffs can't move a route; the routing edit
-        # (static route) forces actual re-simulation of its protocol
-        # component.
+        # (static route) forces a full recompute.
         cold_session.fibs  # base FIBs outside the timed region
         target = sorted(pipeline.configs)[0]
         delta_results = {}

@@ -109,8 +109,6 @@ def _parse_all(
             entry = cache.load("device", keys[filename])
             if entry is not None:
                 results[filename] = entry
-                if obs.enabled():
-                    obs.add("delta.parse_memo_hits")
             else:
                 missed.append(filename)
         if missed:

@@ -20,7 +20,6 @@ import hashlib
 import pickle
 import threading
 import time
-import warnings as _warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -205,19 +204,19 @@ class Session:
 
         ``changed_configs`` maps filenames to new config text (or
         ``None`` to delete the file; unnamed files carry over from this
-        session unchanged). Returns a new :class:`Session` whose data
-        plane is produced by the delta engine: only devices whose
-        routing state could have changed are re-simulated, everything
-        else is spliced through from this session's converged state.
-        The result is bit-identical to a from-scratch analysis — the
-        delta engine falls back to a full recompute whenever it cannot
-        prove that (see :mod:`repro.delta`).
+        session unchanged). Returns a new :class:`Session`: only changed
+        files are reparsed, and when no device's routing fingerprint
+        moved the new session reuses this session's converged data
+        plane and FIBs; otherwise it recomputes in full. Either way the
+        result is bit-identical to a from-scratch analysis (see
+        :mod:`repro.delta`).
 
         ``validate`` forces the :envvar:`REPRO_DELTA_VALIDATE` check
-        (full recompute + byte-identical FIB comparison) on or off for
-        this call. ``store_result=False`` keeps the spliced data plane
-        out of the snapshot cache — for one-shot variants (failure
-        sweeps) that would otherwise churn the LRU.
+        (cache-less from-scratch session + byte-identical FIB
+        comparison) on or off for this call. ``store_result=False``
+        keeps the variant's snapshot entry and data plane out of the
+        snapshot cache — for one-shot variants (failure sweeps) that
+        would otherwise churn the LRU.
         """
         from repro.delta import delta_session
 
@@ -329,16 +328,6 @@ class Session:
         digest = hashlib.sha256(self._cache_key.encode())
         digest.update(self._dataplane_cache_salt().encode())
         return digest.hexdigest()
-
-    def _dataplane_key(self) -> str:
-        """Deprecated alias of :attr:`snapshot_key`."""
-        _warnings.warn(
-            "Session._dataplane_key() is deprecated; use the public "
-            "Session.snapshot_key property",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.snapshot_key
 
     @property
     def fibs(self) -> Dict[str, Fib]:

@@ -1,19 +1,13 @@
-"""Incremental snapshot analysis: delta engine with dirty-set
-propagation and selective re-simulation.
+"""Incremental snapshot analysis: parse only changed files, then reuse
+the base data plane when no routing fingerprint moved, else recompute.
 
 Entry point: :meth:`repro.core.session.Session.delta`, or directly
-:func:`delta_session`. Differential validation against a full recompute
-is forced via ``REPRO_DELTA_VALIDATE=1`` (or ``validate=True``);
-``python -m repro.delta`` sweeps the synthetic network registry with
-validation on.
+:func:`delta_session`. Differential validation against a from-scratch
+analysis is forced via ``REPRO_DELTA_VALIDATE=1`` (or
+``validate=True``); ``python -m repro.delta`` sweeps the synthetic
+network registry with validation on.
 """
 
-from repro.delta.dirty import (
-    DirtyComputation,
-    compute_dirty_set,
-    protocol_edges,
-    routing_fingerprint,
-)
 from repro.delta.engine import (
     DeltaInfo,
     DeltaValidationError,
@@ -21,15 +15,19 @@ from repro.delta.engine import (
     fib_lines,
     validate_enabled,
 )
+from repro.delta.fingerprint import (
+    protocol_edges,
+    routing_fingerprint,
+    routing_seeds,
+)
 
 __all__ = [
     "DeltaInfo",
     "DeltaValidationError",
-    "DirtyComputation",
-    "compute_dirty_set",
     "delta_session",
     "fib_lines",
     "protocol_edges",
     "routing_fingerprint",
+    "routing_seeds",
     "validate_enabled",
 ]

@@ -12,7 +12,7 @@ from repro.config.loader import detect_syntax
 
 def irrelevant_edit(text: str) -> str:
     """Add an NTP server: modeled (no parse warning) but routing-inert,
-    so the dirty set should come out empty."""
+    so no seed comes out and the base data plane is reused."""
     if detect_syntax(text) == "juniperish":
         return text + "set system ntp server 203.0.113.250\n"
     return text + "ntp server 203.0.113.250\n"
@@ -20,7 +20,7 @@ def irrelevant_edit(text: str) -> str:
 
 def relevant_edit(text: str) -> str:
     """Add a discard static route: changes the device's routing
-    fingerprint and therefore seeds the dirty set."""
+    fingerprint and therefore seeds a recompute."""
     if detect_syntax(text) == "juniperish":
         return (
             text

@@ -1,30 +1,24 @@
-"""Selective re-simulation: warm-start a new snapshot from a base.
+"""Delta analysis: reuse the base data plane, or recompute.
 
 The production workload the paper centers on (§5.1) is reviewing one
 small change against a large network, thousands of times a day. The
-content-addressed cache only helps when snapshots are *identical*; this
-engine makes the common almost-identical case fast:
+content-addressed cache only helps when snapshots are *identical*; a
+delta makes the almost-identical case cheap in two steps:
 
-1. Parse only changed files (per-device memo in the snapshot cache).
-2. Diff routing fingerprints and propagate a dirty set
-   (:mod:`repro.delta.dirty`).
-3. Re-run the routing pipeline restricted to dirty devices; splice the
-   base data plane's converged per-node state (RIBs, BGP RIBs, FIBs)
-   through for every clean device.
-4. Optionally validate: recompute from scratch and require
-   byte-identical FIBs (``REPRO_DELTA_VALIDATE=1``).
+1. Parse only changed files (per-device memo in the snapshot cache) and
+   compare routing fingerprints of the devices whose bytes changed
+   (:mod:`repro.delta.fingerprint`).
+2. No fingerprint moved, the host set is the same and the base
+   converged: reuse the base data plane and FIBs wholesale. Anything
+   else: the new session recomputes in full through the one public
+   ``compute_dataplane``.
 
-Splicing is exact, not approximate. Clean devices' state is identical
-to what a full run would produce because (a) their routing projection
-is unchanged, (b) no protocol edge connects a clean device to a dirty
-one (the dirty set is closed over protocol components), and (c) the
-engine's deterministic schedule (coloring + logical clocks, §4.1.2) is
-component-local, so a restricted run replays exactly the events a full
-run would generate for those components. Whenever one of those
-guarantees cannot be established — non-convergence, arrival-order-
-sensitive best routes, candidate sessions shifting between clean
-devices — the engine *falls back to a full recompute* rather than
-splice questionable state.
+Reuse is exact. The routing engine consumes only fingerprint-covered
+fields, so a full run of the new snapshot would be input-identical to
+the base run and, the schedule being deterministic (coloring + logical
+clocks, §4.1.2), reproduce it byte for byte. ``validate=True`` /
+``REPRO_DELTA_VALIDATE=1`` checks either path against a cache-less
+from-scratch session of the same texts.
 """
 
 from __future__ import annotations
@@ -32,33 +26,17 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro import obs
-from repro.dataplane.fib import build_fib, compute_fibs
-from repro.delta.dirty import DirtyComputation, compute_dirty_set
+from repro.delta.fingerprint import routing_seeds
 from repro.provenance import DerivationNode, DerivationTree, first_divergence
-from repro.routing.bgp import compute_bgp_sessions
-from repro.routing.engine import (
-    DataPlane,
-    DataPlaneStats,
-    NodeState,
-    _evaluate_session_viability,
-    _igp_cost_fn,
-    _install_connected,
-    _install_static,
-    _merge_bgp_into_main,
-    _run_bgp,
-    _run_ospf,
-    compute_dataplane,
-)
-from repro.routing.rib import Rib
-from repro.routing.topology import build_layer3_topology
+from repro.routing.engine import DataPlane, NodeState
 
 
 class DeltaValidationError(AssertionError):
-    """Differential validation found a FIB mismatch between the delta
-    engine's spliced result and a from-scratch recompute."""
+    """Differential validation found a FIB mismatch between a delta
+    session and a from-scratch analysis of the same config texts."""
 
 
 @dataclass
@@ -69,8 +47,9 @@ class DeltaInfo:
     seeds: List[str] = field(default_factory=list)
     dirty_devices: List[str] = field(default_factory=list)
     reused_devices: int = 0
-    #: Files whose bytes were carried over unchanged from the base (the
-    #: per-device parse memo serves these without reparsing).
+    #: Files whose bytes were carried over unchanged from the base and
+    #: that the per-device parse memo therefore serves without
+    #: reparsing; 0 when no cache backs the base (everything reparses).
     parse_memo_hits: int = 0
     fallback: bool = False
     fallback_reason: str = ""
@@ -112,11 +91,11 @@ def delta_session(
 ):
     """Implementation behind :meth:`repro.core.session.Session.delta`.
 
-    ``store_result=False`` suppresses persisting the spliced data plane
-    *and* the variant's snapshot entry to the cache — for one-shot
-    analyses (failure sweeps) whose thousands of synthetic variants
-    would otherwise churn the LRU. Per-device parse entries are still
-    written: they are content-addressed and shared across variants.
+    ``store_result=False`` keeps the variant's snapshot entry and data
+    plane out of the cache — for one-shot analyses (failure sweeps)
+    whose thousands of synthetic variants would otherwise churn the
+    LRU. Per-device parse entries are still written: they are
+    content-addressed and shared across variants.
     """
     from repro.core.session import Session
 
@@ -144,11 +123,8 @@ def delta_session(
         if base._configs.get(filename) != new_configs.get(filename)
     }
     info = DeltaInfo(changed_files=sorted(changed_files))
-    info.parse_memo_hits = sum(
-        1
-        for filename, text in new_configs.items()
-        if base._configs.get(filename) == text
-    )
+    if base._cache is not None:
+        info.parse_memo_hits = len(new_configs.keys() - changed_files)
     started = time.perf_counter()
     with obs.span("delta", changed=len(changed_files)):
         new_session = Session.from_texts(
@@ -158,27 +134,36 @@ def delta_session(
             settings=base.settings,
             semantics=base.semantics,
         )
+        if not store_result:
+            # Parsed through the cache; the lazily computed data plane
+            # must not be written back to it.
+            new_session._cache = None
         new_session.delta_info = info
         new_session.delta_base_key = base.snapshot_key
-        reason = _try_splice(base, new_session, info, store_result=store_result)
-        if reason is not None:
+        changed_hosts = _changed_hosts(base, new_session, info)
+        info.seeds = routing_seeds(
+            base.snapshot, new_session.snapshot, changed_hosts
+        )
+        reason = _reuse_base(base, new_session, info.seeds)
+        if reason is None:
+            info.reused_devices = len(new_session.snapshot.devices)
+        else:
             info.fallback = True
             info.fallback_reason = reason
+            info.dirty_devices = sorted(new_session.snapshot.devices)
             obs.metrics().inc("delta.fallback_full")
             # Always-on flight event: fallbacks are exactly the "why was
             # this request slow" evidence a postmortem bundle needs.
             obs.flight.record(
                 "delta_fallback", reason, changed=len(changed_files)
             )
-        _prioritize_questions(base, new_session, info)
+        _prioritize_questions(base, new_session, info, changed_hosts)
         _record_metrics(info)
         should_validate = (
             validate if validate is not None else validate_enabled()
         )
-        # A fallback result IS a full recompute; only spliced data
-        # planes need the differential check.
-        if should_validate and not info.fallback:
-            _validate(base, new_session)
+        if should_validate:
+            _validate(new_session)
             info.validated = True
     obs.observe_phase("delta", time.perf_counter() - started)
     return new_session
@@ -198,34 +183,28 @@ def _changed_hosts(base, new_session, info: DeltaInfo) -> Set[str]:
     }
 
 
-def _prioritize_questions(base, new_session, info: DeltaInfo) -> None:
+def _prioritize_questions(
+    base, new_session, info: DeltaInfo, changed: Set[str]
+) -> None:
     """Rank recorded questions against this delta's impact set and drop
     coverage touches that no longer describe current structures.
 
     Structure identity (ACL line indices, clause seqs, source lines) can
-    shift on *any* byte change — including routing-inert edits whose
-    dirty set is empty and fallbacks where no dirty set was computed —
-    so changed-byte hosts are always invalidated here, on top of the
-    splice path's dirty-host invalidation. The run registry survives
-    invalidation: records describe past executions, and the skipped ones
-    are carried forward under the new snapshot key by
-    ``questions_for_delta`` because their answers are provably
-    unchanged."""
+    shift on *any* byte change — including routing-inert edits that
+    reuse the base data plane — so changed-byte hosts are always
+    invalidated here. The run registry survives invalidation: records
+    describe past executions, and the skipped ones are carried forward
+    under the new snapshot key by ``questions_for_delta`` because their
+    answers are provably unchanged."""
     from repro.questions import coverage as qcov
 
-    changed = _changed_hosts(base, new_session, info)
     tracker = obs.coverage()
-    # A fallback is only *unbounded* when the dirty computation never
-    # bounded the blast radius. The "every device dirty" perf fallback
-    # still produced an exact dirty set (the whole network), so the
-    # scope rules stay sound: routing questions all rerun, config
-    # questions rerun exactly on changed-byte hosts. A changed device
-    # *set* is always unbounded: global answers enumerate the device
-    # universe, so even an isolated new host can grow every answer.
-    unbounded = (
-        info.fallback
-        and set(info.dirty_devices) != set(new_session.snapshot.devices)
-    ) or set(base.snapshot.devices) != set(new_session.snapshot.devices)
+    # A recompute reports every device dirty, so the scope rules stay
+    # sound: routing questions all rerun, config questions rerun exactly
+    # on changed-byte hosts. A changed device *set* is unbounded: global
+    # answers enumerate the device universe, so even an isolated new
+    # host can grow every answer.
+    unbounded = base.snapshot.devices.keys() != new_session.snapshot.devices.keys()
     affected, skipped = qcov.questions_for_delta(
         tracker,
         base._cache,
@@ -246,124 +225,45 @@ def _record_metrics(info: DeltaInfo) -> None:
     metrics.inc("delta.runs")
     metrics.inc("delta.dirty_devices", len(info.dirty_devices))
     metrics.inc("delta.reused_devices", info.reused_devices)
-    # Parse memo hits are also counted at the loader (cache hits); this
-    # counter attributes the reuse to the delta path specifically.
     metrics.inc("delta.parse_memo_hits", info.parse_memo_hits)
 
 
-def _try_splice(
-    base, new_session, info: DeltaInfo, store_result: bool = True
-) -> Optional[str]:
-    """Attempt the selective re-simulation; on success install the
-    spliced data plane and FIBs on ``new_session`` and return None, else
-    return the fallback reason (the session then computes lazily from
-    scratch, which is always correct)."""
-    base_snapshot = base.snapshot
-    new_snapshot = new_session.snapshot
-    for snapshot, label in ((base_snapshot, "base"), (new_snapshot, "new")):
-        sources = snapshot.sources
-        if not sources:
-            return f"{label} snapshot has no filename->hostname map"
-        if len(set(sources.values())) != len(sources):
-            return f"duplicate hostnames in {label} snapshot"
-    base_dp = base.dataplane
-    if not base_dp.converged:
+def _reuse_base(base, new_session, seeds: List[str]) -> Optional[str]:
+    """Install the base's data plane and FIBs on ``new_session`` when
+    they provably describe it and return None; else return why not (the
+    session then computes lazily from scratch, which is always correct).
+
+    Provable means: no seed — empty *seeds*, which also rules out an
+    added or removed device — and a converged base. A full run of the
+    new snapshot is then input-identical to the base run and would
+    reproduce it byte for byte, order-sensitive tie-breaks included.
+    """
+    if seeds:
+        shown = ", ".join(seeds[:3])
+        if len(seeds) > 3:
+            shown += f" (+{len(seeds) - 3} more)"
+        return f"routing changed on {shown}"
+    if not base.dataplane.converged:
         return "base data plane did not converge"
-
-    # Only devices whose config file changed bytes can have a changed
-    # fingerprint (sources are injective here, checked above), so the
-    # diff is O(edit) rather than O(network).
-    candidates = {
-        hostname
-        for filename in info.changed_files
-        for hostname in (
-            base_snapshot.sources.get(filename),
-            new_snapshot.sources.get(filename),
-        )
-        if hostname is not None
-    }
-    dirty_comp = compute_dirty_set(
-        base_snapshot, new_snapshot, candidate_hosts=candidates
+    # Deliberately not stored in the cache: pickling the plane costs more
+    # than everything else on this path combined, and the base plane it
+    # aliases is already cached under the base key.
+    new_session._dataplane = _reused_dataplane(
+        base.dataplane, new_session.snapshot
     )
-    info.seeds = dirty_comp.seeds
-    dirty = dirty_comp.dirty_in(new_snapshot)
-    info.dirty_devices = sorted(dirty)
-    info.reused_devices = len(new_snapshot.devices) - len(dirty)
-    if dirty and dirty == set(new_snapshot.devices):
-        # The whole network is dirty: a restricted run would redo all
-        # the work of a full run and add splice bookkeeping on top.
-        return "every device dirty; full recompute is optimal"
-
-    if not dirty_comp.seeds:
-        # Routing-inert edit on an identical host set (empty seeds, not
-        # merely empty dirty: a *removed* isolated device also yields an
-        # empty dirty set but invalidates the base topology). The
-        # routing engine consumes only fingerprint-covered fields, and
-        # every fingerprint matched, so a full run of the new snapshot
-        # is input-identical to the base run and — the schedule being
-        # deterministic — would reproduce it byte for byte,
-        # order-sensitive tie-breaks included. Reuse the base data
-        # plane wholesale; no re-simulation, no order-sensitivity scan.
-        dataplane = _reused_dataplane(base_dp, new_snapshot)
-    else:
-        # Clean devices' BGP state must be attribute-determined: if any
-        # best route on a clean device was chosen by the arrival-clock
-        # tie-break, a full run of the new snapshot could legitimately
-        # pick another winner there, and splicing would not be
-        # byte-identical.
-        clean = set(new_snapshot.devices) - dirty
-        for hostname in sorted(clean):
-            state = base_dp.nodes.get(hostname)
-            if state is None:
-                return f"clean device {hostname} missing from base data plane"
-            if state.bgp_rib is not None:
-                # Cached RIBs drop their IGP-cost closure on pickling;
-                # rewire it before re-running the decision filters.
-                state.bgp_rib._igp_cost = _igp_cost_fn(state)
-                if state.bgp_rib.order_sensitive_prefixes():
-                    return f"order-sensitive BGP best routes on {hostname}"
-
-        dataplane, reason = _restricted_dataplane(
-            base_dp, new_snapshot, dirty, base.settings, base.semantics
-        )
-        if dataplane is None:
-            return reason
-
-    new_session._dataplane = dataplane
-    # Persist re-simulated planes so future processes warm-start from
-    # them. The wholesale-reuse plane is deliberately NOT stored:
-    # pickling it costs more than everything else on this path combined,
-    # and the base plane it aliases is already cached under the base
-    # key — a later process re-derives the splice with one cheap delta.
-    if store_result and dirty_comp.seeds and new_session._cache is not None:
-        new_session._cache.store(
-            "dataplane", new_session.snapshot_key, dataplane
-        )
-    # FIB splice: clean nodes keep the base Fib objects (FIBs derive
-    # only from the node's own main RIB, which is unchanged).
-    base_fibs = base.fibs
-    with obs.span("delta.fib", dirty=len(dirty)):
-        fibs = {}
-        for hostname, state in dataplane.nodes.items():
-            if hostname in dirty:
-                fibs[hostname] = build_fib(state)
-            else:
-                fibs[hostname] = base_fibs[hostname]
-    new_session._fibs = fibs
-    # Derived state keyed by device: coverage touches recorded against
-    # dirty devices describe structures that may no longer exist.
-    obs.coverage().invalidate_hosts(dirty)
+    # FIBs derive only from each node's own main RIB, which is shared.
+    new_session._fibs = dict(base.fibs)
     return None
 
 
 def _reused_dataplane(base_dp: DataPlane, new_snapshot) -> DataPlane:
-    """Empty seed set: rewrap the base data plane around the new
-    snapshot. Node states alias the base's converged RIBs (never mutated
-    after compute); only the ``device`` reference is swapped so
-    forwarding-time queries — which do read non-routing fields like
-    zones — evaluate against the new snapshot's objects. The host sets
-    are identical (empty seeds), so the base topology and sessions
-    describe the new snapshot exactly."""
+    """Rewrap the base data plane around the new snapshot. Node states
+    alias the base's converged RIBs (never mutated after compute); only
+    the ``device`` reference is swapped so forwarding-time queries —
+    which do read non-routing fields like zones — evaluate against the
+    new snapshot's objects. The host sets are identical (empty seeds),
+    so the base topology and sessions describe the new snapshot
+    exactly."""
     nodes = {
         hostname: NodeState(
             device=new_snapshot.device(hostname),
@@ -383,111 +283,6 @@ def _reused_dataplane(base_dp: DataPlane, new_snapshot) -> DataPlane:
         converged=True,
         oscillating_prefixes=list(base_dp.oscillating_prefixes),
         stats=base_dp.stats,
-    )
-
-
-def _restricted_dataplane(
-    base_dp: DataPlane,
-    new_snapshot,
-    dirty: Set[str],
-    settings,
-    semantics,
-) -> Tuple[Optional[DataPlane], Optional[str]]:
-    """Run the routing pipeline for dirty devices only, splicing base
-    node state through for clean ones. Returns (dataplane, None) or
-    (None, fallback_reason)."""
-    started = time.perf_counter()
-    topology = build_layer3_topology(new_snapshot)
-    sessions, issues = compute_bgp_sessions(new_snapshot)
-    for session in sessions:
-        if (session.local_node in dirty) != (session.remote_node in dirty):
-            # Cannot happen when the dirty set is closed over protocol
-            # edges; guard anyway — splicing across it would be unsound.
-            return None, (
-                f"candidate session {session.local_node}->"
-                f"{session.remote_node} crosses the dirty boundary"
-            )
-    dirty_sessions = [s for s in sessions if s.local_node in dirty]
-    # Clean-to-clean sessions must match the base exactly (IP-ownership
-    # races between devices can re-target a session even when both
-    # endpoints' configs are unchanged).
-    base_by_key = {s.key: s for s in base_dp.sessions}
-    clean_keys = {s.key for s in sessions if s.local_node not in dirty}
-    base_clean_keys = {
-        key for key, s in base_by_key.items()
-        if s.local_node not in dirty and s.remote_node not in dirty
-    }
-    if clean_keys != base_clean_keys:
-        return None, "candidate sessions between clean devices changed"
-    for session in sessions:
-        if session.local_node not in dirty:
-            previous = base_by_key[session.key]
-            session.established = previous.established
-            session.failure_reason = previous.failure_reason
-
-    nodes: Dict[str, NodeState] = {}
-    for hostname in new_snapshot.hostnames():
-        device = new_snapshot.device(hostname)
-        if hostname in dirty:
-            nodes[hostname] = NodeState(device=device, main_rib=Rib(owner=hostname))
-        else:
-            base_state = base_dp.nodes[hostname]
-            # Structural sharing: converged RIB/FIB objects are never
-            # mutated after compute, so clean nodes alias them. Only the
-            # Device reference is updated to the new snapshot's object
-            # (it may differ in routing-irrelevant fields like NTP).
-            nodes[hostname] = NodeState(
-                device=device,
-                main_rib=base_state.main_rib,
-                bgp_rib=base_state.bgp_rib,
-                connected_routes=base_state.connected_routes,
-                bgp_in_main=base_state.bgp_in_main,
-            )
-    dirty_nodes = {h: nodes[h] for h in sorted(dirty) if h in nodes}
-
-    stats = DataPlaneStats()
-    with obs.span("delta.dataplane", dirty=len(dirty_nodes)):
-        _install_connected(dirty_nodes)
-        _install_static(dirty_nodes)
-        _run_ospf(
-            new_snapshot, topology, dirty_nodes, semantics,
-            restrict=set(dirty_nodes),
-        )
-        converged = True
-        established_keys: Set[Tuple[str, str, str]] = set()
-        for round_number in range(settings.max_session_rounds):
-            stats.session_rounds = round_number + 1
-            _evaluate_session_viability(new_snapshot, nodes, dirty_sessions)
-            new_keys = {s.key for s in dirty_sessions if s.established}
-            if round_number > 0 and new_keys == established_keys:
-                break
-            established_keys = new_keys
-            converged, _oscillating = _run_bgp(
-                new_snapshot, dirty_nodes, dirty_sessions, settings,
-                semantics, stats,
-            )
-            _merge_bgp_into_main(dirty_nodes)
-            if not converged:
-                break
-    if not converged:
-        return None, "restricted BGP run did not converge"
-    for hostname, state in dirty_nodes.items():
-        if state.bgp_rib is not None and state.bgp_rib.order_sensitive_prefixes():
-            return None, f"order-sensitive BGP best routes on {hostname}"
-    stats.elapsed_seconds = time.perf_counter() - started
-    stats.total_routes = sum(len(s.main_rib) for s in nodes.values())
-    return (
-        DataPlane(
-            snapshot=new_snapshot,
-            topology=topology,
-            nodes=nodes,
-            sessions=sessions,
-            session_issues=issues,
-            converged=True,
-            oscillating_prefixes=[],
-            stats=stats,
-        ),
-        None,
     )
 
 
@@ -514,16 +309,21 @@ def _fib_tree(label: str, hostname: str, lines: List[str]) -> DerivationTree:
     return DerivationTree(node=hostname, prefix="*", root=root)
 
 
-def _validate(base, new_session) -> None:
-    """Recompute the new snapshot from scratch and require byte-identical
-    FIBs; locate any mismatch with the first-divergence machinery."""
+def _validate(new_session) -> None:
+    """Analyze the new session's config texts from scratch — no cache,
+    so the parse memo is checked along with the data plane — and require
+    byte-identical FIBs; locate any mismatch with the first-divergence
+    machinery."""
+    from repro.core.session import Session
+
     with obs.span("delta.validate"):
-        full_dp = compute_dataplane(
-            new_session.snapshot, new_session.settings, new_session.semantics
+        scratch = Session.from_texts(
+            new_session._configs,
+            settings=new_session.settings,
+            semantics=new_session.semantics,
         )
-        full_fibs = compute_fibs(full_dp)
         delta_lines = fib_lines(new_session.fibs)
-        full_lines = fib_lines(full_fibs)
+        full_lines = fib_lines(scratch.fibs)
     if delta_lines == full_lines:
         obs.metrics().inc("delta.validate.ok")
         return
@@ -547,6 +347,6 @@ def _validate(base, new_session) -> None:
         else:
             details.append(f"{hostname}: host present on one side only")
     raise DeltaValidationError(
-        "delta engine produced FIBs that differ from a full recompute on "
+        "delta session's FIBs differ from a from-scratch analysis on "
         f"{len(mismatched)} device(s):\n" + "\n".join(details)
     )

@@ -279,8 +279,8 @@ class TraceReport:
                          f"{delta.get('delta.fallback_full', 0)}")
             if total:
                 lines.append(
-                    f"  devices re-simulated: {dirty}/{total} "
-                    f"({100.0 * reused / total:.0f}% spliced through)"
+                    f"  devices recomputed: {dirty}/{total} "
+                    f"({100.0 * reused / total:.0f}% reused from the base)"
                 )
             lines.append(
                 f"  parse memo hits: {delta.get('delta.parse_memo_hits', 0)}"

@@ -36,9 +36,9 @@ Scope classification (what makes skipping *sound*):
 
 * ``routing`` questions read the data plane; a device's answer rows can
   change when its own config changed **or** its routing state did, so
-  the impact set is ``changed ∪ dirty`` — exactly what the delta
-  engine's splice guarantee bounds (clean devices' FIBs are
-  byte-identical).
+  the impact set is ``changed ∪ dirty`` — the delta engine reports
+  no device dirty when it reuses the base data plane (every FIB is
+  the base's) and every device dirty when it recomputes.
 * ``config`` questions read only the parsed configs; their impact set
   is the changed files' hosts. Questions in this class that report
   *across* devices (``duplicate_ips``, ``lint``, ``parse_warnings``)
@@ -247,8 +247,8 @@ def prioritize_questions(
 
     ``changed_hosts`` are devices whose config bytes changed;
     ``dirty_hosts`` the delta engine's routing dirty set;
-    ``everything`` forces all questions affected (splice fallback — the
-    engine could not bound the impact, so neither can we). Affected
+    ``everything`` forces all questions affected (the device set
+    changed, so per-host footprints bound nothing). Affected
     entries are ranked by overlap: the record's vector mass on impacted
     hosts plus its host intersection size, so the service can rerun the
     most-exposed questions first."""

@@ -286,9 +286,13 @@ class BgpRib:
                     )
         return True
 
-    def _pre_clock_candidates(self, prefix: Prefix) -> List[BgpRoute]:
-        """Candidates surviving every attribute-based tie-break — the
-        set the arrival-clock step (single-path mode) then filters."""
+    def _select(self, prefix: Prefix) -> List[BgpRoute]:
+        """The BGP decision process (§4.1.2 plus standard steps).
+
+        Order: weight, local-pref, AS-path length, origin, MED,
+        eBGP-over-iBGP, IGP cost to next hop, then (single-path only)
+        arrival-time logical clock, then lowest neighbor address.
+        """
         peers = self._candidates.get(prefix)
         if not peers:
             return []
@@ -312,38 +316,7 @@ class BgpRib:
         viable = filter_best(lambda item: item[0].attributes.med)
         viable = filter_best(lambda item: 1 if item[0].attributes.from_ibgp else 0)
         viable = filter_best(lambda item: item[1])  # IGP cost
-        return [route for route, _cost in viable]
-
-    def order_sensitive_prefixes(self) -> List[Prefix]:
-        """Prefixes whose single-path choice reached the arrival-clock
-        tie-break with more than one candidate still standing.
-
-        For these, the winner depends on message-arrival order, not on
-        route attributes alone — a different (but equally valid)
-        convergence schedule could pick a different best route. The
-        delta engine treats any such prefix as a reason to fall back to
-        a full recompute rather than splice warm-started state. Clock
-        stamps themselves need no inspection: ambiguity exists exactly
-        when multiple candidates survive the attribute tie-breaks.
-        """
-        if self.multipath > 1 or not self.use_clocks:
-            return []  # multipath keeps the whole set; no clock step
-        return [
-            prefix
-            for prefix in sorted(self._best, key=str)
-            if len(self._pre_clock_candidates(prefix)) > 1
-        ]
-
-    def _select(self, prefix: Prefix) -> List[BgpRoute]:
-        """The BGP decision process (§4.1.2 plus standard steps).
-
-        Order: weight, local-pref, AS-path length, origin, MED,
-        eBGP-over-iBGP, IGP cost to next hop, then (single-path only)
-        arrival-time logical clock, then lowest neighbor address.
-        """
-        candidates = self._pre_clock_candidates(prefix)
-        if not candidates:
-            return []
+        candidates = [route for route, _cost in viable]
         if self.multipath > 1:
             return sorted(candidates, key=route_sort_key)[: self.multipath]
         if len(candidates) > 1:

@@ -287,19 +287,10 @@ def _run_ospf(
     topology: Layer3Topology,
     nodes: Dict[str, NodeState],
     semantics: PolicySemantics,
-    restrict: Optional[Set[str]] = None,
 ) -> None:
-    """Converge OSPF and merge results into the nodes' main RIBs.
-
-    ``nodes`` may be a restricted subset of the snapshot's devices (the
-    delta engine re-simulates only dirty devices); results for hosts
-    outside it are discarded, and ``restrict`` additionally skips their
-    SPF work entirely.
-    """
-    computation = compute_ospf(snapshot, topology, restrict=restrict)
+    """Converge OSPF and merge results into the nodes' main RIBs."""
+    computation = compute_ospf(snapshot, topology)
     for hostname, routes in computation.routes.items():
-        if hostname not in nodes:
-            continue
         state = nodes[hostname]
         for route in routes:
             if prov.enabled():
@@ -348,8 +339,6 @@ def _run_ospf(
     if redistributed:
         externals = compute_ospf_externals(snapshot, computation, redistributed)
         for hostname, routes in externals.items():
-            if hostname not in nodes:
-                continue
             state = nodes[hostname]
             for route in routes:
                 if prov.enabled():

@@ -180,20 +180,8 @@ class OspfComputation:
     databases: Dict[int, _AreaDatabase]
 
 
-def compute_ospf(
-    snapshot: Snapshot,
-    topology: Layer3Topology,
-    restrict: Optional[Set[str]] = None,
-) -> OspfComputation:
-    """Run OSPF to convergence for the whole snapshot.
-
-    ``restrict`` limits the per-source SPF work to the given routers —
-    the delta engine's selective re-simulation. Soundness requires the
-    set to be closed under OSPF adjacency components (link-state
-    flooding makes every router of a connected OSPF domain see any
-    change inside it), which the dirty-set propagation guarantees;
-    routers outside the set get empty route lists.
-    """
+def compute_ospf(snapshot: Snapshot, topology: Layer3Topology) -> OspfComputation:
+    """Run OSPF to convergence for the whole snapshot."""
     databases = _build_area_databases(snapshot, topology)
     routes: Dict[str, List[OspfRoute]] = {
         hostname: [] for hostname in snapshot.hostnames()
@@ -203,8 +191,6 @@ def compute_ospf(
 
     for area, db in sorted(databases.items()):
         for source in sorted(db.members):
-            if restrict is not None and source not in restrict:
-                continue
             dist, first_hops = _dijkstra(db, source)
             distances[(area, source)] = dist
             all_first_hops[(area, source)] = first_hops
@@ -240,9 +226,7 @@ def compute_ospf(
                             )
                         )
 
-    _add_inter_area_routes(
-        snapshot, databases, distances, all_first_hops, routes, restrict
-    )
+    _add_inter_area_routes(snapshot, databases, distances, all_first_hops, routes)
     return OspfComputation(
         routes=routes,
         distances=distances,
@@ -263,9 +247,7 @@ def _area_border_routers(databases: Dict[int, _AreaDatabase]) -> Set[str]:
     return backbone & others
 
 
-def _add_inter_area_routes(
-    snapshot, databases, distances, first_hops, routes, restrict=None
-):
+def _add_inter_area_routes(snapshot, databases, distances, first_hops, routes):
     """Propagate prefixes between areas through area-0 ABRs.
 
     For a router R in area A and a prefix P known in area B (≠ A), the
@@ -277,16 +259,11 @@ def _add_inter_area_routes(
     if not abrs:
         return
     # Best known cost from each ABR to each prefix (intra-area costs,
-    # through any area the ABR participates in). Under a restricted run,
-    # ABRs outside the restricted components have no SPF results — and
-    # no restricted router can route through them (different component),
-    # so skipping them loses nothing.
+    # through any area the ABR participates in).
     abr_prefix_cost: Dict[str, Dict[Prefix, int]] = {abr: {} for abr in abrs}
     for area, db in databases.items():
         for abr in abrs & db.members:
-            dist = distances.get((area, abr))
-            if dist is None:
-                continue
+            dist = distances[(area, abr)]
             for advertiser, prefix_list in db.prefixes.items():
                 if advertiser == abr:
                     base = 0
@@ -320,8 +297,6 @@ def _add_inter_area_routes(
     # Each router reaches remote prefixes via ABRs of its own areas.
     for area, db in sorted(databases.items()):
         for source in sorted(db.members):
-            if restrict is not None and source not in restrict:
-                continue
             device = snapshot.device(source)
             dist = distances[(area, source)]
             hops = first_hops[(area, source)]

@@ -119,10 +119,10 @@ class SnapshotStore:
     ) -> SnapshotRecord:
         """Incrementally update snapshot ``name`` with some files
         changed (``null`` text deletes a file). The delta engine
-        re-simulates only devices whose routing could have changed and
-        splices everything else through from the existing session's
-        converged state (:mod:`repro.delta`). Replaces the named
-        session in place and returns the updated record.
+        reparses only those files and reuses the existing session's
+        converged state when no routing fingerprint moved, else
+        recomputes (:mod:`repro.delta`). Replaces the named session in
+        place and returns the updated record.
         """
         if not isinstance(changed_configs, dict) or not changed_configs:
             raise InvalidRequestError(

@@ -283,9 +283,6 @@ def sweep_session(
             scenario_session = session.delta(
                 changed_configs, validate=run_validate, store_result=False
             )
-            # One-shot analysis: scenario data planes are never revisited,
-            # so don't let the lazy property persist them either.
-            scenario_session._cache = None
             verdict = evaluate_property(scenario_session, prop)
             info = scenario_session.delta_info
             return (

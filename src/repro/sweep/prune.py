@@ -38,7 +38,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.config.loader import parse_config_text
 from repro.core.cache import device_key
-from repro.delta.dirty import protocol_edges, routing_fingerprint
+from repro.delta.fingerprint import protocol_edges, routing_fingerprint
 from repro.hdr.ip import Ip
 from repro.routing.topology import (
     InterfaceId,

@@ -11,7 +11,7 @@ parse → delta → simulate pipeline rather than a bespoke mutation API.
 
 Append-only is load-bearing: the edit never shifts existing lines, so
 source-location annotations of untouched structures stay stable and the
-routing fingerprint (`repro.delta.dirty`) sees exactly the flipped
+routing fingerprint (`repro.delta.fingerprint`) sees exactly the flipped
 fields — which is what makes fingerprint-class pruning sound.
 """
 

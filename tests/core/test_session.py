@@ -125,12 +125,6 @@ class TestSnapshotKey:
         # Memoized: repeated reads agree.
         assert session.snapshot_key == session.snapshot_key
 
-    def test_deprecated_alias_warns_and_matches(self):
-        session = Session.from_texts(net1(2))
-        with pytest.warns(DeprecationWarning):
-            legacy = session._dataplane_key()
-        assert legacy == session.snapshot_key
-
 
 class TestQuestionSurface:
     def test_routes(self, session):

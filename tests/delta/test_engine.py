@@ -1,18 +1,22 @@
-"""Incremental delta engine: splice exactness against full recomputes,
-fallback behavior, and the differential validator itself."""
+"""Delta engine: reuse of the base data plane on routing-inert edits,
+full recompute on anything else, both byte-identical to a from-scratch
+session, and the differential validator itself."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.cache import SnapshotCache
 from repro.core.session import Session
 from repro.delta import DeltaValidationError, fib_lines
+from repro.delta.edits import irrelevant_edit, relevant_edit
 from repro.delta.engine import _validate
-from repro.synth.special import net1
+from repro.synth.networks import NETWORKS
+from repro.routing.engine import ConvergenceSettings
+from repro.synth.special import figure1b, net1
 
 #: Two protocol components: an OSPF pair (a, b) and a standalone
-#: static-only device (c) — edits to one component must never
-#: re-simulate the other.
+#: static-only device (c).
 THREE_ISLANDS = {
     "a": """
 hostname a
@@ -52,49 +56,104 @@ def full_fib_lines(configs):
     return fib_lines(Session.from_texts(configs).fibs)
 
 
-class TestSplice:
-    def test_partial_dirty_resimulates_one_component(self):
-        base = Session.from_texts(THREE_ISLANDS)
-        base.fibs
-        new = base.delta(
-            {"a": THREE_ISLANDS["a"] + ROUTE_LINE}, validate=True
-        )
-        info = new.delta_info
-        assert not info.fallback
-        assert info.validated
-        assert info.seeds == ["a"]
-        assert set(info.dirty_devices) == {"a", "b"}
-        assert info.reused_devices == 1
-        # The clean island's FIB is the base object, not a copy.
-        assert new.fibs["c"] is base.fibs["c"]
-        # The edit actually landed in the spliced result.
-        assert any(
-            "203.0.113.0/24" in line for line in fib_lines(new.fibs)["a"]
-        )
+def assert_recomputed(new, seeds):
+    """The DeltaInfo shape of every non-reuse delta, and FIBs equal to
+    a cache-less from-scratch session of the same texts."""
+    info = new.delta_info
+    assert info.fallback
+    assert info.seeds == seeds
+    for seed in seeds:
+        assert seed in info.fallback_reason
+    assert info.dirty_devices == sorted(new.snapshot.devices)
+    assert info.reused_devices == 0
+    assert fib_lines(new.fibs) == full_fib_lines(new._configs)
 
+
+def assert_reused(new, base):
+    info = new.delta_info
+    assert not info.fallback and info.fallback_reason == ""
+    assert info.seeds == [] and info.dirty_devices == []
+    assert info.reused_devices == len(new.snapshot.devices)
+    for hostname, state in new.dataplane.nodes.items():
+        # Converged state is aliased, never copied...
+        assert state.main_rib is base.dataplane.nodes[hostname].main_rib
+        # ...but device references follow the new snapshot.
+        assert state.device is new.snapshot.device(hostname)
+    assert fib_lines(new.fibs) == full_fib_lines(new._configs)
+
+
+class TestReuse:
     def test_inert_edit_reuses_base_dataplane_wholesale(self):
         base = Session.from_texts(THREE_ISLANDS)
         base.fibs
         new = base.delta({"c": THREE_ISLANDS["c"] + INERT_LINE}, validate=True)
-        info = new.delta_info
-        assert not info.fallback
-        assert info.dirty_devices == []
-        assert info.reused_devices == 3
-        assert info.parse_memo_hits == 2
-        # Converged state is aliased, never copied...
-        assert (
-            new.dataplane.nodes["a"].main_rib
-            is base.dataplane.nodes["a"].main_rib
-        )
-        # ...but device references follow the new snapshot.
-        assert new.dataplane.nodes["c"].device is new.snapshot.device("c")
+        assert new.delta_info.validated
+        assert_reused(new, base)
+        assert new.fibs["a"] is base.fibs["a"]
 
     def test_rewriting_file_with_identical_bytes_is_no_change(self):
         base = Session.from_texts(THREE_ISLANDS)
         base.fibs
         new = base.delta({"a": THREE_ISLANDS["a"]}, validate=True)
         assert new.delta_info.changed_files == []
-        assert new.delta_info.dirty_devices == []
+        assert_reused(new, base)
+
+    def test_parse_memo_hits_need_a_cache(self, tmp_path):
+        """Without a cache every file is reparsed, so nothing was a memo
+        hit; with one, the byte-identical files are."""
+        edit = {"c": THREE_ISLANDS["c"] + INERT_LINE}
+        uncached = Session.from_texts(THREE_ISLANDS).delta(edit)
+        assert uncached.delta_info.parse_memo_hits == 0
+        cached = Session.from_texts(
+            THREE_ISLANDS, cache=SnapshotCache(str(tmp_path))
+        ).delta(edit)
+        assert cached.delta_info.parse_memo_hits == 2
+        assert cached.cache_stats["hits"] >= 2
+
+    def test_duplicate_hostnames_still_match_scratch(self):
+        """Two files defining one hostname (the later file wins): an
+        edit to either goes through the same fingerprint compare."""
+        configs = dict(THREE_ISLANDS, z=THREE_ISLANDS["c"])
+        base = Session.from_texts(configs)
+        base.fibs
+        loser = base.delta({"c": configs["c"] + ROUTE_LINE}, validate=True)
+        assert_reused(loser, base)
+        winner = base.delta({"z": configs["z"] + ROUTE_LINE}, validate=True)
+        assert_recomputed(winner, ["c"])
+
+
+class TestRecompute:
+    PAIR = {name: THREE_ISLANDS[name] for name in ("a", "b")}
+
+    def test_routing_edit_in_one_island_recomputes_everything(self):
+        base = Session.from_texts(THREE_ISLANDS)
+        base.fibs
+        new = base.delta(
+            {"a": THREE_ISLANDS["a"] + ROUTE_LINE}, validate=True
+        )
+        assert new.delta_info.validated
+        assert_recomputed(new, ["a"])
+        # The edit actually landed.
+        assert any(
+            "203.0.113.0/24" in line for line in fib_lines(new.fibs)["a"]
+        )
+
+    def test_severing_edit(self):
+        """Removing OSPF from a's link tears down the adjacency: b's
+        routes through a must vanish too."""
+        severed = THREE_ISLANDS["a"].replace(
+            "interface Ethernet0\n ip address 10.0.12.1 255.255.255.0\n"
+            " ip ospf area 0\n",
+            "interface Ethernet0\n ip address 10.0.12.1 255.255.255.0\n",
+        )
+        assert severed != THREE_ISLANDS["a"]
+        base = Session.from_texts(THREE_ISLANDS)
+        assert any("1.1.1.1/32" in line for line in fib_lines(base.fibs)["b"])
+        new = base.delta({"a": severed}, validate=True)
+        assert_recomputed(new, ["a"])
+        assert not any(
+            "1.1.1.1/32" in line for line in fib_lines(new.fibs)["b"]
+        )
 
     def test_chained_deltas(self):
         base = Session.from_texts(THREE_ISLANDS)
@@ -104,15 +163,17 @@ class TestSplice:
             {"a": THREE_ISLANDS["a"] + ROUTE_LINE}, validate=True
         )
         assert second.delta_info.validated
-        assert set(second.delta_info.dirty_devices) == {"a", "b"}
+        assert_recomputed(second, ["a"])
+        third = second.delta(
+            {"b": THREE_ISLANDS["b"] + INERT_LINE}, validate=True
+        )
+        assert_reused(third, second)
 
     def test_device_removal(self):
         base = Session.from_texts(THREE_ISLANDS)
         base.fibs
         new = base.delta({"c": None}, validate=True)
-        assert not new.delta_info.fallback
-        assert new.delta_info.seeds == ["c"]
-        assert "c" not in new.fibs
+        assert_recomputed(new, ["c"])
         assert set(new.fibs) == {"a", "b"}
 
     def test_device_addition(self):
@@ -124,27 +185,32 @@ class TestSplice:
             " ip address 10.8.0.1 255.255.255.0\n"
         )
         new = base.delta({"d": extra}, validate=True)
-        assert not new.delta_info.fallback
-        assert new.delta_info.dirty_devices == ["d"]
-        assert new.delta_info.reused_devices == 3
+        assert_recomputed(new, ["d"])
+        assert set(new.fibs) == {"a", "b", "c", "d"}
 
-
-class TestFallback:
-    PAIR = {name: THREE_ISLANDS[name] for name in ("a", "b")}
-
-    def test_all_dirty_falls_back_to_full_recompute(self):
-        base = Session.from_texts(self.PAIR)
-        base.fibs
-        new = base.delta({"a": self.PAIR["a"] + ROUTE_LINE})
-        info = new.delta_info
-        assert info.fallback
-        assert "full recompute" in info.fallback_reason
-        # Fallback results ARE full recomputes: no validation needed,
-        # and the lazy pipeline must still produce the edited route.
-        assert not info.validated
-        assert any(
-            "203.0.113.0/24" in line for line in fib_lines(new.fibs)["a"]
+    def test_unconverged_base_is_never_reused(self):
+        configs = figure1b()
+        base = Session.from_texts(
+            configs,
+            settings=ConvergenceSettings(schedule="lockstep", max_iterations=40),
         )
+        assert not base.dataplane.converged
+        target = sorted(configs)[0]
+        new = base.delta({target: configs[target] + INERT_LINE}, validate=False)
+        info = new.delta_info
+        assert info.fallback and "did not converge" in info.fallback_reason
+        assert info.seeds == [] and info.reused_devices == 0
+        assert info.dirty_devices == sorted(new.snapshot.devices)
+        assert new._dataplane is None
+
+    def test_base_is_not_computed_for_a_seeded_delta(self):
+        base = Session.from_texts(self.PAIR)
+        new = base.delta({"a": self.PAIR["a"] + ROUTE_LINE}, validate=False)
+        assert new.delta_info.fallback
+        assert base._dataplane is None and new._dataplane is None
+
+class TestRejectedInput:
+    PAIR = {name: THREE_ISLANDS[name] for name in ("a", "b")}
 
     def test_base_without_configs_is_rejected(self):
         from repro.config.loader import load_snapshot_from_texts
@@ -165,16 +231,51 @@ class TestFallback:
 
 
 class TestValidator:
-    def test_validator_catches_corrupted_splice(self):
+    def test_validator_catches_corrupted_reuse(self):
         base = Session.from_texts(THREE_ISLANDS)
         base.fibs
         new = base.delta({"c": THREE_ISLANDS["c"] + INERT_LINE})
         assert not new.delta_info.fallback
-        # Sabotage the spliced FIBs; the differential check must fail
+        # Sabotage the reused FIBs; the differential check must fail
         # and localize the divergence to the mangled host.
         del new._fibs["c"]
         with pytest.raises(DeltaValidationError, match="c"):
-            _validate(base, new)
+            _validate(new)
+
+    def test_validator_catches_corrupted_recompute(self):
+        base = Session.from_texts(THREE_ISLANDS)
+        new = base.delta({"a": THREE_ISLANDS["a"] + ROUTE_LINE})
+        assert new.delta_info.fallback
+        del new.fibs["b"]
+        with pytest.raises(DeltaValidationError, match="b"):
+            _validate(new)
+
+
+class TestRegistry:
+    """One inert and one routing edit on every registry network, from a
+    cached base: FIBs equal a cache-less from-scratch session (which
+    also covers the parse memo) and DeltaInfo keeps its invariants."""
+
+    @pytest.mark.parametrize("spec", NETWORKS, ids=lambda spec: spec.name)
+    def test_inert_and_routing_edit(self, spec, tmp_path):
+        configs = spec.generate(1)
+        base = Session.from_texts(configs, cache=SnapshotCache(str(tmp_path)))
+        base.fibs
+        target = sorted(configs)[0]
+        hostname = base.snapshot.sources[target]
+
+        inert = base.delta({target: irrelevant_edit(configs[target])})
+        assert_reused(inert, base)
+        assert inert.delta_info.parse_memo_hits == len(configs) - 1
+
+        routing = base.delta({target: relevant_edit(configs[target])})
+        assert_recomputed(routing, [hostname])
+        assert routing.delta_info.parse_memo_hits == len(configs) - 1
+        assert routing.delta_info.to_json().keys() == {
+            "changed_files", "seeds", "dirty_devices", "reused_devices",
+            "parse_memo_hits", "fallback", "fallback_reason", "validated",
+            "questions_affected", "questions_skipped",
+        }
 
 
 class TestPropertyRandomEdits:

@@ -1,8 +1,8 @@
-"""Dirty-set computation: routing fingerprints, protocol-edge closure,
-and the candidate-host restriction contract."""
+"""Routing fingerprints, the seeds they yield between two snapshots,
+and the protocol edges the sweep pruner builds on."""
 
 from repro.config.loader import load_snapshot_from_texts
-from repro.delta import compute_dirty_set, protocol_edges, routing_fingerprint
+from repro.delta import protocol_edges, routing_fingerprint, routing_seeds
 
 OSPF_PAIR = {
     "r1": """
@@ -90,32 +90,36 @@ class TestRoutingFingerprint:
         )
 
 
-class TestDirtyClosure:
-    def test_identical_snapshots_have_empty_dirty_set(self):
+ROUTE_LINE = "ip route 203.0.113.0 255.255.255.0 Null0\n"
+
+
+class TestRoutingSeeds:
+    def test_identical_and_inert_snapshots_have_no_seed(self):
         base = load_snapshot_from_texts(OSPF_PAIR)
-        new = load_snapshot_from_texts(dict(OSPF_PAIR))
-        computation = compute_dirty_set(base, new)
-        assert computation.seeds == []
-        assert computation.dirty == set()
-        # The empty-seed early return never builds protocol topologies.
-        assert computation.edges == set()
+        inert = dict(OSPF_PAIR, r1=OSPF_PAIR["r1"] + "ntp server 203.0.113.250\n")
+        assert routing_seeds(base, load_snapshot_from_texts(OSPF_PAIR), set()) == []
+        assert routing_seeds(base, load_snapshot_from_texts(inert), {"r1"}) == []
 
-    def test_routing_edit_dirties_ospf_neighbor(self):
-        edited = dict(OSPF_PAIR)
-        edited["r1"] = (
-            OSPF_PAIR["r1"] + "ip route 203.0.113.0 255.255.255.0 Null0\n"
-        )
-        computation = compute_dirty_set(
-            load_snapshot_from_texts(OSPF_PAIR),
-            load_snapshot_from_texts(edited),
-        )
-        assert computation.seeds == ["r1"]
-        assert computation.dirty == {"r1", "r2"}
+    def test_routing_edit_seeds_only_the_edited_device(self):
+        edited = dict(OSPF_PAIR, r1=OSPF_PAIR["r1"] + ROUTE_LINE)
+        base = load_snapshot_from_texts(OSPF_PAIR)
+        new = load_snapshot_from_texts(edited)
+        assert routing_seeds(base, new, {"r1"}) == ["r1"]
+        # Only the hosts the caller names are hashed: the engine derives
+        # them from changed *files*, on both sides of the edit.
+        assert routing_seeds(base, new, {"r2"}) == []
 
-    def test_severing_edit_dirties_both_sides(self):
-        # Removing OSPF from r1's link tears down the adjacency; the
-        # closure must follow the *base* world's edge so r2 (whose
-        # routes through r1 vanish) is re-simulated too.
+    def test_added_and_removed_devices_seed(self):
+        grown = dict(OSPF_PAIR)
+        grown["r3"] = "hostname r3\ninterface e0\n ip address 10.9.0.1 255.255.255.0\n"
+        base = load_snapshot_from_texts(OSPF_PAIR)
+        new = load_snapshot_from_texts(grown)
+        assert routing_seeds(base, new, {"r3"}) == ["r3"]
+        assert routing_seeds(new, base, {"r3"}) == ["r3"]
+
+
+class TestProtocolEdges:
+    def test_severing_edit_removes_the_adjacency(self):
         severed = dict(OSPF_PAIR)
         severed["r1"] = OSPF_PAIR["r1"].replace(
             "interface Ethernet0\n ip address 10.0.12.1 255.255.255.0\n"
@@ -123,40 +127,7 @@ class TestDirtyClosure:
             "interface Ethernet0\n ip address 10.0.12.1 255.255.255.0\n",
         )
         assert severed["r1"] != OSPF_PAIR["r1"]
-        base = load_snapshot_from_texts(OSPF_PAIR)
-        new = load_snapshot_from_texts(severed)
-        # The new world alone has no r1<->r2 protocol edge...
-        assert protocol_edges(new) == set()
-        # ...yet both sides are dirty via the union of worlds.
-        computation = compute_dirty_set(base, new)
-        assert computation.seeds == ["r1"]
-        assert computation.dirty == {"r1", "r2"}
-
-    def test_added_and_removed_devices_seed(self):
-        grown = dict(OSPF_PAIR)
-        grown["r3"] = "hostname r3\ninterface e0\n ip address 10.9.0.1 255.255.255.0\n"
-        base = load_snapshot_from_texts(OSPF_PAIR)
-        new = load_snapshot_from_texts(grown)
-        assert "r3" in compute_dirty_set(base, new).dirty
-        removal = compute_dirty_set(new, base)
-        assert "r3" in removal.dirty
-        # Removed devices are excluded by the new-snapshot projection.
-        assert removal.dirty_in(base) == set()
-
-    def test_candidate_hosts_restricts_comparison(self):
-        edited = dict(OSPF_PAIR)
-        edited["r1"] = (
-            OSPF_PAIR["r1"] + "ip route 203.0.113.0 255.255.255.0 Null0\n"
-        )
-        base = load_snapshot_from_texts(OSPF_PAIR)
-        new = load_snapshot_from_texts(edited)
-        assert compute_dirty_set(
-            base, new, candidate_hosts={"r1"}
-        ).dirty == {"r1", "r2"}
-        # The contract is the caller's: a candidate set that misses the
-        # changed host makes the diff (wrongly) report it clean. This
-        # documents why the engine derives candidates from changed
-        # *files* via the injective filename->hostname map.
-        assert compute_dirty_set(
-            base, new, candidate_hosts={"r2"}
-        ).dirty == set()
+        assert protocol_edges(load_snapshot_from_texts(OSPF_PAIR)) == {
+            ("r1", "r2")
+        }
+        assert protocol_edges(load_snapshot_from_texts(severed)) == set()

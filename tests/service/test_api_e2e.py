@@ -256,8 +256,9 @@ class TestShutdown:
 
 
 class TestPatchSnapshot:
-    def test_patch_applies_incremental_update(self, make_service):
-        _, client = make_service()
+    def test_patch_applies_incremental_update(self, make_service, tmp_path):
+        # A cache backs the per-device parse memo the PATCH reports on.
+        _, client = make_service(cache=str(tmp_path))
         configs = net1(2)
         status, record = client.post(
             "/snapshots", {"name": "lab", "configs": configs}
