@@ -92,6 +92,123 @@ interface lan
 """,
 }
 
+# One AS, one route reflector: ``p1`` (eBGP edge, plain iBGP peer of
+# ``rr``), ``c1`` (``rr``'s only client) and ``p2`` (plain peer, behind
+# an export route-map that hides two prefixes).
+IBGP_SPLIT_HORIZON_CONFIGS = {
+    "ext": """
+hostname ext
+interface e0
+ ip address 10.0.1.2 255.255.255.252
+router bgp 100
+ bgp router-id 9.9.9.9
+ neighbor 10.0.1.1 remote-as 65000
+ network 8.0.0.0 mask 255.0.0.0
+ network 9.0.0.0 mask 255.0.0.0
+ip route 8.0.0.0 255.0.0.0 Null0
+ip route 9.0.0.0 255.0.0.0 Null0
+""",
+    "p1": """
+hostname p1
+interface e0
+ ip address 10.0.1.1 255.255.255.252
+interface e1
+ ip address 10.0.2.1 255.255.255.252
+router bgp 65000
+ bgp router-id 1.1.1.1
+ neighbor 10.0.1.2 remote-as 100
+ neighbor 10.0.2.2 remote-as 65000
+ neighbor 10.0.2.2 next-hop-self
+""",
+    "rr": """
+hostname rr
+interface e0
+ ip address 10.0.2.2 255.255.255.252
+interface e1
+ ip address 10.0.3.1 255.255.255.252
+interface e2
+ ip address 10.0.4.1 255.255.255.252
+router bgp 65000
+ bgp router-id 2.2.2.2
+ neighbor 10.0.2.1 remote-as 65000
+ neighbor 10.0.3.2 remote-as 65000
+ neighbor 10.0.3.2 route-reflector-client
+ neighbor 10.0.3.2 next-hop-self
+ neighbor 10.0.4.2 remote-as 65000
+ neighbor 10.0.4.2 route-map TO_P2 out
+ network 172.20.0.0 mask 255.255.0.0
+ network 172.21.0.0 mask 255.255.0.0
+ip route 172.20.0.0 255.255.0.0 Null0
+ip route 172.21.0.0 255.255.0.0 Null0
+ip prefix-list HIDDEN seq 5 permit 9.0.0.0/8
+ip prefix-list HIDDEN seq 10 permit 172.21.0.0/16
+route-map TO_P2 deny 10
+ match ip address prefix-list HIDDEN
+route-map TO_P2 permit 20
+""",
+    "c1": """
+hostname c1
+interface e0
+ ip address 10.0.3.2 255.255.255.252
+router bgp 65000
+ bgp router-id 3.3.3.3
+ neighbor 10.0.3.1 remote-as 65000
+""",
+    "p2": """
+hostname p2
+interface e0
+ ip address 10.0.4.2 255.255.255.252
+router bgp 65000
+ bgp router-id 4.4.4.4
+ neighbor 10.0.4.1 remote-as 65000
+""",
+}
+
+# Three ASes in a triangle; ``a`` poisons its direct advertisement to
+# ``c`` by prepending ``c``'s own AS on export.
+EBGP_PREPEND_LOOP_CONFIGS = {
+    "a": """
+hostname a
+interface e0
+ ip address 10.0.12.1 255.255.255.252
+interface e1
+ ip address 10.0.13.1 255.255.255.252
+router bgp 65001
+ bgp router-id 1.1.1.1
+ neighbor 10.0.12.2 remote-as 65002
+ neighbor 10.0.13.2 remote-as 65003
+ neighbor 10.0.13.2 route-map POISON_C out
+ network 172.20.0.0 mask 255.255.0.0
+ip route 172.20.0.0 255.255.0.0 Null0
+route-map POISON_C permit 10
+ set as-path prepend 65003
+""",
+    "b": """
+hostname b
+interface e0
+ ip address 10.0.12.2 255.255.255.252
+interface e1
+ ip address 10.0.23.1 255.255.255.252
+router bgp 65002
+ bgp router-id 2.2.2.2
+ neighbor 10.0.12.1 remote-as 65001
+ neighbor 10.0.23.2 remote-as 65003
+""",
+    "c": """
+hostname c
+interface e0
+ ip address 10.0.13.2 255.255.255.252
+interface e1
+ ip address 10.0.23.2 255.255.255.252
+interface lan
+ ip address 192.168.3.1 255.255.255.0
+router bgp 65003
+ bgp router-id 3.3.3.3
+ neighbor 10.0.13.1 remote-as 65001
+ neighbor 10.0.23.1 remote-as 65002
+""",
+}
+
 
 def build_reference_repository() -> LabRepository:
     """The labs shipped with the repository (run by the test suite,
@@ -195,6 +312,94 @@ def build_reference_repository() -> LabRepository:
                         start_interface="e0",
                         disposition=Disposition.NO_ROUTE,
                         path=["r1", "r2"],
+                    )
+                ],
+            ),
+        )
+    )
+
+    repository.register(
+        Lab(
+            name="ibgp-split-horizon-and-export-deny",
+            description=(
+                "a route reflector with one client, one plain iBGP peer "
+                "behind an export route-map: iBGP-learned routes reach the "
+                "client only (9.0.0.0/8 is kept from p2 by split horizon "
+                "*and* by the route-map), the reflector's own routes reach "
+                "everyone the route-map lets them"
+            ),
+            configs=IBGP_SPLIT_HORIZON_CONFIGS,
+            expected=RuntimeState(
+                routes={
+                    "rr": [
+                        "connected 10.0.2.0/30 via e0",
+                        "connected 10.0.3.0/30 via e1",
+                        "connected 10.0.4.0/30 via e2",
+                        "ibgp 8.0.0.0/8 via 10.0.2.1 lp 100 path [100]",
+                        "ibgp 9.0.0.0/8 via 10.0.2.1 lp 100 path [100]",
+                        "static 172.20.0.0/16 -> Null0 [1]",
+                        "static 172.21.0.0/16 -> Null0 [1]",
+                    ],
+                    # The client gets everything, reflected routes included.
+                    "c1": [
+                        "connected 10.0.3.0/30 via e0",
+                        "ibgp 172.20.0.0/16 via 10.0.3.1 lp 100 path [local]",
+                        "ibgp 172.21.0.0/16 via 10.0.3.1 lp 100 path [local]",
+                        "ibgp 8.0.0.0/8 via 10.0.3.1 lp 100 path [100]",
+                        "ibgp 9.0.0.0/8 via 10.0.3.1 lp 100 path [100]",
+                    ],
+                    # The plain peer gets neither iBGP-learned route (split
+                    # horizon) nor 172.21.0.0/16 (route-map deny).
+                    "p2": [
+                        "connected 10.0.4.0/30 via e0",
+                        "ibgp 172.20.0.0/16 via 10.0.4.1 lp 100 path [local]",
+                    ],
+                    # The reflector's own routes are not iBGP-learned.
+                    "p1": [
+                        "bgp 8.0.0.0/8 via 10.0.1.2 lp 100 path [100]",
+                        "bgp 9.0.0.0/8 via 10.0.1.2 lp 100 path [100]",
+                        "connected 10.0.1.0/30 via e0",
+                        "connected 10.0.2.0/30 via e1",
+                        "ibgp 172.20.0.0/16 via 10.0.2.2 lp 100 path [local]",
+                        "ibgp 172.21.0.0/16 via 10.0.2.2 lp 100 path [local]",
+                    ],
+                },
+            ),
+        )
+    )
+
+    repository.register(
+        Lab(
+            name="ebgp-prepend-poisons-receiver",
+            description=(
+                "an eBGP triangle where a prepends c's AS towards c: c's "
+                "loop prevention must see the prepended path and learn "
+                "the prefix through b instead"
+            ),
+            configs=EBGP_PREPEND_LOOP_CONFIGS,
+            expected=RuntimeState(
+                routes={
+                    "b": [
+                        "bgp 172.20.0.0/16 via 10.0.12.1 lp 100 path [65001]",
+                        "connected 10.0.12.0/30 via e0",
+                        "connected 10.0.23.0/30 via e1",
+                    ],
+                    "c": [
+                        "bgp 172.20.0.0/16 via 10.0.23.1 lp 100 path [65002 65001]",
+                        "connected 10.0.13.0/30 via e0",
+                        "connected 10.0.23.0/30 via e1",
+                        "connected 192.168.3.0/24 via lan",
+                    ],
+                },
+                traces=[
+                    ExpectedTrace(
+                        packet=Packet(
+                            src_ip=Ip("192.168.3.10"), dst_ip=Ip("172.20.5.5"),
+                        ),
+                        start_node="c",
+                        start_interface="lan",
+                        disposition=Disposition.NULL_ROUTED,
+                        path=["c", "b", "a"],
                     )
                 ],
             ),

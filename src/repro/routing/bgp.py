@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from repro.config.model import BgpNeighbor, Device, Snapshot
 from repro.hdr.ip import Ip, Prefix
 from repro.provenance import record as prov
-from repro.routing.rib import RibDelta, route_sort_key
+from repro.routing.rib import RibDelta, sorted_best_set
 from repro.routing.route import (
     AD_EBGP,
     AD_IBGP,
@@ -200,6 +200,9 @@ class BgpRib:
         self._candidates: Dict[Prefix, Dict[Optional[Ip], BgpRoute]] = {}
         self._clocks: Dict[Tuple[Prefix, Optional[Ip]], int] = {}
         self._best: Dict[Prefix, List[BgpRoute]] = {}
+        #: the prefixes of ``_best`` in ``all_best`` order; None after
+        #: a prefix appeared or disappeared
+        self._order: Optional[List[Prefix]] = None
         self.delta = RibDelta()
 
     def __getstate__(self):
@@ -208,6 +211,7 @@ class BgpRib:
         cached (already converged) RIB never re-runs best selection."""
         state = self.__dict__.copy()
         state["_igp_cost"] = None
+        state["_order"] = None
         return state
 
     def __setstate__(self, state):
@@ -243,22 +247,17 @@ class BgpRib:
             del self._candidates[prefix]
         return self._reselect(prefix)
 
-    def reselect_all(self) -> bool:
-        """Re-run selection everywhere (after IGP costs changed)."""
-        changed = False
-        for prefix in sorted(self._candidates, key=str):
-            changed |= self._reselect(prefix)
-        return changed
-
     def _reselect(self, prefix: Prefix) -> bool:
         old_best = self._best.get(prefix, [])
         new_best = self._select(prefix)
         if new_best == old_best:
             return False
+        if not (old_best and new_best):
+            self._order = None  # the prefix appears or disappears
         if new_best:
             self._best[prefix] = new_best
         else:
-            self._best.pop(prefix, None)
+            del self._best[prefix]
         for route in old_best:
             if route not in new_best:
                 self.delta.removed.append(route)
@@ -291,34 +290,40 @@ class BgpRib:
 
         Order: weight, local-pref, AS-path length, origin, MED,
         eBGP-over-iBGP, IGP cost to next hop, then (single-path only)
-        arrival-time logical clock, then lowest neighbor address.
+        arrival-time logical clock, then lowest neighbor address. The
+        first seven steps are one lexicographic minimum over a tuple.
         """
         peers = self._candidates.get(prefix)
         if not peers:
             return []
-        viable: List[Tuple[BgpRoute, int]] = []
+        ranked: List[Tuple[Tuple, BgpRoute]] = []
         for route in peers.values():
             cost = self._resolve_igp_cost(route)
             if cost is None:
                 continue  # unresolvable next hop: route stays inactive
-            viable.append((route, cost))
-        if not viable:
+            attrs = route.attributes
+            ranked.append(
+                (
+                    (
+                        -attrs.weight,
+                        -attrs.local_pref,
+                        len(attrs.as_path),
+                        _ORIGIN_RANK[attrs.origin],
+                        attrs.med,
+                        attrs.from_ibgp,
+                        cost,
+                    ),
+                    route,
+                )
+            )
+        if not ranked:
             return []
-
-        def filter_best(key):
-            best = min(key(item) for item in viable)
-            return [item for item in viable if key(item) == best]
-
-        viable = filter_best(lambda item: -item[0].attributes.weight)
-        viable = filter_best(lambda item: -item[0].attributes.local_pref)
-        viable = filter_best(lambda item: len(item[0].attributes.as_path))
-        viable = filter_best(lambda item: _ORIGIN_RANK[item[0].attributes.origin])
-        viable = filter_best(lambda item: item[0].attributes.med)
-        viable = filter_best(lambda item: 1 if item[0].attributes.from_ibgp else 0)
-        viable = filter_best(lambda item: item[1])  # IGP cost
-        candidates = [route for route, _cost in viable]
+        if len(ranked) == 1:
+            return [ranked[0][1]]
+        best_rank = min(rank for rank, _route in ranked)
+        candidates = [route for rank, route in ranked if rank == best_rank]
         if self.multipath > 1:
-            return sorted(candidates, key=route_sort_key)[: self.multipath]
+            return sorted_best_set(candidates)[: self.multipath]
         if len(candidates) > 1:
             # With logical clocks (§4.1.2) the *oldest* advertisement
             # wins, like routers: an equally good newcomer never
@@ -335,15 +340,14 @@ class BgpRib:
                 if c == target
             ]
         # Final deterministic tie-break: lowest advertiser address
-        # (local routes, peer None, win over learned ones).
-        def advertiser(route: BgpRoute) -> int:
-            return -1 if route.received_from is None else route.received_from.value
-
-        best_advertiser = min(advertiser(r) for r in candidates)
-        return sorted(
-            (r for r in candidates if advertiser(r) == best_advertiser),
-            key=route_sort_key,
-        )[:1]
+        # (local routes, peer None, win over learned ones). A prefix has
+        # one candidate per advertiser, so this leaves exactly one.
+        return [
+            min(
+                candidates,
+                key=lambda r: -1 if r.received_from is None else r.received_from.value,
+            )
+        ]
 
     def _resolve_igp_cost(self, route: BgpRoute) -> Optional[int]:
         if route.received_from is None:
@@ -356,8 +360,10 @@ class BgpRib:
         return list(self._best.get(prefix, []))
 
     def all_best(self) -> List[BgpRoute]:
+        if self._order is None:
+            self._order = sorted(self._best, key=str)
         result: List[BgpRoute] = []
-        for prefix in sorted(self._best, key=str):
+        for prefix in self._order:
             result.extend(self._best[prefix])
         return result
 
@@ -377,7 +383,9 @@ def export_route(
 ) -> Optional[BgpRoute]:
     """Transform a locally-selected route into the advertisement the
     remote peer receives on ``session`` (before the remote import
-    policy). Returns None when BGP rules forbid the advertisement.
+    policy). Returns None when BGP rules forbid the advertisement. The
+    advertisement's community set is canonical (sorted, no repeats)
+    whatever built the route's bundle.
     """
     attrs = route.attributes
     if session.is_ibgp:
@@ -392,6 +400,7 @@ def export_route(
             admin_distance=AD_IBGP,
             originator_id=attrs.originator_id
             or (route.received_from if attrs.from_ibgp else None),
+            communities=intern_communities(attrs.communities),
         )
     else:
         next_hop = next_hop_override or session.local_ip
@@ -403,7 +412,7 @@ def export_route(
             originator_id=None,
             weight=0,
             med=0 if attrs.from_ibgp else attrs.med,
-            communities=attrs.communities
+            communities=intern_communities(attrs.communities)
             if session.neighbor.send_community
             else (),
         )

@@ -49,6 +49,7 @@ from repro.routing.coloring import color_classes, greedy_coloring
 from repro.routing.ospf import compute_ospf, compute_ospf_externals
 from repro.routing.policy import (
     DEFAULT_SEMANTICS,
+    PolicyResult,
     PolicyRoute,
     PolicySemantics,
     apply_route_map,
@@ -65,6 +66,16 @@ from repro.routing.route import (
 from repro.routing.topology import InterfaceId, Layer3Topology, build_layer3_topology
 
 DEFAULT_EXTERNAL_METRIC = 20
+
+#: Why the exchange dropped an advertisement, in the order it checks.
+SPLIT_HORIZON = "split_horizon"
+AS_PATH_LOOP = "as_path_loop"
+ORIGINATOR_LOOP = "originator_loop"
+EXPORT_DENY = "export_deny"
+IMPORT_DENY = "import_deny"
+SUPPRESSION_REASONS = (
+    SPLIT_HORIZON, AS_PATH_LOOP, ORIGINATOR_LOOP, EXPORT_DENY, IMPORT_DENY,
+)
 
 
 @dataclass
@@ -103,6 +114,15 @@ class DataPlaneStats:
     best_route_changes: int = 0
     elapsed_seconds: float = 0.0
     total_routes: int = 0
+    #: Advertisements the exchange dropped, by the rule that dropped
+    #: them: where the difference between ``bgp_routes_processed`` and
+    #: the routes that reached a BGP RIB went.
+    suppressed: Dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(SUPPRESSION_REASONS, 0)
+    )
+    #: Route-map evaluations of the exchange (a session side without a
+    #: route-map evaluates nothing).
+    policy_evals: int = 0
 
 
 @dataclass
@@ -169,11 +189,14 @@ def compute_dataplane(
                     break
         stats.elapsed_seconds = time.perf_counter() - started
         stats.total_routes = sum(len(state.main_rib) for state in nodes.values())
-        if obs.enabled():
+        if obs.active():
             obs.add("dataplane.runs")
             obs.add("dataplane.bgp.iterations", stats.iterations)
             obs.add("dataplane.session_rounds", stats.session_rounds)
             obs.add("dataplane.bgp.routes_processed", stats.bgp_routes_processed)
+            obs.add("dataplane.bgp.policy_evals", stats.policy_evals)
+            for reason, count in stats.suppressed.items():
+                obs.add(f"dataplane.bgp.suppressed.{reason}", count)
             obs.observe("dataplane.convergence_iterations", stats.iterations)
             obs.gauge("dataplane.total_routes", stats.total_routes)
             if not converged:
@@ -349,11 +372,14 @@ def _run_ospf(
                 state.main_rib.merge(route)
 
 
-def _policy_label(route_map_name: Optional[str], result) -> str:
-    """Render the deciding policy clause for a provenance event."""
+def _policy_label(
+    route_map_name: Optional[str], result: Optional[PolicyResult]
+) -> str:
+    """Render the deciding policy clause for a provenance event
+    (``result`` None: nothing was evaluated)."""
     if route_map_name is None:
         return ""
-    if result.matched_clause is None:
+    if result is None or result.matched_clause is None:
         return f"route-map {route_map_name} (no clause matched)"
     return f"route-map {route_map_name} clause {result.matched_clause}"
 
@@ -504,30 +530,30 @@ def _run_bgp(
         )
         _originate_local_bgp(state, semantics, next_clock)
 
-    # Sessions indexed by receiver: (receiver, sender_session).
-    in_sessions: Dict[str, List[BgpSession]] = {}
-    session_by_key: Dict[Tuple[str, str, str], BgpSession] = {}
+    # Per directed session edge (the session as seen by the *sender*;
+    # the receiver pulls through it): the exchange and the pending delta
+    # the receiver has not consumed yet. Routes are references into the
+    # sender's RIB (shared, interned objects) — this is the "no queues"
+    # hybrid (§4.1.3).
+    in_sessions: Dict[str, List[Tuple[_Exchange, RibDelta]]] = {}
+    out_pending: Dict[str, List[RibDelta]] = {}
     for session in established:
-        session_by_key[session.key] = session
-    for session in established:
-        # The session as seen by the *sender*; receiver pulls through it.
-        in_sessions.setdefault(session.remote_node, []).append(session)
-
-    # Per directed session edge: the pending delta the receiver has not
-    # consumed yet. Routes are references into the sender's RIB (shared,
-    # interned objects) — this is the "no queues" hybrid (§4.1.3).
-    pending: Dict[Tuple[str, str, str], RibDelta] = {
-        s.key: RibDelta() for s in established
-    }
+        exchange = _Exchange(
+            session,
+            snapshot.device(session.local_node),
+            nodes[session.remote_node].device,
+            semantics,
+            stats,
+        )
+        pending = RibDelta()
+        in_sessions.setdefault(session.remote_node, []).append((exchange, pending))
+        out_pending.setdefault(session.local_node, []).append(pending)
 
     def publish(sender: str, delta: RibDelta) -> None:
         if delta.empty:
             return
-        for session in established:
-            if session.local_node == sender:
-                pending[session.key].extend(
-                    RibDelta(list(delta.added), list(delta.removed))
-                )
+        for pending in out_pending.get(sender, ()):
+            pending.extend(delta)
 
     # Seed: every node publishes its initial best routes.
     for hostname in bgp_nodes:
@@ -561,21 +587,19 @@ def _run_bgp(
             # of one class see a consistent pre-class state (they are
             # pairwise non-adjacent under coloring, so this only matters
             # for the lockstep schedule).
-            snapshots = {}
-            for hostname in color_class:
-                for session in in_sessions.get(hostname, []):
-                    snapshots[session.key] = pending[session.key].clear()
+            pulls = {
+                hostname: [
+                    (exchange, pending.clear())
+                    for exchange, pending in in_sessions.get(hostname, ())
+                ]
+                for hostname in color_class
+            }
             deltas: Dict[str, RibDelta] = {}
             for hostname in color_class:
                 state = nodes[hostname]
-                for session in in_sessions.get(hostname, []):
-                    delta = snapshots.get(session.key)
-                    if delta is None or delta.empty:
-                        continue
-                    _process_incoming(
-                        snapshot, state, session, delta, semantics,
-                        next_clock, stats,
-                    )
+                for exchange, delta in pulls[hostname]:
+                    if not delta.empty:
+                        _process_incoming(state, exchange, delta, next_clock)
                 deltas[hostname] = state.bgp_rib.take_delta()
                 delta_size = len(deltas[hostname].added) + len(
                     deltas[hostname].removed
@@ -591,7 +615,9 @@ def _run_bgp(
             # Per-iteration RIB-delta telemetry: the §4.1.3 churn signal
             # used to diagnose slow or diverging convergence.
             obs.observe("dataplane.bgp.iteration_delta_routes", iteration_delta_routes)
-        if not any_change and all(p.empty for p in pending.values()):
+        if not any_change and all(
+            pending.empty for queue in out_pending.values() for pending in queue
+        ):
             converged = True
             break
         # Oscillation detection: a repeated global state means a cycle.
@@ -608,7 +634,12 @@ def _run_bgp(
 
 
 def _igp_cost_fn(state: NodeState):
-    def igp_cost(next_hop: Ip) -> Optional[int]:
+    """The IGP cost resolver of one node for one ``_run_bgp`` call: the
+    main RIB does not change inside one, so each next hop is resolved
+    (one LPM) once."""
+    resolved: Dict[Ip, Optional[int]] = {}
+
+    def resolve(next_hop: Ip) -> Optional[int]:
         match = state.main_rib.longest_match(next_hop)
         if match is None:
             return None
@@ -619,6 +650,13 @@ def _igp_cost_fn(state: NodeState):
         if isinstance(best, (ConnectedRoute, StaticRouteEntry)):
             return 0
         return None  # next hop resolving via BGP is not allowed
+
+    def igp_cost(next_hop: Ip) -> Optional[int]:
+        try:
+            return resolved[next_hop]
+        except KeyError:
+            cost = resolved[next_hop] = resolve(next_hop)
+            return cost
 
     return igp_cost
 
@@ -684,24 +722,111 @@ def _originate_local_bgp(state: NodeState, semantics, next_clock) -> None:
             )
 
 
+class _Exchange:
+    """One directed session of the BGP exchange: what a pull needs that
+    does not depend on the route, worked out once per session instead of
+    once per advertisement."""
+
+    __slots__ = (
+        "session", "sender_device", "receiver_device", "semantics", "stats",
+        "export_policy", "import_policy", "receiver_view",
+    )
+
+    def __init__(
+        self,
+        session: BgpSession,
+        sender_device: Device,
+        receiver_device: Device,
+        semantics: PolicySemantics,
+        stats: DataPlaneStats,
+    ):
+        self.session = session  # as seen by the sender
+        self.sender_device = sender_device
+        self.receiver_device = receiver_device
+        self.semantics = semantics
+        self.stats = stats
+        self.export_policy = session.neighbor.export_policy
+        receiver_neighbor = receiver_device.bgp.neighbors.get(session.local_ip)
+        self.import_policy = (
+            receiver_neighbor.import_policy if receiver_neighbor else None
+        )
+        self.receiver_view = _receiver_view(session)
+
+    def advertise(
+        self, route: BgpRoute
+    ) -> Tuple[Optional[BgpRoute], str, Optional[PolicyResult]]:
+        """Carry the sender's best ``route`` across the session.
+
+        Returns ``(installed, "", import result)`` with the route the
+        receiver puts into its BGP RIB, or ``(None, reason, result)``
+        with the suppression reason and, for a policy deny, the deciding
+        evaluation. Every BGP rule runs before a ``BgpRoute`` or an
+        attribute bundle is built, and a side without a route-map builds
+        no ``PolicyRoute``: split horizon first (a route-map cannot
+        change ``from_ibgp``, and a router never offers such a route to
+        its outbound policy), then the export route-map, then the
+        receiver's loop checks on what the route-map left of the path.
+        """
+        session = self.session
+        attrs = route.attributes
+        if (
+            session.is_ibgp
+            and attrs.from_ibgp
+            and not session.neighbor.route_reflector_client
+        ):
+            return None, SPLIT_HORIZON, None
+        as_path = attrs.as_path
+        if self.export_policy is not None:
+            self.stats.policy_evals += 1
+            result = apply_route_map(
+                self.sender_device, self.export_policy,
+                _to_policy_route(route), self.semantics,
+            )
+            if not result.permitted:
+                return None, EXPORT_DENY, result
+            as_path = result.route.as_path
+        if session.is_ibgp:
+            originator = attrs.originator_id or (
+                route.received_from if attrs.from_ibgp else None
+            )
+            if originator is not None and originator == session.remote_ip:
+                return None, ORIGINATOR_LOOP, None
+        elif session.remote_as in as_path:
+            # The sender's own AS, prepended on the way out, is not the
+            # receiver's: the session is eBGP.
+            return None, AS_PATH_LOOP, None
+        if self.export_policy is not None:
+            route = _from_policy_route(route, result.route)
+        advertisement = export_route(session, route)
+        if advertisement is None:
+            return None, SPLIT_HORIZON, None
+        # The advertisement as built (prepends included) is what the
+        # receiver's loop prevention sees.
+        accepted, _why = accepts_route(self.receiver_view, advertisement)
+        if not accepted:
+            return None, ORIGINATOR_LOOP if session.is_ibgp else AS_PATH_LOOP, None
+        if self.import_policy is None:
+            return advertisement, "", None
+        self.stats.policy_evals += 1
+        result = apply_route_map(
+            self.receiver_device, self.import_policy,
+            _to_policy_route(advertisement), self.semantics,
+        )
+        if not result.permitted:
+            return None, IMPORT_DENY, result
+        return _from_policy_route(advertisement, result.route), "", result
+
+
 def _process_incoming(
-    snapshot: Snapshot,
-    state: NodeState,
-    sender_session: BgpSession,
-    delta: RibDelta,
-    semantics: PolicySemantics,
-    next_clock,
-    stats: DataPlaneStats,
+    state: NodeState, exchange: _Exchange, delta: RibDelta, next_clock
 ) -> None:
     """Pull one neighbor's RIB delta: run the sender's export policy, the
     local import policy, and the RIB merge in a single step (§4.1.3)."""
-    sender_device = snapshot.device(sender_session.local_node)
-    receiver_device = state.device
-    receiver_neighbor = receiver_device.bgp.neighbors.get(sender_session.local_ip)
-    peer_ip = sender_session.local_ip
+    stats = exchange.stats
+    peer_ip = exchange.session.local_ip
     recording = prov.enabled()
-    receiver = receiver_device.hostname
-    sender = sender_session.local_node
+    receiver = state.device.hostname
+    sender = exchange.session.local_node
     # Withdrawals: remove whatever we had from this peer for the prefix.
     for route in delta.removed:
         stats.bgp_routes_processed += 1
@@ -718,89 +843,61 @@ def _process_incoming(
         if route.prefix in advertised:
             continue  # one advertisement per prefix (no add-path)
         advertised.add(route.prefix)
-        # Sender-side export policy (sender's route map).
-        export_policy = sender_session.neighbor.export_policy
-        policy_route = _to_policy_route(route)
-        result = apply_route_map(
-            sender_device, export_policy, policy_route, semantics
-        )
-        if not result.permitted:
+        installed, reason, result = exchange.advertise(route)
+        if installed is None:
+            stats.suppressed[reason] += 1
             if recording:
-                prov.route_event(
-                    receiver, route.prefix, "bgp", "suppressed",
-                    f"denied by {sender}'s export policy",
-                    neighbor=str(peer_ip),
-                    policy=_policy_label(export_policy, result),
-                )
+                _record_suppressed(exchange, route, reason, result)
             state.bgp_rib.withdraw(route.prefix, peer_ip)
             continue
-        shaped = _from_policy_route(route, result.route)
-        advertisement = export_route(sender_session, shaped)
-        if advertisement is None:
-            if recording:
-                prov.route_event(
-                    receiver, route.prefix, "bgp", "suppressed",
-                    f"not advertised by {sender}: iBGP-learned route to "
-                    "non-route-reflector-client peer",
-                    neighbor=str(peer_ip),
-                )
-            state.bgp_rib.withdraw(route.prefix, peer_ip)
-            continue
-        accepted, reason = accepts_route(
-            _receiver_view(sender_session), advertisement
-        )
-        if not accepted:
-            if recording:
-                prov.route_event(
-                    receiver, route.prefix, "bgp", "rejected",
-                    f"advertisement from {sender} rejected: {reason}",
-                    neighbor=str(peer_ip),
-                )
-            state.bgp_rib.withdraw(route.prefix, peer_ip)
-            continue
-        # Receiver-side import policy.
-        import_policy = (
-            receiver_neighbor.import_policy if receiver_neighbor else None
-        )
-        policy_route = _to_policy_route(advertisement)
-        result = apply_route_map(
-            receiver_device, import_policy, policy_route, semantics
-        )
-        if not result.permitted:
-            if recording:
-                prov.route_event(
-                    receiver, route.prefix, "bgp", "suppressed",
-                    f"advertisement from {sender} denied by import policy",
-                    neighbor=str(peer_ip),
-                    policy=_policy_label(import_policy, result),
-                )
-            state.bgp_rib.withdraw(route.prefix, peer_ip)
-            continue
-        final = _from_policy_route(advertisement, result.route)
-        final = BgpRoute(
-            prefix=final.prefix,
-            next_hop_ip=final.next_hop_ip,
-            attributes=final.attributes,
-            received_from=peer_ip,
-        )
         if recording:
-            export_label = _policy_label(export_policy, result)
+            # Both labels read the import evaluation: recorded event
+            # streams (tests/routing/rib_golden.json) are held fixed.
+            export_label = _policy_label(exchange.export_policy, result)
             prov.route_event(
                 receiver, route.prefix, "bgp", "installed",
                 f"received from {sender} via {peer_ip}: "
-                f"as-path {list(final.attributes.as_path)}, "
-                f"local-pref {final.attributes.local_pref}, "
-                f"med {final.attributes.med}; export "
+                f"as-path {list(installed.attributes.as_path)}, "
+                f"local-pref {installed.attributes.local_pref}, "
+                f"med {installed.attributes.med}; export "
                 + (f"[{export_label}]" if export_label else "[no policy]")
                 + "; import "
                 + (
-                    f"[{_policy_label(import_policy, result)}]"
-                    if import_policy
+                    f"[{_policy_label(exchange.import_policy, result)}]"
+                    if exchange.import_policy
                     else "[no policy]"
                 ),
                 neighbor=str(peer_ip),
             )
-        state.bgp_rib.put(final, next_clock())
+        state.bgp_rib.put(installed, next_clock())
+
+
+def _record_suppressed(
+    exchange: _Exchange, route: BgpRoute, reason: str, result: Optional[PolicyResult]
+) -> None:
+    """The provenance event for an advertisement that was not installed."""
+    session = exchange.session
+    sender = session.local_node
+    action, policy = "suppressed", ""
+    if reason == SPLIT_HORIZON:
+        detail = (
+            f"not advertised by {sender}: iBGP-learned route to "
+            "non-route-reflector-client peer"
+        )
+    elif reason == EXPORT_DENY:
+        detail = f"denied by {sender}'s export policy"
+        policy = _policy_label(exchange.export_policy, result)
+    elif reason == IMPORT_DENY:
+        detail = f"advertisement from {sender} denied by import policy"
+        policy = _policy_label(exchange.import_policy, result)
+    else:
+        action = "rejected"
+        loop = "as-path loop" if reason == AS_PATH_LOOP else "originator-id loop"
+        detail = f"advertisement from {sender} rejected: {loop}"
+    prov.route_event(
+        session.remote_node, route.prefix, "bgp", action, detail,
+        neighbor=str(session.local_ip), policy=policy,
+    )
 
 
 def _receiver_view(sender_session: BgpSession) -> BgpSession:

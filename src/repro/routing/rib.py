@@ -39,16 +39,8 @@ class RibDelta:
     def extend(self, other: "RibDelta") -> None:
         """Fold another delta into this one, cancelling add/remove pairs
         so a route added then removed leaves no trace."""
-        for route in other.added:
-            if route in self.removed:
-                self.removed.remove(route)
-            else:
-                self.added.append(route)
-        for route in other.removed:
-            if route in self.added:
-                self.added.remove(route)
-            else:
-                self.removed.append(route)
+        _fold(other.added, self.added, self.removed)
+        _fold(other.removed, self.removed, self.added)
 
     def clear(self) -> "RibDelta":
         """Return a copy and empty this delta."""
@@ -58,21 +50,68 @@ class RibDelta:
         return snapshot
 
 
-def route_sort_key(route) -> Tuple:
-    """Deterministic total order over routes — used to keep ECMP sets and
-    answer rows stable across runs (paper §4.1.2: "consistent results
-    across simulations")."""
+def _fold(routes: List[object], into: List[object], against: List[object]) -> None:
+    """Append each of ``routes`` to ``into`` unless an equal route waits
+    in ``against``, which it cancels instead (first occurrence)."""
+    if not routes or not against:
+        into.extend(routes)
+        return
+    # Hashed membership; the list scan is paid only by a real cancel.
+    waiting = set(against)
+    for route in routes:
+        if route in waiting:
+            against.remove(route)
+            if route not in against:
+                waiting.discard(route)
+        else:
+            into.append(route)
+
+
+class _ReprOrder:
+    """The last component of :func:`route_sort_key`: orders by the
+    route's ``repr``, rendered only when a comparison gets this far —
+    i.e. when two routes tie on every cheaper component."""
+
+    __slots__ = ("_route",)
+
+    def __init__(self, route):
+        self._route = route
+
+    def __eq__(self, other):
+        return repr(self._route) == repr(other._route)
+
+    def __lt__(self, other):
+        return repr(self._route) < repr(other._route)
+
+
+def _same_prefix_key(route) -> Tuple:
+    """:func:`route_sort_key` without its prefix component: the order of
+    routes that share a prefix."""
     next_hop = getattr(route, "next_hop_ip", None)
     interface = getattr(route, "next_hop_interface", None) or getattr(
         route, "interface", None
     )
     return (
-        str(route.prefix),
         route.protocol.value,
         next_hop.value if next_hop is not None else -1,
         interface or "",
-        repr(route),
+        _ReprOrder(route),
     )
+
+
+def route_sort_key(route) -> Tuple:
+    """Deterministic total order over routes — used to keep ECMP sets and
+    answer rows stable across runs (paper §4.1.2: "consistent results
+    across simulations")."""
+    return (str(route.prefix),) + _same_prefix_key(route)
+
+
+def sorted_best_set(routes: List[object]) -> List[object]:
+    """The routes of *one prefix* in :func:`route_sort_key` order. A set
+    of one needs no key, and none needs the prefix rendered."""
+    if len(routes) < 2:
+        return list(routes)
+    return sorted(routes, key=_same_prefix_key)
 
 
 def main_rib_preference(route) -> Tuple[int, int]:
@@ -104,7 +143,11 @@ class Rib:
     ):
         self._preference = preference
         self._candidates: Dict[Prefix, List[object]] = {}
-        self._best: PrefixTrie = PrefixTrie()
+        #: prefix -> best set; exact-prefix reads come from here, the
+        #: trie (same sets, written once per *changed* set) serves LPM
+        #: and ordered iteration.
+        self._best: Dict[Prefix, List[object]] = {}
+        self._trie: PrefixTrie = PrefixTrie()
         self.delta = RibDelta()
         self.owner = owner
 
@@ -122,7 +165,7 @@ class Rib:
         return changed
 
     def _record_merge_outcome(self, route) -> None:
-        best = self._best.get(route.prefix)
+        best = self._best.get(route.prefix, [])
         if route in best:
             detail = f"{route.describe()} selected as best"
             if len(best) > 1:
@@ -171,19 +214,23 @@ class Rib:
         return self._reselect(prefix)
 
     def _reselect(self, prefix: Prefix) -> bool:
-        old_best = self._best.get(prefix)
+        old_best = self._best.get(prefix, [])
         candidates = self._candidates.get(prefix, [])
-        if candidates:
-            best_key = min(self._preference(r) for r in candidates)
-            new_best = sorted(
-                (r for r in candidates if self._preference(r) == best_key),
-                key=route_sort_key,
+        if len(candidates) > 1:
+            preferences = [self._preference(r) for r in candidates]
+            best_key = min(preferences)
+            new_best = sorted_best_set(
+                [r for r, key in zip(candidates, preferences) if key == best_key]
             )
         else:
-            new_best = []
+            new_best = list(candidates)
         if new_best == old_best:
             return False
-        self._best.replace(prefix, new_best)
+        if new_best:
+            self._best[prefix] = new_best
+        else:
+            del self._best[prefix]
+        self._trie.replace(prefix, new_best)
         for route in old_best:
             if route not in new_best:
                 self.delta.removed.append(route)
@@ -196,19 +243,19 @@ class Rib:
 
     def best_routes(self, prefix: Prefix) -> List[object]:
         """The ECMP set of best routes for an exact prefix."""
-        return self._best.get(prefix)
+        return list(self._best.get(prefix, ()))
 
     def longest_match(self, ip: "Ip | int") -> Optional[Tuple[Prefix, List[object]]]:
         """LPM over best routes."""
-        return self._best.longest_match(ip)
+        return self._trie.longest_match(ip)
 
     def routes(self) -> Iterator[object]:
         """All best routes, in deterministic prefix order."""
-        for _prefix, routes in self._best.items():
+        for _prefix, routes in self._trie.items():
             yield from routes
 
     def prefixes(self) -> List[Prefix]:
-        return [prefix for prefix, _ in self._best.items()]
+        return [prefix for prefix, _ in self._trie.items()]
 
     def all_candidates(self) -> Iterator[object]:
         """Every candidate route, including non-best ones."""
@@ -217,7 +264,7 @@ class Rib:
 
     def __len__(self) -> int:
         """Number of best routes across all prefixes."""
-        return sum(len(routes) for _, routes in self._best.items())
+        return sum(len(routes) for routes in self._best.values())
 
     def take_delta(self) -> RibDelta:
         """Snapshot-and-clear the pending delta (the per-iteration pull)."""

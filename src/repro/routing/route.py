@@ -174,11 +174,11 @@ class BgpAttributes:
         """Construct and intern an attribute bundle."""
         return _BGP_ATTR_POOL.intern(BgpAttributes(**kwargs))
 
-    def with_changes(self, **kwargs) -> "BgpAttributes":
+    def with_changes(self, **changes) -> "BgpAttributes":
         """A (re-interned) copy with some properties replaced."""
-        from dataclasses import replace
-
-        return _BGP_ATTR_POOL.intern(replace(self, **kwargs))
+        values = {name: getattr(self, name) for name in self.__slots__}
+        values.update(changes)
+        return BgpAttributes.make(**values)
 
 
 _BGP_ATTR_POOL: InternPool[BgpAttributes] = InternPool("bgp-attributes")

@@ -380,8 +380,14 @@ def _make_handler(service: AnalysisService):
             rid = getattr(self, "_rid", None)
             if rid:
                 self.send_header("X-Request-Id", rid)
-            self.end_headers()
-            self.wfile.write(body)
+            # One write per reply: a header block flushed on its own
+            # makes the body wait out Nagle + the client's delayed ACK
+            # (~40 ms) on every keep-alive reply after the first.
+            if self.request_version == "HTTP/0.9":
+                self.wfile.write(body)  # no header block to join
+                return
+            self._headers_buffer += (b"\r\n", body)
+            self.flush_headers()
 
         def _send(self, status: int, payload: Dict) -> None:
             self._send_bytes(

@@ -32,7 +32,7 @@ class TestReferenceLabs:
         its recorded ground truth."""
         repository = build_reference_repository()
         report = repository.run()
-        assert report.labs_run == 4
+        assert report.labs_run == 6
         assert report.checks > 0
         assert report.passed, [f.detail for f in report.failures]
 

@@ -139,6 +139,67 @@ class TestDecisionProcess:
         assert rib.best_routes(PREFIX) == []
         assert not rib.withdraw(PREFIX, Ip("10.0.0.1"))
 
+    def test_all_best_order_follows_prefixes_coming_and_going(self):
+        """``all_best`` keeps its prefix order between calls and must
+        notice a prefix appearing, disappearing and coming back."""
+
+        def route(prefix, peer="10.0.0.1"):
+            return BgpRoute(Prefix(prefix), Ip("10.0.0.9"), BgpAttributes.make(), Ip(peer))
+
+        def prefixes(rib):
+            return [str(r.prefix) for r in rib.all_best()]
+
+        rib = self._rib()
+        rib.put(route("9.0.0.0/8"), 1)
+        rib.put(route("10.0.0.0/8"), 2)
+        assert prefixes(rib) == ["10.0.0.0/8", "9.0.0.0/8"]  # by str, as ever
+        rib.put(route("100.0.0.0/8"), 3)
+        assert prefixes(rib) == ["10.0.0.0/8", "100.0.0.0/8", "9.0.0.0/8"]
+        rib.put(route("10.0.0.0/8", peer="10.0.0.2"), 4)  # candidate, not best
+        assert prefixes(rib) == ["10.0.0.0/8", "100.0.0.0/8", "9.0.0.0/8"]
+        rib.withdraw(Prefix("100.0.0.0/8"), Ip("10.0.0.1"))
+        assert prefixes(rib) == ["10.0.0.0/8", "9.0.0.0/8"]
+        rib.put(route("100.0.0.0/8"), 5)
+        assert prefixes(rib) == ["10.0.0.0/8", "100.0.0.0/8", "9.0.0.0/8"]
+
+    def test_one_min_equals_the_seven_sequential_filters(self):
+        """Lexicographic minimum over the decision tuple picks what the
+        step-by-step elimination picks, whichever step decides."""
+        import itertools
+
+        def sequential(routes):
+            viable = list(routes)
+            for key in (
+                lambda r: -r.attributes.weight,
+                lambda r: -r.attributes.local_pref,
+                lambda r: len(r.attributes.as_path),
+                lambda r: r.attributes.origin,
+                lambda r: r.attributes.med,
+                lambda r: r.attributes.from_ibgp,
+            ):
+                best = min(key(r) for r in viable)
+                viable = [r for r in viable if key(r) == best]
+            return viable
+
+        variants = [
+            dict(weight=w, local_pref=lp, as_path=path, origin=origin, med=med,
+                 from_ibgp=ibgp)
+            for w, lp, path, origin, med, ibgp in itertools.product(
+                (0, 10), (100, 200), ((1,), (1, 2)),
+                (Origin.IGP, Origin.INCOMPLETE), (0, 5), (False, True),
+            )
+        ]
+        for offset in range(0, len(variants), 3):
+            chosen = variants[offset::7][:5]
+            routes = [
+                _route(f"10.0.0.{index + 1}", **attrs)
+                for index, attrs in enumerate(chosen)
+            ]
+            rib = BgpRib(local_as=65000, multipath=8)
+            for clock, candidate in enumerate(routes):
+                rib.put(candidate, clock)
+            assert set(rib.best_routes(PREFIX)) == set(sequential(routes))
+
     def test_delta_tracks_changes(self):
         rib = self._rib()
         rib.put(_route("10.0.0.1"), 1)

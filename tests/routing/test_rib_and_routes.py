@@ -3,7 +3,13 @@
 import pytest
 
 from repro.hdr.ip import Ip, Prefix
-from repro.routing.rib import Rib, RibDelta, main_rib_preference
+from repro.routing.rib import (
+    Rib,
+    RibDelta,
+    main_rib_preference,
+    route_sort_key,
+    sorted_best_set,
+)
 from repro.routing.route import (
     AD_EBGP,
     AD_OSPF,
@@ -123,6 +129,98 @@ class TestRibDelta:
         assert snapshot.added == ["r1"]
         assert delta.empty
 
+    def test_extend_matches_the_list_scan_it_replaced(self):
+        """Hashed membership must fold exactly like the ``route in
+        list`` scans did: first occurrence cancelled, order kept,
+        repeats counted one by one."""
+
+        def scan_extend(added, removed, other):
+            added, removed = list(added), list(removed)
+            for route in other.added:
+                if route in removed:
+                    removed.remove(route)
+                else:
+                    added.append(route)
+            for route in other.removed:
+                if route in added:
+                    added.remove(route)
+                else:
+                    removed.append(route)
+            return added, removed
+
+        cases = [
+            (["a"], ["x", "y", "x"], RibDelta(["x", "x", "x", "b"], ["a", "a"])),
+            ([], [], RibDelta(["b", "c"], ["a", "b"])),  # replaced twice in one pull
+            (["a", "b"], [], RibDelta([], ["b", "a", "c"])),
+            (["a"], ["b"], RibDelta()),
+        ]
+        for added, removed, other in cases:
+            delta = RibDelta(list(added), list(removed))
+            delta.extend(other)
+            assert (delta.added, delta.removed) == scan_extend(added, removed, other)
+
+
+class TestRouteOrder:
+    """``route_sort_key``'s order is the parent commit's — protocol,
+    next hop, interface, then the route's ``repr`` — but ``repr`` is
+    rendered only to break a real tie."""
+
+    @staticmethod
+    def _old_key(route):
+        next_hop = getattr(route, "next_hop_ip", None)
+        interface = getattr(route, "next_hop_interface", None) or getattr(
+            route, "interface", None
+        )
+        return (
+            str(route.prefix),
+            route.protocol.value,
+            next_hop.value if next_hop is not None else -1,
+            interface or "",
+            repr(route),
+        )
+
+    def _routes(self):
+        prefix = Prefix("10.0.0.0/24")
+        bgp = [
+            BgpRoute(prefix, Ip("10.0.0.9"), BgpAttributes.make(med=med), Ip(peer))
+            for med, peer in ((5, "10.0.0.2"), (0, "10.0.0.3"), (5, "10.0.0.1"))
+        ]  # one next hop, one protocol: only repr tells them apart
+        return bgp + [
+            OspfRoute(prefix, 10, 0, Ip("10.0.1.2"), "e1"),
+            OspfRoute(prefix, 10, 0, Ip("10.0.1.2"), "e0"),
+            ConnectedRoute(prefix, "e0"),
+            StaticRouteEntry(prefix, None, "Null0"),
+            StaticRouteEntry(Prefix("10.0.0.0/8"), Ip("10.0.0.2"), None),
+            ConnectedRoute(Prefix("9.0.0.0/8"), "e3"),
+        ]
+
+    def test_total_order_unchanged(self):
+        routes = self._routes()
+        assert sorted(routes, key=route_sort_key) == sorted(routes, key=self._old_key)
+        assert sorted(reversed(routes), key=route_sort_key) == sorted(
+            routes, key=self._old_key
+        )
+
+    def test_best_set_order_is_the_total_order(self):
+        same_prefix = self._routes()[:7]
+        assert sorted_best_set(same_prefix) == sorted(same_prefix, key=self._old_key)
+        assert sorted_best_set(same_prefix[3:4]) == same_prefix[3:4]
+        assert sorted_best_set([]) == []
+
+    def test_repr_only_breaks_real_ties(self, monkeypatch):
+        rendered = []
+        for cls in (BgpRoute, OspfRoute, ConnectedRoute, StaticRouteEntry):
+            original = cls.__repr__
+            monkeypatch.setattr(
+                cls, "__repr__",
+                lambda self, original=original: rendered.append(self) or original(self),
+            )
+        routes = self._routes()
+        sorted(routes[3:], key=route_sort_key)  # no two tie on the cheap part
+        assert rendered == []
+        sorted(routes, key=route_sort_key)
+        assert rendered and set(rendered) <= set(routes[:3])
+
 
 class TestRib:
     def _connected(self, prefix, iface="e0"):
@@ -206,6 +304,38 @@ class TestRib:
         rib.merge(self._connected("10.0.0.0/24", "e0"))
         rib.merge(self._connected("10.0.1.0/24", "e1"))
         assert len(rib) == 2
+
+    def test_exact_reads_and_lpm_agree_through_churn(self):
+        """Exact-prefix reads come from a dict, LPM and iteration from
+        the trie: every change of a best set must reach both."""
+        rib = Rib()
+        prefix = Prefix("10.0.0.0/24")
+        ospf_a = self._ospf("10.0.0.0/24", 10, iface="e0", nh="10.0.1.2")
+        ospf_b = self._ospf("10.0.0.0/24", 10, iface="e1", nh="10.0.2.2")
+        connected = self._connected("10.0.0.0/24")
+
+        def views():
+            match = rib.longest_match(Ip("10.0.0.7"))
+            return rib.best_routes(prefix), match[1] if match else [], list(rib.routes())
+
+        for step, expected in (
+            (lambda: rib.merge(ospf_b), [ospf_b]),
+            (lambda: rib.merge(ospf_a), [ospf_a, ospf_b]),  # ECMP, sorted
+            (lambda: rib.merge(connected), [connected]),
+            (lambda: rib.withdraw(connected), [ospf_a, ospf_b]),
+            (lambda: rib.withdraw(ospf_a), [ospf_b]),
+            (lambda: rib.clear_prefix(prefix), []),
+        ):
+            step()
+            assert views() == (expected, expected, expected)
+            assert len(rib) == len(expected)
+        assert rib.prefixes() == []
+
+    def test_best_routes_is_a_copy(self):
+        rib = Rib()
+        rib.merge(self._connected("10.0.0.0/24"))
+        rib.best_routes(Prefix("10.0.0.0/24")).clear()
+        assert len(rib.best_routes(Prefix("10.0.0.0/24"))) == 1
 
     def test_main_rib_preference_keys(self):
         connected = self._connected("10.0.0.0/24")

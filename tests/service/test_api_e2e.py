@@ -8,6 +8,7 @@ that fails to converge (without killing a worker), and clean drain on
 shutdown with in-flight jobs completing.
 """
 
+import json
 import time
 
 import pytest
@@ -301,3 +302,41 @@ class TestPatchSnapshot:
         assert status == 400
         status, body = client.request("PATCH", "/snapshots/lab", {})
         assert status == 400
+
+
+class TestKeepAlive:
+    def test_replies_on_one_connection_do_not_wait_out_nagle(self, make_service):
+        """Each reply leaves in one write. Headers and body written
+        separately made every reply after the first on a keep-alive
+        connection wait ~40 ms for the client's delayed ACK (20 requests
+        took ~0.85 s); one segment per reply needs no ACK to proceed."""
+        import http.client
+
+        service, _ = make_service(cache=None)
+        connection = http.client.HTTPConnection("127.0.0.1", service.port, timeout=10)
+        try:
+            started = time.perf_counter()
+            for _ in range(20):
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                body = response.read()
+                assert response.status == 200
+                assert int(response.getheader("Content-Length")) == len(body)
+                assert json.loads(body)["status"] == "ok"
+            elapsed = time.perf_counter() - started
+        finally:
+            connection.close()
+        assert elapsed < 0.3, f"20 keep-alive GETs took {elapsed:.3f}s"
+
+    def test_http_09_request_gets_a_bare_body(self, make_service):
+        """A version-less request line has no header block to join the
+        body to; it must still be answered, not kill the handler."""
+        import socket
+
+        service, _ = make_service(cache=None)
+        with socket.create_connection(("127.0.0.1", service.port), timeout=10) as sock:
+            sock.sendall(b"GET /healthz\r\n\r\n")
+            received = b""
+            while chunk := sock.recv(4096):
+                received += chunk
+        assert json.loads(received)["status"] == "ok"
