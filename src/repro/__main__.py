@@ -1,0 +1,699 @@
+"""``python -m repro`` / ``repro`` — the one command line.
+
+``lint``, ``sweep``, ``validate {fidelity|delta|sweep|dataflow|all}``,
+``coverage``, ``report``, ``explain {route|flow}`` and ``profile``; the
+README's "Command line" table says what each gates. Every command exits
+0 when clean, 1 when its gate trips (a finding at or above ``--fail-on``,
+a validator divergence, a ``--strict`` trace with a leaked span) and 2
+on drift against ``--baseline`` or on a usage error — an unknown
+registry network (the valid names are listed) and an empty selection
+included. Registry selection (``--networks``/``--smoke``/``--scale``),
+snapshot sourcing (``--snapshot DIR | --network NAME``),
+``--format``/``--out``, ``--sarif`` and ``--baseline`` are declared once
+below and mean the same thing wherever they appear. The analysis daemon
+is a separate entry point, ``python -m repro.service``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import functools
+import json
+import sys
+import time
+from dataclasses import replace
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+
+from repro.config.loader import load_snapshot_from_texts, read_config_dir
+from repro.core.session import Session
+from repro.delta.edits import irrelevant_edit, relevant_edit
+from repro.delta.engine import DeltaValidationError
+from repro.findings import (
+    Finding,
+    Location,
+    Related,
+    RuleInfo,
+    Severity,
+    compare_to_baseline,
+    render_rows,
+    to_sarif,
+    write_output,
+)
+from repro.hdr import fields as hdr_fields
+from repro.hdr.ip import Ip
+from repro.hdr.packet import Packet
+from repro.lint import LintConfig, LintReport, all_rules, lint_snapshot
+from repro.lint.dataflow import analyze, validate_containment
+from repro.obs.profiler import render_report
+from repro.obs.report import TraceReport
+from repro.provenance import Flow
+from repro.questions import coverage as qcov
+from repro.sweep import report as sweep_report
+from repro.sweep.scenarios import ALL_KINDS, ReachabilityProperty, host_files
+from repro.sweep.validate import DEFAULT_MAX_ELEMENTS, validate_network
+from repro.synth.networks import NETWORKS, NetworkSpec, network_by_name
+
+Configs = Dict[str, str]
+
+#: The ``--smoke`` selection: networks small enough that every validator
+#: (brute force included) finishes in seconds, with a tighter element
+#: cap for the sweep validator.
+SMOKE_NETWORKS = ("NET1", "NET5", "NET6")
+SMOKE_MAX_ELEMENTS = 4
+
+
+class UsageError(Exception):
+    """A bad invocation: reported on one line, exit code 2."""
+
+
+# ----------------------------------------------------------------------
+# Declared once: selection, sourcing, output, gates
+
+
+def _csv(value: Optional[str]) -> List[str]:
+    return [item.strip() for item in (value or "").split(",") if item.strip()]
+
+
+def network_spec(name: str) -> NetworkSpec:
+    try:
+        return network_by_name(name)
+    except KeyError:
+        raise UsageError(
+            f"unknown network {name!r}; choose from "
+            f"{', '.join(spec.name for spec in NETWORKS)}"
+        ) from None
+
+
+def select_networks(names: Optional[str], smoke: bool) -> List[NetworkSpec]:
+    """The registry networks a command runs over, in registry order:
+    ``--networks`` if given, else the ``--smoke`` subset, else all."""
+    if names is None:
+        wanted = SMOKE_NETWORKS if smoke else [s.name for s in NETWORKS]
+    else:
+        wanted = _csv(names)
+    chosen = {network_spec(name).name for name in wanted}
+    if not chosen:
+        raise UsageError("no network selected")
+    return [spec for spec in NETWORKS if spec.name in chosen]
+
+
+def load_configs(args: argparse.Namespace) -> Configs:
+    """``--snapshot DIR`` or ``--network NAME [--scale N]`` as texts."""
+    if args.snapshot:
+        return read_config_dir(args.snapshot)
+    if args.network:
+        return network_spec(args.network).generate(args.scale)
+    raise UsageError("one of --snapshot or --network is required")
+
+
+def _sarif_text(*args: Any) -> str:
+    """:func:`repro.findings.to_sarif` as the text a file holds."""
+    return json.dumps(to_sarif(*args), indent=2) + "\n"
+
+
+def _drifted(drift: Sequence[str], baseline: str) -> bool:
+    """Report drift against ``baseline``; true means exit 2."""
+    for line in drift:
+        print(f"baseline drift: {line}", file=sys.stderr)
+    if not drift:
+        print(f"baseline: no drift vs {baseline}", file=sys.stderr)
+    return bool(drift)
+
+
+# ----------------------------------------------------------------------
+# lint
+
+
+def _reroot(findings: Sequence[Finding], prefix: str) -> List[Finding]:
+    """Namespace finding locations with the network name so multi-network
+    SARIF logs keep distinct, stable URIs."""
+
+    def reroot(location: Location) -> Location:
+        if not location.file:
+            return location
+        return Location(f"{prefix}/{location.file}", location.line)
+
+    return [
+        replace(
+            finding,
+            location=reroot(finding.location),
+            related=tuple(
+                Related(reroot(rel.location), rel.message)
+                for rel in finding.related
+            ),
+        )
+        for finding in findings
+    ]
+
+
+def _lint_registry(
+    args: argparse.Namespace, config: LintConfig
+) -> LintReport:
+    """``--network all``: one merged report over the whole registry."""
+    merged = LintReport()
+    for spec in select_networks(None, False):
+        snapshot = load_snapshot_from_texts(spec.generate(args.scale))
+        report = lint_snapshot(snapshot, config, jobs=args.jobs)
+        merged.findings.extend(_reroot(report.findings, spec.name))
+        merged.total_seconds += report.total_seconds
+        for rule_id, seconds in report.rule_seconds.items():
+            merged.rule_seconds[rule_id] = (
+                merged.rule_seconds.get(rule_id, 0.0) + seconds
+            )
+        merged.rules_run = report.rules_run  # same config, same rules
+    return merged
+
+
+def _lint_text(report: LintReport, timings: bool) -> str:
+    lines = render_rows(report.findings)
+    counts = report.counts_by_severity()
+    summary = ", ".join(
+        f"{counts.get(label, 0)} {label}"
+        for label in ("error", "warning", "note")
+    )
+    active = len(report.active())
+    lines.append(
+        f"{active} findings ({summary}); "
+        f"{len(report.findings) - active} suppressed"
+    )
+    if timings:
+        for rule_id, seconds in sorted(report.rule_seconds.items()):
+            lines.append(f"  {rule_id:30s} {seconds * 1000:8.1f} ms")
+        lines.append(f"  {'total':30s} {report.total_seconds * 1000:8.1f} ms")
+    return "\n".join(lines) + "\n"
+
+
+def _cmd_lint(args: argparse.Namespace) -> int:
+    rules = all_rules()
+    if args.list_rules:
+        for rule in rules:
+            print(
+                f"{rule.rule_id:30s} {rule.severity.label:8s} "
+                f"{rule.category:12s} {rule.description}"
+            )
+        return 0
+    config = LintConfig.from_dict(
+        {"rules": _csv(args.rules) or None, "disable": _csv(args.disable)}
+    )
+    if (args.network or "").lower() == "all":
+        report = _lint_registry(args, config)
+    else:
+        snapshot = load_snapshot_from_texts(load_configs(args))
+        report = lint_snapshot(snapshot, config, jobs=args.jobs)
+    if args.format == "sarif":
+        output = _sarif_text("repro-lint", rules, report.findings)
+    elif args.format == "json":
+        output = json.dumps(report.to_json(), indent=2) + "\n"
+    else:
+        output = _lint_text(report, args.timings)
+    write_output(output, args.out)
+    if args.baseline:
+        with open(args.baseline) as handle:
+            baseline = json.load(handle)
+        new, resolved = compare_to_baseline(
+            to_sarif("repro-lint", rules, report.findings), baseline
+        )
+        drift = [f"new finding {key}" for key in new]
+        drift += [f"resolved finding {key}" for key in resolved]
+        if _drifted(drift, args.baseline):
+            return 2
+    return report.exit_code(args.fail_on)
+
+
+# ----------------------------------------------------------------------
+# sweep
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    prop = None
+    given = (args.src, args.src_interface, args.dst)
+    if any(given):
+        if not all(given):
+            raise UsageError(
+                "--src, --src-interface and --dst must be given together"
+            )
+        prop = ReachabilityProperty(args.src, args.src_interface, args.dst)
+    session = Session.from_texts(load_configs(args))
+    result = session.sweep(
+        k=args.k,
+        kinds=tuple(_csv(args.kinds)),
+        prop=prop,
+        prune=not args.no_prune,
+        jobs=args.jobs,
+        limit=args.limit,
+        max_elements=args.max_elements,
+    )
+    findings = sweep_report.findings_from_result(
+        result, host_files(session.snapshot)
+    )
+    if args.format == "sarif":
+        output = _sarif_text(
+            sweep_report.TOOL_NAME,
+            sweep_report.RULES,
+            findings,
+            {"stats": result.stats.to_json()},
+        )
+    elif args.format == "json":
+        doc = sweep_report.report_json(result, findings)
+        output = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    else:
+        output = sweep_report.render_text(result, findings, args.verbose)
+    write_output(output, args.out)
+    return sweep_report.gate_exit_code(findings, args.fail_on)
+
+
+# ----------------------------------------------------------------------
+# validate: four differentials, one driver
+#
+# A validator is a plain function (network, configs, jobs) ->
+# (checks, detail line, divergences). The driver below owns selection,
+# the per-network OK/FAIL line, the exit code and the SARIF artifact, so
+# it is also what turns each divergence into a Finding of the
+# validator's rule.
+
+Validation = Tuple[int, str, List[str]]
+
+
+def _validate_fidelity(
+    network: str, configs: Configs, jobs: Optional[int]
+) -> Validation:
+    """§4.3.2: symbolic (BDD) vs concrete (traceroute) forwarding."""
+    report = Session.from_texts(configs).validate_engines()
+    failed = [mismatch.describe() for mismatch in report.mismatches]
+    return report.checks, f"{len(configs)} devices", failed
+
+
+def _validate_delta(
+    network: str, configs: Configs, jobs: Optional[int]
+) -> Validation:
+    """One routing-inert and one routing-relevant single-device edit:
+    whether the delta engine reused or recomputed, its FIBs must equal
+    a cache-less from-scratch session's."""
+    base = Session.from_texts(configs)
+    # Precompute so the inert edit has a converged base to reuse.
+    base.fibs
+    target = sorted(configs)[0]
+    legs: List[str] = []
+    failed: List[str] = []
+    edits = (("inert", irrelevant_edit), ("routing", relevant_edit))
+    for label, edit in edits:
+        changed = {target: edit(configs[target])}
+        try:
+            info = base.delta(changed, validate=True).delta_info
+        except DeltaValidationError as error:
+            failed.append(f"{label} edit on {target}: {error}")
+            continue
+        legs.append(
+            f"{label} edit recomputed ({info.fallback_reason})"
+            if info.fallback
+            else f"{label} edit reused ({info.reused_devices} devices)"
+        )
+    return len(edits), f"{target}: " + ", ".join(legs), failed
+
+
+def _validate_sweep(
+    network: str,
+    configs: Configs,
+    jobs: Optional[int],
+    max_elements: int = DEFAULT_MAX_ELEMENTS,
+) -> Validation:
+    """Pruned k=2 link-failure sweep vs brute-force enumeration."""
+    validation, _result = validate_network(
+        network, configs, max_elements=max_elements, jobs=jobs
+    )
+    failed = [mismatch.describe() for mismatch in validation.mismatches]
+    return validation.scenarios, validation.describe(), failed
+
+
+def _validate_dataflow(
+    network: str, configs: Configs, jobs: Optional[int]
+) -> Validation:
+    """Every simulated route is inside its RIB domain's abstract set
+    (``checks`` counts the domains)."""
+    snapshot = load_snapshot_from_texts(configs, jobs=jobs)
+    analysis = analyze(snapshot)
+    detail = (
+        f"{len(configs)} devices, {len(analysis.graph.edges)} edges, "
+        f"{analysis.iterations} fixpoint iterations "
+        f"({analysis.fixpoint_seconds:.2f}s)"
+    )
+    failed = validate_containment(snapshot, analysis)
+    return len(analysis.graph.nodes), detail, failed
+
+
+VALIDATORS: Dict[str, Callable[..., Validation]] = {
+    "fidelity": _validate_fidelity,
+    "delta": _validate_delta,
+    "sweep": _validate_sweep,
+    "dataflow": _validate_dataflow,
+}
+
+VALIDATE_RULES = {
+    name: RuleInfo(rule_id, Severity.ERROR, "differential", description)
+    for name, rule_id, description in (
+        ("fidelity", "engine-mismatch",
+         "Symbolic and concrete forwarding engines disagree on a packet"),
+        ("delta", "delta-fib-mismatch",
+         "Delta session's FIBs differ from a from-scratch analysis"),
+        ("sweep", "sweep-verdict-mismatch",
+         "Pruned sweep verdict differs from brute-force enumeration"),
+        ("dataflow", "dataflow-not-contained",
+         "Simulated route is outside the abstract fixpoint set"),
+    )
+}
+
+
+def _cmd_validate(args: argparse.Namespace) -> int:
+    specs = select_networks(args.networks, args.smoke)
+    validators = dict(VALIDATORS)
+    if args.smoke:
+        validators["sweep"] = functools.partial(
+            _validate_sweep, max_elements=SMOKE_MAX_ELEMENTS
+        )
+    names = list(validators) if args.validator == "all" else [args.validator]
+    findings: List[Finding] = []
+    totals: Dict[str, Dict[str, int]] = {}
+    for name in names:
+        started = time.perf_counter()
+        total = 0
+        before = len(findings)
+        for spec in specs:
+            checks, detail, failed = validators[name](
+                spec.name, spec.generate(args.scale), args.jobs
+            )
+            total += checks
+            found = [
+                VALIDATE_RULES[name].finding(
+                    f"{spec.name}: {message}",
+                    location=Location(f"<{spec.name}>"),
+                    network=spec.name,
+                )
+                for message in failed
+            ]
+            findings.extend(found)
+            if args.verbose or failed:
+                status = "FAIL" if failed else "OK  "
+                print(
+                    f"{status} {name} {spec.name:6s} {checks} checks, "
+                    f"{detail}",
+                    *render_rows(found),
+                    sep="\n    ",
+                    flush=True,
+                )
+        totals[name] = {
+            "networks": len(specs),
+            "checks": total,
+            "findings": len(findings) - before,
+        }
+        print(
+            f"validate {name}: {len(specs)} network(s), {total} checks, "
+            f"{len(findings) - before} finding(s) "
+            f"in {time.perf_counter() - started:.1f}s",
+            flush=True,
+        )
+    if args.sarif:
+        rules = [VALIDATE_RULES[name] for name in names]
+        write_output(
+            _sarif_text("repro-validate", rules, findings, totals), args.sarif
+        )
+    return 1 if findings else 0
+
+
+# ----------------------------------------------------------------------
+# coverage
+
+
+def _cmd_coverage(args: argparse.Namespace) -> int:
+    specs = select_networks(args.networks, args.smoke)
+    if args.write_baseline and not args.baseline:
+        raise UsageError("--write-baseline needs --baseline")
+    current = qcov.gate_run(specs, scale=args.scale, verbose=args.verbose)
+    if args.write_baseline:
+        doc = {"schema": qcov.BASELINE_SCHEMA, "networks": current}
+        with open(args.baseline, "w") as handle:
+            json.dump(doc, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print(f"coverage baseline written: {args.baseline}")
+        return 0
+    drift: List[Finding] = []
+    if args.baseline:
+        with open(args.baseline) as handle:
+            baseline = json.load(handle)
+        if len(specs) < len(NETWORKS):
+            # A subset is gated against its own slice of the baseline;
+            # only a full run holds the baseline to "nothing unmeasured".
+            known = baseline.get("networks", {})
+            known = {name: known[name] for name in known if name in current}
+            baseline = {"networks": known}
+        drift = qcov.gate_diff(baseline, current)
+    if args.sarif:
+        write_output(
+            _sarif_text(qcov.GATE_TOOL, [qcov.GATE_RULE], drift), args.sarif
+        )
+    print(f"measured {len(current)} network(s)")
+    if not args.baseline:
+        return 0
+    if _drifted([finding.message for finding in drift], args.baseline):
+        print(
+            f"{len(drift)} coverage drift(s); refresh with: python -m repro "
+            f"coverage --write-baseline --baseline {args.baseline}"
+        )
+        return 2
+    return 0
+
+
+# ----------------------------------------------------------------------
+# report / explain / profile
+
+
+def _cmd_report(args: argparse.Namespace) -> int:
+    report = TraceReport.from_file(args.trace)
+    try:
+        if args.json:
+            print(json.dumps(report.to_json(top=args.top), indent=2))
+        else:
+            print(report.render(top=args.top))
+    except BrokenPipeError:
+        pass  # downstream pager closed early; the verdict still counts
+    failures: List[str] = []
+    if report.unclosed():
+        failures.append(f"{len(report.unclosed())} unclosed span(s)")
+    if report.time_regressions():
+        failures.append(
+            f"{len(report.time_regressions())} span timestamp regression(s)"
+        )
+    if args.strict and failures:
+        print("STRICT: " + ", ".join(failures), file=sys.stderr)
+        return 1
+    return 0
+
+
+_PROTOCOLS = {
+    "tcp": hdr_fields.PROTO_TCP,
+    "udp": hdr_fields.PROTO_UDP,
+    "icmp": hdr_fields.PROTO_ICMP,
+}
+
+
+def _cmd_explain(args: argparse.Namespace) -> int:
+    """Render derivation trees for a route or a flow (Stage 4, §4.4)."""
+    session = Session.from_texts(load_configs(args))
+    if args.what == "route":
+        print(session.explain_route(args.node, args.prefix).render())
+        return 0
+    packet = Packet(
+        src_ip=Ip(args.src_ip),
+        dst_ip=Ip(args.dst_ip),
+        ip_protocol=_PROTOCOLS[args.protocol],
+        src_port=args.src_port,
+        dst_port=args.dst_port,
+    )
+    flow = Flow(packet, args.node, args.interface)
+    print(session.explain_flow(flow).render())
+    return 0
+
+
+def _cmd_profile(args: argparse.Namespace) -> int:
+    """Render a raw ``repro-profile/v1`` JSON file, or every profile
+    attached to a postmortem bundle of a flight-recorder dump
+    (``repro-flightrecorder/v1`` — the ``REPRO_FLIGHT_DUMP`` /
+    drain-time artifact)."""
+    with open(args.path) as handle:
+        payload = json.load(handle)
+    if payload.get("schema") == "repro-profile/v1":
+        print(render_report(payload))
+        return 0
+    bundles = [b for b in payload.get("bundles", []) if b.get("profile")]
+    for bundle in bundles:
+        rid = f" rid={bundle['rid']}" if bundle.get("rid") else ""
+        print(f"postmortem: {bundle.get('reason', '?')}{rid}")
+        print(render_report(bundle["profile"]))
+    if not bundles:
+        print(
+            "no profile found (enable REPRO_PROFILE_HZ to attach profiles "
+            "to postmortem bundles)",
+            file=sys.stderr,
+        )
+        return 1
+    return 0
+
+
+# ----------------------------------------------------------------------
+# The parser tree
+
+
+def build_parser() -> argparse.ArgumentParser:
+    def shared(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+    scale = shared()
+    scale.add_argument("--scale", type=int, default=1, help="generator scale")
+    source = shared(scale)
+    either = source.add_mutually_exclusive_group()
+    either.add_argument("--snapshot", metavar="DIR", help="directory of *.cfg")
+    either.add_argument("--network", metavar="NAME", help="registry network")
+    registry = shared(scale)
+    registry.add_argument(
+        "--networks", metavar="NAME[,NAME...]", help="default: all of them"
+    )
+    registry.add_argument(
+        "--smoke", action="store_true", help="only NET1, NET5 and NET6"
+    )
+    output = shared()
+    output.add_argument(
+        "--format", choices=("text", "json", "sarif"), default="text"
+    )
+    output.add_argument("--out", metavar="FILE", help="write here, not stdout")
+    baseline = shared()
+    baseline.add_argument(
+        "--baseline", metavar="FILE", help="compare against; exit 2 on drift"
+    )
+    sarif = shared()
+    sarif.add_argument("--sarif", metavar="FILE", help="findings as SARIF")
+    jobs = shared()
+    jobs.add_argument("--jobs", type=int, help="parallel workers")
+    verbose = shared()
+    verbose.add_argument(
+        "--verbose", action="store_true", help="per-network/-scenario lines"
+    )
+
+    parser = argparse.ArgumentParser(
+        prog="python -m repro",
+        description="Configuration analysis from the command line.",
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    lint = commands.add_parser(
+        "lint",
+        parents=[source, output, baseline, jobs],
+        help="semantic configuration lint ('--network all': the registry)",
+    )
+    lint.add_argument(
+        "--fail-on",
+        choices=("error", "warning", "note", "never"),
+        default="never",
+        help="exit 1 when any finding at/above this severity is active",
+    )
+    lint.add_argument("--rules", metavar="ID[,ID...]", help="run only these")
+    lint.add_argument("--disable", metavar="ID[,ID...]", help="skip these")
+    lint.add_argument("--list-rules", action="store_true")
+    lint.add_argument(
+        "--timings", action="store_true", help="per-rule wall-clock in text"
+    )
+    lint.set_defaults(run=_cmd_lint)
+
+    sweep = commands.add_parser(
+        "sweep",
+        parents=[source, output, jobs, verbose],
+        help="k-failure resilience sweep and findings",
+    )
+    sweep.add_argument("-k", type=int, default=1, help="max failures at once")
+    sweep.add_argument(
+        "--kinds",
+        metavar="KIND[,KIND...]",
+        default=",".join(ALL_KINDS),
+        help=f"element kinds to sweep (default: {','.join(ALL_KINDS)})",
+    )
+    sweep.add_argument(
+        "--max-elements", type=int, help="truncate the element universe"
+    )
+    sweep.add_argument(
+        "--limit", type=int, help="cap the scenarios (dropped ones reported)"
+    )
+    sweep.add_argument(
+        "--no-prune", action="store_true", help="evaluate every scenario"
+    )
+    sweep.add_argument("--src", metavar="NODE", help="property source node")
+    sweep.add_argument("--src-interface", metavar="IFACE")
+    sweep.add_argument("--dst", metavar="IP", help="property destination")
+    sweep.add_argument(
+        "--fail-on",
+        choices=sweep_report.FAIL_ON_CHOICES,
+        default="none",
+        help="exit 1 on findings at/above this level (base < spof < any)",
+    )
+    sweep.set_defaults(run=_cmd_sweep)
+
+    validate = commands.add_parser(
+        "validate",
+        parents=[registry, sarif, jobs, verbose],
+        help="differential validators over registry networks",
+    )
+    validate.add_argument("validator", choices=[*VALIDATORS, "all"])
+    validate.set_defaults(run=_cmd_validate)
+
+    coverage = commands.add_parser(
+        "coverage",
+        parents=[registry, baseline, sarif, verbose],
+        help="per-question coverage ratios vs a committed baseline",
+    )
+    coverage.add_argument(
+        "--write-baseline", action="store_true", help="(re)write --baseline"
+    )
+    coverage.set_defaults(run=_cmd_coverage)
+
+    report = commands.add_parser("report", help="render a repro.obs trace")
+    report.add_argument("trace", help="path to the trace.jsonl file")
+    report.add_argument(
+        "--strict", action="store_true", help="exit 1 on a bad span"
+    )
+    report.add_argument("--top", type=int, default=20, help="counters shown")
+    report.add_argument("--json", action="store_true", help="one JSON doc")
+    report.set_defaults(run=_cmd_report)
+
+    explain = commands.add_parser("explain", help="derivation trees")
+    explain.set_defaults(run=_cmd_explain)
+    what = explain.add_subparsers(dest="what", required=True)
+    route = what.add_parser(
+        "route", parents=[source], help="why a node has (or lacks) a route"
+    )
+    route.add_argument("node")
+    route.add_argument("prefix", help="e.g. 10.0.0.0/24")
+    flow = what.add_parser(
+        "flow", parents=[source], help="trace a flow with per-line detail"
+    )
+    flow.add_argument("node", help="ingress node")
+    flow.add_argument("interface", help="ingress interface")
+    flow.add_argument("--src-ip", required=True)
+    flow.add_argument("--dst-ip", required=True)
+    flow.add_argument("--protocol", default="tcp", choices=sorted(_PROTOCOLS))
+    flow.add_argument("--src-port", type=int, default=0)
+    flow.add_argument("--dst-port", type=int, default=0)
+
+    profile = commands.add_parser("profile", help="render a sampled profile")
+    profile.add_argument("path", help="profile or flight-recorder dump JSON")
+    profile.set_defaults(run=_cmd_profile)
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return args.run(args)
+    except UsageError as error:
+        print(f"repro {args.command}: error: {error}", file=sys.stderr)
+        return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

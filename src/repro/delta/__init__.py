@@ -4,8 +4,8 @@ the base data plane when no routing fingerprint moved, else recompute.
 Entry point: :meth:`repro.core.session.Session.delta`, or directly
 :func:`delta_session`. Differential validation against a from-scratch
 analysis is forced via ``REPRO_DELTA_VALIDATE=1`` (or
-``validate=True``); ``python -m repro.delta`` sweeps the synthetic
-network registry with validation on.
+``validate=True``); ``python -m repro validate delta`` sweeps the
+synthetic network registry with validation on.
 """
 
 from repro.delta.engine import (

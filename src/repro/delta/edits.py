@@ -1,8 +1,8 @@
 """Canonical single-line config edits, vendor-aware.
 
-Shared by the validation CLI (``python -m repro.delta``) and the
-Table 2 benchmark's incremental phase: both need a "one line changed"
-snapshot that parses cleanly on either vendor syntax.
+Shared by the validation CLI (``python -m repro validate delta``) and
+the Table 2 benchmark's incremental phase: both need a "one line
+changed" snapshot that parses cleanly on either vendor syntax.
 """
 
 from __future__ import annotations

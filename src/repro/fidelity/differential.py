@@ -25,13 +25,12 @@ human needs to debug a modeling disagreement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.bdd.engine import FALSE
 from repro.hdr import fields as f
 from repro.hdr.ip import Ip
 from repro.hdr.packet import Packet
-from repro.parallel import pmap
 from repro.provenance import (
     DerivationTree,
     Divergence,
@@ -317,31 +316,3 @@ def run_differential_suite(analyzer: NetworkAnalyzer) -> DifferentialReport:
     report = validate_symbolic_against_concrete(analyzer)
     report.merge(validate_concrete_against_symbolic(analyzer))
     return report
-
-
-def run_differential_for_configs(configs: Dict[str, str]) -> DifferentialReport:
-    """Full pipeline + differential suite for one network's configs.
-
-    The self-contained per-network unit of work: it parses, simulates,
-    and cross-validates in one process, so a fleet of networks can fan
-    out over :func:`repro.parallel.pmap` with only config texts going
-    in and a report coming out.
-    """
-    from repro.config.loader import load_snapshot_from_texts
-    from repro.dataplane.fib import compute_fibs
-    from repro.routing.engine import ConvergenceSettings, compute_dataplane
-
-    snapshot = load_snapshot_from_texts(configs)
-    dataplane = compute_dataplane(snapshot, ConvergenceSettings())
-    fibs = compute_fibs(dataplane)
-    analyzer = NetworkAnalyzer(dataplane, fibs=fibs)
-    return run_differential_suite(analyzer)
-
-
-def run_differential_suites(
-    config_sets: Sequence[Dict[str, str]], jobs: Optional[int] = None
-) -> List[DifferentialReport]:
-    """Cross-validate many networks in parallel (§4.3.2 runs daily over
-    a whole lab repository — one process per network, results in input
-    order)."""
-    return pmap(run_differential_for_configs, list(config_sets), jobs=jobs, min_items=2)

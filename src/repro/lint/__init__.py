@@ -5,31 +5,31 @@ the simple, local checks whose findings point at a file and line:
 undefined references, unreachable ACL lines, half-open BGP sessions.
 This package packages those checks as a pluggable rule framework:
 
-* :mod:`repro.lint.model` — Severity / Location / Finding / LintConfig
+* :mod:`repro.findings` — Severity / Location / Finding, their
+  text/JSON/SARIF renderings and baseline diffing (shared repo-wide)
+* :mod:`repro.lint.model` — LintConfig
 * :mod:`repro.lint.registry` — ``@rule`` decorator and rule discovery
 * :mod:`repro.lint.rules_semantic` — BDD-backed reachability rules
 * :mod:`repro.lint.rules_cross` — cross-device compatibility rules
 * :mod:`repro.lint.rules_hygiene` — reference/usage/address hygiene
 * :mod:`repro.lint.runner` — parallel execution, timing, suppression
-* :mod:`repro.lint.sarif` — SARIF 2.1.0 output and baseline diffing
-* ``python -m repro.lint`` — the CLI
+* ``python -m repro lint`` — the CLI
 
 Suppression works at three levels: in-source ``lint-disable`` comments
 (captured by the parsers into ``Device.lint_suppressions``), lintconfig
 ``suppress`` entries, and rule enable/disable sets.
 """
 
-from repro.lint.model import (
+from repro.findings import (
     Finding,
-    LintConfig,
     Location,
     Related,
     Severity,
     sort_findings,
 )
+from repro.lint.model import LintConfig
 from repro.lint.registry import Rule, all_rules, get_rule, rule
 from repro.lint.runner import LintReport, lint_snapshot
-from repro.lint.sarif import compare_to_baseline, result_keys, to_sarif
 
 __all__ = [
     "Finding",
@@ -40,11 +40,8 @@ __all__ = [
     "Rule",
     "Severity",
     "all_rules",
-    "compare_to_baseline",
     "get_rule",
     "lint_snapshot",
-    "result_keys",
     "rule",
     "sort_findings",
-    "to_sarif",
 ]

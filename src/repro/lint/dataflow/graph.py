@@ -39,8 +39,8 @@ from repro.config.model import (
     SetKind,
     Snapshot,
 )
+from repro.findings import Location
 from repro.lint.dataflow.domain import DEFAULT_TAG, AbstractRoutes, ORIGIN_FLAG
-from repro.lint.model import Location
 from repro.lint.routespace import RouteSpaceEncoder, RouteSpaceUniverse
 from repro.routing.bgp import compute_bgp_sessions
 from repro.routing.topology import build_layer3_topology

@@ -29,7 +29,7 @@ from repro.lint.dataflow.engine import (
     _protocol_resolution,
 )
 from repro.lint.dataflow.graph import NodeId, PolicySummary
-from repro.lint.model import Finding, Location, Related, Severity
+from repro.findings import Finding, Location, Related, Severity
 from repro.lint.registry import rule
 
 

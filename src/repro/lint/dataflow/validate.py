@@ -4,10 +4,10 @@ The soundness contract (DESIGN.md "Propagation-graph soundness") is
 checkable: every route the concrete simulation places in a RIB domain
 must be contained in that domain's abstract fixpoint set, and every BGP
 candidate a receiver holds from a peer must be contained in the
-corresponding session edge's abstract output. ``python -m repro.lint.dataflow``
-runs this across the network registry (the ``dataflow-validate`` CI
-job); any divergence is a transfer-function bug, never "the network's
-fault"."""
+corresponding session edge's abstract output. ``python -m repro validate
+dataflow`` runs this across the network registry (a leg of the
+``validate`` CI job); any divergence is a transfer-function bug, never
+"the network's fault"."""
 
 from __future__ import annotations
 

@@ -4,101 +4,18 @@ Lesson 5: the most-used Batfish analyses are the simple, local ones —
 undefined references, unreachable ACL lines, incompatible BGP sessions —
 because their findings localize to a file and line the operator can fix
 immediately. Everything in this package therefore carries *provenance*:
-a :class:`Finding` points at the configuration line that produced it,
-plus related locations (witnesses) explaining *why*.
+a :class:`~repro.findings.Finding` points at the configuration line that
+produced it, plus related locations (witnesses) explaining *why*. The
+finding types are the repo-wide ones of :mod:`repro.findings`; this
+module adds the per-run rule configuration.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-
-class Severity(enum.IntEnum):
-    """Ordered so that comparisons implement ``--fail-on`` thresholds."""
-
-    NOTE = 1
-    WARNING = 2
-    ERROR = 3
-
-    @property
-    def label(self) -> str:
-        return self.name.lower()
-
-    @classmethod
-    def from_name(cls, name: str) -> "Severity":
-        try:
-            return cls[name.upper()]
-        except KeyError:
-            raise ValueError(
-                f"unknown severity {name!r}; expected one of "
-                f"{', '.join(s.label for s in cls)}"
-            )
-
-
-@dataclass(frozen=True)
-class Location:
-    """A (file, line) provenance pointer. ``line == 0`` means the
-    structure has no recorded source position (synthetic or vendor
-    structures without line tracking)."""
-
-    file: str = ""
-    line: int = 0
-
-    def __str__(self) -> str:
-        if not self.file:
-            return "<unknown>"
-        return f"{self.file}:{self.line}" if self.line else self.file
-
-    def to_json(self) -> Dict:
-        return {"file": self.file, "line": self.line}
-
-
-@dataclass(frozen=True)
-class Related:
-    """A witness location: a second configuration line that explains the
-    finding (e.g. the earlier ACL line shadowing this one)."""
-
-    location: Location
-    message: str
-
-    def to_json(self) -> Dict:
-        return {"location": self.location.to_json(), "message": self.message}
-
-
-@dataclass(frozen=True)
-class Finding:
-    """One lint result, with provenance and optional witnesses."""
-
-    rule_id: str
-    severity: Severity
-    category: str
-    hostname: str
-    message: str
-    location: Location = Location()
-    related: Tuple[Related, ...] = ()
-    suppressed: bool = False
-    #: Why the finding is suppressed ("" when not suppressed), e.g.
-    #: "lint-disable at r1.cfg:3" or "lintconfig suppression".
-    suppression: str = ""
-
-    def to_json(self) -> Dict:
-        row = {
-            "rule": self.rule_id,
-            "severity": self.severity.label,
-            "category": self.category,
-            "node": self.hostname,
-            "message": self.message,
-            "location": self.location.to_json(),
-        }
-        if self.related:
-            row["related"] = [r.to_json() for r in self.related]
-        if self.suppressed:
-            row["suppressed"] = True
-            row["suppression"] = self.suppression
-        return row
-
+from repro.findings import Finding, Severity
 
 _CONFIG_KEYS = {"rules", "disable", "severity", "suppress"}
 
@@ -162,19 +79,3 @@ class LintConfig:
             if rule in ("*", finding.rule_id) and node in ("*", finding.hostname):
                 return True
         return False
-
-
-def sort_findings(findings: Sequence[Finding]) -> List[Finding]:
-    """Deterministic presentation order: severity first, then rule,
-    then location."""
-    return sorted(
-        findings,
-        key=lambda f: (
-            -int(f.severity),
-            f.rule_id,
-            f.hostname,
-            f.location.file,
-            f.location.line,
-            f.message,
-        ),
-    )

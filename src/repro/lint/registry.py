@@ -13,19 +13,15 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.config.model import Snapshot
-from repro.lint.model import Finding, Severity
+from repro.findings import Finding, RuleInfo, Severity
 
 RuleFn = Callable[[Snapshot], List[Finding]]
 
 
 @dataclass(frozen=True)
-class Rule:
+class Rule(RuleInfo):
     """A registered lint rule: metadata plus the check function."""
 
-    rule_id: str
-    severity: Severity
-    category: str
-    description: str
     fn: RuleFn
     #: ``"device"`` when the rule inspects one device at a time (its
     #: findings for a device depend only on that device's configuration)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, List, Set, Tuple
 
 from repro.config.model import Device, Interface, Snapshot
-from repro.lint.model import Finding, Location, Related, Severity
+from repro.findings import Finding, Location, Related, Severity
 from repro.lint.registry import rule
 from repro.routing.bgp import compute_bgp_sessions
 from repro.routing.topology import Layer3Edge, build_layer3_topology

@@ -15,7 +15,7 @@ from repro.config.references import (
     undefined_references,
     unused_structures,
 )
-from repro.lint.model import Finding, Location, Related, Severity
+from repro.findings import Finding, Location, Related, Severity
 from repro.lint.registry import rule
 from repro.routing.topology import duplicate_ips
 

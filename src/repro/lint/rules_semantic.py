@@ -16,7 +16,7 @@ from repro.bdd.engine import FALSE, TRUE
 from repro.config.model import Acl, Device, Snapshot
 from repro.dataplane.acl import line_space
 from repro.hdr.headerspace import PacketEncoder
-from repro.lint.model import Finding, Location, Related, Severity
+from repro.findings import Finding, Location, Related, Severity
 from repro.lint.registry import rule
 from repro.lint.routespace import RouteSpaceEncoder
 

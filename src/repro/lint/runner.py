@@ -20,7 +20,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.config.model import Device, Snapshot
 from repro.core.cache import engine_version
-from repro.lint.model import Finding, LintConfig, Severity, sort_findings
+from repro.findings import Finding, Severity, sort_findings
+from repro.lint.model import LintConfig
 from repro.lint.registry import Rule, all_rules
 from repro.parallel import pmap
 

@@ -14,9 +14,10 @@ The observability subsystem the pipeline reports through:
   which VI-model structures (interfaces, ACL lines, route-map clauses)
   each query exercised, in the spirit of Xu et al.'s *Test Coverage for
   Network Configurations*.
-* **Report CLI** — ``python -m repro.obs.report trace.jsonl`` renders
-  the per-phase time tree, top counters, and the coverage summary;
-  ``--strict`` fails on unclosed spans (the CI gate).
+* **Report** — ``python -m repro report trace.jsonl`` renders the
+  per-phase time tree, top counters, and the coverage summary
+  (:class:`repro.obs.report.TraceReport`); ``--strict`` fails on
+  unclosed spans (the CI gate).
 
 All instrumentation is zero-cost when disabled: one module-level flag
 guard per call site, no formatting or allocation off the hot path.

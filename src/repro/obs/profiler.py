@@ -15,7 +15,7 @@ Sampling cost is a few microseconds per thread per tick, independent of
 how hot the profiled code is, so even 100 Hz stays far inside the
 obs-overhead budget. The aggregated top-frames report is attached to
 slow-job postmortem bundles (see :mod:`repro.service.jobs`) and
-rendered by ``python -m repro.obs.report profile``.
+rendered by ``python -m repro profile``.
 
 Off by default; enable with ``REPRO_PROFILE_HZ=50`` in the service
 environment or programmatically via :func:`start`.

@@ -1,8 +1,7 @@
 """Render a ``repro.obs`` JSONL trace: time tree, counters, coverage.
 
-Usage::
-
-    python -m repro.obs.report trace.jsonl [--strict] [--top N]
+:class:`TraceReport` is the library behind ``python -m repro report
+trace.jsonl [--strict] [--top N] [--json]``:
 
 * the **span tree** aggregates spans by their name-path (parent names
   joined with ``/``), summing wall/CPU time and counting invocations —
@@ -11,17 +10,12 @@ Usage::
   trace's ``metrics`` events (merged across processes);
 * the **coverage summary** shows touched/total per structure kind when a
   snapshot's coverage event is present;
-* ``--strict`` exits non-zero when any span started but never closed
-  (a ``start`` line without a matching ``span`` line, or a ``flush``
-  event listing unclosed spans) or when a span's close timestamp
-  precedes its start timestamp (a clock regression or corrupted merge)
-  — the CI gate for leaked or inconsistent spans.
-
-An ``explain`` subcommand renders provenance derivation trees::
-
-    python -m repro.obs.report explain route --snapshot DIR NODE PREFIX
-    python -m repro.obs.report explain flow --snapshot DIR NODE IFACE \
-        --src-ip A --dst-ip B [--protocol tcp|udp|icmp] [--dst-port N]
+* :meth:`TraceReport.unclosed` lists spans that started but never
+  closed (a ``start`` line without a matching ``span`` line, or a
+  ``flush`` event listing unclosed spans) and
+  :meth:`TraceReport.time_regressions` spans whose close timestamp
+  precedes their start timestamp (a clock regression or corrupted
+  merge) — what ``--strict`` gates on in CI.
 
 Corrupt or half-written lines (a process died mid-write, interleaved
 appends) are counted and skipped, never fatal: a damaged trace must
@@ -30,10 +24,9 @@ degrade to a partial report, not an exception.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.obs.metrics import Metrics
 
@@ -369,153 +362,3 @@ class TraceReport:
         for detail in regressions:
             lines.append(f"  TIME REGRESSION: {detail}")
         return "\n".join(lines)
-
-
-def _explain_main(argv: List[str]) -> int:
-    """The ``explain`` subcommand: render derivation trees for a route
-    or a flow over a snapshot directory (Stage 4, §4.4)."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.report explain",
-        description="Render provenance derivation trees.",
-    )
-    sub = parser.add_subparsers(dest="what", required=True)
-    route = sub.add_parser("route", help="why a node has (or lacks) a route")
-    route.add_argument("--snapshot", required=True, help="config directory")
-    route.add_argument("node")
-    route.add_argument("prefix", help="e.g. 10.0.0.0/24")
-    flow = sub.add_parser("flow", help="trace a flow with per-line detail")
-    flow.add_argument("--snapshot", required=True, help="config directory")
-    flow.add_argument("node", help="ingress node")
-    flow.add_argument("interface", help="ingress interface")
-    flow.add_argument("--src-ip", required=True)
-    flow.add_argument("--dst-ip", required=True)
-    flow.add_argument(
-        "--protocol", default="tcp", choices=["tcp", "udp", "icmp"]
-    )
-    flow.add_argument("--src-port", type=int, default=0)
-    flow.add_argument("--dst-port", type=int, default=0)
-    args = parser.parse_args(argv)
-
-    from repro.core.session import Session
-
-    session = Session.from_dir(args.snapshot)
-    if args.what == "route":
-        tree = session.explain_route(args.node, args.prefix)
-        print(tree.render())
-        return 0
-    from repro.hdr import fields as f
-    from repro.hdr.ip import Ip
-    from repro.hdr.packet import Packet
-    from repro.provenance import Flow
-
-    proto = {
-        "tcp": f.PROTO_TCP, "udp": f.PROTO_UDP, "icmp": f.PROTO_ICMP
-    }[args.protocol]
-    packet = Packet(
-        src_ip=Ip(args.src_ip),
-        dst_ip=Ip(args.dst_ip),
-        ip_protocol=proto,
-        src_port=args.src_port,
-        dst_port=args.dst_port,
-    )
-    explanation = session.explain_flow(
-        Flow(packet=packet, ingress_node=args.node, ingress_interface=args.interface)
-    )
-    print(explanation.render())
-    return 0
-
-
-def _profile_main(argv: List[str]) -> int:
-    """The ``profile`` subcommand: render a sampling-profiler report.
-
-    Accepts either a raw ``repro-profile/v1`` JSON file or a
-    flight-recorder dump (``repro-flightrecorder/v1`` — the
-    ``REPRO_FLIGHT_DUMP`` / drain-time artifact), in which case every
-    postmortem bundle carrying an attached profile is rendered.
-    """
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.report profile",
-        description="Render a repro.obs sampling-profiler report.",
-    )
-    parser.add_argument(
-        "path", help="profile JSON or flight-recorder dump JSON"
-    )
-    args = parser.parse_args(argv)
-
-    from repro.obs.profiler import render_report
-
-    with open(args.path) as handle:
-        payload = json.load(handle)
-    if payload.get("schema") == "repro-profile/v1":
-        print(render_report(payload))
-        return 0
-    rendered = 0
-    for bundle in payload.get("bundles", []):
-        profile = bundle.get("profile")
-        if not profile:
-            continue
-        header = f"postmortem: {bundle.get('reason', '?')}"
-        if bundle.get("rid"):
-            header += f" rid={bundle['rid']}"
-        print(header)
-        print(render_report(profile))
-        rendered += 1
-    if not rendered:
-        print(
-            "no profile found (enable REPRO_PROFILE_HZ to attach profiles "
-            "to postmortem bundles)",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "explain":
-        return _explain_main(argv[1:])
-    if argv and argv[0] == "profile":
-        return _profile_main(argv[1:])
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.report",
-        description="Render a repro.obs JSONL trace (or `explain` a "
-        "route/flow derivation).",
-    )
-    parser.add_argument("trace", help="path to the trace.jsonl file")
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="exit non-zero on unclosed spans or span-timestamp regressions",
-    )
-    parser.add_argument(
-        "--top", type=int, default=20, help="number of counters to show"
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the report (spans, counters, coverage) as one JSON doc",
-    )
-    args = parser.parse_args(argv)
-    report = TraceReport.from_file(args.trace)
-    try:
-        if args.json:
-            print(json.dumps(report.to_json(top=args.top), indent=2))
-        else:
-            print(report.render(top=args.top))
-    except BrokenPipeError:
-        pass  # downstream pager closed early; the verdict still counts
-    failures: List[str] = []
-    if report.unclosed():
-        failures.append(f"{len(report.unclosed())} unclosed span(s)")
-    if report.time_regressions():
-        failures.append(
-            f"{len(report.time_regressions())} span timestamp regression(s)"
-        )
-    if args.strict and failures:
-        print("STRICT: " + ", ".join(failures), file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

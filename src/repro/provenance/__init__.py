@@ -6,9 +6,8 @@ iteration produced (or suppressed) each RIB/FIB entry, and the concrete
 forwarding engine logs the ordered evaluation of every ACL line,
 route-map clause, and NAT rule a flow touches. The records assemble
 into derivation trees behind ``Session.explain_route`` /
-``Session.explain_flow`` and the ``python -m repro.obs.report explain``
-CLI, and into first-divergence diffs for differential fidelity testing
-(§4.3.2).
+``Session.explain_flow`` and the ``python -m repro explain`` CLI, and
+into first-divergence diffs for differential fidelity testing (§4.3.2).
 
 Recording is off by default and guarded exactly like :mod:`repro.obs`:
 one attribute read per instrumentation point, zero allocation, so the

@@ -27,10 +27,11 @@ module makes it attributable and actionable:
   line's BDD match set (:func:`witness_for_acl_line`): the probe an
   operator would send to exercise that exact line.
 
-The module tail is the CI coverage gate
-(``python -m repro.questions.coverage``): it runs a fixed question
-battery over the synthetic network registry and compares per-question
-coverage ratios against a committed baseline; any drift exits 2.
+The module tail is the CI coverage gate's library (the command is
+``python -m repro coverage``): it runs a fixed question battery over
+registry networks and compares per-question coverage ratios against a
+committed baseline; every discrepancy is a ``coverage``-category
+:class:`repro.findings.Finding`.
 
 Scope classification (what makes skipping *sound*):
 
@@ -63,6 +64,7 @@ from repro import obs
 from repro.bdd.engine import FALSE
 from repro.core.cache import coverage_index_key, coverage_record_key
 from repro.dataplane.acl import acl_line_spaces
+from repro.findings import Finding, Location, RuleInfo, Severity
 from repro.hdr import fields as hdr_fields
 from repro.hdr.headerspace import PacketEncoder
 from repro.obs.coverage import (
@@ -694,9 +696,17 @@ def prometheus_coverage(
 
 
 # ----------------------------------------------------------------------
-# CI coverage gate: python -m repro.questions.coverage
+# CI coverage gate (the library behind ``python -m repro coverage``)
 
 BASELINE_SCHEMA = "repro-coverage-baseline/v1"
+
+GATE_TOOL = "repro-coverage-gate"
+GATE_RULE = RuleInfo(
+    "coverage-drift",
+    Severity.ERROR,
+    "coverage",
+    "Per-question coverage ratio differs from the committed baseline",
+)
 
 
 def gate_battery(spec, scale: int = 1) -> Dict[str, Dict[str, List[int]]]:
@@ -725,22 +735,17 @@ def gate_battery(spec, scale: int = 1) -> Dict[str, Dict[str, List[int]]]:
 
 
 def gate_run(
-    network_names: Optional[List[str]] = None,
+    specs: Iterable,
     scale: int = 1,
     verbose: bool = False,
 ) -> Dict[str, Dict[str, Dict[str, List[int]]]]:
-    """The full gate sweep: battery per registry network, obs state
+    """The gate sweep: battery per selected registry network, obs state
     reset between networks so ratios never bleed across them."""
-    from repro.synth.networks import NETWORKS
-
-    wanted = set(network_names) if network_names else None
     results: Dict[str, Dict[str, Dict[str, List[int]]]] = {}
     was_metrics = obs.active()
     obs.enable_metrics()
     try:
-        for spec in NETWORKS:
-            if wanted is not None and spec.name not in wanted:
-                continue
+        for spec in specs:
             obs.coverage().reset()
             results[spec.name] = gate_battery(spec, scale)
             if verbose:
@@ -756,30 +761,23 @@ def gate_run(
     return results
 
 
-def gate_diff(
-    baseline: Dict, current: Dict
-) -> List[Dict]:
+def gate_diff(baseline: Dict, current: Dict) -> List[Finding]:
     """Exact-match comparison; every discrepancy (regressed ratio,
     improved ratio, missing/new network or question) is drift — the
     baseline stays a faithful description or it fails."""
-    drift: List[Dict] = []
+    drift: List[Finding] = []
     base_networks = baseline.get("networks", {})
     for network in sorted(set(base_networks) | set(current)):
         base = base_networks.get(network)
         now = current.get(network)
         if base is None or now is None:
+            side = "missing from baseline" if base is None else "not measured"
             drift.append(
-                {
-                    "network": network,
-                    "question": "*",
-                    "kind": "*",
-                    "baseline": base,
-                    "current": now,
-                    "message": (
-                        f"network {network} "
-                        + ("missing from baseline" if base is None else "not measured")
-                    ),
-                }
+                GATE_RULE.finding(
+                    f"network {network} {side}",
+                    location=Location(f"<{network}>"),
+                    network=network,
+                )
             )
             continue
         for question in sorted(set(base) | set(now)):
@@ -790,150 +788,15 @@ def gate_diff(
                 measured = now_q.get(kind)
                 if list(expected or []) != list(measured or []):
                     drift.append(
-                        {
-                            "network": network,
-                            "question": question,
-                            "kind": kind,
-                            "baseline": expected,
-                            "current": measured,
-                            "message": (
-                                f"{network}/{question}/{kind}: "
-                                f"baseline {expected} != current {measured}"
-                            ),
-                        }
+                        GATE_RULE.finding(
+                            f"{network}/{question}/{kind}: "
+                            f"baseline {expected} != current {measured}",
+                            location=Location(f"<{network}>"),
+                            network=network,
+                            question=question,
+                            kind=kind,
+                            baseline=tuple(expected or ()),
+                            current=tuple(measured or ()),
+                        )
                     )
     return drift
-
-
-def gate_sarif(drift: List[Dict]) -> Dict:
-    """SARIF 2.1.0 artifact mirroring the lint baseline gate's format,
-    one result per drift entry."""
-    return {
-        "$schema": (
-            "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
-            "master/Schemata/sarif-schema-2.1.0.json"
-        ),
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-coverage-gate",
-                        "informationUri": "https://github.com/batfish/batfish",
-                        "rules": [
-                            {
-                                "id": "coverage-drift",
-                                "shortDescription": {
-                                    "text": (
-                                        "Per-question coverage ratio differs "
-                                        "from the committed baseline"
-                                    )
-                                },
-                            }
-                        ],
-                    }
-                },
-                "results": [
-                    {
-                        "ruleId": "coverage-drift",
-                        "level": "error",
-                        "message": {"text": entry["message"]},
-                        "properties": {
-                            "network": entry["network"],
-                            "question": entry["question"],
-                            "kind": entry["kind"],
-                            "baseline": entry["baseline"],
-                            "current": entry["current"],
-                        },
-                    }
-                    for entry in drift
-                ],
-            }
-        ],
-    }
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.questions.coverage",
-        description=(
-            "CI coverage gate: run the question battery over the "
-            "synthetic network registry and compare per-question "
-            "coverage ratios against a committed baseline."
-        ),
-    )
-    parser.add_argument(
-        "--network",
-        action="append",
-        help="registry network name (repeatable; default: all)",
-    )
-    parser.add_argument("--scale", type=int, default=1)
-    parser.add_argument(
-        "--baseline", help="baseline JSON to compare against (drift -> exit 2)"
-    )
-    parser.add_argument(
-        "--out", help="write the measured ratios as JSON here"
-    )
-    parser.add_argument(
-        "--sarif", help="write a SARIF drift artifact here (always written)"
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write --baseline (or --out) from the current measurement",
-    )
-    parser.add_argument("--verbose", action="store_true")
-    args = parser.parse_args(argv)
-
-    current = gate_run(args.network, scale=args.scale, verbose=args.verbose)
-    doc = {"schema": BASELINE_SCHEMA, "networks": current}
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(doc, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    if args.write_baseline:
-        target = args.baseline or args.out
-        if not target:
-            parser.error("--write-baseline needs --baseline or --out")
-        with open(target, "w") as handle:
-            json.dump(doc, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"coverage baseline written: {target}", flush=True)
-        return 0
-    if not args.baseline:
-        print(
-            f"measured {len(current)} network(s); no --baseline given",
-            flush=True,
-        )
-        return 0
-    with open(args.baseline) as handle:
-        baseline = json.load(handle)
-    drift = gate_diff(baseline, current)
-    if args.sarif:
-        with open(args.sarif, "w") as handle:
-            json.dump(gate_sarif(drift), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    if drift:
-        for entry in drift:
-            print(f"coverage drift: {entry['message']}", flush=True)
-        print(
-            f"{len(drift)} coverage drift(s) vs {args.baseline}; refresh "
-            "with: python -m repro.questions.coverage --write-baseline "
-            f"--baseline {args.baseline}",
-            flush=True,
-        )
-        return 2
-    print(
-        f"coverage gate clean: {len(current)} network(s) match "
-        f"{args.baseline}",
-        flush=True,
-    )
-    return 0
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

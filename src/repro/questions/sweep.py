@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.sweep.report import findings_from_result
-from repro.sweep.scenarios import ALL_KINDS, ReachabilityProperty
+from repro.sweep.report import findings_from_result, report_json
+from repro.sweep.scenarios import ALL_KINDS, ReachabilityProperty, host_files
 
 #: The wire params the sweep question accepts.
 PARAM_KEYS = {
@@ -115,11 +115,5 @@ def sweep_answer(session, params: Dict) -> Dict:
     """Run the sweep and encode the job result payload."""
     kwargs = sweep_kwargs_from_json(params)
     result = session.sweep(**kwargs)
-    host_to_file = {
-        hostname: filename
-        for filename, hostname in session.snapshot.sources.items()
-    }
-    findings = findings_from_result(result, host_to_file)
-    body = result.to_json()
-    body["findings"] = [finding.to_json() for finding in findings]
-    return body
+    findings = findings_from_result(result, host_files(session.snapshot))
+    return report_json(result, findings)

@@ -304,24 +304,13 @@ class ForwardingGraph:
             self.nodes.add(edge.head)
 
 
-@dataclass
-class GraphBuildOptions:
-    """Feature toggles (consumed by the ablation benchmarks)."""
-
-    model_acls: bool = True
-    model_nat: bool = True
-    model_zones: bool = True
-
-
 def build_forwarding_graph(
     dataplane: DataPlane,
     fibs: Dict[str, Fib],
     encoder: Optional[PacketEncoder] = None,
-    options: Optional[GraphBuildOptions] = None,
 ) -> ForwardingGraph:
     """Construct the dataflow graph for a computed data plane."""
     encoder = encoder or PacketEncoder()
-    options = options or GraphBuildOptions()
     graph = ForwardingGraph(encoder)
     snapshot = dataplane.snapshot
     for hostname in snapshot.hostnames():
@@ -329,7 +318,7 @@ def build_forwarding_graph(
         zones = {name: i + 1 for i, name in enumerate(sorted(device.zones))}
         _build_device_pipeline(
             graph, device, fibs[hostname], own_ip_space(device, encoder),
-            zones, dataplane.topology, options,
+            zones, dataplane.topology,
         )
     return graph
 
@@ -388,12 +377,11 @@ def _build_device_pipeline(
     own_ip_set: int,
     zones: Dict[str, int],
     topology,
-    options: GraphBuildOptions,
 ) -> None:
     encoder = graph.encoder
     engine = encoder.engine
     hostname = device.hostname
-    has_zones = bool(zones) and options.model_zones
+    has_zones = bool(zones)
 
     # --- ingress side: src -> (in ACL, dst NAT, zone tag) -> fwd -------
     for iface in sorted(device.interfaces.values(), key=lambda i: i.name):
@@ -401,7 +389,7 @@ def _build_device_pipeline(
             continue
         entry = src_node(hostname, iface.name)
         current = entry
-        if options.model_acls and iface.incoming_acl:
+        if iface.incoming_acl:
             acl = device.acls.get(iface.incoming_acl)
             permit = acl_permit_space(acl, encoder) if acl else TRUE
             acl_point = ("in_acl", hostname, iface.name)
@@ -417,7 +405,7 @@ def _build_device_pipeline(
                 Constraint(engine, engine.not_(permit), "acl denies"),
             )
             current = ("post_in_acl", hostname, iface.name)
-        if options.model_nat and iface.dst_nat_rules:
+        if iface.dst_nat_rules:
             nat_point = ("dst_nat", hostname, iface.name)
             graph.add_edge(current, nat_point, Identity(engine))
             graph.add_edge(
@@ -490,7 +478,7 @@ def _build_device_pipeline(
             current = _add_zone_policy(
                 graph, device, iface.name, zones, current, hostname
             )
-        if options.model_nat and iface.src_nat_rules:
+        if iface.src_nat_rules:
             nat_point = ("src_nat", hostname, iface.name)
             graph.add_edge(current, nat_point, Identity(engine))
             graph.add_edge(
@@ -503,7 +491,7 @@ def _build_device_pipeline(
                 ),
             )
             current = ("post_src_nat", hostname, iface.name)
-        if options.model_acls and iface.outgoing_acl:
+        if iface.outgoing_acl:
             acl = device.acls.get(iface.outgoing_acl)
             permit = acl_permit_space(acl, encoder) if acl else TRUE
             acl_point = ("out_acl", hostname, iface.name)

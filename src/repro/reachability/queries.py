@@ -37,7 +37,6 @@ from repro.reachability.graph import (
     Disposition,
     Edge,
     ForwardingGraph,
-    GraphBuildOptions,
     GraphNode,
     build_forwarding_graph,
     disp_node,
@@ -117,14 +116,13 @@ class NetworkAnalyzer:
         encoder: Optional[PacketEncoder] = None,
         fibs: Optional[Dict[str, Fib]] = None,
         compress: bool = True,
-        options: Optional[GraphBuildOptions] = None,
     ):
         self.dataplane = dataplane
         self.encoder = encoder or PacketEncoder()
         self.fibs = fibs if fibs is not None else compute_fibs(dataplane)
         with obs.span("bdd.graph_build", devices=len(dataplane.snapshot.devices)):
             self.graph = build_forwarding_graph(
-                dataplane, self.fibs, self.encoder, options
+                dataplane, self.fibs, self.encoder
             )
             self.compression: Optional[CompressionStats] = None
             if compress:

@@ -12,9 +12,9 @@ Entry points:
 * :meth:`repro.core.session.Session.sweep` — the Python API.
 * ``POST /snapshots/{name}/questions/sweep`` — the service question
   (async-202; progress streams into the flight recorder).
-* ``python -m repro.sweep`` — the resilience report CLI
+* ``python -m repro sweep`` — the resilience report CLI
   (text/JSON/SARIF with a ``--fail-on`` gate).
-* ``python -m repro.sweep validate`` — the differential validator
+* ``python -m repro validate sweep`` — the differential validator
   (pruned verdicts byte-compared against brute-force enumeration).
 """
 

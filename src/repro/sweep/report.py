@@ -1,4 +1,4 @@
-"""Resilience report rendering: findings, text/JSON/SARIF, fail-on gate.
+"""Resilience report rendering: findings, text/JSON, fail-on gate.
 
 A sweep's raw output is per-scenario verdicts; what an operator (or a
 CI pipeline) wants is the *resilience findings* distilled from them:
@@ -9,129 +9,99 @@ CI pipeline) wants is the *resilience findings* distilled from them:
 * ``failure-set`` — a minimal failing set of size >= 2: the property
   survives any strict subset but breaks when these fail together.
 
-The SARIF rendering mirrors :mod:`repro.lint.sarif` (2.1.0, one run,
-rule metadata + results) so sweep findings ride the same CI annotation
-tooling as lint findings; locations point at the config file of the
-first device each failing element touches.
+They are :class:`repro.findings.Finding`s (category ``resilience``,
+the failing ``elements`` and the ``property`` under ``properties``), so
+they render to JSON and SARIF exactly as lint findings do; locations
+point at the config file of the first device each failing element
+touches.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.findings import (
+    Finding,
+    Location,
+    RuleInfo,
+    Severity,
+    render_rows,
+)
 from repro.sweep.engine import SweepResult
 
-SARIF_VERSION = "2.1.0"
-SARIF_SCHEMA = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
 TOOL_NAME = "repro-sweep"
-TOOL_VERSION = "1.0.0"
 
 RULE_BASE_BROKEN = "base-broken"
 RULE_SPOF = "single-point-of-failure"
 RULE_FAILURE_SET = "failure-set"
 
-_RULES: Tuple[Tuple[str, str, str], ...] = (
-    (
-        RULE_BASE_BROKEN,
-        "error",
-        "The property fails on the unmodified snapshot",
-    ),
-    (
-        RULE_SPOF,
-        "error",
-        "A single failure element breaks the property",
-    ),
-    (
-        RULE_FAILURE_SET,
-        "warning",
-        "A minimal combination of failure elements breaks the property",
-    ),
+RULES: Tuple[RuleInfo, ...] = tuple(
+    RuleInfo(rule_id, severity, "resilience", description)
+    for rule_id, severity, description in (
+        (RULE_BASE_BROKEN, Severity.ERROR,
+         "The property fails on the unmodified snapshot"),
+        (RULE_SPOF, Severity.ERROR,
+         "A single failure element breaks the property"),
+        (RULE_FAILURE_SET, Severity.WARNING,
+         "A minimal combination of failure elements breaks the property"),
+    )
 )
+_BASE_BROKEN, _SPOF, _FAILURE_SET = RULES
 
-#: --fail-on gate levels, weakest to strictest.
+#: --fail-on gate levels, weakest to strictest. They select by rule id
+#: (a base-broken and a single point of failure are both errors), which
+#: a severity threshold cannot express.
 FAIL_ON_CHOICES = ("none", "base", "spof", "any")
-
-
-@dataclass(frozen=True)
-class ResilienceFinding:
-    """One distilled resilience defect."""
-
-    rule_id: str
-    level: str
-    message: str
-    elements: Tuple[str, ...]
-    #: Config file of the first touched device (SARIF location anchor).
-    file: Optional[str] = None
-
-    def to_json(self) -> Dict:
-        return {
-            "rule": self.rule_id,
-            "level": self.level,
-            "message": self.message,
-            "elements": list(self.elements),
-            "file": self.file,
-        }
 
 
 def findings_from_result(
     result: SweepResult, host_to_file: Optional[Dict[str, str]] = None
-) -> List[ResilienceFinding]:
+) -> List[Finding]:
     """Distill a sweep result into resilience findings."""
     host_to_file = host_to_file or {}
-    findings: List[ResilienceFinding] = []
+    prop = result.prop.describe()
     if result.base_broken:
-        findings.append(
-            ResilienceFinding(
-                rule_id=RULE_BASE_BROKEN,
-                level="error",
-                message=(
-                    f"property {result.prop.describe()} fails on the "
-                    "unmodified snapshot — no failure needed"
-                ),
+        return [
+            _BASE_BROKEN.finding(
+                f"property {prop} fails on the unmodified snapshot — "
+                "no failure needed",
                 elements=(),
+                property=prop,
             )
-        )
-        return findings
-    # Location anchors come from the hostnames embedded in element ids.
+        ]
+    findings: List[Finding] = []
     for failing_set in result.minimal_failing_sets:
-        anchor = None
-        for element_id in failing_set:
-            host = _host_of_element(element_id)
-            if host and host in host_to_file:
-                anchor = host_to_file[host]
-                break
+        # The anchor is the first hostname embedded in an element id
+        # that names one of the snapshot's config files.
+        host = next(
+            (
+                h
+                for h in map(_host_of_element, failing_set)
+                if h in host_to_file
+            ),
+            None,
+        )
         if len(failing_set) == 1:
-            findings.append(
-                ResilienceFinding(
-                    rule_id=RULE_SPOF,
-                    level="error",
-                    message=(
-                        f"single point of failure: {failing_set[0]} alone "
-                        f"breaks {result.prop.describe()}"
-                    ),
-                    elements=failing_set,
-                    file=anchor,
-                )
+            rule = _SPOF
+            message = (
+                f"single point of failure: {failing_set[0]} alone "
+                f"breaks {prop}"
             )
         else:
-            findings.append(
-                ResilienceFinding(
-                    rule_id=RULE_FAILURE_SET,
-                    level="warning",
-                    message=(
-                        f"minimal failing set {{{', '.join(failing_set)}}} "
-                        f"breaks {result.prop.describe()} (every proper "
-                        "subset survives)"
-                    ),
-                    elements=failing_set,
-                    file=anchor,
-                )
+            rule = _FAILURE_SET
+            message = (
+                f"minimal failing set {{{', '.join(failing_set)}}} "
+                f"breaks {prop} (every proper subset survives)"
             )
+        findings.append(
+            rule.finding(
+                message,
+                host or "",
+                Location(host_to_file[host]) if host else Location(),
+                elements=tuple(failing_set),
+                property=prop,
+            )
+        )
     return findings
 
 
@@ -146,9 +116,7 @@ def _host_of_element(element_id: str) -> Optional[str]:
     return rest.split("[", 1)[0] or None
 
 
-def gate_exit_code(
-    findings: Sequence[ResilienceFinding], fail_on: str
-) -> int:
+def gate_exit_code(findings: Sequence[Finding], fail_on: str) -> int:
     """The process exit code the --fail-on gate dictates."""
     if fail_on not in FAIL_ON_CHOICES:
         raise ValueError(
@@ -171,7 +139,7 @@ def gate_exit_code(
 
 def render_text(
     result: SweepResult,
-    findings: Sequence[ResilienceFinding],
+    findings: Sequence[Finding],
     verbose: bool = False,
 ) -> str:
     stats = result.stats
@@ -214,9 +182,7 @@ def render_text(
         )
     else:
         lines.append(f"{len(findings)} finding(s):")
-        for finding in findings:
-            lines.append(f"  [{finding.level}] {finding.rule_id}: "
-                         f"{finding.message}")
+        lines.extend(f"  {row}" for row in render_rows(findings))
     if verbose:
         lines.append("")
         lines.append("per-scenario verdicts:")
@@ -231,73 +197,8 @@ def render_text(
     return "\n".join(lines) + "\n"
 
 
-def render_json(
-    result: SweepResult, findings: Sequence[ResilienceFinding]
-) -> str:
+def report_json(result: SweepResult, findings: Sequence[Finding]) -> Dict:
+    """The sweep's wire shape: the result plus its distilled findings."""
     body = result.to_json()
     body["findings"] = [f.to_json() for f in findings]
-    return json.dumps(body, indent=2, sort_keys=True) + "\n"
-
-
-def to_sarif(
-    result: SweepResult, findings: Sequence[ResilienceFinding]
-) -> Dict:
-    """Render findings as a single-run SARIF 2.1.0 log (the shape
-    :mod:`repro.lint.sarif` emits, so both ride the same CI viewers)."""
-    rule_index = {rule_id: i for i, (rule_id, _l, _d) in enumerate(_RULES)}
-    rule_metadata = [
-        {
-            "id": rule_id,
-            "name": rule_id.replace("-", " ").title().replace(" ", ""),
-            "shortDescription": {"text": description},
-            "defaultConfiguration": {"level": level},
-            "properties": {"category": "resilience"},
-        }
-        for rule_id, level, description in _RULES
-    ]
-    results: List[Dict] = []
-    for finding in findings:
-        entry: Dict = {
-            "ruleId": finding.rule_id,
-            "ruleIndex": rule_index[finding.rule_id],
-            "level": finding.level,
-            "message": {"text": finding.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": finding.file or "<snapshot>"
-                        }
-                    }
-                }
-            ],
-            "properties": {
-                "elements": list(finding.elements),
-                "property": result.prop.describe(),
-            },
-        }
-        results.append(entry)
-    return {
-        "$schema": SARIF_SCHEMA,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": TOOL_NAME,
-                        "version": TOOL_VERSION,
-                        "informationUri": "https://github.com/batfish/batfish",
-                        "rules": rule_metadata,
-                    }
-                },
-                "results": results,
-                "properties": {"stats": result.stats.to_json()},
-            }
-        ],
-    }
-
-
-def render_sarif(
-    result: SweepResult, findings: Sequence[ResilienceFinding]
-) -> str:
-    return json.dumps(to_sarif(result, findings), indent=2) + "\n"
+    return body

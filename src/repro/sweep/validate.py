@@ -9,10 +9,11 @@ engine, no pruning) — and compares the **canonical verdict bytes**
 (``Verdict.canonical()``) scenario by scenario. One mismatched byte
 fails the network.
 
-CI runs this across every registry network (the ``sweep-validate``
-job); ``--max-elements`` bounds the element universe so the quadratic
-k=2 lattice stays CI-sized. Mismatches render as a SARIF artifact so a
-red run annotates exactly which scenario diverged.
+CI runs this across every registry network (``python -m repro validate
+sweep``); ``max_elements`` bounds the element universe so the quadratic
+k=2 lattice stays CI-sized. Each mismatch becomes a ``differential``
+finding in the run's SARIF artifact, so a red run annotates exactly
+which scenario diverged.
 """
 
 from __future__ import annotations
@@ -75,12 +76,10 @@ class NetworkValidation:
         return self.brute_seconds / self.sweep_seconds
 
     def describe(self) -> str:
-        status = "OK " if self.ok else "FAIL"
         return (
-            f"{status} {self.network:6s} {self.scenarios:4d} scenarios, "
-            f"{self.pruned:4d} pruned, brute {self.brute_seconds:7.2f}s vs "
-            f"sweep {self.sweep_seconds:6.2f}s ({self.speedup:.1f}x), "
-            f"{len(self.mismatches)} mismatch(es)"
+            f"{self.pruned} of {self.scenarios} scenarios pruned, "
+            f"brute {self.brute_seconds:.2f}s vs "
+            f"sweep {self.sweep_seconds:.2f}s ({self.speedup:.1f}x)"
         )
 
 
@@ -176,79 +175,3 @@ def validate_network(
                 )
             )
     return validation, result
-
-
-def mismatch_sarif(validations: Sequence[NetworkValidation]) -> Dict:
-    """A SARIF log of every mismatch (empty results when all green) —
-    the artifact the CI sweep-validate job uploads."""
-    from repro.sweep.report import SARIF_SCHEMA, SARIF_VERSION
-
-    results: List[Dict] = []
-    for validation in validations:
-        for mismatch in validation.mismatches:
-            results.append(
-                {
-                    "ruleId": "sweep-verdict-mismatch",
-                    "level": "error",
-                    "message": {
-                        "text": (
-                            f"{validation.network}: {mismatch.describe()}"
-                        )
-                    },
-                    "locations": [
-                        {
-                            "physicalLocation": {
-                                "artifactLocation": {
-                                    "uri": f"<{validation.network}>"
-                                }
-                            }
-                        }
-                    ],
-                    "properties": {
-                        "network": validation.network,
-                        "scenario": mismatch.scenario_id,
-                        "pruned_status": mismatch.status,
-                    },
-                }
-            )
-    return {
-        "$schema": SARIF_SCHEMA,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-sweep-validate",
-                        "version": "1.0.0",
-                        "informationUri": "https://github.com/batfish/batfish",
-                        "rules": [
-                            {
-                                "id": "sweep-verdict-mismatch",
-                                "shortDescription": {
-                                    "text": (
-                                        "Pruned sweep verdict differs "
-                                        "from brute-force enumeration"
-                                    )
-                                },
-                                "defaultConfiguration": {"level": "error"},
-                            }
-                        ],
-                    }
-                },
-                "results": results,
-                "properties": {
-                    "networks": [
-                        {
-                            "network": v.network,
-                            "ok": v.ok,
-                            "scenarios": v.scenarios,
-                            "pruned": v.pruned,
-                            "sweep_seconds": round(v.sweep_seconds, 3),
-                            "brute_seconds": round(v.brute_seconds, 3),
-                        }
-                        for v in validations
-                    ]
-                },
-            }
-        ],
-    }

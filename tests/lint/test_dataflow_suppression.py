@@ -4,8 +4,8 @@ cross-device findings — and SARIF must record each suppression with the
 right ``kind``."""
 
 from repro.config.loader import load_snapshot_from_texts
+from repro.findings import result_keys, to_sarif
 from repro.lint import LintConfig, all_rules, lint_snapshot
-from repro.lint.sarif import result_keys, to_sarif
 
 #: r1 redistributes private space into an eBGP session (route-leak on
 #: r1), and r2 re-advertises what it learned (route-leak echo on r2) —
@@ -41,7 +41,7 @@ def leak_report(configs, lintconfig=None):
 
 
 def sarif_for(report):
-    return to_sarif(report.findings, all_rules())
+    return to_sarif("repro-lint", all_rules(), report.findings)
 
 
 class TestInSourceSuppression:

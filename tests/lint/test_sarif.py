@@ -4,16 +4,15 @@ import json
 
 import pytest
 
+from repro.__main__ import main
 from repro.config.loader import load_snapshot_from_texts
-from repro.lint import (
-    LintConfig,
-    all_rules,
-    compare_to_baseline,
-    lint_snapshot,
-    result_keys,
-    to_sarif,
-)
-from repro.lint.__main__ import main as lint_main
+from repro.findings import compare_to_baseline, result_keys, to_sarif
+from repro.lint import all_rules, lint_snapshot
+
+
+def lint_main(argv):
+    return main(["lint", *argv])
+
 
 MESSY = {
     "r1": """
@@ -36,7 +35,7 @@ def report():
 
 @pytest.fixture(scope="module")
 def sarif(report):
-    return to_sarif(report.findings, all_rules())
+    return to_sarif("repro-lint", all_rules(), report.findings)
 
 
 class TestSarifShape:
@@ -101,8 +100,9 @@ class TestBaseline:
 
     def test_drift_detected_both_directions(self, sarif, report):
         fewer = to_sarif(
-            [f for f in report.findings if f.rule_id != "acl-line-unreachable"],
+            "repro-lint",
             all_rules(),
+            [f for f in report.findings if f.rule_id != "acl-line-unreachable"],
         )
         new, resolved = compare_to_baseline(sarif, fewer)
         assert new and not resolved

@@ -1,4 +1,4 @@
-"""Tests for the ``python -m repro.obs.report`` trace renderer."""
+"""Tests for the ``python -m repro report`` trace renderer."""
 
 import json
 import subprocess
@@ -7,7 +7,12 @@ import sys
 import pytest
 
 from repro import obs
-from repro.obs.report import TraceReport, main
+from repro.__main__ import main as repro_main
+from repro.obs.report import TraceReport
+
+
+def main(argv):
+    return repro_main(["report", *argv])
 
 
 @pytest.fixture(autouse=True)
@@ -165,7 +170,7 @@ class TestCli:
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.join(repo_root, "src")
         result = subprocess.run(
-            [sys.executable, "-m", "repro.obs.report", str(trace)],
+            [sys.executable, "-m", "repro", "report", str(trace)],
             capture_output=True,
             text=True,
             env=env,

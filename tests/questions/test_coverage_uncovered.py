@@ -7,6 +7,7 @@ import pytest
 
 from repro import obs
 from repro.core.session import Session
+from repro.findings import to_sarif
 from repro.hdr.ip import Ip
 from repro.hdr.packet import Packet
 from repro.obs.context import attribution
@@ -183,12 +184,17 @@ class TestCoverageGate:
             "NET1": {"lint": {"acl_line": [1, 2]}},
             "NET9": {"lint": {"acl_line": [0, 0]}},
         })
-        messages = [entry["message"] for entry in drift]
+        messages = [entry.message for entry in drift]
         assert any("baseline [2, 2] != current [1, 2]" in m for m in messages)
         assert any("NET9" in m and "missing from baseline" in m
                    for m in messages)
-        sarif = qcov.gate_sarif(drift)
+        assert all(entry.category == "coverage" for entry in drift)
+        sarif = to_sarif(qcov.GATE_TOOL, [qcov.GATE_RULE], drift)
         assert sarif["version"] == "2.1.0"
         results = sarif["runs"][0]["results"]
         assert len(results) == len(drift)
         assert all(r["ruleId"] == "coverage-drift" for r in results)
+        assert all(r["level"] == "error" for r in results)
+        ratio = next(r for r in results if "question" in r["properties"])
+        assert ratio["properties"]["baseline"] == [2, 2]
+        assert ratio["properties"]["current"] == [1, 2]

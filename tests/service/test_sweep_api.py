@@ -51,6 +51,15 @@ class TestSweepQuestion:
         spofs = [f for f in answer["findings"]
                  if f["rule"] == "single-point-of-failure"]
         assert len(spofs) == 2
+        # the common Finding.to_json() row: elements ride under properties
+        for row in spofs:
+            assert row["severity"] == "error"
+            assert row["category"] == "resilience"
+            assert row["location"]["file"] in LAB_CONFIGS
+            assert row["node"] == row["location"]["file"][: -len(".cfg")]
+            (element,) = row["properties"]["elements"]
+            assert element.startswith("link:") and element in row["message"]
+            assert "elements" not in row and "level" not in row
 
     def test_wait_true_overrides_async_default(self, make_service):
         _, client = make_service()

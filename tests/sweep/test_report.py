@@ -1,23 +1,26 @@
 """Resilience report: findings, gates, renderers, and the CLI."""
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+from repro.__main__ import main
+from repro.findings import SARIF_SCHEMA, Severity, to_sarif
 from repro.sweep import sweep_session
 from repro.sweep.report import (
     RULE_BASE_BROKEN,
     RULE_FAILURE_SET,
     RULE_SPOF,
-    SARIF_SCHEMA,
+    RULES,
+    TOOL_NAME,
     findings_from_result,
     gate_exit_code,
-    render_json,
-    render_sarif,
     render_text,
-    to_sarif,
+    report_json,
 )
 from repro.sweep.scenarios import ReachabilityProperty, host_files
 
@@ -52,17 +55,19 @@ class TestFindings:
         )
         assert len(findings) == 2
         assert all(f.rule_id == RULE_SPOF for f in findings)
-        assert all(f.level == "error" for f in findings)
+        assert all(f.severity is Severity.ERROR for f in findings)
+        assert all(f.category == "resilience" for f in findings)
         # anchored at the config file of the first host in the element id
-        assert findings[0].file in {"r1.cfg", "r2.cfg"}
+        assert findings[0].location.file in {"r1.cfg", "r2.cfg"}
+        assert findings[0].hostname in {"r1", "r2"}
+        assert dict(findings[0].properties)["elements"]
 
     def test_base_broken_short_circuits(self, broken_result):
         findings = findings_from_result(broken_result)
         assert [f.rule_id for f in findings] == [RULE_BASE_BROKEN]
-        assert findings[0].level == "error"
+        assert findings[0].severity is Severity.ERROR
 
     def test_multi_element_sets_are_warnings(self, chain_result):
-        from repro.sweep.report import ResilienceFinding  # noqa: F401
         from repro.sweep.engine import SweepResult
 
         doctored = SweepResult(
@@ -76,7 +81,10 @@ class TestFindings:
         )
         findings = findings_from_result(doctored)
         assert [f.rule_id for f in findings] == [RULE_FAILURE_SET]
-        assert findings[0].level == "warning"
+        assert findings[0].severity is Severity.WARNING
+        assert dict(findings[0].properties)["elements"] == (
+            "link:a[e0]--b[e0]", "link:c[e0]--d[e0]",
+        )
 
 
 class TestGate:
@@ -110,26 +118,35 @@ class TestRenderers:
 
     def test_json_round_trips(self, chain_result):
         findings = findings_from_result(chain_result)
-        body = json.loads(render_json(chain_result, findings))
+        body = json.loads(json.dumps(report_json(chain_result, findings)))
         assert body["schema"] == "repro-sweep/v1"
         assert len(body["findings"]) == len(findings)
+        # the common Finding.to_json() row, elements under properties
+        row = body["findings"][0]
+        assert row["rule"] == RULE_SPOF and row["severity"] == "error"
+        assert row["properties"]["elements"] == list(
+            dict(findings[0].properties)["elements"]
+        )
 
     def test_sarif_shape(self, chain_result, lab_session):
         findings = findings_from_result(
             chain_result, host_files(lab_session.snapshot)
         )
-        sarif = to_sarif(chain_result, findings)
+        stats = {"stats": chain_result.stats.to_json()}
+        sarif = to_sarif(TOOL_NAME, RULES, findings, stats)
         assert sarif["$schema"] == SARIF_SCHEMA
         assert sarif["version"] == "2.1.0"
         run = sarif["runs"][0]
         assert run["tool"]["driver"]["name"] == "repro-sweep"
+        assert run["properties"] == stats
         assert len(run["results"]) == len(findings)
         result = run["results"][0]
         assert result["ruleId"] == RULE_SPOF
+        assert result["properties"]["elements"]
         rules = run["tool"]["driver"]["rules"]
         assert rules[result["ruleIndex"]]["id"] == result["ruleId"]
         # round-trips through json
-        json.loads(render_sarif(chain_result, findings))
+        json.loads(json.dumps(sarif))
 
 
 class TestObsReportSection:
@@ -153,45 +170,44 @@ class TestObsReportSection:
 
 class TestCli:
     def _run(self, *argv):
+        root = pathlib.Path(__file__).resolve().parents[2]
         return subprocess.run(
-            [sys.executable, "-m", "repro.sweep", *argv],
+            [sys.executable, "-m", "repro", *argv],
             capture_output=True,
             text=True,
-            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
-            cwd="/root/repo",
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            cwd=root,
             timeout=240,
         )
 
     def test_report_text_gate_spof(self):
         proc = self._run(
-            "--network", "NET1", "-k", "1", "--kinds", "link",
+            "sweep", "--network", "NET1", "-k", "1", "--kinds", "link",
             "--fail-on", "none",
         )
         assert proc.returncode == 0, proc.stderr
         assert "== resilience sweep ==" in proc.stdout
 
-    def test_report_sarif_to_file(self, tmp_path):
+    def test_report_sarif_to_file(self, tmp_path, capsys):
         out = tmp_path / "sweep.sarif"
-        proc = self._run(
-            "--network", "NET1", "-k", "1", "--kinds", "link",
+        argv = [
+            "sweep", "--network", "NET1", "-k", "1", "--kinds", "link",
             "--format", "sarif", "--out", str(out), "--fail-on", "none",
-        )
-        assert proc.returncode == 0, proc.stderr
+        ]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == ""
         sarif = json.loads(out.read_text())
         assert sarif["version"] == "2.1.0"
+        assert sarif["runs"][0]["properties"]["stats"]["scenarios"] > 0
 
-    def test_fail_on_any_exits_nonzero_when_findings(self):
-        proc = self._run(
-            "--network", "NET1", "-k", "1", "--fail-on", "any",
-        )
+    def test_fail_on_any_exits_nonzero_when_findings(self, capsys):
         # NET1 has single points of failure, so the gate trips
-        assert proc.returncode == 1, proc.stdout + proc.stderr
+        argv = ["sweep", "--network", "NET1", "-k", "1", "--fail-on", "any"]
+        assert main(argv) == 1
+        assert "single-point-of-failure" in capsys.readouterr().out
 
     def test_validate_smoke_single_network(self):
-        proc = self._run(
-            "validate", "--networks", "NET1", "-k", "1",
-            "--max-elements", "4",
-        )
+        # --smoke caps the element universe at 4; --networks picks NET1
+        proc = self._run("validate", "sweep", "--networks", "NET1", "--smoke")
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "1 network(s)" in proc.stdout
-        assert "0 failed" in proc.stdout
+        assert "1 network(s), 10 checks, 0 finding(s)" in proc.stdout

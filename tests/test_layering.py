@@ -1,5 +1,14 @@
-"""Package layering: no module under ``src/repro/<pkg>/`` imports an
-underscore-prefixed name from a different ``repro.<pkg>``."""
+"""Package layering, checked on the import statements themselves (at any
+nesting depth, so a function-local import counts):
+
+* no module under ``src/repro/<pkg>/`` imports an underscore-prefixed
+  name from a different ``repro.<pkg>``;
+* ``repro.obs`` imports nothing of ``repro`` above itself;
+* ``repro.findings`` is a leaf: it imports nothing from ``repro``;
+* nothing outside ``repro.service`` imports ``repro.service``;
+* ``repro/__main__.py`` is the only module outside ``repro.service``
+  that builds an ``argparse.ArgumentParser``.
+"""
 
 import ast
 import pathlib
@@ -9,19 +18,76 @@ import repro
 ROOT = pathlib.Path(repro.__file__).parent
 
 
+def _imports(path):
+    """(module, names) for every absolute import in ``path``."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module or "", [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, []
+
+
+def _repro_imports(path):
+    """Dotted ``repro...`` names ``path`` imports (``from repro import
+    obs`` counts as ``repro.obs``)."""
+    for module, names in _imports(path):
+        if module == "repro":
+            yield from (f"repro.{name}" for name in names)
+        elif module.startswith("repro."):
+            yield module
+
+
 def test_no_private_imports_across_packages():
     violations = []
     for path in sorted(ROOT.glob("*/**/*.py")):
         package = path.relative_to(ROOT).parts[0]
-        for node in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(node, ast.ImportFrom) or node.level:
-                continue
-            parts = (node.module or "").split(".")
+        for module, names in _imports(path):
+            parts = module.split(".")
             if parts[0] != "repro" or len(parts) < 2 or parts[1] == package:
                 continue
             violations += [
-                f"{path.relative_to(ROOT)}: {node.module}.{alias.name}"
-                for alias in node.names
-                if alias.name.startswith("_")
+                f"{path.relative_to(ROOT)}: {module}.{name}"
+                for name in names
+                if name.startswith("_")
             ]
     assert not violations, "\n".join(violations)
+
+
+def test_obs_imports_nothing_above_it():
+    violations = [
+        f"{path.relative_to(ROOT)}: {module}"
+        for path in sorted((ROOT / "obs").glob("**/*.py"))
+        for module in _repro_imports(path)
+        if module != "repro.obs" and not module.startswith("repro.obs.")
+    ]
+    assert not violations, "\n".join(violations)
+
+
+def test_findings_is_a_leaf():
+    assert list(_repro_imports(ROOT / "findings.py")) == []
+
+
+def test_only_the_service_imports_the_service():
+    violations = [
+        f"{path.relative_to(ROOT)}: {module}"
+        for path in sorted(ROOT.glob("**/*.py"))
+        if path.relative_to(ROOT).parts[0] != "service"
+        for module in _repro_imports(path)
+        if module == "repro.service" or module.startswith("repro.service.")
+    ]
+    assert not violations, "\n".join(violations)
+
+
+def test_one_argument_parser_outside_the_service():
+    builders = [
+        str(path.relative_to(ROOT))
+        for path in sorted(ROOT.glob("**/*.py"))
+        if path.relative_to(ROOT).parts[0] != "service"
+        and "ArgumentParser(" in path.read_text()
+    ]
+    assert builders == ["__main__.py"]
+    mains = sorted(
+        str(path.relative_to(ROOT)) for path in ROOT.glob("**/__main__.py")
+    )
+    assert mains == ["__main__.py", "service/__main__.py"]
