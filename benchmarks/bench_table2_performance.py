@@ -12,8 +12,10 @@ network in its own worker process (``REPRO_JOBS``-wide fan-out via
 ``repro.parallel.pmap``), adds cold- vs. warm-cache timings through the
 content-addressed snapshot cache, and writes the machine-readable
 ``BENCH_table2.json`` artifact (wall-clock per phase, peak RSS per
-worker, route-object memory saved by ``__slots__``). ``--smoke`` limits
-the sweep to one small network for CI.
+worker, route-object memory saved by ``__slots__``) under
+``REPRO_BENCH_DIR``. ``--smoke`` limits the sweep to one small network.
+The artifact is an experiment's output, not a regression gate — that is
+``benchmarks/e2e``.
 """
 
 from __future__ import annotations
@@ -133,7 +135,7 @@ def measure_network(name: str) -> Dict[str, object]:
     # The dataflow fixpoint in isolation (the lint phase above runs it
     # too, as one rule-scope among many): wall-clock of a cold
     # propagation-graph fixpoint plus its worklist iteration count — a
-    # deterministic algorithmic signal benchdiff gates on directly.
+    # deterministic algorithmic signal.
     dataflow_seconds, dataflow_analysis = timed(
         lambda: dataflow_analyze(pipeline.snapshot)
     )

@@ -227,7 +227,7 @@ def write_bench_json(name: str, payload: Dict) -> str:
     if obs.active():
         payload.setdefault("obs_metrics", obs.metrics_dump())
         # p50/p95/p99 per labeled bucket histogram (phase.seconds,
-        # service.request.seconds, ...) — benchdiff gates on p95.
+        # service.request.seconds, ...).
         percentiles = obs.metrics().percentiles()
         if percentiles:
             payload.setdefault("obs_percentiles", percentiles)
