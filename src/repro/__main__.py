@@ -17,6 +17,7 @@ is a separate entry point, ``python -m repro.service``.
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import json
 import sys
@@ -150,16 +151,13 @@ def _lint_registry(
     args: argparse.Namespace, config: LintConfig
 ) -> LintReport:
     """``--network all``: one merged report over the whole registry."""
-    merged = LintReport()
+    merged = LintReport(rule_seconds=collections.Counter())
     for spec in select_networks(None, False):
         snapshot = load_snapshot_from_texts(spec.generate(args.scale))
         report = lint_snapshot(snapshot, config, jobs=args.jobs)
         merged.findings.extend(_reroot(report.findings, spec.name))
         merged.total_seconds += report.total_seconds
-        for rule_id, seconds in report.rule_seconds.items():
-            merged.rule_seconds[rule_id] = (
-                merged.rule_seconds.get(rule_id, 0.0) + seconds
-            )
+        merged.rule_seconds.update(report.rule_seconds)  # Counter: adds
         merged.rules_run = report.rules_run  # same config, same rules
     return merged
 
@@ -200,8 +198,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     else:
         snapshot = load_snapshot_from_texts(load_configs(args))
         report = lint_snapshot(snapshot, config, jobs=args.jobs)
+    log = to_sarif("repro-lint", rules, report.findings)
     if args.format == "sarif":
-        output = _sarif_text("repro-lint", rules, report.findings)
+        output = json.dumps(log, indent=2) + "\n"
     elif args.format == "json":
         output = json.dumps(report.to_json(), indent=2) + "\n"
     else:
@@ -209,10 +208,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     write_output(output, args.out)
     if args.baseline:
         with open(args.baseline) as handle:
-            baseline = json.load(handle)
-        new, resolved = compare_to_baseline(
-            to_sarif("repro-lint", rules, report.findings), baseline
-        )
+            new, resolved = compare_to_baseline(log, json.load(handle))
         drift = [f"new finding {key}" for key in new]
         drift += [f"resolved finding {key}" for key in resolved]
         if _drifted(drift, args.baseline):
@@ -267,9 +263,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 #
 # A validator is a plain function (network, configs, jobs) ->
 # (checks, detail line, divergences). The driver below owns selection,
-# the per-network OK/FAIL line, the exit code and the SARIF artifact, so
-# it is also what turns each divergence into a Finding of the
-# validator's rule.
+# the per-network OK/FAIL line, the exit code and the SARIF artifact —
+# so it is what turns a divergence into a Finding of the validator's rule.
 
 Validation = Tuple[int, str, List[str]]
 
@@ -371,22 +366,23 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             _validate_sweep, max_elements=SMOKE_MAX_ELEMENTS
         )
     names = list(validators) if args.validator == "all" else [args.validator]
+    networks = [(spec.name, spec.generate(args.scale)) for spec in specs]
     findings: List[Finding] = []
     totals: Dict[str, Dict[str, int]] = {}
     for name in names:
         started = time.perf_counter()
         total = 0
         before = len(findings)
-        for spec in specs:
+        for network, configs in networks:
             checks, detail, failed = validators[name](
-                spec.name, spec.generate(args.scale), args.jobs
+                network, configs, args.jobs
             )
             total += checks
             found = [
                 VALIDATE_RULES[name].finding(
-                    f"{spec.name}: {message}",
-                    location=Location(f"<{spec.name}>"),
-                    network=spec.name,
+                    f"{network}: {message}",
+                    location=Location(f"<{network}>"),
+                    network=network,
                 )
                 for message in failed
             ]
@@ -394,21 +390,18 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             if args.verbose or failed:
                 status = "FAIL" if failed else "OK  "
                 print(
-                    f"{status} {name} {spec.name:6s} {checks} checks, "
-                    f"{detail}",
+                    f"{status} {name} {network:6s} {checks} checks, {detail}",
                     *render_rows(found),
                     sep="\n    ",
                     flush=True,
                 )
-        totals[name] = {
-            "networks": len(specs),
-            "checks": total,
-            "findings": len(findings) - before,
-        }
+        failures = len(findings) - before
+        totals[name] = dict(
+            networks=len(networks), checks=total, findings=failures
+        )
         print(
-            f"validate {name}: {len(specs)} network(s), {total} checks, "
-            f"{len(findings) - before} finding(s) "
-            f"in {time.perf_counter() - started:.1f}s",
+            f"validate {name}: {len(networks)} network(s), {total} checks, "
+            f"{failures} finding(s) in {time.perf_counter() - started:.1f}s",
             flush=True,
         )
     if args.sarif:
@@ -430,9 +423,8 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
     current = qcov.gate_run(specs, scale=args.scale, verbose=args.verbose)
     if args.write_baseline:
         doc = {"schema": qcov.BASELINE_SCHEMA, "networks": current}
-        with open(args.baseline, "w") as handle:
-            json.dump(doc, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        write_output(text, args.baseline)
         print(f"coverage baseline written: {args.baseline}")
         return 0
     drift: List[Finding] = []

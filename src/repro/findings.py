@@ -10,11 +10,9 @@ them. This module is a leaf: it imports nothing from ``repro``.
 
 SARIF (Static Analysis Results Interchange Format) 2.1.0 is what lets
 findings ride existing tooling — code-review annotation, CI result
-viewers. :func:`to_sarif` emits one run with rule metadata, physical
-locations, witness ``relatedLocations`` and ``suppressions``.
-:func:`compare_to_baseline` normalizes two logs to result keys and diffs
-them: new *and* resolved findings both count as drift, so a committed
-baseline stays an exact description of the fleet.
+viewers. Drift against a committed baseline log counts new *and*
+resolved findings, so the baseline stays an exact description of the
+fleet.
 """
 
 from __future__ import annotations

@@ -767,18 +767,23 @@ def gate_diff(baseline: Dict, current: Dict) -> List[Finding]:
     baseline stays a faithful description or it fails."""
     drift: List[Finding] = []
     base_networks = baseline.get("networks", {})
+
+    def drifted(network: str, message: str, **extra) -> None:
+        drift.append(
+            GATE_RULE.finding(
+                message,
+                location=Location(f"<{network}>"),
+                network=network,
+                **extra,
+            )
+        )
+
     for network in sorted(set(base_networks) | set(current)):
         base = base_networks.get(network)
         now = current.get(network)
         if base is None or now is None:
             side = "missing from baseline" if base is None else "not measured"
-            drift.append(
-                GATE_RULE.finding(
-                    f"network {network} {side}",
-                    location=Location(f"<{network}>"),
-                    network=network,
-                )
-            )
+            drifted(network, f"network {network} {side}")
             continue
         for question in sorted(set(base) | set(now)):
             base_q = base.get(question, {})
@@ -787,16 +792,13 @@ def gate_diff(baseline: Dict, current: Dict) -> List[Finding]:
                 expected = base_q.get(kind)
                 measured = now_q.get(kind)
                 if list(expected or []) != list(measured or []):
-                    drift.append(
-                        GATE_RULE.finding(
-                            f"{network}/{question}/{kind}: "
-                            f"baseline {expected} != current {measured}",
-                            location=Location(f"<{network}>"),
-                            network=network,
-                            question=question,
-                            kind=kind,
-                            baseline=tuple(expected or ()),
-                            current=tuple(measured or ()),
-                        )
+                    drifted(
+                        network,
+                        f"{network}/{question}/{kind}: "
+                        f"baseline {expected} != current {measured}",
+                        question=question,
+                        kind=kind,
+                        baseline=tuple(expected or ()),
+                        current=tuple(measured or ()),
                     )
     return drift

@@ -18,7 +18,7 @@ touches.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.findings import (
     Finding,
@@ -31,22 +31,20 @@ from repro.sweep.engine import SweepResult
 
 TOOL_NAME = "repro-sweep"
 
-RULE_BASE_BROKEN = "base-broken"
-RULE_SPOF = "single-point-of-failure"
-RULE_FAILURE_SET = "failure-set"
-
-RULES: Tuple[RuleInfo, ...] = tuple(
-    RuleInfo(rule_id, severity, "resilience", description)
-    for rule_id, severity, description in (
-        (RULE_BASE_BROKEN, Severity.ERROR,
-         "The property fails on the unmodified snapshot"),
-        (RULE_SPOF, Severity.ERROR,
-         "A single failure element breaks the property"),
-        (RULE_FAILURE_SET, Severity.WARNING,
-         "A minimal combination of failure elements breaks the property"),
-    )
+_BASE_BROKEN = RuleInfo(
+    "base-broken", Severity.ERROR, "resilience",
+    "The property fails on the unmodified snapshot",
 )
-_BASE_BROKEN, _SPOF, _FAILURE_SET = RULES
+_SPOF = RuleInfo(
+    "single-point-of-failure", Severity.ERROR, "resilience",
+    "A single failure element breaks the property",
+)
+_FAILURE_SET = RuleInfo(
+    "failure-set", Severity.WARNING, "resilience",
+    "A minimal combination of failure elements breaks the property",
+)
+RULES = (_BASE_BROKEN, _SPOF, _FAILURE_SET)
+RULE_BASE_BROKEN, RULE_SPOF, RULE_FAILURE_SET = (r.rule_id for r in RULES)
 
 #: --fail-on gate levels, weakest to strictest. They select by rule id
 #: (a base-broken and a single point of failure are both errors), which

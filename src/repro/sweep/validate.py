@@ -11,9 +11,8 @@ fails the network.
 
 CI runs this across every registry network (``python -m repro validate
 sweep``); ``max_elements`` bounds the element universe so the quadratic
-k=2 lattice stays CI-sized. Each mismatch becomes a ``differential``
-finding in the run's SARIF artifact, so a red run annotates exactly
-which scenario diverged.
+k=2 lattice stays CI-sized. Each mismatch is a ``differential`` finding
+in the run's SARIF artifact: a red run names the scenario that diverged.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.session import Session
 from repro.sweep.engine import SweepResult, sweep_session
 from repro.sweep.scenarios import (
-    ALL_KINDS,
     ReachabilityProperty,
     Verdict,
     default_property,

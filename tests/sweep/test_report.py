@@ -1,10 +1,6 @@
 """Resilience report: findings, gates, renderers, and the CLI."""
 
 import json
-import os
-import pathlib
-import subprocess
-import sys
 
 import pytest
 
@@ -23,6 +19,7 @@ from repro.sweep.report import (
     report_json,
 )
 from repro.sweep.scenarios import ReachabilityProperty, host_files
+from tests.test_cli import run_module
 
 CHAIN_PROP = ReachabilityProperty(
     src_node="r1", src_interface="Ethernet0", dst_ip="10.99.0.1"
@@ -169,16 +166,8 @@ class TestObsReportSection:
 
 
 class TestCli:
-    def _run(self, *argv):
-        root = pathlib.Path(__file__).resolve().parents[2]
-        return subprocess.run(
-            [sys.executable, "-m", "repro", *argv],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=str(root / "src")),
-            cwd=root,
-            timeout=240,
-        )
+    #: a real ``python -m repro`` in the checkout this file belongs to
+    _run = staticmethod(run_module)
 
     def test_report_text_gate_spof(self):
         proc = self._run(
