@@ -26,7 +26,16 @@ a packet header), so plain recursive formulations are safe and fast.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 FALSE = 0
 TRUE = 1
@@ -107,6 +116,24 @@ class BddEngine:
                 "its cofactors' levels"
             )
         return self._mk(level, lo, hi)
+
+    def pinned(self, levels: Sequence[int], value: int, below: int = TRUE) -> int:
+        """The cube "the variables ``levels`` (ascending) spell the low
+        ``len(levels)`` bits of ``value``, most significant first",
+        conjoined with ``below`` — a function of later variables only.
+
+        A cube is a chain, so it is built with :meth:`mk` from the last
+        variable up, one node per variable; ``and_``-ing one literal at
+        a time onto a growing chain walks the chain again at every step.
+        """
+        mk = self.mk
+        node = below
+        for shift, level in enumerate(reversed(levels)):
+            if (value >> shift) & 1:
+                node = mk(level, FALSE, node)
+            else:
+                node = mk(level, node, FALSE)
+        return node
 
     def var(self, level: int) -> int:
         """The function that is true iff variable ``level`` is 1."""

@@ -3,7 +3,7 @@
 Batfish has two independent forwarding engines — the symbolic BDD
 engine and the concrete traceroute engine. "Validating that such
 engines produce identical results is instrumental in uncovering
-modeling bugs." Two validation directions:
+modeling bugs." Three validation directions:
 
 1. *Reachability verifies traceroute*: for each final location, run the
    (backward) reachability query, collect (start location, headerspace)
@@ -14,8 +14,13 @@ modeling bugs." Two validation directions:
    entry choose a packet matching the entry's prefix; trace it to its
    terminal location and disposition; then check the symbolic analysis
    agrees (the computed start set contains the original start).
+3. *Traceroute verifies the fates*: for every start location and every
+   disposition — the failures too, which the first two directions never
+   ask about — pick the preferred packet of
+   :meth:`NetworkAnalyzer.fates` there, trace it from that location and
+   check that it can meet that disposition.
 
-A third direction compares the imperative control-plane engine against
+A separate comparison holds the imperative control-plane engine against
 the original Datalog model (:func:`validate_imperative_against_datalog`)
 and, on any forwarding mismatch, attaches both engines' provenance
 derivation trees plus the first-divergence diff — the located witness a
@@ -50,7 +55,7 @@ from repro.traceroute.engine import TracerouteEngine
 class Mismatch:
     """One disagreement between the two engines."""
 
-    direction: str  # "symbolic->concrete" | "concrete->symbolic"
+    direction: str  # "symbolic->concrete" | "concrete->symbolic" | "fates->concrete"
     start: Tuple[str, str]
     packet: Packet
     expected: str
@@ -187,6 +192,43 @@ def validate_concrete_against_symbolic(
     return report
 
 
+def validate_fates_against_concrete(analyzer: NetworkAnalyzer) -> DifferentialReport:
+    """Direction 3: the traceroute engine verifies the fates at the
+    source.
+
+    For every ``src`` node and every disposition with a non-empty
+    :meth:`NetworkAnalyzer.fates` set there, the preferred example of
+    that set, traced from that source, must meet that disposition on
+    some path. The sets are in source coordinates, so the example is
+    injected as it is, NAT or not.
+    """
+    report = DifferentialReport()
+    tracer = TracerouteEngine(analyzer.dataplane, analyzer.fibs)
+    encoder = analyzer.encoder
+    preferences = default_preferences(encoder)
+    sources = analyzer.graph.source_nodes()
+    for fate, arriving in analyzer.fates().items():
+        for source in sources:
+            packet = encoder.example_packet(
+                arriving.get(source, FALSE), preferences
+            )
+            if packet is None:
+                continue
+            report.checks += 1
+            traces = tracer.trace(packet, source[1], source[2])
+            if not any(trace.disposition is fate for trace in traces):
+                report.mismatches.append(
+                    Mismatch(
+                        direction="fates->concrete",
+                        start=(source[1], source[2]),
+                        packet=packet,
+                        expected=fate.value,
+                        actual=", ".join(t.describe() for t in traces),
+                    )
+                )
+    return report
+
+
 @dataclass
 class DataplaneMismatch:
     """One (node, prefix) where the imperative engine and the Datalog
@@ -237,7 +279,7 @@ class ImperativeDatalogReport:
 def validate_imperative_against_datalog(
     snapshot, settings=None, semantics=None
 ) -> ImperativeDatalogReport:
-    """Direction 3: the original Datalog model verifies the imperative
+    """The original Datalog model verifies the imperative
     control-plane engine (both simulate the same snapshot; their
     ``(node, prefix, next-hop-node)`` relations must agree on the
     protocols Datalog models: connected/static/OSPF).
@@ -312,7 +354,9 @@ def validate_imperative_against_datalog(
 
 
 def run_differential_suite(analyzer: NetworkAnalyzer) -> DifferentialReport:
-    """Both directions, merged (the routine §4.3.2 cross-validation)."""
+    """All three directions, merged (the routine §4.3.2
+    cross-validation)."""
     report = validate_symbolic_against_concrete(analyzer)
     report.merge(validate_concrete_against_symbolic(analyzer))
+    report.merge(validate_fates_against_concrete(analyzer))
     return report

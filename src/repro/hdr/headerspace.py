@@ -48,12 +48,11 @@ class PacketEncoder:
         width = self.layout.width(field)
         if not 0 <= value < (1 << width):
             raise ValueError(f"value {value} out of range for {field}")
-        var_of = self.layout.out_var if _out else self.layout.var
-        assignment = {
-            var_of(field, bit): (value >> (width - 1 - bit)) & 1
-            for bit in range(width)
-        }
-        return self.engine.from_assignment(assignment)
+        return self.engine.pinned(self._levels(field, _out), value)
+
+    def _levels(self, field: str, _out: bool) -> Tuple[int, ...]:
+        layout = self.layout
+        return layout.out_vars_of(field) if _out else layout.vars_of(field)
 
     def field_in_range(
         self, field: str, low: int, high: int, _out: bool = False
@@ -85,30 +84,25 @@ class PacketEncoder:
         return engine.and_(geq, leq)
 
     def ip_eq(self, field: str, ip: "Ip | str") -> int:
-        """BDD for an IP-valued field equal to a specific address."""
-        return self.field_eq(field, Ip(ip).value)
+        """BDD for an IP-valued field equal to a specific address (the
+        memoised /32 of :meth:`ip_in_prefix`: own and neighbour
+        addresses are asked for several times each)."""
+        return self.ip_in_prefix(field, Prefix(Ip(ip), 32))
 
     def ip_in_prefix(self, field: str, prefix: "Prefix | str", _out: bool = False) -> int:
         """BDD for an IP-valued field inside a prefix (tests only the
         first ``prefix.length`` bits — the canonical compact encoding).
 
-        The cube is a chain, so it is built node by node from the last
-        tested bit up, and kept: ACLs, source scoping and the lint
-        route-space name the same prefixes over and over."""
+        Kept once built: ACLs, source scoping and the graph builder
+        name the same prefixes and addresses over and over."""
         prefix = prefix if isinstance(prefix, Prefix) else Prefix(prefix)
         key = (field, prefix, _out)
         node = self._prefix_cache.get(key)
         if node is None:
-            layout = self.layout
-            levels = layout.out_vars_of(field) if _out else layout.vars_of(field)
-            mk = self.engine.mk
-            network = prefix.network.value
-            node = TRUE
-            for bit in reversed(range(prefix.length)):
-                if (network >> (31 - bit)) & 1:
-                    node = mk(levels[bit], FALSE, node)
-                else:
-                    node = mk(levels[bit], node, FALSE)
+            node = self.engine.pinned(
+                self._levels(field, _out)[: prefix.length],
+                prefix.network.value >> (32 - prefix.length),
+            )
             self._prefix_cache[key] = node
         return node
 

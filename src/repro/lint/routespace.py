@@ -102,15 +102,7 @@ class RouteSpaceUniverse:
     # -- field primitives --------------------------------------------------
 
     def length_eq(self, value: int) -> int:
-        engine = self.engine
-        bdd = TRUE
-        for bit in range(LEN_BITS):
-            level = ADDR_BITS + bit
-            if (value >> (LEN_BITS - 1 - bit)) & 1:
-                bdd = engine.and_(bdd, engine.var(level))
-            else:
-                bdd = engine.and_(bdd, engine.nvar(level))
-        return bdd
+        return self.engine.pinned(range(ADDR_BITS, ADDR_BITS + LEN_BITS), value)
 
     def length_in_range(self, low: int, high: int) -> int:
         if low > high:
@@ -122,30 +114,20 @@ class RouteSpaceUniverse:
     def address_under(self, prefix: Prefix) -> int:
         """Routes whose network address lies inside ``prefix`` (the
         containment half of ``Prefix.contains_prefix``)."""
-        engine = self.engine
-        bdd = TRUE
-        network = prefix.network
-        for bit in range(prefix.length):
-            if network.bit(bit):
-                bdd = engine.and_(bdd, engine.var(bit))
-            else:
-                bdd = engine.and_(bdd, engine.nvar(bit))
-        return bdd
+        return self.engine.pinned(
+            range(prefix.length),
+            prefix.network.value >> (ADDR_BITS - prefix.length),
+        )
 
     def prefix_atom(self, prefix: Prefix) -> int:
         """The exact single point for one announced prefix: all 32
         address bits pinned to the (masked) network address plus the
         exact length. Community/flag variables are left free — intersect
         with :meth:`without_communities` to pin them all to absent."""
-        engine = self.engine
-        bdd = self.length_eq(prefix.length)
-        network = prefix.network
-        for bit in range(ADDR_BITS):
-            if network.bit(bit):
-                bdd = engine.and_(bdd, engine.var(bit))
-            else:
-                bdd = engine.and_(bdd, engine.nvar(bit))
-        return bdd
+        return self.engine.pinned(
+            range(ADDR_BITS), prefix.network.value,
+            below=self.length_eq(prefix.length),
+        )
 
     def community(self, name: str) -> int:
         level = self._community_var.get(name)
@@ -175,13 +157,7 @@ class RouteSpaceUniverse:
         """The constraint "carries no community and no flag" — the state
         of a freshly originated (connected/static/network-statement)
         route."""
-        engine = self.engine
-        bdd = TRUE
-        for level in self._community_var.values():
-            bdd = engine.and_(bdd, engine.nvar(level))
-        for level in self._flag_var.values():
-            bdd = engine.and_(bdd, engine.nvar(level))
-        return bdd
+        return self.engine.pinned(self.community_levels() + self.flag_levels(), 0)
 
     def space(self, bdd: int) -> "RouteSpace":
         return RouteSpace(self, bdd)

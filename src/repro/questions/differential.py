@@ -18,7 +18,7 @@ from repro.hdr.headerspace import PacketEncoder
 from repro.hdr.packet import Packet
 from repro.reachability.examples import default_preferences
 from repro.reachability.graph import GraphNode
-from repro.reachability.queries import NetworkAnalyzer
+from repro.reachability.queries import SUCCESS_DISPOSITIONS, NetworkAnalyzer
 from repro.routing.engine import DataPlane
 
 
@@ -64,7 +64,9 @@ def compare_routes(before: DataPlane, after: DataPlane) -> RouteDiffAnswer:
 
 @dataclass
 class ReachabilityDiffAnswer:
-    """Flows that change fate between two snapshots, per source."""
+    """Flows that change fate between two snapshots, per source. Sets
+    and examples are in **source coordinates**: headers as injected at
+    the source, before any NAT on the way."""
 
     #: source -> set of flows that succeed after but not before.
     gained: Dict[GraphNode, int] = field(default_factory=dict)
@@ -101,15 +103,11 @@ def compare_reachability(
         for source in sorted(
             set(before_map) | set(after_map), key=lambda n: tuple(map(str, n))
         ):
-            old = (
-                before.reachability({source: before_map[source]}).success_set()
-                if source in before_map
-                else FALSE
+            old = before.fated(
+                source, SUCCESS_DISPOSITIONS, before_map.get(source, FALSE)
             )
-            new = (
-                after.reachability({source: after_map[source]}).success_set()
-                if source in after_map
-                else FALSE
+            new = after.fated(
+                source, SUCCESS_DISPOSITIONS, after_map.get(source, FALSE)
             )
             gained = engine.diff(new, old)
             lost = engine.diff(old, new)

@@ -24,12 +24,16 @@ from repro.reachability.examples import (
     pick_example_pair,
 )
 from repro.reachability.graph import Disposition, GraphNode, src_node
-from repro.reachability.queries import NetworkAnalyzer
+from repro.reachability.queries import SUCCESS_DISPOSITIONS, NetworkAnalyzer
 
 
 @dataclass
 class ServiceReachabilityAnswer:
-    """Answer of the "clients can reach the service" question."""
+    """Answer of the "clients can reach the service" question.
+
+    Example packets are in **source coordinates**: headers as a client
+    at that source would send them, before any NAT on the way.
+    """
 
     service: str
     reachable: bool
@@ -78,9 +82,7 @@ def service_reachable(
         service=f"{service_ip}:{port}", reachable=True
     )
     for source, space in sorted(sources.items(), key=lambda kv: tuple(map(str, kv[0]))):
-        result = analyzer.reachability({source: space})
-        success = result.success_set()
-        failure = result.failure_set()
+        success = analyzer.fated(source, SUCCESS_DISPOSITIONS, space)
         never_delivered = engine.diff(space, success)
         if never_delivered == FALSE:
             continue
@@ -101,7 +103,11 @@ def service_reachable(
 
 @dataclass
 class ServiceIsolationAnswer:
-    """Answer of the "service must NOT be reachable" question."""
+    """Answer of the "service must NOT be reachable" question.
+
+    Example packets are in **source coordinates**: headers as injected
+    at the leaking source, before any NAT on the way.
+    """
 
     service: str
     isolated: bool
@@ -137,8 +143,7 @@ def service_unreachable(
         sources = analyzer.sources_at(from_locations, service_space)
     answer = ServiceIsolationAnswer(service=f"{service_ip}:{port}", isolated=True)
     for source, space in sorted(sources.items(), key=lambda kv: tuple(map(str, kv[0]))):
-        result = analyzer.reachability({source: space})
-        delivered = result.success_set()
+        delivered = analyzer.fated(source, SUCCESS_DISPOSITIONS, space)
         if delivered == FALSE:
             continue
         answer.isolated = False

@@ -5,6 +5,8 @@ optionally compresses) the forwarding graph once and answers queries:
 
 * forward reachability with per-disposition answers,
 * destination reachability via backward propagation (§4.2.3),
+* fates at the source — one backward fixpoint per disposition, shared by
+  every question that asks "what can happen to a packet injected here",
 * multipath consistency (the paper's §6 benchmark query),
 * waypoint enforcement using waypoint bits (§4.2.3),
 * bidirectional reachability with firewall session fast paths (§4.2.3),
@@ -91,7 +93,13 @@ class ReachabilityAnswer:
 
 @dataclass
 class MultipathViolation:
-    """A flow accepted along some paths and dropped along others."""
+    """A flow accepted along some paths and dropped along others.
+
+    ``packet_set`` and ``example`` are in **source coordinates**: the
+    headers as injected at ``source``, before any NAT on the way. Every
+    packet of the set can meet one of ``success_dispositions`` on some
+    path from ``source`` and one of ``failure_dispositions`` on another.
+    """
 
     source: GraphNode
     packet_set: int
@@ -127,6 +135,7 @@ class NetworkAnalyzer:
             self.compression: Optional[CompressionStats] = None
             if compress:
                 self.compression = compress_graph(self.graph)
+        self._fates: Optional[Dict[Disposition, Dict[GraphNode, int]]] = None
         self._emit_bdd_gauges()
 
     def _emit_bdd_gauges(self) -> None:
@@ -276,16 +285,75 @@ class NetworkAnalyzer:
                 if node[0] == "src" and packet_set != FALSE
             }
 
+    def fates(self) -> Dict[Disposition, Dict[GraphNode, int]]:
+        """Per disposition, per graph node: the packets that, *arriving
+        at that node*, can end with that fate.
+
+        One backward fixpoint per disposition the graph has a sink for,
+        from all of its sinks seeded with every packet (``("sink", …)``
+        nodes are ``DELIVERED``, ``("disp", …, d)`` nodes are ``d``), so
+        the cost follows the sinks' forwarding trees and not the number
+        of places a packet can start (§4.2.3). Sets are in the
+        coordinates of the node they are read at — at a ``src`` node,
+        the header as injected, whatever NAT rewrites it later — which
+        is what a question about sources has to compare its scope with.
+
+        Built on first use and kept for the analyzer's life. The seeds
+        do not depend on the question and the graph only changes inside
+        the ``try/finally`` splices of :meth:`waypoint_reachability` and
+        :meth:`bidirectional_reachability`, which never read this, so
+        there is nothing to key, invalidate or evict.
+        """
+        if self._fates is None:
+            sinks: Dict[Disposition, Dict[GraphNode, int]] = {}
+            for node in self.graph.sink_nodes():
+                fate = (
+                    Disposition.DELIVERED if node[0] == "sink"
+                    else Disposition(node[2])
+                )
+                sinks.setdefault(fate, {})[node] = TRUE
+            with obs.span("query.fates", dispositions=len(sinks)):
+                built = {
+                    fate: backward_reachability(self.graph, sinks[fate])
+                    for fate in Disposition
+                    if fate in sinks
+                }
+                if obs.active():
+                    obs.add("query.fate_fixpoints", len(built))
+                    for reach in built.values():
+                        self._touch_reach_coverage(reach)
+                    self._emit_bdd_gauges()
+            self._fates = built
+        return self._fates
+
+    def fated(
+        self, node: GraphNode, dispositions: Sequence[Disposition],
+        scope: int = TRUE,
+    ) -> int:
+        """The packets of ``scope`` that, arriving at ``node``, can meet
+        one of ``dispositions`` (a union of :meth:`fates` sets)."""
+        fates = self.fates()
+        engine = self.encoder.engine
+        return engine.and_(
+            scope,
+            engine.or_all(
+                fates[fate].get(node, FALSE)
+                for fate in dispositions
+                if fate in fates
+            ),
+        )
+
     def multipath_consistency(
         self, sources: Optional[Dict[GraphNode, int]] = None
     ) -> List[MultipathViolation]:
         """Find flows accepted along some paths and dropped along others
-        (the paper's §6 verification benchmark)."""
+        (the paper's §6 verification benchmark). Each source's scope is
+        intersected with its :meth:`fates`; no forward fixpoint runs."""
         engine = self.encoder.engine
         sources = sources if sources is not None else self.all_sources()
         with obs.span("query.multipath_consistency", sources=len(sources)):
             violations = self._multipath_consistency(engine, sources)
-        if obs.enabled():
+        if obs.active():
             obs.add("query.multipath_runs")
             obs.add("query.multipath_violations", len(violations))
             self._emit_bdd_gauges()
@@ -295,34 +363,27 @@ class NetworkAnalyzer:
         self, engine, sources: Dict[GraphNode, int]
     ) -> List[MultipathViolation]:
         violations: List[MultipathViolation] = []
+        preferences = default_preferences(self.encoder)
         for source in sorted(sources, key=lambda n: tuple(map(str, n))):
-            answer = self.reachability({source: sources[source]})
-            success = answer.success_set()
-            failure = answer.failure_set()
-            if success == FALSE or failure == FALSE:
-                continue
-            both = engine.and_(success, failure)
+            scope = sources[source]
+            both = engine.and_(
+                self.fated(source, SUCCESS_DISPOSITIONS, scope),
+                self.fated(source, FAILURE_DISPOSITIONS, scope),
+            )
             if both == FALSE:
                 continue
-            example = self.encoder.example_packet(
-                both, default_preferences(self.encoder)
-            )
             violations.append(
                 MultipathViolation(
                     source=source,
                     packet_set=both,
-                    example=example,
+                    example=self.encoder.example_packet(both, preferences),
                     success_dispositions=[
                         d for d in SUCCESS_DISPOSITIONS
-                        if engine.and_(
-                            answer.by_disposition.get(d, FALSE), both
-                        ) != FALSE
+                        if self.fated(source, (d,), both) != FALSE
                     ],
                     failure_dispositions=[
                         d for d in FAILURE_DISPOSITIONS
-                        if engine.and_(
-                            answer.by_disposition.get(d, FALSE), both
-                        ) != FALSE
+                        if self.fated(source, (d,), both) != FALSE
                     ],
                 )
             )

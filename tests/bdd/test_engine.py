@@ -175,6 +175,18 @@ class TestStructure:
         ite = engine.mk(1, engine.var(4), engine.nvar(6))
         assert ite == engine.ite(engine.var(1), engine.nvar(6), engine.var(4))
 
+    def test_pinned_is_the_minterm_built_bottom_up(self, engine):
+        assert engine.pinned((1, 3, 4), 0b101) == engine.from_assignment(
+            {1: 1, 3: 0, 4: 1}
+        )
+        below = engine.var(6)
+        assert engine.pinned((2, 5), 0b01, below) == engine.and_(
+            engine.from_assignment({2: 0, 5: 1}), below
+        )
+        assert engine.pinned((), 7) == TRUE
+        with pytest.raises(ValueError):
+            engine.pinned((2, 6), 0, below)
+
     def test_mk_rejects_unordered_cofactors(self, engine):
         with pytest.raises(ValueError):
             engine.mk(3, engine.var(3), TRUE)

@@ -7,6 +7,7 @@ from repro.config.loader import load_snapshot_from_texts
 from repro.fidelity.differential import (
     run_differential_suite,
     validate_concrete_against_symbolic,
+    validate_fates_against_concrete,
     validate_symbolic_against_concrete,
 )
 from repro.fidelity.labs import (
@@ -118,6 +119,39 @@ class TestDifferentialTesting:
         report = validate_concrete_against_symbolic(analyzer)
         assert report.checks > 0
         assert report.passed, [m.describe() for m in report.mismatches]
+
+    def test_fates_verified_by_concrete(self, analyzer):
+        report = validate_fates_against_concrete(analyzer)
+        sources = analyzer.graph.source_nodes()
+        # One check per (source, fate that some packet can meet from
+        # there); NET1's ACL and discard routes make failures part of it.
+        assert report.checks == sum(
+            1
+            for arriving in analyzer.fates().values()
+            for source in sources
+            if arriving.get(source, 0)
+        )
+        assert {"denied-out", "null-routed"} <= {
+            fate.value for fate in analyzer.fates()
+        }
+        assert report.passed, [m.describe() for m in report.mismatches]
+
+    def test_wrong_failure_fate_is_caught_by_the_fates_direction_only(self):
+        """The concrete engine loses the one ACL after the graph was
+        compiled with it: every delivery the symbolic engine claims
+        still happens and port-80 probes never met the ACL, so the two
+        older directions stay green; only asking about ``denied-out``
+        shows the engines disagree."""
+        dataplane = compute_dataplane(load_snapshot_from_texts(net1(3)))
+        analyzer = NetworkAnalyzer(dataplane)
+        for iface in dataplane.snapshot.device("net1-core0").interfaces.values():
+            iface.outgoing_acl = None
+        assert validate_symbolic_against_concrete(analyzer).passed
+        assert validate_concrete_against_symbolic(analyzer).passed
+        report = validate_fates_against_concrete(analyzer)
+        assert report.mismatches
+        assert {m.expected for m in report.mismatches} == {"denied-out"}
+        assert not run_differential_suite(analyzer).passed
 
     def test_full_suite_on_bgp_network(self):
         """Cross-validation over a BGP fat-tree (multipath + ACLs)."""

@@ -27,6 +27,39 @@ class TestFieldConstraints:
         with pytest.raises(ValueError):
             enc.field_eq(f.DST_PORT, 1 << 16)
 
+    @given(
+        st.sampled_from(
+            [(name, False) for name in f.HEADER_FIELDS + (f.ZONE_IN, f.WAYPOINT)]
+            + [(name, True) for name in f.PAIRED_FIELDS]
+        ),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_field_eq_is_the_minterm_of_its_bits(self, enc, field_and_side, data):
+        """Built bottom-up with ``mk``; the assignment-dict construction
+        it replaced is the reference."""
+        field, out = field_and_side
+        width = enc.layout.width(field)
+        value = data.draw(st.integers(0, (1 << width) - 1))
+        var_of = enc.layout.out_var if out else enc.layout.var
+        reference = enc.engine.from_assignment(
+            {
+                var_of(field, bit): (value >> (width - 1 - bit)) & 1
+                for bit in range(width)
+            }
+        )
+        assert enc.field_eq(field, value, _out=out) == reference
+
+    @given(st.sampled_from((f.DST_IP, f.SRC_IP)), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_ip_eq_is_the_memoised_slash_32(self, enc, field, value):
+        node = enc.ip_eq(field, Ip(value))
+        assert node == enc.field_eq(field, value)
+        assert node == enc.ip_in_prefix(field, Prefix(value, 32))
+        allocated = enc.engine.num_nodes()
+        assert enc.ip_eq(field, str(Ip(value))) == node
+        assert enc.engine.num_nodes() == allocated
+
     def test_range_empty(self, enc):
         assert enc.field_in_range(f.DST_PORT, 10, 5) == FALSE
 

@@ -3,9 +3,17 @@ difference, the cross-universe guard, witnesses, and the documented
 over-approximation contract's observable consequences."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.bdd.engine import TRUE
 from repro.config.model import Prefix
-from repro.lint.routespace import RouteSpace, RouteSpaceUniverse
+from repro.lint.routespace import (
+    ADDR_BITS,
+    LEN_BITS,
+    RouteSpace,
+    RouteSpaceUniverse,
+)
 
 
 @pytest.fixture(scope="module")
@@ -122,3 +130,71 @@ class TestOverApproximationContract:
             atom(clone, "10.0.0.0/8")
         )
         assert ours.canonical() == theirs.canonical()
+
+
+# ----------------------------------------------------------------------
+# The cubes are built node by node from the last variable up; the
+# `and_` chain they used to be is kept here as the reference.
+
+
+def _chain(universe, pinned):
+    """AND of one literal per (level, bit), top variable first."""
+    engine = universe.engine
+    bdd = TRUE
+    for level, bit in pinned:
+        bdd = engine.and_(bdd, engine.var(level) if bit else engine.nvar(level))
+    return bdd
+
+
+def _length_chain(universe, value):
+    return _chain(
+        universe,
+        [
+            (ADDR_BITS + bit, (value >> (LEN_BITS - 1 - bit)) & 1)
+            for bit in range(LEN_BITS)
+        ],
+    )
+
+
+def _address_chain(universe, prefix, bits):
+    return _chain(
+        universe, [(bit, prefix.network.bit(bit)) for bit in range(bits)]
+    )
+
+
+_alphabets = st.lists(
+    st.sampled_from(["65000:1", "65000:2", "65001:7", "no-export", "64512:99"]),
+    unique=True,
+)
+_prefixes = st.builds(
+    Prefix, st.integers(0, 2**32 - 1), st.integers(0, 32)
+)
+
+
+class TestCubesMatchTheAndChain:
+    @settings(max_examples=200, deadline=None)
+    @given(_alphabets, st.lists(st.sampled_from(["redist", "seen"]), unique=True),
+           _prefixes, st.integers(0, 2**LEN_BITS - 1))
+    def test_same_canonical_functions(self, communities, flags, prefix, length):
+        universe = RouteSpaceUniverse(communities=communities, flags=flags)
+        engine = universe.engine
+        assert universe.length_eq(length) == _length_chain(universe, length)
+        assert universe.address_under(prefix) == _address_chain(
+            universe, prefix, prefix.length
+        )
+        assert universe.prefix_atom(prefix) == engine.and_(
+            _length_chain(universe, prefix.length),
+            _address_chain(universe, prefix, ADDR_BITS),
+        )
+        assert universe.without_communities() == _chain(
+            universe,
+            [(level, 0) for level in
+             universe.community_levels() + universe.flag_levels()],
+        )
+
+    def test_one_node_per_variable(self):
+        universe = RouteSpaceUniverse(communities=["65000:1"], flags=["redist"])
+        before = universe.engine.num_nodes()
+        universe.prefix_atom(Prefix("10.20.30.0/24"))
+        assert universe.engine.num_nodes() - before == ADDR_BITS + LEN_BITS
+        assert universe.address_under(Prefix("0.0.0.0/0")) == TRUE

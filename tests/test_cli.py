@@ -186,18 +186,18 @@ class TestValidate:
         assert cli.main([*argv, "--sarif", str(sarif)]) == 0
         out = capsys.readouterr().out
         assert "OK   fidelity NET1" in out
-        assert "validate fidelity: 1 network(s), 832 checks, 0 finding(s)" in out
+        assert "validate fidelity: 1 network(s), 961 checks, 0 finding(s)" in out
         run = json.loads(sarif.read_text())["runs"][0]
         assert run["results"] == []
         assert run["properties"]["fidelity"] == {
-            "networks": 1, "checks": 832, "findings": 0,
+            "networks": 1, "checks": 961, "findings": 0,
         }
 
     def test_all_runs_the_four_validators(self, capsys):
         assert cli.main(["validate", "all", "--networks", "NET1", "--smoke"]) == 0
         out = capsys.readouterr().out
         for name, checks in (
-            ("fidelity", 832), ("delta", 2), ("sweep", 10), ("dataflow", 24),
+            ("fidelity", 961), ("delta", 2), ("sweep", 10), ("dataflow", 24),
         ):
             assert (
                 f"validate {name}: 1 network(s), {checks} checks, "
