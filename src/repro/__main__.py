@@ -23,7 +23,7 @@ import json
 import sys
 import time
 from dataclasses import replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from repro.config.loader import load_snapshot_from_texts, read_config_dir
 from repro.core.session import Session
@@ -261,12 +261,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # validate: four differentials, one driver
 #
-# A validator is a plain function (network, configs, jobs) ->
-# (checks, detail line, divergences). The driver below owns selection,
-# the per-network OK/FAIL line, the exit code and the SARIF artifact —
-# so it is what turns a divergence into a Finding of the validator's rule.
+# A validator is a plain function (network, configs, jobs) -> Validation.
+# The driver below owns selection, the per-network OK/FAIL line, the exit
+# code and the SARIF artifact — so it is what turns a divergence into a
+# Finding of the validator's rule.
 
-Validation = Tuple[int, str, List[str]]
+
+class Validation(NamedTuple):
+    checks: int
+    detail: str
+    failed: List[str]
+    #: The snapshot file the divergences are about (default: the network).
+    location: Optional[str] = None
+    #: Further totals for the summary line and the SARIF run properties.
+    counts: Dict[str, int] = {}
 
 
 def _validate_fidelity(
@@ -275,35 +283,41 @@ def _validate_fidelity(
     """§4.3.2: symbolic (BDD) vs concrete (traceroute) forwarding."""
     report = Session.from_texts(configs).validate_engines()
     failed = [mismatch.describe() for mismatch in report.mismatches]
-    return report.checks, f"{len(configs)} devices", failed
+    return Validation(report.checks, f"{len(configs)} devices", failed)
 
 
 def _validate_delta(
     network: str, configs: Configs, jobs: Optional[int]
 ) -> Validation:
     """One routing-inert and one routing-relevant single-device edit:
-    whether the delta engine reused or recomputed, its FIBs must equal
-    a cache-less from-scratch session's."""
+    whatever the delta session took over from its base, its FIBs and its
+    forwarding graph must equal a cache-less from-scratch session's."""
     base = Session.from_texts(configs)
-    # Precompute so the inert edit has a converged base to reuse.
-    base.fibs
+    # Every stage computed, so that each edit has all of them to take.
+    base.analyzer
     target = sorted(configs)[0]
     legs: List[str] = []
     failed: List[str] = []
+    counts: collections.Counter = collections.Counter()
     edits = (("inert", irrelevant_edit), ("routing", relevant_edit))
     for label, edit in edits:
         changed = {target: edit(configs[target])}
         try:
-            info = base.delta(changed, validate=True).delta_info
+            new = base.delta(changed, validate=True)
         except DeltaValidationError as error:
             failed.append(f"{label} edit on {target}: {error}")
             continue
+        info = new.delta_info
+        counts["edges_compared"] += len(new.analyzer.graph.edges)
+        counts["pipelines_reused"] += info.reused_pipelines
+        counts["pipelines"] += len(new.snapshot.devices)
         legs.append(
             f"{label} edit recomputed ({info.fallback_reason})"
             if info.fallback
             else f"{label} edit reused ({info.reused_devices} devices)"
         )
-    return len(edits), f"{target}: " + ", ".join(legs), failed
+    detail = f"{target}: " + ", ".join(legs)
+    return Validation(len(edits), detail, failed, target, counts)
 
 
 def _validate_sweep(
@@ -317,7 +331,7 @@ def _validate_sweep(
         network, configs, max_elements=max_elements, jobs=jobs
     )
     failed = [mismatch.describe() for mismatch in validation.mismatches]
-    return validation.scenarios, validation.describe(), failed
+    return Validation(validation.scenarios, validation.describe(), failed)
 
 
 def _validate_dataflow(
@@ -333,7 +347,7 @@ def _validate_dataflow(
         f"({analysis.fixpoint_seconds:.2f}s)"
     )
     failed = validate_containment(snapshot, analysis)
-    return len(analysis.graph.nodes), detail, failed
+    return Validation(len(analysis.graph.nodes), detail, failed)
 
 
 VALIDATORS: Dict[str, Callable[..., Validation]] = {
@@ -349,7 +363,8 @@ VALIDATE_RULES = {
         ("fidelity", "engine-mismatch",
          "Symbolic and concrete forwarding engines disagree on a packet"),
         ("delta", "delta-fib-mismatch",
-         "Delta session's FIBs differ from a from-scratch analysis"),
+         "Delta session's FIBs or forwarding graph differ from a "
+         "from-scratch analysis"),
         ("sweep", "sweep-verdict-mismatch",
          "Pruned sweep verdict differs from brute-force enumeration"),
         ("dataflow", "dataflow-not-contained",
@@ -372,36 +387,38 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     for name in names:
         started = time.perf_counter()
         total = 0
+        counts: collections.Counter = collections.Counter()
         before = len(findings)
         for network, configs in networks:
-            checks, detail, failed = validators[name](
-                network, configs, args.jobs
-            )
-            total += checks
+            result = validators[name](network, configs, args.jobs)
+            total += result.checks
+            counts.update(result.counts)
             found = [
                 VALIDATE_RULES[name].finding(
                     f"{network}: {message}",
-                    location=Location(f"<{network}>"),
+                    location=Location(result.location or f"<{network}>"),
                     network=network,
                 )
-                for message in failed
+                for message in result.failed
             ]
             findings.extend(found)
-            if args.verbose or failed:
-                status = "FAIL" if failed else "OK  "
+            if args.verbose or found:
+                status = "FAIL" if found else "OK  "
                 print(
-                    f"{status} {name} {network:6s} {checks} checks, {detail}",
+                    f"{status} {name} {network:6s} {result.checks} checks, "
+                    f"{result.detail}",
                     *render_rows(found),
                     sep="\n    ",
                     flush=True,
                 )
         failures = len(findings) - before
         totals[name] = dict(
-            networks=len(networks), checks=total, findings=failures
+            networks=len(networks), checks=total, findings=failures, **counts
         )
         print(
             f"validate {name}: {len(networks)} network(s), {total} checks, "
-            f"{failures} finding(s) in {time.perf_counter() - started:.1f}s",
+            f"{failures} finding(s) in {time.perf_counter() - started:.1f}s"
+            + "".join(f", {key} {value}" for key, value in counts.items()),
             flush=True,
         )
     if args.sarif:

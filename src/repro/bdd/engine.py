@@ -26,6 +26,7 @@ a packet header), so plain recursive formulations are safe and fast.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import (
     Callable,
     Dict,
@@ -162,6 +163,31 @@ class BddEngine:
     def num_nodes(self) -> int:
         """Total nodes ever allocated (includes both terminals)."""
         return len(self._level)
+
+    def fork(self, n: int) -> "BddEngine":
+        """A private engine holding this engine's first ``n`` nodes.
+
+        Ids are handed out in order and a node only points to lower ids,
+        so a prefix of the node store is an engine of its own: below
+        ``n`` every id names the same function in the twin (interned
+        cubes and rename maps keep their ids too), operation caches
+        start empty and the two grow apart. Only the append-only prefix
+        is read, so another thread may be using this engine meanwhile.
+        """
+        # _hi is written last: every id below its length is complete.
+        if not 2 <= n <= len(self._hi):
+            raise ValueError(f"fork size {n} outside [2, {len(self._hi)}]")
+        twin = BddEngine(self.num_vars)
+        twin._level, twin._lo, twin._hi = self._level[:n], self._lo[:n], self._hi[:n]
+        decision_nodes = islice(zip(twin._level, twin._lo, twin._hi), 2, None)
+        twin._unique = dict(zip(decision_nodes, range(2, n)))
+        twin._cube_list = list(self._cube_list)
+        twin._cubes = {key: i for i, key in enumerate(twin._cube_list)}
+        twin._map_list = list(self._map_list)
+        twin._maps = {
+            tuple(sorted(m.items())): i for i, m in enumerate(twin._map_list)
+        }
+        return twin
 
     def stats(self) -> Dict[str, int]:
         """Engine size counters for telemetry: allocated nodes, the

@@ -21,7 +21,9 @@ import pickle
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro import obs
 from repro.config.loader import load_snapshot_from_texts
@@ -33,7 +35,7 @@ from repro.core.cache import (
     snapshot_key,
 )
 from repro.obs.coverage import CoverageReport, coverage_report
-from repro.dataplane.fib import Fib, compute_fibs
+from repro.dataplane.fib import Fib, build_fib, compute_fibs
 from repro.hdr.headerspace import HeaderSpace, PacketEncoder
 from repro.hdr.packet import Packet
 from repro.provenance import (
@@ -80,6 +82,7 @@ from repro.routing.engine import (
     compute_dataplane,
 )
 from repro.routing.policy import DEFAULT_SEMANTICS, PolicySemantics
+from repro.routing.rib import Rib
 from repro.traceroute.engine import Trace, TracerouteEngine
 
 
@@ -92,6 +95,19 @@ class RouteRow:
 class NotConvergedError(RuntimeError):
     """Raised when routing did not converge (Batfish detects and reports
     non-convergence rather than forcing it, §4.1.2)."""
+
+
+class BaseStages(NamedTuple):
+    """What a :meth:`Session.delta` session may take over from the
+    session it edits: the stage outputs that one had *already computed*
+    when ``delta`` ran, never the session itself (a chain of deltas must
+    not keep its ancestors alive). Empty on any other session."""
+
+    ribs: Mapping[str, Rib] = {}  # hostname -> main RIB
+    fibs: Mapping[str, Fib] = {}
+    analyzer: Optional[NetworkAnalyzer] = None
+    #: Devices whose config text differs from the base's.
+    edited: FrozenSet[str] = frozenset()
 
 
 class Session:
@@ -115,6 +131,9 @@ class Session:
         self._fibs: Optional[Dict[str, Fib]] = None
         self._analyzer: Optional[NetworkAnalyzer] = None
         self._tracer: Optional[TracerouteEngine] = None
+        #: Each lazy stage takes the base's object where its own output
+        #: equals it; the analyzer, the last of them, lets go of these.
+        self._base = BaseStages()
         #: Guards the lazy stages (dataplane -> fibs -> analyzer): the
         #: service answers questions on one session from several worker
         #: threads, and two builds of one stage would hand callers
@@ -207,16 +226,21 @@ class Session:
         session unchanged). Returns a new :class:`Session`: only changed
         files are reparsed, and when no device's routing fingerprint
         moved the new session reuses this session's converged data
-        plane and FIBs; otherwise it recomputes in full. Either way the
-        result is bit-identical to a from-scratch analysis (see
-        :mod:`repro.delta`).
+        plane; otherwise it recomputes routing in full. After either,
+        each lazy stage takes this session's object where its own output
+        equals it: a main RIB with equal best sets, then by identity its
+        FIB and — on a private fork of this session's BDD engine — the
+        graph pipeline of an unedited device with unchanged links. Only
+        stages this session had computed when ``delta`` ran are taken
+        from (``delta_info.reused_*`` count them). The result is
+        bit-identical to a from-scratch analysis (:mod:`repro.delta`).
 
         ``validate`` forces the :envvar:`REPRO_DELTA_VALIDATE` check
-        (cache-less from-scratch session + byte-identical FIB
-        comparison) on or off for this call. ``store_result=False``
-        keeps the variant's snapshot entry and data plane out of the
-        snapshot cache — for one-shot variants (failure sweeps) that
-        would otherwise churn the LRU.
+        (cache-less from-scratch session; byte-identical FIBs and the
+        same forwarding graph) on or off for this call.
+        ``store_result=False`` keeps the variant's snapshot entry and
+        data plane out of the snapshot cache — for one-shot variants
+        (failure sweeps) that would otherwise churn the LRU.
         """
         from repro.delta import delta_session
 
@@ -289,8 +313,27 @@ class Session:
         if self._dataplane is None:
             with self._stage_lock:
                 if self._dataplane is None:
-                    self._dataplane = self._load_or_compute_dataplane()
+                    dataplane = self._load_or_compute_dataplane()
+                    self._take_base_ribs(dataplane)
+                    self._dataplane = dataplane
         return self._dataplane
+
+    def _take_base_ribs(self, dataplane: DataPlane) -> None:
+        """A main RIB equal to the base's becomes the base's object, for
+        the FIB and pipeline stages to reuse by identity."""
+        taken = 0
+        for hostname, state in dataplane.nodes.items():
+            base_rib = self._base.ribs.get(hostname)
+            if base_rib is not None and state.main_rib.same_best(base_rib):
+                state.main_rib = base_rib
+                taken += 1
+        self._count_reuse("rib", taken)
+
+    def _count_reuse(self, stage: str, devices: int) -> None:
+        """So many outputs of ``stage`` (rib, fib, pipeline) are the base's."""
+        if self.delta_info is not None:
+            setattr(self.delta_info, f"reused_{stage}s", devices)
+            obs.metrics().inc(f"delta.reuse.{stage}", devices)
 
     def _load_or_compute_dataplane(self) -> DataPlane:
         if self._cache is not None:
@@ -335,8 +378,24 @@ class Session:
             with self._stage_lock:
                 if self._fibs is None:
                     with obs.span("fib"):
-                        self._fibs = compute_fibs(self.dataplane)
+                        self._fibs = self._build_fibs()
         return self._fibs
+
+    def _build_fibs(self) -> Dict[str, Fib]:
+        """A FIB per node: the base's where the node's main RIB *is* the
+        base's (``build_fib`` reads nothing else), else built — always
+        built while provenance records: building emits the ``fib`` events."""
+        base, taken = self._base, 0
+        fibs: Dict[str, Fib] = {}
+        for hostname, state in sorted(self.dataplane.nodes.items()):
+            fib = None if prov.enabled() else base.fibs.get(hostname)
+            if fib is None or state.main_rib is not base.ribs.get(hostname):
+                fib = build_fib(state)
+            else:
+                taken += 1
+            fibs[hostname] = fib
+        self._count_reuse("fib", taken)
+        return fibs
 
     @property
     def analyzer(self) -> NetworkAnalyzer:
@@ -345,9 +404,15 @@ class Session:
             with self._stage_lock:
                 if self._analyzer is None:
                     started = time.perf_counter()
-                    self._analyzer = NetworkAnalyzer(
-                        self.dataplane, fibs=self.fibs
+                    analyzer = NetworkAnalyzer(
+                        self.dataplane,
+                        fibs=self.fibs,
+                        base=self._base.analyzer,
+                        edited=self._base.edited,
                     )
+                    self._count_reuse("pipeline", len(analyzer.reused_pipelines))
+                    self._base = BaseStages()
+                    self._analyzer = analyzer
                     obs.observe_phase("bdd", time.perf_counter() - started)
         return self._analyzer
 

@@ -9,28 +9,34 @@ delta makes the almost-identical case cheap in two steps:
    compare routing fingerprints of the devices whose bytes changed
    (:mod:`repro.delta.fingerprint`).
 2. No fingerprint moved, the host set is the same and the base
-   converged: reuse the base data plane and FIBs wholesale. Anything
-   else: the new session recomputes in full through the one public
+   converged: reuse the base data plane wholesale. Anything else: the
+   new session recomputes routing in full through the one public
    ``compute_dataplane``.
+3. Downstream of routing, one rule at every stage boundary: where the
+   new session's output equals the base's, it takes the base's object,
+   and the next stage reuses by identity (``Session.dataplane`` →
+   ``.fibs`` → ``.analyzer``; DESIGN.md, "Reuse at stage boundaries").
 
 Reuse is exact. The routing engine consumes only fingerprint-covered
 fields, so a full run of the new snapshot would be input-identical to
 the base run and, the schedule being deterministic (coloring + logical
-clocks, §4.1.2), reproduce it byte for byte. ``validate=True`` /
-``REPRO_DELTA_VALIDATE=1`` checks either path against a cache-less
-from-scratch session of the same texts.
+clocks, §4.1.2), reproduce it byte for byte; step 3 compares outputs
+and needs no argument. ``validate=True`` / ``REPRO_DELTA_VALIDATE=1``
+checks FIBs and forwarding graph against a cache-less from-scratch
+session of the same texts, whatever was reused.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from dataclasses import asdict, dataclass, field
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.delta.fingerprint import routing_seeds
 from repro.provenance import DerivationNode, DerivationTree, first_divergence
+from repro.reachability.graph import Constraint
 from repro.routing.engine import DataPlane, NodeState
 
 
@@ -54,6 +60,12 @@ class DeltaInfo:
     fallback: bool = False
     fallback_reason: str = ""
     validated: bool = False
+    #: Devices whose main RIB / FIB / graph pipeline is the base's own
+    #: object — also after a full recompute, wherever the output came
+    #: out equal. Filled as the session's lazy stages run (0 until then).
+    reused_ribs: int = 0
+    reused_fibs: int = 0
+    reused_pipelines: int = 0
     #: Coverage-guided prioritization (repro.questions.coverage): the
     #: recorded questions whose historical coverage vectors overlap this
     #: delta's impact set, ranked most-exposed first, and the ones whose
@@ -63,18 +75,7 @@ class DeltaInfo:
     questions_skipped: List[Dict] = field(default_factory=list)
 
     def to_json(self) -> Dict:
-        return {
-            "changed_files": list(self.changed_files),
-            "seeds": list(self.seeds),
-            "dirty_devices": list(self.dirty_devices),
-            "reused_devices": self.reused_devices,
-            "parse_memo_hits": self.parse_memo_hits,
-            "fallback": self.fallback,
-            "fallback_reason": self.fallback_reason,
-            "validated": self.validated,
-            "questions_affected": [dict(e) for e in self.questions_affected],
-            "questions_skipped": [dict(e) for e in self.questions_skipped],
-        }
+        return asdict(self)
 
 
 def validate_enabled() -> bool:
@@ -97,7 +98,7 @@ def delta_session(
     LRU. Per-device parse entries are still written: they are
     content-addressed and shared across variants.
     """
-    from repro.core.session import Session
+    from repro.core.session import BaseStages, Session
 
     if base._configs is None:
         raise ValueError(
@@ -145,8 +146,16 @@ def delta_session(
             base.snapshot, new_session.snapshot, changed_hosts
         )
         reason = _reuse_base(base, new_session, info.seeds)
+        # Only what the base has computed by now: a delta never runs a
+        # base stage for the sake of reusing it.
+        nodes = base._dataplane.nodes if base._dataplane is not None else {}
+        new_session._base = BaseStages(
+            {hostname: state.main_rib for hostname, state in nodes.items()},
+            dict(base._fibs or {}), base._analyzer, frozenset(changed_hosts),
+        )
         if reason is None:
             info.reused_devices = len(new_session.snapshot.devices)
+            new_session._count_reuse("rib", info.reused_devices)
         else:
             info.fallback = True
             info.fallback_reason = reason
@@ -158,7 +167,7 @@ def delta_session(
                 "delta_fallback", reason, changed=len(changed_files)
             )
         _prioritize_questions(base, new_session, info, changed_hosts)
-        _record_metrics(info)
+        _record_metrics(info, len(new_session.snapshot.devices))
         should_validate = (
             validate if validate is not None else validate_enabled()
         )
@@ -220,18 +229,21 @@ def _prioritize_questions(
         tracker.invalidate_hosts(changed)
 
 
-def _record_metrics(info: DeltaInfo) -> None:
+def _record_metrics(info: DeltaInfo, devices: int) -> None:
     metrics = obs.metrics()
     metrics.inc("delta.runs")
     metrics.inc("delta.dirty_devices", len(info.dirty_devices))
     metrics.inc("delta.reused_devices", info.reused_devices)
     metrics.inc("delta.parse_memo_hits", info.parse_memo_hits)
+    # Denominator of delta.reuse.{rib,fib,pipeline}, which the session's
+    # stages count as they run.
+    metrics.inc("delta.reuse.devices", devices)
 
 
 def _reuse_base(base, new_session, seeds: List[str]) -> Optional[str]:
-    """Install the base's data plane and FIBs on ``new_session`` when
-    they provably describe it and return None; else return why not (the
-    session then computes lazily from scratch, which is always correct).
+    """Install the base's data plane on ``new_session`` when it provably
+    describes it and return None; else return why not (the session then
+    computes lazily from scratch, which is always correct).
 
     Provable means: no seed — empty *seeds*, which also rules out an
     added or removed device — and a converged base. A full run of the
@@ -251,8 +263,6 @@ def _reuse_base(base, new_session, seeds: List[str]) -> Optional[str]:
     new_session._dataplane = _reused_dataplane(
         base.dataplane, new_session.snapshot
     )
-    # FIBs derive only from each node's own main RIB, which is shared.
-    new_session._fibs = dict(base.fibs)
     return None
 
 
@@ -302,6 +312,25 @@ def fib_lines(fibs) -> Dict[str, List[str]]:
     }
 
 
+def graph_lines(analyzer) -> List[Tuple]:
+    """Engine-independent rendering of a forwarding graph: per edge its
+    tail, head, ``describe()`` and the canonical form of every
+    constraint label on it, in the order of the first three."""
+    canonical = analyzer.encoder.engine.canonical
+    lines = [
+        (
+            str(edge.tail), str(edge.head), edge.fn.describe(),
+            [
+                canonical(part.label)
+                for part in getattr(edge.fn, "parts", [edge.fn])
+                if isinstance(part, Constraint)
+            ],
+        )
+        for edge in analyzer.graph.edges
+    ]
+    return sorted(lines, key=lambda line: line[:3])
+
+
 def _fib_tree(label: str, hostname: str, lines: List[str]) -> DerivationTree:
     root = DerivationNode(label=f"{label} fib[{hostname}]", kind="fib")
     for line in lines:
@@ -311,8 +340,9 @@ def _fib_tree(label: str, hostname: str, lines: List[str]) -> DerivationTree:
 
 def _validate(new_session) -> None:
     """Analyze the new session's config texts from scratch — no cache,
-    so the parse memo is checked along with the data plane — and require
-    byte-identical FIBs; locate any mismatch with the first-divergence
+    so the parse memo is checked along with the data plane, and no base
+    to take anything from — and require byte-identical FIBs and the same
+    forwarding graph; locate a FIB mismatch with the first-divergence
     machinery."""
     from repro.core.session import Session
 
@@ -324,9 +354,10 @@ def _validate(new_session) -> None:
         )
         delta_lines = fib_lines(new_session.fibs)
         full_lines = fib_lines(scratch.fibs)
-    if delta_lines == full_lines:
-        obs.metrics().inc("delta.validate.ok")
-        return
+        if delta_lines == full_lines:
+            _validate_graph(new_session.analyzer, scratch.analyzer)
+            obs.metrics().inc("delta.validate.ok")
+            return
     obs.metrics().inc("delta.validate.mismatch")
     mismatched = sorted(
         set(delta_lines) ^ set(full_lines)
@@ -350,3 +381,18 @@ def _validate(new_session) -> None:
         "delta session's FIBs differ from a from-scratch analysis on "
         f"{len(mismatched)} device(s):\n" + "\n".join(details)
     )
+
+
+def _validate_graph(delta_analyzer, full_analyzer) -> None:
+    delta_graph, full_graph = graph_lines(delta_analyzer), graph_lines(full_analyzer)
+    if delta_graph != full_graph:
+        obs.metrics().inc("delta.validate.mismatch")
+        differing = [
+            line[:3] for line in delta_graph + full_graph
+            if line not in delta_graph or line not in full_graph
+        ]
+        raise DeltaValidationError(
+            "delta session's forwarding graph differs from a from-scratch "
+            f"analysis ({len(delta_graph)} vs {len(full_graph)} edges), "
+            f"first at {differing[:3]}"
+        )

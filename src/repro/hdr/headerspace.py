@@ -40,6 +40,11 @@ class PacketEncoder:
         self._field_cube_cache: Dict[Tuple[str, ...], int] = {}
         self._prefix_cache: Dict[Tuple[str, Prefix, bool], int] = {}
 
+    def fork(self, n: int) -> "PacketEncoder":
+        """An encoder over :meth:`BddEngine.fork` ``(n)``; its memos
+        refill from the forked unique table and cube list."""
+        return PacketEncoder(self.layout, self.engine.fork(n))
+
     # ------------------------------------------------------------------
     # Constraints on input variables
 

@@ -45,12 +45,17 @@ class RouteDiffAnswer:
 
 
 def compare_routes(before: DataPlane, after: DataPlane) -> RouteDiffAnswer:
-    """Diff the main RIBs of two computed data planes."""
+    """Diff the main RIBs of two computed data planes. A node whose two
+    RIBs are one object — a delta session takes the base's where its own
+    came out equal — has no rows, and none of its routes is rendered."""
     rows: List[RouteDiffRow] = []
     nodes = sorted(set(before.nodes) | set(after.nodes))
     for node in nodes:
         before_routes: Set[str] = set()
         after_routes: Set[str] = set()
+        if node in before.nodes and node in after.nodes:
+            if before.main_rib(node) is after.main_rib(node):
+                continue
         if node in before.nodes:
             before_routes = {r.describe() for r in before.main_rib(node).routes()}
         if node in after.nodes:

@@ -87,6 +87,11 @@ class EdgeFunction:
     def backward(self, packet_set: int) -> int:
         raise NotImplementedError
 
+    def rebind(self, encoder: PacketEncoder) -> "EdgeFunction":
+        """The same function on a fork of the encoder it was built on:
+        a fork keeps node ids, so labels carry over as they are."""
+        raise NotImplementedError
+
     def describe(self) -> str:
         return type(self).__name__
 
@@ -102,6 +107,9 @@ class Identity(EdgeFunction):
 
     def backward(self, packet_set: int) -> int:
         return packet_set
+
+    def rebind(self, encoder: PacketEncoder) -> "Identity":
+        return Identity(encoder.engine)
 
     def describe(self) -> str:
         return "identity"
@@ -122,6 +130,9 @@ class Constraint(EdgeFunction):
 
     def backward(self, packet_set: int) -> int:
         return self._engine.and_(packet_set, self.label)
+
+    def rebind(self, encoder: PacketEncoder) -> "Constraint":
+        return Constraint(encoder.engine, self.label, self.note)
 
     def describe(self) -> str:
         return f"constraint({self.note})" if self.note else "constraint"
@@ -166,6 +177,9 @@ class Transform(EdgeFunction):
         preimage_parts.append(engine.and_(packet_set, remaining_pre))
         return engine.or_all(preimage_parts)
 
+    def rebind(self, encoder: PacketEncoder) -> "Transform":
+        return Transform(encoder, self._pipeline, self.note)
+
     def describe(self) -> str:
         return f"transform({self.note})" if self.note else "transform"
 
@@ -194,6 +208,9 @@ class AssignField(EdgeFunction):
         )
         return self._encoder.erase(narrowed, [self.field_name])
 
+    def rebind(self, encoder: PacketEncoder) -> "AssignField":
+        return AssignField(encoder, self.field_name, self.value)
+
     def describe(self) -> str:
         return f"assign({self.field_name}={self.value})"
 
@@ -215,6 +232,9 @@ class EraseField(EdgeFunction):
         # image intersects the target. (Over-approximation-free here
         # because erase only widens.)
         return self._encoder.erase(packet_set, [self.field_name])
+
+    def rebind(self, encoder: PacketEncoder) -> "EraseField":
+        return EraseField(encoder, self.field_name)
 
     def describe(self) -> str:
         return f"erase({self.field_name})"
@@ -259,6 +279,9 @@ class ForwardingGraph:
     def __init__(self, encoder: PacketEncoder):
         self.encoder = encoder
         self.edges: List[Edge] = []
+        #: hostname -> its pipeline's edges as built (compression
+        #: replaces ``edges``, not these): what a later build can reuse.
+        self.device_edges: Dict[str, List[Edge]] = {}
         self._out: Dict[GraphNode, List[Edge]] = {}
         self._in: Dict[GraphNode, List[Edge]] = {}
         self.nodes: Set[GraphNode] = set()
@@ -308,18 +331,30 @@ def build_forwarding_graph(
     dataplane: DataPlane,
     fibs: Dict[str, Fib],
     encoder: Optional[PacketEncoder] = None,
+    reuse: Optional[Dict[str, List[Edge]]] = None,
 ) -> ForwardingGraph:
-    """Construct the dataflow graph for a computed data plane."""
+    """Construct the dataflow graph for a computed data plane. A
+    device's pipeline depends on its config, its FIB and the topology
+    edges out of it; ``reuse`` maps a hostname to the ``device_edges``
+    another graph got from the same three, on an encoder ``encoder`` is
+    a fork of: they are re-added, rebound, in order."""
     encoder = encoder or PacketEncoder()
+    reuse = reuse or {}
     graph = ForwardingGraph(encoder)
     snapshot = dataplane.snapshot
     for hostname in snapshot.hostnames():
-        device = snapshot.device(hostname)
-        zones = {name: i + 1 for i, name in enumerate(sorted(device.zones))}
-        _build_device_pipeline(
-            graph, device, fibs[hostname], own_ip_space(device, encoder),
-            zones, dataplane.topology,
-        )
+        first = len(graph.edges)
+        if hostname in reuse:
+            for edge in reuse[hostname]:
+                graph.add_edge(edge.tail, edge.head, edge.fn.rebind(encoder))
+        else:
+            device = snapshot.device(hostname)
+            zones = {name: i + 1 for i, name in enumerate(sorted(device.zones))}
+            _build_device_pipeline(
+                graph, device, fibs[hostname], own_ip_space(device, encoder),
+                zones, dataplane.topology,
+            )
+        graph.device_edges[hostname] = graph.edges[first:]
     return graph
 
 

@@ -22,7 +22,7 @@ source IP" class of uninteresting violations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.bdd.engine import FALSE, TRUE
@@ -124,17 +124,43 @@ class NetworkAnalyzer:
         encoder: Optional[PacketEncoder] = None,
         fibs: Optional[Dict[str, Fib]] = None,
         compress: bool = True,
+        base: Optional["NetworkAnalyzer"] = None,
+        edited: Collection[str] = (),
     ):
+        """``base``: the analyzer of a snapshot this one is an edit of,
+        ``edited`` naming the devices whose config text differs. The
+        build then starts on a private fork of the base's encoder as the
+        base's build left it and re-adds the base's pipeline for every
+        device due the same one again: same text, same ``Fib`` object,
+        equal topology edges out of it (unless ``encoder`` is given)."""
         self.dataplane = dataplane
-        self.encoder = encoder or PacketEncoder()
         self.fibs = fibs if fibs is not None else compute_fibs(dataplane)
-        with obs.span("bdd.graph_build", devices=len(dataplane.snapshot.devices)):
+        reuse: Dict[str, List[Edge]] = {}
+        if base is not None and encoder is None:
+            encoder = base.encoder.fork(base.built_nodes)
+            links = dataplane.topology.node_edges
+            base_links = base.dataplane.topology.node_edges
+            reuse = {
+                hostname: edges
+                for hostname, edges in base.graph.device_edges.items()
+                if hostname not in edited
+                and hostname in self.fibs
+                and self.fibs[hostname] is base.fibs.get(hostname)
+                and links(hostname) == base_links(hostname)
+            }
+        self.encoder = encoder or PacketEncoder()
+        devices = len(dataplane.snapshot.devices)
+        with obs.span("bdd.graph_build", devices=devices, reused=len(reuse)):
             self.graph = build_forwarding_graph(
-                dataplane, self.fibs, self.encoder
+                dataplane, self.fibs, self.encoder, reuse
             )
             self.compression: Optional[CompressionStats] = None
             if compress:
                 self.compression = compress_graph(self.graph)
+        #: Devices whose pipeline came from ``base``.
+        self.reused_pipelines = sorted(reuse)
+        #: Engine size as the build left it: what a fork for an edit keeps.
+        self.built_nodes = self.encoder.engine.num_nodes()
         self._fates: Optional[Dict[Disposition, Dict[GraphNode, int]]] = None
         self._emit_bdd_gauges()
 

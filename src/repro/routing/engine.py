@@ -754,18 +754,23 @@ class _Exchange:
 
     def advertise(
         self, route: BgpRoute
-    ) -> Tuple[Optional[BgpRoute], str, Optional[PolicyResult]]:
+    ) -> Tuple[
+        Optional[BgpRoute], str,
+        Tuple[Optional[PolicyResult], Optional[PolicyResult]],
+    ]:
         """Carry the sender's best ``route`` across the session.
 
-        Returns ``(installed, "", import result)`` with the route the
-        receiver puts into its BGP RIB, or ``(None, reason, result)``
-        with the suppression reason and, for a policy deny, the deciding
-        evaluation. Every BGP rule runs before a ``BgpRoute`` or an
-        attribute bundle is built, and a side without a route-map builds
-        no ``PolicyRoute``: split horizon first (a route-map cannot
-        change ``from_ibgp``, and a router never offers such a route to
-        its outbound policy), then the export route-map, then the
-        receiver's loop checks on what the route-map left of the path.
+        Returns ``(installed, "", results)`` with the route the receiver
+        puts into its BGP RIB, or ``(None, reason, results)`` with the
+        suppression reason; ``results`` is the export and the import
+        evaluation, each None where no route-map ran (a policy deny is
+        the last one that did). Every BGP rule runs before a
+        ``BgpRoute`` or an attribute bundle is built, and a side without
+        a route-map builds no ``PolicyRoute``: split horizon first (a
+        route-map cannot change ``from_ibgp``, and a router never offers
+        such a route to its outbound policy), then the export route-map,
+        then the receiver's loop checks on what the route-map left of
+        the path.
         """
         session = self.session
         attrs = route.attributes
@@ -774,47 +779,50 @@ class _Exchange:
             and attrs.from_ibgp
             and not session.neighbor.route_reflector_client
         ):
-            return None, SPLIT_HORIZON, None
+            return None, SPLIT_HORIZON, (None, None)
         as_path = attrs.as_path
+        exported: Optional[PolicyResult] = None
         if self.export_policy is not None:
             self.stats.policy_evals += 1
-            result = apply_route_map(
+            exported = apply_route_map(
                 self.sender_device, self.export_policy,
                 _to_policy_route(route), self.semantics,
             )
-            if not result.permitted:
-                return None, EXPORT_DENY, result
-            as_path = result.route.as_path
+            if not exported.permitted:
+                return None, EXPORT_DENY, (exported, None)
+            as_path = exported.route.as_path
         if session.is_ibgp:
             originator = attrs.originator_id or (
                 route.received_from if attrs.from_ibgp else None
             )
             if originator is not None and originator == session.remote_ip:
-                return None, ORIGINATOR_LOOP, None
+                return None, ORIGINATOR_LOOP, (exported, None)
         elif session.remote_as in as_path:
             # The sender's own AS, prepended on the way out, is not the
             # receiver's: the session is eBGP.
-            return None, AS_PATH_LOOP, None
-        if self.export_policy is not None:
-            route = _from_policy_route(route, result.route)
+            return None, AS_PATH_LOOP, (exported, None)
+        if exported is not None:
+            route = _from_policy_route(route, exported.route)
         advertisement = export_route(session, route)
         if advertisement is None:
-            return None, SPLIT_HORIZON, None
+            return None, SPLIT_HORIZON, (exported, None)
         # The advertisement as built (prepends included) is what the
         # receiver's loop prevention sees.
         accepted, _why = accepts_route(self.receiver_view, advertisement)
         if not accepted:
-            return None, ORIGINATOR_LOOP if session.is_ibgp else AS_PATH_LOOP, None
+            loop = ORIGINATOR_LOOP if session.is_ibgp else AS_PATH_LOOP
+            return None, loop, (exported, None)
         if self.import_policy is None:
-            return advertisement, "", None
+            return advertisement, "", (exported, None)
         self.stats.policy_evals += 1
-        result = apply_route_map(
+        imported = apply_route_map(
             self.receiver_device, self.import_policy,
             _to_policy_route(advertisement), self.semantics,
         )
-        if not result.permitted:
-            return None, IMPORT_DENY, result
-        return _from_policy_route(advertisement, result.route), "", result
+        if not imported.permitted:
+            return None, IMPORT_DENY, (exported, imported)
+        installed = _from_policy_route(advertisement, imported.route)
+        return installed, "", (exported, imported)
 
 
 def _process_incoming(
@@ -843,17 +851,18 @@ def _process_incoming(
         if route.prefix in advertised:
             continue  # one advertisement per prefix (no add-path)
         advertised.add(route.prefix)
-        installed, reason, result = exchange.advertise(route)
+        installed, reason, (exported, imported) = exchange.advertise(route)
         if installed is None:
             stats.suppressed[reason] += 1
             if recording:
-                _record_suppressed(exchange, route, reason, result)
+                _record_suppressed(
+                    exchange, route, reason,
+                    exported if reason == EXPORT_DENY else imported,
+                )
             state.bgp_rib.withdraw(route.prefix, peer_ip)
             continue
         if recording:
-            # Both labels read the import evaluation: recorded event
-            # streams (tests/routing/rib_golden.json) are held fixed.
-            export_label = _policy_label(exchange.export_policy, result)
+            export_label = _policy_label(exchange.export_policy, exported)
             prov.route_event(
                 receiver, route.prefix, "bgp", "installed",
                 f"received from {sender} via {peer_ip}: "
@@ -863,7 +872,7 @@ def _process_incoming(
                 + (f"[{export_label}]" if export_label else "[no policy]")
                 + "; import "
                 + (
-                    f"[{_policy_label(exchange.import_policy, result)}]"
+                    f"[{_policy_label(exchange.import_policy, imported)}]"
                     if exchange.import_policy
                     else "[no policy]"
                 ),

@@ -257,14 +257,14 @@ class Rib:
     def prefixes(self) -> List[Prefix]:
         return [prefix for prefix, _ in self._trie.items()]
 
-    def all_candidates(self) -> Iterator[object]:
-        """Every candidate route, including non-best ones."""
-        for routes in self._candidates.values():
-            yield from routes
-
     def __len__(self) -> int:
         """Number of best routes across all prefixes."""
         return sum(len(routes) for routes in self._best.values())
+
+    def same_best(self, other: "Rib") -> bool:
+        """Equal best sets for the same prefixes: all that a reader of a
+        converged table (LPM, :meth:`routes`, the FIB) can see."""
+        return self._best == other._best
 
     def take_delta(self) -> RibDelta:
         """Snapshot-and-clear the pending delta (the per-iteration pull)."""

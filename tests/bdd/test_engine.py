@@ -335,3 +335,158 @@ class TestAlgebraProperties:
         assert engine.and_exists(a, b, cube) == engine.exists(
             engine.and_(a, b), cube
         )
+
+
+class TestFork:
+    """``fork(n)``: the first ``n`` nodes as a private engine."""
+
+    @staticmethod
+    def _grown():
+        """An engine with a few functions, an interned cube and a
+        rename map; returns it with the roots built so far."""
+        engine = BddEngine(8)
+        a, b, c = engine.var(0), engine.var(1), engine.nvar(2)
+        roots = [
+            engine.and_(a, engine.or_(b, c)),
+            engine.xor(engine.var(3), engine.and_(b, engine.var(5))),
+            engine.pinned((2, 4, 6), 0b101),
+        ]
+        return engine, roots
+
+    def test_keeps_id_and_function_of_every_node_below_n(self):
+        engine, _roots = self._grown()
+        n = engine.num_nodes()
+        engine.or_(engine.var(6), engine.nvar(7))  # nodes the twin must not see
+        assert engine.num_nodes() > n
+        twin = engine.fork(n)
+        assert twin.num_nodes() == n and twin.num_vars == engine.num_vars
+        for node in range(n):
+            assert twin.canonical(node) == engine.canonical(node)
+        stats = twin.stats()
+        assert stats["unique_table"] == n - 2 and stats["ops_cached"] == 0
+        # Hash-consing works on the copied prefix: rebuilding a function
+        # finds its nodes, it does not add them.
+        assert twin.and_(
+            twin.var(0), twin.or_(twin.var(1), twin.nvar(2))
+        ) == engine.and_(engine.var(0), engine.or_(engine.var(1), engine.nvar(2)))
+        assert twin.num_nodes() == n
+
+    def test_size_outside_the_node_store_is_rejected(self):
+        engine, _roots = self._grown()
+        for n in (-1, 0, 1, engine.num_nodes() + 1):
+            with pytest.raises(ValueError, match="fork size"):
+                engine.fork(n)
+        assert engine.fork(2).num_nodes() == 2  # the terminals alone
+        assert engine.fork(engine.num_nodes()).num_nodes() == engine.num_nodes()
+
+    def test_twin_and_original_grow_independently(self):
+        engine, roots = self._grown()
+        n = engine.num_nodes()
+        twin = engine.fork(n)
+        on_twin = twin.and_(roots[0], twin.var(7))
+        assert engine.num_nodes() == n  # the original did not move
+        on_original = engine.or_(roots[1], engine.nvar(6))
+        assert twin.num_nodes() > n and engine.num_nodes() > n
+        # Past n the two stores differ; the same function is still the
+        # same function on either.
+        assert twin.canonical(on_twin) == engine.canonical(
+            engine.and_(roots[0], engine.var(7))
+        )
+        assert engine.canonical(on_original) == twin.canonical(
+            twin.or_(roots[1], twin.nvar(6))
+        )
+
+    def test_cube_and_rename_map_interned_before_the_fork(self):
+        engine, roots = self._grown()
+        cube = engine.cube([0, 3])
+        rename = engine.rename_map({1: 0})
+        relation = engine.xor(engine.var(0), engine.var(1))
+        out_cube = engine.cube([0])
+        twin = engine.fork(engine.num_nodes())
+        for root in roots:
+            assert twin.canonical(twin.exists(root, cube)) == engine.canonical(
+                engine.exists(root, cube)
+            )
+            assert twin.canonical(
+                twin.transform(root, relation, out_cube, rename)
+            ) == engine.canonical(
+                engine.transform(root, relation, out_cube, rename)
+            )
+        # Interning again finds the copied entries; a new cube is the
+        # twin's own.
+        assert twin.cube([3, 0]) == cube and twin.rename_map({1: 0}) == rename
+        fresh = twin.cube([5])
+        assert fresh not in (cube, out_cube)
+        assert engine.cube([6]) == fresh  # next free id on either side
+
+    @given(
+        st.lists(_random_expr(), min_size=1, max_size=4),
+        st.lists(_random_expr(), min_size=1, max_size=4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_same_operations_after_the_fork_agree(self, before, after):
+        engine = BddEngine(5)
+        roots = [_build(engine, expr) for expr in before]
+        cube = engine.cube([1, 3])
+        twin = engine.fork(engine.num_nodes())
+        for expr in after:
+            ours, theirs = _build(engine, expr), _build(twin, expr)
+            assert engine.canonical(ours) == twin.canonical(theirs)
+            for root in roots:
+                assert engine.canonical(engine.and_(root, ours)) == twin.canonical(
+                    twin.and_(root, theirs)
+                )
+                assert engine.canonical(
+                    engine.and_exists(root, ours, cube)
+                ) == twin.canonical(twin.and_exists(root, theirs, cube))
+
+    def test_fork_while_another_thread_queries_the_original(self):
+        """A fork reads only the prefix below ``built_nodes``, which
+        nothing writes to again: taken while ``fates()`` grows the
+        original, it never raises and is the same engine it would have
+        been before the query started."""
+        import sys
+        import threading
+
+        from repro.core.session import Session
+        from repro.reachability.graph import Constraint
+        from repro.synth.networks import network_by_name
+
+        analyzer = Session.from_texts(network_by_name("NET6").generate(1)).analyzer
+        encoder, n = analyzer.encoder, analyzer.built_nodes
+        labels = sorted(
+            {e.fn.label for e in analyzer.graph.edges if isinstance(e.fn, Constraint)}
+        )
+        quiet = encoder.fork(n)
+        expected = [quiet.engine.canonical(label) for label in labels]
+        errors, twins = [], []
+        started = threading.Event()
+
+        def query():
+            try:
+                started.set()
+                analyzer.fates()
+            except Exception as error:
+                errors.append(error)
+
+        thread = threading.Thread(target=query)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            thread.start()
+            assert started.wait(timeout=60)
+            while thread.is_alive() and len(twins) < 200:
+                twins.append(encoder.fork(n))
+            thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive() and not errors
+        assert twins and encoder.engine.num_nodes() > n  # the query did run
+        for twin in twins[:: max(1, len(twins) // 5)]:
+            engine = twin.engine
+            assert engine.num_nodes() == n
+            assert [engine.canonical(label) for label in labels] == expected
+            assert engine.stats()["unique_table"] == n - 2
+            # Usable: an operation over copied nodes allocates past n.
+            engine.or_all(engine.and_(a, b) for a, b in zip(labels, labels[1:]))
+            assert engine.num_nodes() >= n

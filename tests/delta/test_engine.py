@@ -238,7 +238,7 @@ class TestValidator:
         assert not new.delta_info.fallback
         # Sabotage the reused FIBs; the differential check must fail
         # and localize the divergence to the mangled host.
-        del new._fibs["c"]
+        del new.fibs["c"]
         with pytest.raises(DeltaValidationError, match="c"):
             _validate(new)
 
@@ -274,6 +274,7 @@ class TestRegistry:
         assert routing.delta_info.to_json().keys() == {
             "changed_files", "seeds", "dirty_devices", "reused_devices",
             "parse_memo_hits", "fallback", "fallback_reason", "validated",
+            "reused_ribs", "reused_fibs", "reused_pipelines",
             "questions_affected", "questions_skipped",
         }
 

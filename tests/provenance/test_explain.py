@@ -234,3 +234,55 @@ router ospf 1
         assert "suppressed alternatives" in rendered
         assert "lost best selection" in rendered
         assert tree.suppressions()
+
+
+class TestPolicyLabels:
+    """The ``installed`` BGP event names the clause of the *export*
+    route-map that let the route out and the clause of the *import*
+    route-map that let it in — two evaluations, two labels."""
+
+    CONFIGS = {
+        "r1.cfg": """
+hostname r1
+interface Ethernet0
+ ip address 10.0.12.1 255.255.255.0
+interface Loopback0
+ ip address 1.1.1.1 255.255.255.255
+interface Loopback1
+ ip address 1.1.1.2 255.255.255.255
+router bgp 65001
+ bgp router-id 1.1.1.1
+ neighbor 10.0.12.2 remote-as 65002
+ neighbor 10.0.12.2 route-map OUT out
+ network 1.1.1.1 mask 255.255.255.255
+ network 1.1.1.2 mask 255.255.255.255
+ip prefix-list LO0 permit 1.1.1.1/32
+route-map OUT permit 10
+ match ip address prefix-list LO0
+route-map OUT permit 20
+""",
+        "r2.cfg": """
+hostname r2
+interface Ethernet0
+ ip address 10.0.12.2 255.255.255.0
+router bgp 65002
+ bgp router-id 2.2.2.2
+ neighbor 10.0.12.1 remote-as 65001
+ neighbor 10.0.12.1 route-map IN in
+route-map IN permit 30
+ set local-preference 250
+""",
+    }
+
+    @pytest.mark.parametrize(
+        "prefix,export_clause", (("1.1.1.1/32", 10), ("1.1.1.2/32", 20))
+    )
+    def test_export_label_comes_from_the_export_evaluation(
+        self, prefix, export_clause
+    ):
+        session = Session.from_texts(self.CONFIGS)
+        rendered = session.explain_route("r2", prefix).render()
+        # On the parent both labels read the import evaluation:
+        # "export [route-map OUT clause 30]".
+        assert f"export [route-map OUT clause {export_clause}]" in rendered
+        assert "import [route-map IN clause 30]" in rendered

@@ -9,6 +9,10 @@ counter or a recorded derivation event. Each case runs twice — with
 the recorded RIB digest, which is what holds "one code path for
 recording and non-recording runs".
 
+Re-recorded once since, in PR 20 and only the ``event_digest`` of the ten
+cases with a BGP route-map (NET4, NET5, NET7, NET10): the ``installed``
+event's ``export [...]`` label used to render the *import* evaluation.
+
 Re-record (only when routing behaviour is *meant* to change)::
 
     PYTHONPATH=src python tests/routing/test_rib_golden.py

@@ -278,6 +278,10 @@ class TestPatchSnapshot:
         assert delta["dirty_devices"] == []
         assert delta["reused_devices"] == record["devices"]
         assert delta["parse_memo_hits"] == record["devices"] - 1
+        # An inert edit keeps every RIB; FIBs and pipelines are counted
+        # when a question makes those stages run.
+        assert delta["reused_ribs"] == record["devices"]
+        assert delta["reused_fibs"] == delta["reused_pipelines"] == 0
         # The replaced session answers questions and GET reflects it.
         status, one = client.get("/snapshots/lab")
         assert status == 200 and one["key"] == patched["key"]
@@ -287,6 +291,9 @@ class TestPatchSnapshot:
         status, metrics = client.get("/metrics")
         assert status == 200
         assert metrics["obs"]["counters"].get("delta.runs", 0) >= 1
+        counters = metrics["obs"]["counters"]
+        assert counters["delta.reuse.devices"] >= record["devices"]
+        assert counters["delta.reuse.rib"] >= record["devices"]
 
     def test_patch_error_shapes(self, make_service):
         _, client = make_service()

@@ -225,7 +225,9 @@ class TestValidate:
             assert result["properties"]["network"] == "NET1"
             assert result["message"]["text"].startswith("NET1: ")
             uri = result["locations"][0]["physicalLocation"]["artifactLocation"]
-            assert uri == {"uri": "<NET1>"}
+            # The delta validator knows the file it edited (ROADMAP 5d).
+            located = "net1-core0" if validator == "delta" else "<NET1>"
+            assert uri == {"uri": located}
 
 
 # ----------------------------------------------------------------------
