@@ -789,8 +789,8 @@ class BddEngine:
         ``0``/``1``. Because ROBDDs are canonical for a fixed variable
         order, two functions built in *different* engines over the same
         variable order are semantically equal iff their canonical forms
-        compare equal — the property the dataflow delta validator uses
-        to compare a warm-started fixpoint against a from-scratch one.
+        compare equal — the property the delta validator uses to compare
+        a delta session's forwarding graph with a from-scratch one.
         """
         memo: Dict[int, object] = {FALSE: 0, TRUE: 1}
 

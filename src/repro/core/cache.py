@@ -11,18 +11,16 @@ repeats from O(full pipeline) into O(hash lookup):
   (a hash of every source file of the ``repro`` package). Editing one
   byte of any config, or of any analysis code, changes the key and
   invalidates the entry; nothing is ever invalidated by time.
-* **Six artifact kinds.** ``snapshot`` entries hold the parsed
+* **Five artifact kinds.** ``snapshot`` entries hold the parsed
   vendor-independent model (Stage 1 output); ``device`` entries hold
   one parsed device config (keyed on the per-file content hash, the
   unit the incremental delta engine reuses when only some files of a
   snapshot changed); ``dataplane`` entries hold the computed
   :class:`~repro.routing.engine.DataPlane` (Stage 2 output), keyed
   additionally by the convergence settings and policy semantics that
-  shaped the simulation; ``lint`` entries hold one device-scoped lint
-  rule's findings for one device (see ``repro.lint.runner``);
-  ``coverage`` entries hold one question's coverage vector for one
-  (snapshot, question, params) execution and ``coverage_index`` entries
-  list a snapshot's coverage records (see
+  shaped the simulation; ``coverage`` entries hold one question's
+  coverage vector for one (snapshot, question, params) execution and
+  ``coverage_index`` entries list a snapshot's coverage records (see
   ``repro.questions.coverage``).
 * **Location.** ``REPRO_CACHE_DIR`` (default ``.repro_cache/``).
   Writes are atomic (temp file + rename), so concurrent processes — the

@@ -154,11 +154,8 @@ class Session:
         #: snapshots against.
         self._configs: Optional[Dict[str, str]] = None
         #: Populated on sessions produced by :meth:`delta`: a
-        #: :class:`repro.delta.DeltaInfo` describing what was reused,
-        #: plus the base session's snapshot key (what the dataflow
-        #: fixpoint warm-starts from).
+        #: :class:`repro.delta.DeltaInfo` describing what was reused.
         self.delta_info = None
-        self.delta_base_key: Optional[str] = None
 
     # -- construction -----------------------------------------------------
 
@@ -456,27 +453,11 @@ class Session:
         """Run the semantic lint engine (``repro.lint``) over the
         snapshot. ``lintconfig`` follows ``LintConfig.from_dict``:
         ``{"rules": [...], "disable": [...], "severity": {...},
-        "suppress": [...]}``. Returns a :class:`repro.lint.LintReport`.
-
-        On a delta-derived session the dataflow rules' propagation
-        fixpoint warm-starts from the base snapshot's cached fixpoint,
-        re-iterating only the dirty subgraph."""
+        "suppress": [...]}``. Returns a :class:`repro.lint.LintReport`."""
         from repro.lint import LintConfig, lint_snapshot
 
-        delta = None
-        if self.delta_info is not None and self.delta_base_key is not None:
-            delta = {
-                "base_key": self.delta_base_key,
-                "dirty_devices": sorted(self.delta_info.dirty_devices),
-                "fallback": self.delta_info.fallback,
-            }
         return lint_snapshot(
-            self.snapshot,
-            LintConfig.from_dict(lintconfig),
-            jobs=jobs,
-            cache=self._cache,
-            snapshot_key=self.snapshot_key,
-            delta=delta,
+            self.snapshot, LintConfig.from_dict(lintconfig), jobs=jobs
         )
 
     def management_plane_consistency(

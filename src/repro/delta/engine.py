@@ -51,6 +51,7 @@ class DeltaInfo:
 
     changed_files: List[str]
     seeds: List[str] = field(default_factory=list)
+    #: Reporting only (every device on a recompute); no analysis reads it.
     dirty_devices: List[str] = field(default_factory=list)
     reused_devices: int = 0
     #: Files whose bytes were carried over unchanged from the base and
@@ -140,7 +141,6 @@ def delta_session(
             # must not be written back to it.
             new_session._cache = None
         new_session.delta_info = info
-        new_session.delta_base_key = base.snapshot_key
         changed_hosts = _changed_hosts(base, new_session, info)
         info.seeds = routing_seeds(
             base.snapshot, new_session.snapshot, changed_hosts
@@ -208,11 +208,10 @@ def _prioritize_questions(
     from repro.questions import coverage as qcov
 
     tracker = obs.coverage()
-    # A recompute reports every device dirty, so the scope rules stay
-    # sound: routing questions all rerun, config questions rerun exactly
-    # on changed-byte hosts. A changed device *set* is unbounded: global
-    # answers enumerate the device universe, so even an isolated new
-    # host can grow every answer.
+    # Scope rules: routing questions all rerun on a recompute, config
+    # questions rerun exactly on changed-byte hosts. A changed device
+    # *set* is unbounded: global answers enumerate the device universe,
+    # so even an isolated new host can grow every answer.
     unbounded = base.snapshot.devices.keys() != new_session.snapshot.devices.keys()
     affected, skipped = qcov.questions_for_delta(
         tracker,
@@ -220,7 +219,7 @@ def _prioritize_questions(
         base.snapshot_key,
         new_session.snapshot_key,
         changed_hosts=changed,
-        dirty_hosts=info.dirty_devices,
+        routing_changed=info.fallback,
         everything=unbounded,
     )
     info.questions_affected = affected

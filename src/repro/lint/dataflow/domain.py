@@ -69,15 +69,6 @@ def build_universe(snapshot: Snapshot) -> RouteSpaceUniverse:
     )
 
 
-def universe_fingerprint(snapshot: Snapshot) -> str:
-    """The fingerprint :func:`build_universe` would produce, computed
-    without building a BDD engine (cheap warm-start compatibility
-    probe)."""
-    return RouteSpaceUniverse.fingerprint_of(
-        snapshot_communities(snapshot), (ORIGIN_FLAG,)
-    )
-
-
 def join_tags(a: TagSet, b: TagSet) -> TagSet:
     if a is None or b is None:
         return None

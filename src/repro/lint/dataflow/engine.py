@@ -6,12 +6,6 @@ least fixpoint. The result over-approximates, per RIB domain, every
 route the control plane can ever carry there (DESIGN.md
 "Propagation-graph soundness").
 
-Delta runs warm-start from a cached base fixpoint: only nodes on dirty
-devices and their descendants are reset to seeds and re-iterated;
-clean ancestors keep their (provably identical) base values. The warm
-path falls back to a full fixpoint whenever the device set or the
-community alphabet (BDD variable order) changed.
-
 The analysis is computed once in the lint runner *before* the rule pool
 forks and published through a module-global slot
 (:func:`set_shared` / :func:`analysis_for`), so forked rule workers
@@ -33,7 +27,6 @@ from repro.lint.dataflow.domain import (
     build_universe,
     join_tags,
     tags_may_equal,
-    universe_fingerprint,
 )
 from repro.lint.dataflow.graph import (
     DOMAIN_BGP,
@@ -46,8 +39,6 @@ from repro.lint.dataflow.graph import (
     build_graph,
 )
 from repro.lint.routespace import RouteSpaceUniverse
-
-CACHE_KIND = "dataflow"
 
 
 # ----------------------------------------------------------------------
@@ -292,9 +283,8 @@ def _run_fixpoint(
     universe: RouteSpaceUniverse,
     graph: PropagationGraph,
     states: Dict[NodeId, AbstractRoutes],
-    worklist: List[NodeId],
 ) -> int:
-    queue = deque(sorted(set(worklist)))
+    queue = deque(graph.nodes)
     queued: Set[NodeId] = set(queue)
     iterations = 0
     while queue:
@@ -325,8 +315,6 @@ class DataflowAnalysis:
     edge_outputs: List[AbstractRoutes]
     iterations: int
     fixpoint_seconds: float
-    warm_start: bool = False
-    fingerprint: str = ""
     _stage_cache: Dict[int, List[PolicyStage]] = field(
         default_factory=dict, repr=False
     )
@@ -342,152 +330,25 @@ class DataflowAnalysis:
             self._stage_cache[edge_index] = cached
         return cached
 
-    def canonical_states(self) -> Dict[NodeId, object]:
-        """Engine-independent view of the fixpoint, for comparing a
-        warm-started run against a cold one."""
-        return {
-            node: (
-                self.universe.engine.canonical(state.bdd),
-                None if state.tags is None else tuple(sorted(state.tags)),
-            )
-            for node, state in self.states.items()
-        }
 
-
-def _descendants(
-    roots: Set[NodeId], edge_pairs: List[Tuple[NodeId, NodeId]]
-) -> Set[NodeId]:
-    adjacency: Dict[NodeId, List[NodeId]] = {}
-    for src, dst in edge_pairs:
-        adjacency.setdefault(src, []).append(dst)
-    seen = set(roots)
-    frontier = list(roots)
-    while frontier:
-        node = frontier.pop()
-        for nxt in adjacency.get(node, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
-
-
-def analyze(
-    snapshot: Snapshot,
-    cache=None,
-    snapshot_key: Optional[str] = None,
-    delta: Optional[dict] = None,
-) -> DataflowAnalysis:
-    """Run (or warm-start) the propagation fixpoint for a snapshot.
-
-    ``delta`` — when linting a delta-derived session — carries
-    ``{"base_key", "dirty_devices", "fallback"}``; with a cache hit on
-    the base fixpoint and an unchanged device set / community alphabet,
-    only the dirty subgraph is re-iterated.
-    """
+def analyze(snapshot: Snapshot) -> DataflowAnalysis:
+    """Run the propagation fixpoint for a snapshot."""
     started = time.perf_counter()
-    fingerprint = universe_fingerprint(snapshot)
-    hostnames = sorted(snapshot.hostnames())
-
-    cached = None
-    if (
-        delta is not None
-        and not delta.get("fallback")
-        and delta.get("base_key")
-        and cache is not None
-    ):
-        cached = cache.load(CACHE_KIND, delta["base_key"])
-        if cached is not None and (
-            cached.get("fingerprint") != fingerprint
-            or cached.get("devices") != hostnames
-        ):
-            cached = None  # alphabet or device set changed: full fixpoint
-
-    warm = False
-    if cached is not None:
-        universe = cached["universe"]
-        graph = build_graph(snapshot, universe)
-        base_states: Dict[NodeId, AbstractRoutes] = {
-            node: AbstractRoutes(
-                bdd, None if tags is None else frozenset(tags)
-            )
-            for node, (bdd, tags) in cached["states"].items()
-        }
-        dirty = set(delta.get("dirty_devices") or ())
-        dirty_nodes = {
-            node for node in set(graph.nodes) | set(base_states)
-            if node[0] in dirty
-        }
-        # A node's fixpoint value depends only on its ancestors, so
-        # resetting the dirty devices *and everything downstream of
-        # them* (over both old and new edges) leaves every kept value
-        # provably equal to what a cold run would compute.
-        reset = _descendants(
-            dirty_nodes, cached["edges"] + graph.edge_pairs()
-        )
-        states = {}
-        missing_clean = False
-        for node in graph.nodes:
-            if node in reset:
-                states[node] = graph.seeds[node]
-            elif node in base_states:
-                states[node] = base_states[node]
-            else:
-                missing_clean = True
-                break
-        if missing_clean:
-            cached = None  # clean device grew a new domain: full run
-        else:
-            feeders = [
-                edge.src
-                for edge in graph.edges
-                if edge.dst in reset and edge.src not in reset
-            ]
-            worklist = [n for n in graph.nodes if n in reset] + feeders
-            iterations = _run_fixpoint(universe, graph, states, worklist)
-            warm = True
-
-    if cached is None:
-        universe = build_universe(snapshot)
-        graph = build_graph(snapshot, universe)
-        states = dict(graph.seeds)
-        iterations = _run_fixpoint(universe, graph, states, list(graph.nodes))
-
+    universe = build_universe(snapshot)
+    graph = build_graph(snapshot, universe)
+    states = dict(graph.seeds)
+    iterations = _run_fixpoint(universe, graph, states)
     edge_outputs = [
         apply_edge(universe, graph, edge, states[edge.src])[0]
         for edge in graph.edges
     ]
-    elapsed = time.perf_counter() - started
-
-    if cache is not None and snapshot_key is not None:
-        cache.store(
-            CACHE_KIND,
-            snapshot_key,
-            {
-                "fingerprint": fingerprint,
-                "devices": hostnames,
-                "edges": graph.edge_pairs(),
-                "states": {
-                    node: (
-                        state.bdd,
-                        None
-                        if state.tags is None
-                        else tuple(sorted(state.tags)),
-                    )
-                    for node, state in states.items()
-                },
-                "universe": universe,
-            },
-        )
-
     return DataflowAnalysis(
         universe=universe,
         graph=graph,
         states=states,
         edge_outputs=edge_outputs,
         iterations=iterations,
-        fixpoint_seconds=elapsed,
-        warm_start=warm,
-        fingerprint=fingerprint,
+        fixpoint_seconds=time.perf_counter() - started,
     )
 
 

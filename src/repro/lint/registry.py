@@ -23,15 +23,9 @@ class Rule(RuleInfo):
     """A registered lint rule: metadata plus the check function."""
 
     fn: RuleFn
-    #: ``"device"`` when the rule inspects one device at a time (its
-    #: findings for a device depend only on that device's configuration)
-    #: — the runner can then memoize per device and re-lint only devices
-    #: that changed. ``"snapshot"`` (the default) for rules that relate
-    #: multiple devices (duplicate IPs, session compatibility, ...).
     #: ``"dataflow"`` for rules that read the propagation-graph fixpoint
-    #: (:mod:`repro.lint.dataflow`) — the runner computes the fixpoint
-    #: once before the pool forks and delta runs warm-start it instead
-    #: of re-iterating the whole graph.
+    #: (:mod:`repro.lint.dataflow`) — the runner computes it once before
+    #: the pool forks; ``"snapshot"`` (the default) for every other rule.
     scope: str = "snapshot"
 
     def run(self, snapshot: Snapshot) -> List[Finding]:
@@ -50,11 +44,9 @@ def rule(
 ) -> Callable[[RuleFn], RuleFn]:
     """Register a rule function. The function receives a snapshot and
     returns findings; it should build each finding through the
-    :func:`finding` helper so rule metadata stays consistent. Rules
-    whose findings are per-device functions of that device alone should
-    declare ``scope="device"`` to opt into per-device memoization."""
+    :func:`finding` helper so rule metadata stays consistent."""
 
-    if scope not in ("snapshot", "device", "dataflow"):
+    if scope not in ("snapshot", "dataflow"):
         raise ValueError(f"unknown lint rule scope: {scope!r}")
 
     def decorate(fn: RuleFn) -> RuleFn:

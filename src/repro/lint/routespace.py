@@ -80,21 +80,12 @@ class RouteSpaceUniverse:
     def fingerprint(self) -> str:
         """Content address of the variable order. Two universes with the
         same fingerprint produce comparable canonical BDDs."""
-        return self.fingerprint_of(self.communities, self.flags)
-
-    @staticmethod
-    def fingerprint_of(
-        communities: Sequence[str], flags: Sequence[str]
-    ) -> str:
-        """The fingerprint a universe built from these inputs would
-        have, without building one (communities are normalized the same
-        way the constructor does)."""
         digest = hashlib.sha256()
-        for community in sorted(set(communities)):
+        for community in self.communities:
             digest.update(community.encode())
             digest.update(b"\x00")
         digest.update(b"\x01")
-        for flag in flags:
+        for flag in self.flags:
             digest.update(flag.encode())
             digest.update(b"\x00")
         return digest.hexdigest()

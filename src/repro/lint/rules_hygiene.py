@@ -44,7 +44,6 @@ def _definition_location(
     "Reference to a structure (ACL, route map, prefix list, interface, "
     "zone, ...) that is not defined on the device — the classic typo "
     "that silently changes behavior.",
-    scope="device",
 )
 def undefined_reference(snapshot: Snapshot) -> List[Finding]:
     findings: List[Finding] = []
@@ -72,7 +71,6 @@ def undefined_reference(snapshot: Snapshot) -> List[Finding]:
     "Defined structure never reachable from any active reference site "
     "(transitive: a prefix list used only by an unused route map is "
     "itself unused).",
-    scope="device",
 )
 def unused_structure(snapshot: Snapshot) -> List[Finding]:
     findings: List[Finding] = []

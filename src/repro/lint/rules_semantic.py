@@ -128,7 +128,6 @@ def _acl_line_findings(snapshot: Snapshot, want_unreachable: bool) -> List[Findi
     "semantic",
     "ACL line that no packet can ever reach (fully shadowed by earlier "
     "lines, or unsatisfiable on its own) — the filterLineReachability check.",
-    scope="device",
 )
 def acl_line_unreachable(snapshot: Snapshot) -> List[Finding]:
     return _acl_line_findings(snapshot, want_unreachable=True)
@@ -140,7 +139,6 @@ def acl_line_unreachable(snapshot: Snapshot) -> List[Finding]:
     "semantic",
     "ACL line whose match space partially overlaps earlier lines: it still "
     "fires, but not for all packets it names — often an ordering mistake.",
-    scope="device",
 )
 def acl_line_partially_shadowed(snapshot: Snapshot) -> List[Finding]:
     return _acl_line_findings(snapshot, want_unreachable=False)
@@ -153,7 +151,6 @@ def acl_line_partially_shadowed(snapshot: Snapshot) -> List[Finding]:
     "Route-map clause that can never fire: its match space is empty or "
     "fully absorbed by earlier clauses (residual route-space analysis; "
     "over-approximates unencodable matches, so findings are sound).",
-    scope="device",
 )
 def route_map_clause_unreachable(snapshot: Snapshot) -> List[Finding]:
     findings: List[Finding] = []
@@ -227,7 +224,6 @@ def route_map_clause_unreachable(snapshot: Snapshot) -> List[Finding]:
     "semantic",
     "Prefix list or community list whose match space is empty (matches "
     "nothing): dead configuration that silently denies everything.",
-    scope="device",
 )
 def vacuous_match(snapshot: Snapshot) -> List[Finding]:
     findings: List[Finding] = []

@@ -11,15 +11,12 @@ unconditionally — the service ``/metrics`` endpoint then shows
 
 from __future__ import annotations
 
-import hashlib
-import pickle
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro import obs
-from repro.config.model import Device, Snapshot
-from repro.core.cache import engine_version
+from repro.config.model import Snapshot
 from repro.findings import Finding, Severity, sort_findings
 from repro.lint.model import LintConfig
 from repro.lint.registry import Rule, all_rules
@@ -35,7 +32,7 @@ class LintReport:
     rules_run: List[str] = field(default_factory=list)
     total_seconds: float = 0.0
     #: Propagation-fixpoint stats when any dataflow-scoped rule ran:
-    #: {"fixpoint_seconds", "iterations", "nodes", "edges", "warm_start"}.
+    #: {"fixpoint_seconds", "iterations", "nodes", "edges"}.
     dataflow: Optional[Dict] = None
 
     def active(self) -> List[Finding]:
@@ -112,47 +109,16 @@ def _apply_suppressions(
     return out
 
 
-def _device_lint_key(rule: Rule, device: Device) -> str:
-    """Content address of one device-scoped rule evaluation: code
-    version + rule + the device model's bytes. An unchanged file parses
-    to an identical Device, so its key (and memoized findings) survive
-    edits elsewhere in the snapshot."""
-    digest = hashlib.sha256(engine_version().encode())
-    digest.update(b"\x00lint\x00")
-    digest.update(rule.rule_id.encode())
-    digest.update(b"\x00")
-    digest.update(pickle.dumps(device, protocol=pickle.HIGHEST_PROTOCOL))
-    return digest.hexdigest()
-
-
 def lint_snapshot(
     snapshot: Snapshot,
     config: Optional[LintConfig] = None,
     jobs: Optional[int] = None,
-    cache=None,
-    snapshot_key: Optional[str] = None,
-    delta: Optional[Dict] = None,
 ) -> LintReport:
     """Run every enabled rule against ``snapshot`` and assemble a report.
 
     ``jobs`` follows the ``pmap`` convention (None = auto). Rules run in
     parallel; results come back in registry order so reports are
     deterministic regardless of scheduling.
-
-    ``cache`` (a :class:`repro.core.cache.SnapshotCache`) memoizes
-    device-scoped rules per device: when an incremental update touches
-    two files out of two hundred, only those two devices' semantic
-    checks (the expensive BDD ones) re-run. Snapshot-scoped rules —
-    which relate devices to each other — always run in full. Findings
-    are memoized *pre*-suppression and *pre*-severity-override, so
-    lintconfig changes apply to memoized findings too.
-
-    ``snapshot_key`` / ``delta`` wire the dataflow fixpoint into the
-    incremental pipeline: the fixpoint is persisted under
-    ``snapshot_key`` and, on a delta-derived session, ``delta =
-    {"base_key", "dirty_devices", "fallback"}`` lets it warm-start from
-    the base snapshot's cached fixpoint (only the dirty propagation
-    subgraph re-iterates).
     """
     config = config or LintConfig()
     rules = [r for r in all_rules() if config.rule_enabled(r.rule_id)]
@@ -164,76 +130,40 @@ def lint_snapshot(
     if any(rule.scope == "dataflow" for rule in rules):
         from repro.lint.dataflow import engine as dataflow_engine
 
-        analysis = dataflow_engine.analyze(
-            snapshot, cache=cache, snapshot_key=snapshot_key, delta=delta
-        )
+        analysis = dataflow_engine.analyze(snapshot)
         dataflow_engine.set_shared(snapshot, analysis)
         dataflow_stats = {
             "fixpoint_seconds": round(analysis.fixpoint_seconds, 6),
             "iterations": analysis.iterations,
             "nodes": len(analysis.graph.nodes),
             "edges": len(analysis.graph.edges),
-            "warm_start": analysis.warm_start,
         }
         metrics = obs.metrics()
         metrics.observe(
             "lint.dataflow.fixpoint_seconds", analysis.fixpoint_seconds
         )
         metrics.observe("lint.dataflow.iterations", analysis.iterations)
-        if analysis.warm_start:
-            metrics.inc("lint.dataflow.warm_starts")
 
-    # Work items: one per snapshot-scoped rule, one per (device rule,
-    # device) pair not served from the memo. hostname None = whole
-    # snapshot.
-    items: List[Tuple[Rule, Optional[str]]] = []
-    memoized: List[Tuple[str, List[Finding]]] = []
-    memo_keys: Dict[Tuple[str, str], str] = {}
-    for rule in rules:
-        if rule.scope != "device" or cache is None:
-            items.append((rule, None))
-            continue
-        for hostname in snapshot.hostnames():
-            key = _device_lint_key(rule, snapshot.device(hostname))
-            memo_keys[(rule.rule_id, hostname)] = key
-            hit = cache.load("lint", key)
-            if hit is not None:
-                memoized.append((rule.rule_id, hit))
-                obs.metrics().inc("lint.device_memo_hits")
-            else:
-                items.append((rule, hostname))
-                obs.metrics().inc("lint.device_memo_misses")
-
-    def run_one(item: Tuple[Rule, Optional[str]]):
-        rule, hostname = item
+    def run_one(rule: Rule):
         start = time.perf_counter()
         # Coverage touches made by this rule land in the
         # ``lint/<rule_id>`` vector (rolled up under ``lint`` by
         # prefix), whether the rule runs inline or on a pmap worker.
         with obs.context.attribution(f"lint/{rule.rule_id}"):
-            if hostname is None:
-                findings = rule.run(snapshot)
-            else:
-                # Device-scoped rules see a single-device snapshot; by
-                # the scope contract this yields exactly the findings
-                # the full snapshot would produce for that device.
-                findings = rule.run(
-                    Snapshot(devices={hostname: snapshot.device(hostname)})
-                )
+            findings = rule.run(snapshot)
         elapsed = time.perf_counter() - start
         # Lands in the pmap worker's flight ring and ships back to the
         # parent with the originating request id — the per-rule trail a
         # postmortem of a slow or crashed lint job needs.
         obs.flight.record(
             "lint.rule", rule.rule_id,
-            device=hostname or "", findings=len(findings),
-            wall_s=round(elapsed, 6),
+            findings=len(findings), wall_s=round(elapsed, 6),
         )
-        return rule.rule_id, hostname, findings, elapsed
+        return findings, elapsed
 
     started = time.perf_counter()
     try:
-        results = pmap(run_one, items, jobs=jobs, min_items=2)
+        results = pmap(run_one, rules, jobs=jobs, min_items=2)
     finally:
         if dataflow_stats is not None:
             from repro.lint.dataflow import engine as dataflow_engine
@@ -243,28 +173,15 @@ def lint_snapshot(
 
     report = LintReport(total_seconds=total_seconds, dataflow=dataflow_stats)
     metrics = obs.metrics()
-    raw: Dict[str, List[Finding]] = {rule.rule_id: [] for rule in rules}
-    seconds_by_rule: Dict[str, float] = {rule.rule_id: 0.0 for rule in rules}
-    for rule_id, hostname, findings, seconds in results:
-        raw[rule_id].extend(findings)
-        seconds_by_rule[rule_id] += seconds
-        if hostname is not None and cache is not None:
-            cache.store("lint", memo_keys[(rule_id, hostname)], findings)
-    for rule_id, findings in memoized:
-        raw[rule_id].extend(findings)
-
     collected: List[Finding] = []
-    for rule in rules:
-        findings = raw[rule.rule_id]
+    for rule, (findings, seconds) in zip(rules, results):
         report.rules_run.append(rule.rule_id)
-        report.rule_seconds[rule.rule_id] = seconds_by_rule[rule.rule_id]
+        report.rule_seconds[rule.rule_id] = seconds
         override = config.severity.get(rule.rule_id)
         if override is not None:
             findings = [replace(f, severity=override) for f in findings]
         collected.extend(findings)
-        metrics.observe(
-            f"lint.rule_seconds.{rule.rule_id}", seconds_by_rule[rule.rule_id]
-        )
+        metrics.observe(f"lint.rule_seconds.{rule.rule_id}", seconds)
     collected = _apply_suppressions(collected, snapshot, config)
     report.findings = sort_findings(collected)
     for rule_id, count in report.counts_by_rule().items():

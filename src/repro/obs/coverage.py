@@ -24,7 +24,7 @@ On top of the raw vectors the tracker keeps a small *run registry*:
 one record per (snapshot, question, params) execution, holding the
 question's coverage vector, its host footprint, and a scope class. The
 delta engine reads the registry to rank questions by overlap with a
-dirty set (coverage-guided prioritization; see
+delta's changed hosts (coverage-guided prioritization; see
 :mod:`repro.questions.coverage`).
 """
 
@@ -84,10 +84,9 @@ class CoverageTracker:
     def invalidate_hosts(self, hostnames) -> int:
         """Drop all touches attributed to the given devices.
 
-        The incremental delta engine calls this for dirty devices: their
-        structures changed (or their routing context did), so previous
-        touches no longer describe the current configuration. Touches on
-        clean devices are kept; the per-query kind aggregates are
+        The incremental delta engine calls this for changed devices:
+        their structures changed, so previous touches no longer describe
+        the current configuration. Touches on clean devices are kept; the per-query kind aggregates are
         *recomputed* from the surviving per-question vectors so they
         never go stale relative to the key-level data. The run registry
         is untouched — records describe past executions against past

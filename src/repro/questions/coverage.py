@@ -15,11 +15,11 @@ module makes it attributable and actionable:
   scope class, host footprint, vector — registered in the tracker's run
   registry and persisted in the content-addressed cache keyed on
   (snapshot, question, params).
-* **Prioritization.** Given a delta's changed files and dirty set,
-  :func:`prioritize_questions` splits the recorded questions into
-  *affected* (worth rerunning) and *skipped* (provably unchanged),
-  ranked by overlap between each record's coverage vector and the
-  impacted hosts. The delta engine surfaces this as
+* **Prioritization.** Given a delta's changed files and whether its
+  routing changed, :func:`prioritize_questions` splits the recorded
+  questions into *affected* (worth rerunning) and *skipped* (provably
+  unchanged), ranked by overlap between each record's coverage vector
+  and the impacted hosts. The delta engine surfaces this as
   ``DeltaInfo.questions_affected``.
 * **Risk.** :func:`uncovered_stanzas` lists the config structures no
   question touched, with file:line provenance, and — for reachable
@@ -36,17 +36,19 @@ committed baseline; every discrepancy is a ``coverage``-category
 Scope classification (what makes skipping *sound*):
 
 * ``routing`` questions read the data plane; a device's answer rows can
-  change when its own config changed **or** its routing state did, so
-  the impact set is ``changed ∪ dirty`` — the delta engine reports
-  no device dirty when it reuses the base data plane (every FIB is
-  the base's) and every device dirty when it recomputes.
+  change when its own config changed **or** its routing state did. The
+  delta engine either reuses the base data plane (every FIB is the
+  base's: the impact set is the changed files' hosts) or recomputes it
+  (every routing question is affected).
 * ``config`` questions read only the parsed configs; their impact set
   is the changed files' hosts. Questions in this class that report
-  *across* devices (``duplicate_ips``, ``lint``, ``parse_warnings``)
-  have no per-host footprint recorded (hosts = None), which makes them
+  *across* devices (``duplicate_ips``, ``parse_warnings``) have no
+  per-host footprint recorded (hosts = None), which makes them
   affected by any change — conservative but sound.
-* ``global`` questions (``route_diff`` spans two snapshots) are always
-  affected.
+* ``global`` questions are always affected: ``route_diff`` spans two
+  snapshots, and ``lint`` reads every device whether or not it touches
+  a coverage key there (its footprint records what it *exercised*, not
+  what it *read*).
 
 Unknown questions default to ``global``; a record with no host
 footprint is treated as network-wide. Skipping is therefore only ever
@@ -80,7 +82,7 @@ RECORD_SCHEMA = "repro-coverage-record/v1"
 
 #: Questions whose answers derive from the converged data plane: a
 #: device's rows change only if its config changed or its routing state
-#: did (the delta engine's dirty set bounds the latter).
+#: did (the delta engine's reuse-or-recompute decision bounds the latter).
 ROUTING_QUESTIONS = frozenset(
     {"routes", "reachability", "traceroute", "explain_route"}
 )
@@ -94,7 +96,6 @@ CONFIG_QUESTIONS = frozenset(
         "unused_structures",
         "duplicate_ips",
         "parse_warnings",
-        "lint",
     }
 )
 
@@ -225,11 +226,6 @@ def record_question_run(
     )
     if previous:
         record["runs"] = int(previous.get("runs", 0)) + 1
-        # A rerun that touched nothing new (e.g. a fully memoized lint
-        # pass) keeps the earlier, richer vector as the footprint.
-        if not record["vector"] and previous.get("vector"):
-            record["vector"] = dict(previous["vector"])
-            record["hosts"] = previous.get("hosts")
     tracker.record_run(snapshot_key, question, record["params_key"], record)
     persist_record(cache, snapshot_key, record)
     return record
@@ -242,31 +238,28 @@ def record_question_run(
 def prioritize_questions(
     records: Dict[Tuple[str, str], Dict],
     changed_hosts: Iterable[str],
-    dirty_hosts: Iterable[str],
+    routing_changed: bool,
     everything: bool = False,
 ) -> Tuple[List[Dict], List[Dict]]:
     """Split recorded questions into (affected, skipped) for a delta.
 
     ``changed_hosts`` are devices whose config bytes changed;
-    ``dirty_hosts`` the delta engine's routing dirty set;
-    ``everything`` forces all questions affected (the device set
-    changed, so per-host footprints bound nothing). Affected
-    entries are ranked by overlap: the record's vector mass on impacted
-    hosts plus its host intersection size, so the service can rerun the
-    most-exposed questions first."""
+    ``routing_changed`` says the delta recomputed the data plane
+    instead of reusing the base's; ``everything`` forces all questions
+    affected (the device set changed, so per-host footprints bound
+    nothing). Affected entries are ranked by overlap: the record's
+    vector mass on impacted hosts plus its host intersection size, so
+    the service can rerun the most-exposed questions first."""
     changed = set(changed_hosts)
-    dirty = set(dirty_hosts)
     affected: List[Dict] = []
     skipped: List[Dict] = []
     for (question, _params_key), record in sorted(records.items()):
         scope = record.get("scope") or question_scope(question)
         hosts = record.get("hosts")
-        if scope == "config":
+        if scope == "config" or (scope == "routing" and not routing_changed):
             impact = changed
-        elif scope == "routing":
-            impact = changed | dirty
         else:
-            impact = None  # global: always affected
+            impact = None  # global, or routing recomputed: always affected
         entry = {
             "question": question,
             "params": record.get("params") or {},
@@ -310,7 +303,7 @@ def questions_for_delta(
     base_snapshot_key: str,
     new_snapshot_key: str,
     changed_hosts: Iterable[str],
-    dirty_hosts: Iterable[str],
+    routing_changed: bool,
     everything: bool = False,
 ) -> Tuple[List[Dict], List[Dict]]:
     """The delta engine's entry point: load the base snapshot's records
@@ -322,7 +315,7 @@ def questions_for_delta(
     for key, record in load_records(cache, base_snapshot_key).items():
         records.setdefault(key, record)
     affected, skipped = prioritize_questions(
-        records, changed_hosts, dirty_hosts, everything=everything
+        records, changed_hosts, routing_changed, everything=everything
     )
     skipped_keys = {
         (entry["question"], canonical_params(entry["params"]))

@@ -466,7 +466,7 @@ def run_question(
         return handler(store, snapshot, params)
     # Execute under question attribution and snapshot the coverage
     # vector the run added, so the delta engine can later rank this
-    # (question, params) against a dirty set (repro.questions.coverage).
+    # (question, params) against a delta (repro.questions.coverage).
     from repro.questions import coverage as qcov
 
     tracker = obs.coverage()

@@ -41,8 +41,8 @@ BATTERY = [
 ]
 
 #: Wall-clock fields that legitimately differ between two identical
-#: executions (the lint dataflow block carries fixpoint timing and the
-#: cold/warm-start flag); everything else must match byte for byte.
+#: executions (the lint dataflow block carries fixpoint timing);
+#: everything else must match byte for byte.
 VOLATILE = {"rule_seconds", "total_seconds", "dataflow"}
 
 
@@ -102,9 +102,9 @@ class TestQuestionsAffected:
         assert not affected & skipped
         # Config-scoped questions pinned to untouched net1-core0 must
         # be skipped; the edit is a routing change, so routing-scoped
-        # ones must rerun.
-        assert {"test_filter", "lint"} <= skipped
-        assert {"routes", "reachability"} <= affected
+        # ones must rerun, and lint reads every device.
+        assert {"test_filter"} <= skipped
+        assert {"routes", "reachability", "lint"} <= affected
         # Ranking: every affected entry carries a positive overlap,
         # sorted best-first.
         overlaps = [entry["overlap"] for entry in info.questions_affected]
@@ -140,7 +140,7 @@ class TestQuestionsAffected:
         second = store.get("lab").delta_info
         second_skipped = {e["question"] for e in second.questions_skipped}
         assert "test_filter" in second_skipped
-        assert "lint" in second_skipped
+        assert "lint" not in second_skipped
 
         # Invalidation left no attributed touches on the edited host,
         # and the aggregates agree with the surviving vectors.

@@ -332,5 +332,7 @@ class TestSoundness:
         assert stats is not None
         assert stats["nodes"] > 0 and stats["edges"] > 0
         assert stats["iterations"] >= stats["nodes"]
-        assert stats["warm_start"] is False
+        assert set(stats) == {
+            "fixpoint_seconds", "iterations", "nodes", "edges",
+        }
         assert report.to_json()["dataflow"] == stats

@@ -174,16 +174,17 @@ class TestFindingType:
     )
 
     def test_parent_written_lint_cache_entry_misses_cleanly(self, tmp_path):
-        """The engine version keys every ``kind="lint"`` entry, so a
-        parent-written one is never asked for; if it were (or the key
-        collided), it must read as a miss, not as a crash or as
-        half-built findings."""
+        """The engine version keys every cache entry, so one written
+        when lint still memoized findings (classes addressed under their
+        old module) is never asked for; if it were (or the key collided),
+        it must read as a miss, not as a crash or as half-built
+        findings."""
         cache = SnapshotCache(str(tmp_path))
         os.makedirs(cache.root, exist_ok=True)
-        with open(os.path.join(cache.root, "lint-stale.pkl"), "wb") as handle:
+        with open(os.path.join(cache.root, "device-stale.pkl"), "wb") as handle:
             handle.write(base64.b64decode(self.PARENT_ENTRY))
-        assert cache.load("lint", "stale") is None
+        assert cache.load("device", "stale") is None
         assert cache.stats() == {"hits": 0, "misses": 1, "evictions": 0}
         # and an entry written now round-trips through the same cache
-        cache.store("lint", "fresh", [self.FINDING])
-        assert cache.load("lint", "fresh") == [self.FINDING]
+        cache.store("device", "fresh", [self.FINDING])
+        assert cache.load("device", "fresh") == [self.FINDING]

@@ -5,6 +5,8 @@ nesting depth, so a function-local import counts):
   name from a different ``repro.<pkg>``;
 * ``repro.obs`` imports nothing of ``repro`` above itself;
 * ``repro.findings`` is a leaf: it imports nothing from ``repro``;
+* ``repro.lint`` imports none of ``repro.core``, ``repro.delta`` and
+  ``repro.service``: lint is a function of the snapshot alone;
 * nothing outside ``repro.service`` imports ``repro.service``;
 * ``repro/__main__.py`` is the only module outside ``repro.service``
   that builds an ``argparse.ArgumentParser``.
@@ -66,6 +68,17 @@ def test_obs_imports_nothing_above_it():
 
 def test_findings_is_a_leaf():
     assert list(_repro_imports(ROOT / "findings.py")) == []
+
+
+def test_lint_imports_no_session_cache_or_delta():
+    above = ("repro.core.", "repro.delta.", "repro.service.")
+    violations = [
+        f"{path.relative_to(ROOT)}: {module}"
+        for path in sorted((ROOT / "lint").glob("**/*.py"))
+        for module in _repro_imports(path)
+        if f"{module}.".startswith(above)
+    ]
+    assert not violations, "\n".join(violations)
 
 
 def test_only_the_service_imports_the_service():
