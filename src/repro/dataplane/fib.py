@@ -100,7 +100,7 @@ class Fib:
         """The forwarding equivalence classes of this FIB: destination
         addresses partitioned by the *set* of actions their longest
         matching prefix takes (several under ECMP; ``{NO_ROUTE_KEY}``
-        where nothing matches). One pass over the FIB's own trie; the
+        where nothing matches). One pass over the FIB's own table; the
         address sets are built in the caller's algebra, see
         :meth:`PrefixTrie.lpm_partition`."""
         return self._trie.lpm_partition(
@@ -109,7 +109,7 @@ class Fib:
         )
 
     def __len__(self) -> int:
-        return sum(len(entries) for _, entries in self._trie.items())
+        return self._trie.value_count()
 
 
 def build_fib(state: NodeState) -> Fib:

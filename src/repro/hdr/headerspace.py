@@ -106,7 +106,7 @@ class PacketEncoder:
         if node is None:
             node = self.engine.pinned(
                 self._levels(field, _out)[: prefix.length],
-                prefix.network.value >> (32 - prefix.length),
+                prefix.network_value >> (32 - prefix.length),
             )
             self._prefix_cache[key] = node
         return node

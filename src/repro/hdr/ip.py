@@ -120,6 +120,11 @@ class Prefix:
         return Ip(self._network)
 
     @property
+    def network_value(self) -> int:
+        """The network address as a 32-bit unsigned integer."""
+        return self._network
+
+    @property
     def length(self) -> int:
         """Prefix length in bits (0–32)."""
         return self._length
@@ -146,7 +151,7 @@ class Prefix:
 
     def contains_ip(self, ip: "Ip | int | str") -> bool:
         """True if ``ip`` is covered by this prefix."""
-        value = Ip(ip).value
+        value = ip.value if isinstance(ip, Ip) else Ip(ip).value
         return (value & _mask(self._length)) == self._network
 
     def contains_prefix(self, other: "Prefix") -> bool:

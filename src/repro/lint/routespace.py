@@ -107,7 +107,7 @@ class RouteSpaceUniverse:
         containment half of ``Prefix.contains_prefix``)."""
         return self.engine.pinned(
             range(prefix.length),
-            prefix.network.value >> (ADDR_BITS - prefix.length),
+            prefix.network_value >> (ADDR_BITS - prefix.length),
         )
 
     def prefix_atom(self, prefix: Prefix) -> int:
@@ -116,7 +116,7 @@ class RouteSpaceUniverse:
         exact length. Community/flag variables are left free — intersect
         with :meth:`without_communities` to pin them all to absent."""
         return self.engine.pinned(
-            range(ADDR_BITS), prefix.network.value,
+            range(ADDR_BITS), prefix.network_value,
             below=self.length_eq(prefix.length),
         )
 

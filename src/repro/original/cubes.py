@@ -88,7 +88,7 @@ def field_cube(field_name: str, value: int, prefix_bits: Optional[int] = None) -
 
 
 def prefix_cube(field_name: str, prefix: Prefix) -> Cube:
-    return field_cube(field_name, prefix.network.value, prefix.length)
+    return field_cube(field_name, prefix.network_value, prefix.length)
 
 
 def pack_packet(packet: Packet) -> int:

@@ -380,8 +380,8 @@ def fib_action_spaces(
     lookup). Empty sets are left out; what no prefix covers is under
     ``NO_ROUTE_KEY`` together with the unresolvable routes.
 
-    With dst-IP bits as BDD variables, MSB first (§4.2.2), the FIB's
-    trie is the skeleton of these BDDs: one bottom-up pass builds the
+    With dst-IP bits as BDD variables, MSB first (§4.2.2), the sorted
+    FIB is the skeleton of these BDDs: one bottom-up pass builds the
     forwarding classes node by node, nothing is subtracted, and an
     action's space is the union of the classes naming it (DESIGN.md,
     "Forwarding-graph build").

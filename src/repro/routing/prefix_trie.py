@@ -1,13 +1,17 @@
-"""A binary trie over IPv4 prefixes for longest-prefix matching.
+"""A longest-prefix-match table over IPv4 prefixes: one hash table per
+populated prefix length, keyed by the network address as an int.
 
-Used by RIBs (resolve a next hop), FIBs (forward a concrete packet), and
-the BDD dataflow-graph builder (:meth:`PrefixTrie.lpm_partition`: with
-destination-address bits as consecutive BDD variables, the trie is the
-skeleton of the device's forwarding BDDs).
+Used by RIBs (the best-route store; resolve a next hop), FIBs (forward a
+concrete packet), and the BDD dataflow-graph builder
+(:meth:`PrefixTrie.lpm_partition`: with destination-address bits as
+consecutive BDD variables, the ``(network, length)``-sorted table is an
+implicit binary trie, and that trie is the skeleton of the device's
+forwarding BDDs).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import (
     Callable,
     Dict,
@@ -20,82 +24,86 @@ from typing import (
     TypeVar,
 )
 
-from repro.hdr.ip import Ip, Prefix
+from repro.hdr.ip import MAX_IP, Ip, Prefix
 
 V = TypeVar("V")
 C = TypeVar("C", bound=Hashable)  # a class of addresses
 A = TypeVar("A")  # a set of addresses in the caller's algebra
 
-
-class _Node(Generic[V]):
-    __slots__ = ("children", "values")
-
-    def __init__(self):
-        self.children: List[Optional[_Node[V]]] = [None, None]
-        self.values: Optional[List[V]] = None  # None = no prefix ends here
+#: ``_MASKS[length]`` keeps the first ``length`` bits of an address.
+_MASKS = tuple((MAX_IP << (32 - length)) & MAX_IP for length in range(33))
 
 
 class PrefixTrie(Generic[V]):
-    """Maps prefixes to lists of values with longest-prefix-match lookup."""
+    """Maps prefixes to lists of values with longest-prefix-match lookup.
+
+    Two tables are equal when they hold equal value lists under the same
+    prefixes.
+    """
+
+    __slots__ = ("_by_length",)
 
     def __init__(self):
-        self._root: _Node[V] = _Node()
-        self._len = 0
+        #: length -> {network: values}, longest length first (the probe
+        #: order of :meth:`longest_match`); no length maps to an empty
+        #: table.
+        self._by_length: Dict[int, Dict[int, List[V]]] = {}
 
     def __len__(self) -> int:
         """Number of distinct prefixes present."""
-        return self._len
+        return sum(map(len, self._by_length.values()))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PrefixTrie):
+            return NotImplemented
+        return self._by_length == other._by_length
+
+    def value_count(self) -> int:
+        """Number of values across all prefixes."""
+        return sum(
+            len(values)
+            for table in self._by_length.values()
+            for values in table.values()
+        )
 
     def add(self, prefix: Prefix, value: V) -> None:
         """Append ``value`` under ``prefix`` (duplicates allowed)."""
-        node = self._walk_create(prefix)
-        if node.values is None:
-            node.values = []
-            self._len += 1
-        node.values.append(value)
+        self._table(prefix.length).setdefault(prefix.network_value, []).append(value)
 
     def replace(self, prefix: Prefix, values: List[V]) -> None:
         """Replace all values under ``prefix`` (empty list removes it)."""
         if not values:
             self.remove_prefix(prefix)
             return
-        node = self._walk_create(prefix)
-        if node.values is None:
-            self._len += 1
-        node.values = list(values)
+        self._table(prefix.length)[prefix.network_value] = list(values)
 
     def remove(self, prefix: Prefix, value: V) -> bool:
         """Remove one occurrence of ``value`` under ``prefix``.
 
         Returns True if it was present.
         """
-        node = self._walk(prefix)
-        if node is None or node.values is None:
+        table = self._by_length.get(prefix.length, {})
+        values = table.get(prefix.network_value, ())
+        if value not in values:
             return False
-        try:
-            node.values.remove(value)
-        except ValueError:
-            return False
-        if not node.values:
-            node.values = None
-            self._len -= 1
+        values.remove(value)
+        if not values:
+            self.remove_prefix(prefix)
         return True
 
     def remove_prefix(self, prefix: Prefix) -> bool:
         """Remove the prefix and all its values."""
-        node = self._walk(prefix)
-        if node is None or node.values is None:
+        table = self._by_length.get(prefix.length)
+        if table is None or table.pop(prefix.network_value, None) is None:
             return False
-        node.values = None
-        self._len -= 1
+        if not table:
+            del self._by_length[prefix.length]
         return True
 
     def get(self, prefix: Prefix) -> List[V]:
         """Exact-match lookup (no LPM)."""
-        node = self._walk(prefix)
-        if node is None or node.values is None:
-            return []
-        return list(node.values)
+        table = self._by_length.get(prefix.length, {})
+        return list(table.get(prefix.network_value, ()))
 
     def longest_match(self, ip: "Ip | int") -> Optional[Tuple[Prefix, List[V]]]:
         """Longest-prefix match for an address.
@@ -103,56 +111,28 @@ class PrefixTrie(Generic[V]):
         Returns ``(matched_prefix, values)`` or ``None``.
         """
         value = ip.value if isinstance(ip, Ip) else ip
-        node = self._root
-        best: Optional[Tuple[int, int, List[V]]] = None
-        depth = 0
-        network = 0
-        while node is not None:
-            if node.values is not None:
-                best = (depth, network, list(node.values))
-            if depth == 32:
-                break
-            bit = (value >> (31 - depth)) & 1
-            node = node.children[bit]
-            network = (network << 1) | bit
-            depth += 1
-        if best is None:
-            return None
-        length, network, values = best
-        return Prefix(network << (32 - length) if length else 0, length), values
+        for length, table in self._by_length.items():
+            network = value & _MASKS[length]
+            values = table.get(network)
+            if values is not None:
+                return Prefix(network, length), list(values)
+        return None
 
     def items(self) -> Iterator[Tuple[Prefix, List[V]]]:
         """Iterate (prefix, values) pairs in lexicographic prefix order."""
-        stack: List[Tuple[_Node[V], int, int]] = [(self._root, 0, 0)]
-        collected: List[Tuple[Prefix, List[V]]] = []
-        while stack:
-            node, network, depth = stack.pop()
-            if node.values is not None:
-                prefix = Prefix(network << (32 - depth) if depth else 0, depth)
-                collected.append((prefix, list(node.values)))
-            for bit in (1, 0):
-                child = node.children[bit]
-                if child is not None:
-                    stack.append((child, (network << 1) | bit, depth + 1))
-        collected.sort(key=lambda pair: pair[0])
-        yield from collected
+        for network, length, values in self._sorted_entries():
+            yield Prefix(network, length), list(values)
 
     def covering_prefixes(self, prefix: Prefix) -> List[Prefix]:
         """All stored prefixes that contain ``prefix`` (themselves
         included), shortest first."""
-        result: List[Prefix] = []
-        node = self._root
-        value = prefix.network.value
-        for depth in range(prefix.length + 1):
-            if node.values is not None:
-                result.append(Prefix(value, depth))
-            if depth == prefix.length:
-                break
-            bit = (value >> (31 - depth)) & 1
-            node = node.children[bit]
-            if node is None:
-                break
-        return result
+        value = prefix.network_value
+        return [
+            Prefix(value, length)
+            for length in reversed(self._by_length)
+            if length <= prefix.length
+            and value & _MASKS[length] in self._by_length[length]
+        ]
 
     def lpm_partition(
         self,
@@ -163,7 +143,7 @@ class PrefixTrie(Generic[V]):
         default: C,
     ) -> Dict[C, A]:
         """The longest-prefix-match partition of the address space, as
-        one bottom-up fold over the trie.
+        one bottom-up fold over the binary trie of the stored prefixes.
 
         Every address matches exactly one stored prefix (its longest) or
         none; ``class_of(values)`` names the class of a stored prefix's
@@ -177,17 +157,18 @@ class PrefixTrie(Generic[V]):
         from another. The classes of the result are pairwise disjoint
         and cover the space; classes that no address falls in are left
         out.
-        """
 
-        def fold(node: _Node[V], depth: int, inherited: C) -> Dict[C, A]:
-            if node.values is not None:
-                inherited = class_of(node.values)
-            zero, one = node.children
-            if zero is None and one is None:
-                return {inherited: full}
-            below = depth + 1
-            lo = {inherited: full} if zero is None else fold(zero, below, inherited)
-            hi = {inherited: full} if one is None else fold(one, below, inherited)
+        The trie is implicit in the ``(network, length)`` order: the
+        prefixes below a node are a contiguous run, a prefix that ends at
+        the node is the run's first entry, and the node has two children
+        exactly where the run's first and last network diverge. The
+        ``join`` calls are those of a fold over the explicit trie, in the
+        same order.
+        """
+        entries = self._sorted_entries()
+        networks = [network for network, _, _ in entries]
+
+        def join_level(depth: int, lo: Dict[C, A], hi: Dict[C, A]) -> Dict[C, A]:
             joined = {
                 cls: join(depth, part, hi.get(cls, empty))
                 for cls, part in lo.items()
@@ -197,23 +178,54 @@ class PrefixTrie(Generic[V]):
                     joined[cls] = join(depth, empty, part)
             return joined
 
-        return fold(self._root, 0, default)
+        def fold(first: int, end: int, depth: int, inherited: C) -> Dict[C, A]:
+            """The partition below the trie node ``depth`` bits deep that
+            ``entries[first:end]`` (not empty) lie under."""
+            network, length, values = entries[first]
+            if length == depth:
+                inherited = class_of(values)
+                first += 1
+                if first == end:
+                    return {inherited: full}
+                network, length, _ = entries[first]
+            last = networks[end - 1]
+            # The next depth at which a prefix ends or the run forks.
+            stop = min(length, 32 - (network ^ last).bit_length())
+            if stop == depth:
+                fork = bisect_left(networks, last & _MASKS[depth + 1], first, end)
+                return join_level(
+                    depth,
+                    fold(first, fork, depth + 1, inherited),
+                    fold(fork, end, depth + 1, inherited),
+                )
+            # Nodes from here down to ``stop`` have one child each; the
+            # absent sibling inherits.
+            below = fold(first, end, stop, inherited)
+            for level in range(stop - 1, depth - 1, -1):
+                if (network >> (31 - level)) & 1:
+                    below = join_level(level, {inherited: full}, below)
+                else:
+                    below = join_level(level, below, {inherited: full})
+            return below
+
+        if not entries:
+            return {default: full}
+        return fold(0, len(entries), 0, default)
 
     # -- internals -------------------------------------------------------
 
-    def _walk_create(self, prefix: Prefix) -> _Node[V]:
-        return self._walk(prefix, create=True)
+    def _table(self, length: int) -> Dict[int, List[V]]:
+        """The table of one prefix length, created in probe order."""
+        table = self._by_length.get(length)
+        if table is None:
+            self._by_length[length] = table = {}
+            self._by_length = dict(sorted(self._by_length.items(), reverse=True))
+        return table
 
-    def _walk(self, prefix: Prefix, create: bool = False) -> Optional[_Node[V]]:
-        node = self._root
-        value = prefix.network.value
-        for depth in range(prefix.length):
-            bit = (value >> (31 - depth)) & 1
-            child = node.children[bit]
-            if child is None:
-                if not create:
-                    return None
-                child = _Node()
-                node.children[bit] = child
-            node = child
-        return node
+    def _sorted_entries(self) -> List[Tuple[int, int, List[V]]]:
+        """``(network, length, values)`` in lexicographic prefix order."""
+        return sorted(
+            (network, length, values)
+            for length, table in self._by_length.items()
+            for network, values in table.items()
+        )

@@ -1,11 +1,11 @@
 """RIBs and RIB deltas (§4.1.3).
 
-The engine's memory discipline follows the paper's hybrid approach: each
-RIB keeps its active routes plus a :class:`RibDelta` for the current and
-previous iteration; there are no per-neighbor message queues. Receivers
-pull deltas directly and run export + import policy + merge in one step,
-so peak memory stays near "the number of routes actually accepted by
-routers".
+The engine's memory discipline follows the paper's hybrid approach: the
+BGP RIB keeps its active routes plus a :class:`RibDelta` for the current
+and previous iteration; there are no per-neighbor message queues.
+Receivers pull deltas directly and run export + import policy + merge in
+one step, so peak memory stays near "the number of routes actually
+accepted by routers".
 
 :class:`Rib` is the generic best-route table used for the main RIB and
 the protocol RIBs of OSPF/static/connected routes; BGP has its own RIB
@@ -128,7 +128,7 @@ def main_rib_preference(route) -> Tuple[int, int]:
 
 
 class Rib:
-    """A best-route table with pluggable preference and delta tracking.
+    """A best-route table with pluggable preference.
 
     ``owner`` names the hosting node for provenance recording: when set
     and :mod:`repro.provenance` is recording, every merge/withdraw logs
@@ -143,12 +143,9 @@ class Rib:
     ):
         self._preference = preference
         self._candidates: Dict[Prefix, List[object]] = {}
-        #: prefix -> best set; exact-prefix reads come from here, the
-        #: trie (same sets, written once per *changed* set) serves LPM
-        #: and ordered iteration.
-        self._best: Dict[Prefix, List[object]] = {}
-        self._trie: PrefixTrie = PrefixTrie()
-        self.delta = RibDelta()
+        #: prefix -> best set, written once per *changed* set: the one
+        #: store behind exact-prefix reads, LPM and ordered iteration.
+        self._best: PrefixTrie = PrefixTrie()
         self.owner = owner
 
     # -- mutation ---------------------------------------------------------
@@ -165,7 +162,7 @@ class Rib:
         return changed
 
     def _record_merge_outcome(self, route) -> None:
-        best = self._best.get(route.prefix, [])
+        best = self._best.get(route.prefix)
         if route in best:
             detail = f"{route.describe()} selected as best"
             if len(best) > 1:
@@ -214,7 +211,7 @@ class Rib:
         return self._reselect(prefix)
 
     def _reselect(self, prefix: Prefix) -> bool:
-        old_best = self._best.get(prefix, [])
+        old_best = self._best.get(prefix)
         candidates = self._candidates.get(prefix, [])
         if len(candidates) > 1:
             preferences = [self._preference(r) for r in candidates]
@@ -226,46 +223,32 @@ class Rib:
             new_best = list(candidates)
         if new_best == old_best:
             return False
-        if new_best:
-            self._best[prefix] = new_best
-        else:
-            del self._best[prefix]
-        self._trie.replace(prefix, new_best)
-        for route in old_best:
-            if route not in new_best:
-                self.delta.removed.append(route)
-        for route in new_best:
-            if route not in old_best:
-                self.delta.added.append(route)
+        self._best.replace(prefix, new_best)
         return True
 
     # -- queries ------------------------------------------------------------
 
     def best_routes(self, prefix: Prefix) -> List[object]:
         """The ECMP set of best routes for an exact prefix."""
-        return list(self._best.get(prefix, ()))
+        return self._best.get(prefix)
 
     def longest_match(self, ip: "Ip | int") -> Optional[Tuple[Prefix, List[object]]]:
         """LPM over best routes."""
-        return self._trie.longest_match(ip)
+        return self._best.longest_match(ip)
 
     def routes(self) -> Iterator[object]:
         """All best routes, in deterministic prefix order."""
-        for _prefix, routes in self._trie.items():
+        for _prefix, routes in self._best.items():
             yield from routes
 
     def prefixes(self) -> List[Prefix]:
-        return [prefix for prefix, _ in self._trie.items()]
+        return [prefix for prefix, _ in self._best.items()]
 
     def __len__(self) -> int:
         """Number of best routes across all prefixes."""
-        return sum(len(routes) for routes in self._best.values())
+        return self._best.value_count()
 
     def same_best(self, other: "Rib") -> bool:
         """Equal best sets for the same prefixes: all that a reader of a
         converged table (LPM, :meth:`routes`, the FIB) can see."""
         return self._best == other._best
-
-    def take_delta(self) -> RibDelta:
-        """Snapshot-and-clear the pending delta (the per-iteration pull)."""
-        return self.delta.clear()

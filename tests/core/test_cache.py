@@ -1,5 +1,7 @@
 """Tests for the content-addressed snapshot cache (repro.core.cache)."""
 
+import pickle
+
 import pytest
 
 from repro.core.cache import (
@@ -9,6 +11,10 @@ from repro.core.cache import (
     snapshot_key,
 )
 from repro.core.session import Session
+from repro.dataplane.fib import compute_fibs
+from repro.delta.engine import fib_lines
+from repro.routing.route import BgpRoute
+from repro.synth.networks import network_by_name
 from repro.synth.special import net1
 
 
@@ -156,6 +162,55 @@ class TestRoundTrip:
         Session.from_texts(configs, cache=cache)
         cache.clear()
         assert not any(p.is_file() for p in tmp_path.rglob("*"))
+
+
+@pytest.mark.parametrize("name", ["NET1", "NET10"])
+class TestDataplaneArtifact:
+    """The ``dataplane`` entry is the pickled :class:`DataPlane`, LPM
+    tables included: what comes back must route like what went in."""
+
+    def test_pickle_round_trip_routes_alike(self, name):
+        original = Session.from_texts(network_by_name(name).generate(1)).dataplane
+        loaded = pickle.loads(pickle.dumps(original, pickle.HIGHEST_PROTOCOL))
+        probes = {
+            iface.address
+            for device in original.snapshot.devices.values()
+            for iface in device.interfaces.values()
+            if iface.address is not None
+        }
+        for hostname, state in original.nodes.items():
+            rib = loaded.nodes[hostname].main_rib
+            assert rib.same_best(state.main_rib) and state.main_rib.same_best(rib)
+            probes.update(
+                route.next_hop_ip
+                for route in state.main_rib.routes()
+                if isinstance(route, BgpRoute)
+            )
+        for hostname, state in original.nodes.items():
+            rib = loaded.nodes[hostname].main_rib
+            for probe in probes:
+                assert rib.longest_match(probe) == state.main_rib.longest_match(probe)
+        assert fib_lines(compute_fibs(loaded)) == fib_lines(compute_fibs(original))
+
+    def test_second_session_is_served_from_the_cache(self, tmp_path, name):
+        configs = network_by_name(name).generate(1)
+        cold = Session.from_texts(configs, cache=str(tmp_path))
+        cold.dataplane
+        assert len(list(tmp_path.glob("dataplane-*.pkl"))) == 1
+        warm = Session.from_texts(configs, cache=str(tmp_path))
+        warm.dataplane
+        assert warm.cache_stats["misses"] == 0 and warm.cache_stats["hits"] == 2
+        assert fib_lines(warm.fibs) == fib_lines(cold.fibs)
+
+    def test_truncated_entry_is_a_miss(self, tmp_path, name):
+        configs = network_by_name(name).generate(1)
+        cold = Session.from_texts(configs, cache=str(tmp_path))
+        cold.dataplane
+        (entry,) = tmp_path.glob("dataplane-*.pkl")
+        entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2])
+        recovered = Session.from_texts(configs, cache=str(tmp_path))
+        assert fib_lines(recovered.fibs) == fib_lines(cold.fibs)
+        assert recovered.cache_stats["misses"] == 1  # the damaged entry
 
 
 class TestEviction:

@@ -73,6 +73,7 @@ class TestPrefix:
     def test_components(self):
         p = Prefix("192.168.4.0/22")
         assert p.network == Ip("192.168.4.0")
+        assert p.network_value == Ip("192.168.4.0").value
         assert p.mask == Ip("255.255.252.0")
         assert p.first_ip == Ip("192.168.4.0")
         assert p.last_ip == Ip("192.168.7.255")
@@ -89,6 +90,15 @@ class TestPrefix:
         assert p.contains_ip("1.2.3.4")
         assert not p.contains_ip("1.2.3.5")
         assert p.num_ips == 1
+
+    def test_contains_ip_takes_an_ip_an_int_or_text(self):
+        p = Prefix("10.0.3.0/24")
+        inside, outside = Ip("10.0.3.9"), Ip("10.0.4.9")
+        for spelling in (lambda ip: ip, lambda ip: ip.value, str):
+            assert p.contains_ip(spelling(inside))
+            assert not p.contains_ip(spelling(outside))
+        with pytest.raises(ValueError):
+            p.contains_ip(inside.value + (1 << 32))
 
     def test_missing_length(self):
         with pytest.raises(ValueError):

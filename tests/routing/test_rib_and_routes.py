@@ -254,25 +254,26 @@ class TestRib:
         rib.merge(b)
         assert set(rib.best_routes(Prefix("10.0.0.0/24"))) == {a, b}
 
-    def test_delta_tracks_best_changes(self):
+    def test_merge_reports_best_changes(self):
         rib = Rib()
+        prefix = Prefix("10.0.0.0/24")
         ospf = self._ospf("10.0.0.0/24", 10)
-        rib.merge(ospf)
-        delta = rib.take_delta()
-        assert delta.added == [ospf]
+        assert rib.merge(ospf)
+        assert rib.best_routes(prefix) == [ospf]
+        worse = self._ospf("10.0.0.0/24", 20, iface="e1")
+        assert not rib.merge(worse)  # a candidate, not a best route
+        assert rib.best_routes(prefix) == [ospf]
         connected = self._connected("10.0.0.0/24")
-        rib.merge(connected)
-        delta = rib.take_delta()
-        assert delta.added == [connected]
-        assert delta.removed == [ospf]
+        assert rib.merge(connected)
+        assert rib.best_routes(prefix) == [connected]
 
     def test_duplicate_merge_is_noop(self):
         rib = Rib()
         route = self._connected("10.0.0.0/24")
         assert rib.merge(route)
-        rib.take_delta()
         assert not rib.merge(route)
-        assert rib.take_delta().empty
+        assert rib.best_routes(Prefix("10.0.0.0/24")) == [route]
+        assert len(rib) == 1
 
     def test_withdraw_restores_runner_up(self):
         rib = Rib()
@@ -280,12 +281,9 @@ class TestRib:
         connected = self._connected("10.0.0.0/24")
         rib.merge(ospf)
         rib.merge(connected)
-        rib.take_delta()
-        rib.withdraw(connected)
+        assert rib.withdraw(connected)
         assert rib.best_routes(Prefix("10.0.0.0/24")) == [ospf]
-        delta = rib.take_delta()
-        assert delta.added == [ospf]
-        assert delta.removed == [connected]
+        assert not rib.withdraw(connected)
 
     def test_withdraw_missing_is_noop(self):
         rib = Rib()
@@ -306,8 +304,8 @@ class TestRib:
         assert len(rib) == 2
 
     def test_exact_reads_and_lpm_agree_through_churn(self):
-        """Exact-prefix reads come from a dict, LPM and iteration from
-        the trie: every change of a best set must reach both."""
+        """Exact-prefix reads, LPM and iteration are three views of one
+        store: every change of a best set must show in all of them."""
         rib = Rib()
         prefix = Prefix("10.0.0.0/24")
         ospf_a = self._ospf("10.0.0.0/24", 10, iface="e0", nh="10.0.1.2")
