@@ -10,7 +10,17 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, TypeVar
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+    TypeVar,
+)
 
 from repro.hdr.ip import Ip, Prefix
 from repro.provenance import record as prov
@@ -26,6 +36,7 @@ from repro.routing.route import (
 _MAX_RESOLUTION_DEPTH = 8
 
 A = TypeVar("A")
+C = TypeVar("C", bound=Hashable)
 
 
 class FibActionType(enum.Enum):
@@ -95,17 +106,42 @@ class Fib:
         return list(self._trie.items())
 
     def lpm_classes(
-        self, join: Callable[[int, A, A], A], full: A, empty: A
-    ) -> Dict[FrozenSet[ActionKey], A]:
+        self,
+        join: Callable[[int, A, A], A],
+        full: A,
+        empty: A,
+        markers: Iterable[Tuple[Prefix, Hashable]] = (),
+        class_of: Callable[
+            [Tuple[FrozenSet[ActionKey], FrozenSet[Hashable]]], C
+        ] = lambda state: state,
+    ) -> Dict[C, A]:
         """The forwarding equivalence classes of this FIB: destination
-        addresses partitioned by the *set* of actions their longest
-        matching prefix takes (several under ECMP; ``{NO_ROUTE_KEY}``
-        where nothing matches). One pass over the FIB's own table; the
-        address sets are built in the caller's algebra, see
+        addresses partitioned by ``class_of((actions, marks))`` — the
+        *set* of actions their longest matching prefix takes (several
+        under ECMP; ``{NO_ROUTE_KEY}`` where nothing matches) and the
+        set of ``markers`` whose prefix they lie in. A route replaces
+        the actions of the shorter routes around it; a marker only
+        refines, whatever the routes inside or around it. One pass over
+        the FIB's table and the markers together; the address sets are
+        built in the caller's algebra, see
         :meth:`PrefixTrie.lpm_partition`."""
-        return self._trie.lpm_partition(
-            lambda entries: frozenset(entry.action_key for entry in entries),
-            join, full, empty, default=frozenset((NO_ROUTE_KEY,)),
+        table = self._trie.copy()
+        for prefix, marker in markers:
+            table.add(prefix, marker)
+
+        def state_of(values, inherited):
+            actions, marks = inherited
+            keys = []
+            for value in values:
+                if type(value) is FibEntry:
+                    keys.append(value.action_key)
+                else:
+                    marks = marks | {value}
+            return (frozenset(keys) if keys else actions, marks)
+
+        return table.lpm_partition(
+            state_of, class_of, join, full, empty,
+            default=(frozenset((NO_ROUTE_KEY,)), frozenset()),
         )
 
     def __len__(self) -> int:

@@ -16,17 +16,18 @@ instrumented return-direction pass of bidirectional reachability.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.bdd.engine import FALSE, TRUE, BddEngine
 from repro.config.model import Device
 from repro.dataplane.acl import acl_permit_space
-from repro.dataplane.fib import ActionKey, Fib, FibActionType
+from repro.dataplane.fib import Fib, FibActionType
 from repro.dataplane.nat import NatPipeline
 from repro.hdr import fields as f
 from repro.hdr.headerspace import PacketEncoder
-from repro.hdr.ip import Ip
+from repro.hdr.ip import Prefix
 from repro.routing.engine import DataPlane
 from repro.routing.topology import InterfaceId
 
@@ -351,65 +352,99 @@ def build_forwarding_graph(
             device = snapshot.device(hostname)
             zones = {name: i + 1 for i, name in enumerate(sorted(device.zones))}
             _build_device_pipeline(
-                graph, device, fibs[hostname], own_ip_space(device, encoder),
-                zones, dataplane.topology,
+                graph, device, fibs[hostname], zones, dataplane.topology
             )
         graph.device_edges[hostname] = graph.edges[first:]
     return graph
 
 
+#: In the order of their edges out of a ``fwd`` node.
 _DROP_DISPOSITIONS = {
-    FibActionType.DROP_NULL: Disposition.NULL_ROUTED,
     FibActionType.DROP_NO_ROUTE: Disposition.NO_ROUTE,
+    FibActionType.DROP_NULL: Disposition.NULL_ROUTED,
 }
 
 
-def own_ip_space(device: Device, encoder: PacketEncoder) -> int:
-    """Packets the device accepts: destined to one of its addresses."""
-    return encoder.engine.or_all(
-        encoder.ip_eq(f.DST_IP, address)
-        for _name, address, _len in device.interface_ips()
-    )
+#: Label of a device's own addresses, accepted before the FIB lookup.
+_ACCEPT = ("accept",)
 
 
-def fib_action_spaces(
-    fib: Fib, own_ip_set: int, encoder: PacketEncoder
-) -> Dict[ActionKey, int]:
-    """The packet set each action of ``fib`` applies to: longest-prefix
-    match, minus the device's own addresses (accepted before the
-    lookup). Empty sets are left out; what no prefix covers is under
-    ``NO_ROUTE_KEY`` together with the unresolvable routes.
+def destination_labels(
+    device: Device, fib: Fib, topology, encoder: PacketEncoder
+) -> Dict[tuple, int]:
+    """Every edge label of ``device`` that is a function of the
+    destination address alone, from one fold of its FIB (DESIGN.md,
+    "Forwarding-graph build"): ``("accept",)``, ``("drop", disposition)``,
+    ``("fib", iface)`` and, of the traffic out ``iface``, ``("to", iface,
+    neighbour address)``, ``("delivered", iface)`` and ``("exits",
+    iface)``. Labels no address falls under are left out.
 
     With dst-IP bits as BDD variables, MSB first (§4.2.2), the sorted
-    FIB is the skeleton of these BDDs: one bottom-up pass builds the
-    forwarding classes node by node, nothing is subtracted, and an
-    action's space is the union of the classes naming it (DESIGN.md,
-    "Forwarding-graph build").
+    FIB is the skeleton of these BDDs. Routes replace the action set
+    they inherit; the device's own addresses, its modelled neighbours'
+    and its connected subnets are markers that refine it, named by the
+    label they lead to. The cells of that partition are pairwise
+    disjoint, each belongs to a few labels, and a label is the union of
+    its cells: nothing is intersected, negated or subtracted.
     """
     engine = encoder.engine
+    markers = [
+        (Prefix(address, 32), _ACCEPT) for _name, address, _len in device.interface_ips()
+    ]
+    neighbours = set()
+    for iface in device.interfaces.values():
+        if not iface.enabled:
+            continue
+        for l3_edge in topology.edges_from(InterfaceId(device.hostname, iface.name)):
+            neighbours.add(("to", iface.name, l3_edge.head_ip))
+        if iface.prefix is not None:
+            markers.append((iface.prefix, ("delivered", iface.name)))
+    markers += [(Prefix(label[2], 32), label) for label in neighbours]
     levels = encoder.layout.vars_of(f.DST_IP)
-    parts: Dict[ActionKey, List[int]] = {}
-    for keys, space in fib.lpm_classes(
-        lambda depth, lo, hi: engine.mk(levels[depth], lo, hi), TRUE, FALSE
+    cells: Dict[tuple, List[int]] = {}
+    for labels, space in fib.lpm_classes(
+        lambda depth, lo, hi: engine.mk(levels[depth], lo, hi), TRUE, FALSE, markers,
+        functools.cache(lambda state: _cell_labels(*state, neighbours)),
     ).items():
-        for key in keys:
-            parts.setdefault(key, []).append(space)
-    not_accepted = engine.not_(own_ip_set)
-    spaces: Dict[ActionKey, int] = {}
-    # Sorted: a class is a frozenset, whose order follows the hash seed,
-    # and node ids must not.
-    for key in sorted(parts, key=repr):
-        space = engine.and_(engine.or_all(parts[key]), not_accepted)
-        if space != FALSE:
-            spaces[key] = space
-    return spaces
+        for label in labels:
+            cells.setdefault(label, []).append(space)
+    # Sorted: a class is a pair of frozensets, whose order follows the
+    # hash seed, and node ids must not.
+    return {label: engine.or_all(cells[label]) for label in sorted(cells, key=repr)}
+
+
+def _cell_labels(actions, marks, neighbours) -> FrozenSet[tuple]:
+    """The labels of the addresses whose longest match takes ``actions``
+    and that lie under ``marks``. Own addresses win over any route; of
+    what is forwarded toward the destination itself (``arp_ip`` None), a
+    modelled neighbour's address crosses the link, another address of
+    the connected subnet is delivered, the rest exits; what is forwarded
+    toward a next hop follows the next hop."""
+    if _ACCEPT in marks:
+        return frozenset((_ACCEPT,))
+    labels = set()
+    for action, out_interface, arp_ip in actions:
+        if action is not FibActionType.FORWARD:
+            labels.add(("drop", _DROP_DISPOSITIONS[action]))
+            continue
+        labels.add(("fib", out_interface))
+        if arp_ip is not None:
+            toward = ("to", out_interface, arp_ip)
+        else:
+            toward = next(
+                (m for m in marks if m[0] == "to" and m[1] == out_interface),
+                ("delivered", out_interface),
+            )
+        # Neither a modelled neighbour nor the subnet: out of the network.
+        known = toward in neighbours or toward in marks
+        labels.add(toward if known else ("exits", out_interface))
+    return frozenset(labels)
 
 
 def _build_device_pipeline(
     graph: ForwardingGraph,
     device: Device,
     fib: Fib,
-    own_ip_set: int,
     zones: Dict[str, int],
     topology,
 ) -> None:
@@ -470,43 +505,31 @@ def _build_device_pipeline(
     # One edge per action, not per prefix: parallel constraint edges
     # carry exactly the union of their labels.
     fwd = fwd_node(hostname)
+    labels = destination_labels(device, fib, topology, encoder)
+
+    def constrain(tail: GraphNode, label: tuple, head: GraphNode, note: str) -> None:
+        if label in labels:
+            graph.add_edge(tail, head, Constraint(engine, labels[label], note))
+
     graph.add_edge(
         fwd,
         disp_node(hostname, Disposition.ACCEPTED),
-        Constraint(engine, own_ip_set, "destined to device"),
+        Constraint(engine, labels.get(_ACCEPT, FALSE), "destined to device"),
     )
-    # Per out-interface: which packet spaces are forwarded toward which
-    # next hop (arp_ip None = deliver toward the destination itself).
-    arp_spaces: Dict[str, Dict[Optional[Ip], int]] = {}
-    for (action, out_interface, arp_ip), space in fib_action_spaces(
-        fib, own_ip_set, encoder
-    ).items():
-        if action is FibActionType.FORWARD:
-            arp_spaces.setdefault(out_interface, {})[arp_ip] = space
-        else:
-            dropped = _DROP_DISPOSITIONS[action]
-            graph.add_edge(
-                fwd,
-                disp_node(hostname, dropped),
-                Constraint(engine, space, dropped.value),
-            )
-    for out_interface in sorted(arp_spaces):
-        graph.add_edge(
-            fwd,
-            ("out", hostname, out_interface),
-            Constraint(
-                engine,
-                engine.or_all(arp_spaces[out_interface].values()),
-                f"fib -> {out_interface}",
-            ),
+    for dropped in _DROP_DISPOSITIONS.values():
+        constrain(fwd, ("drop", dropped), disp_node(hostname, dropped), dropped.value)
+    for out_interface in sorted(label[1] for label in labels if label[0] == "fib"):
+        constrain(
+            fwd, ("fib", out_interface), ("out", hostname, out_interface),
+            f"fib -> {out_interface}",
         )
 
     # --- egress side: out -> zone policy -> src NAT -> out ACL -> wire --
+    # (An unnumbered interface has one too: what a static route sends
+    # out of it exits the network.)
     for iface in sorted(device.interfaces.values(), key=lambda i: i.name):
-        if not iface.enabled or iface.address is None:
-            continue
         out_point = ("out", hostname, iface.name)
-        if out_point not in graph.nodes:
+        if not iface.enabled or out_point not in graph.nodes:
             continue  # no FIB entry forwards out this interface
         current = out_point
         if has_zones:
@@ -544,9 +567,23 @@ def _build_device_pipeline(
             current = ("post_out_acl", hostname, iface.name)
         egress = ("egress", hostname, iface.name)
         graph.add_edge(current, egress, Identity(engine))
-        _wire_egress(
-            graph, device, iface, egress, topology,
-            arp_spaces.get(iface.name, {}),
+        # On the wire: to the neighbour the FIB's next hop (or, on a
+        # connected route, the destination) names, to a host of the
+        # subnet, or out of the modelled network. The labels computed at
+        # the lookup hold here: only source NAT ran in between.
+        for l3_edge in topology.edges_from(InterfaceId(hostname, iface.name)):
+            constrain(
+                egress, ("to", iface.name, l3_edge.head_ip),
+                src_node(l3_edge.head.node, l3_edge.head.interface),
+                f"to {l3_edge.head.node}",
+            )
+        constrain(
+            egress, ("delivered", iface.name), sink_node(hostname, iface.name),
+            "delivered to subnet",
+        )
+        constrain(
+            egress, ("exits", iface.name),
+            disp_node(hostname, Disposition.EXITS_NETWORK), "exits network",
         )
 
 
@@ -585,73 +622,3 @@ def _add_zone_policy(graph, device, iface_name, zones, current, hostname):
     erased = ("post_zone", hostname, iface_name)
     graph.add_edge(cleared, erased, EraseField(encoder, f.ZONE_IN))
     return erased
-
-
-def _wire_egress(
-    graph, device, iface, egress, topology, arp_spaces: Dict[Optional[Ip], int]
-) -> None:
-    """Connect an egress point to neighbors and/or sinks, honouring the
-    FIB's next-hop choice on multi-access links.
-
-    ``arp_spaces`` maps next-hop address (None = deliver toward the
-    destination itself) to the dst-based packet space forwarded that
-    way. dst constraints computed at the FIB remain valid here because
-    only source NAT runs on the egress side.
-    """
-    encoder = graph.encoder
-    engine = encoder.engine
-    hostname = device.hostname
-    interface_id = InterfaceId(hostname, iface.name)
-    neighbor_edges = topology.edges_from(interface_id)
-    neighbor_ip_set: Dict[Ip, object] = {e.head_ip: e for e in neighbor_edges}
-    direct_space = arp_spaces.get(None, FALSE)
-    for l3_edge in neighbor_edges:
-        to_neighbor = arp_spaces.get(l3_edge.head_ip, FALSE)
-        # Directly-delivered traffic destined to the neighbor's own
-        # address also crosses the link.
-        to_neighbor = engine.or_(
-            to_neighbor,
-            engine.and_(direct_space, encoder.ip_eq(f.DST_IP, l3_edge.head_ip)),
-        )
-        if to_neighbor == FALSE:
-            continue
-        head = src_node(l3_edge.head.node, l3_edge.head.interface)
-        graph.add_edge(
-            egress, head,
-            Constraint(engine, to_neighbor, f"to {l3_edge.head.node}"),
-        )
-    prefix = iface.prefix
-    delivered = FALSE
-    neighbor_ips = engine.or_all(
-        encoder.ip_eq(f.DST_IP, ip) for ip in neighbor_ip_set
-    )
-    if prefix is not None:
-        # Delivered to hosts on the connected subnet (addresses not owned
-        # by modeled neighbors).
-        subnet = encoder.ip_in_prefix(f.DST_IP, prefix)
-        delivered = engine.and_(direct_space, engine.diff(subnet, neighbor_ips))
-        if delivered != FALSE:
-            graph.add_edge(
-                egress,
-                sink_node(hostname, iface.name),
-                Constraint(engine, delivered, "delivered to subnet"),
-            )
-    # Traffic forwarded toward an unmodeled next hop (e.g. a provider
-    # address we do not have the config for), or directly forwarded
-    # beyond the subnet, exits the network here. The arp map is walked
-    # in sorted next-hop order so the build is schedule-independent.
-    exit_parts: List[int] = [
-        engine.diff(engine.diff(direct_space, delivered), neighbor_ips)
-    ]
-    for arp_ip in sorted(
-        (ip for ip in arp_spaces if ip is not None), key=lambda ip: ip.value
-    ):
-        if arp_ip not in neighbor_ip_set:
-            exit_parts.append(arp_spaces[arp_ip])
-    exits = engine.or_all(exit_parts)
-    if exits != FALSE:
-        graph.add_edge(
-            egress,
-            disp_node(hostname, Disposition.EXITS_NETWORK),
-            Constraint(engine, exits, "exits network"),
-        )

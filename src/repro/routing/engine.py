@@ -262,14 +262,18 @@ def _install_static(nodes: Dict[str, NodeState]) -> None:
             still_pending: List[StaticRouteEntry] = []
             for entry in pending[hostname]:
                 resolution = ""
-                if entry.is_null_routed or entry.next_hop_ip is None:
+                if entry.is_null_routed:
                     resolvable = True
-                    resolution = "null-routed (discard)" if entry.is_null_routed else (
-                        f"directly via interface {entry.next_hop_interface}"
-                    )
+                    resolution = "null-routed (discard)"
                 elif entry.next_hop_interface is not None:
-                    resolvable = entry.next_hop_interface in state.device.interfaces
+                    # Forwards out of the interface whatever else is
+                    # configured: active only while the interface is up.
+                    out = state.device.interfaces.get(entry.next_hop_interface)
+                    resolvable = out is not None and out.enabled
                     resolution = f"via configured interface {entry.next_hop_interface}"
+                elif entry.next_hop_ip is None:
+                    resolvable = True
+                    resolution = "no next hop"
                 else:
                     match = state.main_rib.longest_match(entry.next_hop_ip)
                     # Require the resolving route to be less specific
@@ -294,10 +298,14 @@ def _install_static(nodes: Dict[str, NodeState]) -> None:
         # Whatever never resolved explains the *absence* of a FIB entry.
         for hostname in sorted(pending):
             for entry in pending[hostname]:
+                reason = (
+                    f"interface {entry.next_hop_interface} is missing or shut down"
+                    if entry.next_hop_interface is not None
+                    else f"next hop {entry.next_hop_ip} unresolvable in main RIB"
+                )
                 prov.route_event(
                     hostname, entry.prefix, "static", "suppressed",
-                    f"static route inactive: next hop {entry.next_hop_ip} "
-                    "unresolvable in main RIB",
+                    f"static route inactive: {reason}",
                 )
 
 

@@ -27,6 +27,7 @@ from typing import (
 from repro.hdr.ip import MAX_IP, Ip, Prefix
 
 V = TypeVar("V")
+S = TypeVar("S")  # what a stored prefix hands down to the prefixes inside it
 C = TypeVar("C", bound=Hashable)  # a class of addresses
 A = TypeVar("A")  # a set of addresses in the caller's algebra
 
@@ -100,6 +101,15 @@ class PrefixTrie(Generic[V]):
             del self._by_length[prefix.length]
         return True
 
+    def copy(self) -> "PrefixTrie[V]":
+        """A table with the same prefixes and its own value lists."""
+        clone: PrefixTrie[V] = PrefixTrie()
+        clone._by_length = {
+            length: {network: list(values) for network, values in table.items()}
+            for length, table in self._by_length.items()
+        }
+        return clone
+
     def get(self, prefix: Prefix) -> List[V]:
         """Exact-match lookup (no LPM)."""
         table = self._by_length.get(prefix.length, {})
@@ -136,23 +146,28 @@ class PrefixTrie(Generic[V]):
 
     def lpm_partition(
         self,
-        class_of: Callable[[List[V]], C],
+        state_of: Callable[[List[V], S], S],
+        class_of: Callable[[S], C],
         join: Callable[[int, A, A], A],
         full: A,
         empty: A,
-        default: C,
+        default: S,
     ) -> Dict[C, A]:
-        """The longest-prefix-match partition of the address space, as
-        one bottom-up fold over the binary trie of the stored prefixes.
+        """The partition of the address space that the stored prefixes
+        induce, as one bottom-up fold over their binary trie.
 
-        Every address matches exactly one stored prefix (its longest) or
-        none; ``class_of(values)`` names the class of a stored prefix's
-        addresses and ``default`` the class of unmatched ones. Returns
+        Every address lies under a chain of stored prefixes, shortest
+        first, or under none. ``state_of(values, inherited)`` is the
+        state of a stored prefix's addresses given the state they would
+        have without it — ignore ``inherited`` and the longest match
+        *replaces* (a route), build on it and the prefix *refines* (a
+        marker) — starting from ``default``, and ``class_of(state)``
+        names the class of the addresses whose chain ends there. Returns
         ``{class: set}`` with the sets built by the caller's algebra:
         ``full``/``empty`` are all/none of the addresses below a node,
         and ``join(depth, lo, hi)`` is the set whose addresses with bit
         ``depth`` (0 = most significant) clear are in ``lo`` and set are
-        in ``hi``. A child that is absent inherits the class of the
+        in ``hi``. A child that is absent inherits the state of the
         longest stored prefix above it, so no set is ever subtracted
         from another. The classes of the result are pairwise disjoint
         and cover the space; classes that no address falls in are left
@@ -178,15 +193,15 @@ class PrefixTrie(Generic[V]):
                     joined[cls] = join(depth, empty, part)
             return joined
 
-        def fold(first: int, end: int, depth: int, inherited: C) -> Dict[C, A]:
+        def fold(first: int, end: int, depth: int, inherited: S) -> Dict[C, A]:
             """The partition below the trie node ``depth`` bits deep that
             ``entries[first:end]`` (not empty) lie under."""
             network, length, values = entries[first]
             if length == depth:
-                inherited = class_of(values)
+                inherited = state_of(values, inherited)
                 first += 1
                 if first == end:
-                    return {inherited: full}
+                    return {class_of(inherited): full}
                 network, length, _ = entries[first]
             last = networks[end - 1]
             # The next depth at which a prefix ends or the run forks.
@@ -201,15 +216,16 @@ class PrefixTrie(Generic[V]):
             # Nodes from here down to ``stop`` have one child each; the
             # absent sibling inherits.
             below = fold(first, end, stop, inherited)
+            beside = {class_of(inherited): full}
             for level in range(stop - 1, depth - 1, -1):
                 if (network >> (31 - level)) & 1:
-                    below = join_level(level, {inherited: full}, below)
+                    below = join_level(level, beside, below)
                 else:
-                    below = join_level(level, below, {inherited: full})
+                    below = join_level(level, below, beside)
             return below
 
         if not entries:
-            return {default: full}
+            return {class_of(default): full}
         return fold(0, len(entries), 0, default)
 
     # -- internals -------------------------------------------------------

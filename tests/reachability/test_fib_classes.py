@@ -1,6 +1,8 @@
 """The forwarding classes read off one pass over the FIB trie
-(`fib_action_spaces`) against the per-prefix construction they replaced,
-against `Fib.lookup`, and the graph shape that follows from them."""
+(`Fib.lpm_classes`, unioned per action by the reference
+`fib_action_spaces`) against the per-prefix construction they replaced,
+against `Fib.lookup`, and the graph shape that follows from them.
+`test_destination_labels.py` takes it from there to the graph's edges."""
 
 from collections import Counter
 
@@ -21,14 +23,11 @@ from repro.hdr import fields as f
 from repro.hdr.fields import HEADER_FIELDS, HeaderLayout
 from repro.hdr.headerspace import PacketEncoder
 from repro.hdr.ip import Ip, Prefix
-from repro.reachability.graph import (
-    build_forwarding_graph,
-    fib_action_spaces,
-    own_ip_space,
-)
+from repro.reachability.graph import build_forwarding_graph
 from repro.routing.engine import compute_dataplane
 from repro.synth.networks import NETWORKS, network_by_name
 
+from .apply_built_reference import fib_action_spaces, own_ip_space
 from .per_prefix_reference import per_prefix_action_spaces
 
 #: dst_ip no longer first, and its neighbours changed: the trie pass may

@@ -97,7 +97,8 @@ def _partition(trie):
     """lpm_partition in a plain decision-tree algebra: a set is True
     (everything below), None (nothing) or (depth, lo, hi)."""
     return trie.lpm_partition(
-        lambda values: tuple(values),
+        lambda values, _inherited: tuple(values),
+        lambda state: state,
         lambda depth, lo, hi: (depth, lo, hi),
         True, None, default=(),
     )
@@ -135,12 +136,50 @@ class TestLpmPartition:
         trie.remove_prefix(Prefix("12.0.0.0/8"))
         assert set(_partition(trie)) == {(), ("low",), ("high",)}
 
+    def test_a_marker_refines_and_a_route_replaces_around_it(self):
+        """State = (route, marks): a route keeps the marks it inherits, a
+        marker keeps the route, and states with one class are one set."""
+        trie = PrefixTrie()
+        trie.add(Prefix("10.0.0.0/8"), "a")
+        trie.add(Prefix("10.1.0.0/16"), "*")  # marker inside route a
+        trie.add(Prefix("10.1.1.0/24"), "b")  # route inside the marker
+        trie.add(Prefix("10.1.1.7/32"), "c")  # both at one prefix
+        trie.add(Prefix("10.1.1.7/32"), "*")
+
+        def state_of(values, inherited):
+            route, marked = inherited
+            routes = [value for value in values if value != "*"]
+            return (routes[-1] if routes else route, marked or "*" in values)
+
+        def partition(class_of):
+            return trie.lpm_partition(
+                state_of, class_of, lambda depth, lo, hi: (depth, lo, hi),
+                True, None, default=(None, False),
+            )
+
+        classes = partition(lambda state: state)
+        assert set(classes) == {
+            (None, False), ("a", False), ("a", True), ("b", True), ("c", True),
+        }
+        assert _member(classes[("a", True)], Ip("10.1.2.3").value)
+        assert _member(classes[("b", True)], Ip("10.1.1.9").value)
+        assert _member(classes[("c", True)], Ip("10.1.1.7").value)
+        assert not _member(classes[("a", False)], Ip("10.1.2.3").value)
+        # Keyed by the mark alone, the five states are two sets.
+        marked = partition(lambda state: state[1])
+        assert set(marked) == {False, True}
+        for address in ("10.1.2.3", "10.1.1.9", "10.1.1.7"):
+            assert _member(marked[True], Ip(address).value)
+        for address in ("10.2.0.1", "11.0.0.1", "10.0.255.255"):
+            assert _member(marked[False], Ip(address).value)
+
     def test_same_class_on_both_sides_merges(self):
         trie = PrefixTrie()
         trie.add(Prefix("0.0.0.0/1"), "x")
         trie.add(Prefix("128.0.0.0/1"), "x")
         assert trie.lpm_partition(
-            lambda values: values[0],
+            lambda values, _inherited: values[0],
+            lambda state: state,
             lambda depth, lo, hi: lo if lo == hi else (depth, lo, hi),
             True, None, default="none",
         ) == {"x": True}
