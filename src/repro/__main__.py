@@ -40,15 +40,13 @@ from repro.findings import (
     to_sarif,
     write_output,
 )
-from repro.hdr import fields as hdr_fields
-from repro.hdr.ip import Ip
-from repro.hdr.packet import Packet
 from repro.lint import LintConfig, LintReport, all_rules, lint_snapshot
 from repro.lint.dataflow import analyze, validate_containment
 from repro.obs.profiler import render_report
 from repro.obs.report import TraceReport
 from repro.provenance import Flow
 from repro.questions import coverage as qcov
+from repro.questions.params import ParamError, packet_from_json
 from repro.sweep import report as sweep_report
 from repro.sweep.scenarios import ALL_KINDS, ReachabilityProperty, host_files
 from repro.sweep.validate import DEFAULT_MAX_ELEMENTS, validate_network
@@ -497,25 +495,20 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-_PROTOCOLS = {
-    "tcp": hdr_fields.PROTO_TCP,
-    "udp": hdr_fields.PROTO_UDP,
-    "icmp": hdr_fields.PROTO_ICMP,
-}
-
-
 def _cmd_explain(args: argparse.Namespace) -> int:
     """Render derivation trees for a route or a flow (Stage 4, §4.4)."""
     session = Session.from_texts(load_configs(args))
     if args.what == "route":
         print(session.explain_route(args.node, args.prefix).render())
         return 0
-    packet = Packet(
-        src_ip=Ip(args.src_ip),
-        dst_ip=Ip(args.dst_ip),
-        ip_protocol=_PROTOCOLS[args.protocol],
-        src_port=args.src_port,
-        dst_port=args.dst_port,
+    packet = packet_from_json(  # a ParamError is a usage error: see main()
+        {
+            "src_ip": args.src_ip,
+            "dst_ip": args.dst_ip,
+            "ip_protocol": args.protocol,
+            "src_port": args.src_port,
+            "dst_port": args.dst_port,
+        }
     )
     flow = Flow(packet, args.node, args.interface)
     print(session.explain_flow(flow).render())
@@ -685,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
     flow.add_argument("interface", help="ingress interface")
     flow.add_argument("--src-ip", required=True)
     flow.add_argument("--dst-ip", required=True)
-    flow.add_argument("--protocol", default="tcp", choices=sorted(_PROTOCOLS))
+    flow.add_argument("--protocol", default="tcp", help="tcp, udp, icmp, ...")
     flow.add_argument("--src-port", type=int, default=0)
     flow.add_argument("--dst-port", type=int, default=0)
 
@@ -699,7 +692,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except UsageError as error:
+    except (UsageError, ParamError) as error:
         print(f"repro {args.command}: error: {error}", file=sys.stderr)
         return 2
 

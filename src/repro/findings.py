@@ -37,7 +37,7 @@ class Severity(enum.IntEnum):
     @classmethod
     def from_name(cls, name: str) -> "Severity":
         try:
-            return cls[name.upper()]
+            return cls[str(name).upper()]
         except KeyError:
             raise ValueError(
                 f"unknown severity {name!r}; expected one of "

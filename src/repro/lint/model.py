@@ -38,8 +38,11 @@ class LintConfig:
 
     @classmethod
     def from_dict(cls, raw: Optional[Dict]) -> "LintConfig":
-        if not raw:
+        """``ValueError`` / ``TypeError`` on anything but that shape."""
+        if raw is None:
             return cls()
+        if not isinstance(raw, dict):
+            raise ValueError(f"must be an object: {raw!r}")
         unknown = set(raw) - _CONFIG_KEYS
         if unknown:
             raise ValueError(
@@ -49,16 +52,18 @@ class LintConfig:
         rules = raw.get("rules")
         severity = {
             rule: Severity.from_name(level)
-            for rule, level in (raw.get("severity") or {}).items()
+            for rule, level in dict(raw.get("severity") or {}).items()
         }
         suppress: List[Tuple[str, str]] = []
         for entry in raw.get("suppress") or []:
             if isinstance(entry, str):
                 suppress.append((entry, "*"))
-            else:
+            elif isinstance(entry, dict):
                 suppress.append(
                     (entry.get("rule", "*"), entry.get("node", "*"))
                 )
+            else:
+                raise ValueError(f"suppress entries are ids or objects: {entry!r}")
         return cls(
             rules=set(rules) if rules is not None else None,
             disable=set(raw.get("disable") or ()),

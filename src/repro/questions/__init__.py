@@ -1,26 +1,8 @@
-"""Configuration and forwarding questions (Lesson 5, §4.4.1)."""
+"""Questions (Lesson 5, §4.4): the analyses, one module per family, and
+:mod:`repro.questions.registry`, which declares every question a front
+end can ask — its name, params, scope and JSON answer — exactly once.
 
-from repro.questions.configuration import (
-    duplicate_ips_question,
-    management_plane_consistency,
-    undefined_references_question,
-    unused_structures_question,
-)
-from repro.questions.filters import (
-    search_filters,
-    test_filter,
-    unreachable_filter_lines,
-)
-from repro.questions.specialized import service_reachable, service_unreachable
-
-__all__ = [
-    "duplicate_ips_question",
-    "management_plane_consistency",
-    "undefined_references_question",
-    "unused_structures_question",
-    "search_filters",
-    "test_filter",
-    "unreachable_filter_lines",
-    "service_reachable",
-    "service_unreachable",
-]
+This package imports nothing on its own: ``repro.core.session`` builds
+on the analysis modules and the registry builds on the session's
+surface, so the registry is imported by name where it is needed.
+"""

@@ -33,34 +33,18 @@ registry networks and compares per-question coverage ratios against a
 committed baseline; every discrepancy is a ``coverage``-category
 :class:`repro.findings.Finding`.
 
-Scope classification (what makes skipping *sound*):
-
-* ``routing`` questions read the data plane; a device's answer rows can
-  change when its own config changed **or** its routing state did. The
-  delta engine either reuses the base data plane (every FIB is the
-  base's: the impact set is the changed files' hosts) or recomputes it
-  (every routing question is affected).
-* ``config`` questions read only the parsed configs; their impact set
-  is the changed files' hosts. Questions in this class that report
-  *across* devices (``duplicate_ips``, ``parse_warnings``) have no
-  per-host footprint recorded (hosts = None), which makes them
-  affected by any change — conservative but sound.
-* ``global`` questions are always affected: ``route_diff`` spans two
-  snapshots, and ``lint`` reads every device whether or not it touches
-  a coverage key there (its footprint records what it *exercised*, not
-  what it *read*).
-
-Unknown questions default to ``global``; a record with no host
-footprint is treated as network-wide. Skipping is therefore only ever
-an *optimization* of reruns, never a soundness bet: anything the model
-cannot bound reruns.
+Each record carries its question's scope class from the declaration in
+:mod:`repro.questions.registry` (which says what the classes mean). A
+record with no scope is ``global`` and one with no host footprint is
+network-wide, so skipping is only ever an *optimization* of reruns,
+never a soundness bet: anything the model cannot bound reruns.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro import obs
 from repro.bdd.engine import FALSE
@@ -76,28 +60,11 @@ from repro.obs.coverage import (
     parse_key,
     render_key,
 )
+from repro.questions.params import packet_to_json
+from repro.questions.registry import Question
 from repro.reachability.examples import default_preferences
 
 RECORD_SCHEMA = "repro-coverage-record/v1"
-
-#: Questions whose answers derive from the converged data plane: a
-#: device's rows change only if its config changed or its routing state
-#: did (the delta engine's reuse-or-recompute decision bounds the latter).
-ROUTING_QUESTIONS = frozenset(
-    {"routes", "reachability", "traceroute", "explain_route"}
-)
-
-#: Questions computed from the parsed configs alone; the impact set is
-#: the set of hosts whose files changed bytes.
-CONFIG_QUESTIONS = frozenset(
-    {
-        "test_filter",
-        "undefined_references",
-        "unused_structures",
-        "duplicate_ips",
-        "parse_warnings",
-    }
-)
 
 #: Risk-ranked kind order for the uncovered report: an unexercised ACL
 #: line is a live security hole, an untouched route-map clause a silent
@@ -105,38 +72,11 @@ CONFIG_QUESTIONS = frozenset(
 RISK_ORDER = ("acl_line", "route_map_clause", "interface")
 
 
-def question_scope(question: str) -> str:
-    """``routing`` / ``config`` / ``global`` (unknown = global)."""
-    if question in ROUTING_QUESTIONS:
-        return "routing"
-    if question in CONFIG_QUESTIONS:
-        return "config"
-    return "global"
-
-
 def canonical_params(params: Optional[Dict]) -> str:
     """Canonical rendering of question params — the params component of
     the (snapshot, question, params) record key. Matches the service's
     job-coalescing digest convention (sorted keys, compact)."""
     return json.dumps(params or {}, sort_keys=True, separators=(",", ":"))
-
-
-def _param_hosts(params: Optional[Dict]) -> Set[str]:
-    """Host names a question's params explicitly bind it to."""
-    hosts: Set[str] = set()
-    if not params:
-        return hosts
-    node = params.get("node")
-    if isinstance(node, str) and node:
-        hosts.add(node)
-    sources = params.get("sources")
-    if isinstance(sources, (list, tuple)):
-        for entry in sources:
-            if isinstance(entry, str):
-                hosts.add(entry)
-            elif isinstance(entry, (list, tuple)) and entry:
-                hosts.add(str(entry[0]))
-    return hosts
 
 
 def vector_delta(
@@ -152,24 +92,26 @@ def vector_delta(
 
 
 def build_record(
-    question: str,
+    question: Question,
     params: Optional[Dict],
+    args: Mapping[str, object],
     vector: Dict[CoverageKey, int],
 ) -> Dict:
-    """One JSON-ready coverage record for a completed execution.
+    """One JSON-ready coverage record for a completed execution of
+    ``question`` with raw ``params`` bound as ``args``.
 
     ``hosts`` is the record's footprint: the devices the execution
     touched plus any the params explicitly name. None (no touches, no
     named hosts) means the footprint is unknown and the question is
     treated as network-wide by prioritization."""
     touched_hosts = {key[1] for key in vector}
-    hosts = sorted(touched_hosts | _param_hosts(params))
+    hosts = sorted(touched_hosts | question.named_hosts(args).keys())
     return {
         "schema": RECORD_SCHEMA,
-        "question": question,
+        "question": question.name,
         "params": dict(params or {}),
         "params_key": canonical_params(params),
-        "scope": question_scope(question),
+        "scope": question.scope,
         "hosts": hosts if hosts else None,
         "vector": {
             render_key(key): count for key, count in sorted(vector.items())
@@ -215,18 +157,18 @@ def record_question_run(
     tracker: CoverageTracker,
     cache,
     snapshot_key: str,
-    question: str,
+    question: Question,
     params: Optional[Dict],
+    args: Mapping[str, object],
     vector: Dict[CoverageKey, int],
 ) -> Dict:
     """Register (and persist) one completed question execution."""
-    record = build_record(question, params, vector)
-    previous = tracker.recorded_runs(snapshot_key).get(
-        (question, record["params_key"])
-    )
+    record = build_record(question, params, args, vector)
+    key = (question.name, record["params_key"])
+    previous = tracker.recorded_runs(snapshot_key).get(key)
     if previous:
         record["runs"] = int(previous.get("runs", 0)) + 1
-    tracker.record_run(snapshot_key, question, record["params_key"], record)
+    tracker.record_run(snapshot_key, *key, record)
     persist_record(cache, snapshot_key, record)
     return record
 
@@ -254,7 +196,7 @@ def prioritize_questions(
     affected: List[Dict] = []
     skipped: List[Dict] = []
     for (question, _params_key), record in sorted(records.items()):
-        scope = record.get("scope") or question_scope(question)
+        scope = record.get("scope", "global")
         hosts = record.get("hosts")
         if scope == "config" or (scope == "routing" and not routing_changed):
             impact = changed
@@ -266,10 +208,7 @@ def prioritize_questions(
             "scope": scope,
             "overlap": 0,
         }
-        if everything or impact is None or hosts is None:
-            entry["overlap"] = _overlap(record, impact)
-            affected.append(entry)
-        elif set(hosts) & impact:
+        if everything or impact is None or hosts is None or set(hosts) & impact:
             entry["overlap"] = _overlap(record, impact)
             affected.append(entry)
         else:
@@ -282,11 +221,9 @@ def prioritize_questions(
 def _overlap(record: Dict, impact: Optional[Set[str]]) -> int:
     """Vector mass on impacted hosts + host-intersection size (1 floor
     so an affected question never ranks at zero)."""
-    hosts = record.get("hosts")
-    if impact is None:
-        impact_hosts = set(hosts or [])
-    else:
-        impact_hosts = set(hosts or []) & impact
+    impact_hosts = set(record.get("hosts") or [])
+    if impact is not None:
+        impact_hosts &= impact
     score = len(impact_hosts)
     for rendered, count in (record.get("vector") or {}).items():
         key = parse_key(rendered)
@@ -379,24 +316,32 @@ def kind_totals(snapshot) -> Dict[str, int]:
     return totals
 
 
+def _touched_by_question(
+    tracker: CoverageTracker,
+) -> Dict[str, Dict[str, Set[CoverageKey]]]:
+    """``{question: {kind: distinct keys touched}}``; lint rule labels
+    (``lint/<rule>``) roll up under ``lint``."""
+    questions = sorted(
+        {label.split("/", 1)[0] for label in tracker.vector_labels()}
+    )
+    touched: Dict[str, Dict[str, Set[CoverageKey]]] = {}
+    for question in questions:
+        distinct: Dict[str, Set[CoverageKey]] = {kind: set() for kind in KINDS}
+        for key in tracker.question_vector(question):
+            if key[0] in distinct:
+                distinct[key[0]].add(key)
+        touched[question] = distinct
+    return touched
+
+
 def attribution_matrix(
     tracker: CoverageTracker, snapshot
 ) -> Dict[str, Dict[str, Dict[str, float]]]:
     """Per-question, per-kind coverage against the snapshot's totals:
-    ``{question: {kind: {touched, total, ratio}}}``. Lint rule labels
-    (``lint/<rule>``) roll up under ``lint``."""
+    ``{question: {kind: {touched, total, ratio}}}``."""
     totals = kind_totals(snapshot)
-    questions = sorted(
-        {label.split("/", 1)[0] for label in tracker.vector_labels()}
-    )
-    matrix: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for question in questions:
-        vector = tracker.question_vector(question)
-        distinct: Dict[str, Set[CoverageKey]] = {kind: set() for kind in KINDS}
-        for key in vector:
-            if key[0] in distinct:
-                distinct[key[0]].add(key)
-        matrix[question] = {
+    return {
+        question: {
             kind: {
                 "touched": len(distinct[kind]),
                 "total": totals[kind],
@@ -408,7 +353,8 @@ def attribution_matrix(
             }
             for kind in KINDS
         }
-    return matrix
+        for question, distinct in _touched_by_question(tracker).items()
+    }
 
 
 # ----------------------------------------------------------------------
@@ -496,17 +442,6 @@ class UncoveredReport:
         return "\n".join(lines)
 
 
-def _packet_json(packet) -> Dict:
-    return {
-        "dst_ip": str(packet.dst_ip),
-        "src_ip": str(packet.src_ip),
-        "dst_port": packet.dst_port,
-        "src_port": packet.src_port,
-        "ip_protocol": packet.ip_protocol,
-        "description": packet.describe(),
-    }
-
-
 def _acl_bindings(device, acl_name: str) -> Optional[Dict]:
     """Where to inject a witness so the concrete engine evaluates the
     ACL: the first interface binding it as an ingress filter, else the
@@ -564,7 +499,7 @@ def witness_for_acl_line(
     if packet is None:
         return None
     return {
-        "packet": _packet_json(packet),
+        "packet": packet_to_json(packet),
         "inject": inject,
     }
 
@@ -665,24 +600,12 @@ def prometheus_coverage(
             if key not in all_keys:
                 all_keys.add(key)
                 totals[key[0]] += 1
-    samples: List[Tuple[Dict[str, str], float]] = []
-    for question in sorted(
-        {label.split("/", 1)[0] for label in tracker.vector_labels()}
-    ):
-        vector = tracker.question_vector(question)
-        distinct: Dict[str, Set[CoverageKey]] = {kind: set() for kind in KINDS}
-        for key in vector:
-            if key[0] in distinct:
-                distinct[key[0]].add(key)
-        for kind in KINDS:
-            if not totals[kind]:
-                continue
-            samples.append(
-                (
-                    {"question": question, "kind": kind},
-                    len(distinct[kind]) / totals[kind],
-                )
-            )
+    samples: List[Tuple[Dict[str, str], float]] = [
+        ({"question": question, "kind": kind}, len(distinct[kind]) / totals[kind])
+        for question, distinct in _touched_by_question(tracker).items()
+        for kind in KINDS
+        if totals[kind]
+    ]
     touched_keys = set(tracker.touched_keys())
     uncovered = sum(1 for key in all_keys if key not in touched_keys)
     return {"coverage.ratio": samples}, uncovered

@@ -21,10 +21,16 @@ Surface (all bodies JSON)::
     DELETE /jobs/{id}                            cancel (queued jobs only)
 
 Question POSTs block (up to ``wait_s``) for the synchronous case and
-return 202 + a job id when still in flight (``wait=false`` skips the
-wait entirely). Failures come back as the job's structured error with
-its HTTP status — 422 for analysis failures like non-convergence, 429
-when the bounded queue sheds load, 404/400 for bad names and params.
+return 202 + a job id when still in flight (``"wait": false`` in the
+body skips the wait entirely; questions the registry declares async
+default to it). What a question is comes from
+:mod:`repro.questions.registry`; this module knows no question by name.
+Failures come back as the job's structured error with its HTTP status —
+422 for analysis failures like non-convergence, 429 when the bounded
+queue sheds load, 404 for unknown names, and 400 for anything in a
+request that does not bind, refused before a job is queued:
+``invalid_request`` with ``details.field`` naming the body field or the
+question param.
 """
 
 from __future__ import annotations
@@ -35,9 +41,11 @@ import json
 import re
 import threading
 import time
+import traceback
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
+from urllib.parse import parse_qsl, urlsplit
 
 from repro import obs
 from repro.obs import context as obs_context
@@ -45,20 +53,17 @@ from repro.obs import profiler
 from repro.obs import slo as slo_mod
 from repro.obs.prom import render_exposition
 from repro.core.cache import resolve_cache
+from repro.questions import coverage as qcov
+from repro.questions.params import Param, boolean, decode_object, seconds
+from repro.questions.registry import QUESTIONS
 from repro.service.errors import (
     InvalidRequestError,
     NotFoundError,
     ServiceError,
-    UnknownQuestionError,
+    to_service_error,
 )
 from repro.service.jobs import Job, JobQueue, JobStatus
-from repro.service.serialize import (
-    ASYNC_QUESTIONS,
-    DEBUG_QUESTIONS,
-    QUESTIONS,
-    run_question,
-    settings_from_json,
-)
+from repro.service.serialize import prepare, run_question, settings_from_json
 from repro.service.store import SnapshotStore
 
 
@@ -142,7 +147,6 @@ class AnalysisService:
         question: str,
         params: Optional[Dict] = None,
         timeout_s: Optional[float] = None,
-        ctx: Optional[obs_context.RequestContext] = None,
     ) -> Tuple[Job, bool]:
         """Validate and enqueue one question; returns (job, coalesced).
 
@@ -151,41 +155,22 @@ class AnalysisService:
         the snapshot's *content* key plus the canonical params, so two
         names holding identical configs (and settings) coalesce too.
         """
-        params = params or {}
-        if not isinstance(params, dict):
-            raise InvalidRequestError("params must be an object")
-        known = question in QUESTIONS or (
-            self.config.debug and question in DEBUG_QUESTIONS
+        # The worker prepares again: a PATCH may replace the session, and
+        # its devices, while the job waits.
+        _, session, _ = prepare(
+            self.store, snapshot, question, params, self.config.debug
         )
-        if not known:
-            raise UnknownQuestionError(
-                f"unknown question {question!r}", available=sorted(QUESTIONS)
-            )
-        session = self.store.get(snapshot)  # 404 before taking a slot
-        try:
-            canonical = json.dumps(params, sort_keys=True, separators=(",", ":"))
-        except (TypeError, ValueError):
-            raise InvalidRequestError("params must be JSON-serializable") from None
         digest = hashlib.sha256(session.snapshot_key.encode())
-        digest.update(f"|{question}|{canonical}".encode())
-        if ctx is None:
-            ctx = obs_context.current()
+        digest.update(f"|{question}|{qcov.canonical_params(params)}".encode())
+        ctx = obs_context.current()
         if ctx is not None and timeout_s is not None and ctx.deadline_ts is None:
             # The job deadline doubles as the request deadline, so
             # everything downstream can ask "how long do I have left".
             ctx = dataclasses.replace(ctx, deadline_ts=time.time() + timeout_s)
-        # Stamp the question onto the context now, so coverage touches
-        # are attributed even on paths that execute before the queue
-        # worker's own attribution scope (coalesced waits, future
-        # inline fast paths).
-        if ctx is None:
-            ctx = obs_context.RequestContext(request_id="", question=question)
-        elif ctx.question != question:
-            ctx = dataclasses.replace(ctx, question=question)
         return self.queue.submit(
             snapshot=snapshot,
             question=question,
-            params=params,
+            params=params or {},
             coalesce_key=digest.hexdigest(),
             timeout_s=timeout_s,
             ctx=ctx,
@@ -228,8 +213,6 @@ class AnalysisService:
         uncovered-stanza list for snapshot ``name``. ``witnesses`` > 0
         synthesizes up to that many probe packets for reachable
         uncovered ACL lines."""
-        from repro.questions import coverage as qcov
-
         session = self.store.get(name)
         payload = qcov.coverage_payload(session, witnesses=witnesses)
         payload["name"] = name
@@ -278,8 +261,6 @@ class AnalysisService:
         # repro_coverage_ratio{question, kind} gauges plus the
         # uncovered-stanza count (computed at scrape time — dashboards
         # poll this far less often than questions run).
-        from repro.questions import coverage as qcov
-
         snapshots = []
         for record in self.store.list():
             try:
@@ -347,6 +328,24 @@ _JOB_PATH = re.compile(r"^/jobs/([^/]+)$")
 #: Cap request bodies (configs can be large, but not unbounded).
 _MAX_BODY = 64 * 1024 * 1024
 
+#: What a request may carry, as schemas: a value of the wrong type is a
+#: 400 naming the field, like a question's params (which the question's
+#: own schema binds; ``name`` and ``configs`` are the store's to check).
+_UNCHECKED = Param(lambda value: value, required=True)
+_QUESTION_BODY = {
+    "params": Param(lambda value: value),
+    "timeout_s": Param(seconds),
+    "wait": Param(boolean),
+}
+_SNAPSHOT_BODY = {
+    "name": _UNCHECKED,
+    "configs": _UNCHECKED,
+    "settings": Param(settings_from_json),
+    "force": Param(boolean),
+}
+_PATCH_BODY = {"configs": _UNCHECKED}
+_COVERAGE_QUERY = {"witnesses": Param(int)}
+
 
 def _make_handler(service: AnalysisService):
     class Handler(BaseHTTPRequestHandler):
@@ -394,14 +393,14 @@ def _make_handler(service: AnalysisService):
                 status, json.dumps(payload).encode(), "application/json"
             )
 
-        def _send_error(self, error: ServiceError) -> None:
-            self._send(error.status, error.payload())
-
         def _body(self) -> Dict:
-            length = int(self.headers.get("Content-Length") or 0)
-            if length > _MAX_BODY:
+            try:
+                length = int(self.headers.get("Content-Length") or 0)
+            except ValueError:
+                raise InvalidRequestError("bad Content-Length header") from None
+            if not 0 <= length <= _MAX_BODY:
                 raise InvalidRequestError(
-                    f"body too large ({length} > {_MAX_BODY} bytes)"
+                    f"body of {length} bytes (at most {_MAX_BODY} are read)"
                 )
             raw = self.rfile.read(length) if length else b""
             if not raw:
@@ -415,13 +414,8 @@ def _make_handler(service: AnalysisService):
             return parsed
 
         def _path_and_query(self) -> Tuple[str, Dict[str, str]]:
-            path, _, query_string = self.path.partition("?")
-            query: Dict[str, str] = {}
-            for pair in query_string.split("&"):
-                if pair:
-                    key, _, value = pair.partition("=")
-                    query[key] = value
-            return path.rstrip("/") or "/", query
+            url = urlsplit(self.path)
+            return url.path.rstrip("/") or "/", dict(parse_qsl(url.query))
 
         def _respond_job(self, job: Job, coalesced: bool, wait: bool) -> None:
             if wait:
@@ -440,162 +434,124 @@ def _make_handler(service: AnalysisService):
 
         # -- verbs ---------------------------------------------------------
 
-        def do_GET(self):  # noqa: N802
+        def _serve(self, route) -> None:
+            """One request: its context, ``route(path, query)``, and any
+            failure as its structured error (a handler thread that dies
+            of a traceback drops the connection without a reply)."""
             token = self._begin_ctx()
             try:
-                path, _query = self._path_and_query()
-                if path == "/healthz":
-                    self._send(200, service.healthz())
-                elif path == "/readyz":
-                    status, payload = service.readyz()
-                    self._send(status, payload)
-                elif path == "/metrics":
-                    accept = self.headers.get("Accept") or ""
-                    if "text/plain" in accept or "openmetrics" in accept:
-                        self._send_bytes(
-                            200,
-                            service.prometheus_payload().encode(),
-                            "text/plain; version=0.0.4; charset=utf-8",
-                        )
-                    else:
-                        self._send(200, service.metrics_payload())
-                elif path == "/debug/flightrecorder":
-                    self._send(200, obs.flight.recorder().dump())
-                elif path == "/questions":
-                    available = sorted(QUESTIONS)
-                    if service.config.debug:
-                        available += sorted(DEBUG_QUESTIONS)
-                    self._send(200, {"questions": available})
-                elif path == "/snapshots":
-                    self._send(
-                        200,
-                        {"snapshots": [r.to_json() for r in service.store.list()]},
-                    )
-                elif _COVERAGE_PATH.match(path):
-                    name = _COVERAGE_PATH.match(path).group(1)
-                    try:
-                        witnesses = int(_query.get("witnesses", "0"))
-                    except ValueError:
-                        raise InvalidRequestError(
-                            "witnesses must be an integer"
-                        ) from None
-                    self._send(
-                        200, service.coverage_payload(name, witnesses=witnesses)
-                    )
-                elif _SNAPSHOT_PATH.match(path):
-                    name = _SNAPSHOT_PATH.match(path).group(1)
-                    self._send(200, service.store.record(name).to_json())
-                elif _JOB_PATH.match(path):
-                    job_id = _JOB_PATH.match(path).group(1)
-                    self._send(200, service.queue.get(job_id).to_json())
-                else:
-                    self._send_error(NotFoundError(f"no such path {path!r}"))
-            except ServiceError as error:
-                self._send_error(error)
+                route(*self._path_and_query())
+            except Exception as exc:
+                error = to_service_error(exc)
+                if error.status == 500:  # a bug, not a bad request
+                    traceback.print_exc()
+                self._send(error.status, error.payload())
             finally:
                 obs_context.deactivate(token)
+
+        def do_GET(self):  # noqa: N802
+            self._serve(self._get)
 
         def do_POST(self):  # noqa: N802
-            token = self._begin_ctx()
-            try:
-                path, query = self._path_and_query()
-                body = self._body()
-                if path == "/snapshots":
-                    if "name" not in body or "configs" not in body:
-                        raise InvalidRequestError(
-                            "body must include 'name' and 'configs'"
-                        )
-                    record = service.store.init(
-                        body["name"],
-                        body["configs"],
-                        settings=settings_from_json(body.get("settings")),
-                        force=bool(body.get("force", False)),
-                    )
-                    self._send(201, record.to_json())
-                    return
-                match = _QUESTION_PATH.match(path)
-                if match:
-                    # Long-running questions (sweeps) default to
-                    # async-202 job semantics; everything else blocks.
-                    default_wait = (
-                        "false"
-                        if match.group(2) in ASYNC_QUESTIONS
-                        else "true"
-                    )
-                    wait = _truthy(
-                        body.get("wait", query.get("wait", default_wait))
-                    )
-                    timeout_s = body.get("timeout_s")
-                    if timeout_s is not None:
-                        timeout_s = float(timeout_s)
-                    job, coalesced = service.submit_question(
-                        match.group(1),
-                        match.group(2),
-                        params=body.get("params"),
-                        timeout_s=timeout_s,
-                    )
-                    self._respond_job(job, coalesced, wait)
-                    return
-                raise NotFoundError(f"no such path {path!r}")
-            except ServiceError as error:
-                self._send_error(error)
-            finally:
-                obs_context.deactivate(token)
+            self._serve(self._post)
 
         def do_PATCH(self):  # noqa: N802
-            token = self._begin_ctx()
-            try:
-                path, _query = self._path_and_query()
-                match = _SNAPSHOT_PATH.match(path)
-                if match:
-                    body = self._body()
-                    if "configs" not in body:
-                        raise InvalidRequestError(
-                            "body must include 'configs' "
-                            "({filename: text-or-null})"
-                        )
-                    record = service.store.patch(
-                        match.group(1), body["configs"]
-                    )
-                    payload = record.to_json()
-                    session = service.store.get(match.group(1))
-                    if session.delta_info is not None:
-                        payload["delta"] = session.delta_info.to_json()
-                    self._send(200, payload)
-                    return
-                raise NotFoundError(f"no such path {path!r}")
-            except ServiceError as error:
-                self._send_error(error)
-            finally:
-                obs_context.deactivate(token)
+            self._serve(self._patch)
 
         def do_DELETE(self):  # noqa: N802
-            token = self._begin_ctx()
-            try:
-                path, _query = self._path_and_query()
-                match = _SNAPSHOT_PATH.match(path)
-                if match:
-                    service.store.delete(match.group(1))
-                    self._send(200, {"deleted": match.group(1)})
-                    return
-                match = _JOB_PATH.match(path)
-                if match:
-                    cancelled = service.queue.cancel(match.group(1))
-                    self._send(
-                        200 if cancelled else 409,
-                        {"id": match.group(1), "cancelled": cancelled},
+            self._serve(self._delete)
+
+        def _get(self, path: str, query: Dict[str, str]) -> None:
+            if path == "/healthz":
+                self._send(200, service.healthz())
+            elif path == "/readyz":
+                status, payload = service.readyz()
+                self._send(status, payload)
+            elif path == "/metrics":
+                accept = self.headers.get("Accept") or ""
+                if "text/plain" in accept or "openmetrics" in accept:
+                    self._send_bytes(
+                        200,
+                        service.prometheus_payload().encode(),
+                        "text/plain; version=0.0.4; charset=utf-8",
                     )
-                    return
+                else:
+                    self._send(200, service.metrics_payload())
+            elif path == "/debug/flightrecorder":
+                self._send(200, obs.flight.recorder().dump())
+            elif path == "/questions":
+                available = sorted(
+                    (declared.debug, name)
+                    for name, declared in QUESTIONS.items()
+                    if service.config.debug or not declared.debug
+                )
+                self._send(200, {"questions": [name for _, name in available]})
+            elif path == "/snapshots":
+                self._send(
+                    200,
+                    {"snapshots": [r.to_json() for r in service.store.list()]},
+                )
+            elif match := _COVERAGE_PATH.match(path):
+                witnesses = decode_object(query, _COVERAGE_QUERY).get("witnesses", 0)
+                self._send(200, service.coverage_payload(match.group(1), witnesses))
+            elif match := _SNAPSHOT_PATH.match(path):
+                self._send(200, service.store.record(match.group(1)).to_json())
+            elif match := _JOB_PATH.match(path):
+                self._send(200, service.queue.get(match.group(1)).to_json())
+            else:
                 raise NotFoundError(f"no such path {path!r}")
-            except ServiceError as error:
-                self._send_error(error)
-            finally:
-                obs_context.deactivate(token)
+
+        def _post(self, path: str, query: Dict[str, str]) -> None:
+            raw = self._body()
+            if path == "/snapshots":
+                body = decode_object(raw, _SNAPSHOT_BODY)
+                record = service.store.init(
+                    body["name"],
+                    body["configs"],
+                    settings=body.get("settings"),
+                    force=body.get("force", False),
+                )
+                self._send(201, record.to_json())
+            elif match := _QUESTION_PATH.match(path):
+                body = decode_object(raw, _QUESTION_BODY)
+                job, coalesced = service.submit_question(
+                    match.group(1),
+                    match.group(2),
+                    params=body.get("params"),
+                    timeout_s=body.get("timeout_s"),
+                )
+                # Long-running questions (sweeps) default to
+                # async-202 job semantics; everything else blocks.
+                is_async = QUESTIONS[job.question].is_async
+                self._respond_job(job, coalesced, body.get("wait", not is_async))
+            else:
+                raise NotFoundError(f"no such path {path!r}")
+
+        def _patch(self, path: str, query: Dict[str, str]) -> None:
+            match = _SNAPSHOT_PATH.match(path)
+            if not match:
+                raise NotFoundError(f"no such path {path!r}")
+            body = decode_object(self._body(), _PATCH_BODY)
+            record = service.store.patch(match.group(1), body["configs"])
+            payload = record.to_json()
+            session = service.store.get(match.group(1))
+            if session.delta_info is not None:
+                payload["delta"] = session.delta_info.to_json()
+            self._send(200, payload)
+
+        def _delete(self, path: str, query: Dict[str, str]) -> None:
+            match = _SNAPSHOT_PATH.match(path)
+            if match:
+                service.store.delete(match.group(1))
+                self._send(200, {"deleted": match.group(1)})
+                return
+            match = _JOB_PATH.match(path)
+            if not match:
+                raise NotFoundError(f"no such path {path!r}")
+            cancelled = service.queue.cancel(match.group(1))
+            self._send(
+                200 if cancelled else 409,
+                {"id": match.group(1), "cancelled": cancelled},
+            )
 
     return Handler
-
-
-def _truthy(value) -> bool:
-    if isinstance(value, bool):
-        return value
-    return str(value).strip().lower() not in ("false", "0", "no", "")

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.core.session import NotConvergedError
+from repro.questions.params import ParamError
 
 
 class ServiceError(Exception):
@@ -112,11 +113,11 @@ def to_service_error(exc: BaseException) -> ServiceError:
         return exc
     if isinstance(exc, NotConvergedError):
         return AnalysisError(str(exc), kind="not_converged")
+    if isinstance(exc, ParamError):
+        return InvalidRequestError(str(exc), field=exc.field)
     if isinstance(exc, KeyError):
         # The question surface raises KeyError for unknown nodes/filters.
         return InvalidRequestError(f"unknown entity: {exc}")
     if isinstance(exc, (TypeError, ValueError)):
         return InvalidRequestError(str(exc))
-    error = ServiceError(f"{type(exc).__name__}: {exc}")
-    error.details = {"kind": type(exc).__name__}
-    return error
+    return ServiceError(f"{type(exc).__name__}: {exc}", kind=type(exc).__name__)

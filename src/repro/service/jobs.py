@@ -494,15 +494,10 @@ class JobQueue:
             "job", "start", job_id=job.id, question=job.question
         )
         with obs.span("service.job", question=job.question):
-            # Belt and suspenders with run_question's own attribution:
-            # even executors that bypass the dispatch table (tests,
-            # future bulk endpoints) get their coverage touches scoped
-            # to the job's question.
-            with obs.context.attribution(job.question):
-                try:
-                    result = self._executor(job)
-                except BaseException as exc:  # worker must survive anything
-                    error = to_service_error(exc)
+            try:
+                result = self._executor(job)
+            except BaseException as exc:  # worker must survive anything
+                error = to_service_error(exc)
         with self._lock:
             self._active -= 1
             if error is None:

@@ -1,18 +1,23 @@
-"""Tests for the JSON boundary: decoders, encoders, and dispatch."""
+"""Tests for the service's question transport: lookup, bind, dispatch.
+
+The wire codecs and the schema binder are tested where they live,
+``tests/questions/test_params.py``; the question declarations in
+``tests/questions/test_registry.py``.
+"""
 
 import pytest
 
-from repro.hdr import fields as f
-from repro.service.errors import InvalidRequestError, UnknownQuestionError
+from repro.questions import registry
+from repro.service.errors import (
+    InvalidRequestError,
+    SnapshotNotFoundError,
+    UnknownQuestionError,
+)
 from repro.service.serialize import (
     QUESTIONS,
-    headerspace_from_json,
-    packet_from_json,
-    packet_to_json,
-    protocol_from_json,
+    prepare,
     run_question,
     settings_from_json,
-    sources_from_json,
 )
 from repro.service.store import SnapshotStore
 from repro.synth.special import net1
@@ -26,65 +31,15 @@ def store():
 
 
 class TestDecoders:
-    def test_packet_roundtrip(self):
-        packet = packet_from_json(
-            {"dst_ip": "10.0.0.1", "src_ip": "10.0.0.2", "dst_port": 443,
-             "ip_protocol": "tcp"}
-        )
-        assert str(packet.dst_ip) == "10.0.0.1"
-        assert packet.ip_protocol == f.PROTO_TCP
-        encoded = packet_to_json(packet)
-        assert encoded["dst_port"] == 443
-        assert "tcp" in encoded["description"]
-
-    def test_packet_rejects_unknown_fields(self):
-        with pytest.raises(InvalidRequestError):
-            packet_from_json({"dst_ip": "10.0.0.1", "ttl": 3})
-
-    def test_packet_rejects_bad_values(self):
-        with pytest.raises(InvalidRequestError):
-            packet_from_json({"dst_port": 70000})
-        with pytest.raises(InvalidRequestError):
-            packet_from_json({"dst_ip": "not-an-ip"})
-        with pytest.raises(InvalidRequestError):
-            packet_from_json("tcp")
-
-    def test_protocol_names_and_numbers(self):
-        assert protocol_from_json("TCP") == f.PROTO_TCP
-        assert protocol_from_json(89) == 89
-        with pytest.raises(InvalidRequestError):
-            protocol_from_json("quic")
-        with pytest.raises(InvalidRequestError):
-            protocol_from_json(True)
-
-    def test_headerspace_defaults_and_ports(self):
-        assert headerspace_from_json(None).dst_prefixes == ()
-        space = headerspace_from_json(
-            {"dst": "10.0.0.0/8", "dst_ports": [443, [8000, 8999]],
-             "protocols": ["tcp"]}
-        )
-        assert space.dst_ports == ((443, 443), (8000, 8999))
-        assert space.ip_protocols == (f.PROTO_TCP,)
-        with pytest.raises(InvalidRequestError):
-            headerspace_from_json({"dst_ports": ["443-444"]})
-        with pytest.raises(InvalidRequestError):
-            headerspace_from_json({"destination": "10.0.0.0/8"})
-
     def test_settings(self):
-        assert settings_from_json(None) is None
         settings = settings_from_json({"schedule": "lockstep", "max_iterations": 9})
         assert settings.schedule == "lockstep"
         assert settings.max_iterations == 9
-        with pytest.raises(InvalidRequestError):
-            settings_from_json({"tempo": "fast"})
-
-    def test_sources(self):
-        assert sources_from_json(None) is None
-        assert sources_from_json(["r1", ["r2", "eth0"], ["r3"]]) == [
-            ("r1", None), ("r2", "eth0"), ("r3", None),
-        ]
-        with pytest.raises(InvalidRequestError):
-            sources_from_json([42])
+        assert settings_from_json({}) == settings_from_json({"schedule": None})
+        for bad in ({"tempo": "fast"}, {"max_iterations": "9"},
+                    {"use_logical_clocks": "no"}, {"schedule": 3}):
+            with pytest.raises(ValueError):
+                settings_from_json(bad)
 
 
 class TestDispatch:
@@ -130,8 +85,17 @@ class TestDispatch:
         assert result["rows"] == []
 
     def test_missing_required_param(self, store):
-        with pytest.raises(InvalidRequestError):
+        with pytest.raises(InvalidRequestError) as excinfo:
             run_question(store, "lab", "traceroute", {"node": "net1-spur0"})
+        assert excinfo.value.status == 400
+        assert excinfo.value.details == {"field": "packet"}
+
+    def test_params_must_be_an_object(self, store):
+        for params in ([], "node", 7):
+            with pytest.raises(InvalidRequestError) as excinfo:
+                run_question(store, "lab", "routes", params)
+            assert excinfo.value.details == {"field": "params"}
+        assert run_question(store, "lab", "routes", None)["count"] > 0
 
     def test_unknown_question(self, store):
         with pytest.raises(UnknownQuestionError) as excinfo:
@@ -150,3 +114,21 @@ class TestDispatch:
     def test_registry_is_complete(self):
         assert {"routes", "reachability", "traceroute", "test_filter",
                 "explain_route", "route_diff"} <= set(QUESTIONS)
+        # The service's view is the registry minus the debug aids.
+        assert set(registry.QUESTIONS) - set(QUESTIONS) == {"sleep"}
+        assert all(QUESTIONS[name] is registry.QUESTIONS[name] for name in QUESTIONS)
+
+    def test_prepare_refuses_before_any_analysis(self, store):
+        declared, session, args = prepare(
+            store, "lab", "routes", {"node": "net1-core0"}
+        )
+        assert declared is QUESTIONS["routes"]
+        assert session is store.get("lab")
+        assert args == {"node": "net1-core0"}
+        assert prepare(store, "lab", "sleep", None, debug=True)[0].debug
+        with pytest.raises(UnknownQuestionError):
+            prepare(store, "lab", "sleep", None)
+        with pytest.raises(SnapshotNotFoundError):
+            prepare(store, "ghost", "routes", None)
+        with pytest.raises(InvalidRequestError):
+            prepare(store, "lab", "routes", {"node": "ghost"})

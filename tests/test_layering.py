@@ -9,13 +9,18 @@ nesting depth, so a function-local import counts):
   ``repro.service``: lint is a function of the snapshot alone;
 * nothing outside ``repro.service`` imports ``repro.service``;
 * ``repro/__main__.py`` is the only module outside ``repro.service``
-  that builds an ``argparse.ArgumentParser``.
+  that builds an ``argparse.ArgumentParser``;
+* no module outside ``repro.questions`` holds a literal collection of
+  question names: what a question is, is declared once, in
+  ``repro.questions.registry``.
 """
 
 import ast
 import pathlib
+import re
 
 import repro
+from repro.questions.registry import QUESTIONS
 
 ROOT = pathlib.Path(repro.__file__).parent
 
@@ -104,3 +109,35 @@ def test_one_argument_parser_outside_the_service():
         str(path.relative_to(ROOT)) for path in ROOT.glob("**/__main__.py")
     )
     assert mains == ["__main__.py", "service/__main__.py"]
+
+
+def test_question_names_are_listed_only_in_the_registry():
+    """A set, list, tuple or dict literal naming two or more questions is
+    a second list of them; so are the retired hand-kept lists, the
+    per-question ``_q_*`` handlers and the two private param parsers."""
+    retired = re.compile(
+        r"ROUTING_QUESTIONS|CONFIG_QUESTIONS|ASYNC_QUESTIONS|DEBUG_QUESTIONS"
+        r"|def _q_|_param_hosts|_PROTOCOLS\b"
+    )
+    violations = []
+    for path in sorted(ROOT.glob("**/*.py")):
+        text = path.read_text()
+        where = path.relative_to(ROOT)
+        violations += [f"{where}: {name}" for name in retired.findall(text)]
+        if where.parts[0] == "questions":
+            continue
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Dict):
+                items = node.keys
+            elif isinstance(node, (ast.Set, ast.List, ast.Tuple)):
+                items = node.elts
+            else:
+                continue
+            named = sorted(
+                item.value
+                for item in items
+                if isinstance(item, ast.Constant) and item.value in QUESTIONS
+            )
+            if len(named) > 1:
+                violations.append(f"{where}:{node.lineno}: {named}")
+    assert not violations, "\n".join(violations)
