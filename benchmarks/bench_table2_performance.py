@@ -20,7 +20,6 @@ The artifact is an experiment's output, not a regression gate — that is
 
 from __future__ import annotations
 
-import gc
 import shutil
 import sys
 import tempfile
@@ -259,79 +258,6 @@ def collect_measurements(
     return benchlib.pmap_rows(measure_network, names, jobs=jobs)
 
 
-def measure_obs_overhead(
-    name: str = _SMOKE_NETWORK, repeats: int = 3
-) -> Dict[str, object]:
-    """Cost of the always-on flight recorder with obs otherwise off.
-
-    Runs the same uncached pipeline with the ring recording (the
-    production default) and suppressed (the escape hatch); the
-    acceptance budget for the difference is < 2%. Measured with
-    tracing/metrics disabled so the number isolates exactly the
-    component that cannot be turned off.
-
-    The true difference is a handful of deque appends per request, so
-    the estimator has to beat machine noise, not the workload:
-
-    * GC runs between samples, disabled inside them (GC pauses aliased
-      with naive on/off alternation and produced ±8% phantom deltas);
-    * samples interleave in ABBA blocks so slow drift (frequency
-      scaling, neighbors on shared CI runners) cancels pairwise;
-    * each side takes a 20%-trimmed mean, and the whole measurement
-      repeats ``repeats`` times with the median pass reported.
-    """
-    spec = next(s for s in NETWORKS if s.name == name)
-    recorder = obs.flight.recorder()
-
-    def run_once() -> float:
-        gc.collect()
-        gc.disable()
-        started = time.perf_counter()
-        benchlib.run_pipeline(spec)
-        # The pipeline itself emits no flight events; mirror the volume
-        # a service job produces (submit/start/finish plus phase marks)
-        # so the ring's append path is actually on the measured path.
-        for i in range(8):
-            obs.flight.record("bench", "tick", i=i)
-        elapsed = time.perf_counter() - started
-        gc.enable()
-        return elapsed
-
-    def trimmed_mean(samples: List[float]) -> float:
-        samples = sorted(samples)
-        trim = len(samples) // 5
-        kept = samples[trim : len(samples) - trim] or samples
-        return sum(kept) / len(kept)
-
-    run_once()  # warm caches (imports, interning pools)
-    passes = []
-    try:
-        for _ in range(repeats):
-            on_times: List[float] = []
-            off_times: List[float] = []
-            for _block in range(20):
-                for enabled in (True, False, False, True):
-                    recorder.enabled = enabled
-                    (on_times if enabled else off_times).append(run_once())
-            flight_on = trimmed_mean(on_times)
-            flight_off = trimmed_mean(off_times)
-            overhead = (
-                (flight_on - flight_off) / flight_off if flight_off > 0 else 0.0
-            )
-            passes.append((overhead, flight_on, flight_off))
-    finally:
-        recorder.enabled = True
-    passes.sort()
-    overhead, flight_on, flight_off = passes[len(passes) // 2]
-    return {
-        "network": name,
-        "repeats": repeats,
-        "flight_on_seconds": round(flight_on, 4),
-        "flight_off_seconds": round(flight_off, 4),
-        "overhead_pct": round(overhead * 100, 2),
-    }
-
-
 def collect_phase_percentiles(
     name: str = _SMOKE_NETWORK, repeats: int = 3
 ) -> None:
@@ -379,7 +305,6 @@ def main(argv: Optional[List[str]] = None) -> None:
     smoke = "--smoke" in argv
     names = [_SMOKE_NETWORK] if smoke else [spec.name for spec in NETWORKS]
     measurements = collect_measurements(names)
-    obs_overhead = measure_obs_overhead()
     collect_phase_percentiles()
     print_table(
         "Table 2: performance of the current pipeline",
@@ -394,16 +319,9 @@ def main(argv: Optional[List[str]] = None) -> None:
         {
             "smoke": smoke,
             "networks": measurements,
-            "obs_overhead": obs_overhead,
         },
     )
     print(f"wrote {path}")
-    print(
-        f"obs-off overhead (flight recorder, {obs_overhead['network']}): "
-        f"{obs_overhead['flight_off_seconds']:.3f}s suppressed -> "
-        f"{obs_overhead['flight_on_seconds']:.3f}s recording "
-        f"({obs_overhead['overhead_pct']:+.2f}%)"
-    )
     slowest = max(measurements, key=lambda m: m["seconds"]["cache_cold"])
     ratio = slowest["seconds"]["cache_cold"] / max(
         slowest["seconds"]["cache_warm"], 1e-9

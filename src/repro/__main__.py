@@ -1,7 +1,7 @@
 """``python -m repro`` / ``repro`` — the one command line.
 
 ``lint``, ``sweep``, ``validate {fidelity|delta|sweep|dataflow|all}``,
-``coverage``, ``report``, ``explain {route|flow}`` and ``profile``; the
+``coverage``, ``report`` and ``explain {route|flow}``; the
 README's "Command line" table says what each gates. Every command exits
 0 when clean, 1 when its gate trips (a finding at or above ``--fail-on``,
 a validator divergence, a ``--strict`` trace with a leaked span) and 2
@@ -42,7 +42,6 @@ from repro.findings import (
 )
 from repro.lint import LintConfig, LintReport, all_rules, lint_snapshot
 from repro.lint.dataflow import analyze, validate_containment
-from repro.obs.profiler import render_report
 from repro.obs.report import TraceReport
 from repro.provenance import Flow
 from repro.questions import coverage as qcov
@@ -470,7 +469,7 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# report / explain / profile
+# report / explain
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -512,31 +511,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     )
     flow = Flow(packet, args.node, args.interface)
     print(session.explain_flow(flow).render())
-    return 0
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    """Render a raw ``repro-profile/v1`` JSON file, or every profile
-    attached to a postmortem bundle of a flight-recorder dump
-    (``repro-flightrecorder/v1`` — the ``REPRO_FLIGHT_DUMP`` /
-    drain-time artifact)."""
-    with open(args.path) as handle:
-        payload = json.load(handle)
-    if payload.get("schema") == "repro-profile/v1":
-        print(render_report(payload))
-        return 0
-    bundles = [b for b in payload.get("bundles", []) if b.get("profile")]
-    for bundle in bundles:
-        rid = f" rid={bundle['rid']}" if bundle.get("rid") else ""
-        print(f"postmortem: {bundle.get('reason', '?')}{rid}")
-        print(render_report(bundle["profile"]))
-    if not bundles:
-        print(
-            "no profile found (enable REPRO_PROFILE_HZ to attach profiles "
-            "to postmortem bundles)",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 
@@ -681,10 +655,6 @@ def build_parser() -> argparse.ArgumentParser:
     flow.add_argument("--protocol", default="tcp", help="tcp, udp, icmp, ...")
     flow.add_argument("--src-port", type=int, default=0)
     flow.add_argument("--dst-port", type=int, default=0)
-
-    profile = commands.add_parser("profile", help="render a sampled profile")
-    profile.add_argument("path", help="profile or flight-recorder dump JSON")
-    profile.set_defaults(run=_cmd_profile)
     return parser
 
 

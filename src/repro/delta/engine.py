@@ -161,11 +161,6 @@ def delta_session(
             info.fallback_reason = reason
             info.dirty_devices = sorted(new_session.snapshot.devices)
             obs.metrics().inc("delta.fallback_full")
-            # Always-on flight event: fallbacks are exactly the "why was
-            # this request slow" evidence a postmortem bundle needs.
-            obs.flight.record(
-                "delta_fallback", reason, changed=len(changed_files)
-            )
         _prioritize_questions(base, new_session, info, changed_hosts)
         _record_metrics(info, len(new_session.snapshot.devices))
         should_validate = (

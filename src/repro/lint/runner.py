@@ -151,15 +151,7 @@ def lint_snapshot(
         # prefix), whether the rule runs inline or on a pmap worker.
         with obs.context.attribution(f"lint/{rule.rule_id}"):
             findings = rule.run(snapshot)
-        elapsed = time.perf_counter() - start
-        # Lands in the pmap worker's flight ring and ships back to the
-        # parent with the originating request id — the per-rule trail a
-        # postmortem of a slow or crashed lint job needs.
-        obs.flight.record(
-            "lint.rule", rule.rule_id,
-            findings=len(findings), wall_s=round(elapsed, 6),
-        )
-        return findings, elapsed
+        return findings, time.perf_counter() - start
 
     started = time.perf_counter()
     try:

@@ -18,16 +18,18 @@ The observability subsystem the pipeline reports through:
   per-phase time tree, top counters, and the coverage summary
   (:class:`repro.obs.report.TraceReport`); ``--strict`` fails on
   unclosed spans (the CI gate).
+* **Request context** (:mod:`repro.obs.context`) — the request id that
+  spans carry and the question label coverage is scoped by, across the
+  service's thread hop and ``pmap``'s fork.
 
 All instrumentation is zero-cost when disabled: one module-level flag
 guard per call site, no formatting or allocation off the hot path.
 """
 
-from repro.obs import context, flight, profiler
+from repro.obs import context
 from repro.obs.context import RequestContext, current_request_id, request_context
 from repro.obs.coverage import CoverageReport, CoverageTracker, coverage_report
 from repro.obs.metrics import BucketHistogram, Histogram, Metrics
-from repro.obs.slo import SloTracker
 from repro.obs.trace import (
     Span,
     active,
@@ -63,7 +65,6 @@ __all__ = [
     "Histogram",
     "Metrics",
     "RequestContext",
-    "SloTracker",
     "Span",
     "active",
     "add",
@@ -77,7 +78,6 @@ __all__ = [
     "enable_metrics",
     "enabled",
     "events",
-    "flight",
     "flush",
     "gauge",
     "merge_worker_dump",
@@ -87,7 +87,6 @@ __all__ = [
     "observe",
     "observe_bucket",
     "observe_phase",
-    "profiler",
     "request_context",
     "reset",
     "span",

@@ -1,11 +1,11 @@
-"""Request-scoped trace context: who asked for this work, and until when.
+"""Request-scoped trace context: which request, and which question, this
+work is done for.
 
-Every piece of telemetry the pipeline emits — spans, metric exemplars,
-flight-recorder events, postmortem bundles — should be attributable to
-the *request* that caused it, even when the work happens three layers
-down (an HTTP handler thread enqueues a job, a queue worker thread runs
-it, and a ``pmap`` pool worker process parses one config file of it).
-This module is the propagation mechanism:
+Spans should be attributable to the *request* that caused them, and
+coverage touches to the *question*, even when the work happens on
+another thread (an HTTP handler thread enqueues a job, a queue worker
+thread runs it) or in another process (a ``pmap`` pool worker parses
+one config file). This module is the propagation mechanism:
 
 * a :class:`RequestContext` is minted once, at the outermost entry
   point (the HTTP handler; CLI entry points may mint their own);
@@ -16,12 +16,13 @@ This module is the propagation mechanism:
   :class:`repro.service.jobs.Job` stores it; the worker activates it);
 * across *process* boundaries it is serialized into the worker payload
   (:func:`to_wire` / :func:`from_wire` — see
-  :func:`repro.parallel.pmap`), so events emitted inside pool workers
+  :func:`repro.parallel.pmap`), so spans emitted inside pool workers
   carry the same ``request_id`` as the parent's.
 
-The context is intentionally tiny and immutable: a request id, an
-optional tenant/client tag, and an optional absolute deadline. Anything
-bigger belongs in span attributes, not in the ambient context.
+The context is intentionally tiny and immutable: a request id and a
+question label, each read by something (spans stamp the id, coverage
+scopes by the question). Anything bigger belongs in span attributes,
+not in the ambient context.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import dataclasses
-import time
 import uuid
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional
@@ -40,29 +40,12 @@ class RequestContext:
     """Immutable per-request attribution carried through the pipeline."""
 
     request_id: str
-    #: Client/tenant tag (free-form; the service fills it from the
-    #: ``X-Tenant`` header). Empty string = unattributed.
-    tenant: str = ""
-    #: Absolute deadline (``time.time()`` epoch seconds); None = none.
-    deadline_ts: Optional[float] = None
     #: The question (or ``lint/<rule>`` label) this work is executing on
     #: behalf of. Empty string = unattributed. Coverage touches are
     #: scoped to this value, so per-question coverage vectors survive
     #: the job queue's thread hop and ``pmap``'s fork boundary the same
     #: way ``request_id`` does.
     question: str = ""
-
-    def remaining_s(self, now: Optional[float] = None) -> Optional[float]:
-        """Seconds until the deadline (negative = expired); None when
-        the request carries no deadline."""
-        if self.deadline_ts is None:
-            return None
-        return self.deadline_ts - (time.time() if now is None else now)
-
-    @property
-    def expired(self) -> bool:
-        remaining = self.remaining_s()
-        return remaining is not None and remaining <= 0
 
 
 _CURRENT: contextvars.ContextVar[Optional[RequestContext]] = (
@@ -116,21 +99,13 @@ def deactivate(token: contextvars.Token) -> None:
 
 
 @contextlib.contextmanager
-def request_context(
-    request_id: Optional[str] = None,
-    tenant: str = "",
-    deadline_ts: Optional[float] = None,
-) -> Iterator[RequestContext]:
+def request_context(request_id: Optional[str] = None) -> Iterator[RequestContext]:
     """Scope a request context over a block::
 
-        with request_context(tenant="ci") as ctx:
-            session.reachability(...)   # telemetry carries ctx.request_id
+        with request_context() as ctx:
+            session.reachability(...)   # spans carry ctx.request_id
     """
-    context = RequestContext(
-        request_id=request_id or new_request_id(),
-        tenant=tenant,
-        deadline_ts=deadline_ts,
-    )
+    context = RequestContext(request_id=request_id or new_request_id())
     token = _CURRENT.set(context)
     try:
         yield context
@@ -143,10 +118,10 @@ def attribution(question: str) -> Iterator[RequestContext]:
     """Scope coverage attribution to ``question`` over a block.
 
     Derives from the active request context when there is one (so the
-    request id, tenant, and deadline keep flowing), otherwise mints an
-    anonymous context carrying only the question label. Used by
-    :func:`repro.service.serialize.run_question` (question handlers),
-    the job-queue worker, and the lint runner (``lint/<rule_id>``)::
+    request id keeps flowing), otherwise mints an anonymous context
+    carrying only the question label. Used by
+    :func:`repro.service.serialize.run_question` (question handlers)
+    and the lint runner (``lint/<rule_id>``)::
 
         with attribution("reachability"):
             ...   # every obs.touch() lands in this question's vector
@@ -172,10 +147,6 @@ def to_wire(context: Optional[RequestContext]) -> Optional[Dict]:
     if context is None:
         return None
     wire: Dict = {"request_id": context.request_id}
-    if context.tenant:
-        wire["tenant"] = context.tenant
-    if context.deadline_ts is not None:
-        wire["deadline_ts"] = context.deadline_ts
     if context.question:
         wire["question"] = context.question
     return wire
@@ -193,10 +164,4 @@ def from_wire(wire: Optional[Dict]) -> Optional[RequestContext]:
     # legitimate wire — CLI entry points attribute without minting rids.
     if not request_id and not question:
         return None
-    deadline = wire.get("deadline_ts")
-    return RequestContext(
-        request_id=str(request_id),
-        tenant=str(wire.get("tenant", "") or ""),
-        deadline_ts=float(deadline) if deadline is not None else None,
-        question=str(question),
-    )
+    return RequestContext(request_id=str(request_id), question=str(question))

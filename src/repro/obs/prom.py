@@ -50,8 +50,6 @@ _HELP: Dict[str, str] = {
     "service.job.queue_seconds": "Time jobs spent queued before a worker picked them up.",
     "service.queue.depth": "Jobs currently waiting in the bounded queue.",
     "service.queue.oldest_age_seconds": "Age of the oldest queued job.",
-    "slo.breaches": "Requests that exceeded their question's latency objective.",
-    "slo.requests": "Requests evaluated against a latency objective.",
     "coverage.ratio": "Fraction of a structure kind's instances this question's runs touched.",
     "uncovered_stanzas": "Config structures across stored snapshots that no question touched.",
     "sweep.runs": "Resilience sweeps executed.",

@@ -40,7 +40,7 @@ import time
 from collections import deque
 from typing import Dict, List, Optional
 
-from repro.obs import context, flight as _flight
+from repro.obs import context
 from repro.obs.context import current_request_id
 from repro.obs.coverage import CoverageTracker
 from repro.obs.metrics import Metrics
@@ -79,8 +79,8 @@ _STATE = _ObsState()
 def _reinit_locks_after_fork() -> None:
     """Replace every obs lock with a fresh one in fork children.
 
-    A ``pmap`` fork can happen while other threads (HTTP handlers, the
-    job-queue workers) hold the metrics/flight/trace locks; the child
+    A ``pmap`` fork from the main thread can happen while other threads
+    hold the metrics/coverage/trace locks; the child
     inherits those locks *in their held state* with no thread left to
     release them, so its first instrumented call would deadlock. The
     child is single-threaded at this point, so swapping in new locks is
@@ -90,7 +90,6 @@ def _reinit_locks_after_fork() -> None:
     _STATE.lock = threading.Lock()
     _STATE.metrics._lock = threading.Lock()
     _STATE.coverage._lock = threading.Lock()
-    _flight.recorder()._lock = threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):  # posix only; fork implies posix
@@ -158,32 +157,22 @@ def disable() -> None:
 
 
 def reset() -> None:
-    """Drop all collected events, metrics, coverage, and the flight
-    recorder's ring (not the switches)."""
+    """Drop all collected events, metrics and coverage (not the
+    switches)."""
     with _STATE.lock:
         _STATE.buffer.clear()
         _STATE.open_spans.clear()
         _STATE.next_span_id = 0
     _STATE.metrics.reset()
     _STATE.coverage.reset()
-    _flight.reset()
 
 
 def _emit(event: Dict) -> None:
-    """Record one event in the buffer and, when streaming, the file.
-
-    Every traced event is also mirrored into the always-on flight
-    recorder ring, so a postmortem bundle taken during a traced run
-    carries full span detail."""
+    """Record one event in the buffer and, when streaming, the file."""
     line = None
     sink = _STATE.sink
     if sink is not None:
         line = json.dumps(event, sort_keys=True, default=str)
-    _flight.recorder().record(
-        "trace", event.get("name", event.get("type", "?")), **{
-            key: value for key, value in event.items() if key != "name"
-        }
-    )
     with _STATE.lock:
         _STATE.buffer.append(event)
         if sink is not None and line is not None:
@@ -361,11 +350,9 @@ def observe_bucket(name: str, value: float, **labels: str) -> None:
 
 def observe_phase(phase: str, seconds: float) -> None:
     """Record one pipeline-phase latency sample (parse / dataplane /
-    bdd / delta / lint) into the labeled ``phase.seconds`` histogram,
-    and mirror a coarse event into the always-on flight recorder."""
+    bdd / delta / lint) into the labeled ``phase.seconds`` histogram."""
     if _STATE.enabled or _STATE.metrics_enabled:
         _STATE.metrics.observe_bucket("phase.seconds", seconds, phase=phase)
-    _flight.recorder().record("phase", phase, wall_s=round(seconds, 6))
 
 
 def touch(kind: str, hostname: str, name: str, index: Optional[int] = None) -> None:
@@ -395,16 +382,14 @@ def metrics_dump() -> Dict:
 
 
 def merge_worker_dump(dump: Dict) -> None:
-    """Fold a pmap worker's ``{"metrics": ..., "coverage": ...,
-    "flight": ...}`` delta in. Gauges merge with their declared modes
-    (default ``max`` — chunk completion order is nondeterministic, so
-    last-write-wins would be too); flight-recorder events append to the
-    parent's ring, keeping their worker-side ``rid`` attribution."""
+    """Fold a pmap worker's ``{"metrics": ..., "coverage": ...}`` delta
+    in. Gauges merge with their declared modes (default ``max`` — chunk
+    completion order is nondeterministic, so last-write-wins would be
+    too)."""
     if not dump:
         return
     _STATE.metrics.merge(dump.get("metrics", {}), worker=True)
     _STATE.coverage.merge(dump.get("coverage", {}))
-    _flight.recorder().extend(dump.get("flight", ()))
 
 
 def worker_dump() -> Dict:
@@ -412,7 +397,6 @@ def worker_dump() -> Dict:
     return {
         "metrics": _STATE.metrics.dump(),
         "coverage": _STATE.coverage.dump(),
-        "flight": _flight.recent(),
     }
 
 
@@ -438,13 +422,6 @@ def _configure_from_env() -> None:
     if path:
         enable(trace=path)
         atexit.register(flush)
-    dump_path = _flight.dump_path_from_env()
-    if dump_path:
-        # REPRO_FLIGHT_DUMP: persist the flight-recorder ring + bundles
-        # at interpreter exit (CI uploads this as an artifact).
-        atexit.register(
-            lambda: _flight.recorder().dump_to(dump_path)
-        )
 
 
 _configure_from_env()

@@ -16,6 +16,13 @@ keeping the results byte-identical to a serial run:
 * **Serial fallback for small inputs.** Spawning processes costs more
   than parsing a handful of configs; inputs below ``min_items`` (or a
   single-job setting) run inline.
+* **Forks only from the main thread.** A fork copies one thread of a
+  multi-threaded process, with its signal handlers and whatever locks
+  the other threads held, and two threads mapping at once would
+  overwrite each other's published callable. (A pool forked from the
+  service's threads inherited its SIGTERM handler, so a worker could
+  survive the pool's teardown and hang the job for good.) A call from
+  any other thread runs inline.
 * **One env knob.** ``REPRO_JOBS`` sets the default worker count
   (``REPRO_JOBS=1`` forces serial everywhere, e.g. for determinism
   A/B tests); callers can override per call with ``jobs=``.
@@ -29,6 +36,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 import time
 from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
 
@@ -82,21 +90,19 @@ def _invoke_chunk(chunk: Sequence) -> List:
 
 def _invoke_chunk_obs(task: Sequence):
     """Observable chunk worker: also ships the chunk's wall time and the
-    worker's metric/coverage/flight deltas back for the parent to merge.
+    worker's metric/coverage deltas back for the parent to merge.
 
     The forked worker inherits the parent's registries, so they are
     reset at chunk start — everything in the outbound dump is this
     chunk's own contribution. The task payload carries the submitting
     thread's request context on the wire (fork only clones the calling
-    thread's contextvars at pool *creation* time, which is neither this
-    task's thread nor this task's moment), so spans, metrics, and
-    flight events emitted inside the worker carry the originating
-    ``request_id``.
+    thread's contextvars at pool *creation* time, which is not this
+    task's moment), so spans emitted inside the worker carry the
+    originating ``request_id`` and coverage touches its question.
     """
     chunk, ctx_wire = task
     obs.metrics().reset()
     obs.coverage().reset()
-    obs.flight.reset()
     ctx = obs.context.from_wire(ctx_wire)
     token = obs.context.activate(ctx) if ctx is not None else None
     try:
@@ -131,8 +137,8 @@ def pmap(
     four tasks per worker, so stragglers rebalance).
     ``min_items``: inputs smaller than this run serially.
     ``progress``: called in the parent as ``progress(done, total)``
-    after each completed item (serial path) or chunk (pool path) —
-    long sweeps stream liveness into the flight recorder through this.
+    after each completed item (serial path) or chunk (pool path) — a
+    running sweep job reports done/total through this.
 
     Exceptions raised by ``fn`` propagate to the caller, as in a plain
     loop. Results must be picklable when the pool path is taken.
@@ -149,6 +155,8 @@ def pmap(
         # nested pmap calls (e.g. parsing inside a per-network worker)
         # degrade to serial inside the worker.
         or multiprocessing.current_process().daemon
+        # See "Forks only from the main thread" above.
+        or threading.current_thread() is not threading.main_thread()
     ):
         if obs.active():
             obs.add("pmap.serial_calls")

@@ -20,7 +20,9 @@ report's witness packets.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional
+from typing import (
+    Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple,
+)
 
 from repro.hdr import fields as f
 from repro.hdr.headerspace import HeaderSpace
@@ -43,6 +45,12 @@ class Param(NamedTuple):
     #: The hostnames a decoded value names. ``bind`` checks them against
     #: the snapshot; a coverage record is pinned to them.
     hosts: Callable[[object], Iterable[str]] = lambda value: ()
+    #: The ``(hostname, interface)`` pairs a decoded value names, given
+    #: every bound arg (the host may be another param's). ``bind`` checks
+    #: each interface against its device.
+    interfaces: Callable[
+        [object, Mapping[str, object]], Iterable[Tuple[str, str]]
+    ] = lambda value, args: ()
 
 
 def decode_object(raw, schema: Mapping[str, Param]) -> Dict[str, object]:
@@ -221,7 +229,11 @@ def _source(entry):
 sources_from_json = list_of(_source)
 
 SOURCES = Param(
-    sources_from_json, hosts=lambda sources: [name for name, _ in sources]
+    sources_from_json,
+    hosts=lambda sources: [name for name, _ in sources],
+    interfaces=lambda sources, args: [
+        (name, iface) for name, iface in sources if iface is not None
+    ],
 )
 
 

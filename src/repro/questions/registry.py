@@ -9,7 +9,9 @@ JSON-ready answer, with its encoder beside it. :func:`bind` turns raw
 params into ``args`` and is the only code that rejects one, always as a
 :class:`repro.questions.params.ParamError` naming the field. Transports
 (the HTTP service today) look a question up, bind, and run; they hold no
-list of names, no schema and no per-question code.
+list of names, no schema and no per-question code. A transport that can
+show how far a running question got binds :data:`PROGRESS` around
+``run``.
 
 Scope is what makes skipping a rerun after a delta *sound*
 (:func:`repro.questions.coverage.prioritize_questions`):
@@ -32,6 +34,7 @@ Scope is what makes skipping a rerun after a delta *sound*
 from __future__ import annotations
 
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional
 
@@ -87,6 +90,12 @@ class Question:
 
 QUESTIONS: Dict[str, Question] = {}
 
+#: Where a running question reports how far it got, as a JSON-ready
+#: dict; unbound (None) when the caller is not listening.
+PROGRESS: ContextVar[Optional[Callable[[Dict], None]]] = ContextVar(
+    "repro_question_progress", default=None
+)
+
 
 def question(name: str, params: Optional[Mapping[str, Param]] = None, **flags):
     """Declare the decorated function as question ``name``'s ``run``."""
@@ -111,6 +120,10 @@ def bind(
     for host, key in declared.named_hosts(args).items():
         if host not in snapshot.devices:
             raise ParamError(key, f"no device named {host!r} in the snapshot")
+    for key, value in args.items():
+        for host, name in declared.params[key].interfaces(value, args):
+            if name not in snapshot.devices[host].interfaces:
+                raise ParamError(key, f"{host!r} has no interface {name!r}")
     return args
 
 
@@ -169,7 +182,10 @@ def reachability(session, args, open_session) -> Dict:
     {
         "packet": Param(packet_from_json, required=True),
         "node": node(required=True),
-        "interface": Param(text, required=True),
+        "interface": Param(
+            text, required=True,
+            interfaces=lambda name, args: [(args["node"], name)],
+        ),
     },
     scope="routing",
     converged=True,
@@ -266,7 +282,9 @@ _COUNT = Param(integer(1))
         "k": _COUNT,
         "kinds": Param(_kinds),
         "property": Param(
-            property_from_json, hosts=lambda prop: (prop.src_node,)
+            property_from_json,
+            hosts=lambda prop: (prop.src_node,),
+            interfaces=lambda prop, args: [(prop.src_node, prop.src_interface)],
         ),
         "prune": Param(boolean),
         "limit": _COUNT,
@@ -278,12 +296,22 @@ _COUNT = Param(integer(1))
 )
 def sweep(session, args, open_session) -> Dict:
     """The resilience sweep (``repro.sweep``): k-failure scenario
-    enumeration with equivalence-class pruning. Progress streams into
-    the flight recorder as ``sweep_progress`` events tagged with the
-    request id."""
+    enumeration with equivalence-class pruning. Reports
+    ``{done, total, pruned}`` scenarios to :data:`PROGRESS` as it goes."""
     kwargs = dict(args)
     if "property" in kwargs:
         kwargs["prop"] = kwargs.pop("property")
+    report = PROGRESS.get()
+    if report is not None:
+        pruned = None
+
+        def progress(done: int, total: int) -> None:
+            nonlocal pruned
+            if pruned is None:  # the plan's call: done = what it pruned
+                pruned = done
+            report({"done": done, "total": total, "pruned": pruned})
+
+        kwargs["progress"] = progress
     result = session.sweep(**kwargs)
     findings = findings_from_result(result, host_files(session.snapshot))
     return report_json(result, findings)

@@ -16,7 +16,6 @@ import threading
 from typing import List, Optional
 
 from repro import obs
-from repro.obs.slo import objectives_from_env
 from repro.service.api import AnalysisService, ServiceConfig
 
 
@@ -61,25 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--verbose", action="store_true",
                         help="log one line per HTTP request")
-    parser.add_argument(
-        "--slo", action="append", default=[], metavar="QUESTION=SECONDS",
-        help="per-question latency objective, e.g. --slo routes=2 "
-        "--slo '*=30' (repeatable; merges over REPRO_SLO)",
-    )
-    parser.add_argument(
-        "--slo-target", type=float, default=None, metavar="RATIO",
-        help="SLO success-ratio target (default 0.99 = 1%% error budget)",
-    )
-    parser.add_argument(
-        "--profile-hz", type=float, default=0.0, metavar="HZ",
-        help="enable the sampling profiler at this rate "
-        "(REPRO_PROFILE_HZ also enables it)",
-    )
-    parser.add_argument(
-        "--flight-dump", default=None, metavar="JSON",
-        help="write the flight-recorder ring + postmortem bundles to "
-        "this file after drain (REPRO_FLIGHT_DUMP also enables it)",
-    )
     return parser
 
 
@@ -87,7 +67,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.trace:
         obs.enable(args.trace)
-    slos = objectives_from_env(",".join(args.slo)) if args.slo else {}
     config = ServiceConfig(
         host=args.host,
         port=args.port,
@@ -98,11 +77,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         cache=args.cache_dir,
         debug=args.debug_questions,
         verbose=args.verbose,
-        slos=slos,
-        profile_hz=args.profile_hz,
     )
-    if args.slo_target is not None:
-        config.slo_target = args.slo_target
     service = AnalysisService(config)
     service.start()
     print(
@@ -121,12 +96,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     stop_requested.wait()
 
     print("repro.service draining in-flight jobs ...", flush=True)
-    # Freeze a bundle at the moment of the signal: what was queued and
-    # running right before the drain is exactly what a postmortem of a
-    # rolling restart gone wrong needs.
-    obs.flight.snapshot_bundle(
-        "sigterm", queue=service.queue.stats(), snapshots=len(service.store)
-    )
     drained = service.stop(drain=True)
     stats = service.queue.stats()
     print(
@@ -136,10 +105,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"clean={drained}",
         flush=True,
     )
-    dump_path = args.flight_dump or obs.flight.dump_path_from_env()
-    if dump_path:
-        obs.flight.recorder().dump_to(dump_path)
-        print(f"repro.service flight recorder dumped to {dump_path}", flush=True)
     if obs.enabled():
         obs.flush()
     return 0

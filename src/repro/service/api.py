@@ -35,27 +35,23 @@ question param.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import re
 import threading
-import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
 from repro import obs
 from repro.obs import context as obs_context
-from repro.obs import profiler
-from repro.obs import slo as slo_mod
 from repro.obs.prom import render_exposition
 from repro.core.cache import resolve_cache
 from repro.questions import coverage as qcov
 from repro.questions.params import Param, boolean, decode_object, seconds
-from repro.questions.registry import QUESTIONS
+from repro.questions.registry import PROGRESS, QUESTIONS
 from repro.service.errors import (
     InvalidRequestError,
     NotFoundError,
@@ -85,13 +81,6 @@ class ServiceConfig:
     debug: bool = False
     #: Log one line per request to stderr.
     verbose: bool = False
-    #: Per-question latency objectives (seconds; "*" = default). Merged
-    #: over REPRO_SLO; see :mod:`repro.obs.slo`.
-    slos: Dict[str, float] = field(default_factory=dict)
-    #: SLO success-ratio target (0.99 = 1% error budget).
-    slo_target: float = slo_mod.DEFAULT_TARGET
-    #: Sampling-profiler rate; 0 = off (REPRO_PROFILE_HZ also enables).
-    profile_hz: float = 0.0
 
 
 class AnalysisService:
@@ -102,44 +91,32 @@ class AnalysisService:
         # A deployed service always populates /metrics; full span
         # tracing stays a separate opt-in (REPRO_TRACE / --trace).
         obs.enable_metrics()
-        if self.config.profile_hz > 0:
-            profiler.start(self.config.profile_hz)
-        else:
-            profiler.maybe_start_from_env()
         self.cache = resolve_cache(self.config.cache)
         self.store = SnapshotStore(cache=self.cache)
-        objectives = dict(slo_mod.objectives_from_env())
-        objectives.update(self.config.slos)
-        self.slo = slo_mod.SloTracker(
-            objectives=objectives,
-            target=self.config.slo_target,
-            metrics=obs.metrics(),
-        )
         self.queue = JobQueue(
             executor=self._execute,
             workers=self.config.workers,
             max_queue=self.config.max_queue,
             default_timeout_s=self.config.default_timeout_s,
-            slo=self.slo,
-            bundle_extras=self._bundle_extras,
         )
         self._httpd: Optional[ThreadingHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
 
-    def _bundle_extras(self) -> Dict:
-        """Service-level context folded into every postmortem bundle."""
-        extras: Dict = {"snapshots": len(self.store)}
-        if self.cache is not None:
-            extras["cache"] = self.cache.stats()
-        return extras
-
     # -- job execution -----------------------------------------------------
 
     def _execute(self, job: Job) -> Dict:
-        return run_question(
-            self.store, job.snapshot, job.question, job.params,
-            debug=self.config.debug,
-        )
+        # What the question reports as it runs shows on GET /jobs/{id}.
+        def report(progress: Dict) -> None:
+            job.progress = progress
+
+        token = PROGRESS.set(report)
+        try:
+            return run_question(
+                self.store, job.snapshot, job.question, job.params,
+                debug=self.config.debug,
+            )
+        finally:
+            PROGRESS.reset(token)
 
     def submit_question(
         self,
@@ -162,18 +139,13 @@ class AnalysisService:
         )
         digest = hashlib.sha256(session.snapshot_key.encode())
         digest.update(f"|{question}|{qcov.canonical_params(params)}".encode())
-        ctx = obs_context.current()
-        if ctx is not None and timeout_s is not None and ctx.deadline_ts is None:
-            # The job deadline doubles as the request deadline, so
-            # everything downstream can ask "how long do I have left".
-            ctx = dataclasses.replace(ctx, deadline_ts=time.time() + timeout_s)
         return self.queue.submit(
             snapshot=snapshot,
             question=question,
             params=params or {},
             coalesce_key=digest.hexdigest(),
             timeout_s=timeout_s,
-            ctx=ctx,
+            ctx=obs_context.current(),
         )
 
     # -- introspection payloads --------------------------------------------
@@ -222,8 +194,6 @@ class AnalysisService:
         payload = {
             "queue": self.queue.stats(),
             "snapshots": len(self.store),
-            "slo": self.slo.payload(),
-            "flight": obs.flight.recorder().stats(),
             "obs": obs.metrics_dump(),
         }
         if self.cache is not None:
@@ -239,7 +209,6 @@ class AnalysisService:
             f"service.queue.{key}": float(stats[key]) for key in gauge_keys
         }
         extra_gauges["service.snapshots"] = float(len(self.store))
-        extra_gauges.update(self.slo.gauges())
         # Queue/cache lifetime totals are always-on counters of their
         # own (they predate metrics_enabled); export them under
         # distinct names so they never collide with the obs registry's
@@ -359,13 +328,11 @@ def _make_handler(service: AnalysisService):
 
         def _begin_ctx(self):
             """Mint (or adopt from ``X-Request-Id``) the request context
-            for this HTTP request; every span/metric/flight event down
-            the line — including inside pmap pool workers — carries its
+            for this HTTP request; every span down the line carries its
             request_id. Returns the contextvars token for deactivate."""
             rid = (self.headers.get("X-Request-Id") or "").strip()
             ctx = obs_context.RequestContext(
-                request_id=rid or obs_context.new_request_id(),
-                tenant=(self.headers.get("X-Tenant") or "").strip(),
+                request_id=rid or obs_context.new_request_id()
             )
             self._rid = ctx.request_id
             return obs_context.activate(ctx)
@@ -477,8 +444,6 @@ def _make_handler(service: AnalysisService):
                     )
                 else:
                     self._send(200, service.metrics_payload())
-            elif path == "/debug/flightrecorder":
-                self._send(200, obs.flight.recorder().dump())
             elif path == "/questions":
                 available = sorted(
                     (declared.debug, name)

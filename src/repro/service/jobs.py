@@ -40,9 +40,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 from repro import obs
-from repro.obs import profiler
 from repro.obs.context import RequestContext
-from repro.obs.slo import SloTracker
 from repro.service.errors import (
     JobNotFoundError,
     JobTimeoutError,
@@ -89,8 +87,11 @@ class Job:
     #: How many extra submissions were absorbed by this job.
     coalesced: int = 0
     #: Request attribution carried from the HTTP handler into the worker
-    #: thread (and from there into pmap pool workers).
+    #: thread.
     ctx: Optional[RequestContext] = None
+    #: The running question's latest progress report (a sweep's
+    #: done/total/pruned), shown while the job runs.
+    progress: Optional[Dict] = None
     _done: threading.Event = field(default_factory=threading.Event, repr=False)
 
     @property
@@ -119,10 +120,8 @@ class Job:
         }
         if self.ctx is not None:
             body["request_id"] = self.ctx.request_id
-        if self.status is JobStatus.RUNNING:
-            progress = self._latest_progress()
-            if progress is not None:
-                body["progress"] = progress
+        if self.status is JobStatus.RUNNING and self.progress is not None:
+            body["progress"] = self.progress
         if self.started_ts is not None:
             body["queue_s"] = round(self.started_ts - self.created_ts, 6)
         if self.finished_ts is not None and self.started_ts is not None:
@@ -132,26 +131,6 @@ class Job:
         if self.error is not None:
             body.update(self.error)  # {"error": {...}}
         return body
-
-    def _latest_progress(self) -> Optional[Dict]:
-        """Liveness for long sweeps: the newest ``sweep_progress`` flight
-        event carrying this job's request id. Polling ``GET /jobs/{id}``
-        then shows done/total instead of a bare "running"."""
-        if self.ctx is None:
-            return None
-        from repro import obs
-
-        for event in reversed(obs.flight.recent()):
-            if (
-                event.get("kind") == "sweep_progress"
-                and event.get("rid") == self.ctx.request_id
-            ):
-                return {
-                    "done": event.get("done"),
-                    "total": event.get("total"),
-                    "pruned": event.get("pruned"),
-                }
-        return None
 
 
 class JobQueue:
@@ -164,8 +143,6 @@ class JobQueue:
         max_queue: int = 64,
         default_timeout_s: Optional[float] = None,
         max_history: int = DEFAULT_MAX_HISTORY,
-        slo: Optional[SloTracker] = None,
-        bundle_extras: Optional[Callable[[], Dict]] = None,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -174,10 +151,6 @@ class JobQueue:
         self._executor = executor
         self.max_queue = max_queue
         self.default_timeout_s = default_timeout_s
-        self.slo = slo
-        #: Extra context (cache stats, snapshot counts) the owning
-        #: service wants folded into every postmortem bundle.
-        self._bundle_extras = bundle_extras
         self._max_history = max_history
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
@@ -240,11 +213,6 @@ class JobQueue:
                     "service.request.seconds", 0.0,
                     question=question, disposition="coalesced",
                 )
-                obs.flight.record(
-                    "job", "coalesced", job_id=existing.id,
-                    question=question,
-                    absorbed_rid=ctx.request_id if ctx else None,
-                )
                 return existing, True
             if len(self._pending) >= self.max_queue:
                 self._stats["rejected"] += 1
@@ -272,23 +240,17 @@ class JobQueue:
             self._not_empty.notify()
         obs.add("service.jobs.submitted")
         obs.gauge("service.queue.depth", depth)
-        obs.flight.record(
-            "job", "submitted", job_id=job.id, question=question, depth=depth
-        )
         return job, False
 
     # -- inspection --------------------------------------------------------
 
     def get(self, job_id: str) -> Job:
-        expired = False
         with self._lock:
             job = self._jobs.get(job_id)
             if job is not None and job.status is JobStatus.QUEUED:
-                expired = self._expire_locked(job)
+                self._expire_locked(job)
         if job is None:
             raise JobNotFoundError(f"no job {job_id!r}", id=job_id)
-        if expired:
-            self._postmortem("deadline_expired", job, timeout_s=job.timeout_s)
         return job
 
     def cancel(self, job_id: str) -> bool:
@@ -389,9 +351,7 @@ class JobQueue:
     def _expire_locked(self, job: Job) -> bool:
         """Fail a queued job whose deadline passed (lazy check from
         get(); the worker makes the same check before running). Returns
-        True when the job expired — the caller takes the postmortem
-        bundle *after* releasing the queue lock (bundle extras re-enter
-        :meth:`stats`)."""
+        True when the job expired."""
         deadline = job.deadline
         if deadline is not None and time.time() > deadline:
             error = JobTimeoutError(
@@ -406,29 +366,6 @@ class JobQueue:
             obs.add("service.jobs.timeouts")
             return True
         return False
-
-    def _postmortem(self, reason: str, job: Job, **extra) -> None:
-        """Freeze a flight-recorder bundle around one job's failure
-        mode; the sampling profiler's top-frames report rides along
-        when one is running. Must be called without the queue lock."""
-        info: Dict = {
-            "job_id": job.id,
-            "question": job.question,
-            "snapshot": job.snapshot,
-            "queue": self.stats(),
-        }
-        if job.ctx is not None:
-            info["request_id"] = job.ctx.request_id
-        info.update(extra)
-        if self._bundle_extras is not None:
-            try:
-                info.update(self._bundle_extras())
-            except Exception:  # diagnostics must never break the queue
-                pass
-        prof = profiler.active()
-        if prof is not None:
-            info["profile"] = prof.report()
-        obs.flight.snapshot_bundle(reason, **info)
 
     def _finish_locked(self, job: Job, status: JobStatus) -> None:
         job.status = status
@@ -450,26 +387,15 @@ class JobQueue:
                 if job.terminal:  # cancelled (or expired) while queued
                     self._idle.notify_all()
                     continue
-                expired = self._expire_locked(job)
-                if job.terminal:
-                    if not expired:
-                        continue
-                    job_expired = job  # postmortem outside the lock
-                else:
-                    job_expired = None
-                    job.status = JobStatus.RUNNING
-                    job.started_ts = time.time()
-                    self._active += 1
-                    obs.gauge("service.queue.depth", len(self._pending))
-            if job_expired is not None:
-                self._postmortem(
-                    "deadline_expired", job_expired,
-                    timeout_s=job_expired.timeout_s,
-                )
-                continue
+                if self._expire_locked(job):
+                    continue
+                job.status = JobStatus.RUNNING
+                job.started_ts = time.time()
+                self._active += 1
+                obs.gauge("service.queue.depth", len(self._pending))
             # The job's request context rides from the handler thread to
-            # this worker (and on into pmap pool workers), so all
-            # telemetry below carries the originating request_id.
+            # this worker, so all telemetry below carries the
+            # originating request_id.
             token = (
                 obs.context.activate(job.ctx) if job.ctx is not None else None
             )
@@ -490,9 +416,6 @@ class JobQueue:
         # land in the window) but costs nothing and needs no plumbing
         # through the executor.
         fallback_before = obs.metrics().counter("delta.fallback_full")
-        obs.flight.record(
-            "job", "start", job_id=job.id, question=job.question
-        )
         with obs.span("service.job", question=job.question):
             try:
                 result = self._executor(job)
@@ -527,25 +450,3 @@ class JobQueue:
             "service.request.seconds", run_s,
             question=job.question, disposition=disposition,
         )
-        breached = False
-        if self.slo is not None:
-            breached = self.slo.record(
-                job.question, run_s, error=error is not None
-            )
-        obs.flight.record(
-            "job", "finished", job_id=job.id, question=job.question,
-            disposition=disposition, wall_s=round(run_s, 6),
-        )
-        if error is not None:
-            self._postmortem("job_error", job, error=job.error)
-        elif fell_back:
-            self._postmortem(
-                "delta_fallback", job, run_s=round(run_s, 6)
-            )
-        elif breached:
-            # Slow-but-successful: the case the sampling profiler's
-            # top-frames report exists for.
-            self._postmortem(
-                "slo_breach", job, run_s=round(run_s, 6),
-                objective_s=self.slo.objective_for(job.question),
-            )

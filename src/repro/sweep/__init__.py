@@ -11,7 +11,7 @@ Entry points:
 
 * :meth:`repro.core.session.Session.sweep` — the Python API.
 * ``POST /snapshots/{name}/questions/sweep`` — the service question
-  (async-202; progress streams into the flight recorder).
+  (async-202; ``GET /jobs/{id}`` shows its progress while it runs).
 * ``python -m repro sweep`` — the resilience report CLI
   (text/JSON/SARIF with a ``--fail-on`` gate).
 * ``python -m repro validate sweep`` — the differential validator

@@ -10,9 +10,10 @@ re-converges; the base session's cache entries are pinned via
 the pin set, so their own stores cannot evict the base out from under a
 sibling's delta).
 
-Progress streams into the always-on flight recorder (``sweep_progress``
-events carry the originating request id), and ``sweep.*`` counters and
-the per-scenario latency histogram feed the Prometheus exposition.
+A ``progress(done, total)`` callback hears first from the plan (``done``
+= the scenarios it pruned) and then after each evaluated batch, ending
+at ``done == total``; ``sweep.*`` counters and the per-scenario latency
+histogram feed the Prometheus exposition.
 """
 
 from __future__ import annotations
@@ -209,16 +210,6 @@ def minimal_failing_sets(
 # Execution
 
 
-def _record_progress(done: int, total: int, pruned: int) -> None:
-    obs.flight.record(
-        "sweep_progress",
-        f"{done}/{total} scenarios",
-        done=done,
-        total=total,
-        pruned=pruned,
-    )
-
-
 def _record_metrics(stats: SweepStats, minimal: int) -> None:
     metrics = obs.metrics()
     metrics.inc("sweep.runs")
@@ -268,7 +259,12 @@ def sweep_session(
         counts = plan.counts()
         total = len(plan.entries)
         pruned_total = total - counts[EVALUATE]
-        _record_progress(pruned_total, total, pruned_total)
+
+        def _progress(done: int, _total_items: int) -> None:
+            if progress is not None:
+                progress(pruned_total + done, total)
+
+        _progress(0, counts[EVALUATE])
 
         to_run = [e for e in plan.entries if e.status == EVALUATE]
         payloads = [
@@ -292,11 +288,6 @@ def sweep_session(
                 len(info.dirty_devices),
                 time.perf_counter() - t0,
             )
-
-        def _progress(done: int, _total_items: int) -> None:
-            _record_progress(pruned_total + done, total, pruned_total)
-            if progress is not None:
-                progress(pruned_total + done, total)
 
         protect = base_protect_entries(session)
         if protect and session._cache is not None:
@@ -370,15 +361,6 @@ def sweep_session(
     minimal = minimal_failing_sets(outcomes, base_verdict.holds)
     stats.wall_seconds = time.perf_counter() - started
     _record_metrics(stats, len(minimal))
-    _record_progress(total, total, pruned_total)
-    obs.flight.record(
-        "sweep_done",
-        f"{total} scenarios, {len(minimal)} minimal failing sets",
-        scenarios=total,
-        pruned=pruned_total,
-        minimal_sets=len(minimal),
-        wall_s=round(stats.wall_seconds, 3),
-    )
     return SweepResult(
         prop=prop,
         k=k,

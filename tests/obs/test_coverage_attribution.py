@@ -126,8 +126,7 @@ class TestAttributionContext:
     def test_attribution_preserves_enclosing_request_context(self):
         with obs.context.request_context(request_id="req-attr") as outer:
             with attribution("reachability") as ctx:
-                assert ctx.request_id == "req-attr"
-                assert ctx.tenant == outer.tenant
+                assert ctx.request_id == outer.request_id == "req-attr"
                 assert obs.context.current_request_id() == "req-attr"
 
     def test_wire_round_trip_carries_question(self):

@@ -1,7 +1,7 @@
 """Concurrency-correctness tests for the metrics registry: exact
 totals under thread contention, defined gauge merge semantics, and
-exact totals across the ``pmap`` fork boundary (including the flight
-events and request ids shipped back from workers)."""
+exact totals across the ``pmap`` fork boundary (including the coverage
+touches shipped back from workers under the question they ran for)."""
 
 import threading
 
@@ -124,7 +124,7 @@ class TestPmapStress:
             obs.add("stress.pmap_items")
             obs.observe_bucket("stress.pmap_seconds", item / 1000.0)
             obs.gauge("stress.pmap_max_item", item)
-            obs.flight.record("stress", "item", index=item)
+            obs.touch("interface", "stress", f"item{item}")
             return item * 2
 
         return pmap(work, list(range(self.ITEMS)), jobs=2, min_items=2)
@@ -132,7 +132,8 @@ class TestPmapStress:
     def test_pmap_totals_exact_and_attributed(self):
         obs.enable_metrics()
         with obs.context.request_context(request_id="req-pmap-stress"):
-            results = self._run_pmap()
+            with obs.context.attribution("stress"):
+                results = self._run_pmap()
         assert results == [i * 2 for i in range(self.ITEMS)]
         metrics = obs.metrics()
         assert metrics.counter("stress.pmap_items") == self.ITEMS
@@ -141,13 +142,11 @@ class TestPmapStress:
         # Undeclared gauge ships back with max semantics: the overall
         # max item survives regardless of chunk completion order.
         assert metrics.gauge_value("stress.pmap_max_item") == self.ITEMS - 1
-        # Worker flight events came back with the originating rid.
-        worker_events = [
-            e for e in obs.flight.recent() if e.get("kind") == "stress"
-        ]
-        assert len(worker_events) == self.ITEMS
-        assert {e["rid"] for e in worker_events} == {"req-pmap-stress"}
-        assert {e["index"] for e in worker_events} == set(range(self.ITEMS))
+        # Worker touches came back attributed to the question.
+        vector = obs.coverage().question_vector("stress")
+        assert sorted(vector) == sorted(
+            ("interface", "stress", f"item{i}", None) for i in range(self.ITEMS)
+        )
 
     def test_threads_hammering_while_pmap_runs_stay_exact(self):
         obs.enable_metrics()

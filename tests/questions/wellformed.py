@@ -53,3 +53,20 @@ GHOST_HOSTS = [
         "property": {**WELLFORMED["sweep"]["property"], "src_node": "ghost"},
     }),
 ]
+
+#: Likewise with an interface name replaced by one its (real) device
+#: does not have.
+GHOST_INTERFACES = [
+    ("reachability", "sources", {"sources": [["net1-core0", "Ghost0/9"]]}),
+    ("reachability", "sources", {
+        "sources": ["net1-core0", ["net1-spur0", "Ghost0/9"]],
+    }),
+    ("traceroute", "interface", {
+        **WELLFORMED["traceroute"], "interface": "Ghost0/9",
+    }),
+    ("sweep", "property", {
+        "property": {
+            **WELLFORMED["sweep"]["property"], "src_interface": "Ghost0/9",
+        },
+    }),
+]

@@ -7,7 +7,9 @@ The table is derived from ``tests/questions/wellformed.py``: one unknown
 key, each required key missing, each param given every *other* JSON
 type, each object param given nested garbage, each hostname replaced by
 one the snapshot lacks. The eight probes ISSUE 24 recorded on the parent
-are the named cases at the end; each failed there.
+are the named cases at the end; each failed there. The ghost-interface
+rows failed there too: reachability from an interface its device lacks
+answered 200 with no disposition, and traceroute from one ``no-route``.
 """
 
 import pytest
@@ -15,7 +17,7 @@ import pytest
 from repro.questions.registry import QUESTIONS
 from repro.synth.special import net1
 
-from tests.questions.wellformed import GHOST_HOSTS, WELLFORMED
+from tests.questions.wellformed import GHOST_HOSTS, GHOST_INTERFACES, WELLFORMED
 
 #: One value of each JSON type; a param is given all but its own.
 BY_TYPE = {
@@ -53,6 +55,8 @@ def malformed_requests():
                 yield f"{name}-{key}-garbage", name, {**good, key: garbage}, key
     for name, key, params in GHOST_HOSTS:
         yield f"{name}-{key}-ghost-host", name, params, key
+    for name, key, params in GHOST_INTERFACES:
+        yield f"{name}-{key}-ghost-interface", name, params, key
 
 
 ROWS = list(malformed_requests())

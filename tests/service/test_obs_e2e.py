@@ -1,10 +1,10 @@
 """End-to-end observability tests: request-id propagation from the
-HTTP edge through the job queue into ``pmap`` workers, Prometheus
-exposition served (and strictly validated) over the wire, readiness
-semantics, SLO accounting, and deadline-expiry postmortems."""
+HTTP edge through the job queue, and across a ``pmap`` fork; Prometheus
+exposition served (and strictly validated) over the wire, and readiness
+semantics."""
 
 import json
-import time
+import os
 import urllib.error
 import urllib.request
 
@@ -65,35 +65,20 @@ def make_raw(make_service):
     return make
 
 
-def poll(predicate, timeout=30.0, interval=0.05):
-    deadline = time.time() + timeout
-    while time.time() < deadline:
-        result = predicate()
-        if result:
-            return result
-        time.sleep(interval)
-    return None
-
-
 class TestRequestIdPropagation:
-    def test_header_rid_reaches_job_response_and_flight_ring(self, make_raw):
+    def test_header_rid_reaches_job_reply_and_response_header(self, make_raw):
         _, client = make_raw()
         client.post("/snapshots", {"name": "lab", "configs": net1(2)})
         rid = "req-e2e-propagation"
         status, headers, body = client.post(
-            "/snapshots/lab/questions/routes",
-            headers={"X-Request-Id": rid, "X-Tenant": "ci"},
+            "/snapshots/lab/questions/routes", headers={"X-Request-Id": rid}
         )
         assert status == 200
         assert headers.get("X-Request-Id") == rid
         assert body["request_id"] == rid
-        _, _, dump = client.get("/debug/flightrecorder")
-        job_events = [
-            e for e in dump["events"]
-            if e.get("kind") == "job" and e.get("rid") == rid
-        ]
-        names = [e["name"] for e in job_events]
-        assert "submitted" in names and "start" in names and "finished" in names
+        _, _, job = client.get(f"/jobs/{body['id']}")
+        assert job["request_id"] == rid
+        assert job["queue_s"] >= 0 and job["run_s"] >= 0
 
     def test_server_mints_rid_when_client_sends_none(self, make_raw):
         _, client = make_raw()
@@ -106,52 +91,49 @@ class TestRequestIdPropagation:
         assert rid and rid.startswith("req-")
         assert body["request_id"] == rid
 
-    @pytest.mark.skipif(not fork_available(), reason="needs fork")
-    def test_lint_rule_events_from_pmap_workers_carry_rid(self, make_raw):
-        """The full chain: HTTP handler -> queue -> worker thread ->
-        pmap pool workers, one request id end to end."""
+    def test_job_span_on_the_worker_thread_carries_rid(self, make_raw):
+        """HTTP handler -> queue -> worker thread: the job's spans carry
+        the request id the handler adopted."""
         _, client = make_raw()
+        obs.enable()  # in-memory spans on top of the service's metrics
         client.post("/snapshots", {"name": "lab", "configs": net1(2)})
-        rid = "req-e2e-lint-workers"
+        rid = "req-e2e-lint-worker"
         status, _, body = client.post(
             "/snapshots/lab/questions/lint", headers={"X-Request-Id": rid}
         )
         assert status == 200 and body["status"] == "done"
-        _, _, dump = client.get("/debug/flightrecorder")
-        rule_events = [
-            e for e in dump["events"] if e.get("kind") == "lint.rule"
+        jobs = [
+            e for e in obs.events()
+            if e["type"] == "span" and e["name"] == "service.job"
+            and e["attrs"]["question"] == "lint"
         ]
-        assert rule_events, "lint rules should land in the flight ring"
-        assert {e.get("rid") for e in rule_events} == {rid}
+        assert [e.get("rid") for e in jobs] == [rid]
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork")
-    def test_spans_metrics_and_flight_share_one_rid_across_pmap(self):
-        """Acceptance shape: spans, metrics exemplars, and flight events
-        emitted on both sides of the fork boundary all carry the same
-        request id."""
-        obs.enable()  # in-memory tracing (spans) + metrics
+    def test_spans_and_metrics_share_one_rid_across_pmap(self, tmp_path):
+        """Spans opened on both sides of the fork boundary carry the same
+        request id, and the workers' counters merge back exactly."""
+        trace = tmp_path / "trace.jsonl"
+        obs.enable(str(trace))
 
         def work(item):
             obs.add("e2e.items")
-            obs.flight.record("e2e", "worker-item", index=item)
-            return item
+            with obs.span("e2e.item", index=item):
+                return item
 
         with obs.context.request_context(request_id="req-e2e-shared") as ctx:
             with obs.span("e2e.request"):
                 results = pmap(work, list(range(8)), jobs=2, min_items=2)
+        obs.disable()
         assert results == list(range(8))
-        span_events = [
-            e for e in obs.events()
-            if e["type"] == "span" and e["name"] in ("e2e.request", "pmap")
-        ]
-        assert span_events
-        assert {e.get("rid") for e in span_events} == {ctx.request_id}
+        events = [json.loads(line) for line in trace.read_text().splitlines()]
+        spans = [e for e in events if e["type"] == "span"]
+        items = [e for e in spans if e["name"] == "e2e.item"]
+        assert len(items) == 8
+        assert {e["pid"] for e in items} - {os.getpid()}, "no worker span"
+        assert {e["name"] for e in spans} == {"e2e.request", "pmap", "e2e.item"}
+        assert {e.get("rid") for e in spans} == {ctx.request_id}
         assert obs.metrics().counter("e2e.items") == 8
-        worker_events = [
-            e for e in obs.flight.recent() if e.get("kind") == "e2e"
-        ]
-        assert len(worker_events) == 8
-        assert {e.get("rid") for e in worker_events} == {ctx.request_id}
 
 
 class TestPrometheusExposition:
@@ -178,19 +160,17 @@ class TestPrometheusExposition:
             for l in labels
         )
 
-    def test_json_mode_remains_default_with_slo_and_flight(self, make_raw):
-        _, client = make_raw(slos={"routes": 5.0})
+    def test_json_mode_remains_default(self, make_raw):
+        _, client = make_raw()
         client.post("/snapshots", {"name": "lab", "configs": net1(2)})
         client.post("/snapshots/lab/questions/routes")
         status, headers, body = client.get("/metrics")
         assert status == 200
         assert "application/json" in headers.get("Content-Type", "")
-        assert body["flight"]["capacity"] > 0
-        slo = body["slo"]["routes"]
-        assert slo["objective_seconds"] == 5.0
-        assert slo["requests"] >= 1
-        assert slo["breaches"] == 0
-        assert slo["burn_rate"] == 0.0
+        assert set(body) == {"queue", "snapshots", "obs"}
+        assert body["queue"]["completed"] >= 1
+        counters = body["obs"]["counters"]
+        assert counters["service.jobs.completed"] >= 1
 
 
 class TestReadiness:
@@ -232,62 +212,3 @@ class TestReadiness:
         assert status == 503
         assert body["ready"] is False and body["reason"] == "draining"
         service.queue.drain(timeout=10.0)
-
-
-class TestPostmortems:
-    def test_deadline_expired_job_leaves_retrievable_bundle(self, make_raw):
-        service, client = make_raw(workers=1, debug=True)
-        client.post("/snapshots", {"name": "lab", "configs": net1(2)})
-        # Occupy the only worker so the deadlined job expires queued.
-        client.post(
-            "/snapshots/lab/questions/sleep",
-            {"params": {"seconds": 1.0}, "wait": False},
-        )
-        rid = "req-e2e-deadline"
-        status, _, body = client.post(
-            "/snapshots/lab/questions/routes",
-            {"wait": False, "timeout_s": 0.2},
-            headers={"X-Request-Id": rid},
-        )
-        assert status == 202
-
-        def expired_bundle():
-            _, _, dump = client.get("/debug/flightrecorder")
-            for bundle in dump["bundles"]:
-                if (
-                    bundle["reason"] == "deadline_expired"
-                    and bundle.get("request_id") == rid
-                ):
-                    return bundle
-            return None
-
-        bundle = poll(expired_bundle, timeout=30.0)
-        assert bundle is not None
-        assert bundle["question"] == "routes"
-        # The bundle froze the ring: the doomed job's submit event is in
-        # the captured window.
-        assert any(
-            e.get("kind") == "job" and e.get("rid") == rid
-            for e in bundle["events"]
-        )
-
-    def test_slo_breach_produces_bundle_and_counters(self, make_raw):
-        _, client = make_raw(slos={"sleep": 0.05}, debug=True)
-        client.post("/snapshots", {"name": "lab", "configs": net1(2)})
-        rid = "req-e2e-slo"
-        status, _, body = client.post(
-            "/snapshots/lab/questions/sleep",
-            {"params": {"seconds": 0.3}},
-            headers={"X-Request-Id": rid},
-        )
-        assert status == 200 and body["status"] == "done"
-        _, _, metrics = client.get("/metrics")
-        slo = metrics["slo"]["sleep"]
-        assert slo["breaches"] == 1
-        assert slo["budget_consumed"] > 0
-        assert metrics["obs"]["counters"]["slo.breaches.sleep"] == 1
-        _, _, dump = client.get("/debug/flightrecorder")
-        assert any(
-            b["reason"] == "slo_breach" and b.get("request_id") == rid
-            for b in dump["bundles"]
-        )

@@ -2,9 +2,13 @@
 poll-to-done with streamed progress, strict parameter validation."""
 
 import sys
+import threading
 import time
 
 import pytest
+
+from repro.sweep import engine as sweep_engine
+from repro.synth.special import net1
 
 sys.path.insert(0, "tests")
 from sweep.conftest import LAB_CONFIGS  # noqa: E402
@@ -106,3 +110,44 @@ class TestSweepQuestion:
         )
         assert status == 200
         assert "property" in body["result"]
+
+
+def test_running_sweep_shows_progress(make_service, monkeypatch):
+    """``GET /jobs/{id}`` of a running sweep shows done/total/pruned from
+    ``Session.sweep``'s progress callback; the last report is done ==
+    total. The first simulated scenario is held until the poll is in."""
+    evaluate = sweep_engine.evaluate_property
+    calls, reached, release = [], threading.Event(), threading.Event()
+
+    def held(session, prop):
+        calls.append(session)
+        if len(calls) == 2:  # the base verdict, then the first scenario
+            reached.set()
+            release.wait(30)
+        return evaluate(session, prop)
+
+    monkeypatch.setattr(sweep_engine, "evaluate_property", held)
+    service, client = make_service()
+    client.post("/snapshots", {"name": "lab", "configs": net1(2)})
+    status, body = client.post(
+        "/snapshots/lab/questions/sweep",
+        {"params": {"k": 1, "kinds": ["link", "interface"]}},
+    )
+    assert status == 202
+    try:
+        assert reached.wait(30), "no scenario was simulated"
+        status, running = client.get(f"/jobs/{body['id']}")
+    finally:
+        release.set()
+    assert status == 200 and running["status"] == "running", running
+    progress = running["progress"]
+    assert progress["pruned"] > 0
+    assert progress["done"] == progress["pruned"] < progress["total"]
+    result = _poll_done(client, body["id"])
+    stats = result["result"]["stats"]
+    assert "progress" not in result
+    assert service.queue.get(body["id"]).progress == {
+        "done": stats["scenarios"],
+        "total": stats["scenarios"],
+        "pruned": stats["pruned"],
+    }

@@ -21,9 +21,7 @@ from repro.sweep import validate as sweep_validate
 from repro.sweep.scenarios import Verdict
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-SUBCOMMANDS = (
-    "lint", "sweep", "validate", "coverage", "report", "explain", "profile"
-)
+SUBCOMMANDS = ("lint", "sweep", "validate", "coverage", "report", "explain")
 
 
 def run_module(*argv, module="repro"):
@@ -314,11 +312,12 @@ class TestCoverageGate:
 
 
 class TestEntryPoints:
-    def test_help_lists_the_seven_subcommands(self):
+    def test_help_lists_the_six_subcommands(self):
         proc = run_module("--help")
         assert proc.returncode == 0
         for command in SUBCOMMANDS:
             assert f"\n    {command} " in proc.stdout
+        assert "profile" not in proc.stdout
 
     @pytest.mark.parametrize(
         "module",
@@ -364,25 +363,3 @@ class TestEntryPoints:
         argv += ["Ethernet0", "--src-ip", "10.0.0.1", "--dst-ip", "10.16.0.33"]
         assert cli.main([*argv, "--protocol", "icmp"]) == 0
         assert "hop net1-core0" in capsys.readouterr().out
-
-    def test_profile(self, tmp_path):
-        dump = tmp_path / "flight.json"
-        profile = {
-            "schema": "repro-profile/v1", "hz": 97, "samples": 3,
-            "duration_s": 0.03, "self": [], "cumulative": [],
-        }
-        dump.write_text(json.dumps({
-            "schema": "repro-flightrecorder/v1",
-            "bundles": [
-                {"reason": "slo_breach", "rid": "req-1", "profile": profile},
-                {"reason": "sigterm"},
-            ],
-        }))
-        proc = run_module("profile", str(dump))
-        assert proc.returncode == 0, proc.stderr
-        assert "postmortem: slo_breach rid=req-1" in proc.stdout
-        assert "sigterm" not in proc.stdout
-        empty = tmp_path / "empty.json"
-        empty.write_text(json.dumps({"bundles": [{"reason": "sigterm"}]}))
-        assert cli.main(["profile", str(empty)]) == 1
-        assert cli.main(["profile", str(dump)]) == 0

@@ -12,7 +12,9 @@ nesting depth, so a function-local import counts):
   that builds an ``argparse.ArgumentParser``;
 * no module outside ``repro.questions`` holds a literal collection of
   question names: what a question is, is declared once, in
-  ``repro.questions.registry``.
+  ``repro.questions.registry``;
+* the ``REPRO_*`` environment variables the package reads are the
+  README's "Environment variables" table, and no other one is named.
 """
 
 import ast
@@ -141,3 +143,26 @@ def test_question_names_are_listed_only_in_the_registry():
             if len(named) > 1:
                 violations.append(f"{where}:{node.lineno}: {named}")
     assert not violations, "\n".join(violations)
+
+
+def test_environment_variables_are_the_readme_table():
+    """A variable is read where its name is a string of its own in the
+    code (``os.environ.get("REPRO_JOBS")``); docstrings and comments may
+    name it too, but only if it is read."""
+    section = (ROOT.parents[1] / "README.md").read_text()
+    section = section.split("## Environment variables", 1)[1].split("\n## ", 1)[0]
+    table = set(re.findall(r"^\| `(REPRO_[A-Z_]+)` \|", section, re.M))
+    read, named = set(), set()
+    for path in sorted(ROOT.glob("**/*.py")):
+        text = path.read_text()
+        named.update(re.findall(r"\bREPRO_[A-Z_]+", text))
+        read.update(
+            node.value
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and re.fullmatch(r"REPRO_[A-Z_]+", node.value)
+        )
+    assert len(table) == 5
+    assert read == table
+    assert named == table

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import threading
 
 import pytest
 
@@ -133,3 +134,18 @@ def test_pmap_inside_daemon_worker_falls_back_to_serial():
 
 def _nested_pmap(_x):
     return pmap(_square, [0, 1, 2, 3], jobs=4, min_items=1)
+
+
+def test_pmap_off_the_main_thread_runs_in_this_process():
+    # A fork from a thread of a multi-threaded process (a service worker)
+    # is not safe; such calls map inline, whatever ``jobs`` says.
+    pids = []
+
+    def run():
+        pids.extend(pmap(_pid_of, list(range(10)), jobs=4, min_items=1))
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert pids == [os.getpid()] * 10
