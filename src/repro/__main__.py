@@ -287,8 +287,9 @@ def _validate_delta(
     network: str, configs: Configs, jobs: Optional[int]
 ) -> Validation:
     """One routing-inert and one routing-relevant single-device edit:
-    whatever the delta session took over from its base, its FIBs and its
-    forwarding graph must equal a cache-less from-scratch session's."""
+    whatever the delta session took over from its base, its parsed
+    snapshot, its FIBs and its forwarding graph must equal a cache-less
+    from-scratch session's."""
     base = Session.from_texts(configs)
     # Every stage computed, so that each edit has all of them to take.
     base.analyzer

@@ -10,7 +10,8 @@ already have").
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Tuple
+from collections import Counter
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro import obs
 from repro.config.cisco import parse_cisco
@@ -76,65 +77,42 @@ def _parse_one(item: Tuple[str, str]):
     return device, warnings
 
 
-def _parse_all(
-    configs: Dict[str, str],
-    filenames: List[str],
-    jobs: Optional[int],
-    cache,
-) -> List[Tuple[Device, List[ParseWarning]]]:
-    """Parse every file, consulting the per-device memo when a cache is
-    supplied.
+Parsed = Tuple[Device, List[ParseWarning]]
 
-    Each file's parse result is content-addressed independently
-    (:func:`repro.core.cache.device_key`), so editing one file of a
-    large snapshot reparses only that file — the unit of reuse the
-    incremental delta engine is built on. Entries are pinned via
-    ``cache.protect`` for the duration so concurrent stores can't evict
-    a file we are about to load.
-    """
-    if cache is None:
-        return pmap(
-            _parse_one,
-            [(filename, configs[filename]) for filename in filenames],
-            jobs=jobs,
-            min_items=_MIN_PARALLEL_FILES,
+
+def parses_from_base(
+    configs: Mapping[str, str], base_configs: Mapping[str, str], base: Snapshot
+) -> Dict[str, Parsed]:
+    """The parse results a snapshot of ``configs`` can take, by filename,
+    from ``base`` (parsed from ``base_configs``): each file whose bytes
+    are unchanged and whose hostname no other base file shares keeps the
+    base's device and the warnings stamped with its name. Reads only
+    :class:`Snapshot` fields, so a base loaded from the snapshot cache
+    serves like a freshly parsed one."""
+    owners = Counter(base.sources.values())
+    return {
+        filename: (
+            base.devices[hostname],
+            [w for w in base.warnings if w.source_file == filename],
         )
-    from repro.core.cache import device_key
-
-    keys = {f: device_key(f, configs[f]) for f in filenames}
-    results: Dict[str, Tuple[Device, List[ParseWarning]]] = {}
-    with cache.protect(("device", keys[f]) for f in filenames):
-        missed = []
-        for filename in filenames:
-            entry = cache.load("device", keys[filename])
-            if entry is not None:
-                results[filename] = entry
-            else:
-                missed.append(filename)
-        if missed:
-            parsed = pmap(
-                _parse_one,
-                [(filename, configs[filename]) for filename in missed],
-                jobs=jobs,
-                min_items=_MIN_PARALLEL_FILES,
-            )
-            for filename, result in zip(missed, parsed):
-                cache.store("device", keys[filename], result)
-                results[filename] = result
-    return [results[filename] for filename in filenames]
+        for filename, hostname in base.sources.items()
+        if owners[hostname] == 1
+        and configs.get(filename) == base_configs[filename]
+    }
 
 
 def load_snapshot_from_texts(
-    configs: Dict[str, str], jobs: Optional[int] = None, cache=None
+    configs: Mapping[str, str],
+    jobs: Optional[int] = None,
+    parsed: Optional[Mapping[str, Parsed]] = None,
 ) -> Snapshot:
     """Build a snapshot from ``{filename_or_hostname: config_text}``.
 
     Per-file parsing fans out over a process pool (``REPRO_JOBS`` /
     ``jobs``); files are parsed independently and reassembled in sorted
-    filename order, so the result is identical to a serial run. With a
-    :class:`~repro.core.cache.SnapshotCache`, each file's parse is also
-    memoized on its content hash, so re-loading a snapshot with a few
-    edited files reparses only those files.
+    filename order, so the result is identical to a serial run. Files in
+    ``parsed`` (results in hand, e.g. :func:`parses_from_base`) are not
+    parsed again.
 
     Duplicate hostnames are flagged (the later file wins), mirroring the
     tool's behaviour on misassembled snapshot directories.
@@ -142,8 +120,17 @@ def load_snapshot_from_texts(
     snapshot = Snapshot()
     filenames = sorted(configs)
     with obs.span("parse", files=len(filenames)):
-        parsed = _parse_all(configs, filenames, jobs, cache)
-        for filename, (device, warnings) in zip(filenames, parsed):
+        results = dict(parsed or {})
+        missed = [filename for filename in filenames if filename not in results]
+        fresh = pmap(
+            _parse_one,
+            [(filename, configs[filename]) for filename in missed],
+            jobs=jobs,
+            min_items=_MIN_PARALLEL_FILES,
+        )
+        results.update(zip(missed, fresh))
+        for filename in filenames:
+            device, warnings = results[filename]
             snapshot.warnings.extend(warnings)
             if device.hostname in snapshot.devices:
                 snapshot.warnings.append(
@@ -181,11 +168,8 @@ def read_config_dir(path: str, suffix: Optional[str] = ".cfg") -> Dict[str, str]
 
 
 def load_snapshot_from_dir(
-    path: str, suffix: Optional[str] = ".cfg", jobs: Optional[int] = None,
-    cache=None,
+    path: str, suffix: Optional[str] = ".cfg", jobs: Optional[int] = None
 ) -> Snapshot:
     """Load every ``*.cfg`` (by default) file under ``path`` as a device
     configuration."""
-    return load_snapshot_from_texts(
-        read_config_dir(path, suffix), jobs=jobs, cache=cache
-    )
+    return load_snapshot_from_texts(read_config_dir(path, suffix), jobs=jobs)

@@ -11,17 +11,17 @@ repeats from O(full pipeline) into O(hash lookup):
   (a hash of every source file of the ``repro`` package). Editing one
   byte of any config, or of any analysis code, changes the key and
   invalidates the entry; nothing is ever invalidated by time.
-* **Five artifact kinds.** ``snapshot`` entries hold the parsed
-  vendor-independent model (Stage 1 output); ``device`` entries hold
-  one parsed device config (keyed on the per-file content hash, the
-  unit the incremental delta engine reuses when only some files of a
-  snapshot changed); ``dataplane`` entries hold the computed
+* **Two artifact kinds, written only for sessions built from text.**
+  ``snapshot`` entries hold the parsed vendor-independent model (Stage 1
+  output); ``dataplane`` entries hold the computed
   :class:`~repro.routing.engine.DataPlane` (Stage 2 output), keyed
   additionally by the convergence settings and policy semantics that
-  shaped the simulation; ``coverage`` entries hold one question's
-  coverage vector for one (snapshot, question, params) execution and
-  ``coverage_index`` entries list a snapshot's coverage records (see
-  ``repro.questions.coverage``).
+  shaped the simulation. They are what a restarted service or a
+  repeated CI run reads back. Nothing else pays for its store: a delta
+  session derives from its base in memory (unchanged files keep the
+  base's parsed devices, :mod:`repro.delta`) and its key never repeats,
+  and a question's coverage record is read only by the live process
+  that wrote it (``CoverageTracker.recorded_runs``).
 * **Location.** ``REPRO_CACHE_DIR`` (default ``.repro_cache/``).
   Writes are atomic (temp file + rename), so concurrent processes — the
   parallel benchmark drivers — can share one cache directory.
@@ -37,13 +37,11 @@ implementation detail, not an interchange format.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import os
 import pickle
 import tempfile
-import threading
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Optional
 
 from repro import obs
 
@@ -95,40 +93,6 @@ def snapshot_key(configs: Dict[str, str], salt: str = "") -> str:
     return digest.hexdigest()
 
 
-def device_key(filename: str, text: str) -> str:
-    """Content address of one parsed device config: filename + bytes +
-    engine version. The unit of parse memoization — editing one file of
-    a snapshot invalidates only that file's entry."""
-    digest = hashlib.sha256(engine_version().encode())
-    digest.update(b"\x00device\x00")
-    digest.update(filename.encode())
-    digest.update(b"\x00")
-    digest.update(text.encode())
-    return digest.hexdigest()
-
-
-def coverage_record_key(snapshot_key: str, question: str, params_key: str) -> str:
-    """Content address of one per-question coverage record: the
-    snapshot's key (which already folds in configs + engine version)
-    plus the question name and its canonical params rendering. One
-    record per (snapshot, question, params) — rerunning the same
-    question with the same params overwrites rather than accumulates."""
-    digest = hashlib.sha256(snapshot_key.encode())
-    digest.update(b"\x00coverage\x00")
-    digest.update(question.encode())
-    digest.update(b"\x00")
-    digest.update(params_key.encode())
-    return digest.hexdigest()
-
-
-def coverage_index_key(snapshot_key: str) -> str:
-    """Content address of a snapshot's coverage-record index (the list
-    of ``coverage`` entries recorded against it)."""
-    digest = hashlib.sha256(snapshot_key.encode())
-    digest.update(b"\x00coverage_index\x00")
-    return digest.hexdigest()
-
-
 def default_cache_dir() -> str:
     return os.environ.get("REPRO_CACHE_DIR", "").strip() or ".repro_cache"
 
@@ -156,40 +120,9 @@ class SnapshotCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        # Paths pinned against eviction (see protect()): while a delta
-        # analysis is reusing a snapshot's per-device parse entries,
-        # budget pressure from concurrent stores must not delete them
-        # out from under it.
-        self._keep_lock = threading.Lock()
-        self._protected: Dict[str, int] = {}
 
     def _path(self, kind: str, key: str) -> str:
         return os.path.join(self.root, f"{kind}-{key}.pkl")
-
-    @contextlib.contextmanager
-    def protect(self, entries: Iterable[Tuple[str, str]]) -> Iterator[None]:
-        """Pin ``(kind, key)`` entries against LRU eviction for the
-        duration of the context.
-
-        Protection is reference-counted, so nested/concurrent analyses
-        of overlapping snapshots compose; entries unpin when the last
-        protector exits. Pinned entries still count toward the budget —
-        the evictor just skips them and sheds unpinned entries instead.
-        """
-        paths = [self._path(kind, key) for kind, key in entries]
-        with self._keep_lock:
-            for path in paths:
-                self._protected[path] = self._protected.get(path, 0) + 1
-        try:
-            yield
-        finally:
-            with self._keep_lock:
-                for path in paths:
-                    remaining = self._protected.get(path, 0) - 1
-                    if remaining <= 0:
-                        self._protected.pop(path, None)
-                    else:
-                        self._protected[path] = remaining
 
     def load(self, kind: str, key: str):
         """The cached object, or ``None`` on a miss (absent entry, or an
@@ -203,9 +136,8 @@ class SnapshotCache:
         # damaged entry must degrade to a miss, never crash analysis.
         except Exception:
             self.misses += 1
-            if obs.enabled():
-                obs.add("cache.miss")
-                obs.add(f"cache.miss.{kind}")
+            obs.add("cache.miss")
+            obs.add(f"cache.miss.{kind}")
             return None
         self.hits += 1
         if self.max_bytes is not None:
@@ -214,9 +146,8 @@ class SnapshotCache:
                 os.utime(path)
             except OSError:
                 pass
-        if obs.enabled():
-            obs.add("cache.hit")
-            obs.add(f"cache.hit.{kind}")
+        obs.add("cache.hit")
+        obs.add(f"cache.hit.{kind}")
         return value
 
     def store(self, kind: str, key: str, value) -> None:
@@ -230,9 +161,8 @@ class SnapshotCache:
             with os.fdopen(fd, "wb") as handle:
                 pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
             os.replace(temp_path, path)
-            if obs.enabled():
-                obs.add("cache.store")
-                obs.add(f"cache.store.{kind}")
+            obs.add("cache.store")
+            obs.add(f"cache.store.{kind}")
         except BaseException:
             try:
                 os.unlink(temp_path)
@@ -247,13 +177,9 @@ class SnapshotCache:
 
         The just-written entry (``keep``) is never evicted, so a single
         oversized artifact still caches — the budget then empties the
-        rest of the directory around it. Entries pinned via
-        :meth:`protect` are likewise skipped: a delta analysis midway
-        through reusing a base snapshot's per-device parse entries must
-        not lose them to budget pressure from concurrent stores. The
-        pin check happens under ``_keep_lock`` at unlink time, not from
-        a snapshot taken when eviction started — a sweep thread opening
-        a protect scope mid-eviction must win the race.
+        rest of the directory around it. Nothing else needs sparing: a
+        live session holds its stages in memory and reads an entry at
+        most once, when it is built.
         """
         if self.max_bytes is None:
             return
@@ -275,17 +201,13 @@ class SnapshotCache:
                 break
             if path == keep:
                 continue
-            with self._keep_lock:
-                if path in self._protected:
-                    continue
-                try:
-                    os.unlink(path)
-                except OSError:
-                    continue
+            try:
+                os.unlink(path)
+            except OSError:
+                continue
             total -= size
             self.evictions += 1
-            if obs.enabled():
-                obs.add("cache.evict")
+            obs.add("cache.evict")
 
     def clear(self) -> int:
         """Delete every entry; returns the number removed."""

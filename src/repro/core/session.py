@@ -150,8 +150,8 @@ class Session:
         self._cache: Optional[SnapshotCache] = None
         self._cache_key: Optional[str] = None
         #: Raw config texts, kept when constructed via from_texts /
-        #: from_dir — the base the incremental delta engine diffs new
-        #: snapshots against.
+        #: from_dir / delta — the base the incremental delta engine diffs
+        #: new snapshots against.
         self._configs: Optional[Dict[str, str]] = None
         #: Populated on sessions produced by :meth:`delta`: a
         #: :class:`repro.delta.DeltaInfo` describing what was reused.
@@ -161,11 +161,7 @@ class Session:
 
     @classmethod
     def from_texts(
-        cls,
-        configs: Dict[str, str],
-        cache=None,
-        store_snapshot: bool = True,
-        **kwargs,
+        cls, configs: Dict[str, str], cache=None, **kwargs
     ) -> "Session":
         """Build a session from ``{name: config_text}``.
 
@@ -174,28 +170,15 @@ class Session:
         names a directory, a :class:`SnapshotCache` is used directly.
         On a hit, parsing (and later, data-plane simulation) is replaced
         by a disk load; any config-byte or code change misses.
-        ``store_snapshot=False`` still *reads* the cache (snapshot and
-        per-device entries) but skips persisting a missed snapshot —
-        for one-shot variants that would only churn the LRU.
         """
         resolved = resolve_cache(cache)
         key = snapshot_key(configs)
-        if resolved is None:
+        snapshot = resolved.load("snapshot", key) if resolved else None
+        if snapshot is None:
             started = time.perf_counter()
             snapshot = load_snapshot_from_texts(configs)
             obs.observe_phase("parse", time.perf_counter() - started)
-            session = cls(snapshot, **kwargs)
-            session._cache_key = key
-            session._configs = dict(configs)
-            return session
-        snapshot = resolved.load("snapshot", key)
-        if snapshot is None:
-            # Snapshot-level miss: parse with the per-device memo, so
-            # only files whose bytes actually changed get reparsed.
-            started = time.perf_counter()
-            snapshot = load_snapshot_from_texts(configs, cache=resolved)
-            obs.observe_phase("parse", time.perf_counter() - started)
-            if store_snapshot:
+            if resolved is not None:
                 resolved.store("snapshot", key, snapshot)
         session = cls(snapshot, **kwargs)
         session._cache = resolved
@@ -214,36 +197,33 @@ class Session:
         self,
         changed_configs: Dict[str, str],
         validate: Optional[bool] = None,
-        store_result: bool = True,
     ) -> "Session":
         """Incrementally analyze this snapshot with some files changed.
 
         ``changed_configs`` maps filenames to new config text (or
         ``None`` to delete the file; unnamed files carry over from this
-        session unchanged). Returns a new :class:`Session`: only changed
-        files are reparsed, and when no device's routing fingerprint
-        moved the new session reuses this session's converged data
-        plane; otherwise it recomputes routing in full. After either,
-        each lazy stage takes this session's object where its own output
-        equals it: a main RIB with equal best sets, then by identity its
-        FIB and — on a private fork of this session's BDD engine — the
-        graph pipeline of an unedited device with unchanged links. Only
-        stages this session had computed when ``delta`` ran are taken
-        from (``delta_info.reused_*`` count them). The result is
-        bit-identical to a from-scratch analysis (:mod:`repro.delta`).
+        session unchanged). Returns a new :class:`Session`, derived from
+        this one in memory and never backed by the disk cache: only
+        changed files are parsed, and when no device's routing
+        fingerprint moved the new session reuses this session's
+        converged data plane; otherwise it recomputes routing in full.
+        After either, each lazy stage takes this session's object where
+        its own output equals it: a main RIB with equal best sets, then
+        by identity its FIB and — on a private fork of this session's
+        BDD engine — the graph pipeline of an unedited device with
+        unchanged links. Only stages this session had computed when
+        ``delta`` ran are taken from (``delta_info.reused_*`` count
+        them). The result is bit-identical to a from-scratch analysis
+        (:mod:`repro.delta`).
 
         ``validate`` forces the :envvar:`REPRO_DELTA_VALIDATE` check
-        (cache-less from-scratch session; byte-identical FIBs and the
-        same forwarding graph) on or off for this call.
-        ``store_result=False`` keeps the variant's snapshot entry and
-        data plane out of the snapshot cache — for one-shot variants
-        (failure sweeps) that would otherwise churn the LRU.
+        (cache-less from-scratch session; an equal parsed snapshot,
+        byte-identical FIBs and the same forwarding graph) on or off for
+        this call.
         """
         from repro.delta import delta_session
 
-        return delta_session(
-            self, changed_configs, validate=validate, store_result=store_result
-        )
+        return delta_session(self, changed_configs, validate=validate)
 
     def sweep(
         self,
@@ -264,7 +244,7 @@ class Session:
         interface flaps, OSPF-passive policy toggles — select with
         ``kinds``), prunes provably-equivalent scenarios Plankton-style,
         and runs the survivors through the delta engine on the shared
-        process pool while this session's cache entries stay pinned.
+        process pool.
         Returns a :class:`repro.sweep.SweepResult` with per-scenario
         verdicts and the **minimal failing sets** of the property
         (``prop`` defaults to a corner-to-corner reachability probe).
@@ -357,7 +337,10 @@ class Session:
         data planes, and the service layer uses it to coalesce identical
         in-flight question requests onto one computation.
         """
-        if self._cache_key is None:
+        if self._cache_key is None and self._configs is not None:
+            # A delta session: keyed on its texts like from_texts.
+            self._cache_key = snapshot_key(self._configs)
+        elif self._cache_key is None:
             # Sessions built directly from a parsed Snapshot (no config
             # texts in hand): fall back to hashing the model itself.
             digest = hashlib.sha256(engine_version().encode())

@@ -3,10 +3,12 @@
 The production workload the paper centers on (§5.1) is reviewing one
 small change against a large network, thousands of times a day. The
 content-addressed cache only helps when snapshots are *identical*; a
-delta makes the almost-identical case cheap in two steps:
+delta makes the almost-identical case cheap from the base session in
+memory, and never touches the disk cache (its key does not repeat):
 
-1. Parse only changed files (per-device memo in the snapshot cache) and
-   compare routing fingerprints of the devices whose bytes changed
+1. Parse only changed files — every other file keeps the base's parsed
+   device (:func:`repro.config.loader.parses_from_base`) — and compare
+   routing fingerprints of the devices whose bytes changed
    (:mod:`repro.delta.fingerprint`).
 2. No fingerprint moved, the host set is the same and the base
    converged: reuse the base data plane wholesale. Anything else: the
@@ -22,8 +24,8 @@ fields, so a full run of the new snapshot would be input-identical to
 the base run and, the schedule being deterministic (coloring + logical
 clocks, §4.1.2), reproduce it byte for byte; step 3 compares outputs
 and needs no argument. ``validate=True`` / ``REPRO_DELTA_VALIDATE=1``
-checks FIBs and forwarding graph against a cache-less from-scratch
-session of the same texts, whatever was reused.
+checks the parsed snapshot, FIBs and forwarding graph against a
+cache-less from-scratch session of the same texts, whatever was reused.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro import obs
+from repro.config.loader import load_snapshot_from_texts, parses_from_base
 from repro.delta.fingerprint import routing_seeds
 from repro.provenance import DerivationNode, DerivationTree, first_divergence
 from repro.reachability.graph import Constraint
@@ -41,8 +44,9 @@ from repro.routing.engine import DataPlane, NodeState
 
 
 class DeltaValidationError(AssertionError):
-    """Differential validation found a FIB mismatch between a delta
-    session and a from-scratch analysis of the same config texts."""
+    """Differential validation found a snapshot, FIB or graph mismatch
+    between a delta session and a from-scratch analysis of the same
+    config texts."""
 
 
 @dataclass
@@ -54,9 +58,8 @@ class DeltaInfo:
     #: Reporting only (every device on a recompute); no analysis reads it.
     dirty_devices: List[str] = field(default_factory=list)
     reused_devices: int = 0
-    #: Files whose bytes were carried over unchanged from the base and
-    #: that the per-device parse memo therefore serves without
-    #: reparsing; 0 when no cache backs the base (everything reparses).
+    #: Files taken from the base without parsing: unchanged bytes, and a
+    #: hostname no other base file shares.
     parse_memo_hits: int = 0
     fallback: bool = False
     fallback_reason: str = ""
@@ -85,20 +88,8 @@ def validate_enabled() -> bool:
     return value not in ("", "0", "false", "no")
 
 
-def delta_session(
-    base,
-    changed_configs: Dict[str, Optional[str]],
-    validate=None,
-    store_result: bool = True,
-):
-    """Implementation behind :meth:`repro.core.session.Session.delta`.
-
-    ``store_result=False`` keeps the variant's snapshot entry and data
-    plane out of the cache — for one-shot analyses (failure sweeps)
-    whose thousands of synthetic variants would otherwise churn the
-    LRU. Per-device parse entries are still written: they are
-    content-addressed and shared across variants.
-    """
+def delta_session(base, changed_configs: Dict[str, Optional[str]], validate=None):
+    """Implementation behind :meth:`repro.core.session.Session.delta`."""
     from repro.core.session import BaseStages, Session
 
     if base._configs is None:
@@ -125,21 +116,17 @@ def delta_session(
         if base._configs.get(filename) != new_configs.get(filename)
     }
     info = DeltaInfo(changed_files=sorted(changed_files))
-    if base._cache is not None:
-        info.parse_memo_hits = len(new_configs.keys() - changed_files)
     started = time.perf_counter()
     with obs.span("delta", changed=len(changed_files)):
-        new_session = Session.from_texts(
-            new_configs,
-            cache=base._cache,
-            store_snapshot=store_result,
+        parsed = parses_from_base(new_configs, base._configs, base.snapshot)
+        info.parse_memo_hits = len(parsed)
+        # No cache: the session's key (from its texts) never repeats.
+        new_session = Session(
+            load_snapshot_from_texts(new_configs, parsed=parsed),
             settings=base.settings,
             semantics=base.semantics,
         )
-        if not store_result:
-            # Parsed through the cache; the lazily computed data plane
-            # must not be written back to it.
-            new_session._cache = None
+        new_session._configs = new_configs
         new_session.delta_info = info
         changed_hosts = _changed_hosts(base, new_session, info)
         info.seeds = routing_seeds(
@@ -210,7 +197,6 @@ def _prioritize_questions(
     unbounded = base.snapshot.devices.keys() != new_session.snapshot.devices.keys()
     affected, skipped = qcov.questions_for_delta(
         tracker,
-        base._cache,
         base.snapshot_key,
         new_session.snapshot_key,
         changed_hosts=changed,
@@ -251,9 +237,6 @@ def _reuse_base(base, new_session, seeds: List[str]) -> Optional[str]:
         return f"routing changed on {shown}"
     if not base.dataplane.converged:
         return "base data plane did not converge"
-    # Deliberately not stored in the cache: pickling the plane costs more
-    # than everything else on this path combined, and the base plane it
-    # aliases is already cached under the base key.
     new_session._dataplane = _reused_dataplane(
         base.dataplane, new_session.snapshot
     )
@@ -333,11 +316,11 @@ def _fib_tree(label: str, hostname: str, lines: List[str]) -> DerivationTree:
 
 
 def _validate(new_session) -> None:
-    """Analyze the new session's config texts from scratch — no cache,
-    so the parse memo is checked along with the data plane, and no base
-    to take anything from — and require byte-identical FIBs and the same
-    forwarding graph; locate a FIB mismatch with the first-divergence
-    machinery."""
+    """Analyze the new session's config texts from scratch — no cache
+    and no base to take anything from — and require an equal parsed
+    snapshot (the devices and warnings taken from the base included),
+    byte-identical FIBs and the same forwarding graph; locate a FIB
+    mismatch with the first-divergence machinery."""
     from repro.core.session import Session
 
     with obs.span("delta.validate"):
@@ -346,6 +329,7 @@ def _validate(new_session) -> None:
             settings=new_session.settings,
             semantics=new_session.semantics,
         )
+        _validate_snapshot(new_session.snapshot, scratch.snapshot)
         delta_lines = fib_lines(new_session.fibs)
         full_lines = fib_lines(scratch.fibs)
         if delta_lines == full_lines:
@@ -374,6 +358,22 @@ def _validate(new_session) -> None:
     raise DeltaValidationError(
         "delta session's FIBs differ from a from-scratch analysis on "
         f"{len(mismatched)} device(s):\n" + "\n".join(details)
+    )
+
+
+def _validate_snapshot(delta_snapshot, full_snapshot) -> None:
+    if delta_snapshot == full_snapshot:
+        return
+    obs.metrics().inc("delta.validate.mismatch")
+    devices = delta_snapshot.devices.keys() | full_snapshot.devices.keys()
+    differing = sorted(
+        hostname for hostname in devices
+        if delta_snapshot.devices.get(hostname) != full_snapshot.devices.get(hostname)
+    )
+    same_warnings = delta_snapshot.warnings == full_snapshot.warnings
+    raise DeltaValidationError(
+        "delta session's parsed snapshot differs from a from-scratch parse: "
+        f"devices {differing[:5]}, warnings {'equal' if same_warnings else 'differ'}"
     )
 
 

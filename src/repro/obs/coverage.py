@@ -226,7 +226,7 @@ def _parse_key(rendered: str) -> Optional[CoverageKey]:
     return None
 
 
-# Public aliases: the persisted question records and the coverage API
+# Public aliases: the recorded question runs and the coverage API
 # payloads carry keys in rendered form, so callers outside this module
 # (repro.questions.coverage, the service) need the codec.
 render_key = _render_key

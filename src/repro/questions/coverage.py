@@ -13,8 +13,9 @@ module makes it attributable and actionable:
   coverage vector per question. :func:`record_question_run` snapshots
   the vector delta of one execution into a *record* — question, params,
   scope class, host footprint, vector — registered in the tracker's run
-  registry and persisted in the content-addressed cache keyed on
-  (snapshot, question, params).
+  registry under (snapshot, question, params). Records live as long as
+  the process: the delta that reads them runs in the process whose
+  questions wrote them.
 * **Prioritization.** Given a delta's changed files and whether its
   routing changed, :func:`prioritize_questions` splits the recorded
   questions into *affected* (worth rerunning) and *skipped* (provably
@@ -48,7 +49,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro import obs
 from repro.bdd.engine import FALSE
-from repro.core.cache import coverage_index_key, coverage_record_key
 from repro.dataplane.acl import acl_line_spaces
 from repro.findings import Finding, Location, RuleInfo, Severity
 from repro.hdr import fields as hdr_fields
@@ -120,56 +120,21 @@ def build_record(
     }
 
 
-# ----------------------------------------------------------------------
-# Record persistence (tracker run registry + content-addressed cache)
-
-
-def persist_record(cache, snapshot_key: str, record: Dict) -> None:
-    """Write one record (and its index entry) to the snapshot cache.
-    Load-modify-store on the index is not atomic across processes; a
-    lost index entry only costs a future cache miss, never wrong data."""
-    if cache is None:
-        return
-    record_key = coverage_record_key(
-        snapshot_key, record["question"], record["params_key"]
-    )
-    cache.store("coverage", record_key, record)
-    index_key = coverage_index_key(snapshot_key)
-    index = cache.load("coverage_index", index_key) or {}
-    index[record_key] = [record["question"], record["params_key"]]
-    cache.store("coverage_index", index_key, index)
-
-
-def load_records(cache, snapshot_key: str) -> Dict[Tuple[str, str], Dict]:
-    """All persisted records for a snapshot, keyed (question, params_key)."""
-    if cache is None:
-        return {}
-    index = cache.load("coverage_index", coverage_index_key(snapshot_key))
-    records: Dict[Tuple[str, str], Dict] = {}
-    for record_key, entry in (index or {}).items():
-        record = cache.load("coverage", record_key)
-        if isinstance(record, dict) and record.get("question"):
-            records[(record["question"], record["params_key"])] = record
-    return records
-
-
 def record_question_run(
     tracker: CoverageTracker,
-    cache,
     snapshot_key: str,
     question: Question,
     params: Optional[Dict],
     args: Mapping[str, object],
     vector: Dict[CoverageKey, int],
 ) -> Dict:
-    """Register (and persist) one completed question execution."""
+    """Register one completed question execution in the run registry."""
     record = build_record(question, params, args, vector)
     key = (question.name, record["params_key"])
     previous = tracker.recorded_runs(snapshot_key).get(key)
     if previous:
         record["runs"] = int(previous.get("runs", 0)) + 1
     tracker.record_run(snapshot_key, *key, record)
-    persist_record(cache, snapshot_key, record)
     return record
 
 
@@ -236,21 +201,18 @@ def _overlap(record: Dict, impact: Optional[Set[str]]) -> int:
 
 def questions_for_delta(
     tracker: CoverageTracker,
-    cache,
     base_snapshot_key: str,
     new_snapshot_key: str,
     changed_hosts: Iterable[str],
     routing_changed: bool,
     everything: bool = False,
 ) -> Tuple[List[Dict], List[Dict]]:
-    """The delta engine's entry point: load the base snapshot's records
-    (run registry first, cache as backstop), prioritize against the
-    delta's impact, and carry every *skipped* record forward under the
-    new snapshot key — its answer is unchanged, so the record still
-    describes the new snapshot and chains across further deltas."""
-    records = dict(tracker.recorded_runs(base_snapshot_key))
-    for key, record in load_records(cache, base_snapshot_key).items():
-        records.setdefault(key, record)
+    """The delta engine's entry point: take the base snapshot's records
+    from the run registry, prioritize against the delta's impact, and
+    carry every *skipped* record forward under the new snapshot key —
+    its answer is unchanged, so the record still describes the new
+    snapshot and chains across further deltas."""
+    records = tracker.recorded_runs(base_snapshot_key)
     affected, skipped = prioritize_questions(
         records, changed_hosts, routing_changed, everything=everything
     )
@@ -261,7 +223,6 @@ def questions_for_delta(
     for key, record in records.items():
         if key in skipped_keys:
             tracker.record_run(new_snapshot_key, key[0], key[1], record)
-            persist_record(cache, new_snapshot_key, record)
     return affected, skipped
 
 

@@ -45,11 +45,12 @@ class Param(NamedTuple):
     #: The hostnames a decoded value names. ``bind`` checks them against
     #: the snapshot; a coverage record is pinned to them.
     hosts: Callable[[object], Iterable[str]] = lambda value: ()
-    #: The ``(hostname, interface)`` pairs a decoded value names, given
-    #: every bound arg (the host may be another param's). ``bind`` checks
-    #: each interface against its device.
-    interfaces: Callable[
-        [object, Mapping[str, object]], Iterable[Tuple[str, str]]
+    #: The ``(hostname, kind, name)`` structures a decoded value names,
+    #: given every bound arg (the host may be another param's); ``kind``
+    #: is ``interface`` or ``filter``. ``bind`` checks each against its
+    #: device.
+    structures: Callable[
+        [object, Mapping[str, object]], Iterable[Tuple[str, str, str]]
     ] = lambda value, args: ()
 
 
@@ -231,8 +232,8 @@ sources_from_json = list_of(_source)
 SOURCES = Param(
     sources_from_json,
     hosts=lambda sources: [name for name, _ in sources],
-    interfaces=lambda sources, args: [
-        (name, iface) for name, iface in sources if iface is not None
+    structures=lambda sources, args: [
+        (name, "interface", iface) for name, iface in sources if iface is not None
     ],
 )
 

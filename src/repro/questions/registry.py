@@ -107,6 +107,10 @@ def question(name: str, params: Optional[Mapping[str, Param]] = None, **flags):
     return declare
 
 
+#: The :class:`~repro.config.model.Device` table a structure kind lives in.
+_TABLES = {"interface": "interfaces", "filter": "acls"}
+
+
 def bind(
     declared: Question, raw_params, snapshot: Snapshot
 ) -> Dict[str, object]:
@@ -121,9 +125,9 @@ def bind(
         if host not in snapshot.devices:
             raise ParamError(key, f"no device named {host!r} in the snapshot")
     for key, value in args.items():
-        for host, name in declared.params[key].interfaces(value, args):
-            if name not in snapshot.devices[host].interfaces:
-                raise ParamError(key, f"{host!r} has no interface {name!r}")
+        for host, kind, name in declared.params[key].structures(value, args):
+            if name not in getattr(snapshot.devices[host], _TABLES[kind]):
+                raise ParamError(key, f"{host!r} has no {kind} {name!r}")
     return args
 
 
@@ -184,7 +188,7 @@ def reachability(session, args, open_session) -> Dict:
         "node": node(required=True),
         "interface": Param(
             text, required=True,
-            interfaces=lambda name, args: [(args["node"], name)],
+            structures=lambda name, args: [(args["node"], "interface", name)],
         ),
     },
     scope="routing",
@@ -284,7 +288,9 @@ _COUNT = Param(integer(1))
         "property": Param(
             property_from_json,
             hosts=lambda prop: (prop.src_node,),
-            interfaces=lambda prop, args: [(prop.src_node, prop.src_interface)],
+            structures=lambda prop, args: [
+                (prop.src_node, "interface", prop.src_interface),
+            ],
         ),
         "prune": Param(boolean),
         "limit": _COUNT,
@@ -325,7 +331,10 @@ def sweep(session, args, open_session) -> Dict:
     "test_filter",
     {
         "node": node(required=True),
-        "filter": Param(text, required=True),
+        "filter": Param(
+            text, required=True,
+            structures=lambda name, args: [(args["node"], "filter", name)],
+        ),
         "packet": Param(packet_from_json, required=True),
     },
     scope="config",

@@ -115,9 +115,6 @@ def to_service_error(exc: BaseException) -> ServiceError:
         return AnalysisError(str(exc), kind="not_converged")
     if isinstance(exc, ParamError):
         return InvalidRequestError(str(exc), field=exc.field)
-    if isinstance(exc, KeyError):
-        # The question surface raises KeyError for unknown nodes/filters.
-        return InvalidRequestError(f"unknown entity: {exc}")
     if isinstance(exc, (TypeError, ValueError)):
         return InvalidRequestError(str(exc))
     return ServiceError(f"{type(exc).__name__}: {exc}", kind=type(exc).__name__)

@@ -103,7 +103,6 @@ def run_question(
         after = tracker.question_vector(question)
     qcov.record_question_run(
         tracker,
-        getattr(store, "_cache", None),
         session.snapshot_key,
         declared,
         params,

@@ -3,12 +3,9 @@
 One sweep is: enumerate elements and scenarios, evaluate the property
 on the base snapshot, prune (:mod:`repro.sweep.prune`), then fan the
 surviving scenarios out over the :func:`repro.parallel.pmap` pool.
-Each evaluated scenario is a synthetic edit run through the PR 6 delta
-engine, so only protocol state reachable from the failed elements
-re-converges; the base session's cache entries are pinned via
-``SnapshotCache.protect`` for the duration (forked pool workers inherit
-the pin set, so their own stores cannot evict the base out from under a
-sibling's delta).
+Each evaluated scenario is a synthetic edit run through the delta
+engine, which derives it from the base session in memory: only the
+edited files are parsed, and no scenario reads or writes the disk cache.
 
 A ``progress(done, total)`` callback hears first from the plan (``done``
 = the scenarios it pruned) and then after each evaluated batch, ending
@@ -30,7 +27,6 @@ from repro.sweep.prune import (
     PRUNED_DISCONNECTED,
     PRUNED_FINGERPRINT,
     SweepPlan,
-    base_protect_entries,
     plan_sweep,
 )
 from repro.sweep.scenarios import (
@@ -276,9 +272,7 @@ def sweep_session(
         def _evaluate_one(payload):
             scenario_id, changed_configs = payload
             t0 = time.perf_counter()
-            scenario_session = session.delta(
-                changed_configs, validate=run_validate, store_result=False
-            )
+            scenario_session = session.delta(changed_configs, validate=run_validate)
             verdict = evaluate_property(scenario_session, prop)
             info = scenario_session.delta_info
             return (
@@ -289,14 +283,7 @@ def sweep_session(
                 time.perf_counter() - t0,
             )
 
-        protect = base_protect_entries(session)
-        if protect and session._cache is not None:
-            with session._cache.protect(protect):
-                raw = pmap(
-                    _evaluate_one, payloads, jobs=jobs, progress=_progress
-                )
-        else:
-            raw = pmap(_evaluate_one, payloads, jobs=jobs, progress=_progress)
+        raw = pmap(_evaluate_one, payloads, jobs=jobs, progress=_progress)
 
     evaluated: Dict[str, ScenarioOutcome] = {}
     metrics = obs.metrics()

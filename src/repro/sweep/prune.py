@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.config.loader import parse_config_text
-from repro.core.cache import device_key
 from repro.delta.fingerprint import protocol_edges, routing_fingerprint
 from repro.hdr.ip import Ip
 from repro.routing.topology import (
@@ -348,17 +347,3 @@ def plan_sweep(
             )
         )
     return SweepPlan(entries=entries, scope_hosts=scope, owners=owners)
-
-
-def base_protect_entries(session) -> List[Tuple[str, str]]:
-    """The cache entries a sweep pins while scenarios execute: the base
-    snapshot, its per-device parse entries, and its data plane. Nested
-    inside, each scenario's delta re-pins the device entries it reuses —
-    the reentrant-protect case SnapshotCache.protect() must support."""
-    if session._cache is None or session._configs is None:
-        return []
-    entries: List[Tuple[str, str]] = [("snapshot", session._cache_key)]
-    for filename, text in sorted(session._configs.items()):
-        entries.append(("device", device_key(filename, text)))
-    entries.append(("dataplane", session.snapshot_key))
-    return entries

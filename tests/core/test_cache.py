@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from repro import obs
 from repro.core.cache import (
     SnapshotCache,
     engine_version,
@@ -117,9 +118,8 @@ class TestRoundTrip:
         edited[name] = edited[name] + "\n! trailing comment\n"
         Session.from_texts(edited, cache=cache).dataplane
         # Snapshot-level and dataplane entries must miss (no false
-        # sharing of results); only the per-device parse memo may hit,
-        # and exactly for the files whose bytes did not change.
-        assert cache.stats()["hits"] == hits_before + len(configs) - 1
+        # sharing of results), and nothing else is read.
+        assert cache.stats()["hits"] == hits_before == 0
 
     def test_settings_change_misses_dataplane(self, tmp_path, configs):
         from repro.routing.engine import ConvergenceSettings
@@ -272,116 +272,36 @@ class TestEviction:
             SnapshotCache(str(tmp_path))
 
 
-class TestProtect:
-    """protect() pins entries a live delta still needs (the base
-    snapshot's devices and data plane) against LRU eviction."""
 
-    def _sized_cache(self, tmp_path, entries=2):
-        probe = SnapshotCache(str(tmp_path / "probe"))
-        probe.store("blob", "0" * 64, b"x" * 1024)
-        (path,) = (tmp_path / "probe").glob("*.pkl")
-        return SnapshotCache(
-            str(tmp_path / "c"), max_bytes=path.stat().st_size * entries
-        )
+def test_a_service_session_leaves_one_snapshot_and_one_data_plane(tmp_path):
+    """The disk holds what a restart reads back, nothing else: after a
+    POST, twenty distinct questions, an inert and a routing PATCH and a
+    k=1 sweep, the base's snapshot and data plane are the only entries.
+    No per-device parse, no delta child, no coverage record."""
+    from repro.service.serialize import run_question
+    from repro.service.store import SnapshotStore
 
-    def test_protected_entry_survives_eviction_pressure(self, tmp_path):
-        import time as _time
-
-        cache = self._sized_cache(tmp_path, entries=2)
-        cache.store("blob", "a" * 64, b"x" * 1024)
-        with cache.protect([("blob", "a" * 64)]):
-            for i in range(3):
-                _time.sleep(0.01)
-                cache.store("blob", f"{i:064d}", b"x" * 1024)
-            # 'a' is the LRU entry yet still present; pressure fell on
-            # the unpinned entries instead.
-            assert cache.load("blob", "a" * 64) is not None
-        assert cache.stats()["evictions"] > 0
-
-    def test_unprotected_entry_evicts_after_exit(self, tmp_path):
-        import time as _time
-
-        cache = self._sized_cache(tmp_path, entries=2)
-        cache.store("blob", "a" * 64, b"x" * 1024)
-        with cache.protect([("blob", "a" * 64)]):
-            pass
-        for i in range(3):
-            _time.sleep(0.01)
-            cache.store("blob", f"{i:064d}", b"x" * 1024)
-        assert cache.load("blob", "a" * 64) is None
-
-    def test_protection_is_refcounted(self, tmp_path):
-        import time as _time
-
-        cache = self._sized_cache(tmp_path, entries=2)
-        cache.store("blob", "a" * 64, b"x" * 1024)
-        outer = cache.protect([("blob", "a" * 64)])
-        inner = cache.protect([("blob", "a" * 64)])
-        outer.__enter__()
-        inner.__enter__()
-        inner.__exit__(None, None, None)
-        # Still pinned by the outer protector.
-        for i in range(3):
-            _time.sleep(0.01)
-            cache.store("blob", f"{i:064d}", b"x" * 1024)
-        assert cache.load("blob", "a" * 64) is not None
-        outer.__exit__(None, None, None)
-
-    def test_nested_overlapping_scopes_compose(self, tmp_path):
-        """The sweep shape: an outer scope pins the base snapshot's
-        entries for the whole run while each scenario's delta pins an
-        overlapping subset; the overlap must stay pinned until the
-        *outer* scope ends, and unrelated entries keep evicting."""
-        import time as _time
-
-        cache = self._sized_cache(tmp_path, entries=3)
-        cache.store("blob", "a" * 64, b"x" * 1024)
-        _time.sleep(0.01)
-        cache.store("blob", "b" * 64, b"x" * 1024)
-        with cache.protect([("blob", "a" * 64), ("blob", "b" * 64)]):
-            with cache.protect([("blob", "a" * 64)]):
-                pass
-            # Inner exit must not have unpinned the overlap.
-            for i in range(4):
-                _time.sleep(0.01)
-                cache.store("blob", f"{i:064d}", b"x" * 1024)
-            assert cache.load("blob", "a" * 64) is not None
-            assert cache.load("blob", "b" * 64) is not None
-        assert cache.stats()["evictions"] > 0
-
-    def test_protect_wins_race_with_in_flight_eviction(self, tmp_path, monkeypatch):
-        """A pin taken after eviction has started scanning the directory
-        but before any unlink must still be honored — the evictor has to
-        re-check the pin set under the lock at unlink time, not act on a
-        snapshot taken when the scan began."""
-        import os as _os
-        import time as _time
-
-        cache = self._sized_cache(tmp_path, entries=2)
-        cache.store("blob", "a" * 64, b"x" * 1024)
-        _time.sleep(0.01)
-        cache.store("blob", "b" * 64, b"x" * 1024)
-
-        pin = cache.protect([("blob", "a" * 64)])
-        entered = []
-        real_listdir = _os.listdir
-
-        def racing_listdir(path):
-            # Simulates a concurrent sweep thread opening its protect
-            # scope mid-eviction: after the evictor began its scan.
-            if not entered:
-                entered.append(True)
-                pin.__enter__()
-            return real_listdir(path)
-
-        monkeypatch.setattr("repro.core.cache.os.listdir", racing_listdir)
-        _time.sleep(0.01)
-        cache.store("blob", "c" * 64, b"x" * 1024)  # drives eviction
-        monkeypatch.undo()
-        try:
-            # 'a' (the LRU entry) was pinned mid-eviction and survived;
-            # pressure fell on 'b' instead.
-            assert cache.load("blob", "a" * 64) is not None
-            assert cache.load("blob", "b" * 64) is None
-        finally:
-            pin.__exit__(None, None, None)
+    obs.enable_metrics()
+    try:
+        store = SnapshotStore(SnapshotCache(str(tmp_path)))
+        configs = net1(2)
+        store.init("lab", configs)
+        for node in sorted(store.get("lab").snapshot.devices):
+            run_question(store, "lab", "routes", {"node": node})
+        packet = {"src_ip": "172.19.0.10", "dst_ip": "172.19.1.10", "ip_protocol": "tcp"}
+        for port in range(16):
+            run_question(store, "lab", "test_filter", {
+                "node": "net1-core0", "filter": "SPUR_FILTER",
+                "packet": {**packet, "dst_port": port},
+            })
+        target = sorted(configs)[0]
+        store.patch("lab", {target: configs[target] + "ntp server 203.0.113.250\n"})
+        store.patch("lab", {
+            target: configs[target] + "ip route 203.0.113.0 255.255.255.0 Null0\n",
+        })
+        run_question(store, "lab", "sweep", {"k": 1, "kinds": ["link"], "jobs": 1})
+    finally:
+        obs.disable()
+        obs.reset()
+    kinds = sorted(path.name.split("-")[0] for path in tmp_path.glob("*.pkl"))
+    assert kinds == ["dataplane", "snapshot"]

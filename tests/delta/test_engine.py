@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.core.cache import SnapshotCache
 from repro.core.session import Session
 from repro.delta import DeltaValidationError, fib_lines
 from repro.delta.edits import irrelevant_edit, relevant_edit
 from repro.delta.engine import _validate
+from repro.hdr.ip import Ip
 from repro.synth.networks import NETWORKS
 from repro.routing.engine import ConvergenceSettings
 from repro.synth.special import figure1b, net1
@@ -50,6 +52,16 @@ ip route 198.51.100.0 255.255.255.0 Null0
 
 INERT_LINE = "ntp server 203.0.113.250\n"
 ROUTE_LINE = "ip route 203.0.113.0 255.255.255.0 Null0\n"
+
+
+@pytest.fixture()
+def traced():
+    """obs on and empty for the test, off and empty after it."""
+    obs.enable()
+    obs.reset()
+    yield
+    obs.disable()
+    obs.reset()
 
 
 def full_fib_lines(configs):
@@ -98,17 +110,58 @@ class TestReuse:
         assert new.delta_info.changed_files == []
         assert_reused(new, base)
 
-    def test_parse_memo_hits_need_a_cache(self, tmp_path):
-        """Without a cache every file is reparsed, so nothing was a memo
-        hit; with one, the byte-identical files are."""
+    def test_delta_parses_only_changed_files(self, tmp_path, traced):
+        """Whatever backs the base — no cache, a cache it was stored in,
+        or a snapshot served from that cache — a delta parses exactly its
+        changed files, takes every other one's device from the base and
+        leaves the disk cache alone."""
         edit = {"c": THREE_ISLANDS["c"] + INERT_LINE}
-        uncached = Session.from_texts(THREE_ISLANDS).delta(edit)
-        assert uncached.delta_info.parse_memo_hits == 0
-        cached = Session.from_texts(
-            THREE_ISLANDS, cache=SnapshotCache(str(tmp_path))
-        ).delta(edit)
-        assert cached.delta_info.parse_memo_hits == 2
-        assert cached.cache_stats["hits"] >= 2
+        bases = {
+            "uncached": Session.from_texts(THREE_ISLANDS),
+            "cached": Session.from_texts(
+                THREE_ISLANDS, cache=SnapshotCache(str(tmp_path))
+            ),
+            "served": Session.from_texts(
+                THREE_ISLANDS, cache=SnapshotCache(str(tmp_path))
+            ),
+        }
+        assert bases["served"].cache_stats == {
+            "hits": 1, "misses": 0, "evictions": 0,
+        }
+        for label, base in bases.items():
+            obs.reset()
+            new = base.delta(edit)
+            assert obs.metrics().counter("parse.files") == 1, label
+            assert new.delta_info.parse_memo_hits == 2, label
+            assert new.cache_stats is None, label
+            for hostname in ("a", "b"):
+                assert new.snapshot.device(hostname) is base.snapshot.device(hostname)
+            assert new.snapshot == Session.from_texts(new._configs).snapshot
+        # The base's own entries (the inert edits read its data plane).
+        assert sorted(path.name.split("-")[0] for path in tmp_path.iterdir()) == [
+            "dataplane", "snapshot",
+        ]
+
+    def test_duplicate_hostnames_and_warnings_match_scratch(self, traced):
+        """Files sharing a hostname are parsed again (the base kept only
+        the later one's device); a file with warnings keeps them, in
+        their place among the others."""
+        configs = dict(
+            THREE_ISLANDS,
+            z=THREE_ISLANDS["c"],
+            w="hostname w\nfrobnicate all\nbanana split\n",
+        )
+        base = Session.from_texts(configs)
+        assert len(base.parse_warnings) == 3  # w's two, and z's duplicate
+        obs.reset()
+        new = base.delta({"a": configs["a"] + ROUTE_LINE})
+        assert obs.metrics().counter("parse.files") == 3  # a, c and z
+        assert new.delta_info.parse_memo_hits == 2  # b and w
+        assert new.snapshot.device("w") is base.snapshot.device("w")
+        scratch = Session.from_texts(new._configs).snapshot
+        assert new.snapshot == scratch
+        assert new.parse_warnings == scratch.warnings == base.parse_warnings
+        _validate(new)
 
     def test_duplicate_hostnames_still_match_scratch(self):
         """Two files defining one hostname (the later file wins): an
@@ -231,6 +284,18 @@ class TestRejectedInput:
 
 
 class TestValidator:
+    def test_validator_catches_a_corrupted_reused_device(self):
+        base = Session.from_texts(THREE_ISLANDS)
+        base.fibs
+        new = base.delta({"c": THREE_ISLANDS["c"] + INERT_LINE})
+        reused = new.snapshot.device("a")
+        assert reused is base.snapshot.device("a")
+        # Sabotage a field no FIB or graph reads: only the snapshot
+        # comparison can see it.
+        reused.ntp_servers.append(Ip("192.0.2.1"))
+        with pytest.raises(DeltaValidationError, match=r"snapshot.*\['a'\]"):
+            _validate(new)
+
     def test_validator_catches_corrupted_reuse(self):
         base = Session.from_texts(THREE_ISLANDS)
         base.fibs
@@ -254,7 +319,8 @@ class TestValidator:
 class TestRegistry:
     """One inert and one routing edit on every registry network, from a
     cached base: FIBs equal a cache-less from-scratch session (which
-    also covers the parse memo) and DeltaInfo keeps its invariants."""
+    also covers the devices taken from the base) and DeltaInfo keeps its
+    invariants."""
 
     @pytest.mark.parametrize("spec", NETWORKS, ids=lambda spec: spec.name)
     def test_inert_and_routing_edit(self, spec, tmp_path):

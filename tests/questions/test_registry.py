@@ -18,7 +18,9 @@ from repro.questions.registry import QUESTIONS, bind
 from repro.sweep.scenarios import ReachabilityProperty
 from repro.synth.special import net1
 
-from tests.questions.wellformed import GHOST_HOSTS, GHOST_INTERFACES, WELLFORMED
+from tests.questions.wellformed import (
+    GHOST_FILTERS, GHOST_HOSTS, GHOST_INTERFACES, WELLFORMED,
+)
 
 SNAPSHOT = load_snapshot_from_texts(net1(2))
 README = pathlib.Path(__file__).parents[2] / "README.md"
@@ -115,6 +117,13 @@ class TestDeclarations:
             bind(QUESTIONS[name], params, SNAPSHOT)
         assert excinfo.value.field == field
         assert "has no interface 'Ghost0/9'" in excinfo.value.reason
+
+    @pytest.mark.parametrize("name, field, params", GHOST_FILTERS)
+    def test_a_filter_its_device_lacks_does_not_bind(self, name, field, params):
+        with pytest.raises(ParamError) as excinfo:
+            bind(QUESTIONS[name], params, SNAPSHOT)
+        assert excinfo.value.field == field
+        assert f"has no filter {params['filter']!r}" in excinfo.value.reason
 
     def test_readme_lists_every_question_with_its_params(self):
         """The README's ``| question | params |`` table (``*`` = required,

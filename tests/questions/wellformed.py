@@ -70,3 +70,10 @@ GHOST_INTERFACES = [
         },
     }),
 ]
+
+#: Likewise with a filter name its (real) device does not have: one no
+#: device has, and one another device has.
+GHOST_FILTERS = [
+    ("test_filter", "filter", {**WELLFORMED["test_filter"], "filter": "NO_SUCH_ACL"}),
+    ("test_filter", "filter", {**WELLFORMED["test_filter"], "node": "net1-core1"}),
+]

@@ -258,7 +258,8 @@ class TestShutdown:
 
 class TestPatchSnapshot:
     def test_patch_applies_incremental_update(self, make_service, tmp_path):
-        # A cache backs the per-device parse memo the PATCH reports on.
+        # Cache-backed; the PATCH takes unchanged files from the base in
+        # memory whether or not a cache is there.
         _, client = make_service(cache=str(tmp_path))
         configs = net1(2)
         status, record = client.post(

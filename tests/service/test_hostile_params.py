@@ -10,6 +10,9 @@ one the snapshot lacks. The eight probes ISSUE 24 recorded on the parent
 are the named cases at the end; each failed there. The ghost-interface
 rows failed there too: reachability from an interface its device lacks
 answered 200 with no disposition, and traceroute from one ``no-route``.
+So did the ghost-filter rows: ``test_filter`` on a filter its node lacks
+bound, raised ``KeyError`` in the run, and answered a 400 that named no
+field.
 """
 
 import pytest
@@ -17,7 +20,9 @@ import pytest
 from repro.questions.registry import QUESTIONS
 from repro.synth.special import net1
 
-from tests.questions.wellformed import GHOST_HOSTS, GHOST_INTERFACES, WELLFORMED
+from tests.questions.wellformed import (
+    GHOST_FILTERS, GHOST_HOSTS, GHOST_INTERFACES, WELLFORMED,
+)
 
 #: One value of each JSON type; a param is given all but its own.
 BY_TYPE = {
@@ -57,6 +62,8 @@ def malformed_requests():
         yield f"{name}-{key}-ghost-host", name, params, key
     for name, key, params in GHOST_INTERFACES:
         yield f"{name}-{key}-ghost-interface", name, params, key
+    for name, key, params in GHOST_FILTERS:
+        yield f"{name}-{key}-ghost-filter", name, params, key
 
 
 ROWS = list(malformed_requests())

@@ -181,10 +181,10 @@ class TestFindingType:
         findings."""
         cache = SnapshotCache(str(tmp_path))
         os.makedirs(cache.root, exist_ok=True)
-        with open(os.path.join(cache.root, "device-stale.pkl"), "wb") as handle:
+        with open(os.path.join(cache.root, "snapshot-stale.pkl"), "wb") as handle:
             handle.write(base64.b64decode(self.PARENT_ENTRY))
-        assert cache.load("device", "stale") is None
+        assert cache.load("snapshot", "stale") is None
         assert cache.stats() == {"hits": 0, "misses": 1, "evictions": 0}
         # and an entry written now round-trips through the same cache
-        cache.store("device", "fresh", [self.FINDING])
-        assert cache.load("device", "fresh") == [self.FINDING]
+        cache.store("snapshot", "fresh", [self.FINDING])
+        assert cache.load("snapshot", "fresh") == [self.FINDING]

@@ -7,6 +7,8 @@ nesting depth, so a function-local import counts):
 * ``repro.findings`` is a leaf: it imports nothing from ``repro``;
 * ``repro.lint`` imports none of ``repro.core``, ``repro.delta`` and
   ``repro.service``: lint is a function of the snapshot alone;
+* only ``repro.core.session`` and ``repro.service`` import
+  ``repro.core.cache``;
 * nothing outside ``repro.service`` imports ``repro.service``;
 * ``repro/__main__.py`` is the only module outside ``repro.service``
   that builds an ``argparse.ArgumentParser``;
@@ -86,6 +88,22 @@ def test_lint_imports_no_session_cache_or_delta():
         if f"{module}.".startswith(above)
     ]
     assert not violations, "\n".join(violations)
+
+
+def test_only_the_session_and_the_service_import_the_cache():
+    """The disk cache backs sessions built from text, nothing else: the
+    parser, the delta engine, sweeps and questions work in memory."""
+    importers = {
+        str(path.relative_to(ROOT))
+        for path in ROOT.glob("**/*.py")
+        for module, names in _imports(path)
+        if "repro.core.cache" in {module, *(f"{module}.{name}" for name in names)}
+    }
+    assert "core/session.py" in importers
+    assert sorted(
+        path for path in importers
+        if path != "core/session.py" and not path.startswith("service/")
+    ) == []
 
 
 def test_only_the_service_imports_the_service():
