@@ -7,7 +7,9 @@ README's "Command line" table says what each gates. Every command exits
 a validator divergence, a ``--strict`` trace with a leaked span) and 2
 on drift against ``--baseline`` or on a usage error — an unknown
 registry network (the valid names are listed) and an empty selection
-included. Registry selection (``--networks``/``--smoke``/``--scale``),
+included, as is a param the question registry does not bind (the
+field is named), a lint rule id no rule declares and a path that does
+not exist. Registry selection (``--networks``/``--smoke``/``--scale``),
 snapshot sourcing (``--snapshot DIR | --network NAME``),
 ``--format``/``--out``, ``--sarif`` and ``--baseline`` are declared once
 below and mean the same thing wherever they appear. The analysis daemon
@@ -20,6 +22,7 @@ import argparse
 import collections
 import functools
 import json
+import os
 import sys
 import time
 from dataclasses import replace
@@ -45,9 +48,10 @@ from repro.lint.dataflow import analyze, validate_containment
 from repro.obs.report import TraceReport
 from repro.provenance import Flow
 from repro.questions import coverage as qcov
-from repro.questions.params import ParamError, packet_from_json
+from repro.questions.params import ParamError
+from repro.questions.registry import QUESTIONS, bind, run_sweep
 from repro.sweep import report as sweep_report
-from repro.sweep.scenarios import ALL_KINDS, ReachabilityProperty, host_files
+from repro.sweep.scenarios import ALL_KINDS, host_files
 from repro.sweep.validate import DEFAULT_MAX_ELEMENTS, validate_network
 from repro.synth.networks import NETWORKS, NetworkSpec, network_by_name
 
@@ -55,9 +59,8 @@ Configs = Dict[str, str]
 
 #: The ``--smoke`` selection: networks small enough that every validator
 #: (brute force included) finishes in seconds, with a tighter element
-#: cap for the sweep validator.
+#: cap for the sweep validator (``SMOKE_SWEEP_LEGS``).
 SMOKE_NETWORKS = ("NET1", "NET5", "NET6")
-SMOKE_MAX_ELEMENTS = 4
 
 
 class UsageError(Exception):
@@ -98,7 +101,10 @@ def select_networks(names: Optional[str], smoke: bool) -> List[NetworkSpec]:
 def load_configs(args: argparse.Namespace) -> Configs:
     """``--snapshot DIR`` or ``--network NAME [--scale N]`` as texts."""
     if args.snapshot:
-        return read_config_dir(args.snapshot)
+        try:
+            return read_config_dir(args.snapshot)
+        except OSError as error:
+            raise UsageError(f"--snapshot: {error}") from None
     if args.network:
         return network_spec(args.network).generate(args.scale)
     raise UsageError("one of --snapshot or --network is required")
@@ -187,9 +193,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                 f"{rule.category:12s} {rule.description}"
             )
         return 0
-    config = LintConfig.from_dict(
-        {"rules": _csv(args.rules) or None, "disable": _csv(args.disable)}
-    )
+    try:
+        config = LintConfig.from_dict(
+            {"rules": _csv(args.rules) or None, "disable": _csv(args.disable)}
+        )
+    except ValueError as error:
+        raise UsageError(error) from None
     if (args.network or "").lower() == "all":
         report = _lint_registry(args, config)
     else:
@@ -218,24 +227,23 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    prop = None
-    given = (args.src, args.src_interface, args.dst)
-    if any(given):
-        if not all(given):
-            raise UsageError(
-                "--src, --src-interface and --dst must be given together"
-            )
-        prop = ReachabilityProperty(args.src, args.src_interface, args.dst)
+    """The registry's ``sweep`` question: its flags are the question's
+    params, bound as the service binds them."""
     session = Session.from_texts(load_configs(args))
-    result = session.sweep(
-        k=args.k,
-        kinds=tuple(_csv(args.kinds)),
-        prop=prop,
-        prune=not args.no_prune,
-        jobs=args.jobs,
-        limit=args.limit,
-        max_elements=args.max_elements,
-    )
+    params = {
+        "k": args.k,
+        "kinds": _csv(args.kinds),
+        "limit": args.limit,
+        "max_elements": args.max_elements,
+    }
+    if args.src or args.src_interface or args.dst:
+        params["property"] = {
+            "src_node": args.src,
+            "src_interface": args.src_interface,
+            "dst_ip": args.dst,
+        }
+    bound = bind(QUESTIONS["sweep"], params, session.snapshot)
+    result = run_sweep(session, bound, jobs=args.jobs)
     findings = sweep_report.findings_from_result(
         result, host_files(session.snapshot)
     )
@@ -318,18 +326,39 @@ def _validate_delta(
     return Validation(len(edits), detail, failed, target, counts)
 
 
+#: ``validate sweep``'s k=2 legs: (kinds, element cap, networks; None =
+#: every selected one). The capped link leg cuts but meets no duplicate
+#: edit; NET1's whole link+interface universe has both.
+SWEEP_LEGS = (
+    (("link",), DEFAULT_MAX_ELEMENTS, None),
+    (("link", "interface"), None, ("NET1",)),
+)
+SMOKE_SWEEP_LEGS = ((("link",), 4, None),)
+
+
 def _validate_sweep(
     network: str,
     configs: Configs,
     jobs: Optional[int],
-    max_elements: int = DEFAULT_MAX_ELEMENTS,
+    legs=SWEEP_LEGS,
 ) -> Validation:
-    """Pruned k=2 link-failure sweep vs brute-force enumeration."""
-    validation, _result = validate_network(
-        network, configs, max_elements=max_elements, jobs=jobs
-    )
-    failed = [mismatch.describe() for mismatch in validation.mismatches]
-    return Validation(validation.scenarios, validation.describe(), failed)
+    """Pruned k=2 sweeps vs brute-force enumeration, one per leg."""
+    checks = 0
+    details: List[str] = []
+    failed: List[str] = []
+    counts: collections.Counter = collections.Counter()
+    for kinds, max_elements, networks in legs:
+        if networks is not None and network not in networks:
+            continue
+        validation, result = validate_network(
+            network, configs, kinds=kinds, max_elements=max_elements, jobs=jobs
+        )
+        checks += validation.scenarios
+        details.append(f"{'+'.join(kinds)}: {validation.describe()}")
+        failed += [mismatch.describe() for mismatch in validation.mismatches]
+        counts["pruned_cut"] += result.stats.pruned_cut
+        counts["pruned_duplicate"] += result.stats.pruned_duplicate
+    return Validation(checks, "; ".join(details), failed, counts=counts)
 
 
 def _validate_dataflow(
@@ -376,7 +405,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     validators = dict(VALIDATORS)
     if args.smoke:
         validators["sweep"] = functools.partial(
-            _validate_sweep, max_elements=SMOKE_MAX_ELEMENTS
+            _validate_sweep, legs=SMOKE_SWEEP_LEGS
         )
     names = list(validators) if args.validator == "all" else [args.validator]
     networks = [(spec.name, spec.generate(args.scale)) for spec in specs]
@@ -474,6 +503,8 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    if not os.path.isfile(args.trace):
+        raise UsageError(f"no trace file at {args.trace}")
     report = TraceReport.from_file(args.trace)
     try:
         if args.json:
@@ -496,21 +527,31 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    """Render derivation trees for a route or a flow (Stage 4, §4.4)."""
+    """Render derivation trees for a route or a flow (Stage 4, §4.4);
+    the arguments are bound like the ``explain_route`` and
+    ``traceroute`` questions' params."""
     session = Session.from_texts(load_configs(args))
     if args.what == "route":
-        print(session.explain_route(args.node, args.prefix).render())
+        route = bind(
+            QUESTIONS["explain_route"],
+            {"node": args.node, "prefix": args.prefix},
+            session.snapshot,
+        )
+        print(session.explain_route(route["node"], route["prefix"]).render())
         return 0
-    packet = packet_from_json(  # a ParamError is a usage error: see main()
-        {
-            "src_ip": args.src_ip,
-            "dst_ip": args.dst_ip,
-            "ip_protocol": args.protocol,
-            "src_port": args.src_port,
-            "dst_port": args.dst_port,
-        }
+    packet = {
+        "src_ip": args.src_ip,
+        "dst_ip": args.dst_ip,
+        "ip_protocol": args.protocol,
+        "src_port": args.src_port,
+        "dst_port": args.dst_port,
+    }
+    bound = bind(
+        QUESTIONS["traceroute"],
+        {"node": args.node, "interface": args.interface, "packet": packet},
+        session.snapshot,
     )
-    flow = Flow(packet, args.node, args.interface)
+    flow = Flow(bound["packet"], bound["node"], bound["interface"])
     print(session.explain_flow(flow).render())
     return 0
 
@@ -596,9 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--limit", type=int, help="cap the scenarios (dropped ones reported)"
-    )
-    sweep.add_argument(
-        "--no-prune", action="store_true", help="evaluate every scenario"
     )
     sweep.add_argument("--src", metavar="NODE", help="property source node")
     sweep.add_argument("--src-interface", metavar="IFACE")

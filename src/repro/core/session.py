@@ -230,7 +230,6 @@ class Session:
         k: int = 1,
         kinds=None,
         prop=None,
-        prune: bool = True,
         jobs: Optional[int] = None,
         limit: Optional[int] = None,
         max_elements: Optional[int] = None,
@@ -242,8 +241,8 @@ class Session:
 
         Enumerates failure elements (link failures, node failures,
         interface flaps, OSPF-passive policy toggles — select with
-        ``kinds``), prunes provably-equivalent scenarios Plankton-style,
-        and runs the survivors through the delta engine on the shared
+        ``kinds``), prunes physical cuts and identical edits, and runs
+        the survivors through the delta engine on the shared
         process pool.
         Returns a :class:`repro.sweep.SweepResult` with per-scenario
         verdicts and the **minimal failing sets** of the property
@@ -256,7 +255,6 @@ class Session:
             k=k,
             kinds=ALL_KINDS if kinds is None else kinds,
             prop=prop,
-            prune=prune,
             jobs=jobs,
             limit=limit,
             max_elements=max_elements,

@@ -15,18 +15,13 @@ from repro.delta.engine import (
     fib_lines,
     validate_enabled,
 )
-from repro.delta.fingerprint import (
-    protocol_edges,
-    routing_fingerprint,
-    routing_seeds,
-)
+from repro.delta.fingerprint import routing_fingerprint, routing_seeds
 
 __all__ = [
     "DeltaInfo",
     "DeltaValidationError",
     "delta_session",
     "fib_lines",
-    "protocol_edges",
     "routing_fingerprint",
     "routing_seeds",
     "validate_enabled",

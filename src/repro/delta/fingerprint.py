@@ -5,9 +5,7 @@ The delta engine reuses the base data plane only when no device's
 pruning in the sense of Plankton (Prabhu et al.): editing an NTP server,
 an SNMP community or an interface description cannot move a route, so a
 snapshot differing only in such lines has no seed. Any seed means a full
-recompute; there is no partial re-simulation. ``protocol_edges`` (the
-adjacencies routing information can flow along) serves the sweep
-pruner's influence graph.
+recompute; there is no partial re-simulation.
 """
 
 from __future__ import annotations
@@ -15,12 +13,9 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
-from typing import List, Set, Tuple
+from typing import List, Set
 
 from repro.config.model import Device, Snapshot
-from repro.routing.bgp import compute_bgp_sessions
-from repro.routing.ospf import ospf_neighbors
-from repro.routing.topology import build_layer3_topology
 
 #: Fields that can never influence routing: pure annotations. Stripped
 #: recursively so an edit that only *shifts* later lines of a file (and
@@ -85,24 +80,6 @@ def routing_fingerprint(device: Device) -> str:
         ),
     )
     return hashlib.sha256(repr(projection).encode()).hexdigest()
-
-
-def protocol_edges(snapshot: Snapshot) -> Set[Tuple[str, str]]:
-    """Undirected edges along which routing information can flow:
-    OSPF adjacencies and candidate BGP sessions (candidate, not
-    established — a config change can flip establishment itself)."""
-    edges: Set[Tuple[str, str]] = set()
-    topology = build_layer3_topology(snapshot)
-    for neighbor in ospf_neighbors(snapshot, topology):
-        a, b = neighbor.edge.tail.node, neighbor.edge.head.node
-        if a != b:
-            edges.add((min(a, b), max(a, b)))
-    sessions, _issues = compute_bgp_sessions(snapshot)
-    for session in sessions:
-        a, b = session.local_node, session.remote_node
-        if a != b:
-            edges.add((min(a, b), max(a, b)))
-    return edges
 
 
 def routing_seeds(

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.findings import Finding, Severity
+from repro.lint.registry import all_rules
 
 _CONFIG_KEYS = {"rules", "disable", "severity", "suppress"}
 
@@ -38,7 +39,9 @@ class LintConfig:
 
     @classmethod
     def from_dict(cls, raw: Optional[Dict]) -> "LintConfig":
-        """``ValueError`` / ``TypeError`` on anything but that shape."""
+        """``ValueError`` / ``TypeError`` on anything but that shape, or
+        on a rule id in ``rules``, ``disable`` or ``severity`` that
+        :func:`~repro.lint.registry.all_rules` does not declare."""
         if raw is None:
             return cls()
         if not isinstance(raw, dict):
@@ -49,6 +52,16 @@ class LintConfig:
                 f"unknown lintconfig keys: {sorted(unknown)}; "
                 f"expected {sorted(_CONFIG_KEYS)}"
             )
+        # A misspelt id would silently select or silence nothing.
+        known = {rule.rule_id for rule in all_rules()}
+        for key in ("rules", "disable", "severity"):
+            unknown = set(raw.get(key) or ()) - known
+            if unknown:
+                raise ValueError(
+                    f"unknown rule id(s) in {key}: "
+                    f"{', '.join(sorted(map(str, unknown)))} "
+                    f"(known: {', '.join(sorted(known))})"
+                )
         rules = raw.get("rules")
         severity = {
             rule: Severity.from_name(level)

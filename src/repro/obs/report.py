@@ -297,11 +297,9 @@ class TraceReport:
                 lines.append(
                     f"  pruned: {pruned}/{scenarios} "
                     f"({100.0 * pruned / scenarios:.0f}%: "
-                    f"{sweep.get('sweep.scenarios_pruned.disconnected', 0)} "
-                    f"disconnected, "
                     f"{sweep.get('sweep.scenarios_pruned.cut', 0)} cut, "
-                    f"{sweep.get('sweep.scenarios_pruned.fingerprint', 0)} "
-                    f"fingerprint)"
+                    f"{sweep.get('sweep.scenarios_pruned.duplicate', 0)} "
+                    f"duplicate)"
                 )
             lines.append(
                 f"  minimal failing sets: "

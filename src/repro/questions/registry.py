@@ -292,7 +292,6 @@ _COUNT = Param(integer(1))
                 (prop.src_node, "interface", prop.src_interface),
             ],
         ),
-        "prune": Param(boolean),
         "limit": _COUNT,
         "max_elements": _COUNT,
         "jobs": _COUNT,
@@ -302,12 +301,10 @@ _COUNT = Param(integer(1))
 )
 def sweep(session, args, open_session) -> Dict:
     """The resilience sweep (``repro.sweep``): k-failure scenario
-    enumeration with equivalence-class pruning. Reports
+    enumeration, cuts and identical edits pruned. Reports
     ``{done, total, pruned}`` scenarios to :data:`PROGRESS` as it goes."""
-    kwargs = dict(args)
-    if "property" in kwargs:
-        kwargs["prop"] = kwargs.pop("property")
     report = PROGRESS.get()
+    progress = None
     if report is not None:
         pruned = None
 
@@ -317,10 +314,17 @@ def sweep(session, args, open_session) -> Dict:
                 pruned = done
             report({"done": done, "total": total, "pruned": pruned})
 
-        kwargs["progress"] = progress
-    result = session.sweep(**kwargs)
+    result = run_sweep(session, args, progress=progress)
     findings = findings_from_result(result, host_files(session.snapshot))
     return report_json(result, findings)
+
+
+def run_sweep(session, args, **options):
+    """``Session.sweep`` on the ``sweep`` question's bound ``args``;
+    ``options`` are the caller's own ``Session.sweep`` keywords."""
+    kwargs = dict(args, **options)
+    kwargs["prop"] = kwargs.pop("property", None)
+    return session.sweep(**kwargs)
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 The what-if workload the paper's evolution lessons point at: enumerate
 every combination of up to ``k`` failures (links, nodes, interface
-flaps, policy toggles), prune the combinatorially-equivalent ones
-Plankton-style, run the survivors through the delta engine on the
+flaps, policy toggles), prune the physical cuts and the identical
+edits, run the survivors through the delta engine on the
 shared process pool, and distill per-scenario verdicts into **minimal
 failing sets** and resilience findings.
 
@@ -29,8 +29,7 @@ from repro.sweep.engine import (
 from repro.sweep.prune import (
     EVALUATE,
     PRUNED_CUT,
-    PRUNED_DISCONNECTED,
-    PRUNED_FINGERPRINT,
+    PRUNED_DUPLICATE,
     SweepPlan,
     plan_sweep,
 )
@@ -62,8 +61,7 @@ __all__ = [
     "KIND_NODE",
     "KIND_POLICY",
     "PRUNED_CUT",
-    "PRUNED_DISCONNECTED",
-    "PRUNED_FINGERPRINT",
+    "PRUNED_DUPLICATE",
     "FailureElement",
     "ReachabilityProperty",
     "Scenario",

@@ -17,24 +17,19 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.parallel import pmap
 from repro.sweep.prune import (
     EVALUATE,
     PRUNED_CUT,
-    PRUNED_DISCONNECTED,
-    PRUNED_FINGERPRINT,
-    SweepPlan,
+    PRUNED_DUPLICATE,
     plan_sweep,
 )
 from repro.sweep.scenarios import (
     ALL_KINDS,
-    BASE_SCENARIO_ID,
-    FailureElement,
     ReachabilityProperty,
-    Scenario,
     Verdict,
     default_property,
     enumerate_elements,
@@ -52,9 +47,9 @@ class ScenarioOutcome:
 
     scenario_id: str
     elements: Tuple[str, ...]
-    status: str  # evaluated | pruned-disconnected | pruned-cut | pruned-fingerprint
+    status: str  # evaluated | pruned-cut | pruned-duplicate
     verdict: Verdict
-    #: For fingerprint-pruned scenarios: whose verdict this is.
+    #: For duplicate scenarios: whose verdict this is.
     representative: Optional[str] = None
     #: Wall seconds spent simulating (0.0 for pruned scenarios).
     seconds: float = 0.0
@@ -83,20 +78,15 @@ class SweepStats:
     elements: int = 0
     scenarios: int = 0
     evaluated: int = 0
-    pruned_disconnected: int = 0
     pruned_cut: int = 0
-    pruned_fingerprint: int = 0
+    pruned_duplicate: int = 0
     truncated: int = 0
     wall_seconds: float = 0.0
     delta_fallbacks: int = 0
 
     @property
     def pruned(self) -> int:
-        return (
-            self.pruned_disconnected
-            + self.pruned_cut
-            + self.pruned_fingerprint
-        )
+        return self.pruned_cut + self.pruned_duplicate
 
     @property
     def pruned_fraction(self) -> float:
@@ -114,9 +104,8 @@ class SweepStats:
             "scenarios": self.scenarios,
             "evaluated": self.evaluated,
             "pruned": self.pruned,
-            "pruned_disconnected": self.pruned_disconnected,
             "pruned_cut": self.pruned_cut,
-            "pruned_fingerprint": self.pruned_fingerprint,
+            "pruned_duplicate": self.pruned_duplicate,
             "pruned_fraction": round(self.pruned_fraction, 4),
             "truncated": self.truncated,
             "wall_seconds": round(self.wall_seconds, 6),
@@ -212,9 +201,8 @@ def _record_metrics(stats: SweepStats, minimal: int) -> None:
     metrics.inc("sweep.scenarios", stats.scenarios)
     metrics.inc("sweep.scenarios_evaluated", stats.evaluated)
     metrics.inc("sweep.scenarios_pruned", stats.pruned)
-    metrics.inc("sweep.scenarios_pruned.disconnected", stats.pruned_disconnected)
     metrics.inc("sweep.scenarios_pruned.cut", stats.pruned_cut)
-    metrics.inc("sweep.scenarios_pruned.fingerprint", stats.pruned_fingerprint)
+    metrics.inc("sweep.scenarios_pruned.duplicate", stats.pruned_duplicate)
     metrics.inc("sweep.minimal_sets_found", minimal)
     metrics.inc("sweep.delta_fallbacks", stats.delta_fallbacks)
 
@@ -224,7 +212,6 @@ def sweep_session(
     k: int = 1,
     kinds: Sequence[str] = ALL_KINDS,
     prop: Optional[ReachabilityProperty] = None,
-    prune: bool = True,
     jobs: Optional[int] = None,
     limit: Optional[int] = None,
     max_elements: Optional[int] = None,
@@ -251,7 +238,7 @@ def sweep_session(
         scenarios, truncated = enumerate_scenarios(elements, k, limit=limit)
         base_verdict = evaluate_property(session, prop)
         with obs.span("sweep.plan", scenarios=len(scenarios)):
-            plan = plan_sweep(snapshot, configs, scenarios, prop, prune=prune)
+            plan = plan_sweep(snapshot, configs, scenarios, prop)
         counts = plan.counts()
         total = len(plan.entries)
         pruned_total = total - counts[EVALUATE]
@@ -291,9 +278,8 @@ def sweep_session(
         elements=len(elements),
         scenarios=total,
         evaluated=counts[EVALUATE],
-        pruned_disconnected=counts[PRUNED_DISCONNECTED],
         pruned_cut=counts[PRUNED_CUT],
-        pruned_fingerprint=counts[PRUNED_FINGERPRINT],
+        pruned_duplicate=counts[PRUNED_DUPLICATE],
         truncated=truncated,
     )
     for entry, result in zip(to_run, raw):
@@ -318,30 +304,17 @@ def sweep_session(
         if entry.status == EVALUATE:
             outcomes.append(evaluated[scenario_id])
             continue
-        if entry.status == PRUNED_DISCONNECTED:
-            verdict = Verdict(
-                holds=base_verdict.holds,
-                converged=base_verdict.converged,
-                dispositions=base_verdict.dispositions,
-                paths=base_verdict.paths,
-            )
-            representative = BASE_SCENARIO_ID
-        elif entry.status == PRUNED_CUT:
+        if entry.status == PRUNED_CUT:
             verdict = Verdict(holds=False, converged=None)
-            representative = None
-        else:  # PRUNED_FINGERPRINT
-            representative = entry.representative
-            if representative == BASE_SCENARIO_ID:
-                verdict = base_verdict
-            else:
-                verdict = evaluated[representative].verdict
+        else:  # PRUNED_DUPLICATE
+            verdict = evaluated[entry.representative].verdict
         outcomes.append(
             ScenarioOutcome(
                 scenario_id=scenario_id,
                 elements=entry.scenario.element_ids(),
                 status=entry.status,
                 verdict=verdict,
-                representative=representative,
+                representative=entry.representative,
             )
         )
 

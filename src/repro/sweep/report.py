@@ -155,9 +155,7 @@ def render_text(
     lines.append(
         f"evaluated       {stats.evaluated}  "
         f"pruned {stats.pruned} ({stats.pruned_fraction:.0%}: "
-        f"{stats.pruned_disconnected} disconnected, "
-        f"{stats.pruned_cut} cut, "
-        f"{stats.pruned_fingerprint} fingerprint)"
+        f"{stats.pruned_cut} cut, {stats.pruned_duplicate} duplicate)"
     )
     if stats.truncated:
         lines.append(

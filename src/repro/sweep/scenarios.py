@@ -12,7 +12,7 @@ parse → delta → simulate pipeline rather than a bespoke mutation API.
 Append-only is load-bearing: the edit never shifts existing lines, so
 source-location annotations of untouched structures stay stable and the
 routing fingerprint (`repro.delta.fingerprint`) sees exactly the flipped
-fields — which is what makes fingerprint-class pruning sound.
+fields.
 """
 
 from __future__ import annotations
@@ -89,8 +89,8 @@ class Scenario:
         """Per-host canonical operation sets (union over elements).
 
         Two scenarios with equal op maps edit every file identically, so
-        they denote the *same* snapshot — the basis of cross-element
-        deduplication ({flap u, flap v} of a link's two ends collapses
+        they denote the *same* snapshot — the key of the sweep's
+        duplicate class ({flap u, flap v} of a link's two ends collapses
         onto the link element itself).
         """
         by_host: Dict[str, set] = {}
@@ -100,8 +100,7 @@ class Scenario:
         return {host: tuple(sorted(ops)) for host, ops in by_host.items()}
 
 
-#: The id the empty scenario (and fingerprint-class representatives that
-#: collapse onto the unedited snapshot) reports.
+#: The id the empty scenario reports.
 BASE_SCENARIO_ID = "<base>"
 
 

@@ -1,8 +1,8 @@
-"""Routing fingerprints, the seeds they yield between two snapshots,
-and the protocol edges the sweep pruner builds on."""
+"""Routing fingerprints and the seeds they yield between two
+snapshots."""
 
 from repro.config.loader import load_snapshot_from_texts
-from repro.delta import protocol_edges, routing_fingerprint, routing_seeds
+from repro.delta import routing_fingerprint, routing_seeds
 
 OSPF_PAIR = {
     "r1": """
@@ -117,17 +117,3 @@ class TestRoutingSeeds:
         assert routing_seeds(base, new, {"r3"}) == ["r3"]
         assert routing_seeds(new, base, {"r3"}) == ["r3"]
 
-
-class TestProtocolEdges:
-    def test_severing_edit_removes_the_adjacency(self):
-        severed = dict(OSPF_PAIR)
-        severed["r1"] = OSPF_PAIR["r1"].replace(
-            "interface Ethernet0\n ip address 10.0.12.1 255.255.255.0\n"
-            " ip ospf area 0\n",
-            "interface Ethernet0\n ip address 10.0.12.1 255.255.255.0\n",
-        )
-        assert severed["r1"] != OSPF_PAIR["r1"]
-        assert protocol_edges(load_snapshot_from_texts(OSPF_PAIR)) == {
-            ("r1", "r2")
-        }
-        assert protocol_edges(load_snapshot_from_texts(severed)) == set()

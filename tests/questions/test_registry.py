@@ -12,14 +12,15 @@ from repro.config.loader import load_snapshot_from_texts
 from repro.hdr.headerspace import HeaderSpace
 from repro.hdr.ip import Prefix
 from repro.hdr.packet import Packet
-from repro.lint import LintConfig
+from repro.lint import LintConfig, all_rules
 from repro.questions.params import ParamError
 from repro.questions.registry import QUESTIONS, bind
 from repro.sweep.scenarios import ReachabilityProperty
 from repro.synth.special import net1
 
 from tests.questions.wellformed import (
-    GHOST_FILTERS, GHOST_HOSTS, GHOST_INTERFACES, WELLFORMED,
+    GHOST_FILTERS, GHOST_HOSTS, GHOST_INTERFACES, GHOST_RULES, RETIRED,
+    WELLFORMED,
 )
 
 SNAPSHOT = load_snapshot_from_texts(net1(2))
@@ -125,6 +126,25 @@ class TestDeclarations:
         assert excinfo.value.field == field
         assert f"has no filter {params['filter']!r}" in excinfo.value.reason
 
+    @pytest.mark.parametrize("name, field, params", GHOST_RULES)
+    def test_a_rule_id_no_rule_declares_does_not_bind(
+        self, name, field, params
+    ):
+        with pytest.raises(ParamError) as excinfo:
+            bind(QUESTIONS[name], params, SNAPSHOT)
+        assert excinfo.value.field == field
+        assert "unknown rule id(s)" in excinfo.value.reason
+        assert "no-such-rule" in excinfo.value.reason
+        assert "duplicate-ip" in excinfo.value.reason  # the valid ids
+
+    @pytest.mark.parametrize("name, field", RETIRED)
+    def test_a_retired_param_is_an_unknown_key(self, name, field):
+        assert field not in QUESTIONS[name].params
+        with pytest.raises(ParamError) as excinfo:
+            bind(QUESTIONS[name], {field: True}, SNAPSHOT)
+        assert excinfo.value.field == field
+        assert "unknown field" in excinfo.value.reason
+
     def test_readme_lists_every_question_with_its_params(self):
         """The README's ``| question | params |`` table (``*`` = required,
         ``—`` = none) is the registry, debug aids left out."""
@@ -152,7 +172,8 @@ _scalars = (
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
     | st.sampled_from([
         "net1-core0", "ghost", "tcp", "10.0.0.0/8", "10.0.0.1", "link",
-        "error", "Vlan10", 0, 1, 7, 80, 70000, -1, 2 ** 40,
+        "error", "Vlan10", "duplicate-ip", "no-such-rule", 0, 1, 7, 80, 70000,
+        -1, 2 ** 40,
     ])
 )
 
@@ -211,3 +232,7 @@ def test_bind_returns_args_or_the_one_typed_error(name, data):
         return
     assert set(args) <= set(declared.params)
     assert set(declared.named_hosts(args)) <= set(SNAPSHOT.devices)
+    config = args.get("lintconfig")
+    if config is not None:
+        named = (config.rules or set()) | config.disable | set(config.severity)
+        assert named <= {rule.rule_id for rule in all_rules()}

@@ -26,7 +26,6 @@ WELLFORMED = {
             "dst_ip": "172.19.1.10", "src_ip": "172.19.0.10",
             "ip_protocol": 6, "dst_port": 80,
         },
-        "prune": True,
         "limit": 4,
         "max_elements": 2,
         "jobs": 1,
@@ -77,3 +76,16 @@ GHOST_FILTERS = [
     ("test_filter", "filter", {**WELLFORMED["test_filter"], "filter": "NO_SUCH_ACL"}),
     ("test_filter", "filter", {**WELLFORMED["test_filter"], "node": "net1-core1"}),
 ]
+
+#: Likewise with a lint rule id no rule declares, in each place one goes.
+GHOST_RULES = [
+    ("lint", "lintconfig", {"lintconfig": {"rules": ["no-such-rule"]}}),
+    ("lint", "lintconfig", {"lintconfig": {"disable": ["no-such-rule"]}}),
+    ("lint", "lintconfig", {
+        "lintconfig": {"severity": {"no-such-rule": "error"}},
+    }),
+]
+
+#: ``(question, param)``: a param the question no longer declares, so
+#: that every value of it is an unknown key.
+RETIRED = [("sweep", "prune")]

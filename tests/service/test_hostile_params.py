@@ -12,7 +12,10 @@ rows failed there too: reachability from an interface its device lacks
 answered 200 with no disposition, and traceroute from one ``no-route``.
 So did the ghost-filter rows: ``test_filter`` on a filter its node lacks
 bound, raised ``KeyError`` in the run, and answered a 400 that named no
-field.
+field. Two more row kinds: each lint rule id replaced by one no rule
+declares (these answered 200 with no finding, since a misspelt id
+selected or silenced nothing), and each retired param given a value of
+every type.
 """
 
 import pytest
@@ -21,7 +24,8 @@ from repro.questions.registry import QUESTIONS
 from repro.synth.special import net1
 
 from tests.questions.wellformed import (
-    GHOST_FILTERS, GHOST_HOSTS, GHOST_INTERFACES, WELLFORMED,
+    GHOST_FILTERS, GHOST_HOSTS, GHOST_INTERFACES, GHOST_RULES, RETIRED,
+    WELLFORMED,
 )
 
 #: One value of each JSON type; a param is given all but its own.
@@ -64,6 +68,12 @@ def malformed_requests():
         yield f"{name}-{key}-ghost-interface", name, params, key
     for name, key, params in GHOST_FILTERS:
         yield f"{name}-{key}-ghost-filter", name, params, key
+    for name, key, params in GHOST_RULES:
+        yield f"{name}-{key}-ghost-rule", name, params, key
+    for name, key in RETIRED:
+        for kind, value in BY_TYPE.items():
+            params = {**WELLFORMED[name], key: value}
+            yield f"{name}-{key}-as-{kind.__name__}", name, params, key
 
 
 ROWS = list(malformed_requests())

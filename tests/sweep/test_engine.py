@@ -6,18 +6,14 @@ import pytest
 
 from repro.core.session import Session
 from repro.sweep import (
-    BASE_SCENARIO_ID,
+    ALL_KINDS,
     EVALUATED,
     ReachabilityProperty,
     minimal_failing_sets,
     sweep_session,
 )
-from repro.sweep.prune import (
-    PRUNED_CUT,
-    PRUNED_DISCONNECTED,
-    PRUNED_FINGERPRINT,
-)
-from repro.sweep.scenarios import evaluate_property
+from repro.sweep.prune import PRUNED_CUT, PRUNED_DUPLICATE
+from repro.sweep.validate import brute_force_verdicts
 
 CHAIN_PROP = ReachabilityProperty(
     src_node="r1", src_interface="Ethernet0", dst_ip="10.99.0.1"
@@ -29,10 +25,10 @@ class TestSweepLab:
         result = sweep_session(lab_session, k=1, prop=CHAIN_PROP)
         stats = result.stats
         assert stats.scenarios == 21
-        assert stats.evaluated == 5
-        assert stats.pruned_disconnected == 7
+        assert stats.evaluated == 10
         assert stats.pruned_cut == 9
-        assert stats.pruned == 16
+        assert stats.pruned_duplicate == 2
+        assert stats.pruned == 11
         assert stats.truncated == 0
         assert result.base_verdict.holds is True
         assert not result.base_broken
@@ -40,33 +36,42 @@ class TestSweepLab:
 
     def test_pruned_verdicts_match_brute_force(self, lab_configs):
         """The acceptance-criterion invariant in miniature: canonical
-        verdict bytes identical with and without pruning."""
+        verdict bytes identical to every scenario analysed from scratch."""
         session = Session.from_texts(lab_configs, cache=False)
-        pruned = sweep_session(session, k=1, prop=CHAIN_PROP)
-        brute = sweep_session(session, k=1, prop=CHAIN_PROP, prune=False)
-        assert len(pruned.outcomes) == len(brute.outcomes)
-        for a, b in zip(pruned.outcomes, brute.outcomes):
-            assert a.scenario_id == b.scenario_id
-            assert a.verdict.canonical() == b.verdict.canonical()
+        for k in (1, 2):
+            pruned = sweep_session(session, k=k, prop=CHAIN_PROP)
+            assert pruned.stats.pruned_cut and pruned.stats.pruned_duplicate
+            brute = brute_force_verdicts(
+                lab_configs, CHAIN_PROP, k, ALL_KINDS, None
+            )
+            assert [o.scenario_id for o in pruned.outcomes] == list(brute)
+            for outcome in pruned.outcomes:
+                assert outcome.verdict.canonical() == (
+                    brute[outcome.scenario_id].canonical()
+                ), outcome
 
     def test_verdict_resolution_per_status(self, lab_session):
         result = sweep_session(lab_session, k=1, prop=CHAIN_PROP)
+        statuses = set()
         for outcome in result.outcomes:
-            if outcome.status == PRUNED_DISCONNECTED:
-                # inherits the base verdict verbatim
-                assert outcome.verdict.canonical() == (
-                    result.base_verdict.canonical()
-                )
-                assert outcome.representative == BASE_SCENARIO_ID
+            statuses.add(outcome.status)
+            if outcome.status == PRUNED_DUPLICATE:
+                # the representative's verdict, simulated once
+                rep = result.outcome(outcome.representative)
+                assert rep.status == EVALUATED
+                assert outcome.verdict is rep.verdict
             elif outcome.status == PRUNED_CUT:
                 # proved broken without simulating
                 assert outcome.verdict.holds is False
                 assert outcome.verdict.converged is None
-            elif outcome.status == EVALUATED:
+                assert outcome.representative is None
+            else:
+                assert outcome.status == EVALUATED
                 assert outcome.verdict.converged is not None
                 assert outcome.seconds >= 0.0
+        assert statuses == {EVALUATED, PRUNED_CUT, PRUNED_DUPLICATE}
 
-    def test_fingerprint_outcome_copies_representative(self, lab_session):
+    def test_duplicate_outcome_copies_representative(self, lab_session):
         prop = ReachabilityProperty(
             src_node="r2", src_interface="Ethernet1", dst_ip="10.99.0.1"
         )
@@ -75,7 +80,7 @@ class TestSweepLab:
         )
         pair = result.outcome("iface:r1[Ethernet0]+iface:r2[Ethernet0]")
         assert pair is not None
-        assert pair.status == PRUNED_FINGERPRINT
+        assert pair.status == PRUNED_DUPLICATE
         rep = result.outcome(pair.representative)
         assert rep is not None
         assert rep.status == EVALUATED

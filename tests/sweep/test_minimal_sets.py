@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.core.session import Session
 from repro.sweep import minimal_failing_sets, sweep_session
-from repro.sweep.scenarios import evaluate_property
+from repro.sweep.validate import brute_force_verdicts
 from repro.synth.networks import network_by_name
 
 ELEMENTS = ("a", "b", "c", "d", "e")
@@ -94,24 +94,7 @@ def test_cross_check_against_brute_force_on_registry_network():
         session, k=2, kinds=("link",), max_elements=5
     )
     assert not result.base_broken
-
-    def brute_holds(outcome):
-        plan_session = Session.from_texts(configs, cache=False)
-        changed = {}
-        from repro.sweep.scenarios import render_scenario_edits
-
-        scenario = next(
-            o.scenario
-            for o in _scenarios(session, result)
-            if o.scenario.scenario_id == outcome
-        )
-        changed = render_scenario_edits(
-            plan_session.snapshot, configs, scenario
-        )
-        merged = dict(configs)
-        merged.update(changed)
-        broken = Session.from_texts(merged, cache=False)
-        return evaluate_property(broken, result.prop).holds
+    brute = brute_force_verdicts(configs, result.prop, 2, ("link",), 5)
 
     failing_ids = {
         frozenset(o.elements): o.scenario_id
@@ -121,31 +104,12 @@ def test_cross_check_against_brute_force_on_registry_network():
     for minimal in result.minimal_failing_sets:
         key = frozenset(minimal)
         # the reported set itself fails under brute-force simulation
-        assert brute_holds(failing_ids[key]) is False
+        assert brute[failing_ids[key]].holds is False
         # every enumerated proper subset holds
         for outcome in result.outcomes:
             subset = frozenset(outcome.elements)
             if subset < key:
-                assert outcome.verdict.holds, (
+                assert brute[outcome.scenario_id].holds, (
                     f"{sorted(subset)} fails yet {sorted(key)} was "
                     "reported minimal"
                 )
-
-
-def _scenarios(session, result):
-    """Re-derive the plan entries so brute force replays the exact
-    scenario universe the sweep saw."""
-    from repro.sweep.prune import plan_sweep
-    from repro.sweep.scenarios import enumerate_elements, enumerate_scenarios
-
-    elements = enumerate_elements(
-        session.snapshot, kinds=result.kinds, max_elements=5
-    )
-    scenarios, _ = enumerate_scenarios(elements, k=result.k)
-    return plan_sweep(
-        session.snapshot,
-        session._configs,
-        scenarios,
-        result.prop,
-        prune=False,
-    ).entries

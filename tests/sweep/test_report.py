@@ -153,14 +153,14 @@ class TestObsReportSection:
         report = TraceReport()
         report.metrics.inc("sweep.runs")
         report.metrics.inc("sweep.scenarios", 21)
-        report.metrics.inc("sweep.scenarios_evaluated", 5)
-        report.metrics.inc("sweep.scenarios_pruned", 16)
-        report.metrics.inc("sweep.scenarios_pruned.disconnected", 7)
+        report.metrics.inc("sweep.scenarios_evaluated", 10)
+        report.metrics.inc("sweep.scenarios_pruned", 11)
         report.metrics.inc("sweep.scenarios_pruned.cut", 9)
+        report.metrics.inc("sweep.scenarios_pruned.duplicate", 2)
         report.metrics.inc("sweep.minimal_sets_found", 2)
         text = report.render()
         assert "== resilience sweeps ==" in text
-        assert "pruned: 16/21" in text
+        assert "pruned: 11/21 (52%: 9 cut, 2 duplicate)" in text
         body = report.to_json()
         assert body["sweep"]["sweep.scenarios"] == 21
 

@@ -99,6 +99,98 @@ class TestSelection:
 
 
 # ----------------------------------------------------------------------
+# Usage errors: a bad argument is refused on one line that names it
+
+NET1 = ["--network", "NET1"]
+#: A property that holds on NET1 (its default one).
+PROPERTY = ["--src", "net1-core0", "--src-interface", "Ethernet0",
+            "--dst", "10.16.0.33"]
+FLOW = ["--src-ip", "10.0.0.1", "--dst-ip", "10.16.0.33"]
+
+#: ``id: (argv, what the stderr line says)``. The parent's answer is in
+#: the comment: a wrong answer with exit 0, or a traceback with exit 1.
+USAGE_ERRORS = {
+    # "base-broken": the property was never checked against the snapshot
+    "sweep-src-interface": (
+        ["sweep", *NET1, *PROPERTY[:2], "--src-interface", "nosuch",
+         *PROPERTY[4:]],
+        "error: property: 'net1-core0' has no interface 'nosuch'",
+    ),
+    # "resilient" over 0 scenarios, exit 0 under --fail-on any
+    "sweep-limit": (
+        ["sweep", *NET1, "--limit", "-1", "--fail-on", "any"],
+        "error: limit: must be >= 1",
+    ),
+    "sweep-max-elements": (
+        ["sweep", *NET1, "--max-elements", "0", "--fail-on", "any"],
+        "error: max_elements: must be >= 1",
+    ),
+    # tracebacks
+    "sweep-src": (
+        ["sweep", *NET1, "--src", "nosuch", *PROPERTY[2:]],
+        "error: property: no device named 'nosuch'",
+    ),
+    "sweep-kinds": (
+        ["sweep", *NET1, "--kinds", "bogus"], "error: kinds: must be a non-empty",
+    ),
+    "sweep-k": (["sweep", *NET1, "-k", "0"], "error: k: must be >= 1"),
+    "sweep-dst": (
+        ["sweep", *NET1, *PROPERTY[:4], "--dst", "banana"],
+        "error: property.dst_ip: ",
+    ),
+    # "no route and no recorded derivation"
+    "explain-route-node": (
+        ["explain", "route", *NET1, "nosuch", "10.0.0.0/24"],
+        "error: node: no device named 'nosuch'",
+    ),
+    # traceback
+    "explain-route-prefix": (
+        ["explain", "route", *NET1, "net1-core0", "banana"], "error: prefix: ",
+    ),
+    # KeyError traceback
+    "explain-flow-node": (
+        ["explain", "flow", *NET1, "nosuch", "Ethernet0", *FLOW],
+        "error: node: no device named 'nosuch'",
+    ),
+    # a packet "received on nosuch"
+    "explain-flow-interface": (
+        ["explain", "flow", *NET1, "net1-core0", "nosuch", *FLOW],
+        "error: interface: 'net1-core0' has no interface 'nosuch'",
+    ),
+    # 0 findings, exit 0: a typo turns the gate green
+    "lint-rules": (
+        ["lint", *NET1, "--rules", "bogus"],
+        "error: unknown rule id(s) in rules: bogus (known: acl-line-",
+    ),
+    "lint-disable": (
+        ["lint", *NET1, "--disable", "bogus"],
+        "error: unknown rule id(s) in disable: bogus (known: acl-line-",
+    ),
+    # an empty report, exit 0 under --strict
+    "report": (
+        ["report", "/nonexistent/trace.jsonl", "--strict"],
+        "error: no trace file at /nonexistent/trace.jsonl",
+    ),
+    # FileNotFoundError traceback
+    "snapshot": (
+        ["lint", "--snapshot", "/nonexistent"],
+        "error: --snapshot: [Errno 2] No such file or directory: '/nonexistent'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_a_bad_argument_is_a_one_line_usage_error(case, capsys):
+    argv, says = USAGE_ERRORS[case]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"repro {argv[0]}: error: ")
+    assert says in line
+
+
+# ----------------------------------------------------------------------
 # validate: green on NET1, red (with a Finding in the SARIF) when seeded
 
 
