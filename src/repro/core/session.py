@@ -71,6 +71,7 @@ from repro.questions.specialized import (
     service_reachable,
     service_unreachable,
 )
+from repro.reachability.graph import GraphNode
 from repro.reachability.queries import (
     MultipathViolation,
     NetworkAnalyzer,
@@ -484,16 +485,32 @@ class Session:
         sources: Optional[Sequence[Tuple[str, Optional[str]]]] = None,
         scoped: bool = True,
     ) -> ReachabilityAnswer:
-        """General reachability with §4.4.2 scoped defaults."""
+        """General reachability with §4.4.2 scoped defaults, answered
+        from the analyzer's backward ``fates()`` maps
+        (:meth:`NetworkAnalyzer.source_reachability`): each disposition's
+        set is in **source coordinates**, the headers as injected, and
+        ``by_sink``/``reach`` are empty. At-sink sets are the forward
+        engine's: ``analyzer.reachability(session.source_map(...))``."""
+        return self.analyzer.source_reachability(
+            self.source_map(headerspace, sources, scoped)
+        )
+
+    def source_map(
+        self,
+        headerspace: Optional[HeaderSpace] = None,
+        sources: Optional[Sequence[Tuple[str, Optional[str]]]] = None,
+        scoped: bool = True,
+    ) -> Dict[GraphNode, int]:
+        """The sources a reachability question starts from, each with
+        its packet scope: the given (node, interface) locations, else
+        the §4.4.2 scoped defaults, else every interface."""
         analyzer = self.analyzer
         space = (headerspace or HeaderSpace()).to_bdd(self.encoder)
         if sources is not None:
-            source_map = analyzer.sources_at(sources, space)
-        elif scoped:
-            source_map = analyzer.default_sources(space)
-        else:
-            source_map = analyzer.all_sources(space)
-        return analyzer.reachability(source_map)
+            return analyzer.sources_at(sources, space)
+        if scoped:
+            return analyzer.default_sources(space)
+        return analyzer.all_sources(space)
 
     def multipath_consistency(self, scoped: bool = False) -> List[MultipathViolation]:
         analyzer = self.analyzer

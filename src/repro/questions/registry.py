@@ -156,11 +156,17 @@ def routes(session, args, open_session) -> Dict:
 )
 def reachability(session, args, open_session) -> Dict:
     """Per-disposition presence + witness, matching how the paper's
-    answers surface concrete examples (§4.4.3); sinks are counted."""
-    answer = session.reachability(
-        headerspace=args.get("headerspace"),
-        sources=args.get("sources"),
-        scoped=args.get("scoped", True),
+    answers surface concrete examples (§4.4.3); sinks are counted.
+
+    Asks the forward engine by name, not ``Session.reachability``: the
+    reply's ``sinks`` count and at-sink witnesses are what
+    ``benchmarks/e2e/golden.json`` pins."""
+    answer = session.analyzer.reachability(
+        session.source_map(
+            args.get("headerspace"),
+            args.get("sources"),
+            args.get("scoped", True),
+        )
     )
     encoder = session.encoder
     dispositions = {}

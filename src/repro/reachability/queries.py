@@ -65,9 +65,14 @@ FAILURE_DISPOSITIONS = (
 
 @dataclass
 class ReachabilityAnswer:
-    """Per-disposition reachable sets plus chosen examples (§4.4.3)."""
+    """Per-disposition reachable sets (§4.4.3). From the forward engine
+    (:meth:`NetworkAnalyzer.reachability`) they are the headers as they
+    *arrive* at the sinks, after NAT; from
+    :meth:`NetworkAnalyzer.source_reachability` they are the headers as
+    *injected* at the sources, and ``by_sink`` and ``reach`` are empty.
+    Where no path rewrites a header the two are equal node for node."""
 
-    #: disposition -> union of packet sets arriving with that fate.
+    #: disposition -> union of packet sets meeting that fate.
     by_disposition: Dict[Disposition, int] = field(default_factory=dict)
     #: (sink graph node) -> packet set.
     by_sink: Dict[GraphNode, int] = field(default_factory=dict)
@@ -368,6 +373,32 @@ class NetworkAnalyzer:
                 if fate in fates
             ),
         )
+
+    def source_reachability(
+        self, sources: Dict[GraphNode, int]
+    ) -> ReachabilityAnswer:
+        """Reachability from the given sources read off :meth:`fates`:
+        ``by_disposition[d]`` is the union over sources of the packets
+        of the source's scope that, injected there, can meet ``d``.
+
+        Sets are in **source coordinates** (the header as injected,
+        before any NAT). No forward fixpoint runs, so ``by_sink`` and
+        ``reach`` stay empty; a question that needs at-sink sets asks
+        :meth:`reachability`."""
+        engine = self.encoder.engine
+        with obs.span("query.source_reachability", sources=len(sources)):
+            answer = ReachabilityAnswer()
+            answer._or = engine.or_
+            for fate in self.fates():
+                packets = engine.or_all(
+                    self.fated(source, (fate,), scope)
+                    for source, scope in sources.items()
+                )
+                if packets != FALSE:
+                    answer.by_disposition[fate] = packets
+            if obs.active():
+                self._emit_bdd_gauges()
+        return answer
 
     def multipath_consistency(
         self, sources: Optional[Dict[GraphNode, int]] = None

@@ -229,9 +229,14 @@ def test_nat_and_zone_edges_are_rebound_and_queried():
                 assert fn._engine is analyzer.encoder.engine
     assert {Transform, AssignField, EraseField, Constraint} <= kinds
     # Queried through them: NAT'd, zone-checked traffic leaves at fw0.
+    # The forward engine, because the sinks are what is asked about.
     before = base.encoder.engine.num_nodes()
-    answer = variant.reachability()
+    answer = analyzer.reachability(analyzer.default_sources())
     assert any(sink[1] == "fw0" and packets for sink, packets in answer.by_sink.items())
+    fates = variant.reachability().by_disposition
+    assert {d for d, packets in fates.items() if packets} == {
+        d for d, packets in answer.by_disposition.items() if packets
+    }
     assert variant.multipath_consistency() is not None
     assert base.encoder.engine.num_nodes() == before  # the base's engine is untouched
 

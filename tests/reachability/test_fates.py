@@ -1,8 +1,8 @@
 """`NetworkAnalyzer.fates()` — one backward fixpoint per disposition —
 against the per-source forward loops it replaced
 (`per_source_reference`), against the forward engine and the concrete
-tracer packet by packet, and counted: questions about sources run no
-forward fixpoint at all."""
+tracer packet by packet, and counted: questions about sources,
+`Session.reachability()` among them, run no forward fixpoint at all."""
 
 import functools
 from unittest import mock
@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from repro import Session, obs
 from repro.bdd.engine import FALSE
 from repro.hdr import fields as f
-from repro.hdr.ip import Ip
+from repro.hdr.headerspace import HeaderSpace
+from repro.hdr.ip import Ip, Prefix
 from repro.hdr.packet import Packet
 from repro.questions.differential import compare_reachability
 from repro.questions.specialized import service_reachable, service_unreachable
@@ -24,6 +25,7 @@ from repro.reachability.queries import NetworkAnalyzer
 from repro.synth.networks import NETWORKS, network_by_name
 from repro.traceroute.engine import TracerouteEngine
 
+from ..questions.test_source_coordinates import NAT_LAB
 from .per_source_reference import (
     per_source_compare_reachability,
     per_source_multipath_consistency,
@@ -109,9 +111,80 @@ def test_violation_counts_of_the_registry():
     assert len(_session("NET10").analyzer.multipath_consistency()) == 39
 
 
+# ----------------------------------------------------------------------
+# Session.reachability(): the union of the fates at the asked sources
+
+
+@functools.lru_cache(maxsize=None)
+def _lab() -> Session:
+    return Session.from_texts(NAT_LAB)
+
+
+def _web(session: Session, octet: int = 0) -> HeaderSpace:
+    """tcp/80 to a /24: the first user-facing subnet's, moved by
+    ``octet`` in its third byte."""
+    source = sorted(session.analyzer.default_sources())[0]
+    subnet = session.snapshot.device(source[1]).interfaces[source[2]].prefix
+    network = (subnet.network.value & 0xFFFFFF00) + (octet << 8)
+    return HeaderSpace.build(
+        dst=Prefix(network, 24), protocols=[f.PROTO_TCP],
+        dst_ports=[(80, 80)],
+    )
+
+
+def _shapes(session: Session):
+    """The four shapes of a reachability question: scoped defaults,
+    every interface, a header space, and the interfaces of one device."""
+    host = sorted(session.analyzer.default_sources())[0][1]
+    return [
+        {},
+        {"scoped": False},
+        {"headerspace": _web(session)},
+        {"sources": [(host, None)]},
+    ]
+
+
+@pytest.mark.parametrize(
+    "name", [spec.name for spec in NETWORKS if spec.name not in NAT_NETWORKS]
+)
+def test_session_reachability_is_the_forward_answer_without_nat(name):
+    """One engine, so equal node ids are equal sets: the fates read at
+    the sources are what the forward engine carries to the sinks."""
+    session = _session(name)
+    for shape in _shapes(session):
+        answer = session.reachability(**shape)
+        forward = session.analyzer.reachability(session.source_map(**shape))
+        assert answer.by_disposition == forward.by_disposition, shape
+        assert answer.by_disposition, shape
+        assert not answer.by_sink and not answer.reach
+
+
+@pytest.mark.parametrize("name", ["NET8", "NAT_LAB"])
+def test_session_reachability_examples_trace_from_their_sources(name):
+    """Behind a NAT: each disposition's example is a header some asked
+    source can inject, and injected there it meets that disposition."""
+    session = _lab() if name == "NAT_LAB" else _session(name)
+    encoder = session.encoder
+    tracer = TracerouteEngine(session.dataplane, session.fibs)
+    for shape in _shapes(session):
+        scopes = session.source_map(**shape)
+        for fate, packets in session.reachability(**shape).by_disposition.items():
+            example = encoder.example_packet(packets)
+            point = encoder.packet_bdd(example)
+            assert any(
+                encoder.engine.and_(point, scope) != FALSE
+                and fate in {
+                    trace.disposition
+                    for trace in tracer.trace(example, source[1], source[2])
+                }
+                for source, scope in sorted(scopes.items())
+            ), (shape, fate, example)
+
+
 def test_one_backward_pass_per_disposition_and_no_forward_pass(monkeypatch):
-    """The parent ran 126 + up to 44 + 126 forward fixpoints for these
-    three questions on NET10."""
+    """Answered forward, these questions cost 1 + 1 + 1 + 126 + up to
+    44 + 126 fixpoints on NET10, and one more per further header
+    space."""
     session = Session.from_texts(network_by_name("NET10").generate(1))
     analyzer = session.analyzer
     backward = mock.Mock(wraps=queries.backward_reachability)
@@ -119,16 +192,21 @@ def test_one_backward_pass_per_disposition_and_no_forward_pass(monkeypatch):
     monkeypatch.setattr(queries, "backward_reachability", backward)
     monkeypatch.setattr(queries, "forward_reachability", forward)
 
-    assert len(analyzer.multipath_consistency()) == 39
+    for shape in _shapes(session)[:3]:
+        assert session.reachability(**shape).by_disposition
+    assert len(session.multipath_consistency()) == 39
     present = {
         "delivered" if node[0] == "sink" else node[2]
         for node in analyzer.graph.sink_nodes()
     }
     assert backward.call_count == len(present) == len(analyzer.fates())
+    assert forward.call_count == 0
     for service_ip, port in _services(analyzer):
         service_reachable(analyzer, service_ip, port)
         service_unreachable(analyzer, service_ip, port)
     assert len(analyzer.multipath_consistency()) == 39
+    for octet in range(1, 41):
+        session.reachability(_web(session, octet))
     assert backward.call_count == len(present)
     assert forward.call_count == 0
 
@@ -167,14 +245,17 @@ def test_a_trace_shows_the_fates_built_once():
     obs.reset()
     obs.enable()
     try:
+        session.reachability()
         analyzer.multipath_consistency()
         service_unreachable(analyzer, "8.8.8.8", 443)
-        spans = [
-            e for e in obs.events()
-            if e["type"] == "span" and e["name"] == "query.fates"
-        ]
-        assert len(spans) == 1
-        assert spans[0]["attrs"] == {"dispositions": len(analyzer.fates())}
+        spans = [e for e in obs.events() if e["type"] == "span"]
+        fates = [e for e in spans if e["name"] == "query.fates"]
+        assert len(fates) == 1
+        assert fates[0]["attrs"] == {"dispositions": len(analyzer.fates())}
+        [union] = [e for e in spans if e["name"] == "query.source_reachability"]
+        assert union["attrs"] == {"sources": len(analyzer.default_sources())}
+        assert not [e for e in spans if e["name"] == "query.reachability"]
+        assert obs.metrics().counter("query.reachability_runs") == 0
     finally:
         obs.disable()
         obs.reset()
