@@ -30,7 +30,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from repro.config.loader import load_snapshot_from_texts, read_config_dir
 from repro.core.session import Session
-from repro.delta.edits import irrelevant_edit, relevant_edit
+from repro.delta.edits import igp_edit, irrelevant_edit, relevant_edit
 from repro.delta.engine import DeltaValidationError
 from repro.findings import (
     Finding,
@@ -294,18 +294,27 @@ def _validate_fidelity(
 def _validate_delta(
     network: str, configs: Configs, jobs: Optional[int]
 ) -> Validation:
-    """One routing-inert and one routing-relevant single-device edit:
-    whatever the delta session took over from its base, its parsed
-    snapshot, its FIBs and its forwarding graph must equal a cache-less
-    from-scratch session's."""
+    """Three single-device edits — routing-inert, a static route, an
+    OSPF cost: whatever the delta session took over from its base, its
+    parsed snapshot, its FIBs and its forwarding graph must equal a
+    cache-less from-scratch session's. Counts how each routing stage
+    came out (``igp_reused``, ``bgp_recomputed``, ...)."""
     base = Session.from_texts(configs)
     # Every stage computed, so that each edit has all of them to take.
     base.analyzer
     target = sorted(configs)[0]
+    device = base.snapshot.device(base.snapshot.sources[target])
+    iface = min(
+        device.interfaces.values(), key=lambda i: (not i.ospf_enabled, i.name)
+    )
     legs: List[str] = []
     failed: List[str] = []
     counts: collections.Counter = collections.Counter()
-    edits = (("inert", irrelevant_edit), ("routing", relevant_edit))
+    edits = (
+        ("inert", irrelevant_edit),
+        ("routing", relevant_edit),
+        ("igp", functools.partial(igp_edit, interface=iface.name, area=iface.ospf_area)),
+    )
     for label, edit in edits:
         changed = {target: edit(configs[target])}
         try:
@@ -317,12 +326,13 @@ def _validate_delta(
         counts["edges_compared"] += len(new.analyzer.graph.edges)
         counts["pipelines_reused"] += info.reused_pipelines
         counts["pipelines"] += len(new.snapshot.devices)
+        for stage, outcome in info.stages.items():
+            counts[f"{stage}_{outcome.split()[0]}"] += 1
+        outcomes = ", ".join(f"{stage}: {outcome}" for stage, outcome in info.stages.items())
         legs.append(
-            f"{label} edit recomputed ({info.fallback_reason})"
-            if info.fallback
-            else f"{label} edit reused ({info.reused_devices} devices)"
+            f"{label} edit: {outcomes}; {len(info.dirty_devices)} main RIB(s) rebuilt"
         )
-    detail = f"{target}: " + ", ".join(legs)
+    detail = f"{target}: " + "; ".join(legs)
     return Validation(len(edits), detail, failed, target, counts)
 
 

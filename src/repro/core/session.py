@@ -22,7 +22,8 @@ import threading
 import time
 from dataclasses import dataclass
 from typing import (
-    Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+    Collection, Dict, FrozenSet, List, Mapping, NamedTuple, Optional,
+    Sequence, Tuple,
 )
 
 from repro import obs
@@ -83,7 +84,6 @@ from repro.routing.engine import (
     compute_dataplane,
 )
 from repro.routing.policy import DEFAULT_SEMANTICS, PolicySemantics
-from repro.routing.rib import Rib
 from repro.traceroute.engine import Trace, TracerouteEngine
 
 
@@ -104,11 +104,14 @@ class BaseStages(NamedTuple):
     when ``delta`` ran, never the session itself (a chain of deltas must
     not keep its ancestors alive). Empty on any other session."""
 
-    ribs: Mapping[str, Rib] = {}  # hostname -> main RIB
+    dataplane: Optional[DataPlane] = None
     fibs: Mapping[str, Fib] = {}
     analyzer: Optional[NetworkAnalyzer] = None
     #: Devices whose config text differs from the base's.
     edited: FrozenSet[str] = frozenset()
+    #: Routing stage -> devices whose projection for it differs from the
+    #: base's (:func:`repro.delta.fingerprint.routing_changes`).
+    changed: Mapping[str, Collection[str]] = {}
 
 
 class Session:
@@ -205,17 +208,19 @@ class Session:
         ``None`` to delete the file; unnamed files carry over from this
         session unchanged). Returns a new :class:`Session`, derived from
         this one in memory and never backed by the disk cache: only
-        changed files are parsed, and when no device's routing
-        fingerprint moved the new session reuses this session's
-        converged data plane; otherwise it recomputes routing in full.
-        After either, each lazy stage takes this session's object where
-        its own output equals it: a main RIB with equal best sets, then
-        by identity its FIB and — on a private fork of this session's
-        BDD engine — the graph pipeline of an unedited device with
-        unchanged links. Only stages this session had computed when
-        ``delta`` ran are taken from (``delta_info.reused_*`` count
-        them). The result is bit-identical to a from-scratch analysis
-        (:mod:`repro.delta`).
+        changed files are parsed. Its data plane takes each routing
+        stage (IGP, BGP) whose inputs and reads are unchanged from this
+        session's, and rebuilds only the main RIBs of devices whose
+        connected/static inputs changed (``delta_info.stages``,
+        ``dirty_devices``). Each lazy stage then takes this session's
+        object where its own output equals it: a main RIB with equal
+        best sets, then by identity its FIB and — on a private fork of
+        this session's BDD engine — the graph pipeline of an unedited
+        device with unchanged links. Only stages this session had
+        computed when ``delta`` ran are taken from (or, if it had
+        computed none, what it would itself have taken from its own
+        base; ``delta_info.reused_*`` count them). The result is
+        bit-identical to a from-scratch analysis (:mod:`repro.delta`).
 
         ``validate`` forces the :envvar:`REPRO_DELTA_VALIDATE` check
         (cache-less from-scratch session; an equal parsed snapshot,
@@ -291,17 +296,26 @@ class Session:
                 if self._dataplane is None:
                     dataplane = self._load_or_compute_dataplane()
                     self._take_base_ribs(dataplane)
+                    if self.delta_info is not None:
+                        self.delta_info.record_routing(
+                            dataplane.stages, len(dataplane.nodes)
+                        )
                     self._dataplane = dataplane
         return self._dataplane
 
     def _take_base_ribs(self, dataplane: DataPlane) -> None:
-        """A main RIB equal to the base's becomes the base's object, for
-        the FIB and pipeline stages to reuse by identity."""
-        taken = 0
-        for hostname, state in dataplane.nodes.items():
-            base_rib = self._base.ribs.get(hostname)
-            if base_rib is not None and state.main_rib.same_best(base_rib):
-                state.main_rib = base_rib
+        """A main RIB this computation rebuilt that equals the base's
+        becomes the base's object, like every one it did not rebuild,
+        for the FIB and pipeline stages to reuse by identity."""
+        base = self._base.dataplane
+        if base is None:
+            return
+        rebuilt = dataplane.stages.rebuilt
+        taken = len(dataplane.nodes) - len(rebuilt)
+        for hostname in rebuilt:
+            state, kept = dataplane.nodes[hostname], base.nodes.get(hostname)
+            if kept is not None and state.main_rib.same_best(kept.main_rib):
+                state.main_rib = kept.main_rib
                 taken += 1
         self._count_reuse("rib", taken)
 
@@ -318,7 +332,8 @@ class Session:
                 return cached
         started = time.perf_counter()
         dataplane = compute_dataplane(
-            self.snapshot, self.settings, self.semantics
+            self.snapshot, self.settings, self.semantics,
+            base=self._base.dataplane, changed=self._base.changed,
         )
         obs.observe_phase("dataplane", time.perf_counter() - started)
         if self._cache is not None:
@@ -368,7 +383,8 @@ class Session:
         fibs: Dict[str, Fib] = {}
         for hostname, state in sorted(self.dataplane.nodes.items()):
             fib = None if prov.enabled() else base.fibs.get(hostname)
-            if fib is None or state.main_rib is not base.ribs.get(hostname):
+            # A base FIB comes with the base data plane it was built from.
+            if fib is None or state.main_rib is not base.dataplane.main_rib(hostname):
                 fib = build_fib(state)
             else:
                 taken += 1

@@ -1,5 +1,6 @@
-"""Incremental snapshot analysis: parse only changed files, then reuse
-the base data plane when no routing fingerprint moved, else recompute.
+"""Incremental snapshot analysis: parse only changed files, then take
+each routing stage from the base whose projections and reads of the
+main RIBs are unchanged.
 
 Entry point: :meth:`repro.core.session.Session.delta`, or directly
 :func:`delta_session`. Differential validation against a from-scratch
@@ -15,14 +16,14 @@ from repro.delta.engine import (
     fib_lines,
     validate_enabled,
 )
-from repro.delta.fingerprint import routing_fingerprint, routing_seeds
+from repro.delta.fingerprint import routing_changes, routing_fingerprint
 
 __all__ = [
     "DeltaInfo",
     "DeltaValidationError",
     "delta_session",
     "fib_lines",
+    "routing_changes",
     "routing_fingerprint",
-    "routing_seeds",
     "validate_enabled",
 ]

@@ -1,4 +1,5 @@
-"""Delta analysis: reuse the base data plane, or recompute.
+"""Delta analysis: take each routing stage from the base whose inputs
+and reads are unchanged.
 
 The production workload the paper centers on (§5.1) is reviewing one
 small change against a large network, thousands of times a day. The
@@ -8,24 +9,31 @@ memory, and never touches the disk cache (its key does not repeat):
 
 1. Parse only changed files — every other file keeps the base's parsed
    device (:func:`repro.config.loader.parses_from_base`) — and compare
-   routing fingerprints of the devices whose bytes changed
-   (:mod:`repro.delta.fingerprint`).
-2. No fingerprint moved, the host set is the same and the base
-   converged: reuse the base data plane wholesale. Anything else: the
-   new session recomputes routing in full through the one public
-   ``compute_dataplane``.
+   the per-stage routing projections of the devices whose bytes changed
+   (:mod:`repro.delta.fingerprint`). A *seed* is a device whose
+   projection for some stage moved, or that exists on one side only.
+2. When the new session's data plane is first asked for, it is computed
+   from the data plane the base had computed at ``delta()`` time, if
+   any (``compute_dataplane(base=…)``): a stage whose projections are
+   equal, and whose computation from or reads of the main RIBs answer
+   as in the base run, takes the base's output; a seed rebuilds its
+   main RIB from its own connected/static routes and those outputs; a
+   device whose connected/static inputs did not change keeps the base's
+   ``Rib`` object when both stages are taken. An edit that moves no
+   projection is the case where every stage is taken and no device
+   is rebuilt.
 3. Downstream of routing, one rule at every stage boundary: where the
    new session's output equals the base's, it takes the base's object,
    and the next stage reuses by identity (``Session.dataplane`` →
    ``.fibs`` → ``.analyzer``; DESIGN.md, "Reuse at stage boundaries").
 
-Reuse is exact. The routing engine consumes only fingerprint-covered
-fields, so a full run of the new snapshot would be input-identical to
-the base run and, the schedule being deterministic (coloring + logical
-clocks, §4.1.2), reproduce it byte for byte; step 3 compares outputs
-and needs no argument. ``validate=True`` / ``REPRO_DELTA_VALIDATE=1``
-checks the parsed snapshot, FIBs and forwarding graph against a
-cache-less from-scratch session of the same texts, whatever was reused.
+Reuse is exact. Each stage is deterministic (coloring + logical clocks,
+§4.1.2) and consumes only its projections and what it computed from or
+read of the main RIBs, so with those equal it reproduces the base run's
+output byte for byte; the RIB comparison of step 3 compares outputs.
+``validate=True`` / ``REPRO_DELTA_VALIDATE=1`` checks the parsed
+snapshot, FIBs and forwarding graph against a cache-less from-scratch
+session of the same texts, whatever was reused.
 """
 
 from __future__ import annotations
@@ -37,10 +45,10 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.config.loader import load_snapshot_from_texts, parses_from_base
-from repro.delta.fingerprint import routing_seeds
+from repro.delta.fingerprint import routing_changes
 from repro.provenance import DerivationNode, DerivationTree, first_divergence
 from repro.reachability.graph import Constraint
-from repro.routing.engine import DataPlane, NodeState
+from repro.routing.engine import RoutingStages
 
 
 class DeltaValidationError(AssertionError):
@@ -54,19 +62,25 @@ class DeltaInfo:
     """What one :meth:`Session.delta` call changed and reused."""
 
     changed_files: List[str]
+    #: Devices whose routing projection for some stage moved, or that
+    #: exist in one snapshot only.
     seeds: List[str] = field(default_factory=list)
-    #: Reporting only (every device on a recompute); no analysis reads it.
-    dirty_devices: List[str] = field(default_factory=list)
-    reused_devices: int = 0
     #: Files taken from the base without parsing: unchanged bytes, and a
     #: hostname no other base file shares.
     parse_memo_hits: int = 0
-    fallback: bool = False
-    fallback_reason: str = ""
     validated: bool = False
+    #: How the session's data plane was produced; None until it is
+    #: computed. Per routing stage ("igp", "bgp"): "reused" or
+    #: "recomputed (why)".
+    stages: Optional[Dict[str, str]] = None
+    #: Some routing stage was recomputed.
+    fallback: Optional[bool] = None
+    #: Devices whose main RIB was rebuilt, and how many kept the base's.
+    dirty_devices: Optional[List[str]] = None
+    reused_devices: Optional[int] = None
     #: Devices whose main RIB / FIB / graph pipeline is the base's own
-    #: object — also after a full recompute, wherever the output came
-    #: out equal. Filled as the session's lazy stages run (0 until then).
+    #: object — by construction, or where the output came out equal.
+    #: Filled as the session's lazy stages run (0 until then).
     reused_ribs: int = 0
     reused_fibs: int = 0
     reused_pipelines: int = 0
@@ -80,6 +94,20 @@ class DeltaInfo:
 
     def to_json(self) -> Dict:
         return asdict(self)
+
+    def record_routing(self, stages: RoutingStages, devices: int) -> None:
+        """Note how the session's data plane was produced, here and in
+        the ``delta.stage.<stage>.{reused,recomputed}`` counters."""
+        metrics = obs.metrics()
+        self.stages = {}
+        for stage, reason in stages.recomputed.items():
+            self.stages[stage] = f"recomputed ({reason})" if reason else "reused"
+            metrics.inc(f"delta.stage.{stage}.{'recomputed' if reason else 'reused'}")
+        self.fallback = any(stages.recomputed.values())
+        self.dirty_devices = list(stages.rebuilt)
+        self.reused_devices = devices - len(stages.rebuilt)
+        metrics.inc("delta.dirty_devices", len(self.dirty_devices))
+        metrics.inc("delta.reused_devices", self.reused_devices)
 
 
 def validate_enabled() -> bool:
@@ -129,25 +157,24 @@ def delta_session(base, changed_configs: Dict[str, Optional[str]], validate=None
         new_session._configs = new_configs
         new_session.delta_info = info
         changed_hosts = _changed_hosts(base, new_session, info)
-        info.seeds = routing_seeds(
-            base.snapshot, new_session.snapshot, changed_hosts
-        )
-        reason = _reuse_base(base, new_session, info.seeds)
+        changes = routing_changes(base.snapshot, new_session.snapshot, changed_hosts)
+        info.seeds = sorted(set().union(*changes.values()))
         # Only what the base has computed by now: a delta never runs a
-        # base stage for the sake of reusing it.
-        nodes = base._dataplane.nodes if base._dataplane is not None else {}
-        new_session._base = BaseStages(
-            {hostname: state.main_rib for hostname, state in nodes.items()},
-            dict(base._fibs or {}), base._analyzer, frozenset(changed_hosts),
-        )
-        if reason is None:
-            info.reused_devices = len(new_session.snapshot.devices)
-            new_session._count_reuse("rib", info.reused_devices)
+        # base stage for the sake of reusing it. A base that computed
+        # nothing passes on what it would have taken from its own base,
+        # under both edits' changes (a device deleted by one and added
+        # back by the other is changed in every stage).
+        if base._dataplane is not None:
+            stages = BaseStages(base._dataplane, dict(base._fibs or {}), base._analyzer)
         else:
-            info.fallback = True
-            info.fallback_reason = reason
-            info.dirty_devices = sorted(new_session.snapshot.devices)
-            obs.metrics().inc("delta.fallback_full")
+            stages = base._base
+        new_session._base = stages._replace(
+            edited=stages.edited | changed_hosts,
+            changed={
+                stage: set(stages.changed.get(stage, ())) | set(hosts)
+                for stage, hosts in changes.items()
+            },
+        )
         _prioritize_questions(base, new_session, info, changed_hosts)
         _record_metrics(info, len(new_session.snapshot.devices))
         should_validate = (
@@ -181,26 +208,28 @@ def _prioritize_questions(
     coverage touches that no longer describe current structures.
 
     Structure identity (ACL line indices, clause seqs, source lines) can
-    shift on *any* byte change — including routing-inert edits that
-    reuse the base data plane — so changed-byte hosts are always
-    invalidated here. The run registry survives invalidation: records
-    describe past executions, and the skipped ones are carried forward
-    under the new snapshot key by ``questions_for_delta`` because their
-    answers are provably unchanged."""
+    shift on *any* byte change — including routing-inert edits — so
+    changed-byte hosts are always invalidated here. The run registry
+    survives invalidation: records describe past executions, and the
+    skipped ones are carried forward under the new snapshot key by
+    ``questions_for_delta`` because their answers are provably
+    unchanged."""
     from repro.questions import coverage as qcov
 
     tracker = obs.coverage()
-    # Scope rules: routing questions all rerun on a recompute, config
-    # questions rerun exactly on changed-byte hosts. A changed device
-    # *set* is unbounded: global answers enumerate the device universe,
-    # so even an isolated new host can grow every answer.
+    # Scope rules: routing questions all rerun when some main RIB may
+    # have changed — only a seed's can, or one downstream of a seed —
+    # whatever the stages reused; config questions rerun exactly on
+    # changed-byte hosts. A changed device *set* is unbounded: global
+    # answers enumerate the device universe, so even an isolated new
+    # host can grow every answer.
     unbounded = base.snapshot.devices.keys() != new_session.snapshot.devices.keys()
     affected, skipped = qcov.questions_for_delta(
         tracker,
         base.snapshot_key,
         new_session.snapshot_key,
         changed_hosts=changed,
-        routing_changed=info.fallback,
+        routing_changed=bool(info.seeds),
         everything=unbounded,
     )
     info.questions_affected = affected
@@ -212,65 +241,10 @@ def _prioritize_questions(
 def _record_metrics(info: DeltaInfo, devices: int) -> None:
     metrics = obs.metrics()
     metrics.inc("delta.runs")
-    metrics.inc("delta.dirty_devices", len(info.dirty_devices))
-    metrics.inc("delta.reused_devices", info.reused_devices)
     metrics.inc("delta.parse_memo_hits", info.parse_memo_hits)
     # Denominator of delta.reuse.{rib,fib,pipeline}, which the session's
     # stages count as they run.
     metrics.inc("delta.reuse.devices", devices)
-
-
-def _reuse_base(base, new_session, seeds: List[str]) -> Optional[str]:
-    """Install the base's data plane on ``new_session`` when it provably
-    describes it and return None; else return why not (the session then
-    computes lazily from scratch, which is always correct).
-
-    Provable means: no seed — empty *seeds*, which also rules out an
-    added or removed device — and a converged base. A full run of the
-    new snapshot is then input-identical to the base run and would
-    reproduce it byte for byte, order-sensitive tie-breaks included.
-    """
-    if seeds:
-        shown = ", ".join(seeds[:3])
-        if len(seeds) > 3:
-            shown += f" (+{len(seeds) - 3} more)"
-        return f"routing changed on {shown}"
-    if not base.dataplane.converged:
-        return "base data plane did not converge"
-    new_session._dataplane = _reused_dataplane(
-        base.dataplane, new_session.snapshot
-    )
-    return None
-
-
-def _reused_dataplane(base_dp: DataPlane, new_snapshot) -> DataPlane:
-    """Rewrap the base data plane around the new snapshot. Node states
-    alias the base's converged RIBs (never mutated after compute); only
-    the ``device`` reference is swapped so forwarding-time queries —
-    which do read non-routing fields like zones — evaluate against the
-    new snapshot's objects. The host sets are identical (empty seeds),
-    so the base topology and sessions describe the new snapshot
-    exactly."""
-    nodes = {
-        hostname: NodeState(
-            device=new_snapshot.device(hostname),
-            main_rib=base_dp.nodes[hostname].main_rib,
-            bgp_rib=base_dp.nodes[hostname].bgp_rib,
-            connected_routes=base_dp.nodes[hostname].connected_routes,
-            bgp_in_main=base_dp.nodes[hostname].bgp_in_main,
-        )
-        for hostname in new_snapshot.hostnames()
-    }
-    return DataPlane(
-        snapshot=new_snapshot,
-        topology=base_dp.topology,
-        nodes=nodes,
-        sessions=base_dp.sessions,
-        session_issues=base_dp.session_issues,
-        converged=True,
-        oscillating_prefixes=list(base_dp.oscillating_prefixes),
-        stats=base_dp.stats,
-    )
 
 
 # ----------------------------------------------------------------------

@@ -57,7 +57,7 @@ _HELP: Dict[str, str] = {
     "sweep.scenarios_evaluated": "Scenarios actually simulated (not pruned).",
     "sweep.scenarios_pruned": "Scenarios whose verdict was proved without simulation.",
     "sweep.minimal_sets_found": "Minimal failing element sets reported by sweeps.",
-    "sweep.delta_fallbacks": "Sweep scenarios whose delta analysis fell back to a full recompute.",
+    "sweep.delta_fallbacks": "Sweep scenarios whose delta analysis recomputed a routing stage.",
     "sweep.scenario.seconds": "Per-scenario simulation latency within sweeps.",
 }
 

@@ -268,12 +268,17 @@ class TraceReport:
             dirty = delta.get("delta.dirty_devices", 0)
             reused = delta.get("delta.reused_devices", 0)
             total = dirty + reused
-            lines.append(f"  runs: {runs}, fallbacks to full recompute: "
-                         f"{delta.get('delta.fallback_full', 0)}")
+            lines.append(f"  runs: {runs}")
+            for stage in ("igp", "bgp"):
+                lines.append(
+                    f"  {stage} stage: reused "
+                    f"{delta.get(f'delta.stage.{stage}.reused', 0)}, recomputed "
+                    f"{delta.get(f'delta.stage.{stage}.recomputed', 0)}"
+                )
             if total:
                 lines.append(
-                    f"  devices recomputed: {dirty}/{total} "
-                    f"({100.0 * reused / total:.0f}% reused from the base)"
+                    f"  main RIBs rebuilt: {dirty}/{total} "
+                    f"({100.0 * reused / total:.0f}% kept from the base)"
                 )
             lines.append(
                 f"  parse memo hits: {delta.get('delta.parse_memo_hits', 0)}"

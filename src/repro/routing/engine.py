@@ -26,9 +26,10 @@ benchmark).
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Collection, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro import obs
 from repro.provenance import record as prov
@@ -126,6 +127,59 @@ class DataPlaneStats:
 
 
 @dataclass
+class IgpRecord:
+    """The IGP stage's output per device: the OSPF intra- and inter-area
+    routes, the (prefix, metric) pairs it redistributed into OSPF, and
+    the external routes those became."""
+
+    routes: Dict[str, List[OspfRoute]]
+    redistributed: Dict[str, List[Tuple[Prefix, int]]]
+    externals: Dict[str, List[OspfRoute]]
+
+
+@dataclass
+class BgpReads:
+    """Everything one session round of the BGP stage read from one
+    device's main RIB, keyed by what it asked, with the answer it got."""
+
+    #: Peer address -> whether an LPM matched it (session viability).
+    peers: Dict[Ip, bool] = field(default_factory=dict)
+    #: Next hop -> IGP cost (None: unresolvable), one per BGP run.
+    costs: Dict[Ip, Optional[int]] = field(default_factory=dict)
+    #: ``network``-statement prefix -> whether the RIB has it.
+    networks: Dict[Prefix, bool] = field(default_factory=dict)
+    #: (prefix, protocol, med) of each route a redistribution into BGP
+    #: walked; None in a round that ran no BGP.
+    redistributed: Optional[List[Tuple[Prefix, Protocol, int]]] = None
+
+
+@dataclass
+class BgpRound:
+    """One session round of the BGP stage."""
+
+    reads: Dict[str, BgpReads]
+    #: The BGP routes each BGP speaker's main RIB held after the round's
+    #: run; None when the round found the session set unchanged.
+    merged: Optional[Dict[str, List[BgpRoute]]] = None
+
+
+@dataclass
+class RoutingStages:
+    """The routing stages as a data plane records them: what a delta of
+    its snapshot may take over (each stage's output, and what the BGP
+    stage read of the main RIBs), and how it was itself produced."""
+
+    igp: IgpRecord
+    rounds: List[BgpRound]
+    #: Stage ("igp", "bgp") -> why it was computed rather than taken
+    #: from a base data plane; "" where it was taken.
+    recomputed: Dict[str, str]
+    #: Devices whose main RIB this computation built; every other
+    #: device's is its base's object.
+    rebuilt: List[str]
+
+
+@dataclass
 class DataPlane:
     """The computed data-plane state of a snapshot."""
 
@@ -137,6 +191,7 @@ class DataPlane:
     converged: bool
     oscillating_prefixes: List[Prefix]
     stats: DataPlaneStats
+    stages: RoutingStages
 
     def main_rib(self, hostname: str) -> Rib:
         return self.nodes[hostname].main_rib
@@ -149,55 +204,94 @@ def compute_dataplane(
     snapshot: Snapshot,
     settings: Optional[ConvergenceSettings] = None,
     semantics: PolicySemantics = DEFAULT_SEMANTICS,
+    base: Optional[DataPlane] = None,
+    changed: Optional[Mapping[str, Collection[str]]] = None,
 ) -> DataPlane:
-    """Derive the data plane implied by a configuration snapshot."""
+    """Derive the data plane implied by a configuration snapshot.
+
+    ``base`` is the data plane of a snapshot this one edits, computed
+    with the same settings and semantics; ``changed`` names, per stage
+    (``local`` = connected/static, ``igp``, ``bgp``), the devices whose
+    projection for that stage differs from the base's
+    (:func:`repro.delta.fingerprint.routing_fingerprint`). A stage whose
+    key is equal takes its output from ``base``: the IGP stage when its
+    projections and the contributions redistributed into OSPF are, the
+    BGP stage when its projections are and every read it logged of a
+    main RIB answers as it did. A device whose connected/static inputs
+    did not change keeps the base's ``Rib`` when both stages are taken.
+    While provenance records, every stage runs (running emits the
+    events).
+    """
     settings = settings or ConvergenceSettings()
     started = time.perf_counter()
+    changed = changed or {}
+    unusable = _base_unusable(base, snapshot)
+    if unusable:
+        base = None
+    stats = DataPlaneStats()
+    recomputed: Dict[str, str] = {}
     with obs.span("dataplane", devices=len(snapshot.devices)):
         with obs.span("dataplane.igp"):
-            topology = build_layer3_topology(snapshot)
-            nodes: Dict[str, NodeState] = {
-                hostname: NodeState(
-                    device=snapshot.device(hostname),
-                    # Owner wires main-RIB install/suppress outcomes into
-                    # the provenance record (no-op unless recording).
-                    main_rib=Rib(owner=hostname),
-                )
-                for hostname in snapshot.hostnames()
-            }
-            _install_connected(nodes)
-            _install_static(nodes)
-            _run_ospf(snapshot, topology, nodes, semantics)
-        sessions, issues = compute_bgp_sessions(snapshot)
-        stats = DataPlaneStats()
-        converged = True
-        oscillating: List[Prefix] = []
-        established_keys: Set[Tuple[str, str, str]] = set()
+            recomputed["igp"] = unusable or _changed_config(changed, "igp", "OSPF")
+            nodes: Dict[str, NodeState] = {}
+            if not recomputed["igp"]:
+                topology, igp = base.topology, base.stages.igp
+                nodes = _new_nodes(snapshot, changed.get("local", ()))
+                recomputed["igp"] = _pre_bgp(nodes, igp, semantics)
+            if recomputed["igp"]:
+                topology = build_layer3_topology(snapshot)
+                nodes = _new_nodes(snapshot, snapshot.hostnames())
+                _install_connected(nodes)
+                _install_static(nodes)
+                igp = _run_ospf(snapshot, topology, nodes, semantics)
         with obs.span("dataplane.bgp"):
-            for round_number in range(settings.max_session_rounds):
-                stats.session_rounds = round_number + 1
-                _evaluate_session_viability(snapshot, nodes, sessions)
-                new_keys = {s.key for s in sessions if s.established}
-                if round_number > 0 and new_keys == established_keys:
-                    break
-                established_keys = new_keys
-                converged, oscillating = _run_bgp(
-                    snapshot, nodes, sessions, settings, semantics, stats
+            recomputed["bgp"] = unusable or (
+                "" if base.converged else "base data plane did not converge"
+            ) or _changed_config(changed, "bgp", "BGP")
+            if not recomputed["bgp"]:
+                recomputed["bgp"] = _replay_bgp(nodes, base.stages.rounds)
+            if recomputed["bgp"]:
+                rest = _new_nodes(
+                    snapshot, [h for h in snapshot.hostnames() if h not in nodes]
                 )
-                _merge_bgp_into_main(nodes)
-                if not converged:
-                    break
+                _pre_bgp(rest, igp)
+                nodes.update(rest)
+                sessions, issues, converged, oscillating, rounds = _run_bgp_rounds(
+                    snapshot, nodes, settings, semantics, stats
+                )
+            else:
+                for hostname, state in nodes.items():
+                    state.bgp_rib = base.nodes[hostname].bgp_rib
+                sessions, issues = base.sessions, base.session_issues
+                converged, oscillating = True, []
+                rounds = base.stages.rounds
+                stats = dataclasses.replace(
+                    base.stats, suppressed=dict(base.stats.suppressed)
+                )
+        rebuilt = sorted(nodes)
+        for hostname in snapshot.hostnames():
+            if hostname not in nodes:
+                kept = base.nodes[hostname]
+                nodes[hostname] = NodeState(
+                    device=snapshot.device(hostname),
+                    main_rib=kept.main_rib,
+                    bgp_rib=kept.bgp_rib,
+                    connected_routes=kept.connected_routes,
+                    bgp_in_main=kept.bgp_in_main,
+                )
+        nodes = {hostname: nodes[hostname] for hostname in snapshot.hostnames()}
         stats.elapsed_seconds = time.perf_counter() - started
         stats.total_routes = sum(len(state.main_rib) for state in nodes.values())
         if obs.active():
             obs.add("dataplane.runs")
-            obs.add("dataplane.bgp.iterations", stats.iterations)
-            obs.add("dataplane.session_rounds", stats.session_rounds)
-            obs.add("dataplane.bgp.routes_processed", stats.bgp_routes_processed)
-            obs.add("dataplane.bgp.policy_evals", stats.policy_evals)
-            for reason, count in stats.suppressed.items():
-                obs.add(f"dataplane.bgp.suppressed.{reason}", count)
-            obs.observe("dataplane.convergence_iterations", stats.iterations)
+            if recomputed["bgp"]:
+                obs.add("dataplane.bgp.iterations", stats.iterations)
+                obs.add("dataplane.session_rounds", stats.session_rounds)
+                obs.add("dataplane.bgp.routes_processed", stats.bgp_routes_processed)
+                obs.add("dataplane.bgp.policy_evals", stats.policy_evals)
+                for reason, count in stats.suppressed.items():
+                    obs.add(f"dataplane.bgp.suppressed.{reason}", count)
+                obs.observe("dataplane.convergence_iterations", stats.iterations)
             obs.gauge("dataplane.total_routes", stats.total_routes)
             if not converged:
                 obs.add("dataplane.oscillations")
@@ -210,7 +304,44 @@ def compute_dataplane(
         converged=converged,
         oscillating_prefixes=oscillating,
         stats=stats,
+        stages=RoutingStages(igp, rounds, recomputed, rebuilt),
     )
+
+
+def _base_unusable(base: Optional[DataPlane], snapshot: Snapshot) -> str:
+    """Why no stage can be taken from ``base`` ("" when stages can)."""
+    if base is None:
+        return "no base data plane"
+    if prov.enabled():
+        return "provenance is recording"
+    moved = base.nodes.keys() ^ snapshot.devices.keys()
+    if moved:
+        return f"device set changed ({_shown(sorted(moved))})"
+    return ""
+
+
+def _changed_config(
+    changed: Mapping[str, Collection[str]], stage: str, protocol: str
+) -> str:
+    hosts = sorted(changed.get(stage, ()))
+    return f"{protocol} inputs of {_shown(hosts)} changed" if hosts else ""
+
+
+def _shown(names: List[str]) -> str:
+    shown = ", ".join(names[:3])
+    return shown + (f" (+{len(names) - 3} more)" if len(names) > 3 else "")
+
+
+def _new_nodes(snapshot: Snapshot, hostnames) -> Dict[str, NodeState]:
+    return {
+        hostname: NodeState(
+            device=snapshot.device(hostname),
+            # Owner wires main-RIB install/suppress outcomes into the
+            # provenance record (no-op unless recording).
+            main_rib=Rib(owner=hostname),
+        )
+        for hostname in sorted(hostnames)
+    }
 
 
 # ----------------------------------------------------------------------
@@ -318,7 +449,7 @@ def _run_ospf(
     topology: Layer3Topology,
     nodes: Dict[str, NodeState],
     semantics: PolicySemantics,
-) -> None:
+) -> IgpRecord:
     """Converge OSPF and merge results into the nodes' main RIBs."""
     computation = compute_ospf(snapshot, topology)
     for hostname, routes in computation.routes.items():
@@ -334,8 +465,59 @@ def _run_ospf(
                     else None,
                 )
             state.main_rib.merge(route)
-    # Redistribution into OSPF (connected/static sources), walked in
-    # sorted hostname order for schedule-independent results.
+    redistributed = _ospf_contributions(nodes, semantics)
+    externals: Dict[str, List[OspfRoute]] = {}
+    if redistributed:
+        externals = compute_ospf_externals(snapshot, computation, redistributed)
+        for hostname, routes in externals.items():
+            state = nodes[hostname]
+            for route in routes:
+                if prov.enabled():
+                    prov.route_event(
+                        hostname, route.prefix, "ospf", "installed",
+                        f"external (redistributed): {route.describe()}",
+                    )
+                state.main_rib.merge(route)
+    return IgpRecord(computation.routes, redistributed, externals)
+
+
+def _pre_bgp(
+    nodes: Dict[str, NodeState],
+    igp: IgpRecord,
+    semantics: Optional[PolicySemantics] = None,
+) -> str:
+    """Give ``nodes`` their main RIB as the IGP stage ``igp`` recorded
+    leaves it: connected, static, OSPF, then external routes, in the
+    order a full run merges them. With ``semantics``, first check that
+    what the nodes redistribute into OSPF is what the record says;
+    returns "" when it is (or unchecked), else why the stage must run
+    (the nodes then hold no external route)."""
+    _install_connected(nodes)
+    _install_static(nodes)
+    _merge_routes(nodes, igp.routes)
+    if semantics is not None:
+        contributions = _ospf_contributions(nodes, semantics)
+        moved = [h for h in nodes if contributions.get(h) != igp.redistributed.get(h)]
+        if moved:
+            return f"redistribution into OSPF at {_shown(moved)} changed"
+    _merge_routes(nodes, igp.externals)
+    return ""
+
+
+def _merge_routes(
+    nodes: Dict[str, NodeState], routes: Dict[str, List[OspfRoute]]
+) -> None:
+    for hostname, state in nodes.items():
+        for route in routes.get(hostname, ()):
+            state.main_rib.merge(route)
+
+
+def _ospf_contributions(
+    nodes: Dict[str, NodeState], semantics: PolicySemantics
+) -> Dict[str, List[Tuple[Prefix, int]]]:
+    """What each device redistributes into OSPF, read from its main RIB
+    as connected, static and OSPF routes left it."""
+    # Walked in sorted hostname order for schedule-independent results.
     redistributed: Dict[str, List[Tuple[Prefix, int]]] = {}
     for hostname, state in sorted(nodes.items()):
         device = state.device
@@ -367,17 +549,7 @@ def _run_ospf(
                     contributions.append((route.prefix, metric))
         if contributions:
             redistributed[hostname] = sorted(set(contributions))
-    if redistributed:
-        externals = compute_ospf_externals(snapshot, computation, redistributed)
-        for hostname, routes in externals.items():
-            state = nodes[hostname]
-            for route in routes:
-                if prov.enabled():
-                    prov.route_event(
-                        hostname, route.prefix, "ospf", "installed",
-                        f"external (redistributed): {route.describe()}",
-                    )
-                state.main_rib.merge(route)
+    return redistributed
 
 
 def _policy_label(
@@ -408,13 +580,95 @@ def _matches_redist_source(route, source: Protocol) -> bool:
 # BGP session viability (partial-data-plane dependence, §4.1.1)
 
 
+def _run_bgp_rounds(
+    snapshot: Snapshot,
+    nodes: Dict[str, NodeState],
+    settings: ConvergenceSettings,
+    semantics: PolicySemantics,
+    stats: DataPlaneStats,
+) -> Tuple[
+    List[BgpSession], List[SessionCompatibilityIssue], bool, List[Prefix],
+    List[BgpRound],
+]:
+    """The BGP stage: sessions, then rounds of viability and the fixed
+    point until the established set stops changing, each round logging
+    what it read of the main RIBs."""
+    sessions, issues = compute_bgp_sessions(snapshot)
+    converged = True
+    oscillating: List[Prefix] = []
+    established_keys: Set[Tuple[str, str, str]] = set()
+    rounds: List[BgpRound] = []
+    for round_number in range(settings.max_session_rounds):
+        stats.session_rounds = round_number + 1
+        rounds.append(BgpRound({}))
+        reads = rounds[-1].reads
+        _evaluate_session_viability(snapshot, nodes, sessions, reads)
+        new_keys = {s.key for s in sessions if s.established}
+        if round_number > 0 and new_keys == established_keys:
+            break
+        established_keys = new_keys
+        converged, oscillating = _run_bgp(
+            snapshot, nodes, sessions, settings, semantics, stats, reads
+        )
+        rounds[-1].merged = _merge_bgp_into_main(nodes)
+        if not converged:
+            break
+    return sessions, issues, converged, oscillating, rounds
+
+
+def _replay_bgp(nodes: Dict[str, NodeState], rounds: List[BgpRound]) -> str:
+    """Replay the base BGP stage's reads on ``nodes``, the devices whose
+    pre-BGP main RIB is not the base's by construction, round by round,
+    merging each round's BGP routes into their RIBs as the stage did.
+
+    Returns "" when every read answers as it did — the stage would
+    compute the base's output — else the first read that does not, as
+    the reason to run it (the nodes' RIBs then hold no BGP route).
+    """
+    for bgp_round in rounds:
+        for hostname, state in nodes.items():
+            reads = bgp_round.reads.get(hostname)
+            moved = _moved_read(state, reads) if reads is not None else ""
+            if moved:
+                for node in nodes.values():
+                    _merge_into_main(node, [])
+                return f"{moved} at {hostname} changed"
+        if bgp_round.merged is not None:
+            for hostname, state in nodes.items():
+                _merge_into_main(state, bgp_round.merged.get(hostname, []))
+    return ""
+
+
+def _moved_read(state: NodeState, reads: BgpReads) -> str:
+    """The first of ``reads`` the node's main RIB answers differently
+    ("" if none)."""
+    rib = state.main_rib
+    for peer, reachable in reads.peers.items():
+        if (rib.longest_match(peer) is not None) != reachable:
+            return f"reachability of peer {peer}"
+    for next_hop, cost in reads.costs.items():
+        if _igp_cost(rib, next_hop) != cost:
+            return f"igp cost of {next_hop}"
+    for prefix, present in reads.networks.items():
+        if bool(rib.best_routes(prefix)) != present:
+            return f"presence of network {prefix}"
+    if reads.redistributed is not None and reads.redistributed != [
+        _redistributed(route) for _redist, route in _bgp_redistribution(state)
+    ]:
+        return "what is redistributed into BGP"
+    return ""
+
+
 def _evaluate_session_viability(
-    snapshot: Snapshot, nodes: Dict[str, NodeState], sessions: List[BgpSession]
+    snapshot: Snapshot,
+    nodes: Dict[str, NodeState],
+    sessions: List[BgpSession],
+    reads: Dict[str, BgpReads],
 ) -> None:
     recording = prov.enabled()
     for session in sessions:
         session.established, session.failure_reason = _session_viable(
-            snapshot, nodes, session
+            snapshot, nodes, session, reads
         )
         if recording and not session.established:
             # A down session suppresses every route it would have
@@ -428,13 +682,18 @@ def _evaluate_session_viability(
 
 
 def _session_viable(
-    snapshot: Snapshot, nodes: Dict[str, NodeState], session: BgpSession
+    snapshot: Snapshot,
+    nodes: Dict[str, NodeState],
+    session: BgpSession,
+    reads: Dict[str, BgpReads],
 ) -> Tuple[bool, str]:
     state = nodes[session.local_node]
     device = state.device
     # Reachability of the peer address.
     if session.is_ibgp or session.neighbor.ebgp_multihop:
-        if state.main_rib.longest_match(session.remote_ip) is None:
+        reachable = state.main_rib.longest_match(session.remote_ip) is not None
+        reads.setdefault(session.local_node, BgpReads()).peers[session.remote_ip] = reachable
+        if not reachable:
             return False, f"peer {session.remote_ip} unreachable"
     else:
         # Single-hop eBGP: the peer must be directly connected.
@@ -503,8 +762,10 @@ def _run_bgp(
     settings: ConvergenceSettings,
     semantics: PolicySemantics,
     stats: DataPlaneStats,
+    reads: Dict[str, BgpReads],
 ) -> Tuple[bool, List[Prefix]]:
-    """Run the BGP exchange to a fixed point (or detect oscillation).
+    """Run the BGP exchange to a fixed point (or detect oscillation),
+    logging what each node reads of its main RIB into ``reads``.
 
     Returns (converged, oscillating_prefixes).
     """
@@ -529,14 +790,15 @@ def _run_bgp(
     for hostname in bgp_nodes:
         state = nodes[hostname]
         device = state.device
+        logged = reads.setdefault(hostname, BgpReads())
         state.bgp_rib = BgpRib(
             local_as=device.bgp.local_as,
             multipath=device.bgp.maximum_paths,
-            igp_cost=_igp_cost_fn(state),
+            igp_cost=_igp_cost_fn(state.main_rib, logged.costs),
             use_clocks=settings.use_logical_clocks,
             owner=hostname,
         )
-        _originate_local_bgp(state, semantics, next_clock)
+        _originate_local_bgp(state, semantics, next_clock, logged)
 
     # Per directed session edge (the session as seen by the *sender*;
     # the receiver pulls through it): the exchange and the pending delta
@@ -641,35 +903,54 @@ def _run_bgp(
     return converged, sorted(set(oscillating), key=str)
 
 
-def _igp_cost_fn(state: NodeState):
+def _igp_cost(rib: Rib, next_hop: Ip) -> Optional[int]:
+    """The IGP cost to ``next_hop`` by ``rib`` (None: unresolvable)."""
+    match = rib.longest_match(next_hop)
+    if match is None:
+        return None
+    _prefix, routes = match
+    best = routes[0]
+    if isinstance(best, OspfRoute):
+        return best.cost
+    if isinstance(best, (ConnectedRoute, StaticRouteEntry)):
+        return 0
+    return None  # next hop resolving via BGP is not allowed
+
+
+def _igp_cost_fn(rib: Rib, resolved: Dict[Ip, Optional[int]]):
     """The IGP cost resolver of one node for one ``_run_bgp`` call: the
     main RIB does not change inside one, so each next hop is resolved
-    (one LPM) once."""
-    resolved: Dict[Ip, Optional[int]] = {}
-
-    def resolve(next_hop: Ip) -> Optional[int]:
-        match = state.main_rib.longest_match(next_hop)
-        if match is None:
-            return None
-        _prefix, routes = match
-        best = routes[0]
-        if isinstance(best, OspfRoute):
-            return best.cost
-        if isinstance(best, (ConnectedRoute, StaticRouteEntry)):
-            return 0
-        return None  # next hop resolving via BGP is not allowed
+    (one LPM) once, into ``resolved`` — the run's log of those reads."""
 
     def igp_cost(next_hop: Ip) -> Optional[int]:
         try:
             return resolved[next_hop]
         except KeyError:
-            cost = resolved[next_hop] = resolve(next_hop)
+            cost = resolved[next_hop] = _igp_cost(rib, next_hop)
             return cost
 
     return igp_cost
 
 
-def _originate_local_bgp(state: NodeState, semantics, next_clock) -> None:
+def _bgp_redistribution(state: NodeState):
+    """(redistribution, route) for each main-RIB route a redistribution
+    into BGP walks, in the order it walks them."""
+    return [
+        (redist, route)
+        for redist in state.device.bgp.redistributions
+        for route in state.main_rib.routes()
+        if _matches_redist_source(route, redist.source)
+    ]
+
+
+def _redistributed(route) -> Tuple[Prefix, Protocol, int]:
+    """What a redistribution into BGP reads of one route."""
+    return route.prefix, route.protocol, getattr(route, "cost", 0)
+
+
+def _originate_local_bgp(
+    state: NodeState, semantics, next_clock, reads: BgpReads
+) -> None:
     device = state.device
     bgp = device.bgp
     local_ip = device.router_id()
@@ -678,7 +959,8 @@ def _originate_local_bgp(state: NodeState, semantics, next_clock) -> None:
     for prefix in bgp.networks:
         # A network statement originates only if the prefix is present
         # in the main RIB (IGP/connected/static), per vendor semantics.
-        if state.main_rib.best_routes(prefix):
+        present = reads.networks[prefix] = bool(state.main_rib.best_routes(prefix))
+        if present:
             if recording:
                 prov.route_event(
                     hostname, prefix, "bgp", "originated",
@@ -694,40 +976,37 @@ def _originate_local_bgp(state: NodeState, semantics, next_clock) -> None:
                 f"network statement for {prefix} did not originate: "
                 "prefix absent from main RIB",
             )
-    for redist in bgp.redistributions:
-        for route in list(state.main_rib.routes()):
-            if not _matches_redist_source(route, redist.source):
-                continue
-            policy_route = PolicyRoute(
-                prefix=route.prefix,
-                source_protocol=route.protocol,
-                med=getattr(route, "cost", 0),
+    walked = _bgp_redistribution(state)
+    reads.redistributed = [_redistributed(route) for _redist, route in walked]
+    for (redist, route), (prefix, protocol, med) in zip(walked, reads.redistributed):
+        result = apply_route_map(
+            device,
+            redist.route_map,
+            PolicyRoute(prefix=prefix, source_protocol=protocol, med=med),
+            semantics,
+        )
+        if recording:
+            prov.route_event(
+                hostname, prefix, "bgp",
+                "originated" if result.permitted else "rejected",
+                f"redistribute {redist.source.value} into BGP: "
+                + ("permitted" if result.permitted else "denied"),
+                policy=_policy_label(redist.route_map, result),
             )
-            result = apply_route_map(
-                device, redist.route_map, policy_route, semantics
-            )
-            if recording:
-                prov.route_event(
-                    hostname, route.prefix, "bgp",
-                    "originated" if result.permitted else "rejected",
-                    f"redistribute {redist.source.value} into BGP: "
-                    + ("permitted" if result.permitted else "denied"),
-                    policy=_policy_label(redist.route_map, result),
-                )
-            if not result.permitted:
-                continue
-            transformed = result.route
-            state.bgp_rib.put(
-                local_route(
-                    route.prefix,
-                    local_ip,
-                    bgp.local_as,
-                    source_protocol=route.protocol,
-                    med=transformed.med,
-                    communities=tuple(transformed.communities),
-                ),
-                next_clock(),
-            )
+        if not result.permitted:
+            continue
+        transformed = result.route
+        state.bgp_rib.put(
+            local_route(
+                prefix,
+                local_ip,
+                bgp.local_as,
+                source_protocol=protocol,
+                med=transformed.med,
+                communities=tuple(transformed.communities),
+            ),
+            next_clock(),
+        )
 
 
 class _Exchange:
@@ -989,16 +1268,27 @@ def _diff_prefixes(old: Dict[str, Tuple], new: Dict[str, Tuple]) -> List[Prefix]
     return changed
 
 
-def _merge_bgp_into_main(nodes: Dict[str, NodeState]) -> None:
-    for _hostname, state in sorted(nodes.items()):
-        for route in state.bgp_in_main:
-            state.main_rib.withdraw(route)
-        state.bgp_in_main = []
+def _merge_bgp_into_main(nodes: Dict[str, NodeState]) -> Dict[str, List[BgpRoute]]:
+    """Replace each node's BGP routes in its main RIB with its BGP best
+    routes; returns them per BGP speaker."""
+    merged: Dict[str, List[BgpRoute]] = {}
+    for hostname, state in sorted(nodes.items()):
         if state.bgp_rib is None:
+            _merge_into_main(state, [])
             continue
-        for route in state.bgp_rib.all_best():
-            if route.received_from is None:
-                continue  # locally-originated routes already in main RIB
-            if state.main_rib.merge(route):
-                pass
-            state.bgp_in_main.append(route)
+        merged[hostname] = [
+            route
+            for route in state.bgp_rib.all_best()
+            # Locally originated routes are in the main RIB already.
+            if route.received_from is not None
+        ]
+        _merge_into_main(state, merged[hostname])
+    return merged
+
+
+def _merge_into_main(state: NodeState, routes: List[BgpRoute]) -> None:
+    for route in state.bgp_in_main:
+        state.main_rib.withdraw(route)
+    for route in routes:
+        state.main_rib.merge(route)
+    state.bgp_in_main = routes

@@ -497,11 +497,9 @@ def _make_handler(service: AnalysisService):
             if not match:
                 raise NotFoundError(f"no such path {path!r}")
             body = decode_object(self._body(), _PATCH_BODY)
-            record = service.store.patch(match.group(1), body["configs"])
+            record, session = service.store.patch(match.group(1), body["configs"])
             payload = record.to_json()
-            session = service.store.get(match.group(1))
-            if session.delta_info is not None:
-                payload["delta"] = session.delta_info.to_json()
+            payload["delta"] = session.delta_info.to_json()
             self._send(200, payload)
 
         def _delete(self, path: str, query: Dict[str, str]) -> None:

@@ -54,6 +54,12 @@ from repro.service.errors import (
 DEFAULT_MAX_HISTORY = 1024
 
 
+def _recomputed_stages() -> int:
+    """Routing stages delta sessions have recomputed so far."""
+    counter = obs.metrics().counter
+    return counter("delta.stage.igp.recomputed") + counter("delta.stage.bgp.recomputed")
+
+
 class JobStatus(enum.Enum):
     QUEUED = "queued"
     RUNNING = "running"
@@ -410,12 +416,13 @@ class JobQueue:
         worker thread with the job's request context active)."""
         error: Optional[ServiceError] = None
         result: Optional[Dict] = None
-        # Disposition probe: the delta engine bumps this counter on
-        # every full-recompute fallback. Sampling it around the run is
-        # approximate under concurrency (another worker's fallback can
-        # land in the window) but costs nothing and needs no plumbing
-        # through the executor.
-        fallback_before = obs.metrics().counter("delta.fallback_full")
+        # Disposition probe: a delta session bumps these counters when
+        # its data plane recomputes a routing stage — on the first job
+        # that needs it. Sampling them around the run is approximate
+        # under concurrency (another worker's recompute can land in the
+        # window) but costs nothing and needs no plumbing through the
+        # executor.
+        fallback_before = _recomputed_stages()
         with obs.span("service.job", question=job.question):
             try:
                 result = self._executor(job)
@@ -434,9 +441,7 @@ class JobQueue:
                 self._stats["failed"] += 1
             started, finished = job.started_ts, job.finished_ts
         run_s = finished - started
-        fell_back = (
-            obs.metrics().counter("delta.fallback_full") > fallback_before
-        )
+        fell_back = _recomputed_stages() > fallback_before
         if error is not None:
             disposition = "error"
         elif fell_back:

@@ -18,7 +18,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.core.cache import SnapshotCache
@@ -116,13 +116,23 @@ class SnapshotStore:
 
     def patch(
         self, name: str, changed_configs: Dict[str, Optional[str]]
-    ) -> SnapshotRecord:
+    ) -> Tuple[SnapshotRecord, Session]:
         """Incrementally update snapshot ``name`` with some files
         changed (``null`` text deletes a file). The delta engine
-        reparses only those files and reuses the existing session's
-        converged state when no routing fingerprint moved, else
-        recomputes (:mod:`repro.delta`). Replaces the named session in
-        place and returns the updated record.
+        reparses only those files and takes each routing stage from the
+        existing session whose inputs did not move (:mod:`repro.delta`).
+        Replaces the named session in place and returns the updated
+        record and the session this call built.
+
+        Where the edited session's routing has run, the new session's
+        runs here too — cheap when its stages are taken — so its
+        ``delta_info`` says how routing was produced; otherwise those
+        fields stay None until a question runs routing.
+
+        The delta runs outside the store lock, like :meth:`init`; it is
+        installed only if the live session is still the one it edited,
+        and otherwise redone on the live one, so two concurrent PATCHes
+        both land.
         """
         if not isinstance(changed_configs, dict) or not changed_configs:
             raise InvalidRequestError(
@@ -137,28 +147,34 @@ class SnapshotStore:
                     "(null deletes the file)"
                 )
         base = self.get(name)
-        # The delta itself runs outside the store lock, like init().
-        try:
-            session = base.delta(changed_configs)
-        except ValueError as exc:
-            raise InvalidRequestError(str(exc))
-        record = SnapshotRecord(
-            name=name,
-            key=session.snapshot_key,
-            device_count=len(session.snapshot.devices),
-            warning_count=len(session.snapshot.warnings),
-            created_ts=time.time(),
-        )
-        with self._lock:
-            if name not in self._sessions:
-                # Deleted while we were computing: treat as gone.
-                raise SnapshotNotFoundError(
-                    f"no snapshot named {name!r}", name=name
-                )
-            self._sessions[name] = session
-            self._records[name] = record
+        while True:
+            try:
+                session = base.delta(changed_configs)
+            except ValueError as exc:
+                raise InvalidRequestError(str(exc))
+            if base._dataplane is not None:
+                session.dataplane
+            record = SnapshotRecord(
+                name=name,
+                key=session.snapshot_key,
+                device_count=len(session.snapshot.devices),
+                warning_count=len(session.snapshot.warnings),
+                created_ts=time.time(),
+            )
+            with self._lock:
+                live = self._sessions.get(name)
+                if live is None:
+                    # Deleted while we were computing: treat as gone.
+                    raise SnapshotNotFoundError(
+                        f"no snapshot named {name!r}", name=name
+                    )
+                if live is base:
+                    self._sessions[name] = session
+                    self._records[name] = record
+                    break
+            base = live  # another PATCH landed first: edit its session
         obs.add("service.snapshots.patch")
-        return record
+        return record, session
 
     def get(self, name: str) -> Session:
         """The live session for ``name`` (404 when absent)."""

@@ -1,6 +1,8 @@
-"""Delta engine: reuse of the base data plane on routing-inert edits,
-full recompute on anything else, both byte-identical to a from-scratch
-session, and the differential validator itself."""
+"""Delta engine: every routing stage taken from the base on a
+routing-inert edit, only the edited device's main RIB rebuilt on a
+static route nothing reads, a stage recomputed where its inputs moved —
+each byte-identical to a from-scratch session — and the differential
+validator itself."""
 
 import pytest
 from hypothesis import given, settings
@@ -69,21 +71,39 @@ def full_fib_lines(configs):
 
 
 def assert_recomputed(new, seeds):
-    """The DeltaInfo shape of every non-reuse delta, and FIBs equal to
-    a cache-less from-scratch session of the same texts."""
+    """The DeltaInfo shape of a delta that recomputed a routing stage,
+    and FIBs equal to a cache-less from-scratch session of the same
+    texts."""
+    new.dataplane
     info = new.delta_info
     assert info.fallback
     assert info.seeds == seeds
     for seed in seeds:
-        assert seed in info.fallback_reason
+        assert any(seed in outcome for outcome in info.stages.values())
     assert info.dirty_devices == sorted(new.snapshot.devices)
     assert info.reused_devices == 0
     assert fib_lines(new.fibs) == full_fib_lines(new._configs)
 
 
-def assert_reused(new, base):
+def assert_rebuilt(new, base, seeds):
+    """Every routing stage taken from ``base``; the seeds' main RIBs
+    rebuilt, every other device's the base's object."""
+    new.dataplane
     info = new.delta_info
-    assert not info.fallback and info.fallback_reason == ""
+    assert info.fallback is False
+    assert info.stages == {"igp": "reused", "bgp": "reused"}
+    assert info.seeds == info.dirty_devices == seeds
+    assert info.reused_devices == len(new.snapshot.devices) - len(seeds)
+    for hostname, state in new.dataplane.nodes.items():
+        if hostname not in seeds:
+            assert state.main_rib is base.dataplane.nodes[hostname].main_rib
+    assert fib_lines(new.fibs) == full_fib_lines(new._configs)
+
+
+def assert_reused(new, base):
+    new.dataplane
+    info = new.delta_info
+    assert info.fallback is False
     assert info.seeds == [] and info.dirty_devices == []
     assert info.reused_devices == len(new.snapshot.devices)
     for hostname, state in new.dataplane.nodes.items():
@@ -130,16 +150,17 @@ class TestReuse:
         }
         for label, base in bases.items():
             obs.reset()
-            new = base.delta(edit)
+            # Not validated: the scratch session would parse every file.
+            new = base.delta(edit, validate=False)
             assert obs.metrics().counter("parse.files") == 1, label
             assert new.delta_info.parse_memo_hits == 2, label
             assert new.cache_stats is None, label
             for hostname in ("a", "b"):
                 assert new.snapshot.device(hostname) is base.snapshot.device(hostname)
             assert new.snapshot == Session.from_texts(new._configs).snapshot
-        # The base's own entries (the inert edits read its data plane).
+        # The base's own entry: no delta computes a base stage.
         assert sorted(path.name.split("-")[0] for path in tmp_path.iterdir()) == [
-            "dataplane", "snapshot",
+            "snapshot",
         ]
 
     def test_duplicate_hostnames_and_warnings_match_scratch(self, traced):
@@ -154,7 +175,7 @@ class TestReuse:
         base = Session.from_texts(configs)
         assert len(base.parse_warnings) == 3  # w's two, and z's duplicate
         obs.reset()
-        new = base.delta({"a": configs["a"] + ROUTE_LINE})
+        new = base.delta({"a": configs["a"] + ROUTE_LINE}, validate=False)
         assert obs.metrics().counter("parse.files") == 3  # a, c and z
         assert new.delta_info.parse_memo_hits == 2  # b and w
         assert new.snapshot.device("w") is base.snapshot.device("w")
@@ -172,20 +193,23 @@ class TestReuse:
         loser = base.delta({"c": configs["c"] + ROUTE_LINE}, validate=True)
         assert_reused(loser, base)
         winner = base.delta({"z": configs["z"] + ROUTE_LINE}, validate=True)
-        assert_recomputed(winner, ["c"])
+        assert_rebuilt(winner, base, ["c"])
 
 
 class TestRecompute:
     PAIR = {name: THREE_ISLANDS[name] for name in ("a", "b")}
 
-    def test_routing_edit_in_one_island_recomputes_everything(self):
+    def test_static_edit_rebuilds_only_the_edited_device(self):
+        """A static route nothing redistributes and no BGP read covers:
+        OSPF and BGP are taken from the base, a's main RIB is rebuilt
+        from its own routes and the base's OSPF routes."""
         base = Session.from_texts(THREE_ISLANDS)
         base.fibs
         new = base.delta(
             {"a": THREE_ISLANDS["a"] + ROUTE_LINE}, validate=True
         )
         assert new.delta_info.validated
-        assert_recomputed(new, ["a"])
+        assert_rebuilt(new, base, ["a"])
         # The edit actually landed.
         assert any(
             "203.0.113.0/24" in line for line in fib_lines(new.fibs)["a"]
@@ -211,12 +235,15 @@ class TestRecompute:
     def test_chained_deltas(self):
         base = Session.from_texts(THREE_ISLANDS)
         base.fibs
-        first = base.delta({"c": THREE_ISLANDS["c"] + INERT_LINE})
+        first = base.delta({"c": THREE_ISLANDS["c"] + INERT_LINE}, validate=False)
+        assert first._dataplane is None
+        # The first delta computed nothing: the second takes the base's
+        # stages under both edits' changes.
         second = first.delta(
             {"a": THREE_ISLANDS["a"] + ROUTE_LINE}, validate=True
         )
         assert second.delta_info.validated
-        assert_recomputed(second, ["a"])
+        assert_rebuilt(second, base, ["a"])
         third = second.delta(
             {"b": THREE_ISLANDS["b"] + INERT_LINE}, validate=True
         )
@@ -250,17 +277,29 @@ class TestRecompute:
         assert not base.dataplane.converged
         target = sorted(configs)[0]
         new = base.delta({target: configs[target] + INERT_LINE}, validate=False)
+        assert new._dataplane is None
+        new.dataplane
         info = new.delta_info
-        assert info.fallback and "did not converge" in info.fallback_reason
+        assert info.fallback
+        # The base's OSPF output is good; its BGP output is not offered.
+        assert info.stages == {
+            "igp": "reused",
+            "bgp": "recomputed (base data plane did not converge)",
+        }
         assert info.seeds == [] and info.reused_devices == 0
         assert info.dirty_devices == sorted(new.snapshot.devices)
-        assert new._dataplane is None
 
     def test_base_is_not_computed_for_a_seeded_delta(self):
         base = Session.from_texts(self.PAIR)
         new = base.delta({"a": self.PAIR["a"] + ROUTE_LINE}, validate=False)
-        assert new.delta_info.fallback
         assert base._dataplane is None and new._dataplane is None
+        info = new.delta_info
+        # Unknown until routing runs.
+        assert info.stages is info.fallback is info.dirty_devices is None
+        new.dataplane
+        assert info.fallback
+        assert info.stages["igp"] == "recomputed (no base data plane)"
+        assert base._dataplane is None
 
 class TestRejectedInput:
     PAIR = {name: THREE_ISLANDS[name] for name in ("a", "b")}
@@ -309,7 +348,10 @@ class TestValidator:
 
     def test_validator_catches_corrupted_recompute(self):
         base = Session.from_texts(THREE_ISLANDS)
-        new = base.delta({"a": THREE_ISLANDS["a"] + ROUTE_LINE})
+        base.fibs
+        severed = THREE_ISLANDS["a"].replace("router ospf 1\n", "")
+        new = base.delta({"a": severed})
+        new.dataplane
         assert new.delta_info.fallback
         del new.fibs["b"]
         with pytest.raises(DeltaValidationError, match="b"):
@@ -335,12 +377,12 @@ class TestRegistry:
         assert inert.delta_info.parse_memo_hits == len(configs) - 1
 
         routing = base.delta({target: relevant_edit(configs[target])})
-        assert_recomputed(routing, [hostname])
+        assert_rebuilt(routing, base, [hostname])
         assert routing.delta_info.parse_memo_hits == len(configs) - 1
         assert routing.delta_info.to_json().keys() == {
             "changed_files", "seeds", "dirty_devices", "reused_devices",
-            "parse_memo_hits", "fallback", "fallback_reason", "validated",
-            "reused_ribs", "reused_fibs", "reused_pipelines",
+            "parse_memo_hits", "fallback", "validated",
+            "stages", "reused_ribs", "reused_fibs", "reused_pipelines",
             "questions_affected", "questions_skipped",
         }
 

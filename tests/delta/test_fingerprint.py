@@ -1,8 +1,9 @@
-"""Routing fingerprints and the seeds they yield between two
-snapshots."""
+"""Routing fingerprints — one projection hash per routing stage — and
+the per-stage changes they yield between two snapshots."""
 
 from repro.config.loader import load_snapshot_from_texts
-from repro.delta import routing_fingerprint, routing_seeds
+from repro.core.session import Session
+from repro.delta import routing_changes, routing_fingerprint
 
 OSPF_PAIR = {
     "r1": """
@@ -93,27 +94,71 @@ class TestRoutingFingerprint:
 ROUTE_LINE = "ip route 203.0.113.0 255.255.255.0 Null0\n"
 
 
+def _moved(base, new, hosts):
+    """stage -> devices whose projection for it moved."""
+    changes = routing_changes(base, new, hosts)
+    return {stage: hosts for stage, hosts in changes.items() if hosts}
+
+
 class TestRoutingSeeds:
     def test_identical_and_inert_snapshots_have_no_seed(self):
         base = load_snapshot_from_texts(OSPF_PAIR)
         inert = dict(OSPF_PAIR, r1=OSPF_PAIR["r1"] + "ntp server 203.0.113.250\n")
-        assert routing_seeds(base, load_snapshot_from_texts(OSPF_PAIR), set()) == []
-        assert routing_seeds(base, load_snapshot_from_texts(inert), {"r1"}) == []
+        assert _moved(base, load_snapshot_from_texts(OSPF_PAIR), set()) == {}
+        assert _moved(base, load_snapshot_from_texts(inert), {"r1"}) == {}
 
     def test_routing_edit_seeds_only_the_edited_device(self):
         edited = dict(OSPF_PAIR, r1=OSPF_PAIR["r1"] + ROUTE_LINE)
         base = load_snapshot_from_texts(OSPF_PAIR)
         new = load_snapshot_from_texts(edited)
-        assert routing_seeds(base, new, {"r1"}) == ["r1"]
+        # A static route is an input of the device's own RIB alone.
+        assert _moved(base, new, {"r1"}) == {"local": ["r1"]}
         # Only the hosts the caller names are hashed: the engine derives
         # them from changed *files*, on both sides of the edit.
-        assert routing_seeds(base, new, {"r2"}) == []
+        assert _moved(base, new, {"r2"}) == {}
 
     def test_added_and_removed_devices_seed(self):
+        """A device on one side only has no projection to compare: it
+        differs in every stage, so no stage is taken for it even where a
+        later edit restores the device set."""
         grown = dict(OSPF_PAIR)
         grown["r3"] = "hostname r3\ninterface e0\n ip address 10.9.0.1 255.255.255.0\n"
         base = load_snapshot_from_texts(OSPF_PAIR)
         new = load_snapshot_from_texts(grown)
-        assert routing_seeds(base, new, {"r3"}) == ["r3"]
-        assert routing_seeds(new, base, {"r3"}) == ["r3"]
+        every = {"local": ["r3"], "igp": ["r3"], "bgp": ["r3"]}
+        assert _moved(base, new, {"r3"}) == every
+        assert _moved(new, base, set()) == every
+        session = Session.from_texts(OSPF_PAIR)
+        assert session.delta({"r3": grown["r3"]}).delta_info.seeds == ["r3"]
+        grown_session = Session.from_texts(grown)
+        assert grown_session.delta({"r3": None}).delta_info.seeds == ["r3"]
 
+    def test_each_stage_sees_its_own_inputs(self):
+        base = load_snapshot_from_texts(OSPF_PAIR)
+        cost = OSPF_PAIR["r1"].replace(
+            " ip address 10.0.12.1 255.255.255.0\n",
+            " ip address 10.0.12.1 255.255.255.0\n ip ospf cost 77\n",
+        )
+        shut = OSPF_PAIR["r1"].replace(
+            " ip address 10.0.12.1 255.255.255.0\n",
+            " ip address 10.0.12.1 255.255.255.0\n shutdown\n",
+        )
+        bgp = (
+            "router bgp 65001\n"
+            " bgp router-id 1.1.1.1\n"
+            " neighbor 10.0.12.2 remote-as 65002\n"
+        )
+        acl = "ip access-list extended MGMT\n permit tcp any any eq 22\n"
+        cases = {
+            cost: {"igp": ["r1"]},
+            shut: {"local": ["r1"], "igp": ["r1"], "bgp": ["r1"]},
+            OSPF_PAIR["r1"] + bgp: {"bgp": ["r1"]},
+        }
+        for text, moved in cases.items():
+            new = load_snapshot_from_texts(dict(OSPF_PAIR, r1=text))
+            assert _moved(base, new, {"r1"}) == moved
+        speaker = load_snapshot_from_texts(dict(OSPF_PAIR, r1=OSPF_PAIR["r1"] + bgp))
+        filtered = load_snapshot_from_texts(
+            dict(OSPF_PAIR, r1=OSPF_PAIR["r1"] + bgp + acl)
+        )
+        assert _moved(speaker, filtered, {"r1"}) == {"bgp": ["r1"]}

@@ -87,10 +87,7 @@ class TestQuestionsAffected:
         store.patch("lab", {"net1-core2": configs["net1-core2"] + ROUTE_LINE})
         info = store.get("lab").delta_info
         assert info is not None
-        # NET1 is one OSPF domain, so a routing edit dirties the whole
-        # ring and the engine takes its perf fallback — the dirty set is
-        # still exact, so config-scoped skipping must still happen.
-        assert set(info.dirty_devices) == set(configs)
+        assert info.seeds == ["net1-core2"]
 
         affected = {entry["question"] for entry in info.questions_affected}
         skipped = {entry["question"] for entry in info.questions_skipped}
@@ -115,6 +112,32 @@ class TestQuestionsAffected:
         after = run_battery(store, "lab")
         for question in skipped:
             assert after[question] == before[question], question
+
+    def test_a_rebuilt_rib_affects_routing_questions_whatever_the_stages_reused(
+        self, tmp_path
+    ):
+        """Every routing stage is taken from the base, yet the seed's
+        main RIB changed: ``routing_changed`` keys on a RIB that may have
+        changed — a seed's — not on ``fallback``, so every routing
+        question is affected and answers differently."""
+        obs.enable_metrics()
+        store = SnapshotStore(SnapshotCache(str(tmp_path)))
+        configs = net1(3)
+        store.init("lab", configs)
+        before = run_battery(store, "lab")
+        store.patch("lab", {"net1-core2": configs["net1-core2"] + ROUTE_LINE})
+        info = store.get("lab").delta_info
+        affected = {entry["question"] for entry in info.questions_affected}
+        routing = {
+            question for question, _ in BATTERY
+            if QUESTIONS[question].scope == "routing"
+        }
+        assert routing and routing <= affected
+        after = run_battery(store, "lab")
+        assert not info.fallback
+        assert info.stages == {"igp": "reused", "bgp": "reused"}
+        assert info.dirty_devices == ["net1-core2"]
+        assert after["routes"] != before["routes"]
 
     def test_skipped_records_chain_across_two_deltas(self, tmp_path):
         """Regression for the stale-aggregate bug: records carried

@@ -1,9 +1,9 @@
 """Reuse at the stage boundaries of a delta session.
 
-A delta session recomputes routing in full and then takes the base's
-object wherever its own output equals it: the main RIB, then — by
-identity — the FIB and the device's forwarding-graph pipeline, on a
-private fork of the base's BDD engine. Here every registry network gets
+A delta session takes each routing stage from the base whose inputs and
+reads are unchanged, and then the base's object wherever its own output
+equals it: the main RIB, then — by identity — the FIB and the device's
+forwarding-graph pipeline, on a private fork of the base's BDD engine. Here every registry network gets
 one edit of each kind and the variant is held against a cache-less
 from-scratch session of the same texts: the same graph by the
 validator's comparison, the same answers, and the base's objects on
@@ -201,7 +201,9 @@ def test_variant_equals_scratch_and_reuses_what_did_not_move(loaded, kind):
         # Nothing these edits do leaves the device: it alone is rebuilt.
         assert expected == both - rebuilt and len(rebuilt) == 1
     if kind in ("static", "ntp"):
-        assert info.fallback == (kind == "static")
+        # Nothing reads these edits beyond the device's own RIB.
+        assert not info.fallback
+        assert info.dirty_devices == (sorted(rebuilt) if kind == "static" else [])
     if kind == "added" and len(rebuilt) == 2:
         # The subnet's owner: same Fib object, new neighbour, rebuilt.
         owner = next(iter(rebuilt - {ADDED}))
@@ -288,8 +290,9 @@ def test_reuse_is_counted_where_the_stage_runs():
             {"devices": devices, "reused": devices - 1}
         ]
         assert info.to_json()["reused_pipelines"] == devices - 1
-        # An inert edit: every RIB at delta() time, the edited pipeline rebuilt.
+        # An inert edit: every RIB, the edited pipeline rebuilt.
         inert = base.delta({target: irrelevant_edit(configs[target])}, validate=False)
+        inert.dataplane
         assert inert.delta_info.reused_ribs == devices
         inert.analyzer
         assert inert.delta_info.reused_fibs == devices
@@ -342,14 +345,14 @@ class TestLifetimeAndLaziness:
         base = Session.from_texts(self.CONFIGS)
         variant = base.delta(self._edit(1), validate=False)
         assert base._dataplane is None and base._fibs is None and base._analyzer is None
-        assert variant._base.ribs == {} and variant._base.analyzer is None
+        assert variant._base.dataplane is None and variant._base.analyzer is None
         base.fibs
         variant = base.delta(self._edit(2), validate=False)
         assert base._analyzer is None
         assert variant.analyzer.reused_pipelines == []
         assert variant.delta_info.reused_fibs == len(self.CONFIGS) - 1
         # The analyzer, the last stage, lets go of the base's outputs.
-        assert variant._base.ribs == {} and variant._base.fibs == {}
+        assert variant._base.dataplane is None and variant._base.fibs == {}
 
     def test_fibs_are_built_while_provenance_records(self):
         base = Session.from_texts(self.CONFIGS)

@@ -89,7 +89,7 @@ def test_session_lint_equals_lint_of_the_parsed_texts(network, tmp_path):
     for edit in (irrelevant_edit, relevant_edit):
         edited = {**texts, target: edit(texts[target])}
         child = session.delta({target: edited[target]})
-        assert child.delta_info.fallback is (edit is relevant_edit)
+        assert bool(child.delta_info.seeds) is (edit is relevant_edit)
         assert findings(child.lint(jobs=1)) == from_scratch(edited)
 
     kinds = {path.name.split("-", 1)[0] for path in tmp_path.rglob("*.pkl")}

@@ -256,16 +256,30 @@ class TestShutdown:
         assert not service.queue.accepting
 
 
+def _counters(client):
+    return client.get("/metrics")[1]["obs"]["counters"]
+
+
+def _dispositions(client):
+    """(question, disposition) -> requests answered so far."""
+    buckets = client.get("/metrics")[1]["obs"]["bucket_histograms"]
+    return {
+        (entry["labels"]["question"], entry["labels"]["disposition"]): entry["count"]
+        for entry in buckets.get("service.request.seconds", [])
+    }
+
+
 class TestPatchSnapshot:
     def test_patch_applies_incremental_update(self, make_service, tmp_path):
         # Cache-backed; the PATCH takes unchanged files from the base in
         # memory whether or not a cache is there.
-        _, client = make_service(cache=str(tmp_path))
+        service, client = make_service(cache=str(tmp_path))
         configs = net1(2)
         status, record = client.post(
             "/snapshots", {"name": "lab", "configs": configs}
         )
         assert status == 201
+        client.post("/snapshots/lab/questions/routes", {})  # routing runs
         target = sorted(configs)[0]
         inert = configs[target] + "ntp server 203.0.113.250\n"
         status, patched = client.request(
@@ -276,18 +290,21 @@ class TestPatchSnapshot:
         assert patched["devices"] == record["devices"]
         delta = patched["delta"]
         assert delta["changed_files"] == [target]
-        assert delta["dirty_devices"] == []
-        assert delta["reused_devices"] == record["devices"]
+        assert delta["seeds"] == []
         assert delta["parse_memo_hits"] == record["devices"] - 1
-        # An inert edit keeps every RIB; FIBs and pipelines are counted
-        # when a question makes those stages run.
-        assert delta["reused_ribs"] == record["devices"]
-        assert delta["reused_fibs"] == delta["reused_pipelines"] == 0
+        # The base's routing had run, so the PATCH ran the new session's:
+        # an inert edit takes every stage and keeps every RIB. FIBs and
+        # pipelines are counted when a question builds them.
+        assert delta["stages"] == {"igp": "reused", "bgp": "reused"}
+        assert delta["fallback"] is False and delta["dirty_devices"] == []
+        assert delta["reused_devices"] == delta["reused_ribs"] == record["devices"]
+        assert delta["reused_fibs"] == 0
         # The replaced session answers questions and GET reflects it.
         status, one = client.get("/snapshots/lab")
         assert status == 200 and one["key"] == patched["key"]
         status, job = client.post("/snapshots/lab/questions/routes", {})
         assert status == 200 and job["result"]["count"] > 0
+        assert service.store.get("lab").delta_info.stages == delta["stages"]
         # Delta counters surface in /metrics.
         status, metrics = client.get("/metrics")
         assert status == 200
@@ -295,6 +312,58 @@ class TestPatchSnapshot:
         counters = metrics["obs"]["counters"]
         assert counters["delta.reuse.devices"] >= record["devices"]
         assert counters["delta.reuse.rib"] >= record["devices"]
+        assert counters["delta.stage.igp.reused"] >= 1
+
+    def test_a_patch_reports_a_recomputed_stage(self, make_service):
+        _, client = make_service()
+        configs = net1(2)
+        client.post("/snapshots", {"name": "lab", "configs": configs})
+        client.post("/snapshots/lab/questions/routes", {})
+        target = sorted(configs)[0]
+        cost = configs[target] + "interface Ethernet0\n ip ospf cost 77\n!\n"
+        status, patched = client.request(
+            "PATCH", "/snapshots/lab", {"configs": {target: cost}}
+        )
+        assert status == 200
+        delta = patched["delta"]
+        hostname = delta["seeds"][0]
+        assert delta["stages"]["igp"] == (
+            f"recomputed (OSPF inputs of {hostname} changed)"
+        )
+        assert delta["fallback"] is True
+        assert delta["dirty_devices"] == sorted(delta["dirty_devices"])
+        assert len(delta["dirty_devices"]) == patched["devices"]
+
+    def test_a_job_that_recomputes_a_stage_is_marked_fallback_full(
+        self, make_service
+    ):
+        """A PATCH on a snapshot whose routing never ran leaves the
+        delta's routing to the first question, which recomputes it: that
+        request is counted under the ``fallback_full`` disposition, the
+        next one under ``ok``."""
+        _, client = make_service()
+        configs = net1(2)
+        client.post("/snapshots", {"name": "lab", "configs": configs})
+        target = sorted(configs)[0]
+        cost = configs[target] + "interface Ethernet0\n ip ospf cost 77\n!\n"
+        status, patched = client.request(
+            "PATCH", "/snapshots/lab", {"configs": {target: cost}}
+        )
+        assert status == 200
+        # Not computed yet: unknown, not "nothing recomputed".
+        delta = patched["delta"]
+        assert delta["stages"] is delta["fallback"] is delta["dirty_devices"] is None
+        recomputed = _counters(client).get("delta.stage.igp.recomputed", 0)
+        before = _dispositions(client)
+        status, _job = client.post("/snapshots/lab/questions/routes", {})
+        assert status == 200
+        client.post("/snapshots/lab/questions/undefined_references", {})
+        assert _counters(client)["delta.stage.igp.recomputed"] == recomputed + 1
+        after = _dispositions(client)
+        grown = {key for key in after if after[key] > before.get(key, 0)}
+        assert grown == {
+            ("routes", "fallback_full"), ("undefined_references", "ok"),
+        }
 
     def test_patch_error_shapes(self, make_service):
         _, client = make_service()

@@ -1,8 +1,11 @@
 """Tests for the named-snapshot store."""
 
+import threading
+
 import pytest
 
 from repro.core.cache import SnapshotCache
+from repro.core.session import Session
 from repro.service.errors import (
     InvalidRequestError,
     SnapshotConflictError,
@@ -62,6 +65,52 @@ class TestLifecycle:
         for name in ("zeta", "alpha", "mid"):
             store.init(name, configs)
         assert [r.name for r in store.list()] == ["alpha", "mid", "zeta"]
+
+
+class TestConcurrentPatch:
+    def test_two_concurrent_patches_both_land(self, configs, monkeypatch):
+        """Both PATCHes build their delta from the same live session
+        before either installs: the second to install must redo its
+        edit on the first one's session instead of dropping it, and
+        each call answers with the delta it built."""
+        store = SnapshotStore()
+        store.init("lab", configs)
+        first, second = sorted(configs)[:2]
+        edits = {
+            first: configs[first] + "ntp server 203.0.113.1\n",
+            second: configs[second] + "ntp server 203.0.113.2\n",
+        }
+        real_delta = Session.delta
+        both_built = threading.Barrier(2)
+        waited = set()
+
+        def delta(session, changed, validate=None):
+            new = real_delta(session, changed, validate)
+            if threading.get_ident() not in waited:
+                waited.add(threading.get_ident())
+                both_built.wait(timeout=30)
+            return new
+
+        monkeypatch.setattr(Session, "delta", delta)
+        replies = {}
+
+        def patch(filename):
+            replies[filename] = store.patch("lab", {filename: edits[filename]})
+
+        threads = [threading.Thread(target=patch, args=(f,)) for f in edits]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        live = store.get("lab")
+        assert {f: live._configs[f] for f in edits} == edits
+        assert store.record("lab").key == live.snapshot_key
+        sessions = [session for _record, session in replies.values()]
+        assert live in sessions
+        for filename, (record, session) in replies.items():
+            assert session.delta_info.changed_files == [filename]
+            assert record.key == session.snapshot_key
+            assert session._configs[filename] == edits[filename]
 
 
 class TestValidation:

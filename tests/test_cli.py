@@ -287,7 +287,7 @@ class TestValidate:
         assert cli.main(["validate", "all", "--networks", "NET1", "--smoke"]) == 0
         out = capsys.readouterr().out
         for name, checks in (
-            ("fidelity", 961), ("delta", 2), ("sweep", 10), ("dataflow", 24),
+            ("fidelity", 961), ("delta", 3), ("sweep", 10), ("dataflow", 24),
         ):
             assert (
                 f"validate {name}: 1 network(s), {checks} checks, "
