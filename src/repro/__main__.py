@@ -294,11 +294,15 @@ def _validate_fidelity(
 def _validate_delta(
     network: str, configs: Configs, jobs: Optional[int]
 ) -> Validation:
-    """Three single-device edits — routing-inert, a static route, an
-    OSPF cost: whatever the delta session took over from its base, its
-    parsed snapshot, its FIBs and its forwarding graph must equal a
-    cache-less from-scratch session's. Counts how each routing stage
-    came out (``igp_reused``, ``bgp_recomputed``, ...)."""
+    """Four single-device edits — routing-inert, a static route, an
+    OSPF cost, and the static route again once a query has grown the
+    base's engine (so that the fork rebuilds the unique table instead of
+    trimming a copy): whatever the delta session took over from its
+    base, its parsed snapshot, its FIBs and its forwarding graph must
+    equal a cache-less from-scratch session's. Counts how each routing
+    stage came out (``igp_reused``, ``bgp_recomputed``, ...), how each
+    fork was made (``fork_trimmed``, ``fork_rebuilt``) and the graph
+    segments taken from the base (``segments_reused``)."""
     base = Session.from_texts(configs)
     # Every stage computed, so that each edit has all of them to take.
     base.analyzer
@@ -310,12 +314,16 @@ def _validate_delta(
     legs: List[str] = []
     failed: List[str] = []
     counts: collections.Counter = collections.Counter()
+    igp = functools.partial(igp_edit, interface=iface.name, area=iface.ospf_area)
     edits = (
-        ("inert", irrelevant_edit),
-        ("routing", relevant_edit),
-        ("igp", functools.partial(igp_edit, interface=iface.name, area=iface.ospf_area)),
+        ("inert", irrelevant_edit, False),
+        ("routing", relevant_edit, False),
+        ("igp", igp, False),
+        ("grown-base routing", relevant_edit, True),
     )
-    for label, edit in edits:
+    for label, edit, grown in edits:
+        if grown:
+            base.reachability()
         changed = {target: edit(configs[target])}
         try:
             new = base.delta(changed, validate=True)
@@ -324,13 +332,15 @@ def _validate_delta(
             continue
         info = new.delta_info
         counts["edges_compared"] += len(new.analyzer.graph.edges)
-        counts["pipelines_reused"] += info.reused_pipelines
+        counts["segments_reused"] += info.reused_pipelines
         counts["pipelines"] += len(new.snapshot.devices)
+        counts[f"fork_{new.encoder.engine.fork_path}"] += 1
         for stage, outcome in info.stages.items():
             counts[f"{stage}_{outcome.split()[0]}"] += 1
         outcomes = ", ".join(f"{stage}: {outcome}" for stage, outcome in info.stages.items())
         legs.append(
-            f"{label} edit: {outcomes}; {len(info.dirty_devices)} main RIB(s) rebuilt"
+            f"{label} edit: {outcomes}; {len(info.dirty_devices)} main RIB(s) rebuilt, "
+            f"fork {new.encoder.engine.fork_path}"
         )
     detail = f"{target}: " + "; ".join(legs)
     return Validation(len(edits), detail, failed, target, counts)

@@ -81,6 +81,8 @@ class BddEngine:
         # Cached single-variable nodes.
         self._var_nodes: Dict[int, int] = {}
         self._nvar_nodes: Dict[int, int] = {}
+        #: How :meth:`fork` built this engine's unique table, if it did.
+        self.fork_path: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Node construction
@@ -173,14 +175,30 @@ class BddEngine:
         cubes and rename maps keep their ids too), operation caches
         start empty and the two grow apart. Only the append-only prefix
         is read, so another thread may be using this engine meanwhile.
+
+        The twin's unique table is the cheaper of two constructions of
+        the same table (``fork_path`` names the one taken): while fewer
+        nodes were added since ``n`` than ``n``, a copy of this engine's
+        table with those ids popped (``"trimmed"``); else the table
+        rebuilt from the prefix (``"rebuilt"``).
         """
         # _hi is written last: every id below its length is complete.
         if not 2 <= n <= len(self._hi):
             raise ValueError(f"fork size {n} outside [2, {len(self._hi)}]")
         twin = BddEngine(self.num_vars)
         twin._level, twin._lo, twin._hi = self._level[:n], self._lo[:n], self._hi[:n]
-        decision_nodes = islice(zip(twin._level, twin._lo, twin._hi), 2, None)
-        twin._unique = dict(zip(decision_nodes, range(2, n)))
+        if len(self._hi) - n < n:
+            # One C-level copy. _mk enters a node last, so the copy holds
+            # exactly the ids below len(copy) + 2, all complete.
+            twin._unique = unique = self._unique.copy()
+            end = len(unique) + 2
+            for key in zip(self._level[n:end], self._lo[n:end], self._hi[n:end]):
+                del unique[key]
+            twin.fork_path = "trimmed"
+        else:
+            decision_nodes = islice(zip(twin._level, twin._lo, twin._hi), 2, None)
+            twin._unique = dict(zip(decision_nodes, range(2, n)))
+            twin.fork_path = "rebuilt"
         twin._cube_list = list(self._cube_list)
         twin._cubes = {key: i for i, key in enumerate(twin._cube_list)}
         twin._map_list = list(self._map_list)

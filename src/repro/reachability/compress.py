@@ -14,17 +14,10 @@ a single conjunction so the compressed edge costs one BDD op.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Set
+from typing import Dict, Iterable, List, NamedTuple, Set, Tuple
 
-from repro.reachability.graph import (
-    Compose,
-    Constraint,
-    Edge,
-    EdgeFunction,
-    ForwardingGraph,
-    Identity,
-)
+from repro.bdd.engine import BddEngine
+from repro.reachability.graph import Compose, Constraint, Edge, EdgeFunction, Identity
 
 #: Node kinds never contracted: sources, sinks, dispositions, and the
 #: stateful-firewall points that session recording (post_zone) and
@@ -34,13 +27,21 @@ _PROTECTED_KINDS = {
 }
 
 
-@dataclass
-class CompressionStats:
+class CompressionStats(NamedTuple):
+    """Before/after sizes of a compressed edge list. A node counts
+    where an edge leaves or enters it, but a ``src`` node only where an
+    edge leaves it: other devices' links end there, and so the stats of
+    the device segments add up to the whole graph's (:meth:`total`)."""
+
     nodes_before: int = 0
     edges_before: int = 0
     nodes_after: int = 0
     edges_after: int = 0
     nodes_removed: int = 0
+
+    @classmethod
+    def total(cls, parts: Iterable["CompressionStats"]) -> "CompressionStats":
+        return cls(*map(sum, zip(*parts)))
 
 
 def _compose(engine, first: EdgeFunction, second: EdgeFunction) -> EdgeFunction:
@@ -64,22 +65,36 @@ def _compose(engine, first: EdgeFunction, second: EdgeFunction) -> EdgeFunction:
     return Compose(parts)
 
 
-def compress_graph(graph: ForwardingGraph) -> CompressionStats:
-    """Contract simple nodes in place. Returns before/after statistics.
+def _counted_nodes(
+    out_edges: Dict[tuple, List[Edge]], in_edges: Dict[tuple, List[Edge]]
+) -> int:
+    return len(out_edges.keys() | {node for node in in_edges if node[0] != "src"})
+
+
+def compress_edges(
+    edges: List[Edge], engine: BddEngine
+) -> Tuple[List[Edge], CompressionStats]:
+    """Contract the simple nodes of ``edges``; returns the contracted
+    list and before/after statistics.
+
+    Whether a node is contracted, and into what, depends on the edges
+    into and out of it alone. A contractible node is no ``src`` node,
+    and only ``src`` nodes are entered from another device's segment
+    of the graph, so compressing each segment on its own gives the
+    segments of the compressed graph, edge for edge and in order.
 
     Works over mutable adjacency maps with a worklist, so each
     contraction is O(1) plus one BDD conjunction for fused constraints.
     """
-    stats = CompressionStats(
-        nodes_before=graph.num_nodes(), edges_before=graph.num_edges()
-    )
-    engine = graph.encoder.engine
     out_edges: Dict[tuple, List[Edge]] = {}
     in_edges: Dict[tuple, List[Edge]] = {}
-    for edge in graph.edges:
+    for edge in edges:
         out_edges.setdefault(edge.tail, []).append(edge)
         in_edges.setdefault(edge.head, []).append(edge)
-    worklist = sorted(graph.nodes, key=lambda n: tuple(str(p) for p in n))
+    nodes_before = _counted_nodes(out_edges, in_edges)
+    worklist = sorted(
+        out_edges.keys() | in_edges.keys(), key=lambda n: tuple(str(p) for p in n)
+    )
     queued: Set[tuple] = set(worklist)
     removed_nodes: Set[tuple] = set()
     while worklist:
@@ -104,15 +119,12 @@ def compress_graph(graph: ForwardingGraph) -> CompressionStats:
         in_edges.pop(node, None)
         out_edges.pop(node, None)
         removed_nodes.add(node)
-        stats.nodes_removed += 1
         for endpoint in (incoming.tail, outgoing.head):
             if endpoint not in queued:
                 worklist.append(endpoint)
                 queued.add(endpoint)
-    graph.edges = [
-        edge for edges in out_edges.values() for edge in edges
-    ]
-    graph.rebuild_indices()
-    stats.nodes_after = graph.num_nodes()
-    stats.edges_after = graph.num_edges()
-    return stats
+    compressed = [edge for tail_edges in out_edges.values() for edge in tail_edges]
+    return compressed, CompressionStats(
+        nodes_before, len(edges), _counted_nodes(out_edges, in_edges),
+        len(compressed), len(removed_nodes),
+    )

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.bdd.engine import FALSE, TRUE, BddEngine
 from repro.config.model import Device
@@ -28,7 +28,6 @@ from repro.dataplane.nat import NatPipeline
 from repro.hdr import fields as f
 from repro.hdr.headerspace import PacketEncoder
 from repro.hdr.ip import Prefix
-from repro.routing.engine import DataPlane
 from repro.routing.topology import InterfaceId
 
 
@@ -263,6 +262,9 @@ class Compose(EdgeFunction):
                 return FALSE
         return packet_set
 
+    def rebind(self, encoder: PacketEncoder) -> "Compose":
+        return Compose([part.rebind(encoder) for part in self.parts])
+
     def describe(self) -> str:
         return " ; ".join(part.describe() for part in self.parts)
 
@@ -277,23 +279,18 @@ class Edge:
 class ForwardingGraph:
     """The dataflow graph plus indices for traversal."""
 
-    def __init__(self, encoder: PacketEncoder):
+    def __init__(self, encoder: PacketEncoder, device_edges: Dict[str, List[Edge]]):
         self.encoder = encoder
-        self.edges: List[Edge] = []
-        #: hostname -> its pipeline's edges as built (compression
-        #: replaces ``edges``, not these): what a later build can reuse.
-        self.device_edges: Dict[str, List[Edge]] = {}
-        self._out: Dict[GraphNode, List[Edge]] = {}
-        self._in: Dict[GraphNode, List[Edge]] = {}
-        self.nodes: Set[GraphNode] = set()
-
-    def add_edge(self, tail: GraphNode, head: GraphNode, fn: EdgeFunction) -> None:
-        edge = Edge(tail, head, fn)
-        self.edges.append(edge)
-        self._out.setdefault(tail, []).append(edge)
-        self._in.setdefault(head, []).append(edge)
-        self.nodes.add(tail)
-        self.nodes.add(head)
+        #: hostname -> its segment: the edges out of its own pipeline's
+        #: nodes, as the analyzer uses them (compressed when it
+        #: compresses). Only a ``src`` node is entered from another
+        #: device's segment, so a segment compresses on its own and a
+        #: later build can take it whole (DESIGN.md, "Delta engine").
+        self.device_edges = device_edges
+        self.edges: List[Edge] = [
+            edge for segment in device_edges.values() for edge in segment
+        ]
+        self.rebuild_indices()
 
     def out_edges(self, node: GraphNode) -> List[Edge]:
         return self._out.get(node, [])
@@ -317,45 +314,14 @@ class ForwardingGraph:
         )
 
     def rebuild_indices(self) -> None:
-        """Recompute adjacency after compression mutated `edges`."""
-        self._out = {}
-        self._in = {}
-        self.nodes = set()
+        """Compute adjacency from ``edges`` (again, after a query
+        splices edges in or out)."""
+        self._out: Dict[GraphNode, List[Edge]] = {}
+        self._in: Dict[GraphNode, List[Edge]] = {}
         for edge in self.edges:
             self._out.setdefault(edge.tail, []).append(edge)
             self._in.setdefault(edge.head, []).append(edge)
-            self.nodes.add(edge.tail)
-            self.nodes.add(edge.head)
-
-
-def build_forwarding_graph(
-    dataplane: DataPlane,
-    fibs: Dict[str, Fib],
-    encoder: Optional[PacketEncoder] = None,
-    reuse: Optional[Dict[str, List[Edge]]] = None,
-) -> ForwardingGraph:
-    """Construct the dataflow graph for a computed data plane. A
-    device's pipeline depends on its config, its FIB and the topology
-    edges out of it; ``reuse`` maps a hostname to the ``device_edges``
-    another graph got from the same three, on an encoder ``encoder`` is
-    a fork of: they are re-added, rebound, in order."""
-    encoder = encoder or PacketEncoder()
-    reuse = reuse or {}
-    graph = ForwardingGraph(encoder)
-    snapshot = dataplane.snapshot
-    for hostname in snapshot.hostnames():
-        first = len(graph.edges)
-        if hostname in reuse:
-            for edge in reuse[hostname]:
-                graph.add_edge(edge.tail, edge.head, edge.fn.rebind(encoder))
-        else:
-            device = snapshot.device(hostname)
-            zones = {name: i + 1 for i, name in enumerate(sorted(device.zones))}
-            _build_device_pipeline(
-                graph, device, fibs[hostname], zones, dataplane.topology
-            )
-        graph.device_edges[hostname] = graph.edges[first:]
-    return graph
+        self.nodes: Set[GraphNode] = self._out.keys() | self._in.keys()
 
 
 #: In the order of their edges out of a ``fwd`` node.
@@ -441,17 +407,19 @@ def _cell_labels(actions, marks, neighbours) -> FrozenSet[tuple]:
     return frozenset(labels)
 
 
-def _build_device_pipeline(
-    graph: ForwardingGraph,
-    device: Device,
-    fib: Fib,
-    zones: Dict[str, int],
-    topology,
-) -> None:
-    encoder = graph.encoder
+def device_pipeline(
+    encoder: PacketEncoder, device: Device, fib: Fib, topology
+) -> List[Edge]:
+    """The edges of ``device``'s pipeline, in build order. They depend
+    on its config, its FIB and the topology edges out of it alone."""
     engine = encoder.engine
     hostname = device.hostname
+    zones = {name: i + 1 for i, name in enumerate(sorted(device.zones))}
     has_zones = bool(zones)
+    edges: List[Edge] = []
+
+    def add_edge(tail: GraphNode, head: GraphNode, fn: EdgeFunction) -> None:
+        edges.append(Edge(tail, head, fn))
 
     # --- ingress side: src -> (in ACL, dst NAT, zone tag) -> fwd -------
     for iface in sorted(device.interfaces.values(), key=lambda i: i.name):
@@ -463,13 +431,13 @@ def _build_device_pipeline(
             acl = device.acls.get(iface.incoming_acl)
             permit = acl_permit_space(acl, encoder) if acl else TRUE
             acl_point = ("in_acl", hostname, iface.name)
-            graph.add_edge(current, acl_point, Identity(engine))
-            graph.add_edge(
+            add_edge(current, acl_point, Identity(engine))
+            add_edge(
                 acl_point,
                 ("post_in_acl", hostname, iface.name),
                 Constraint(engine, permit, f"acl {iface.incoming_acl} permits"),
             )
-            graph.add_edge(
+            add_edge(
                 acl_point,
                 disp_node(hostname, Disposition.DENIED_IN),
                 Constraint(engine, engine.not_(permit), "acl denies"),
@@ -477,8 +445,8 @@ def _build_device_pipeline(
             current = ("post_in_acl", hostname, iface.name)
         if iface.dst_nat_rules:
             nat_point = ("dst_nat", hostname, iface.name)
-            graph.add_edge(current, nat_point, Identity(engine))
-            graph.add_edge(
+            add_edge(current, nat_point, Identity(engine))
+            add_edge(
                 nat_point,
                 ("post_dst_nat", hostname, iface.name),
                 Transform(
@@ -492,14 +460,14 @@ def _build_device_pipeline(
             zone_name = device.zone_of_interface(iface.name)
             zone_value = zones.get(zone_name, 0) if zone_name else 0
             tag_point = ("zone_tag", hostname, iface.name)
-            graph.add_edge(current, tag_point, Identity(engine))
-            graph.add_edge(
+            add_edge(current, tag_point, Identity(engine))
+            add_edge(
                 tag_point,
                 fwd_node(hostname),
                 AssignField(encoder, f.ZONE_IN, zone_value),
             )
         else:
-            graph.add_edge(current, fwd_node(hostname), Identity(engine))
+            add_edge(current, fwd_node(hostname), Identity(engine))
 
     # --- FIB lookup: fwd -> accept / out chains / drops ----------------
     # One edge per action, not per prefix: parallel constraint edges
@@ -509,9 +477,9 @@ def _build_device_pipeline(
 
     def constrain(tail: GraphNode, label: tuple, head: GraphNode, note: str) -> None:
         if label in labels:
-            graph.add_edge(tail, head, Constraint(engine, labels[label], note))
+            add_edge(tail, head, Constraint(engine, labels[label], note))
 
-    graph.add_edge(
+    add_edge(
         fwd,
         disp_node(hostname, Disposition.ACCEPTED),
         Constraint(engine, labels.get(_ACCEPT, FALSE), "destined to device"),
@@ -529,17 +497,17 @@ def _build_device_pipeline(
     # out of it exits the network.)
     for iface in sorted(device.interfaces.values(), key=lambda i: i.name):
         out_point = ("out", hostname, iface.name)
-        if not iface.enabled or out_point not in graph.nodes:
+        if not iface.enabled or ("fib", iface.name) not in labels:
             continue  # no FIB entry forwards out this interface
         current = out_point
         if has_zones:
             current = _add_zone_policy(
-                graph, device, iface.name, zones, current, hostname
+                add_edge, encoder, device, iface.name, zones, current
             )
         if iface.src_nat_rules:
             nat_point = ("src_nat", hostname, iface.name)
-            graph.add_edge(current, nat_point, Identity(engine))
-            graph.add_edge(
+            add_edge(current, nat_point, Identity(engine))
+            add_edge(
                 nat_point,
                 ("post_src_nat", hostname, iface.name),
                 Transform(
@@ -553,20 +521,20 @@ def _build_device_pipeline(
             acl = device.acls.get(iface.outgoing_acl)
             permit = acl_permit_space(acl, encoder) if acl else TRUE
             acl_point = ("out_acl", hostname, iface.name)
-            graph.add_edge(current, acl_point, Identity(engine))
-            graph.add_edge(
+            add_edge(current, acl_point, Identity(engine))
+            add_edge(
                 acl_point,
                 ("post_out_acl", hostname, iface.name),
                 Constraint(engine, permit, f"acl {iface.outgoing_acl} permits"),
             )
-            graph.add_edge(
+            add_edge(
                 acl_point,
                 disp_node(hostname, Disposition.DENIED_OUT),
                 Constraint(engine, engine.not_(permit), "acl denies"),
             )
             current = ("post_out_acl", hostname, iface.name)
         egress = ("egress", hostname, iface.name)
-        graph.add_edge(current, egress, Identity(engine))
+        add_edge(current, egress, Identity(engine))
         # On the wire: to the neighbour the FIB's next hop (or, on a
         # connected route, the destination) names, to a host of the
         # subnet, or out of the modelled network. The labels computed at
@@ -585,13 +553,14 @@ def _build_device_pipeline(
             egress, ("exits", iface.name),
             disp_node(hostname, Disposition.EXITS_NETWORK), "exits network",
         )
+    return edges
 
 
-def _add_zone_policy(graph, device, iface_name, zones, current, hostname):
+def _add_zone_policy(add_edge, encoder, device, iface_name, zones, current):
     """Edges enforcing zone-pair policies for traffic leaving via
     ``iface_name``; the zone-in bits are tested and then erased."""
-    encoder = graph.encoder
     engine = encoder.engine
+    hostname = device.hostname
     to_zone = device.zone_of_interface(iface_name)
     to_index = zones.get(to_zone, 0) if to_zone else 0
     # Intra-zone traffic is permitted by default.
@@ -607,18 +576,18 @@ def _add_zone_policy(graph, device, iface_name, zones, current, hostname):
         )
     allowed = engine.or_all(allowed_parts)
     policy_point = ("zone_policy", hostname, iface_name)
-    graph.add_edge(current, policy_point, Identity(engine))
-    graph.add_edge(
+    add_edge(current, policy_point, Identity(engine))
+    add_edge(
         policy_point,
         disp_node(hostname, Disposition.DENIED_OUT),
         Constraint(engine, engine.not_(allowed), "zone policy denies"),
     )
     cleared = ("zone_clear", hostname, iface_name)
-    graph.add_edge(
+    add_edge(
         policy_point,
         cleared,
         Constraint(engine, allowed, "zone policy permits"),
     )
     erased = ("post_zone", hostname, iface_name)
-    graph.add_edge(cleared, erased, EraseField(encoder, f.ZONE_IN))
+    add_edge(cleared, erased, EraseField(encoder, f.ZONE_IN))
     return erased

@@ -32,7 +32,7 @@ from repro.hdr.headerspace import HeaderSpace, PacketEncoder
 from repro.hdr.ip import Ip, Prefix
 from repro.hdr.packet import Packet
 from repro.reachability.bddreach import backward_reachability, forward_reachability
-from repro.reachability.compress import CompressionStats, compress_graph
+from repro.reachability.compress import CompressionStats, compress_edges
 from repro.reachability.examples import default_preferences
 from repro.reachability.graph import (
     Constraint,
@@ -40,7 +40,7 @@ from repro.reachability.graph import (
     Edge,
     ForwardingGraph,
     GraphNode,
-    build_forwarding_graph,
+    device_pipeline,
     disp_node,
     fwd_node,
     sink_node,
@@ -135,33 +135,65 @@ class NetworkAnalyzer:
         """``base``: the analyzer of a snapshot this one is an edit of,
         ``edited`` naming the devices whose config text differs. The
         build then starts on a private fork of the base's encoder as the
-        base's build left it and re-adds the base's pipeline for every
-        device due the same one again: same text, same ``Fib`` object,
-        equal topology edges out of it (unless ``encoder`` is given)."""
+        base's build left it and takes the base's segment, rebound, for
+        every device due the same one again: same text, same ``Fib``
+        object, equal topology edges out of it, and the same
+        ``compress`` (unless ``encoder`` is given)."""
         self.dataplane = dataplane
         self.fibs = fibs if fibs is not None else compute_fibs(dataplane)
         reuse: Dict[str, List[Edge]] = {}
+        fork = None
         if base is not None and encoder is None:
             encoder = base.encoder.fork(base.built_nodes)
+            fork = encoder.engine.fork_path
             links = dataplane.topology.node_edges
             base_links = base.dataplane.topology.node_edges
-            reuse = {
-                hostname: edges
-                for hostname, edges in base.graph.device_edges.items()
-                if hostname not in edited
-                and hostname in self.fibs
-                and self.fibs[hostname] is base.fibs.get(hostname)
-                and links(hostname) == base_links(hostname)
-            }
+            if (base.compression is not None) == compress:
+                reuse = {
+                    hostname: edges
+                    for hostname, edges in base.graph.device_edges.items()
+                    if hostname not in edited
+                    and hostname in self.fibs
+                    and self.fibs[hostname] is base.fibs.get(hostname)
+                    and links(hostname) == base_links(hostname)
+                }
         self.encoder = encoder or PacketEncoder()
-        devices = len(dataplane.snapshot.devices)
-        with obs.span("bdd.graph_build", devices=devices, reused=len(reuse)):
-            self.graph = build_forwarding_graph(
-                dataplane, self.fibs, self.encoder, reuse
-            )
-            self.compression: Optional[CompressionStats] = None
-            if compress:
-                self.compression = compress_graph(self.graph)
+        snapshot = dataplane.snapshot
+        built = len(snapshot.devices) - len(reuse)
+        #: hostname -> its segment's compression stats (when compressing).
+        self._segment_stats: Dict[str, CompressionStats] = {}
+        with obs.span(
+            "bdd.graph_build", devices=len(snapshot.devices), reused=len(reuse),
+            compressed=built if compress else 0, fork=fork,
+        ):
+            segments: Dict[str, List[Edge]] = {}
+            for hostname in snapshot.hostnames():
+                if hostname in reuse:
+                    segments[hostname] = [
+                        Edge(edge.tail, edge.head, edge.fn.rebind(self.encoder))
+                        for edge in reuse[hostname]
+                    ]
+                    if compress:
+                        self._segment_stats[hostname] = base._segment_stats[hostname]
+                    continue
+                edges = device_pipeline(
+                    self.encoder, snapshot.device(hostname), self.fibs[hostname],
+                    dataplane.topology,
+                )
+                if compress:
+                    edges, self._segment_stats[hostname] = compress_edges(
+                        edges, self.encoder.engine
+                    )
+                segments[hostname] = edges
+            self.graph = ForwardingGraph(self.encoder, segments)
+        self.compression: Optional[CompressionStats] = (
+            CompressionStats.total(self._segment_stats.values()) if compress else None
+        )
+        metrics = obs.metrics()
+        if fork is not None:
+            metrics.inc(f"bdd.fork.{fork}")
+        if compress:
+            metrics.inc("bdd.segments.compressed", built)
         #: Devices whose pipeline came from ``base``.
         self.reused_pipelines = sorted(reuse)
         #: Engine size as the build left it: what a fork for an edit keeps.

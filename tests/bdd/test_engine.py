@@ -379,6 +379,25 @@ class TestFork:
         assert engine.fork(2).num_nodes() == 2  # the terminals alone
         assert engine.fork(engine.num_nodes()).num_nodes() == engine.num_nodes()
 
+    def test_unique_table_is_the_prefix_at_any_growth(self):
+        """With fewer nodes added since ``n`` than ``n`` the twin's
+        unique table is a trimmed copy, else a rebuilt one; at every
+        growth it is exactly the first ``n`` nodes' table."""
+        engine, _roots = self._grown()
+        n = engine.num_nodes()
+        values = iter(range(256))
+        for path, at_least in (("trimmed", 0), ("trimmed", 1), ("rebuilt", n)):
+            while engine.num_nodes() - n < at_least:
+                engine.pinned(range(8), next(values))
+            if at_least == 1:
+                assert engine.num_nodes() - n < n
+            twin = engine.fork(n)
+            assert twin.fork_path == path
+            assert twin._unique == {
+                (engine._level[i], engine._lo[i], engine._hi[i]): i for i in range(2, n)
+            }
+        assert engine.fork_path is None  # not made by a fork
+
     def test_twin_and_original_grow_independently(self):
         engine, roots = self._grown()
         n = engine.num_nodes()
@@ -482,11 +501,17 @@ class TestFork:
             sys.setswitchinterval(interval)
         assert not thread.is_alive() and not errors
         assert twins and encoder.engine.num_nodes() > n  # the query did run
-        for twin in twins[:: max(1, len(twins) // 5)]:
-            engine = twin.engine
-            assert engine.num_nodes() == n
-            assert [engine.canonical(label) for label in labels] == expected
-            assert engine.stats()["unique_table"] == n - 2
-            # Usable: an operation over copied nodes allocates past n.
-            engine.or_all(engine.and_(a, b) for a, b in zip(labels, labels[1:]))
-            assert engine.num_nodes() >= n
+        # The first forks trim a copy of a table the query is growing;
+        # once it has grown past 2n they rebuild it.
+        paths = {twin.engine.fork_path for twin in twins}
+        assert "trimmed" in paths
+        for path in paths:
+            taken = [twin for twin in twins if twin.engine.fork_path == path]
+            for twin in taken[:: max(1, len(taken) // 5)]:
+                engine = twin.engine
+                assert engine.num_nodes() == n
+                assert [engine.canonical(label) for label in labels] == expected
+                assert engine._unique == quiet.engine._unique
+                # Usable: an operation over copied nodes allocates past n.
+                engine.or_all(engine.and_(a, b) for a, b in zip(labels, labels[1:]))
+                assert engine.num_nodes() >= n

@@ -211,24 +211,54 @@ def test_variant_equals_scratch_and_reuses_what_did_not_move(loaded, kind):
         assert links[0].node_edges(owner) != links[1].node_edges(owner)
 
 
+def _rebound_kinds(variant, base, hostname):
+    """The kinds of edge function, Compose parts included, in
+    ``hostname``'s segment of ``variant``'s graph, which must be the
+    base's segment rebound part for part to the variant's encoder while
+    the base's stays bound to its own."""
+    analyzer, kinds = variant.analyzer, set()
+    assert hostname in analyzer.reused_pipelines
+    segment = analyzer.graph.device_edges[hostname]
+    base_segment = base.analyzer.graph.device_edges[hostname]
+    for edge, base_edge in zip(segment, base_segment, strict=True):
+        assert (edge.tail, edge.head) == (base_edge.tail, base_edge.head)
+        kinds.add(type(edge.fn))
+        fns, base_fns = [edge.fn], [base_edge.fn]
+        if isinstance(edge.fn, Compose):
+            fns, base_fns = edge.fn.parts, base_edge.fn.parts
+        for fn, base_fn in zip(fns, base_fns, strict=True):
+            kinds.add(type(fn))
+            assert type(fn) is type(base_fn) and fn is not base_fn
+            bound = getattr(fn, "_encoder", None)
+            if bound is not None:
+                assert bound is analyzer.encoder and base_fn._encoder is base.encoder
+            else:
+                assert fn._engine is analyzer.encoder.engine
+                assert base_fn._engine is base.encoder.engine
+    return kinds
+
+
 def test_nat_and_zone_edges_are_rebound_and_queried():
     """NET8: the firewall's Transform / AssignField / EraseField edges
-    come from the base, bound to the variant's encoder."""
+    come from the base, bound to the variant's encoder; so do the parts
+    of a Compose, which the firewall's segment holds once its zones are
+    gone (its lookup edge then fuses with its source NAT)."""
     configs = network_by_name("NET8").generate(1)
+    zoneless = dict(configs, fw0="".join(
+        line for line in configs["fw0"].splitlines(True)
+        if "zone" not in line and "service-policy" not in line
+    ))
+    plain = Session.from_texts(zoneless)
+    plain.analyzer
+    kinds = _rebound_kinds(
+        plain.delta({"inside2": relevant_edit(configs["inside2"])}), plain, "fw0"
+    )
+    assert {Compose, Transform, Constraint} <= kinds
     base = Session.from_texts(configs)
     base.analyzer
     variant = base.delta({"inside2": relevant_edit(configs["inside2"])})
     analyzer = variant.analyzer
-    assert "fw0" in analyzer.reused_pipelines
-    kinds = set()
-    for edge in analyzer.graph.device_edges["fw0"]:
-        for fn in edge.fn.parts if isinstance(edge.fn, Compose) else [edge.fn]:
-            kinds.add(type(fn))
-            bound = getattr(fn, "_encoder", None)
-            if bound is not None:
-                assert bound is analyzer.encoder
-            else:
-                assert fn._engine is analyzer.encoder.engine
+    kinds = _rebound_kinds(variant, base, "fw0")
     assert {Transform, AssignField, EraseField, Constraint} <= kinds
     # Queried through them: NAT'd, zone-checked traffic leaves at fw0.
     # The forward engine, because the sinks are what is asked about.
@@ -241,6 +271,23 @@ def test_nat_and_zone_edges_are_rebound_and_queried():
     }
     assert variant.multipath_consistency() is not None
     assert base.encoder.engine.num_nodes() == before  # the base's engine is untouched
+
+
+@pytest.mark.parametrize("base_compress", [True, False], ids=["compressed-base", "raw-base"])
+def test_segments_are_taken_only_from_a_base_with_the_same_compress(base_compress):
+    """A base's segments are compressed or not as the base was built:
+    an analyzer that compresses the other way takes none of them, and
+    its graph is a scratch analyzer's either way."""
+    session = Session.from_texts(network_by_name("NET8").generate(1))
+    dataplane, fibs = session.dataplane, session.fibs
+    base = NetworkAnalyzer(dataplane, fibs=fibs, compress=base_compress)
+    for compress in (not base_compress, base_compress):
+        ours = NetworkAnalyzer(dataplane, fibs=fibs, compress=compress, base=base)
+        scratch = NetworkAnalyzer(dataplane, fibs=fibs, compress=compress)
+        taken = sorted(fibs) if compress == base_compress else []
+        assert ours.reused_pipelines == taken
+        assert graph_lines(ours) == graph_lines(scratch)
+        assert ours.compression == scratch.compression
 
 
 def test_validator_catches_a_corrupted_reused_pipeline():
@@ -262,7 +309,9 @@ def test_validator_catches_a_corrupted_reused_pipeline():
 def test_reuse_is_counted_where_the_stage_runs():
     """``DeltaInfo.reused_*``, the ``delta.reuse.*`` counters and the
     ``reused`` attribute of the ``bdd.graph_build`` span are one number
-    each, filled in as the lazy stages run."""
+    each, filled in as the lazy stages run; the span and the ``bdd.*``
+    counters also say how the fork was made and how many segments were
+    compressed."""
     configs = net1(2)
     devices = len(configs)
     base = Session.from_texts(configs)
@@ -287,8 +336,9 @@ def test_reuse_is_counted_where_the_stage_runs():
             if e["type"] == "span" and e["name"] == "bdd.graph_build"
         ]
         assert [e["attrs"] for e in builds] == [
-            {"devices": devices, "reused": devices - 1}
+            {"devices": devices, "reused": devices - 1, "compressed": 1, "fork": "trimmed"}
         ]
+        assert counter("bdd.fork.trimmed") == counter("bdd.segments.compressed") == 1
         assert info.to_json()["reused_pipelines"] == devices - 1
         # An inert edit: every RIB, the edited pipeline rebuilt.
         inert = base.delta({target: irrelevant_edit(configs[target])}, validate=False)
@@ -298,6 +348,13 @@ def test_reuse_is_counted_where_the_stage_runs():
         assert inert.delta_info.reused_fibs == devices
         assert inert.delta_info.reused_pipelines == devices - 1
         assert counter("delta.reuse.devices") == 2 * devices
+        # A base grown by a query past twice its build: the fork
+        # rebuilds the unique table instead of trimming a copy.
+        base.reachability()
+        assert base.encoder.engine.num_nodes() >= 2 * base.analyzer.built_nodes
+        base.delta({target: irrelevant_edit(configs[target])}, validate=False).analyzer
+        assert (counter("bdd.fork.trimmed"), counter("bdd.fork.rebuilt")) == (2, 1)
+        assert counter("bdd.segments.compressed") == 3
     finally:
         obs.disable()
         obs.reset()

@@ -1,20 +1,27 @@
 """Tests for graph compression, loop detection, and propagation units."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.bdd.engine import FALSE, TRUE, BddEngine
 from repro.config.loader import load_snapshot_from_texts
+from repro.core.session import Session
+from repro.delta.edits import relevant_edit
+from repro.delta.engine import graph_lines
 from repro.hdr.headerspace import PacketEncoder
 from repro.reachability.bddreach import backward_reachability, forward_reachability
-from repro.reachability.compress import compress_graph, _compose
+from repro.reachability.compress import CompressionStats, _compose, compress_edges
 from repro.reachability.graph import (
     Compose,
     Constraint,
+    Edge,
     ForwardingGraph,
     Identity,
 )
 from repro.reachability.queries import NetworkAnalyzer
 from repro.routing.engine import compute_dataplane
+from repro.synth.networks import NETWORKS, network_by_name
 
 LOOP_NET = {
     "a": """
@@ -37,14 +44,12 @@ ip route 192.168.0.0 255.255.0.0 10.0.0.1
 class TestPropagationUnits:
     def _tiny_graph(self):
         encoder = PacketEncoder()
-        graph = ForwardingGraph(encoder)
         engine = encoder.engine
         constraint = encoder.ip_in_prefix("dst_ip", "10.0.0.0/8")
-        graph.add_edge(("src", "a", "i0"), ("mid", "a"), Identity(engine))
-        graph.add_edge(
-            ("mid", "a"), ("sink", "b", "i0"),
-            Constraint(engine, constraint, "tens only"),
-        )
+        graph = ForwardingGraph(encoder, {"a": [
+            Edge(("src", "a", "i0"), ("mid", "a"), Identity(engine)),
+            Edge(("mid", "a"), ("sink", "b", "i0"), Constraint(engine, constraint, "tens only")),
+        ]})
         return encoder, graph, constraint
 
     def test_forward_respects_constraints(self):
@@ -65,9 +70,10 @@ class TestPropagationUnits:
     def test_cycle_terminates(self):
         encoder = PacketEncoder()
         engine = encoder.engine
-        graph = ForwardingGraph(encoder)
-        graph.add_edge(("fwd", "a"), ("fwd", "b"), Identity(engine))
-        graph.add_edge(("fwd", "b"), ("fwd", "a"), Identity(engine))
+        graph = ForwardingGraph(encoder, {
+            "a": [Edge(("fwd", "a"), ("fwd", "b"), Identity(engine))],
+            "b": [Edge(("fwd", "b"), ("fwd", "a"), Identity(engine))],
+        })
         reach = forward_reachability(graph, {("fwd", "a"): TRUE})
         assert reach[("fwd", "b")] == TRUE
 
@@ -120,6 +126,40 @@ class TestCompression:
         analyzer = NetworkAnalyzer(dataplane, compress=True)
         kinds = {node[0] for node in analyzer.graph.nodes}
         assert "src" in kinds and "disp" in kinds
+
+
+@pytest.mark.parametrize("name", [spec.name for spec in NETWORKS])
+def test_compression_decomposes_by_device(name):
+    """Compressing the whole edge list in one call and compressing each
+    device's segment on its own give the same edges, in the same order,
+    and the same summed stats: what the analyzer does, and what lets a
+    delta take the base's compressed segments."""
+    configs = network_by_name(name).generate(1)
+    session = Session.from_texts(configs)
+    raw = NetworkAnalyzer(session.dataplane, fibs=session.fibs, compress=False)
+    engine = raw.encoder.engine
+    whole, whole_stats = compress_edges(raw.graph.edges, engine)
+    parts = [compress_edges(edges, engine) for edges in raw.graph.device_edges.values()]
+    joined = [edge for edges, _stats in parts for edge in edges]
+
+    def lines(edges):
+        return graph_lines(SimpleNamespace(encoder=raw.encoder, graph=SimpleNamespace(edges=edges)))
+
+    assert lines(joined) == lines(whole)
+    assert [(e.tail, e.head) for e in joined] == [(e.tail, e.head) for e in whole]
+    assert CompressionStats.total(stats for _edges, stats in parts) == whole_stats
+    assert whole_stats.nodes_before == raw.graph.num_nodes()
+    assert whole_stats.nodes_after == whole_stats.nodes_before - whole_stats.nodes_removed
+    assert session.analyzer.compression == whole_stats
+    assert graph_lines(session.analyzer) == lines(whole)
+    # A delta takes the base's compressed segments, and its stats.
+    target = sorted(configs)[0]
+    edited = {target: relevant_edit(configs[target])}
+    variant = session.delta(edited)
+    scratch = Session.from_texts({**configs, **edited})
+    assert variant.analyzer.reused_pipelines
+    assert variant.analyzer.compression == scratch.analyzer.compression
+    assert graph_lines(variant.analyzer) == graph_lines(scratch.analyzer)
 
 
 class TestLoopDetection:

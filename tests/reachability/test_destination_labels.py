@@ -29,12 +29,19 @@ from repro.hdr.ip import Ip, Prefix
 from repro.hdr.packet import Packet
 from repro.provenance import record as prov
 from repro.reachability import graph as graph_module
-from repro.reachability.graph import build_forwarding_graph, fwd_node
+from repro.reachability.graph import fwd_node
+from repro.reachability.queries import NetworkAnalyzer
 from repro.routing.engine import compute_dataplane
 from repro.routing.topology import InterfaceId, Layer3Edge, Layer3Topology
 from repro.synth.networks import NETWORKS, network_by_name
 
 from .apply_built_reference import destination_edges
+
+
+def _uncompressed_graph(dataplane, fibs, encoder):
+    """The forwarding graph as built, every device's pipeline whole."""
+    return NetworkAnalyzer(dataplane, encoder, fibs, compress=False).graph
+
 
 #: dst_ip no longer first, and its neighbours changed (as in
 #: `test_fib_classes.py`).
@@ -97,7 +104,7 @@ def test_registry_graphs_equal_the_reference_and_conserve(name):
     dataplane = compute_dataplane(snapshot)
     fibs = compute_fibs(dataplane)
     for encoder in _encoders():
-        graph = build_forwarding_graph(dataplane, fibs, encoder)
+        graph = _uncompressed_graph(dataplane, fibs, encoder)
         assert _assert_reference_edges(dataplane, fibs, graph) > 3 * len(fibs)
         _assert_conserved(graph, set(fibs))
 
@@ -120,7 +127,7 @@ def test_a_graph_without_filters_is_built_with_no_apply():
     fibs = compute_fibs(dataplane)
     graphs = []
     assert _forbidden_calls(
-        lambda: graphs.append(build_forwarding_graph(dataplane, fibs, PacketEncoder()))
+        lambda: graphs.append(_uncompressed_graph(dataplane, fibs, PacketEncoder()))
     ) == (0, 0, 0)
     assert graphs[0].num_edges() > 1000
 
@@ -210,7 +217,7 @@ def _one_device(interfaces, links, routes, connected=True):
 
 
 def _check(dataplane, fibs, encoder):
-    graph = build_forwarding_graph(dataplane, fibs, encoder)
+    graph = _uncompressed_graph(dataplane, fibs, encoder)
     compared = _assert_reference_edges(dataplane, fibs, graph)
     _assert_conserved(graph, {_R})
     return graph, compared
@@ -335,6 +342,6 @@ def test_static_route_out_of_a_dead_interface(interface, disposition):
     )
     assert symbolic == {trace.disposition.value for trace in traces} == {disposition}
 
-    graph = build_forwarding_graph(session.dataplane, session.fibs, PacketEncoder())
+    graph = _uncompressed_graph(session.dataplane, session.fibs, PacketEncoder())
     _assert_conserved(graph, set(session.fibs))
     _assert_reference_edges(session.dataplane, session.fibs, graph)

@@ -23,12 +23,18 @@ from repro.hdr import fields as f
 from repro.hdr.fields import HEADER_FIELDS, HeaderLayout
 from repro.hdr.headerspace import PacketEncoder
 from repro.hdr.ip import Ip, Prefix
-from repro.reachability.graph import build_forwarding_graph
+from repro.reachability.queries import NetworkAnalyzer
 from repro.routing.engine import compute_dataplane
 from repro.synth.networks import NETWORKS, network_by_name
 
 from .apply_built_reference import fib_action_spaces, own_ip_space
 from .per_prefix_reference import per_prefix_action_spaces
+
+
+def _uncompressed_graph(dataplane, fibs, encoder):
+    """The forwarding graph as built, every device's pipeline whole."""
+    return NetworkAnalyzer(dataplane, encoder, fibs, compress=False).graph
+
 
 #: dst_ip no longer first, and its neighbours changed: the trie pass may
 #: only rely on dst_ip's own levels growing with bit depth.
@@ -72,7 +78,7 @@ def test_trie_pass_under_a_permuted_field_order():
 @pytest.mark.parametrize("name", ["NET1", "NET5", "NET10"])
 def test_one_fib_edge_per_device_and_interface(name):
     dataplane, fibs = _dataplane_and_fibs(name)
-    graph = build_forwarding_graph(dataplane, fibs)
+    graph = _uncompressed_graph(dataplane, fibs, PacketEncoder())
     per_pair = Counter(
         (edge.tail, edge.head) for edge in graph.edges if edge.tail[0] == "fwd"
     )

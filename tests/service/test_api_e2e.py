@@ -280,6 +280,7 @@ class TestPatchSnapshot:
         )
         assert status == 201
         client.post("/snapshots/lab/questions/routes", {})  # routing runs
+        client.post("/snapshots/lab/questions/reachability", {})  # and the analyzer
         target = sorted(configs)[0]
         inert = configs[target] + "ntp server 203.0.113.250\n"
         status, patched = client.request(
@@ -313,6 +314,18 @@ class TestPatchSnapshot:
         assert counters["delta.reuse.devices"] >= record["devices"]
         assert counters["delta.reuse.rib"] >= record["devices"]
         assert counters["delta.stage.igp.reused"] >= 1
+        # The new session's graph: a fork of the base's engine, one
+        # segment compressed and every other taken from the base.
+        status, _job = client.post("/snapshots/lab/questions/reachability", {})
+        assert status == 200
+        after = client.get("/metrics")[1]["obs"]["counters"]
+
+        def grew(name):
+            return after.get(name, 0) - counters.get(name, 0)
+
+        assert grew("bdd.fork.trimmed") + grew("bdd.fork.rebuilt") == 1
+        assert grew("delta.reuse.pipeline") == record["devices"] - 1
+        assert grew("bdd.segments.compressed") == 1
 
     def test_a_patch_reports_a_recomputed_stage(self, make_service):
         _, client = make_service()
