@@ -188,12 +188,15 @@ class BddEngine:
         twin = BddEngine(self.num_vars)
         twin._level, twin._lo, twin._hi = self._level[:n], self._lo[:n], self._hi[:n]
         if len(self._hi) - n < n:
-            # One C-level copy. _mk enters a node last, so the copy holds
-            # exactly the ids below len(copy) + 2, all complete.
+            # One C-level copy. _mk enters a node in the table last, so
+            # every id the copy holds is below the store's length read
+            # after it. (Not len(copy) + 2: dict.copy reads the length
+            # after allocating, when a collection may have let another
+            # thread add entries the copied table does not hold.)
             twin._unique = unique = self._unique.copy()
-            end = len(unique) + 2
+            end = len(self._hi)
             for key in zip(self._level[n:end], self._lo[n:end], self._hi[n:end]):
-                del unique[key]
+                unique.pop(key, None)
             twin.fork_path = "trimmed"
         else:
             decision_nodes = islice(zip(twin._level, twin._lo, twin._hi), 2, None)

@@ -20,8 +20,8 @@ repeats from O(full pipeline) into O(hash lookup):
   repeated CI run reads back. Nothing else pays for its store: a delta
   session derives from its base in memory (unchanged files keep the
   base's parsed devices, :mod:`repro.delta`) and its key never repeats,
-  and a question's coverage record is read only by the live process
-  that wrote it (``CoverageTracker.recorded_runs``).
+  and a question's coverage record lives and dies with the session it
+  ran on (``Session.coverage_records``).
 * **Location.** ``REPRO_CACHE_DIR`` (default ``.repro_cache/``).
   Writes are atomic (temp file + rename), so concurrent processes — the
   parallel benchmark drivers — can share one cache directory.

@@ -22,8 +22,8 @@ import threading
 import time
 from dataclasses import dataclass
 from typing import (
-    Collection, Dict, FrozenSet, List, Mapping, NamedTuple, Optional,
-    Sequence, Tuple,
+    TYPE_CHECKING, Collection, ContextManager, Dict, FrozenSet, List,
+    Mapping, NamedTuple, Optional, Sequence, Tuple,
 )
 
 from repro import obs
@@ -35,7 +35,6 @@ from repro.core.cache import (
     resolve_cache,
     snapshot_key,
 )
-from repro.obs.coverage import CoverageReport, coverage_report
 from repro.dataplane.fib import Fib, build_fib, compute_fibs
 from repro.hdr.headerspace import HeaderSpace, PacketEncoder
 from repro.hdr.packet import Packet
@@ -85,6 +84,9 @@ from repro.routing.engine import (
 )
 from repro.routing.policy import DEFAULT_SEMANTICS, PolicySemantics
 from repro.traceroute.engine import Trace, TracerouteEngine
+
+if TYPE_CHECKING:
+    from repro.questions.coverage import UncoveredReport
 
 
 @dataclass
@@ -160,6 +162,11 @@ class Session:
         #: Populated on sessions produced by :meth:`delta`: a
         #: :class:`repro.delta.DeltaInfo` describing what was reused.
         self.delta_info = None
+        #: Coverage records of the question runs on this session (and
+        #: the ones :meth:`delta` carried over from its base), by
+        #: (question, canonical params); see :meth:`record_coverage`.
+        self._coverage: Dict[Tuple[str, str], Dict] = {}
+        self._coverage_lock = threading.Lock()
 
     # -- construction -----------------------------------------------------
 
@@ -411,16 +418,59 @@ class Session:
                     obs.observe_phase("bdd", time.perf_counter() - started)
         return self._analyzer
 
-    def coverage_report(self) -> CoverageReport:
-        """Configuration coverage (Xu et al. spirit): which VI-model
-        structures — interfaces, ACL lines, route-map clauses — the
-        queries run so far have exercised, against the snapshot's totals.
+    # -- coverage (Xu et al.) ---------------------------------------------
 
-        Only populated while tracing/metrics are enabled (``REPRO_TRACE``
-        or ``Session(trace=...)``); with obs disabled every kind reads
-        0 touched.
+    def question_scope(
+        self, question: str, params: Optional[Dict]
+    ) -> ContextManager[None]:
+        """Run a block as one execution of registry question ``question``
+        with raw ``params``: the VI-model structures it touches become
+        one coverage record on this session::
+
+            with session.question_scope("reachability", None):
+                session.reachability()
         """
-        return coverage_report(obs.coverage(), self.snapshot)
+        from repro.questions import coverage as qcov
+        from repro.questions import registry
+
+        declared = registry.QUESTIONS[question]
+        args = registry.bind(declared, params, self.snapshot)
+        return qcov.recording(self, declared, params, args)
+
+    def record_coverage(self, record: Dict) -> None:
+        """Keep ``record`` (:func:`repro.questions.coverage.build_record`)
+        as this session's record of its (question, params). A rerun adds
+        its touches and runs to the record it replaces: a cached answer
+        touches less than the run that built it."""
+        key = (record["question"], record["params_key"])
+        with self._coverage_lock:
+            previous = self._coverage.get(key)
+            if previous is not None:
+                vector = dict(previous["vector"])
+                for rendered, count in record["vector"].items():
+                    vector[rendered] = vector.get(rendered, 0) + count
+                hosts = set(previous["hosts"] or ()) | set(record["hosts"] or ())
+                record = {
+                    **record,
+                    "hosts": sorted(hosts) if hosts else None,
+                    "vector": vector,
+                    "runs": previous["runs"] + record["runs"],
+                }
+            self._coverage[key] = record
+
+    def coverage_records(self) -> Dict[Tuple[str, str], Dict]:
+        """This session's coverage records, by (question, params key)."""
+        with self._coverage_lock:
+            return dict(self._coverage)
+
+    def coverage_report(self) -> "UncoveredReport":
+        """Configuration coverage: which VI-model structures —
+        interfaces, ACL lines, route-map clauses — the question runs
+        recorded on this session exercised, per kind and per question,
+        against the snapshot's totals, and which none did."""
+        from repro.questions.coverage import uncovered_stanzas
+
+        return uncovered_stanzas(self)
 
     @property
     def encoder(self) -> PacketEncoder:

@@ -9,7 +9,7 @@ is what enables the differential engine testing of §4.3.2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.bdd.engine import FALSE, TRUE
 from repro.config.model import Acl, AclLine, Action
@@ -160,3 +160,21 @@ def acl_line_spaces(
         result.append((line, fresh))
         already_matched = engine.or_(already_matched, space)
     return result
+
+
+def blocking_lines(
+    engine, spaces: Sequence[int], index: int, covered: int
+) -> List[int]:
+    """The earlier lines that take ``covered`` (packets of line
+    ``index``) away from it: walking lines ``0 .. index-1`` in order
+    over ``spaces`` (each line's full :func:`line_space`), every line
+    that matches some of what is still left, until nothing is."""
+    blockers: List[int] = []
+    remaining = covered
+    for earlier in range(index):
+        if remaining == FALSE:
+            break
+        if engine.and_(spaces[earlier], remaining) != FALSE:
+            blockers.append(earlier)
+            remaining = engine.diff(remaining, spaces[earlier])
+    return blockers

@@ -202,15 +202,3 @@ def _concrete_pool_ip(rule: NatRule, original: Ip) -> Ip:
     # Preserve host bits within the pool where possible (stable mapping).
     host_mask = (1 << (32 - rule.pool.length)) - 1
     return Ip(rule.pool.first_ip.value | (original.value & host_mask))
-
-
-def source_nat_pipeline(device: Device, interface_name: str) -> NatPipeline:
-    """The source-NAT pipeline of an interface's outgoing direction."""
-    iface = device.interfaces[interface_name]
-    return NatPipeline(device, iface.src_nat_rules, kind=None)
-
-
-def dest_nat_pipeline(device: Device, interface_name: str) -> NatPipeline:
-    """The destination-NAT pipeline of an interface's incoming direction."""
-    iface = device.interfaces[interface_name]
-    return NatPipeline(device, iface.dst_nat_rules, kind=None)

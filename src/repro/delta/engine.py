@@ -85,10 +85,10 @@ class DeltaInfo:
     reused_fibs: int = 0
     reused_pipelines: int = 0
     #: Coverage-guided prioritization (repro.questions.coverage): the
-    #: recorded questions whose historical coverage vectors overlap this
+    #: base session's records whose coverage vectors overlap this
     #: delta's impact set, ranked most-exposed first, and the ones whose
     #: footprint provably misses it (their base answers still hold).
-    #: Both empty when no question ran against the base snapshot.
+    #: Both empty when no question was recorded on the base session.
     questions_affected: List[Dict] = field(default_factory=list)
     questions_skipped: List[Dict] = field(default_factory=list)
 
@@ -204,19 +204,11 @@ def _changed_hosts(base, new_session, info: DeltaInfo) -> Set[str]:
 def _prioritize_questions(
     base, new_session, info: DeltaInfo, changed: Set[str]
 ) -> None:
-    """Rank recorded questions against this delta's impact set and drop
-    coverage touches that no longer describe current structures.
-
-    Structure identity (ACL line indices, clause seqs, source lines) can
-    shift on *any* byte change — including routing-inert edits — so
-    changed-byte hosts are always invalidated here. The run registry
-    survives invalidation: records describe past executions, and the
-    skipped ones are carried forward under the new snapshot key by
-    ``questions_for_delta`` because their answers are provably
-    unchanged."""
+    """Rank the base session's coverage records against this delta's
+    impact set; the new session starts with the skipped ones, whose
+    answers are provably unchanged, and no other."""
     from repro.questions import coverage as qcov
 
-    tracker = obs.coverage()
     # Scope rules: routing questions all rerun when some main RIB may
     # have changed — only a seed's can, or one downstream of a seed —
     # whatever the stages reused; config questions rerun exactly on
@@ -224,18 +216,13 @@ def _prioritize_questions(
     # answers enumerate the device universe, so even an isolated new
     # host can grow every answer.
     unbounded = base.snapshot.devices.keys() != new_session.snapshot.devices.keys()
-    affected, skipped = qcov.questions_for_delta(
-        tracker,
-        base.snapshot_key,
-        new_session.snapshot_key,
+    info.questions_affected, info.questions_skipped = qcov.questions_for_delta(
+        base,
+        new_session,
         changed_hosts=changed,
         routing_changed=bool(info.seeds),
         everything=unbounded,
     )
-    info.questions_affected = affected
-    info.questions_skipped = skipped
-    if changed:
-        tracker.invalidate_hosts(changed)
 
 
 def _record_metrics(info: DeltaInfo, devices: int) -> None:

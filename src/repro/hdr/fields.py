@@ -142,10 +142,6 @@ class HeaderLayout:
         """Bit width of ``field``."""
         return self._width[field]
 
-    def is_paired(self, field: str) -> bool:
-        """True if the field has interleaved output variables."""
-        return self._paired[field]
-
     def var(self, field: str, bit: int) -> int:
         """Input-variable level for ``bit`` of ``field`` (0 = MSB)."""
         self._check_bit(field, bit)

@@ -156,10 +156,6 @@ class PacketEncoder:
         """BDD for *output* field inside a prefix."""
         return self.ip_in_prefix(field, prefix, _out=True)
 
-    def out_in_range(self, field: str, low: int, high: int) -> int:
-        """BDD for *output* field within an inclusive range."""
-        return self.field_in_range(field, low, high, _out=True)
-
     def identity(self, field: str) -> int:
         """BDD for *output field == input field* (unchanged by transform)."""
         engine = self.engine

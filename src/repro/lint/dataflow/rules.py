@@ -575,8 +575,7 @@ def unreachable_policy_path(snapshot: Snapshot) -> List[Finding]:
         intrinsic_residual = TRUE
         dataflow_residual = delivered.bdd
         for clause in summary.clauses:
-            if obs.active():
-                obs.touch("route_map_clause", hostname, map_name, clause.seq)
+            obs.touch("route_map_clause", hostname, map_name, clause.seq)
             intrinsically_reachable = (
                 engine.and_(intrinsic_residual, clause.guard) != FALSE
             )

@@ -89,9 +89,6 @@ class LintConfig:
             return False
         return self.rules is None or rule_id in self.rules
 
-    def effective_severity(self, rule_id: str, default: Severity) -> Severity:
-        return self.severity.get(rule_id, default)
-
     def suppresses(self, finding: Finding) -> bool:
         for rule, node in self.suppress:
             if rule in ("*", finding.rule_id) and node in ("*", finding.hostname):

@@ -354,10 +354,3 @@ class RouteSpaceEncoder:
                 # as-path regexes, tag/metric/protocol: not encoded.
                 exact = False
         return space, exact
-
-    def route_map_clause_spaces(
-        self, clauses: List[RouteMapClause]
-    ) -> List[Tuple[RouteMapClause, int, bool]]:
-        return [
-            (clause, *self.clause_space(clause)) for clause in clauses
-        ]

@@ -14,7 +14,7 @@ from typing import List, Tuple
 from repro import obs
 from repro.bdd.engine import FALSE, TRUE
 from repro.config.model import Acl, Device, Snapshot
-from repro.dataplane.acl import line_space
+from repro.dataplane.acl import blocking_lines, line_space
 from repro.hdr.headerspace import PacketEncoder
 from repro.findings import Finding, Location, Related, Severity
 from repro.lint.registry import rule
@@ -31,26 +31,19 @@ def _acl_location(device: Device, acl: Acl, index: int) -> Location:
 def _blocking_witnesses(
     engine, spaces: List[int], index: int, covered: int, device: Device, acl: Acl
 ) -> Tuple[Related, ...]:
-    """The minimal prefix-walk of earlier lines that jointly absorb
-    ``covered`` packet space (same witness discipline as
-    ``unreachable_filter_lines``)."""
+    """The earlier lines that jointly absorb ``covered`` packet space
+    (:func:`repro.dataplane.acl.blocking_lines`, the walk
+    ``unreachable_filter_lines`` reports), as related locations."""
     related: List[Related] = []
-    remaining = covered
-    for earlier in range(index):
-        if remaining == FALSE:
-            break
-        overlap = engine.and_(spaces[earlier], remaining)
-        if overlap == FALSE:
-            continue
-        earlier_line = acl.lines[earlier]
+    for earlier in blocking_lines(engine, spaces, index, covered):
+        line = acl.lines[earlier]
         related.append(
             Related(
                 _acl_location(device, acl, earlier),
-                f"line {earlier} ({earlier_line.name or earlier_line.action.value})"
+                f"line {earlier} ({line.name or line.action.value})"
                 " matches part of this line's space first",
             )
         )
-        remaining = engine.diff(remaining, spaces[earlier])
     return tuple(related)
 
 
@@ -65,8 +58,7 @@ def _acl_line_findings(snapshot: Snapshot, want_unreachable: bool) -> List[Findi
             spaces = [line_space(line, encoder) for line in acl.lines]
             remaining = TRUE
             for index, space in enumerate(spaces):
-                if obs.active():
-                    obs.touch("acl_line", hostname, acl.name, index)
+                obs.touch("acl_line", hostname, acl.name, index)
                 acl_line = acl.lines[index]
                 label = acl_line.name or f"line {index}"
                 effective = engine.and_(space, remaining)
@@ -165,10 +157,7 @@ def route_map_clause_unreachable(snapshot: Snapshot) -> List[Finding]:
             residual = TRUE
             earlier_exact: List[Tuple[int, int, Location]] = []
             for clause in route_map.sorted_clauses():
-                if obs.active():
-                    obs.touch(
-                        "route_map_clause", hostname, route_map.name, clause.seq
-                    )
+                obs.touch("route_map_clause", hostname, route_map.name, clause.seq)
                 space, exact = encoder.clause_space(clause)
                 location = Location(clause.source_file, clause.source_line)
                 if engine.and_(space, residual) == FALSE:

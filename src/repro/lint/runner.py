@@ -6,7 +6,10 @@ Rules are independent, so they parallelize trivially with
 view of the snapshot and builds its own BDD engines). Timing and
 finding counts land in the ``repro.obs`` metrics registry
 unconditionally — the service ``/metrics`` endpoint then shows
-``lint.findings.<rule>`` counters without tracing enabled.
+``lint.findings.<rule>`` counters without tracing enabled. A lint run
+opens no coverage scope of its own: it is one run of whatever scope
+its caller opened, and the rules' touches on pmap workers come back
+into it.
 """
 
 from __future__ import annotations
@@ -146,11 +149,7 @@ def lint_snapshot(
 
     def run_one(rule: Rule):
         start = time.perf_counter()
-        # Coverage touches made by this rule land in the
-        # ``lint/<rule_id>`` vector (rolled up under ``lint`` by
-        # prefix), whether the rule runs inline or on a pmap worker.
-        with obs.context.attribution(f"lint/{rule.rule_id}"):
-            findings = rule.run(snapshot)
+        findings = rule.run(snapshot)
         return findings, time.perf_counter() - start
 
     started = time.perf_counter()

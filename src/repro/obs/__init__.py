@@ -10,17 +10,18 @@ The observability subsystem the pipeline reports through:
   warning counts, per-iteration BGP RIB deltas, BDD node/unique-table
   sizes, snapshot-cache hits/misses, and ``pmap`` fan-out stats merged
   back from pool workers.
-* **Config coverage** (:func:`touch`, ``Session.coverage_report()``) —
-  which VI-model structures (interfaces, ACL lines, route-map clauses)
-  each query exercised, in the spirit of Xu et al.'s *Test Coverage for
-  Network Configurations*.
+* **Config coverage** (:func:`touch`, :func:`coverage_scope`) — which
+  VI-model structures (interfaces, ACL lines, route-map clauses) one
+  question run exercised, in the spirit of Xu et al.'s *Test Coverage
+  for Network Configurations*; the runs' records live on their session
+  (``Session.coverage_report()``).
 * **Report** — ``python -m repro report trace.jsonl`` renders the
-  per-phase time tree, top counters, and the coverage summary
+  per-phase time tree, top counters, and the coverage summary added up
+  from the runs' ``coverage`` events
   (:class:`repro.obs.report.TraceReport`); ``--strict`` fails on
   unclosed spans (the CI gate).
 * **Request context** (:mod:`repro.obs.context`) — the request id that
-  spans carry and the question label coverage is scoped by, across the
-  service's thread hop and ``pmap``'s fork.
+  spans carry, across the service's thread hop and ``pmap``'s fork.
 
 All instrumentation is zero-cost when disabled: one module-level flag
 guard per call site, no formatting or allocation off the hot path.
@@ -28,14 +29,13 @@ guard per call site, no formatting or allocation off the hot path.
 
 from repro.obs import context
 from repro.obs.context import RequestContext, current_request_id, request_context
-from repro.obs.coverage import CoverageReport, CoverageTracker, coverage_report
+from repro.obs.coverage import coverage_scope, coverage_scoped, touch
 from repro.obs.metrics import BucketHistogram, Histogram, Metrics
 from repro.obs.trace import (
     Span,
     active,
     add,
-    coverage,
-    current_span_name,
+    coverage_event,
     disable,
     enable,
     enable_metrics,
@@ -52,7 +52,6 @@ from repro.obs.trace import (
     observe_phase,
     reset,
     span,
-    touch,
     trace_path,
     unclosed_spans,
     worker_dump,
@@ -60,8 +59,6 @@ from repro.obs.trace import (
 
 __all__ = [
     "BucketHistogram",
-    "CoverageReport",
-    "CoverageTracker",
     "Histogram",
     "Metrics",
     "RequestContext",
@@ -69,10 +66,10 @@ __all__ = [
     "active",
     "add",
     "context",
-    "coverage",
-    "coverage_report",
+    "coverage_event",
+    "coverage_scope",
+    "coverage_scoped",
     "current_request_id",
-    "current_span_name",
     "disable",
     "enable",
     "enable_metrics",

@@ -1,9 +1,7 @@
-"""Request-scoped trace context: which request, and which question, this
-work is done for.
+"""Request-scoped trace context: which request this work is done for.
 
-Spans should be attributable to the *request* that caused them, and
-coverage touches to the *question*, even when the work happens on
-another thread (an HTTP handler thread enqueues a job, a queue worker
+Spans should be attributable to the *request* that caused them, even
+when the work happens on another thread (an HTTP handler thread enqueues a job, a queue worker
 thread runs it) or in another process (a ``pmap`` pool worker parses
 one config file). This module is the propagation mechanism:
 
@@ -19,17 +17,16 @@ one config file). This module is the propagation mechanism:
   :func:`repro.parallel.pmap`), so spans emitted inside pool workers
   carry the same ``request_id`` as the parent's.
 
-The context is intentionally tiny and immutable: a request id and a
-question label, each read by something (spans stamp the id, coverage
-scopes by the question). Anything bigger belongs in span attributes,
-not in the ambient context.
+The context is intentionally tiny and immutable: a request id, which
+spans stamp. Anything bigger belongs in span attributes, not in the
+ambient context. (Coverage touches go to the innermost open scope of
+:mod:`repro.obs.coverage`, which ``pmap`` carries on its own.)
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
-import dataclasses
 import uuid
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional
@@ -40,12 +37,6 @@ class RequestContext:
     """Immutable per-request attribution carried through the pipeline."""
 
     request_id: str
-    #: The question (or ``lint/<rule>`` label) this work is executing on
-    #: behalf of. Empty string = unattributed. Coverage touches are
-    #: scoped to this value, so per-question coverage vectors survive
-    #: the job queue's thread hop and ``pmap``'s fork boundary the same
-    #: way ``request_id`` does.
-    question: str = ""
 
 
 _CURRENT: contextvars.ContextVar[Optional[RequestContext]] = (
@@ -65,26 +56,9 @@ def current() -> Optional[RequestContext]:
 
 
 def current_request_id() -> Optional[str]:
-    """The active request id (the one hot paths stamp on events).
-
-    Anonymous attribution-only contexts (see :func:`attribution`) carry
-    an empty request id; those read as None here so events never get
-    stamped with an empty ``rid``."""
+    """The active request id (the one hot paths stamp on events)."""
     context = _CURRENT.get()
-    if context is None:
-        return None
-    return context.request_id or None
-
-
-def current_question() -> Optional[str]:
-    """The question/rule label the current work is attributed to, or
-    None. This is what :func:`repro.obs.trace.touch` scopes coverage
-    touches with — a ``ContextVar.get`` plus one attribute read, cheap
-    enough for the ACL/route-map hot paths."""
-    context = _CURRENT.get()
-    if context is None:
-        return None
-    return context.question or None
+    return None if context is None else context.request_id or None
 
 
 def activate(context: Optional[RequestContext]) -> contextvars.Token:
@@ -113,31 +87,6 @@ def request_context(request_id: Optional[str] = None) -> Iterator[RequestContext
         _CURRENT.reset(token)
 
 
-@contextlib.contextmanager
-def attribution(question: str) -> Iterator[RequestContext]:
-    """Scope coverage attribution to ``question`` over a block.
-
-    Derives from the active request context when there is one (so the
-    request id keeps flowing), otherwise mints an anonymous context
-    carrying only the question label. Used by
-    :func:`repro.service.serialize.run_question` (question handlers)
-    and the lint runner (``lint/<rule_id>``)::
-
-        with attribution("reachability"):
-            ...   # every obs.touch() lands in this question's vector
-    """
-    base = _CURRENT.get()
-    if base is None:
-        context = RequestContext(request_id="", question=question)
-    else:
-        context = dataclasses.replace(base, question=question)
-    token = _CURRENT.set(context)
-    try:
-        yield context
-    finally:
-        _CURRENT.reset(token)
-
-
 # ----------------------------------------------------------------------
 # Process-boundary serialization (pmap worker payloads)
 
@@ -146,10 +95,7 @@ def to_wire(context: Optional[RequestContext]) -> Optional[Dict]:
     """JSON/pickle-ready form of a context (None stays None)."""
     if context is None:
         return None
-    wire: Dict = {"request_id": context.request_id}
-    if context.question:
-        wire["question"] = context.question
-    return wire
+    return {"request_id": context.request_id}
 
 
 def from_wire(wire: Optional[Dict]) -> Optional[RequestContext]:
@@ -158,10 +104,7 @@ def from_wire(wire: Optional[Dict]) -> Optional[RequestContext]:
     worker)."""
     if not wire or not isinstance(wire, dict):
         return None
-    request_id = wire.get("request_id") or ""
-    question = wire.get("question") or ""
-    # An attribution-only context (empty request id, question set) is a
-    # legitimate wire — CLI entry points attribute without minting rids.
-    if not request_id and not question:
+    request_id = wire.get("request_id")
+    if not request_id:
         return None
-    return RequestContext(request_id=str(request_id), question=str(question))
+    return RequestContext(request_id=str(request_id))

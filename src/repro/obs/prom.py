@@ -50,8 +50,8 @@ _HELP: Dict[str, str] = {
     "service.job.queue_seconds": "Time jobs spent queued before a worker picked them up.",
     "service.queue.depth": "Jobs currently waiting in the bounded queue.",
     "service.queue.oldest_age_seconds": "Age of the oldest queued job.",
-    "coverage.ratio": "Fraction of a structure kind's instances this question's runs touched.",
-    "uncovered_stanzas": "Config structures across stored snapshots that no question touched.",
+    "coverage.ratio": "Fraction of a structure kind's instances this question's runs on this snapshot touched.",
+    "uncovered_stanzas": "Config structures no question run on their stored snapshot touched, summed over snapshots.",
     "sweep.runs": "Resilience sweeps executed.",
     "sweep.scenarios": "Failure scenarios enumerated across all sweeps.",
     "sweep.scenarios_evaluated": "Scenarios actually simulated (not pruned).",

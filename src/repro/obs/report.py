@@ -8,8 +8,9 @@ trace.jsonl [--strict] [--top N] [--json]``:
   one line per distinct path, children indented under parents;
 * **top counters**, **gauges**, and **histogram** summaries come from the
   trace's ``metrics`` events (merged across processes);
-* the **coverage summary** shows touched/total per structure kind when a
-  snapshot's coverage event is present;
+* the **coverage summary** adds up the trace's ``coverage`` events, one
+  per question run: distinct structures touched per kind, overall and
+  per question;
 * :meth:`TraceReport.unclosed` lists spans that started but never
   closed (a ``start`` line without a matching ``span`` line, or a
   ``flush`` event listing unclosed spans) and
@@ -40,7 +41,8 @@ class TraceReport:
         self.start_ts: Dict[Tuple[int, int], float] = {}  # (pid, id) -> ts
         self.ends: set = set()
         self.metrics = Metrics()
-        self.coverage: Dict = {}
+        #: Question -> the rendered keys its runs touched.
+        self.coverage: Dict[str, set] = {}
         self.flush_unclosed: List[str] = []
         self.corrupt_lines = 0
         self.total_lines = 0
@@ -71,8 +73,9 @@ class TraceReport:
             self.ends.add((event.get("pid", 0), event.get("id", 0)))
         elif kind == "metrics":
             self.metrics.merge(event)
-        elif kind == "coverage":
-            self.coverage = event
+        elif kind == "coverage" and isinstance(event.get("vector"), dict):
+            question = str(event.get("question", "?"))
+            self.coverage.setdefault(question, set()).update(event["vector"])
         elif kind == "flush":
             self.flush_unclosed.extend(event.get("unclosed", []))
 
@@ -166,38 +169,23 @@ class TraceReport:
         ]
 
     def coverage_summary(self) -> Dict:
-        """The trace's coverage event as a JSON-ready section: distinct
-        structures touched per kind, per-query kind tallies, and — when
-        the trace carries per-question vectors — distinct structures per
-        question (``lint/<rule>`` labels rolled up under ``lint``)."""
-        touched = self.coverage.get("touched", {})
-        per_kind: Dict[str, int] = {}
-        for key in touched:
-            kind = key.split(":", 1)[0]
-            per_kind[kind] = per_kind.get(kind, 0) + 1
-        merged_keys: Dict[str, set] = {}
-        for label, vector in (self.coverage.get("vectors") or {}).items():
-            # Distinct structures per top-level question: lint/<rule>
-            # labels roll up, and a structure two rules both touch
-            # counts once.
-            merged_keys.setdefault(label.split("/", 1)[0], set()).update(vector)
-        questions: Dict[str, Dict[str, int]] = {}
-        for question, keys in merged_keys.items():
-            kinds = questions.setdefault(question, {})
+        """The trace's ``coverage`` events added up: distinct structures
+        touched per kind, over all runs and per question (a question
+        whose runs touched nothing has no row)."""
+
+        def per_kind(keys) -> Dict[str, int]:
+            counts: Dict[str, int] = {}
             for key in keys:
                 kind = key.split(":", 1)[0]
-                kinds[kind] = kinds.get(kind, 0) + 1
+                counts[kind] = counts.get(kind, 0) + 1
+            return dict(sorted(counts.items()))
+
         return {
-            "touched_by_kind": dict(sorted(per_kind.items())),
-            "by_query": {
-                query: dict(sorted(kinds.items()))
-                for query, kinds in sorted(
-                    (self.coverage.get("by_query") or {}).items()
-                )
-            },
+            "touched_by_kind": per_kind(set().union(*self.coverage.values())),
             "questions": {
-                question: dict(sorted(kinds.items()))
-                for question, kinds in sorted(questions.items())
+                question: per_kind(keys)
+                for question, keys in sorted(self.coverage.items())
+                if keys
             },
         }
 
@@ -326,32 +314,18 @@ class TraceReport:
                     f" mean={summary['total'] / count:.3f}"
                     f" min={summary['min']:.3f} max={summary['max']:.3f}"
                 )
-        touched = self.coverage.get("touched", {})
-        if touched:
+        coverage = self.coverage_summary()
+        if coverage["questions"]:
             lines.append("")
             lines.append("== config coverage (touched structures) ==")
-            per_kind: Dict[str, int] = {}
-            for key in touched:
-                per_kind[key.split(":", 1)[0]] = (
-                    per_kind.get(key.split(":", 1)[0], 0) + 1
-                )
-            for kind, count in sorted(per_kind.items()):
+            for kind, count in coverage["touched_by_kind"].items():
                 lines.append(f"  {kind:<24} {count} distinct structures touched")
-            by_query = self.coverage.get("by_query", {})
-            for query, kinds in sorted(by_query.items()):
+            lines.append("  per-question attribution (distinct structures):")
+            for question, kinds in coverage["questions"].items():
                 rendered = ", ".join(
-                    f"{kind}={count}" for kind, count in sorted(kinds.items())
+                    f"{kind}={count}" for kind, count in kinds.items()
                 )
-                lines.append(f"    {query}: {rendered}")
-            questions = self.coverage_summary()["questions"]
-            if questions:
-                lines.append("  per-question attribution (distinct structures):")
-                for question, kinds in questions.items():
-                    rendered = ", ".join(
-                        f"{kind}={count}"
-                        for kind, count in sorted(kinds.items())
-                    )
-                    lines.append(f"    {question}: {rendered}")
+                lines.append(f"    {question}: {rendered}")
         unclosed = self.unclosed()
         regressions = self.time_regressions()
         lines.append("")

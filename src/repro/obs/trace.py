@@ -21,8 +21,8 @@ whose process died mid-span still shows *what was running*, and the
 report CLI can flag unclosed spans (the CI gate). Every line carries the
 emitting ``pid``: process-pool workers inherit the open sink across
 ``fork`` and append their own lines (single-``write`` appends to an
-``O_APPEND`` stream), while their metrics/coverage deltas are merged
-back explicitly by :func:`repro.parallel.pmap`.
+``O_APPEND`` stream), while their metrics and coverage-scope vectors
+are merged back explicitly by :func:`repro.parallel.pmap`.
 
 Event content is deterministic modulo timestamps: names, attributes,
 nesting, and per-process sequence ids repeat exactly across runs of the
@@ -40,9 +40,8 @@ import time
 from collections import deque
 from typing import Dict, List, Optional
 
-from repro.obs import context
+from repro.obs import coverage as _coverage
 from repro.obs.context import current_request_id
-from repro.obs.coverage import CoverageTracker
 from repro.obs.metrics import Metrics
 
 #: In-memory event cap; file sinks are unbounded (append-only).
@@ -61,7 +60,6 @@ class _ObsState:
         self.lock = threading.Lock()
         self.buffer = deque(maxlen=_BUFFER_LIMIT)
         self.metrics = Metrics()
-        self.coverage = CoverageTracker()
         self.next_span_id = 0
         self.open_spans: Dict[int, str] = {}
         self.tls = threading.local()
@@ -80,16 +78,15 @@ def _reinit_locks_after_fork() -> None:
     """Replace every obs lock with a fresh one in fork children.
 
     A ``pmap`` fork from the main thread can happen while other threads
-    hold the metrics/coverage/trace locks; the child
+    hold the metrics/trace locks; the child
     inherits those locks *in their held state* with no thread left to
     release them, so its first instrumented call would deadlock. The
     child is single-threaded at this point, so swapping in new locks is
-    safe — and mandatory before :func:`repro.parallel._invoke_chunk_obs`
-    resets the registries.
+    safe — and mandatory before :func:`repro.parallel._invoke_chunk`
+    resets the registry.
     """
     _STATE.lock = threading.Lock()
     _STATE.metrics._lock = threading.Lock()
-    _STATE.coverage._lock = threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):  # posix only; fork implies posix
@@ -108,13 +105,12 @@ def metrics_enabled() -> bool:
 
 def active() -> bool:
     """True when any metric-collecting mode is on (tracing or
-    metrics-only) — the guard for metric/coverage helpers and the
-    pmap worker-dump machinery."""
+    metrics-only) — the guard for the metric helpers."""
     return _STATE.enabled or _STATE.metrics_enabled
 
 
 def enable_metrics() -> None:
-    """Turn on metric/coverage collection without span tracing.
+    """Turn on metric collection without span tracing.
 
     The long-lived service calls this at boot: ``/metrics`` must be
     populated for every deployment, while full span tracing stays an
@@ -157,14 +153,12 @@ def disable() -> None:
 
 
 def reset() -> None:
-    """Drop all collected events, metrics and coverage (not the
-    switches)."""
+    """Drop all collected events and metrics (not the switches)."""
     with _STATE.lock:
         _STATE.buffer.clear()
         _STATE.open_spans.clear()
         _STATE.next_span_id = 0
     _STATE.metrics.reset()
-    _STATE.coverage.reset()
 
 
 def _emit(event: Dict) -> None:
@@ -306,12 +300,6 @@ def span(name: str, **attrs):
     return Span(name, **attrs)
 
 
-def current_span_name() -> Optional[str]:
-    """Name of the innermost open span on this thread (query attribution)."""
-    stack = getattr(_STATE.tls, "stack", None)
-    return stack[-1].name if stack else None
-
-
 def unclosed_spans() -> List[str]:
     """Names of spans opened but not yet closed (ideally always empty)."""
     with _STATE.lock:
@@ -319,7 +307,7 @@ def unclosed_spans() -> List[str]:
 
 
 # ----------------------------------------------------------------------
-# Metric and coverage helpers (the hot-path entry points)
+# Metric helpers (the hot-path entry points)
 
 
 def add(name: str, value: int = 1) -> None:
@@ -355,26 +343,24 @@ def observe_phase(phase: str, seconds: float) -> None:
         _STATE.metrics.observe_bucket("phase.seconds", seconds, phase=phase)
 
 
-def touch(kind: str, hostname: str, name: str, index: Optional[int] = None) -> None:
-    """Record a config-coverage touch (no-op while disabled).
-
-    Attribution prefers the question label riding the request context
-    (it survives the job queue's thread hop and ``pmap``'s fork
-    boundary) and falls back to the innermost open span's name, which
-    only exists on the thread that opened it."""
-    if _STATE.enabled or _STATE.metrics_enabled:
-        _STATE.coverage.touch(
-            kind, hostname, name, index,
-            query=context.current_question() or current_span_name(),
-        )
+def coverage_event(question: str, vector: Dict) -> None:
+    """Append one question run's coverage vector (rendered keys) to the
+    trace as a ``coverage`` event (no-op unless tracing)."""
+    if _STATE.enabled:
+        event = {
+            "type": "coverage",
+            "question": question,
+            "pid": os.getpid(),
+            "vector": vector,
+        }
+        rid = current_request_id()
+        if rid is not None:
+            event["rid"] = rid
+        _emit(event)
 
 
 def metrics() -> Metrics:
     return _STATE.metrics
-
-
-def coverage() -> CoverageTracker:
-    return _STATE.coverage
 
 
 def metrics_dump() -> Dict:
@@ -383,21 +369,20 @@ def metrics_dump() -> Dict:
 
 def merge_worker_dump(dump: Dict) -> None:
     """Fold a pmap worker's ``{"metrics": ..., "coverage": ...}`` delta
-    in. Gauges merge with their declared modes (default ``max`` — chunk
-    completion order is nondeterministic, so last-write-wins would be
-    too)."""
+    in: its metrics into the registry, its scope vector into the scope
+    the map was called from. Gauges merge with their declared modes
+    (default ``max`` — chunk completion order is nondeterministic, so
+    last-write-wins would be too)."""
     if not dump:
         return
     _STATE.metrics.merge(dump.get("metrics", {}), worker=True)
-    _STATE.coverage.merge(dump.get("coverage", {}))
+    _coverage.merge(dump.get("coverage", {}))
 
 
-def worker_dump() -> Dict:
-    """A worker's outbound delta (its registries are reset per chunk)."""
-    return {
-        "metrics": _STATE.metrics.dump(),
-        "coverage": _STATE.coverage.dump(),
-    }
+def worker_dump(vector: Dict) -> Dict:
+    """A worker's outbound delta: its metrics (the registry is reset per
+    chunk) and the vector of the chunk's coverage scope."""
+    return {"metrics": _STATE.metrics.dump(), "coverage": vector}
 
 
 def events() -> List[Dict]:
@@ -407,13 +392,12 @@ def events() -> List[Dict]:
 
 
 def flush() -> None:
-    """Append the metrics/coverage snapshot (and unclosed-span list) to
-    the trace. Safe to call repeatedly; also runs at interpreter exit
+    """Append the metrics snapshot (and unclosed-span list) to the
+    trace. Safe to call repeatedly; also runs at interpreter exit
     when tracing was enabled from the environment."""
     if not (_STATE.enabled or _STATE.sink is not None):
         return
     _emit({"type": "metrics", **_STATE.metrics.dump()})
-    _emit({"type": "coverage", **_STATE.coverage.dump()})
     _emit({"type": "flush", "pid": os.getpid(), "unclosed": unclosed_spans()})
 
 

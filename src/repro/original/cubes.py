@@ -66,10 +66,6 @@ class Cube:
     def matches(self, packed: int) -> bool:
         return not ((packed ^ self.value) & self.mask)
 
-    @property
-    def wildcard_bits(self) -> int:
-        return TOTAL_BITS - bin(self.mask).count("1")
-
 
 FULL_CUBE = Cube(0, 0)
 
@@ -231,9 +227,6 @@ class CubeSet:
             if packed is not None:
                 return _unpack(packed)
         return None
-
-    def size_terms(self) -> int:
-        return len(self.terms)
 
 
 def _trivially_empty(term: DiffCube) -> bool:

@@ -78,41 +78,30 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def _invoke(item):
-    """Module-level trampoline: picklable stand-in for the real fn."""
-    return _WORKER_FN(item)
+def _invoke_chunk(task):
+    """Map a whole chunk in one task (to amortize IPC per item), and ship
+    its wall time, metrics and coverage back for the parent to merge.
 
-
-def _invoke_chunk(chunk: Sequence) -> List:
-    """Map a whole chunk in one task to amortize IPC per item."""
-    return [_WORKER_FN(item) for item in chunk]
-
-
-def _invoke_chunk_obs(task: Sequence):
-    """Observable chunk worker: also ships the chunk's wall time and the
-    worker's metric/coverage deltas back for the parent to merge.
-
-    The forked worker inherits the parent's registries, so they are
-    reset at chunk start — everything in the outbound dump is this
-    chunk's own contribution. The task payload carries the submitting
-    thread's request context on the wire (fork only clones the calling
-    thread's contextvars at pool *creation* time, which is not this
-    task's moment), so spans emitted inside the worker carry the
-    originating ``request_id`` and coverage touches its question.
+    The forked worker inherits the parent's registry, so it is reset at
+    chunk start — everything in the outbound dump is this chunk's own
+    contribution. The task payload carries the submitting thread's
+    request context on the wire (fork only clones the calling thread's
+    contextvars at pool *creation* time, which is not this task's
+    moment), so spans emitted inside the worker carry the originating
+    ``request_id``. The chunk runs in a fresh coverage scope, whose
+    vector the parent adds into the scope the map was called from.
     """
     chunk, ctx_wire = task
     obs.metrics().reset()
-    obs.coverage().reset()
-    ctx = obs.context.from_wire(ctx_wire)
-    token = obs.context.activate(ctx) if ctx is not None else None
+    token = obs.context.activate(obs.context.from_wire(ctx_wire))
     try:
-        started = time.perf_counter()
-        results = [_WORKER_FN(item) for item in chunk]
-        wall = time.perf_counter() - started
+        with obs.coverage_scope() as vector:
+            started = time.perf_counter()
+            results = [_WORKER_FN(item) for item in chunk]
+            wall = time.perf_counter() - started
     finally:
-        if token is not None:
-            obs.context.deactivate(token)
-    return results, wall, obs.worker_dump()
+        obs.context.deactivate(token)
+    return results, wall, obs.worker_dump(vector)
 
 
 def chunked(items: Sequence[T], chunk_size: int) -> List[Sequence[T]]:
@@ -173,37 +162,26 @@ def pmap(
     mp_context = multiprocessing.get_context("fork")
     previous = _WORKER_FN
     _WORKER_FN = fn
-    observing = obs.active()
     try:
         with mp_context.Pool(processes=min(n_jobs, len(chunks))) as pool:
             done = 0
-            if observing:
-                ctx_wire = obs.context.to_wire(obs.context.current())
-                tasks = [(chunk, ctx_wire) for chunk in chunks]
-                mapped = []
-                with obs.span("pmap", jobs=n_jobs, chunks=len(chunks)):
-                    # imap (not map): results stream back in input order
-                    # as chunks finish, so progress fires incrementally.
-                    for results, wall, dump in pool.imap(
-                        _invoke_chunk_obs, tasks
-                    ):
-                        obs.observe("pmap.chunk_seconds", wall)
-                        obs.merge_worker_dump(dump)
-                        mapped.append(results)
-                        done += len(results)
-                        if progress is not None:
-                            progress(done, len(work))
-                obs.add("pmap.pool_calls")
-                obs.add("pmap.items", len(work))
-                obs.add("pmap.chunks", len(chunks))
-                obs.gauge("pmap.jobs", n_jobs)
-            else:
-                mapped = []
-                for results in pool.imap(_invoke_chunk, chunks):
+            ctx_wire = obs.context.to_wire(obs.context.current())
+            tasks = [(chunk, ctx_wire) for chunk in chunks]
+            mapped = []
+            with obs.span("pmap", jobs=n_jobs, chunks=len(chunks)):
+                # imap (not map): results stream back in input order
+                # as chunks finish, so progress fires incrementally.
+                for results, wall, dump in pool.imap(_invoke_chunk, tasks):
+                    obs.observe("pmap.chunk_seconds", wall)
+                    obs.merge_worker_dump(dump)
                     mapped.append(results)
                     done += len(results)
                     if progress is not None:
                         progress(done, len(work))
+            obs.add("pmap.pool_calls")
+            obs.add("pmap.items", len(work))
+            obs.add("pmap.chunks", len(chunks))
+            obs.gauge("pmap.jobs", n_jobs)
     finally:
         _WORKER_FN = previous
     return [result for chunk in mapped for result in chunk]

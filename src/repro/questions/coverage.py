@@ -1,32 +1,35 @@
-"""Coverage attribution: per-question coverage records, uncovered-stanza
+"""Coverage attribution: per-run coverage records, uncovered-stanza
 risk, and coverage-guided question prioritization.
 
 The Batfish paper's operational lesson is that operators trust analysis
 they can *see the extent of* — a reachability suite that never exercises
 an ACL line says nothing about that line (Xu et al., *Test Coverage for
-Network Configurations*). PR 2 gave the repo kind-level coverage; this
-module makes it attributable and actionable:
+Network Configurations*, who define coverage per configuration). So
+coverage here belongs to the session it describes:
 
-* **Records.** Every question execution (and every lint rule, labeled
-  ``lint/<rule_id>``) runs under an attribution context
-  (:func:`repro.obs.context.attribution`), so the tracker keeps one
-  coverage vector per question. :func:`record_question_run` snapshots
-  the vector delta of one execution into a *record* — question, params,
-  scope class, host footprint, vector — registered in the tracker's run
-  registry under (snapshot, question, params). Records live as long as
-  the process: the delta that reads them runs in the process whose
-  questions wrote them.
+* **Records.** A question runs inside :func:`recording`, one
+  :func:`repro.obs.coverage_scope`: the touches made in it (inline or on
+  ``pmap`` workers) become a *record* — question, params, scope class,
+  host footprint, vector — kept on the session it ran on
+  (``Session.record_coverage``) and written to the trace as one
+  ``coverage`` event. ``run_question``, the CI gate and library callers
+  (``Session.question_scope``) all record through it; a lint run is one
+  scope like any other question.
 * **Prioritization.** Given a delta's changed files and whether its
-  routing changed, :func:`prioritize_questions` splits the recorded
-  questions into *affected* (worth rerunning) and *skipped* (provably
-  unchanged), ranked by overlap between each record's coverage vector
-  and the impacted hosts. The delta engine surfaces this as
+  routing changed, :func:`prioritize_questions` splits the base
+  session's records into *affected* (worth rerunning) and *skipped*
+  (provably unchanged), ranked by overlap between each record's vector
+  and the impacted hosts; :func:`questions_for_delta` gives the new
+  session the skipped records. The delta engine surfaces this as
   ``DeltaInfo.questions_affected``.
-* **Risk.** :func:`uncovered_stanzas` lists the config structures no
-  question touched, with file:line provenance, and — for reachable
-  uncovered ACL lines — synthesizes a concrete witness packet from the
-  line's BDD match set (:func:`witness_for_acl_line`): the probe an
-  operator would send to exercise that exact line.
+* **Report.** :func:`uncovered_stanzas` reads one session's records
+  over :func:`snapshot_structures` into an :class:`UncoveredReport`:
+  per-kind and per-question ratios, and the structures no run touched,
+  with file:line provenance and — for reachable uncovered ACL lines — a
+  concrete witness packet from the line's BDD match set
+  (:func:`witness_for_acl_line`). ``GET /snapshots/{name}/coverage``,
+  the ``/metrics`` series, the CI gate and ``Session.coverage_report()``
+  are all this report.
 
 The module tail is the CI coverage gate's library (the command is
 ``python -m repro coverage``): it runs a fixed question battery over
@@ -43,9 +46,10 @@ never a soundness bet: anything the model cannot bound reruns.
 
 from __future__ import annotations
 
+import contextlib
 import json
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro import obs
 from repro.bdd.engine import FALSE
@@ -53,13 +57,7 @@ from repro.dataplane.acl import acl_line_spaces
 from repro.findings import Finding, Location, RuleInfo, Severity
 from repro.hdr import fields as hdr_fields
 from repro.hdr.headerspace import PacketEncoder
-from repro.obs.coverage import (
-    KINDS,
-    CoverageKey,
-    CoverageTracker,
-    parse_key,
-    render_key,
-)
+from repro.obs.coverage import KINDS, CoverageKey, parse_key, render_key
 from repro.questions.params import packet_to_json
 from repro.questions.registry import Question
 from repro.reachability.examples import default_preferences
@@ -74,21 +72,9 @@ RISK_ORDER = ("acl_line", "route_map_clause", "interface")
 
 def canonical_params(params: Optional[Dict]) -> str:
     """Canonical rendering of question params — the params component of
-    the (snapshot, question, params) record key. Matches the service's
-    job-coalescing digest convention (sorted keys, compact)."""
+    a record's key on its session. Matches the service's job-coalescing
+    digest convention (sorted keys, compact)."""
     return json.dumps(params or {}, sort_keys=True, separators=(",", ":"))
-
-
-def vector_delta(
-    before: Dict[CoverageKey, int], after: Dict[CoverageKey, int]
-) -> Dict[CoverageKey, int]:
-    """What one execution added to a question's coverage vector."""
-    delta: Dict[CoverageKey, int] = {}
-    for key, count in after.items():
-        added = count - before.get(key, 0)
-        if added > 0:
-            delta[key] = added
-    return delta
 
 
 def build_record(
@@ -120,22 +106,22 @@ def build_record(
     }
 
 
-def record_question_run(
-    tracker: CoverageTracker,
-    snapshot_key: str,
+@contextlib.contextmanager
+def recording(
+    session,
     question: Question,
     params: Optional[Dict],
     args: Mapping[str, object],
-    vector: Dict[CoverageKey, int],
-) -> Dict:
-    """Register one completed question execution in the run registry."""
+) -> Iterator[None]:
+    """Run a block as one execution of ``question`` with raw ``params``
+    bound as ``args``: the touches made in it become one record on
+    ``session`` and one ``coverage`` event in the trace. A block that
+    raises records nothing."""
+    with obs.coverage_scope() as vector:
+        yield
     record = build_record(question, params, args, vector)
-    key = (question.name, record["params_key"])
-    previous = tracker.recorded_runs(snapshot_key).get(key)
-    if previous:
-        record["runs"] = int(previous.get("runs", 0)) + 1
-    tracker.record_run(snapshot_key, *key, record)
-    return record
+    session.record_coverage(record)
+    obs.coverage_event(question.name, record["vector"])
 
 
 # ----------------------------------------------------------------------
@@ -200,34 +186,29 @@ def _overlap(record: Dict, impact: Optional[Set[str]]) -> int:
 
 
 def questions_for_delta(
-    tracker: CoverageTracker,
-    base_snapshot_key: str,
-    new_snapshot_key: str,
+    base,
+    new_session,
     changed_hosts: Iterable[str],
     routing_changed: bool,
     everything: bool = False,
 ) -> Tuple[List[Dict], List[Dict]]:
-    """The delta engine's entry point: take the base snapshot's records
-    from the run registry, prioritize against the delta's impact, and
-    carry every *skipped* record forward under the new snapshot key —
-    its answer is unchanged, so the record still describes the new
-    snapshot and chains across further deltas."""
-    records = tracker.recorded_runs(base_snapshot_key)
+    """The delta engine's entry point: prioritize the base session's
+    records against the delta's impact, and give ``new_session`` every
+    *skipped* record — its answer is unchanged, so the record still
+    describes the new snapshot and chains across further deltas."""
+    records = base.coverage_records()
     affected, skipped = prioritize_questions(
         records, changed_hosts, routing_changed, everything=everything
     )
-    skipped_keys = {
-        (entry["question"], canonical_params(entry["params"]))
-        for entry in skipped
-    }
-    for key, record in records.items():
-        if key in skipped_keys:
-            tracker.record_run(new_snapshot_key, key[0], key[1], record)
+    for entry in skipped:
+        new_session.record_coverage(
+            records[(entry["question"], canonical_params(entry["params"]))]
+        )
     return affected, skipped
 
 
 # ----------------------------------------------------------------------
-# Structure inventory, attribution matrix
+# Structure inventory
 
 
 def snapshot_structures(snapshot) -> List[Tuple[CoverageKey, str, str, int]]:
@@ -270,54 +251,6 @@ def snapshot_structures(snapshot) -> List[Tuple[CoverageKey, str, str, int]]:
     return out
 
 
-def kind_totals(snapshot) -> Dict[str, int]:
-    totals = {kind: 0 for kind in KINDS}
-    for key, _label, _file, _line in snapshot_structures(snapshot):
-        totals[key[0]] += 1
-    return totals
-
-
-def _touched_by_question(
-    tracker: CoverageTracker,
-) -> Dict[str, Dict[str, Set[CoverageKey]]]:
-    """``{question: {kind: distinct keys touched}}``; lint rule labels
-    (``lint/<rule>``) roll up under ``lint``."""
-    questions = sorted(
-        {label.split("/", 1)[0] for label in tracker.vector_labels()}
-    )
-    touched: Dict[str, Dict[str, Set[CoverageKey]]] = {}
-    for question in questions:
-        distinct: Dict[str, Set[CoverageKey]] = {kind: set() for kind in KINDS}
-        for key in tracker.question_vector(question):
-            if key[0] in distinct:
-                distinct[key[0]].add(key)
-        touched[question] = distinct
-    return touched
-
-
-def attribution_matrix(
-    tracker: CoverageTracker, snapshot
-) -> Dict[str, Dict[str, Dict[str, float]]]:
-    """Per-question, per-kind coverage against the snapshot's totals:
-    ``{question: {kind: {touched, total, ratio}}}``."""
-    totals = kind_totals(snapshot)
-    return {
-        question: {
-            kind: {
-                "touched": len(distinct[kind]),
-                "total": totals[kind],
-                "ratio": (
-                    round(len(distinct[kind]) / totals[kind], 6)
-                    if totals[kind]
-                    else 0.0
-                ),
-            }
-            for kind in KINDS
-        }
-        for question, distinct in _touched_by_question(tracker).items()
-    }
-
-
 # ----------------------------------------------------------------------
 # Uncovered-stanza risk report + witness packets
 
@@ -358,11 +291,16 @@ class UncoveredStanza:
 
 @dataclass
 class UncoveredReport:
-    """Uncovered structures ranked by kind risk, plus per-kind ratios."""
+    """One session's coverage: per-kind totals, the distinct structures
+    its records touched (all of them, and per question), and the
+    untouched ones ranked by kind risk."""
 
-    stanzas: List[UncoveredStanza] = field(default_factory=list)
-    totals: Dict[str, int] = field(default_factory=dict)
-    touched: Dict[str, int] = field(default_factory=dict)
+    totals: Dict[str, int]
+    touched: Dict[str, int]
+    #: ``{question: {kind: distinct structures its runs touched}}``; a
+    #: question whose runs touched nothing has no row.
+    questions: Dict[str, Dict[str, int]]
+    stanzas: List[UncoveredStanza]
 
     @property
     def uncovered_total(self) -> int:
@@ -375,6 +313,25 @@ class UncoveredReport:
         for stanza in self.stanzas:
             grouped.setdefault(stanza.kind, []).append(stanza)
         return grouped
+
+    def matrix(self) -> Dict[str, Dict[str, Dict[str, float]]]:
+        """Per-question, per-kind coverage against the snapshot's totals:
+        ``{question: {kind: {touched, total, ratio}}}``."""
+        return {
+            question: {
+                kind: {
+                    "touched": kinds[kind],
+                    "total": self.totals[kind],
+                    "ratio": (
+                        round(kinds[kind] / self.totals[kind], 6)
+                        if self.totals[kind]
+                        else 0.0
+                    ),
+                }
+                for kind in KINDS
+            }
+            for question, kinds in self.questions.items()
+        }
 
     def to_json(self) -> Dict:
         return {
@@ -465,27 +422,43 @@ def witness_for_acl_line(
     }
 
 
-def uncovered_stanzas(
-    tracker: CoverageTracker, snapshot, witnesses: int = 0
-) -> UncoveredReport:
-    """The blind-spot report: structures in the snapshot that *no*
-    attribution label touched, risk-ranked by kind. ``witnesses`` > 0
+def uncovered_stanzas(session, witnesses: int = 0) -> UncoveredReport:
+    """The blind-spot report: ``session``'s records read over its
+    structures, untouched ones risk-ranked by kind. ``witnesses`` > 0
     additionally synthesizes up to that many probe packets for
     reachable uncovered ACL lines (witness generation builds BDD line
     spaces per ACL, so it is opt-in)."""
-    touched = set(tracker.touched_keys())
+    by_question: Dict[str, Set[CoverageKey]] = {}
+    for (question, _params_key), record in session.coverage_records().items():
+        keys = by_question.setdefault(question, set())
+        for rendered in record["vector"]:
+            key = parse_key(rendered)
+            if key is not None:
+                keys.add(key)
+    touched = set().union(*by_question.values())
     report = UncoveredReport(
         totals={kind: 0 for kind in KINDS},
         touched={kind: 0 for kind in KINDS},
+        questions={
+            question: {
+                kind: sum(1 for key in keys if key[0] == kind)
+                for kind in KINDS
+            }
+            for question, keys in sorted(by_question.items())
+            if keys
+        },
+        stanzas=[],
     )
     ordered: Dict[str, List[UncoveredStanza]] = {kind: [] for kind in RISK_ORDER}
-    for key, label, source_file, source_line in snapshot_structures(snapshot):
+    for key, label, source_file, source_line in snapshot_structures(
+        session.snapshot
+    ):
         kind = key[0]
         report.totals[kind] += 1
         if key in touched:
             report.touched[kind] += 1
             continue
-        ordered.setdefault(kind, []).append(
+        ordered[kind].append(
             UncoveredStanza(
                 kind=kind,
                 hostname=key[1],
@@ -499,10 +472,10 @@ def uncovered_stanzas(
     budget = max(0, int(witnesses))
     if budget:
         encoder = PacketEncoder()
-        for stanza in ordered.get("acl_line", []):
+        for stanza in ordered["acl_line"]:
             if budget <= 0:
                 break
-            device = snapshot.device(stanza.hostname)
+            device = session.snapshot.device(stanza.hostname)
             witness = witness_for_acl_line(
                 device, stanza.name, stanza.index, encoder
             )
@@ -511,7 +484,7 @@ def uncovered_stanzas(
                 stanza.witness = witness
                 budget -= 1
     for kind in RISK_ORDER:
-        report.stanzas.extend(ordered.get(kind, []))
+        report.stanzas.extend(ordered[kind])
     return report
 
 
@@ -521,54 +494,47 @@ def uncovered_stanzas(
 
 def coverage_payload(session, witnesses: int = 0) -> Dict:
     """The ``GET /snapshots/{name}/coverage`` body: the per-question
-    attribution matrix, recorded runs, and the uncovered-stanza list."""
-    tracker = obs.coverage()
-    matrix = attribution_matrix(tracker, session.snapshot)
-    report = uncovered_stanzas(tracker, session.snapshot, witnesses=witnesses)
+    attribution matrix, the session's records, and the uncovered-stanza
+    list."""
+    report = uncovered_stanzas(session, witnesses=witnesses)
     records = [
         {
             "question": record["question"],
-            "params": record.get("params") or {},
-            "scope": record.get("scope", "global"),
-            "hosts": record.get("hosts"),
-            "touches": sum((record.get("vector") or {}).values()),
-            "runs": record.get("runs", 1),
+            "params": record["params"],
+            "scope": record["scope"],
+            "hosts": record["hosts"],
+            "touches": sum(record["vector"].values()),
+            "runs": record["runs"],
         }
-        for (_q, _pk), record in sorted(
-            tracker.recorded_runs(session.snapshot_key).items()
-        )
+        for _key, record in sorted(session.coverage_records().items())
     ]
     return {
         "schema": "repro-coverage/v1",
         "snapshot_key": session.snapshot_key,
-        "questions": matrix,
+        "questions": report.matrix(),
         "records": records,
         "uncovered": report.to_json(),
     }
 
 
 def prometheus_coverage(
-    tracker: CoverageTracker, snapshots: Iterable
+    sessions: Mapping[str, object]
 ) -> Tuple[Dict[str, List[Tuple[Dict[str, str], float]]], int]:
     """Labeled gauge samples + the uncovered-stanza count for the
-    ``/metrics`` exposition: ``coverage.ratio{question, kind}`` over the
-    union of the stored snapshots' structures, and the total number of
-    structures nothing touched."""
-    totals = {kind: 0 for kind in KINDS}
-    all_keys: Set[CoverageKey] = set()
-    for snapshot in snapshots:
-        for key, _label, _file, _line in snapshot_structures(snapshot):
-            if key not in all_keys:
-                all_keys.add(key)
-                totals[key[0]] += 1
-    samples: List[Tuple[Dict[str, str], float]] = [
-        ({"question": question, "kind": kind}, len(distinct[kind]) / totals[kind])
-        for question, distinct in _touched_by_question(tracker).items()
-        for kind in KINDS
-        if totals[kind]
-    ]
-    touched_keys = set(tracker.touched_keys())
-    uncovered = sum(1 for key in all_keys if key not in touched_keys)
+    ``/metrics`` exposition: ``coverage.ratio{snapshot, question, kind}``
+    from each stored snapshot's own report, and the number of
+    structures no run on their snapshot touched, summed over them."""
+    samples: List[Tuple[Dict[str, str], float]] = []
+    uncovered = 0
+    for name, session in sorted(sessions.items()):
+        report = uncovered_stanzas(session)
+        uncovered += report.uncovered_total
+        samples.extend(
+            ({"snapshot": name, "question": question, "kind": kind}, cell["ratio"])
+            for question, kinds in report.matrix().items()
+            for kind, cell in kinds.items()
+            if cell["total"]
+        )
     return {"coverage.ratio": samples}, uncovered
 
 
@@ -595,19 +561,18 @@ def gate_battery(spec, scale: int = 1) -> Dict[str, Dict[str, List[int]]]:
     rules) — together they bound how much of each structure kind the
     shipped questions can see, which is the ratio the gate pins."""
     from repro.core.session import Session
-    from repro.obs import context as obs_context
 
     session = Session.from_texts(spec.generate(scale))
-    with obs_context.attribution("reachability"):
+    with session.question_scope("reachability", None):
         session.reachability()
-    session.lint()  # rules self-attribute as lint/<rule_id>
-    matrix = attribution_matrix(obs.coverage(), session.snapshot)
+    with session.question_scope("lint", None):
+        session.lint()
     return {
         question: {
             kind: [cell["touched"], cell["total"]]
             for kind, cell in kinds.items()
         }
-        for question, kinds in matrix.items()
+        for question, kinds in uncovered_stanzas(session).matrix().items()
     }
 
 
@@ -616,25 +581,17 @@ def gate_run(
     scale: int = 1,
     verbose: bool = False,
 ) -> Dict[str, Dict[str, Dict[str, List[int]]]]:
-    """The gate sweep: battery per selected registry network, obs state
-    reset between networks so ratios never bleed across them."""
+    """The gate sweep: the battery on a fresh session per selected
+    registry network."""
     results: Dict[str, Dict[str, Dict[str, List[int]]]] = {}
-    was_metrics = obs.active()
-    obs.enable_metrics()
-    try:
-        for spec in specs:
-            obs.coverage().reset()
-            results[spec.name] = gate_battery(spec, scale)
-            if verbose:
-                summary = ", ".join(
-                    f"{q}:{cells['acl_line'][0]}/{cells['acl_line'][1]} acl"
-                    for q, cells in sorted(results[spec.name].items())
-                )
-                print(f"{spec.name}: {summary}", flush=True)
-    finally:
-        obs.coverage().reset()
-        if not was_metrics:
-            obs.disable()
+    for spec in specs:
+        results[spec.name] = gate_battery(spec, scale)
+        if verbose:
+            summary = ", ".join(
+                f"{q}:{cells['acl_line'][0]}/{cells['acl_line'][1]} acl"
+                for q, cells in sorted(results[spec.name].items())
+            )
+            print(f"{spec.name}: {summary}", flush=True)
     return results
 
 

@@ -18,9 +18,10 @@ from repro.bdd.engine import FALSE
 from repro.config.model import Acl, AclLine, Action, Device, Snapshot
 from repro.dataplane.acl import (
     AclResult,
-    acl_line_spaces,
     acl_permit_space,
+    blocking_lines,
     evaluate_acl,
+    line_space,
 )
 from repro.hdr.headerspace import HeaderSpace, PacketEncoder
 from repro.hdr.packet import Packet
@@ -124,29 +125,20 @@ def unreachable_filter_lines(
         device = snapshot.device(hostname)
         for filter_name in sorted(device.acls):
             acl = device.acls[filter_name]
-            spaces = acl_line_spaces(acl, encoder)
-            for index, (line, effective) in enumerate(spaces):
-                if effective != FALSE:
-                    continue
-                from repro.dataplane.acl import line_space
-
-                full = line_space(line, encoder)
-                blockers: List[int] = []
-                remaining = full
-                for earlier_index in range(index):
-                    earlier_space = line_space(acl.lines[earlier_index], encoder)
-                    if engine.and_(remaining, earlier_space) != FALSE:
-                        blockers.append(earlier_index)
-                        remaining = engine.diff(remaining, earlier_space)
-                        if remaining == FALSE:
-                            break
-                rows.append(
-                    UnreachableLineRow(
-                        hostname=hostname,
-                        filter_name=filter_name,
-                        line_index=index,
-                        line=line.name or str(line.action.value),
-                        blocking_lines=blockers,
+            spaces = [line_space(line, encoder) for line in acl.lines]
+            matched = FALSE
+            for index, (line, space) in enumerate(zip(acl.lines, spaces)):
+                if engine.diff(space, matched) == FALSE:
+                    rows.append(
+                        UnreachableLineRow(
+                            hostname=hostname,
+                            filter_name=filter_name,
+                            line_index=index,
+                            line=line.name or str(line.action.value),
+                            blocking_lines=blocking_lines(
+                                engine, spaces, index, space
+                            ),
+                        )
                     )
-                )
+                matched = engine.or_(matched, space)
     return rows

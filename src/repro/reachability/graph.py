@@ -277,7 +277,9 @@ class Edge:
 
 
 class ForwardingGraph:
-    """The dataflow graph plus indices for traversal."""
+    """The dataflow graph plus indices for traversal; immutable once
+    built (a question that needs other edges builds a derived graph
+    from ``device_edges``)."""
 
     def __init__(self, encoder: PacketEncoder, device_edges: Dict[str, List[Edge]]):
         self.encoder = encoder
@@ -290,7 +292,12 @@ class ForwardingGraph:
         self.edges: List[Edge] = [
             edge for segment in device_edges.values() for edge in segment
         ]
-        self.rebuild_indices()
+        self._out: Dict[GraphNode, List[Edge]] = {}
+        self._in: Dict[GraphNode, List[Edge]] = {}
+        for edge in self.edges:
+            self._out.setdefault(edge.tail, []).append(edge)
+            self._in.setdefault(edge.head, []).append(edge)
+        self.nodes: Set[GraphNode] = self._out.keys() | self._in.keys()
 
     def out_edges(self, node: GraphNode) -> List[Edge]:
         return self._out.get(node, [])
@@ -312,16 +319,6 @@ class ForwardingGraph:
             (n for n in self.nodes if n[0] in ("sink", "disp")),
             key=lambda n: tuple(str(part) for part in n),
         )
-
-    def rebuild_indices(self) -> None:
-        """Compute adjacency from ``edges`` (again, after a query
-        splices edges in or out)."""
-        self._out: Dict[GraphNode, List[Edge]] = {}
-        self._in: Dict[GraphNode, List[Edge]] = {}
-        for edge in self.edges:
-            self._out.setdefault(edge.tail, []).append(edge)
-            self._in.setdefault(edge.head, []).append(edge)
-        self.nodes: Set[GraphNode] = self._out.keys() | self._in.keys()
 
 
 #: In the order of their edges out of a ``fwd`` node.

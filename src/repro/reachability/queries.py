@@ -35,6 +35,7 @@ from repro.reachability.bddreach import backward_reachability, forward_reachabil
 from repro.reachability.compress import CompressionStats, compress_edges
 from repro.reachability.examples import default_preferences
 from repro.reachability.graph import (
+    Compose,
     Constraint,
     Disposition,
     Edge,
@@ -268,9 +269,16 @@ class NetworkAnalyzer:
         self, sources: Dict[GraphNode, int]
     ) -> ReachabilityAnswer:
         """Forward reachability from the given sources."""
+        return self._reachability(self.graph, sources)
+
+    def _reachability(
+        self, graph: ForwardingGraph, sources: Dict[GraphNode, int]
+    ) -> ReachabilityAnswer:
+        """:meth:`reachability` over ``graph``: the analyzer's own, or
+        one a question derives from it."""
         engine = self.encoder.engine
         with obs.span("query.reachability", sources=len(sources)):
-            reach = forward_reachability(self.graph, sources)
+            reach = forward_reachability(graph, sources)
             answer = ReachabilityAnswer(reach=reach)
             answer._or = engine.or_
             for node, packet_set in reach.items():
@@ -286,15 +294,17 @@ class NetworkAnalyzer:
                         packet_set,
                     )
                     answer.by_sink[node] = packet_set
+            self._touch_reach_coverage(reach)
             if obs.active():
                 obs.add("query.reachability_runs")
-                self._touch_reach_coverage(reach)
                 self._emit_bdd_gauges()
         return answer
 
     def _touch_reach_coverage(self, reach: Dict[GraphNode, int]) -> None:
         """Symbolic coverage: an interface counts as exercised when any
         packet set flowed through one of its graph nodes."""
+        if not obs.coverage_scoped():
+            return
         for node, packet_set in reach.items():
             if packet_set == FALSE or len(node) < 3:
                 continue
@@ -338,9 +348,9 @@ class NetworkAnalyzer:
                     if interface is None or node[2] == interface:
                         targets[node] = headerspace_bdd
             reach = backward_reachability(self.graph, targets)
+            self._touch_reach_coverage(reach)
             if obs.active():
                 obs.add("query.destination_reachability_runs")
-                self._touch_reach_coverage(reach)
                 self._emit_bdd_gauges()
             return {
                 node: packet_set
@@ -362,10 +372,8 @@ class NetworkAnalyzer:
         is what a question about sources has to compare its scope with.
 
         Built on first use and kept for the analyzer's life. The seeds
-        do not depend on the question and the graph only changes inside
-        the ``try/finally`` splices of :meth:`waypoint_reachability` and
-        :meth:`bidirectional_reachability`, which never read this, so
-        there is nothing to key, invalidate or evict.
+        do not depend on the question and the graph never changes once
+        built, so there is nothing to key, invalidate or evict.
         """
         if self._fates is None:
             sinks: Dict[Disposition, Dict[GraphNode, int]] = {}
@@ -381,10 +389,10 @@ class NetworkAnalyzer:
                     for fate in Disposition
                     if fate in sinks
                 }
+                for reach in built.values():
+                    self._touch_reach_coverage(reach)
                 if obs.active():
                     obs.add("query.fate_fixpoints", len(built))
-                    for reach in built.values():
-                        self._touch_reach_coverage(reach)
                     self._emit_bdd_gauges()
             self._fates = built
         return self._fates
@@ -489,13 +497,12 @@ class NetworkAnalyzer:
     ) -> Tuple[int, int]:
         """Split delivered traffic by whether it traversed a waypoint.
 
-        Adds a temporary marking edge at the waypoint's FIB node (the
-        bit is set when the packet passes through), runs the analysis,
-        and returns ``(through_waypoint, bypassing_waypoint)`` for all
-        delivered/accepted traffic. Requires only one extra BDD bit.
+        Runs the analysis on a graph derived from the analyzer's with a
+        marking step at the waypoint's FIB node (the bit is set when the
+        packet passes through) and returns ``(through_waypoint,
+        bypassing_waypoint)`` for all delivered/accepted traffic.
+        Requires only one extra BDD bit.
         """
-        from repro.reachability.graph import AssignField
-
         engine = self.encoder.engine
         level = self.encoder.layout.var(f.WAYPOINT, waypoint_bit)
         marked = engine.var(level)
@@ -503,35 +510,27 @@ class NetworkAnalyzer:
         waypoint = fwd_node(waypoint_hostname)
         if waypoint not in self.graph.nodes:
             raise ValueError(f"no such device in graph: {waypoint_hostname}")
-        # Splice the marker in front of the waypoint's outgoing edges.
+        # A derived graph: the marker in front of the waypoint's
+        # outgoing edges, which its own segment holds.
         mark_fn = _SetBit(self.encoder, level)
-        original_edges = list(self.graph.out_edges(waypoint))
-        replaced: List[Tuple[Edge, Edge]] = []
-        for edge in original_edges:
-            new_edge = Edge(edge.tail, edge.head, _ComposePair(mark_fn, edge.fn))
-            replaced.append((edge, new_edge))
-        try:
-            for old, new in replaced:
-                self.graph.edges.remove(old)
-                self.graph.edges.append(new)
-            self.graph.rebuild_indices()
-            # Sources start with the bit clear.
-            scoped = {
-                node: engine.and_(packet_set, unmarked)
-                for node, packet_set in sources.items()
-            }
-            answer = self.reachability(scoped)
-            delivered = answer.success_set()
-            through = engine.and_(delivered, marked)
-            bypass = engine.and_(delivered, unmarked)
-            # Erase the waypoint bit so callers see pure header sets.
-            cube = engine.cube([level])
-            return engine.exists(through, cube), engine.exists(bypass, cube)
-        finally:
-            for old, new in replaced:
-                self.graph.edges.remove(new)
-                self.graph.edges.append(old)
-            self.graph.rebuild_indices()
+        device_edges = dict(self.graph.device_edges)
+        device_edges[waypoint_hostname] = [
+            Edge(edge.tail, edge.head, Compose([mark_fn, edge.fn]))
+            if edge.tail == waypoint else edge
+            for edge in device_edges[waypoint_hostname]
+        ]
+        graph = ForwardingGraph(self.encoder, device_edges)
+        # Sources start with the bit clear.
+        scoped = {
+            node: engine.and_(packet_set, unmarked)
+            for node, packet_set in sources.items()
+        }
+        delivered = self._reachability(graph, scoped).success_set()
+        through = engine.and_(delivered, marked)
+        bypass = engine.and_(delivered, unmarked)
+        # Erase the waypoint bit so callers see pure header sets.
+        cube = engine.cube([level])
+        return engine.exists(through, cube), engine.exists(bypass, cube)
 
     # ------------------------------------------------------------------
     # Bidirectional reachability (§4.2.3)
@@ -544,7 +543,7 @@ class NetworkAnalyzer:
         """Round-trip analysis with stateful session fast paths.
 
         Runs the forward analysis, derives the firewall session sets,
-        instruments the graph with session fast-path edges, and runs the
+        derives a graph with session fast-path edges, and runs the
         return direction from ``return_sources`` (the destination-side
         locations). Returns ``(forward_delivered, roundtrip_ok)`` where
         ``roundtrip_ok`` is the subset of forward flows whose return
@@ -566,51 +565,36 @@ class NetworkAnalyzer:
             return FALSE, FALSE
         sessions = self._session_sets(forward_answer)
         swap = self._endpoint_swap_map()
-        fast_path_edges: List[Edge] = []
+        # A derived graph: each firewall's segment plus its session
+        # fast-path edges (out of its own pipeline's nodes).
+        device_edges = dict(self.graph.device_edges)
         for firewall, session_set in sessions.items():
             return_match = engine.permute(session_set, swap)
-            for node in list(self.graph.nodes):
-                if node[0] == "zone_policy" and node[1] == firewall:
-                    cleared = ("zone_clear", node[1], node[2])
-                    if cleared in self.graph.nodes:
-                        fast_path_edges.append(
-                            Edge(
-                                node,
-                                cleared,
-                                Constraint(engine, return_match, "session fast path"),
-                            )
-                        )
-                if node[0] == "in_acl" and node[1] == firewall:
-                    post = ("post_in_acl", node[1], node[2])
-                    if post in self.graph.nodes:
-                        fast_path_edges.append(
-                            Edge(
-                                node,
-                                post,
-                                Constraint(engine, return_match, "session fast path"),
-                            )
-                        )
-        try:
-            for edge in fast_path_edges:
-                self.graph.edges.append(edge)
-            self.graph.rebuild_indices()
-            if sessions:
-                forward_base = engine.or_all(sessions.values())
-            else:
-                forward_base = delivered
-            return_header = engine.permute(forward_base, swap)
-            back_sources = {
-                src_node(node, iface): return_header
-                for node, iface in return_sources
-            }
-            return_answer = self.reachability(back_sources)
-            returned = return_answer.success_set()
-            roundtrip = engine.and_(forward_base, engine.permute(returned, swap))
-            return delivered, roundtrip
-        finally:
-            for edge in fast_path_edges:
-                self.graph.edges.remove(edge)
-            self.graph.rebuild_indices()
+            fast_paths: List[Edge] = []
+            for node in self.graph.nodes:
+                skip_to = _FAST_PATHS.get(node[0])
+                if skip_to is None or node[1] != firewall:
+                    continue
+                head = (skip_to, node[1], node[2])
+                if head in self.graph.nodes:
+                    fast_paths.append(Edge(
+                        node, head,
+                        Constraint(engine, return_match, "session fast path"),
+                    ))
+            device_edges[firewall] = device_edges[firewall] + fast_paths
+        graph = ForwardingGraph(self.encoder, device_edges)
+        if sessions:
+            forward_base = engine.or_all(sessions.values())
+        else:
+            forward_base = delivered
+        return_header = engine.permute(forward_base, swap)
+        back_sources = {
+            src_node(node, iface): return_header
+            for node, iface in return_sources
+        }
+        returned = self._reachability(graph, back_sources).success_set()
+        roundtrip = engine.and_(forward_base, engine.permute(returned, swap))
+        return delivered, roundtrip
 
     def _session_sets(self, answer: ReachabilityAnswer) -> Dict[str, int]:
         """Per-stateful-device session sets: flows that passed its zone
@@ -686,6 +670,11 @@ class NetworkAnalyzer:
         return violations
 
 
+#: Where a firewall's session table lets return traffic skip to: past
+#: the zone policy, and past the ingress ACL.
+_FAST_PATHS = {"zone_policy": "zone_clear", "in_acl": "post_in_acl"}
+
+
 class _SetBit:
     """Edge function that sets one BDD variable to 1 (waypoint marker)."""
 
@@ -705,20 +694,3 @@ class _SetBit:
 
     def describe(self) -> str:
         return f"set-bit({self._level})"
-
-
-class _ComposePair:
-    """Minimal two-step composition used by the waypoint splice."""
-
-    def __init__(self, first, second):
-        self._first = first
-        self._second = second
-
-    def forward(self, packet_set: int) -> int:
-        return self._second.forward(self._first.forward(packet_set))
-
-    def backward(self, packet_set: int) -> int:
-        return self._first.backward(self._second.backward(packet_set))
-
-    def describe(self) -> str:
-        return f"{self._first.describe()} ; {self._second.describe()}"

@@ -196,9 +196,6 @@ class DataPlane:
     def main_rib(self, hostname: str) -> Rib:
         return self.nodes[hostname].main_rib
 
-    def route_counts(self) -> Dict[str, int]:
-        return {name: len(state.main_rib) for name, state in self.nodes.items()}
-
 
 def compute_dataplane(
     snapshot: Snapshot,
@@ -741,13 +738,12 @@ def _acl_permits(device: Device, acl_name: str, packet: Packet) -> bool:
     if acl is None:
         return True  # undefined ACL: permit (model default, Lesson 3)
     result = evaluate_acl(acl, packet)
-    if obs.active():
-        obs.touch(
-            "acl_line",
-            device.hostname,
-            acl_name,
-            result.line_index if result.line_index is not None else -1,
-        )
+    obs.touch(
+        "acl_line",
+        device.hostname,
+        acl_name,
+        result.line_index if result.line_index is not None else -1,
+    )
     return result.action is Action.PERMIT
 
 

@@ -120,10 +120,7 @@ def _evaluate(
     for clause in route_map.sorted_clauses():
         if not _clause_matches(device, clause, route, semantics, trace):
             continue
-        if obs.active():
-            obs.touch(
-                "route_map_clause", device.hostname, route_map.name, clause.seq
-            )
+        obs.touch("route_map_clause", device.hostname, route_map.name, clause.seq)
         label = f"route-map {route_map.name} clause {clause.seq}"
         if clause.action is Action.DENY:
             trace.append(f"{label}: deny")

@@ -253,11 +253,6 @@ class BgpRoute:
 AnyRoute = (ConnectedRoute, StaticRouteEntry, OspfRoute, BgpRoute)
 
 
-def route_protocol(route) -> Protocol:
-    """Protocol of any route object."""
-    return route.protocol
-
-
 def estimate_route_memory(num_routes: int, unique_bundles: int, interned: bool) -> int:
     """Rough memory model for the interning ablation (bytes).
 

@@ -69,13 +69,6 @@ class Layer3Topology:
         """Whether the snapshot contains the other end of this link."""
         return bool(self._by_tail.get(interface))
 
-    def owner_of_ip(self, ip: Ip) -> Optional[InterfaceId]:
-        """The interface configured with exactly this address, if any."""
-        return self._ip_owners.get(ip)
-
-    # Populated by build_layer3_topology.
-    _ip_owners: Dict[Ip, InterfaceId] = {}
-
 
 def build_layer3_topology(snapshot: Snapshot) -> Layer3Topology:
     """Infer L3 edges: interfaces whose addresses lie in a shared subnet.
@@ -84,14 +77,12 @@ def build_layer3_topology(snapshot: Snapshot) -> Layer3Topology:
     more than two attached interfaces produce a full mesh.
     """
     attached: Dict[Prefix, List[Tuple[InterfaceId, Ip]]] = {}
-    ip_owners: Dict[Ip, InterfaceId] = {}
     for hostname in snapshot.hostnames():
         device = snapshot.device(hostname)
         for iface_name, address, length in device.interface_ips():
             interface_id = InterfaceId(hostname, iface_name)
             prefix = Prefix(address, length)
             attached.setdefault(prefix, []).append((interface_id, address))
-            ip_owners.setdefault(address, interface_id)
     edges: List[Layer3Edge] = []
     for prefix, members in attached.items():
         if len(members) < 2:
@@ -102,7 +93,6 @@ def build_layer3_topology(snapshot: Snapshot) -> Layer3Topology:
                     continue
                 edges.append(Layer3Edge(tail, head, tail_ip, head_ip))
     topology = Layer3Topology(edges)
-    topology._ip_owners = ip_owners
     return topology
 
 

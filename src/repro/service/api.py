@@ -226,19 +226,17 @@ class AnalysisService:
                     if isinstance(value, (int, float))
                 }
             )
-        # Coverage attribution over the union of the stored snapshots:
-        # repro_coverage_ratio{question, kind} gauges plus the
-        # uncovered-stanza count (computed at scrape time — dashboards
-        # poll this far less often than questions run).
-        snapshots = []
+        # Each stored snapshot's coverage, from its own session's
+        # records: repro_coverage_ratio{snapshot, question, kind} gauges
+        # plus the uncovered-stanza count (computed at scrape time —
+        # dashboards poll this far less often than questions run).
+        sessions = {}
         for record in self.store.list():
             try:
-                snapshots.append(self.store.get(record.name).snapshot)
+                sessions[record.name] = self.store.get(record.name)
             except ServiceError:
                 continue  # deleted between list and get
-        labeled_gauges, uncovered = qcov.prometheus_coverage(
-            obs.coverage(), snapshots
-        )
+        labeled_gauges, uncovered = qcov.prometheus_coverage(sessions)
         extra_counters["uncovered_stanzas"] = float(uncovered)
         return render_exposition(
             obs.metrics(),

@@ -5,8 +5,8 @@
 declaration's schema (:func:`prepare`, which the API also calls before
 it queues a job), asserts convergence when the declaration asks for
 it (a non-convergent snapshot degrades to a structured 422 instead of
-garbage rows), runs the question under coverage attribution and records
-the run. What a question is — its params, its scope, its answer's JSON
+garbage rows), and runs the question in a coverage scope whose record
+lands on the session asked about. What a question is — its params, its scope, its answer's JSON
 shape — is the registry's; a rejected param leaves there as a
 ``ParamError``, which :func:`repro.service.errors.to_service_error`
 turns into ``400 invalid_request`` naming the field.
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro import obs
 from repro.questions import coverage as qcov
 from repro.questions import registry
 from repro.questions.params import (
@@ -91,22 +90,9 @@ def run_question(
             converged(session), args, lambda name: converged(store.get(name))
         )
 
-    if declared.debug or not obs.active():
+    if declared.debug:
         return run()
-    # Execute under question attribution and snapshot the coverage
-    # vector the run added, so the delta engine can later rank this
-    # (question, params) against a delta (repro.questions.coverage).
-    tracker = obs.coverage()
-    with obs.context.attribution(question):
-        before = tracker.question_vector(question)
-        result = run()
-        after = tracker.question_vector(question)
-    qcov.record_question_run(
-        tracker,
-        session.snapshot_key,
-        declared,
-        params,
-        args,
-        qcov.vector_delta(before, after),
-    )
-    return result
+    # The run's touches become its record on the session it ran on,
+    # which the delta engine later ranks against a delta.
+    with qcov.recording(session, declared, params, args):
+        return run()

@@ -296,15 +296,6 @@ class JuniperishBuilder:
         self._lines.append(f"{base} then {then}")
         return self
 
-    def policy_term(self, policy: str, term: str,
-                    froms: Sequence[str] = (), thens: Sequence[str] = ("accept",)) -> "JuniperishBuilder":
-        base = f"set policy-options policy-statement {policy} term {term}"
-        for from_clause in froms:
-            self._lines.append(f"{base} from {from_clause}")
-        for then_clause in thens:
-            self._lines.append(f"{base} then {then_clause}")
-        return self
-
     def prefix_list(self, name: str, prefixes: Sequence[str]) -> "JuniperishBuilder":
         for prefix in prefixes:
             self._lines.append(f"set policy-options prefix-list {name} {prefix}")

@@ -121,10 +121,8 @@ class TracerouteEngine:
         hop = TraceHop(hostname)
         hop.add("arrive", f"received on {interface_name}: {packet.describe()}")
         iface = device.interfaces.get(interface_name)
-        observing = obs.active()
-        if observing:
-            obs.add("traceroute.hops")
-            obs.touch("interface", hostname, interface_name)
+        obs.add("traceroute.hops")
+        obs.touch("interface", hostname, interface_name)
         recording = prov.enabled()
         # Ingress ACL.
         if iface is not None and iface.incoming_acl:
@@ -134,7 +132,7 @@ class TracerouteEngine:
                     result, acl_lines = evaluate_acl_trace(acl, packet)
                 else:
                     result, acl_lines = evaluate_acl(acl, packet), []
-                if observing and result.line_index is not None:
+                if result.line_index is not None:
                     obs.touch(
                         "acl_line", hostname, iface.incoming_acl, result.line_index
                     )
@@ -229,7 +227,7 @@ class TracerouteEngine:
                     result, acl_lines = evaluate_acl_trace(acl, packet)
                 else:
                     result, acl_lines = evaluate_acl(acl, packet), []
-                if obs.active() and result.line_index is not None:
+                if result.line_index is not None:
                     obs.touch(
                         "acl_line",
                         hostname,
@@ -295,7 +293,7 @@ class TracerouteEngine:
             result, acl_lines = evaluate_acl_trace(acl, packet)
         else:
             result, acl_lines = evaluate_acl(acl, packet), []
-        if obs.active() and result.line_index is not None:
+        if result.line_index is not None:
             obs.touch("acl_line", device.hostname, policy.acl, result.line_index)
         return (
             result.permitted,

@@ -15,6 +15,7 @@ from repro.config.loader import load_snapshot_from_texts
 from repro.dataplane.acl import line_space
 from repro.hdr.headerspace import PacketEncoder
 from repro.lint import get_rule
+from repro.questions.filters import unreachable_filter_lines
 from repro.synth.networks import network_by_name
 
 LAB = {
@@ -57,6 +58,32 @@ def brute_force_line_status(snapshot):
                 elif effective != space:
                     partial.add((hostname, acl_name, index))
     return unreachable, partial
+
+
+def rule_blame(snapshot):
+    """``{(hostname, acl, line): [blamed line, ...]}`` from the
+    ``acl-line-unreachable`` findings' related locations."""
+    index_of = {}
+    for hostname in snapshot.hostnames():
+        for acl_name, acl in snapshot.device(hostname).acls.items():
+            for index, line in enumerate(acl.lines):
+                index_of[(hostname, line.source_line)] = (acl_name, index)
+    blame = {}
+    for finding in get_rule("acl-line-unreachable").run(snapshot):
+        acl_name, index = index_of[(finding.hostname, finding.location.line)]
+        blame[(finding.hostname, acl_name, index)] = [
+            index_of[(finding.hostname, related.location.line)][1]
+            for related in finding.related
+        ]
+    return blame
+
+
+def question_blame(snapshot):
+    """The same map from the ``unreachable_filter_lines`` question."""
+    return {
+        (row.hostname, row.filter_name, row.line_index): row.blocking_lines
+        for row in unreachable_filter_lines(snapshot)
+    }
 
 
 def findings_as_line_keys(snapshot, rule_id):
@@ -115,6 +142,13 @@ class TestLab:
         assert len(target) == 1
         witness_lines = {rel.location.line for rel in target[0].related}
         assert acl.lines[2].source_line in witness_lines
+
+    def test_question_blames_the_rule_witness_lines(self, lab_snapshot):
+        """The question and the rule walk one helper: the question's
+        ``blocking_lines`` are the rule's related lines, in order."""
+        blame = rule_blame(lab_snapshot)
+        assert blame == {("lab", "LAB", 1): [0]}
+        assert question_blame(lab_snapshot) == blame
 
     def test_witnesses_cover_shadowed_space(self, lab_snapshot):
         """Semantic witness check: the union of blamed lines really does

@@ -75,8 +75,11 @@ class TestScoping:
 
 class TestWire:
     def test_roundtrip_full(self):
-        ctx = RequestContext(request_id="req-abc", question="routes")
+        ctx = RequestContext(request_id="req-abc")
         assert context.from_wire(context.to_wire(ctx)) == ctx
+        # The wire carries the request id only: a pmap chunk's coverage
+        # travels through its scope (repro.parallel), not the context.
+        assert context.from_wire({"question": "routes"}) is None
 
     def test_roundtrip_minimal(self):
         ctx = RequestContext(request_id="req-min")

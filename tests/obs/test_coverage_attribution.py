@@ -1,16 +1,36 @@
-"""Coverage attribution correctness: per-question vectors, the
-``attribution`` context (including its wire round-trip), the
-invalidation aggregate-recompute fix, and exact attribution under
-thread contention and across the ``pmap`` fork boundary."""
+"""Coverage attribution correctness: a touch lands in the innermost open
+scope and nowhere else, scopes stay apart under thread contention and
+across the ``pmap`` fork boundary, and each session keeps the records
+of its own runs — a twin snapshot or a replaced session never shows
+through (the HTTP view of the same is tests/service/test_coverage_api.py
+``TestSnapshotsApart``)."""
 
+import gc
 import threading
+import weakref
 
 import pytest
 
 from repro import obs
-from repro.obs.context import RequestContext, attribution, current_question
-from repro.obs.coverage import CoverageTracker
+from repro.core.session import Session
+from repro.hdr.ip import Ip
+from repro.hdr.packet import Packet
 from repro.parallel import fork_available, pmap
+from repro.questions import coverage as qcov
+from repro.service.serialize import run_question
+from repro.service.store import SnapshotStore
+from repro.synth.special import net1
+
+
+#: A probe through net1-core0's SPUR_FILTER (deny tcp any any eq 23).
+TELNET = {
+    "src_ip": "10.99.0.1", "dst_ip": "10.99.0.2",
+    "ip_protocol": "tcp", "src_port": 1024, "dst_port": 23,
+}
+TELNET_PACKET = Packet(
+    src_ip=Ip(TELNET["src_ip"]), dst_ip=Ip(TELNET["dst_ip"]),
+    ip_protocol=6, src_port=1024, dst_port=23,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -22,141 +42,175 @@ def obs_clean():
     obs.reset()
 
 
+def twins():
+    """Two snapshots of one network whose bytes differ (an inert NTP
+    line on the second's core0)."""
+    configs = net1(2)
+    edited = dict(configs)
+    edited["net1-core0"] = configs["net1-core0"] + "ntp server 192.0.2.99\n"
+    return configs, edited
+
+
 class TestTrackerVectors:
     def test_touch_with_query_lands_in_vector(self):
-        tracker = CoverageTracker()
-        tracker.touch("interface", "r1", "Ethernet0", query="routes")
-        tracker.touch("interface", "r1", "Ethernet0", query="routes")
-        tracker.touch("acl_line", "r1", "ACL", 0, query="routes")
-        vector = tracker.question_vector("routes")
-        assert vector[("interface", "r1", "Ethernet0", None)] == 2
-        assert vector[("acl_line", "r1", "ACL", 0)] == 1
-        # Unattributed touches still count globally but never in vectors.
-        tracker.touch("interface", "r2", "Ethernet0")
-        assert ("interface", "r2", "Ethernet0", None) not in (
-            tracker.question_vector("routes")
-        )
-        assert ("interface", "r2", "Ethernet0", None) in tracker.touched_keys()
+        obs.touch("interface", "r0", "Ethernet0")  # no scope: nowhere
+        with obs.coverage_scope() as vector:
+            obs.touch("interface", "r1", "Ethernet0")
+            obs.touch("interface", "r1", "Ethernet0")
+            obs.touch("acl_line", "r1", "ACL", 0)
+        obs.touch("interface", "r2", "Ethernet0")  # closed: nowhere
+        assert vector == {
+            ("interface", "r1", "Ethernet0", None): 2,
+            ("acl_line", "r1", "ACL", 0): 1,
+        }
 
     def test_lint_rule_labels_roll_up_under_lint(self):
-        tracker = CoverageTracker()
-        tracker.touch("acl_line", "r1", "ACL", 0, query="lint/rule-a")
-        tracker.touch("acl_line", "r1", "ACL", 1, query="lint/rule-b")
-        tracker.touch("acl_line", "r1", "ACL", 0, query="lint/rule-b")
-        rollup = tracker.question_vector("lint")
-        assert rollup[("acl_line", "r1", "ACL", 0)] == 2
-        assert rollup[("acl_line", "r1", "ACL", 1)] == 1
-        # Prefix match is on path segments: "linting" must not fold in.
-        tracker.touch("acl_line", "r9", "ACL", 5, query="linting")
-        assert ("acl_line", "r9", "ACL", 5) not in tracker.question_vector(
-            "lint"
-        )
-        assert sorted(tracker.vector_labels()) == [
-            "lint/rule-a", "lint/rule-b", "linting",
-        ]
+        """A lint run is one scope: every rule's touches (ACL lines from
+        the semantic rules) land in the one ``lint`` record."""
+        session = Session.from_texts(net1(2))
+        with session.question_scope("lint", None):
+            session.lint(jobs=1)
+        records = session.coverage_records()
+        assert list(records) == [("lint", "{}")]
+        vector = records[("lint", "{}")]["vector"]
+        assert {
+            "acl_line:net1-core0:SPUR_FILTER:0",
+            "acl_line:net1-core0:SPUR_FILTER:1",
+        } <= set(vector)
 
     def test_dump_and_merge_round_trip_vectors(self):
-        tracker = CoverageTracker()
-        tracker.touch("interface", "r1", "Ethernet0", query="reachability")
-        tracker.touch("acl_line", "r1", "ACL", 3, query="lint/rule-a")
-        merged = CoverageTracker()
-        merged.merge(tracker.dump())
-        merged.merge(tracker.dump())
-        vector = merged.question_vector("reachability")
-        assert vector[("interface", "r1", "Ethernet0", None)] == 2
-        assert merged.question_vector("lint")[("acl_line", "r1", "ACL", 3)] == 2
-
-
-class TestInvalidationRecomputesAggregates:
-    def test_invalidate_hosts_recomputes_by_query(self):
-        tracker = CoverageTracker()
-        tracker.touch("interface", "r1", "Ethernet0", query="routes")
-        tracker.touch("interface", "r2", "Ethernet0", query="routes")
-        tracker.touch("acl_line", "r2", "ACL", 0, query="lint/rule-a")
-        assert tracker.invalidate_hosts({"r2"}) == 2
-        # Key-level data and kind aggregates must agree after the drop:
-        # the stale-aggregate bug left by_query counting dead touches.
-        assert tracker.dump()["by_query"] == {"routes": {"interface": 1}}
-        assert tracker.question_vector("routes") == {
-            ("interface", "r1", "Ethernet0", None): 1
+        with obs.coverage_scope() as worker:
+            obs.touch("interface", "r1", "Ethernet0")
+            obs.touch("acl_line", "r1", "ACL", 3)
+        dump = obs.worker_dump(worker)
+        obs.merge_worker_dump(dump)  # outside a scope: dropped
+        with obs.coverage_scope() as parent:
+            obs.merge_worker_dump(dump)
+            obs.merge_worker_dump(dump)
+        assert parent == {
+            ("interface", "r1", "Ethernet0", None): 2,
+            ("acl_line", "r1", "ACL", 3): 2,
         }
-        assert tracker.question_vector("lint") == {}
-        assert "lint/rule-a" not in tracker.vector_labels()
 
-    def test_two_chained_invalidations_stay_consistent(self):
-        """Regression: two deltas in sequence. After each invalidation
-        the aggregates must describe exactly the surviving touches."""
-        tracker = CoverageTracker()
-        for host in ("r1", "r2", "r3"):
-            tracker.touch("interface", host, "Ethernet0", query="reachability")
-            tracker.touch("acl_line", host, "ACL", 0, query="reachability")
-        tracker.invalidate_hosts({"r1"})
-        assert tracker.dump()["by_query"]["reachability"] == {
-            "interface": 2, "acl_line": 2,
-        }
-        tracker.invalidate_hosts({"r2"})
-        assert tracker.dump()["by_query"]["reachability"] == {
-            "interface": 1, "acl_line": 1,
-        }
-        tracker.invalidate_hosts({"r3"})
-        assert tracker.dump()["by_query"] == {}
-        assert tracker.touched_keys() == []
 
-    def test_run_registry_survives_host_invalidation(self):
-        tracker = CoverageTracker()
-        tracker.touch("interface", "r1", "Ethernet0", query="routes")
-        tracker.record_run("snap", "routes", "{}", {"question": "routes"})
-        tracker.invalidate_hosts({"r1"})
-        assert tracker.recorded_runs("snap") == {
-            ("routes", "{}"): {"question": "routes"}
+class TestSessionRecords:
+    def test_an_unasked_twin_reads_zero_touched(self):
+        store = SnapshotStore(None)
+        first, second = twins()
+        store.init("A", first)
+        store.init("B", second)
+        run_question(store, "B", "reachability", {})
+        unasked = store.get("A").coverage_report()
+        assert unasked.totals["interface"] > 0
+        assert unasked.touched["interface"] == 0
+        assert unasked.questions == {}
+        asked = store.get("B").coverage_report()
+        assert asked.touched["interface"] == asked.totals["interface"]
+        run_question(store, "A", "reachability", {})
+        assert store.get("A").coverage_report().touched == asked.touched
+
+    def test_a_base_keeps_its_records_after_a_delta(self):
+        """A delta hands its new session only the records it skips;
+        the base session keeps all of its own."""
+        configs = net1(2)
+        base = Session.from_texts(configs)
+        with base.question_scope("reachability", None):
+            base.reachability()
+        test_filter = {
+            "node": "net1-core0", "filter": "SPUR_FILTER", "packet": TELNET,
+        }
+        with base.question_scope("test_filter", test_filter):
+            base.test_filter("net1-core0", "SPUR_FILTER", TELNET_PACKET)
+        kept = base.coverage_records()
+        edited = base.delta({
+            "net1-core1": configs["net1-core1"] + "ntp server 192.0.2.99\n"
+        })
+        assert base.coverage_records() == kept
+        assert set(edited.coverage_records()) == {
+            ("test_filter", qcov.canonical_params(test_filter))
+        }
+        assert [e["question"] for e in edited.delta_info.questions_affected] == [
+            "reachability"
+        ]
+
+    def test_replaced_sessions_are_freed(self):
+        """A 200-PATCH chain: every replaced session is garbage, and the
+        live one holds only records of its own runs or carried to it."""
+        store = SnapshotStore(None)
+        configs = net1(2)
+        store.init("lab", configs)
+        run_question(store, "lab", "reachability", {})
+        run_question(store, "lab", "routes", {})
+        replaced = []
+        text = configs["net1-core1"]
+        for step in range(200):
+            replaced.append(weakref.ref(store.get("lab")))
+            text += f"ntp server 192.0.2.{step % 250}\n"
+            store.patch("lab", {"net1-core1": text})
+            run_question(store, "lab", "reachability", {})
+            run_question(store, "lab", "routes", {})
+        gc.collect()
+        assert [ref for ref in replaced if ref() is not None] == []
+        assert set(store.get("lab").coverage_records()) == {
+            ("reachability", "{}"), ("routes", "{}"),
         }
 
 
 class TestAttributionContext:
     def test_attribution_sets_and_restores_question(self):
-        assert current_question() is None
-        with attribution("routes") as ctx:
-            assert current_question() == "routes"
-            assert ctx.question == "routes"
-            with attribution("lint/rule-a"):
-                assert current_question() == "lint/rule-a"
-            assert current_question() == "routes"
-        assert current_question() is None
+        assert not obs.coverage_scoped()
+        with obs.coverage_scope() as outer:
+            obs.touch("interface", "r1", "Ethernet0")
+            with obs.coverage_scope() as inner:
+                obs.touch("interface", "r1", "Ethernet1")
+            obs.touch("interface", "r1", "Ethernet2")
+        assert not obs.coverage_scoped()
+        assert inner == {("interface", "r1", "Ethernet1", None): 1}
+        assert set(outer) == {
+            ("interface", "r1", "Ethernet0", None),
+            ("interface", "r1", "Ethernet2", None),
+        }
 
     def test_attribution_preserves_enclosing_request_context(self):
-        with obs.context.request_context(request_id="req-attr") as outer:
-            with attribution("reachability") as ctx:
-                assert ctx.request_id == outer.request_id == "req-attr"
+        with obs.context.request_context(request_id="req-attr"):
+            with obs.coverage_scope():
                 assert obs.context.current_request_id() == "req-attr"
 
     def test_wire_round_trip_carries_question(self):
+        """The wire carries the request id; the question's touches come
+        back through the worker's scope dump, into the asking scope."""
         with obs.context.request_context(request_id="req-wire"):
-            with attribution("traceroute"):
+            with obs.coverage_scope() as question:
                 wire = obs.context.to_wire(obs.context.current())
-        restored = obs.context.from_wire(wire)
-        assert restored is not None
-        assert restored.request_id == "req-wire"
-        assert restored.question == "traceroute"
+                restored = obs.context.from_wire(wire)
+                assert restored is not None
+                assert restored.request_id == "req-wire"
+                token = obs.context.activate(restored)
+                try:
+                    with obs.coverage_scope() as worker:
+                        obs.touch("interface", "r1", "Ethernet0")
+                finally:
+                    obs.context.deactivate(token)
+                obs.merge_worker_dump(obs.worker_dump(worker))
+        assert question == {("interface", "r1", "Ethernet0", None): 1}
 
     def test_question_only_wire_round_trips_without_request_id(self):
-        with attribution("lint/rule-b"):
+        """A scope with no request around it ships no context: the
+        wire is None and so is what a worker rebuilds from it."""
+        with obs.coverage_scope():
             wire = obs.context.to_wire(obs.context.current())
-        restored = obs.context.from_wire(wire)
-        assert restored is not None
-        assert restored.request_id == ""
-        assert restored.question == "lint/rule-b"
+        assert wire is None
+        assert obs.context.from_wire(wire) is None
         assert obs.context.from_wire({}) is None
+        assert obs.context.from_wire({"question": "lint/rule-b"}) is None
 
-    def test_touch_uses_question_over_span_name(self):
+    def test_touch_outside_a_scope_is_dropped(self):
         obs.enable_metrics()
         with obs.span("phase.simulate"):
             obs.touch("interface", "r1", "Ethernet0")
-            with attribution("reachability"):
+            with obs.coverage_scope() as vector:
                 obs.touch("interface", "r1", "Ethernet1")
-        tracker = obs.coverage()
-        vector = tracker.question_vector("reachability")
         assert vector == {("interface", "r1", "Ethernet1", None): 1}
-        assert ("interface", "r1", "Ethernet0", None) not in vector
 
 
 class TestThreadAttributionStress:
@@ -164,17 +218,17 @@ class TestThreadAttributionStress:
     ITERATIONS = 400
 
     def test_two_questions_do_not_bleed_across_threads(self):
-        obs.enable_metrics()
         barrier = threading.Barrier(self.THREADS)
+        vectors = {}
 
         def hammer(thread_index):
-            question = "qa" if thread_index % 2 == 0 else "qb"
-            with attribution(question):
+            with obs.coverage_scope() as vector:
                 barrier.wait()
                 for i in range(self.ITERATIONS):
-                    # Same structures from every thread: attribution,
-                    # not key-space, is what must keep them apart.
+                    # Same structures from every thread: the scope, not
+                    # key-space, is what must keep them apart.
                     obs.touch("interface", "r1", f"Ethernet{i % 4}")
+            vectors[thread_index] = vector
 
         threads = [
             threading.Thread(target=hammer, args=(t,))
@@ -184,15 +238,40 @@ class TestThreadAttributionStress:
             thread.start()
         for thread in threads:
             thread.join()
+        for vector in vectors.values():
+            assert vector == {
+                ("interface", "r1", f"Ethernet{i}", None): self.ITERATIONS // 4
+                for i in range(4)
+            }
 
-        expected = (self.THREADS // 2) * self.ITERATIONS
-        tracker = obs.coverage()
-        assert sum(tracker.question_vector("qa").values()) == expected
-        assert sum(tracker.question_vector("qb").values()) == expected
-        assert sorted(tracker.vector_labels()) == ["qa", "qb"]
-        # Global totals agree with the per-question split.
-        dump = tracker.dump()
-        assert sum(dump["touched"].values()) == 2 * expected
+    def test_concurrent_twins_record_what_each_records_alone(self):
+        """Two threads ask ``reachability`` at once on two snapshots of
+        one network: each record equals the one a lone run leaves."""
+        first, second = twins()
+
+        def alone(configs):
+            store = SnapshotStore(None)
+            store.init("x", configs)
+            run_question(store, "x", "reachability", {})
+            return store.get("x").coverage_records()
+
+        expected = {"A": alone(first), "B": alone(second)}
+        store = SnapshotStore(None)
+        store.init("A", first)
+        store.init("B", second)
+        barrier = threading.Barrier(2)
+
+        def ask(name):
+            barrier.wait()
+            run_question(store, name, "reachability", {})
+
+        threads = [threading.Thread(target=ask, args=(n,)) for n in "AB"]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for name in "AB":
+            assert store.get(name).coverage_records() == expected[name]
 
 
 @pytest.mark.skipif(not fork_available(), reason="needs fork start method")
@@ -206,26 +285,20 @@ class TestPmapAttributionStress:
         return item
 
     def test_worker_touches_come_back_attributed(self):
-        obs.enable_metrics()
-        with attribution("reachability"):
+        with obs.coverage_scope() as vector:
             results = pmap(self._work, list(range(self.ITEMS)), jobs=2,
                            min_items=2)
         assert results == list(range(self.ITEMS))
-        vector = obs.coverage().question_vector("reachability")
         assert sum(vector.values()) == 2 * self.ITEMS
         assert {key[1] for key in vector} == {
             f"host{i}" for i in range(self.ITEMS)
         }
 
     def test_sequential_pmap_questions_stay_separate(self):
-        obs.enable_metrics()
-        with attribution("qa"):
+        with obs.coverage_scope() as qa:
             pmap(self._work, list(range(self.ITEMS)), jobs=2, min_items=2)
-        with attribution("qb"):
+        pmap(self._work, list(range(self.ITEMS)), jobs=2, min_items=2)
+        with obs.coverage_scope() as qb:
             pmap(self._work, list(range(self.ITEMS)), jobs=2, min_items=2)
-        tracker = obs.coverage()
-        qa = tracker.question_vector("qa")
-        qb = tracker.question_vector("qb")
         assert sum(qa.values()) == 2 * self.ITEMS
-        assert qa == qb  # same work, so identical footprints...
-        assert sorted(tracker.vector_labels()) == ["qa", "qb"]  # ...apart
+        assert qa == qb  # same work, so identical footprints, apart

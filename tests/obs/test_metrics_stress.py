@@ -1,7 +1,7 @@
 """Concurrency-correctness tests for the metrics registry: exact
 totals under thread contention, defined gauge merge semantics, and
 exact totals across the ``pmap`` fork boundary (including the coverage
-touches shipped back from workers under the question they ran for)."""
+touches shipped back from workers into the scope the map ran in)."""
 
 import threading
 
@@ -132,7 +132,7 @@ class TestPmapStress:
     def test_pmap_totals_exact_and_attributed(self):
         obs.enable_metrics()
         with obs.context.request_context(request_id="req-pmap-stress"):
-            with obs.context.attribution("stress"):
+            with obs.coverage_scope() as vector:
                 results = self._run_pmap()
         assert results == [i * 2 for i in range(self.ITEMS)]
         metrics = obs.metrics()
@@ -142,8 +142,7 @@ class TestPmapStress:
         # Undeclared gauge ships back with max semantics: the overall
         # max item survives regardless of chunk completion order.
         assert metrics.gauge_value("stress.pmap_max_item") == self.ITEMS - 1
-        # Worker touches came back attributed to the question.
-        vector = obs.coverage().question_vector("stress")
+        # Worker touches came back into the scope the map ran in.
         assert sorted(vector) == sorted(
             ("interface", "stress", f"item{i}", None) for i in range(self.ITEMS)
         )

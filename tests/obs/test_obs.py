@@ -8,7 +8,6 @@ import pytest
 
 from repro import obs
 from repro.config.loader import load_snapshot_from_texts
-from repro.obs.coverage import CoverageTracker, coverage_report
 from repro.obs.metrics import Metrics
 from repro.obs.trace import _NULL_SPAN
 
@@ -95,11 +94,11 @@ class TestDisabledPath:
         obs.gauge("gauge", 5)
         obs.observe("hist", 1.0)
         obs.touch("interface", "r1", "eth0")
+        obs.coverage_event("q", {"interface:r1:eth0": 1})
         dump = obs.metrics_dump()
         assert dump["counters"] == {}
         assert dump["gauges"] == {}
         assert dump["histograms"] == {}
-        assert obs.coverage().dump()["touched"] == {}
         assert obs.events() == []
 
     def test_obs_span_still_times_when_disabled(self):
@@ -179,34 +178,60 @@ route-map RM permit 10
     }
 
     def test_touch_and_report(self):
-        snapshot = load_snapshot_from_texts(self.CONFIGS)
-        tracker = CoverageTracker()
-        tracker.touch("interface", "r1", "eth0", query="q1")
-        tracker.touch("acl_line", "r1", "FILTER", 0, query="q1")
-        report = coverage_report(tracker, snapshot)
-        kinds = report.kinds
-        assert kinds["interface"].touched == 1
-        assert kinds["interface"].total == 2
-        assert kinds["acl_line"].touched == 1
-        assert kinds["acl_line"].total == 2
-        assert kinds["route_map_clause"].total == 1
+        from repro.core.session import Session
+
+        session = Session.from_texts(self.CONFIGS)
+        obs.enable()
+        with session.question_scope("parse_warnings", None):
+            obs.touch("interface", "r1", "eth0")
+            obs.touch("acl_line", "r1", "FILTER", 0)
+        report = session.coverage_report()
+        assert report.touched["interface"] == 1
+        assert report.totals["interface"] == 2
+        assert report.touched["acl_line"] == 1
+        assert report.totals["acl_line"] == 2
+        assert report.totals["route_map_clause"] == 1
+        assert report.questions == {
+            "parse_warnings": {
+                "interface": 1, "acl_line": 1, "route_map_clause": 0,
+            }
+        }
         assert "interface" in report.describe()
+        # The run is one coverage event in the trace.
+        events = [e for e in obs.events() if e["type"] == "coverage"]
+        assert events == [{
+            "type": "coverage", "question": "parse_warnings",
+            "pid": events[0]["pid"],
+            "vector": {"acl_line:r1:FILTER:0": 1, "interface:r1:eth0": 1},
+        }]
 
     def test_merge_unions_touches(self):
-        a, b = CoverageTracker(), CoverageTracker()
-        a.touch("interface", "r1", "eth0")
-        b.touch("interface", "r1", "eth1", query="q")
-        a.merge(b.dump())
-        assert len(a.touched_keys()) == 2
+        """Two runs of one (question, params) on a session add up into
+        one record: a rerun whose answer was cached touches less."""
+        from repro.core.session import Session
+
+        session = Session.from_texts(self.CONFIGS)
+        with session.question_scope("parse_warnings", None):
+            obs.touch("interface", "r1", "eth0")
+        with session.question_scope("parse_warnings", None):
+            obs.touch("interface", "r1", "eth0")
+            obs.touch("interface", "r1", "eth1")
+        (record,) = session.coverage_records().values()
+        assert record["runs"] == 2
+        assert record["hosts"] == ["r1"]
+        assert record["vector"] == {
+            "interface:r1:eth0": 2, "interface:r1:eth1": 1,
+        }
 
     def test_session_coverage_report_counts_totals(self):
         from repro.core.session import Session
 
         session = Session.from_texts(self.CONFIGS)
+        session.reachability()  # outside a scope: records nothing
         report = session.coverage_report()
-        assert report.kinds["interface"].total == 2
-        # obs disabled: nothing touched.
-        assert all(k.touched == 0 for k in report.kinds.values())
+        assert report.totals["interface"] == 2
+        assert all(count == 0 for count in report.touched.values())
+        assert report.uncovered_total == sum(report.totals.values())
 
 
 class TestSessionIntegration:

@@ -10,7 +10,6 @@ from repro.core.session import Session
 from repro.findings import to_sarif
 from repro.hdr.ip import Ip
 from repro.hdr.packet import Packet
-from repro.obs.context import attribution
 from repro.provenance import Flow
 from repro.questions import coverage as qcov
 from repro.synth.networks import NETWORKS
@@ -59,11 +58,10 @@ class TestUncoveredReport:
         on NET1 but no ACL line, so the blind-spot report must surface
         SPUR_FILTER's lines with file:line provenance, risk-ranked
         ahead of interfaces."""
-        obs.enable_metrics()
         session = net1_session()
-        with attribution("reachability"):
+        with session.question_scope("reachability", None):
             session.reachability()
-        report = qcov.uncovered_stanzas(obs.coverage(), session.snapshot)
+        report = qcov.uncovered_stanzas(session)
         assert report.touched["interface"] == report.totals["interface"] > 0
         assert report.touched["acl_line"] == 0
         acl_stanzas = [s for s in report.stanzas if s.kind == "acl_line"]
@@ -82,13 +80,12 @@ class TestUncoveredReport:
         )
 
     def test_lint_covers_the_acl_lines(self):
-        obs.enable_metrics()
         session = net1_session()
-        session.lint()
-        report = qcov.uncovered_stanzas(obs.coverage(), session.snapshot)
+        with session.question_scope("lint", None):
+            session.lint()
+        report = qcov.uncovered_stanzas(session)
         assert report.touched["acl_line"] == report.totals["acl_line"] == 2
-        matrix = qcov.attribution_matrix(obs.coverage(), session.snapshot)
-        assert matrix["lint"]["acl_line"]["ratio"] == 1.0
+        assert report.matrix()["lint"]["acl_line"]["ratio"] == 1.0
 
 
 class TestWitnessGeneration:
@@ -96,13 +93,10 @@ class TestWitnessGeneration:
         """Each reachable uncovered ACL line gets a concrete probe;
         tracing the probe from the suggested injection point must walk
         the ACL and match exactly the witnessed line."""
-        obs.enable_metrics()
         session = net1_session()
-        with attribution("reachability"):
+        with session.question_scope("reachability", None):
             session.reachability()
-        report = qcov.uncovered_stanzas(
-            obs.coverage(), session.snapshot, witnesses=8
-        )
+        report = qcov.uncovered_stanzas(session, witnesses=8)
         witnessed = [
             s for s in report.stanzas
             if s.kind == "acl_line" and s.witness is not None
@@ -152,18 +146,14 @@ class TestWitnessGeneration:
         assert witness["inject"]["direction"] == "in"
 
     def test_witness_budget_is_respected(self):
-        obs.enable_metrics()
         session = net1_session()  # nothing run: everything uncovered
-        report = qcov.uncovered_stanzas(
-            obs.coverage(), session.snapshot, witnesses=1
-        )
+        report = qcov.uncovered_stanzas(session, witnesses=1)
         witnessed = [s for s in report.stanzas if s.witness is not None]
         assert len(witnessed) == 1
 
 
 class TestCoverageGate:
     def test_gate_battery_measures_net1(self):
-        obs.enable_metrics()
         spec = next(spec for spec in NETWORKS if spec.name == "NET1")
         measured = qcov.gate_battery(spec, scale=1)
         assert measured["reachability"]["interface"][0] > 0

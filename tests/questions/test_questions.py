@@ -128,6 +128,13 @@ class TestFilterQuestions:
         assert shadowed[0].line_index == 1
         assert shadowed[0].blocking_lines == [0]
 
+    def test_unreachable_lines_blame_the_lint_witness_lines(self, snapshot):
+        from tests.lint.test_acl_reachability import question_blame, rule_blame
+
+        blame = rule_blame(snapshot)
+        assert [key for key in blame if key[1] == "SHADOWED"]
+        assert question_blame(snapshot) == blame
+
 
 SERVICE_NET = {
     "gw": """

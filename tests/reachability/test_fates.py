@@ -221,16 +221,16 @@ def test_multipath_and_fates_reach_metrics_without_tracing():
     obs.enable_metrics()
     try:
         assert not obs.enabled()
-        analyzer.multipath_consistency()
-        analyzer.multipath_consistency()
+        with obs.coverage_scope() as vector:
+            analyzer.multipath_consistency()
+            analyzer.multipath_consistency()
         metrics = obs.metrics()
         assert metrics.counter("query.multipath_runs") == 2
         assert metrics.counter("query.multipath_violations") == 2 * 26
         assert metrics.counter("query.fate_fixpoints") == len(analyzer.fates())
         assert metrics.counter("query.reachability_runs") == 0
         assert metrics.gauge_value("bdd.nodes") == analyzer.encoder.engine.num_nodes()
-        touched = set(obs.coverage().touched_keys())
-        assert touched >= {
+        assert set(vector) >= {
             ("interface", node[1], node[2], None)
             for node in analyzer.graph.source_nodes()
         }

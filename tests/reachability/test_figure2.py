@@ -187,8 +187,13 @@ class TestWaypoint:
         assert non_ssh_p3 != 0
 
     def test_waypoint_restores_graph(self, analyzer):
-        edges_before = analyzer.graph.num_edges()
+        """The analyzer's graph is never edited: the same edge objects,
+        in the same order, after the question."""
+        graph = analyzer.graph
+        edges_before = list(graph.edges)
         analyzer.waypoint_reachability(
             {src_node("r1", "i0"): analyzer.encoder.tcp()}, "r2"
         )
-        assert analyzer.graph.num_edges() == edges_before
+        assert analyzer.graph is graph
+        assert len(graph.edges) == len(edges_before)
+        assert all(a is b for a, b in zip(graph.edges, edges_before))

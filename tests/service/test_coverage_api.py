@@ -80,6 +80,46 @@ class TestCoverageEndpoint:
         assert status == 404
 
 
+class TestSnapshotsApart:
+    """Coverage belongs to the snapshot asked: two snapshots of one
+    network (bytes differ by an inert line) never show through."""
+
+    @staticmethod
+    def twins(client):
+        configs = net1(2)
+        edited = dict(configs)
+        edited["net1-core0"] = configs["net1-core0"] + "ntp server 192.0.2.99\n"
+        client.post("/snapshots", {"name": "A", "configs": configs})
+        client.post("/snapshots", {"name": "B", "configs": edited})
+        return edited
+
+    def test_an_unasked_twin_reads_zero_touched(self, make_service):
+        _, client = make_service()
+        self.twins(client)
+        client.post("/snapshots/B/questions/reachability")
+        _, body = client.get("/snapshots/A/coverage")
+        assert body["uncovered"]["totals"]["interface"] > 0
+        assert body["uncovered"]["touched"]["interface"] == 0
+        assert body["questions"] == {} and body["records"] == []
+        client.post("/snapshots/A/questions/reachability")
+        _, body = client.get("/snapshots/A/coverage")
+        touched = body["uncovered"]["touched"]["interface"]
+        assert touched == body["uncovered"]["totals"]["interface"]
+
+    def test_patching_one_twin_leaves_the_others_payload(self, make_service):
+        _, client = make_service()
+        edited = self.twins(client)
+        client.post("/snapshots/A/questions/reachability")
+        client.post("/snapshots/B/questions/reachability")
+        _, _, before = raw_get(client, "/snapshots/A/coverage")
+        status, _ = client.request("PATCH", "/snapshots/B", {"configs": {
+            "net1-core0": edited["net1-core0"] + "ntp server 192.0.2.98\n",
+        }})
+        assert status == 200
+        _, _, after = raw_get(client, "/snapshots/A/coverage")
+        assert after == before
+
+
 class TestCoverageMetrics:
     def test_ratio_gauges_and_uncovered_counter_in_scrape(self, make_service):
         _, client = make_service()
