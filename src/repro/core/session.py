@@ -124,12 +124,7 @@ class Session:
         snapshot: Snapshot,
         settings: Optional[ConvergenceSettings] = None,
         semantics: PolicySemantics = DEFAULT_SEMANTICS,
-        trace: Optional[str] = None,
     ):
-        if trace is not None:
-            # Programmatic alternative to REPRO_TRACE: turn tracing on
-            # for this process, appending to the given JSONL path.
-            obs.enable(trace)
         self.snapshot = snapshot
         self.settings = settings or ConvergenceSettings()
         self.semantics = semantics
@@ -628,14 +623,17 @@ class Session:
         call pays for one extra simulation and every later call reuses
         the recorded events (the same way Batfish answers "why" questions
         from retained derivation state rather than instrumenting every
-        run)."""
+        run). The recording is this thread's alone; the stage lock makes
+        concurrent first calls share one."""
         if self._provenance is None:
-            with prov.recording() as recorder:
-                dataplane = compute_dataplane(
-                    self.snapshot, self.settings, self.semantics
-                )
-                fibs = compute_fibs(dataplane)
-            self._provenance = (recorder, dataplane, fibs)
+            with self._stage_lock:
+                if self._provenance is None:
+                    with prov.recording() as recorder:
+                        dataplane = compute_dataplane(
+                            self.snapshot, self.settings, self.semantics
+                        )
+                        fibs = compute_fibs(dataplane)
+                    self._provenance = (recorder, dataplane, fibs)
         return self._provenance
 
     def explain_route(self, node: str, prefix) -> DerivationTree:
@@ -653,11 +651,8 @@ class Session:
         """Trace ``flow`` through the concrete forwarding engine with
         per-ACL-line / per-NAT-rule evaluation detail attached.
 
-        The hop sequence is exactly what :meth:`traceroute` produces —
-        the explanation decorates the same engine run rather than
-        re-deriving the path independently."""
-        with prov.recording():
-            traces = self.tracer.trace(
-                flow.packet, flow.ingress_node, flow.ingress_interface
-            )
-        return build_flow_explanation(flow, traces)
+        The explanation is :meth:`traceroute`'s own run: each walk is
+        rendered from the decision its step made, not re-evaluated."""
+        return build_flow_explanation(flow, self.traceroute(
+            flow.packet, flow.ingress_node, flow.ingress_interface
+        ))

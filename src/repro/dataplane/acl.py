@@ -78,23 +78,6 @@ def evaluate_acl(acl: Acl, packet: Packet) -> AclResult:
     return AclResult(action=Action.DENY, line_index=None, line=None)
 
 
-def evaluate_acl_trace(acl: Acl, packet: Packet) -> Tuple[AclResult, List[str]]:
-    """Like :func:`evaluate_acl`, but also return the ordered evaluation
-    trace: one human-readable record per line *considered* — every
-    skipped line up to and including the deciding one (§4.4: the
-    provenance layer shows the full first-match walk, not just the hit).
-    """
-    trace: List[str] = []
-    for index, line in enumerate(acl.lines):
-        label = line.name or f"{line.action.value} line {index}"
-        if line_matches(line, packet):
-            trace.append(f"line {index} [{label}]: matched -> {line.action.value}")
-            return AclResult(action=line.action, line_index=index, line=line), trace
-        trace.append(f"line {index} [{label}]: no match")
-    trace.append("end of ACL: implicit deny")
-    return AclResult(action=Action.DENY, line_index=None, line=None), trace
-
-
 # ----------------------------------------------------------------------
 # BDD encoding
 

@@ -18,7 +18,7 @@ the variable count (unlike SMT encodings where each NAT doubles it).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.bdd.engine import FALSE, TRUE
 from repro.config.model import Action, Device, NatKind, NatRule
@@ -67,35 +67,23 @@ class NatPipeline:
 
     def apply_concrete(self, packet: Packet) -> Packet:
         """First matching rule rewrites; no match passes through."""
-        for rule in self.rules:
-            if not self._rule_matches(rule, packet):
-                continue
-            return self._rewrite(rule, packet)
-        return packet
+        index = self.first_match(packet)
+        return packet if index is None else self.rewrite(index, packet)
 
-    def apply_concrete_trace(
-        self, packet: Packet
-    ) -> Tuple[Packet, List[str]]:
-        """Like :meth:`apply_concrete`, but also return the ordered
-        per-rule evaluation trace (skipped rules included) for the
-        provenance layer."""
-        trace: List[str] = []
+    def first_match(self, packet: Packet) -> Optional[int]:
+        """Index in :attr:`rules` of the first rule matching ``packet``
+        (None when none does): every earlier rule did not match."""
         for index, rule in enumerate(self.rules):
-            label = f"{rule.kind.value} rule {index} pool {rule.pool}"
-            if not self._rule_matches(rule, packet):
-                trace.append(f"nat {label}: no match")
-                continue
-            rewritten = self._rewrite(rule, packet)
-            changed = (
-                f"dst {packet.dst_ip} -> {rewritten.dst_ip}"
-                if rule.kind is NatKind.DESTINATION
-                else f"src {packet.src_ip} -> {rewritten.src_ip}"
-            )
-            trace.append(f"nat {label}: matched, rewrote {changed}")
-            return rewritten, trace
-        if trace:
-            trace.append("end of NAT pipeline: packet unchanged")
-        return packet, trace
+            if self._rule_matches(rule, packet):
+                return index
+        return None
+
+    def rewrite(self, index: int, packet: Packet) -> Packet:
+        """``packet`` as rule ``index`` rewrites it."""
+        rule = self.rules[index]
+        if rule.kind is NatKind.DESTINATION:
+            return packet.with_fields(dst_ip=_concrete_pool_ip(rule, packet.dst_ip))
+        return packet.with_fields(src_ip=_concrete_pool_ip(rule, packet.src_ip))
 
     def _rule_matches(self, rule: NatRule, packet: Packet) -> bool:
         if rule.kind is NatKind.STATIC and rule.static_inside is not None:
@@ -106,11 +94,6 @@ class NatPipeline:
         if acl is None:
             return False
         return evaluate_acl(acl, packet).action is Action.PERMIT
-
-    def _rewrite(self, rule: NatRule, packet: Packet) -> Packet:
-        if rule.kind is NatKind.DESTINATION:
-            return packet.with_fields(dst_ip=_concrete_pool_ip(rule, packet.dst_ip))
-        return packet.with_fields(src_ip=_concrete_pool_ip(rule, packet.src_ip))
 
     # -- symbolic ----------------------------------------------------------
 

@@ -18,10 +18,7 @@ from repro.lint.dataflow.domain import (
 )
 from repro.lint.dataflow.engine import (
     DataflowAnalysis,
-    analysis_for,
     analyze,
-    clear_shared,
-    set_shared,
 )
 from repro.lint.dataflow.graph import (
     Edge,
@@ -38,11 +35,8 @@ __all__ = [
     "Edge",
     "NodeId",
     "PropagationGraph",
-    "analysis_for",
     "analyze",
     "build_graph",
     "build_universe",
-    "clear_shared",
-    "set_shared",
     "validate_containment",
 ]

@@ -6,10 +6,10 @@ least fixpoint. The result over-approximates, per RIB domain, every
 route the control plane can ever carry there (DESIGN.md
 "Propagation-graph soundness").
 
-The analysis is computed once in the lint runner *before* the rule pool
-forks and published through a module-global slot
-(:func:`set_shared` / :func:`analysis_for`), so forked rule workers
-share the BDD tables copy-on-write instead of recomputing them.
+The lint runner computes the analysis once per run, before the rule
+pool forks, and passes it to each dataflow-scoped rule as its argument:
+forked rule workers read it (and its BDD tables) copy-on-write instead
+of recomputing it.
 """
 
 from __future__ import annotations
@@ -351,27 +351,3 @@ def analyze(snapshot: Snapshot) -> DataflowAnalysis:
         fixpoint_seconds=time.perf_counter() - started,
     )
 
-
-# ----------------------------------------------------------------------
-# Shared-analysis slot (computed pre-fork, read by pooled rule workers)
-
-_SHARED: List[Tuple[Snapshot, DataflowAnalysis]] = []
-
-
-def set_shared(snapshot: Snapshot, analysis: DataflowAnalysis) -> None:
-    _SHARED[:] = [(snapshot, analysis)]
-
-
-def clear_shared() -> None:
-    _SHARED[:] = []
-
-
-def analysis_for(snapshot: Snapshot) -> DataflowAnalysis:
-    """The pre-computed analysis for ``snapshot`` when the runner
-    published one (identity match — forked workers inherit the slot
-    copy-on-write); a fresh cold run otherwise (direct rule
-    invocation, tests)."""
-    for shared_snapshot, analysis in _SHARED:
-        if shared_snapshot is snapshot:
-            return analysis
-    return analyze(snapshot)

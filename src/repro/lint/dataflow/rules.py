@@ -1,11 +1,12 @@
 """Cross-device dataflow lint rules.
 
-Each rule interrogates the propagation-graph fixpoint
-(:func:`repro.lint.dataflow.engine.analysis_for`) instead of a single
-device's configuration: leaks, loops and dead policy paths only exist
-relative to what the *rest of the network* can deliver. Every finding
-names the configuration line to blame and, where a route set witnesses
-the problem, one concrete abstract route drawn from it.
+Each rule interrogates the propagation-graph fixpoint (the
+:class:`~repro.lint.dataflow.engine.DataflowAnalysis` the runner passes
+it) instead of a single device's configuration: leaks, loops and dead
+policy paths only exist relative to what the *rest of the network* can
+deliver. Every finding names the configuration line to blame and,
+where a route set witnesses the problem, one concrete abstract route
+drawn from it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.bdd.engine import FALSE, TRUE
-from repro.config.model import Action, Snapshot
+from repro.config.model import Action
 from repro.lint.dataflow.domain import (
     NO_EXPORT_COMMUNITIES,
     ORIGIN_FLAG,
@@ -24,7 +25,6 @@ from repro.lint.dataflow.domain import (
 from repro.lint.dataflow.engine import (
     DataflowAnalysis,
     PolicyStage,
-    analysis_for,
     apply_edge,
     _protocol_resolution,
 )
@@ -74,8 +74,7 @@ def _redist_related(
     "of confinement).",
     scope="dataflow",
 )
-def route_leak(snapshot: Snapshot) -> List[Finding]:
-    analysis = analysis_for(snapshot)
+def route_leak(analysis: DataflowAnalysis) -> List[Finding]:
     universe = analysis.universe
     engine = universe.engine
     findings: List[Finding] = []
@@ -242,8 +241,7 @@ def _cycle_edges(
     "adjacencies and other redistributions).",
     scope="dataflow",
 )
-def redistribution_loop(snapshot: Snapshot) -> List[Finding]:
-    analysis = analysis_for(snapshot)
+def redistribution_loop(analysis: DataflowAnalysis) -> List[Finding]:
     universe = analysis.universe
     graph = analysis.graph
     component = _strongly_connected(graph.nodes, graph.edge_pairs())
@@ -313,8 +311,7 @@ def _is_identity_chain(
     "import policy constrains what is advertised.",
     scope="dataflow",
 )
-def filter_gap(snapshot: Snapshot) -> List[Finding]:
-    analysis = analysis_for(snapshot)
+def filter_gap(analysis: DataflowAnalysis) -> List[Finding]:
     graph = analysis.graph
     unfiltered: Dict[str, List[int]] = {}
     for index, edge in enumerate(graph.edges):
@@ -412,8 +409,7 @@ def _downstream_matched(
     "edge where no arriving route can carry any of its members.",
     scope="dataflow",
 )
-def community_dataflow(snapshot: Snapshot) -> List[Finding]:
-    analysis = analysis_for(snapshot)
+def community_dataflow(analysis: DataflowAnalysis) -> List[Finding]:
     universe = analysis.universe
     engine = universe.engine
     graph = analysis.graph
@@ -542,8 +538,7 @@ def community_dataflow(snapshot: Snapshot) -> List[Finding]:
     "using the policy ever reaches the clause.",
     scope="dataflow",
 )
-def unreachable_policy_path(snapshot: Snapshot) -> List[Finding]:
-    analysis = analysis_for(snapshot)
+def unreachable_policy_path(analysis: DataflowAnalysis) -> List[Finding]:
     universe = analysis.universe
     engine = universe.engine
     graph = analysis.graph

@@ -10,25 +10,34 @@ the most" argues for making simple checks cheap to add).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, TypeVar
 
 from repro.config.model import Snapshot
 from repro.findings import Finding, RuleInfo, Severity
 
-RuleFn = Callable[[Snapshot], List[Finding]]
+#: A check function: it takes the snapshot, or for a ``dataflow``-scoped
+#: rule the :class:`~repro.lint.dataflow.DataflowAnalysis` of it.
+RuleFn = TypeVar("RuleFn", bound=Callable[..., List[Finding]])
 
 
 @dataclass(frozen=True)
 class Rule(RuleInfo):
     """A registered lint rule: metadata plus the check function."""
 
-    fn: RuleFn
+    fn: Callable[..., List[Finding]]
     #: ``"dataflow"`` for rules that read the propagation-graph fixpoint
-    #: (:mod:`repro.lint.dataflow`) — the runner computes it once before
-    #: the pool forks; ``"snapshot"`` (the default) for every other rule.
+    #: (:mod:`repro.lint.dataflow`) — the runner computes it once per run
+    #: and passes it to each of them; ``"snapshot"`` (the default) for
+    #: every other rule.
     scope: str = "snapshot"
 
     def run(self, snapshot: Snapshot) -> List[Finding]:
+        """This rule alone on ``snapshot`` (a dataflow-scoped one
+        computes its own fixpoint)."""
+        if self.scope == "dataflow":
+            from repro.lint.dataflow.engine import analyze
+
+            return self.fn(analyze(snapshot))
         return self.fn(snapshot)
 
 
@@ -42,7 +51,8 @@ def rule(
     description: str,
     scope: str = "snapshot",
 ) -> Callable[[RuleFn], RuleFn]:
-    """Register a rule function. The function receives a snapshot and
+    """Register a rule function. The function receives a snapshot (a
+    ``dataflow``-scoped one: the snapshot's dataflow analysis) and
     returns findings; it should build each finding through the
     :func:`finding` helper so rule metadata stays consistent."""
 

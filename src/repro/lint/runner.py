@@ -3,7 +3,10 @@ with per-rule timing, suppression handling, and metrics.
 
 Rules are independent, so they parallelize trivially with
 ``repro.parallel.pmap`` (fork-based; each worker gets a copy-on-write
-view of the snapshot and builds its own BDD engines). Timing and
+view of the snapshot and builds its own BDD engines). The dataflow
+fixpoint is computed once per run and passed to the rules that read it:
+the mapped closure holds it, and ``pmap`` publishes the closure before
+it forks, so the workers read it copy-on-write too. Timing and
 finding counts land in the ``repro.obs`` metrics registry
 unconditionally — the service ``/metrics`` endpoint then shows
 ``lint.findings.<rule>`` counters without tracing enabled. A lint run
@@ -16,11 +19,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.config.model import Snapshot
 from repro.findings import Finding, Severity, sort_findings
+from repro.lint.dataflow.engine import DataflowAnalysis, analyze
 from repro.lint.model import LintConfig
 from repro.lint.registry import Rule, all_rules
 from repro.parallel import pmap
@@ -126,15 +130,12 @@ def lint_snapshot(
     config = config or LintConfig()
     rules = [r for r in all_rules() if config.rule_enabled(r.rule_id)]
 
-    # Dataflow-scoped rules share one propagation fixpoint. Compute it
-    # before the pool forks: workers inherit the BDD tables and the
-    # analysis copy-on-write through the module-global slot.
+    # Dataflow-scoped rules share one propagation fixpoint, computed
+    # before the pool forks.
+    analysis: Optional[DataflowAnalysis] = None
     dataflow_stats: Optional[Dict] = None
     if any(rule.scope == "dataflow" for rule in rules):
-        from repro.lint.dataflow import engine as dataflow_engine
-
-        analysis = dataflow_engine.analyze(snapshot)
-        dataflow_engine.set_shared(snapshot, analysis)
+        analysis = analyze(snapshot)
         dataflow_stats = {
             "fixpoint_seconds": round(analysis.fixpoint_seconds, 6),
             "iterations": analysis.iterations,
@@ -147,19 +148,14 @@ def lint_snapshot(
         )
         metrics.observe("lint.dataflow.iterations", analysis.iterations)
 
-    def run_one(rule: Rule):
+    def run_one(rule: Rule) -> Tuple[List[Finding], float]:
         start = time.perf_counter()
-        findings = rule.run(snapshot)
+        subject = analysis if rule.scope == "dataflow" else snapshot
+        findings = rule.fn(subject)
         return findings, time.perf_counter() - start
 
     started = time.perf_counter()
-    try:
-        results = pmap(run_one, rules, jobs=jobs, min_items=2)
-    finally:
-        if dataflow_stats is not None:
-            from repro.lint.dataflow import engine as dataflow_engine
-
-            dataflow_engine.clear_shared()
+    results = pmap(run_one, rules, jobs=jobs, min_items=2)
     total_seconds = time.perf_counter() - started
 
     report = LintReport(total_seconds=total_seconds, dataflow=dataflow_stats)

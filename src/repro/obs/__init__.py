@@ -4,7 +4,7 @@ The observability subsystem the pipeline reports through:
 
 * **Spans** (:func:`span` / :class:`Span`) — nested wall/CPU timing
   scopes streamed as JSON lines (``REPRO_TRACE=/path/trace.jsonl`` or
-  ``Session(trace=...)``).
+  :func:`enable`).
 * **Metrics** (:func:`add`, :func:`gauge`, :func:`observe`) — named
   counters/gauges/histograms emitted from the hot paths: parser line and
   warning counts, per-iteration BGP RIB deltas, BDD node/unique-table

@@ -11,9 +11,8 @@ Enabling:
 
 * ``REPRO_TRACE=/path/trace.jsonl`` in the environment enables tracing
   at import time and streams events to that file as JSON lines;
-* :func:`enable` (or ``Session(trace=...)``) does the same
-  programmatically; with no path, events only fill the bounded
-  in-memory buffer.
+* :func:`enable` does the same programmatically; with no path, events
+  only fill the bounded in-memory buffer.
 
 Span events are written twice — a ``start`` line when the span opens and
 a ``span`` line (with wall/CPU durations) when it closes — so a trace

@@ -2,16 +2,18 @@
 
 The explanation layer (§4.4): while recording is enabled, the control
 plane logs which protocol, neighbor, policy clause, and convergence
-iteration produced (or suppressed) each RIB/FIB entry, and the concrete
-forwarding engine logs the ordered evaluation of every ACL line,
-route-map clause, and NAT rule a flow touches. The records assemble
+iteration produced (or suppressed) each RIB/FIB entry; a flow's
+explanation renders the ordered walk of every ACL line and NAT rule it
+touched from the decisions its concrete trace made. The two assemble
 into derivation trees behind ``Session.explain_route`` /
 ``Session.explain_flow`` and the ``python -m repro explain`` CLI, and
 into first-divergence diffs for differential fidelity testing (§4.3.2).
 
-Recording is off by default and guarded exactly like :mod:`repro.obs`:
-one attribute read per instrumentation point, zero allocation, so the
-disabled pipeline stays inside the <2% overhead budget.
+Route recording is off by default, per context, and guarded like
+:mod:`repro.obs`: one context-variable read per instrumentation point,
+zero allocation, so the disabled pipeline stays inside the <2% overhead
+budget. A flow's walks need no recording: they are rendered from the
+decisions its trace already made.
 """
 
 from repro.provenance.diff import (
@@ -36,8 +38,6 @@ from repro.provenance.model import (
 )
 from repro.provenance.record import (
     ProvenanceRecorder,
-    disable,
-    enable,
     enabled,
     recorder,
     recording,
@@ -59,8 +59,6 @@ __all__ = [
     "build_flow_explanation",
     "build_route_tree",
     "datalog_route_tree",
-    "disable",
-    "enable",
     "enabled",
     "first_divergence",
     "recorder",

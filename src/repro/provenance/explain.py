@@ -8,8 +8,8 @@ Two builders:
   convergence iteration) and the suppressed alternatives.
 * :func:`build_flow_explanation` — "why was this packet
   forwarded/dropped": lifts the concrete traceroute engine's hop steps
-  (recorded with per-line ACL / per-rule NAT evaluation detail while
-  provenance is enabled) into a :class:`FlowExplanation`.
+  into a :class:`FlowExplanation`, rendering each ACL line walk and NAT
+  rule walk from the decision the step kept.
 
 Plus :func:`datalog_route_tree`, which renders the original Datalog
 model's derivation of the same (node, prefix) pair from its fact base —
@@ -18,8 +18,9 @@ the second tree the differential fidelity check diffs against.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
+from repro.config.model import NatKind
 from repro.hdr.ip import Prefix
 from repro.provenance.model import (
     SUPPRESSING_ACTIONS,
@@ -33,6 +34,9 @@ from repro.provenance.model import (
     RouteEvent,
 )
 from repro.provenance.record import ProvenanceRecorder
+
+if TYPE_CHECKING:
+    from repro.traceroute.engine import AclDecision, NatDecision, TraceStep
 
 
 def _normalize_prefix(prefix) -> str:
@@ -127,12 +131,68 @@ def build_route_tree(
     return DerivationTree(node=node, prefix=prefix_str, root=root, events=events)
 
 
-def build_flow_explanation(flow: Flow, traces: Sequence) -> FlowExplanation:
-    """Lift traceroute ``Trace`` objects into a :class:`FlowExplanation`.
+def acl_walk(decision: "AclDecision") -> Tuple[str, ...]:
+    """The first-match walk that reached ``decision``: every line before
+    the deciding one did not match (first match wins), so the walk is
+    exact without evaluating any line again."""
+    acl, result = decision
+    decided = len(acl.lines) if result.line_index is None else result.line_index
+    walk = [
+        f"line {index} [{_acl_label(acl.lines[index], index)}]: no match"
+        for index in range(decided)
+    ]
+    if result.line is None:
+        walk.append("end of ACL: implicit deny")
+    else:
+        label = _acl_label(result.line, decided)
+        walk.append(f"line {decided} [{label}]: matched -> {result.action.value}")
+    return tuple(walk)
 
-    When the traces were produced with provenance recording enabled,
-    each step carries its ordered per-line evaluation (``step.lines``);
-    otherwise only the decision summaries are available.
+
+def _acl_label(line, index: int) -> str:
+    return line.name or f"{line.action.value} line {index}"
+
+
+def nat_walk(decision: "NatDecision") -> Tuple[str, ...]:
+    """The rule walk of a NAT rewrite: the rules before the one that
+    matched did not match."""
+    rules, matched, before, after = decision
+    walk = [
+        f"nat {_nat_label(rules[index], index)}: no match"
+        for index in range(matched)
+    ]
+    rule = rules[matched]
+    changed = (
+        f"dst {before.dst_ip} -> {after.dst_ip}"
+        if rule.kind is NatKind.DESTINATION
+        else f"src {before.src_ip} -> {after.src_ip}"
+    )
+    walk.append(f"nat {_nat_label(rule, matched)}: matched, rewrote {changed}")
+    return tuple(walk)
+
+
+def _nat_label(rule, index: int) -> str:
+    return f"{rule.kind.value} rule {index} pool {rule.pool}"
+
+
+def _step_walk(step: "TraceStep") -> Tuple[str, ...]:
+    """The evaluation detail of one step, rendered from its decision."""
+    decision = step.decision
+    if decision is None:
+        return ()
+    if step.kind in ("acl", "zone"):
+        return acl_walk(decision)
+    if step.kind == "nat":
+        return nat_walk(decision)
+    if step.kind == "fib" and decision.source_route is not None:
+        return (f"route: {decision.source_route.describe()}",)
+    return ()
+
+
+def build_flow_explanation(flow: Flow, traces: Sequence) -> FlowExplanation:
+    """Lift traceroute ``Trace`` objects into a :class:`FlowExplanation`,
+    rendering each step's walk (``lines``) from the decision the trace
+    kept: the ACL line or NAT rule that matched, the FIB entry's route.
     """
     explanation = FlowExplanation(flow=flow)
     for trace in traces:
@@ -144,7 +204,7 @@ def build_flow_explanation(flow: Flow, traces: Sequence) -> FlowExplanation:
                     FlowStepExplanation(
                         kind=step.kind,
                         detail=step.detail,
-                        lines=tuple(step.lines),
+                        lines=_step_walk(step),
                     )
                 )
             path.hops.append(hop_explanation)

@@ -1,25 +1,27 @@
-"""The provenance recorder: a process-global, off-by-default event sink.
+"""The provenance recorder: an off-by-default event sink per context.
 
-Mirrors the :mod:`repro.obs` discipline exactly: recording is **off by
+Mirrors the :mod:`repro.obs` discipline: recording is **off by
 default** and every instrumentation point in the routing/dataplane code
-guards through :func:`enabled` — one module attribute read and a falsy
+guards through :func:`enabled` — one context-variable read and a falsy
 branch per site, no formatting or allocation — so the <2% disabled
-overhead budget of the benchmarks is preserved. Enabling happens
-per-derivation via the :func:`recording` context manager (the way
-``Session.explain_route`` re-derives the data plane with provenance on),
-never globally at import time.
+overhead budget of the benchmarks is preserved. Recording is switched
+on per derivation by the :func:`recording` context manager (the way
+``Session.explain_route`` re-derives the data plane with provenance on)
+and only for the context that opened it: the recorder lives in a
+:class:`~contextvars.ContextVar`, so a recording on one service worker
+thread is invisible to every other thread, and leaving the block resets
+exactly what entering it set.
 
 Recorded events also flow through :mod:`repro.obs` when tracing is
-enabled: each event increments the ``provenance.route_events`` counter
-and the recorder's totals ride the existing worker-dump metric merge,
-so ``pmap`` fan-outs aggregate provenance telemetry the same way they
-aggregate every other counter.
+enabled: each recording increments the ``provenance.recordings`` and
+``provenance.route_events`` counters, which ride the existing
+worker-dump metric merge.
 """
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
@@ -68,56 +70,33 @@ class ProvenanceRecorder:
         return len(self.events)
 
 
-class _ProvState:
-    def __init__(self):
-        self.enabled = False
-        self.recorder: Optional[ProvenanceRecorder] = None
-        self.lock = threading.Lock()
-
-
-_STATE = _ProvState()
+_RECORDER: ContextVar[Optional[ProvenanceRecorder]] = ContextVar(
+    "provenance_recorder", default=None
+)
 
 
 def enabled() -> bool:
     """The guard every instrumentation point checks first."""
-    return _STATE.enabled
+    return _RECORDER.get() is not None
 
 
 def recorder() -> Optional[ProvenanceRecorder]:
-    return _STATE.recorder
-
-
-def enable() -> ProvenanceRecorder:
-    """Start recording into a fresh recorder (returned)."""
-    with _STATE.lock:
-        _STATE.recorder = ProvenanceRecorder()
-        _STATE.enabled = True
-        return _STATE.recorder
-
-
-def disable() -> None:
-    with _STATE.lock:
-        _STATE.enabled = False
-        _STATE.recorder = None
+    return _RECORDER.get()
 
 
 @contextmanager
 def recording():
-    """Record provenance for the duration of the block.
+    """Record provenance in this context for the duration of the block.
 
-    Yields the recorder; restores the previous recorder afterwards so
-    nested recordings (an explain inside a traced session) compose.
+    Yields the recorder; on exit the context's previous recorder (none,
+    or an enclosing recording's) is back, so nested recordings compose.
     """
-    with _STATE.lock:
-        previous = (_STATE.enabled, _STATE.recorder)
-        _STATE.recorder = ProvenanceRecorder()
-        _STATE.enabled = True
-        current = _STATE.recorder
+    current = ProvenanceRecorder()
+    token = _RECORDER.set(current)
     try:
         yield current
     finally:
-        with _STATE.lock:
-            _STATE.enabled, _STATE.recorder = previous
+        _RECORDER.reset(token)
         if obs.enabled():
             obs.add("provenance.recordings")
             obs.add("provenance.route_events", len(current.events))
@@ -138,7 +117,7 @@ def route_event(
     Hot paths must guard with :func:`enabled` *before* building the
     ``detail`` string; this function re-checks only for safety.
     """
-    rec = _STATE.recorder
+    rec = _RECORDER.get()
     if rec is None:
         return
     rec.route_event(
@@ -149,6 +128,6 @@ def route_event(
 
 def set_iteration(iteration: int) -> None:
     """Stamp subsequent events with a convergence iteration number."""
-    rec = _STATE.recorder
+    rec = _RECORDER.get()
     if rec is not None:
         rec.iteration = iteration

@@ -311,25 +311,6 @@ class NetworkAnalyzer:
             if node[0] in ("src", "in", "out", "egress", "sink"):
                 obs.touch("interface", node[1], str(node[2]))
 
-    def explain_example(self, packet, node: str, interface: str):
-        """Annotate a counterexample packet with full forwarding
-        provenance (§4.4.3: "we annotate example packets with as much
-        context as possible"): trace it through the concrete engine
-        under provenance recording and return the
-        :class:`~repro.provenance.FlowExplanation` with per-ACL-line and
-        per-NAT-rule evaluation detail."""
-        from repro.provenance import Flow, build_flow_explanation
-        from repro.provenance import record as prov
-        from repro.traceroute.engine import TracerouteEngine
-
-        tracer = TracerouteEngine(self.dataplane, self.fibs)
-        with prov.recording():
-            traces = tracer.trace(packet, node, interface)
-        return build_flow_explanation(
-            Flow(packet=packet, ingress_node=node, ingress_interface=interface),
-            traces,
-        )
-
     def destination_reachability(
         self, hostname: str, interface: Optional[str] = None,
         headerspace_bdd: int = TRUE,

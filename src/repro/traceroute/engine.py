@@ -16,16 +16,15 @@ routing and filtering entries along their path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro import obs
-from repro.config.model import Action, Device
-from repro.dataplane.acl import evaluate_acl, evaluate_acl_trace
+from repro.config.model import Acl, Device, NatRule
+from repro.dataplane.acl import AclResult, evaluate_acl
 from repro.dataplane.fib import Fib, FibActionType
 from repro.dataplane.nat import NatPipeline
 from repro.hdr.ip import Ip
 from repro.hdr.packet import Packet
-from repro.provenance import record as prov
 from repro.reachability.graph import Disposition
 from repro.routing.engine import DataPlane
 from repro.routing.topology import InterfaceId
@@ -33,13 +32,31 @@ from repro.routing.topology import InterfaceId
 _MAX_HOPS = 64
 
 
+class AclDecision(NamedTuple):
+    """An ACL's first-match verdict on a packet, with the ACL it walked."""
+
+    acl: Acl
+    result: AclResult
+
+
+class NatDecision(NamedTuple):
+    """The first NAT rule of a pipeline that matched: ``rules[index]``
+    rewrote ``before`` into ``after``."""
+
+    rules: Sequence[NatRule]
+    index: int
+    before: Packet
+    after: Packet
+
+
 @dataclass
 class TraceStep:
     kind: str  # "acl" | "fib" | "nat" | "zone" | "arrive" | "final"
     detail: str
-    #: Per-line/rule evaluation records (ACL line walk, NAT rule walk,
-    #: resolved route) — populated only while provenance recording is on.
-    lines: Tuple[str, ...] = ()
+    #: What decided the step, kept for an explanation to render its walk
+    #: from: an :class:`AclDecision` (ACL, or zone policy with an ACL),
+    #: a :class:`NatDecision` or the matched ``FibEntry``.
+    decision: object = None
 
 
 @dataclass
@@ -47,8 +64,8 @@ class TraceHop:
     node: str
     steps: List[TraceStep] = field(default_factory=list)
 
-    def add(self, kind: str, detail: str, lines: Tuple[str, ...] = ()) -> None:
-        self.steps.append(TraceStep(kind, detail, lines))
+    def add(self, kind: str, detail: str, decision: object = None) -> None:
+        self.steps.append(TraceStep(kind, detail, decision))
 
     def describe(self) -> str:
         inner = "; ".join(step.detail for step in self.steps)
@@ -123,15 +140,11 @@ class TracerouteEngine:
         iface = device.interfaces.get(interface_name)
         obs.add("traceroute.hops")
         obs.touch("interface", hostname, interface_name)
-        recording = prov.enabled()
         # Ingress ACL.
         if iface is not None and iface.incoming_acl:
             acl = device.acls.get(iface.incoming_acl)
             if acl is not None:
-                if recording:
-                    result, acl_lines = evaluate_acl_trace(acl, packet)
-                else:
-                    result, acl_lines = evaluate_acl(acl, packet), []
+                result = evaluate_acl(acl, packet)
                 if result.line_index is not None:
                     obs.touch(
                         "acl_line", hostname, iface.incoming_acl, result.line_index
@@ -139,25 +152,17 @@ class TracerouteEngine:
                 hop.add(
                     "acl",
                     f"in acl {iface.incoming_acl}: {result.describe()}",
-                    tuple(acl_lines),
+                    AclDecision(acl, result),
                 )
                 if not result.permitted:
                     hop.add("final", "denied by ingress ACL")
                     return [Trace(Disposition.DENIED_IN, hops + [hop], packet)]
         # Destination NAT.
         if iface is not None and iface.dst_nat_rules:
-            pipeline = NatPipeline(device, iface.dst_nat_rules, kind=None)
-            if recording:
-                transformed, nat_lines = pipeline.apply_concrete_trace(packet)
-            else:
-                transformed, nat_lines = pipeline.apply_concrete(packet), []
-            if transformed != packet:
-                hop.add(
-                    "nat",
-                    f"dst nat: {packet.dst_ip} -> {transformed.dst_ip}",
-                    tuple(nat_lines),
-                )
-                packet = transformed
+            nat = _apply_nat(device, iface.dst_nat_rules, packet)
+            if nat is not None:
+                hop.add("nat", f"dst nat: {packet.dst_ip} -> {nat.after.dst_ip}", nat)
+                packet = nat.after
         in_zone = device.zone_of_interface(interface_name) if iface else None
         # Accept locally?
         if packet.dst_ip in self._own_ips[hostname]:
@@ -172,10 +177,7 @@ class TracerouteEngine:
         traces: List[Trace] = []
         for entry in entries:
             branch_hop = TraceHop(hostname, steps=list(hop.steps))
-            fib_lines: Tuple[str, ...] = ()
-            if recording and entry.source_route is not None:
-                fib_lines = (f"route: {entry.source_route.describe()}",)
-            branch_hop.add("fib", f"matched {entry.describe()}", fib_lines)
+            branch_hop.add("fib", f"matched {entry.describe()}", entry)
             traces.extend(
                 self._forward(
                     packet, device, entry, in_zone, branch_hop, hops, visited
@@ -187,7 +189,6 @@ class TracerouteEngine:
         self, packet, device: Device, entry, in_zone, hop, hops, visited
     ) -> List[Trace]:
         hostname = device.hostname
-        recording = prov.enabled()
         if entry.action is FibActionType.DROP_NULL:
             hop.add("final", "null routed")
             return [Trace(Disposition.NULL_ROUTED, hops + [hop], packet)]
@@ -198,35 +199,24 @@ class TracerouteEngine:
         # Zone policy (stateful firewall forward path).
         if device.zones:
             out_zone = device.zone_of_interface(entry.out_interface)
-            permitted, detail, zone_lines = self._zone_permits(
-                device, in_zone, out_zone, packet, recording
+            permitted, detail, decision = self._zone_permits(
+                device, in_zone, out_zone, packet
             )
-            hop.add("zone", detail, tuple(zone_lines))
+            hop.add("zone", detail, decision)
             if not permitted:
                 hop.add("final", "denied by zone policy")
                 return [Trace(Disposition.DENIED_OUT, hops + [hop], packet)]
         # Source NAT.
         if out_iface is not None and out_iface.src_nat_rules:
-            pipeline = NatPipeline(device, out_iface.src_nat_rules, kind=None)
-            if recording:
-                transformed, nat_lines = pipeline.apply_concrete_trace(packet)
-            else:
-                transformed, nat_lines = pipeline.apply_concrete(packet), []
-            if transformed != packet:
-                hop.add(
-                    "nat",
-                    f"src nat: {packet.src_ip} -> {transformed.src_ip}",
-                    tuple(nat_lines),
-                )
-                packet = transformed
+            nat = _apply_nat(device, out_iface.src_nat_rules, packet)
+            if nat is not None:
+                hop.add("nat", f"src nat: {packet.src_ip} -> {nat.after.src_ip}", nat)
+                packet = nat.after
         # Egress ACL.
         if out_iface is not None and out_iface.outgoing_acl:
             acl = device.acls.get(out_iface.outgoing_acl)
             if acl is not None:
-                if recording:
-                    result, acl_lines = evaluate_acl_trace(acl, packet)
-                else:
-                    result, acl_lines = evaluate_acl(acl, packet), []
+                result = evaluate_acl(acl, packet)
                 if result.line_index is not None:
                     obs.touch(
                         "acl_line",
@@ -237,7 +227,7 @@ class TracerouteEngine:
                 hop.add(
                     "acl",
                     f"out acl {out_iface.outgoing_acl}: {result.describe()}",
-                    tuple(acl_lines),
+                    AclDecision(acl, result),
                 )
                 if not result.permitted:
                     hop.add("final", "denied by egress ACL")
@@ -279,24 +269,36 @@ class TracerouteEngine:
         return [Trace(Disposition.EXITS_NETWORK, hops + [hop], packet)]
 
     def _zone_permits(
-        self, device: Device, in_zone, out_zone, packet, recording: bool = False
-    ) -> Tuple[bool, str, List[str]]:
+        self, device: Device, in_zone, out_zone, packet
+    ) -> Tuple[bool, str, Optional[AclDecision]]:
         if in_zone == out_zone:
-            return True, f"intra-zone {in_zone}: permit", []
+            return True, f"intra-zone {in_zone}: permit", None
         policy = device.zone_policies.get((in_zone, out_zone)) if in_zone and out_zone else None
         if policy is None:
-            return False, f"no policy {in_zone} -> {out_zone}: deny", []
+            return False, f"no policy {in_zone} -> {out_zone}: deny", None
         acl = device.acls.get(policy.acl)
         if acl is None:
-            return False, f"zone policy acl {policy.acl} undefined: deny", []
-        if recording:
-            result, acl_lines = evaluate_acl_trace(acl, packet)
-        else:
-            result, acl_lines = evaluate_acl(acl, packet), []
+            return False, f"zone policy acl {policy.acl} undefined: deny", None
+        result = evaluate_acl(acl, packet)
         if result.line_index is not None:
             obs.touch("acl_line", device.hostname, policy.acl, result.line_index)
         return (
             result.permitted,
             f"zone policy {in_zone} -> {out_zone}: {result.describe()}",
-            acl_lines,
+            AclDecision(acl, result),
         )
+
+
+def _apply_nat(
+    device: Device, rules: List[NatRule], packet: Packet
+) -> Optional[NatDecision]:
+    """The rewrite of ``packet`` by the first matching rule, or None
+    when no rule matches or the rewrite changes nothing."""
+    pipeline = NatPipeline(device, rules, kind=None)
+    index = pipeline.first_match(packet)
+    if index is None:
+        return None
+    after = pipeline.rewrite(index, packet)
+    if after == packet:
+        return None
+    return NatDecision(pipeline.rules, index, packet, after)

@@ -104,17 +104,15 @@ class TestTracingInvariance:
         assert content[1] == "GARBAGE"
         assert len(content) > 2  # new events appended after the damage
 
-    def test_session_trace_kwarg_does_not_change_answers(self, tmp_path):
+    def test_programmatic_tracing_does_not_change_answers(self, tmp_path):
         from repro.core.session import Session
 
         plain = Session.from_texts(CONFIGS)
         plain_answer = plain.reachability()
         plain_success = plain_answer.success_set()
 
-        traced = Session(
-            load_snapshot_from_texts(CONFIGS),
-            trace=str(tmp_path / "trace.jsonl"),
-        )
+        obs.enable(str(tmp_path / "trace.jsonl"))
+        traced = Session(load_snapshot_from_texts(CONFIGS))
         traced_answer = traced.reachability()
         # BDD ids are engine-relative; compare via each engine's own
         # model count over the full success set.

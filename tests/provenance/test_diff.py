@@ -25,11 +25,9 @@ from repro.synth.special import net1
 
 @pytest.fixture(autouse=True)
 def clean():
-    prov.disable()
     obs.disable()
     obs.reset()
     yield
-    prov.disable()
     obs.disable()
     obs.reset()
 

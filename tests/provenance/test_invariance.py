@@ -45,11 +45,9 @@ router ospf 1
 
 @pytest.fixture(autouse=True)
 def prov_clean():
-    prov.disable()
     obs.disable()
     obs.reset()
     yield
-    prov.disable()
     obs.disable()
     obs.reset()
 
