@@ -30,7 +30,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from repro.config.loader import load_snapshot_from_texts, read_config_dir
 from repro.core.session import Session
-from repro.delta.edits import igp_edit, irrelevant_edit, relevant_edit
+from repro.delta.edits import igp_edit, irrelevant_edit, relevant_edit, shutdown_edit
 from repro.delta.engine import DeltaValidationError
 from repro.findings import (
     Finding,
@@ -294,15 +294,18 @@ def _validate_fidelity(
 def _validate_delta(
     network: str, configs: Configs, jobs: Optional[int]
 ) -> Validation:
-    """Four single-device edits — routing-inert, a static route, an
-    OSPF cost, and the static route again once a query has grown the
-    base's engine (so that the fork rebuilds the unique table instead of
-    trimming a copy): whatever the delta session took over from its
-    base, its parsed snapshot, its FIBs and its forwarding graph must
-    equal a cache-less from-scratch session's. Counts how each routing
-    stage came out (``igp_reused``, ``bgp_recomputed``, ...), how each
-    fork was made (``fork_trimmed``, ``fork_rebuilt``) and the graph
-    segments taken from the base (``segments_reused``)."""
+    """Five single-device edits — routing-inert, a static route, an
+    OSPF cost, an interface shut down (the device's graph markers move,
+    so its labels are folded whole), and the static route again once a
+    query has grown the base's engine (so that the fork rebuilds the
+    unique table instead of trimming a copy): whatever the delta session
+    took over from its base, its parsed snapshot, its FIBs and its
+    forwarding graph must equal a cache-less from-scratch session's.
+    Counts how each routing stage came out (``igp_reused``,
+    ``bgp_recomputed``, ...), how each fork was made (``fork_trimmed``,
+    ``fork_rebuilt``), the graph segments taken from the base
+    (``segments_reused``) and how each built one got its labels
+    (``labels_grafted``, ``labels_folded``)."""
     base = Session.from_texts(configs)
     # Every stage computed, so that each edit has all of them to take.
     base.analyzer
@@ -315,10 +318,12 @@ def _validate_delta(
     failed: List[str] = []
     counts: collections.Counter = collections.Counter()
     igp = functools.partial(igp_edit, interface=iface.name, area=iface.ospf_area)
+    shutdown = functools.partial(shutdown_edit, interface=iface.name)
     edits = (
         ("inert", irrelevant_edit, False),
         ("routing", relevant_edit, False),
         ("igp", igp, False),
+        ("interface", shutdown, False),
         ("grown-base routing", relevant_edit, True),
     )
     for label, edit, grown in edits:
@@ -334,13 +339,18 @@ def _validate_delta(
         counts["edges_compared"] += len(new.analyzer.graph.edges)
         counts["segments_reused"] += info.reused_pipelines
         counts["pipelines"] += len(new.snapshot.devices)
+        counts["labels_grafted"] += info.grafted_segments
+        counts["labels_folded"] += (
+            len(new.snapshot.devices) - info.reused_pipelines - info.grafted_segments
+        )
         counts[f"fork_{new.encoder.engine.fork_path}"] += 1
         for stage, outcome in info.stages.items():
             counts[f"{stage}_{outcome.split()[0]}"] += 1
         outcomes = ", ".join(f"{stage}: {outcome}" for stage, outcome in info.stages.items())
         legs.append(
             f"{label} edit: {outcomes}; {len(info.dirty_devices)} main RIB(s) rebuilt, "
-            f"fork {new.encoder.engine.fork_path}"
+            f"fork {new.encoder.engine.fork_path}, "
+            f"{info.grafted_segments} segment(s) grafted"
         )
     detail = f"{target}: " + "; ".join(legs)
     return Validation(len(edits), detail, failed, target, counts)

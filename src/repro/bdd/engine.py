@@ -138,6 +138,41 @@ class BddEngine:
                 node = mk(level, node, FALSE)
         return node
 
+    def graft(self, a: int, levels: Sequence[int], value: int, sub: int) -> int:
+        """``a`` with its part under the cube ``pinned(levels, value)``
+        replaced by ``sub``: the function equal to ``sub`` where the
+        variables ``levels`` (ascending) spell ``value`` and to ``a``
+        elsewhere. ``sub`` is a function of later variables only, and
+        ``a`` tests no variable above the last of ``levels`` that is not
+        one of them.
+
+        The path of the cube through ``a`` is rebuilt with :meth:`mk`
+        from the bottom up, one node per variable, keeping each sibling
+        off the path; ``a`` itself where its part under the cube already
+        is ``sub``. By canonicity the result is the node any other
+        construction of the same function returns.
+        """
+        shifts = range(len(levels) - 1, -1, -1)
+        node, level_of = a, self._level
+        for shift, level in zip(shifts, levels):
+            if node <= TRUE:
+                break
+            if level_of[node] == level:
+                node = self._hi[node] if (value >> shift) & 1 else self._lo[node]
+        if node == sub:
+            return a
+        path = []
+        node = a
+        for shift, level in zip(shifts, levels):
+            lo, hi = self._cofactors(node, level)
+            bit = (value >> shift) & 1
+            path.append((level, lo, hi, bit))
+            node = hi if bit else lo
+        mk = self.mk
+        for level, lo, hi, bit in reversed(path):
+            sub = mk(level, lo, sub) if bit else mk(level, sub, hi)
+        return sub
+
     def var(self, level: int) -> int:
         """The function that is true iff variable ``level`` is 1."""
         node = self._var_nodes.get(level)

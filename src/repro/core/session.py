@@ -36,6 +36,7 @@ from repro.core.cache import (
     snapshot_key,
 )
 from repro.dataplane.fib import Fib, build_fib, compute_fibs
+from repro.delta.fingerprint import Fingerprints
 from repro.hdr.headerspace import HeaderSpace, PacketEncoder
 from repro.hdr.packet import Packet
 from repro.provenance import (
@@ -157,6 +158,9 @@ class Session:
         #: Populated on sessions produced by :meth:`delta`: a
         #: :class:`repro.delta.DeltaInfo` describing what was reused.
         self.delta_info = None
+        #: The devices' routing fingerprints, hashed once per session: a
+        #: delta of this session compares its edited devices' with these.
+        self._fingerprints = Fingerprints(snapshot)
         #: Coverage records of the question runs on this session (and
         #: the ones :meth:`delta` carried over from its base), by
         #: (question, canonical params); see :meth:`record_coverage`.
@@ -408,6 +412,8 @@ class Session:
                         edited=self._base.edited,
                     )
                     self._count_reuse("pipeline", len(analyzer.reused_pipelines))
+                    if self.delta_info is not None:
+                        self.delta_info.grafted_segments = len(analyzer.grafted_segments)
                     self._base = BaseStages()
                     self._analyzer = analyzer
                     obs.observe_phase("bdd", time.perf_counter() - started)

@@ -18,6 +18,7 @@ from typing import (
     Iterable,
     List,
     Optional,
+    Sequence,
     Tuple,
     TypeVar,
 )
@@ -125,6 +126,22 @@ class Fib:
         the FIB's table and the markers together; the address sets are
         built in the caller's algebra, see
         :meth:`PrefixTrie.lpm_partition`."""
+        return self.lpm_classes_under(
+            [Prefix(0, 0)], join, full, empty, markers, class_of
+        )[0]
+
+    def lpm_classes_under(
+        self,
+        prefixes: Sequence[Prefix],
+        join: Callable[[int, A, A], A],
+        full: A,
+        empty: A,
+        markers: Iterable[Tuple[Prefix, Hashable]],
+        class_of: Callable[[Tuple[FrozenSet[ActionKey], FrozenSet[Hashable]]], C],
+    ) -> List[Dict[C, A]]:
+        """Per prefix of ``prefixes``, :meth:`lpm_classes` of the
+        addresses under it, its sets rooted at its depth
+        (:meth:`PrefixTrie.lpm_partition_under`)."""
         table = self._trie.copy()
         for prefix, marker in markers:
             table.add(prefix, marker)
@@ -139,9 +156,21 @@ class Fib:
                     marks = marks | {value}
             return (frozenset(keys) if keys else actions, marks)
 
-        return table.lpm_partition(
-            state_of, class_of, join, full, empty,
-            default=(frozenset((NO_ROUTE_KEY,)), frozenset()),
+        default = (frozenset((NO_ROUTE_KEY,)), frozenset())
+        return [
+            table.lpm_partition_under(
+                prefix, state_of, class_of, join, full, empty, default
+            )
+            for prefix in prefixes
+        ]
+
+    def changed_prefixes(self, base: "Fib") -> List[Prefix]:
+        """The prefixes outside which this FIB forwards every address as
+        ``base`` does: those whose set of actions differs between the
+        two, or that one of them lacks, and that no other such prefix
+        contains (:meth:`PrefixTrie.differences`)."""
+        return self._trie.differences(
+            base._trie, lambda entries: frozenset(e.action_key for e in entries)
         )
 
     def __len__(self) -> int:

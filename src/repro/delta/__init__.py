@@ -16,11 +16,12 @@ from repro.delta.engine import (
     fib_lines,
     validate_enabled,
 )
-from repro.delta.fingerprint import routing_changes, routing_fingerprint
+from repro.delta.fingerprint import Fingerprints, routing_changes, routing_fingerprint
 
 __all__ = [
     "DeltaInfo",
     "DeltaValidationError",
+    "Fingerprints",
     "delta_session",
     "fib_lines",
     "routing_changes",

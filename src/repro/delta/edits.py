@@ -4,7 +4,8 @@ Shared by the validation CLI (``python -m repro validate delta``) and
 the Table 2 benchmark's incremental phase: both need a "one line
 changed" snapshot that parses cleanly on either vendor syntax. One edit
 per outcome of the routing stages: none moved, a main RIB rebuilt, the
-IGP recomputed.
+IGP recomputed; and one that moves the device's forwarding-graph
+markers (an interface shut down), so its labels are folded whole.
 """
 
 from __future__ import annotations
@@ -27,6 +28,14 @@ def igp_edit(text: str, interface: str, area: int = 0) -> str:
     if detect_syntax(text) == "juniperish":
         return text + f"set protocols ospf area {area} interface {interface} metric 77\n"
     return text + f"interface {interface}\n ip ospf cost 77\n!\n"
+
+
+def shutdown_edit(text: str, interface: str) -> str:
+    """Shut ``interface`` down: its address, subnet and links leave the
+    device's destination-label markers, and its routes the RIBs."""
+    if detect_syntax(text) == "juniperish":
+        return text + f"set interfaces {interface} disable\n"
+    return text + f"interface {interface}\n shutdown\n!\n"
 
 
 def relevant_edit(text: str) -> str:

@@ -84,6 +84,10 @@ class DeltaInfo:
     reused_ribs: int = 0
     reused_fibs: int = 0
     reused_pipelines: int = 0
+    #: Of the graph segments built anew, those whose destination labels
+    #: were grafted onto the base's (equal markers; the rest folded them
+    #: whole). 0 until ``.analyzer`` runs.
+    grafted_segments: int = 0
     #: Coverage-guided prioritization (repro.questions.coverage): the
     #: base session's records whose coverage vectors overlap this
     #: delta's impact set, ranked most-exposed first, and the ones whose
@@ -156,8 +160,11 @@ def delta_session(base, changed_configs: Dict[str, Optional[str]], validate=None
         )
         new_session._configs = new_configs
         new_session.delta_info = info
+        new_session._fingerprints = base._fingerprints.carried_to(new_session.snapshot)
         changed_hosts = _changed_hosts(base, new_session, info)
-        changes = routing_changes(base.snapshot, new_session.snapshot, changed_hosts)
+        changes = routing_changes(
+            base._fingerprints, new_session._fingerprints, changed_hosts
+        )
         info.seeds = sorted(set().union(*changes.values()))
         # Only what the base has computed by now: a delta never runs a
         # base stage for the sake of reusing it. A base that computed

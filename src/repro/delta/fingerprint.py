@@ -24,7 +24,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
-from typing import Dict, FrozenSet, List, NamedTuple, Set
+from typing import Dict, FrozenSet, List, NamedTuple, Set, Tuple
 
 from repro.config.model import Device, Snapshot
 
@@ -77,10 +77,23 @@ def _canon(value, without: FrozenSet[str] = _ANNOTATION_FIELDS) -> object:
     return repr(value)
 
 
-def _interfaces(device: Device, without: FrozenSet[str]) -> object:
+def _interfaces(device: Device) -> List[Tuple[str, str, Tuple]]:
+    """Each interface's name, type name and canonical fields, the ones
+    no routing stage reads left out: canonicalized once per device and
+    projected per stage (:func:`_project`)."""
+    interfaces = []
+    for name, iface in sorted(device.interfaces.items()):
+        kind, fields = _canon(iface, _ANNOTATION_FIELDS | _FORWARDING)
+        interfaces.append((name, kind, fields))
+    return interfaces
+
+
+def _project(interfaces: List[Tuple[str, str, Tuple]], without: FrozenSet[str]) -> object:
+    """The interfaces as one stage reads them: equal to canonicalizing
+    each with ``without`` left out too."""
     return tuple(
-        (name, _canon(iface, _ANNOTATION_FIELDS | _FORWARDING | without))
-        for name, iface in sorted(device.interfaces.items())
+        (name, (kind, tuple(field for field in fields if field[0] not in without)))
+        for name, kind, fields in interfaces
     )
 
 
@@ -107,16 +120,17 @@ def routing_fingerprint(device: Device) -> RoutingFingerprint:
             _canon(device.community_lists),
             _canon(device.as_path_lists),
         )
+    interfaces = _interfaces(device)
     return RoutingFingerprint(
-        local=_digest((_interfaces(device, _FILTERS | _OSPF), _canon(device.static_routes))),
+        local=_digest((_project(interfaces, _FILTERS | _OSPF), _canon(device.static_routes))),
         igp=_digest((
-            _interfaces(device, _FILTERS),
+            _project(interfaces, _FILTERS),
             _canon(ospf),
             policies if ospf is not None and ospf.redistributions else None,
         )),
         bgp=_digest((
             # Viability reads filters only on the ends of a session.
-            _interfaces(device, _OSPF if bgp is not None else _OSPF | _FILTERS),
+            _project(interfaces, _OSPF if bgp is not None else _OSPF | _FILTERS),
             _canon(bgp),
             # The router id falls back to OSPF's.
             repr(ospf.router_id) if ospf is not None else None,
@@ -126,23 +140,58 @@ def routing_fingerprint(device: Device) -> RoutingFingerprint:
     )
 
 
+class Fingerprints:
+    """One snapshot's routing fingerprints by hostname, each hashed on
+    first use and kept: a parsed device never changes. A session holds
+    one, and a delta starts its own with its base's for the devices it
+    took over (:meth:`carried_to`), so a chain of edits hashes each
+    device once."""
+
+    __slots__ = ("snapshot", "_memo")
+
+    def __init__(self, snapshot: Snapshot):
+        self.snapshot = snapshot
+        self._memo: Dict[str, RoutingFingerprint] = {}
+
+    def __getitem__(self, hostname: str) -> RoutingFingerprint:
+        fingerprint = self._memo.get(hostname)
+        if fingerprint is None:
+            device = self.snapshot.devices[hostname]
+            fingerprint = self._memo[hostname] = routing_fingerprint(device)
+        return fingerprint
+
+    def carried_to(self, snapshot: Snapshot) -> "Fingerprints":
+        """``snapshot``'s fingerprints, holding those of this memo whose
+        device ``snapshot`` holds as the very same object."""
+        carried = Fingerprints(snapshot)
+        devices = self.snapshot.devices
+        # A copy first: another delta of the same base may be adding to
+        # the memo on another thread meanwhile.
+        carried._memo = {
+            hostname: fingerprint
+            for hostname, fingerprint in dict(self._memo).items()
+            if snapshot.devices.get(hostname) is devices[hostname]
+        }
+        return carried
+
+
 def routing_changes(
-    base: Snapshot, new: Snapshot, changed_hosts: Set[str]
+    base: Fingerprints, new: Fingerprints, changed_hosts: Set[str]
 ) -> Dict[str, List[str]]:
     """Per stage, the devices whose projection for it differs; a device
     in one snapshot only differs in every stage.
 
-    Only ``changed_hosts`` are hashed: the caller passes every hostname
-    a changed-byte file maps to on either side, and a device parsed
-    from unchanged bytes is identical, so the diff is O(edit) rather
-    than O(network).
+    Only ``changed_hosts`` are compared: the caller passes every
+    hostname a changed-byte file maps to on either side, and a device
+    parsed from unchanged bytes is identical, so the diff is O(edit)
+    rather than O(network); each side's memo hashes a device at most
+    once per session.
     """
-    moved = sorted(base.devices.keys() ^ new.devices.keys())
+    base_devices, new_devices = base.snapshot.devices, new.snapshot.devices
+    moved = sorted(base_devices.keys() ^ new_devices.keys())
     changes: Dict[str, List[str]] = {stage: list(moved) for stage in STAGES}
-    for hostname in sorted(changed_hosts & base.devices.keys() & new.devices.keys()):
-        before = routing_fingerprint(base.devices[hostname])
-        after = routing_fingerprint(new.devices[hostname])
-        for stage, old, now in zip(STAGES, before, after):
+    for hostname in sorted(changed_hosts & base_devices.keys() & new_devices.keys()):
+        for stage, old, now in zip(STAGES, base[hostname], new[hostname]):
             if old != now:
                 changes[stage].append(hostname)
     return changes

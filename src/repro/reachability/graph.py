@@ -332,6 +332,28 @@ _DROP_DISPOSITIONS = {
 _ACCEPT = ("accept",)
 
 
+def destination_markers(device: Device, topology) -> FrozenSet[Tuple[Prefix, tuple]]:
+    """The markers that refine ``device``'s FIB partition into its
+    destination labels, each named by the label it leads to: its own
+    addresses (``("accept",)``), its modelled neighbours' addresses
+    (``("to", iface, address)``) and its connected subnets
+    (``("delivered", iface)``). With the FIB, all the labels read."""
+    markers = {
+        (Prefix(address, 32), _ACCEPT) for _name, address, _len in device.interface_ips()
+    }
+    interfaces = device.interfaces
+    for l3_edge in topology.node_edges(device.hostname):
+        iface = interfaces.get(l3_edge.tail.interface)
+        if iface is not None and iface.enabled:
+            markers.add(
+                (Prefix(l3_edge.head_ip, 32), ("to", iface.name, l3_edge.head_ip))
+            )
+    for iface in interfaces.values():
+        if iface.enabled and iface.prefix is not None:
+            markers.add((iface.prefix, ("delivered", iface.name)))
+    return frozenset(markers)
+
+
 def destination_labels(
     device: Device, fib: Fib, topology, encoder: PacketEncoder
 ) -> Dict[tuple, int]:
@@ -350,30 +372,77 @@ def destination_labels(
     disjoint, each belongs to a few labels, and a label is the union of
     its cells: nothing is intersected, negated or subtracted.
     """
+    markers = destination_markers(device, topology)
+    return _labels_under(fib, markers, encoder, [Prefix(0, 0)])[0]
+
+
+def grafted_labels(
+    base_labels: Dict[tuple, int],
+    base_fib: Fib,
+    fib: Fib,
+    markers: FrozenSet[Tuple[Prefix, tuple]],
+    encoder: PacketEncoder,
+) -> Dict[tuple, int]:
+    """:func:`destination_labels` of a device whose markers are
+    ``markers`` and whose FIB is ``fib``, from its labels
+    ``base_labels`` for the same markers and ``base_fib``: only the
+    addresses under the prefixes where the two FIBs' actions differ are
+    folded again, and each label takes its new part there in place of
+    its old one (:meth:`BddEngine.graft`). The base's labels themselves
+    where the FIBs forward alike.
+
+    Exact: the longest match of an address outside those prefixes sees
+    the same stored prefixes with the same actions, under the same
+    markers, so its cell and labels are the base's; and a BDD is
+    canonical, so the grafted label is the very node the full fold
+    returns (DESIGN.md, "Why a graft is exact").
+    """
+    changed = fib.changed_prefixes(base_fib)
+    if not changed:
+        return base_labels
     engine = encoder.engine
-    markers = [
-        (Prefix(address, 32), _ACCEPT) for _name, address, _len in device.interface_ips()
-    ]
-    neighbours = set()
-    for iface in device.interfaces.values():
-        if not iface.enabled:
-            continue
-        for l3_edge in topology.edges_from(InterfaceId(device.hostname, iface.name)):
-            neighbours.add(("to", iface.name, l3_edge.head_ip))
-        if iface.prefix is not None:
-            markers.append((iface.prefix, ("delivered", iface.name)))
-    markers += [(Prefix(label[2], 32), label) for label in neighbours]
     levels = encoder.layout.vars_of(f.DST_IP)
-    cells: Dict[tuple, List[int]] = {}
-    for labels, space in fib.lpm_classes(
+    parts = _labels_under(fib, markers, encoder, changed)
+    labels = dict(base_labels)
+    names = sorted(labels.keys() | {label for part in parts for label in part}, key=repr)
+    for prefix, part in zip(changed, parts):
+        path = levels[: prefix.length]
+        value = prefix.network_value >> (32 - prefix.length)
+        for label in names:
+            labels[label] = engine.graft(
+                labels.get(label, FALSE), path, value, part.get(label, FALSE)
+            )
+    return {label: labels[label] for label in names if labels[label] != FALSE}
+
+
+def _labels_under(
+    fib: Fib,
+    markers: FrozenSet[Tuple[Prefix, tuple]],
+    encoder: PacketEncoder,
+    prefixes: List[Prefix],
+) -> List[Dict[tuple, int]]:
+    """Per prefix of ``prefixes``, every label's addresses under it
+    (rooted at its depth): one fold of ``fib`` and ``markers`` below it,
+    the cells unioned per label."""
+    engine = encoder.engine
+    neighbours = frozenset(label for _prefix, label in markers if label[0] == "to")
+    levels = encoder.layout.vars_of(f.DST_IP)
+    parts = []
+    for classes in fib.lpm_classes_under(
+        prefixes,
         lambda depth, lo, hi: engine.mk(levels[depth], lo, hi), TRUE, FALSE, markers,
         functools.cache(lambda state: _cell_labels(*state, neighbours)),
-    ).items():
-        for label in labels:
-            cells.setdefault(label, []).append(space)
-    # Sorted: a class is a pair of frozensets, whose order follows the
-    # hash seed, and node ids must not.
-    return {label: engine.or_all(cells[label]) for label in sorted(cells, key=repr)}
+    ):
+        cells: Dict[tuple, List[int]] = {}
+        for labels, space in classes.items():
+            for label in labels:
+                cells.setdefault(label, []).append(space)
+        # Sorted: a class is a pair of frozensets, whose order follows
+        # the hash seed, and node ids must not.
+        parts.append(
+            {label: engine.or_all(cells[label]) for label in sorted(cells, key=repr)}
+        )
+    return parts
 
 
 def _cell_labels(actions, marks, neighbours) -> FrozenSet[tuple]:
@@ -405,10 +474,11 @@ def _cell_labels(actions, marks, neighbours) -> FrozenSet[tuple]:
 
 
 def device_pipeline(
-    encoder: PacketEncoder, device: Device, fib: Fib, topology
+    encoder: PacketEncoder, device: Device, labels: Dict[tuple, int], topology
 ) -> List[Edge]:
-    """The edges of ``device``'s pipeline, in build order. They depend
-    on its config, its FIB and the topology edges out of it alone."""
+    """The edges of ``device``'s pipeline, in build order, its
+    :func:`destination_labels` given. They depend on its config, those
+    labels (of its FIB) and the topology edges out of it alone."""
     engine = encoder.engine
     hostname = device.hostname
     zones = {name: i + 1 for i, name in enumerate(sorted(device.zones))}
@@ -470,7 +540,6 @@ def device_pipeline(
     # One edge per action, not per prefix: parallel constraint edges
     # carry exactly the union of their labels.
     fwd = fwd_node(hostname)
-    labels = destination_labels(device, fib, topology, encoder)
 
     def constrain(tail: GraphNode, label: tuple, head: GraphNode, note: str) -> None:
         if label in labels:

@@ -26,6 +26,7 @@ from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.bdd.engine import FALSE, TRUE
+from repro.config.model import Device
 from repro.dataplane.fib import Fib, compute_fibs
 from repro.hdr import fields as f
 from repro.hdr.headerspace import HeaderSpace, PacketEncoder
@@ -41,9 +42,12 @@ from repro.reachability.graph import (
     Edge,
     ForwardingGraph,
     GraphNode,
+    destination_labels,
+    destination_markers,
     device_pipeline,
     disp_node,
     fwd_node,
+    grafted_labels,
     sink_node,
     src_node,
 )
@@ -139,7 +143,10 @@ class NetworkAnalyzer:
         base's build left it and takes the base's segment, rebound, for
         every device due the same one again: same text, same ``Fib``
         object, equal topology edges out of it, and the same
-        ``compress`` (unless ``encoder`` is given)."""
+        ``compress`` (unless ``encoder`` is given). A segment it builds
+        grafts its destination labels onto the base's where the device's
+        markers are the base's (:func:`grafted_labels`), and folds them
+        whole otherwise."""
         self.dataplane = dataplane
         self.fibs = fibs if fibs is not None else compute_fibs(dataplane)
         reuse: Dict[str, List[Edge]] = {}
@@ -158,15 +165,23 @@ class NetworkAnalyzer:
                     and self.fibs[hostname] is base.fibs.get(hostname)
                     and links(hostname) == base_links(hostname)
                 }
+        else:
+            base = None  # its node ids mean nothing to another encoder
         self.encoder = encoder or PacketEncoder()
         snapshot = dataplane.snapshot
         built = len(snapshot.devices) - len(reuse)
         #: hostname -> its segment's compression stats (when compressing).
         self._segment_stats: Dict[str, CompressionStats] = {}
+        #: hostname -> its destination labels (all below ``built_nodes``),
+        #: for an edit's build to graft onto.
+        self._labels: Dict[str, Dict[tuple, int]] = {}
+        #: Devices whose segment was built with labels grafted onto the
+        #: base's; every other built segment folded its labels whole.
+        self.grafted_segments: List[str] = []
         with obs.span(
             "bdd.graph_build", devices=len(snapshot.devices), reused=len(reuse),
             compressed=built if compress else 0, fork=fork,
-        ):
+        ) as span:
             segments: Dict[str, List[Edge]] = {}
             for hostname in snapshot.hostnames():
                 if hostname in reuse:
@@ -174,19 +189,20 @@ class NetworkAnalyzer:
                         Edge(edge.tail, edge.head, edge.fn.rebind(self.encoder))
                         for edge in reuse[hostname]
                     ]
+                    self._labels[hostname] = base._labels[hostname]
                     if compress:
                         self._segment_stats[hostname] = base._segment_stats[hostname]
                     continue
-                edges = device_pipeline(
-                    self.encoder, snapshot.device(hostname), self.fibs[hostname],
-                    dataplane.topology,
-                )
+                device = snapshot.device(hostname)
+                labels = self._labels[hostname] = self._destination_labels(device, base)
+                edges = device_pipeline(self.encoder, device, labels, dataplane.topology)
                 if compress:
                     edges, self._segment_stats[hostname] = compress_edges(
                         edges, self.encoder.engine
                     )
                 segments[hostname] = edges
             self.graph = ForwardingGraph(self.encoder, segments)
+            span.set("grafted", len(self.grafted_segments))
         self.compression: Optional[CompressionStats] = (
             CompressionStats.total(self._segment_stats.values()) if compress else None
         )
@@ -195,12 +211,33 @@ class NetworkAnalyzer:
             metrics.inc(f"bdd.fork.{fork}")
         if compress:
             metrics.inc("bdd.segments.compressed", built)
+        metrics.inc("reachability.labels.grafted", len(self.grafted_segments))
+        metrics.inc("reachability.labels.folded", built - len(self.grafted_segments))
         #: Devices whose pipeline came from ``base``.
         self.reused_pipelines = sorted(reuse)
         #: Engine size as the build left it: what a fork for an edit keeps.
         self.built_nodes = self.encoder.engine.num_nodes()
         self._fates: Optional[Dict[Disposition, Dict[GraphNode, int]]] = None
         self._emit_bdd_gauges()
+
+    def _destination_labels(
+        self, device: Device, base: Optional["NetworkAnalyzer"]
+    ) -> Dict[tuple, int]:
+        """The destination labels of a segment this build makes: grafted
+        onto the base's where ``device``'s markers equal its base
+        device's, folded whole where they do not or there is no base."""
+        hostname, topology = device.hostname, self.dataplane.topology
+        fib = self.fibs[hostname]
+        kept = base._labels.get(hostname) if base is not None else None
+        if kept is not None:
+            markers = destination_markers(device, topology)
+            base_device = base.dataplane.snapshot.device(hostname)
+            if markers == destination_markers(base_device, base.dataplane.topology):
+                self.grafted_segments.append(hostname)
+                return grafted_labels(
+                    kept, base.fibs[hostname], fib, markers, self.encoder
+                )
+        return destination_labels(device, fib, topology, self.encoder)
 
     def _emit_bdd_gauges(self) -> None:
         """Publish the BDD engine's size counters as gauges; called at

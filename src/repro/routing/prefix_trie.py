@@ -20,6 +20,7 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Set,
     Tuple,
     TypeVar,
 )
@@ -33,6 +34,8 @@ A = TypeVar("A")  # a set of addresses in the caller's algebra
 
 #: ``_MASKS[length]`` keeps the first ``length`` bits of an address.
 _MASKS = tuple((MAX_IP << (32 - length)) & MAX_IP for length in range(33))
+
+_EVERY_ADDRESS = Prefix(0, 0)
 
 
 class PrefixTrie(Generic[V]):
@@ -144,6 +147,40 @@ class PrefixTrie(Generic[V]):
             and value & _MASKS[length] in self._by_length[length]
         ]
 
+    def differences(
+        self, other: "PrefixTrie[V]", key: Callable[[List[V]], Hashable]
+    ) -> List[Prefix]:
+        """The prefixes stored in one table only, or whose values' ``key``
+        differs between the two, that no other such prefix contains; in
+        ``(network, length)`` order. An address outside all of them lies
+        under the same stored prefixes, with values of the same keys, in
+        both tables."""
+        kept: Dict[int, Set[int]] = {}
+        for length in sorted(self._by_length.keys() | other._by_length.keys()):
+            mine = self._by_length.get(length, {})
+            theirs = other._by_length.get(length, {})
+            if mine == theirs:  # equal values have equal keys
+                continue
+            for network in mine.keys() | theirs.keys():
+                values, others = mine.get(network), theirs.get(network)
+                if values is not None and others is not None and (
+                    values == others or key(values) == key(others)
+                ):
+                    continue
+                if not any(
+                    network & _MASKS[shorter] in networks
+                    for shorter, networks in kept.items()
+                ):
+                    kept.setdefault(length, set()).add(network)
+        return [
+            Prefix(network, length)
+            for network, length in sorted(
+                (network, length)
+                for length, networks in kept.items()
+                for network in networks
+            )
+        ]
+
     def lpm_partition(
         self,
         state_of: Callable[[List[V], S], S],
@@ -180,7 +217,42 @@ class PrefixTrie(Generic[V]):
         ``join`` calls are those of a fold over the explicit trie, in the
         same order.
         """
-        entries = self._sorted_entries()
+        return self.lpm_partition_under(
+            _EVERY_ADDRESS, state_of, class_of, join, full, empty, default
+        )
+
+    def lpm_partition_under(
+        self,
+        prefix: Prefix,
+        state_of: Callable[[List[V], S], S],
+        class_of: Callable[[S], C],
+        join: Callable[[int, A, A], A],
+        full: A,
+        empty: A,
+        default: S,
+    ) -> Dict[C, A]:
+        """:meth:`lpm_partition` of the addresses under ``prefix`` alone:
+        the same fold, started at depth ``prefix.length`` from the state
+        the stored prefixes around ``prefix`` hand down, its sets rooted
+        there (``join`` is called at that depth and below). Of two tables
+        that differ only under ``prefix``, the partitions differ only
+        there: the longest match of an address outside it sees the same
+        stored prefixes with the same values."""
+        root, depth = prefix.network_value, prefix.length
+        inherited = default
+        for length in reversed(self._by_length):
+            if length >= depth:
+                break
+            values = self._by_length[length].get(root & _MASKS[length])
+            if values is not None:
+                inherited = state_of(values, inherited)
+        entries = sorted(
+            (network, length, values)
+            for length, table in self._by_length.items()
+            if length >= depth
+            for network, values in table.items()
+            if network & _MASKS[depth] == root
+        )
         networks = [network for network, _, _ in entries]
 
         def join_level(depth: int, lo: Dict[C, A], hi: Dict[C, A]) -> Dict[C, A]:
@@ -225,8 +297,8 @@ class PrefixTrie(Generic[V]):
             return below
 
         if not entries:
-            return {class_of(default): full}
-        return fold(0, len(entries), 0, default)
+            return {class_of(inherited): full}
+        return fold(0, len(entries), depth, inherited)
 
     # -- internals -------------------------------------------------------
 

@@ -336,6 +336,24 @@ class TestAlgebraProperties:
             engine.and_(a, b), cube
         )
 
+    @given(
+        _random_expr(), _random_expr(), st.integers(min_value=0, max_value=4),
+        st.integers(min_value=0, max_value=15),
+    )
+    @settings(max_examples=100)
+    def test_graft_is_the_ite_of_its_cube(self, e1, e2, length, value):
+        """``graft(a, levels, value, sub)`` is "``sub`` under the cube,
+        ``a`` elsewhere", node for node."""
+        engine = BddEngine(5)
+        a, sub = _build(engine, e1), _build(engine, e2)
+        levels = list(range(length))
+        value &= (1 << length) - 1
+        if levels:  # sub must not test the cube's variables
+            sub = engine.exists(sub, engine.cube(levels))
+        expected = engine.ite(engine.pinned(levels, value), sub, a)
+        assert engine.graft(a, levels, value, sub) == expected
+        assert engine.graft(expected, levels, value, sub) == expected
+
 
 class TestFork:
     """``fork(n)``: the first ``n`` nodes as a private engine."""

@@ -383,7 +383,7 @@ class TestRegistry:
             "changed_files", "seeds", "dirty_devices", "reused_devices",
             "parse_memo_hits", "fallback", "validated",
             "stages", "reused_ribs", "reused_fibs", "reused_pipelines",
-            "questions_affected", "questions_skipped",
+            "grafted_segments", "questions_affected", "questions_skipped",
         }
 
 

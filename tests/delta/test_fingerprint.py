@@ -1,9 +1,14 @@
 """Routing fingerprints — one projection hash per routing stage — and
 the per-stage changes they yield between two snapshots."""
 
+import sys
+import threading
+
 from repro.config.loader import load_snapshot_from_texts
 from repro.core.session import Session
-from repro.delta import routing_changes, routing_fingerprint
+from repro.delta import fingerprint as fingerprint_module
+from repro.delta import Fingerprints, routing_changes, routing_fingerprint
+from repro.synth.special import net1
 
 OSPF_PAIR = {
     "r1": """
@@ -96,7 +101,7 @@ ROUTE_LINE = "ip route 203.0.113.0 255.255.255.0 Null0\n"
 
 def _moved(base, new, hosts):
     """stage -> devices whose projection for it moved."""
-    changes = routing_changes(base, new, hosts)
+    changes = routing_changes(Fingerprints(base), Fingerprints(new), hosts)
     return {stage: hosts for stage, hosts in changes.items() if hosts}
 
 
@@ -162,3 +167,81 @@ class TestRoutingSeeds:
             dict(OSPF_PAIR, r1=OSPF_PAIR["r1"] + bgp + acl)
         )
         assert _moved(speaker, filtered, {"r1"}) == {"bgp": ["r1"]}
+
+
+class TestFingerprintMemo:
+    """A session hashes each device's routing projections once: a delta
+    compares its edited devices' fingerprints with its base's memo, and
+    starts its own memo with the base's for the devices it took over."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        hashed = []
+
+        def counting(device):
+            hashed.append(device.hostname)
+            return real(device)
+
+        real = fingerprint_module.routing_fingerprint
+        monkeypatch.setattr(fingerprint_module, "routing_fingerprint", counting)
+        return hashed
+
+    def test_thirty_edits_hash_each_base_device_once(self, monkeypatch):
+        configs = net1(2)
+        base = Session.from_texts(configs)
+        hashed = self._counted(monkeypatch)
+        files = sorted(configs)
+        edited = set()
+        for index in range(30):
+            filename = files[index % 3]
+            base.delta({filename: configs[filename] + f"ntp server 203.0.113.{index}\n"})
+            edited.add(base.snapshot.sources[filename])
+        assert len(edited) == 3
+        assert len(hashed) == len(edited) + 30
+
+    def test_a_delta_of_a_delta_hashes_only_its_own_edit(self, monkeypatch):
+        configs = net1(2)
+        first, second = sorted(configs)[:2]
+        base = Session.from_texts(configs)
+        base.delta({second: configs[second] + ROUTE_LINE})
+        child = base.delta({first: configs[first] + ROUTE_LINE})
+        hashed = self._counted(monkeypatch)
+        # The child's memo holds its edited device (hashed when the child
+        # was made) and, carried from the base, the other one.
+        for filename in (first, second):
+            grandchild = child.delta({filename: configs[filename] + "ntp server 203.0.113.9\n"})
+            assert hashed == [base.snapshot.sources[filename]]
+            assert grandchild.delta_info.seeds == (
+                [] if filename == second else [base.snapshot.sources[first]]
+            )
+            hashed.clear()
+
+    def test_deltas_of_one_base_on_several_threads(self):
+        """Each delta carries the base's memo while the others add to
+        it; every one still sees exactly its own edit."""
+        configs = net1(2)
+        base = Session.from_texts(configs)
+        files = sorted(configs)
+        errors = []
+
+        def work(offset):
+            try:
+                for index in range(20):
+                    filename = files[(offset + index) % len(files)]
+                    new = base.delta({filename: configs[filename] + ROUTE_LINE})
+                    assert new.delta_info.seeds == [base.snapshot.sources[filename]]
+            except Exception as error:  # reported by the main thread
+                errors.append(error)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []

@@ -311,7 +311,9 @@ def test_reuse_is_counted_where_the_stage_runs():
     ``reused`` attribute of the ``bdd.graph_build`` span are one number
     each, filled in as the lazy stages run; the span and the ``bdd.*``
     counters also say how the fork was made and how many segments were
-    compressed."""
+    compressed, and the span, ``DeltaInfo.grafted_segments`` and the
+    ``reachability.labels.*`` counters how many built segments grafted
+    their labels."""
     configs = net1(2)
     devices = len(configs)
     base = Session.from_texts(configs)
@@ -336,10 +338,14 @@ def test_reuse_is_counted_where_the_stage_runs():
             if e["type"] == "span" and e["name"] == "bdd.graph_build"
         ]
         assert [e["attrs"] for e in builds] == [
-            {"devices": devices, "reused": devices - 1, "compressed": 1, "fork": "trimmed"}
+            {"devices": devices, "reused": devices - 1, "compressed": 1,
+             "fork": "trimmed", "grafted": 1}
         ]
         assert counter("bdd.fork.trimmed") == counter("bdd.segments.compressed") == 1
         assert info.to_json()["reused_pipelines"] == devices - 1
+        # The one segment built grafted its labels onto the base's.
+        assert info.grafted_segments == counter("reachability.labels.grafted") == 1
+        assert counter("reachability.labels.folded") == 0
         # An inert edit: every RIB, the edited pipeline rebuilt.
         inert = base.delta({target: irrelevant_edit(configs[target])}, validate=False)
         inert.dataplane

@@ -3,8 +3,12 @@ fold per device (`destination_labels`): edge for edge against the
 `and_`/`diff` construction it replaced (`apply_built_reference`), the
 conservation invariant that holds of either, the guard that the build
 no longer calls `apply`, and the static route out of a dead interface
-that used to leave a dead end in the graph."""
+that used to leave a dead end in the graph. A delta's build grafts the
+labels of a device whose markers did not move onto its base's
+(`grafted_labels`): node for node the full fold, on every registry
+network, on a graft of a graft and on random FIB edits."""
 
+import re
 import types
 from unittest import mock
 
@@ -23,13 +27,14 @@ from repro.dataplane.fib import (
     FibEntry,
     compute_fibs,
 )
+from repro.delta.edits import igp_edit, irrelevant_edit, relevant_edit, shutdown_edit
 from repro.hdr.fields import HEADER_FIELDS, HeaderLayout
 from repro.hdr.headerspace import HeaderSpace, PacketEncoder
 from repro.hdr.ip import Ip, Prefix
 from repro.hdr.packet import Packet
 from repro.provenance import record as prov
 from repro.reachability import graph as graph_module
-from repro.reachability.graph import fwd_node
+from repro.reachability.graph import destination_labels, fwd_node
 from repro.reachability.queries import NetworkAnalyzer
 from repro.routing.engine import compute_dataplane
 from repro.routing.topology import InterfaceId, Layer3Edge, Layer3Topology
@@ -175,14 +180,12 @@ _actions = st.one_of(
     st.just((FibActionType.DROP_NULL, None, None)),
     st.just(NO_ROUTE_KEY),
 )
-_routes = st.dictionaries(
-    st.builds(
-        Prefix, _ips.map(lambda ip: ip.value),
-        st.sampled_from([0, 8, 16, 23, 24, 25, 29, 30, 31, 32]),
-    ),
-    st.lists(_actions, min_size=1, max_size=3, unique=True),
-    max_size=10,
+_prefixes = st.builds(
+    Prefix, _ips.map(lambda ip: ip.value),
+    st.sampled_from([0, 8, 16, 23, 24, 25, 29, 30, 31, 32]),
 )
+_action_lists = st.lists(_actions, min_size=1, max_size=3, unique=True)
+_routes = st.dictionaries(_prefixes, _action_lists, max_size=10)
 
 
 def _one_device(interfaces, links, routes, connected=True):
@@ -234,6 +237,45 @@ def test_random_devices_equal_the_reference_and_conserve(
     _check(
         *_one_device(interfaces, links, routes, connected), _encoders()[permuted]
     )
+
+
+#: One FIB edit: add actions to a prefix, remove it, or replace its
+#: actions.
+_fib_edits = st.lists(
+    st.tuples(st.sampled_from(["add", "remove", "replace"]), _prefixes, _action_lists),
+    min_size=1, max_size=4,
+)
+
+
+@given(
+    interfaces=_interfaces, links=_links, routes=_routes, edits=_fib_edits,
+    connected=st.booleans(), permuted=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_random_fib_edits_graft_to_the_fold(
+    interfaces, links, routes, edits, connected, permuted
+):
+    """A device's FIB edited at random under unchanged markers: the
+    build on the base grafts, and the grafted labels are the fold's,
+    node for node, in the new build's engine."""
+    edited = dict(routes)
+    for op, prefix, actions in edits:
+        if op == "remove":
+            edited.pop(prefix, None)
+        elif op == "replace":
+            edited[prefix] = actions
+        else:
+            edited[prefix] = list(dict.fromkeys(edited.get(prefix, []) + actions))
+    dataplane, fibs = _one_device(interfaces, links, routes, connected)
+    _same, new_fibs = _one_device(interfaces, links, edited, connected)
+    base = NetworkAnalyzer(dataplane, _encoders()[permuted], fibs, compress=False)
+    new = NetworkAnalyzer(dataplane, None, new_fibs, compress=False, base=base)
+    assert new.grafted_segments == [_R]
+    assert new._labels[_R] == destination_labels(
+        dataplane.snapshot.device(_R), new_fibs[_R], dataplane.topology, new.encoder
+    )
+    _assert_reference_edges(dataplane, new_fibs, new.graph)
+    _assert_conserved(new.graph, {_R})
 
 
 _FORWARD = FibActionType.FORWARD
@@ -345,3 +387,121 @@ def test_static_route_out_of_a_dead_interface(interface, disposition):
     graph = _uncompressed_graph(session.dataplane, session.fibs, PacketEncoder())
     _assert_conserved(graph, set(session.fibs))
     _assert_reference_edges(session.dataplane, session.fibs, graph)
+
+
+# -- grafted labels on the registry ----------------------------------------
+
+
+def _assert_built_labels_fold(session):
+    """Every segment the session's build made has the labels a full fold
+    of its FIB gives in that build's engine; returns the build."""
+    analyzer = session.analyzer
+    built = set(session.snapshot.devices) - set(analyzer.reused_pipelines)
+    assert set(analyzer.grafted_segments) <= built
+    for hostname in sorted(built):
+        assert analyzer._labels[hostname] == destination_labels(
+            session.snapshot.device(hostname), session.fibs[hostname],
+            session.dataplane.topology, analyzer.encoder,
+        ), hostname
+    return analyzer
+
+
+def _readdress(text: str, address: Ip) -> str:
+    """``address`` renumbered wherever the text spells it."""
+    fresh = f"10.254.{address.value >> 8 & 0xFF}.{address.value & 0xFF}"
+    return re.sub(rf"(?<![\d.]){re.escape(str(address))}(?![\d])", fresh, text)
+
+
+def _static_delete(configs):
+    """The first file with a static route, that route's line deleted."""
+    for filename in sorted(configs):
+        lines = configs[filename].splitlines(keepends=True)
+        for index, line in enumerate(lines):
+            if line.startswith(("ip route ", "set routing-options static route ")):
+                return filename, "".join(lines[:index] + lines[index + 1:])
+    return None
+
+
+def _graft_edits(base, configs):
+    """kind -> changed configs, the edited host, whether it grafts."""
+    target = sorted(configs)[0]
+    text = configs[target]
+    hostname = base.snapshot.sources[target]
+    device = base.snapshot.device(hostname)
+    iface = min(
+        (i for i in device.interfaces.values() if i.enabled and i.address is not None),
+        key=lambda i: (not i.ospf_enabled, i.name),
+    )
+    edits = {
+        "static": ({target: relevant_edit(text)}, hostname, True),
+        "ntp": ({target: irrelevant_edit(text)}, hostname, True),
+        "ospf-cost": (
+            {target: igp_edit(text, iface.name, iface.ospf_area or 0)}, hostname, True
+        ),
+        "shutdown": ({target: shutdown_edit(text, iface.name)}, hostname, False),
+        "readdress": ({target: _readdress(text, iface.address)}, hostname, False),
+    }
+    # None: the network has no static route, so the delete undoes the
+    # "static" edit on that edit's delta.
+    deleted = _static_delete(configs)
+    if deleted is None:
+        edits["static-delete"] = (None, hostname, True)
+    else:
+        filename, edited = deleted
+        edits["static-delete"] = (
+            {filename: edited}, base.snapshot.sources[filename], True
+        )
+    return edits
+
+
+@pytest.mark.parametrize("name", [spec.name for spec in NETWORKS])
+def test_registry_edits_graft_or_fold_to_the_fold(name):
+    """Six edits on every registry network: each segment the delta
+    builds has the full fold's labels. The edited device grafts unless
+    its markers moved (interface shut down or renumbered)."""
+    configs = network_by_name(name).generate(1)
+    base = Session.from_texts(configs)
+    base.analyzer
+    sessions = {}
+    for kind, (changed, hostname, grafts) in _graft_edits(base, configs).items():
+        if changed is None:
+            target = sorted(configs)[0]
+            new = sessions["static"].delta({target: configs[target]})
+        else:
+            new = base.delta(changed)
+        sessions[kind] = new
+        if kind == "readdress":
+            assert new.snapshot.device(hostname) != base.snapshot.device(hostname)
+        analyzer = _assert_built_labels_fold(new)
+        assert (hostname in analyzer.grafted_segments) == grafts, kind
+        assert new.delta_info.grafted_segments == len(analyzer.grafted_segments)
+
+
+def test_a_graft_grafted_again_is_the_fold():
+    """A delta of a delta grafts onto labels that were grafted: two
+    static routes on one device, an NTP line on another, a route
+    deleted again."""
+    configs = network_by_name("NET10").generate(1)
+    first, second = sorted(configs)[:2]
+    base = Session.from_texts(configs)
+    base.analyzer
+    once = base.delta({first: relevant_edit(configs[first])})
+    _assert_built_labels_fold(once)
+    twice_text = configs[first] + "ip route 198.51.100.0 255.255.255.0 Null0\n"
+    twice = once.delta({first: relevant_edit(twice_text)})
+    third = twice.delta({second: irrelevant_edit(configs[second])})
+    undone = third.delta({first: configs[first]})
+    for session in (twice, third, undone):
+        analyzer = _assert_built_labels_fold(session)
+        assert analyzer.grafted_segments
+    hostname = base.snapshot.sources[first]
+    assert hostname in twice.analyzer.grafted_segments
+    assert hostname in undone.analyzer.grafted_segments
+    # Back where it started: the base's labels, up to node ids.
+    canonical = undone.encoder.engine.canonical
+    assert {
+        label: canonical(node) for label, node in undone.analyzer._labels[hostname].items()
+    } == {
+        label: base.encoder.engine.canonical(node)
+        for label, node in base.analyzer._labels[hostname].items()
+    }

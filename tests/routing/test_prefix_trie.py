@@ -192,6 +192,65 @@ def _prefix(draw):
     return Prefix(value, length)
 
 
+class TestPartitionUnderAndDifferences:
+    @given(
+        st.lists(st.tuples(_prefix(), st.sampled_from("abc")), max_size=20),
+        _prefix(),
+        st.lists(st.integers(min_value=0, max_value=0xFFFFFFFF), max_size=20),
+    )
+    @settings(max_examples=200)
+    def test_the_partition_under_a_prefix_is_the_whole_one_there(
+        self, entries, under, probes
+    ):
+        trie = PrefixTrie()
+        for prefix, value in entries:
+            trie.add(prefix, value)
+        whole = _partition(trie)
+        below = trie.lpm_partition_under(
+            under,
+            lambda values, _inherited: tuple(values),
+            lambda state: state,
+            lambda depth, lo, hi: (depth, lo, hi),
+            True, None, default=(),
+        )
+        span = (1 << (32 - under.length)) - 1
+        for probe in probes + [prefix.network_value for prefix, _ in entries]:
+            address = under.network_value | (probe & span)
+            assert {c for c, tree in whole.items() if _member(tree, address)} == {
+                c for c, tree in below.items() if _member(tree, address)
+            }
+
+    @given(
+        st.lists(st.tuples(_prefix(), st.sampled_from("abc")), max_size=20),
+        st.lists(st.tuples(_prefix(), st.sampled_from("abcx")), max_size=5),
+        st.lists(st.integers(min_value=0, max_value=0xFFFFFFFF), max_size=20),
+    )
+    @settings(max_examples=200)
+    def test_outside_the_differences_every_lookup_agrees(self, entries, edits, probes):
+        mine, theirs = PrefixTrie(), PrefixTrie()
+        for prefix, value in entries:
+            mine.add(prefix, value)
+            theirs.add(prefix, value)
+        for prefix, value in edits:  # "x" removes the prefix
+            theirs.replace(prefix, [] if value == "x" else [value, value])
+        found = mine.differences(theirs, frozenset)
+        assert found == sorted(found, key=lambda p: (p.network_value, p.length))
+        for one in found:
+            assert not any(o != one and o.contains_prefix(one) for o in found)
+
+        def looked_up(trie, address):
+            match = trie.longest_match(address)
+            return match and (match[0], frozenset(match[1]))
+
+        def keyed(trie):
+            return {prefix: frozenset(values) for prefix, values in trie.items()}
+
+        assert (not found) == (keyed(mine) == keyed(theirs))
+        for address in probes + [prefix.network_value for prefix, _ in entries + edits]:
+            if not any(prefix.contains_ip(address) for prefix in found):
+                assert looked_up(mine, address) == looked_up(theirs, address)
+
+
 class TestAgainstLinearScan:
     @given(st.lists(_prefix(), min_size=1, max_size=30),
            st.integers(min_value=0, max_value=0xFFFFFFFF))
