@@ -39,6 +39,7 @@ from repro.dataplane.fib import Fib, build_fib, compute_fibs
 from repro.delta.fingerprint import Fingerprints
 from repro.hdr.headerspace import HeaderSpace, PacketEncoder
 from repro.hdr.packet import Packet
+from repro.lint import LintStage
 from repro.provenance import (
     DerivationTree,
     Flow,
@@ -166,6 +167,10 @@ class Session:
         #: (question, canonical params); see :meth:`record_coverage`.
         self._coverage: Dict[Tuple[str, str], Dict] = {}
         self._coverage_lock = threading.Lock()
+        #: The lint rules' inputs (topology, BGP sessions, dataflow
+        #: fixpoint), each built by the first lint run that reads it and
+        #: kept for the session's life; lint runs on it take turns.
+        self.lint_stage = LintStage(snapshot)
 
     # -- construction -----------------------------------------------------
 
@@ -502,11 +507,13 @@ class Session:
         """Run the semantic lint engine (``repro.lint``) over the
         snapshot. ``lintconfig`` follows ``LintConfig.from_dict``:
         ``{"rules": [...], "disable": [...], "severity": {...},
-        "suppress": [...]}``. Returns a :class:`repro.lint.LintReport`."""
+        "suppress": [...]}``. Returns a :class:`repro.lint.LintReport`.
+        The rules' inputs are built once per session (:attr:`lint_stage`)."""
         from repro.lint import LintConfig, lint_snapshot
 
         return lint_snapshot(
-            self.snapshot, LintConfig.from_dict(lintconfig), jobs=jobs
+            self.snapshot, LintConfig.from_dict(lintconfig), jobs=jobs,
+            stage=self.lint_stage,
         )
 
     def management_plane_consistency(

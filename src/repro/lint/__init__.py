@@ -12,7 +12,8 @@ This package packages those checks as a pluggable rule framework:
 * :mod:`repro.lint.rules_semantic` — BDD-backed reachability rules
 * :mod:`repro.lint.rules_cross` — cross-device compatibility rules
 * :mod:`repro.lint.rules_hygiene` — reference/usage/address hygiene
-* :mod:`repro.lint.runner` — parallel execution, timing, suppression
+* :mod:`repro.lint.runner` — the rules' inputs (``LintStage``), parallel
+  execution, timing, suppression
 * ``python -m repro lint`` — the CLI
 
 Suppression works at three levels: in-source ``lint-disable`` comments
@@ -29,12 +30,13 @@ from repro.findings import (
 )
 from repro.lint.model import LintConfig
 from repro.lint.registry import Rule, all_rules, get_rule, rule
-from repro.lint.runner import LintReport, lint_snapshot
+from repro.lint.runner import LintReport, LintStage, lint_snapshot
 
 __all__ = [
     "Finding",
     "LintConfig",
     "LintReport",
+    "LintStage",
     "Location",
     "Related",
     "Rule",

@@ -40,12 +40,21 @@ from repro.config.model import (
     Snapshot,
 )
 from repro.findings import Location
+from repro.hdr.ip import Prefix
 from repro.lint.dataflow.domain import DEFAULT_TAG, AbstractRoutes, ORIGIN_FLAG
 from repro.lint.routespace import RouteSpaceEncoder, RouteSpaceUniverse
-from repro.routing.bgp import compute_bgp_sessions
-from repro.routing.topology import build_layer3_topology
+from repro.routing.bgp import (
+    BgpSession,
+    SessionCompatibilityIssue,
+    compute_bgp_sessions,
+)
+from repro.routing.topology import Layer3Topology, build_layer3_topology
 
 NodeId = Tuple[str, str]  # (hostname, domain)
+
+#: What :func:`~repro.routing.bgp.compute_bgp_sessions` returns: the
+#: candidate sessions and the neighbor statements that form none.
+BgpSessions = Tuple[List[BgpSession], List[SessionCompatibilityIssue]]
 
 DOMAIN_CONNECTED = "connected"
 DOMAIN_STATIC = "static"
@@ -182,9 +191,12 @@ class Edge:
 
 @dataclass
 class PropagationGraph:
-    """Nodes, edges, seeds, and compiled policy summaries."""
+    """Nodes, edges, seeds, and compiled policy summaries, with the
+    layer-3 topology and BGP session set the edges were read from."""
 
     universe: RouteSpaceUniverse
+    topology: Layer3Topology
+    bgp_sessions: BgpSessions
     nodes: List[NodeId] = field(default_factory=list)
     edges: List[Edge] = field(default_factory=list)
     seeds: Dict[NodeId, AbstractRoutes] = field(default_factory=dict)
@@ -303,35 +315,49 @@ def compile_policy(
     )
 
 
-def _seed_atoms(
-    universe: RouteSpaceUniverse, prefixes: List[object]
-) -> AbstractRoutes:
+def originated_prefixes(device: Device) -> Dict[str, List[Prefix]]:
+    """The prefixes each of ``device``'s RIB domains originates, by
+    domain: what its node is seeded with."""
+    domains = {
+        DOMAIN_CONNECTED: [
+            iface.prefix
+            for iface in device.interfaces.values()
+            if iface.enabled and iface.prefix is not None
+        ],
+        DOMAIN_STATIC: [route.prefix for route in device.static_routes],
+    }
+    if device.ospf is not None:
+        ospf_prefixes = [
+            iface.prefix
+            for iface in device.interfaces.values()
+            if iface.enabled and iface.ospf_enabled and iface.prefix is not None
+        ]
+        if device.ospf.default_information_originate:
+            ospf_prefixes.append(Prefix("0.0.0.0/0"))
+        domains[DOMAIN_OSPF] = ospf_prefixes
+    if device.bgp is not None:
+        domains[DOMAIN_BGP] = list(device.bgp.networks)
+    return domains
+
+
+def _seed(universe: RouteSpaceUniverse, prefixes: List[Prefix]) -> AbstractRoutes:
     """Freshly-originated routes for ``prefixes``: exact atoms carrying
     no communities, no flags, and the default tag."""
     if not prefixes:
         return AbstractRoutes.bottom()
-    engine = universe.engine
-    bdd = engine.or_all(
-        [universe.prefix_atom(prefix) for prefix in prefixes]  # type: ignore[arg-type]
-    )
-    bdd = engine.and_(bdd, universe.without_communities())
-    return AbstractRoutes(bdd, frozenset({DEFAULT_TAG}))
+    return AbstractRoutes(universe.originated(prefixes), frozenset({DEFAULT_TAG}))
 
 
 def build_graph(
     snapshot: Snapshot, universe: RouteSpaceUniverse
 ) -> PropagationGraph:
-    graph = PropagationGraph(universe=universe)
-    node_set: Set[NodeId] = set()
-
-    def add_node(node: NodeId, seed: AbstractRoutes) -> None:
-        if node in node_set:
-            existing = graph.seeds[node]
-            graph.seeds[node] = existing.join(seed, universe)
-            return
-        node_set.add(node)
-        graph.nodes.append(node)
-        graph.seeds[node] = seed
+    """The graph of ``snapshot`` over ``universe``; it keeps the layer-3
+    topology and BGP session set it reads."""
+    graph = PropagationGraph(
+        universe=universe,
+        topology=build_layer3_topology(snapshot),
+        bgp_sessions=compute_bgp_sessions(snapshot),
+    )
 
     def ensure_summary(device: Device, name: Optional[str]) -> None:
         if name is None:
@@ -342,37 +368,11 @@ def build_graph(
 
     # -- nodes + seeds -----------------------------------------------------
     for hostname in snapshot.hostnames():
-        device = snapshot.device(hostname)
-        connected = [
-            iface.prefix
-            for iface in device.interfaces.values()
-            if iface.enabled and iface.prefix is not None
-        ]
-        add_node((hostname, DOMAIN_CONNECTED), _seed_atoms(universe, connected))
-        add_node(
-            (hostname, DOMAIN_STATIC),
-            _seed_atoms(
-                universe, [route.prefix for route in device.static_routes]
-            ),
-        )
-        if device.ospf is not None:
-            ospf_prefixes = [
-                iface.prefix
-                for iface in device.interfaces.values()
-                if iface.enabled
-                and iface.ospf_enabled
-                and iface.prefix is not None
-            ]
-            if device.ospf.default_information_originate:
-                from repro.hdr.ip import Prefix
-
-                ospf_prefixes.append(Prefix("0.0.0.0/0"))
-            add_node((hostname, DOMAIN_OSPF), _seed_atoms(universe, ospf_prefixes))
-        if device.bgp is not None:
-            add_node(
-                (hostname, DOMAIN_BGP),
-                _seed_atoms(universe, list(device.bgp.networks)),
-            )
+        domains = originated_prefixes(snapshot.device(hostname))
+        for domain, prefixes in domains.items():
+            graph.nodes.append((hostname, domain))
+            graph.seeds[(hostname, domain)] = _seed(universe, prefixes)
+    node_set: Set[NodeId] = set(graph.nodes)
 
     # -- redistribution edges ----------------------------------------------
     for hostname in snapshot.hostnames():
@@ -406,8 +406,7 @@ def build_graph(
 
     # -- OSPF adjacency edges ----------------------------------------------
     seen_adjacent: Set[Tuple[NodeId, NodeId]] = set()
-    topology = build_layer3_topology(snapshot)
-    for l3_edge in topology.edges():
+    for l3_edge in graph.topology.edges():
         tail_host, head_host = l3_edge.tail.node, l3_edge.head.node
         if tail_host == head_host:
             continue
@@ -446,7 +445,7 @@ def build_graph(
         )
 
     # -- BGP session edges -------------------------------------------------
-    sessions, _issues = compute_bgp_sessions(snapshot)
+    sessions, _issues = graph.bgp_sessions
     for session in sessions:
         src = (session.local_node, DOMAIN_BGP)
         dst = (session.remote_node, DOMAIN_BGP)

@@ -15,9 +15,14 @@ from typing import Callable, Dict, List, Optional, TypeVar
 from repro.config.model import Snapshot
 from repro.findings import Finding, RuleInfo, Severity
 
-#: A check function: it takes the snapshot, or for a ``dataflow``-scoped
-#: rule the :class:`~repro.lint.dataflow.DataflowAnalysis` of it.
+#: A check function: it takes what its scope names (see :data:`SCOPES`).
 RuleFn = TypeVar("RuleFn", bound=Callable[..., List[Finding]])
+
+#: What a rule reads, and so what it is called with: ``snapshot`` the
+#: snapshot; ``stage`` the :class:`~repro.lint.runner.LintStage` with
+#: its layer-3 topology and BGP session set built; ``dataflow`` the
+#: :class:`~repro.lint.dataflow.DataflowAnalysis` of the snapshot.
+SCOPES = ("snapshot", "stage", "dataflow")
 
 
 @dataclass(frozen=True)
@@ -25,20 +30,14 @@ class Rule(RuleInfo):
     """A registered lint rule: metadata plus the check function."""
 
     fn: Callable[..., List[Finding]]
-    #: ``"dataflow"`` for rules that read the propagation-graph fixpoint
-    #: (:mod:`repro.lint.dataflow`) — the runner computes it once per run
-    #: and passes it to each of them; ``"snapshot"`` (the default) for
-    #: every other rule.
+    #: One of :data:`SCOPES`.
     scope: str = "snapshot"
 
     def run(self, snapshot: Snapshot) -> List[Finding]:
-        """This rule alone on ``snapshot`` (a dataflow-scoped one
-        computes its own fixpoint)."""
-        if self.scope == "dataflow":
-            from repro.lint.dataflow.engine import analyze
+        """This rule alone on ``snapshot``, its inputs built for it."""
+        from repro.lint.runner import LintStage
 
-            return self.fn(analyze(snapshot))
-        return self.fn(snapshot)
+        return self.fn(LintStage(snapshot).subject(self.scope))
 
 
 _REGISTRY: Dict[str, Rule] = {}
@@ -51,12 +50,10 @@ def rule(
     description: str,
     scope: str = "snapshot",
 ) -> Callable[[RuleFn], RuleFn]:
-    """Register a rule function. The function receives a snapshot (a
-    ``dataflow``-scoped one: the snapshot's dataflow analysis) and
-    returns findings; it should build each finding through the
-    :func:`finding` helper so rule metadata stays consistent."""
+    """Register a rule function. The function receives what ``scope``
+    names (:data:`SCOPES`) and returns findings."""
 
-    if scope not in ("snapshot", "dataflow"):
+    if scope not in SCOPES:
         raise ValueError(f"unknown lint rule scope: {scope!r}")
 
     def decorate(fn: RuleFn) -> RuleFn:

@@ -33,8 +33,9 @@ Two layers:
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.bdd.engine import FALSE, TRUE, BddEngine
 from repro.config.model import (
@@ -76,6 +77,9 @@ class RouteSpaceUniverse:
             name: base + index for index, name in enumerate(self.flags)
         }
         self.engine = BddEngine(base + len(self.flags))
+        #: length -> ``length_eq(length) ∧ without_communities()``: the
+        #: leaves of :meth:`originated`.
+        self._originated_leaves: Dict[int, int] = {}
 
     def fingerprint(self) -> str:
         """Content address of the variable order. Two universes with the
@@ -149,6 +153,49 @@ class RouteSpaceUniverse:
         of a freshly originated (connected/static/network-statement)
         route."""
         return self.engine.pinned(self.community_levels() + self.flag_levels(), 0)
+
+    def originated(self, prefixes: Iterable[Prefix]) -> int:
+        """Freshly originated routes for ``prefixes``: the union of
+        their :meth:`prefix_atom` with :meth:`without_communities`
+        below, built as one diagram.
+
+        The sorted distinct (address, length) keys are split on one key
+        bit per level, top down. A key alone in its range below some
+        address bit is its remaining address bits pinned onto its leaf:
+        the length cube with the community-free cube below it, built
+        once per universe. Every node is made once with
+        :meth:`BddEngine.mk`, so the result is the canonical node
+        ``and_(or_all(atoms), without_communities())`` returns, without
+        the union or the conjunction walking it."""
+        engine = self.engine
+        key_bits = ADDR_BITS + LEN_BITS
+        keys = sorted(
+            {(prefix.network_value << LEN_BITS) | prefix.length for prefix in prefixes}
+        )
+        free = self.without_communities()
+
+        def split(lo: int, hi: int, level: int) -> int:
+            # keys[lo:hi] agree on every key bit above ``level``.
+            if level == key_bits:
+                return free
+            if hi - lo == 1 and level <= ADDR_BITS:
+                length = keys[lo] & ((1 << LEN_BITS) - 1)
+                leaf = self._originated_leaves.get(length)
+                if leaf is None:
+                    leaf = engine.pinned(range(ADDR_BITS, key_bits), length, below=free)
+                    self._originated_leaves[length] = leaf
+                return engine.pinned(
+                    range(level, ADDR_BITS), keys[lo] >> LEN_BITS, below=leaf
+                )
+            shift = key_bits - 1 - level
+            mid = bisect_left(keys, ((keys[lo] >> shift) | 1) << shift, lo, hi)
+            return engine.mk(
+                level,
+                split(lo, mid, level + 1) if mid > lo else FALSE,
+                split(mid, hi, level + 1) if mid < hi else FALSE,
+            )
+
+        return split(0, len(keys), 0) if keys else FALSE
 
     def space(self, bdd: int) -> "RouteSpace":
         return RouteSpace(self, bdd)

@@ -3,18 +3,22 @@
 These require two devices' configurations at once — the class of check
 only a whole-snapshot tool can do (and where Batfish found most of its
 early adoption: half-open BGP peerings and mismatched adjacency
-parameters that no per-device linter can see).
+parameters that no per-device linter can see). They read the snapshot's
+BGP session set or layer-3 topology off the run's
+:class:`~repro.lint.runner.LintStage`, which builds each once.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import TYPE_CHECKING, List, Set, Tuple
 
-from repro.config.model import Device, Interface, Snapshot
+from repro.config.model import Device, Interface
 from repro.findings import Finding, Location, Related, Severity
 from repro.lint.registry import rule
-from repro.routing.bgp import compute_bgp_sessions
-from repro.routing.topology import Layer3Edge, build_layer3_topology
+from repro.routing.topology import Layer3Edge, Layer3Topology
+
+if TYPE_CHECKING:
+    from repro.lint.runner import LintStage
 
 
 def _neighbor_location(device: Device, peer_ip) -> Location:
@@ -37,10 +41,12 @@ def _iface_location(iface: Interface) -> Location:
     "BGP neighbor statements that cannot form a working session: unknown "
     "peer address, missing reciprocal configuration, AS number mismatch, "
     "or one-sided update-source / ebgp-multihop settings.",
+    scope="stage",
 )
-def bgp_session_compat(snapshot: Snapshot) -> List[Finding]:
+def bgp_session_compat(stage: "LintStage") -> List[Finding]:
+    snapshot = stage.snapshot
     findings: List[Finding] = []
-    sessions, issues = compute_bgp_sessions(snapshot)
+    sessions, issues = stage.bgp_sessions
     for issue in issues:
         device = snapshot.device(issue.node)
         findings.append(
@@ -135,9 +141,8 @@ def bgp_session_compat(snapshot: Snapshot) -> List[Finding]:
     return findings
 
 
-def _undirected_edges(snapshot: Snapshot) -> List[Layer3Edge]:
+def _undirected_edges(topology: Layer3Topology) -> List[Layer3Edge]:
     """One representative per physical adjacency (tail < head)."""
-    topology = build_layer3_topology(snapshot)
     return [
         edge for edge in topology.edges() if (edge.tail, edge.head) == tuple(
             sorted([edge.tail, edge.head])
@@ -152,10 +157,12 @@ def _undirected_edges(snapshot: Snapshot) -> List[Layer3Edge]:
     "L3-adjacent interfaces whose OSPF parameters can never form an "
     "adjacency: area, hello-interval, or dead-interval disagree, or OSPF "
     "runs on only one end.",
+    scope="stage",
 )
-def ospf_adjacency_mismatch(snapshot: Snapshot) -> List[Finding]:
+def ospf_adjacency_mismatch(stage: "LintStage") -> List[Finding]:
+    snapshot = stage.snapshot
     findings: List[Finding] = []
-    for edge in _undirected_edges(snapshot):
+    for edge in _undirected_edges(stage.topology):
         a = snapshot.device(edge.tail.node).interfaces[edge.tail.interface]
         b = snapshot.device(edge.head.node).interfaces[edge.head.interface]
         link = f"{edge.tail} <-> {edge.head}"
@@ -220,10 +227,12 @@ def ospf_adjacency_mismatch(snapshot: Snapshot) -> List[Finding]:
     "cross-device",
     "L3-adjacent interfaces with different MTUs: OSPF adjacencies stall "
     "in ExStart and large packets blackhole.",
+    scope="stage",
 )
-def mtu_mismatch(snapshot: Snapshot) -> List[Finding]:
+def mtu_mismatch(stage: "LintStage") -> List[Finding]:
+    snapshot = stage.snapshot
     findings: List[Finding] = []
-    for edge in _undirected_edges(snapshot):
+    for edge in _undirected_edges(stage.topology):
         a = snapshot.device(edge.tail.node).interfaces[edge.tail.interface]
         b = snapshot.device(edge.head.node).interfaces[edge.head.interface]
         if a.mtu != b.mtu:

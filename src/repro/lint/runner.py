@@ -3,10 +3,14 @@ with per-rule timing, suppression handling, and metrics.
 
 Rules are independent, so they parallelize trivially with
 ``repro.parallel.pmap`` (fork-based; each worker gets a copy-on-write
-view of the snapshot and builds its own BDD engines). The dataflow
-fixpoint is computed once per run and passed to the rules that read it:
-the mapped closure holds it, and ``pmap`` publishes the closure before
-it forks, so the workers read it copy-on-write too. Timing and
+view of the snapshot and builds its own BDD engines). What rules read
+besides the snapshot — the layer-3 topology, the BGP session set and
+the dataflow fixpoint — comes from a :class:`LintStage`: a session's,
+which keeps each input for the session's life, or one of the run's
+own. The runner builds the inputs its enabled rules read before the
+pool forks and passes each rule its own: the mapped closure holds them,
+and ``pmap`` publishes the closure before it forks, so the workers read
+them copy-on-write too. Timing and
 finding counts land in the ``repro.obs`` metrics registry
 unconditionally — the service ``/metrics`` endpoint then shows
 ``lint.findings.<rule>`` counters without tracing enabled. A lint run
@@ -17,6 +21,7 @@ into it.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -25,9 +30,74 @@ from repro import obs
 from repro.config.model import Snapshot
 from repro.findings import Finding, Severity, sort_findings
 from repro.lint.dataflow.engine import DataflowAnalysis, analyze
+from repro.lint.dataflow.graph import BgpSessions
 from repro.lint.model import LintConfig
 from repro.lint.registry import Rule, all_rules
 from repro.parallel import pmap
+from repro.routing.bgp import compute_bgp_sessions
+from repro.routing.topology import Layer3Topology, build_layer3_topology
+
+
+class LintStage:
+    """What lint rules read besides the snapshot: its layer-3 topology,
+    its BGP session set and the dataflow fixpoint over both, each built
+    at most once, when first read. The fixpoint's graph builds the
+    topology and the session set, and the stage keeps those: read after
+    the fixpoint, neither is built again.
+
+    A :class:`~repro.core.session.Session` keeps one for its life: a
+    session's snapshot never changes (a PATCH makes a new session), so
+    nothing here is keyed, invalidated or evicted. :func:`lint_snapshot`
+    without one builds one for the run. The rules extend the fixpoint's
+    BDD engine and its ``edge_stages`` cache, neither safe under
+    concurrent writes, so a run holds ``lock`` from its first read to
+    its last rule: runs on one stage take turns.
+    """
+
+    def __init__(self, snapshot: Snapshot):
+        self.snapshot = snapshot
+        self.lock = threading.Lock()
+        self._topology: Optional[Layer3Topology] = None
+        self._bgp_sessions: Optional[BgpSessions] = None
+        self._dataflow: Optional[DataflowAnalysis] = None
+
+    @property
+    def topology(self) -> Layer3Topology:
+        if self._topology is None:
+            self._topology = build_layer3_topology(self.snapshot)
+        return self._topology
+
+    @property
+    def bgp_sessions(self) -> BgpSessions:
+        if self._bgp_sessions is None:
+            self._bgp_sessions = compute_bgp_sessions(self.snapshot)
+        return self._bgp_sessions
+
+    @property
+    def has_dataflow(self) -> bool:
+        return self._dataflow is not None
+
+    @property
+    def dataflow(self) -> DataflowAnalysis:
+        if self._dataflow is None:
+            analysis = analyze(self.snapshot)
+            self._topology = analysis.graph.topology
+            self._bgp_sessions = analysis.graph.bgp_sessions
+            self._dataflow = analysis
+        return self._dataflow
+
+    def subject(self, scope: str) -> object:
+        """What a rule of ``scope`` is called with: the snapshot, the
+        dataflow analysis, or this stage with its topology and BGP
+        session set built."""
+        if scope == "snapshot":
+            return self.snapshot
+        if scope == "dataflow":
+            return self.dataflow
+        # ``stage``: both inputs built now, before any rule pool forks.
+        self.topology
+        self.bgp_sessions
+        return self
 
 
 @dataclass
@@ -120,38 +190,60 @@ def lint_snapshot(
     snapshot: Snapshot,
     config: Optional[LintConfig] = None,
     jobs: Optional[int] = None,
+    stage: Optional[LintStage] = None,
 ) -> LintReport:
     """Run every enabled rule against ``snapshot`` and assemble a report.
 
     ``jobs`` follows the ``pmap`` convention (None = auto). Rules run in
     parallel; results come back in registry order so reports are
-    deterministic regardless of scheduling.
+    deterministic regardless of scheduling. ``stage`` is the snapshot's
+    :class:`LintStage` to read rule inputs from and keep them on (a
+    session's); without one the run builds its own.
     """
     config = config or LintConfig()
     rules = [r for r in all_rules() if config.rule_enabled(r.rule_id)]
+    if stage is None:
+        stage = LintStage(snapshot)
+    elif stage.snapshot is not snapshot:
+        raise ValueError("the lint stage belongs to another snapshot")
+    with stage.lock:
+        return _run(stage, config, rules, jobs)
 
-    # Dataflow-scoped rules share one propagation fixpoint, computed
-    # before the pool forks.
-    analysis: Optional[DataflowAnalysis] = None
+
+def _run(
+    stage: LintStage,
+    config: LintConfig,
+    rules: List[Rule],
+    jobs: Optional[int],
+) -> LintReport:
+    snapshot = stage.snapshot
+    metrics = obs.metrics()
+    scopes = {rule.scope for rule in rules}
     dataflow_stats: Optional[Dict] = None
-    if any(rule.scope == "dataflow" for rule in rules):
-        analysis = analyze(snapshot)
+    # The fixpoint first: it builds the topology and sessions it reads.
+    if "dataflow" in scopes:
+        reused = stage.has_dataflow
+        analysis = stage.dataflow
         dataflow_stats = {
             "fixpoint_seconds": round(analysis.fixpoint_seconds, 6),
             "iterations": analysis.iterations,
             "nodes": len(analysis.graph.nodes),
             "edges": len(analysis.graph.edges),
         }
-        metrics = obs.metrics()
-        metrics.observe(
-            "lint.dataflow.fixpoint_seconds", analysis.fixpoint_seconds
-        )
-        metrics.observe("lint.dataflow.iterations", analysis.iterations)
+        if reused:
+            metrics.inc("lint.dataflow.reused")
+        else:
+            metrics.inc("lint.dataflow.built")
+            metrics.observe(
+                "lint.dataflow.fixpoint_seconds", analysis.fixpoint_seconds
+            )
+            metrics.observe("lint.dataflow.iterations", analysis.iterations)
+    # Built before the pool forks, so the workers share them.
+    subjects = {scope: stage.subject(scope) for scope in scopes}
 
     def run_one(rule: Rule) -> Tuple[List[Finding], float]:
         start = time.perf_counter()
-        subject = analysis if rule.scope == "dataflow" else snapshot
-        findings = rule.fn(subject)
+        findings = rule.fn(subjects[rule.scope])
         return findings, time.perf_counter() - start
 
     started = time.perf_counter()
@@ -159,7 +251,6 @@ def lint_snapshot(
     total_seconds = time.perf_counter() - started
 
     report = LintReport(total_seconds=total_seconds, dataflow=dataflow_stats)
-    metrics = obs.metrics()
     collected: List[Finding] = []
     for rule, (findings, seconds) in zip(rules, results):
         report.rules_run.append(rule.rule_id)

@@ -410,7 +410,8 @@ def lint(session, args, open_session) -> Dict:
     """The ``repro.lint`` rule framework; ``lintconfig`` follows
     ``LintConfig.from_dict``."""
     report = lint_snapshot(
-        session.snapshot, args.get("lintconfig"), jobs=args.get("jobs")
+        session.snapshot, args.get("lintconfig"), jobs=args.get("jobs"),
+        stage=session.lint_stage,
     )
     return report.to_json()
 

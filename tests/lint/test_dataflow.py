@@ -3,10 +3,16 @@ defect, and the test asserts the rule fires on the right device, blames
 the right file:line, and carries the right witnesses."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config.loader import load_snapshot_from_texts
+from repro.hdr.ip import Prefix
 from repro.lint import LintConfig, Severity, lint_snapshot
-from repro.lint.dataflow import analyze, validate_containment
+from repro.lint.dataflow import analyze, build_graph, build_universe, validate_containment
+from repro.lint.dataflow.graph import originated_prefixes
+from repro.lint.routespace import RouteSpaceUniverse
+from repro.synth.networks import NETWORKS, network_by_name
 
 
 def line_of(text, marker):
@@ -336,3 +342,51 @@ class TestSoundness:
             "fixpoint_seconds", "iterations", "nodes", "edges",
         }
         assert report.to_json()["dataflow"] == stats
+
+
+class TestSeedFold:
+    """Each node's seed is one top-down split over its sorted prefixes;
+    by canonicity it must be the very node the union of atoms conjoined
+    with the community-free cube is, in the same universe."""
+
+    @staticmethod
+    def atoms(universe, prefixes):
+        engine = universe.engine
+        return engine.and_(
+            engine.or_all([universe.prefix_atom(p) for p in prefixes]),
+            universe.without_communities(),
+        )
+
+    @pytest.mark.parametrize("network", [spec.name for spec in NETWORKS])
+    def test_every_registry_seed_equals_the_atom_union(self, network):
+        snapshot = load_snapshot_from_texts(network_by_name(network).generate(1))
+        universe = build_universe(snapshot)
+        graph = build_graph(snapshot, universe)
+        checked = 0
+        for hostname in snapshot.hostnames():
+            domains = originated_prefixes(snapshot.device(hostname))
+            for domain, prefixes in domains.items():
+                assert graph.seeds[(hostname, domain)].bdd == self.atoms(
+                    universe, prefixes
+                )
+                checked += bool(prefixes)
+        assert checked > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 2**32 - 1),
+                st.sampled_from([0, 1, 8, 16, 23, 24, 30, 31, 32]),
+            ),
+            max_size=24,
+        ),
+        st.integers(0, 3),
+    )
+    def test_random_prefix_lists(self, drawn, duplicates):
+        universe = RouteSpaceUniverse(
+            communities=("65000:1", "65000:2"), flags=("redistributed",)
+        )
+        prefixes = [Prefix(address, length) for address, length in drawn]
+        prefixes += prefixes[:duplicates]  # repeated entries
+        assert universe.originated(prefixes) == self.atoms(universe, prefixes)

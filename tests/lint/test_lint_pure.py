@@ -5,15 +5,20 @@ same texts, and lint writes nothing to the snapshot cache. The delta
 engine's question prioritization therefore never skips ``lint``: it
 reads every device, whatever its coverage footprint says."""
 
+import json
+
 import pytest
 
 from repro import Session, obs
 from repro.config.loader import load_snapshot_from_texts
 from repro.core.cache import SnapshotCache
 from repro.delta.edits import irrelevant_edit, relevant_edit
-from repro.lint import lint_snapshot
+from repro.lint import lint_snapshot, runner
+from repro.lint.dataflow import graph as dataflow_graph
+from repro.lint.dataflow import validate_containment
 from repro.service.serialize import run_question
 from repro.service.store import SnapshotStore
+from repro.synth.networks import NETWORKS as NETWORKS_REGISTRY
 from repro.synth.networks import network_by_name
 
 #: A three-AS chain (r1 -- r2 -- r3) with redistribution at one end and
@@ -143,3 +148,143 @@ def test_delta_never_lists_lint_as_skipped(metrics_mode, tmp_path):
         f["rule"] == "route-leak" and "10.9.2.0/24" in f["message"]
         for f in after
     )
+
+
+# ----------------------------------------------------------------------
+# The session's lint stage: built once, shared by every lint run on the
+# session, equal to a from-scratch run.
+
+REGISTRY = [spec.name for spec in NETWORKS_REGISTRY]
+
+
+def as_json(value):
+    return json.loads(json.dumps(value))
+
+
+@pytest.fixture
+def counted_builds(monkeypatch):
+    """Counts of the dataflow fixpoint, layer-3 topology and BGP session
+    set builds, wherever lint builds them."""
+    counts = {"analyze": 0, "topology": 0, "bgp_sessions": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(runner, "analyze", counting("analyze", runner.analyze))
+    for module in (runner, dataflow_graph):
+        monkeypatch.setattr(
+            module, "build_layer3_topology",
+            counting("topology", module.build_layer3_topology),
+        )
+        monkeypatch.setattr(
+            module, "compute_bgp_sessions",
+            counting("bgp_sessions", module.compute_bgp_sessions),
+        )
+    return counts
+
+
+@pytest.mark.parametrize("network", REGISTRY)
+def test_session_stage_is_built_once_and_equals_a_fresh_run(
+    network, counted_builds
+):
+    texts = network_by_name(network).generate(1)
+    expected = as_json(
+        lint_snapshot(load_snapshot_from_texts(texts), jobs=1).to_json()["findings"]
+    )
+    assert counted_builds == {"analyze": 1, "topology": 1, "bgp_sessions": 1}
+    store = SnapshotStore()
+    store.init("lab", texts)
+    session = store.get("lab")
+
+    def lint_record():
+        (record,) = [
+            record for (question, _), record in session.coverage_records().items()
+            if question == "lint"
+        ]
+        return record
+
+    assert not session.lint_stage.has_dataflow
+    vectors = []
+    for _ in range(2):
+        # The registry question first: its first run builds the stage.
+        answer = run_question(store, "lab", "lint", {"jobs": 1})
+        assert as_json(answer["findings"]) == expected
+        vectors.append(dict(lint_record()["vector"]))
+        assert as_json(findings(session.lint(jobs=1))) == expected
+    assert counted_builds == {"analyze": 2, "topology": 2, "bgp_sessions": 2}
+    assert session.lint_stage.has_dataflow
+
+    # A reused stage records what the built one did: the rules still
+    # run, so the second (reusing) run adds exactly the first's touches
+    # (none on a network without ACLs or route maps).
+    assert lint_record()["runs"] == 2
+    built = vectors[0]
+    assert vectors[1] == {key: count * 2 for key, count in built.items()}
+
+
+def test_a_config_without_dataflow_rules_builds_no_fixpoint(counted_builds):
+    session = Session.from_texts(network_by_name("NET3").generate(1))
+    config = {"rules": ["bgp-session-compat", "mtu-mismatch", "duplicate-ip"]}
+    for _ in range(2):
+        report = session.lint(config, jobs=1)
+        assert report.dataflow is None
+    assert not session.lint_stage.has_dataflow
+    assert counted_builds == {"analyze": 0, "topology": 1, "bgp_sessions": 1}
+    # A later full run builds the fixpoint, whose graph builds its own
+    # inputs: still at most one of each per run.
+    session.lint(jobs=1)
+    assert counted_builds == {"analyze": 1, "topology": 2, "bgp_sessions": 2}
+
+
+def test_a_delta_session_builds_its_own_stage(counted_builds):
+    texts = network_by_name("NET10").generate(1)
+    target = sorted(texts)[0]
+    session = Session.from_texts(texts)
+    session.lint(jobs=1)
+    edited = {**texts, target: relevant_edit(texts[target])}
+    child = session.delta({target: edited[target]})
+    assert child.lint_stage is not session.lint_stage
+    assert findings(child.lint(jobs=1)) == from_scratch(edited)
+    assert counted_builds["analyze"] == 3  # base, child, scratch
+    session.lint(jobs=1)
+    child.lint(jobs=1)
+    assert counted_builds["analyze"] == 3
+
+
+def test_stage_counters_split_built_from_reused(metrics_mode):
+    session = Session.from_texts(network_by_name("NET1").generate(1))
+    first = session.lint(jobs=1)
+    metrics = obs.metrics()
+    assert metrics.counter("lint.dataflow.built") == 1
+    assert metrics.counter("lint.dataflow.reused") == 0
+    second = session.lint(jobs=1)
+    assert metrics.counter("lint.dataflow.built") == 1
+    assert metrics.counter("lint.dataflow.reused") == 1
+    # A reuse reports the stage's fixpoint and observes no second cost.
+    assert second.dataflow == first.dataflow
+    dump = metrics.dump()["histograms"]
+    assert dump["lint.dataflow.fixpoint_seconds"]["count"] == 1
+    assert dump["lint.dataflow.iterations"]["count"] == 1
+
+
+@pytest.mark.parametrize("network", REGISTRY)
+def test_repeated_runs_leave_the_stage_engine_flat(network):
+    session = Session.from_texts(network_by_name(network).generate(1))
+    session.lint(jobs=1)
+    session.lint(jobs=1)
+    engine = session.lint_stage.dataflow.universe.engine
+    settled = engine.stats()
+    for _ in range(20):
+        session.lint(jobs=1)
+    assert engine.stats() == settled
+
+
+@pytest.mark.parametrize("network", ["NET3", "NET10"])
+def test_stage_passes_the_containment_differential(network):
+    session = Session.from_texts(network_by_name(network).generate(1))
+    session.lint(jobs=1)
+    assert validate_containment(session.snapshot, session.lint_stage.dataflow) == []

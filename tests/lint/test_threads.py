@@ -5,10 +5,12 @@ a run on another thread — the service lints from several workers —
 can neither replace it nor make a rule compute it again. Both runs
 reach their rules only after both fixpoints exist (a barrier in front
 of the rule map), the interleaving in which a shared slot would be
-overwritten.
+overwritten. Runs on one session share its lint stage instead: one
+build, and the runs take turns on it.
 """
 
 import threading
+import time
 
 from repro.core.session import Session
 from repro.lint import lint_snapshot, runner
@@ -58,3 +60,41 @@ def test_each_concurrent_run_computes_one_fixpoint(monkeypatch):
     assert not errors, errors
     assert calls == {"NET10": 1, "NET3": 1}
     assert {n: r.findings for n, r in reports.items()} == solo
+
+
+def test_two_runs_on_one_session_share_one_stage_build(monkeypatch):
+    """Two threads lint one session at once: the session's stage is
+    built once, the runs take turns on it, and each gets the solo
+    report. The build is slowed so that, unserialized, both threads
+    would be inside it together."""
+    texts = network_by_name("NET10").generate(1)
+    solo = lint_snapshot(Session.from_texts(texts).snapshot).findings
+    session = Session.from_texts(texts)
+    calls = []
+    real_analyze = runner.analyze
+    both_started = threading.Barrier(2, timeout=TIMEOUT)
+
+    def slow(*args, **kwargs):
+        calls.append(threading.current_thread().name)
+        time.sleep(0.2)
+        return real_analyze(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "analyze", slow)
+    reports, errors = [], []
+
+    def lint():
+        try:
+            both_started.wait()
+            reports.append(session.lint(jobs=1))
+        except BaseException as exc:  # surfaced below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=lint) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(TIMEOUT)
+        assert not thread.is_alive()
+    assert not errors, errors
+    assert len(calls) == 1
+    assert [report.findings for report in reports] == [solo, solo]
