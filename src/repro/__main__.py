@@ -337,6 +337,8 @@ def _validate_delta(
             continue
         info = new.delta_info
         counts["edges_compared"] += len(new.analyzer.graph.edges)
+        counts["ribs_reused"] += info.reused_ribs
+        counts["fibs_reused"] += info.reused_fibs
         counts["segments_reused"] += info.reused_pipelines
         counts["pipelines"] += len(new.snapshot.devices)
         counts["labels_grafted"] += info.grafted_segments

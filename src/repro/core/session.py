@@ -16,14 +16,15 @@ Typical use::
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import pickle
 import threading
 import time
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING, Collection, ContextManager, Dict, FrozenSet, List,
-    Mapping, NamedTuple, Optional, Sequence, Tuple,
+    TYPE_CHECKING, Any, Callable, Collection, ContextManager, Dict,
+    FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple,
 )
 
 from repro import obs
@@ -36,7 +37,7 @@ from repro.core.cache import (
     snapshot_key,
 )
 from repro.dataplane.fib import Fib, build_fib, compute_fibs
-from repro.delta.fingerprint import Fingerprints
+from repro.delta.fingerprint import Fingerprints, routing_changes
 from repro.hdr.headerspace import HeaderSpace, PacketEncoder
 from repro.hdr.packet import Packet
 from repro.lint import LintStage
@@ -44,7 +45,6 @@ from repro.provenance import (
     DerivationTree,
     Flow,
     FlowExplanation,
-    ProvenanceRecorder,
     build_flow_explanation,
     build_route_tree,
 )
@@ -102,15 +102,26 @@ class NotConvergedError(RuntimeError):
     non-convergence rather than forcing it, §4.1.2)."""
 
 
-class BaseStages(NamedTuple):
-    """What a :meth:`Session.delta` session may take over from the
-    session it edits: the stage outputs that one had *already computed*
-    when ``delta`` ran, never the session itself (a chain of deltas must
-    not keep its ancestors alive). Empty on any other session."""
+class Stage(NamedTuple):
+    """One piece of a session's derived state (``STAGES``), built at most
+    once, on first read, under its own lock (:meth:`Session._stage`)."""
 
-    dataplane: Optional[DataPlane] = None
-    fibs: Mapping[str, Fib] = {}
-    analyzer: Optional[NetworkAnalyzer] = None
+    name: str
+    #: ``(session, base's output or None) -> (output, report)``: the
+    #: :class:`~repro.delta.DeltaInfo` fields saying what it took.
+    build: Callable[["Session", Any], Tuple[Any, Dict[str, Any]]]
+    #: The ``phase.seconds`` label, or the trace span, of its build.
+    phase: Optional[str] = None
+    span: Optional[str] = None
+
+
+class BaseOutputs(NamedTuple):
+    """What a :meth:`Session.delta` session may take from the session it
+    edits: that one's ``TAKEN`` outputs by stage name (None where not
+    computed), never the session itself (a chain of deltas must not keep
+    its ancestors alive). Empty once every ``TAKEN`` stage is built."""
+
+    outputs: Mapping[str, Any] = {}
     #: Devices whose config text differs from the base's.
     edited: FrozenSet[str] = frozenset()
     #: Routing stage -> devices whose projection for it differs from the
@@ -130,25 +141,11 @@ class Session:
         self.snapshot = snapshot
         self.settings = settings or ConvergenceSettings()
         self.semantics = semantics
-        self._dataplane: Optional[DataPlane] = None
-        self._fibs: Optional[Dict[str, Fib]] = None
-        self._analyzer: Optional[NetworkAnalyzer] = None
-        self._tracer: Optional[TracerouteEngine] = None
-        #: Each lazy stage takes the base's object where its own output
-        #: equals it; the analyzer, the last of them, lets go of these.
-        self._base = BaseStages()
-        #: Guards the lazy stages (dataplane -> fibs -> analyzer): the
-        #: service answers questions on one session from several worker
-        #: threads, and two builds of one stage would hand callers
-        #: halves of different analyzers (a graph and an encoder that
-        #: do not belong together). Re-entrant because each stage reads
-        #: the one before it.
-        self._stage_lock = threading.RLock()
-        #: Cached provenance re-derivation (recorder, dataplane, fibs) —
-        #: populated on the first explain_route call (Stage 4).
-        self._provenance: Optional[
-            Tuple[ProvenanceRecorder, DataPlane, Dict[str, Fib]]
-        ] = None
+        #: Stage name -> its output, once built (``STAGES``).
+        self._outputs: Dict[str, Any] = {}
+        self._locks = {name: threading.Lock() for name in STAGES}
+        #: What the ``TAKEN`` stages may take from this delta's base.
+        self._inherited = BaseOutputs()
         #: Content-addressed cache backing this session (see from_texts).
         self._cache: Optional[SnapshotCache] = None
         self._cache_key: Optional[str] = None
@@ -159,18 +156,11 @@ class Session:
         #: Populated on sessions produced by :meth:`delta`: a
         #: :class:`repro.delta.DeltaInfo` describing what was reused.
         self.delta_info = None
-        #: The devices' routing fingerprints, hashed once per session: a
-        #: delta of this session compares its edited devices' with these.
-        self._fingerprints = Fingerprints(snapshot)
         #: Coverage records of the question runs on this session (and
         #: the ones :meth:`delta` carried over from its base), by
         #: (question, canonical params); see :meth:`record_coverage`.
         self._coverage: Dict[Tuple[str, str], Dict] = {}
         self._coverage_lock = threading.Lock()
-        #: The lint rules' inputs (topology, BGP sessions, dataflow
-        #: fixpoint), each built by the first lint run that reads it and
-        #: kept for the session's life; lint runs on it take turns.
-        self.lint_stage = LintStage(snapshot)
 
     # -- construction -----------------------------------------------------
 
@@ -219,19 +209,14 @@ class Session:
         ``None`` to delete the file; unnamed files carry over from this
         session unchanged). Returns a new :class:`Session`, derived from
         this one in memory and never backed by the disk cache: only
-        changed files are parsed. Its data plane takes each routing
-        stage (IGP, BGP) whose inputs and reads are unchanged from this
-        session's, and rebuilds only the main RIBs of devices whose
-        connected/static inputs changed (``delta_info.stages``,
-        ``dirty_devices``). Each lazy stage then takes this session's
-        object where its own output equals it: a main RIB with equal
-        best sets, then by identity its FIB and — on a private fork of
-        this session's BDD engine — the graph pipeline of an unedited
-        device with unchanged links. Only stages this session had
-        computed when ``delta`` ran are taken from (or, if it had
-        computed none, what it would itself have taken from its own
-        base; ``delta_info.reused_*`` count them). The result is
-        bit-identical to a from-scratch analysis (:mod:`repro.delta`).
+        changed files are parsed. Each ``TAKEN`` stage of it takes this
+        session's output where its own equals it (:meth:`_take_from`):
+        the data plane each unchanged routing stage (IGP, BGP) and each
+        main RIB with equal best sets, then by identity a FIB and — on a
+        private fork of this session's BDD engine — the graph pipeline
+        of an unedited device with unchanged links (``delta_info``). The
+        result is bit-identical to a from-scratch analysis
+        (:mod:`repro.delta`).
 
         ``validate`` forces the :envvar:`REPRO_DELTA_VALIDATE` check
         (cache-less from-scratch session; an equal parsed snapshot,
@@ -284,12 +269,6 @@ class Session:
         """Hit/miss counters of the backing cache (None when uncached)."""
         return self._cache.stats() if self._cache else None
 
-    def _dataplane_cache_salt(self) -> str:
-        """Simulation parameters that shape the data plane: they join
-        the content address so differently-configured runs never share
-        an entry."""
-        return f"dataplane|{self.settings!r}|{self.semantics!r}"
-
     # -- pipeline stages ----------------------------------------------------
 
     @property
@@ -298,58 +277,67 @@ class Session:
         file/device attribution (``warning.describe()`` renders one)."""
         return list(self.snapshot.warnings)
 
+    def _stage(self, name: str) -> Any:
+        """Stage ``name``'s output, built on first read: the one place a
+        session builds derived state. The fast path is one lookup, with
+        no lock. A build reports what it took from the base; the base is
+        let go once the last ``TAKEN`` stage, which reads the others, is
+        built."""
+        output = self._outputs.get(name)
+        if output is None:
+            with self._locks[name]:
+                output = self._outputs.get(name)
+                if output is None:
+                    stage = STAGES[name]
+                    started = time.perf_counter()
+                    with obs.span(stage.span) if stage.span else contextlib.nullcontext():
+                        output, report = stage.build(self, self._inherited.outputs.get(name))
+                    if stage.phase is not None:
+                        obs.observe_phase(stage.phase, time.perf_counter() - started)
+                    if self.delta_info is not None:
+                        self.delta_info.record(**report)
+                    self._outputs[name] = output
+                    if name == TAKEN[-1]:
+                        self._inherited = BaseOutputs()
+        return output
+
+    def computed(self, name: str) -> Any:
+        """Stage ``name``'s output if built, else None (builds nothing)."""
+        return self._outputs.get(STAGES[name].name)
+
+    def base_output(self, name: str) -> Any:
+        """What stage ``name`` may still take from the base, else None."""
+        return self._inherited.outputs.get(STAGES[name].name)
+
+    def _take_from(self, base: "Session", edited: Set[str]) -> Dict[str, List[str]]:
+        """Make this fresh session a delta of ``base`` editing the
+        ``edited`` devices; return, per routing stage, the devices whose
+        projection moved. The one base-take rule: only what the base has
+        computed by now is taken; a base with no data plane passes on
+        what it would have taken from its own base, under both edits'
+        changes (a device deleted and added back changed everywhere)."""
+        if base.computed("dataplane") is None:
+            prior = base._inherited
+        else:
+            prior = BaseOutputs({name: base.computed(name) for name in TAKEN})
+        fingerprints = base._stage("fingerprints")
+        self._outputs["fingerprints"] = fingerprints.carried_to(self.snapshot)
+        changes = routing_changes(fingerprints, self._outputs["fingerprints"], edited)
+        self._inherited = BaseOutputs(
+            prior.outputs,
+            prior.edited | edited,
+            {
+                stage: set(prior.changed.get(stage, ())) | set(hosts)
+                for stage, hosts in changes.items()
+            },
+        )
+        return changes
+
     @property
     def dataplane(self) -> DataPlane:
         """Stage 2: the computed data plane (lazily derived; served from
         the content-addressed cache when one backs this session)."""
-        if self._dataplane is None:
-            with self._stage_lock:
-                if self._dataplane is None:
-                    dataplane = self._load_or_compute_dataplane()
-                    self._take_base_ribs(dataplane)
-                    if self.delta_info is not None:
-                        self.delta_info.record_routing(
-                            dataplane.stages, len(dataplane.nodes)
-                        )
-                    self._dataplane = dataplane
-        return self._dataplane
-
-    def _take_base_ribs(self, dataplane: DataPlane) -> None:
-        """A main RIB this computation rebuilt that equals the base's
-        becomes the base's object, like every one it did not rebuild,
-        for the FIB and pipeline stages to reuse by identity."""
-        base = self._base.dataplane
-        if base is None:
-            return
-        rebuilt = dataplane.stages.rebuilt
-        taken = len(dataplane.nodes) - len(rebuilt)
-        for hostname in rebuilt:
-            state, kept = dataplane.nodes[hostname], base.nodes.get(hostname)
-            if kept is not None and state.main_rib.same_best(kept.main_rib):
-                state.main_rib = kept.main_rib
-                taken += 1
-        self._count_reuse("rib", taken)
-
-    def _count_reuse(self, stage: str, devices: int) -> None:
-        """So many outputs of ``stage`` (rib, fib, pipeline) are the base's."""
-        if self.delta_info is not None:
-            setattr(self.delta_info, f"reused_{stage}s", devices)
-            obs.metrics().inc(f"delta.reuse.{stage}", devices)
-
-    def _load_or_compute_dataplane(self) -> DataPlane:
-        if self._cache is not None:
-            cached = self._cache.load("dataplane", self.snapshot_key)
-            if cached is not None:
-                return cached
-        started = time.perf_counter()
-        dataplane = compute_dataplane(
-            self.snapshot, self.settings, self.semantics,
-            base=self._base.dataplane, changed=self._base.changed,
-        )
-        obs.observe_phase("dataplane", time.perf_counter() - started)
-        if self._cache is not None:
-            self._cache.store("dataplane", self.snapshot_key, dataplane)
-        return dataplane
+        return self._stage("dataplane")
 
     @property
     def snapshot_key(self) -> str:
@@ -373,56 +361,20 @@ class Session:
                 pickle.dumps(self.snapshot, protocol=pickle.HIGHEST_PROTOCOL)
             )
             self._cache_key = digest.hexdigest()
+        # The simulation parameters join the content address, so
+        # differently-configured runs never share an entry.
         digest = hashlib.sha256(self._cache_key.encode())
-        digest.update(self._dataplane_cache_salt().encode())
+        digest.update(f"dataplane|{self.settings!r}|{self.semantics!r}".encode())
         return digest.hexdigest()
 
     @property
     def fibs(self) -> Dict[str, Fib]:
-        if self._fibs is None:
-            with self._stage_lock:
-                if self._fibs is None:
-                    with obs.span("fib"):
-                        self._fibs = self._build_fibs()
-        return self._fibs
-
-    def _build_fibs(self) -> Dict[str, Fib]:
-        """A FIB per node: the base's where the node's main RIB *is* the
-        base's (``build_fib`` reads nothing else), else built — always
-        built while provenance records: building emits the ``fib`` events."""
-        base, taken = self._base, 0
-        fibs: Dict[str, Fib] = {}
-        for hostname, state in sorted(self.dataplane.nodes.items()):
-            fib = None if prov.enabled() else base.fibs.get(hostname)
-            # A base FIB comes with the base data plane it was built from.
-            if fib is None or state.main_rib is not base.dataplane.main_rib(hostname):
-                fib = build_fib(state)
-            else:
-                taken += 1
-            fibs[hostname] = fib
-        self._count_reuse("fib", taken)
-        return fibs
+        return self._stage("fibs")
 
     @property
     def analyzer(self) -> NetworkAnalyzer:
         """Stage 3: the BDD verification engine (lazily built)."""
-        if self._analyzer is None:
-            with self._stage_lock:
-                if self._analyzer is None:
-                    started = time.perf_counter()
-                    analyzer = NetworkAnalyzer(
-                        self.dataplane,
-                        fibs=self.fibs,
-                        base=self._base.analyzer,
-                        edited=self._base.edited,
-                    )
-                    self._count_reuse("pipeline", len(analyzer.reused_pipelines))
-                    if self.delta_info is not None:
-                        self.delta_info.grafted_segments = len(analyzer.grafted_segments)
-                    self._base = BaseStages()
-                    self._analyzer = analyzer
-                    obs.observe_phase("bdd", time.perf_counter() - started)
-        return self._analyzer
+        return self._stage("analyzer")
 
     # -- coverage (Xu et al.) ---------------------------------------------
 
@@ -502,6 +454,13 @@ class Session:
 
     def duplicate_ips(self) -> DuplicateIpsAnswer:
         return duplicate_ips_question(self.snapshot)
+
+    @property
+    def lint_stage(self) -> LintStage:
+        """The lint rules' inputs (topology, BGP sessions, dataflow
+        fixpoint), each built by the first lint run that reads it and
+        kept for the session's life; lint runs on it take turns."""
+        return self._stage("lint")
 
     def lint(self, lintconfig: Optional[Dict] = None, jobs: Optional[int] = None):
         """Run the semantic lint engine (``repro.lint``) over the
@@ -610,9 +569,7 @@ class Session:
 
     @property
     def tracer(self) -> TracerouteEngine:
-        if self._tracer is None:
-            self._tracer = TracerouteEngine(self.dataplane, self.fibs)
-        return self._tracer
+        return self._stage("tracer")
 
     def traceroute(self, packet: Packet, node: str, interface: str) -> List[Trace]:
         return self.tracer.trace(packet, node, interface)
@@ -626,29 +583,6 @@ class Session:
 
     # -- provenance / explanation (Stage 4, §4.4) ----------------------------
 
-    def _recorded_derivation(
-        self,
-    ) -> Tuple[ProvenanceRecorder, DataPlane, Dict[str, Fib]]:
-        """Re-derive the data plane and FIBs with provenance recording
-        on, once per session.
-
-        Normal runs stay at zero recording cost; the first ``explain_*``
-        call pays for one extra simulation and every later call reuses
-        the recorded events (the same way Batfish answers "why" questions
-        from retained derivation state rather than instrumenting every
-        run). The recording is this thread's alone; the stage lock makes
-        concurrent first calls share one."""
-        if self._provenance is None:
-            with self._stage_lock:
-                if self._provenance is None:
-                    with prov.recording() as recorder:
-                        dataplane = compute_dataplane(
-                            self.snapshot, self.settings, self.semantics
-                        )
-                        fibs = compute_fibs(dataplane)
-                    self._provenance = (recorder, dataplane, fibs)
-        return self._provenance
-
     def explain_route(self, node: str, prefix) -> DerivationTree:
         """Why does (or doesn't) ``node`` have a route for ``prefix``?
 
@@ -657,7 +591,7 @@ class Session:
         it — including suppressed alternatives — with neighbor, policy
         clause, and convergence iteration attribution.
         """
-        recorder, dataplane, fibs = self._recorded_derivation()
+        recorder, dataplane, fibs = self._stage("derivation")
         return build_route_tree(recorder, dataplane, fibs, node, prefix)
 
     def explain_flow(self, flow: Flow) -> FlowExplanation:
@@ -669,3 +603,104 @@ class Session:
         return build_flow_explanation(flow, self.traceroute(
             flow.packet, flow.ingress_node, flow.ingress_interface
         ))
+
+
+# -- the stage table ---------------------------------------------------------
+
+
+def _build_dataplane(session: Session, base: Optional[DataPlane]):
+    """Load the data plane from the cache, or compute it taking each
+    routing stage of ``base`` whose inputs and reads are unchanged, and
+    note how it was produced."""
+    cache = session._cache
+    dataplane = cache.load("dataplane", session.snapshot_key) if cache else None
+    if dataplane is None:
+        started = time.perf_counter()
+        dataplane = compute_dataplane(
+            session.snapshot, session.settings, session.semantics,
+            base=base, changed=session._inherited.changed,
+        )
+        obs.observe_phase("dataplane", time.perf_counter() - started)
+        if cache is not None:
+            cache.store("dataplane", session.snapshot_key, dataplane)
+    stages, taken = dataplane.stages, 0
+    if base is not None:
+        # A rebuilt main RIB equal to the base's becomes the base's
+        # object, like every one not rebuilt, for the FIB and pipeline
+        # stages to reuse by identity.
+        taken = len(dataplane.nodes) - len(stages.rebuilt)
+        for hostname in stages.rebuilt:
+            state, kept = dataplane.nodes[hostname], base.nodes.get(hostname)
+            if kept is not None and state.main_rib.same_best(kept.main_rib):
+                state.main_rib = kept.main_rib
+                taken += 1
+    return dataplane, {
+        "reused_ribs": taken,
+        "stages": {
+            stage: f"recomputed ({reason})" if reason else "reused"
+            for stage, reason in stages.recomputed.items()
+        },
+        "fallback": any(stages.recomputed.values()),
+        "dirty_devices": list(stages.rebuilt),
+        "reused_devices": len(dataplane.nodes) - len(stages.rebuilt),
+    }
+
+
+def _build_fibs(session: Session, base: Optional[Dict[str, Fib]]):
+    """A FIB per node: the base's where the node's main RIB *is* the
+    base's (``build_fib`` reads nothing else), else built — always
+    built while provenance records: building emits the ``fib`` events."""
+    # A base FIB comes with the base data plane it was built from.
+    base_dataplane, taken = session._inherited.outputs.get("dataplane"), 0
+    fibs: Dict[str, Fib] = {}
+    for hostname, state in sorted(session.dataplane.nodes.items()):
+        fib = None if base is None or prov.enabled() else base.get(hostname)
+        if fib is None or state.main_rib is not base_dataplane.main_rib(hostname):
+            fib = build_fib(state)
+        else:
+            taken += 1
+        fibs[hostname] = fib
+    return fibs, {"reused_fibs": taken}
+
+
+def _build_analyzer(session: Session, base: Optional[NetworkAnalyzer]):
+    analyzer = NetworkAnalyzer(
+        session.dataplane, fibs=session.fibs, base=base,
+        edited=session._inherited.edited,
+    )
+    return analyzer, {
+        "reused_pipelines": len(analyzer.reused_pipelines),
+        "grafted_segments": len(analyzer.grafted_segments),
+    }
+
+
+def _record_derivation(session: Session, _base: None):
+    """Re-derive the data plane and FIBs with provenance recording on.
+
+    Normal runs stay at zero recording cost; the first ``explain_route``
+    pays for one extra simulation and every later call reuses the
+    recorded events (the same way Batfish answers "why" questions from
+    retained derivation state rather than instrumenting every run). The
+    recording is this thread's alone; the stage's lock makes concurrent
+    first calls share one."""
+    with prov.recording() as recorder:
+        dataplane = compute_dataplane(session.snapshot, session.settings, session.semantics)
+        fibs = compute_fibs(dataplane)
+    return (recorder, dataplane, fibs), {}
+
+
+#: A session's derived state, in dependency order: each build reads
+#: only the stages above it, so a build holding its stage's lock waits
+#: only for upstream ones, never in a cycle.
+STAGES: Dict[str, Stage] = {stage.name: stage for stage in (
+    Stage("dataplane", _build_dataplane),
+    Stage("fibs", _build_fibs, span="fib"),
+    Stage("analyzer", _build_analyzer, phase="bdd"),
+    Stage("tracer", lambda s, _: (TracerouteEngine(s.dataplane, s.fibs), {})),
+    Stage("derivation", _record_derivation),
+    Stage("lint", lambda s, _: (LintStage(s.snapshot), {})),
+    # Hashed per device on first use; a delta carries its base's.
+    Stage("fingerprints", lambda s, _: (Fingerprints(s.snapshot), {})),
+)}
+#: The stages whose output a delta session may take from its base.
+TAKEN = ("dataplane", "fibs", "analyzer")

@@ -1,5 +1,5 @@
-"""Delta analysis: take each routing stage from the base whose inputs
-and reads are unchanged.
+"""Delta analysis: a session for an edited snapshot that takes what
+its base computed wherever its own output equals it.
 
 The production workload the paper centers on (§5.1) is reviewing one
 small change against a large network, thousands of times a day. The
@@ -12,28 +12,21 @@ memory, and never touches the disk cache (its key does not repeat):
    the per-stage routing projections of the devices whose bytes changed
    (:mod:`repro.delta.fingerprint`). A *seed* is a device whose
    projection for some stage moved, or that exists on one side only.
-2. When the new session's data plane is first asked for, it is computed
-   from the data plane the base had computed at ``delta()`` time, if
-   any (``compute_dataplane(base=…)``): a stage whose projections are
-   equal, and whose computation from or reads of the main RIBs answer
-   as in the base run, takes the base's output; a seed rebuilds its
-   main RIB from its own connected/static routes and those outputs; a
-   device whose connected/static inputs did not change keeps the base's
-   ``Rib`` object when both stages are taken. An edit that moves no
-   projection is the case where every stage is taken and no device
-   is rebuilt.
-3. Downstream of routing, one rule at every stage boundary: where the
-   new session's output equals the base's, it takes the base's object,
-   and the next stage reuses by identity (``Session.dataplane`` →
-   ``.fibs`` → ``.analyzer``; DESIGN.md, "Reuse at stage boundaries").
+2. Then each stage of the session's table (``repro.core.session.STAGES``)
+   that takes from the base does so where its output equals the base's:
+   the data plane takes each routing stage whose projections, and
+   whose computation from or reads of the main RIBs, are unchanged
+   (``compute_dataplane(base=…)``) and each main RIB with equal best
+   routes; the FIBs and the graph pipelines follow by identity
+   (DESIGN.md, "Reuse at stage boundaries"). Each reports what it took
+   through :meth:`DeltaInfo.record`.
 
 Reuse is exact. Each stage is deterministic (coloring + logical clocks,
 §4.1.2) and consumes only its projections and what it computed from or
 read of the main RIBs, so with those equal it reproduces the base run's
-output byte for byte; the RIB comparison of step 3 compares outputs.
-``validate=True`` / ``REPRO_DELTA_VALIDATE=1`` checks the parsed
-snapshot, FIBs and forwarding graph against a cache-less from-scratch
-session of the same texts, whatever was reused.
+output byte for byte. ``validate=True`` / ``REPRO_DELTA_VALIDATE=1``
+checks the parsed snapshot, FIBs and forwarding graph against a
+cache-less from-scratch session of the same texts, whatever was reused.
 """
 
 from __future__ import annotations
@@ -45,10 +38,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.config.loader import load_snapshot_from_texts, parses_from_base
-from repro.delta.fingerprint import routing_changes
 from repro.provenance import DerivationNode, DerivationTree, first_divergence
 from repro.reachability.graph import Constraint
-from repro.routing.engine import RoutingStages
 
 
 class DeltaValidationError(AssertionError):
@@ -79,8 +70,7 @@ class DeltaInfo:
     dirty_devices: Optional[List[str]] = None
     reused_devices: Optional[int] = None
     #: Devices whose main RIB / FIB / graph pipeline is the base's own
-    #: object — by construction, or where the output came out equal.
-    #: Filled as the session's lazy stages run (0 until then).
+    #: object; each filled as its session's stage is built (0 until then).
     reused_ribs: int = 0
     reused_fibs: int = 0
     reused_pipelines: int = 0
@@ -99,19 +89,27 @@ class DeltaInfo:
     def to_json(self) -> Dict:
         return asdict(self)
 
-    def record_routing(self, stages: RoutingStages, devices: int) -> None:
-        """Note how the session's data plane was produced, here and in
-        the ``delta.stage.<stage>.{reused,recomputed}`` counters."""
+    def record(self, **fields) -> None:
+        """Set ``fields`` and add each to its ``delta.*`` counter (a list
+        adds its length): the one path by which a delta, and then each
+        stage its session builds, reports what it took from the base."""
         metrics = obs.metrics()
-        self.stages = {}
-        for stage, reason in stages.recomputed.items():
-            self.stages[stage] = f"recomputed ({reason})" if reason else "reused"
-            metrics.inc(f"delta.stage.{stage}.{'recomputed' if reason else 'reused'}")
-        self.fallback = any(stages.recomputed.values())
-        self.dirty_devices = list(stages.rebuilt)
-        self.reused_devices = devices - len(stages.rebuilt)
-        metrics.inc("delta.dirty_devices", len(self.dirty_devices))
-        metrics.inc("delta.reused_devices", self.reused_devices)
+        for name, value in fields.items():
+            setattr(self, name, value)
+            if name == "stages":
+                for stage, outcome in value.items():
+                    metrics.inc(f"delta.stage.{stage}.{outcome.split()[0]}")
+            elif name in COUNTERS:
+                metrics.inc(COUNTERS[name], len(value) if isinstance(value, list) else value)
+
+
+#: :class:`DeltaInfo` field -> the counter :meth:`DeltaInfo.record` adds
+#: it to (``delta.reuse.devices`` is the three ``delta.reuse.*``'s total).
+COUNTERS = dict(
+    parse_memo_hits="delta.parse_memo_hits", dirty_devices="delta.dirty_devices",
+    reused_devices="delta.reused_devices", reused_ribs="delta.reuse.rib",
+    reused_fibs="delta.reuse.fib", reused_pipelines="delta.reuse.pipeline",
+)
 
 
 def validate_enabled() -> bool:
@@ -122,7 +120,7 @@ def validate_enabled() -> bool:
 
 def delta_session(base, changed_configs: Dict[str, Optional[str]], validate=None):
     """Implementation behind :meth:`repro.core.session.Session.delta`."""
-    from repro.core.session import BaseStages, Session
+    from repro.core.session import Session
 
     if base._configs is None:
         raise ValueError(
@@ -151,7 +149,6 @@ def delta_session(base, changed_configs: Dict[str, Optional[str]], validate=None
     started = time.perf_counter()
     with obs.span("delta", changed=len(changed_files)):
         parsed = parses_from_base(new_configs, base._configs, base.snapshot)
-        info.parse_memo_hits = len(parsed)
         # No cache: the session's key (from its texts) never repeats.
         new_session = Session(
             load_snapshot_from_texts(new_configs, parsed=parsed),
@@ -160,52 +157,28 @@ def delta_session(base, changed_configs: Dict[str, Optional[str]], validate=None
         )
         new_session._configs = new_configs
         new_session.delta_info = info
-        new_session._fingerprints = base._fingerprints.carried_to(new_session.snapshot)
-        changed_hosts = _changed_hosts(base, new_session, info)
-        changes = routing_changes(
-            base._fingerprints, new_session._fingerprints, changed_hosts
-        )
+        # Devices whose file changed bytes, on either side of a rename or
+        # delete.
+        changed_hosts = {
+            hostname
+            for filename in changed_files
+            for hostname in (
+                base.snapshot.sources.get(filename),
+                new_session.snapshot.sources.get(filename),
+            )
+            if hostname is not None
+        }
+        changes = new_session._take_from(base, changed_hosts)
         info.seeds = sorted(set().union(*changes.values()))
-        # Only what the base has computed by now: a delta never runs a
-        # base stage for the sake of reusing it. A base that computed
-        # nothing passes on what it would have taken from its own base,
-        # under both edits' changes (a device deleted by one and added
-        # back by the other is changed in every stage).
-        if base._dataplane is not None:
-            stages = BaseStages(base._dataplane, dict(base._fibs or {}), base._analyzer)
-        else:
-            stages = base._base
-        new_session._base = stages._replace(
-            edited=stages.edited | changed_hosts,
-            changed={
-                stage: set(stages.changed.get(stage, ())) | set(hosts)
-                for stage, hosts in changes.items()
-            },
-        )
         _prioritize_questions(base, new_session, info, changed_hosts)
-        _record_metrics(info, len(new_session.snapshot.devices))
-        should_validate = (
-            validate if validate is not None else validate_enabled()
-        )
-        if should_validate:
+        obs.metrics().inc("delta.runs")
+        obs.metrics().inc("delta.reuse.devices", len(new_session.snapshot.devices))
+        info.record(parse_memo_hits=len(parsed))
+        if validate or (validate is None and validate_enabled()):
             _validate(new_session)
             info.validated = True
     obs.observe_phase("delta", time.perf_counter() - started)
     return new_session
-
-
-def _changed_hosts(base, new_session, info: DeltaInfo) -> Set[str]:
-    """Devices whose config file changed bytes (on either side of a
-    rename/delete)."""
-    return {
-        hostname
-        for filename in info.changed_files
-        for hostname in (
-            base.snapshot.sources.get(filename),
-            new_session.snapshot.sources.get(filename),
-        )
-        if hostname is not None
-    }
 
 
 def _prioritize_questions(
@@ -230,15 +203,6 @@ def _prioritize_questions(
         routing_changed=bool(info.seeds),
         everything=unbounded,
     )
-
-
-def _record_metrics(info: DeltaInfo, devices: int) -> None:
-    metrics = obs.metrics()
-    metrics.inc("delta.runs")
-    metrics.inc("delta.parse_memo_hits", info.parse_memo_hits)
-    # Denominator of delta.reuse.{rib,fib,pipeline}, which the session's
-    # stages count as they run.
-    metrics.inc("delta.reuse.devices", devices)
 
 
 # ----------------------------------------------------------------------

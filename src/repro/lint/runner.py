@@ -4,19 +4,14 @@ with per-rule timing, suppression handling, and metrics.
 Rules are independent, so they parallelize trivially with
 ``repro.parallel.pmap`` (fork-based; each worker gets a copy-on-write
 view of the snapshot and builds its own BDD engines). What rules read
-besides the snapshot — the layer-3 topology, the BGP session set and
-the dataflow fixpoint — comes from a :class:`LintStage`: a session's,
-which keeps each input for the session's life, or one of the run's
-own. The runner builds the inputs its enabled rules read before the
-pool forks and passes each rule its own: the mapped closure holds them,
-and ``pmap`` publishes the closure before it forks, so the workers read
-them copy-on-write too. Timing and
-finding counts land in the ``repro.obs`` metrics registry
-unconditionally — the service ``/metrics`` endpoint then shows
-``lint.findings.<rule>`` counters without tracing enabled. A lint run
-opens no coverage scope of its own: it is one run of whatever scope
-its caller opened, and the rules' touches on pmap workers come back
-into it.
+besides the snapshot comes from a :class:`LintStage` (a session's, or
+the run's own), built before the pool forks: the mapped closure holds
+it, and ``pmap`` publishes the closure before it forks, so the workers
+read it copy-on-write too. Timing and finding counts land in the
+``repro.obs`` metrics registry unconditionally (``/metrics`` shows
+``lint.findings.<rule>`` without tracing). A lint run opens no coverage
+scope of its own: it is one run of whatever scope its caller opened,
+and the rules' touches on pmap workers come back into it.
 """
 
 from __future__ import annotations
@@ -45,10 +40,9 @@ class LintStage:
     topology and the session set, and the stage keeps those: read after
     the fixpoint, neither is built again.
 
-    A :class:`~repro.core.session.Session` keeps one for its life: a
-    session's snapshot never changes (a PATCH makes a new session), so
-    nothing here is keyed, invalidated or evicted. :func:`lint_snapshot`
-    without one builds one for the run. The rules extend the fixpoint's
+    A :class:`~repro.core.session.Session` builds one as its ``lint``
+    stage and keeps it for its life: a session's snapshot never changes,
+    so nothing here is keyed or evicted. The rules extend the fixpoint's
     BDD engine and its ``edge_stages`` cache, neither safe under
     concurrent writes, so a run holds ``lock`` from its first read to
     its last rule: runs on one stage take turns.

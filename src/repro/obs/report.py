@@ -257,17 +257,16 @@ class TraceReport:
             reused = delta.get("delta.reused_devices", 0)
             total = dirty + reused
             lines.append(f"  runs: {runs}")
-            for stage in ("igp", "bgp"):
-                lines.append(
-                    f"  {stage} stage: reused "
-                    f"{delta.get(f'delta.stage.{stage}.reused', 0)}, recomputed "
-                    f"{delta.get(f'delta.stage.{stage}.recomputed', 0)}"
-                )
             if total:
                 lines.append(
                     f"  main RIBs rebuilt: {dirty}/{total} "
                     f"({100.0 * reused / total:.0f}% kept from the base)"
                 )
+            # Each stage's outcomes and what each took from the base, by
+            # their counter names: where the fast path was not taken.
+            for name in sorted(delta):
+                if name.startswith(("delta.stage.", "delta.reuse.")):
+                    lines.append(f"  {name:<42} {delta[name]:>12}")
             lines.append(
                 f"  parse memo hits: {delta.get('delta.parse_memo_hits', 0)}"
             )

@@ -152,7 +152,7 @@ class SnapshotStore:
                 session = base.delta(changed_configs)
             except ValueError as exc:
                 raise InvalidRequestError(str(exc))
-            if base._dataplane is not None:
+            if base.computed("dataplane") is not None:
                 session.dataplane
             record = SnapshotRecord(
                 name=name,

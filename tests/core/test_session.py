@@ -98,6 +98,38 @@ class TestConcurrentLazyStages:
         assert len(answers) == workers and answers[0]
         assert all(answer == answers[0] for answer in answers.values())
 
+    def test_two_first_traceroutes_share_one_tracer(self, monkeypatch):
+        """The first build lets the second thread in, if anything does,
+        before it finishes: an unlocked stage builds twice."""
+        import repro.core.session as session_module
+
+        built, second_entered = [], threading.Event()
+
+        class GatedTracer(session_module.TracerouteEngine):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                if len(built) == 1:
+                    # Bounded: under the stage's lock the second never enters.
+                    second_entered.wait(timeout=2)
+                else:
+                    second_entered.set()
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(session_module, "TracerouteEngine", GatedTracer)
+        fresh = Session.from_texts(net1(2))
+        fresh.fibs
+        tracers = []
+        threads = [
+            threading.Thread(target=lambda: tracers.append(fresh.tracer))
+            for _ in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert len(built) == 1
+        assert len(tracers) == 2 and tracers[0] is tracers[1] is built[0]
+
 
 class TestSnapshotKey:
     def test_key_is_stable_for_identical_configs(self):

@@ -236,7 +236,7 @@ class TestRecompute:
         base = Session.from_texts(THREE_ISLANDS)
         base.fibs
         first = base.delta({"c": THREE_ISLANDS["c"] + INERT_LINE}, validate=False)
-        assert first._dataplane is None
+        assert first.computed("dataplane") is None
         # The first delta computed nothing: the second takes the base's
         # stages under both edits' changes.
         second = first.delta(
@@ -277,7 +277,7 @@ class TestRecompute:
         assert not base.dataplane.converged
         target = sorted(configs)[0]
         new = base.delta({target: configs[target] + INERT_LINE}, validate=False)
-        assert new._dataplane is None
+        assert new.computed("dataplane") is None
         new.dataplane
         info = new.delta_info
         assert info.fallback
@@ -292,14 +292,14 @@ class TestRecompute:
     def test_base_is_not_computed_for_a_seeded_delta(self):
         base = Session.from_texts(self.PAIR)
         new = base.delta({"a": self.PAIR["a"] + ROUTE_LINE}, validate=False)
-        assert base._dataplane is None and new._dataplane is None
+        assert base.computed("dataplane") is None and new.computed("dataplane") is None
         info = new.delta_info
         # Unknown until routing runs.
         assert info.stages is info.fallback is info.dirty_devices is None
         new.dataplane
         assert info.fallback
         assert info.stages["igp"] == "recomputed (no base data plane)"
-        assert base._dataplane is None
+        assert base.computed("dataplane") is None
 
 class TestRejectedInput:
     PAIR = {name: THREE_ISLANDS[name] for name in ("a", "b")}

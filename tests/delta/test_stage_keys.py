@@ -262,7 +262,7 @@ def test_a_device_deleted_and_added_back_is_changed_in_every_stage():
     first = base.delta({"r1": None}, validate=False)
     readded = _static(IBGP_OVER_OSPF["r1"], "203.0.113.0", "255.255.255.0")
     second = first.delta({"r1": readded})
-    assert first._dataplane is None
+    assert first.computed("dataplane") is None
     assert_equals_scratch(second)
     assert second.delta_info.stages == {
         "igp": "recomputed (OSPF inputs of r1 changed)",

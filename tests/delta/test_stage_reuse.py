@@ -407,15 +407,15 @@ class TestLifetimeAndLaziness:
     def test_only_computed_base_stages_are_captured(self):
         base = Session.from_texts(self.CONFIGS)
         variant = base.delta(self._edit(1), validate=False)
-        assert base._dataplane is None and base._fibs is None and base._analyzer is None
-        assert variant._base.dataplane is None and variant._base.analyzer is None
+        assert all(base.computed(name) is None for name in ("dataplane", "fibs", "analyzer"))
+        assert variant.base_output("dataplane") is None and variant.base_output("analyzer") is None
         base.fibs
         variant = base.delta(self._edit(2), validate=False)
-        assert base._analyzer is None
+        assert base.computed("analyzer") is None
         assert variant.analyzer.reused_pipelines == []
         assert variant.delta_info.reused_fibs == len(self.CONFIGS) - 1
         # The analyzer, the last stage, lets go of the base's outputs.
-        assert variant._base.dataplane is None and variant._base.fibs == {}
+        assert variant.base_output("dataplane") is None and variant.base_output("fibs") is None
 
     def test_fibs_are_built_while_provenance_records(self):
         base = Session.from_texts(self.CONFIGS)

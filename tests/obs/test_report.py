@@ -213,3 +213,38 @@ class TestCoverageSection:
         assert coverage["questions"]["lint"] == {"acl_line": 1}
         assert set(coverage) == {"touched_by_kind", "questions"}
         assert doc["events"]["corrupt"] == 0
+
+
+def test_delta_section_names_every_stage_and_reuse_counter(tmp_path):
+    """From a trace alone: how each routing stage of each delta came out,
+    and how many RIBs, FIBs and graph pipelines came from the base."""
+    from repro import Session
+    from repro.delta.edits import irrelevant_edit
+    from repro.synth.special import net1
+
+    trace = tmp_path / "trace.jsonl"
+    configs = net1(num_spurs=2)
+    target = sorted(configs)[0]
+    obs.enable(str(trace))
+    base = Session.from_texts(configs)
+    base.analyzer
+    base.delta({target: irrelevant_edit(configs[target])}).analyzer
+    obs.flush()
+    obs.disable()
+    rendered = TraceReport.from_file(str(trace)).render()
+    section = rendered.split("== incremental (delta) engine ==")[1].split("\n\n")[0]
+    devices = len(configs)
+    counters = {
+        "delta.reuse.devices": devices,
+        "delta.reuse.fib": devices,
+        "delta.reuse.pipeline": devices - 1,  # the edited device's
+        "delta.reuse.rib": devices,
+        "delta.stage.bgp.reused": 1,
+        "delta.stage.igp.reused": 1,
+    }
+    assert section.splitlines()[1:] == [
+        "  runs: 1",
+        f"  main RIBs rebuilt: 0/{devices} (100% kept from the base)",
+        *(f"  {name:<42} {value:>12}" for name, value in counters.items()),
+        "  parse memo hits: 3",
+    ]

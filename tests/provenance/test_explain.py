@@ -109,9 +109,9 @@ class TestExplainRoute:
     def test_repeated_explains_reuse_one_recording(self):
         session = Session.from_texts(OSPF_LAB)
         first = session.explain_route("r1", "2.2.2.2/32")
-        recorder, _dp, _fibs = session._recorded_derivation()
+        recorder, _dp, _fibs = session.computed("derivation")
         second = session.explain_route("r2", "1.1.1.1/32")
-        assert session._recorded_derivation()[0] is recorder
+        assert session.computed("derivation")[0] is recorder
         assert not first.empty and not second.empty
 
 

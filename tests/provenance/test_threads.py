@@ -149,7 +149,7 @@ def test_two_explains_on_one_session_share_one_recording(monkeypatch):
 
     def gated(*args, **kwargs):
         # The first derivation waits until the second explain has asked
-        # for the derivation too: by the stage lock, or by simulating.
+        # for the derivation too: by its stage's lock, or by simulating.
         if threading.current_thread().name == "first":
             first_inside.set()
             assert second_arrived.wait(TIMEOUT)
@@ -165,9 +165,35 @@ def test_two_explains_on_one_session_share_one_recording(monkeypatch):
         session.explain_route(NODE, PREFIX)
 
     monkeypatch.setattr(session_module, "compute_dataplane", gated)
-    session._stage_lock = _SignallingLock(
-        session._stage_lock, second_arrived, "second"
+    session._locks["derivation"] = _SignallingLock(
+        session._locks["derivation"], second_arrived, "second"
     )
     before = obs.metrics().counter("provenance.recordings")
     run_threads(first, second)
     assert obs.metrics().counter("provenance.recordings") - before == 1
+
+
+def test_a_derivation_in_progress_holds_up_no_other_stage(monkeypatch):
+    """Each stage builds under its own lock: while one thread's recorded
+    simulation runs, another's first ``fibs`` on the session returns."""
+    session = Session.from_texts(net1(num_spurs=2))
+    deriving, fibs_built = threading.Event(), threading.Event()
+    real = session_module.compute_dataplane
+
+    def gated(*args, **kwargs):
+        if threading.current_thread().name == "explain":
+            deriving.set()
+            assert fibs_built.wait(5), "fibs waited for the derivation"
+        return real(*args, **kwargs)
+
+    def explain():
+        session.explain_route("net1-core0", "0.0.0.0/0")
+
+    def fibs():
+        assert deriving.wait(TIMEOUT)
+        assert session.fibs
+        fibs_built.set()
+
+    monkeypatch.setattr(session_module, "compute_dataplane", gated)
+    run_threads(explain, fibs)
+    assert session.computed("derivation") is not None

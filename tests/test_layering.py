@@ -9,6 +9,9 @@ nesting depth, so a function-local import counts):
   ``repro.service``: lint is a function of the snapshot alone;
 * only ``repro.core.session`` and ``repro.service`` import
   ``repro.core.cache``;
+* only ``repro.core.session`` reads a session's stage table, its
+  stages' locks or the outputs it may take from its base: everyone else
+  asks ``Session.computed`` and ``Session.base_output``;
 * nothing outside ``repro.service`` imports ``repro.service``;
 * ``repro/__main__.py`` is the only module outside ``repro.service``
   that builds an ``argparse.ArgumentParser``;
@@ -104,6 +107,26 @@ def test_only_the_session_and_the_service_import_the_cache():
         path for path in importers
         if path != "core/session.py" and not path.startswith("service/")
     ) == []
+
+
+def test_only_the_session_reads_its_stage_table():
+    private = {"_outputs", "_inherited", "_locks", "_stage"}
+    table = {"STAGES", "TAKEN", "Stage", "BaseOutputs"}
+    violations = []
+    for path in sorted(ROOT.glob("**/*.py")):
+        where = path.relative_to(ROOT)
+        if str(where) == "core/session.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                violations.append(f"{where}:{node.lineno}: .{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "repro.core.session":
+                violations += [
+                    f"{where}:{node.lineno}: {alias.name}"
+                    for alias in node.names
+                    if alias.name in table
+                ]
+    assert not violations, "\n".join(violations)
 
 
 def test_only_the_service_imports_the_service():
