@@ -299,16 +299,18 @@ def _validate_delta(
     so its labels are folded whole), and the static route again once a
     query has grown the base's engine (so that the fork rebuilds the
     unique table instead of trimming a copy): whatever the delta session
-    took over from its base, its parsed snapshot, its FIBs and its
-    forwarding graph must equal a cache-less from-scratch session's.
-    Counts how each routing stage came out (``igp_reused``,
-    ``bgp_recomputed``, ...), how each fork was made (``fork_trimmed``,
-    ``fork_rebuilt``), the graph segments taken from the base
-    (``segments_reused``) and how each built one got its labels
+    took over from its base, its parsed snapshot, its FIBs, its
+    forwarding graph and its lint findings (JSON, byte for byte) must
+    equal a cache-less from-scratch session's. Counts how each routing
+    stage and the lint stage came out (``igp_reused``,
+    ``bgp_recomputed``, ``lint_reused``, ...), how each fork was made
+    (``fork_trimmed``, ``fork_rebuilt``), the graph segments taken from
+    the base (``segments_reused``) and how each built one got its labels
     (``labels_grafted``, ``labels_folded``)."""
     base = Session.from_texts(configs)
     # Every stage computed, so that each edit has all of them to take.
     base.analyzer
+    base.lint(jobs=jobs)
     target = sorted(configs)[0]
     device = base.snapshot.device(base.snapshot.sources[target])
     iface = min(
@@ -336,6 +338,9 @@ def _validate_delta(
             failed.append(f"{label} edit on {target}: {error}")
             continue
         info = new.delta_info
+        if _lint_json(new, jobs) != _lint_json(Session.from_texts(new._configs), jobs):
+            failed.append(f"{label} edit on {target}: lint findings differ from scratch")
+        counts[f"lint_{info.lint.split()[0]}"] += 1
         counts["edges_compared"] += len(new.analyzer.graph.edges)
         counts["ribs_reused"] += info.reused_ribs
         counts["fibs_reused"] += info.reused_fibs
@@ -348,7 +353,9 @@ def _validate_delta(
         counts[f"fork_{new.encoder.engine.fork_path}"] += 1
         for stage, outcome in info.stages.items():
             counts[f"{stage}_{outcome.split()[0]}"] += 1
-        outcomes = ", ".join(f"{stage}: {outcome}" for stage, outcome in info.stages.items())
+        outcomes = ", ".join(
+            f"{stage}: {outcome}" for stage, outcome in [*info.stages.items(), ("lint", info.lint)]
+        )
         legs.append(
             f"{label} edit: {outcomes}; {len(info.dirty_devices)} main RIB(s) rebuilt, "
             f"fork {new.encoder.engine.fork_path}, "
@@ -356,6 +363,11 @@ def _validate_delta(
         )
     detail = f"{target}: " + "; ".join(legs)
     return Validation(len(edits), detail, failed, target, counts)
+
+
+def _lint_json(session: Session, jobs: Optional[int]) -> str:
+    report = session.lint(jobs=jobs)
+    return json.dumps([finding.to_json() for finding in report.findings], sort_keys=True)
 
 
 #: ``validate sweep``'s k=2 legs: (kinds, element cap, networks; None =

@@ -37,7 +37,7 @@ from repro.core.cache import (
     snapshot_key,
 )
 from repro.dataplane.fib import Fib, build_fib, compute_fibs
-from repro.delta.fingerprint import Fingerprints, routing_changes
+from repro.delta.fingerprint import Fingerprints, lint_changes, routing_changes
 from repro.hdr.headerspace import HeaderSpace, PacketEncoder
 from repro.hdr.packet import Packet
 from repro.lint import LintStage
@@ -83,6 +83,7 @@ from repro.routing.engine import (
     ConvergenceSettings,
     DataPlane,
     compute_dataplane,
+    shown_names,
 )
 from repro.routing.policy import DEFAULT_SEMANTICS, PolicySemantics
 from repro.traceroute.engine import Trace, TracerouteEngine
@@ -315,14 +316,28 @@ class Session:
         projection moved. The one base-take rule: only what the base has
         computed by now is taken; a base with no data plane passes on
         what it would have taken from its own base, under both edits'
-        changes (a device deleted and added back changed everywhere)."""
+        changes (a device deleted and added back changed everywhere).
+        The base's lint stage, and its fingerprints, are taken here and
+        now: both are cheap to carry, and neither reads the data plane."""
         if base.computed("dataplane") is None:
             prior = base._inherited
         else:
             prior = BaseOutputs({name: base.computed(name) for name in TAKEN})
         fingerprints = base._stage("fingerprints")
-        self._outputs["fingerprints"] = fingerprints.carried_to(self.snapshot)
-        changes = routing_changes(fingerprints, self._outputs["fingerprints"], edited)
+        ours = self._outputs["fingerprints"] = fingerprints.carried_to(self.snapshot)
+        changes = routing_changes(fingerprints, ours, edited)
+        # The lint stage, where the base has one: carried now when no
+        # device's lint projection moved, else started anew.
+        lint = base.computed("lint")
+        if lint is not None:
+            moved = lint_changes(fingerprints, ours, edited)
+            if moved:
+                self._outputs["lint"] = LintStage(self.snapshot)
+                outcome = f"recomputed (lint inputs of {shown_names(moved)} changed)"
+            else:
+                self._outputs["lint"] = lint.carried_to(self.snapshot)
+                outcome = "reused"
+            self.delta_info.record(lint=outcome)
         self._inherited = BaseOutputs(
             prior.outputs,
             prior.edited | edited,
@@ -458,8 +473,10 @@ class Session:
     @property
     def lint_stage(self) -> LintStage:
         """The lint rules' inputs (topology, BGP sessions, dataflow
-        fixpoint), each built by the first lint run that reads it and
-        kept for the session's life; lint runs on it take turns."""
+        fixpoint, packet and route-space encodings), each built by the
+        first lint run that reads it and kept for the session's life; a
+        delta carries its base's where no lint projection moved. Lint
+        runs on it, and on the stages carried from it, take turns."""
         return self._stage("lint")
 
     def lint(self, lintconfig: Optional[Dict] = None, jobs: Optional[int] = None):
@@ -495,8 +512,10 @@ class Session:
         rows: List[RouteRow] = []
         hostnames = [node] if node else self.snapshot.hostnames()
         for hostname in hostnames:
-            for route in self.dataplane.main_rib(hostname).routes():
-                rows.append(RouteRow(node=hostname, description=route.describe()))
+            rows.extend(
+                RouteRow(hostname, description)
+                for description in self.dataplane.main_rib(hostname).rendered()
+            )
         return rows
 
     # -- filter questions ---------------------------------------------------
@@ -698,6 +717,7 @@ STAGES: Dict[str, Stage] = {stage.name: stage for stage in (
     Stage("analyzer", _build_analyzer, phase="bdd"),
     Stage("tracer", lambda s, _: (TracerouteEngine(s.dataplane, s.fibs), {})),
     Stage("derivation", _record_derivation),
+    # A delta is handed its base's, carried or anew, by _take_from.
     Stage("lint", lambda s, _: (LintStage(s.snapshot), {})),
     # Hashed per device on first use; a delta carries its base's.
     Stage("fingerprints", lambda s, _: (Fingerprints(s.snapshot), {})),

@@ -16,7 +16,13 @@ from repro.delta.engine import (
     fib_lines,
     validate_enabled,
 )
-from repro.delta.fingerprint import Fingerprints, routing_changes, routing_fingerprint
+from repro.delta.fingerprint import (
+    Fingerprints,
+    lint_changes,
+    lint_fingerprint,
+    routing_changes,
+    routing_fingerprint,
+)
 
 __all__ = [
     "DeltaInfo",
@@ -24,6 +30,8 @@ __all__ = [
     "Fingerprints",
     "delta_session",
     "fib_lines",
+    "lint_changes",
+    "lint_fingerprint",
     "routing_changes",
     "routing_fingerprint",
     "validate_enabled",

@@ -19,7 +19,9 @@ memory, and never touches the disk cache (its key does not repeat):
    (``compute_dataplane(base=…)``) and each main RIB with equal best
    routes; the FIBs and the graph pipelines follow by identity
    (DESIGN.md, "Reuse at stage boundaries"). Each reports what it took
-   through :meth:`DeltaInfo.record`.
+   through :meth:`DeltaInfo.record`. The lint stage is carried at
+   ``delta()`` time, where the base has one and no edited device's lint
+   projection moved.
 
 Reuse is exact. Each stage is deterministic (coloring + logical clocks,
 §4.1.2) and consumes only its projections and what it computed from or
@@ -66,6 +68,10 @@ class DeltaInfo:
     stages: Optional[Dict[str, str]] = None
     #: Some routing stage was recomputed.
     fallback: Optional[bool] = None
+    #: How the session's lint stage was produced, where the base had
+    #: one: "reused" (carried over: no device's lint projection moved)
+    #: or "recomputed (why)"; None when the base had none to offer.
+    lint: Optional[str] = None
     #: Devices whose main RIB was rebuilt, and how many kept the base's.
     dirty_devices: Optional[List[str]] = None
     reused_devices: Optional[int] = None
@@ -99,6 +105,8 @@ class DeltaInfo:
             if name == "stages":
                 for stage, outcome in value.items():
                     metrics.inc(f"delta.stage.{stage}.{outcome.split()[0]}")
+            elif name == "lint":
+                metrics.inc(f"delta.stage.lint.{value.split()[0]}")
             elif name in COUNTERS:
                 metrics.inc(COUNTERS[name], len(value) if isinstance(value, list) else value)
 

@@ -17,6 +17,13 @@ moves no projection. A moved ``igp`` or ``bgp`` projection makes that
 stage run; a moved ``local`` one only rebuilds the device's main RIB,
 and the stages run only if what they computed from or read of it moved
 too (:func:`repro.routing.engine.compute_dataplane`).
+
+Beside them sits the *lint* projection (:func:`lint_fingerprint`): what
+a session's :class:`~repro.lint.LintStage` builds from — the topology,
+the BGP session set, the dataflow graph and the rules' packet and
+route-space encodings. Findings and dataflow stages carry source
+locations, so it keeps every ``source_file``/``source_line`` and
+description; an edit that shifts later lines of a file moves it.
 """
 
 from __future__ import annotations
@@ -41,6 +48,13 @@ _OSPF = frozenset({
     "bandwidth", "ospf_enabled", "ospf_area", "ospf_cost", "ospf_passive",
     "ospf_hello_interval", "ospf_dead_interval",
 })
+#: Device fields no lint stage input reads: the management plane, the
+#: line count, and the in-source suppressions (a run applies those from
+#: its own snapshot).
+_LINT_INERT = frozenset({
+    "ntp_servers", "dns_servers", "snmp_communities", "config_lines",
+    "lint_suppressions",
+})
 
 
 class RoutingFingerprint(NamedTuple):
@@ -54,22 +68,27 @@ class RoutingFingerprint(NamedTuple):
 STAGES = RoutingFingerprint._fields
 
 
-def _canon(value, without: FrozenSet[str] = _ANNOTATION_FIELDS) -> object:
+def _canon(
+    value,
+    without: FrozenSet[str] = _ANNOTATION_FIELDS,
+    nested: FrozenSet[str] = _ANNOTATION_FIELDS,
+) -> object:
     """A canonical, hashable rendering of (nested) model objects, the
-    dataclass fields in ``without`` left out."""
+    dataclass fields in ``without`` left out, and those in ``nested``
+    from the objects below."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return (
             type(value).__name__,
             tuple(
-                (f.name, _canon(getattr(value, f.name)))
+                (f.name, _canon(getattr(value, f.name), nested, nested))
                 for f in dataclasses.fields(value)
                 if f.name not in without
             ),
         )
     if isinstance(value, dict):
-        return tuple(sorted((str(k), _canon(v)) for k, v in value.items()))
+        return tuple(sorted((str(k), _canon(v, nested, nested)) for k, v in value.items()))
     if isinstance(value, (list, tuple)):
-        return tuple(_canon(v) for v in value)
+        return tuple(_canon(v, nested, nested) for v in value)
     if isinstance(value, (set, frozenset)):
         return tuple(sorted(str(v) for v in value))
     if isinstance(value, enum.Enum):
@@ -140,18 +159,27 @@ def routing_fingerprint(device: Device) -> RoutingFingerprint:
     )
 
 
-class Fingerprints:
-    """One snapshot's routing fingerprints by hostname, each hashed on
-    first use and kept: a parsed device never changes. A session holds
-    one, and a delta starts its own with its base's for the devices it
-    took over (:meth:`carried_to`), so a chain of edits hashes each
-    device once."""
+def lint_fingerprint(device: Device) -> str:
+    """The hash of the device's lint projection: the whole parsed
+    device, source locations and descriptions included, but for the
+    fields no lint stage input reads (NTP, DNS, SNMP, the line count,
+    the ``lint-disable`` comments)."""
+    return _digest(_canon(device, _LINT_INERT, frozenset()))
 
-    __slots__ = ("snapshot", "_memo")
+
+class Fingerprints:
+    """One snapshot's routing and lint fingerprints by hostname, each
+    hashed on first use and kept: a parsed device never changes. A
+    session holds one, and a delta starts its own with its base's for
+    the devices it took over (:meth:`carried_to`), so a chain of edits
+    hashes each device once."""
+
+    __slots__ = ("snapshot", "_memo", "_lint")
 
     def __init__(self, snapshot: Snapshot):
         self.snapshot = snapshot
         self._memo: Dict[str, RoutingFingerprint] = {}
+        self._lint: Dict[str, str] = {}
 
     def __getitem__(self, hostname: str) -> RoutingFingerprint:
         fingerprint = self._memo.get(hostname)
@@ -160,18 +188,28 @@ class Fingerprints:
             fingerprint = self._memo[hostname] = routing_fingerprint(device)
         return fingerprint
 
+    def lint(self, hostname: str) -> str:
+        fingerprint = self._lint.get(hostname)
+        if fingerprint is None:
+            device = self.snapshot.devices[hostname]
+            fingerprint = self._lint[hostname] = lint_fingerprint(device)
+        return fingerprint
+
     def carried_to(self, snapshot: Snapshot) -> "Fingerprints":
         """``snapshot``'s fingerprints, holding those of this memo whose
         device ``snapshot`` holds as the very same object."""
         carried = Fingerprints(snapshot)
         devices = self.snapshot.devices
-        # A copy first: another delta of the same base may be adding to
-        # the memo on another thread meanwhile.
-        carried._memo = {
-            hostname: fingerprint
-            for hostname, fingerprint in dict(self._memo).items()
-            if snapshot.devices.get(hostname) is devices[hostname]
-        }
+        # Copies first: another delta of the same base may be adding to
+        # the memos on another thread meanwhile.
+        carried._memo, carried._lint = (
+            {
+                hostname: fingerprint
+                for hostname, fingerprint in dict(memo).items()
+                if snapshot.devices.get(hostname) is devices[hostname]
+            }
+            for memo in (self._memo, self._lint)
+        )
         return carried
 
 
@@ -195,3 +233,17 @@ def routing_changes(
             if old != now:
                 changes[stage].append(hostname)
     return changes
+
+
+def lint_changes(base: Fingerprints, new: Fingerprints, changed_hosts: Set[str]) -> List[str]:
+    """The devices whose lint projection differs, a device in one
+    snapshot only included; like :func:`routing_changes`, only
+    ``changed_hosts`` are compared."""
+    base_devices, new_devices = base.snapshot.devices, new.snapshot.devices
+    moved = set(base_devices.keys() ^ new_devices.keys())
+    moved.update(
+        hostname
+        for hostname in changed_hosts & base_devices.keys() & new_devices.keys()
+        if base.lint(hostname) != new.lint(hostname)
+    )
+    return sorted(moved)

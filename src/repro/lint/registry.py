@@ -20,9 +20,11 @@ RuleFn = TypeVar("RuleFn", bound=Callable[..., List[Finding]])
 
 #: What a rule reads, and so what it is called with: ``snapshot`` the
 #: snapshot; ``stage`` the :class:`~repro.lint.runner.LintStage` with
-#: its layer-3 topology and BGP session set built; ``dataflow`` the
-#: :class:`~repro.lint.dataflow.DataflowAnalysis` of the snapshot.
-SCOPES = ("snapshot", "stage", "dataflow")
+#: its layer-3 topology and BGP session set built; ``encodings`` the
+#: stage with its ACL line spaces and route-space encoders built;
+#: ``dataflow`` the :class:`~repro.lint.dataflow.DataflowAnalysis` of
+#: the snapshot.
+SCOPES = ("snapshot", "stage", "encodings", "dataflow")
 
 
 @dataclass(frozen=True)

@@ -5,20 +5,26 @@ packet or route space. `acl-line-unreachable` is this codebase's
 ``filterLineReachability`` — per Lesson 5 one of the most-used Batfish
 analyses because an unreachable line is almost always a bug and the
 finding names the exact lines involved.
+
+The rules read their encodings off the run's
+:class:`~repro.lint.runner.LintStage` (scope ``encodings``): the ACL
+line spaces, one engine for both ACL rules, and a route-space encoder
+per device, built once per stage and shared by every run on it.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 from repro import obs
 from repro.bdd.engine import FALSE, TRUE
-from repro.config.model import Acl, Device, Snapshot
-from repro.dataplane.acl import blocking_lines, line_space
-from repro.hdr.headerspace import PacketEncoder
+from repro.config.model import Acl, Device
+from repro.dataplane.acl import blocking_lines
 from repro.findings import Finding, Location, Related, Severity
 from repro.lint.registry import rule
-from repro.lint.routespace import RouteSpaceEncoder
+
+if TYPE_CHECKING:
+    from repro.lint.runner import LintStage
 
 
 def _acl_location(device: Device, acl: Acl, index: int) -> Location:
@@ -47,15 +53,15 @@ def _blocking_witnesses(
     return tuple(related)
 
 
-def _acl_line_findings(snapshot: Snapshot, want_unreachable: bool) -> List[Finding]:
-    encoder = PacketEncoder()
-    engine = encoder.engine
+def _acl_line_findings(stage: "LintStage", want_unreachable: bool) -> List[Finding]:
+    snapshot = stage.snapshot
+    engine = stage.packet_encoder.engine
     findings: List[Finding] = []
     for hostname in snapshot.hostnames():
         device = snapshot.device(hostname)
         for acl_name in sorted(device.acls):
             acl = device.acls[acl_name]
-            spaces = [line_space(line, encoder) for line in acl.lines]
+            spaces = stage.line_spaces(hostname, acl_name)
             remaining = TRUE
             for index, space in enumerate(spaces):
                 obs.touch("acl_line", hostname, acl.name, index)
@@ -120,9 +126,10 @@ def _acl_line_findings(snapshot: Snapshot, want_unreachable: bool) -> List[Findi
     "semantic",
     "ACL line that no packet can ever reach (fully shadowed by earlier "
     "lines, or unsatisfiable on its own) — the filterLineReachability check.",
+    scope="encodings",
 )
-def acl_line_unreachable(snapshot: Snapshot) -> List[Finding]:
-    return _acl_line_findings(snapshot, want_unreachable=True)
+def acl_line_unreachable(stage: "LintStage") -> List[Finding]:
+    return _acl_line_findings(stage, want_unreachable=True)
 
 
 @rule(
@@ -131,9 +138,10 @@ def acl_line_unreachable(snapshot: Snapshot) -> List[Finding]:
     "semantic",
     "ACL line whose match space partially overlaps earlier lines: it still "
     "fires, but not for all packets it names — often an ordering mistake.",
+    scope="encodings",
 )
-def acl_line_partially_shadowed(snapshot: Snapshot) -> List[Finding]:
-    return _acl_line_findings(snapshot, want_unreachable=False)
+def acl_line_partially_shadowed(stage: "LintStage") -> List[Finding]:
+    return _acl_line_findings(stage, want_unreachable=False)
 
 
 @rule(
@@ -143,14 +151,16 @@ def acl_line_partially_shadowed(snapshot: Snapshot) -> List[Finding]:
     "Route-map clause that can never fire: its match space is empty or "
     "fully absorbed by earlier clauses (residual route-space analysis; "
     "over-approximates unencodable matches, so findings are sound).",
+    scope="encodings",
 )
-def route_map_clause_unreachable(snapshot: Snapshot) -> List[Finding]:
+def route_map_clause_unreachable(stage: "LintStage") -> List[Finding]:
+    snapshot = stage.snapshot
     findings: List[Finding] = []
     for hostname in snapshot.hostnames():
         device = snapshot.device(hostname)
         if not device.route_maps:
             continue
-        encoder = RouteSpaceEncoder(device)
+        encoder = stage.route_encoder(hostname)
         engine = encoder.engine
         for map_name in sorted(device.route_maps):
             route_map = device.route_maps[map_name]
@@ -213,15 +223,17 @@ def route_map_clause_unreachable(snapshot: Snapshot) -> List[Finding]:
     "semantic",
     "Prefix list or community list whose match space is empty (matches "
     "nothing): dead configuration that silently denies everything.",
+    scope="encodings",
 )
-def vacuous_match(snapshot: Snapshot) -> List[Finding]:
+def vacuous_match(stage: "LintStage") -> List[Finding]:
+    snapshot = stage.snapshot
     findings: List[Finding] = []
     for hostname in snapshot.hostnames():
         device = snapshot.device(hostname)
         needs_engine = device.prefix_lists or device.community_lists
         if not needs_engine:
             continue
-        encoder = RouteSpaceEncoder(device)
+        encoder = stage.route_encoder(hostname)
         engine = encoder.engine
         for name in sorted(device.prefix_lists):
             plist = device.prefix_lists[name]

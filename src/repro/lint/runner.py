@@ -23,74 +23,146 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.config.model import Snapshot
+from repro.dataplane.acl import line_space
 from repro.findings import Finding, Severity, sort_findings
+from repro.hdr.headerspace import PacketEncoder
 from repro.lint.dataflow.engine import DataflowAnalysis, analyze
 from repro.lint.dataflow.graph import BgpSessions
 from repro.lint.model import LintConfig
 from repro.lint.registry import Rule, all_rules
+from repro.lint.routespace import RouteSpaceEncoder
 from repro.parallel import pmap
 from repro.routing.bgp import compute_bgp_sessions
 from repro.routing.topology import Layer3Topology, build_layer3_topology
 
 
+class _Built:
+    """The inputs a stage built, and its lock: shared by every stage
+    carried from it (:meth:`LintStage.carried_to`)."""
+
+    __slots__ = (
+        "lock", "topology", "bgp_sessions", "dataflow",
+        "packet_encoder", "line_spaces", "route_encoders",
+    )
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.topology: Optional[Layer3Topology] = None
+        self.bgp_sessions: Optional[BgpSessions] = None
+        self.dataflow: Optional[DataflowAnalysis] = None
+        self.packet_encoder: Optional[PacketEncoder] = None
+        self.line_spaces: Dict[Tuple[str, str], List[int]] = {}
+        self.route_encoders: Dict[str, RouteSpaceEncoder] = {}
+
+
 class LintStage:
     """What lint rules read besides the snapshot: its layer-3 topology,
-    its BGP session set and the dataflow fixpoint over both, each built
-    at most once, when first read. The fixpoint's graph builds the
+    its BGP session set, the dataflow fixpoint over both, and the
+    encodings of the semantic rules (each ACL line's packet space, in
+    one :class:`PacketEncoder`, and a :class:`RouteSpaceEncoder` per
+    device with route maps, prefix lists or community lists), each
+    built at most once, when first read. The fixpoint's graph builds the
     topology and the session set, and the stage keeps those: read after
     the fixpoint, neither is built again.
 
     A :class:`~repro.core.session.Session` builds one as its ``lint``
     stage and keeps it for its life: a session's snapshot never changes,
-    so nothing here is keyed or evicted. The rules extend the fixpoint's
-    BDD engine and its ``edge_stages`` cache, neither safe under
-    concurrent writes, so a run holds ``lock`` from its first read to
-    its last rule: runs on one stage take turns.
+    so nothing here is keyed or evicted. A delta whose edit moved no
+    device's lint projection (:func:`repro.delta.fingerprint.lint_fingerprint`)
+    takes its base's stage :meth:`carried_to` its own snapshot. The
+    rules extend the fixpoint's BDD engine, its ``edge_stages`` cache
+    and the encoders' engines, none safe under concurrent writes, so a
+    run holds ``lock`` from its first read to its last rule: runs on one
+    stage, and on the stages carried from it, take turns.
     """
 
-    def __init__(self, snapshot: Snapshot):
+    def __init__(self, snapshot: Snapshot, built: Optional[_Built] = None):
         self.snapshot = snapshot
-        self.lock = threading.Lock()
-        self._topology: Optional[Layer3Topology] = None
-        self._bgp_sessions: Optional[BgpSessions] = None
-        self._dataflow: Optional[DataflowAnalysis] = None
+        self._built = built or _Built()
+
+    @property
+    def lock(self) -> threading.Lock:
+        return self._built.lock
+
+    def carried_to(self, snapshot: Snapshot) -> "LintStage":
+        """This stage for ``snapshot``, whose devices have this one's
+        lint projections: it reads, and builds into, what this one
+        built, under the same lock."""
+        return LintStage(snapshot, self._built)
 
     @property
     def topology(self) -> Layer3Topology:
-        if self._topology is None:
-            self._topology = build_layer3_topology(self.snapshot)
-        return self._topology
+        built = self._built
+        if built.topology is None:
+            built.topology = build_layer3_topology(self.snapshot)
+        return built.topology
 
     @property
     def bgp_sessions(self) -> BgpSessions:
-        if self._bgp_sessions is None:
-            self._bgp_sessions = compute_bgp_sessions(self.snapshot)
-        return self._bgp_sessions
+        built = self._built
+        if built.bgp_sessions is None:
+            built.bgp_sessions = compute_bgp_sessions(self.snapshot)
+        return built.bgp_sessions
 
     @property
     def has_dataflow(self) -> bool:
-        return self._dataflow is not None
+        return self._built.dataflow is not None
 
     @property
     def dataflow(self) -> DataflowAnalysis:
-        if self._dataflow is None:
+        built = self._built
+        if built.dataflow is None:
             analysis = analyze(self.snapshot)
-            self._topology = analysis.graph.topology
-            self._bgp_sessions = analysis.graph.bgp_sessions
-            self._dataflow = analysis
-        return self._dataflow
+            built.topology = analysis.graph.topology
+            built.bgp_sessions = analysis.graph.bgp_sessions
+            built.dataflow = analysis
+        return built.dataflow
+
+    @property
+    def packet_encoder(self) -> PacketEncoder:
+        """The engine of :meth:`line_spaces`."""
+        return self._encode()
+
+    def line_spaces(self, hostname: str, acl: str) -> List[int]:
+        """Each line's packet space, in order, of ``hostname``'s ACL ``acl``."""
+        self._encode()
+        return self._built.line_spaces[hostname, acl]
+
+    def route_encoder(self, hostname: str) -> RouteSpaceEncoder:
+        """``hostname``'s route-space encoder (it has route maps, prefix
+        lists or community lists)."""
+        self._encode()
+        return self._built.route_encoders[hostname]
+
+    def _encode(self) -> PacketEncoder:
+        built = self._built
+        if built.packet_encoder is None:
+            encoder = PacketEncoder()
+            for hostname in self.snapshot.hostnames():
+                device = self.snapshot.device(hostname)
+                for name in sorted(device.acls):
+                    built.line_spaces[hostname, name] = [
+                        line_space(line, encoder) for line in device.acls[name].lines
+                    ]
+                if device.route_maps or device.prefix_lists or device.community_lists:
+                    built.route_encoders[hostname] = RouteSpaceEncoder(device)
+            built.packet_encoder = encoder
+        return built.packet_encoder
 
     def subject(self, scope: str) -> object:
         """What a rule of ``scope`` is called with: the snapshot, the
         dataflow analysis, or this stage with its topology and BGP
-        session set built."""
+        session set (``stage``) or its encodings (``encodings``) built."""
         if scope == "snapshot":
             return self.snapshot
         if scope == "dataflow":
             return self.dataflow
-        # ``stage``: both inputs built now, before any rule pool forks.
-        self.topology
-        self.bgp_sessions
+        # Built now, before any rule pool forks.
+        if scope == "encodings":
+            self._encode()
+        else:
+            self.topology
+            self.bgp_sessions
         return self
 
 

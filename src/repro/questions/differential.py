@@ -57,9 +57,9 @@ def compare_routes(before: DataPlane, after: DataPlane) -> RouteDiffAnswer:
             if before.main_rib(node) is after.main_rib(node):
                 continue
         if node in before.nodes:
-            before_routes = {r.describe() for r in before.main_rib(node).routes()}
+            before_routes = set(before.main_rib(node).rendered())
         if node in after.nodes:
-            after_routes = {r.describe() for r in after.main_rib(node).routes()}
+            after_routes = set(after.main_rib(node).rendered())
         for description in sorted(after_routes - before_routes):
             rows.append(RouteDiffRow(node, "added", description))
         for description in sorted(before_routes - after_routes):

@@ -218,6 +218,7 @@ class NetworkAnalyzer:
         #: Engine size as the build left it: what a fork for an edit keeps.
         self.built_nodes = self.encoder.engine.num_nodes()
         self._fates: Optional[Dict[Disposition, Dict[GraphNode, int]]] = None
+        self._source_scopes: Optional[List[Tuple[GraphNode, int]]] = None
         self._emit_bdd_gauges()
 
     def _destination_labels(
@@ -264,23 +265,33 @@ class NetworkAnalyzer:
         """Scoped default search space: start only at host-facing or
         network-edge interfaces, with source IPs limited to addresses
         that can plausibly originate there."""
+        and_ = self.encoder.engine.and_
         sources: Dict[GraphNode, int] = {}
-        engine = self.encoder.engine
-        for hostname in self.dataplane.snapshot.hostnames():
-            device = self.dataplane.snapshot.device(hostname)
-            for iface in device.interfaces.values():
-                if not iface.enabled or iface.prefix is None:
-                    continue
-                interface_id = InterfaceId(hostname, iface.name)
-                if self.dataplane.topology.has_remote_end(interface_id):
-                    continue  # inter-router link, commonly not of interest
-                scope = engine.and_(
-                    headerspace_bdd,
-                    self.encoder.ip_in_prefix(f.SRC_IP, iface.prefix),
-                )
-                if scope != FALSE:
-                    sources[src_node(hostname, iface.name)] = scope
+        for node, prefix_scope in self._default_scopes():
+            scope = and_(headerspace_bdd, prefix_scope)
+            if scope != FALSE:
+                sources[node] = scope
         return sources
+
+    def _default_scopes(self) -> List[Tuple[GraphNode, int]]:
+        """Each default source with its source-prefix scope, built on
+        first use and kept for the analyzer's life (like :meth:`fates`:
+        two first callers build equal lists, and one assignment wins)."""
+        if self._source_scopes is None:
+            scopes: List[Tuple[GraphNode, int]] = []
+            snapshot, topology = self.dataplane.snapshot, self.dataplane.topology
+            for hostname in snapshot.hostnames():
+                for iface in snapshot.device(hostname).interfaces.values():
+                    if not iface.enabled or iface.prefix is None:
+                        continue
+                    if topology.has_remote_end(InterfaceId(hostname, iface.name)):
+                        continue  # inter-router link, commonly not of interest
+                    scopes.append((
+                        src_node(hostname, iface.name),
+                        self.encoder.ip_in_prefix(f.SRC_IP, iface.prefix),
+                    ))
+            self._source_scopes = scopes
+        return self._source_scopes
 
     def sources_at(
         self,

@@ -313,7 +313,7 @@ def _base_unusable(base: Optional[DataPlane], snapshot: Snapshot) -> str:
         return "provenance is recording"
     moved = base.nodes.keys() ^ snapshot.devices.keys()
     if moved:
-        return f"device set changed ({_shown(sorted(moved))})"
+        return f"device set changed ({shown_names(sorted(moved))})"
     return ""
 
 
@@ -321,10 +321,11 @@ def _changed_config(
     changed: Mapping[str, Collection[str]], stage: str, protocol: str
 ) -> str:
     hosts = sorted(changed.get(stage, ()))
-    return f"{protocol} inputs of {_shown(hosts)} changed" if hosts else ""
+    return f"{protocol} inputs of {shown_names(hosts)} changed" if hosts else ""
 
 
-def _shown(names: List[str]) -> str:
+def shown_names(names: List[str]) -> str:
+    """``names`` for a reason string: the first three, and how many more."""
     shown = ", ".join(names[:3])
     return shown + (f" (+{len(names) - 3} more)" if len(names) > 3 else "")
 
@@ -496,7 +497,7 @@ def _pre_bgp(
         contributions = _ospf_contributions(nodes, semantics)
         moved = [h for h in nodes if contributions.get(h) != igp.redistributed.get(h)]
         if moved:
-            return f"redistribution into OSPF at {_shown(moved)} changed"
+            return f"redistribution into OSPF at {shown_names(moved)} changed"
     _merge_routes(nodes, igp.externals)
     return ""
 

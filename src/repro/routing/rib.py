@@ -147,6 +147,12 @@ class Rib:
         #: store behind exact-prefix reads, LPM and ordered iteration.
         self._best: PrefixTrie = PrefixTrie()
         self.owner = owner
+        #: :meth:`rendered`, once asked; dropped by any change.
+        self._rendered: Optional[Tuple[str, ...]] = None
+
+    def __getstate__(self) -> Dict[str, object]:
+        # A rendering is the reader's, not the table's: never pickled.
+        return {**self.__dict__, "_rendered": None}
 
     # -- mutation ---------------------------------------------------------
 
@@ -224,6 +230,7 @@ class Rib:
         if new_best == old_best:
             return False
         self._best.replace(prefix, new_best)
+        self._rendered = None
         return True
 
     # -- queries ------------------------------------------------------------
@@ -240,6 +247,15 @@ class Rib:
         """All best routes, in deterministic prefix order."""
         for _prefix, routes in self._best.items():
             yield from routes
+
+    def rendered(self) -> Tuple[str, ...]:
+        """Every best route's ``describe()``, in :meth:`routes` order:
+        rendered on first use and kept until the table changes. A delta
+        session that takes this table takes its rendering with it."""
+        rendered = self._rendered
+        if rendered is None:
+            rendered = self._rendered = tuple(route.describe() for route in self.routes())
+        return rendered
 
     def prefixes(self) -> List[Prefix]:
         return [prefix for prefix, _ in self._best.items()]

@@ -98,6 +98,42 @@ class TestConcurrentLazyStages:
         assert len(answers) == workers and answers[0]
         assert all(answer == answers[0] for answer in answers.values())
 
+    def test_first_routes_questions_render_alike(self):
+        """Threads asking ``routes`` of a session whose RIBs have not
+        rendered yet each render or read a rendering; every answer is
+        the per-route ``describe()`` of the table."""
+        fresh = Session.from_texts(net1(3))
+        expected = [
+            (hostname, route.describe())
+            for hostname in fresh.snapshot.hostnames()
+            for route in fresh.dataplane.main_rib(hostname).routes()
+        ]
+        workers = 4  # more than the cores of a CI box
+        start = threading.Barrier(workers)
+        answers, errors = {}, []
+
+        def ask(slot):
+            try:
+                start.wait(timeout=60)
+                answers[slot] = [(row.node, row.description) for row in fresh.routes()]
+            except Exception as error:
+                errors.append(error)
+
+        threads = [threading.Thread(target=ask, args=(slot,)) for slot in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert len(answers) == workers
+        assert all(answer == expected for answer in answers.values())
+
     def test_two_first_traceroutes_share_one_tracer(self, monkeypatch):
         """The first build lets the second thread in, if anything does,
         before it finishes: an unlocked stage builds twice."""

@@ -9,7 +9,10 @@ later stage, through one of those reads; the last two are edits that
 move none, on a base the stage record reached another way. Every case
 must equal a scratch session in everything routing produces and must
 show the stage the edit moved recomputed — so a memo that always hits
-and one that always misses both fail here.
+and one that always misses both fail here. The lint stage's key, the
+lint projection, is held the same way: an inert edit must carry the
+stage, an edit that moves a location or a lint input must not, and
+both must lint as a scratch session does.
 """
 
 import dataclasses
@@ -19,7 +22,8 @@ import pytest
 from repro.core.cache import SnapshotCache
 from repro.core.session import Session
 from repro.delta import fib_lines
-from repro.delta.edits import relevant_edit
+from repro.config.loader import detect_syntax
+from repro.delta.edits import irrelevant_edit, relevant_edit
 from repro.delta.engine import graph_lines
 from repro.synth.networks import network_by_name
 
@@ -284,3 +288,31 @@ def test_a_base_loaded_from_the_disk_cache_offers_its_stages(tmp_path):
     assert info.stages == {"igp": "reused", "bgp": "reused"}
     assert info.dirty_devices == [variant.snapshot.sources[target]]
     assert info.reused_ribs == len(configs) - 1
+
+
+def _shifted(text):
+    """A comment line inserted at the top: every location below moves."""
+    return ("#" if detect_syntax(text) == "juniperish" else "!") + " moved\n" + text
+
+
+def _lint_json(session):
+    return [finding.to_json() for finding in session.lint(jobs=1).findings]
+
+
+@pytest.mark.parametrize("name", ["NET3", "NET8", "NET10"])
+def test_the_lint_stage_is_carried_exactly_when_its_projection_holds(name):
+    configs = network_by_name(name).generate(1)
+    base = Session.from_texts(configs)
+    base.lint(jobs=1)
+    target = sorted(configs)[0]
+    hostname = base.snapshot.sources[target]
+    cases = (
+        (irrelevant_edit, "reused"),
+        (_shifted, f"recomputed (lint inputs of {hostname} changed)"),
+        (relevant_edit, f"recomputed (lint inputs of {hostname} changed)"),
+    )
+    for edit, outcome in cases:
+        variant = base.delta({target: edit(configs[target])})
+        assert variant.delta_info.lint == outcome, edit.__name__
+        scratch = Session.from_texts(variant._configs)
+        assert _lint_json(variant) == _lint_json(scratch), edit.__name__

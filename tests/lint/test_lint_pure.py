@@ -288,3 +288,74 @@ def test_stage_passes_the_containment_differential(network):
     session = Session.from_texts(network_by_name(network).generate(1))
     session.lint(jobs=1)
     assert validate_containment(session.snapshot, session.lint_stage.dataflow) == []
+
+
+def test_an_inert_delta_carries_the_stage(metrics_mode, counted_builds):
+    """A delta whose edit moved no device's lint projection takes its
+    base's stage: the child's first run builds nothing, and its findings
+    are a scratch run's. A delta of that delta carries it on."""
+    texts = network_by_name("NET10").generate(1)
+    target = sorted(texts)[0]
+    session = Session.from_texts(texts)
+    session.lint(jobs=1)
+    inert = {**texts, target: irrelevant_edit(texts[target])}
+    child = session.delta({target: inert[target]})
+    assert child.delta_info.lint == "reused"
+    assert child.lint_stage.snapshot is child.snapshot
+    assert child.lint_stage.lock is session.lint_stage.lock
+    assert findings(child.lint(jobs=1)) == from_scratch(inert)
+    assert counted_builds["analyze"] == 2  # base, scratch
+    grandchild = child.delta({target: inert[target] + "ntp server 203.0.113.251\n"})
+    assert grandchild.delta_info.lint == "reused"
+    assert grandchild.lint_stage.lock is session.lint_stage.lock
+    metrics = obs.metrics()
+    assert metrics.counter("delta.stage.lint.reused") == 2
+    assert metrics.counter("delta.stage.lint.recomputed") == 0
+
+
+def test_a_moved_lint_projection_starts_a_new_stage(metrics_mode):
+    """A line inserted at the top of a file moves every location in it,
+    so the delta builds its own stage, and says why; a base that never
+    linted offers none."""
+    session = Session.from_texts(BASE)
+    untouched = session.delta({"r3": BASE["r3"] + "ntp server 203.0.113.9\n"})
+    assert untouched.delta_info.lint is None
+    session.lint(jobs=1)
+    shifted = {**BASE, "r2": "! moved down one line\n" + BASE["r2"]}
+    child = session.delta({"r2": shifted["r2"]})
+    assert child.delta_info.lint == "recomputed (lint inputs of r2 changed)"
+    assert child.lint_stage.lock is not session.lint_stage.lock
+    ours, scratch = findings(child.lint(jobs=1)), from_scratch(shifted)
+    assert ours == scratch
+    assert ours != findings(session.lint(jobs=1))  # the r2 locations moved
+    assert obs.metrics().counter("delta.stage.lint.recomputed") == 1
+
+
+def test_a_warm_run_of_the_acl_rules_builds_no_line_space(monkeypatch):
+    texts = network_by_name("NET8").generate(1)
+    session = Session.from_texts(texts)
+    built = []
+    real = runner.line_space
+
+    def counting(line, encoder):
+        built.append(line)
+        return real(line, encoder)
+
+    monkeypatch.setattr(runner, "line_space", counting)
+    config = {"rules": ["acl-line-unreachable", "acl-line-partially-shadowed"]}
+    first = session.lint(config, jobs=1)
+    lines = sum(
+        len(acl.lines)
+        for device in session.snapshot.devices.values()
+        for acl in device.acls.values()
+    )
+    assert lines and len(built) == lines  # one space per line, both rules
+    engine = session.lint_stage.packet_encoder.engine
+    settled = engine.stats()
+    for _ in range(3):
+        assert findings(session.lint(config, jobs=1)) == findings(first)
+    assert len(built) == lines
+    assert engine.stats() == settled
+    assert findings(first) == [
+        f for f in from_scratch(texts) if f["rule"].startswith("acl-line-")
+    ]

@@ -339,3 +339,58 @@ class TestRib:
         connected = self._connected("10.0.0.0/24")
         ospf = self._ospf("10.0.0.0/24", 5)
         assert main_rib_preference(connected) < main_rib_preference(ospf)
+
+
+class TestRendering:
+    """A main RIB renders its routes once: ``Rib.rendered()`` is kept
+    until the table changes and never pickled."""
+
+    def test_every_registry_rib_renders_as_fresh_describe_calls(self):
+        from repro.core.session import Session
+        from repro.synth.networks import NETWORKS
+
+        for network in NETWORKS:
+            session = Session.from_texts(network.generate(1))
+            for hostname, state in session.dataplane.nodes.items():
+                fresh = tuple(route.describe() for route in state.main_rib.routes())
+                assert state.main_rib.rendered() == fresh, (network.name, hostname)
+                assert state.main_rib.rendered() is state.main_rib.rendered()
+            assert [row.description for row in session.routes()] == [
+                route.describe()
+                for hostname in session.snapshot.hostnames()
+                for route in session.dataplane.main_rib(hostname).routes()
+            ]
+
+    def test_a_change_after_rendering_renders_again(self):
+        rib = Rib()
+        ospf = OspfRoute(Prefix("10.0.0.0/24"), 10, 0, Ip("10.0.0.2"), "e0")
+        rib.merge(ospf)
+        first = rib.rendered()
+        assert first == (ospf.describe(),)
+        # A candidate that does not become best changes nothing shown.
+        rib.merge(OspfRoute(Prefix("10.0.0.0/24"), 20, 0, Ip("10.0.0.3"), "e1"))
+        assert rib.rendered() is first
+        connected = ConnectedRoute(prefix=Prefix("10.0.1.0/24"), interface="e1")
+        rib.merge(connected)
+        assert rib.rendered() == (ospf.describe(), connected.describe())
+        rib.withdraw(ospf)
+        assert rib.rendered() == tuple(route.describe() for route in rib.routes())
+        rib.clear_prefix(Prefix("10.0.0.0/24"))
+        assert rib.rendered() == (connected.describe(),)
+
+    def test_a_pickled_dataplane_holds_no_rendering(self):
+        import pickle
+
+        from repro.core.session import Session
+        from repro.synth.special import net1
+
+        session = Session.from_texts(net1(2))
+        session.routes()
+        dataplane = session.dataplane
+        assert all(s.main_rib._rendered for s in dataplane.nodes.values())
+        loaded = pickle.loads(pickle.dumps(dataplane))
+        for hostname, state in loaded.nodes.items():
+            assert state.main_rib._rendered is None
+            assert state.main_rib.rendered() == dataplane.main_rib(hostname).rendered()
+        # Pickling left the original's renderings alone.
+        assert all(s.main_rib._rendered for s in dataplane.nodes.values())
