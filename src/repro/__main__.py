@@ -157,7 +157,7 @@ def _lint_registry(
     merged = LintReport(rule_seconds=collections.Counter())
     for spec in select_networks(None, False):
         snapshot = load_snapshot_from_texts(spec.generate(args.scale))
-        report = lint_snapshot(snapshot, config, jobs=args.jobs)
+        report = lint_snapshot(snapshot, config)
         merged.findings.extend(_reroot(report.findings, spec.name))
         merged.total_seconds += report.total_seconds
         merged.rule_seconds.update(report.rule_seconds)  # Counter: adds
@@ -203,7 +203,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         report = _lint_registry(args, config)
     else:
         snapshot = load_snapshot_from_texts(load_configs(args))
-        report = lint_snapshot(snapshot, config, jobs=args.jobs)
+        report = lint_snapshot(snapshot, config)
     log = to_sarif("repro-lint", rules, report.findings)
     if args.format == "sarif":
         output = json.dumps(log, indent=2) + "\n"
@@ -266,7 +266,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # validate: four differentials, one driver
 #
-# A validator is a plain function (network, configs, jobs) -> Validation.
+# A validator is a plain function (network, configs) -> Validation.
 # The driver below owns selection, the per-network OK/FAIL line, the exit
 # code and the SARIF artifact — so it is what turns a divergence into a
 # Finding of the validator's rule.
@@ -282,18 +282,14 @@ class Validation(NamedTuple):
     counts: Dict[str, int] = {}
 
 
-def _validate_fidelity(
-    network: str, configs: Configs, jobs: Optional[int]
-) -> Validation:
+def _validate_fidelity(network: str, configs: Configs) -> Validation:
     """§4.3.2: symbolic (BDD) vs concrete (traceroute) forwarding."""
     report = Session.from_texts(configs).validate_engines()
     failed = [mismatch.describe() for mismatch in report.mismatches]
     return Validation(report.checks, f"{len(configs)} devices", failed)
 
 
-def _validate_delta(
-    network: str, configs: Configs, jobs: Optional[int]
-) -> Validation:
+def _validate_delta(network: str, configs: Configs) -> Validation:
     """Five single-device edits — routing-inert, a static route, an
     OSPF cost, an interface shut down (the device's graph markers move,
     so its labels are folded whole), and the static route again once a
@@ -310,7 +306,7 @@ def _validate_delta(
     base = Session.from_texts(configs)
     # Every stage computed, so that each edit has all of them to take.
     base.analyzer
-    base.lint(jobs=jobs)
+    base.lint()
     target = sorted(configs)[0]
     device = base.snapshot.device(base.snapshot.sources[target])
     iface = min(
@@ -338,7 +334,7 @@ def _validate_delta(
             failed.append(f"{label} edit on {target}: {error}")
             continue
         info = new.delta_info
-        if _lint_json(new, jobs) != _lint_json(Session.from_texts(new._configs), jobs):
+        if _lint_json(new) != _lint_json(Session.from_texts(new._configs)):
             failed.append(f"{label} edit on {target}: lint findings differ from scratch")
         counts[f"lint_{info.lint.split()[0]}"] += 1
         counts["edges_compared"] += len(new.analyzer.graph.edges)
@@ -365,8 +361,8 @@ def _validate_delta(
     return Validation(len(edits), detail, failed, target, counts)
 
 
-def _lint_json(session: Session, jobs: Optional[int]) -> str:
-    report = session.lint(jobs=jobs)
+def _lint_json(session: Session) -> str:
+    report = session.lint()
     return json.dumps([finding.to_json() for finding in report.findings], sort_keys=True)
 
 
@@ -383,7 +379,7 @@ SMOKE_SWEEP_LEGS = ((("link",), 4, None),)
 def _validate_sweep(
     network: str,
     configs: Configs,
-    jobs: Optional[int],
+    jobs: Optional[int] = None,
     legs=SWEEP_LEGS,
 ) -> Validation:
     """Pruned k=2 sweeps vs brute-force enumeration, one per leg."""
@@ -405,12 +401,10 @@ def _validate_sweep(
     return Validation(checks, "; ".join(details), failed, counts=counts)
 
 
-def _validate_dataflow(
-    network: str, configs: Configs, jobs: Optional[int]
-) -> Validation:
+def _validate_dataflow(network: str, configs: Configs) -> Validation:
     """Every simulated route is inside its RIB domain's abstract set
     (``checks`` counts the domains)."""
-    snapshot = load_snapshot_from_texts(configs, jobs=jobs)
+    snapshot = load_snapshot_from_texts(configs)
     analysis = analyze(snapshot)
     detail = (
         f"{len(configs)} devices, {len(analysis.graph.edges)} edges, "
@@ -447,10 +441,11 @@ VALIDATE_RULES = {
 def _cmd_validate(args: argparse.Namespace) -> int:
     specs = select_networks(args.networks, args.smoke)
     validators = dict(VALIDATORS)
-    if args.smoke:
-        validators["sweep"] = functools.partial(
-            _validate_sweep, legs=SMOKE_SWEEP_LEGS
-        )
+    validators["sweep"] = functools.partial(
+        _validate_sweep,
+        jobs=args.jobs,
+        legs=SMOKE_SWEEP_LEGS if args.smoke else SWEEP_LEGS,
+    )
     names = list(validators) if args.validator == "all" else [args.validator]
     networks = [(spec.name, spec.generate(args.scale)) for spec in specs]
     findings: List[Finding] = []
@@ -461,7 +456,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         counts: collections.Counter = collections.Counter()
         before = len(findings)
         for network, configs in networks:
-            result = validators[name](network, configs, args.jobs)
+            result = validators[name](network, configs)
             total += result.checks
             counts.update(result.counts)
             found = [
@@ -633,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
     sarif = shared()
     sarif.add_argument("--sarif", metavar="FILE", help="findings as SARIF")
     jobs = shared()
-    jobs.add_argument("--jobs", type=int, help="parallel workers")
+    jobs.add_argument("--jobs", type=int, help="sweep scenario workers")
     verbose = shared()
     verbose.add_argument(
         "--verbose", action="store_true", help="per-network/-scenario lines"
@@ -647,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = commands.add_parser(
         "lint",
-        parents=[source, output, baseline, jobs],
+        parents=[source, output, baseline],
         help="semantic configuration lint ('--network all': the registry)",
     )
     lint.add_argument(

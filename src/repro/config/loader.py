@@ -5,6 +5,10 @@ A snapshot is how Batfish consumes a network: a set of configuration
 files, one per device (the paper's continuous-validation use-case runs on
 "periodic snapshots of network configurations, which most organizations
 already have").
+
+Files parse inline, one after another: a process pool per snapshot lost
+to its fork and pickle costs at every registry size (DESIGN.md,
+"Performance architecture").
 """
 
 from __future__ import annotations
@@ -17,11 +21,6 @@ from repro import obs
 from repro.config.cisco import parse_cisco
 from repro.config.juniper import parse_juniper
 from repro.config.model import Device, ParseWarning, Snapshot
-from repro.parallel import pmap
-
-#: Snapshots smaller than this parse inline; the pool only pays off
-#: once per-file parse work dwarfs fork+pickle overhead.
-_MIN_PARALLEL_FILES = 8
 
 
 def detect_syntax(text: str) -> str:
@@ -57,9 +56,8 @@ def parse_config_text(text: str, filename: str = "<config>"):
     return parse_cisco(text, filename)
 
 
-def _parse_one(item: Tuple[str, str]):
-    """Per-file parse worker (module-level so pmap can fan it out)."""
-    filename, text = item
+def _parse_one(filename: str, text: str):
+    """Parse one file, its warnings stamped with ``filename``."""
     vendor = detect_syntax(text)
     if vendor == "juniperish":
         device, warnings = parse_juniper(text, filename)
@@ -103,16 +101,13 @@ def parses_from_base(
 
 def load_snapshot_from_texts(
     configs: Mapping[str, str],
-    jobs: Optional[int] = None,
     parsed: Optional[Mapping[str, Parsed]] = None,
 ) -> Snapshot:
     """Build a snapshot from ``{filename_or_hostname: config_text}``.
 
-    Per-file parsing fans out over a process pool (``REPRO_JOBS`` /
-    ``jobs``); files are parsed independently and reassembled in sorted
-    filename order, so the result is identical to a serial run. Files in
-    ``parsed`` (results in hand, e.g. :func:`parses_from_base`) are not
-    parsed again.
+    Files are parsed one by one and assembled in sorted filename order.
+    Files in ``parsed`` (results in hand, e.g. :func:`parses_from_base`)
+    are not parsed again.
 
     Duplicate hostnames are flagged (the later file wins), mirroring the
     tool's behaviour on misassembled snapshot directories.
@@ -120,17 +115,12 @@ def load_snapshot_from_texts(
     snapshot = Snapshot()
     filenames = sorted(configs)
     with obs.span("parse", files=len(filenames)):
-        results = dict(parsed or {})
-        missed = [filename for filename in filenames if filename not in results]
-        fresh = pmap(
-            _parse_one,
-            [(filename, configs[filename]) for filename in missed],
-            jobs=jobs,
-            min_items=_MIN_PARALLEL_FILES,
-        )
-        results.update(zip(missed, fresh))
+        parsed = parsed or {}
         for filename in filenames:
-            device, warnings = results[filename]
+            if filename in parsed:
+                device, warnings = parsed[filename]
+            else:
+                device, warnings = _parse_one(filename, configs[filename])
             snapshot.warnings.extend(warnings)
             if device.hostname in snapshot.devices:
                 snapshot.warnings.append(
@@ -167,9 +157,7 @@ def read_config_dir(path: str, suffix: Optional[str] = ".cfg") -> Dict[str, str]
     return configs
 
 
-def load_snapshot_from_dir(
-    path: str, suffix: Optional[str] = ".cfg", jobs: Optional[int] = None
-) -> Snapshot:
+def load_snapshot_from_dir(path: str, suffix: Optional[str] = ".cfg") -> Snapshot:
     """Load every ``*.cfg`` (by default) file under ``path`` as a device
     configuration."""
-    return load_snapshot_from_texts(read_config_dir(path, suffix), jobs=jobs)
+    return load_snapshot_from_texts(read_config_dir(path, suffix))

@@ -479,7 +479,7 @@ class Session:
         runs on it, and on the stages carried from it, take turns."""
         return self._stage("lint")
 
-    def lint(self, lintconfig: Optional[Dict] = None, jobs: Optional[int] = None):
+    def lint(self, lintconfig: Optional[Dict] = None):
         """Run the semantic lint engine (``repro.lint``) over the
         snapshot. ``lintconfig`` follows ``LintConfig.from_dict``:
         ``{"rules": [...], "disable": [...], "severity": {...},
@@ -488,8 +488,7 @@ class Session:
         from repro.lint import LintConfig, lint_snapshot
 
         return lint_snapshot(
-            self.snapshot, LintConfig.from_dict(lintconfig), jobs=jobs,
-            stage=self.lint_stage,
+            self.snapshot, LintConfig.from_dict(lintconfig), stage=self.lint_stage
         )
 
     def management_plane_consistency(

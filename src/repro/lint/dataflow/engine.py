@@ -6,12 +6,9 @@ least fixpoint. The result over-approximates, per RIB domain, every
 route the control plane can ever carry there (DESIGN.md
 "Propagation-graph soundness").
 
-The lint runner reads the analysis off a
+The dataflow lint rules read the analysis off a
 :class:`~repro.lint.runner.LintStage` (a session's, built once for the
-session's life, or one of its own per run) before the rule pool forks,
-and passes it to each dataflow-scoped rule as its argument: forked rule
-workers read it (and its BDD tables) copy-on-write instead of
-recomputing it.
+session's life, or one of its own per run).
 """
 
 from __future__ import annotations

@@ -1,17 +1,17 @@
 """Cross-device dataflow lint rules.
 
 Each rule interrogates the propagation-graph fixpoint (the
-:class:`~repro.lint.dataflow.engine.DataflowAnalysis` the runner passes
-it) instead of a single device's configuration: leaks, loops and dead
-policy paths only exist relative to what the *rest of the network* can
-deliver. Every finding names the configuration line to blame and,
-where a route set witnesses the problem, one concrete abstract route
-drawn from it.
+:class:`~repro.lint.dataflow.engine.DataflowAnalysis` it reads off the
+run's :class:`~repro.lint.runner.LintStage`) instead of a single
+device's configuration: leaks, loops and dead policy paths only exist
+relative to what the *rest of the network* can deliver. Every finding
+names the configuration line to blame and, where a route set witnesses
+the problem, one concrete abstract route drawn from it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.bdd.engine import FALSE, TRUE
@@ -31,6 +31,9 @@ from repro.lint.dataflow.engine import (
 from repro.lint.dataflow.graph import NodeId, PolicySummary
 from repro.findings import Finding, Location, Related, Severity
 from repro.lint.registry import rule
+
+if TYPE_CHECKING:
+    from repro.lint.runner import LintStage
 
 
 def _witness(analysis: DataflowAnalysis, bdd: int) -> str:
@@ -72,9 +75,9 @@ def _redist_related(
     "carrying a no-export community, can reach an external peer "
     "(propagation-graph fixpoint; over-approximate, so silence is proof "
     "of confinement).",
-    scope="dataflow",
 )
-def route_leak(analysis: DataflowAnalysis) -> List[Finding]:
+def route_leak(stage: "LintStage") -> List[Finding]:
+    analysis = stage.dataflow
     universe = analysis.universe
     engine = universe.engine
     findings: List[Finding] = []
@@ -239,9 +242,9 @@ def _cycle_edges(
     "redistribute statement whose target domain can propagate routes "
     "back into its own source domain (protocol cycle through sessions, "
     "adjacencies and other redistributions).",
-    scope="dataflow",
 )
-def redistribution_loop(analysis: DataflowAnalysis) -> List[Finding]:
+def redistribution_loop(stage: "LintStage") -> List[Finding]:
+    analysis = stage.dataflow
     universe = analysis.universe
     graph = analysis.graph
     component = _strongly_connected(graph.nodes, graph.edge_pairs())
@@ -309,9 +312,9 @@ def _is_identity_chain(
     "eBGP session direction with no effective route filtering anywhere "
     "along it: neither the sender's export policy nor the receiver's "
     "import policy constrains what is advertised.",
-    scope="dataflow",
 )
-def filter_gap(analysis: DataflowAnalysis) -> List[Finding]:
+def filter_gap(stage: "LintStage") -> List[Finding]:
+    analysis = stage.dataflow
     graph = analysis.graph
     unfiltered: Dict[str, List[int]] = {}
     for index, edge in enumerate(graph.edges):
@@ -407,9 +410,9 @@ def _downstream_matched(
     "Community plumbing that cannot work: a community set on routes that "
     "no downstream policy ever matches, or a community-list match on an "
     "edge where no arriving route can carry any of its members.",
-    scope="dataflow",
 )
-def community_dataflow(analysis: DataflowAnalysis) -> List[Finding]:
+def community_dataflow(stage: "LintStage") -> List[Finding]:
+    analysis = stage.dataflow
     universe = analysis.universe
     engine = universe.engine
     graph = analysis.graph
@@ -536,9 +539,9 @@ def community_dataflow(analysis: DataflowAnalysis) -> List[Finding]:
     "Route-map clause that is satisfiable in principle but dead in this "
     "network: no route the propagation fixpoint can deliver to any edge "
     "using the policy ever reaches the clause.",
-    scope="dataflow",
 )
-def unreachable_policy_path(analysis: DataflowAnalysis) -> List[Finding]:
+def unreachable_policy_path(stage: "LintStage") -> List[Finding]:
+    analysis = stage.dataflow
     universe = analysis.universe
     engine = universe.engine
     graph = analysis.graph

@@ -10,36 +10,30 @@ the most" argues for making simple checks cheap to add).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, TypeVar
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, TypeVar
 
 from repro.config.model import Snapshot
 from repro.findings import Finding, RuleInfo, Severity
 
-#: A check function: it takes what its scope names (see :data:`SCOPES`).
-RuleFn = TypeVar("RuleFn", bound=Callable[..., List[Finding]])
+if TYPE_CHECKING:
+    from repro.lint.runner import LintStage
 
-#: What a rule reads, and so what it is called with: ``snapshot`` the
-#: snapshot; ``stage`` the :class:`~repro.lint.runner.LintStage` with
-#: its layer-3 topology and BGP session set built; ``encodings`` the
-#: stage with its ACL line spaces and route-space encoders built;
-#: ``dataflow`` the :class:`~repro.lint.dataflow.DataflowAnalysis` of
-#: the snapshot.
-SCOPES = ("snapshot", "stage", "encodings", "dataflow")
+#: A check function: it takes the run's
+#: :class:`~repro.lint.runner.LintStage` and reads its inputs off it.
+RuleFn = TypeVar("RuleFn", bound=Callable[["LintStage"], List[Finding]])
 
 
 @dataclass(frozen=True)
 class Rule(RuleInfo):
     """A registered lint rule: metadata plus the check function."""
 
-    fn: Callable[..., List[Finding]]
-    #: One of :data:`SCOPES`.
-    scope: str = "snapshot"
+    fn: Callable[["LintStage"], List[Finding]]
 
     def run(self, snapshot: Snapshot) -> List[Finding]:
-        """This rule alone on ``snapshot``, its inputs built for it."""
+        """This rule alone on ``snapshot``, on a stage of its own."""
         from repro.lint.runner import LintStage
 
-        return self.fn(LintStage(snapshot).subject(self.scope))
+        return self.fn(LintStage(snapshot))
 
 
 _REGISTRY: Dict[str, Rule] = {}
@@ -50,20 +44,14 @@ def rule(
     severity: Severity,
     category: str,
     description: str,
-    scope: str = "snapshot",
 ) -> Callable[[RuleFn], RuleFn]:
-    """Register a rule function. The function receives what ``scope``
-    names (:data:`SCOPES`) and returns findings."""
-
-    if scope not in SCOPES:
-        raise ValueError(f"unknown lint rule scope: {scope!r}")
+    """Register a rule function. The function receives the run's
+    :class:`~repro.lint.runner.LintStage` and returns findings."""
 
     def decorate(fn: RuleFn) -> RuleFn:
         if rule_id in _REGISTRY:
             raise ValueError(f"duplicate lint rule id: {rule_id}")
-        _REGISTRY[rule_id] = Rule(
-            rule_id, severity, category, description, fn, scope
-        )
+        _REGISTRY[rule_id] = Rule(rule_id, severity, category, description, fn)
         return fn
 
     return decorate

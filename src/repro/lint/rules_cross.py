@@ -41,7 +41,6 @@ def _iface_location(iface: Interface) -> Location:
     "BGP neighbor statements that cannot form a working session: unknown "
     "peer address, missing reciprocal configuration, AS number mismatch, "
     "or one-sided update-source / ebgp-multihop settings.",
-    scope="stage",
 )
 def bgp_session_compat(stage: "LintStage") -> List[Finding]:
     snapshot = stage.snapshot
@@ -157,7 +156,6 @@ def _undirected_edges(topology: Layer3Topology) -> List[Layer3Edge]:
     "L3-adjacent interfaces whose OSPF parameters can never form an "
     "adjacency: area, hello-interval, or dead-interval disagree, or OSPF "
     "runs on only one end.",
-    scope="stage",
 )
 def ospf_adjacency_mismatch(stage: "LintStage") -> List[Finding]:
     snapshot = stage.snapshot
@@ -227,7 +225,6 @@ def ospf_adjacency_mismatch(stage: "LintStage") -> List[Finding]:
     "cross-device",
     "L3-adjacent interfaces with different MTUs: OSPF adjacencies stall "
     "in ExStart and large packets blackhole.",
-    scope="stage",
 )
 def mtu_mismatch(stage: "LintStage") -> List[Finding]:
     snapshot = stage.snapshot

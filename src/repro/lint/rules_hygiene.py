@@ -7,9 +7,9 @@ suppression, SARIF) instead of bespoke answer shapes.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.config.model import Device, Snapshot
+from repro.config.model import Device
 from repro.config.references import (
     StructureType,
     undefined_references,
@@ -18,6 +18,9 @@ from repro.config.references import (
 from repro.findings import Finding, Location, Related, Severity
 from repro.lint.registry import rule
 from repro.routing.topology import duplicate_ips
+
+if TYPE_CHECKING:
+    from repro.lint.runner import LintStage
 
 
 def _definition_location(
@@ -45,7 +48,8 @@ def _definition_location(
     "zone, ...) that is not defined on the device — the classic typo "
     "that silently changes behavior.",
 )
-def undefined_reference(snapshot: Snapshot) -> List[Finding]:
+def undefined_reference(stage: "LintStage") -> List[Finding]:
+    snapshot = stage.snapshot
     findings: List[Finding] = []
     for hostname in snapshot.hostnames():
         device = snapshot.device(hostname)
@@ -72,7 +76,8 @@ def undefined_reference(snapshot: Snapshot) -> List[Finding]:
     "(transitive: a prefix list used only by an unused route map is "
     "itself unused).",
 )
-def unused_structure(snapshot: Snapshot) -> List[Finding]:
+def unused_structure(stage: "LintStage") -> List[Finding]:
+    snapshot = stage.snapshot
     findings: List[Finding] = []
     for hostname in snapshot.hostnames():
         device = snapshot.device(hostname)
@@ -100,7 +105,8 @@ def unused_structure(snapshot: Snapshot) -> List[Finding]:
     "IP address assigned to more than one enabled interface in the "
     "snapshot.",
 )
-def duplicate_ip(snapshot: Snapshot) -> List[Finding]:
+def duplicate_ip(stage: "LintStage") -> List[Finding]:
+    snapshot = stage.snapshot
     findings: List[Finding] = []
     for ip, owners in duplicate_ips(snapshot):
         first, rest = owners[0], owners[1:]

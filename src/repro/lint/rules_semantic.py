@@ -7,7 +7,7 @@ analyses because an unreachable line is almost always a bug and the
 finding names the exact lines involved.
 
 The rules read their encodings off the run's
-:class:`~repro.lint.runner.LintStage` (scope ``encodings``): the ACL
+:class:`~repro.lint.runner.LintStage`: the ACL
 line spaces, one engine for both ACL rules, and a route-space encoder
 per device, built once per stage and shared by every run on it.
 """
@@ -126,7 +126,6 @@ def _acl_line_findings(stage: "LintStage", want_unreachable: bool) -> List[Findi
     "semantic",
     "ACL line that no packet can ever reach (fully shadowed by earlier "
     "lines, or unsatisfiable on its own) — the filterLineReachability check.",
-    scope="encodings",
 )
 def acl_line_unreachable(stage: "LintStage") -> List[Finding]:
     return _acl_line_findings(stage, want_unreachable=True)
@@ -138,7 +137,6 @@ def acl_line_unreachable(stage: "LintStage") -> List[Finding]:
     "semantic",
     "ACL line whose match space partially overlaps earlier lines: it still "
     "fires, but not for all packets it names — often an ordering mistake.",
-    scope="encodings",
 )
 def acl_line_partially_shadowed(stage: "LintStage") -> List[Finding]:
     return _acl_line_findings(stage, want_unreachable=False)
@@ -151,7 +149,6 @@ def acl_line_partially_shadowed(stage: "LintStage") -> List[Finding]:
     "Route-map clause that can never fire: its match space is empty or "
     "fully absorbed by earlier clauses (residual route-space analysis; "
     "over-approximates unencodable matches, so findings are sound).",
-    scope="encodings",
 )
 def route_map_clause_unreachable(stage: "LintStage") -> List[Finding]:
     snapshot = stage.snapshot
@@ -223,7 +220,6 @@ def route_map_clause_unreachable(stage: "LintStage") -> List[Finding]:
     "semantic",
     "Prefix list or community list whose match space is empty (matches "
     "nothing): dead configuration that silently denies everything.",
-    scope="encodings",
 )
 def vacuous_match(stage: "LintStage") -> List[Finding]:
     snapshot = stage.snapshot

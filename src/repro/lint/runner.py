@@ -1,17 +1,14 @@
-"""Lint runner: executes registered rules over a snapshot, in parallel,
-with per-rule timing, suppression handling, and metrics.
+"""Lint runner: executes registered rules over a snapshot, in registry
+order, with per-rule timing, suppression handling, and metrics.
 
-Rules are independent, so they parallelize trivially with
-``repro.parallel.pmap`` (fork-based; each worker gets a copy-on-write
-view of the snapshot and builds its own BDD engines). What rules read
-besides the snapshot comes from a :class:`LintStage` (a session's, or
-the run's own), built before the pool forks: the mapped closure holds
-it, and ``pmap`` publishes the closure before it forks, so the workers
-read it copy-on-write too. Timing and finding counts land in the
+Every rule is called with the run's :class:`LintStage` (a session's, or
+the run's own) and reads what it needs off it, lazily, under the lock
+the run holds. Rules run inline, one after another: a process pool per
+run lost to its fork and pickle costs at every registry size (DESIGN.md,
+"Performance architecture"). Timing and finding counts land in the
 ``repro.obs`` metrics registry unconditionally (``/metrics`` shows
 ``lint.findings.<rule>`` without tracing). A lint run opens no coverage
-scope of its own: it is one run of whatever scope its caller opened,
-and the rules' touches on pmap workers come back into it.
+scope of its own: it is one run of whatever scope its caller opened.
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ from repro.lint.dataflow.graph import BgpSessions
 from repro.lint.model import LintConfig
 from repro.lint.registry import Rule, all_rules
 from repro.lint.routespace import RouteSpaceEncoder
-from repro.parallel import pmap
 from repro.routing.bgp import compute_bgp_sessions
 from repro.routing.topology import Layer3Topology, build_layer3_topology
 
@@ -56,12 +52,12 @@ class _Built:
 
 
 class LintStage:
-    """What lint rules read besides the snapshot: its layer-3 topology,
-    its BGP session set, the dataflow fixpoint over both, and the
-    encodings of the semantic rules (each ACL line's packet space, in
-    one :class:`PacketEncoder`, and a :class:`RouteSpaceEncoder` per
-    device with route maps, prefix lists or community lists), each
-    built at most once, when first read. The fixpoint's graph builds the
+    """What every lint rule is called with: the snapshot and what rules
+    read besides it, its layer-3 topology, its BGP session set, the
+    dataflow fixpoint over both, and the encodings of the semantic rules
+    (each ACL line's packet space, in one :class:`PacketEncoder`, and a
+    :class:`RouteSpaceEncoder` per device with route maps, prefix lists
+    or community lists), each built at most once, when first read. The fixpoint's graph builds the
     topology and the session set, and the stage keeps those: read after
     the fixpoint, neither is built again.
 
@@ -149,22 +145,6 @@ class LintStage:
             built.packet_encoder = encoder
         return built.packet_encoder
 
-    def subject(self, scope: str) -> object:
-        """What a rule of ``scope`` is called with: the snapshot, the
-        dataflow analysis, or this stage with its topology and BGP
-        session set (``stage``) or its encodings (``encodings``) built."""
-        if scope == "snapshot":
-            return self.snapshot
-        if scope == "dataflow":
-            return self.dataflow
-        # Built now, before any rule pool forks.
-        if scope == "encodings":
-            self._encode()
-        else:
-            self.topology
-            self.bgp_sessions
-        return self
-
 
 @dataclass
 class LintReport:
@@ -174,7 +154,7 @@ class LintReport:
     rule_seconds: Dict[str, float] = field(default_factory=dict)
     rules_run: List[str] = field(default_factory=list)
     total_seconds: float = 0.0
-    #: Propagation-fixpoint stats when any dataflow-scoped rule ran:
+    #: Propagation-fixpoint stats when any dataflow rule ran:
     #: {"fixpoint_seconds", "iterations", "nodes", "edges"}.
     dataflow: Optional[Dict] = None
 
@@ -255,14 +235,10 @@ def _apply_suppressions(
 def lint_snapshot(
     snapshot: Snapshot,
     config: Optional[LintConfig] = None,
-    jobs: Optional[int] = None,
     stage: Optional[LintStage] = None,
 ) -> LintReport:
-    """Run every enabled rule against ``snapshot`` and assemble a report.
-
-    ``jobs`` follows the ``pmap`` convention (None = auto). Rules run in
-    parallel; results come back in registry order so reports are
-    deterministic regardless of scheduling. ``stage`` is the snapshot's
+    """Run every enabled rule against ``snapshot``, in registry order,
+    and assemble a report. ``stage`` is the snapshot's
     :class:`LintStage` to read rule inputs from and keep them on (a
     session's); without one the run builds its own.
     """
@@ -273,21 +249,15 @@ def lint_snapshot(
     elif stage.snapshot is not snapshot:
         raise ValueError("the lint stage belongs to another snapshot")
     with stage.lock:
-        return _run(stage, config, rules, jobs)
+        return _run(stage, config, rules)
 
 
-def _run(
-    stage: LintStage,
-    config: LintConfig,
-    rules: List[Rule],
-    jobs: Optional[int],
-) -> LintReport:
+def _run(stage: LintStage, config: LintConfig, rules: List[Rule]) -> LintReport:
     snapshot = stage.snapshot
     metrics = obs.metrics()
-    scopes = {rule.scope for rule in rules}
     dataflow_stats: Optional[Dict] = None
     # The fixpoint first: it builds the topology and sessions it reads.
-    if "dataflow" in scopes:
+    if any(rule.category == "dataflow" for rule in rules):
         reused = stage.has_dataflow
         analysis = stage.dataflow
         dataflow_stats = {
@@ -304,21 +274,14 @@ def _run(
                 "lint.dataflow.fixpoint_seconds", analysis.fixpoint_seconds
             )
             metrics.observe("lint.dataflow.iterations", analysis.iterations)
-    # Built before the pool forks, so the workers share them.
-    subjects = {scope: stage.subject(scope) for scope in scopes}
 
-    def run_one(rule: Rule) -> Tuple[List[Finding], float]:
-        start = time.perf_counter()
-        findings = rule.fn(subjects[rule.scope])
-        return findings, time.perf_counter() - start
-
-    started = time.perf_counter()
-    results = pmap(run_one, rules, jobs=jobs, min_items=2)
-    total_seconds = time.perf_counter() - started
-
-    report = LintReport(total_seconds=total_seconds, dataflow=dataflow_stats)
+    report = LintReport(dataflow=dataflow_stats)
     collected: List[Finding] = []
-    for rule, (findings, seconds) in zip(rules, results):
+    started = time.perf_counter()
+    for rule in rules:
+        start = time.perf_counter()
+        findings = rule.fn(stage)
+        seconds = time.perf_counter() - start
         report.rules_run.append(rule.rule_id)
         report.rule_seconds[rule.rule_id] = seconds
         override = config.severity.get(rule.rule_id)
@@ -326,11 +289,12 @@ def _run(
             findings = [replace(f, severity=override) for f in findings]
         collected.extend(findings)
         metrics.observe(f"lint.rule_seconds.{rule.rule_id}", seconds)
+    report.total_seconds = time.perf_counter() - started
     collected = _apply_suppressions(collected, snapshot, config)
     report.findings = sort_findings(collected)
     for rule_id, count in report.counts_by_rule().items():
         metrics.inc(f"lint.findings.{rule_id}", count)
     metrics.inc("lint.runs")
-    metrics.observe("lint.seconds", total_seconds)
-    obs.observe_phase("lint", total_seconds)
+    metrics.observe("lint.seconds", report.total_seconds)
+    obs.observe_phase("lint", report.total_seconds)
     return report

@@ -2,8 +2,8 @@
 
 Spans should be attributable to the *request* that caused them, even
 when the work happens on another thread (an HTTP handler thread enqueues a job, a queue worker
-thread runs it) or in another process (a ``pmap`` pool worker parses
-one config file). This module is the propagation mechanism:
+thread runs it) or in another process (a ``pmap`` pool worker runs
+one sweep scenario). This module is the propagation mechanism:
 
 * a :class:`RequestContext` is minted once, at the outermost entry
   point (the HTTP handler; CLI entry points may mint their own);

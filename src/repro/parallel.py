@@ -1,9 +1,11 @@
-"""Fork-safe process-pool ``pmap`` for the analysis pipeline.
+"""Fork-safe process-pool ``pmap`` for whole analyses.
 
-The paper's workloads are embarrassingly parallel at several grains —
-per-file vendor parsing (Stage 1), per-network benchmark and
-differential runs (§6, §4.3.2) — but the pure-Python port paid them
-serially. :func:`pmap` fans such loops out over a process pool while
+One item of a :func:`pmap` is one whole analysis: a sweep scenario
+(:mod:`repro.sweep.engine`: a delta session plus a property check) and,
+outside the package, a paper-benchmark row. Those are the only grains
+measured to gain from a pool; finer ones (per-file parsing, per-rule
+lint) lost to fork and pickle costs at every registry size, so they run
+inline. :func:`pmap` fans such loops out over a process pool while
 keeping the results byte-identical to a serial run:
 
 * **Deterministic ordering.** Results come back in input order
@@ -13,9 +15,8 @@ keeping the results byte-identical to a serial run:
   module global *before* forking, so closures and locally-defined
   functions work; only items and results cross the pipe. Where ``fork``
   is unavailable the map degrades to serial rather than failing.
-* **Serial fallback for small inputs.** Spawning processes costs more
-  than parsing a handful of configs; inputs below ``min_items`` (or a
-  single-job setting) run inline.
+* **Serial fallback for small inputs.** Inputs below ``min_items`` (or
+  a single-job setting) run inline.
 * **Forks only from the main thread.** A fork copies one thread of a
   multi-threaded process, with its signal handlers and whatever locks
   the other threads held, and two threads mapping at once would
@@ -23,9 +24,9 @@ keeping the results byte-identical to a serial run:
   service's threads inherited its SIGTERM handler, so a worker could
   survive the pool's teardown and hang the job for good.) A call from
   any other thread runs inline.
-* **One env knob.** ``REPRO_JOBS`` sets the default worker count
-  (``REPRO_JOBS=1`` forces serial everywhere, e.g. for determinism
-  A/B tests); callers can override per call with ``jobs=``.
+* **One env knob.** ``REPRO_JOBS`` sets the default worker count, the
+  sweep's width (``REPRO_JOBS=1`` runs it serially); callers can
+  override per call with ``jobs=``.
 
 Workers inherit the parent's module state at fork time, so engines,
 intern pools, and registries behave as read-only snapshots inside a
@@ -115,15 +116,12 @@ def pmap(
     fn: Callable[[T], R],
     items: Iterable[T],
     jobs: Optional[int] = None,
-    chunk_size: Optional[int] = None,
     min_items: int = DEFAULT_MIN_ITEMS,
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> List[R]:
     """Map ``fn`` over ``items`` on a process pool, in input order.
 
     ``jobs``: worker count (default :func:`default_jobs`).
-    ``chunk_size``: items per task (default: spread items over roughly
-    four tasks per worker, so stragglers rebalance).
     ``min_items``: inputs smaller than this run serially.
     ``progress``: called in the parent as ``progress(done, total)``
     after each completed item (serial path) or chunk (pool path) — a
@@ -141,8 +139,7 @@ def pmap(
         or len(work) < max(2, min_items)
         or not fork_available()
         # Pool workers are daemonic and may not fork grandchildren;
-        # nested pmap calls (e.g. parsing inside a per-network worker)
-        # degrade to serial inside the worker.
+        # a nested pmap call degrades to serial inside the worker.
         or multiprocessing.current_process().daemon
         # See "Forks only from the main thread" above.
         or threading.current_thread() is not threading.main_thread()
@@ -156,9 +153,8 @@ def pmap(
             if progress is not None:
                 progress(len(out), len(work))
         return out
-    if chunk_size is None:
-        chunk_size = max(1, -(-len(work) // (n_jobs * 4)))
-    chunks = chunked(work, chunk_size)
+    # Roughly four tasks per worker, so stragglers rebalance.
+    chunks = chunked(work, max(1, -(-len(work) // (n_jobs * 4))))
     mp_context = multiprocessing.get_context("fork")
     previous = _WORKER_FN
     _WORKER_FN = fn

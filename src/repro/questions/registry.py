@@ -300,7 +300,6 @@ _COUNT = Param(integer(1))
         ),
         "limit": _COUNT,
         "max_elements": _COUNT,
-        "jobs": _COUNT,
     },
     converged=True,
     is_async=True,
@@ -403,15 +402,12 @@ def parse_warnings(session, args, open_session) -> Dict:
     return {"rows": [w.describe() for w in session.parse_warnings]}
 
 
-@question(
-    "lint", {"lintconfig": Param(LintConfig.from_dict), "jobs": _COUNT}
-)
+@question("lint", {"lintconfig": Param(LintConfig.from_dict)})
 def lint(session, args, open_session) -> Dict:
     """The ``repro.lint`` rule framework; ``lintconfig`` follows
     ``LintConfig.from_dict``."""
     report = lint_snapshot(
-        session.snapshot, args.get("lintconfig"), jobs=args.get("jobs"),
-        stage=session.lint_stage,
+        session.snapshot, args.get("lintconfig"), stage=session.lint_stage
     )
     return report.to_json()
 

@@ -299,7 +299,7 @@ def test_a_service_session_leaves_one_snapshot_and_one_data_plane(tmp_path):
         store.patch("lab", {
             target: configs[target] + "ip route 203.0.113.0 255.255.255.0 Null0\n",
         })
-        run_question(store, "lab", "sweep", {"k": 1, "kinds": ["link"], "jobs": 1})
+        run_question(store, "lab", "sweep", {"k": 1, "kinds": ["link"]})
     finally:
         obs.disable()
         obs.reset()

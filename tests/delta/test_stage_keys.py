@@ -296,14 +296,14 @@ def _shifted(text):
 
 
 def _lint_json(session):
-    return [finding.to_json() for finding in session.lint(jobs=1).findings]
+    return [finding.to_json() for finding in session.lint().findings]
 
 
 @pytest.mark.parametrize("name", ["NET3", "NET8", "NET10"])
 def test_the_lint_stage_is_carried_exactly_when_its_projection_holds(name):
     configs = network_by_name(name).generate(1)
     base = Session.from_texts(configs)
-    base.lint(jobs=1)
+    base.lint()
     target = sorted(configs)[0]
     hostname = base.snapshot.sources[target]
     cases = (

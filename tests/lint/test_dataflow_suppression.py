@@ -156,7 +156,7 @@ class TestRuleDisable:
     def test_disabling_all_dataflow_rules_skips_fixpoint(self):
         snapshot = load_snapshot_from_texts(LEAKY)
         dataflow_rules = [
-            r.rule_id for r in all_rules() if r.scope == "dataflow"
+            r.rule_id for r in all_rules() if r.category == "dataflow"
         ]
         report = lint_snapshot(
             snapshot, LintConfig.from_dict({"disable": dataflow_rules})

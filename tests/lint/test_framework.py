@@ -119,11 +119,6 @@ class TestRunner:
         )
         assert report.findings[0].severity is Severity.NOTE
 
-    def test_parallel_matches_serial(self, snapshot):
-        serial = lint_snapshot(snapshot, jobs=1)
-        parallel = lint_snapshot(snapshot, jobs=4)
-        assert serial.findings == parallel.findings
-
     def test_exit_codes(self, snapshot):
         report = lint_snapshot(snapshot)
         assert report.exit_code(None) == 0

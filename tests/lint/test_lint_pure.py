@@ -79,7 +79,7 @@ def findings(report):
 
 
 def from_scratch(texts):
-    return findings(lint_snapshot(load_snapshot_from_texts(texts), jobs=1))
+    return findings(lint_snapshot(load_snapshot_from_texts(texts)))
 
 
 @pytest.mark.parametrize("network", sorted(NETWORKS))
@@ -88,14 +88,14 @@ def test_session_lint_equals_lint_of_the_parsed_texts(network, tmp_path):
     target = sorted(texts)[0]
     session = Session.from_texts(texts, cache=SnapshotCache(str(tmp_path)))
     expected = from_scratch(texts)
-    assert findings(session.lint(jobs=1)) == expected
-    assert findings(session.lint(jobs=1)) == expected
+    assert findings(session.lint()) == expected
+    assert findings(session.lint()) == expected
 
     for edit in (irrelevant_edit, relevant_edit):
         edited = {**texts, target: edit(texts[target])}
         child = session.delta({target: edited[target]})
         assert bool(child.delta_info.seeds) is (edit is relevant_edit)
-        assert findings(child.lint(jobs=1)) == from_scratch(edited)
+        assert findings(child.lint()) == from_scratch(edited)
 
     kinds = {path.name.split("-", 1)[0] for path in tmp_path.rglob("*.pkl")}
     assert "snapshot" in kinds
@@ -106,9 +106,9 @@ def test_routing_delta_child_reports_the_new_leak(tmp_path):
     """The differential above is not vacuous: on the chain, the routing
     edit changes lint's answer on a session that has linted before."""
     session = Session.from_texts(BASE, cache=SnapshotCache(str(tmp_path)))
-    before = findings(session.lint(jobs=1))
+    before = findings(session.lint())
     child = session.delta({"r1": BASE["r1"] + LEAKED_ROUTE})
-    added = [f for f in findings(child.lint(jobs=1)) if f not in before]
+    added = [f for f in findings(child.lint()) if f not in before]
     assert {(f["rule"], f["severity"]) for f in added} == {
         ("route-leak", "error")
     }
@@ -193,7 +193,7 @@ def test_session_stage_is_built_once_and_equals_a_fresh_run(
 ):
     texts = network_by_name(network).generate(1)
     expected = as_json(
-        lint_snapshot(load_snapshot_from_texts(texts), jobs=1).to_json()["findings"]
+        lint_snapshot(load_snapshot_from_texts(texts)).to_json()["findings"]
     )
     assert counted_builds == {"analyze": 1, "topology": 1, "bgp_sessions": 1}
     store = SnapshotStore()
@@ -211,10 +211,10 @@ def test_session_stage_is_built_once_and_equals_a_fresh_run(
     vectors = []
     for _ in range(2):
         # The registry question first: its first run builds the stage.
-        answer = run_question(store, "lab", "lint", {"jobs": 1})
+        answer = run_question(store, "lab", "lint", {})
         assert as_json(answer["findings"]) == expected
         vectors.append(dict(lint_record()["vector"]))
-        assert as_json(findings(session.lint(jobs=1))) == expected
+        assert as_json(findings(session.lint())) == expected
     assert counted_builds == {"analyze": 2, "topology": 2, "bgp_sessions": 2}
     assert session.lint_stage.has_dataflow
 
@@ -230,13 +230,13 @@ def test_a_config_without_dataflow_rules_builds_no_fixpoint(counted_builds):
     session = Session.from_texts(network_by_name("NET3").generate(1))
     config = {"rules": ["bgp-session-compat", "mtu-mismatch", "duplicate-ip"]}
     for _ in range(2):
-        report = session.lint(config, jobs=1)
+        report = session.lint(config)
         assert report.dataflow is None
     assert not session.lint_stage.has_dataflow
     assert counted_builds == {"analyze": 0, "topology": 1, "bgp_sessions": 1}
     # A later full run builds the fixpoint, whose graph builds its own
     # inputs: still at most one of each per run.
-    session.lint(jobs=1)
+    session.lint()
     assert counted_builds == {"analyze": 1, "topology": 2, "bgp_sessions": 2}
 
 
@@ -244,24 +244,24 @@ def test_a_delta_session_builds_its_own_stage(counted_builds):
     texts = network_by_name("NET10").generate(1)
     target = sorted(texts)[0]
     session = Session.from_texts(texts)
-    session.lint(jobs=1)
+    session.lint()
     edited = {**texts, target: relevant_edit(texts[target])}
     child = session.delta({target: edited[target]})
     assert child.lint_stage is not session.lint_stage
-    assert findings(child.lint(jobs=1)) == from_scratch(edited)
+    assert findings(child.lint()) == from_scratch(edited)
     assert counted_builds["analyze"] == 3  # base, child, scratch
-    session.lint(jobs=1)
-    child.lint(jobs=1)
+    session.lint()
+    child.lint()
     assert counted_builds["analyze"] == 3
 
 
 def test_stage_counters_split_built_from_reused(metrics_mode):
     session = Session.from_texts(network_by_name("NET1").generate(1))
-    first = session.lint(jobs=1)
+    first = session.lint()
     metrics = obs.metrics()
     assert metrics.counter("lint.dataflow.built") == 1
     assert metrics.counter("lint.dataflow.reused") == 0
-    second = session.lint(jobs=1)
+    second = session.lint()
     assert metrics.counter("lint.dataflow.built") == 1
     assert metrics.counter("lint.dataflow.reused") == 1
     # A reuse reports the stage's fixpoint and observes no second cost.
@@ -274,19 +274,19 @@ def test_stage_counters_split_built_from_reused(metrics_mode):
 @pytest.mark.parametrize("network", REGISTRY)
 def test_repeated_runs_leave_the_stage_engine_flat(network):
     session = Session.from_texts(network_by_name(network).generate(1))
-    session.lint(jobs=1)
-    session.lint(jobs=1)
+    session.lint()
+    session.lint()
     engine = session.lint_stage.dataflow.universe.engine
     settled = engine.stats()
     for _ in range(20):
-        session.lint(jobs=1)
+        session.lint()
     assert engine.stats() == settled
 
 
 @pytest.mark.parametrize("network", ["NET3", "NET10"])
 def test_stage_passes_the_containment_differential(network):
     session = Session.from_texts(network_by_name(network).generate(1))
-    session.lint(jobs=1)
+    session.lint()
     assert validate_containment(session.snapshot, session.lint_stage.dataflow) == []
 
 
@@ -297,13 +297,13 @@ def test_an_inert_delta_carries_the_stage(metrics_mode, counted_builds):
     texts = network_by_name("NET10").generate(1)
     target = sorted(texts)[0]
     session = Session.from_texts(texts)
-    session.lint(jobs=1)
+    session.lint()
     inert = {**texts, target: irrelevant_edit(texts[target])}
     child = session.delta({target: inert[target]})
     assert child.delta_info.lint == "reused"
     assert child.lint_stage.snapshot is child.snapshot
     assert child.lint_stage.lock is session.lint_stage.lock
-    assert findings(child.lint(jobs=1)) == from_scratch(inert)
+    assert findings(child.lint()) == from_scratch(inert)
     assert counted_builds["analyze"] == 2  # base, scratch
     grandchild = child.delta({target: inert[target] + "ntp server 203.0.113.251\n"})
     assert grandchild.delta_info.lint == "reused"
@@ -320,14 +320,14 @@ def test_a_moved_lint_projection_starts_a_new_stage(metrics_mode):
     session = Session.from_texts(BASE)
     untouched = session.delta({"r3": BASE["r3"] + "ntp server 203.0.113.9\n"})
     assert untouched.delta_info.lint is None
-    session.lint(jobs=1)
+    session.lint()
     shifted = {**BASE, "r2": "! moved down one line\n" + BASE["r2"]}
     child = session.delta({"r2": shifted["r2"]})
     assert child.delta_info.lint == "recomputed (lint inputs of r2 changed)"
     assert child.lint_stage.lock is not session.lint_stage.lock
-    ours, scratch = findings(child.lint(jobs=1)), from_scratch(shifted)
+    ours, scratch = findings(child.lint()), from_scratch(shifted)
     assert ours == scratch
-    assert ours != findings(session.lint(jobs=1))  # the r2 locations moved
+    assert ours != findings(session.lint())  # the r2 locations moved
     assert obs.metrics().counter("delta.stage.lint.recomputed") == 1
 
 
@@ -343,7 +343,7 @@ def test_a_warm_run_of_the_acl_rules_builds_no_line_space(monkeypatch):
 
     monkeypatch.setattr(runner, "line_space", counting)
     config = {"rules": ["acl-line-unreachable", "acl-line-partially-shadowed"]}
-    first = session.lint(config, jobs=1)
+    first = session.lint(config)
     lines = sum(
         len(acl.lines)
         for device in session.snapshot.devices.values()
@@ -353,7 +353,7 @@ def test_a_warm_run_of_the_acl_rules_builds_no_line_space(monkeypatch):
     engine = session.lint_stage.packet_encoder.engine
     settled = engine.stats()
     for _ in range(3):
-        assert findings(session.lint(config, jobs=1)) == findings(first)
+        assert findings(session.lint(config)) == findings(first)
     assert len(built) == lines
     assert engine.stats() == settled
     assert findings(first) == [

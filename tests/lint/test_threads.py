@@ -1,10 +1,10 @@
 """Concurrent lint runs each compute their dataflow fixpoint once.
 
-The runner passes the fixpoint to the dataflow-scoped rules itself, so
-a run on another thread — the service lints from several workers —
-can neither replace it nor make a rule compute it again. Both runs
-reach their rules only after both fixpoints exist (a barrier in front
-of the rule map), the interleaving in which a shared slot would be
+The dataflow rules read the fixpoint off their run's stage, so a run
+on another thread — the service lints from several workers — can
+neither replace it nor make a rule compute it again. Both runs reach
+their rules only after both fixpoints exist (a barrier behind each
+fixpoint), the interleaving in which a shared slot would be
 overwritten. Runs on one session share its lint stage instead: one
 build, and the runs take turns on it; so do runs on a session and the
 inert delta that carried its stage.
@@ -30,21 +30,18 @@ def test_each_concurrent_run_computes_one_fixpoint(monkeypatch):
     snapshots = {name: snapshot_of(name) for name in ("NET10", "NET3")}
     solo = {name: lint_snapshot(s).findings for name, s in snapshots.items()}
     calls = {name: 0 for name in snapshots}
-    real_analyze, real_pmap = engine.analyze, runner.pmap
+    real_analyze = engine.analyze
     both_analyzed = threading.Barrier(2, timeout=TIMEOUT)
 
     def counted(snapshot):
         name = next(n for n, s in snapshots.items() if s is snapshot)
         calls[name] += 1
-        return real_analyze(snapshot)
-
-    def gated(*args, **kwargs):
+        analysis = real_analyze(snapshot)
         both_analyzed.wait()
-        return real_pmap(*args, **kwargs)
+        return analysis
 
     monkeypatch.setattr(engine, "analyze", counted)
     monkeypatch.setattr(runner, "analyze", counted)
-    monkeypatch.setattr(runner, "pmap", gated)
     reports, errors = {}, []
 
     def lint(name):
@@ -87,7 +84,7 @@ def test_two_runs_on_one_session_share_one_stage_build(monkeypatch):
     def lint():
         try:
             both_started.wait()
-            reports.append(session.lint(jobs=1))
+            reports.append(session.lint())
         except BaseException as exc:  # surfaced below
             errors.append(exc)
 
@@ -134,7 +131,7 @@ def test_a_base_and_its_inert_delta_take_turns_on_one_stage(monkeypatch):
     def lint(name):
         try:
             both_started.wait()
-            reports[name] = sessions[name].lint(jobs=1)
+            reports[name] = sessions[name].lint()
         except BaseException as exc:  # surfaced below
             errors.append(exc)
 

@@ -69,7 +69,7 @@ class TestTrackerVectors:
         the semantic rules) land in the one ``lint`` record."""
         session = Session.from_texts(net1(2))
         with session.question_scope("lint", None):
-            session.lint(jobs=1)
+            session.lint()
         records = session.coverage_records()
         assert list(records) == [("lint", "{}")]
         vector = records[("lint", "{}")]["vector"]

@@ -28,14 +28,13 @@ WELLFORMED = {
         },
         "limit": 4,
         "max_elements": 2,
-        "jobs": 1,
     },
     "test_filter": {"node": "net1-core0", "filter": "SPUR_FILTER", "packet": PACKET},
     "undefined_references": {},
     "unused_structures": {},
     "duplicate_ips": {},
     "parse_warnings": {},
-    "lint": {"lintconfig": {"disable": ["unused-structure"]}, "jobs": 1},
+    "lint": {"lintconfig": {"disable": ["unused-structure"]}},
     "sleep": {"seconds": 0.0},
 }
 

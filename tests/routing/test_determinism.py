@@ -1,13 +1,16 @@
 """Determinism regression: the computed FIBs must be byte-identical
-regardless of worker count and of Python's per-process hash seed.
+regardless of Python's per-process hash seed.
 
 The audit behind this test removed hash-seed-dependent iteration from
 ``routing/engine.py`` (RIB delta sets) and ``reachability/graph.py``
 (ARP space wiring). Each case below runs the full parse → data plane →
 FIB pipeline in a fresh interpreter with a different ``PYTHONHASHSEED``
-and ``REPRO_JOBS``, and compares a canonical byte digest of every FIB —
-the digest preserves the engine's own emission order, so any
-nondeterministic iteration reintroduced upstream changes it.
+and compares a canonical byte digest of every FIB — the digest
+preserves the engine's own emission order, so any nondeterministic
+iteration reintroduced upstream changes it. The cases also differ in
+``REPRO_JOBS``, but nothing on this pipeline reaches a process pool
+(parsing runs inline; the pool serves sweep scenarios only), so that
+axis is inert.
 """
 
 import os

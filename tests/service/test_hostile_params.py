@@ -172,7 +172,7 @@ class TestProbesRecordedOnTheParent:
 
     @pytest.mark.parametrize("question, params, field, reason", [
         ("lint", {"lintconfig": {"bogus": 1}}, "lintconfig", "bogus"),
-        ("lint", {"jobs": "many"}, "jobs", "integer"),
+        ("lint", {"jobs": 2}, "jobs", "unknown field"),
         ("sweep", {"k": 0}, "k", ">= 1"),
         ("sweep", {"kinds": ["link", "gremlin"]}, "kinds", "gremlin"),
         ("sweep", {"property": {"src_node": "net1-core0"}},

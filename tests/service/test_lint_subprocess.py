@@ -2,16 +2,16 @@
 ``REPRO_JOBS`` unset, i.e. ``pmap`` as wide as the machine: each answers
 ``done``, and no request forks a process pool.
 
-The server's handler and worker threads call ``pmap`` (the parser maps
-config files, lint maps its rules). A pool forked from one of them could
-hang its job for good: its workers inherit the server's SIGTERM handler,
-so when the pool is torn down a worker left waiting on the pool's queue
-lock survives the terminate signal and the join never returns — the
-second or third lint POST answered ``202 running`` after the whole
-``--wait`` and never finished. ``pmap`` maps inline on any thread but
-the main one, which ``pmap.pool_calls`` staying 0 pins even on a run
-where the race would not have bitten. (On a one-CPU machine the default
-width is 1 and nothing forks either way.)"""
+The server's handler and worker threads once called ``pmap`` (the parser
+mapped config files, lint mapped its rules). A pool forked from one of
+them could hang its job for good: its workers inherit the server's
+SIGTERM handler, so when the pool is torn down a worker left waiting on
+the pool's queue lock survives the terminate signal and the join never
+returns — the second or third lint POST answered ``202 running`` after
+the whole ``--wait`` and never finished. Parsing and lint now run
+inline and never reach ``pmap``, which ``pmap.pool_calls`` and
+``pmap.serial_calls`` both staying 0 pins even on a run where the race
+would not have bitten."""
 
 import json
 import os
@@ -65,7 +65,7 @@ def test_three_lint_posts_each_answer_done():
         _, metrics = _request(port, "/metrics")
         counters = metrics["obs"]["counters"]
         assert counters.get("pmap.pool_calls", 0) == 0, counters
-        assert counters["pmap.serial_calls"] >= 4  # the parse + 3 lints
+        assert counters.get("pmap.serial_calls", 0) == 0, counters
     finally:
         # The whole group: a pool worker stuck in a hung job would
         # outlive the server.

@@ -6,7 +6,9 @@ import threading
 
 import pytest
 
+from repro.core.session import Session
 from repro.parallel import chunked, default_jobs, fork_available, pmap
+from repro.synth.networks import network_by_name
 
 
 def _square(x):
@@ -149,3 +151,36 @@ def test_pmap_off_the_main_thread_runs_in_this_process():
     thread.join(timeout=60)
     assert not thread.is_alive()
     assert pids == [os.getpid()] * 10
+
+
+@pytest.mark.skipif(not fork_available(), reason="requires fork start method")
+def test_only_a_sweep_opens_a_pool(monkeypatch):
+    """With the default width above 1 on the main thread, parsing eight
+    files and linting them open no pool; a sweep's scenarios still go to
+    one, with the serial sweep's verdicts."""
+    monkeypatch.delenv("REPRO_JOBS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    pools = []
+    real_get_context = multiprocessing.get_context
+
+    def counted(method=None):
+        pools.append(method)
+        return real_get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", counted)
+    texts = network_by_name("NET1").generate(1)
+    assert len(texts) >= 8
+    session = Session.from_texts(texts)
+    session.lint()
+    assert pools == []
+
+    def verdicts(result):
+        return [
+            (o.scenario_id, o.status, o.verdict.to_json()) for o in result.outcomes
+        ], result.minimal_failing_sets
+
+    serial = session.sweep(k=1, kinds=("link",), jobs=1)
+    assert pools == []
+    pooled = session.sweep(k=1, kinds=("link",), jobs=2)
+    assert pools == ["fork"]
+    assert verdicts(pooled) == verdicts(serial)

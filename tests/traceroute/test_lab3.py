@@ -50,8 +50,8 @@ ip route 10.0.1.0 255.255.255.0 10.0.23.1
 }
 
 
-def build_tracer(jobs=None):
-    snapshot = load_snapshot_from_texts(LAB3, jobs=jobs)
+def build_tracer():
+    snapshot = load_snapshot_from_texts(LAB3)
     dataplane = compute_dataplane(snapshot)
     return TracerouteEngine(dataplane, compute_fibs(dataplane))
 
@@ -91,29 +91,3 @@ class TestLab3Dispositions:
         traces = tracer.trace(packet, "edge", "eth0")
         assert traces[0].disposition is Disposition.NO_ROUTE
         assert traces[0].path_nodes() == ["edge"]
-
-
-class TestJobsStability:
-    PACKETS = [
-        Packet(src_ip=Ip("10.0.1.5"), dst_ip=Ip("10.0.2.9"), dst_port=443),
-        Packet(src_ip=Ip("10.0.1.5"), dst_ip=Ip("10.0.2.9"), dst_port=23),
-        Packet(src_ip=Ip("10.0.1.5"), dst_ip=Ip("203.0.113.7")),
-    ]
-
-    @staticmethod
-    def hop_transcript(tracer) -> list:
-        transcript = []
-        for packet in TestJobsStability.PACKETS:
-            for trace in tracer.trace(packet, "edge", "eth0"):
-                transcript.append(
-                    (trace.disposition.value, tuple(trace.path_nodes()))
-                )
-        return transcript
-
-    def test_hops_identical_serial_vs_parallel(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "1")
-        serial = self.hop_transcript(build_tracer(jobs=1))
-        monkeypatch.setenv("REPRO_JOBS", "4")
-        parallel = self.hop_transcript(build_tracer(jobs=4))
-        assert serial == parallel
-        assert len(serial) == 3
