@@ -261,8 +261,8 @@ def collect_measurements(
 def collect_phase_percentiles(
     name: str = _SMOKE_NETWORK, repeats: int = 3
 ) -> None:
-    """Populate the labeled ``phase.seconds`` histograms (parse /
-    dataplane / bdd / delta / lint) by running the session pipeline with
+    """Populate the labeled ``phase.seconds`` histograms (every
+    ``obs.PHASES`` name) by running the session pipeline with
     metrics-only collection on, so :func:`benchlib.write_bench_json`
     lands p50/p95/p99 in the artifact. Runs after the timed
     measurements — flipping metrics on must not contaminate them."""
@@ -272,7 +272,7 @@ def collect_phase_percentiles(
     target = sorted(configs)[0]
     for _ in range(repeats):
         session = Session.from_texts(configs)
-        session.analyzer  # parse -> dataplane -> bdd phases
+        session.analyzer  # parse -> dataplane -> fib -> bdd phases
         session.delta({target: irrelevant_edit(configs[target])}).fibs
         lint_snapshot(session.snapshot)
 

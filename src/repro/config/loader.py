@@ -114,7 +114,7 @@ def load_snapshot_from_texts(
     """
     snapshot = Snapshot()
     filenames = sorted(configs)
-    with obs.span("parse", files=len(filenames)):
+    with obs.phase("parse", files=len(filenames)):
         parsed = parsed or {}
         for filename in filenames:
             if filename in parsed:

@@ -20,7 +20,6 @@ import contextlib
 import hashlib
 import pickle
 import threading
-import time
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING, Any, Callable, Collection, ContextManager, Dict,
@@ -111,9 +110,8 @@ class Stage(NamedTuple):
     #: ``(session, base's output or None) -> (output, report)``: the
     #: :class:`~repro.delta.DeltaInfo` fields saying what it took.
     build: Callable[["Session", Any], Tuple[Any, Dict[str, Any]]]
-    #: The ``phase.seconds`` label, or the trace span, of its build.
+    #: The :data:`repro.obs.PHASES` name its build is timed under.
     phase: Optional[str] = None
-    span: Optional[str] = None
 
 
 class BaseOutputs(NamedTuple):
@@ -181,9 +179,7 @@ class Session:
         key = snapshot_key(configs)
         snapshot = resolved.load("snapshot", key) if resolved else None
         if snapshot is None:
-            started = time.perf_counter()
             snapshot = load_snapshot_from_texts(configs)
-            obs.observe_phase("parse", time.perf_counter() - started)
             if resolved is not None:
                 resolved.store("snapshot", key, snapshot)
         session = cls(snapshot, **kwargs)
@@ -290,11 +286,8 @@ class Session:
                 output = self._outputs.get(name)
                 if output is None:
                     stage = STAGES[name]
-                    started = time.perf_counter()
-                    with obs.span(stage.span) if stage.span else contextlib.nullcontext():
+                    with obs.phase(stage.phase) if stage.phase else contextlib.nullcontext():
                         output, report = stage.build(self, self._inherited.outputs.get(name))
-                    if stage.phase is not None:
-                        obs.observe_phase(stage.phase, time.perf_counter() - started)
                     if self.delta_info is not None:
                         self.delta_info.record(**report)
                     self._outputs[name] = output
@@ -523,10 +516,10 @@ class Session:
         return test_filter(self.snapshot, node, filter_name, packet)
 
     def search_filters(self, headerspace: HeaderSpace, **kwargs) -> List[SearchFiltersRow]:
-        return search_filters(self.snapshot, headerspace, encoder=self.encoder, **kwargs)
+        return search_filters(self.snapshot, headerspace, **kwargs)
 
     def unreachable_filter_lines(self) -> List[UnreachableLineRow]:
-        return unreachable_filter_lines(self.snapshot, encoder=self.encoder)
+        return unreachable_filter_lines(self.snapshot)
 
     # -- forwarding questions (Stage 3) --------------------------------------
 
@@ -633,12 +626,10 @@ def _build_dataplane(session: Session, base: Optional[DataPlane]):
     cache = session._cache
     dataplane = cache.load("dataplane", session.snapshot_key) if cache else None
     if dataplane is None:
-        started = time.perf_counter()
         dataplane = compute_dataplane(
             session.snapshot, session.settings, session.semantics,
             base=base, changed=session._inherited.changed,
         )
-        obs.observe_phase("dataplane", time.perf_counter() - started)
         if cache is not None:
             cache.store("dataplane", session.snapshot_key, dataplane)
     stages, taken = dataplane.stages, 0
@@ -712,7 +703,7 @@ def _record_derivation(session: Session, _base: None):
 #: only for upstream ones, never in a cycle.
 STAGES: Dict[str, Stage] = {stage.name: stage for stage in (
     Stage("dataplane", _build_dataplane),
-    Stage("fibs", _build_fibs, span="fib"),
+    Stage("fibs", _build_fibs, phase="fib"),
     Stage("analyzer", _build_analyzer, phase="bdd"),
     Stage("tracer", lambda s, _: (TracerouteEngine(s.dataplane, s.fibs), {})),
     Stage("derivation", _record_derivation),

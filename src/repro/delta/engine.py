@@ -34,7 +34,6 @@ cache-less from-scratch session of the same texts, whatever was reused.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -154,8 +153,7 @@ def delta_session(base, changed_configs: Dict[str, Optional[str]], validate=None
         if base._configs.get(filename) != new_configs.get(filename)
     }
     info = DeltaInfo(changed_files=sorted(changed_files))
-    started = time.perf_counter()
-    with obs.span("delta", changed=len(changed_files)):
+    with obs.phase("delta", changed=len(changed_files)):
         parsed = parses_from_base(new_configs, base._configs, base.snapshot)
         # No cache: the session's key (from its texts) never repeats.
         new_session = Session(
@@ -185,7 +183,6 @@ def delta_session(base, changed_configs: Dict[str, Optional[str]], validate=None
         if validate or (validate is None and validate_enabled()):
             _validate(new_session)
             info.validated = True
-    obs.observe_phase("delta", time.perf_counter() - started)
     return new_session
 
 

@@ -153,6 +153,7 @@ class LintReport:
     findings: List[Finding] = field(default_factory=list)
     rule_seconds: Dict[str, float] = field(default_factory=dict)
     rules_run: List[str] = field(default_factory=list)
+    #: ``rule_seconds`` summed.
     total_seconds: float = 0.0
     #: Propagation-fixpoint stats when any dataflow rule ran:
     #: {"fixpoint_seconds", "iterations", "nodes", "edges"}.
@@ -273,28 +274,28 @@ def _run(stage: LintStage, config: LintConfig, rules: List[Rule]) -> LintReport:
             metrics.observe(
                 "lint.dataflow.fixpoint_seconds", analysis.fixpoint_seconds
             )
-            metrics.observe("lint.dataflow.iterations", analysis.iterations)
+            metrics.observe(
+                "lint.dataflow.iterations", analysis.iterations, obs.COUNT_BUCKETS
+            )
 
     report = LintReport(dataflow=dataflow_stats)
     collected: List[Finding] = []
-    started = time.perf_counter()
-    for rule in rules:
-        start = time.perf_counter()
-        findings = rule.fn(stage)
-        seconds = time.perf_counter() - start
-        report.rules_run.append(rule.rule_id)
-        report.rule_seconds[rule.rule_id] = seconds
-        override = config.severity.get(rule.rule_id)
-        if override is not None:
-            findings = [replace(f, severity=override) for f in findings]
-        collected.extend(findings)
-        metrics.observe(f"lint.rule_seconds.{rule.rule_id}", seconds)
-    report.total_seconds = time.perf_counter() - started
+    with obs.phase("lint"):
+        for rule in rules:
+            start = time.perf_counter()
+            findings = rule.fn(stage)
+            seconds = time.perf_counter() - start
+            report.rules_run.append(rule.rule_id)
+            report.rule_seconds[rule.rule_id] = seconds
+            override = config.severity.get(rule.rule_id)
+            if override is not None:
+                findings = [replace(f, severity=override) for f in findings]
+            collected.extend(findings)
+            metrics.observe("lint.rule.seconds", seconds, rule=rule.rule_id)
+    report.total_seconds = sum(report.rule_seconds.values())
     collected = _apply_suppressions(collected, snapshot, config)
     report.findings = sort_findings(collected)
     for rule_id, count in report.counts_by_rule().items():
         metrics.inc(f"lint.findings.{rule_id}", count)
     metrics.inc("lint.runs")
-    metrics.observe("lint.seconds", report.total_seconds)
-    obs.observe_phase("lint", report.total_seconds)
     return report

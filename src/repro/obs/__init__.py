@@ -6,10 +6,13 @@ The observability subsystem the pipeline reports through:
   scopes streamed as JSON lines (``REPRO_TRACE=/path/trace.jsonl`` or
   :func:`enable`).
 * **Metrics** (:func:`add`, :func:`gauge`, :func:`observe`) — named
-  counters/gauges/histograms emitted from the hot paths: parser line and
-  warning counts, per-iteration BGP RIB deltas, BDD node/unique-table
-  sizes, snapshot-cache hits/misses, and ``pmap`` fan-out stats merged
-  back from pool workers.
+  counters, gauges and labeled bucket histograms emitted from the hot
+  paths: parser line and warning counts, per-iteration BGP RIB deltas,
+  BDD node/unique-table sizes, snapshot-cache hits/misses, and ``pmap``
+  fan-out stats merged back from pool workers.
+* **Phases** (:func:`phase`, :data:`PHASES`) — the pipeline phases
+  (parse, dataplane, fib, bdd, delta, lint), each timed once: one span
+  and one ``phase.seconds{phase}`` sample under the same name.
 * **Config coverage** (:func:`touch`, :func:`coverage_scope`) — which
   VI-model structures (interfaces, ACL lines, route-map clauses) one
   question run exercised, in the spirit of Xu et al.'s *Test Coverage
@@ -21,7 +24,8 @@ The observability subsystem the pipeline reports through:
   (:class:`repro.obs.report.TraceReport`); ``--strict`` fails on
   unclosed spans (the CI gate).
 * **Request context** (:mod:`repro.obs.context`) — the request id that
-  spans carry, across the service's thread hop and ``pmap``'s fork.
+  spans carry, across the service's thread hop and into ``pmap``'s
+  forked workers, which inherit it.
 
 All instrumentation is zero-cost when disabled: one module-level flag
 guard per call site, no formatting or allocation off the hot path.
@@ -30,8 +34,9 @@ guard per call site, no formatting or allocation off the hot path.
 from repro.obs import context
 from repro.obs.context import RequestContext, current_request_id, request_context
 from repro.obs.coverage import coverage_scope, coverage_scoped, touch
-from repro.obs.metrics import BucketHistogram, Histogram, Metrics
+from repro.obs.metrics import COUNT_BUCKETS, BucketHistogram, Metrics
 from repro.obs.trace import (
+    PHASES,
     Span,
     active,
     add,
@@ -48,8 +53,7 @@ from repro.obs.trace import (
     metrics_dump,
     metrics_enabled,
     observe,
-    observe_bucket,
-    observe_phase,
+    phase,
     reset,
     span,
     trace_path,
@@ -59,8 +63,9 @@ from repro.obs.trace import (
 
 __all__ = [
     "BucketHistogram",
-    "Histogram",
+    "COUNT_BUCKETS",
     "Metrics",
+    "PHASES",
     "RequestContext",
     "Span",
     "active",
@@ -82,8 +87,7 @@ __all__ = [
     "metrics_dump",
     "metrics_enabled",
     "observe",
-    "observe_bucket",
-    "observe_phase",
+    "phase",
     "request_context",
     "reset",
     "span",

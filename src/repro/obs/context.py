@@ -12,10 +12,10 @@ one sweep scenario). This module is the propagation mechanism:
   (one ``ContextVar.get`` — no locks, no dict lookups);
 * across *thread* boundaries it is carried explicitly (the
   :class:`repro.service.jobs.Job` stores it; the worker activates it);
-* across *process* boundaries it is serialized into the worker payload
-  (:func:`to_wire` / :func:`from_wire` — see
-  :func:`repro.parallel.pmap`), so spans emitted inside pool workers
-  carry the same ``request_id`` as the parent's.
+* across the *process* boundary nothing carries it: :func:`repro.parallel.pmap`
+  forks its pool inside the call, on the calling thread, so each worker
+  starts with that thread's context and its spans carry the same
+  ``request_id`` as the parent's.
 
 The context is intentionally tiny and immutable: a request id, which
 spans stamp. Anything bigger belongs in span attributes, not in the
@@ -29,7 +29,7 @@ import contextlib
 import contextvars
 import uuid
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional
+from typing import Iterator, Optional
 
 
 @dataclass(frozen=True)
@@ -85,26 +85,3 @@ def request_context(request_id: Optional[str] = None) -> Iterator[RequestContext
         yield context
     finally:
         _CURRENT.reset(token)
-
-
-# ----------------------------------------------------------------------
-# Process-boundary serialization (pmap worker payloads)
-
-
-def to_wire(context: Optional[RequestContext]) -> Optional[Dict]:
-    """JSON/pickle-ready form of a context (None stays None)."""
-    if context is None:
-        return None
-    return {"request_id": context.request_id}
-
-
-def from_wire(wire: Optional[Dict]) -> Optional[RequestContext]:
-    """Rebuild a context shipped via :func:`to_wire` (tolerant of
-    missing/extra keys — a version-skewed parent must not kill a
-    worker)."""
-    if not wire or not isinstance(wire, dict):
-        return None
-    request_id = wire.get("request_id")
-    if not request_id:
-        return None
-    return RequestContext(request_id=str(request_id))

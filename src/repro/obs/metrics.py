@@ -1,5 +1,5 @@
-"""The metrics half of :mod:`repro.obs`: named counters, gauges, and
-histograms — streaming summaries and fixed-bucket latency histograms.
+"""The metrics half of :mod:`repro.obs`: named counters, gauges and
+labeled fixed-bucket histograms.
 
 Instruments are identified by dotted string names (the full catalog is
 documented in README's "Observability" section). The registry is a plain
@@ -12,22 +12,16 @@ Merge semantics are *defined*, per instrument kind:
 
 * **counters** and **histograms** add — they are distributable sums, so
   merging is associative and order-independent;
-* **gauges** are not distributable, so each gauge has a declared merge
-  mode: ``"last"`` (last writer wins — right for "current depth"-style
-  gauges where the parent's own value is authoritative) or ``"max"``
-  (right for high-water marks). Worker dumps arrive in nondeterministic
-  chunk-completion order, so :meth:`merge` with ``worker=True`` defaults
-  undeclared gauges to ``max`` — the only order-independent choice —
-  while trace-replay merges (:mod:`repro.obs.report`) keep last-write
-  semantics for byte-compatibility with recorded streams.
+* **gauges** are not distributable. Worker dumps arrive in
+  nondeterministic chunk-completion order, so :meth:`merge` with
+  ``worker=True`` keeps the ``max`` — the only order-independent
+  choice — while trace-replay merges (:mod:`repro.obs.report`) keep the
+  last write, the order the stream recorded.
 
-Two histogram shapes coexist:
-
-* :class:`Histogram` — count/total/min/max streaming summary, no stored
-  samples; cheap, unlabeled, good for internal work counters;
-* :class:`BucketHistogram` — fixed-boundary bucket counts with label
-  sets (question/phase/disposition), the shape Prometheus exposition
-  and p50/p95/p99 derivation need (:meth:`BucketHistogram.quantile`).
+There is one histogram shape, :class:`BucketHistogram`: fixed-boundary
+bucket counts per label set, what Prometheus exposition and p50/p95/p99
+derivation need (:meth:`BucketHistogram.quantile`). Latencies use
+:data:`DEFAULT_BUCKETS`, count-valued instruments :data:`COUNT_BUCKETS`.
 
 The registry itself never formats strings or allocates beyond one dict
 entry per instrument; the zero-cost-when-disabled guarantee lives one
@@ -49,56 +43,18 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
     1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0,
 )
 
+#: Buckets of the count-valued instruments (iterations, routes per
+#: iteration): a 1-2-5 ladder from one to a million.
+COUNT_BUCKETS: Tuple[float, ...] = tuple(
+    step * 10 ** power for power in range(6) for step in (1, 2, 5)
+) + (1_000_000,)
+
 #: Canonical label-set key: sorted (name, value) pairs.
 LabelKey = Tuple[Tuple[str, str], ...]
 
 
 def label_key(labels: Dict[str, str]) -> LabelKey:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
-
-
-class Histogram:
-    """Streaming summary of one observed quantity (no stored samples)."""
-
-    __slots__ = ("count", "total", "min", "max")
-
-    def __init__(self):
-        self.count = 0
-        self.total = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def dump(self) -> Dict[str, float]:
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.min if self.min is not None else 0.0,
-            "max": self.max if self.max is not None else 0.0,
-        }
-
-    def merge(self, other: Dict[str, float]) -> None:
-        count = int(other.get("count", 0))
-        if count <= 0:
-            return
-        self.count += count
-        self.total += float(other.get("total", 0.0))
-        low, high = float(other.get("min", 0.0)), float(other.get("max", 0.0))
-        if self.min is None or low < self.min:
-            self.min = low
-        if self.max is None or high > self.max:
-            self.max = high
 
 
 class BucketHistogram:
@@ -188,15 +144,13 @@ class BucketHistogram:
 
 
 class Metrics:
-    """A registry of counters (monotonic), gauges (declared merge mode),
-    summary histograms, and labeled fixed-bucket histograms."""
+    """A registry of counters (monotonic), gauges and labeled
+    fixed-bucket histograms."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self._counters: Dict[str, int] = {}
         self._gauges: Dict[str, float] = {}
-        self._gauge_modes: Dict[str, str] = {}
-        self._histograms: Dict[str, Histogram] = {}
         #: name -> label-key -> BucketHistogram
         self._buckets: Dict[str, Dict[LabelKey, BucketHistogram]] = {}
 
@@ -210,36 +164,18 @@ class Metrics:
         with self._lock:
             self._gauges[name] = value
 
-    def declare_gauge(self, name: str, merge: str = "max") -> None:
-        """Pin a gauge's worker-merge mode (``"max"`` or ``"last"``).
-
-        Undeclared gauges merge with ``max`` from worker dumps (the
-        deterministic default) and ``last`` from trace replays.
-        """
-        if merge not in ("max", "last"):
-            raise ValueError(f"gauge merge mode must be max or last, got {merge!r}")
-        with self._lock:
-            self._gauge_modes[name] = merge
-
-    def observe(self, name: str, value: float) -> None:
-        with self._lock:
-            histogram = self._histograms.get(name)
-            if histogram is None:
-                histogram = self._histograms[name] = Histogram()
-            histogram.observe(value)
-
-    def observe_bucket(
+    def observe(
         self,
         name: str,
         value: float,
         buckets: Sequence[float] = DEFAULT_BUCKETS,
         **labels: str,
     ) -> None:
-        """Record ``value`` into the labeled bucket histogram ``name``.
+        """Record ``value`` into the labeled histogram ``name``.
 
         Label names/values become Prometheus labels verbatim (after
-        sanitization), e.g. ``observe_bucket("service.request.seconds",
-        0.21, question="routes", disposition="ok")``.
+        sanitization), e.g. ``observe("service.request.seconds", 0.21,
+        question="routes", disposition="ok")``.
         """
         key = label_key(labels)
         with self._lock:
@@ -260,10 +196,6 @@ class Metrics:
     def gauge_value(self, name: str) -> Optional[float]:
         with self._lock:
             return self._gauges.get(name)
-
-    def histogram(self, name: str) -> Optional[Histogram]:
-        with self._lock:
-            return self._histograms.get(name)
 
     def bucket_histogram(
         self, name: str, **labels: str
@@ -314,10 +246,6 @@ class Metrics:
             return {
                 "counters": dict(sorted(self._counters.items())),
                 "gauges": dict(sorted(self._gauges.items())),
-                "histograms": {
-                    name: histogram.dump()
-                    for name, histogram in sorted(self._histograms.items())
-                },
                 "bucket_histograms": {
                     name: [
                         {"labels": dict(key), **histogram.dump()}
@@ -330,10 +258,10 @@ class Metrics:
     def merge(self, dump: Dict[str, Dict], worker: bool = False) -> None:
         """Fold a :meth:`dump` into this registry.
 
-        ``worker=True`` marks a pmap worker dump: undeclared gauges
-        merge with ``max`` so the result is independent of the order
-        chunks complete in; ``worker=False`` (trace replay) keeps
-        last-write-wins for undeclared gauges.
+        ``worker=True`` marks a pmap worker dump: gauges merge with
+        ``max`` so the result is independent of the order chunks
+        complete in; ``worker=False`` (trace replay) keeps the last
+        write.
         """
         if not dump:
             return
@@ -341,16 +269,10 @@ class Metrics:
             for name, value in dump.get("counters", {}).items():
                 self._counters[name] = self._counters.get(name, 0) + int(value)
             for name, value in dump.get("gauges", {}).items():
-                mode = self._gauge_modes.get(name, "max" if worker else "last")
                 previous = self._gauges.get(name)
-                if mode == "max" and previous is not None:
+                if worker and previous is not None:
                     value = max(previous, value)
                 self._gauges[name] = value
-            for name, summary in dump.get("histograms", {}).items():
-                histogram = self._histograms.get(name)
-                if histogram is None:
-                    histogram = self._histograms[name] = Histogram()
-                histogram.merge(summary)
             for name, entries in dump.get("bucket_histograms", {}).items():
                 family = self._buckets.get(name)
                 if family is None:
@@ -367,6 +289,4 @@ class Metrics:
         with self._lock:
             self._counters.clear()
             self._gauges.clear()
-            self._gauge_modes.clear()
-            self._histograms.clear()
             self._buckets.clear()

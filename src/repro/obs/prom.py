@@ -7,21 +7,19 @@ renders the registry into the Prometheus text exposition format
 (version 0.0.4), the lingua franca any collector understands:
 
 * dotted instrument names are sanitized to metric-name charset
-  (``service.job.seconds`` → ``repro_service_job_seconds``), prefixed
-  ``repro_`` so a shared scrape config can namespace us;
+  (``service.request.seconds`` → ``repro_service_request_seconds``),
+  prefixed ``repro_`` so a shared scrape config can namespace us;
 * counters gain the conventional ``_total`` suffix;
-* summary :class:`Histogram`\\ s export ``_sum``/``_count`` (summary
-  type without quantile lines — legal, and honest about what a
-  min/max/mean summary can offer);
-* :class:`BucketHistogram` families export full histogram series —
-  cumulative ``_bucket{le=...}`` per label set, ``_sum``, ``_count`` —
-  from which any scraper derives p50/p95/p99 per question/phase/
-  disposition.
+* histogram families (:class:`~repro.obs.metrics.BucketHistogram`)
+  export full histogram series — cumulative ``_bucket{le=...}`` per
+  label set, ``_sum``, ``_count`` — from which any scraper derives
+  p50/p95/p99 per question/phase/disposition.
 
 :func:`parse_exposition` is the strict validator the CI smoke job and
 the tests run against the rendered text: unique families, HELP/TYPE
-present and preceding samples, bucket ``le`` boundaries increasing,
-cumulative bucket counts monotone, ``+Inf`` bucket equal to ``_count``.
+present and preceding samples, each sample name and label set at most
+once, bucket ``le`` boundaries increasing, cumulative bucket counts
+monotone, ``+Inf`` bucket equal to ``_count``.
 Rendering through our own strict parser keeps us honest without
 needing the real ``prometheus_client`` wheel in the container.
 """
@@ -33,6 +31,7 @@ import re
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.metrics import Metrics
+from repro.obs.trace import PHASES
 
 #: Namespace prefix for every exported family.
 PREFIX = "repro_"
@@ -44,9 +43,8 @@ _INVALID_CHARS = re.compile(r"[^a-zA-Z0-9_:]")
 #: HELP text per instrument-name prefix (best-effort; families without
 #: an entry get a generated one — HELP must always be present).
 _HELP: Dict[str, str] = {
-    "service.request.seconds": "End-to-end question latency by question, phase, and disposition.",
-    "phase.seconds": "Pipeline phase latency (parse/dataplane/bdd/delta/lint).",
-    "service.job.seconds": "Job execution wall seconds.",
+    "service.request.seconds": "End-to-end question latency by question and disposition.",
+    "phase.seconds": f"Pipeline phase latency ({'/'.join(PHASES)}).",
     "service.job.queue_seconds": "Time jobs spent queued before a worker picked them up.",
     "service.queue.depth": "Jobs currently waiting in the bounded queue.",
     "service.queue.oldest_age_seconds": "Age of the oldest queued job.",
@@ -164,10 +162,6 @@ def render_exposition(
             fam.sample("", sorted(labels.items()), float(value))
     for raw, value in sorted(dump["gauges"].items()):
         family(raw, "gauge").sample("", [], float(value))
-    for raw, summary in sorted(dump["histograms"].items()):
-        fam = family(raw, "summary")
-        fam.sample("_sum", [], float(summary["total"]))
-        fam.sample("_count", [], float(summary["count"]))
     for raw, entries in sorted(dump["bucket_histograms"].items()):
         fam = family(raw, "histogram")
         for entry in entries:
@@ -228,11 +222,14 @@ def parse_exposition(text: str) -> Dict[str, Dict]:
     Returns ``{family: {"type", "help", "samples": [(name, labels,
     value)]}}``. Raises :class:`ExpositionError` on: duplicate HELP or
     TYPE for a family, samples without a preceding TYPE, malformed
-    sample lines, non-increasing histogram ``le`` boundaries,
+    sample lines, a sample name and label set seen twice (the format
+    leaves ingestion of such a pair undefined), non-increasing
+    histogram ``le`` boundaries,
     non-monotone cumulative bucket counts, a missing ``+Inf`` bucket,
     or ``+Inf`` disagreeing with ``_count``.
     """
     families: Dict[str, Dict] = {}
+    series: set = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -269,6 +266,12 @@ def parse_exposition(text: str) -> Dict[str, Dict]:
             raise ExpositionError(f"line {lineno}: malformed sample {line!r}")
         sample_name = match.group("name")
         labels = dict(_LABEL_PAIR.findall(match.group("labels") or ""))
+        key = (sample_name, tuple(sorted(labels.items())))
+        if key in series:
+            raise ExpositionError(
+                f"line {lineno}: duplicate series {sample_name}{labels or ''}"
+            )
+        series.add(key)
         raw_value = match.group("value")
         try:
             value = float(raw_value.replace("+Inf", "inf").replace("-Inf", "-inf"))

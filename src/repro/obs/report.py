@@ -6,8 +6,9 @@ trace.jsonl [--strict] [--top N] [--json]``:
 * the **span tree** aggregates spans by their name-path (parent names
   joined with ``/``), summing wall/CPU time and counting invocations —
   one line per distinct path, children indented under parents;
-* **top counters**, **gauges**, and **histogram** summaries come from the
-  trace's ``metrics`` events (merged across processes);
+* **top counters**, **gauges**, and each **histogram** series' count,
+  p50 and p95 come from the trace's ``metrics`` events (merged across
+  processes);
 * the **coverage summary** adds up the trace's ``coverage`` events, one
   per question run: distinct structures touched per kind, overall and
   per question;
@@ -303,15 +304,14 @@ class TraceReport:
             lines.append("== gauges ==")
             for name, value in dump["gauges"].items():
                 lines.append(f"  {name:<44} {value:>12}")
-        if dump["histograms"]:
+        histograms = self.metrics.percentiles((0.5, 0.95))
+        if histograms:
             lines.append("")
             lines.append("== histograms ==")
-            for name, summary in dump["histograms"].items():
-                count = summary["count"] or 1
+            for name, summary in histograms.items():
                 lines.append(
-                    f"  {name:<34} n={summary['count']:<8}"
-                    f" mean={summary['total'] / count:.3f}"
-                    f" min={summary['min']:.3f} max={summary['max']:.3f}"
+                    f"  {name:<44} n={summary['count']:<8}"
+                    f" p50={summary['p50']:.3f} p95={summary['p95']:.3f}"
                 )
         coverage = self.coverage_summary()
         if coverage["questions"]:

@@ -37,11 +37,11 @@ import os
 import threading
 import time
 from collections import deque
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.obs import coverage as _coverage
 from repro.obs.context import current_request_id
-from repro.obs.metrics import Metrics
+from repro.obs.metrics import DEFAULT_BUCKETS, Metrics
 
 #: In-memory event cap; file sinks are unbounded (append-only).
 _BUFFER_LIMIT = 200_000
@@ -152,11 +152,12 @@ def disable() -> None:
 
 
 def reset() -> None:
-    """Drop all collected events and metrics (not the switches)."""
+    """Drop all collected events and metrics (not the switches). Span
+    ids keep counting: a trace file outlives a reset, and its readers
+    key spans by (pid, id)."""
     with _STATE.lock:
         _STATE.buffer.clear()
         _STATE.open_spans.clear()
-        _STATE.next_span_id = 0
     _STATE.metrics.reset()
 
 
@@ -321,25 +322,39 @@ def gauge(name: str, value: float) -> None:
         _STATE.metrics.gauge(name, value)
 
 
-def observe(name: str, value: float) -> None:
-    """Record a histogram sample (no-op while disabled)."""
+def observe(
+    name: str, value: float, buckets: Sequence[float] = DEFAULT_BUCKETS, **labels: str
+) -> None:
+    """Record a labeled histogram sample (no-op while disabled) — the
+    series Prometheus exposition derives p50/p95/p99 from."""
     if _STATE.enabled or _STATE.metrics_enabled:
-        _STATE.metrics.observe(name, value)
+        _STATE.metrics.observe(name, value, buckets, **labels)
 
 
-def observe_bucket(name: str, value: float, **labels: str) -> None:
-    """Record a labeled fixed-bucket histogram sample (no-op while
-    disabled) — the series Prometheus exposition derives p50/p95/p99
-    from."""
-    if _STATE.enabled or _STATE.metrics_enabled:
-        _STATE.metrics.observe_bucket(name, value, **labels)
+#: The pipeline phases, each timed once by :func:`phase`: a span of
+#: that name and a ``phase.seconds{phase=...}`` sample.
+PHASES = ("parse", "dataplane", "fib", "bdd", "delta", "lint")
 
 
-def observe_phase(phase: str, seconds: float) -> None:
-    """Record one pipeline-phase latency sample (parse / dataplane /
-    bdd / delta / lint) into the labeled ``phase.seconds`` histogram."""
-    if _STATE.enabled or _STATE.metrics_enabled:
-        _STATE.metrics.observe_bucket("phase.seconds", seconds, phase=phase)
+class _Phase(Span):
+    """A span that, on a clean exit, also observes its wall time into
+    ``phase.seconds``."""
+
+    __slots__ = ()
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        super().__exit__(exc_type, exc, tb)
+        if exc_type is None:
+            _STATE.metrics.observe("phase.seconds", self.wall_s, phase=self.name)
+
+
+def phase(name: str, **attrs):
+    """Time pipeline phase ``name`` (one of :data:`PHASES`): the span
+    ``name`` when tracing, a ``phase.seconds{phase=name}`` sample when
+    metrics are on, the shared no-op span otherwise."""
+    if not (_STATE.enabled or _STATE.metrics_enabled):
+        return _NULL_SPAN
+    return _Phase(name, **attrs)
 
 
 def coverage_event(question: str, vector: Dict) -> None:
@@ -369,9 +384,8 @@ def metrics_dump() -> Dict:
 def merge_worker_dump(dump: Dict) -> None:
     """Fold a pmap worker's ``{"metrics": ..., "coverage": ...}`` delta
     in: its metrics into the registry, its scope vector into the scope
-    the map was called from. Gauges merge with their declared modes
-    (default ``max`` — chunk completion order is nondeterministic, so
-    last-write-wins would be too)."""
+    the map was called from. Gauges merge with ``max`` (chunk completion
+    order is nondeterministic, so last-write-wins would be too)."""
     if not dump:
         return
     _STATE.metrics.merge(dump.get("metrics", {}), worker=True)

@@ -30,7 +30,11 @@ keeping the results byte-identical to a serial run:
 
 Workers inherit the parent's module state at fork time, so engines,
 intern pools, and registries behave as read-only snapshots inside a
-worker; anything a worker returns must be picklable.
+worker; anything a worker returns must be picklable. The pool is forked
+inside each call, on the calling thread, so workers also inherit that
+thread's :mod:`contextvars` — the request context their spans stamp —
+and nothing about it crosses the pipe. What does cross back, per chunk,
+is the chunk's metrics dump and coverage-scope vector.
 """
 
 from __future__ import annotations
@@ -79,29 +83,23 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def _invoke_chunk(task):
+def _invoke_chunk(chunk):
     """Map a whole chunk in one task (to amortize IPC per item), and ship
     its wall time, metrics and coverage back for the parent to merge.
 
     The forked worker inherits the parent's registry, so it is reset at
     chunk start — everything in the outbound dump is this chunk's own
-    contribution. The task payload carries the submitting thread's
-    request context on the wire (fork only clones the calling thread's
-    contextvars at pool *creation* time, which is not this task's
-    moment), so spans emitted inside the worker carry the originating
-    ``request_id``. The chunk runs in a fresh coverage scope, whose
-    vector the parent adds into the scope the map was called from.
+    contribution. It also inherits the calling thread's request context
+    (the pool is forked inside the call), so its spans carry the
+    originating ``request_id``. The chunk runs in a fresh coverage
+    scope, whose vector the parent adds into the scope the map was
+    called from.
     """
-    chunk, ctx_wire = task
     obs.metrics().reset()
-    token = obs.context.activate(obs.context.from_wire(ctx_wire))
-    try:
-        with obs.coverage_scope() as vector:
-            started = time.perf_counter()
-            results = [_WORKER_FN(item) for item in chunk]
-            wall = time.perf_counter() - started
-    finally:
-        obs.context.deactivate(token)
+    with obs.coverage_scope() as vector:
+        started = time.perf_counter()
+        results = [_WORKER_FN(item) for item in chunk]
+        wall = time.perf_counter() - started
     return results, wall, obs.worker_dump(vector)
 
 
@@ -161,13 +159,11 @@ def pmap(
     try:
         with mp_context.Pool(processes=min(n_jobs, len(chunks))) as pool:
             done = 0
-            ctx_wire = obs.context.to_wire(obs.context.current())
-            tasks = [(chunk, ctx_wire) for chunk in chunks]
             mapped = []
             with obs.span("pmap", jobs=n_jobs, chunks=len(chunks)):
                 # imap (not map): results stream back in input order
                 # as chunks finish, so progress fires incrementally.
-                for results, wall, dump in pool.imap(_invoke_chunk, tasks):
+                for results, wall, dump in pool.imap(_invoke_chunk, chunks):
                     obs.observe("pmap.chunk_seconds", wall)
                     obs.merge_worker_dump(dump)
                     mapped.append(results)

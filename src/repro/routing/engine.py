@@ -227,7 +227,7 @@ def compute_dataplane(
         base = None
     stats = DataPlaneStats()
     recomputed: Dict[str, str] = {}
-    with obs.span("dataplane", devices=len(snapshot.devices)):
+    with obs.phase("dataplane", devices=len(snapshot.devices)):
         with obs.span("dataplane.igp"):
             recomputed["igp"] = unusable or _changed_config(changed, "igp", "OSPF")
             nodes: Dict[str, NodeState] = {}
@@ -288,7 +288,9 @@ def compute_dataplane(
                 obs.add("dataplane.bgp.policy_evals", stats.policy_evals)
                 for reason, count in stats.suppressed.items():
                     obs.add(f"dataplane.bgp.suppressed.{reason}", count)
-                obs.observe("dataplane.convergence_iterations", stats.iterations)
+                obs.observe(
+                    "dataplane.convergence_iterations", stats.iterations, obs.COUNT_BUCKETS
+                )
             obs.gauge("dataplane.total_routes", stats.total_routes)
             if not converged:
                 obs.add("dataplane.oscillations")
@@ -881,7 +883,10 @@ def _run_bgp(
         if observing:
             # Per-iteration RIB-delta telemetry: the §4.1.3 churn signal
             # used to diagnose slow or diverging convergence.
-            obs.observe("dataplane.bgp.iteration_delta_routes", iteration_delta_routes)
+            obs.observe(
+                "dataplane.bgp.iteration_delta_routes", iteration_delta_routes,
+                obs.COUNT_BUCKETS,
+            )
         if not any_change and all(
             pending.empty for queue in out_pending.values() for pending in queue
         ):

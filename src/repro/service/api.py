@@ -202,17 +202,14 @@ class AnalysisService:
 
     def prometheus_payload(self) -> str:
         """The registry plus service-level extras as Prometheus text
-        exposition (version 0.0.4)."""
+        exposition (version 0.0.4). The ``service.queue.*`` families
+        come from :meth:`JobQueue.stats` alone, read at scrape time."""
         stats = self.queue.stats()
         gauge_keys = ("depth", "running", "workers", "oldest_age_seconds")
         extra_gauges = {
             f"service.queue.{key}": float(stats[key]) for key in gauge_keys
         }
         extra_gauges["service.snapshots"] = float(len(self.store))
-        # Queue/cache lifetime totals are always-on counters of their
-        # own (they predate metrics_enabled); export them under
-        # distinct names so they never collide with the obs registry's
-        # service.jobs.* counters.
         extra_counters = {
             f"service.queue.{key}": float(value)
             for key, value in stats.items()

@@ -25,9 +25,9 @@ so the execution model is:
 * **Drain.** :meth:`JobQueue.drain` stops intake and waits for every
   queued and running job to finish — the SIGTERM path.
 
-Queue depth, job latency, and coalesce hits are mirrored to
-:mod:`repro.obs` metrics (when enabled) on top of the queue's own
-always-on counters.
+The queue's own always-on counters (:meth:`JobQueue.stats`) are the one
+record of job counts and depth; :mod:`repro.obs` gets only what they do
+not hold, the latency histograms (when metrics are on).
 """
 
 from __future__ import annotations
@@ -212,17 +212,15 @@ class JobQueue:
             if existing is not None and not existing.terminal:
                 existing.coalesced += 1
                 self._stats["coalesced"] += 1
-                obs.add("service.jobs.coalesced")
                 # The absorbed submission costs ~0s of its own; the
                 # per-disposition count is the signal, not the latency.
-                obs.observe_bucket(
+                obs.observe(
                     "service.request.seconds", 0.0,
                     question=question, disposition="coalesced",
                 )
                 return existing, True
             if len(self._pending) >= self.max_queue:
                 self._stats["rejected"] += 1
-                obs.add("service.jobs.rejected")
                 raise QueueFullError(
                     f"job queue is full ({self.max_queue} pending)",
                     max_queue=self.max_queue,
@@ -242,10 +240,7 @@ class JobQueue:
             self._inflight[coalesce_key] = job
             self._pending.append(job)
             self._stats["submitted"] += 1
-            depth = len(self._pending)
             self._not_empty.notify()
-        obs.add("service.jobs.submitted")
-        obs.gauge("service.queue.depth", depth)
         return job, False
 
     # -- inspection --------------------------------------------------------
@@ -271,7 +266,6 @@ class JobQueue:
                 return False
             self._finish_locked(job, JobStatus.CANCELLED)
             self._stats["cancelled"] += 1
-        obs.add("service.jobs.cancelled")
         return True
 
     def depth(self) -> int:
@@ -369,7 +363,6 @@ class JobQueue:
             self._finish_locked(job, JobStatus.FAILED)
             self._stats["failed"] += 1
             self._stats["timeouts"] += 1
-            obs.add("service.jobs.timeouts")
             return True
         return False
 
@@ -398,7 +391,6 @@ class JobQueue:
                 job.status = JobStatus.RUNNING
                 job.started_ts = time.time()
                 self._active += 1
-                obs.gauge("service.queue.depth", len(self._pending))
             # The job's request context rides from the handler thread to
             # this worker, so all telemetry below carries the
             # originating request_id.
@@ -448,10 +440,8 @@ class JobQueue:
             disposition = "fallback_full"
         else:
             disposition = "ok"
-        obs.add("service.jobs.completed" if error is None else "service.jobs.failed")
-        obs.observe("service.job.seconds", run_s)
         obs.observe("service.job.queue_seconds", started - job.created_ts)
-        obs.observe_bucket(
+        obs.observe(
             "service.request.seconds", run_s,
             question=job.question, disposition=disposition,
         )

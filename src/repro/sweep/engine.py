@@ -285,9 +285,7 @@ def sweep_session(
     for entry, result in zip(to_run, raw):
         scenario_id, verdict, fallback, dirty, seconds = result
         stats.delta_fallbacks += int(fallback)
-        metrics.observe_bucket(
-            "sweep.scenario.seconds", seconds, status=EVALUATED
-        )
+        metrics.observe("sweep.scenario.seconds", seconds, status=EVALUATED)
         evaluated[scenario_id] = ScenarioOutcome(
             scenario_id=scenario_id,
             elements=entry.scenario.element_ids(),

@@ -6,10 +6,13 @@ import threading
 import pytest
 
 from repro import HeaderSpace, Ip, Packet, Session
+from repro.config.loader import detect_syntax
 from repro.core.session import NotConvergedError
 from repro.hdr import fields as f
+from repro.questions.filters import search_filters, unreachable_filter_lines
 from repro.reachability.graph import Disposition
 from repro.routing.engine import ConvergenceSettings
+from repro.synth.networks import network_by_name
 from repro.synth.special import figure1b, net1
 from repro.synth.wan import wan
 
@@ -224,6 +227,31 @@ class TestQuestionSurface:
         rows = session.search_filters(HeaderSpace.build(protocols=[f.PROTO_TCP]))
         assert rows
         session.unreachable_filter_lines()
+
+    @pytest.mark.parametrize("network", ["NET1", "NET3", "NET10"])
+    def test_filter_questions_do_not_simulate_routing(self, network):
+        """The filter questions read ACLs alone: they build no data plane,
+        and answer what they answered on the analyzer's encoder."""
+        configs = network_by_name(network).generate(1)
+        target = next(n for n in sorted(configs) if detect_syntax(configs[n]) == "ciscoish")
+        configs[target] += (
+            "ip access-list extended SHADOWED\n"
+            " permit ip any any\n"
+            " deny tcp any any eq 22\n"
+        )
+        fresh, reference = Session.from_texts(configs), Session.from_texts(configs)
+        space = HeaderSpace.build(protocols=[f.PROTO_TCP])
+        searched = fresh.search_filters(space)
+        assert fresh.computed("dataplane") is None
+        unreachable = fresh.unreachable_filter_lines()
+        assert fresh.computed("dataplane") is None
+        assert [row.filter_name for row in unreachable] == ["SHADOWED"]
+        assert searched == search_filters(
+            reference.snapshot, space, encoder=reference.encoder
+        )
+        assert unreachable == unreachable_filter_lines(
+            reference.snapshot, encoder=reference.encoder
+        )
 
 
 class TestForwardingSurface:

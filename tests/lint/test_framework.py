@@ -140,8 +140,8 @@ class TestRunner:
             metrics.counter("lint.findings.undefined-reference")
             == found_before + by_rule["undefined-reference"]
         )
-        histogram = metrics.histogram(
-            "lint.rule_seconds.undefined-reference"
+        histogram = metrics.bucket_histogram(
+            "lint.rule.seconds", rule="undefined-reference"
         )
         assert histogram is not None and histogram.count >= 1
 

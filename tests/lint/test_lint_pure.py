@@ -266,9 +266,8 @@ def test_stage_counters_split_built_from_reused(metrics_mode):
     assert metrics.counter("lint.dataflow.reused") == 1
     # A reuse reports the stage's fixpoint and observes no second cost.
     assert second.dataflow == first.dataflow
-    dump = metrics.dump()["histograms"]
-    assert dump["lint.dataflow.fixpoint_seconds"]["count"] == 1
-    assert dump["lint.dataflow.iterations"]["count"] == 1
+    assert metrics.bucket_histogram("lint.dataflow.fixpoint_seconds").count == 1
+    assert metrics.bucket_histogram("lint.dataflow.iterations").count == 1
 
 
 @pytest.mark.parametrize("network", REGISTRY)

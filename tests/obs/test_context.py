@@ -1,6 +1,8 @@
-"""Request-context propagation: scoping, wire transfer, and the
-thread/process handoff contracts (:mod:`repro.obs.context`)."""
+"""Request-context propagation: scoping, and the thread and process
+handoff contracts (:mod:`repro.obs.context`; a whole forked sweep's is
+tests/obs/test_coverage_attribution.py ``TestForkedSweepTelemetry``)."""
 
+import os
 import threading
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from repro import obs
 from repro.obs import context
 from repro.obs.context import RequestContext
+from repro.parallel import fork_available, pmap
 
 
 @pytest.fixture(autouse=True)
@@ -73,33 +76,27 @@ class TestScoping:
         assert seen["activated"] == "req-handed"
 
 
+def _seen_in_worker(_item):
+    return os.getpid(), context.current()
+
+
+@pytest.mark.skipif(not fork_available(), reason="needs fork start method")
 class TestWire:
+    """The request context's trip across the ``pmap`` fork: there is no
+    wire format, each worker inherits the calling thread's context."""
+
     def test_roundtrip_full(self):
         ctx = RequestContext(request_id="req-abc")
-        assert context.from_wire(context.to_wire(ctx)) == ctx
-        # The wire carries the request id only: a pmap chunk's coverage
-        # travels through its scope (repro.parallel), not the context.
-        assert context.from_wire({"question": "routes"}) is None
-
-    def test_roundtrip_minimal(self):
-        ctx = RequestContext(request_id="req-min")
-        wire = context.to_wire(ctx)
-        assert wire == {"request_id": "req-min"}
-        assert context.from_wire(wire) == ctx
-
-    def test_none_stays_none(self):
-        assert context.to_wire(None) is None
-        assert context.from_wire(None) is None
-
-    def test_malformed_wire_is_tolerated(self):
-        # Version-skewed parents must not kill a worker.
-        assert context.from_wire({}) is None
-        assert context.from_wire({"unknown_key": "x"}) is None
-        assert context.from_wire("req-raw") is None
-        rebuilt = context.from_wire(
-            {"request_id": "req-x", "unknown_key": 1, "question": None}
-        )
-        assert rebuilt == RequestContext(request_id="req-x")
+        token = context.activate(ctx)
+        try:
+            seen = pmap(_seen_in_worker, range(4), jobs=2, min_items=2)
+        finally:
+            context.deactivate(token)
+        assert {pid for pid, _ in seen} - {os.getpid()}, "map ran inline"
+        assert [current for _, current in seen] == [ctx] * 4
+        # A map with no request around it hands its workers none.
+        seen = pmap(_seen_in_worker, range(4), jobs=2, min_items=2)
+        assert [current for _, current in seen] == [None] * 4
 
 
 class TestTelemetryAttribution:

@@ -6,6 +6,8 @@ through (the HTTP view of the same is tests/service/test_coverage_api.py
 ``TestSnapshotsApart``)."""
 
 import gc
+import json
+import os
 import threading
 import weakref
 
@@ -19,6 +21,7 @@ from repro.parallel import fork_available, pmap
 from repro.questions import coverage as qcov
 from repro.service.serialize import run_question
 from repro.service.store import SnapshotStore
+from repro.synth.networks import network_by_name
 from repro.synth.special import net1
 
 
@@ -156,6 +159,11 @@ class TestSessionRecords:
         }
 
 
+def _touch_in_worker(_item):
+    obs.touch("interface", "r1", "Ethernet0")
+    return os.getpid(), obs.context.current_request_id()
+
+
 class TestAttributionContext:
     def test_attribution_sets_and_restores_question(self):
         assert not obs.coverage_scoped()
@@ -176,33 +184,16 @@ class TestAttributionContext:
             with obs.coverage_scope():
                 assert obs.context.current_request_id() == "req-attr"
 
+    @pytest.mark.skipif(not fork_available(), reason="needs fork start method")
     def test_wire_round_trip_carries_question(self):
-        """The wire carries the request id; the question's touches come
-        back through the worker's scope dump, into the asking scope."""
+        """A forked worker inherits the request id; the question's touches
+        come back through the worker's scope dump, into the asking scope."""
         with obs.context.request_context(request_id="req-wire"):
             with obs.coverage_scope() as question:
-                wire = obs.context.to_wire(obs.context.current())
-                restored = obs.context.from_wire(wire)
-                assert restored is not None
-                assert restored.request_id == "req-wire"
-                token = obs.context.activate(restored)
-                try:
-                    with obs.coverage_scope() as worker:
-                        obs.touch("interface", "r1", "Ethernet0")
-                finally:
-                    obs.context.deactivate(token)
-                obs.merge_worker_dump(obs.worker_dump(worker))
-        assert question == {("interface", "r1", "Ethernet0", None): 1}
-
-    def test_question_only_wire_round_trips_without_request_id(self):
-        """A scope with no request around it ships no context: the
-        wire is None and so is what a worker rebuilds from it."""
-        with obs.coverage_scope():
-            wire = obs.context.to_wire(obs.context.current())
-        assert wire is None
-        assert obs.context.from_wire(wire) is None
-        assert obs.context.from_wire({}) is None
-        assert obs.context.from_wire({"question": "lint/rule-b"}) is None
+                seen = pmap(_touch_in_worker, range(2), jobs=2, min_items=2)
+        assert {pid for pid, _ in seen} - {os.getpid()}, "map ran inline"
+        assert [rid for _, rid in seen] == ["req-wire", "req-wire"]
+        assert question == {("interface", "r1", "Ethernet0", None): 2}
 
     def test_touch_outside_a_scope_is_dropped(self):
         obs.enable_metrics()
@@ -302,3 +293,48 @@ class TestPmapAttributionStress:
             pmap(self._work, list(range(self.ITEMS)), jobs=2, min_items=2)
         assert sum(qa.values()) == 2 * self.ITEMS
         assert qa == qb  # same work, so identical footprints, apart
+
+
+@pytest.mark.skipif(not fork_available(), reason="needs fork start method")
+class TestForkedSweepTelemetry:
+    """A sweep's telemetry is the same whether its scenarios run inline or
+    on forked workers: the workers inherit the request context from the
+    calling thread and ship their metrics and touches back."""
+
+    @staticmethod
+    def _sweep(jobs, trace):
+        obs.reset()
+        obs.enable(str(trace))
+        session = Session.from_texts(network_by_name("NET1").generate(1))
+        params = {"k": 1, "kinds": ["link"]}
+        with obs.context.request_context(request_id=f"req-sweep-{jobs}"):
+            with session.question_scope("sweep", params):
+                result = session.sweep(k=1, kinds=("link",), jobs=jobs)
+        obs.disable()
+        counters = {
+            name: value for name, value in obs.metrics().dump()["counters"].items()
+            if name == "delta.runs" or name.startswith("sweep.")
+        }
+        with open(trace) as handle:
+            events = [json.loads(line) for line in handle]
+        return result, session.coverage_records(), counters, events
+
+    def test_forked_sweep_reports_as_inline(self, tmp_path):
+        serial, serial_records, serial_counters, _ = self._sweep(
+            1, tmp_path / "serial.jsonl"
+        )
+        forked, forked_records, forked_counters, events = self._sweep(
+            2, tmp_path / "forked.jsonl"
+        )
+        assert forked.stats.evaluated == serial.stats.evaluated >= 4
+        assert forked_records == serial_records
+        (record,) = forked_records.values()
+        assert sum(record["vector"].values()) > 0
+        assert forked_counters == serial_counters
+        assert forked_counters["delta.runs"] == forked.stats.evaluated
+        worker_spans = [
+            event for event in events
+            if event["type"] == "span" and event["pid"] != os.getpid()
+        ]
+        assert {event["name"] for event in worker_spans} >= {"delta", "dataplane"}
+        assert {event.get("rid") for event in worker_spans} == {"req-sweep-2"}

@@ -34,7 +34,7 @@ class TestThreadStress:
             for i in range(self.ITERATIONS):
                 obs.add("stress.incs")
                 obs.observe("stress.values", float(i))
-                obs.observe_bucket(
+                obs.observe(
                     "stress.seconds", i / 1000.0,
                     worker=str(thread_index % 2),
                 )
@@ -51,7 +51,7 @@ class TestThreadStress:
         expected = self.THREADS * self.ITERATIONS
         metrics = obs.metrics()
         assert metrics.counter("stress.incs") == expected
-        assert metrics.histogram("stress.values").count == expected
+        assert metrics.bucket_histogram("stress.values").count == expected
         families = metrics.bucket_families()["stress.seconds"]
         assert sum(h.count for h in families.values()) == expected
         # Each label set saw exactly half the threads' observations.
@@ -60,25 +60,9 @@ class TestThreadStress:
 
 
 class TestGaugeMergeModes:
-    def test_declared_last_write_wins(self):
-        metrics = Metrics()
-        metrics.declare_gauge("queue.depth", merge="last")
-        metrics.gauge("queue.depth", 9)
-        metrics.merge({"gauges": {"queue.depth": 2}}, worker=True)
-        assert metrics.gauge_value("queue.depth") == 2
-
-    def test_declared_max_keeps_high_water_mark(self):
-        metrics = Metrics()
-        metrics.declare_gauge("rss.peak", merge="max")
-        metrics.gauge("rss.peak", 9)
-        metrics.merge({"gauges": {"rss.peak": 2}}, worker=False)
-        assert metrics.gauge_value("rss.peak") == 9
-        metrics.merge({"gauges": {"rss.peak": 30}}, worker=False)
-        assert metrics.gauge_value("rss.peak") == 30
-
     def test_worker_merge_defaults_undeclared_gauges_to_max(self):
         """Worker dumps arrive in nondeterministic completion order, so
-        the undeclared default must be order-independent."""
+        the worker merge must be order-independent."""
         metrics = Metrics()
         dumps = [{"gauges": {"pmap.jobs": v}} for v in (3, 7, 5)]
         metrics_reversed = Metrics()
@@ -99,13 +83,9 @@ class TestGaugeMergeModes:
             metrics.merge({"gauges": {"pmap.jobs": value}}, worker=False)
         assert metrics.gauge_value("pmap.jobs") == 5
 
-    def test_invalid_merge_mode_rejected(self):
-        with pytest.raises(ValueError):
-            Metrics().declare_gauge("x", merge="average")
-
     def test_counters_and_buckets_merge_additively(self):
         metrics = Metrics()
-        metrics.observe_bucket("phase.seconds", 0.1, phase="parse")
+        metrics.observe("phase.seconds", 0.1, phase="parse")
         dump = metrics.dump()
         merged = Metrics()
         merged.merge(dump, worker=True)
@@ -122,7 +102,7 @@ class TestPmapStress:
     def _run_pmap(self):
         def work(item):
             obs.add("stress.pmap_items")
-            obs.observe_bucket("stress.pmap_seconds", item / 1000.0)
+            obs.observe("stress.pmap_seconds", item / 1000.0)
             obs.gauge("stress.pmap_max_item", item)
             obs.touch("interface", "stress", f"item{item}")
             return item * 2
@@ -139,7 +119,7 @@ class TestPmapStress:
         assert metrics.counter("stress.pmap_items") == self.ITEMS
         histogram = metrics.bucket_histogram("stress.pmap_seconds")
         assert histogram is not None and histogram.count == self.ITEMS
-        # Undeclared gauge ships back with max semantics: the overall
+        # A gauge ships back with max semantics: the overall
         # max item survives regardless of chunk completion order.
         assert metrics.gauge_value("stress.pmap_max_item") == self.ITEMS - 1
         # Worker touches came back into the scope the map ran in.

@@ -8,7 +8,7 @@ import pytest
 
 from repro import obs
 from repro.config.loader import load_snapshot_from_texts
-from repro.obs.metrics import Metrics
+from repro.obs.metrics import DEFAULT_BUCKETS, Metrics
 from repro.obs.trace import _NULL_SPAN
 
 
@@ -98,7 +98,7 @@ class TestDisabledPath:
         dump = obs.metrics_dump()
         assert dump["counters"] == {}
         assert dump["gauges"] == {}
-        assert dump["histograms"] == {}
+        assert dump["bucket_histograms"] == {}
         assert obs.events() == []
 
     def test_obs_span_still_times_when_disabled(self):
@@ -118,9 +118,11 @@ class TestMetrics:
         metrics.observe("h", 3.0)
         assert metrics.counter("a") == 5
         assert metrics.gauge_value("g") == 2.5
-        hist = metrics.histogram("h")
-        assert hist.count == 2 and hist.min == 1.0 and hist.max == 3.0
-        assert hist.mean == 2.0
+        hist = metrics.bucket_histogram("h")
+        assert hist.count == 2 and hist.total == 4.0
+        # One sample in the (0.5, 1] bucket, one in (2.5, 5].
+        assert hist.cumulative()[DEFAULT_BUCKETS.index(1.0)] == (1.0, 1)
+        assert hist.cumulative()[DEFAULT_BUCKETS.index(5.0)] == (5.0, 2)
 
     def test_merge_adds_counters_and_histograms(self):
         a, b = Metrics(), Metrics()
@@ -132,8 +134,8 @@ class TestMetrics:
         b.gauge("g", 9)
         a.merge(b.dump())
         assert a.counter("c") == 5
-        assert a.histogram("h").count == 2
-        assert a.histogram("h").max == 5.0
+        assert a.bucket_histogram("h").count == 2
+        assert a.bucket_histogram("h").total == 6.0
         assert a.gauge_value("g") == 9  # gauges: last writer wins
 
     def test_dump_roundtrips_through_json(self):
@@ -143,7 +145,7 @@ class TestMetrics:
         restored = Metrics()
         restored.merge(json.loads(json.dumps(metrics.dump())))
         assert restored.counter("x") == 1
-        assert restored.histogram("y").count == 1
+        assert restored.bucket_histogram("y").count == 1
 
     def test_thread_safety_of_counters(self):
         obs.enable()
@@ -158,6 +160,35 @@ class TestMetrics:
         for worker in workers:
             worker.join()
         assert obs.metrics().counter("threads") == 4000
+
+
+class TestPhase:
+    def test_a_phase_is_one_span_and_one_sample_of_the_same_name(self):
+        obs.enable()
+        with obs.phase("parse", files=2):
+            pass
+        (event,) = [e for e in obs.events() if e["type"] == "span"]
+        assert event["name"] == "parse" and event["attrs"] == {"files": 2}
+        histogram = obs.metrics().bucket_histogram("phase.seconds", phase="parse")
+        assert histogram.count == 1
+        assert histogram.total == pytest.approx(event["wall_s"], abs=1e-6)
+
+    def test_metrics_only_samples_without_a_span(self):
+        obs.enable_metrics()
+        with obs.phase("lint"):
+            pass
+        assert obs.events() == []
+        assert obs.metrics().bucket_histogram("phase.seconds", phase="lint").count == 1
+
+    def test_disabled_phase_is_the_null_span(self):
+        assert obs.phase("dataplane") is _NULL_SPAN
+
+    def test_a_failed_phase_records_no_sample(self):
+        obs.enable_metrics()
+        with pytest.raises(RuntimeError):
+            with obs.phase("bdd"):
+                raise RuntimeError("boom")
+        assert obs.metrics().bucket_histogram("phase.seconds", phase="bdd") is None
 
 
 class TestCoverage:

@@ -20,7 +20,7 @@ def render_and_parse(metrics, **kwargs):
 
 class TestSanitization:
     def test_dotted_names_and_prefix(self):
-        assert sanitize_name("service.job.seconds") == "repro_service_job_seconds"
+        assert sanitize_name("service.request.seconds") == "repro_service_request_seconds"
 
     def test_invalid_chars_replaced(self):
         assert sanitize_name("a-b c!") == "repro_a_b_c_"
@@ -47,21 +47,24 @@ class TestRendering:
         _, families = render_and_parse(metrics)
         assert families["repro_pmap_jobs"]["type"] == "gauge"
 
-    def test_summary_histograms_export_sum_and_count(self):
+    def test_an_unlabeled_histogram_exports_sum_and_count(self):
         metrics = Metrics()
         metrics.observe("pmap.chunk_seconds", 0.5)
         metrics.observe("pmap.chunk_seconds", 1.5)
         _, families = render_and_parse(metrics)
         family = families["repro_pmap_chunk_seconds"]
-        assert family["type"] == "summary"
-        samples = {name: value for name, _, value in family["samples"]}
+        assert family["type"] == "histogram"
+        samples = {
+            name: value for name, labels, value in family["samples"]
+            if "le" not in labels
+        }
         assert samples["repro_pmap_chunk_seconds_sum"] == 2.0
         assert samples["repro_pmap_chunk_seconds_count"] == 2.0
 
     def test_bucket_histograms_export_cumulative_series(self):
         metrics = Metrics()
         for seconds in (0.002, 0.002, 0.2, 99.0):
-            metrics.observe_bucket(
+            metrics.observe(
                 "service.request.seconds", seconds,
                 question="routes", disposition="ok",
             )
@@ -87,9 +90,7 @@ class TestRendering:
 
     def test_label_values_escaped(self):
         metrics = Metrics()
-        metrics.observe_bucket(
-            "phase.seconds", 0.1, phase='we"ird\\phase'
-        )
+        metrics.observe("phase.seconds", 0.1, phase='we"ird\\phase')
         text, families = render_and_parse(metrics)
         assert r'phase="we\"ird\\phase"' in text
         sample_labels = families["repro_phase_seconds"]["samples"][0][1]
@@ -180,6 +181,33 @@ class TestValidator:
             "repro_h_sum 1\nrepro_h_count 7\n"
         )
         with pytest.raises(ExpositionError, match="!= *_count|_count"):
+            parse_exposition(text)
+
+    def test_duplicate_series_rejected(self):
+        text = (
+            "# HELP repro_depth d.\n# TYPE repro_depth gauge\n"
+            "repro_depth 0\nrepro_depth 0\n"
+        )
+        with pytest.raises(ExpositionError, match="duplicate series repro_depth"):
+            parse_exposition(text)
+        labeled = (
+            "# HELP repro_r r.\n# TYPE repro_r gauge\n"
+            'repro_r{kind="a",q="x"} 1\nrepro_r{q="x",kind="a"} 2\n'
+        )
+        with pytest.raises(ExpositionError, match="duplicate series repro_r"):
+            parse_exposition(labeled)
+        # One name under two label sets is two series.
+        distinct = (
+            "# HELP repro_r r.\n# TYPE repro_r gauge\n"
+            'repro_r{q="x"} 1\nrepro_r{q="y"} 2\n'
+        )
+        assert len(parse_exposition(distinct)["repro_r"]["samples"]) == 2
+
+    def test_a_registry_gauge_beside_an_extra_of_its_name_is_rejected(self):
+        metrics = Metrics()
+        metrics.gauge("service.queue.depth", 0)
+        text = render_exposition(metrics, extra_gauges={"service.queue.depth": 0})
+        with pytest.raises(ExpositionError, match="duplicate series"):
             parse_exposition(text)
 
     def test_empty_registry_renders_valid_empty_exposition(self):

@@ -31,7 +31,9 @@ def write_trace(path):
         obs.add("parse.files", 2)
     with obs.span("dataplane"):
         with obs.span("dataplane.bgp"):
-            obs.observe("dataplane.bgp.iteration_delta_routes", 7.0)
+            obs.observe(
+                "dataplane.bgp.iteration_delta_routes", 7.0, obs.COUNT_BUCKETS
+            )
     obs.gauge("bdd.nodes", 123)
     obs.coverage_event("reachability", {"interface:r1:eth0": 1})
     obs.flush()
@@ -55,7 +57,13 @@ class TestTraceReport:
         assert "span tree" in rendered
         assert "parse.files" in rendered
         assert "bdd.nodes" in rendered
-        assert "dataplane.bgp.iteration_delta_routes" in rendered
+        # A histogram renders as its count, p50 and p95: one sample of 7
+        # in the (5, 10] bucket interpolates to 7.5 and 9.75.
+        (line,) = [
+            line for line in rendered.splitlines()
+            if "dataplane.bgp.iteration_delta_routes" in line
+        ]
+        assert line.split()[1:] == ["n=1", "p50=7.500", "p95=9.750"]
         assert "interface" in rendered
         assert "0 corrupt" in rendered
 

@@ -217,6 +217,7 @@ def test_multipath_and_fates_reach_metrics_without_tracing():
     never got there."""
     session = Session.from_texts(network_by_name("NET1").generate(1))
     analyzer = session.analyzer
+    obs.disable()  # tracing too, when the suite runs under REPRO_TRACE
     obs.reset()
     obs.enable_metrics()
     try:

@@ -7,6 +7,7 @@ import json
 import os
 import urllib.error
 import urllib.request
+from collections import Counter
 
 import pytest
 
@@ -160,6 +161,58 @@ class TestPrometheusExposition:
             for l in labels
         )
 
+    @staticmethod
+    def _repeated_series(families):
+        seen = Counter(
+            (name, tuple(sorted(labels.items())))
+            for family in families.values()
+            for name, labels, _ in family["samples"]
+        )
+        return sorted(key for key, count in seen.items() if count > 1)
+
+    def test_no_series_repeats_after_one_job(self, make_raw):
+        service, client = make_raw()
+        client.post("/snapshots", {"name": "lab", "configs": net1(2)})
+        client.post("/snapshots/lab/questions/routes")
+        families = parse_exposition(service.prometheus_payload())
+        assert self._repeated_series(families) == []
+        (depth,) = families["repro_service_queue_depth"]["samples"]
+        assert depth == ("repro_service_queue_depth", {}, 0.0)
+        (completed,) = families["repro_service_queue_completed_total"]["samples"]
+        assert completed[2] == 1.0
+        assert not [name for name in families if "service_jobs" in name]
+
+    def test_a_mixed_run_scrapes_every_phase_once(self, make_raw):
+        service, client = make_raw()
+        configs = net1(2)
+        client.post("/snapshots", {"name": "lab", "configs": configs})
+        for question in ("routes", "reachability", "lint"):
+            status, _, body = client.post(f"/snapshots/lab/questions/{question}")
+            assert status == 200 and body["status"] == "done", body
+        target = sorted(configs)[0]
+        status, _, _ = client.request(
+            "PATCH", "/snapshots/lab",
+            {"configs": {target: configs[target] + "ntp server 10.0.0.9\n"}},
+        )
+        assert status == 200
+        status, _, raw = client.raw(
+            "GET", "/metrics", headers={"Accept": "text/plain"}
+        )
+        families = parse_exposition(raw.decode())
+        assert self._repeated_series(families) == []
+        phases = {
+            labels["phase"]
+            for name, labels, _ in families["repro_phase_seconds"]["samples"]
+        }
+        assert phases == set(obs.PHASES)
+        _, _, body = client.get("/metrics")
+        assert set(body["queue"]) == {
+            "submitted", "completed", "failed", "cancelled", "coalesced",
+            "rejected", "timeouts", "depth", "running", "workers",
+            "oldest_age_seconds",
+        }
+        assert body["queue"]["completed"] == 3
+
     def test_json_mode_remains_default(self, make_raw):
         _, client = make_raw()
         client.post("/snapshots", {"name": "lab", "configs": net1(2)})
@@ -169,8 +222,9 @@ class TestPrometheusExposition:
         assert "application/json" in headers.get("Content-Type", "")
         assert set(body) == {"queue", "snapshots", "obs"}
         assert body["queue"]["completed"] >= 1
+        # Job counts live in the queue block alone.
         counters = body["obs"]["counters"]
-        assert counters["service.jobs.completed"] >= 1
+        assert not [name for name in counters if name.startswith("service.jobs.")]
 
 
 class TestReadiness:

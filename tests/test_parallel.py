@@ -104,7 +104,7 @@ def test_pmap_merges_worker_metrics(tmp_path):
         assert metrics.counter("pmap.pool_calls") == 1
         assert metrics.counter("pmap.items") == 20
         assert metrics.gauge_value("pmap.jobs") == 4
-        assert metrics.histogram("pmap.chunk_seconds").count >= 1
+        assert metrics.bucket_histogram("pmap.chunk_seconds").count >= 1
     finally:
         obs.disable()
         obs.reset()
