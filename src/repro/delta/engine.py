@@ -98,16 +98,15 @@ class DeltaInfo:
         """Set ``fields`` and add each to its ``delta.*`` counter (a list
         adds its length): the one path by which a delta, and then each
         stage its session builds, reports what it took from the base."""
-        metrics = obs.metrics()
         for name, value in fields.items():
             setattr(self, name, value)
             if name == "stages":
                 for stage, outcome in value.items():
-                    metrics.inc(f"delta.stage.{stage}.{outcome.split()[0]}")
+                    obs.add(f"delta.stage.{stage}.{outcome.split()[0]}")
             elif name == "lint":
-                metrics.inc(f"delta.stage.lint.{value.split()[0]}")
+                obs.add(f"delta.stage.lint.{value.split()[0]}")
             elif name in COUNTERS:
-                metrics.inc(COUNTERS[name], len(value) if isinstance(value, list) else value)
+                obs.add(COUNTERS[name], len(value) if isinstance(value, list) else value)
 
 
 #: :class:`DeltaInfo` field -> the counter :meth:`DeltaInfo.record` adds
@@ -177,8 +176,8 @@ def delta_session(base, changed_configs: Dict[str, Optional[str]], validate=None
         changes = new_session._take_from(base, changed_hosts)
         info.seeds = sorted(set().union(*changes.values()))
         _prioritize_questions(base, new_session, info, changed_hosts)
-        obs.metrics().inc("delta.runs")
-        obs.metrics().inc("delta.reuse.devices", len(new_session.snapshot.devices))
+        obs.add("delta.runs")
+        obs.add("delta.reuse.devices", len(new_session.snapshot.devices))
         info.record(parse_memo_hits=len(parsed))
         if validate or (validate is None and validate_enabled()):
             _validate(new_session)
@@ -271,9 +270,9 @@ def _validate(new_session) -> None:
         full_lines = fib_lines(scratch.fibs)
         if delta_lines == full_lines:
             _validate_graph(new_session.analyzer, scratch.analyzer)
-            obs.metrics().inc("delta.validate.ok")
+            obs.add("delta.validate.ok")
             return
-    obs.metrics().inc("delta.validate.mismatch")
+    obs.add("delta.validate.mismatch")
     mismatched = sorted(
         set(delta_lines) ^ set(full_lines)
         | {
@@ -301,7 +300,7 @@ def _validate(new_session) -> None:
 def _validate_snapshot(delta_snapshot, full_snapshot) -> None:
     if delta_snapshot == full_snapshot:
         return
-    obs.metrics().inc("delta.validate.mismatch")
+    obs.add("delta.validate.mismatch")
     devices = delta_snapshot.devices.keys() | full_snapshot.devices.keys()
     differing = sorted(
         hostname for hostname in devices
@@ -317,7 +316,7 @@ def _validate_snapshot(delta_snapshot, full_snapshot) -> None:
 def _validate_graph(delta_analyzer, full_analyzer) -> None:
     delta_graph, full_graph = graph_lines(delta_analyzer), graph_lines(full_analyzer)
     if delta_graph != full_graph:
-        obs.metrics().inc("delta.validate.mismatch")
+        obs.add("delta.validate.mismatch")
         differing = [
             line[:3] for line in delta_graph + full_graph
             if line not in delta_graph or line not in full_graph

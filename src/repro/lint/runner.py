@@ -255,7 +255,6 @@ def lint_snapshot(
 
 def _run(stage: LintStage, config: LintConfig, rules: List[Rule]) -> LintReport:
     snapshot = stage.snapshot
-    metrics = obs.metrics()
     dataflow_stats: Optional[Dict] = None
     # The fixpoint first: it builds the topology and sessions it reads.
     if any(rule.category == "dataflow" for rule in rules):
@@ -268,13 +267,13 @@ def _run(stage: LintStage, config: LintConfig, rules: List[Rule]) -> LintReport:
             "edges": len(analysis.graph.edges),
         }
         if reused:
-            metrics.inc("lint.dataflow.reused")
+            obs.add("lint.dataflow.reused")
         else:
-            metrics.inc("lint.dataflow.built")
-            metrics.observe(
+            obs.add("lint.dataflow.built")
+            obs.observe(
                 "lint.dataflow.fixpoint_seconds", analysis.fixpoint_seconds
             )
-            metrics.observe(
+            obs.observe(
                 "lint.dataflow.iterations", analysis.iterations, obs.COUNT_BUCKETS
             )
 
@@ -291,11 +290,11 @@ def _run(stage: LintStage, config: LintConfig, rules: List[Rule]) -> LintReport:
             if override is not None:
                 findings = [replace(f, severity=override) for f in findings]
             collected.extend(findings)
-            metrics.observe("lint.rule.seconds", seconds, rule=rule.rule_id)
+            obs.observe("lint.rule.seconds", seconds, rule=rule.rule_id)
     report.total_seconds = sum(report.rule_seconds.values())
     collected = _apply_suppressions(collected, snapshot, config)
     report.findings = sort_findings(collected)
     for rule_id, count in report.counts_by_rule().items():
-        metrics.inc(f"lint.findings.{rule_id}", count)
-    metrics.inc("lint.runs")
+        obs.add(f"lint.findings.{rule_id}", count)
+    obs.add("lint.runs")
     return report

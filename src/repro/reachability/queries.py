@@ -206,13 +206,12 @@ class NetworkAnalyzer:
         self.compression: Optional[CompressionStats] = (
             CompressionStats.total(self._segment_stats.values()) if compress else None
         )
-        metrics = obs.metrics()
         if fork is not None:
-            metrics.inc(f"bdd.fork.{fork}")
+            obs.add(f"bdd.fork.{fork}")
         if compress:
-            metrics.inc("bdd.segments.compressed", built)
-        metrics.inc("reachability.labels.grafted", len(self.grafted_segments))
-        metrics.inc("reachability.labels.folded", built - len(self.grafted_segments))
+            obs.add("bdd.segments.compressed", built)
+        obs.add("reachability.labels.grafted", len(self.grafted_segments))
+        obs.add("reachability.labels.folded", built - len(self.grafted_segments))
         #: Devices whose pipeline came from ``base``.
         self.reused_pipelines = sorted(reuse)
         #: Engine size as the build left it: what a fork for an edit keeps.

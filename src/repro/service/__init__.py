@@ -6,11 +6,13 @@ it for many concurrent callers:
 
 * :class:`SnapshotStore` — named snapshots with typed errors, backed by
   the content-addressed cache so identical re-inits are free;
-* :class:`JobQueue` — bounded queue + worker threads with per-job
-  timeouts, cancellation, and request coalescing keyed on
-  :attr:`Session.snapshot_key`;
-* :class:`AnalysisService` — the stdlib HTTP JSON API plus graceful
-  SIGTERM drain (``python -m repro.service`` / ``repro-service``).
+* :class:`JobQueue` — ``workers`` analysis slots behind a bounded
+  queue, with per-job timeouts, cancellation, and request coalescing
+  keyed on :attr:`Session.snapshot_key`; a caller that waits takes a
+  free slot and runs its job itself, queued jobs go to worker threads;
+* :class:`AnalysisService` — the stdlib HTTP JSON API, served by
+  connection threads that accept for themselves, plus graceful SIGTERM
+  drain (``python -m repro.service`` / ``repro-service``).
 """
 
 from repro.service.api import AnalysisService, ServiceConfig

@@ -31,7 +31,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workers", type=int, default=2,
-        help="analysis worker threads (default 2)",
+        help="analysis slots: at most this many questions run at once "
+        "(default 2)",
     )
     parser.add_argument(
         "--queue-size", type=int, default=64,
@@ -43,7 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--wait", type=float, default=30.0, metavar="SECONDS",
-        help="max synchronous wait before a question POST returns 202",
+        help="max synchronous wait for a queued question before its POST "
+        "returns 202 (a question run on a free slot answers when done)",
     )
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",

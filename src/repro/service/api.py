@@ -1,9 +1,19 @@
 """The HTTP JSON API over the snapshot store and job queue.
 
-Dependency-free: one :class:`ThreadingHTTPServer` (stdlib) whose
-request threads validate, enqueue, and optionally wait; all heavy
-computation happens on the :class:`JobQueue` workers, so a slow
-question never starves the accept loop.
+Dependency-free (stdlib :mod:`http.server`), and served by connection
+threads that accept for themselves: each blocks in ``accept()`` on the
+shared listening socket and serves the connection it gets. A thread
+that accepts while no other thread waits in ``accept()`` first starts
+one more, so a new client never waits behind a slow job or an idle
+keep-alive connection; a thread that finishes a connection exits when
+``workers`` threads already wait, so a steady client starts no thread
+at all.
+
+A question POST that will wait runs its job on its own connection
+thread when one of the queue's ``workers`` analysis slots is free and
+nothing is queued (:meth:`JobQueue.submit` with ``run_here``): one
+thread from ``accept()`` to the reply. Otherwise the job queues for a
+worker thread, as does every ``"wait": false`` or async question.
 
 Surface (all bodies JSON)::
 
@@ -20,9 +30,10 @@ Surface (all bodies JSON)::
     GET    /jobs/{id}                            job status / result / error
     DELETE /jobs/{id}                            cancel (queued jobs only)
 
-Question POSTs block (up to ``wait_s``) for the synchronous case and
-return 202 + a job id when still in flight (``"wait": false`` in the
-body skips the wait entirely; questions the registry declares async
+Question POSTs block for the synchronous case — a job run on the
+connection thread until it is done, a queued one up to ``wait_s`` —
+and return 202 + a job id when still in flight (``"wait": false`` in
+the body skips the wait entirely; questions the registry declares async
 default to it). What a question is comes from
 :mod:`repro.questions.registry`; this module knows no question by name.
 Failures come back as the job's structured error with its HTTP status —
@@ -38,10 +49,11 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import socket
 import threading
 import traceback
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
@@ -69,6 +81,8 @@ class ServiceConfig:
 
     host: str = "127.0.0.1"
     port: int = 8585  # 0 = ephemeral (bound port on AnalysisService.port)
+    #: Analysis slots: at most this many questions run at once (also
+    #: the most connection threads kept waiting in accept()).
     workers: int = 2
     max_queue: int = 64
     #: Per-job deadline (queue wait); None = no deadline.
@@ -99,8 +113,12 @@ class AnalysisService:
             max_queue=self.config.max_queue,
             default_timeout_s=self.config.default_timeout_s,
         )
-        self._httpd: Optional[ThreadingHTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
+        self._httpd: Optional[HTTPServer] = None
+        # Connection threads waiting in accept(), and whether stop()
+        # has shut the listener down.
+        self._front_lock = threading.Lock()
+        self._accepting_threads = 0
+        self._closing = False
 
     # -- job execution -----------------------------------------------------
 
@@ -124,6 +142,7 @@ class AnalysisService:
         question: str,
         params: Optional[Dict] = None,
         timeout_s: Optional[float] = None,
+        run_here: bool = False,
     ) -> Tuple[Job, bool]:
         """Validate and enqueue one question; returns (job, coalesced).
 
@@ -131,9 +150,11 @@ class AnalysisService:
         400/404 instead of occupying a queue slot; the coalesce key is
         the snapshot's *content* key plus the canonical params, so two
         names holding identical configs (and settings) coalesce too.
+        ``run_here`` lets the job take a free slot on this thread (see
+        :meth:`JobQueue.submit`).
         """
-        # The worker prepares again: a PATCH may replace the session, and
-        # its devices, while the job waits.
+        # The executor prepares again: a PATCH may replace the session,
+        # and its devices, while the job waits.
         _, session, _ = prepare(
             self.store, snapshot, question, params, self.config.debug
         )
@@ -146,6 +167,7 @@ class AnalysisService:
             coalesce_key=digest.hexdigest(),
             timeout_s=timeout_s,
             ctx=obs_context.current(),
+            run_here=run_here,
         )
 
     # -- introspection payloads --------------------------------------------
@@ -252,33 +274,78 @@ class AnalysisService:
         return self._httpd.server_address[1]
 
     def start(self) -> None:
-        """Bind and serve on a background thread."""
-        handler = _make_handler(self)
-        self._httpd = ThreadingHTTPServer(
-            (self.config.host, self.config.port), handler
+        """Bind, and start the first connection thread."""
+        self._httpd = _Listener(
+            (self.config.host, self.config.port), _make_handler(self)
         )
-        self._httpd.daemon_threads = True
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
+        self._accepting_threads = 1
+        self._closing = False
+        self._start_connection_thread(self._httpd)
+
+    def _start_connection_thread(self, httpd: HTTPServer) -> None:
+        threading.Thread(
+            target=self._serve_connections,
+            args=(httpd,),
             name="repro-service-http",
             daemon=True,
-        )
-        self._thread.start()
+        ).start()
+
+    def _serve_connections(self, httpd: HTTPServer) -> None:
+        """One connection thread: accept, serve that connection to its
+        end, and go back to ``accept()`` unless ``workers`` threads
+        already wait there. (Counted as waiting from before it starts.)"""
+        while True:
+            try:
+                request, address = httpd.get_request()
+            except OSError:
+                if self._closing:
+                    return  # stop() shut the listener down
+                continue
+            with self._front_lock:
+                self._accepting_threads -= 1
+                spare = self._accepting_threads == 0 and not self._closing
+                if spare:
+                    self._accepting_threads += 1
+            if spare:  # the next client must not wait for this one
+                self._start_connection_thread(httpd)
+            try:
+                httpd.finish_request(request, address)
+            except Exception:
+                httpd.handle_error(request, address)
+            finally:
+                httpd.shutdown_request(request)
+            with self._front_lock:
+                if self._closing or self._accepting_threads >= self.config.workers:
+                    return
+                self._accepting_threads += 1
 
     def stop(self, drain: bool = True, timeout: Optional[float] = None) -> bool:
         """Stop accepting, optionally drain in-flight jobs, shut down.
 
-        The HTTP listener closes first so no new work arrives while the
-        queue finishes what it already accepted (the SIGTERM path).
+        The listener is shut down first, which wakes every thread in
+        ``accept()``, so no new connection arrives while the queue
+        finishes what it already accepted (the SIGTERM path). Threads
+        on open keep-alive connections are not waited for.
         """
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-            self._httpd = None
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
+        httpd, self._httpd = self._httpd, None
+        if httpd is not None:
+            self._closing = True
+            try:
+                httpd.socket.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            httpd.server_close()
         return self.queue.stop(drain=drain, timeout=timeout)
+
+
+class _Listener(HTTPServer):
+    """The bound, listening socket the connection threads accept on (no
+    ``serve_forever`` loop of its own)."""
+
+    # The stdlib's backlog of 5 overflows under a burst of 16 connects,
+    # and each connect past it stalls a second (SYN retransmit); 128
+    # held a burst of 64 (EXPERIMENTS.md, the listen-backlog probe).
+    request_queue_size = 128
 
 
 # ----------------------------------------------------------------------
@@ -474,16 +541,22 @@ def _make_handler(service: AnalysisService):
                 self._send(201, record.to_json())
             elif match := _QUESTION_PATH.match(path):
                 body = decode_object(raw, _QUESTION_BODY)
-                job, coalesced = service.submit_question(
-                    match.group(1),
-                    match.group(2),
-                    params=body.get("params"),
-                    timeout_s=body.get("timeout_s"),
-                )
+                name = match.group(2)
                 # Long-running questions (sweeps) default to
                 # async-202 job semantics; everything else blocks.
-                is_async = QUESTIONS[job.question].is_async
-                self._respond_job(job, coalesced, body.get("wait", not is_async))
+                # (submit_question refuses an unknown name.)
+                declared = QUESTIONS.get(name)
+                sync = declared is not None and not declared.is_async
+                wait = body.get("wait", declared is None or sync)
+                # An async question always queues, waited on or not.
+                job, coalesced = service.submit_question(
+                    match.group(1),
+                    name,
+                    params=body.get("params"),
+                    timeout_s=body.get("timeout_s"),
+                    run_here=wait and sync,
+                )
+                self._respond_job(job, coalesced, wait)
             else:
                 raise NotFoundError(f"no such path {path!r}")
 

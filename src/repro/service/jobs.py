@@ -1,11 +1,19 @@
-"""The service's execution core: a bounded job queue over a thread
-worker pool, with request coalescing and graceful degradation.
+"""The service's execution core: ``workers`` analysis slots, a bounded
+job queue in front of them, request coalescing and graceful
+degradation.
 
 Analysis questions are I/O-light but CPU-heavy, and many of them hit
 the same lazily-computed session state (data plane, FIBs, BDD engine),
 so the execution model is:
 
-* **Bounded queue + fixed workers.** Submissions beyond ``max_queue``
+* **Slots, not threads.** At most ``workers`` jobs run at once. A
+  caller that will wait for its answer (``submit(..., run_here=True)``)
+  takes a free slot itself when nothing is queued, and runs the job on
+  its own thread before ``submit`` returns: no hand-off to a worker and
+  back. Otherwise the job queues, and the worker threads claim queued
+  jobs while a slot is free; every finished job, wherever it ran, wakes
+  a worker when jobs are pending.
+* **Bounded queue.** Submissions beyond ``max_queue`` queued jobs
   fail fast with :class:`QueueFullError` (HTTP 429) instead of letting
   latency grow without bound — load shedding, not buffering.
 * **Coalescing.** An in-flight (queued *or* running) job with the same
@@ -19,9 +27,9 @@ so the execution model is:
   cancelled; running jobs cannot be preempted (Python threads), which
   the API documents — their results are simply discarded if nobody
   waits.
-* **Worker survival.** Whatever the analysis raises is mapped by
-  :func:`to_service_error` into the job's structured error; the worker
-  thread itself never dies.
+* **Thread survival.** Whatever the analysis raises is mapped by
+  :func:`to_service_error` into the job's structured error; the thread
+  that ran it, a worker or the caller, never dies of it.
 * **Drain.** :meth:`JobQueue.drain` stops intake and waits for every
   queued and running job to finish — the SIGTERM path.
 
@@ -92,8 +100,9 @@ class Job:
     finished_ts: Optional[float] = None
     #: How many extra submissions were absorbed by this job.
     coalesced: int = 0
-    #: Request attribution carried from the HTTP handler into the worker
-    #: thread.
+    #: Request attribution carried from the HTTP handler to the worker
+    #: thread that runs a queued job (a job run by its caller runs under
+    #: the caller's own context).
     ctx: Optional[RequestContext] = None
     #: The running question's latest progress report (a sweep's
     #: done/total/pruned), shown while the job runs.
@@ -140,7 +149,8 @@ class Job:
 
 
 class JobQueue:
-    """Bounded queue + worker pool executing jobs via one callable."""
+    """``workers`` analysis slots fed by a bounded queue, executing jobs
+    via one callable on the submitting thread or a worker."""
 
     def __init__(
         self,
@@ -155,6 +165,7 @@ class JobQueue:
         if max_queue < 1:
             raise ValueError("max_queue must be >= 1")
         self._executor = executor
+        self._workers = workers
         self.max_queue = max_queue
         self.default_timeout_s = default_timeout_s
         self._max_history = max_history
@@ -196,8 +207,13 @@ class JobQueue:
         coalesce_key: str,
         timeout_s: Optional[float] = None,
         ctx: Optional[RequestContext] = None,
+        run_here: bool = False,
     ) -> Tuple[Job, bool]:
         """Enqueue a job, or attach to an identical in-flight one.
+
+        With ``run_here``, a new job that finds nothing queued and a
+        slot free runs on the calling thread and is terminal when this
+        returns; otherwise it queues for a worker as without it.
 
         Returns ``(job, coalesced)``. Raises :class:`QueueFullError`
         when the bounded queue is at capacity and
@@ -238,9 +254,17 @@ class JobQueue:
             self._jobs[job.id] = job
             self._trim_history_locked()
             self._inflight[coalesce_key] = job
-            self._pending.append(job)
             self._stats["submitted"] += 1
-            self._not_empty.notify()
+            run_here = (
+                run_here and not self._pending and self._active < self._workers
+            )
+            if run_here:
+                self._claim_locked(job)
+            else:
+                self._pending.append(job)
+                self._not_empty.notify()
+        if run_here:
+            self._run_job(job)
         return job, False
 
     # -- inspection --------------------------------------------------------
@@ -366,6 +390,11 @@ class JobQueue:
             return True
         return False
 
+    def _claim_locked(self, job: Job) -> None:
+        job.status = JobStatus.RUNNING
+        job.started_ts = time.time()
+        self._active += 1
+
     def _finish_locked(self, job: Job, status: JobStatus) -> None:
         job.status = status
         job.finished_ts = time.time()
@@ -378,9 +407,13 @@ class JobQueue:
     def _worker(self) -> None:
         while True:
             with self._not_empty:
-                while not self._pending and not self._stopped:
+                # Claim only into a free slot: callers running their own
+                # jobs hold slots too.
+                while not self._stopped and not (
+                    self._pending and self._active < self._workers
+                ):
                     self._not_empty.wait()
-                if not self._pending and self._stopped:
+                if self._stopped:  # stop() emptied the queue first
                     return
                 job = self._pending.popleft()
                 if job.terminal:  # cancelled (or expired) while queued
@@ -388,9 +421,7 @@ class JobQueue:
                     continue
                 if self._expire_locked(job):
                     continue
-                job.status = JobStatus.RUNNING
-                job.started_ts = time.time()
-                self._active += 1
+                self._claim_locked(job)
             # The job's request context rides from the handler thread to
             # this worker, so all telemetry below carries the
             # originating request_id.
@@ -404,14 +435,15 @@ class JobQueue:
                     obs.context.deactivate(token)
 
     def _run_job(self, job: Job) -> None:
-        """Execute one claimed job and record its telemetry (runs on a
-        worker thread with the job's request context active)."""
+        """Execute one claimed job and record its telemetry (on its
+        caller's thread, or on a worker with the job's request context
+        active), then hand its slot to a queued job."""
         error: Optional[ServiceError] = None
         result: Optional[Dict] = None
         # Disposition probe: a delta session bumps these counters when
         # its data plane recomputes a routing stage — on the first job
         # that needs it. Sampling them around the run is approximate
-        # under concurrency (another worker's recompute can land in the
+        # under concurrency (another job's recompute can land in the
         # window) but costs nothing and needs no plumbing through the
         # executor.
         fallback_before = _recomputed_stages()
@@ -422,6 +454,8 @@ class JobQueue:
                 error = to_service_error(exc)
         with self._lock:
             self._active -= 1
+            if self._pending:
+                self._not_empty.notify()
             if error is None:
                 job.result = result
                 self._finish_locked(job, JobStatus.DONE)

@@ -196,15 +196,14 @@ def minimal_failing_sets(
 
 
 def _record_metrics(stats: SweepStats, minimal: int) -> None:
-    metrics = obs.metrics()
-    metrics.inc("sweep.runs")
-    metrics.inc("sweep.scenarios", stats.scenarios)
-    metrics.inc("sweep.scenarios_evaluated", stats.evaluated)
-    metrics.inc("sweep.scenarios_pruned", stats.pruned)
-    metrics.inc("sweep.scenarios_pruned.cut", stats.pruned_cut)
-    metrics.inc("sweep.scenarios_pruned.duplicate", stats.pruned_duplicate)
-    metrics.inc("sweep.minimal_sets_found", minimal)
-    metrics.inc("sweep.delta_fallbacks", stats.delta_fallbacks)
+    obs.add("sweep.runs")
+    obs.add("sweep.scenarios", stats.scenarios)
+    obs.add("sweep.scenarios_evaluated", stats.evaluated)
+    obs.add("sweep.scenarios_pruned", stats.pruned)
+    obs.add("sweep.scenarios_pruned.cut", stats.pruned_cut)
+    obs.add("sweep.scenarios_pruned.duplicate", stats.pruned_duplicate)
+    obs.add("sweep.minimal_sets_found", minimal)
+    obs.add("sweep.delta_fallbacks", stats.delta_fallbacks)
 
 
 def sweep_session(
@@ -273,7 +272,6 @@ def sweep_session(
         raw = pmap(_evaluate_one, payloads, jobs=jobs, progress=_progress)
 
     evaluated: Dict[str, ScenarioOutcome] = {}
-    metrics = obs.metrics()
     stats = SweepStats(
         elements=len(elements),
         scenarios=total,
@@ -285,7 +283,7 @@ def sweep_session(
     for entry, result in zip(to_run, raw):
         scenario_id, verdict, fallback, dirty, seconds = result
         stats.delta_fallbacks += int(fallback)
-        metrics.observe("sweep.scenario.seconds", seconds, status=EVALUATED)
+        obs.observe("sweep.scenario.seconds", seconds, status=EVALUATED)
         evaluated[scenario_id] = ScenarioOutcome(
             scenario_id=scenario_id,
             elements=entry.scenario.element_ids(),

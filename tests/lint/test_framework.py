@@ -33,6 +33,14 @@ interface e0
 }
 
 
+@pytest.fixture
+def metrics_on():
+    """Lint writes its metrics only while collection is on."""
+    obs.enable_metrics()
+    yield
+    obs.disable()
+
+
 @pytest.fixture(scope="module")
 def snapshot():
     return load_snapshot_from_texts(MESSY)
@@ -129,7 +137,7 @@ class TestRunner:
         )
         assert report.exit_code("note") == 0  # no findings at all
 
-    def test_metrics_recorded(self, snapshot):
+    def test_metrics_recorded(self, snapshot, metrics_on):
         metrics = obs.metrics()
         runs_before = metrics.counter("lint.runs")
         found_before = metrics.counter("lint.findings.undefined-reference")

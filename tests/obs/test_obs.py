@@ -101,6 +101,26 @@ class TestDisabledPath:
         assert dump["bucket_histograms"] == {}
         assert obs.events() == []
 
+    def test_the_pipeline_records_nothing_when_disabled(self):
+        """Lint, a delta (validated, its graph built) and a k=1 sweep
+        write through the guarded helpers: with obs off the registry
+        stays empty."""
+        from repro.core.session import Session
+        from repro.delta.edits import relevant_edit
+        from repro.synth.special import net1
+
+        configs = net1(2)
+        session = Session.from_texts(configs)
+        session.lint()
+        target = sorted(configs)[0]
+        child = session.delta({target: relevant_edit(configs[target])}, validate=True)
+        child.lint()
+        child.reachability()
+        session.sweep(k=1, kinds=["link"], jobs=1)
+        assert obs.metrics().dump() == {
+            "counters": {}, "gauges": {}, "bucket_histograms": {},
+        }
+
     def test_obs_span_still_times_when_disabled(self):
         with obs.Span("bench") as span:
             sum(range(100))

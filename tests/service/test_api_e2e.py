@@ -9,6 +9,7 @@ shutdown with in-flight jobs completing.
 """
 
 import json
+import threading
 import time
 
 import pytest
@@ -430,3 +431,280 @@ class TestKeepAlive:
             while chunk := sock.recv(4096):
                 received += chunk
         assert json.loads(received)["status"] == "ok"
+
+
+class _PeakExecutor:
+    """Wraps a service's job executor: counts the jobs it runs, the most
+    it ran at once, and the threads it ran them on; ``started`` is set
+    when a job begins."""
+
+    def __init__(self, service):
+        self.inner = service.queue._executor
+        service.queue._executor = self
+        self.lock = threading.Lock()
+        self.started = threading.Event()
+        self.running = self.peak = self.calls = 0
+        self.threads = []
+
+    def __call__(self, job):
+        with self.lock:
+            self.calls += 1
+            self.threads.append(threading.current_thread().name)
+            self.running += 1
+            self.peak = max(self.peak, self.running)
+        self.started.set()
+        try:
+            return self.inner(job)
+        finally:
+            with self.lock:
+                self.running -= 1
+
+
+def _in_thread(call, *args):
+    """Start ``call(*args)`` on a thread; returns (thread, answers)."""
+    answers = []
+    thread = threading.Thread(target=lambda: answers.append(call(*args)))
+    thread.start()
+    return thread, answers
+
+
+class TestAnalysisSlots:
+    """``workers`` bounds the questions running at once, whether a
+    question runs on the connection thread that accepted it (a waited
+    POST that finds a slot free) or on a worker."""
+
+    def test_waited_and_queued_questions_share_one_slot(self, make_service):
+        service, client = make_service(workers=1, max_queue=16, debug=True)
+        client.post("/snapshots", {"name": "lab", "configs": net1(2)})
+        executor = _PeakExecutor(service)
+        barrier = threading.Barrier(7)
+        answers = []
+
+        def ask(i):
+            body = {"params": {"seconds": 0.05 + i / 1000}}
+            if i == 6:
+                body["wait"] = False
+            barrier.wait()
+            answers.append((i, *client.post("/snapshots/lab/questions/sleep", body)))
+
+        threads = [threading.Thread(target=ask, args=(i,)) for i in range(7)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+        statuses = {i: status for i, status, _ in answers}
+        assert statuses == {**dict.fromkeys(range(6), 200), 6: 202}
+        (later,) = [job for i, _, job in answers if i == 6]
+        assert service.queue.get(later["id"]).wait(10)
+        assert executor.calls == 7
+        assert executor.peak == 1
+
+    def test_a_waited_question_with_a_free_slot_runs_on_its_connection_thread(
+        self, make_service
+    ):
+        service, client = make_service(workers=1)
+        client.post("/snapshots", {"name": "lab", "configs": net1(2)})
+        executor = _PeakExecutor(service)
+        status, job = client.post("/snapshots/lab/questions/routes", {})
+        assert status == 200 and job["status"] == "done"
+        assert executor.threads == ["repro-service-http"]
+
+    def test_a_twin_of_an_inline_run_is_coalesced(self, make_service):
+        service, client = make_service(workers=1, debug=True)
+        client.post("/snapshots", {"name": "lab", "configs": net1(2)})
+        executor = _PeakExecutor(service)
+        body = {"params": {"seconds": 0.6}}
+        thread, first = _in_thread(client.post, "/snapshots/lab/questions/sleep", body)
+        assert executor.started.wait(10)
+        status, twin = client.post("/snapshots/lab/questions/sleep", body)
+        thread.join(10)
+        assert status == 200 and twin["coalesced_request"] is True
+        assert first[0][0] == 200 and first[0][1]["id"] == twin["id"]
+        assert executor.calls == 1
+
+    def test_wait_false_with_a_free_slot_still_answers_202(self, make_service):
+        service, client = make_service(workers=1, debug=True)
+        client.post("/snapshots", {"name": "lab", "configs": net1(2)})
+        status, job = client.post(
+            "/snapshots/lab/questions/sleep",
+            {"params": {"seconds": 0.2}, "wait": False},
+        )
+        assert status == 202 and job["status"] in ("queued", "running")
+        assert service.queue.get(job["id"]).wait(10)
+
+    def test_a_waited_question_that_finds_the_slot_busy_queues(self, make_service):
+        service, client = make_service(workers=1, debug=True)
+        client.post("/snapshots", {"name": "lab", "configs": net1(2)})
+        executor = _PeakExecutor(service)
+        thread, _ = _in_thread(
+            client.post, "/snapshots/lab/questions/sleep", {"params": {"seconds": 0.5}}
+        )
+        assert executor.started.wait(10)
+        status, job = client.post("/snapshots/lab/questions/routes", {})
+        thread.join(10)
+        assert status == 200 and job["status"] == "done"
+        assert job["queue_s"] > 0
+        assert executor.peak == 1
+        assert executor.threads[1].startswith("repro-worker-")
+
+
+class TestConnectionThreads:
+    def test_idle_keep_alive_connections_do_not_hold_up_a_new_client(
+        self, make_service
+    ):
+        import http.client
+
+        service, client = make_service(workers=2, cache=None)
+        idle = []
+        try:
+            for _ in range(2 + 2):
+                connection = http.client.HTTPConnection(
+                    "127.0.0.1", service.port, timeout=10
+                )
+                connection.request("GET", "/healthz")
+                assert connection.getresponse().read()
+                idle.append(connection)  # open, and idle from here on
+            started = time.perf_counter()
+            status, _ = client.get("/healthz")
+            elapsed = time.perf_counter() - started
+        finally:
+            for connection in idle:
+                connection.close()
+        assert status == 200
+        assert elapsed < 1.0, f"a new client waited {elapsed:.3f}s"
+
+    def test_a_sequential_client_starts_no_thread_per_request(
+        self, make_service, monkeypatch
+    ):
+        service, client = make_service(workers=2, cache=None)
+        assert client.get("/healthz")[0] == 200
+        after_first = _settled_thread_count()
+        starts = []
+        start = threading.Thread.start
+        monkeypatch.setattr(
+            threading.Thread, "start",
+            lambda thread: (starts.append(thread.name), start(thread))[1],
+        )
+        for _ in range(500):
+            assert client.get("/healthz")[0] == 200
+        monkeypatch.undo()
+        assert _settled_thread_count(after_first) == after_first
+        # A spare starts only when a request arrives before the thread
+        # that served the previous one is back in accept().
+        assert len(starts) < 100, starts[:5]
+
+    def test_stop_returns_promptly_with_idle_keep_alive_connections(
+        self, make_service
+    ):
+        import http.client
+
+        service, _ = make_service(workers=2, cache=None)
+        idle = []
+        try:
+            for _ in range(3):
+                connection = http.client.HTTPConnection(
+                    "127.0.0.1", service.port, timeout=10
+                )
+                connection.request("GET", "/healthz")
+                assert connection.getresponse().read()
+                idle.append(connection)
+            started = time.perf_counter()
+            assert service.stop(drain=True, timeout=10)
+            elapsed = time.perf_counter() - started
+        finally:
+            for connection in idle:
+                connection.close()
+        assert elapsed < 1.0, f"stop took {elapsed:.3f}s"
+
+    def test_a_service_started_again_after_stop_keeps_serving(self, make_service):
+        import http.client
+
+        service, _ = make_service(workers=1, cache=None)
+        service.stop(drain=False, timeout=10)
+        service.start()
+        for _ in range(5):
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", service.port, timeout=5
+            )
+            try:
+                connection.request("GET", "/healthz")
+                assert connection.getresponse().status == 200
+            finally:
+                connection.close()
+
+
+def _settled_thread_count(expected=None, seconds=5.0):
+    """``threading.active_count()`` once it stops moving (or reaches
+    ``expected``): a connection thread that finished its connection
+    needs a moment to go back to accept() or exit."""
+    deadline = time.monotonic() + seconds
+    count = threading.active_count()
+    while time.monotonic() < deadline:
+        time.sleep(0.05)
+        now = threading.active_count()
+        if now == expected or (expected is None and now == count):
+            return now
+        count = now
+    return threading.active_count()
+
+
+class TestPatchedSnapshotRace:
+    def test_concurrent_questions_on_a_just_patched_snapshot(self, make_service):
+        """Four clients ask routes and reachability on a snapshot just
+        PATCHed, at once: the first question on each new session builds
+        its data plane and forwarding graph, under the session's stage
+        locks, on whichever connection thread runs it. Every answer is a
+        scratch session's."""
+        from repro.core.session import Session
+        from repro.service.serialize import run_question
+
+        class Store:
+            def __init__(self, session):
+                self.session = session
+
+            def get(self, name):
+                return self.session
+
+        _, client = make_service(workers=4, max_queue=16)
+        configs = net1(2)
+        client.post("/snapshots", {"name": "lab", "configs": configs})
+        target = sorted(configs)[0]
+        node = sorted(configs)[-1]
+        asks = (
+            ("routes", {}),
+            ("routes", {"node": node}),
+            ("reachability", {}),
+            ("reachability", {"headerspace": {"dst": "172.19.0.0/16"}}),
+        )
+        for round_ in range(5):
+            texts = dict(configs)
+            texts[target] = (
+                configs[target]
+                + f"ip route 203.0.113.{16 * round_} 255.255.255.240 Null0\n"
+            )
+            status, _ = client.request(
+                "PATCH", "/snapshots/lab", {"configs": {target: texts[target]}}
+            )
+            assert status == 200
+            barrier = threading.Barrier(len(asks))
+            answers = {}
+
+            def ask(question, params):
+                barrier.wait()
+                answers[question, json.dumps(params)] = client.post(
+                    f"/snapshots/lab/questions/{question}", {"params": params}
+                )
+
+            threads = [threading.Thread(target=ask, args=pair) for pair in asks]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            scratch = Store(Session.from_texts(texts))
+            for question, params in asks:
+                status, job = answers[question, json.dumps(params)]
+                assert status == 200, (round_, question, job)
+                expected = run_question(scratch, "lab", question, params)
+                assert job["result"] == json.loads(json.dumps(expected)), (
+                    round_, question, params,
+                )

@@ -249,3 +249,112 @@ class TestDrain:
         blocker.release.set()
         queue.stop(drain=False)
         assert queued.status in (JobStatus.CANCELLED, JobStatus.DONE)
+
+
+class Gauge:
+    """Executor that sleeps a little and records how many jobs it ran at
+    once, and on which thread each ran."""
+
+    def __init__(self, seconds=0.05):
+        self.seconds = seconds
+        self.lock = threading.Lock()
+        self.running = 0
+        self.peak = 0
+        self.threads = {}
+
+    def __call__(self, job):
+        with self.lock:
+            self.running += 1
+            self.peak = max(self.peak, self.running)
+            self.threads[job.id] = threading.current_thread().name
+        time.sleep(self.seconds)
+        with self.lock:
+            self.running -= 1
+        return {"question": job.question}
+
+
+class TestSlots:
+    """``workers`` is the bound on concurrent jobs, whether a job runs on
+    its caller's thread (``run_here``) or on a worker."""
+
+    def test_a_free_slot_runs_the_job_on_its_caller(self):
+        gauge = Gauge(seconds=0)
+        queue = JobQueue(gauge, workers=1, max_queue=8)
+        job, coalesced = submit(queue, key="here", run_here=True)
+        assert not coalesced
+        # Terminal before submit returned, run on this thread, no wait.
+        assert job.status is JobStatus.DONE
+        assert gauge.threads[job.id] == threading.current_thread().name
+        assert queue.stats()["running"] == 0
+        queue.stop()
+
+    def test_waited_and_queued_jobs_never_exceed_the_slots(self):
+        gauge = Gauge()
+        queue = JobQueue(gauge, workers=1, max_queue=16)
+        barrier = threading.Barrier(7)
+        jobs = []
+
+        def ask(i, run_here):
+            barrier.wait()
+            job, _ = submit(queue, key=f"k{i}", run_here=run_here)
+            jobs.append(job)
+            assert job.wait(10)
+
+        threads = [
+            threading.Thread(target=ask, args=(i, i < 6)) for i in range(7)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(15)
+        assert len(jobs) == 7
+        assert all(job.status is JobStatus.DONE for job in jobs)
+        assert gauge.peak == 1
+        assert queue.stats()["completed"] == 7
+        queue.stop()
+
+    def test_a_twin_attaches_to_the_running_inline_job(self, blocker):
+        queue = JobQueue(blocker, workers=1, max_queue=8)
+        answers = []
+        caller = threading.Thread(
+            target=lambda: answers.append(
+                submit(queue, params={"block": True}, key="same", run_here=True)
+            )
+        )
+        caller.start()
+        assert blocker.started.wait(5)
+        twin, coalesced = submit(queue, params={"block": True}, key="same", run_here=True)
+        assert coalesced and twin.status is JobStatus.RUNNING
+        blocker.release.set()
+        caller.join(5)
+        (job, _), = answers
+        assert twin is job and job.status is JobStatus.DONE
+        assert blocker.calls == [job.id]
+        queue.stop()
+
+    def test_a_waited_job_that_finds_the_slot_busy_queues_for_a_worker(self, blocker):
+        queue = JobQueue(blocker, workers=1, max_queue=8)
+        caller = threading.Thread(
+            target=submit, args=(queue,),
+            kwargs=dict(params={"block": True}, key="hold", run_here=True),
+        )
+        caller.start()
+        assert blocker.started.wait(5)
+        queued, _ = submit(queue, key="next", run_here=True)
+        assert queued.status is JobStatus.QUEUED  # submit did not run it
+        time.sleep(0.05)
+        assert queued.status is JobStatus.QUEUED  # the worker waits for the slot
+        blocker.release.set()
+        assert queued.wait(5) and queued.status is JobStatus.DONE
+        assert queued.to_json()["queue_s"] > 0
+        caller.join(5)
+        queue.stop()
+
+    def test_an_inline_job_that_fails_leaves_its_caller_standing(self, blocker):
+        queue = JobQueue(blocker, workers=1, max_queue=8)
+        job, _ = submit(queue, params={"raise": True}, key="boom", run_here=True)
+        assert job.status is JobStatus.FAILED
+        assert job.error_status == 500
+        after, _ = submit(queue, key="after", run_here=True)
+        assert after.status is JobStatus.DONE
+        queue.stop()

@@ -76,6 +76,25 @@ class TestSweepQuestion:
         assert body["status"] == "done"
         assert body["result"]["schema"] == "repro-sweep/v1"
 
+    def test_a_waited_sweep_still_runs_on_a_worker(self, make_service):
+        """``"wait": true`` waits on an async question but does not run
+        it on the connection thread: it queues like any other sweep."""
+        service, client = make_service()
+        client.post("/snapshots", {"name": "lab", "configs": dict(LAB_CONFIGS)})
+        execute, threads = service.queue._executor, []
+
+        def recording(job):
+            threads.append(threading.current_thread().name)
+            return execute(job)
+
+        service.queue._executor = recording
+        status, body = client.post(
+            "/snapshots/lab/questions/sweep",
+            {"params": CHAIN_PARAMS, "wait": True},
+        )
+        assert status == 200 and body["status"] == "done"
+        assert len(threads) == 1 and threads[0].startswith("repro-worker-")
+
     def test_invalid_params_are_400(self, make_service):
         _, client = make_service()
         client.post("/snapshots", {"name": "lab", "configs": dict(LAB_CONFIGS)})
