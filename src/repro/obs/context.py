@@ -63,8 +63,8 @@ def current_request_id() -> Optional[str]:
 
 def activate(context: Optional[RequestContext]) -> contextvars.Token:
     """Install ``context`` as current; returns the token for
-    :func:`deactivate`. Used where a ``with`` block doesn't fit (the
-    job-queue worker loop)."""
+    :func:`deactivate`. Used where a ``with`` block doesn't fit (a
+    queued job's thread, an HTTP request)."""
     return _CURRENT.set(context)
 
 

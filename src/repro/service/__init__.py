@@ -9,7 +9,8 @@ it for many concurrent callers:
 * :class:`JobQueue` — ``workers`` analysis slots behind a bounded
   queue, with per-job timeouts, cancellation, and request coalescing
   keyed on :attr:`Session.snapshot_key`; a caller that waits takes a
-  free slot and runs its job itself, queued jobs go to worker threads;
+  free slot and runs its job itself, a queued job gets a thread of its
+  own when a slot frees;
 * :class:`AnalysisService` — the stdlib HTTP JSON API, served by
   connection threads that accept for themselves, plus graceful SIGTERM
   drain (``python -m repro.service`` / ``repro-service``).

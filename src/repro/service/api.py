@@ -12,8 +12,9 @@ at all.
 A question POST that will wait runs its job on its own connection
 thread when one of the queue's ``workers`` analysis slots is free and
 nothing is queued (:meth:`JobQueue.submit` with ``run_here``): one
-thread from ``accept()`` to the reply. Otherwise the job queues for a
-worker thread, as does every ``"wait": false`` or async question.
+thread from ``accept()`` to the reply. Otherwise the job queues, as
+does every ``"wait": false`` or async question, and gets a thread of
+its own when a slot frees.
 
 Surface (all bodies JSON)::
 
@@ -174,11 +175,12 @@ class AnalysisService:
 
     def healthz(self) -> Dict:
         """Liveness: always 200 while the process serves requests."""
+        stats = self.queue.stats()
         return {
             "status": "ok" if self.queue.accepting else "draining",
             "snapshots": len(self.store),
-            "queue_depth": self.queue.depth(),
-            "queue_oldest_age_seconds": round(self.queue.oldest_age(), 3),
+            "queue_depth": stats["depth"],
+            "queue_oldest_age_seconds": stats["oldest_age_seconds"],
         }
 
     def readyz(self) -> Tuple[int, Dict]:
@@ -186,17 +188,17 @@ class AnalysisService:
         saturated — the load balancer should stop routing here, even
         though in-flight work is still being served (liveness stays
         200)."""
-        depth = self.queue.depth()
+        stats = self.queue.stats()
         payload: Dict = {
             "ready": True,
-            "queue_depth": depth,
-            "queue_oldest_age_seconds": round(self.queue.oldest_age(), 3),
+            "queue_depth": stats["depth"],
+            "queue_oldest_age_seconds": stats["oldest_age_seconds"],
         }
         if not self.queue.accepting:
             payload["ready"] = False
             payload["reason"] = "draining"
             return 503, payload
-        if depth >= self.queue.max_queue:
+        if stats["depth"] >= self.queue.max_queue:
             payload["ready"] = False
             payload["reason"] = "saturated"
             return 503, payload

@@ -4,7 +4,7 @@ Every failure a client can observe maps to one exception class here;
 the API layer renders :meth:`ServiceError.payload` as the JSON body and
 :attr:`ServiceError.status` as the HTTP status. Analysis failures —
 non-convergence, bad question parameters — degrade to structured
-payloads instead of killing the worker thread that hit them
+payloads instead of killing the thread that hit them
 (:func:`to_service_error` does the mapping at the job boundary).
 """
 
@@ -90,7 +90,7 @@ class QueueFullError(ServiceError):
 
 
 class JobTimeoutError(ServiceError):
-    """The job exceeded its deadline before a worker could finish it."""
+    """The job was still queued when its deadline passed."""
 
     status = 504
     code = "job_timeout"
@@ -107,7 +107,7 @@ def to_service_error(exc: BaseException) -> ServiceError:
     """Map an arbitrary exception escaping a job to a typed error.
 
     This is the graceful-degradation boundary: whatever the analysis
-    raises becomes a structured payload, and the worker thread survives.
+    raises becomes a structured payload, and the thread that ran it survives.
     """
     if isinstance(exc, ServiceError):
         return exc

@@ -6,13 +6,12 @@ Analysis questions are I/O-light but CPU-heavy, and many of them hit
 the same lazily-computed session state (data plane, FIBs, BDD engine),
 so the execution model is:
 
-* **Slots, not threads.** At most ``workers`` jobs run at once. A
-  caller that will wait for its answer (``submit(..., run_here=True)``)
-  takes a free slot itself when nothing is queued, and runs the job on
-  its own thread before ``submit`` returns: no hand-off to a worker and
-  back. Otherwise the job queues, and the worker threads claim queued
-  jobs while a slot is free; every finished job, wherever it ran, wakes
-  a worker when jobs are pending.
+* **Slots, not threads.** At most ``workers`` jobs run at once, each on
+  the thread that claimed its slot. A caller that will wait
+  (``submit(..., run_here=True)``) takes a free slot when nothing is
+  queued and runs the job before ``submit`` returns. Else the job
+  queues, and the oldest queued job gets a thread of its own
+  (``repro-worker-<job id>``) when a slot frees; the queue keeps none.
 * **Bounded queue.** Submissions beyond ``max_queue`` queued jobs
   fail fast with :class:`QueueFullError` (HTTP 429) instead of letting
   latency grow without bound — load shedding, not buffering.
@@ -22,14 +21,15 @@ so the execution model is:
   the expensive computation runs once. Continuous-validation clients
   that re-ask on every commit make this hit constantly.
 * **Timeouts and cancellation.** A job carries a deadline from
-  submission; if no worker reaches it in time it fails with
-  :class:`JobTimeoutError` without ever running. Queued jobs can be
-  cancelled; running jobs cannot be preempted (Python threads), which
-  the API documents — their results are simply discarded if nobody
+  submission; a queued job past it fails with :class:`JobTimeoutError`
+  without running. A cancelled job leaves the queue at once, an overdue
+  one at the next queue read (submit, poll, stats or dispatch), so the
+  queue holds only jobs that can still run. Running jobs cannot be
+  preempted (Python threads) — their results are discarded if nobody
   waits.
 * **Thread survival.** Whatever the analysis raises is mapped by
   :func:`to_service_error` into the job's structured error; the thread
-  that ran it, a worker or the caller, never dies of it.
+  that ran it, the caller or the job's own, never dies of it.
 * **Drain.** :meth:`JobQueue.drain` stops intake and waits for every
   queued and running job to finish — the SIGTERM path.
 
@@ -100,9 +100,9 @@ class Job:
     finished_ts: Optional[float] = None
     #: How many extra submissions were absorbed by this job.
     coalesced: int = 0
-    #: Request attribution carried from the HTTP handler to the worker
-    #: thread that runs a queued job (a job run by its caller runs under
-    #: the caller's own context).
+    #: Request attribution carried from the HTTP handler to the thread
+    #: that runs a queued job (a job run by its caller runs under the
+    #: caller's own context).
     ctx: Optional[RequestContext] = None
     #: The running question's latest progress report (a sweep's
     #: done/total/pruned), shown while the job runs.
@@ -150,7 +150,7 @@ class Job:
 
 class JobQueue:
     """``workers`` analysis slots fed by a bounded queue, executing jobs
-    via one callable on the submitting thread or a worker."""
+    via one callable on the submitting thread or the job's own."""
 
     def __init__(
         self,
@@ -170,14 +170,12 @@ class JobQueue:
         self.default_timeout_s = default_timeout_s
         self._max_history = max_history
         self._lock = threading.Lock()
-        self._not_empty = threading.Condition(self._lock)
         self._idle = threading.Condition(self._lock)
         self._pending: deque = deque()
         self._jobs: "OrderedDict[str, Job]" = OrderedDict()
         self._inflight: Dict[str, Job] = {}
         self._active = 0
         self._accepting = True
-        self._stopped = False
         self._next_id = 0
         self._stats = {
             "submitted": 0,
@@ -188,14 +186,6 @@ class JobQueue:
             "rejected": 0,
             "timeouts": 0,
         }
-        self._threads = [
-            threading.Thread(
-                target=self._worker, name=f"repro-worker-{i}", daemon=True
-            )
-            for i in range(workers)
-        ]
-        for thread in self._threads:
-            thread.start()
 
     # -- submission --------------------------------------------------------
 
@@ -213,7 +203,7 @@ class JobQueue:
 
         With ``run_here``, a new job that finds nothing queued and a
         slot free runs on the calling thread and is terminal when this
-        returns; otherwise it queues for a worker as without it.
+        returns; otherwise it queues as without it.
 
         Returns ``(job, coalesced)``. Raises :class:`QueueFullError`
         when the bounded queue is at capacity and
@@ -224,6 +214,7 @@ class JobQueue:
         with self._lock:
             if not self._accepting:
                 raise ShuttingDownError("service is draining; not accepting jobs")
+            self._expire_overdue_locked()
             existing = self._inflight.get(coalesce_key)
             if existing is not None and not existing.terminal:
                 existing.coalesced += 1
@@ -262,7 +253,7 @@ class JobQueue:
                 self._claim_locked(job)
             else:
                 self._pending.append(job)
-                self._not_empty.notify()
+                self._dispatch_locked()
         if run_here:
             self._run_job(job)
         return job, False
@@ -271,9 +262,8 @@ class JobQueue:
 
     def get(self, job_id: str) -> Job:
         with self._lock:
+            self._expire_overdue_locked()
             job = self._jobs.get(job_id)
-            if job is not None and job.status is JobStatus.QUEUED:
-                self._expire_locked(job)
         if job is None:
             raise JobNotFoundError(f"no job {job_id!r}", id=job_id)
         return job
@@ -288,22 +278,10 @@ class JobQueue:
                 raise JobNotFoundError(f"no job {job_id!r}", id=job_id)
             if job.status is not JobStatus.QUEUED:
                 return False
+            self._pending.remove(job)
             self._finish_locked(job, JobStatus.CANCELLED)
             self._stats["cancelled"] += 1
         return True
-
-    def depth(self) -> int:
-        with self._lock:
-            return len(self._pending)
-
-    def oldest_age(self) -> float:
-        """Age in seconds of the oldest still-queued job (0.0 when the
-        queue is empty) — the readiness signal that catches a wedged
-        worker pool even when depth looks acceptable."""
-        with self._lock:
-            if not self._pending:
-                return 0.0
-            return max(0.0, time.time() - self._pending[0].created_ts)
 
     @property
     def accepting(self) -> bool:
@@ -312,10 +290,11 @@ class JobQueue:
 
     def stats(self) -> Dict[str, float]:
         with self._lock:
+            self._expire_overdue_locked()
             snapshot = dict(self._stats)
             snapshot["depth"] = len(self._pending)
             snapshot["running"] = self._active
-            snapshot["workers"] = len(self._threads)
+            snapshot["workers"] = self._workers
             oldest = 0.0
             if self._pending:
                 oldest = max(0.0, time.time() - self._pending[0].created_ts)
@@ -343,22 +322,17 @@ class JobQueue:
         return True
 
     def stop(self, drain: bool = True, timeout: Optional[float] = None) -> bool:
-        """Shut the pool down. ``drain=True`` completes outstanding
-        work first; ``drain=False`` cancels everything still queued."""
+        """Shut the queue down. ``drain=True`` completes outstanding
+        work first; ``drain=False`` cancels everything still queued and
+        leaves running jobs to finish on their own threads."""
         completed = True
         if drain:
             completed = self.drain(timeout)
         with self._lock:
             self._accepting = False
             while self._pending:
-                job = self._pending.popleft()
-                if job.status is JobStatus.QUEUED:
-                    self._finish_locked(job, JobStatus.CANCELLED)
-                    self._stats["cancelled"] += 1
-            self._stopped = True
-            self._not_empty.notify_all()
-        for thread in self._threads:
-            thread.join(timeout=5.0)
+                self._finish_locked(self._pending.popleft(), JobStatus.CANCELLED)
+                self._stats["cancelled"] += 1
         return completed
 
     # -- internals ---------------------------------------------------------
@@ -372,12 +346,16 @@ class JobQueue:
             else:
                 return  # everything live; let history run long
 
-    def _expire_locked(self, job: Job) -> bool:
-        """Fail a queued job whose deadline passed (lazy check from
-        get(); the worker makes the same check before running). Returns
-        True when the job expired."""
-        deadline = job.deadline
-        if deadline is not None and time.time() > deadline:
+    def _expire_overdue_locked(self) -> None:
+        """Fail, and drop from the queue, every queued job past its
+        deadline."""
+        now = time.time()
+        live: deque = deque()
+        for job in self._pending:
+            deadline = job.deadline
+            if deadline is None or now <= deadline:
+                live.append(job)
+                continue
             error = JobTimeoutError(
                 f"job {job.id} timed out after {job.timeout_s}s in queue",
                 timeout_s=job.timeout_s,
@@ -387,8 +365,21 @@ class JobQueue:
             self._finish_locked(job, JobStatus.FAILED)
             self._stats["failed"] += 1
             self._stats["timeouts"] += 1
-            return True
-        return False
+        self._pending = live
+
+    def _dispatch_locked(self) -> None:
+        """Start the oldest queued jobs in the free slots, each on a
+        thread of its own that ends with its job."""
+        self._expire_overdue_locked()
+        while self._pending and self._active < self._workers:
+            job = self._pending.popleft()
+            self._claim_locked(job)
+            threading.Thread(
+                target=self._run_queued,
+                args=(job,),
+                name=f"repro-worker-{job.id}",
+                daemon=True,
+            ).start()
 
     def _claim_locked(self, job: Job) -> None:
         job.status = JobStatus.RUNNING
@@ -404,40 +395,17 @@ class JobQueue:
         job._done.set()
         self._idle.notify_all()
 
-    def _worker(self) -> None:
-        while True:
-            with self._not_empty:
-                # Claim only into a free slot: callers running their own
-                # jobs hold slots too.
-                while not self._stopped and not (
-                    self._pending and self._active < self._workers
-                ):
-                    self._not_empty.wait()
-                if self._stopped:  # stop() emptied the queue first
-                    return
-                job = self._pending.popleft()
-                if job.terminal:  # cancelled (or expired) while queued
-                    self._idle.notify_all()
-                    continue
-                if self._expire_locked(job):
-                    continue
-                self._claim_locked(job)
-            # The job's request context rides from the handler thread to
-            # this worker, so all telemetry below carries the
-            # originating request_id.
-            token = (
-                obs.context.activate(job.ctx) if job.ctx is not None else None
-            )
-            try:
-                self._run_job(job)
-            finally:
-                if token is not None:
-                    obs.context.deactivate(token)
+    def _run_queued(self, job: Job) -> None:
+        # A new thread starts with no context: the job's own rides from
+        # the handler, so its telemetry carries the originating request_id.
+        if job.ctx is not None:
+            obs.context.activate(job.ctx)
+        self._run_job(job)
 
     def _run_job(self, job: Job) -> None:
         """Execute one claimed job and record its telemetry (on its
-        caller's thread, or on a worker with the job's request context
-        active), then hand its slot to a queued job."""
+        caller's thread, or on its own with the job's request context
+        active), then hand its slot to the oldest queued job."""
         error: Optional[ServiceError] = None
         result: Optional[Dict] = None
         # Disposition probe: a delta session bumps these counters when
@@ -450,12 +418,10 @@ class JobQueue:
         with obs.span("service.job", question=job.question):
             try:
                 result = self._executor(job)
-            except BaseException as exc:  # worker must survive anything
+            except BaseException as exc:  # the thread must survive anything
                 error = to_service_error(exc)
         with self._lock:
             self._active -= 1
-            if self._pending:
-                self._not_empty.notify()
             if error is None:
                 job.result = result
                 self._finish_locked(job, JobStatus.DONE)
@@ -465,6 +431,7 @@ class JobQueue:
                 job.error_status = error.status
                 self._finish_locked(job, JobStatus.FAILED)
                 self._stats["failed"] += 1
+            self._dispatch_locked()
             started, finished = job.started_ts, job.finished_ts
         run_s = finished - started
         fell_back = _recomputed_stages() > fallback_before

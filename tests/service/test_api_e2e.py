@@ -209,6 +209,31 @@ class TestConcurrency:
         status, body = client.get(f"/jobs/{job['id']}")
         assert body["status"] == "cancelled"
 
+    def test_cancelling_the_only_queued_job_empties_the_queue(self, make_service):
+        service, client = make_service(workers=1, max_queue=1, debug=True)
+        client.post("/snapshots", {"name": "lab", "configs": net1(2)})
+        status, sleeper = client.post(
+            "/snapshots/lab/questions/sleep",
+            {"params": {"seconds": 1.5}, "wait": False},
+        )
+        assert status == 202
+        deadline = time.time() + 10
+        while client.get(f"/jobs/{sleeper['id']}")[1]["status"] == "queued":
+            assert time.time() < deadline
+            time.sleep(0.01)
+        status, job = client.post(
+            "/snapshots/lab/questions/routes", {"wait": False}
+        )
+        assert status == 202 and job["status"] == "queued"
+        status, body = client.delete(f"/jobs/{job['id']}")
+        assert status == 200 and body["cancelled"] is True
+        status, health = client.get("/healthz")
+        assert status == 200 and health["queue_depth"] == 0
+        assert health["queue_oldest_age_seconds"] == 0
+        status, ready = client.get("/readyz")
+        assert status == 200 and ready["ready"] is True
+        assert ready["queue_depth"] == 0 and "reason" not in ready
+
 
 class TestObservability:
     def test_healthz_and_metrics_shapes(self, make_service):
@@ -549,6 +574,17 @@ class TestAnalysisSlots:
 
 
 class TestConnectionThreads:
+    def test_a_fresh_service_starts_no_worker_thread(self, make_service):
+        def workers():
+            return {
+                t for t in threading.enumerate()
+                if t.name.startswith("repro-worker-")
+            }
+
+        before = workers()
+        make_service(workers=2)
+        assert workers() - before == set()
+
     def test_idle_keep_alive_connections_do_not_hold_up_a_new_client(
         self, make_service
     ):

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from repro.core.session import NotConvergedError
+from repro.obs import context
 from repro.service.errors import QueueFullError, ShuttingDownError
 from repro.service.jobs import JobQueue, JobStatus
 
@@ -357,4 +358,155 @@ class TestSlots:
         assert job.error_status == 500
         after, _ = submit(queue, key="after", run_here=True)
         assert after.status is JobStatus.DONE
+        queue.stop()
+
+
+class Recorder:
+    """Executor wrapper that records the thread each job ran on."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.threads = {}
+
+    def __call__(self, job):
+        self.threads[job.id] = threading.current_thread()
+        return self.inner(job)
+
+
+def worker_threads():
+    return {t for t in threading.enumerate() if t.name.startswith("repro-worker-")}
+
+
+class TestQueueHoldsOnlyLiveJobs:
+    """A cancelled or overdue job leaves the queue at once: it takes no
+    queue place, counts in no depth and blocks no free slot."""
+
+    def test_a_cancelled_job_frees_its_queue_place(self, blocker):
+        queue = JobQueue(blocker, workers=1, max_queue=1)
+        submit(queue, params={"block": True}, key="hold")
+        assert blocker.started.wait(5)
+        victim, _ = submit(queue, key="victim")
+        assert queue.cancel(victim.id)
+        stats = queue.stats()
+        assert stats["depth"] == 0 and stats["oldest_age_seconds"] == 0
+        after, _ = submit(queue, key="after")  # not a 429
+        assert after.status is JobStatus.QUEUED
+        blocker.release.set()
+        assert after.wait(5) and after.status is JobStatus.DONE
+        queue.stop()
+
+    def test_a_waited_job_takes_the_slot_a_cancelled_job_left(self, blocker):
+        recorder = Recorder(blocker)
+        queue = JobQueue(recorder, workers=1, max_queue=8)
+        answers = []
+
+        def caller():
+            submit(queue, params={"block": True}, key="hold", run_here=True)
+            job, _ = submit(queue, key="next", run_here=True)
+            answers.append((job, job.status))
+
+        thread = threading.Thread(target=caller)
+        thread.start()
+        assert blocker.started.wait(5)
+        victim, _ = submit(queue, key="victim")
+        assert queue.cancel(victim.id)
+        blocker.release.set()
+        thread.join(5)
+        (job, status_on_return), = answers
+        assert status_on_return is JobStatus.DONE
+        assert recorder.threads[job.id] is thread
+        assert victim.id not in recorder.threads
+        queue.stop()
+
+    def test_an_overdue_job_leaves_the_queue_unpolled(self, blocker):
+        queue = JobQueue(blocker, workers=1, max_queue=1)
+        submit(queue, params={"block": True}, key="hold")
+        assert blocker.started.wait(5)
+        late, _ = submit(queue, key="late", timeout_s=0.01)
+        time.sleep(0.05)
+        stats = queue.stats()
+        assert stats["depth"] == 0 and stats["timeouts"] == 1
+        assert late.status is JobStatus.FAILED and late.error_status == 504
+        after, _ = submit(queue, key="after")  # not a 429
+        blocker.release.set()
+        assert after.wait(5) and after.status is JobStatus.DONE
+        assert late.id not in blocker.calls
+        queue.stop()
+
+
+class TestThreadLifecycle:
+    """The queue keeps no thread: a queued job runs on a thread of its
+    own, started when a slot frees and gone when the job ends."""
+
+    def test_a_fresh_queue_starts_no_thread(self, blocker):
+        before = worker_threads()
+        queue = JobQueue(blocker, workers=2, max_queue=8)
+        assert worker_threads() - before == set()
+        queue.stop()
+
+    def test_a_queued_job_runs_on_its_own_thread_and_it_ends(self, blocker):
+        recorder = Recorder(blocker)
+        queue = JobQueue(recorder, workers=1, max_queue=8)
+        job, _ = submit(queue, key="queued")
+        assert job.wait(5) and job.status is JobStatus.DONE
+        thread = recorder.threads[job.id]
+        assert thread.name == f"repro-worker-{job.id}"
+        thread.join(2)
+        assert not thread.is_alive()
+        queue.stop()
+
+    def test_stop_without_drain_beside_a_blocked_job_is_prompt(self, blocker):
+        queue = JobQueue(blocker, workers=1, max_queue=8)
+        running, _ = submit(queue, params={"block": True}, key="hold")
+        assert blocker.started.wait(5)
+        queued, _ = submit(queue, key="pending")
+        started = time.monotonic()
+        assert queue.stop(drain=False)
+        assert time.monotonic() - started < 1.0
+        assert queued.status is JobStatus.CANCELLED
+        assert running.status is JobStatus.RUNNING
+        blocker.release.set()
+        assert running.wait(5) and running.status is JobStatus.DONE
+
+    def test_a_queued_job_runs_under_its_own_context_only(self, blocker):
+        seen = {}
+
+        def executor(job):
+            seen[job.id] = (threading.current_thread().name, context.current())
+            return blocker(job)
+
+        queue = JobQueue(executor, workers=1, max_queue=8)
+        other = context.RequestContext(request_id="req-other")
+        mine = context.RequestContext(request_id="req-mine")
+
+        def in_other_request(call):
+            token = context.activate(other)
+            try:
+                return call()
+            finally:
+                context.deactivate(token)
+
+        # Dispatched by a submit on a thread serving another request...
+        first, _ = in_other_request(lambda: submit(queue, key="first"))
+        assert first.wait(5)
+        # ...and by the end of another request's inline job.
+        def hold():
+            return submit(queue, params={"block": True}, key="hold", run_here=True)
+
+        caller = threading.Thread(target=in_other_request, args=(hold,))
+        caller.start()
+        assert blocker.started.wait(5)
+        bare, _ = submit(queue, key="bare")
+        carried, _ = submit(queue, key="carried", ctx=mine)
+        blocker.release.set()
+        caller.join(5)
+        assert bare.wait(5) and carried.wait(5)
+        assert seen[first.id] == (f"repro-worker-{first.id}", None)
+        assert seen[bare.id] == (f"repro-worker-{bare.id}", None)
+        assert seen[carried.id] == (f"repro-worker-{carried.id}", mine)
+        (inline_name, inline_ctx), = [
+            value for key, value in seen.items()
+            if key not in (first.id, bare.id, carried.id)
+        ]
+        assert inline_name == caller.name and inline_ctx is other
         queue.stop()
