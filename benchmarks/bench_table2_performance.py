@@ -41,7 +41,7 @@ from repro.config.loader import load_snapshot_from_texts
 from repro.core.session import Session
 from repro.delta.edits import irrelevant_edit, relevant_edit
 from repro.lint import lint_snapshot
-from repro.lint.dataflow import analyze as dataflow_analyze
+from repro.lint.dataflow import analyze as dataflow_analyze, build_universe
 from repro.routing.engine import ConvergenceSettings, compute_dataplane
 from repro.synth.networks import NETWORKS
 
@@ -136,7 +136,9 @@ def measure_network(name: str) -> Dict[str, object]:
     # propagation-graph fixpoint plus its worklist iteration count — a
     # deterministic algorithmic signal.
     dataflow_seconds, dataflow_analysis = timed(
-        lambda: dataflow_analyze(pipeline.snapshot)
+        lambda: dataflow_analyze(
+            pipeline.snapshot, build_universe(pipeline.snapshot)
+        )
     )
 
     cache_dir = tempfile.mkdtemp(prefix=f"repro-bench-{name}-")

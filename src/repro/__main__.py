@@ -44,7 +44,7 @@ from repro.findings import (
     write_output,
 )
 from repro.lint import LintConfig, LintReport, all_rules, lint_snapshot
-from repro.lint.dataflow import analyze, validate_containment
+from repro.lint.dataflow import analyze, build_universe, validate_containment
 from repro.obs.report import TraceReport
 from repro.provenance import Flow
 from repro.questions import coverage as qcov
@@ -405,7 +405,7 @@ def _validate_dataflow(network: str, configs: Configs) -> Validation:
     """Every simulated route is inside its RIB domain's abstract set
     (``checks`` counts the domains)."""
     snapshot = load_snapshot_from_texts(configs)
-    analysis = analyze(snapshot)
+    analysis = analyze(snapshot, build_universe(snapshot))
     detail = (
         f"{len(configs)} devices, {len(analysis.graph.edges)} edges, "
         f"{analysis.iterations} fixpoint iterations "

@@ -9,11 +9,14 @@ This package packages those checks as a pluggable rule framework:
   text/JSON/SARIF renderings and baseline diffing (shared repo-wide)
 * :mod:`repro.lint.model` — LintConfig
 * :mod:`repro.lint.registry` — ``@rule`` decorator and rule discovery
+* :mod:`repro.lint.routespace` — the route-space universe and the one
+  route-map compiler, shared by the semantic and dataflow rules
 * :mod:`repro.lint.rules_semantic` — BDD-backed reachability rules
 * :mod:`repro.lint.rules_cross` — cross-device compatibility rules
 * :mod:`repro.lint.rules_hygiene` — reference/usage/address hygiene
-* :mod:`repro.lint.runner` — the rules' inputs (``LintStage``), parallel
-  execution, timing, suppression
+* :mod:`repro.lint.dataflow` — the propagation fixpoint and its rules
+* :mod:`repro.lint.runner` — the rules' inputs (``LintStage``), inline
+  execution in registry order, timing, suppression
 * ``python -m repro lint`` — the CLI
 
 Suppression works at three levels: in-source ``lint-disable`` comments

@@ -2,7 +2,7 @@
 
 An abstract state is a pair:
 
-* a :class:`~repro.lint.routespace.RouteSpace` BDD over prefix bits,
+* a route-space BDD (:mod:`repro.lint.routespace`) over prefix bits,
   length bits, the snapshot-wide community alphabet, and one *origin
   flag* variable ("this route entered BGP through redistribution" —
   what the route-leak rule keys on), and
@@ -14,8 +14,9 @@ An abstract state is a pair:
 
 Everything here over-approximates: joins are unions, transfers only
 ever *add* behaviour for constructs they cannot model exactly (the
-"never subtract inexact" rule inherited from the clause-reachability
-encoder). See DESIGN.md "Propagation-graph soundness".
+"never subtract inexact" rule of
+:func:`~repro.lint.routespace.compile_policy`). See DESIGN.md
+"Propagation-graph soundness".
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ def snapshot_communities(snapshot: Snapshot) -> Set[str]:
 
 
 def build_universe(snapshot: Snapshot) -> RouteSpaceUniverse:
-    """The snapshot-wide variable space shared by every node state."""
+    """The snapshot-wide variable space shared by every node state and
+    every compiled route map: the one place a universe is made."""
     return RouteSpaceUniverse(
         communities=snapshot_communities(snapshot), flags=(ORIGIN_FLAG,)
     )

@@ -1,10 +1,10 @@
 """Worklist fixpoint over the route-propagation graph.
 
-``analyze`` builds the snapshot universe and graph, seeds every node
-with its locally-originated routes, and iterates edge transfers to a
-least fixpoint. The result over-approximates, per RIB domain, every
-route the control plane can ever carry there (DESIGN.md
-"Propagation-graph soundness").
+``analyze`` builds the snapshot's graph over the universe it is given
+(the lint stage's one), seeds every node with its locally-originated
+routes, and iterates edge transfers to a least fixpoint. The result
+over-approximates, per RIB domain, every route the control plane can
+ever carry there (DESIGN.md "Propagation-graph soundness").
 
 The dataflow lint rules read the analysis off a
 :class:`~repro.lint.runner.LintStage` (a session's, built once for the
@@ -23,7 +23,6 @@ from repro.lint.dataflow.domain import (
     ORIGIN_FLAG,
     AbstractRoutes,
     DEFAULT_TAG,
-    build_universe,
     join_tags,
     tags_may_equal,
 )
@@ -33,11 +32,10 @@ from repro.lint.dataflow.graph import (
     DOMAIN_PROTOCOL_VALUES,
     Edge,
     NodeId,
-    PolicySummary,
     PropagationGraph,
     build_graph,
 )
-from repro.lint.routespace import RouteSpaceUniverse
+from repro.lint.routespace import PolicySummary, RouteSpaceUniverse
 
 
 # ----------------------------------------------------------------------
@@ -330,10 +328,10 @@ class DataflowAnalysis:
         return cached
 
 
-def analyze(snapshot: Snapshot) -> DataflowAnalysis:
-    """Run the propagation fixpoint for a snapshot."""
+def analyze(snapshot: Snapshot, universe: RouteSpaceUniverse) -> DataflowAnalysis:
+    """Run the propagation fixpoint for a snapshot over ``universe``
+    (:func:`~repro.lint.dataflow.domain.build_universe` of it)."""
     started = time.perf_counter()
-    universe = build_universe(snapshot)
     graph = build_graph(snapshot, universe)
     states = dict(graph.seeds)
     iterations = _run_fixpoint(universe, graph, states)

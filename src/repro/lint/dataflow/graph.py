@@ -13,12 +13,13 @@ three ways the concrete engine moves routes between domains:
   of L3-adjacent, OSPF-enabled interfaces (intra-area and external
   flooding over-approximated as "everything reaches everyone").
 
-Each route-map referenced by an edge compiles once into a
-:class:`PolicySummary`: per clause, a guard BDD (exact for prefix-list /
-community-list matches, ⊤-widened otherwise), the tag/protocol matches
-the BDD cannot express, and the set operations the abstract transfer
-replays. Session viability, next-hop resolution, route-reflector rules
-and community-stripping (``send_community``) are deliberately *not*
+Each route-map referenced by an edge is read from the universe's
+compiled summaries (:meth:`~repro.lint.routespace.RouteSpaceUniverse.policy`):
+per clause, a guard BDD (exact for prefix-list / community-list matches,
+⊤-widened otherwise), the tag/protocol matches the BDD cannot express,
+and the set operations the abstract transfer replays. Session
+viability, next-hop resolution, route-reflector rules and
+community-stripping (``send_community``) are deliberately *not*
 modelled — every omission only adds routes, preserving the containment
 contract.
 """
@@ -28,21 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.bdd.engine import FALSE, TRUE
-from repro.config.model import (
-    Action,
-    Device,
-    MatchKind,
-    Protocol,
-    Redistribution,
-    RouteMap,
-    SetKind,
-    Snapshot,
-)
+from repro.config.model import Device, Protocol, Redistribution, Snapshot
 from repro.findings import Location
 from repro.hdr.ip import Prefix
-from repro.lint.dataflow.domain import DEFAULT_TAG, AbstractRoutes, ORIGIN_FLAG
-from repro.lint.routespace import RouteSpaceEncoder, RouteSpaceUniverse
+from repro.lint.dataflow.domain import DEFAULT_TAG, AbstractRoutes
+from repro.lint.routespace import PolicySummary, RouteSpaceUniverse
 from repro.routing.bgp import (
     BgpSession,
     SessionCompatibilityIssue,
@@ -81,75 +72,6 @@ DOMAIN_PROTOCOL_VALUES: Dict[str, Tuple[str, ...]] = {
     ),
     DOMAIN_BGP: (Protocol.BGP.value, Protocol.IBGP.value),
 }
-
-
-@dataclass(frozen=True)
-class ClauseSummary:
-    """One route-map clause as the abstract transfer sees it."""
-
-    seq: int
-    action: Action
-    #: Over-approximate match set over prefix/community variables.
-    guard: int
-    #: True when ``guard`` is the *exact* prefix/community match set.
-    guard_exact: bool
-    #: ``match tag N`` — evaluated against the tag lattice.
-    tag_eq: Optional[int] = None
-    #: ``match protocol X`` values — resolvable on redistribution edges
-    #: where the source domain is known.
-    protocol_values: Tuple[str, ...] = ()
-    #: as-path / metric matches present (never resolvable here).
-    other_inexact: bool = False
-    #: Ordered community rewrites: ("replace"|"add", members).
-    community_ops: Tuple[Tuple[str, Tuple[str, ...]], ...] = ()
-    #: ``set tag N``.
-    set_tag: Optional[int] = None
-    #: Community-list names this clause matches on (resolved members in
-    #: ``matched_communities``) — inputs to the community-dataflow rule.
-    matched_lists: Tuple[str, ...] = ()
-    matched_communities: Tuple[str, ...] = ()
-    location: Location = Location()
-
-    def is_exact(self, protocols_resolved: bool) -> bool:
-        """Whether first-match residual subtraction is sound for this
-        clause: every match condition is exactly represented."""
-        return (
-            self.guard_exact
-            and self.tag_eq is None
-            and not self.other_inexact
-            and (not self.protocol_values or protocols_resolved)
-        )
-
-
-@dataclass(frozen=True)
-class PolicySummary:
-    """A compiled route-map: the transfer function's static half."""
-
-    hostname: str
-    name: str
-    defined: bool
-    clauses: Tuple[ClauseSummary, ...] = ()
-    location: Location = Location()
-
-    def is_identity(self) -> bool:
-        """Structurally a no-op: undefined (model default permits
-        unchanged) or a map whose first clause permits everything
-        without rewriting."""
-        if not self.defined:
-            return True
-        if not self.clauses:
-            return False  # no clause matched -> implicit deny everything
-        first = self.clauses[0]
-        return (
-            first.action is Action.PERMIT
-            and first.guard == TRUE
-            and first.guard_exact
-            and first.tag_eq is None
-            and not first.protocol_values
-            and not first.other_inexact
-            and not first.community_ops
-            and first.set_tag is None
-        )
 
 
 @dataclass(frozen=True)
@@ -201,6 +123,7 @@ class PropagationGraph:
     edges: List[Edge] = field(default_factory=list)
     seeds: Dict[NodeId, AbstractRoutes] = field(default_factory=dict)
     out_edges: Dict[NodeId, List[int]] = field(default_factory=dict)
+    #: The maps some edge applies; the universe may hold more.
     summaries: Dict[Tuple[str, Optional[str]], PolicySummary] = field(
         default_factory=dict
     )
@@ -216,103 +139,6 @@ class PropagationGraph:
 
     def edge_pairs(self) -> List[Tuple[NodeId, NodeId]]:
         return [(edge.src, edge.dst) for edge in self.edges]
-
-
-def _route_map_location(route_map: Optional[RouteMap]) -> Location:
-    if route_map is None:
-        return Location()
-    return Location(route_map.source_file, route_map.source_line)
-
-
-def compile_policy(
-    universe: RouteSpaceUniverse, device: Device, name: str
-) -> PolicySummary:
-    """Compile one route-map into its clause summaries (shared
-    universe, so summaries from different devices compose)."""
-    route_map = device.route_maps.get(name)
-    if route_map is None:
-        return PolicySummary(device.hostname, name, defined=False)
-    encoder = RouteSpaceEncoder(device, universe=universe)
-    engine = universe.engine
-    clauses: List[ClauseSummary] = []
-    for clause in route_map.sorted_clauses():
-        guard = TRUE
-        guard_exact = True
-        tag_eq: Optional[int] = None
-        protocol_values: List[str] = []
-        other_inexact = False
-        matched_lists: List[str] = []
-        matched_communities: List[str] = []
-        for match in clause.matches:
-            if match.kind is MatchKind.PREFIX_LIST:
-                plist = device.prefix_lists.get(match.value)
-                if plist is None:
-                    # undefined_prefix_list_fails_match: never holds.
-                    guard = FALSE
-                else:
-                    guard = engine.and_(
-                        guard, encoder.prefix_list_space(plist)
-                    )
-            elif match.kind is MatchKind.COMMUNITY:
-                guard = engine.and_(
-                    guard, encoder.community_list_space(match.value)
-                )
-                matched_lists.append(match.value)
-                clist = device.community_lists.get(match.value)
-                if clist is not None:
-                    matched_communities.extend(clist.communities)
-            elif match.kind is MatchKind.TAG:
-                try:
-                    value = int(match.value)
-                except ValueError:
-                    other_inexact = True
-                    continue
-                if tag_eq is not None and tag_eq != value:
-                    guard = FALSE  # tag == a and tag == b, a != b
-                else:
-                    tag_eq = value
-            elif match.kind is MatchKind.PROTOCOL:
-                protocol_values.append(match.value)
-            else:
-                # as-path regexes, metric: widen to ⊤.
-                other_inexact = True
-        community_ops: List[Tuple[str, Tuple[str, ...]]] = []
-        set_tag: Optional[int] = None
-        for set_clause in clause.sets:
-            if set_clause.kind is SetKind.COMMUNITY:
-                community_ops.append(
-                    ("replace", tuple(set_clause.value.split()))
-                )
-            elif set_clause.kind is SetKind.COMMUNITY_ADDITIVE:
-                community_ops.append(("add", tuple(set_clause.value.split())))
-            elif set_clause.kind is SetKind.TAG:
-                try:
-                    set_tag = int(set_clause.value)
-                except ValueError:
-                    pass
-        clauses.append(
-            ClauseSummary(
-                seq=clause.seq,
-                action=clause.action,
-                guard=guard,
-                guard_exact=guard_exact,
-                tag_eq=tag_eq,
-                protocol_values=tuple(protocol_values),
-                other_inexact=other_inexact,
-                community_ops=tuple(community_ops),
-                set_tag=set_tag,
-                matched_lists=tuple(matched_lists),
-                matched_communities=tuple(matched_communities),
-                location=Location(clause.source_file, clause.source_line),
-            )
-        )
-    return PolicySummary(
-        hostname=device.hostname,
-        name=name,
-        defined=True,
-        clauses=tuple(clauses),
-        location=_route_map_location(route_map),
-    )
 
 
 def originated_prefixes(device: Device) -> Dict[str, List[Prefix]]:
@@ -360,11 +186,8 @@ def build_graph(
     )
 
     def ensure_summary(device: Device, name: Optional[str]) -> None:
-        if name is None:
-            return
-        key = (device.hostname, name)
-        if key not in graph.summaries:
-            graph.summaries[key] = compile_policy(universe, device, name)
+        if name is not None:
+            graph.summaries[device.hostname, name] = universe.policy(device, name)
 
     # -- nodes + seeds -----------------------------------------------------
     for hostname in snapshot.hostnames():

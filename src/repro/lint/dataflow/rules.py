@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
-from repro.bdd.engine import FALSE, TRUE
+from repro.bdd.engine import FALSE
 from repro.config.model import Action
 from repro.lint.dataflow.domain import (
     NO_EXPORT_COMMUNITIES,
@@ -24,20 +24,20 @@ from repro.lint.dataflow.domain import (
 )
 from repro.lint.dataflow.engine import (
     DataflowAnalysis,
-    PolicyStage,
     apply_edge,
     _protocol_resolution,
 )
-from repro.lint.dataflow.graph import NodeId, PolicySummary
+from repro.lint.dataflow.graph import NodeId
 from repro.findings import Finding, Location, Related, Severity
 from repro.lint.registry import rule
+from repro.lint.routespace import PolicySummary
 
 if TYPE_CHECKING:
     from repro.lint.runner import LintStage
 
 
 def _witness(analysis: DataflowAnalysis, bdd: int) -> str:
-    example = analysis.universe.space(bdd).example()
+    example = analysis.universe.example(bdd)
     if example is None:
         return ""
     prefix, communities = example
@@ -570,13 +570,9 @@ def unreachable_policy_path(stage: "LintStage") -> List[Finding]:
             continue
         delivered = inputs[key]
         source_protocols = tuple(sorted(protocols.get(key, set())))
-        intrinsic_residual = TRUE
         dataflow_residual = delivered.bdd
         for clause in summary.clauses:
             obs.touch("route_map_clause", hostname, map_name, clause.seq)
-            intrinsically_reachable = (
-                engine.and_(intrinsic_residual, clause.guard) != FALSE
-            )
             resolution = _protocol_resolution(
                 clause.protocol_values, source_protocols
             )
@@ -589,7 +585,7 @@ def unreachable_policy_path(stage: "LintStage") -> List[Finding]:
                 )
                 and engine.and_(dataflow_residual, clause.guard) != FALSE
             )
-            if intrinsically_reachable and not dataflow_reachable:
+            if clause.reachable and not dataflow_reachable:
                 findings.append(
                     Finding(
                         "unreachable-policy-path",
@@ -603,10 +599,6 @@ def unreachable_policy_path(stage: "LintStage") -> List[Finding]:
                         "general)",
                         clause.location,
                     )
-                )
-            if clause.is_exact(False):
-                intrinsic_residual = engine.diff(
-                    intrinsic_residual, clause.guard
                 )
             if clause.is_exact(resolution == "pass") and dataflow_reachable:
                 dataflow_residual = engine.diff(

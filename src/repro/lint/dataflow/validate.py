@@ -15,6 +15,7 @@ from typing import Dict, List, Optional
 
 from repro.bdd.engine import FALSE
 from repro.config.model import Protocol, Snapshot
+from repro.lint.dataflow.domain import build_universe
 from repro.lint.dataflow.engine import DataflowAnalysis, analyze
 from repro.lint.dataflow.graph import (
     DOMAIN_BGP,
@@ -45,7 +46,7 @@ def validate_containment(
     from repro.routing.engine import compute_dataplane
 
     if analysis is None:
-        analysis = analyze(snapshot)
+        analysis = analyze(snapshot, build_universe(snapshot))
     universe = analysis.universe
     engine = universe.engine
     dataplane = compute_dataplane(snapshot)

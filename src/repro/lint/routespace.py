@@ -1,38 +1,36 @@
-"""A small BDD encoding of *route* space for policy reachability.
+"""A BDD encoding of *route* space, and the one compiler of route maps
+into it.
 
 The packet-space encoder (`repro.hdr`) models packets; route maps match
 on route attributes instead — the announced prefix (address + length)
-and the community set. This module builds a BDD over:
+and the community set. A :class:`RouteSpaceUniverse` orders BDD
+variables over:
 
 * 32 variables for the prefix network address (MSB first),
-* 6 variables for the prefix length (0..32 in a 6-bit field),
+* 6 variables for the prefix length (a 6-bit field: only 0..32, with
+  every host bit zero, name a route — :meth:`RouteSpaceUniverse.routes`),
 * one variable per distinct community string,
-* optional extra flag variables (the dataflow engine uses one to track
-  "this route entered BGP through redistribution").
+* extra flag variables (the dataflow engine uses one to track "this
+  route entered BGP through redistribution").
 
-That is enough to encode prefix-list and community-list matches
+A lint stage builds one universe per snapshot
+(:func:`repro.lint.dataflow.domain.build_universe`). The semantic rules
+and the dataflow fixpoint both read it, so sets built on different
+devices combine and each route map compiles once
+(:meth:`RouteSpaceUniverse.policy`).
+
+:func:`compile_policy` is the only code that turns a route-map clause
+into route space. Prefix-list and community-list matches encode
 *exactly*, mirroring the concrete first-match semantics of
-``PrefixList.permits`` / ``CommunityList.permits``. Matches the engine
-cannot encode (as-path regexes, tag/metric/protocol) are treated as
-"unknown": the clause's space becomes an over-approximation, which
-keeps unreachability findings sound — a clause is only flagged when
-even the over-approximation has no route left to match.
-
-Two layers:
-
-* :class:`RouteSpaceUniverse` — the shared variable order (address +
-  length + a fixed community alphabet). One universe per device for the
-  single-device clause-reachability rules; one snapshot-wide universe
-  for the cross-device dataflow fixpoint, so sets built on different
-  devices combine.
-* :class:`RouteSpace` — a public, immutable set-of-routes value with
-  ``union`` / ``intersect`` / ``complement``; the dataflow lattice's
-  carrier.
+``PrefixList.permits`` / ``CommunityList.permits``. Matches the BDD
+cannot express (as-path regexes, tag/metric/protocol) leave the guard
+an over-approximation and the clause inexact: an inexact clause is never
+subtracted from the routes later clauses see, so a clause is only found
+unreachable when even the over-approximation has no route left.
 """
 
 from __future__ import annotations
 
-import hashlib
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -40,12 +38,14 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 from repro.bdd.engine import FALSE, TRUE, BddEngine
 from repro.config.model import (
     Action,
+    CommunityList,
     Device,
     MatchKind,
     PrefixList,
     PrefixListLine,
-    RouteMapClause,
+    SetKind,
 )
+from repro.findings import Location
 from repro.hdr.ip import Prefix
 
 ADDR_BITS = 32
@@ -53,12 +53,10 @@ LEN_BITS = 6  # values 0..63; only 0..32 are produced by parsers
 
 
 class RouteSpaceUniverse:
-    """The variable order shared by every :class:`RouteSpace` built
-    against it: 32 address bits, 6 length bits, then one variable per
-    community in a fixed (sorted) alphabet, then any extra flag
-    variables. Sets from two universes never mix; the dataflow engine
-    builds one snapshot-wide universe so sets built on different
-    devices can be joined.
+    """The variable order every route set and compiled route map of a
+    snapshot is built against: 32 address bits, 6 length bits, then one
+    variable per community in a fixed (sorted) alphabet, then any extra
+    flag variables. Sets from two universes never mix.
     """
 
     def __init__(
@@ -80,19 +78,9 @@ class RouteSpaceUniverse:
         #: length -> ``length_eq(length) ∧ without_communities()``: the
         #: leaves of :meth:`originated`.
         self._originated_leaves: Dict[int, int] = {}
-
-    def fingerprint(self) -> str:
-        """Content address of the variable order. Two universes with the
-        same fingerprint produce comparable canonical BDDs."""
-        digest = hashlib.sha256()
-        for community in self.communities:
-            digest.update(community.encode())
-            digest.update(b"\x00")
-        digest.update(b"\x01")
-        for flag in self.flags:
-            digest.update(flag.encode())
-            digest.update(b"\x00")
-        return digest.hexdigest()
+        self._routes: Optional[int] = None
+        #: (hostname, route-map name) -> its summary: :meth:`policy`.
+        self._policies: Dict[Tuple[str, str], PolicySummary] = {}
 
     # -- field primitives --------------------------------------------------
 
@@ -123,6 +111,30 @@ class RouteSpaceUniverse:
             range(ADDR_BITS), prefix.network_value,
             below=self.length_eq(prefix.length),
         )
+
+    def routes(self) -> int:
+        """Every prefix a route can announce: a length of 0..32 (the
+        6-bit field also spells 33..63) with every host bit zero, any
+        communities and flags. Residual walks start from it and
+        prefix-list lines are taken within it, so no finding rests on a
+        route that cannot exist.
+
+        Built bottom up with :meth:`BddEngine.mk`, one node per (address
+        bit, shortest length still allowed): read top down, an address
+        whose last set bit so far is bit ``p - 1`` allows lengths
+        ``p..32``."""
+        if self._routes is None:
+            engine = self.engine
+            allowed = [self.length_eq(ADDR_BITS)]
+            for length in reversed(range(ADDR_BITS)):
+                allowed.insert(0, engine.or_(self.length_eq(length), allowed[0]))
+            for level in reversed(range(ADDR_BITS)):
+                allowed = [
+                    engine.mk(level, allowed[p], allowed[level + 1])
+                    for p in range(level + 1)
+                ]
+            self._routes = allowed[0]
+        return self._routes
 
     def community(self, name: str) -> int:
         level = self._community_var.get(name)
@@ -197,152 +209,13 @@ class RouteSpaceUniverse:
 
         return split(0, len(keys), 0) if keys else FALSE
 
-    def space(self, bdd: int) -> "RouteSpace":
-        return RouteSpace(self, bdd)
-
-    def empty(self) -> "RouteSpace":
-        return RouteSpace(self, FALSE)
-
-    def full(self) -> "RouteSpace":
-        return RouteSpace(self, TRUE)
-
-
-@dataclass(frozen=True)
-class RouteSpace:
-    """A set of abstract routes (prefix + community/flag membership)
-    over a :class:`RouteSpaceUniverse`.
-
-    **Over-approximation contract.** Spaces produced from route-map
-    clauses are *supersets* of the concrete match sets whenever a clause
-    contains a match the encoding cannot express (as-path regex, tag,
-    metric, protocol): inexact constraints widen to ⊤ — they are never
-    used to *shrink* a set. Consequently:
-
-    * ``union`` and ``intersect`` of over-approximations are again
-      over-approximations, so emptiness of any combination soundly
-      proves concrete emptiness (the unreachable-clause argument);
-    * ``complement`` of an over-approximation is an
-      *under*-approximation — never complement an inexact space and
-      then claim a route is outside the original set. Complement is
-      exact only for spaces built purely from encodable constraints
-      (prefix lists, community lists, atoms).
-    """
-
-    universe: RouteSpaceUniverse
-    bdd: int
-
-    def _check(self, other: "RouteSpace") -> None:
-        if other.universe is not self.universe:
-            raise ValueError(
-                "RouteSpace operands belong to different universes"
-            )
-
-    def union(self, other: "RouteSpace") -> "RouteSpace":
-        self._check(other)
-        return RouteSpace(
-            self.universe, self.universe.engine.or_(self.bdd, other.bdd)
-        )
-
-    def intersect(self, other: "RouteSpace") -> "RouteSpace":
-        self._check(other)
-        return RouteSpace(
-            self.universe, self.universe.engine.and_(self.bdd, other.bdd)
-        )
-
-    def complement(self) -> "RouteSpace":
-        """Set complement over the full universe. See the class
-        docstring: only meaningful for exactly-encoded spaces."""
-        return RouteSpace(
-            self.universe, self.universe.engine.not_(self.bdd)
-        )
-
-    def difference(self, other: "RouteSpace") -> "RouteSpace":
-        self._check(other)
-        return RouteSpace(
-            self.universe, self.universe.engine.diff(self.bdd, other.bdd)
-        )
-
-    def is_empty(self) -> bool:
-        return self.bdd == FALSE
-
-    def contains_prefix(self, prefix: Prefix) -> bool:
-        """True when some route announcing exactly ``prefix`` (any
-        community/flag membership) is in the set."""
-        atom = self.universe.prefix_atom(prefix)
-        return self.universe.engine.and_(atom, self.bdd) != FALSE
-
-    def example(
-        self,
-    ) -> Optional[Tuple[Prefix, FrozenSet[str]]]:
-        """One witness route from the set: its prefix and the
-        communities it carries (free variables default to absent)."""
-        assignment = self.universe.engine.any_sat(self.bdd)
-        if assignment is None:
-            return None
-        address = 0
-        for bit in range(ADDR_BITS):
-            address = (address << 1) | assignment.get(bit, 0)
-        length = 0
-        for bit in range(LEN_BITS):
-            length = (length << 1) | assignment.get(ADDR_BITS + bit, 0)
-        length = min(length, 32)
-        carried = frozenset(
-            community
-            for community, level in self.universe._community_var.items()
-            if assignment.get(level, 0)
-        )
-        return Prefix(address, length), carried
-
-    def canonical(self) -> object:
-        """Engine-independent structural form (see
-        :meth:`repro.bdd.engine.BddEngine.canonical`); equal across
-        engines sharing the universe fingerprint iff the sets match."""
-        return self.universe.engine.canonical(self.bdd)
-
-
-class RouteSpaceEncoder:
-    """Per-device symbolic encoder for route-map match spaces.
-
-    Builds a private single-device universe by default; pass a shared
-    ``universe`` (the dataflow engine's snapshot-wide one) to make the
-    resulting spaces combinable across devices.
-    """
-
-    def __init__(
-        self, device: Device, universe: Optional[RouteSpaceUniverse] = None
-    ):
-        self.device = device
-        if universe is None:
-            universe = RouteSpaceUniverse(
-                communities={
-                    community
-                    for clist in device.community_lists.values()
-                    for community in clist.communities
-                }
-            )
-        self.universe = universe
-        self.engine = universe.engine
-
-    # -- field primitives (delegated to the universe) ----------------------
-
-    def _length_eq(self, value: int) -> int:
-        return self.universe.length_eq(value)
-
-    def length_in_range(self, low: int, high: int) -> int:
-        return self.universe.length_in_range(low, high)
-
-    def address_under(self, prefix: Prefix) -> int:
-        return self.universe.address_under(prefix)
-
-    def community(self, name: str) -> int:
-        return self.universe.community(name)
-
     # -- structure spaces --------------------------------------------------
 
     def prefix_list_line_space(self, line: PrefixListLine) -> int:
-        """Exact encoding of ``PrefixListLine.matches``."""
+        """Exact encoding of ``PrefixListLine.matches``, within
+        :meth:`routes`."""
         if line.ge is None and line.le is None:
-            band = self._length_eq(line.prefix.length)
+            band = self.length_eq(line.prefix.length)
         else:
             low = line.ge if line.ge is not None else line.prefix.length
             high = line.le if line.le is not None else 32
@@ -350,7 +223,10 @@ class RouteSpaceEncoder:
             # be at least as long as the list entry's.
             low = max(low, line.prefix.length)
             band = self.length_in_range(low, high)
-        return self.engine.and_(self.address_under(line.prefix), band)
+        engine = self.engine
+        return engine.and_(
+            engine.and_(self.address_under(line.prefix), band), self.routes()
+        )
 
     def prefix_list_space(self, plist: PrefixList) -> int:
         """First-match permit space with implicit deny."""
@@ -365,39 +241,191 @@ class RouteSpaceEncoder:
             remaining = engine.diff(remaining, space)
         return permitted
 
-    def community_list_space(self, name: str) -> int:
-        clist = self.device.community_lists.get(name)
+    def community_list_space(self, clist: Optional[CommunityList]) -> int:
+        """Routes carrying any member of ``clist`` (none when it is
+        undefined: the concrete match fails)."""
         if clist is None:
             return FALSE
-        return self.engine.or_all(
-            [self.community(c) for c in clist.communities]
+        return self.engine.or_all([self.community(c) for c in clist.communities])
+
+    def example(self, bdd: int) -> Optional[Tuple[Prefix, FrozenSet[str]]]:
+        """One route in ``bdd`` (a set within :meth:`routes`): its prefix
+        and the communities it carries (free variables default to
+        absent)."""
+        assignment = self.engine.any_sat(bdd)
+        if assignment is None:
+            return None
+        address = 0
+        for bit in range(ADDR_BITS):
+            address = (address << 1) | assignment.get(bit, 0)
+        length = 0
+        for bit in range(LEN_BITS):
+            length = (length << 1) | assignment.get(ADDR_BITS + bit, 0)
+        carried = frozenset(
+            community
+            for community, level in self._community_var.items()
+            if assignment.get(level, 0)
+        )
+        return Prefix(address, length), carried
+
+    def policy(self, device: Device, name: str) -> PolicySummary:
+        """``device``'s route map ``name`` compiled by
+        :func:`compile_policy`, once per universe."""
+        key = (device.hostname, name)
+        summary = self._policies.get(key)
+        if summary is None:
+            summary = self._policies[key] = compile_policy(self, device, name)
+        return summary
+
+
+@dataclass(frozen=True)
+class ClauseSummary:
+    """One route-map clause as the rules and the abstract transfer see
+    it."""
+
+    seq: int
+    action: Action
+    #: The prefix/community routes the clause matches: exact for
+    #: prefix-list / community-list matches, ⊤-widened otherwise.
+    guard: int
+    #: Some route no earlier exact clause matches is in ``guard``: the
+    #: clause can fire on its own, whatever reaches the map.
+    reachable: bool
+    #: ``match tag N`` — evaluated against the tag lattice.
+    tag_eq: Optional[int] = None
+    #: ``match protocol X`` values — resolvable on redistribution edges
+    #: where the source domain is known.
+    protocol_values: Tuple[str, ...] = ()
+    #: as-path / metric matches present (never resolvable here).
+    other_inexact: bool = False
+    #: Ordered community rewrites: ("replace"|"add", members).
+    community_ops: Tuple[Tuple[str, Tuple[str, ...]], ...] = ()
+    #: ``set tag N``.
+    set_tag: Optional[int] = None
+    #: Community-list names this clause matches on (resolved members in
+    #: ``matched_communities``) — inputs to the community-dataflow rule.
+    matched_lists: Tuple[str, ...] = ()
+    matched_communities: Tuple[str, ...] = ()
+    location: Location = Location()
+
+    def is_exact(self, protocols_resolved: bool) -> bool:
+        """Whether first-match residual subtraction is sound for this
+        clause: every match condition is exactly represented."""
+        return (
+            self.tag_eq is None
+            and not self.other_inexact
+            and (not self.protocol_values or protocols_resolved)
         )
 
-    def clause_space(self, clause: RouteMapClause) -> Tuple[int, bool]:
-        """The set of routes a clause's match conditions accept.
 
-        Returns ``(space, exact)``. When ``exact`` is False the space is
-        an over-approximation (some match kind was not encodable), safe
-        for proving *unreachability* but not for subtracting from the
-        residual of later clauses.
-        """
-        engine = self.engine
-        space = TRUE
-        exact = True
+@dataclass(frozen=True)
+class PolicySummary:
+    """A compiled route-map: the transfer function's static half."""
+
+    hostname: str
+    name: str
+    defined: bool
+    clauses: Tuple[ClauseSummary, ...] = ()
+    location: Location = Location()
+
+    def is_identity(self) -> bool:
+        """Structurally a no-op: undefined (model default permits
+        unchanged) or a map whose first clause permits everything
+        without rewriting."""
+        if not self.defined:
+            return True
+        if not self.clauses:
+            return False  # no clause matched -> implicit deny everything
+        first = self.clauses[0]
+        return (
+            first.action is Action.PERMIT
+            and first.guard == TRUE
+            and first.is_exact(False)
+            and not first.community_ops
+            and first.set_tag is None
+        )
+
+
+def compile_policy(
+    universe: RouteSpaceUniverse, device: Device, name: str
+) -> PolicySummary:
+    """Compile ``device``'s route map ``name`` into its clause summaries
+    over ``universe``; :meth:`RouteSpaceUniverse.policy` memoizes it."""
+    route_map = device.route_maps.get(name)
+    if route_map is None:
+        return PolicySummary(device.hostname, name, defined=False)
+    engine = universe.engine
+    residual = universe.routes()
+    clauses: List[ClauseSummary] = []
+    for clause in route_map.sorted_clauses():
+        guard = TRUE
+        tag_eq: Optional[int] = None
+        protocol_values: List[str] = []
+        other_inexact = False
+        matched_lists: List[str] = []
+        matched_communities: List[str] = []
         for match in clause.matches:
             if match.kind is MatchKind.PREFIX_LIST:
-                plist = self.device.prefix_lists.get(match.value)
+                plist = device.prefix_lists.get(match.value)
                 if plist is None:
-                    # Mirrors DEFAULT_SEMANTICS.undefined_prefix_list_
-                    # fails_match: the match never holds.
-                    space = FALSE
+                    # undefined_prefix_list_fails_match: never holds.
+                    guard = FALSE
                 else:
-                    space = engine.and_(space, self.prefix_list_space(plist))
+                    guard = engine.and_(guard, universe.prefix_list_space(plist))
             elif match.kind is MatchKind.COMMUNITY:
-                space = engine.and_(
-                    space, self.community_list_space(match.value)
-                )
+                clist = device.community_lists.get(match.value)
+                guard = engine.and_(guard, universe.community_list_space(clist))
+                matched_lists.append(match.value)
+                if clist is not None:
+                    matched_communities.extend(clist.communities)
+            elif match.kind is MatchKind.TAG:
+                try:
+                    value = int(match.value)
+                except ValueError:
+                    other_inexact = True
+                    continue
+                if tag_eq is not None and tag_eq != value:
+                    guard = FALSE  # tag == a and tag == b, a != b
+                else:
+                    tag_eq = value
+            elif match.kind is MatchKind.PROTOCOL:
+                protocol_values.append(match.value)
             else:
-                # as-path regexes, tag/metric/protocol: not encoded.
-                exact = False
-        return space, exact
+                # as-path regexes, metric: widen to ⊤.
+                other_inexact = True
+        community_ops: List[Tuple[str, Tuple[str, ...]]] = []
+        set_tag: Optional[int] = None
+        for set_clause in clause.sets:
+            if set_clause.kind is SetKind.COMMUNITY:
+                community_ops.append(("replace", tuple(set_clause.value.split())))
+            elif set_clause.kind is SetKind.COMMUNITY_ADDITIVE:
+                community_ops.append(("add", tuple(set_clause.value.split())))
+            elif set_clause.kind is SetKind.TAG:
+                try:
+                    set_tag = int(set_clause.value)
+                except ValueError:
+                    pass
+        summary = ClauseSummary(
+            seq=clause.seq,
+            action=clause.action,
+            guard=guard,
+            reachable=engine.and_(residual, guard) != FALSE,
+            tag_eq=tag_eq,
+            protocol_values=tuple(protocol_values),
+            other_inexact=other_inexact,
+            community_ops=tuple(community_ops),
+            set_tag=set_tag,
+            matched_lists=tuple(matched_lists),
+            matched_communities=tuple(matched_communities),
+            location=Location(clause.source_file, clause.source_line),
+        )
+        if summary.is_exact(False):
+            residual = engine.diff(residual, guard)
+        clauses.append(summary)
+    return PolicySummary(
+        hostname=device.hostname,
+        name=name,
+        defined=True,
+        clauses=tuple(clauses),
+        location=Location(route_map.source_file, route_map.source_line),
+    )

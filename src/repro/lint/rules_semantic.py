@@ -7,9 +7,13 @@ analyses because an unreachable line is almost always a bug and the
 finding names the exact lines involved.
 
 The rules read their encodings off the run's
-:class:`~repro.lint.runner.LintStage`: the ACL
-line spaces, one engine for both ACL rules, and a route-space encoder
-per device, built once per stage and shared by every run on it.
+:class:`~repro.lint.runner.LintStage`, built once per stage and shared
+by every run on it: the ACL line spaces, in one engine for both ACL
+rules, and the snapshot's route-space universe. The route-map rule reads
+each map's compiled summary from the universe
+(:meth:`~repro.lint.routespace.RouteSpaceUniverse.policy`), the one the
+dataflow fixpoint reads too, and reports the clauses it marks
+unreachable.
 """
 
 from __future__ import annotations
@@ -152,65 +156,60 @@ def acl_line_partially_shadowed(stage: "LintStage") -> List[Finding]:
 )
 def route_map_clause_unreachable(stage: "LintStage") -> List[Finding]:
     snapshot = stage.snapshot
+    universe = stage.universe
+    engine = universe.engine
     findings: List[Finding] = []
     for hostname in snapshot.hostnames():
         device = snapshot.device(hostname)
-        if not device.route_maps:
-            continue
-        encoder = stage.route_encoder(hostname)
-        engine = encoder.engine
         for map_name in sorted(device.route_maps):
-            route_map = device.route_maps[map_name]
-            residual = TRUE
-            earlier_exact: List[Tuple[int, int, Location]] = []
-            for clause in route_map.sorted_clauses():
-                obs.touch("route_map_clause", hostname, route_map.name, clause.seq)
-                space, exact = encoder.clause_space(clause)
-                location = Location(clause.source_file, clause.source_line)
-                if engine.and_(space, residual) == FALSE:
-                    if space == FALSE:
-                        message = (
-                            f"route-map {route_map.name} clause {clause.seq} "
-                            "matches no route (its match conditions are "
-                            "unsatisfiable)"
-                        )
-                        related: Tuple[Related, ...] = ()
-                    else:
-                        message = (
-                            f"route-map {route_map.name} clause {clause.seq} "
-                            "is unreachable: earlier clauses match every "
-                            "route it could match"
-                        )
-                        witnesses: List[Related] = []
-                        remaining = space
-                        for seq, espace, elocation in earlier_exact:
-                            if remaining == FALSE:
-                                break
-                            if engine.and_(espace, remaining) == FALSE:
-                                continue
-                            witnesses.append(
-                                Related(
-                                    elocation,
-                                    f"clause {seq} matches part of this "
-                                    "clause's route space first",
-                                )
-                            )
-                            remaining = engine.diff(remaining, espace)
-                        related = tuple(witnesses)
-                    findings.append(
-                        Finding(
-                            "route-map-clause-unreachable",
-                            Severity.WARNING,
-                            "semantic",
-                            hostname,
-                            message,
-                            location,
-                            related,
-                        )
+            clauses = universe.policy(device, map_name).clauses
+            for index, clause in enumerate(clauses):
+                obs.touch("route_map_clause", hostname, map_name, clause.seq)
+                if clause.reachable:
+                    continue
+                space = engine.and_(clause.guard, universe.routes())
+                if space == FALSE:
+                    message = (
+                        f"route-map {map_name} clause {clause.seq} "
+                        "matches no route (its match conditions are "
+                        "unsatisfiable)"
                     )
-                if exact:
-                    earlier_exact.append((clause.seq, space, location))
-                    residual = engine.diff(residual, space)
+                    related: Tuple[Related, ...] = ()
+                else:
+                    message = (
+                        f"route-map {map_name} clause {clause.seq} "
+                        "is unreachable: earlier clauses match every "
+                        "route it could match"
+                    )
+                    witnesses: List[Related] = []
+                    uncovered = space
+                    for earlier in clauses[:index]:
+                        if uncovered == FALSE:
+                            break
+                        if not earlier.is_exact(False) or (
+                            engine.and_(earlier.guard, uncovered) == FALSE
+                        ):
+                            continue
+                        witnesses.append(
+                            Related(
+                                earlier.location,
+                                f"clause {earlier.seq} matches part of this "
+                                "clause's route space first",
+                            )
+                        )
+                        uncovered = engine.diff(uncovered, earlier.guard)
+                    related = tuple(witnesses)
+                findings.append(
+                    Finding(
+                        "route-map-clause-unreachable",
+                        Severity.WARNING,
+                        "semantic",
+                        hostname,
+                        message,
+                        clause.location,
+                        related,
+                    )
+                )
     return findings
 
 
@@ -223,14 +222,10 @@ def route_map_clause_unreachable(stage: "LintStage") -> List[Finding]:
 )
 def vacuous_match(stage: "LintStage") -> List[Finding]:
     snapshot = stage.snapshot
+    universe = stage.universe
     findings: List[Finding] = []
     for hostname in snapshot.hostnames():
         device = snapshot.device(hostname)
-        needs_engine = device.prefix_lists or device.community_lists
-        if not needs_engine:
-            continue
-        encoder = stage.route_encoder(hostname)
-        engine = encoder.engine
         for name in sorted(device.prefix_lists):
             plist = device.prefix_lists[name]
             location = Location(plist.source_file, plist.source_line)
@@ -248,7 +243,7 @@ def vacuous_match(stage: "LintStage") -> List[Finding]:
                 )
                 continue
             for index, line in enumerate(plist.lines):
-                if encoder.prefix_list_line_space(line) == FALSE:
+                if universe.prefix_list_line_space(line) == FALSE:
                     findings.append(
                         Finding(
                             "vacuous-match",
@@ -260,7 +255,7 @@ def vacuous_match(stage: "LintStage") -> List[Finding]:
                             location,
                         )
                     )
-            if encoder.prefix_list_space(plist) == FALSE:
+            if universe.prefix_list_space(plist) == FALSE:
                 findings.append(
                     Finding(
                         "vacuous-match",

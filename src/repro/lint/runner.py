@@ -23,11 +23,12 @@ from repro.config.model import Snapshot
 from repro.dataplane.acl import line_space
 from repro.findings import Finding, Severity, sort_findings
 from repro.hdr.headerspace import PacketEncoder
+from repro.lint.dataflow.domain import build_universe
 from repro.lint.dataflow.engine import DataflowAnalysis, analyze
 from repro.lint.dataflow.graph import BgpSessions
 from repro.lint.model import LintConfig
 from repro.lint.registry import Rule, all_rules
-from repro.lint.routespace import RouteSpaceEncoder
+from repro.lint.routespace import RouteSpaceUniverse
 from repro.routing.bgp import compute_bgp_sessions
 from repro.routing.topology import Layer3Topology, build_layer3_topology
 
@@ -37,39 +38,42 @@ class _Built:
     carried from it (:meth:`LintStage.carried_to`)."""
 
     __slots__ = (
-        "lock", "topology", "bgp_sessions", "dataflow",
-        "packet_encoder", "line_spaces", "route_encoders",
+        "lock", "topology", "bgp_sessions", "universe", "dataflow",
+        "packet_encoder", "line_spaces",
     )
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
         self.topology: Optional[Layer3Topology] = None
         self.bgp_sessions: Optional[BgpSessions] = None
+        self.universe: Optional[RouteSpaceUniverse] = None
         self.dataflow: Optional[DataflowAnalysis] = None
         self.packet_encoder: Optional[PacketEncoder] = None
         self.line_spaces: Dict[Tuple[str, str], List[int]] = {}
-        self.route_encoders: Dict[str, RouteSpaceEncoder] = {}
 
 
 class LintStage:
     """What every lint rule is called with: the snapshot and what rules
-    read besides it, its layer-3 topology, its BGP session set, the
-    dataflow fixpoint over both, and the encodings of the semantic rules
-    (each ACL line's packet space, in one :class:`PacketEncoder`, and a
-    :class:`RouteSpaceEncoder` per device with route maps, prefix lists
-    or community lists), each built at most once, when first read. The fixpoint's graph builds the
-    topology and the session set, and the stage keeps those: read after
-    the fixpoint, neither is built again.
+    read besides it, each built at most once, when first read:
+
+    * its layer-3 topology and BGP session set;
+    * its route-space universe (:func:`build_universe`), which compiles
+      each route map once for the semantic rules and the fixpoint alike;
+    * the dataflow fixpoint over all three (its graph builds the
+      topology and the session set, and the stage keeps those: read
+      after the fixpoint, neither is built again);
+    * each ACL line's packet space, in one :class:`PacketEncoder`.
 
     A :class:`~repro.core.session.Session` builds one as its ``lint``
     stage and keeps it for its life: a session's snapshot never changes,
     so nothing here is keyed or evicted. A delta whose edit moved no
     device's lint projection (:func:`repro.delta.fingerprint.lint_fingerprint`)
     takes its base's stage :meth:`carried_to` its own snapshot. The
-    rules extend the fixpoint's BDD engine, its ``edge_stages`` cache
-    and the encoders' engines, none safe under concurrent writes, so a
-    run holds ``lock`` from its first read to its last rule: runs on one
-    stage, and on the stages carried from it, take turns.
+    rules extend the universe's and the packet encoder's BDD engines and
+    the fixpoint's ``edge_stages`` cache, none safe under concurrent
+    writes, so a run holds ``lock`` from its first read to its last
+    rule: runs on one stage, and on the stages carried from it, take
+    turns.
     """
 
     def __init__(self, snapshot: Snapshot, built: Optional[_Built] = None):
@@ -101,6 +105,13 @@ class LintStage:
         return built.bgp_sessions
 
     @property
+    def universe(self) -> RouteSpaceUniverse:
+        built = self._built
+        if built.universe is None:
+            built.universe = build_universe(self.snapshot)
+        return built.universe
+
+    @property
     def has_dataflow(self) -> bool:
         return self._built.dataflow is not None
 
@@ -108,7 +119,7 @@ class LintStage:
     def dataflow(self) -> DataflowAnalysis:
         built = self._built
         if built.dataflow is None:
-            analysis = analyze(self.snapshot)
+            analysis = analyze(self.snapshot, self.universe)
             built.topology = analysis.graph.topology
             built.bgp_sessions = analysis.graph.bgp_sessions
             built.dataflow = analysis
@@ -124,12 +135,6 @@ class LintStage:
         self._encode()
         return self._built.line_spaces[hostname, acl]
 
-    def route_encoder(self, hostname: str) -> RouteSpaceEncoder:
-        """``hostname``'s route-space encoder (it has route maps, prefix
-        lists or community lists)."""
-        self._encode()
-        return self._built.route_encoders[hostname]
-
     def _encode(self) -> PacketEncoder:
         built = self._built
         if built.packet_encoder is None:
@@ -140,8 +145,6 @@ class LintStage:
                     built.line_spaces[hostname, name] = [
                         line_space(line, encoder) for line in device.acls[name].lines
                     ]
-                if device.route_maps or device.prefix_lists or device.community_lists:
-                    built.route_encoders[hostname] = RouteSpaceEncoder(device)
             built.packet_encoder = encoder
         return built.packet_encoder
 

@@ -326,7 +326,7 @@ class TestSoundness:
     )
     def test_containment(self, configs):
         snapshot = load_snapshot_from_texts(configs)
-        analysis = analyze(snapshot)
+        analysis = analyze(snapshot, build_universe(snapshot))
         assert validate_containment(snapshot, analysis) == []
 
     def test_report_carries_dataflow_stats(self):

@@ -5,7 +5,7 @@ abstract fixpoint set (the soundness direction; the abstract side may
 over-approximate freely)."""
 
 from repro.config.loader import load_snapshot_from_texts
-from repro.lint.dataflow import analyze, validate_containment
+from repro.lint.dataflow import analyze, build_universe, validate_containment
 from repro.synth.special import net1
 
 
@@ -14,7 +14,7 @@ class TestContainment:
         # NET1 exercises OSPF adjacencies, statics, redistribution and
         # iBGP at once — the registry network the CI differential runs.
         snapshot = load_snapshot_from_texts(net1(3))
-        analysis = analyze(snapshot)
+        analysis = analyze(snapshot, build_universe(snapshot))
         assert analysis.iterations > 0
         assert validate_containment(snapshot, analysis) == []
 
@@ -22,7 +22,7 @@ class TestContainment:
         # Sabotage the fixpoint after the fact: empty every abstract
         # state and the validator must name the uncovered routes.
         snapshot = load_snapshot_from_texts(net1(3))
-        analysis = analyze(snapshot)
+        analysis = analyze(snapshot, build_universe(snapshot))
         from repro.lint.dataflow.domain import AbstractRoutes
 
         analysis.states = {

@@ -13,7 +13,7 @@ from repro import Session, obs
 from repro.config.loader import load_snapshot_from_texts
 from repro.core.cache import SnapshotCache
 from repro.delta.edits import irrelevant_edit, relevant_edit
-from repro.lint import lint_snapshot, runner
+from repro.lint import lint_snapshot, routespace, runner
 from repro.lint.dataflow import graph as dataflow_graph
 from repro.lint.dataflow import validate_containment
 from repro.service.serialize import run_question
@@ -358,3 +358,47 @@ def test_a_warm_run_of_the_acl_rules_builds_no_line_space(monkeypatch):
     assert findings(first) == [
         f for f in from_scratch(texts) if f["rule"].startswith("acl-line-")
     ]
+
+
+def test_each_route_map_compiles_once_into_the_stage_universe(monkeypatch):
+    """The route-map rules and the fixpoint read one compiled summary per
+    map from the stage's universe: a run of the two route-map rules
+    compiles each of NET10's maps once, warm runs compile nothing and
+    leave the universe's engine flat, and a later full lint compiles no
+    map again. A fixpoint built after the clause rule reads its
+    summaries too."""
+    texts = network_by_name("NET10").generate(1)
+    expected = from_scratch(texts)
+    compiled = []
+    real = routespace.compile_policy
+
+    def counting(universe, device, name):
+        compiled.append((device.hostname, name))
+        return real(universe, device, name)
+
+    monkeypatch.setattr(routespace, "compile_policy", counting)
+    session = Session.from_texts(texts)
+    maps = sorted(
+        (device.hostname, name)
+        for device in session.snapshot.devices.values()
+        for name in device.route_maps
+    )
+    config = {"rules": ["route-map-clause-unreachable", "unreachable-policy-path"]}
+    first = session.lint(config)
+    assert maps and sorted(compiled) == maps
+    stage = session.lint_stage
+    assert stage.dataflow.universe is stage.universe
+    settled = stage.universe.engine.stats()
+    for _ in range(3):
+        assert findings(session.lint(config)) == findings(first)
+    assert sorted(compiled) == maps
+    assert stage.universe.engine.stats() == settled
+    assert findings(session.lint()) == expected
+    assert sorted(compiled) == maps
+
+    compiled.clear()
+    later = Session.from_texts(texts)
+    later.lint({"rules": ["route-map-clause-unreachable"]})
+    assert sorted(compiled) == maps
+    later.lint()
+    assert sorted(compiled) == maps

@@ -4,7 +4,9 @@ import pytest
 
 from repro.config.loader import load_snapshot_from_texts
 from repro.config.model import CommunityList, Device, PrefixList, Snapshot
+from repro.hdr.ip import Prefix
 from repro.lint import get_rule
+from repro.routing.policy import PolicyRoute, apply_route_map
 
 ROUTE_MAPS = {
     "rm": """
@@ -107,3 +109,71 @@ class TestVacuousMatch:
         messages = [f.message for f in findings]
         assert any("NOLINES" in m and "no lines" in m for m in messages)
         assert any("NOCOMM" in m and "no communities" in m for m in messages)
+
+
+#: Each map's last clause can never fire, and each rests on a route that
+#: cannot exist: a length past 32, or a prefix with host bits set.
+IMPOSSIBLE = {
+    "imp": """
+hostname imp
+interface Loopback0
+ ip address 10.0.0.1 255.255.255.255
+ip prefix-list HIGH seq 5 permit 10.0.0.0/8 ge 33 le 40
+ip prefix-list ALL seq 5 permit 0.0.0.0/0 le 32
+ip prefix-list SOME seq 5 permit 0.0.0.0/0 ge 1 le 32
+ip prefix-list SOME seq 10 permit 0.0.0.0/0
+route-map HIGHMAP permit 10
+ match ip address prefix-list HIGH
+route-map LE32 permit 10
+ match ip address prefix-list ALL
+route-map LE32 deny 20
+route-map GE1 permit 10
+ match ip address prefix-list SOME
+route-map GE1 deny 20
+route-map TAGS permit 10
+ match tag 1
+ match tag 2
+route-map TAGS permit 20
+ match tag 1
+""",
+}
+
+
+class TestRoutesThatCannotExist:
+    """Residual walks start from the routes that can exist (lengths
+    0..32, host bits zero), not from every 6-bit length and address."""
+
+    @pytest.fixture(scope="class")
+    def snapshot(self):
+        return load_snapshot_from_texts(IMPOSSIBLE)
+
+    @pytest.fixture(scope="class")
+    def clause_findings(self, snapshot):
+        return get_rule("route-map-clause-unreachable").run(snapshot)
+
+    def test_a_band_past_32_is_vacuous(self, snapshot, clause_findings):
+        messages = [f.message for f in get_rule("vacuous-match").run(snapshot)]
+        assert any("HIGH line 0 can never match" in m for m in messages)
+        assert any("HIGH permits nothing" in m for m in messages)
+        (finding,) = [f for f in clause_findings if "HIGHMAP" in f.message]
+        assert "clause 10 matches no route" in finding.message
+
+    def test_le_32_covers_every_route(self, clause_findings):
+        assert _clauses_flagged(clause_findings, "LE32") == {20}
+
+    def test_ge_1_and_the_default_cover_every_route(self, snapshot, clause_findings):
+        assert _clauses_flagged(clause_findings, "GE1") == {20}
+        finding = next(f for f in clause_findings if "GE1 clause 20" in f.message)
+        clause10 = snapshot.device("imp").route_maps["GE1"].sorted_clauses()[0]
+        assert [r.location.line for r in finding.related] == [clause10.source_line]
+        device = snapshot.device("imp")
+        for text in ("0.0.0.0/0", "10.0.0.0/8", "1.2.3.4/32"):
+            result = apply_route_map(device, "GE1", PolicyRoute(Prefix(text)))
+            assert result.matched_clause == 10
+
+    def test_two_different_tags_match_no_route(self, clause_findings):
+        # The concrete walk ANDs a clause's matches: tag 1 and tag 2 at
+        # once never hold. One tag alone may.
+        assert _clauses_flagged(clause_findings, "TAGS") == {10}
+        (finding,) = [f for f in clause_findings if "TAGS" in f.message]
+        assert "matches no route" in finding.message

@@ -1,19 +1,14 @@
-"""The public RouteSpace set algebra: union/intersect/complement/
-difference, the cross-universe guard, witnesses, and the documented
-over-approximation contract's observable consequences."""
+"""The route-space universe's primitives: witnesses, the set of routes
+that can exist, and the cubes against the ``and_`` chains they
+replace."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bdd.engine import TRUE
+from repro.bdd.engine import FALSE, TRUE
 from repro.config.model import Prefix
-from repro.lint.routespace import (
-    ADDR_BITS,
-    LEN_BITS,
-    RouteSpace,
-    RouteSpaceUniverse,
-)
+from repro.lint.routespace import ADDR_BITS, LEN_BITS, RouteSpaceUniverse
 
 
 @pytest.fixture(scope="module")
@@ -21,115 +16,65 @@ def universe():
     return RouteSpaceUniverse(communities=["65000:1", "65000:2"])
 
 
-def atom(universe, text):
-    return universe.space(universe.prefix_atom(Prefix(text)))
-
-
-class TestSetAlgebra:
-    def test_union(self, universe):
-        a = atom(universe, "10.0.0.0/8")
-        b = atom(universe, "192.168.0.0/16")
-        merged = a.union(b)
-        assert merged.contains_prefix(Prefix("10.0.0.0/8"))
-        assert merged.contains_prefix(Prefix("192.168.0.0/16"))
-        assert not merged.contains_prefix(Prefix("172.16.0.0/12"))
-
-    def test_intersect(self, universe):
-        under = universe.space(universe.address_under(Prefix("10.0.0.0/8")))
-        a = atom(universe, "10.1.0.0/16")
-        assert not under.intersect(a).is_empty()
-        outside = atom(universe, "192.168.0.0/16")
-        assert under.intersect(outside).is_empty()
-
-    def test_complement_and_difference(self, universe):
-        a = atom(universe, "10.0.0.0/8")
-        inverse = a.complement()
-        assert a.intersect(inverse).is_empty()
-        assert a.union(inverse).bdd == universe.full().bdd
-        # difference(x) == intersect(complement(x)) for exact spaces.
-        b = atom(universe, "192.168.0.0/16")
-        both = a.union(b)
-        assert both.difference(b).canonical() == a.canonical()
-        assert (
-            both.intersect(b.complement()).canonical() == a.canonical()
-        )
-
-    def test_involution(self, universe):
-        a = atom(universe, "10.0.0.0/8")
-        assert a.complement().complement().bdd == a.bdd
-
-    def test_empty_and_full(self, universe):
-        assert universe.empty().is_empty()
-        assert not universe.full().is_empty()
-        assert universe.full().complement().is_empty()
-
-
-class TestUniverseGuard:
-    def test_cross_universe_operands_rejected(self, universe):
-        other = RouteSpaceUniverse(communities=["65000:1", "65000:2"])
-        ours = atom(universe, "10.0.0.0/8")
-        theirs = atom(other, "10.0.0.0/8")
-        for operation in ("union", "intersect", "difference"):
-            with pytest.raises(ValueError, match="different universes"):
-                getattr(ours, operation)(theirs)
-
-    def test_identity_not_equality(self, universe):
-        # The guard is identity-based on purpose: equal fingerprints do
-        # not make BDD node ids interchangeable between engines.
-        clone = RouteSpaceUniverse(communities=["65000:1", "65000:2"])
-        assert clone.fingerprint() == universe.fingerprint()
-        with pytest.raises(ValueError):
-            atom(universe, "10.0.0.0/8").union(atom(clone, "10.0.0.0/8"))
-
-
 class TestWitnesses:
     def test_example_from_empty_is_none(self, universe):
-        assert universe.empty().example() is None
+        assert universe.example(FALSE) is None
 
     def test_example_reports_communities(self, universe):
-        space = universe.space(
-            universe.engine.and_(
-                universe.prefix_atom(Prefix("10.1.0.0/16")),
-                universe.community("65000:1"),
-            )
+        space = universe.engine.and_(
+            universe.prefix_atom(Prefix("10.1.0.0/16")),
+            universe.community("65000:1"),
         )
-        prefix, communities = space.example()
+        prefix, communities = universe.example(space)
         assert str(prefix) == "10.1.0.0/16"
         assert "65000:1" in communities
 
     def test_contains_prefix_is_exact_length(self, universe):
-        a = atom(universe, "10.0.0.0/8")
-        assert a.contains_prefix(Prefix("10.0.0.0/8"))
+        engine = universe.engine
+        atom = universe.prefix_atom(Prefix("10.0.0.0/8"))
+        assert engine.and_(atom, universe.prefix_atom(Prefix("10.0.0.0/8"))) != FALSE
         # The atom pins the length: a more specific prefix under the
         # same address is a different route.
-        assert not a.contains_prefix(Prefix("10.0.0.0/16"))
+        assert engine.and_(atom, universe.prefix_atom(Prefix("10.0.0.0/16"))) == FALSE
+
+    def test_example_within_routes_is_a_prefix(self, universe):
+        # The 6-bit length field spells 33..63 too; routes() excludes them.
+        band = universe.length_in_range(20, 2**LEN_BITS - 1)
+        space = universe.engine.and_(universe.routes(), band)
+        prefix, communities = universe.example(space)
+        assert 20 <= prefix.length <= 32 and not communities
 
 
-class TestOverApproximationContract:
-    def test_operations_preserve_supersets(self, universe):
-        """union/intersect of supersets are supersets: the algebra the
-        soundness argument in the docstring leans on."""
-        exact = atom(universe, "10.1.0.0/16")
-        widened = exact.union(atom(universe, "10.2.0.0/16"))  # a superset
-        other = universe.space(universe.address_under(Prefix("10.0.0.0/8")))
-        assert widened.union(other).intersect(exact).canonical() == (
-            exact.canonical()
+class TestRoutes:
+    def test_lengths_past_32_and_host_bits_are_outside(self, universe):
+        engine = universe.engine
+        routes = universe.routes()
+        for length in range(33, 2**LEN_BITS):
+            assert engine.and_(routes, universe.length_eq(length)) == FALSE
+        # 10.0.0.1 announced as a /8 has host bits set: no such route.
+        host_bits = engine.pinned(
+            range(ADDR_BITS), 0x0A000001, below=universe.length_eq(8)
         )
-        assert not widened.intersect(other).is_empty()
-        # Emptiness of an intersection of supersets soundly proves
-        # concrete emptiness.
-        disjoint = atom(universe, "192.168.0.0/16")
-        assert widened.intersect(disjoint).is_empty()
+        assert engine.and_(routes, host_bits) == FALSE
 
-    def test_canonical_comparable_across_engines(self, universe):
-        clone = RouteSpaceUniverse(communities=["65000:1", "65000:2"])
-        ours = atom(universe, "10.0.0.0/8").union(
-            atom(universe, "192.168.0.0/16")
+    @pytest.mark.parametrize("communities", [[], ["65000:1", "65000:2"]])
+    def test_routes_is_the_union_of_one_cube_per_length(self, communities):
+        universe = RouteSpaceUniverse(communities=communities, flags=["redist"])
+        engine = universe.engine
+        reference = engine.or_all(
+            [
+                engine.pinned(range(length, ADDR_BITS), 0, below=universe.length_eq(length))
+                for length in range(ADDR_BITS + 1)
+            ]
         )
-        theirs = atom(clone, "192.168.0.0/16").union(
-            atom(clone, "10.0.0.0/8")
-        )
-        assert ours.canonical() == theirs.canonical()
+        assert universe.routes() == reference
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 32))
+    def test_every_prefix_is_a_route(self, address, length):
+        universe = RouteSpaceUniverse(communities=["65000:1"])
+        atom = universe.prefix_atom(Prefix(address, length))
+        assert universe.engine.and_(atom, universe.routes()) == atom
 
 
 # ----------------------------------------------------------------------

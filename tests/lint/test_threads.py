@@ -33,10 +33,10 @@ def test_each_concurrent_run_computes_one_fixpoint(monkeypatch):
     real_analyze = engine.analyze
     both_analyzed = threading.Barrier(2, timeout=TIMEOUT)
 
-    def counted(snapshot):
+    def counted(snapshot, universe):
         name = next(n for n, s in snapshots.items() if s is snapshot)
         calls[name] += 1
-        analysis = real_analyze(snapshot)
+        analysis = real_analyze(snapshot, universe)
         both_analyzed.wait()
         return analysis
 

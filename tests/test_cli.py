@@ -252,8 +252,8 @@ def _corrupt_sweep(monkeypatch):
 def _corrupt_dataflow(monkeypatch):
     real = cli.analyze
 
-    def analyze(snapshot):
-        analysis = real(snapshot)
+    def analyze(snapshot, universe):
+        analysis = real(snapshot, universe)
         node = sorted(analysis.states)[0]
         analysis.states[node] = AbstractRoutes.bottom()
         return analysis

@@ -19,7 +19,8 @@ nesting depth, so a function-local import counts):
   question names: what a question is, is declared once, in
   ``repro.questions.registry``;
 * the ``REPRO_*`` environment variables the package reads are the
-  README's "Environment variables" table, and no other one is named.
+  README's "Environment variables" table, and no other one is named;
+* ``build_universe`` is the one code that makes a route-space universe.
 """
 
 import ast
@@ -207,3 +208,24 @@ def test_environment_variables_are_the_readme_table():
     assert len(table) == 5
     assert read == table
     assert named == table
+
+
+def test_build_universe_alone_makes_a_route_space_universe():
+    """One universe per snapshot: the lint stage's semantic rules and its
+    fixpoint share the one ``build_universe`` makes, so no module builds
+    a universe of its own (per device, per rule)."""
+    makers = set()
+    for path in sorted(ROOT.glob("**/*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}  # node -> innermost enclosing function (walk is breadth-first)
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef):
+                owner.update((node, function.name) for node in ast.walk(function))
+        makers.update(
+            f"{path.relative_to(ROOT)}:{owner.get(node, '<module>')}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and "RouteSpaceUniverse"
+            in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        )
+    assert sorted(makers) == ["lint/dataflow/domain.py:build_universe"]
