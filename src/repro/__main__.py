@@ -298,11 +298,12 @@ def _validate_delta(network: str, configs: Configs) -> Validation:
     took over from its base, its parsed snapshot, its FIBs, its
     forwarding graph and its lint findings (JSON, byte for byte) must
     equal a cache-less from-scratch session's. Counts how each routing
-    stage and the lint stage came out (``igp_reused``,
-    ``bgp_recomputed``, ``lint_reused``, ...), how each fork was made
-    (``fork_trimmed``, ``fork_rebuilt``), the graph segments taken from
-    the base (``segments_reused``) and how each built one got its labels
-    (``labels_grafted``, ``labels_folded``)."""
+    stage, the lint stage and the analyzer came out (``igp_reused``,
+    ``bgp_recomputed``, ``lint_reused``, ``analyzer_reused``, ...), how
+    each fork was made (``fork_trimmed``, ``fork_rebuilt``; the inert
+    edit takes the base's analyzer and forks nothing), the graph
+    segments taken from the base (``segments_reused``) and how each
+    built one got its labels (``labels_grafted``, ``labels_folded``)."""
     base = Session.from_texts(configs)
     # Every stage computed, so that each edit has all of them to take.
     base.analyzer
@@ -336,7 +337,6 @@ def _validate_delta(network: str, configs: Configs) -> Validation:
         info = new.delta_info
         if _lint_json(new) != _lint_json(Session.from_texts(new._configs)):
             failed.append(f"{label} edit on {target}: lint findings differ from scratch")
-        counts[f"lint_{info.lint.split()[0]}"] += 1
         counts["edges_compared"] += len(new.analyzer.graph.edges)
         counts["ribs_reused"] += info.reused_ribs
         counts["fibs_reused"] += info.reused_fibs
@@ -346,16 +346,17 @@ def _validate_delta(network: str, configs: Configs) -> Validation:
         counts["labels_folded"] += (
             len(new.snapshot.devices) - info.reused_pipelines - info.grafted_segments
         )
-        counts[f"fork_{new.encoder.engine.fork_path}"] += 1
-        for stage, outcome in info.stages.items():
+        fork = "none"
+        if info.analyzer != "reused":
+            fork = new.encoder.engine.fork_path
+            counts[f"fork_{fork}"] += 1
+        stages = {**info.stages, "lint": info.lint, "analyzer": info.analyzer}
+        for stage, outcome in stages.items():
             counts[f"{stage}_{outcome.split()[0]}"] += 1
-        outcomes = ", ".join(
-            f"{stage}: {outcome}" for stage, outcome in [*info.stages.items(), ("lint", info.lint)]
-        )
+        outcomes = ", ".join(f"{stage}: {outcome}" for stage, outcome in stages.items())
         legs.append(
             f"{label} edit: {outcomes}; {len(info.dirty_devices)} main RIB(s) rebuilt, "
-            f"fork {new.encoder.engine.fork_path}, "
-            f"{info.grafted_segments} segment(s) grafted"
+            f"fork {fork}, {info.grafted_segments} segment(s) grafted"
         )
     detail = f"{target}: " + "; ".join(legs)
     return Validation(len(edits), detail, failed, target, counts)

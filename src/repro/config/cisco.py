@@ -193,7 +193,7 @@ class CiscoConfig:
     filename: str = "<config>"
     interfaces: Dict[str, CiscoInterface] = field(default_factory=dict)
     acls: Dict[str, CiscoAcl] = field(default_factory=dict)
-    prefix_lists: Dict[str, List[List[str]]] = field(default_factory=dict)
+    prefix_lists: Dict[str, List[PrefixListLine]] = field(default_factory=dict)
     community_lists: Dict[str, List[str]] = field(default_factory=dict)
     as_path_lists: Dict[str, str] = field(default_factory=dict)
     route_maps: Dict[str, List[CiscoRouteMapClause]] = field(default_factory=dict)
@@ -454,7 +454,18 @@ class CiscoParser:
         elif len(tokens) >= 3 and tokens[1] == "prefix-list":
             name = tokens[2]
             self._config.definition_lines.setdefault(("prefix-list", name), number)
-            self._config.prefix_lists.setdefault(name, []).append(tokens[3:])
+            lines = self._config.prefix_lists.setdefault(name, [])
+            try:
+                line = _prefix_list_line(tokens[3:])
+            except (IndexError, ValueError):
+                # A missing or malformed prefix or bound.
+                self._warn(raw, "unrecognized prefix-list line")
+                line = None
+            if line is not None:
+                problem = line.bounds_problem()
+                if problem:
+                    self._warn(raw, f"invalid prefix-list length bounds: {problem}")
+                lines.append(line)
         elif len(tokens) >= 5 and tokens[1] == "community-list":
             # ip community-list standard NAME permit A:B ...
             self._config.definition_lines.setdefault(
@@ -511,6 +522,9 @@ class CiscoParser:
         for line, raw in self._block_lines():
             inner = line.split()
             if inner[0] == "match":
+                numeric = inner[1:2] in (["tag"], ["metric"]) and len(inner) >= 3
+                if numeric and not inner[2].isdecimal():
+                    self._warn(raw, f"match {inner[1]} {inner[2]} is not a number: matches no route")
                 clause.matches.append(inner[1:])
             elif inner[0] == "set":
                 clause.sets.append(inner[1:])
@@ -574,10 +588,12 @@ def cisco_to_vi(config: CiscoConfig) -> Device:
     for name, vendor_acl in config.acls.items():
         device.acls[name] = _convert_acl(vendor_acl, device, config)
     for name, lines in config.prefix_lists.items():
-        plist = _convert_prefix_list(name, lines)
-        plist.source_file = config.filename
-        plist.source_line = config.definition_lines.get(("prefix-list", name), 0)
-        device.prefix_lists[name] = plist
+        device.prefix_lists[name] = PrefixList(
+            name=name,
+            lines=list(lines),
+            source_file=config.filename,
+            source_line=config.definition_lines.get(("prefix-list", name), 0),
+        )
     for name, communities in config.community_lists.items():
         device.community_lists[name] = CommunityList(
             name=name,
@@ -804,29 +820,27 @@ def _looks_like_ip(word: str) -> bool:
     )
 
 
-def _convert_prefix_list(name: str, entries: List[List[str]]) -> PrefixList:
-    plist = PrefixList(name=name)
-    for words in entries:
-        tokens = list(words)
-        if tokens[:1] == ["seq"]:
-            tokens = tokens[2:]
-        if not tokens or tokens[0] not in ("permit", "deny"):
-            continue
-        action = Action.PERMIT if tokens[0] == "permit" else Action.DENY
-        prefix = Prefix(tokens[1])
-        ge = le = None
-        rest = tokens[2:]
-        while rest:
-            if rest[0] == "ge" and len(rest) >= 2:
-                ge = int(rest[1])
-                rest = rest[2:]
-            elif rest[0] == "le" and len(rest) >= 2:
-                le = int(rest[1])
-                rest = rest[2:]
-            else:
-                rest = rest[1:]
-        plist.lines.append(PrefixListLine(action=action, prefix=prefix, ge=ge, le=le))
-    return plist
+def _prefix_list_line(words: List[str]) -> Optional[PrefixListLine]:
+    """``[seq N] permit|deny PREFIX [ge N] [le N]``, else None."""
+    tokens = list(words)
+    if tokens[:1] == ["seq"]:
+        tokens = tokens[2:]
+    if not tokens or tokens[0] not in ("permit", "deny"):
+        return None
+    action = Action.PERMIT if tokens[0] == "permit" else Action.DENY
+    prefix = Prefix(tokens[1])
+    ge = le = None
+    rest = tokens[2:]
+    while rest:
+        if rest[0] == "ge" and len(rest) >= 2:
+            ge = int(rest[1])
+            rest = rest[2:]
+        elif rest[0] == "le" and len(rest) >= 2:
+            le = int(rest[1])
+            rest = rest[2:]
+        else:
+            rest = rest[1:]
+    return PrefixListLine(action=action, prefix=prefix, ge=ge, le=le)
 
 
 def _convert_route_map(

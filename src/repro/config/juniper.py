@@ -28,6 +28,8 @@ Supported statement families::
     set routing-options static route P/L next-hop IP|discard [preference N]
     set policy-options prefix-list NAME P/L
     set policy-options policy-statement P term T from prefix-list NAME
+    set policy-options policy-statement P term T from route-filter P/L
+        exact|orlonger|longer|upto /N|prefix-length-range /A-/B
     set policy-options policy-statement P term T from community NAME
     set policy-options policy-statement P term T then local-preference N
     set policy-options policy-statement P term T then metric N
@@ -83,6 +85,8 @@ class JuniperTerm:
 
     froms: List[List[str]] = field(default_factory=list)
     thens: List[List[str]] = field(default_factory=list)
+    #: A policy term's ``from route-filter``s, as prefix-list lines.
+    route_filters: List[PrefixListLine] = field(default_factory=list)
 
 
 @dataclass
@@ -197,7 +201,16 @@ class JuniperParser:
                 terms[term_name] = JuniperTerm()
                 order.append(term_name)
             term = terms[term_name]
-            if path[4:5] == ["from"]:
+            if path[4:6] == ["from", "route-filter"]:
+                line = _route_filter_line(path[6:])
+                if line is None:
+                    self._warn(number, raw, "unrecognized route-filter")
+                    return
+                problem = line.bounds_problem()
+                if problem:
+                    self._warn(number, raw, f"invalid route-filter length bounds: {problem}")
+                term.route_filters.append(line)
+            elif path[4:5] == ["from"]:
                 term.froms.append(path[5:])
             elif path[4:5] == ["then"]:
                 term.thens.append(path[5:])
@@ -310,7 +323,7 @@ def juniper_to_vi(config: JuniperConfig) -> Device:
             source_line=config.definition_lines.get(("community-list", name), 0),
         )
     for name in config.policy_terms:
-        device.route_maps[name] = _convert_policy(config, name)
+        device.route_maps[name] = _convert_policy(config, name, device)
     for name in config.filter_terms:
         device.acls[name] = _convert_filter(config, name)
     for zone_name, interfaces in config.zone_interfaces.items():
@@ -576,7 +589,32 @@ def _convert_routing_options(config: JuniperConfig, device: Device) -> None:
             )
 
 
-def _convert_policy(config: JuniperConfig, name: str) -> RouteMap:
+def _route_filter_line(words: List[str]) -> Optional[PrefixListLine]:
+    """``P/L exact|orlonger|longer|upto /N|prefix-length-range /A-/B``
+    as the prefix-list line matching the same routes, else None (a
+    malformed prefix included)."""
+    if len(words) < 2 or "/" not in words[0]:
+        return None
+    try:
+        prefix = Prefix(words[0])
+    except ValueError:
+        return None
+    modifier, bound = words[1], words[2] if len(words) > 2 else ""
+    if modifier == "exact":
+        return PrefixListLine(Action.PERMIT, prefix)
+    if modifier in ("orlonger", "longer"):
+        return PrefixListLine(Action.PERMIT, prefix, prefix.length + (modifier == "longer"), 32)
+    if modifier == "upto" and bound[:1] == "/" and bound[1:].isdecimal():
+        return PrefixListLine(Action.PERMIT, prefix, prefix.length, int(bound[1:]))
+    low, _, high = bound.partition("-")
+    if modifier == "prefix-length-range" and all(
+        part[:1] == "/" and part[1:].isdecimal() for part in (low, high)
+    ):
+        return PrefixListLine(Action.PERMIT, prefix, int(low[1:]), int(high[1:]))
+    return None
+
+
+def _convert_policy(config: JuniperConfig, name: str, device: Device) -> RouteMap:
     route_map = RouteMap(
         name=name,
         source_file=config.filename,
@@ -609,6 +647,16 @@ def _convert_policy(config: JuniperConfig, name: str) -> RouteMap:
                 matches.append(RouteMapMatch(MatchKind.COMMUNITY, from_[1]))
             elif from_[:1] == ["protocol"] and len(from_) >= 2:
                 matches.append(RouteMapMatch(MatchKind.PROTOCOL, from_[1]))
+        if term.route_filters:
+            # The term's route filters, as a prefix list of their own.
+            filters = f"{name}.{term_name}.route-filter"
+            device.prefix_lists[filters] = PrefixList(
+                name=filters,
+                lines=list(term.route_filters),
+                source_file=config.filename,
+                source_line=config.term_lines.get(("policy", name, term_name), 0),
+            )
+            matches.append(RouteMapMatch(MatchKind.PREFIX_LIST, filters))
         route_map.clauses.append(
             RouteMapClause(
                 seq=seq * 10,

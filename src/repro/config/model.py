@@ -111,6 +111,17 @@ class PrefixListLine:
             return prefix.length == self.prefix.length
         return low <= prefix.length <= high
 
+    def bounds_problem(self) -> str:
+        """Why this line's length bounds are invalid, or "": ``ge`` and
+        ``le`` must lie in the prefix's length..32, ``ge`` at most ``le``
+        (the vendors refuse such a line; the model keeps it as written)."""
+        for word, bound in (("ge", self.ge), ("le", self.le)):
+            if bound is not None and not self.prefix.length <= bound <= 32:
+                return f"{word} {bound} outside {self.prefix.length}..32"
+        if self.ge is not None and self.le is not None and self.ge > self.le:
+            return f"ge {self.ge} above le {self.le}"
+        return ""
+
 
 @dataclass
 class PrefixList:

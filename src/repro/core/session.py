@@ -124,7 +124,9 @@ class BaseOutputs(NamedTuple):
     #: Devices whose config text differs from the base's.
     edited: FrozenSet[str] = frozenset()
     #: Routing stage -> devices whose projection for it differs from the
-    #: base's (:func:`repro.delta.fingerprint.routing_changes`).
+    #: base's (:func:`repro.delta.fingerprint.routing_changes`), and
+    #: ``"lint"`` -> those whose lint projection differs, when there is a
+    #: base lint stage or analyzer to take.
     changed: Mapping[str, Collection[str]] = {}
 
 
@@ -209,9 +211,12 @@ class Session:
         changed files are parsed. Each ``TAKEN`` stage of it takes this
         session's output where its own equals it (:meth:`_take_from`):
         the data plane each unchanged routing stage (IGP, BGP) and each
-        main RIB with equal best sets, then by identity a FIB and — on a
-        private fork of this session's BDD engine — the graph pipeline
-        of an unedited device with unchanged links (``delta_info``). The
+        main RIB with equal best sets, then by identity a FIB and the
+        analyzer: this session's own, BDD engine and warm caches
+        included, when every FIB is this session's, every link equal
+        and no edited device's lint projection moved; else, on a
+        private fork of this session's BDD engine, the graph pipeline of
+        each unedited device with unchanged links (``delta_info``). The
         result is bit-identical to a from-scratch analysis
         (:mod:`repro.delta`).
 
@@ -319,11 +324,20 @@ class Session:
         fingerprints = base._stage("fingerprints")
         ours = self._outputs["fingerprints"] = fingerprints.carried_to(self.snapshot)
         changes = routing_changes(fingerprints, ours, edited)
+        changed = dict(changes)
+        lint = base.computed("lint")
+        if lint is not None or prior.outputs.get("analyzer") is not None:
+            # What the lint stage and the analyzer's take rule read
+            # (_build_analyzer). The lint projection holds every routing
+            # one, so a device whose routing projection moved needs no
+            # hashing to tell.
+            routed = set().union(*changes.values())
+            moved = changed["lint"] = sorted(
+                routed | set(lint_changes(fingerprints, ours, edited - routed))
+            )
         # The lint stage, where the base has one: carried now when no
         # device's lint projection moved, else started anew.
-        lint = base.computed("lint")
         if lint is not None:
-            moved = lint_changes(fingerprints, ours, edited)
             if moved:
                 self._outputs["lint"] = LintStage(self.snapshot)
                 outcome = f"recomputed (lint inputs of {shown_names(moved)} changed)"
@@ -336,7 +350,7 @@ class Session:
             prior.edited | edited,
             {
                 stage: set(prior.changed.get(stage, ())) | set(hosts)
-                for stage, hosts in changes.items()
+                for stage, hosts in changed.items()
             },
         )
         return changes
@@ -383,6 +397,14 @@ class Session:
     def analyzer(self) -> NetworkAnalyzer:
         """Stage 3: the BDD verification engine (lazily built)."""
         return self._stage("analyzer")
+
+    def take_analyzer(self) -> None:
+        """Take the base's analyzer now where that is free: where it
+        would be this session's whole (:func:`_analyzer_moved`). An
+        analyzer due a fork is left to be built on first read."""
+        base = self.base_output("analyzer")
+        if base is not None and not _analyzer_moved(self, base):
+            self.analyzer
 
     # -- coverage (Xu et al.) ---------------------------------------------
 
@@ -587,10 +609,11 @@ class Session:
 
     def validate_engines(self):
         """Run the §4.3.2 differential cross-validation of the two
-        forwarding engines on this snapshot."""
+        forwarding engines on this snapshot: the concrete one is this
+        session's own, also where the analyzer was taken from a base."""
         from repro.fidelity.differential import run_differential_suite
 
-        return run_differential_suite(self.analyzer)
+        return run_differential_suite(self.analyzer, self.tracer)
 
     # -- provenance / explanation (Stage 4, §4.4) ----------------------------
 
@@ -673,14 +696,46 @@ def _build_fibs(session: Session, base: Optional[Dict[str, Fib]]):
 
 
 def _build_analyzer(session: Session, base: Optional[NetworkAnalyzer]):
+    """The base's analyzer itself — graph, BDD engine, ``fates()`` and
+    op caches — when nothing it read moved (:func:`_analyzer_moved`);
+    else a build on a fork of its engine that takes the segments of the
+    devices due the same one again."""
+    if base is None:
+        return NetworkAnalyzer(session.dataplane, fibs=session.fibs), {}
+    moved = _analyzer_moved(session, base)
+    if not moved:
+        return base, {"analyzer": "reused", "reused_pipelines": len(base.fibs)}
     analyzer = NetworkAnalyzer(
         session.dataplane, fibs=session.fibs, base=base,
         edited=session._inherited.edited,
     )
     return analyzer, {
+        "analyzer": f"recomputed ({moved})",
         "reused_pipelines": len(analyzer.reused_pipelines),
         "grafted_segments": len(analyzer.grafted_segments),
     }
+
+
+def _analyzer_moved(session: Session, base: NetworkAnalyzer) -> str:
+    """Why ``base`` cannot be ``session``'s analyzer, or "" when it can:
+    no edited device's lint projection moved (a superset of what
+    ``device_pipeline``, ``destination_markers`` and the default source
+    scopes read of it), every FIB *is* the base's and every device's
+    links are equal — all a graph, its labels and the default sources
+    are built from."""
+    moved = sorted(session._inherited.changed["lint"])
+    if moved:
+        return f"config of {shown_names(moved)} changed"
+    fibs, base_fibs = session.fibs, base.fibs
+    moved = sorted(h for h in fibs.keys() | base_fibs.keys() if fibs.get(h) is not base_fibs.get(h))
+    if moved:
+        return f"FIBs of {shown_names(moved)} changed"
+    links, base_links = session.dataplane.topology, base.dataplane.topology
+    if links is not base_links:
+        moved = [h for h in sorted(fibs) if links.node_edges(h) != base_links.node_edges(h)]
+        if moved:
+            return f"links of {shown_names(moved)} changed"
+    return ""
 
 
 def _record_derivation(session: Session, _base: None):

@@ -18,7 +18,9 @@ memory, and never touches the disk cache (its key does not repeat):
    whose computation from or reads of the main RIBs, are unchanged
    (``compute_dataplane(base=…)``) and each main RIB with equal best
    routes; the FIBs and the graph pipelines follow by identity
-   (DESIGN.md, "Reuse at stage boundaries"). Each reports what it took
+   (DESIGN.md, "Reuse at stage boundaries"), and the analyzer is the
+   base's own where no FIB, link or edited device's lint projection
+   moved. Each reports what it took
    through :meth:`DeltaInfo.record`. The lint stage is carried at
    ``delta()`` time, where the base has one and no edited device's lint
    projection moved.
@@ -71,6 +73,11 @@ class DeltaInfo:
     #: one: "reused" (carried over: no device's lint projection moved)
     #: or "recomputed (why)"; None when the base had none to offer.
     lint: Optional[str] = None
+    #: How the session's analyzer was produced, where the base had one:
+    #: "reused" (the base's own: no FIB, link or lint projection moved) or
+    #: "recomputed (why)" (built on a fork of the base's engine); None
+    #: until ``.analyzer`` runs, or when the base had none to offer.
+    analyzer: Optional[str] = None
     #: Devices whose main RIB was rebuilt, and how many kept the base's.
     dirty_devices: Optional[List[str]] = None
     reused_devices: Optional[int] = None
@@ -103,8 +110,8 @@ class DeltaInfo:
             if name == "stages":
                 for stage, outcome in value.items():
                     obs.add(f"delta.stage.{stage}.{outcome.split()[0]}")
-            elif name == "lint":
-                obs.add(f"delta.stage.lint.{value.split()[0]}")
+            elif name in ("lint", "analyzer"):
+                obs.add(f"delta.stage.{name}.{value.split()[0]}")
             elif name in COUNTERS:
                 obs.add(COUNTERS[name], len(value) if isinstance(value, list) else value)
 

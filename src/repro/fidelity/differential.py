@@ -20,6 +20,10 @@ modeling bugs." Three validation directions:
    :meth:`NetworkAnalyzer.fates` there, trace it from that location and
    check that it can meet that disposition.
 
+Each direction takes the analyzer and the concrete engine of the same
+snapshot: a delta session may hold its base's analyzer, never its base's
+concrete engine (``Session.validate_engines``).
+
 A separate comparison holds the imperative control-plane engine against
 the original Datalog model (:func:`validate_imperative_against_datalog`)
 and, on any forwarding mismatch, attaches both engines' provenance
@@ -84,7 +88,7 @@ class DifferentialReport:
 
 
 def validate_symbolic_against_concrete(
-    analyzer: NetworkAnalyzer, max_locations: Optional[int] = None
+    analyzer: NetworkAnalyzer, tracer: TracerouteEngine, max_locations: Optional[int] = None
 ) -> DifferentialReport:
     """Direction 1: the traceroute engine verifies the BDD engine.
 
@@ -92,7 +96,6 @@ def validate_symbolic_against_concrete(
     symbolic answer and confirm the concrete engine delivers them there.
     """
     report = DifferentialReport()
-    tracer = TracerouteEngine(analyzer.dataplane, analyzer.fibs)
     encoder = analyzer.encoder
     locations: List[Tuple[str, Optional[str]]] = []
     for node in analyzer.graph.sink_nodes():
@@ -131,7 +134,9 @@ def validate_symbolic_against_concrete(
 
 
 def validate_concrete_against_symbolic(
-    analyzer: NetworkAnalyzer, max_entries_per_node: Optional[int] = None
+    analyzer: NetworkAnalyzer,
+    tracer: TracerouteEngine,
+    max_entries_per_node: Optional[int] = None,
 ) -> DifferentialReport:
     """Direction 2: the BDD engine verifies the traceroute engine.
 
@@ -140,11 +145,10 @@ def validate_concrete_against_symbolic(
     from the same start reports the same disposition for that packet.
     """
     report = DifferentialReport()
-    tracer = TracerouteEngine(analyzer.dataplane, analyzer.fibs)
     encoder = analyzer.encoder
     engine = encoder.engine
-    for hostname in analyzer.dataplane.snapshot.hostnames():
-        fib = analyzer.fibs[hostname]
+    for hostname in tracer.dataplane.snapshot.hostnames():
+        fib = tracer.fibs[hostname]
         start_interfaces = [
             node[2] for node in analyzer.graph.source_nodes()
             if node[1] == hostname
@@ -192,7 +196,9 @@ def validate_concrete_against_symbolic(
     return report
 
 
-def validate_fates_against_concrete(analyzer: NetworkAnalyzer) -> DifferentialReport:
+def validate_fates_against_concrete(
+    analyzer: NetworkAnalyzer, tracer: TracerouteEngine
+) -> DifferentialReport:
     """Direction 3: the traceroute engine verifies the fates at the
     source.
 
@@ -203,7 +209,6 @@ def validate_fates_against_concrete(analyzer: NetworkAnalyzer) -> DifferentialRe
     injected as it is, NAT or not.
     """
     report = DifferentialReport()
-    tracer = TracerouteEngine(analyzer.dataplane, analyzer.fibs)
     encoder = analyzer.encoder
     preferences = default_preferences(encoder)
     sources = analyzer.graph.source_nodes()
@@ -353,10 +358,12 @@ def validate_imperative_against_datalog(
     return report
 
 
-def run_differential_suite(analyzer: NetworkAnalyzer) -> DifferentialReport:
+def run_differential_suite(
+    analyzer: NetworkAnalyzer, tracer: TracerouteEngine
+) -> DifferentialReport:
     """All three directions, merged (the routine §4.3.2
     cross-validation)."""
-    report = validate_symbolic_against_concrete(analyzer)
-    report.merge(validate_concrete_against_symbolic(analyzer))
-    report.merge(validate_fates_against_concrete(analyzer))
+    report = validate_symbolic_against_concrete(analyzer, tracer)
+    report.merge(validate_concrete_against_symbolic(analyzer, tracer))
+    report.merge(validate_fates_against_concrete(analyzer, tracer))
     return report

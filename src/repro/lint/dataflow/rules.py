@@ -47,16 +47,14 @@ def _witness(analysis: DataflowAnalysis, bdd: int) -> str:
     return f" (witness route: {prefix}{carried})"
 
 
-def _redist_related(
-    analysis: DataflowAnalysis, bgp_node: NodeId
-) -> List[Related]:
-    """The redistribute statements feeding a BGP domain — the origin of
-    any ``redistributed``-flagged route there."""
-    related = []
+def _redist_related(analysis: DataflowAnalysis) -> Dict[NodeId, List[Related]]:
+    """By BGP domain, the redistribute statements feeding it — the
+    origin of any ``redistributed``-flagged route there."""
+    related: Dict[NodeId, List[Related]] = {}
     for edge in analysis.graph.edges:
-        if edge.kind == "redistribute" and edge.dst == bgp_node:
+        if edge.kind == "redistribute":
             assert edge.redist is not None
-            related.append(
+            related.setdefault(edge.dst, []).append(
                 Related(
                     edge.location,
                     f"route enters BGP here: redistribute "
@@ -85,6 +83,7 @@ def route_leak(stage: "LintStage") -> List[Finding]:
     no_export = engine.or_all(
         [universe.community(name) for name in NO_EXPORT_COMMUNITIES]
     )
+    redistributed = _redist_related(analysis)
     for index, edge in enumerate(analysis.graph.edges):
         if edge.kind != "bgp-session" or not edge.is_ebgp:
             continue
@@ -101,7 +100,7 @@ def route_leak(stage: "LintStage") -> List[Finding]:
         else:
             location = edge.location
             policy_label = "no export policy"
-        related = _redist_related(analysis, edge.src)
+        related = list(redistributed.get(edge.src, ()))
         if edge.import_location.file:
             related.append(
                 Related(
@@ -378,29 +377,27 @@ def _downstream_matched(
     analysis: DataflowAnalysis,
 ) -> Dict[NodeId, FrozenSet[str]]:
     """For each node: every community some policy on an edge reachable
-    *from* that node matches on."""
-    edge_matched: List[FrozenSet[str]] = []
-    for index in range(len(analysis.graph.edges)):
-        members: Set[str] = set()
-        for summary in _edge_summaries(analysis, index):
-            for clause in summary.clauses:
-                members.update(clause.matched_communities)
-        edge_matched.append(frozenset(members))
-    result: Dict[NodeId, FrozenSet[str]] = {}
-    for node in analysis.graph.nodes:
-        seen = {node}
-        frontier = [node]
-        matched: Set[str] = set()
-        while frontier:
-            current = frontier.pop()
-            for edge_index in analysis.graph.out_edges.get(current, ()):
-                matched |= edge_matched[edge_index]
-                dst = analysis.graph.edges[edge_index].dst
-                if dst not in seen:
-                    seen.add(dst)
-                    frontier.append(dst)
-        result[node] = frozenset(matched)
-    return result
+    *from* that node matches on. One pass over the SCC condensation:
+    Tarjan closes a component only after every component it reaches,
+    so in id order each component's successors are done before it."""
+    graph = analysis.graph
+    component = _strongly_connected(graph.nodes, graph.edge_pairs())
+    members: Dict[int, List[NodeId]] = {}
+    for node in graph.nodes:
+        members.setdefault(component[node], []).append(node)
+    matched: List[FrozenSet[str]] = []
+    for current in range(len(members)):
+        found: Set[str] = set()
+        for node in members[current]:
+            for edge_index in graph.out_edges.get(node, ()):
+                for summary in _edge_summaries(analysis, edge_index):
+                    for clause in summary.clauses:
+                        found.update(clause.matched_communities)
+                below = component[graph.edges[edge_index].dst]
+                if below != current:
+                    found |= matched[below]
+        matched.append(frozenset(found))
+    return {node: matched[component[node]] for node in graph.nodes}
 
 
 @rule(

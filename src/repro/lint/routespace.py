@@ -378,12 +378,11 @@ def compile_policy(
                 matched_lists.append(match.value)
                 if clist is not None:
                     matched_communities.extend(clist.communities)
+            elif match.kind in (MatchKind.TAG, MatchKind.METRIC) and not match.value.isdecimal():
+                # Not a number (a parse warning): matches no route.
+                guard = FALSE
             elif match.kind is MatchKind.TAG:
-                try:
-                    value = int(match.value)
-                except ValueError:
-                    other_inexact = True
-                    continue
+                value = int(match.value)
                 if tag_eq is not None and tag_eq != value:
                     guard = FALSE  # tag == a and tag == b, a != b
                 else:

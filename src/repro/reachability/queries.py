@@ -126,7 +126,17 @@ class LoopViolation:
 
 
 class NetworkAnalyzer:
-    """Builds the dataflow graph for a data plane and answers queries."""
+    """Builds the dataflow graph for a data plane and answers queries.
+
+    A delta session whose edit moved no forwarding input takes its
+    base's analyzer whole (``core.session._build_analyzer``): the two
+    sessions then share one analyzer and one BDD engine, as two
+    questions on one session do, and its ``.dataplane``, ``.fibs`` and
+    build records (``reused_pipelines``, ``grafted_segments``,
+    ``built_nodes``) are the base's. Only what the graph reads of them
+    is equal to the delta's own: its FIBs, links and devices (all but
+    the management plane); ``Session.validate_engines`` holds it against
+    the delta's own concrete engine."""
 
     def __init__(
         self,

@@ -159,10 +159,10 @@ def _match_one(device, match, route: PolicyRoute, semantics) -> bool:
         if alist is None:
             return False
         return alist.permits(route.as_path)
-    if match.kind is MatchKind.TAG:
-        return route.tag == int(match.value)
-    if match.kind is MatchKind.METRIC:
-        return route.med == int(match.value)
+    if match.kind in (MatchKind.TAG, MatchKind.METRIC):
+        # A value that is not a number (a parse warning) matches no route.
+        value = route.tag if match.kind is MatchKind.TAG else route.med
+        return match.value.isdecimal() and value == int(match.value)
     if match.kind is MatchKind.PROTOCOL:
         return (
             route.source_protocol is not None

@@ -382,7 +382,7 @@ class TestRegistry:
         assert routing.delta_info.to_json().keys() == {
             "changed_files", "seeds", "dirty_devices", "reused_devices",
             "parse_memo_hits", "fallback", "validated",
-            "stages", "lint", "reused_ribs", "reused_fibs", "reused_pipelines",
+            "stages", "lint", "analyzer", "reused_ribs", "reused_fibs", "reused_pipelines",
             "grafted_segments", "questions_affected", "questions_skipped",
         }
 

@@ -163,7 +163,12 @@ def test_variant_equals_scratch_and_reuses_what_did_not_move(loaded, kind):
     ours, theirs = variant.analyzer, scratch.analyzer
     assert ours.graph.nodes == theirs.graph.nodes
     assert graph_lines(ours) == graph_lines(theirs)
-    assert ours.encoder.engine is not base.encoder.engine
+    # An edit that moves no forwarding input keeps the base's analyzer,
+    # engine and all; any other builds on a private fork.
+    inert = kind == "ntp"
+    assert (ours is base.analyzer) == inert
+    assert (ours.encoder.engine is base.encoder.engine) == inert
+    assert info.analyzer.startswith("reused" if inert else "recomputed (")
     canonical = ours.encoder.engine.canonical, theirs.encoder.engine.canonical
     sink = next(n for n in theirs.graph.sink_nodes() if n[0] == "sink")
     reach = [a.destination_reachability(sink[1], sink[2]) for a in (ours, theirs)]
@@ -191,13 +196,18 @@ def test_variant_equals_scratch_and_reuses_what_did_not_move(loaded, kind):
         assert (variant.fibs[hostname] is base.fibs.get(hostname)) == reused, hostname
         if reused:
             assert variant.dataplane.main_rib(hostname) is base.dataplane.main_rib(hostname)
-    expected = (same_rib & same_links) - rebuilt
-    assert set(ours.reused_pipelines) == expected
-    assert not rebuilt & set(ours.reused_pipelines)
+    if inert:
+        # Every pipeline is the base's: the analyzer is.
+        expected = set(base.snapshot.devices)
+        assert same_rib == same_links == expected
+    else:
+        expected = (same_rib & same_links) - rebuilt
+        assert set(ours.reused_pipelines) == expected
+        assert not rebuilt & set(ours.reused_pipelines)
     assert (info.reused_ribs, info.reused_fibs, info.reused_pipelines) == (
         len(same_rib), len(same_rib), len(expected),
     )
-    if kind in ("static", "ntp", "acl"):
+    if kind in ("static", "acl"):
         # Nothing these edits do leaves the device: it alone is rebuilt.
         assert expected == both - rebuilt and len(rebuilt) == 1
     if kind in ("static", "ntp"):
@@ -346,21 +356,31 @@ def test_reuse_is_counted_where_the_stage_runs():
         # The one segment built grafted its labels onto the base's.
         assert info.grafted_segments == counter("reachability.labels.grafted") == 1
         assert counter("reachability.labels.folded") == 0
-        # An inert edit: every RIB, the edited pipeline rebuilt.
+        assert info.analyzer == "recomputed (config of net1-core0 changed)"
+        assert counter("delta.stage.analyzer.recomputed") == 1
+        # An inert edit: every RIB and FIB taken, and the analyzer whole,
+        # with no fork and no graph build.
         inert = base.delta({target: irrelevant_edit(configs[target])}, validate=False)
         inert.dataplane
         assert inert.delta_info.reused_ribs == devices
-        inert.analyzer
+        assert inert.analyzer is base.analyzer
+        assert inert.delta_info.analyzer == "reused"
         assert inert.delta_info.reused_fibs == devices
-        assert inert.delta_info.reused_pipelines == devices - 1
+        assert inert.delta_info.reused_pipelines == devices
         assert counter("delta.reuse.devices") == 2 * devices
+        assert counter("delta.stage.analyzer.reused") == 1
+        assert [
+            e for e in obs.events()
+            if e["type"] == "span" and e["name"] == "bdd.graph_build"
+        ] == builds
+        assert counter("bdd.fork.trimmed") == 1 and counter("bdd.fork.rebuilt") == 0
         # A base grown by a query past twice its build: the fork
         # rebuilds the unique table instead of trimming a copy.
         base.reachability()
         assert base.encoder.engine.num_nodes() >= 2 * base.analyzer.built_nodes
-        base.delta({target: irrelevant_edit(configs[target])}, validate=False).analyzer
-        assert (counter("bdd.fork.trimmed"), counter("bdd.fork.rebuilt")) == (2, 1)
-        assert counter("bdd.segments.compressed") == 3
+        base.delta({target: relevant_edit(configs[target])}, validate=False).analyzer
+        assert (counter("bdd.fork.trimmed"), counter("bdd.fork.rebuilt")) == (1, 1)
+        assert counter("bdd.segments.compressed") == 2
     finally:
         obs.disable()
         obs.reset()

@@ -25,6 +25,7 @@ from repro.reachability.queries import NetworkAnalyzer
 from repro.routing.engine import compute_dataplane
 from repro.synth.fattree import fattree
 from repro.synth.special import net1
+from repro.traceroute.engine import TracerouteEngine
 
 
 class TestReferenceLabs:
@@ -110,18 +111,22 @@ class TestDifferentialTesting:
         dataplane = compute_dataplane(load_snapshot_from_texts(net1(3)))
         return NetworkAnalyzer(dataplane)
 
-    def test_symbolic_verified_by_concrete(self, analyzer):
-        report = validate_symbolic_against_concrete(analyzer)
+    @pytest.fixture(scope="class")
+    def tracer(self, analyzer):
+        return TracerouteEngine(analyzer.dataplane, analyzer.fibs)
+
+    def test_symbolic_verified_by_concrete(self, analyzer, tracer):
+        report = validate_symbolic_against_concrete(analyzer, tracer)
         assert report.checks > 0
         assert report.passed, [m.describe() for m in report.mismatches]
 
-    def test_concrete_verified_by_symbolic(self, analyzer):
-        report = validate_concrete_against_symbolic(analyzer)
+    def test_concrete_verified_by_symbolic(self, analyzer, tracer):
+        report = validate_concrete_against_symbolic(analyzer, tracer)
         assert report.checks > 0
         assert report.passed, [m.describe() for m in report.mismatches]
 
-    def test_fates_verified_by_concrete(self, analyzer):
-        report = validate_fates_against_concrete(analyzer)
+    def test_fates_verified_by_concrete(self, analyzer, tracer):
+        report = validate_fates_against_concrete(analyzer, tracer)
         sources = analyzer.graph.source_nodes()
         # One check per (source, fate that some packet can meet from
         # there); NET1's ACL and discard routes make failures part of it.
@@ -144,14 +149,15 @@ class TestDifferentialTesting:
         shows the engines disagree."""
         dataplane = compute_dataplane(load_snapshot_from_texts(net1(3)))
         analyzer = NetworkAnalyzer(dataplane)
+        tracer = TracerouteEngine(dataplane, analyzer.fibs)
         for iface in dataplane.snapshot.device("net1-core0").interfaces.values():
             iface.outgoing_acl = None
-        assert validate_symbolic_against_concrete(analyzer).passed
-        assert validate_concrete_against_symbolic(analyzer).passed
-        report = validate_fates_against_concrete(analyzer)
+        assert validate_symbolic_against_concrete(analyzer, tracer).passed
+        assert validate_concrete_against_symbolic(analyzer, tracer).passed
+        report = validate_fates_against_concrete(analyzer, tracer)
         assert report.mismatches
         assert {m.expected for m in report.mismatches} == {"denied-out"}
-        assert not run_differential_suite(analyzer).passed
+        assert not run_differential_suite(analyzer, tracer).passed
 
     def test_full_suite_on_bgp_network(self):
         """Cross-validation over a BGP fat-tree (multipath + ACLs)."""
@@ -159,7 +165,9 @@ class TestDifferentialTesting:
             load_snapshot_from_texts(fattree(4, with_acls=True))
         )
         analyzer = NetworkAnalyzer(dataplane)
-        report = run_differential_suite(analyzer)
+        report = run_differential_suite(
+            analyzer, TracerouteEngine(dataplane, analyzer.fibs)
+        )
         assert report.checks > 100
         assert report.passed, [m.describe() for m in report.mismatches[:5]]
 
@@ -184,5 +192,6 @@ class TestDifferentialTesting:
                 )
                 sabotaged += 1
         assert sabotaged
-        report = validate_concrete_against_symbolic(analyzer)
+        tracer = TracerouteEngine(dataplane, analyzer.fibs)
+        report = validate_concrete_against_symbolic(analyzer, tracer)
         assert not report.passed

@@ -224,8 +224,9 @@ class TestCoverageSection:
 
 
 def test_delta_section_names_every_stage_and_reuse_counter(tmp_path):
-    """From a trace alone: how each routing stage of each delta came out,
-    and how many RIBs, FIBs and graph pipelines came from the base."""
+    """From a trace alone: how each routing stage and the analyzer of
+    each delta came out, and how many RIBs, FIBs and graph pipelines
+    came from the base."""
     from repro import Session
     from repro.delta.edits import irrelevant_edit
     from repro.synth.special import net1
@@ -245,8 +246,9 @@ def test_delta_section_names_every_stage_and_reuse_counter(tmp_path):
     counters = {
         "delta.reuse.devices": devices,
         "delta.reuse.fib": devices,
-        "delta.reuse.pipeline": devices - 1,  # the edited device's
+        "delta.reuse.pipeline": devices,  # the base's analyzer, whole
         "delta.reuse.rib": devices,
+        "delta.stage.analyzer.reused": 1,
         "delta.stage.bgp.reused": 1,
         "delta.stage.igp.reused": 1,
     }

@@ -458,7 +458,8 @@ def _graft_edits(base, configs):
 def test_registry_edits_graft_or_fold_to_the_fold(name):
     """Six edits on every registry network: each segment the delta
     builds has the full fold's labels. The edited device grafts unless
-    its markers moved (interface shut down or renumbered)."""
+    its markers moved (interface shut down or renumbered); an NTP line
+    builds no segment at all."""
     configs = network_by_name(name).generate(1)
     base = Session.from_texts(configs)
     base.analyzer
@@ -472,6 +473,12 @@ def test_registry_edits_graft_or_fold_to_the_fold(name):
         sessions[kind] = new
         if kind == "readdress":
             assert new.snapshot.device(hostname) != base.snapshot.device(hostname)
+        if kind == "ntp":
+            # Nothing the graph reads moved: the base's analyzer, whole.
+            assert new.analyzer is base.analyzer
+            assert new.delta_info.analyzer == "reused"
+            assert new.delta_info.grafted_segments == 0
+            continue
         analyzer = _assert_built_labels_fold(new)
         assert (hostname in analyzer.grafted_segments) == grafts, kind
         assert new.delta_info.grafted_segments == len(analyzer.grafted_segments)

@@ -319,13 +319,15 @@ class TestPatchSnapshot:
         assert delta["changed_files"] == [target]
         assert delta["seeds"] == []
         assert delta["parse_memo_hits"] == record["devices"] - 1
-        # The base's routing had run, so the PATCH ran the new session's:
-        # an inert edit takes every stage and keeps every RIB. FIBs and
-        # pipelines are counted when a question builds them.
+        # The base's routing and analyzer had run, so the PATCH ran the
+        # new session's routing and took the analyzer, free for an inert
+        # edit: it takes every stage, keeps every RIB and FIB, and keeps
+        # the base's analyzer whole.
         assert delta["stages"] == {"igp": "reused", "bgp": "reused"}
         assert delta["fallback"] is False and delta["dirty_devices"] == []
         assert delta["reused_devices"] == delta["reused_ribs"] == record["devices"]
-        assert delta["reused_fibs"] == 0
+        assert delta["reused_fibs"] == delta["reused_pipelines"] == record["devices"]
+        assert delta["analyzer"] == "reused"
         # The replaced session answers questions and GET reflects it.
         status, one = client.get("/snapshots/lab")
         assert status == 200 and one["key"] == patched["key"]
@@ -340,18 +342,16 @@ class TestPatchSnapshot:
         assert counters["delta.reuse.devices"] >= record["devices"]
         assert counters["delta.reuse.rib"] >= record["devices"]
         assert counters["delta.stage.igp.reused"] >= 1
-        # The new session's graph: a fork of the base's engine, one
-        # segment compressed and every other taken from the base.
+        assert counters["delta.stage.analyzer.reused"] == 1
+        # The new session's analyzer is the base's: asking on it forks
+        # nothing and builds no segment.
         status, _job = client.post("/snapshots/lab/questions/reachability", {})
         assert status == 200
         after = client.get("/metrics")[1]["obs"]["counters"]
-
-        def grew(name):
-            return after.get(name, 0) - counters.get(name, 0)
-
-        assert grew("bdd.fork.trimmed") + grew("bdd.fork.rebuilt") == 1
-        assert grew("delta.reuse.pipeline") == record["devices"] - 1
-        assert grew("bdd.segments.compressed") == 1
+        assert service.store.get("lab").analyzer is not None
+        for name in ("bdd.fork.trimmed", "bdd.fork.rebuilt", "bdd.segments.compressed",
+                     "delta.reuse.pipeline"):
+            assert after.get(name, 0) == counters.get(name, 0), name
 
     def test_a_patch_reports_a_recomputed_stage(self, make_service):
         _, client = make_service()
@@ -372,6 +372,37 @@ class TestPatchSnapshot:
         assert delta["fallback"] is True
         assert delta["dirty_devices"] == sorted(delta["dirty_devices"])
         assert len(delta["dirty_devices"]) == patched["devices"]
+
+    def test_a_routing_patch_leaves_the_analyzer_to_the_next_question(
+        self, make_service
+    ):
+        """An analyzer due a fork is not built inside the PATCH: the
+        reply's ``delta.analyzer`` is null, and the next question that
+        needs the analyzer forks the base's engine and counts it."""
+        service, client = make_service()
+        configs = net1(2)
+        client.post("/snapshots", {"name": "lab", "configs": configs})
+        client.post("/snapshots/lab/questions/reachability", {})
+        target = sorted(configs)[0]
+        static = configs[target] + "ip route 203.0.113.128 255.255.255.128 Null0\n"
+        status, patched = client.request(
+            "PATCH", "/snapshots/lab", {"configs": {target: static}}
+        )
+        assert status == 200
+        assert patched["delta"]["stages"] is not None
+        assert patched["delta"]["analyzer"] is None
+        assert service.store.get("lab").computed("analyzer") is None
+        before = _counters(client)
+        status, _job = client.post("/snapshots/lab/questions/reachability", {})
+        assert status == 200
+        after = _counters(client)
+        assert service.store.get("lab").delta_info.analyzer.startswith("recomputed (")
+        assert after["delta.stage.analyzer.recomputed"] == (
+            before.get("delta.stage.analyzer.recomputed", 0) + 1
+        )
+        assert after.get("delta.stage.analyzer.reused", 0) == before.get(
+            "delta.stage.analyzer.reused", 0
+        )
 
     def test_a_job_that_recomputes_a_stage_is_marked_fallback_full(
         self, make_service

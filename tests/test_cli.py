@@ -218,7 +218,7 @@ def _corrupt_fidelity(monkeypatch):
     def validate_engines(session):
         analyzer = session.analyzer  # BDD graph compiled from the true FIBs
         _flip_one_fib_action(analyzer.fibs)  # the concrete engine reads these
-        return run_differential_suite(analyzer)
+        return run_differential_suite(analyzer, session.tracer)
 
     monkeypatch.setattr(Session, "validate_engines", validate_engines)
 
