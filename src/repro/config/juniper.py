@@ -1,10 +1,16 @@
 """Parser for the ``juniperish`` configuration syntax (flat set-style).
 
-Like :mod:`repro.config.cisco`, parsing is two-phase: a vendor-specific
-representation that mirrors the syntax (paths of ``set`` statements),
-followed by conversion into the vendor-independent model. Supporting a
-second, structurally different syntax is what exercises the Stage 1
-normalization the paper discusses (and the §7.3 usability cost of it).
+Like :mod:`repro.config.cisco`, parsing is one pass: the handler of each
+``set`` statement writes the vendor-independent objects it denotes as it
+reads the line, under the one boundary of
+:func:`~repro.config.model.diagnosed` (a statement the parser cannot model
+becomes one located warning and is left out). A short
+:meth:`_Parser.finish` resolves what a statement may name before it is
+defined: ``router-id`` and ``local-as``, neighbors with no ``peer-as``,
+zone membership, and the order of zones, zone ACLs and route-filter
+prefix lists. Supporting a second, structurally different syntax is what
+exercises the Stage 1 normalization the paper discusses (and the §7.3
+usability cost of it).
 
 Supported statement families::
 
@@ -15,7 +21,9 @@ Supported statement families::
     set interfaces IFACE unit 0 family inet filter input|output NAME
     set interfaces IFACE disable
     set interfaces IFACE description TEXT
+    set interfaces IFACE bandwidth|mtu N
     set protocols ospf area N interface IFACE [metric M] [passive]
+        [hello-interval S] [dead-interval S]
     set protocols ospf reference-bandwidth BPS
     set protocols ospf export POLICY
     set protocols bgp local-as N
@@ -30,21 +38,24 @@ Supported statement families::
     set policy-options policy-statement P term T from prefix-list NAME
     set policy-options policy-statement P term T from route-filter P/L
         exact|orlonger|longer|upto /N|prefix-length-range /A-/B
-    set policy-options policy-statement P term T from community NAME
+    set policy-options policy-statement P term T from community|protocol NAME
     set policy-options policy-statement P term T then local-preference N
     set policy-options policy-statement P term T then metric N
-    set policy-options policy-statement P term T then community add C
+    set policy-options policy-statement P term T then community add|set C
+    set policy-options policy-statement P term T then as-path-prepend ASN...
     set policy-options policy-statement P term T then accept|reject
     set policy-options community NAME members A:B
-    set firewall filter NAME term T from ... / then accept|discard
+    set firewall filter NAME term T from protocol|source-address|
+        destination-address|source-port|destination-port|tcp-established ...
+    set firewall filter NAME term T then accept|discard|reject
     set security zones security-zone Z interfaces IFACE
     set security policies from-zone A to-zone B policy P match ... / then ...
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import replace
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.config.model import (
     Acl,
@@ -60,6 +71,8 @@ from repro.config.model import (
     ParseWarning,
     PrefixList,
     PrefixListLine,
+    Protocol,
+    Redistribution,
     RouteMap,
     RouteMapClause,
     RouteMapMatch,
@@ -68,6 +81,7 @@ from repro.config.model import (
     StaticRoute,
     Zone,
     ZonePolicy,
+    diagnosed,
 )
 from repro.hdr import fields as f
 from repro.hdr.ip import Ip, Prefix
@@ -78,480 +92,234 @@ _PROTOCOL_NAMES = {
     "icmp": f.PROTO_ICMP,
 }
 
+#: ``from WORD NAME`` conditions of a policy term, as route-map matches.
+_POLICY_MATCHES = {
+    "prefix-list": MatchKind.PREFIX_LIST,
+    "community": MatchKind.COMMUNITY,
+    "protocol": MatchKind.PROTOCOL,
+}
 
-@dataclass
-class JuniperTerm:
-    """One term of a firewall filter or policy statement (syntax level)."""
-
-    froms: List[List[str]] = field(default_factory=list)
-    thens: List[List[str]] = field(default_factory=list)
-    #: A policy term's ``from route-filter``s, as prefix-list lines.
-    route_filters: List[PrefixListLine] = field(default_factory=list)
-
-
-@dataclass
-class JuniperConfig:
-    """Vendor-specific parse result: the set-paths grouped by family."""
-
-    hostname: str = ""
-    filename: str = "<config>"
-    interface_lines: List[List[str]] = field(default_factory=list)
-    ospf_lines: List[Tuple[List[str], int]] = field(default_factory=list)
-    bgp_lines: List[Tuple[List[str], int]] = field(default_factory=list)
-    routing_option_lines: List[Tuple[List[str], int]] = field(default_factory=list)
-    prefix_lists: Dict[str, List[str]] = field(default_factory=dict)
-    policy_terms: Dict[str, Dict[str, JuniperTerm]] = field(default_factory=dict)
-    policy_term_order: Dict[str, List[str]] = field(default_factory=dict)
-    communities: Dict[str, List[str]] = field(default_factory=dict)
-    filter_terms: Dict[str, Dict[str, JuniperTerm]] = field(default_factory=dict)
-    filter_term_order: Dict[str, List[str]] = field(default_factory=dict)
-    zone_interfaces: Dict[str, List[str]] = field(default_factory=dict)
-    zone_policies: Dict[Tuple[str, str], Dict[str, JuniperTerm]] = field(
-        default_factory=dict
-    )
-    ntp_servers: List[str] = field(default_factory=list)
-    dns_servers: List[str] = field(default_factory=list)
-    line_count: int = 0
-    warnings: List[ParseWarning] = field(default_factory=list)
-    #: First definition line of named structures, keyed (kind, name).
-    definition_lines: Dict[Tuple[str, str], int] = field(default_factory=dict)
-    #: First line of each term, keyed (kind, container, term).
-    term_lines: Dict[Tuple[str, str, str], int] = field(default_factory=dict)
-    #: ``# lint-disable RULE`` directives: (rule_id, line_number).
-    lint_disables: List[Tuple[str, int]] = field(default_factory=list)
-
-
-class JuniperParser:
-    """Parser for flat ``set`` statements."""
-
-    def __init__(self, text: str, filename: str = "<config>"):
-        self._lines = text.splitlines()
-        self._filename = filename
-        self._config = JuniperConfig(
-            filename=filename,
-            line_count=len([l for l in self._lines if l.strip()]),
-        )
-
-    def parse(self) -> JuniperConfig:
-        for number, raw in enumerate(self._lines, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                words = line.lstrip("#").split()
-                if words[:1] == ["lint-disable"]:
-                    for rule in words[1:] or ["*"]:
-                        self._config.lint_disables.append((rule, number))
-                continue
-            tokens = line.split()
-            if tokens[0] != "set" or len(tokens) < 3:
-                self._warn(number, raw, "expected a 'set' statement")
-                continue
-            self._dispatch(tokens[1:], number, raw)
-        return self._config
-
-    def _dispatch(self, path: List[str], number: int, raw: str) -> None:
-        family = path[0]
-        if family == "system":
-            self._parse_system(path[1:], number, raw)
-        elif family == "interfaces":
-            if len(path) >= 2:
-                self._config.definition_lines.setdefault(
-                    ("interface", path[1]), number
-                )
-            self._config.interface_lines.append(path[1:])
-        elif family == "protocols" and len(path) >= 2 and path[1] == "ospf":
-            self._config.ospf_lines.append((path[2:], number))
-        elif family == "protocols" and len(path) >= 2 and path[1] == "bgp":
-            if len(path) >= 6 and path[2] == "group" and path[4] == "neighbor":
-                self._config.definition_lines.setdefault(
-                    ("bgp-neighbor", path[5]), number
-                )
-            self._config.bgp_lines.append((path[2:], number))
-        elif family == "routing-options":
-            self._config.routing_option_lines.append((path[1:], number))
-        elif family == "policy-options":
-            self._parse_policy_options(path[1:], number, raw)
-        elif family == "firewall" and len(path) >= 3 and path[1] == "filter":
-            self._parse_filter(path[2:], number, raw)
-        elif family == "security":
-            self._parse_security(path[1:], number, raw)
-        else:
-            self._warn(number, raw, "unrecognized configuration family")
-
-    def _parse_system(self, path: List[str], number: int, raw: str) -> None:
-        if path[:1] == ["host-name"] and len(path) >= 2:
-            self._config.hostname = path[1]
-        elif path[:2] == ["ntp", "server"] and len(path) >= 3:
-            self._config.ntp_servers.append(path[2])
-        elif path[:1] == ["name-server"] and len(path) >= 2:
-            self._config.dns_servers.append(path[1])
-        else:
-            self._warn(number, raw, "unrecognized system statement")
-
-    def _parse_policy_options(self, path: List[str], number: int, raw: str) -> None:
-        if path[:1] == ["prefix-list"] and len(path) >= 3:
-            self._config.definition_lines.setdefault(("prefix-list", path[1]), number)
-            self._config.prefix_lists.setdefault(path[1], []).append(path[2])
-        elif path[:1] == ["policy-statement"] and len(path) >= 4 and path[2] == "term":
-            policy, term_name = path[1], path[3]
-            self._config.definition_lines.setdefault(("route-map", policy), number)
-            self._config.term_lines.setdefault(("policy", policy, term_name), number)
-            terms = self._config.policy_terms.setdefault(policy, {})
-            order = self._config.policy_term_order.setdefault(policy, [])
-            if term_name not in terms:
-                terms[term_name] = JuniperTerm()
-                order.append(term_name)
-            term = terms[term_name]
-            if path[4:6] == ["from", "route-filter"]:
-                line = _route_filter_line(path[6:])
-                if line is None:
-                    self._warn(number, raw, "unrecognized route-filter")
-                    return
-                problem = line.bounds_problem()
-                if problem:
-                    self._warn(number, raw, f"invalid route-filter length bounds: {problem}")
-                term.route_filters.append(line)
-            elif path[4:5] == ["from"]:
-                term.froms.append(path[5:])
-            elif path[4:5] == ["then"]:
-                term.thens.append(path[5:])
-            else:
-                self._warn(number, raw, "policy term needs from/then")
-        elif path[:1] == ["community"] and len(path) >= 4 and path[2] == "members":
-            self._config.definition_lines.setdefault(
-                ("community-list", path[1]), number
-            )
-            self._config.communities.setdefault(path[1], []).append(path[3])
-        else:
-            self._warn(number, raw, "unrecognized policy-options statement")
-
-    def _parse_filter(self, path: List[str], number: int, raw: str) -> None:
-        # path: NAME term T from|then ...
-        if len(path) >= 4 and path[1] == "term":
-            filter_name, term_name = path[0], path[2]
-            self._config.definition_lines.setdefault(("acl", filter_name), number)
-            self._config.term_lines.setdefault(
-                ("filter", filter_name, term_name), number
-            )
-            terms = self._config.filter_terms.setdefault(filter_name, {})
-            order = self._config.filter_term_order.setdefault(filter_name, [])
-            if term_name not in terms:
-                terms[term_name] = JuniperTerm()
-                order.append(term_name)
-            term = terms[term_name]
-            if path[3] == "from":
-                term.froms.append(path[4:])
-            elif path[3] == "then":
-                term.thens.append(path[4:])
-            else:
-                self._warn(number, raw, "filter term needs from/then")
-        else:
-            self._warn(number, raw, "unrecognized firewall statement")
-
-    def _parse_security(self, path: List[str], number: int, raw: str) -> None:
-        if path[:2] == ["zones", "security-zone"] and len(path) >= 5 and path[3] == "interfaces":
-            self._config.zone_interfaces.setdefault(path[2], []).append(path[4])
-        elif path[:1] == ["policies"] and len(path) >= 7 and path[1] == "from-zone":
-            # policies from-zone A to-zone B policy P (match|then) ...
-            from_zone, to_zone, policy_name = path[2], path[4], path[6]
-            self._config.term_lines.setdefault(
-                ("security-policy", f"{from_zone}|{to_zone}", policy_name), number
-            )
-            zone_pair = self._config.zone_policies.setdefault(
-                (from_zone, to_zone), {}
-            )
-            if policy_name not in zone_pair:
-                zone_pair[policy_name] = JuniperTerm()
-            term = zone_pair[policy_name]
-            if path[7:8] == ["match"]:
-                term.froms.append(path[8:])
-            elif path[7:8] == ["then"]:
-                term.thens.append(path[8:])
-            else:
-                self._warn(number, raw, "security policy needs match/then")
-        else:
-            self._warn(number, raw, "unrecognized security statement")
-
-    def _warn(self, number: int, raw: str, comment: str) -> None:
-        self._config.warnings.append(
-            ParseWarning(
-                hostname=self._config.hostname or self._filename,
-                line_number=number,
-                text=raw.strip(),
-                comment=comment,
-            )
-        )
-
-
-# ----------------------------------------------------------------------
-# Conversion to the vendor-independent model
+#: ``then WORD N`` actions of a policy term that set a number.
+_POLICY_NUMBERS = {"local-preference": SetKind.LOCAL_PREF, "metric": SetKind.METRIC}
 
 
 def parse_juniper(
     text: str, filename: str = "<config>"
 ) -> Tuple[Device, List[ParseWarning]]:
-    """Parse juniperish text and convert to a vendor-independent Device."""
-    vendor = JuniperParser(text, filename).parse()
-    return juniper_to_vi(vendor), vendor.warnings
+    """Parse juniperish text into a vendor-independent Device."""
+    parser = _Parser(text, filename)
+    parser.parse()
+    return parser.device, parser.warnings
 
 
-def juniper_to_vi(config: JuniperConfig) -> Device:
-    device = Device(
-        hostname=config.hostname or "unnamed",
-        vendor="juniperish",
-        config_lines=config.line_count,
-    )
-    _convert_interfaces(config, device)
-    _convert_ospf(config, device)
-    _convert_bgp(config, device)
-    _convert_routing_options(config, device)
-    for name, entries in config.prefix_lists.items():
-        plist = PrefixList(
-            name=name,
-            source_file=config.filename,
-            source_line=config.definition_lines.get(("prefix-list", name), 0),
+class _Parser:
+    """One juniperish file: the device it writes and the warnings it gives."""
+
+    def __init__(self, text: str, filename: str):
+        self.lines = text.splitlines()
+        self.filename = filename
+        self.device = Device(
+            hostname="", vendor="juniperish",
+            config_lines=sum(1 for line in self.lines if line.strip()),
         )
-        for entry in entries:
-            plist.lines.append(
-                PrefixListLine(action=Action.PERMIT, prefix=Prefix(entry))
-            )
-        device.prefix_lists[name] = plist
-    for name, members in config.communities.items():
-        device.community_lists[name] = CommunityList(
-            name=name,
-            communities=members,
-            source_file=config.filename,
-            source_line=config.definition_lines.get(("community-list", name), 0),
-        )
-    for name in config.policy_terms:
-        device.route_maps[name] = _convert_policy(config, name, device)
-    for name in config.filter_terms:
-        device.acls[name] = _convert_filter(config, name)
-    for zone_name, interfaces in config.zone_interfaces.items():
-        device.zones[zone_name] = Zone(name=zone_name, interfaces=list(interfaces))
-        for iface_name in interfaces:
-            if iface_name in device.interfaces:
-                device.interfaces[iface_name].zone = zone_name
-    _convert_zone_policies(config, device)
-    device.ntp_servers = [Ip(s) for s in config.ntp_servers]
-    device.dns_servers = [Ip(s) for s in config.dns_servers]
-    device.lint_suppressions = [
-        (rule, config.filename, line) for rule, line in config.lint_disables
-    ]
-    return device
+        self.warnings: List[ParseWarning] = []
+        self.number = 0
+        self.line = ""
+        #: Each term's model object: its route-map clause (policies) or
+        #: its line's index in the ACL (filters, security policies).
+        self._terms: Dict[Tuple[str, str, str], Union[RouteMapClause, int]] = {}
+        # What finish() resolves once every line is read.
+        self._router_id: Optional[Ip] = None
+        self._local_as: Optional[int] = None
+        self._route_filters: Set[str] = set()
 
+    def parse(self) -> None:
+        for number, raw in enumerate(self.lines, start=1):
+            line = raw.strip()
+            if not line or line[0] == "#":
+                words = line.lstrip("#").split()
+                if words[:1] == ["lint-disable"]:
+                    for rule in words[1:] or ["*"]:
+                        self.device.lint_suppressions.append((rule, self.filename, number))
+                continue
+            self.number, self.line = number, line
+            diagnosed(self.warnings, self.device.hostname or self.filename,
+                      self.filename, number, line, self._statement)
+        self.finish()
 
-def _interface_of(
-    device: Device, name: str, config: Optional[JuniperConfig] = None
-) -> Interface:
-    iface = device.interfaces.setdefault(name, Interface(name=name))
-    if config is not None and not iface.source_line:
-        iface.source_file = config.filename
-        iface.source_line = config.definition_lines.get(("interface", name), 0)
-    return iface
+    def _warn(self, comment: str, number: int = 0, text: str = "") -> None:
+        self.warnings.append(ParseWarning(
+            self.device.hostname or self.filename, number or self.number,
+            text or self.line, comment, self.filename,
+        ))
 
-
-def _convert_interfaces(config: JuniperConfig, device: Device) -> None:
-    for path in config.interface_lines:
-        if not path:
-            continue
-        iface = _interface_of(device, path[0], config)
-        rest = path[1:]
-        if rest[:4] == ["unit", "0", "family", "inet"] and len(rest) >= 6:
-            inner = rest[4:]
-            if inner[0] == "address" and len(inner) >= 2:
-                prefix = Prefix(inner[1])
-                iface.address = Ip(inner[1].split("/")[0])
-                iface.prefix_length = prefix.length
-            elif inner[0] == "filter" and len(inner) >= 3:
-                if inner[1] == "input":
-                    iface.incoming_acl = inner[2]
-                elif inner[1] == "output":
-                    iface.outgoing_acl = inner[2]
-        elif rest[:1] == ["disable"]:
-            iface.enabled = False
-        elif rest[:1] == ["description"]:
-            iface.description = " ".join(rest[1:])
-        elif rest[:1] == ["bandwidth"] and len(rest) >= 2:
-            iface.bandwidth = int(rest[1])
-        elif rest[:1] == ["mtu"] and len(rest) >= 2:
-            iface.mtu = int(rest[1])
+    def _statement(self, tokens: List[str]) -> None:
+        if tokens[0] != "set" or len(tokens) < 3:
+            raise ValueError("expected a 'set' statement")
+        family, path = tokens[1], tokens[2:]
+        if family == "system":
+            self._system(path)
+        elif family == "interfaces":
+            self._interface(path)
+        elif family == "protocols" and path[0] == "ospf":
+            self._ospf(path[1:])
+        elif family == "protocols" and path[0] == "bgp":
+            self._bgp(path[1:])
+        elif family == "routing-options":
+            self._routing_options(path)
+        elif family == "policy-options":
+            self._policy_options(path)
+        elif family == "firewall" and path[0] == "filter" and len(path) >= 5 and path[2] == "term":
+            # firewall filter NAME term T from|then ...
+            self._term("filter", path[1], path[3], path[4:])
+        elif family == "security":
+            self._security(path)
         else:
-            config.warnings.append(
-                ParseWarning(
-                    device.hostname, 0, " ".join(path),
-                    "unrecognized interface statement",
-                )
-            )
+            raise ValueError("unrecognized configuration family")
 
+    def _system(self, path: List[str]) -> None:
+        device = self.device
+        if path[0] == "host-name" and len(path) >= 2:
+            device.hostname = path[1]
+        elif path[:2] == ["ntp", "server"] and len(path) >= 3:
+            device.ntp_servers.append(Ip(path[2]))
+        elif path[0] == "name-server" and len(path) >= 2:
+            device.dns_servers.append(Ip(path[1]))
+        else:
+            raise ValueError("unrecognized system statement")
 
-def _convert_ospf(config: JuniperConfig, device: Device) -> None:
-    if not config.ospf_lines:
-        return
-    ospf = OspfProcess()
-    device.ospf = ospf
-    for path, number in config.ospf_lines:
+    # -- interfaces and routing ---------------------------------------------
+
+    def _interface_of(self, name: str, number: int) -> Interface:
+        """The interface ``name``; a ``set interfaces`` line (``number``)
+        is where it is defined, an OSPF line (0) only names it."""
+        iface = self.device.interfaces.get(name)
+        if iface is None:
+            iface = self.device.interfaces[name] = Interface(name=name, source_file=self.filename)
+        if not iface.source_line:
+            iface.source_line = number
+        return iface
+
+    def _interface(self, path: List[str]) -> None:
+        rest = path[1:]
+        inner = rest[4:] if rest[:4] == ["unit", "0", "family", "inet"] else []
+        if inner[:1] == ["address"] and len(inner) >= 2:
+            values: Dict[str, object] = {
+                "prefix_length": Prefix(inner[1]).length,
+                "address": Ip(inner[1].split("/")[0]),
+            }
+        elif inner[:1] == ["filter"] and len(inner) >= 3 and inner[1] in ("input", "output"):
+            values = {"incoming_acl" if inner[1] == "input" else "outgoing_acl": inner[2]}
+        elif rest[:1] == ["disable"]:
+            values = {"enabled": False}
+        elif rest[:1] == ["description"]:
+            values = {"description": " ".join(rest[1:])}
+        elif rest[:1] in (["bandwidth"], ["mtu"]) and len(rest) >= 2:
+            values = {rest[0]: int(rest[1])}
+        else:
+            raise ValueError("unrecognized interface statement")
+        iface = self._interface_of(path[0], self.number)
+        for field, value in values.items():
+            setattr(iface, field, value)
+
+    def _ospf_process(self) -> OspfProcess:
+        if self.device.ospf is None:
+            self.device.ospf = OspfProcess()
+        return self.device.ospf
+
+    def _ospf(self, path: List[str]) -> None:
         if path[:1] == ["area"] and len(path) >= 4 and path[2] == "interface":
-            area = int(path[1].split(".")[-1]) if "." in path[1] else int(path[1])
-            iface = _interface_of(device, path[3], config)
+            area = int(path[1].split(".")[-1])
+            values: Dict[str, object] = {}
+            extra = path[4:]
+            while extra:
+                if extra[0] == "passive":
+                    values["ospf_passive"] = True
+                    extra = extra[1:]
+                    continue
+                field = {
+                    "metric": "ospf_cost",
+                    "hello-interval": "ospf_hello_interval",
+                    "dead-interval": "ospf_dead_interval",
+                }.get(extra[0])
+                if field is None:
+                    raise ValueError(f"unrecognized ospf interface option {extra[0]}")
+                values[field] = int(extra[1])
+                extra = extra[2:]
+            self._ospf_process()
+            iface = self._interface_of(path[3], 0)
             iface.ospf_enabled = True
             iface.ospf_area = area
-            extra = path[4:]
-            saw_hello = saw_dead = False
-            while extra:
-                if extra[:1] == ["metric"] and len(extra) >= 2:
-                    iface.ospf_cost = int(extra[1])
-                    extra = extra[2:]
-                elif extra[:1] == ["passive"]:
-                    iface.ospf_passive = True
-                    extra = extra[1:]
-                elif extra[:1] == ["hello-interval"] and len(extra) >= 2:
-                    iface.ospf_hello_interval = int(extra[1])
-                    saw_hello = True
-                    extra = extra[2:]
-                elif extra[:1] == ["dead-interval"] and len(extra) >= 2:
-                    iface.ospf_dead_interval = int(extra[1])
-                    saw_dead = True
-                    extra = extra[2:]
-                else:
-                    extra = extra[1:]
-            if saw_hello and not saw_dead and iface.ospf_dead_interval == 40:
+            if "ospf_hello_interval" in values and "ospf_dead_interval" not in values \
+                    and iface.ospf_dead_interval == 40:
                 # Vendor default: dead interval follows hello at 4x when unset.
-                iface.ospf_dead_interval = iface.ospf_hello_interval * 4
+                values["ospf_dead_interval"] = values["ospf_hello_interval"] * 4
+            for field, value in values.items():
+                setattr(iface, field, value)
         elif path[:1] == ["reference-bandwidth"] and len(path) >= 2:
-            ospf.reference_bandwidth = int(path[1])
+            self._ospf_process().reference_bandwidth = int(path[1])
         elif path[:1] == ["export"] and len(path) >= 2:
             # Juniper-style: export policy governs redistribution.
-            from repro.config.model import Protocol, Redistribution
-
-            ospf.redistributions.append(
-                Redistribution(
-                    source=Protocol.STATIC,
-                    route_map=path[1],
-                    source_file=config.filename,
-                    source_line=number,
-                )
-            )
+            self._ospf_process().redistributions.append(self._export(path[1]))
         else:
-            config.warnings.append(
-                ParseWarning(
-                    device.hostname, 0, " ".join(path),
-                    "unrecognized ospf statement",
-                )
-            )
+            raise ValueError("unrecognized ospf statement")
 
+    def _export(self, policy: str) -> Redistribution:
+        """A process-level export policy: it redistributes main-RIB
+        (static) routes, filtered by the named policy, with the
+        statement's own line for provenance."""
+        return Redistribution(
+            source=Protocol.STATIC, route_map=policy,
+            source_file=self.filename, source_line=self.number,
+        )
 
-def _convert_bgp(config: JuniperConfig, device: Device) -> None:
-    if not config.bgp_lines:
-        return
-    local_as: Optional[int] = None
-    neighbor_lines: List[List[str]] = []
-    #: ``set protocols bgp export POLICY`` — redistribution into BGP,
-    #: with the statement's own line for provenance.
-    export_lines: List[Tuple[str, int]] = []
-    maximum_paths = 1
-    for path, number in config.bgp_lines:
+    def _bgp(self, path: List[str]) -> None:
         if path[:1] == ["local-as"] and len(path) >= 2:
             local_as = int(path[1])
+            self._bgp_process()
+            self._local_as = local_as
         elif path[:1] == ["group"] and len(path) >= 4 and path[2] == "neighbor":
-            neighbor_lines.append(path[3:])
+            self._neighbor(path[3:])
         elif path[:1] == ["export"] and len(path) >= 2:
-            export_lines.append((path[1], number))
+            self._bgp_process().redistributions.append(self._export(path[1]))
         elif path[:2] == ["multipath", "maximum-paths"] and len(path) >= 3:
-            maximum_paths = int(path[2])
+            self._bgp_process().maximum_paths = int(path[2])
         else:
-            config.warnings.append(
-                ParseWarning(
-                    device.hostname, 0, " ".join(path),
-                    "unrecognized bgp statement",
-                )
-            )
-    if local_as is None:
-        if neighbor_lines:
-            config.warnings.append(
-                ParseWarning(
-                    device.hostname, 0, "protocols bgp",
-                    "bgp neighbors configured without local-as",
-                )
-            )
-        return
-    bgp = BgpProcess(local_as=local_as, maximum_paths=maximum_paths)
-    device.bgp = bgp
-    for policy, number in export_lines:
-        # Same convention as the OSPF export conversion: a process-level
-        # export policy redistributes main-RIB (static) routes, filtered
-        # by the named policy.
-        from repro.config.model import Protocol, Redistribution
+            raise ValueError("unrecognized bgp statement")
 
-        bgp.redistributions.append(
-            Redistribution(
-                source=Protocol.STATIC,
-                route_map=policy,
-                source_file=config.filename,
-                source_line=number,
-            )
-        )
-    for path in neighbor_lines:
-        peer = Ip(path[0])
-        neighbor = bgp.neighbors.get(peer)
-        directive = path[1:] or ["(empty)"]
-        source_line = config.definition_lines.get(("bgp-neighbor", path[0]), 0)
+    def _bgp_process(self) -> BgpProcess:
+        # local_as is the local-as statement's, set by finish().
+        if self.device.bgp is None:
+            self.device.bgp = BgpProcess(local_as=0)
+        return self.device.bgp
+
+    def _neighbor(self, path: List[str]) -> None:
+        peer, directive = Ip(path[0]), path[1:]
+        value: object = True
         if directive[0] == "peer-as" and len(directive) >= 2:
-            if neighbor is None:
-                bgp.neighbors[peer] = BgpNeighbor(
-                    peer_ip=peer,
-                    remote_as=int(directive[1]),
-                    source_file=config.filename,
-                    source_line=source_line,
-                )
-            else:
-                neighbor.remote_as = int(directive[1])
-            continue
-        if neighbor is None:
-            # Directive arrived before peer-as; create a placeholder that
-            # conversion fixes up when peer-as arrives.
-            neighbor = BgpNeighbor(
-                peer_ip=peer,
-                remote_as=0,
-                source_file=config.filename,
-                source_line=source_line,
-            )
-            bgp.neighbors[peer] = neighbor
-        if directive[0] == "import" and len(directive) >= 2:
-            neighbor.import_policy = directive[1]
-        elif directive[0] == "export" and len(directive) >= 2:
-            neighbor.export_policy = directive[1]
+            field, value = "remote_as", int(directive[1])
+        elif directive[0] in ("import", "export") and len(directive) >= 2:
+            field, value = f"{directive[0]}_policy", directive[1]
         elif directive[0] == "description":
-            neighbor.description = " ".join(directive[1:])
+            field, value = "description", " ".join(directive[1:])
         elif directive[0] == "multihop":
-            neighbor.ebgp_multihop = True
+            field = "ebgp_multihop"
         else:
-            config.warnings.append(
-                ParseWarning(
-                    device.hostname, 0, " ".join(path),
-                    "unrecognized bgp neighbor statement",
-                )
+            raise ValueError("unrecognized bgp neighbor statement")
+        neighbors = self._bgp_process().neighbors
+        neighbor = neighbors.get(peer)
+        if neighbor is None:
+            # remote_as 0 until a peer-as line names it (finish drops a
+            # neighbor that never gets one).
+            neighbor = neighbors[peer] = BgpNeighbor(
+                peer_ip=peer, remote_as=0,
+                source_file=self.filename, source_line=self.number,
             )
-    # Drop neighbors that never got a peer-as (cannot establish).
-    for peer in [p for p, n in bgp.neighbors.items() if n.remote_as == 0]:
-        config.warnings.append(
-            ParseWarning(
-                device.hostname, 0, f"neighbor {peer}",
-                "bgp neighbor has no peer-as; session cannot establish",
-            )
-        )
-        del bgp.neighbors[peer]
+        setattr(neighbor, field, value)
 
-
-def _convert_routing_options(config: JuniperConfig, device: Device) -> None:
-    for path, number in config.routing_option_lines:
-        if path[:1] == ["router-id"] and len(path) >= 2:
-            router_id = Ip(path[1])
-            if device.bgp is not None:
-                device.bgp.router_id = router_id
-            if device.ospf is not None:
-                device.ospf.router_id = router_id
-            if device.bgp is None and device.ospf is None:
-                device.ospf = OspfProcess(router_id=router_id)
+    def _routing_options(self, path: List[str]) -> None:
+        if path[0] == "router-id" and len(path) >= 2:
+            self._router_id = Ip(path[1])
         elif path[:2] == ["static", "route"] and len(path) >= 5:
             prefix = Prefix(path[2])
             preference = 5  # juniper static default preference
@@ -564,41 +332,193 @@ def _convert_routing_options(config: JuniperConfig, device: Device) -> None:
                         next_hop_interface = "discard"
                     else:
                         next_hop_ip = Ip(rest[1])
-                    rest = rest[2:]
                 elif rest[0] == "preference" and len(rest) >= 2:
                     preference = int(rest[1])
-                    rest = rest[2:]
                 else:
-                    rest = rest[1:]
-            device.static_routes.append(
-                StaticRoute(
-                    prefix=prefix,
-                    next_hop_ip=next_hop_ip,
-                    next_hop_interface=next_hop_interface,
-                    admin_distance=preference,
-                    source_file=config.filename,
-                    source_line=number,
-                )
-            )
+                    raise ValueError(f"unexpected {rest[0]!r} in static route")
+                rest = rest[2:]
+            self.device.static_routes.append(StaticRoute(
+                prefix=prefix,
+                next_hop_ip=next_hop_ip,
+                next_hop_interface=next_hop_interface,
+                admin_distance=preference,
+                source_file=self.filename,
+                source_line=self.number,
+            ))
         else:
-            config.warnings.append(
-                ParseWarning(
-                    device.hostname, 0, " ".join(path),
-                    "unrecognized routing-options statement",
-                )
+            raise ValueError("unrecognized routing-options statement")
+
+    # -- policies, filters, zones ---------------------------------------------
+
+    def _policy_options(self, path: List[str]) -> None:
+        device = self.device
+        if path[0] == "prefix-list" and len(path) >= 3:
+            line = PrefixListLine(action=Action.PERMIT, prefix=Prefix(path[2]))
+            device.prefix_lists.setdefault(path[1], PrefixList(
+                name=path[1], source_file=self.filename, source_line=self.number,
+            )).lines.append(line)
+        elif path[0] == "policy-statement" and len(path) >= 5 and path[2] == "term":
+            self._policy_term(path[1], path[3], path[4:])
+        elif path[0] == "community" and len(path) >= 4 and path[2] == "members":
+            device.community_lists.setdefault(path[1], CommunityList(
+                name=path[1], source_file=self.filename, source_line=self.number,
+            )).communities.append(path[3])
+        else:
+            raise ValueError("unrecognized policy-options statement")
+
+    def _policy_term(self, policy: str, term: str, words: List[str]) -> None:
+        """``from ...``/``then ...`` of policy term ``term``: one clause,
+        numbered 10, 20, ... in the order the terms first appear."""
+        verb, args = words[0], words[1:]
+        action: Optional[Action] = None
+        match = set_ = route_filter = None
+        if verb == "from" and args[0] == "route-filter":
+            route_filter = _route_filter_line(args[1:])
+        elif verb == "from" and args[0] in _POLICY_MATCHES and len(args) >= 2:
+            match = RouteMapMatch(_POLICY_MATCHES[args[0]], args[1])
+        elif verb == "from":
+            raise ValueError(f"unmodelled from condition {args[0]}")
+        elif verb != "then":
+            raise ValueError("policy term needs from/then")
+        elif args[0] in ("accept", "reject"):
+            action = Action.PERMIT if args[0] == "accept" else Action.DENY
+        elif args[0] in _POLICY_NUMBERS and len(args) >= 2:
+            int(args[1])  # checked here, not when a route meets it
+            set_ = RouteMapSet(_POLICY_NUMBERS[args[0]], args[1])
+        elif args[0] == "community" and args[1:2] in (["add"], ["set"]) and len(args) >= 3:
+            kind = SetKind.COMMUNITY_ADDITIVE if args[1] == "add" else SetKind.COMMUNITY
+            set_ = RouteMapSet(kind, args[2])
+        elif args[0] == "as-path-prepend" and len(args) >= 2:
+            [int(asn) for asn in args[1:]]  # likewise
+            set_ = RouteMapSet(SetKind.AS_PATH_PREPEND, " ".join(args[1:]))
+        else:
+            raise ValueError(f"unmodelled then action {args[0]}")
+        route_map = self.device.route_maps.setdefault(policy, RouteMap(
+            name=policy, source_file=self.filename, source_line=self.number,
+        ))
+        clause = self._terms.get(("policy", policy, term))
+        if not isinstance(clause, RouteMapClause):
+            clause = RouteMapClause(
+                seq=10 * (len(route_map.clauses) + 1), action=Action.PERMIT,
+                source_file=self.filename, source_line=self.number,
             )
+            route_map.clauses.append(clause)
+            self._terms[("policy", policy, term)] = clause
+        if action is not None:
+            clause.action = action
+        elif set_ is not None:
+            clause.sets.append(set_)
+        elif match is not None:
+            clause.matches.append(match)
+        elif route_filter is not None:
+            # The term's route filters, as a prefix list of its own.
+            name = f"{policy}.{term}.route-filter"
+            self.device.prefix_lists.setdefault(name, PrefixList(
+                name=name, source_file=self.filename, source_line=clause.source_line,
+            )).lines.append(route_filter)
+            if name not in self._route_filters:
+                self._route_filters.add(name)
+                clause.matches.append(RouteMapMatch(MatchKind.PREFIX_LIST, name))
+            problem = route_filter.bounds_problem()
+            if problem:
+                self._warn(f"invalid route-filter length bounds: {problem}")
+
+    def _security(self, path: List[str]) -> None:
+        if path[:2] == ["zones", "security-zone"] and len(path) >= 5 and path[3] == "interfaces":
+            self.device.zones.setdefault(path[2], Zone(name=path[2])).interfaces.append(path[4])
+        elif path[0] == "policies" and len(path) >= 9 and path[1] == "from-zone":
+            # policies from-zone A to-zone B policy P (match|then) ...
+            from_zone, to_zone, verb = path[2], path[4], path[7]
+            if verb not in ("match", "then"):
+                raise ValueError("security policy needs match/then")
+            self._term("security-policy", f"{from_zone}|{to_zone}", path[6],
+                       ["from" if verb == "match" else "then"] + path[8:])
+        else:
+            raise ValueError("unrecognized security statement")
+
+    def _term(self, kind: str, container: str, term: str, words: List[str]) -> None:
+        """``from ...``/``then ...`` of a firewall filter term or a security
+        policy: one ACL line per term, in the order the terms first appear.
+        A zone pair's policies make the ACL ``~zone~A~B~``."""
+        if kind == "filter":
+            name, label = container, f"term {term}"
+        else:
+            name, label = f"~zone~{container.replace('|', '~')}~", f"policy {term}"
+        index = self._terms.get((kind, container, term))
+        acl = self.device.acls.get(name)
+        current = acl.lines[index] if isinstance(index, int) and acl is not None else AclLine(
+            action=Action.PERMIT, name=label,
+            source_file=self.filename, source_line=self.number,
+        )
+        updated = _term_line(current, words)
+        if acl is None:
+            acl = self.device.acls[name] = Acl(
+                name=name, source_file=self.filename, source_line=self.number,
+            )
+            if kind != "filter":
+                from_zone, to_zone = container.split("|")
+                self.device.zone_policies[(from_zone, to_zone)] = ZonePolicy(
+                    from_zone=from_zone, to_zone=to_zone, acl=name,
+                    source_file=self.filename, source_line=self.number,
+                )
+        if isinstance(index, int):
+            acl.lines[index] = updated
+        else:
+            self._terms[(kind, container, term)] = len(acl.lines)
+            acl.lines.append(updated)
+
+    # -- what statements name before it is defined ----------------------------
+
+    def finish(self) -> None:
+        device = self.device
+        bgp = device.bgp
+        if bgp is not None and self._local_as is None:
+            if bgp.neighbors:
+                first = next(iter(bgp.neighbors.values())).source_line
+                self._warn("bgp neighbors configured without local-as", first, "protocols bgp")
+            device.bgp = None
+        elif bgp is not None:
+            bgp.local_as = self._local_as
+            for peer, neighbor in list(bgp.neighbors.items()):
+                if neighbor.remote_as == 0:
+                    self._warn("bgp neighbor has no peer-as; session cannot establish",
+                               neighbor.source_line, f"neighbor {peer}")
+                    del bgp.neighbors[peer]
+        if self._router_id is not None:
+            if device.bgp is not None:
+                device.bgp.router_id = self._router_id
+            if device.ospf is not None:
+                device.ospf.router_id = self._router_id
+            if device.bgp is None and device.ospf is None:
+                device.ospf = OspfProcess(router_id=self._router_id)
+        for zone in device.zones.values():
+            for name in zone.interfaces:
+                if name in device.interfaces:
+                    device.interfaces[name].zone = zone.name
+        # Zones a security policy names follow the zones that list
+        # interfaces; zone ACLs follow the filters, and a term's
+        # route-filter list follows the named prefix lists (its match
+        # follows the term's other matches).
+        for from_zone, to_zone in device.zone_policies:
+            for zone_name in (from_zone, to_zone):
+                device.zones.setdefault(zone_name, Zone(name=zone_name))
+            acl_name = f"~zone~{from_zone}~{to_zone}~"
+            device.acls[acl_name] = device.acls.pop(acl_name)
+        for route_map in device.route_maps.values():
+            for clause in route_map.clauses:
+                for match in [m for m in clause.matches if m.value in self._route_filters]:
+                    clause.matches.remove(match)
+                    clause.matches.append(match)
+                    device.prefix_lists[match.value] = device.prefix_lists.pop(match.value)
+        device.hostname = device.hostname or "unnamed"
 
 
-def _route_filter_line(words: List[str]) -> Optional[PrefixListLine]:
-    """``P/L exact|orlonger|longer|upto /N|prefix-length-range /A-/B``
-    as the prefix-list line matching the same routes, else None (a
-    malformed prefix included)."""
+def _route_filter_line(words: List[str]) -> PrefixListLine:
+    """``P/L exact|orlonger|longer|upto /N|prefix-length-range /A-/B`` as
+    the prefix-list line matching the same routes."""
     if len(words) < 2 or "/" not in words[0]:
-        return None
-    try:
-        prefix = Prefix(words[0])
-    except ValueError:
-        return None
+        raise ValueError("unrecognized route-filter")
+    prefix = Prefix(words[0])
     modifier, bound = words[1], words[2] if len(words) > 2 else ""
     if modifier == "exact":
         return PrefixListLine(Action.PERMIT, prefix)
@@ -611,157 +531,29 @@ def _route_filter_line(words: List[str]) -> Optional[PrefixListLine]:
         part[:1] == "/" and part[1:].isdecimal() for part in (low, high)
     ):
         return PrefixListLine(Action.PERMIT, prefix, int(low[1:]), int(high[1:]))
-    return None
+    raise ValueError("unrecognized route-filter")
 
 
-def _convert_policy(config: JuniperConfig, name: str, device: Device) -> RouteMap:
-    route_map = RouteMap(
-        name=name,
-        source_file=config.filename,
-        source_line=config.definition_lines.get(("route-map", name), 0),
-    )
-    for seq, term_name in enumerate(config.policy_term_order[name], start=1):
-        term = config.policy_terms[name][term_name]
-        action = Action.PERMIT
-        sets: List[RouteMapSet] = []
-        for then in term.thens:
-            if then[:1] == ["accept"]:
-                action = Action.PERMIT
-            elif then[:1] == ["reject"]:
-                action = Action.DENY
-            elif then[:1] == ["local-preference"] and len(then) >= 2:
-                sets.append(RouteMapSet(SetKind.LOCAL_PREF, then[1]))
-            elif then[:1] == ["metric"] and len(then) >= 2:
-                sets.append(RouteMapSet(SetKind.METRIC, then[1]))
-            elif then[:2] == ["community", "add"] and len(then) >= 3:
-                sets.append(RouteMapSet(SetKind.COMMUNITY_ADDITIVE, then[2]))
-            elif then[:2] == ["community", "set"] and len(then) >= 3:
-                sets.append(RouteMapSet(SetKind.COMMUNITY, then[2]))
-            elif then[:2] == ["as-path-prepend"] and len(then) >= 2:
-                sets.append(RouteMapSet(SetKind.AS_PATH_PREPEND, " ".join(then[1:])))
-        matches: List[RouteMapMatch] = []
-        for from_ in term.froms:
-            if from_[:1] == ["prefix-list"] and len(from_) >= 2:
-                matches.append(RouteMapMatch(MatchKind.PREFIX_LIST, from_[1]))
-            elif from_[:1] == ["community"] and len(from_) >= 2:
-                matches.append(RouteMapMatch(MatchKind.COMMUNITY, from_[1]))
-            elif from_[:1] == ["protocol"] and len(from_) >= 2:
-                matches.append(RouteMapMatch(MatchKind.PROTOCOL, from_[1]))
-        if term.route_filters:
-            # The term's route filters, as a prefix list of their own.
-            filters = f"{name}.{term_name}.route-filter"
-            device.prefix_lists[filters] = PrefixList(
-                name=filters,
-                lines=list(term.route_filters),
-                source_file=config.filename,
-                source_line=config.term_lines.get(("policy", name, term_name), 0),
-            )
-            matches.append(RouteMapMatch(MatchKind.PREFIX_LIST, filters))
-        route_map.clauses.append(
-            RouteMapClause(
-                seq=seq * 10,
-                action=action,
-                matches=matches,
-                sets=sets,
-                source_file=config.filename,
-                source_line=config.term_lines.get(("policy", name, term_name), 0),
-            )
-        )
-    return route_map
-
-
-def _convert_filter(config: JuniperConfig, name: str) -> Acl:
-    acl = Acl(
-        name=name,
-        source_file=config.filename,
-        source_line=config.definition_lines.get(("acl", name), 0),
-    )
-    for term_name in config.filter_term_order[name]:
-        term = config.filter_terms[name][term_name]
-        line = _term_to_acl_line(
-            term,
-            f"term {term_name}",
-            source_file=config.filename,
-            source_line=config.term_lines.get(("filter", name, term_name), 0),
-        )
-        if line is not None:
-            acl.lines.append(line)
-    return acl
-
-
-def _term_to_acl_line(
-    term: JuniperTerm,
-    label: str,
-    source_file: str = "",
-    source_line: int = 0,
-) -> Optional[AclLine]:
-    action = Action.PERMIT
-    for then in term.thens:
-        if then[:1] == ["accept"]:
-            action = Action.PERMIT
-        elif then[:1] in (["discard"], ["reject"]):
-            action = Action.DENY
-    protocol = None
-    src = dst = None
-    src_ports: List[Tuple[int, int]] = []
-    dst_ports: List[Tuple[int, int]] = []
-    established = False
-    for from_ in term.froms:
-        if from_[:1] == ["protocol"] and len(from_) >= 2:
-            protocol = _PROTOCOL_NAMES.get(from_[1])
-        elif from_[:1] == ["source-address"] and len(from_) >= 2:
-            src = Prefix(from_[1])
-        elif from_[:1] == ["destination-address"] and len(from_) >= 2:
-            dst = Prefix(from_[1])
-        elif from_[:1] == ["source-port"] and len(from_) >= 2:
-            src_ports.append(_parse_port_token(from_[1]))
-        elif from_[:1] == ["destination-port"] and len(from_) >= 2:
-            dst_ports.append(_parse_port_token(from_[1]))
-        elif from_[:2] == ["tcp-flags", "established"] or from_[:1] == ["tcp-established"]:
-            established = True
-    return AclLine(
-        action=action,
-        protocol=protocol,
-        src=src,
-        dst=dst,
-        src_ports=tuple(src_ports),
-        dst_ports=tuple(dst_ports),
-        established=established,
-        name=label,
-        source_file=source_file,
-        source_line=source_line,
-    )
-
-
-def _parse_port_token(token: str) -> Tuple[int, int]:
-    if "-" in token:
-        low, _, high = token.partition("-")
-        return int(low), int(high)
-    return int(token), int(token)
-
-
-def _convert_zone_policies(config: JuniperConfig, device: Device) -> None:
-    """Each zone pair becomes a synthetic ACL built from its policies."""
-    for (from_zone, to_zone), policies in config.zone_policies.items():
-        acl_name = f"~zone~{from_zone}~{to_zone}~"
-        acl = Acl(name=acl_name, source_file=config.filename)
-        for policy_name, term in policies.items():
-            line = _term_to_acl_line(
-                term,
-                f"policy {policy_name}",
-                source_file=config.filename,
-                source_line=config.term_lines.get(
-                    ("security-policy", f"{from_zone}|{to_zone}", policy_name), 0
-                ),
-            )
-            if line is not None:
-                acl.lines.append(line)
-            if line is not None and not acl.source_line:
-                acl.source_line = line.source_line
-        device.acls[acl_name] = acl
-        device.zone_policies[(from_zone, to_zone)] = ZonePolicy(
-            from_zone=from_zone, to_zone=to_zone, acl=acl_name,
-            source_file=config.filename, source_line=acl.source_line,
-        )
-        for zone_name in (from_zone, to_zone):
-            device.zones.setdefault(zone_name, Zone(name=zone_name))
+def _term_line(line: AclLine, words: List[str]) -> AclLine:
+    """``line`` with one ``from ...``/``then ...`` of its term applied."""
+    verb, args = words[0], words[1:]
+    if verb == "then" and args[0] in ("accept", "discard", "reject"):
+        return replace(line, action=Action.PERMIT if args[0] == "accept" else Action.DENY)
+    if verb == "then":
+        raise ValueError(f"unmodelled then action {args[0]}")
+    if verb != "from":
+        raise ValueError("filter term needs from/then")
+    if args[:2] == ["tcp-flags", "established"] or args[:1] == ["tcp-established"]:
+        return replace(line, established=True)
+    value = args[1]
+    side = {"source": "src", "destination": "dst"}.get(args[0].partition("-")[0])
+    if args[0] == "protocol" and value in _PROTOCOL_NAMES:
+        return replace(line, protocol=_PROTOCOL_NAMES[value])
+    if side and args[0].endswith("-address"):
+        return replace(line, **{side: Prefix(value)})
+    if side and args[0].endswith("-port"):
+        field = f"{side}_ports"
+        low, dash, high = value.partition("-")
+        ports = (int(low), int(high if dash else low))
+        return replace(line, **{field: getattr(line, field) + (ports,)})
+    raise ValueError(f"unmodelled from condition {args[0]} {value}")

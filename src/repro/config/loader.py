@@ -57,20 +57,11 @@ def parse_config_text(text: str, filename: str = "<config>"):
 
 
 def _parse_one(filename: str, text: str):
-    """Parse one file, its warnings stamped with ``filename``."""
-    vendor = detect_syntax(text)
-    if vendor == "juniperish":
-        device, warnings = parse_juniper(text, filename)
-    else:
-        device, warnings = parse_cisco(text, filename)
-    # File attribution survives normalization: every warning knows which
-    # snapshot file produced it (Session.parse_warnings surfaces this).
-    for warning in warnings:
-        if not warning.source_file:
-            warning.source_file = filename
+    """Parse one file; every warning names ``filename`` and its line."""
+    device, warnings = parse_config_text(text, filename)
     if obs.enabled():
         obs.add("parse.files")
-        obs.add(f"parse.lines.{vendor}", text.count("\n") + 1)
+        obs.add(f"parse.lines.{device.vendor}", text.count("\n") + 1)
         obs.add("parse.warnings", len(warnings))
     return device, warnings
 

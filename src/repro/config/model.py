@@ -1,9 +1,10 @@
 """The vendor-independent configuration model (Stage 1).
 
-Configuration text, whose syntax is specific to a router OS, is parsed by
-the vendor parsers (:mod:`repro.config.cisco`, :mod:`repro.config.juniper`)
-into vendor-specific structures and then *converted* into the classes in
-this module. Everything downstream — data-plane generation, BDD analysis,
+Configuration text, whose syntax is specific to a router OS, is read by
+the vendor parsers (:mod:`repro.config.cisco`, :mod:`repro.config.juniper`),
+whose handler for each line writes the classes of this module that the
+line denotes, under one containment boundary (:func:`diagnosed`).
+Everything downstream — data-plane generation, BDD analysis,
 and the configuration questions of Lesson 5 — operates on this model only.
 
 The model is deliberately deep (per Lesson 5, "deep configuration modeling
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.hdr.ip import Ip, Prefix
 
@@ -459,16 +460,16 @@ class Device:
 
 @dataclass
 class ParseWarning:
-    """A non-fatal issue found while parsing or converting configuration
-    (unrecognized lines, suspicious constructs). Mirrors Batfish's
+    """A non-fatal issue found while parsing configuration (lines the
+    parser cannot model, suspicious constructs). Mirrors Batfish's
     parse-warning surface."""
 
     hostname: str
     line_number: int
     text: str
     comment: str
-    #: Snapshot file the warning came from (stamped by the loader, so
-    #: answers can point at the exact source file:line).
+    #: Snapshot file the warning came from, so answers can point at the
+    #: exact source file:line.
     source_file: str = ""
 
     def describe(self) -> str:
@@ -476,6 +477,32 @@ class ParseWarning:
         if self.line_number:
             location += f":{self.line_number}"
         return f"{location}: {self.comment} ({self.text.strip()})"
+
+
+def diagnosed(
+    warnings: List[ParseWarning],
+    hostname: str,
+    source_file: str,
+    number: int,
+    text: str,
+    handler: Callable[[List[str]], Any],
+    failed: Any = None,
+) -> Any:
+    """Run ``handler`` on the words of line ``number`` (``text``) of
+    ``source_file``: the one containment boundary of both parsers.
+
+    A handler computes its values before it writes to the model, so a line
+    it cannot model raises ``ValueError`` or ``IndexError`` with nothing
+    written. That becomes one :class:`ParseWarning` naming the file, the
+    line and the reason, and ``failed`` is returned in place of the
+    handler's result; the rest of the file parses on.
+    """
+    try:
+        return handler(text.split())
+    except (ValueError, IndexError) as error:
+        reason = str(error) if isinstance(error, ValueError) else "missing a word"
+        warnings.append(ParseWarning(hostname, number, text, reason, source_file))
+        return failed
 
 
 @dataclass

@@ -334,7 +334,11 @@ class TestWarnings:
         assert any("numbered ACLs" in w.comment for w in warnings)
 
     def test_discontiguous_wildcard_rejected(self):
-        with pytest.raises(ValueError):
-            parse_cisco(
-                "hostname r\nip access-list extended A\n permit ip 10.0.0.0 0.255.0.255 any\n"
-            )
+        device, warnings = parse_cisco(
+            "hostname r\nip access-list extended A\n permit ip 10.0.0.0 0.255.0.255 any\n",
+            filename="r.cfg",
+        )
+        [warning] = warnings
+        assert (warning.source_file, warning.line_number) == ("r.cfg", 3)
+        assert "discontiguous wildcard mask" in warning.comment
+        assert device.acls["A"].lines == []

@@ -91,6 +91,19 @@ def test_bounds_that_can_match_parse_without_a_warning(template, bounds):
     assert session.parse_warnings == []
 
 
+#: Each malformed entry and the reason its warning gives.
+MALFORMED = {
+    "10.0.0.0/33 exact": "prefix length out of range: 33",
+    "10.0.0.300/8 orlonger": "invalid IPv4 address: '10.0.0.300'",
+    "10.0.0.0/8 upto 40": "unrecognized route-filter",
+    "10.0.0.0/8": "unrecognized route-filter",
+    "permit 10.0.0.0/33": "prefix length out of range: 33",
+    "permit 10.0.0.300/8": "invalid IPv4 address: '10.0.0.300'",
+    "permit 10.0.0.0/8 ge abc": "invalid literal for int() with base 10: 'abc'",
+    "permit": "missing a word",
+}
+
+
 @pytest.mark.parametrize("route_filter", [
     "10.0.0.0/33 exact", "10.0.0.300/8 orlonger", "10.0.0.0/8 upto 40", "10.0.0.0/8",
 ])
@@ -99,7 +112,7 @@ def test_a_malformed_route_filter_warns_and_the_snapshot_loads(route_filter):
     session = Session.from_texts({"r1.cfg": text})
     [warning] = session.parse_warnings
     assert (warning.source_file, warning.line_number) == ("r1.cfg", 2)
-    assert warning.comment == "unrecognized route-filter"
+    assert warning.comment == MALFORMED[route_filter]
     assert session.snapshot.device("r1").prefix_lists == {}
 
 
@@ -110,5 +123,6 @@ def test_a_malformed_cisco_prefix_list_line_warns_and_the_snapshot_loads(entry):
     session = Session.from_texts({"r1.cfg": CISCO.replace("permit 10.0.0.0/8 {bounds}", entry)})
     [warning] = session.parse_warnings
     assert (warning.source_file, warning.line_number) == ("r1.cfg", 2)
-    assert warning.comment == "unrecognized prefix-list line"
-    assert session.snapshot.device("r1").prefix_lists["HIGH"].lines == []
+    assert warning.comment == MALFORMED[entry]
+    # The line is not modelled, so neither is a list it alone defines.
+    assert session.snapshot.device("r1").prefix_lists == {}
