@@ -29,6 +29,7 @@ from repro.config.model import (
     AclLine,
     Action,
     AsPathList,
+    AsPathListLine,
     BgpNeighbor,
     BgpProcess,
     CommunityList,
@@ -51,6 +52,7 @@ from repro.config.model import (
     StaticRoute,
     Zone,
     ZonePolicy,
+    as_path_regex,
     diagnosed,
 )
 from repro.hdr import fields as f
@@ -346,6 +348,8 @@ class _Parser:
             raise ValueError(f"unknown redistribution source {words[0]}")
         route_map = metric = None
         rest = words[1:]
+        if words[0] in ("ospf", "bgp") and rest[:1] and rest[0].isdecimal():
+            rest = rest[1:]  # the source's process id or AS number
         while rest:
             if rest[0] == "route-map" and len(rest) >= 2:
                 route_map = rest[1]
@@ -353,8 +357,10 @@ class _Parser:
             elif rest[0] == "metric" and len(rest) >= 2:
                 metric = int(rest[1])
                 rest = rest[2:]
-            else:
+            elif rest[0] == "subnets":  # classless: what the model does anyway
                 rest = rest[1:]
+            else:
+                raise ValueError(f"unexpected {rest[0]!r} after redistribute {words[0]}")
         return Redistribution(
             source=source, route_map=route_map, metric=metric,
             source_file=self.filename, source_line=self.number,
@@ -382,12 +388,17 @@ class _Parser:
             if problem:
                 self._warn(f"invalid prefix-list length bounds: {problem}")
         elif kind == "community-list" and len(tokens) >= 5:
-            # ip community-list standard NAME permit A:B ...
+            # ip community-list standard NAME permit A:B ...: a list permits
+            # a route with any member; deny lines and regexes are not modelled.
+            if tokens[2] != "standard" or tokens[4] != "permit":
+                raise ValueError(f"{tokens[2]} community-list {tokens[4]} lines are not modelled")
             device.community_lists.setdefault(tokens[3], CommunityList(
                 name=tokens[3], source_file=self.filename, source_line=self.number,
             )).communities.extend(tokens[5:])
-        elif kind == "as-path" and len(tokens) >= 5 and tokens[2] == "access-list":
-            device.as_path_lists[tokens[3]] = AsPathList(tokens[3], " ".join(tokens[5:]))
+        elif kind == "as-path" and len(tokens) >= 6 and tokens[2] == "access-list":
+            # ip as-path access-list NAME permit|deny REGEX
+            line = AsPathListLine(_action(tokens[4]), as_path_regex(" ".join(tokens[5:])))
+            device.as_path_lists.setdefault(tokens[3], AsPathList(tokens[3])).lines.append(line)
         elif kind == "name-server" and len(tokens) >= 3:
             device.dns_servers.append(Ip(tokens[2]))
         elif kind == "nat" and len(tokens) >= 3:
@@ -426,9 +437,7 @@ class _Parser:
     def _acl_line(self, acl: Acl, standard: bool, tokens: List[str]) -> None:
         if tokens[0] == "remark":
             return
-        if tokens[0] not in ("permit", "deny"):
-            raise ValueError("unrecognized ACL action")
-        action = Action.PERMIT if tokens[0] == "permit" else Action.DENY
+        action = _action(tokens[0])
         where = dict(name=self.line, source_file=self.filename, source_line=self.number)
         if standard:
             src, _ = _parse_acl_address(tokens[1:])
@@ -487,12 +496,10 @@ class _Parser:
     # -- route maps, zone pairs -------------------------------------------
 
     def _route_map(self, tokens: List[str]):
-        name, action = tokens[1], tokens[2]
-        if action not in ("permit", "deny"):
-            raise ValueError("route-map action must be permit or deny")
+        name = tokens[1]
         clause = RouteMapClause(
             seq=int(tokens[3]) if len(tokens) >= 4 else 10,
-            action=Action.PERMIT if action == "permit" else Action.DENY,
+            action=_action(tokens[2]),
             source_file=self.filename,
             source_line=self.number,
         )
@@ -570,6 +577,12 @@ class _Parser:
 
 # ----------------------------------------------------------------------
 # Line forms
+
+
+def _action(word: str) -> Action:
+    if word not in ("permit", "deny"):
+        raise ValueError(f"action {word!r} is neither permit nor deny")
+    return Action.PERMIT if word == "permit" else Action.DENY
 
 
 def _address(addr: str, mask: str) -> Tuple[Ip, int]:
@@ -665,10 +678,7 @@ def _looks_like_ip(word: str) -> bool:
 def _prefix_list_line(words: List[str]) -> PrefixListLine:
     """``[seq N] permit|deny PREFIX [ge N] [le N]``."""
     tokens = words[2:] if words[:1] == ["seq"] else words
-    if tokens[0] not in ("permit", "deny"):
-        raise ValueError("prefix-list action must be permit or deny")
-    action = Action.PERMIT if tokens[0] == "permit" else Action.DENY
-    prefix = Prefix(tokens[1])
+    action, prefix = _action(tokens[0]), Prefix(tokens[1])
     ge = le = None
     rest = tokens[2:]
     while rest:

@@ -44,12 +44,14 @@ Supported statement families::
     set policy-options policy-statement P term T then community add|set C
     set policy-options policy-statement P term T then as-path-prepend ASN...
     set policy-options policy-statement P term T then accept|reject
+        (a term with neither falls through: it is left out)
     set policy-options community NAME members A:B
     set firewall filter NAME term T from protocol|source-address|
         destination-address|source-port|destination-port|tcp-established ...
     set firewall filter NAME term T then accept|discard|reject
     set security zones security-zone Z interfaces IFACE
-    set security policies from-zone A to-zone B policy P match ... / then ...
+    set security policies from-zone A to-zone B policy P match ...
+    set security policies from-zone A to-zone B policy P then permit|deny|reject
 """
 
 from __future__ import annotations
@@ -128,6 +130,8 @@ class _Parser:
         #: Each term's model object: its route-map clause (policies) or
         #: its line's index in the ACL (filters, security policies).
         self._terms: Dict[Tuple[str, str, str], Union[RouteMapClause, int]] = {}
+        #: The policy terms a ``then accept|reject`` ends.
+        self._ended: Set[Tuple[str, str, str]] = set()
         # What finish() resolves once every line is read.
         self._router_id: Optional[Ip] = None
         self._local_as: Optional[int] = None
@@ -406,6 +410,7 @@ class _Parser:
             self._terms[("policy", policy, term)] = clause
         if action is not None:
             clause.action = action
+            self._ended.add(("policy", policy, term))
         elif set_ is not None:
             clause.sets.append(set_)
         elif match is not None:
@@ -422,6 +427,24 @@ class _Parser:
             problem = route_filter.bounds_problem()
             if problem:
                 self._warn(f"invalid route-filter length bounds: {problem}")
+
+    def _fall_through(self) -> None:
+        """Leave out each policy term no ``then accept|reject`` ends: Junos
+        goes on to the next term, as the map does without the clause. One
+        that sets something first cannot be a clause, and is warned about.
+        A policy left with no term is not defined."""
+        for key, clause in self._terms.items():
+            if key in self._ended or not isinstance(clause, RouteMapClause):
+                continue
+            _, policy, term = key
+            if clause.sets:
+                self._warn("policy term sets attributes but has no then accept|reject: not "
+                           "modelled", clause.source_line, f"policy-statement {policy} term {term}")
+            clauses = self.device.route_maps[policy].clauses
+            clauses.remove(clause)
+            if not clauses:
+                del self.device.route_maps[policy]
+            self.device.prefix_lists.pop(f"{policy}.{term}.route-filter", None)
 
     def _security(self, path: List[str]) -> None:
         if path[:2] == ["zones", "security-zone"] and len(path) >= 5 and path[3] == "interfaces":
@@ -504,6 +527,7 @@ class _Parser:
                 device.zones.setdefault(zone_name, Zone(name=zone_name))
             acl_name = f"~zone~{from_zone}~{to_zone}~"
             device.acls[acl_name] = device.acls.pop(acl_name)
+        self._fall_through()
         for route_map in device.route_maps.values():
             for clause in route_map.clauses:
                 for match in [m for m in clause.matches if m.value in self._route_filters]:
@@ -535,10 +559,13 @@ def _route_filter_line(words: List[str]) -> PrefixListLine:
 
 
 def _term_line(line: AclLine, words: List[str]) -> AclLine:
-    """``line`` with one ``from ...``/``then ...`` of its term applied."""
+    """``line`` with one ``from ...``/``then ...`` of its term applied
+    (``then accept|discard|reject`` of a filter term, ``then
+    permit|deny|reject`` of a security policy)."""
     verb, args = words[0], words[1:]
-    if verb == "then" and args[0] in ("accept", "discard", "reject"):
-        return replace(line, action=Action.PERMIT if args[0] == "accept" else Action.DENY)
+    if verb == "then" and args[0] in ("accept", "permit", "discard", "reject", "deny"):
+        permits = args[0] in ("accept", "permit")
+        return replace(line, action=Action.PERMIT if permits else Action.DENY)
     if verb == "then":
         raise ValueError(f"unmodelled then action {args[0]}")
     if verb != "from":

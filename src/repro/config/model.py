@@ -17,6 +17,7 @@ questions check.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -153,25 +154,36 @@ class CommunityList:
         return any(c in self.communities for c in route_communities)
 
 
+def as_path_regex(text: str) -> "re.Pattern[str]":
+    """The vendor AS-path regex ``text`` over the space-separated path:
+    '^'/'$' anchor to its ends, '_' matches any AS boundary. One that does
+    not compile is a ``ValueError`` (its line's parse warning)."""
+    try:
+        return re.compile(text.replace("_", "(?:^| |$)"))
+    except re.error as error:
+        raise ValueError(f"invalid as-path regex {text!r}: {error}") from None
+
+
+@dataclass(frozen=True)
+class AsPathListLine:
+    action: Action
+    pattern: "re.Pattern[str]"  # as_path_regex of the line's regex
+
+
 @dataclass
 class AsPathList:
-    """An AS-path access list holding a regular expression over the
-    space-separated AS path rendering (``_`` matches a boundary,
-    per vendor convention)."""
+    """An AS-path access list: first match over its lines, implicit
+    deny."""
 
     name: str
-    regex: str = ""
+    lines: List[AsPathListLine] = field(default_factory=list)
 
     def permits(self, as_path: Sequence[int]) -> bool:
-        import re
-
-        # Vendor semantics: '^' anchors to path start, '$' to end, and
-        # '_' matches any AS boundary (start, end, or separator). We
-        # render the path space-separated so '^'/'$' keep their native
-        # regex meaning and '_' becomes a boundary alternation.
         rendering = " ".join(str(asn) for asn in as_path)
-        pattern = self.regex.replace("_", "(?:^| |$)")
-        return re.search(pattern, rendering) is not None
+        for line in self.lines:
+            if line.pattern.search(rendering):
+                return line.action is Action.PERMIT
+        return False
 
 
 class MatchKind(enum.Enum):

@@ -9,8 +9,6 @@ This package packages those checks as a pluggable rule framework:
   text/JSON/SARIF renderings and baseline diffing (shared repo-wide)
 * :mod:`repro.lint.model` — LintConfig
 * :mod:`repro.lint.registry` — ``@rule`` decorator and rule discovery
-* :mod:`repro.lint.routespace` — the route-space universe and the one
-  route-map compiler, shared by the semantic and dataflow rules
 * :mod:`repro.lint.rules_semantic` — BDD-backed reachability rules
 * :mod:`repro.lint.rules_cross` — cross-device compatibility rules
 * :mod:`repro.lint.rules_hygiene` — reference/usage/address hygiene

@@ -4,7 +4,7 @@ over the route-propagation graph).
 Nodes are per-device per-protocol RIB domains; edges are BGP sessions,
 OSPF adjacencies, and ``redistribute`` statements; route-maps compile
 into transfer-function summaries over an abstract route domain (the
-:mod:`repro.lint.routespace` BDD encoding plus a tag lattice). A
+:mod:`repro.routing.routespace` BDD encoding plus a tag lattice). A
 worklist fixpoint yields, for every domain, an over-approximation of
 every route the control plane can ever carry there — the substrate for
 the cross-device lint rules in :mod:`repro.lint.dataflow.rules` and the

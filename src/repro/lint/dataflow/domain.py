@@ -2,7 +2,7 @@
 
 An abstract state is a pair:
 
-* a route-space BDD (:mod:`repro.lint.routespace`) over prefix bits,
+* a route-space BDD (:mod:`repro.routing.routespace`) over prefix bits,
   length bits, the snapshot-wide community alphabet, and one *origin
   flag* variable ("this route entered BGP through redistribution" —
   what the route-leak rule keys on), and
@@ -15,18 +15,22 @@ An abstract state is a pair:
 Everything here over-approximates: joins are unions, transfers only
 ever *add* behaviour for constructs they cannot model exactly (the
 "never subtract inexact" rule of
-:func:`~repro.lint.routespace.compile_policy`). See DESIGN.md
-"Propagation-graph soundness".
+:func:`~repro.routing.policy.compile_policy`, whose match and set rows
+are the simulator's too). See DESIGN.md "Propagation-graph soundness".
+
+:func:`build_universe` makes the one route-space universe that lint's
+semantic rules and its fixpoint share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Set
+from typing import Set
 
 from repro.bdd.engine import FALSE
-from repro.config.model import SetKind, Snapshot
-from repro.lint.routespace import RouteSpaceUniverse
+from repro.config.model import Snapshot
+from repro.routing.policy import set_communities
+from repro.routing.routespace import RouteSpaceUniverse, TagSet
 
 #: The extra BDD variable marking routes that entered BGP via a
 #: ``redistribute`` statement (as opposed to a ``network`` statement).
@@ -38,8 +42,6 @@ MAX_TAGS = 32
 #: The tag a route carries when nothing ever set one (PolicyRoute
 #: default).
 DEFAULT_TAG = 0
-
-TagSet = Optional[FrozenSet[int]]  # None = ⊤ (any tag possible)
 
 
 def snapshot_communities(snapshot: Snapshot) -> Set[str]:
@@ -54,12 +56,7 @@ def snapshot_communities(snapshot: Snapshot) -> Set[str]:
             communities.update(clist.communities)
         for route_map in device.route_maps.values():
             for clause in route_map.clauses:
-                for set_clause in clause.sets:
-                    if set_clause.kind in (
-                        SetKind.COMMUNITY,
-                        SetKind.COMMUNITY_ADDITIVE,
-                    ):
-                        communities.update(set_clause.value.split())
+                communities.update(set_communities(clause))
     return communities
 
 
@@ -78,12 +75,6 @@ def join_tags(a: TagSet, b: TagSet) -> TagSet:
     if len(merged) > MAX_TAGS:
         return None
     return merged
-
-
-def tags_may_equal(tags: TagSet, value: int) -> bool:
-    """Whether a route in a state with tag-set ``tags`` may carry
-    ``value`` (⊤ admits everything)."""
-    return tags is None or value in tags
 
 
 @dataclass(frozen=True)

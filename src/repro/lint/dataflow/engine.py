@@ -18,13 +18,13 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.bdd.engine import FALSE
 from repro.config.model import Action, Snapshot
 from repro.lint.dataflow.domain import (
     ORIGIN_FLAG,
     AbstractRoutes,
     DEFAULT_TAG,
     join_tags,
-    tags_may_equal,
 )
 from repro.lint.dataflow.graph import (
     DOMAIN_BGP,
@@ -35,79 +35,12 @@ from repro.lint.dataflow.graph import (
     PropagationGraph,
     build_graph,
 )
-from repro.lint.routespace import PolicySummary, RouteSpaceUniverse
+from repro.routing.policy import PolicySummary
+from repro.routing.routespace import RouteSpaceUniverse
 
 
 # ----------------------------------------------------------------------
 # Transfer functions
-
-
-def _apply_community_ops(
-    universe: RouteSpaceUniverse,
-    bdd: int,
-    ops: Tuple[Tuple[str, Tuple[str, ...]], ...],
-) -> int:
-    """Replay ``set community [additive]`` on a route set: quantify the
-    rewritten variables away, then pin them to their new values."""
-    engine = universe.engine
-    for kind, members in ops:
-        if kind == "replace":
-            all_levels = universe.community_levels()
-            if all_levels:
-                bdd = engine.exists(bdd, engine.cube(all_levels))
-            member_levels = {
-                universe.community_level(member) for member in members
-            }
-            for level in all_levels:
-                if level in member_levels:
-                    bdd = engine.and_(bdd, engine.var(level))
-                else:
-                    bdd = engine.and_(bdd, engine.nvar(level))
-        else:  # "add"
-            for member in members:
-                level = universe.community_level(member)
-                if level is None:
-                    continue  # not in the alphabet: nothing can match it
-                bdd = engine.exists(bdd, engine.cube([level]))
-                bdd = engine.and_(bdd, engine.var(level))
-    return bdd
-
-
-def _strip_communities(universe: RouteSpaceUniverse, bdd: int) -> int:
-    """Exact model of "communities dropped": quantify the community
-    variables away, then pin them all to absent. Flag variables (our own
-    instrumentation) survive."""
-    engine = universe.engine
-    levels = universe.community_levels()
-    if not levels:
-        return bdd
-    bdd = engine.exists(bdd, engine.cube(levels))
-    for level in levels:
-        bdd = engine.and_(bdd, engine.nvar(level))
-    return bdd
-
-
-def _protocol_resolution(
-    protocol_values: Tuple[str, ...], source_protocols: Tuple[str, ...]
-) -> str:
-    """How ``match protocol`` resolves against the edge's known source
-    domain: "pass" (all possible source values match — exact),
-    "fail" (none do — the clause can be skipped, exact), or "inexact"
-    (mixed, or the source domain is unknown)."""
-    if not protocol_values:
-        return "pass"
-    if not source_protocols:
-        return "inexact"
-    passing = [
-        value
-        for value in source_protocols
-        if all(value.startswith(want) for want in protocol_values)
-    ]
-    if not passing:
-        return "fail"
-    if len(passing) == len(source_protocols):
-        return "pass"
-    return "inexact"
 
 
 def apply_policy(
@@ -118,55 +51,23 @@ def apply_policy(
 ) -> AbstractRoutes:
     """The abstract transfer of one route-map application.
 
-    Mirrors the concrete first-match walk: a clause's *exact* match set
-    is subtracted from the residual, an inexact clause's residual
-    survives (it might not have matched concretely), and an
-    unmatched-by-any-clause residual dies (implicit deny). Every inexact
-    construct only ever widens the output.
+    Mirrors the concrete first-match walk (:meth:`PolicySummary.walk`):
+    a clause's *exact* match set is subtracted from the residual, an
+    inexact clause's residual survives (it might not have matched
+    concretely), and an unmatched-by-any-clause residual dies (implicit
+    deny). Every inexact construct only ever widens the output.
     """
     if summary is None or not summary.defined:
         # No policy / undefined map: permit unchanged (DEFAULT_SEMANTICS
         # .undefined_route_map_permits).
         return state
-    engine = universe.engine
-    from repro.bdd.engine import FALSE
-
-    residual = state.bdd
     out = FALSE
     out_tags = frozenset()  # type: ignore[var-annotated]
-    for clause in summary.clauses:
-        if residual == FALSE:
-            break
-        resolution = _protocol_resolution(
-            clause.protocol_values, source_protocols
-        )
-        if resolution == "fail":
-            continue  # exact: the clause never fires on this edge
-        if clause.tag_eq is not None and not tags_may_equal(
-            state.tags, clause.tag_eq
-        ):
-            continue  # exact: no route in the state carries that tag
-        feasible = engine.and_(residual, clause.guard)
-        if feasible == FALSE:
-            # guard over-approximates, so concrete matches are empty too.
-            continue
-        if clause.action is Action.PERMIT:
-            transformed = _apply_community_ops(
-                universe, feasible, clause.community_ops
-            )
-            out = engine.or_(out, transformed)
-            if clause.set_tag is not None:
-                clause_tags = frozenset({clause.set_tag})
-            elif clause.tag_eq is not None:
-                clause_tags = frozenset({clause.tag_eq})
-            else:
-                clause_tags = state.tags
+    for clause, _, matched in summary.walk(universe, state.bdd, state.tags, source_protocols):
+        if clause.action is Action.PERMIT and matched != FALSE:
+            transformed, clause_tags = clause.transfer(universe, matched, state.tags)
+            out = universe.engine.or_(out, transformed)
             out_tags = join_tags(out_tags, clause_tags)
-        if clause.is_exact(resolution == "pass"):
-            residual = engine.diff(residual, clause.guard)
-        # Inexact clause: the residual survives untouched — routes it
-        # *might* have matched also might fall through to later clauses.
-    # Implicit deny: whatever residual remains is dropped.
     return AbstractRoutes(out, out_tags)
 
 
@@ -221,16 +122,12 @@ def apply_edge(
         if edge.dst[1] == DOMAIN_OSPF:
             # OSPF externals carry (prefix, metric) only: communities,
             # flags and tags are all dropped.
-            bdd = _strip_communities(universe, out.bdd)
-            for level in universe.flag_levels():
-                bdd = engine.exists(bdd, engine.cube([level]))
-                bdd = engine.and_(bdd, engine.nvar(level))
+            bdd = universe.reset(out.bdd, universe.community_levels() + universe.flag_levels(), ())
             return AbstractRoutes(bdd, frozenset({DEFAULT_TAG})), stages
         assert edge.dst[1] == DOMAIN_BGP
         # Mark the origin: this route entered BGP via redistribution.
-        flag_level = universe.flag_level(ORIGIN_FLAG)
-        bdd = engine.exists(out.bdd, engine.cube([flag_level]))
-        bdd = engine.and_(bdd, engine.var(flag_level))
+        flag = [universe.flag_level(ORIGIN_FLAG)]
+        bdd = universe.reset(out.bdd, flag, flag)
         # local_route drops the transformed tag (fresh attributes).
         return AbstractRoutes(bdd, frozenset({DEFAULT_TAG})), stages
     assert edge.kind == "bgp-session"
@@ -253,7 +150,7 @@ def apply_edge(
         # strip unconditionally would be *unsound* the other way (a
         # kept community could satisfy a later match), so widen: the
         # union of stripped and unstripped behaviours.
-        stripped = _strip_communities(universe, exported.bdd)
+        stripped = universe.reset(exported.bdd, universe.community_levels(), ())
         exported = AbstractRoutes(
             engine.or_(exported.bdd, stripped), exported.tags
         )

@@ -14,10 +14,9 @@ three ways the concrete engine moves routes between domains:
   flooding over-approximated as "everything reaches everyone").
 
 Each route-map referenced by an edge is read from the universe's
-compiled summaries (:meth:`~repro.lint.routespace.RouteSpaceUniverse.policy`):
-per clause, a guard BDD (exact for prefix-list / community-list matches,
-⊤-widened otherwise), the tag/protocol matches the BDD cannot express,
-and the set operations the abstract transfer replays. Session
+compiled summaries (:meth:`~repro.routing.routespace.RouteSpaceUniverse.policy`):
+per clause, a guard BDD and the match and set rows of
+:mod:`repro.routing.policy` for what the BDD cannot express. Session
 viability, next-hop resolution, route-reflector rules and
 community-stripping (``send_community``) are deliberately *not*
 modelled — every omission only adds routes, preserving the containment
@@ -33,12 +32,13 @@ from repro.config.model import Device, Protocol, Redistribution, Snapshot
 from repro.findings import Location
 from repro.hdr.ip import Prefix
 from repro.lint.dataflow.domain import DEFAULT_TAG, AbstractRoutes
-from repro.lint.routespace import PolicySummary, RouteSpaceUniverse
 from repro.routing.bgp import (
     BgpSession,
     SessionCompatibilityIssue,
     compute_bgp_sessions,
 )
+from repro.routing.policy import PolicySummary
+from repro.routing.routespace import RouteSpaceUniverse
 from repro.routing.topology import Layer3Topology, build_layer3_topology
 
 NodeId = Tuple[str, str]  # (hostname, domain)

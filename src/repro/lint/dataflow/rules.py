@@ -22,15 +22,11 @@ from repro.lint.dataflow.domain import (
     AbstractRoutes,
     private_space,
 )
-from repro.lint.dataflow.engine import (
-    DataflowAnalysis,
-    apply_edge,
-    _protocol_resolution,
-)
+from repro.lint.dataflow.engine import DataflowAnalysis, apply_edge
 from repro.lint.dataflow.graph import NodeId
 from repro.findings import Finding, Location, Related, Severity
 from repro.lint.registry import rule
-from repro.lint.routespace import PolicySummary
+from repro.routing.policy import PolicySummary, set_communities
 
 if TYPE_CHECKING:
     from repro.lint.runner import LintStage
@@ -392,7 +388,7 @@ def _downstream_matched(
             for edge_index in graph.out_edges.get(node, ()):
                 for summary in _edge_summaries(analysis, edge_index):
                     for clause in summary.clauses:
-                        found.update(clause.matched_communities)
+                        found.update(clause.matched_communities())
                 below = component[graph.edges[edge_index].dst]
                 if below != current:
                     found |= matched[below]
@@ -416,8 +412,8 @@ def community_dataflow(stage: "LintStage") -> List[Finding]:
     downstream = _downstream_matched(analysis)
     well_known = set(NO_EXPORT_COMMUNITIES)
 
-    # key -> (feasible anywhere, consumed anywhere, sample finding args)
-    set_candidates: Dict[Tuple[str, str, int, str], Tuple[bool, Location]] = {}
+    # key -> where: a set that fires on some edge
+    set_candidates: Dict[Tuple[str, str, int, str], Location] = {}
     set_consumed: Set[Tuple[str, str, int, str]] = set()
     match_candidates: Dict[Tuple[str, str, int, str], Location] = {}
     match_carried: Set[Tuple[str, str, int, str]] = set()
@@ -435,66 +431,39 @@ def community_dataflow(stage: "LintStage") -> List[Finding]:
                 later_summary = graph.summary(later.hostname, later.policy)
                 if later_summary is not None:
                     for clause in later_summary.clauses:
-                        later_matched.update(clause.matched_communities)
-            residual = stage.input.bdd
-            for clause in summary.clauses:
+                        later_matched.update(clause.matched_communities())
+            for clause, residual, matched in summary.walk(
+                universe, stage.input.bdd, stage.input.tags, stage.source_protocols
+            ):
                 if residual == FALSE:
                     break
-                feasible = engine.and_(residual, clause.guard) != FALSE
                 key_base = (stage.hostname, summary.name, clause.seq)
                 # (a) set-but-never-matched
                 if clause.action is Action.PERMIT:
-                    for _kind, members in clause.community_ops:
-                        for member in members:
-                            if member in well_known:
-                                continue
-                            key = key_base + (member,)
-                            if member in later_matched:
-                                set_consumed.add(key)
-                            if feasible:
-                                previous = set_candidates.get(key)
-                                set_candidates[key] = (
-                                    True,
-                                    previous[1]
-                                    if previous
-                                    else clause.location,
-                                )
+                    for member in set_communities(clause.clause):
+                        if member in well_known:
+                            continue
+                        key = key_base + (member,)
+                        if member in later_matched:
+                            set_consumed.add(key)
+                        if matched != FALSE:
+                            set_candidates.setdefault(key, clause.location)
                 # (b) match-never-carried
-                if residual != FALSE:
-                    for list_name in clause.matched_lists:
-                        key = key_base + (list_name,)
-                        members = [
-                            c
-                            for c in clause.matched_communities
-                            if universe.has_community(c)
-                        ]
-                        carriers = engine.and_(
-                            residual,
-                            engine.or_all(
-                                [universe.community(c) for c in members]
-                            )
-                            if members
-                            else FALSE,
-                        )
-                        if carriers != FALSE:
-                            match_carried.add(key)
-                        else:
-                            match_candidates.setdefault(key, clause.location)
-                if clause.is_exact(
-                    _protocol_resolution(
-                        clause.protocol_values, stage.source_protocols
-                    )
-                    == "pass"
-                ):
-                    residual = engine.diff(residual, clause.guard)
+                carried = engine.or_all(
+                    [universe.community(c) for c in clause.matched_communities()]
+                )
+                for list_name in clause.matched_lists():
+                    key = key_base + (list_name,)
+                    if engine.and_(residual, carried) != FALSE:
+                        match_carried.add(key)
+                    else:
+                        match_candidates.setdefault(key, clause.location)
 
     findings: List[Finding] = []
     for key in sorted(set_candidates):
         if key in set_consumed:
             continue
-        feasible, location = set_candidates[key]
-        if not feasible:
-            continue
+        location = set_candidates[key]
         hostname, map_name, seq, member = key
         findings.append(
             Finding(
@@ -540,7 +509,6 @@ def community_dataflow(stage: "LintStage") -> List[Finding]:
 def unreachable_policy_path(stage: "LintStage") -> List[Finding]:
     analysis = stage.dataflow
     universe = analysis.universe
-    engine = universe.engine
     graph = analysis.graph
 
     # Join the abstract inputs of every stage that applies each policy.
@@ -567,22 +535,11 @@ def unreachable_policy_path(stage: "LintStage") -> List[Finding]:
             continue
         delivered = inputs[key]
         source_protocols = tuple(sorted(protocols.get(key, set())))
-        dataflow_residual = delivered.bdd
-        for clause in summary.clauses:
+        for clause, _, matched in summary.walk(
+            universe, delivered.bdd, delivered.tags, source_protocols
+        ):
             obs.touch("route_map_clause", hostname, map_name, clause.seq)
-            resolution = _protocol_resolution(
-                clause.protocol_values, source_protocols
-            )
-            dataflow_reachable = (
-                resolution != "fail"
-                and (
-                    clause.tag_eq is None
-                    or delivered.tags is None
-                    or clause.tag_eq in delivered.tags
-                )
-                and engine.and_(dataflow_residual, clause.guard) != FALSE
-            )
-            if clause.reachable and not dataflow_reachable:
+            if clause.reachable and matched == FALSE:
                 findings.append(
                     Finding(
                         "unreachable-policy-path",
@@ -596,9 +553,5 @@ def unreachable_policy_path(stage: "LintStage") -> List[Finding]:
                         "general)",
                         clause.location,
                     )
-                )
-            if clause.is_exact(resolution == "pass") and dataflow_reachable:
-                dataflow_residual = engine.diff(
-                    dataflow_residual, clause.guard
                 )
     return findings

@@ -11,13 +11,14 @@ The rules read their encodings off the run's
 by every run on it: the ACL line spaces, in one engine for both ACL
 rules, and the snapshot's route-space universe. The route-map rule reads
 each map's compiled summary from the universe
-(:meth:`~repro.lint.routespace.RouteSpaceUniverse.policy`), the one the
+(:meth:`~repro.routing.routespace.RouteSpaceUniverse.policy`), the one the
 dataflow fixpoint reads too, and reports the clauses it marks
 unreachable.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import TYPE_CHECKING, List, Tuple
 
 from repro import obs
@@ -162,8 +163,8 @@ def route_map_clause_unreachable(stage: "LintStage") -> List[Finding]:
     for hostname in snapshot.hostnames():
         device = snapshot.device(hostname)
         for map_name in sorted(device.route_maps):
-            clauses = universe.policy(device, map_name).clauses
-            for index, clause in enumerate(clauses):
+            summary = universe.policy(device, map_name)
+            for index, clause in enumerate(summary.clauses):
                 obs.touch("route_map_clause", hostname, map_name, clause.seq)
                 if clause.reachable:
                     continue
@@ -181,24 +182,18 @@ def route_map_clause_unreachable(stage: "LintStage") -> List[Finding]:
                         "is unreachable: earlier clauses match every "
                         "route it could match"
                     )
-                    witnesses: List[Related] = []
-                    uncovered = space
-                    for earlier in clauses[:index]:
-                        if uncovered == FALSE:
-                            break
-                        if not earlier.is_exact(False) or (
-                            engine.and_(earlier.guard, uncovered) == FALSE
-                        ):
-                            continue
-                        witnesses.append(
-                            Related(
-                                earlier.location,
-                                f"clause {earlier.seq} matches part of this "
-                                "clause's route space first",
-                            )
+                    # The earlier exact clauses that take part of it.
+                    related = tuple(
+                        Related(
+                            earlier.location,
+                            f"clause {earlier.seq} matches part of this "
+                            "clause's route space first",
                         )
-                        uncovered = engine.diff(uncovered, earlier.guard)
-                    related = tuple(witnesses)
+                        for earlier, _, matched in islice(
+                            summary.walk(universe, space, None, ()), index
+                        )
+                        if matched != FALSE and earlier.exact(False)
+                    )
                 findings.append(
                     Finding(
                         "route-map-clause-unreachable",

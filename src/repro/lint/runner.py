@@ -28,8 +28,8 @@ from repro.lint.dataflow.engine import DataflowAnalysis, analyze
 from repro.lint.dataflow.graph import BgpSessions
 from repro.lint.model import LintConfig
 from repro.lint.registry import Rule, all_rules
-from repro.lint.routespace import RouteSpaceUniverse
 from repro.routing.bgp import compute_bgp_sessions
+from repro.routing.routespace import RouteSpaceUniverse
 from repro.routing.topology import Layer3Topology, build_layer3_topology
 
 

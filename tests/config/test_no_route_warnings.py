@@ -11,7 +11,7 @@ from repro.config.model import MatchKind, RouteMapMatch
 from repro.core.session import Session
 from repro.lint.dataflow.domain import build_universe
 from repro.hdr.ip import Prefix
-from repro.routing.policy import DEFAULT_SEMANTICS, PolicyRoute, _match_one
+from repro.routing.policy import MATCH_ROWS, PolicyRoute
 from repro.synth.networks import network_by_name
 
 CLAUSE = "route-map RM_PROV0_IN permit 10\n"
@@ -31,7 +31,7 @@ def test_a_match_on_a_word_matches_no_route_and_warns(kind):
     # Neither the simulation nor lint's compiled map lets a route through.
     device = session.snapshot.device("wcore0")
     [match] = [m for m in device.route_maps["RM_PROV0_IN"].clauses[0].matches if m.value == "abc"]
-    assert not _match_one(device, match, PolicyRoute(Prefix("8.1.0.0/16")), DEFAULT_SEMANTICS)
+    assert not MATCH_ROWS[match.kind].test(device, match.value, PolicyRoute(Prefix("8.1.0.0/16")))
     universe = build_universe(session.snapshot)
     assert universe.policy(device, "RM_PROV0_IN").clauses[0].guard == FALSE
     # Provider 0's 8.0.0.0/8, which the clause let in, is denied by

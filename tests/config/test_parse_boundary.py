@@ -2,14 +2,18 @@
 naming its file and line, and is left out of the model; nothing a
 configuration file says makes ``Session.from_texts`` raise.
 
-The probe corpus is 32 appended lines (each after a block header where
-it needs one), 19 ciscoish on NET1 ``net1-core0`` and 13 juniperish on
-NET3 ``agg0-0``: 24 hold a value its handler cannot parse (a bad
-address, number, port, mask or prefix), 7 hold words no handler models
-(``ip route 10.0.0.0``, ``router ospf x``, trailing junk after
-``Null0``, ``match interface``, and juniperish ``from``/``then`` words),
-and one a prefix-list entry with an out-of-range length. Each probe's
-parse equals the parse of the text without it.
+The probe corpus is 37 appended lines (each after a block header where
+it needs one), 23 ciscoish on NET1 ``net1-core0`` and 14 juniperish on
+NET3 ``agg0-0``: 25 hold a value its handler cannot parse (a bad
+address, number, port, mask, prefix or as-path regex), 11 hold words no
+handler models (``ip route 10.0.0.0``, ``router ospf x``, trailing junk
+after ``Null0``, ``match interface``, a community list's ``deny`` line
+or ``expanded`` regex, an unknown word after ``redistribute static``,
+juniperish ``from``/``then`` words, and a policy term that sets a value
+but never ends in ``then accept|reject``), and one a prefix-list entry
+with an out-of-range length. Each probe's parse equals the parse of the
+text without it. Lines that are modelled are checked against the model
+they parse into.
 """
 
 from dataclasses import replace
@@ -18,6 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config.loader import parse_config_text
+from repro.config.model import Action, Protocol
 from repro.core.session import Session
 from repro.synth.networks import network_by_name
 
@@ -42,6 +48,10 @@ PROBES = [("NET1", "net1-core0", text, line) for text, line in [
     ("ip route 10.9.0.0 255.255.0.0 Null0 abc", 1),
     ("route-map M permit 10\n match interface Eth0", 2),
     ("ip prefix-list P permit 10.0.0.0/40", 1),
+    ("ip as-path access-list BAD permit (65000", 1),
+    ("ip community-list standard C deny 65000:1", 1),
+    ("ip community-list expanded E permit 65000:.*", 1),
+    ("router ospf 1\n redistribute static route-mapp X", 2),
 ]] + [("NET3", "agg0-0", text, 1) for text in [
     "set policy-options prefix-list PL 10.0.0.0/33",
     "set protocols bgp group CORE neighbor 10.16.0.2 peer-as abc",
@@ -56,6 +66,7 @@ PROBES = [("NET1", "net1-core0", text, line) for text, line in [
     "set policy-options policy-statement P term t from neighbor 10.0.0.1",
     "set firewall filter F term t then count C",
     "set firewall filter F term t from icmp-type echo-request",
+    "set policy-options policy-statement PROBE term t then local-preference 200",
 ]]
 
 
@@ -93,6 +104,81 @@ def test_a_probe_line_is_warned_at_its_line_and_left_out(network, host, append, 
 
 
 CLAUSE = "route-map RM_PROV0_IN permit 10\n"
+
+
+def test_a_malformed_as_path_regex_is_one_located_warning_and_the_data_plane_builds():
+    configs = network_by_name("NET10").generate(1)
+    text = configs["wcore0"].replace(CLAUSE, f"{CLAUSE} match as-path BAD\n")
+    configs["wcore0"] = text + "ip as-path access-list BAD permit (65000\n"
+    session = Session.from_texts(configs)
+    [warning] = session.parse_warnings
+    assert (warning.source_file, warning.line_number) == ("wcore0", len(text.splitlines()) + 1)
+    assert "as-path regex" in warning.comment
+    assert session.dataplane.converged
+    assert "BAD" not in session.snapshot.device("wcore0").as_path_lists
+
+
+def _parsed(text, name="r1"):
+    device, warnings = parse_config_text(text, name)
+    return device, [(w.line_number, w.comment) for w in warnings]
+
+
+def test_as_path_list_lines_keep_their_action_first_match():
+    device, warnings = _parsed(
+        "hostname r1\n"
+        "ip as-path access-list A permit _65000_\n"
+        "ip as-path access-list A deny _65001$\n"
+    )
+    assert warnings == []
+    alist = device.as_path_lists["A"]
+    assert [line.action for line in alist.lines] == [Action.PERMIT, Action.DENY]
+    assert alist.permits((65000, 65001))  # the first line decides
+    assert not alist.permits((65001,))  # the deny line
+    assert not alist.permits((100,))  # implicit deny
+
+
+def test_a_classless_redistribution_is_modelled_without_a_warning():
+    device, warnings = _parsed(
+        "hostname r1\nrouter ospf 1\n"
+        " redistribute connected subnets route-map X\n"
+        " redistribute bgp 65001 metric 5\n"
+    )
+    assert warnings == []
+    assert [(r.source, r.route_map, r.metric) for r in device.ospf.redistributions] == [
+        (Protocol.CONNECTED, "X", None), (Protocol.BGP, None, 5),
+    ]
+
+
+def test_a_juniperish_security_policy_then_sets_the_zone_acl_action():
+    device, warnings = _parsed(
+        "set system host-name j1\n"
+        "set security policies from-zone a to-zone b policy p match protocol tcp\n"
+        "set security policies from-zone a to-zone b policy p then deny\n"
+        "set security policies from-zone a to-zone b policy q then permit\n"
+    )
+    assert warnings == []
+    assert [line.action for line in device.acls["~zone~a~b~"].lines] == [
+        Action.DENY, Action.PERMIT,
+    ]
+
+
+def test_a_juniperish_policy_term_without_accept_or_reject_falls_through():
+    device, warnings = _parsed(
+        "set system host-name j1\n"
+        "set policy-options policy-statement P term a from prefix-list PL\n"
+        "set policy-options policy-statement P term b from route-filter 10.0.0.0/8 orlonger\n"
+        "set policy-options policy-statement P term b then metric 5\n"
+        "set policy-options policy-statement P term c from community C\n"
+        "set policy-options policy-statement P term c then reject\n"
+        "set policy-options policy-statement Q term a from prefix-list PL\n"
+    )
+    # Term a matches and falls through: left out, as Junos goes on.
+    # Term b sets a metric no clause can carry over: warned, left out.
+    assert warnings == [(3, "policy term sets attributes but has no then accept|reject: "
+                            "not modelled")]
+    [clause] = device.route_maps["P"].clauses
+    assert (clause.action, [m.value for m in clause.matches]) == (Action.DENY, ["C"])
+    assert "Q" not in device.route_maps and device.prefix_lists == {}
 
 
 @pytest.mark.parametrize("line", ["set local-preference high", "set as-path prepend abc"])

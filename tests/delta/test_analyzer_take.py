@@ -20,6 +20,7 @@ from repro.config.model import (
     AclLine,
     Action,
     AsPathList,
+    AsPathListLine,
     BgpProcess,
     CommunityList,
     DeviceRole,
@@ -33,6 +34,7 @@ from repro.config.model import (
     StaticRoute,
     Zone,
     ZonePolicy,
+    as_path_regex,
 )
 from repro.core.session import Session
 from repro.delta.edits import irrelevant_edit, relevant_edit, shutdown_edit
@@ -59,7 +61,9 @@ DEVICE_MUTANTS = {
     "acls": {"A": Acl("A", [AclLine(Action.DENY)])},
     "prefix_lists": {"P": PrefixList("P", [PrefixListLine(Action.PERMIT, Prefix("10.0.0.0/8"))])},
     "community_lists": {"C": CommunityList("C", ["65000:1"])},
-    "as_path_lists": {"AP": AsPathList("AP", "^65000$")},
+    "as_path_lists": {
+        "AP": AsPathList("AP", [AsPathListLine(Action.PERMIT, as_path_regex("^65000$"))])
+    },
     "route_maps": {"RM": RouteMap("RM")},
     "static_routes": [StaticRoute(Prefix("203.0.113.0/24"), next_hop_interface="Null0")],
     "ospf": OspfProcess(),

@@ -1,15 +1,19 @@
-"""Compiled route maps against the concrete walk they encode.
+"""The match and set rows of ``repro.routing.policy`` against themselves,
+and compiled route maps against the simulator's walk.
 
 Over every route map of the registry networks and of the lint test
 fixtures, a drawn route — a boundary prefix of some prefix-list line of
-its device, carrying a subset of the communities its map names — is:
+its device, a subset of the communities its map names, a tag, a metric,
+a source protocol and an AS path — is checked row by row:
 
-* in a prefix list's space iff ``PrefixList.permits`` holds;
-* in an exact clause's guard iff ``_clause_matches`` holds, and in an
-  inexact clause's guard whenever ``_clause_matches`` holds;
+* a match row: if the route passes the row's concrete test, its point
+  lies in the row's guard and its tag among the row's tags; if the row
+  says its guard is exact, the two agree both ways;
+* a set row: its route-space transfer of the route's point contains the
+  point of the route the concrete rewrite gives, with its tag;
 
-and ``apply_route_map`` decides at the first exact clause whose guard
-holds, unless an earlier inexact clause matched first.
+and, per map, ``apply_route_map`` decides at the first exact compiled
+clause whose guard holds, unless an earlier inexact clause matched first.
 """
 
 from functools import lru_cache
@@ -19,21 +23,17 @@ from hypothesis import strategies as st
 
 from repro.bdd.engine import FALSE
 from repro.config.loader import load_snapshot_from_texts
-from repro.config.model import SetKind
+from repro.config.model import MatchKind, Protocol, SetKind
 from repro.hdr.ip import Prefix
 from repro.lint.dataflow import build_universe
-from repro.routing.policy import (
-    DEFAULT_SEMANTICS,
-    PolicyRoute,
-    _clause_matches,
-    apply_route_map,
-)
+from repro.routing.policy import MATCH_ROWS, SET_ROWS, PolicyRoute, apply_route_map
 from repro.synth.networks import NETWORKS
 from tests.lint import test_dataflow, test_routemap_rules
 
-#: The first-match cases the other fixtures lack: a ge-only band, a deny
-#: line before a permit, a community list of two, an undefined list, and
-#: inexact clauses before exact ones.
+#: The cases the other fixtures lack: a ge-only band, a deny line before
+#: a permit, a community list of two, an undefined list, inexact clauses
+#: before exact ones, an as-path list with a deny line, metric and tag
+#: matches, and every set kind.
 EDGES = {
     "edges": """
 hostname edges
@@ -42,23 +42,45 @@ ip prefix-list ORDER seq 5 deny 10.1.0.0/16 le 32
 ip prefix-list ORDER seq 10 permit 10.0.0.0/8 le 24
 ip prefix-list EXACT seq 5 permit 192.168.1.0/24
 ip community-list standard C1 permit 65000:1 65000:2
+ip as-path access-list AP deny _65002$
+ip as-path access-list AP permit ^65001_
 route-map E permit 10
  match ip address prefix-list ORDER
  match community C1
+ set community 65000:1 65000:9
+ set tag 7
 route-map E permit 20
  match tag 0
  match ip address prefix-list EXACT
+ set local-preference 200
+ set metric 50
 route-map E deny 30
  match ip address prefix-list GEONLY
 route-map E permit 40
  match ip address prefix-list MISSING
+ set weight 300
 route-map E permit 50
- match as-path 1
+ match as-path AP
  set community 65000:9 additive
+ set as-path prepend 65000 65000
 route-map E permit 60
  match community C1
+ match metric 50
+ set ip next-hop 192.0.2.1
 route-map E permit 70
+ match tag 7
  match ip address prefix-list EXACT
+route-map E permit 80
+ match ip address prefix-list EXACT
+""",
+    "junos": """set system host-name junos
+set policy-options prefix-list PL 10.0.0.0/8
+set policy-options policy-statement P term a from protocol ospf
+set policy-options policy-statement P term a from prefix-list PL
+set policy-options policy-statement P term a then accept
+set policy-options policy-statement P term b from protocol static
+set policy-options policy-statement P term b then reject
+set policy-options policy-statement P term c then accept
 """,
 }
 
@@ -73,11 +95,13 @@ FIXTURES = {
     "unreachable": test_dataflow.UNREACHABLE,
 }
 
+AS_PATHS = st.lists(st.sampled_from([65000, 65001, 65002, 100]), max_size=3).map(tuple)
+
 
 @lru_cache(maxsize=None)
 def cases():
     """(universe, device, route-map name, candidate prefixes, named
-    communities) for every route map of every source."""
+    communities, named numbers) for every route map of every source."""
     sources = {spec.name: spec.generate(1) for spec in NETWORKS}
     sources.update(FIXTURES)
     found = []
@@ -88,10 +112,15 @@ def cases():
             device = snapshot.device(hostname)
             prefixes = boundary_prefixes(device)
             for name in sorted(device.route_maps):
-                found.append(
-                    (universe, device, name, prefixes, named_communities(device, name))
-                )
-    assert {device.hostname for _, device, *_ in found} >= {"edges", "rm", "wcore0"}
+                found.append((
+                    universe, device, name, prefixes,
+                    named_communities(device, name), named_numbers(device, name),
+                ))
+    assert {device.hostname for _, device, *_ in found} >= {"edges", "junos", "rm", "wcore0"}
+    clauses = [c for _, device, name, *_ in found for c in device.route_maps[name].clauses]
+    # Every row of the table is exercised.
+    assert {m.kind for c in clauses for m in c.matches} == set(MatchKind)
+    assert {s.kind for c in clauses for s in c.sets} == set(SetKind)
     return found
 
 
@@ -119,13 +148,18 @@ def named_communities(device, name):
     names = set()
     for clause in device.route_maps[name].clauses:
         for match in clause.matches:
-            clist = device.community_lists.get(match.value)
-            if clist is not None:
-                names.update(clist.communities)
+            names.update(MATCH_ROWS[match.kind].members(device, match.value))
         for set_clause in clause.sets:
-            if set_clause.kind in (SetKind.COMMUNITY, SetKind.COMMUNITY_ADDITIVE):
-                names.update(set_clause.value.split())
+            names.update(SET_ROWS[set_clause.kind].communities(set_clause.value))
     return sorted(names)
+
+
+def named_numbers(device, name):
+    """0 and every number a route map's matches name (tags, metrics)."""
+    numbers = {0}
+    for clause in device.route_maps[name].clauses:
+        numbers.update(int(m.value) for m in clause.matches if m.value.isdecimal())
+    return sorted(numbers)
 
 
 def point(universe, prefix, communities):
@@ -139,45 +173,101 @@ def point(universe, prefix, communities):
     return bdd
 
 
+@st.composite
+def drawn(draw):
+    universe, device, name, prefixes, names, numbers = draw(st.sampled_from(cases()))
+    route = PolicyRoute(
+        draw(st.sampled_from(prefixes)),
+        as_path=draw(AS_PATHS),
+        med=draw(st.sampled_from(numbers)),
+        communities=set(draw(st.sets(st.sampled_from(names)))) if names else set(),
+        tag=draw(st.sampled_from(numbers)),
+        source_protocol=draw(st.sampled_from([None, *Protocol])),
+    )
+    return universe, device, name, route
+
+
+def _carries(universe, bdd, route):
+    """Whether ``bdd`` holds the route's point."""
+    return universe.engine.and_(bdd, point(universe, route.prefix, route.communities)) != FALSE
+
+
 @settings(max_examples=400, deadline=None)
-@given(st.data())
-def test_compiled_policy_agrees_with_the_concrete_walk(data):
-    universe, device, name, prefixes, names = data.draw(st.sampled_from(cases()))
-    prefix = data.draw(st.sampled_from(prefixes))
-    communities = data.draw(st.sets(st.sampled_from(names))) if names else set()
+@given(drawn())
+def test_each_match_row_guard_holds_the_routes_its_test_passes(case):
+    universe, device, name, route = case
+    for clause in device.route_maps[name].clauses:
+        for match in clause.matches:
+            row = MATCH_ROWS[match.kind]
+            passes = row.test(device, match.value, route)
+            tags = row.tags(match.value)
+            inside = _carries(universe, row.guard(universe, device, match.value), route) and (
+                tags is None or route.tag in tags
+            )
+            if passes:
+                assert inside, (name, clause.seq, match)
+                members = row.members(device, match.value)
+                assert not members or route.communities & set(members)
+            if row.exact:
+                assert passes == inside, (name, clause.seq, match)
+
+
+@settings(max_examples=400, deadline=None)
+@given(drawn())
+def test_each_set_row_transfer_holds_the_rewritten_route(case):
+    universe, device, name, route = case
     engine = universe.engine
-    route = point(universe, prefix, communities)
+    for clause in device.route_maps[name].clauses:
+        for set_clause in clause.sets:
+            row = SET_ROWS[set_clause.kind]
+            rewritten = route.copy()
+            row.apply(rewritten, set_clause.value)
+            bdd, tags = point(universe, route.prefix, route.communities), frozenset({route.tag})
+            if row.transfer is not None:
+                bdd, tags = row.transfer(universe, set_clause.value, bdd, tags)
+            after = point(universe, rewritten.prefix, rewritten.communities)
+            assert engine.diff(after, bdd) == FALSE, (name, clause.seq, set_clause)
+            assert tags is None or rewritten.tag in tags
+            assert set(row.communities(set_clause.value)) <= rewritten.communities
 
-    def holds(bdd):
-        return engine.and_(route, bdd) != FALSE
 
+@settings(max_examples=400, deadline=None)
+@given(drawn())
+def test_compiled_policy_agrees_with_the_concrete_walk(case):
+    universe, device, name, route = case
     for plist in device.prefix_lists.values():
-        assert holds(universe.prefix_list_space(plist)) == plist.permits(prefix)
-
-    concrete = PolicyRoute(prefix, communities=set(communities))
+        assert _carries(universe, universe.prefix_list_space(plist), route) == plist.permits(
+            route.prefix
+        )
     summary = universe.policy(device, name)
     clauses = device.route_maps[name].sorted_clauses()
     assert [c.seq for c in summary.clauses] == [c.seq for c in clauses]
+
+    def holds(compiled):
+        return _carries(universe, compiled.guard, route) and (
+            compiled.tags is None or route.tag in compiled.tags
+        )
+
     for clause, compiled in zip(clauses, summary.clauses):
-        matches = _clause_matches(device, clause, concrete, DEFAULT_SEMANTICS, [])
-        if compiled.is_exact(False):
-            assert holds(compiled.guard) == matches, (name, clause.seq, prefix)
+        matches = all(MATCH_ROWS[m.kind].test(device, m.value, route) for m in clause.matches)
+        if compiled.exact(False):
+            assert holds(compiled) == matches, (name, clause.seq, route)
         elif matches:
-            assert holds(compiled.guard), (name, clause.seq, prefix)
+            assert holds(compiled), (name, clause.seq, route)
 
     first_exact = next(
         (
             index
             for index, compiled in enumerate(summary.clauses)
-            if compiled.is_exact(False) and holds(compiled.guard)
+            if compiled.exact(False) and holds(compiled)
         ),
         None,
     )
-    decided = apply_route_map(device, name, concrete).matched_clause
+    decided = apply_route_map(device, name, route).matched_clause
     expected = None if first_exact is None else summary.clauses[first_exact].seq
     if decided != expected:
         # Only an earlier inexact clause may take the route first.
         index = [c.seq for c in summary.clauses].index(decided)
         assert first_exact is None or index < first_exact
-        assert not summary.clauses[index].is_exact(False)
-        assert holds(summary.clauses[index].guard)
+        assert not summary.clauses[index].exact(False)
+        assert holds(summary.clauses[index])

@@ -11,7 +11,7 @@ from repro.hdr.ip import Prefix
 from repro.lint import LintConfig, Severity, lint_snapshot
 from repro.lint.dataflow import analyze, build_graph, build_universe, validate_containment
 from repro.lint.dataflow.graph import originated_prefixes
-from repro.lint.routespace import RouteSpaceUniverse
+from repro.routing.routespace import RouteSpaceUniverse
 from repro.synth.networks import NETWORKS, network_by_name
 
 

@@ -13,9 +13,10 @@ from repro import Session, obs
 from repro.config.loader import load_snapshot_from_texts
 from repro.core.cache import SnapshotCache
 from repro.delta.edits import irrelevant_edit, relevant_edit
-from repro.lint import lint_snapshot, routespace, runner
+from repro.lint import lint_snapshot, runner
 from repro.lint.dataflow import graph as dataflow_graph
 from repro.lint.dataflow import validate_containment
+from repro.routing import policy
 from repro.service.serialize import run_question
 from repro.service.store import SnapshotStore
 from repro.synth.networks import NETWORKS as NETWORKS_REGISTRY
@@ -370,13 +371,13 @@ def test_each_route_map_compiles_once_into_the_stage_universe(monkeypatch):
     texts = network_by_name("NET10").generate(1)
     expected = from_scratch(texts)
     compiled = []
-    real = routespace.compile_policy
+    real = policy.compile_policy
 
     def counting(universe, device, name):
         compiled.append((device.hostname, name))
         return real(universe, device, name)
 
-    monkeypatch.setattr(routespace, "compile_policy", counting)
+    monkeypatch.setattr(policy, "compile_policy", counting)
     session = Session.from_texts(texts)
     maps = sorted(
         (device.hostname, name)

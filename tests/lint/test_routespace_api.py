@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.bdd.engine import FALSE, TRUE
 from repro.config.model import Prefix
-from repro.lint.routespace import ADDR_BITS, LEN_BITS, RouteSpaceUniverse
+from repro.routing.routespace import ADDR_BITS, LEN_BITS, RouteSpaceUniverse
 
 
 @pytest.fixture(scope="module")

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.config.model import (
     Action,
     AsPathList,
+    AsPathListLine,
     BgpNeighbor,
     BgpProcess,
     CommunityList,
@@ -30,6 +31,7 @@ from repro.config.model import (
     RouteMapMatch,
     RouteMapSet,
     SetKind,
+    as_path_regex,
 )
 from repro.hdr.ip import Ip, Prefix
 from repro.routing.bgp import BgpSession
@@ -82,8 +84,9 @@ def _device(hostname: str, local_as: int, neighbor: BgpNeighbor, route_map) -> D
         "PL_TEN", [PrefixListLine(Action.PERMIT, Prefix("10.0.0.0/8"), le=24)]
     )
     device.community_lists["CL_ONE"] = CommunityList("CL_ONE", ["65001:1", "no-export"])
-    device.as_path_lists["AL_VIA_OTHER"] = AsPathList("AL_VIA_OTHER", f"_{OTHER_AS}_")
-    device.as_path_lists["AL_EMPTY"] = AsPathList("AL_EMPTY", "^$")
+    for name, regex in (("AL_VIA_OTHER", f"_{OTHER_AS}_"), ("AL_EMPTY", "^$")):
+        line = AsPathListLine(Action.PERMIT, as_path_regex(regex))
+        device.as_path_lists[name] = AsPathList(name, [line])
     if route_map is not None:
         device.route_maps[route_map.name] = route_map
     device.bgp = BgpProcess(local_as=local_as, neighbors={neighbor.peer_ip: neighbor})
@@ -179,11 +182,7 @@ def exchanges(draw):
         is_ibgp=is_ibgp,
         established=True,
     )
-    semantics = PolicySemantics(
-        undefined_route_map_permits=draw(st.booleans()),
-        undefined_prefix_list_fails_match=draw(st.booleans()),
-        empty_clause_matches_all=draw(st.booleans()),
-    )
+    semantics = PolicySemantics(undefined_route_map_permits=draw(st.booleans()))
     return (
         draw(routes),
         session,

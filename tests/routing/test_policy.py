@@ -1,4 +1,6 @@
-"""Tests for route-map evaluation, including long-tail semantics knobs."""
+"""Tests for route-map evaluation, including the long-tail semantics knob."""
+
+from dataclasses import fields
 
 import pytest
 
@@ -116,10 +118,12 @@ class TestLongTailSemantics:
         result = apply_route_map(device, "UNDEF_PL", _route())
         assert not result.permitted
 
-    def test_undefined_prefix_list_alternate_semantics(self, device):
-        semantics = PolicySemantics(undefined_prefix_list_fails_match=False)
-        result = apply_route_map(device, "UNDEF_PL", _route(), semantics)
-        assert result.permitted
+    def test_an_undefined_route_map_is_the_only_knob(self):
+        """An undefined prefix list failing its match and a clause with no
+        match statement matching every route are each one row's meaning,
+        which the compiled route map shares; only what an undefined route
+        map does is a model choice."""
+        assert [f.name for f in fields(PolicySemantics)] == ["undefined_route_map_permits"]
 
     def test_trace_explains_decision(self, device):
         result = apply_route_map(device, "POLICY", _route())

@@ -20,7 +20,10 @@ nesting depth, so a function-local import counts):
   ``repro.questions.registry``;
 * the ``REPRO_*`` environment variables the package reads are the
   README's "Environment variables" table, and no other one is named;
-* ``build_universe`` is the one code that makes a route-space universe.
+* ``build_universe`` is the one code that makes a route-space universe;
+* outside ``repro.config``, only ``repro.routing.policy`` (the table of
+  match and set rows) names a ``MatchKind`` or ``SetKind`` member;
+* ``repro.routing`` imports nothing of ``repro.lint``.
 """
 
 import ast
@@ -229,3 +232,32 @@ def test_build_universe_alone_makes_a_route_space_universe():
             in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
         )
     assert sorted(makers) == ["lint/dataflow/domain.py:build_universe"]
+
+
+def test_only_the_policy_table_names_a_match_or_set_kind():
+    """What a route-map match or set kind means is one row of
+    ``repro.routing.policy``; the simulator, the compiler and the lint
+    rules read the rows, so no other module branches on a kind."""
+    namers = set()
+    for path in sorted(ROOT.glob("**/*.py")):
+        where = path.relative_to(ROOT)
+        if where.parts[0] == "config":
+            continue
+        namers.update(
+            f"{where}"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("MatchKind", "SetKind")
+        )
+    assert sorted(namers) == ["routing/policy.py"]
+
+
+def test_routing_imports_nothing_of_lint():
+    violations = [
+        f"{path.relative_to(ROOT)}: {module}"
+        for path in sorted((ROOT / "routing").glob("**/*.py"))
+        for module in _repro_imports(path)
+        if module == "repro.lint" or module.startswith("repro.lint.")
+    ]
+    assert not violations, "\n".join(violations)
