@@ -20,6 +20,17 @@ operations are memoized in operation caches keyed by operand ids, which
 exploits that canonicity (the paper: "we exploit canonicity to
 short-circuit full BDD traversals using identity-based operation caches").
 
+Every table key is one int that packs its operands into fixed-width bit
+fields (:func:`unique_key` for the unique table, the same arithmetic
+inline in each operation): a node id takes ``ID_BITS`` bits, a variable level
+or cube position ``LEVEL_BITS``, and the one field with no bound (the
+first node id, cube or rename-map id) the high end. Levels are bounded
+at construction and ids where a node is allocated
+(:class:`BddCapacityError`), so no field overflows into its neighbour
+and each key names exactly one operand tuple. An int key takes about
+half the bytes of the tuple it replaces and is not an object the
+garbage collector tracks.
+
 Recursion depth is bounded by the number of variables (a few hundred for
 a packet header), so plain recursive formulations are safe and fast.
 """
@@ -44,6 +55,39 @@ TRUE = 1
 # Terminals live "below" all variables so level comparisons work uniformly.
 _LEAF_LEVEL = 1 << 30
 
+#: Bits of a packed table key that hold one node id, and one variable
+#: level or cube position; see :func:`unique_key`.
+ID_BITS = 32
+LEVEL_BITS = 12
+
+
+class BddCapacityError(ValueError):
+    """A variable count or node id past what a packed table key holds:
+    refused, where a wider value would make two keys collide."""
+
+
+def unique_key(level: int, lo: int, hi: int) -> int:
+    """The unique table's key of the node ``(level, lo, hi)``: the bits
+    of ``lo << 44 | hi << 12 | level``, injective while
+    ``hi < 2**ID_BITS`` and ``level < 2**LEVEL_BITS``, which the engine
+    holds for every node (``BddEngine._mk`` computes the same key
+    inline).
+
+    Each key's small fields are put together with ``*`` and ``+``
+    first (one-digit ints, CPython's fast path) and the key is finished
+    with ``|``, which allocates the int at its exact size; a final
+    ``+`` allocates a spare digit in every stored key. Both choices
+    were measured (DESIGN.md, "Packed BDD table keys")."""
+    return (lo << 44) | (hi * 4096 + level)
+
+
+def _unique_keys(
+    levels: Iterable[int], los: Iterable[int], his: Iterable[int]
+) -> List[int]:
+    """:func:`unique_key` of each node of three parallel slices of the
+    node store (one comprehension, no call per node)."""
+    return [(lo << 44) | (hi * 4096 + level) for level, lo, hi in zip(levels, los, his)]
+
 
 class BddEngine:
     """Manager for a universe of BDD nodes over ``num_vars`` variables.
@@ -57,21 +101,28 @@ class BddEngine:
     def __init__(self, num_vars: int):
         if num_vars <= 0:
             raise ValueError("num_vars must be positive")
+        if num_vars >= 1 << LEVEL_BITS:
+            raise BddCapacityError(
+                f"{num_vars} variables; a table key holds levels below "
+                f"{1 << LEVEL_BITS}"
+            )
         self.num_vars = num_vars
         # Node store. Index = node id.
         self._level: List[int] = [_LEAF_LEVEL, _LEAF_LEVEL]
         self._lo: List[int] = [0, 1]
         self._hi: List[int] = [0, 1]
-        self._unique: Dict[Tuple[int, int, int], int] = {}
-        # Operation caches (identity-keyed thanks to canonicity).
-        self._and_cache: Dict[Tuple[int, int], int] = {}
-        self._or_cache: Dict[Tuple[int, int], int] = {}
-        self._xor_cache: Dict[Tuple[int, int], int] = {}
+        # unique_key(level, lo, hi) -> node id.
+        self._unique: Dict[int, int] = {}
+        # Operation caches (identity-keyed thanks to canonicity), each
+        # keyed by its operands packed into one int (see unique_key).
+        self._and_cache: Dict[int, int] = {}
+        self._or_cache: Dict[int, int] = {}
+        self._xor_cache: Dict[int, int] = {}
         self._not_cache: Dict[int, int] = {}
-        self._ite_cache: Dict[Tuple[int, int, int], int] = {}
-        self._exists_cache: Dict[Tuple[int, int], int] = {}
-        self._rename_cache: Dict[Tuple[int, int], int] = {}
-        self._andex_cache: Dict[Tuple[int, int, int], int] = {}
+        self._ite_cache: Dict[int, int] = {}
+        self._exists_cache: Dict[int, int] = {}
+        self._rename_cache: Dict[int, int] = {}
+        self._andex_cache: Dict[int, int] = {}
         self._count_cache: Dict[int, int] = {}
         # Interned quantification cubes and rename maps (id -> payload).
         self._cubes: Dict[Tuple[int, ...], int] = {}
@@ -91,10 +142,14 @@ class BddEngine:
         """Find-or-create the node ``(level, lo, hi)``, enforcing reduction."""
         if lo == hi:
             return lo
-        key = (level, lo, hi)
+        key = (lo << 44) | (hi * 4096 + level)  # unique_key(level, lo, hi)
         node = self._unique.get(key)
         if node is None:
             node = len(self._level)
+            if node >> ID_BITS:
+                raise BddCapacityError(
+                    f"node id {node} does not fit a table key's {ID_BITS} bits"
+                )
             self._level.append(level)
             self._lo.append(lo)
             self._hi.append(hi)
@@ -230,12 +285,18 @@ class BddEngine:
             # thread add entries the copied table does not hold.)
             twin._unique = unique = self._unique.copy()
             end = len(self._hi)
-            for key in zip(self._level[n:end], self._lo[n:end], self._hi[n:end]):
+            for key in _unique_keys(
+                self._level[n:end], self._lo[n:end], self._hi[n:end]
+            ):
                 unique.pop(key, None)
             twin.fork_path = "trimmed"
         else:
-            decision_nodes = islice(zip(twin._level, twin._lo, twin._hi), 2, None)
-            twin._unique = dict(zip(decision_nodes, range(2, n)))
+            keys = _unique_keys(
+                islice(twin._level, 2, None),
+                islice(twin._lo, 2, None),
+                islice(twin._hi, 2, None),
+            )
+            twin._unique = dict(zip(keys, range(2, n)))
             twin.fork_path = "rebuilt"
         twin._cube_list = list(self._cube_list)
         twin._cubes = {key: i for i, key in enumerate(twin._cube_list)}
@@ -281,7 +342,7 @@ class BddEngine:
             return a
         if a > b:
             a, b = b, a
-        key = (a, b)
+        key = a << 32 | b
         cached = self._and_cache.get(key)
         if cached is not None:
             return cached
@@ -314,7 +375,7 @@ class BddEngine:
             return a
         if a > b:
             a, b = b, a
-        key = (a, b)
+        key = a << 32 | b
         cached = self._or_cache.get(key)
         if cached is not None:
             return cached
@@ -349,7 +410,7 @@ class BddEngine:
             return self.not_(a)
         if a > b:
             a, b = b, a
-        key = (a, b)
+        key = a << 32 | b
         cached = self._xor_cache.get(key)
         if cached is not None:
             return cached
@@ -406,7 +467,7 @@ class BddEngine:
             return f
         if g == FALSE and h == TRUE:
             return self.not_(f)
-        key = (f, g, h)
+        key = (f << 32 | g) << 32 | h
         cached = self._ite_cache.get(key)
         if cached is not None:
             return cached
@@ -505,7 +566,7 @@ class BddEngine:
             idx += 1
         if idx == len(levels):
             return a
-        key = (a, (cube_id << 10) | idx)
+        key = (cube_id * 4096 + idx) << 32 | a
         cached = self._exists_cache.get(key)
         if cached is not None:
             return cached
@@ -550,7 +611,7 @@ class BddEngine:
         """Rename variables of ``a`` per an interned order-preserving map."""
         if a <= TRUE:
             return a
-        key = (a, map_id)
+        key = map_id << 32 | a
         cached = self._rename_cache.get(key)
         if cached is not None:
             return cached
@@ -620,7 +681,7 @@ class BddEngine:
         if a > b:
             a, b = b, a
             level_a, level_b = level_b, level_a
-        key = (a, b, (cube_id << 10) | idx)
+        key = ((cube_id * 4096 + idx) << 32 | a) << 32 | b
         cached = self._andex_cache.get(key)
         if cached is not None:
             return cached

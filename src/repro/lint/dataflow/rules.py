@@ -448,12 +448,10 @@ def community_dataflow(stage: "LintStage") -> List[Finding]:
                             set_consumed.add(key)
                         if matched != FALSE:
                             set_candidates.setdefault(key, clause.location)
-                # (b) match-never-carried
-                carried = engine.or_all(
-                    [universe.community(c) for c in clause.matched_communities()]
-                )
-                for list_name in clause.matched_lists():
+                # (b) match-never-carried: each list against its own members
+                for list_name, members in clause.matched_lists():
                     key = key_base + (list_name,)
+                    carried = engine.or_all([universe.community(c) for c in members])
                     if engine.and_(residual, carried) != FALSE:
                         match_carried.add(key)
                     else:

@@ -358,9 +358,14 @@ class ClauseSummary:
                 bdd, tags = row.transfer(universe, each.value, bdd, tags)
         return bdd, tags
 
-    def matched_lists(self) -> List[str]:
-        """The community lists the clause matches on."""
-        return [value for row, value in self._matches if row.reads == "communities"]
+    def matched_lists(self) -> List[Tuple[str, Tuple[str, ...]]]:
+        """The community lists the clause matches on, each with its
+        members."""
+        return [
+            (value, row.members(self.device, value))
+            for row, value in self._matches
+            if row.reads == "communities"
+        ]
 
     def matched_communities(self) -> List[str]:
         """Their members: the communities some match of the clause reads."""

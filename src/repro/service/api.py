@@ -55,13 +55,14 @@ import threading
 import traceback
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, HTTPServer
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
 from repro import obs
 from repro.obs import context as obs_context
 from repro.obs.prom import render_exposition
 from repro.core.cache import resolve_cache
+from repro.core.session import Session
 from repro.questions import coverage as qcov
 from repro.questions.params import Param, boolean, decode_object, seconds
 from repro.questions.registry import PROGRESS, QUESTIONS
@@ -96,6 +97,25 @@ class ServiceConfig:
     debug: bool = False
     #: Log one line per request to stderr.
     verbose: bool = False
+
+
+def _engine_gauges(
+    sessions: Mapping[str, Session]
+) -> Dict[str, List[Tuple[Dict[str, str], float]]]:
+    """``bdd.nodes{snapshot}`` and ``bdd.ops_cached{snapshot}``: the size
+    of each stored snapshot's BDD engine, for the snapshots whose
+    analyzer a question has built (reading one builds nothing)."""
+    gauges: Dict[str, List[Tuple[Dict[str, str], float]]] = {}
+    for name, session in sorted(sessions.items()):
+        analyzer = session.computed("analyzer")
+        if analyzer is None:
+            continue
+        stats = analyzer.encoder.engine.stats()
+        for key in ("nodes", "ops_cached"):
+            gauges.setdefault(f"bdd.{key}", []).append(
+                ({"snapshot": name}, float(stats[key]))
+            )
+    return gauges
 
 
 class AnalysisService:
@@ -259,6 +279,7 @@ class AnalysisService:
                 continue  # deleted between list and get
         labeled_gauges, uncovered = qcov.prometheus_coverage(sessions)
         extra_counters["uncovered_stanzas"] = float(uncovered)
+        labeled_gauges.update(_engine_gauges(sessions))
         return render_exposition(
             obs.metrics(),
             extra_counters=extra_counters,

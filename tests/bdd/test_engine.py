@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bdd.engine import FALSE, TRUE, BddEngine
+from repro.bdd.engine import (
+    FALSE,
+    ID_BITS,
+    LEVEL_BITS,
+    TRUE,
+    BddCapacityError,
+    BddEngine,
+    unique_key,
+)
 
 
 @pytest.fixture
@@ -355,6 +363,15 @@ class TestAlgebraProperties:
         assert engine.graft(expected, levels, value, sub) == expected
 
 
+def _prefix_table(engine, n):
+    """The unique table of ``engine``'s first ``n`` nodes, built from
+    its node store with the engine's key function."""
+    return {
+        unique_key(engine._level[i], engine._lo[i], engine._hi[i]): i
+        for i in range(2, n)
+    }
+
+
 class TestFork:
     """``fork(n)``: the first ``n`` nodes as a private engine."""
 
@@ -411,9 +428,7 @@ class TestFork:
                 assert engine.num_nodes() - n < n
             twin = engine.fork(n)
             assert twin.fork_path == path
-            assert twin._unique == {
-                (engine._level[i], engine._lo[i], engine._hi[i]): i for i in range(2, n)
-            }
+            assert twin._unique == _prefix_table(engine, n)
         assert engine.fork_path is None  # not made by a fork
 
     def test_twin_and_original_grow_independently(self):
@@ -529,7 +544,71 @@ class TestFork:
                 engine = twin.engine
                 assert engine.num_nodes() == n
                 assert [engine.canonical(label) for label in labels] == expected
-                assert engine._unique == quiet.engine._unique
+                assert engine._unique == quiet.engine._unique == _prefix_table(
+                    encoder.engine, n
+                )
                 # Usable: an operation over copied nodes allocates past n.
                 engine.or_all(engine.and_(a, b) for a, b in zip(labels, labels[1:]))
                 assert engine.num_nodes() >= n
+
+
+class TestPackedKeys:
+    """Every table is keyed by one packed int, and a value too wide for
+    its field is refused rather than allowed to collide."""
+
+    _TABLES = (
+        "_unique", "_and_cache", "_or_cache", "_xor_cache", "_not_cache",
+        "_ite_cache", "_exists_cache", "_rename_cache", "_andex_cache",
+        "_count_cache",
+    )
+
+    def test_no_table_holds_a_non_int_key_after_a_nat_network(self):
+        from repro.core.session import Session
+        from repro.synth.networks import network_by_name
+
+        session = Session.from_texts(network_by_name("NET8").generate(1))
+        analyzer = session.analyzer
+        analyzer.fates()
+        session.reachability()
+        engine = analyzer.encoder.engine
+        # NAT drives the relational product, quantification and renaming.
+        for name in ("_andex_cache", "_exists_cache", "_rename_cache"):
+            assert getattr(engine, name), name
+        for name in self._TABLES:
+            table = getattr(engine, name)
+            assert all(type(key) is int for key in table), name
+
+    @given(
+        st.integers(0, (1 << LEVEL_BITS) - 1),
+        st.integers(0, (1 << ID_BITS) - 1),
+        st.integers(0, (1 << ID_BITS) - 1),
+    )
+    def test_unique_key_reads_back_inside_its_bounds(self, level, lo, hi):
+        """Each field is recovered from the key, so no two nodes share one."""
+        key = unique_key(level, lo, hi)
+        assert key & ((1 << LEVEL_BITS) - 1) == level
+        assert (key >> LEVEL_BITS) & ((1 << ID_BITS) - 1) == hi
+        assert key >> (LEVEL_BITS + ID_BITS) == lo
+
+    def test_a_level_past_its_field_is_refused_at_construction(self):
+        assert BddEngine((1 << LEVEL_BITS) - 1).num_vars == (1 << LEVEL_BITS) - 1
+        with pytest.raises(BddCapacityError, match="variables"):
+            BddEngine(1 << LEVEL_BITS)
+
+    def test_an_id_past_its_field_is_refused_where_it_is_allocated(self):
+        class Full(list):
+            """A node store that reports the first id a key cannot hold."""
+
+            def __len__(self):
+                return 1 << ID_BITS
+
+        engine = BddEngine(4)
+        a = engine.var(0)
+        engine._level = Full(engine._level)
+        # A node that exists is still found ...
+        assert engine.var(0) == a and engine.and_(a, a) == a
+        # ... a new one would need id 2**32, whose key would collide.
+        assert unique_key(1, FALSE, 1 << ID_BITS) == unique_key(1, TRUE, FALSE)
+        with pytest.raises(BddCapacityError, match="node id"):
+            engine.var(1)
+        assert engine._unique == {unique_key(0, FALSE, TRUE): a}

@@ -184,6 +184,26 @@ class TestReuse:
         assert new.parse_warnings == scratch.warnings == base.parse_warnings
         _validate(new)
 
+    def test_an_edit_that_introduces_a_malformed_line_is_accepted(self):
+        """The CI use: an edit whose new line cannot be modelled still
+        makes a delta, with one warning located at that file and line,
+        and the same FIBs as a from-scratch session of the texts."""
+        base = Session.from_texts(THREE_ISLANDS)
+        base.fibs
+        assert base.parse_warnings == []
+        bad = "ip route 203.0.113.128 255.255.255.999 Null0"
+        edited = THREE_ISLANDS["c"] + ROUTE_LINE + bad + "\n"
+        new = base.delta({"c": edited}, validate=True)
+        assert new.delta_info.changed_files == ["c"]
+        (warning,) = new.parse_warnings
+        assert warning.source_file == "c"
+        assert warning.line_number == edited.splitlines().index(bad) + 1
+        assert warning.text == bad
+        scratch = Session.from_texts(new._configs)
+        assert new.parse_warnings == scratch.parse_warnings
+        assert fib_lines(new.fibs) == fib_lines(scratch.fibs)
+        assert "203.0.113.0/24" in str(fib_lines(new.fibs)["c"])
+
     def test_duplicate_hostnames_still_match_scratch(self):
         """Two files defining one hostname (the later file wins): an
         edit to either goes through the same fingerprint compare."""

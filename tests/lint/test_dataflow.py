@@ -260,6 +260,28 @@ class TestCommunityDataflow:
         _, report = run_rules(configs, ["community-dataflow"])
         assert not report.findings
 
+    def test_each_matched_list_is_tested_against_its_own_members(self):
+        # r1 tags its routes with SEEN's member, so SEEN is carried; the
+        # clause also matches NEVER, whose member no route carries.
+        configs = {
+            "r1": COMMUNITY["r1"].replace("65000:99", "65000:1"),
+            "r2": COMMUNITY["r2"].replace(
+                "ip community-list standard CL permit 65000:1\n",
+                "ip community-list standard NEVER permit 65000:2\n"
+                "ip community-list standard SEEN permit 65000:1\n",
+            ).replace(
+                " match community CL\n",
+                " match community NEVER\n match community SEEN\n",
+            ),
+        }
+        _, report = run_rules(configs, ["community-dataflow"])
+        assert [f.hostname for f in report.findings] == ["r2"]
+        (finding,) = report.findings
+        assert "community-list NEVER" in finding.message
+        assert finding.location.line == line_of(
+            configs["r2"], "route-map FROM_PEER permit 10"
+        )
+
 
 UNREACHABLE = {
     "r1": """

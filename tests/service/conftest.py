@@ -2,6 +2,7 @@
 ephemeral port plus a tiny JSON HTTP client."""
 
 import json
+import threading
 import urllib.error
 import urllib.request
 
@@ -59,3 +60,9 @@ def make_service():
     yield make
     for service in services:
         service.stop(drain=False, timeout=10.0)
+    # A job still running on a stopped service (a debug sleep) records
+    # its request telemetry in the process-wide registry when it ends:
+    # let it end here, not inside a later test's before/after window.
+    for thread in threading.enumerate():
+        if thread.name.startswith("repro-worker-"):
+            thread.join(timeout=10.0)

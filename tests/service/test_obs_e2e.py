@@ -182,6 +182,36 @@ class TestPrometheusExposition:
         assert completed[2] == 1.0
         assert not [name for name in families if "service_jobs" in name]
 
+    def test_engine_gauges_label_the_snapshots_that_built_one(self, make_raw):
+        """``bdd.nodes`` and ``bdd.ops_cached`` carry one sample per
+        snapshot whose analyzer a question built; a snapshot that only
+        answered ``routes`` has none (the scrape builds nothing)."""
+        service, client = make_raw()
+        for name in ("reached", "routed"):
+            client.post("/snapshots", {"name": name, "configs": net1(2)})
+        status, _, body = client.post("/snapshots/reached/questions/reachability")
+        assert status == 200 and body["status"] == "done", body
+        status, _, body = client.post("/snapshots/routed/questions/routes")
+        assert status == 200 and body["status"] == "done", body
+        status, _, raw = client.raw(
+            "GET", "/metrics", headers={"Accept": "text/plain"}
+        )
+        assert status == 200
+        families = parse_exposition(raw.decode())
+        engine = service.store.get("reached").computed("analyzer").encoder.engine
+        stats = engine.stats()
+        for family, key in (
+            ("repro_bdd_nodes", "nodes"), ("repro_bdd_ops_cached", "ops_cached")
+        ):
+            assert families[family]["type"] == "gauge"
+            labelled = [
+                (labels, value)
+                for _, labels, value in families[family]["samples"]
+                if "snapshot" in labels
+            ]
+            assert labelled == [({"snapshot": "reached"}, float(stats[key]))]
+        assert service.store.get("routed").computed("analyzer") is None
+
     def test_a_mixed_run_scrapes_every_phase_once(self, make_raw):
         service, client = make_raw()
         configs = net1(2)
