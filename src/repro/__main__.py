@@ -297,13 +297,14 @@ def _validate_delta(network: str, configs: Configs) -> Validation:
     unique table instead of trimming a copy): whatever the delta session
     took over from its base, its parsed snapshot, its FIBs, its
     forwarding graph and its lint findings (JSON, byte for byte) must
-    equal a cache-less from-scratch session's. Counts how each routing
-    stage, the lint stage and the analyzer came out (``igp_reused``,
-    ``bgp_recomputed``, ``lint_reused``, ``analyzer_reused``, ...), how
-    each fork was made (``fork_trimmed``, ``fork_rebuilt``; the inert
-    edit takes the base's analyzer and forks nothing), the graph
-    segments taken from the base (``segments_reused``) and how each
-    built one got its labels (``labels_grafted``, ``labels_folded``)."""
+    equal a cache-less from-scratch session's. Counts each row of
+    ``DeltaInfo.stages`` (``igp_reused``, ``fibs_recomputed``,
+    ``lint_reused``, ``analyzer_reused``, ...), each count of
+    ``DeltaInfo.reused`` (``reuse_rib``, ``reuse_fib``,
+    ``reuse_pipeline``, ``reuse_graft``), the segments whose labels were
+    folded whole (``labels_folded``) and how each fork was made
+    (``fork_trimmed``, ``fork_rebuilt``; the inert edit takes the base's
+    analyzer and forks nothing)."""
     base = Session.from_texts(configs)
     # Every stage computed, so that each edit has all of them to take.
     base.analyzer
@@ -338,25 +339,22 @@ def _validate_delta(network: str, configs: Configs) -> Validation:
         if _lint_json(new) != _lint_json(Session.from_texts(new._configs)):
             failed.append(f"{label} edit on {target}: lint findings differ from scratch")
         counts["edges_compared"] += len(new.analyzer.graph.edges)
-        counts["ribs_reused"] += info.reused_ribs
-        counts["fibs_reused"] += info.reused_fibs
-        counts["segments_reused"] += info.reused_pipelines
+        reused = collections.Counter(info.reused)
+        counts.update({f"reuse_{key}": count for key, count in reused.items()})
         counts["pipelines"] += len(new.snapshot.devices)
-        counts["labels_grafted"] += info.grafted_segments
         counts["labels_folded"] += (
-            len(new.snapshot.devices) - info.reused_pipelines - info.grafted_segments
+            len(new.snapshot.devices) - reused["pipeline"] - reused["graft"]
         )
         fork = "none"
-        if info.analyzer != "reused":
+        if info.stages["analyzer"] != "reused":
             fork = new.encoder.engine.fork_path
             counts[f"fork_{fork}"] += 1
-        stages = {**info.stages, "lint": info.lint, "analyzer": info.analyzer}
-        for stage, outcome in stages.items():
+        for stage, outcome in info.stages.items():
             counts[f"{stage}_{outcome.split()[0]}"] += 1
-        outcomes = ", ".join(f"{stage}: {outcome}" for stage, outcome in stages.items())
+        outcomes = ", ".join(f"{stage}: {outcome}" for stage, outcome in info.stages.items())
         legs.append(
             f"{label} edit: {outcomes}; {len(info.dirty_devices)} main RIB(s) rebuilt, "
-            f"fork {fork}, {info.grafted_segments} segment(s) grafted"
+            f"fork {fork}, {reused['graft']} segment(s) grafted"
         )
     detail = f"{target}: " + "; ".join(legs)
     return Validation(len(edits), detail, failed, target, counts)
@@ -399,6 +397,9 @@ def _validate_sweep(
         failed += [mismatch.describe() for mismatch in validation.mismatches]
         counts["pruned_cut"] += result.stats.pruned_cut
         counts["pruned_duplicate"] += result.stats.pruned_duplicate
+        holds = sum(outcome.verdict.holds for outcome in result.outcomes)
+        counts["verdicts_hold"] += holds
+        counts["verdicts_fail"] += len(result.outcomes) - holds
     return Validation(checks, "; ".join(details), failed, counts=counts)
 
 

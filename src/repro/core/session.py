@@ -107,8 +107,8 @@ class Stage(NamedTuple):
     once, on first read, under its own lock (:meth:`Session._stage`)."""
 
     name: str
-    #: ``(session, base's output or None) -> (output, report)``: the
-    #: :class:`~repro.delta.DeltaInfo` fields saying what it took.
+    #: ``(session, base's output or None) -> (output, report)``: what it
+    #: took, as :meth:`~repro.delta.DeltaInfo.record` arguments.
     build: Callable[["Session", Any], Tuple[Any, Dict[str, Any]]]
     #: The :data:`repro.obs.PHASES` name its build is timed under.
     phase: Optional[str] = None
@@ -250,7 +250,7 @@ class Session:
         process pool.
         Returns a :class:`repro.sweep.SweepResult` with per-scenario
         verdicts and the **minimal failing sets** of the property
-        (``prop`` defaults to a corner-to-corner reachability probe).
+        (``prop`` defaults to one that holds here: ``default_property``).
         """
         from repro.sweep import ALL_KINDS, sweep_session
 
@@ -344,7 +344,7 @@ class Session:
             else:
                 self._outputs["lint"] = lint.carried_to(self.snapshot)
                 outcome = "reused"
-            self.delta_info.record(lint=outcome)
+            self.delta_info.record(stages={"lint": outcome})
         self._inherited = BaseOutputs(
             prior.outputs,
             prior.edited | edited,
@@ -655,26 +655,30 @@ def _build_dataplane(session: Session, base: Optional[DataPlane]):
         )
         if cache is not None:
             cache.store("dataplane", session.snapshot_key, dataplane)
-    stages, taken = dataplane.stages, 0
+    stages = dataplane.stages
+    kept = len(dataplane.nodes) - len(stages.rebuilt)
+    taken = 0 if base is None else kept
     if base is not None:
         # A rebuilt main RIB equal to the base's becomes the base's
         # object, like every one not rebuilt, for the FIB and pipeline
         # stages to reuse by identity.
-        taken = len(dataplane.nodes) - len(stages.rebuilt)
         for hostname in stages.rebuilt:
-            state, kept = dataplane.nodes[hostname], base.nodes.get(hostname)
-            if kept is not None and state.main_rib.same_best(kept.main_rib):
-                state.main_rib = kept.main_rib
+            state, prior = dataplane.nodes[hostname], base.nodes.get(hostname)
+            if prior is not None and state.main_rib.same_best(prior.main_rib):
+                state.main_rib = prior.main_rib
                 taken += 1
+    if session.delta_info is not None:
+        obs.add("delta.dirty_devices", len(stages.rebuilt))
+        obs.add("delta.reused_devices", kept)
     return dataplane, {
-        "reused_ribs": taken,
         "stages": {
             stage: f"recomputed ({reason})" if reason else "reused"
             for stage, reason in stages.recomputed.items()
         },
+        "reused": {"rib": taken},
         "fallback": any(stages.recomputed.values()),
         "dirty_devices": list(stages.rebuilt),
-        "reused_devices": len(dataplane.nodes) - len(stages.rebuilt),
+        "reused_devices": kept,
     }
 
 
@@ -683,16 +687,22 @@ def _build_fibs(session: Session, base: Optional[Dict[str, Fib]]):
     base's (``build_fib`` reads nothing else), else built — always
     built while provenance records: building emits the ``fib`` events."""
     # A base FIB comes with the base data plane it was built from.
-    base_dataplane, taken = session._inherited.outputs.get("dataplane"), 0
+    base_dataplane, recording = session._inherited.outputs.get("dataplane"), prov.enabled()
     fibs: Dict[str, Fib] = {}
+    built: List[str] = []
     for hostname, state in sorted(session.dataplane.nodes.items()):
-        fib = None if base is None or prov.enabled() else base.get(hostname)
+        fib = None if base is None or recording else base.get(hostname)
         if fib is None or state.main_rib is not base_dataplane.main_rib(hostname):
             fib = build_fib(state)
-        else:
-            taken += 1
+            built.append(hostname)
         fibs[hostname] = fib
-    return fibs, {"reused_fibs": taken}
+    report: Dict[str, Any] = {"reused": {"fib": len(fibs) - len(built)}}
+    if base is not None:
+        why = "provenance is recording" if recording else (
+            f"main RIBs of {shown_names(built)} changed"
+        )
+        report["stages"] = {"fibs": f"recomputed ({why})" if built else "reused"}
+    return fibs, report
 
 
 def _build_analyzer(session: Session, base: Optional[NetworkAnalyzer]):
@@ -704,15 +714,17 @@ def _build_analyzer(session: Session, base: Optional[NetworkAnalyzer]):
         return NetworkAnalyzer(session.dataplane, fibs=session.fibs), {}
     moved = _analyzer_moved(session, base)
     if not moved:
-        return base, {"analyzer": "reused", "reused_pipelines": len(base.fibs)}
+        return base, {"stages": {"analyzer": "reused"}, "reused": {"pipeline": len(base.fibs)}}
     analyzer = NetworkAnalyzer(
         session.dataplane, fibs=session.fibs, base=base,
         edited=session._inherited.edited,
     )
     return analyzer, {
-        "analyzer": f"recomputed ({moved})",
-        "reused_pipelines": len(analyzer.reused_pipelines),
-        "grafted_segments": len(analyzer.grafted_segments),
+        "stages": {"analyzer": f"recomputed ({moved})"},
+        "reused": {
+            "pipeline": len(analyzer.reused_pipelines),
+            "graft": len(analyzer.grafted_segments),
+        },
     }
 
 

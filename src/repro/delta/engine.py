@@ -20,8 +20,9 @@ memory, and never touches the disk cache (its key does not repeat):
    routes; the FIBs and the graph pipelines follow by identity
    (DESIGN.md, "Reuse at stage boundaries"), and the analyzer is the
    base's own where no FIB, link or edited device's lint projection
-   moved. Each reports what it took
-   through :meth:`DeltaInfo.record`. The lint stage is carried at
+   moved. Each reports what it took through :meth:`DeltaInfo.record`:
+   a row of ``DeltaInfo.stages`` ("reused" or "recomputed (why)") and
+   its counts of ``DeltaInfo.reused``. The lint stage is carried at
    ``delta()`` time, where the base has one and no edited device's lint
    projection moved.
 
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro import obs
 from repro.config.loader import load_snapshot_from_texts, parses_from_base
@@ -63,33 +64,22 @@ class DeltaInfo:
     #: hostname no other base file shares.
     parse_memo_hits: int = 0
     validated: bool = False
-    #: How the session's data plane was produced; None until it is
-    #: computed. Per routing stage ("igp", "bgp"): "reused" or
-    #: "recomputed (why)".
-    stages: Optional[Dict[str, str]] = None
-    #: Some routing stage was recomputed.
+    #: What each stage took from the base, a row per stage as it is
+    #: built: "reused" or "recomputed (why)". ``igp`` and ``bgp`` come
+    #: with the data plane, ``fibs`` and ``analyzer`` where the base
+    #: offered its own, ``lint`` at ``delta()`` time where the base had
+    #: one.
+    stages: Dict[str, str] = field(default_factory=dict)
+    #: Some routing stage was recomputed; None until the data plane is.
     fallback: Optional[bool] = None
-    #: How the session's lint stage was produced, where the base had
-    #: one: "reused" (carried over: no device's lint projection moved)
-    #: or "recomputed (why)"; None when the base had none to offer.
-    lint: Optional[str] = None
-    #: How the session's analyzer was produced, where the base had one:
-    #: "reused" (the base's own: no FIB, link or lint projection moved) or
-    #: "recomputed (why)" (built on a fork of the base's engine); None
-    #: until ``.analyzer`` runs, or when the base had none to offer.
-    analyzer: Optional[str] = None
     #: Devices whose main RIB was rebuilt, and how many kept the base's.
     dirty_devices: Optional[List[str]] = None
     reused_devices: Optional[int] = None
-    #: Devices whose main RIB / FIB / graph pipeline is the base's own
-    #: object; each filled as its session's stage is built (0 until then).
-    reused_ribs: int = 0
-    reused_fibs: int = 0
-    reused_pipelines: int = 0
-    #: Of the graph segments built anew, those whose destination labels
-    #: were grafted onto the base's (equal markers; the rest folded them
-    #: whole). 0 until ``.analyzer`` runs.
-    grafted_segments: int = 0
+    #: Devices whose main RIB (``rib``), FIB (``fib``) or graph pipeline
+    #: (``pipeline``) is the base's own object, and the graph segments
+    #: built anew whose destination labels were grafted onto the base's
+    #: (``graft``); each counted as its session's stage is built.
+    reused: Dict[str, int] = field(default_factory=dict)
     #: Coverage-guided prioritization (repro.questions.coverage): the
     #: base session's records whose coverage vectors overlap this
     #: delta's impact set, ranked most-exposed first, and the ones whose
@@ -101,28 +91,21 @@ class DeltaInfo:
     def to_json(self) -> Dict:
         return asdict(self)
 
-    def record(self, **fields) -> None:
-        """Set ``fields`` and add each to its ``delta.*`` counter (a list
-        adds its length): the one path by which a delta, and then each
-        stage its session builds, reports what it took from the base."""
-        for name, value in fields.items():
-            setattr(self, name, value)
-            if name == "stages":
-                for stage, outcome in value.items():
-                    obs.add(f"delta.stage.{stage}.{outcome.split()[0]}")
-            elif name in ("lint", "analyzer"):
-                obs.add(f"delta.stage.{name}.{value.split()[0]}")
-            elif name in COUNTERS:
-                obs.add(COUNTERS[name], len(value) if isinstance(value, list) else value)
-
-
-#: :class:`DeltaInfo` field -> the counter :meth:`DeltaInfo.record` adds
-#: it to (``delta.reuse.devices`` is the three ``delta.reuse.*``'s total).
-COUNTERS = dict(
-    parse_memo_hits="delta.parse_memo_hits", dirty_devices="delta.dirty_devices",
-    reused_devices="delta.reused_devices", reused_ribs="delta.reuse.rib",
-    reused_fibs="delta.reuse.fib", reused_pipelines="delta.reuse.pipeline",
-)
+    def record(
+        self, stages: Mapping[str, str] = {}, reused: Mapping[str, int] = {}, **fields
+    ) -> None:
+        """The one path by which a delta, and then each stage its session
+        builds, reports what it took from the base: each row of
+        ``stages`` adds ``delta.stage.<stage>.<reused|recomputed>``, each
+        count of ``reused`` adds ``delta.reuse.<key>``, and ``fields``
+        are set as given."""
+        vars(self).update(fields)
+        for stage, outcome in stages.items():
+            self.stages[stage] = outcome
+            obs.add(f"delta.stage.{stage}.{outcome.split()[0]}")
+        for key, count in reused.items():
+            self.reused[key] = count
+            obs.add(f"delta.reuse.{key}", count)
 
 
 def validate_enabled() -> bool:
@@ -158,9 +141,9 @@ def delta_session(base, changed_configs: Dict[str, Optional[str]], validate=None
         for filename in set(base._configs) | set(new_configs)
         if base._configs.get(filename) != new_configs.get(filename)
     }
-    info = DeltaInfo(changed_files=sorted(changed_files))
     with obs.phase("delta", changed=len(changed_files)):
         parsed = parses_from_base(new_configs, base._configs, base.snapshot)
+        info = DeltaInfo(sorted(changed_files), parse_memo_hits=len(parsed))
         # No cache: the session's key (from its texts) never repeats.
         new_session = Session(
             load_snapshot_from_texts(new_configs, parsed=parsed),
@@ -185,7 +168,7 @@ def delta_session(base, changed_configs: Dict[str, Optional[str]], validate=None
         _prioritize_questions(base, new_session, info, changed_hosts)
         obs.add("delta.runs")
         obs.add("delta.reuse.devices", len(new_session.snapshot.devices))
-        info.record(parse_memo_hits=len(parsed))
+        obs.add("delta.parse_memo_hits", len(parsed))
         if validate or (validate is None and validate_enabled()):
             _validate(new_session)
             info.validated = True

@@ -49,8 +49,8 @@ _HELP: Dict[str, str] = {
     "service.queue.depth": "Jobs currently waiting in the bounded queue.",
     "service.queue.oldest_age_seconds": "Age of the oldest queued job.",
     "coverage.ratio": "Fraction of a structure kind's instances this question's runs on this snapshot touched.",
-    "bdd.nodes": "BDD nodes allocated: by snapshot, each stored snapshot's engine; unlabeled, the engine that reported last.",
-    "bdd.ops_cached": "BDD operation-cache entries: by snapshot, each stored snapshot's engine; unlabeled, the engine that reported last.",
+    "bdd.nodes": "BDD nodes allocated by each stored snapshot's engine, read at scrape time.",
+    "bdd.ops_cached": "BDD operation-cache entries of each stored snapshot's engine, read at scrape time.",
     "uncovered_stanzas": "Config structures no question run on their stored snapshot touched, summed over snapshots.",
     "sweep.runs": "Resilience sweeps executed.",
     "sweep.scenarios": "Failure scenarios enumerated across all sweeps.",

@@ -228,7 +228,6 @@ class NetworkAnalyzer:
         self.built_nodes = self.encoder.engine.num_nodes()
         self._fates: Optional[Dict[Disposition, Dict[GraphNode, int]]] = None
         self._source_scopes: Optional[List[Tuple[GraphNode, int]]] = None
-        self._emit_bdd_gauges()
 
     def _destination_labels(
         self, device: Device, base: Optional["NetworkAnalyzer"]
@@ -248,18 +247,6 @@ class NetworkAnalyzer:
                     kept, base.fibs[hostname], fib, markers, self.encoder
                 )
         return destination_labels(device, fib, topology, self.encoder)
-
-    def _emit_bdd_gauges(self) -> None:
-        """Publish the BDD engine's size counters as gauges; called at
-        graph-build and query boundaries (cheap: three dict sizes)."""
-        if not obs.active():
-            return
-        stats = self.encoder.engine.stats()
-        obs.gauge("bdd.nodes", stats["nodes"])
-        obs.gauge("bdd.unique_table", stats["unique_table"])
-        obs.gauge("bdd.ops_cached", stats["ops_cached"])
-        obs.gauge("bdd.graph_nodes", len(self.graph.nodes))
-        obs.gauge("bdd.graph_edges", len(self.graph.edges))
 
     # ------------------------------------------------------------------
     # Sources and scoping defaults (§4.4.2)
@@ -354,7 +341,6 @@ class NetworkAnalyzer:
             self._touch_reach_coverage(reach)
             if obs.active():
                 obs.add("query.reachability_runs")
-                self._emit_bdd_gauges()
         return answer
 
     def _touch_reach_coverage(self, reach: Dict[GraphNode, int]) -> None:
@@ -389,7 +375,6 @@ class NetworkAnalyzer:
             self._touch_reach_coverage(reach)
             if obs.active():
                 obs.add("query.destination_reachability_runs")
-                self._emit_bdd_gauges()
             return {
                 node: packet_set
                 for node, packet_set in reach.items()
@@ -431,7 +416,6 @@ class NetworkAnalyzer:
                     self._touch_reach_coverage(reach)
                 if obs.active():
                     obs.add("query.fate_fixpoints", len(built))
-                    self._emit_bdd_gauges()
             self._fates = built
         return self._fates
 
@@ -474,8 +458,6 @@ class NetworkAnalyzer:
                 )
                 if packets != FALSE:
                     answer.by_disposition[fate] = packets
-            if obs.active():
-                self._emit_bdd_gauges()
         return answer
 
     def multipath_consistency(
@@ -491,7 +473,6 @@ class NetworkAnalyzer:
         if obs.active():
             obs.add("query.multipath_runs")
             obs.add("query.multipath_violations", len(violations))
-            self._emit_bdd_gauges()
         return violations
 
     def _multipath_consistency(

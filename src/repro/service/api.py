@@ -73,7 +73,7 @@ from repro.service.errors import (
     to_service_error,
 )
 from repro.service.jobs import Job, JobQueue, JobStatus
-from repro.service.serialize import prepare, run_question, settings_from_json
+from repro.service.serialize import answer, prepare, settings_from_json
 from repro.service.store import SnapshotStore
 
 
@@ -148,14 +148,23 @@ class AnalysisService:
         def report(progress: Dict) -> None:
             job.progress = progress
 
+        prepared = prepare(
+            self.store, job.snapshot, job.question, job.params, self.config.debug
+        )
+        session = prepared[1]
+        routed = session.computed("dataplane") is not None
         token = PROGRESS.set(report)
         try:
-            return run_question(
-                self.store, job.snapshot, job.question, job.params,
-                debug=self.config.debug,
-            )
+            result = answer(self.store, prepared, job.params)
         finally:
             PROGRESS.reset(token)
+        # The data plane of the session the job ran on was built while
+        # it ran and recomputed a routing stage (its igp or bgp row reads
+        # "recomputed"): by this job, or by another on the same session
+        # that it overlapped (waiting on the stage lock, say).
+        info = session.delta_info
+        job.fell_back = not routed and info is not None and bool(info.fallback)
+        return result
 
     def submit_question(
         self,

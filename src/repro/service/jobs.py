@@ -62,12 +62,6 @@ from repro.service.errors import (
 DEFAULT_MAX_HISTORY = 1024
 
 
-def _recomputed_stages() -> int:
-    """Routing stages delta sessions have recomputed so far."""
-    counter = obs.metrics().counter
-    return counter("delta.stage.igp.recomputed") + counter("delta.stage.bgp.recomputed")
-
-
 class JobStatus(enum.Enum):
     QUEUED = "queued"
     RUNNING = "running"
@@ -107,6 +101,9 @@ class Job:
     #: The running question's latest progress report (a sweep's
     #: done/total/pruned), shown while the job runs.
     progress: Optional[Dict] = None
+    #: Set by the executor: the job's run recomputed a routing stage of
+    #: a delta's data plane (disposition ``fallback_full``).
+    fell_back: bool = False
     _done: threading.Event = field(default_factory=threading.Event, repr=False)
 
     @property
@@ -408,13 +405,6 @@ class JobQueue:
         active), then hand its slot to the oldest queued job."""
         error: Optional[ServiceError] = None
         result: Optional[Dict] = None
-        # Disposition probe: a delta session bumps these counters when
-        # its data plane recomputes a routing stage — on the first job
-        # that needs it. Sampling them around the run is approximate
-        # under concurrency (another job's recompute can land in the
-        # window) but costs nothing and needs no plumbing through the
-        # executor.
-        fallback_before = _recomputed_stages()
         with obs.span("service.job", question=job.question):
             try:
                 result = self._executor(job)
@@ -434,10 +424,9 @@ class JobQueue:
             self._dispatch_locked()
             started, finished = job.started_ts, job.finished_ts
         run_s = finished - started
-        fell_back = _recomputed_stages() > fallback_before
         if error is not None:
             disposition = "error"
-        elif fell_back:
+        elif job.fell_back:
             disposition = "fallback_full"
         else:
             disposition = "ok"

@@ -3,9 +3,9 @@
 :func:`run_question` looks the name up in
 :mod:`repro.questions.registry`, binds the raw params against the
 declaration's schema (:func:`prepare`, which the API also calls before
-it queues a job), asserts convergence when the declaration asks for
-it (a non-convergent snapshot degrades to a structured 422 instead of
-garbage rows), and runs the question in a coverage scope whose record
+it queues a job, and again before :func:`answer` runs it), asserts
+convergence when the declaration asks for it (a non-convergent
+snapshot degrades to a structured 422 instead of garbage rows), and runs the question in a coverage scope whose record
 lands on the session asked about. What a question is — its params, its scope, its answer's JSON
 shape — is the registry's; a rejected param leaves there as a
 ``ParamError``, which :func:`repro.service.errors.to_service_error`
@@ -78,7 +78,13 @@ def run_question(
     Raises :class:`ServiceError` subclasses for every modelled failure;
     anything else is mapped by the job layer.
     """
-    declared, session, args = prepare(store, snapshot, question, params, debug)
+    return answer(store, prepare(store, snapshot, question, params, debug), params)
+
+
+def answer(store, prepared, params: Optional[Dict]) -> Dict:
+    """Run a question :func:`prepare` bound (``prepared``) on the
+    session it opened."""
+    declared, session, args = prepared
 
     def converged(opened):
         if declared.converged:

@@ -126,12 +126,12 @@ class SnapshotStore:
 
         Where the edited session's routing has run, the new session's
         runs here too — cheap when its stages are taken — so its
-        ``delta_info`` says how routing was produced; otherwise those
-        fields stay None until a question runs routing. Where the edited
+        ``delta_info`` says how routing was produced; otherwise its
+        routing rows are missing until a question runs routing. Where the edited
         session's analyzer would be the new session's whole, the new
-        session takes it here (``delta_info.analyzer`` reads "reused");
-        an analyzer due a fork is built by the next question that needs
-        it, and ``delta_info.analyzer`` stays None until then.
+        session takes it here (its ``analyzer`` row reads "reused"); an
+        analyzer due a fork is built by the next question that needs it,
+        and the row is missing until then.
 
         The delta runs outside the store lock, like :meth:`init`; it is
         installed only if the live session is still the one it edited,

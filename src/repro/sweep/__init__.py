@@ -41,6 +41,7 @@ from repro.sweep.scenarios import (
     KIND_NODE,
     KIND_POLICY,
     FailureElement,
+    NoDefaultPropertyError,
     ReachabilityProperty,
     Scenario,
     Verdict,
@@ -63,6 +64,7 @@ __all__ = [
     "PRUNED_CUT",
     "PRUNED_DUPLICATE",
     "FailureElement",
+    "NoDefaultPropertyError",
     "ReachabilityProperty",
     "Scenario",
     "ScenarioOutcome",

@@ -395,32 +395,33 @@ def evaluate_property(session, prop: ReachabilityProperty) -> Verdict:
     )
 
 
+class NoDefaultPropertyError(ValueError):
+    """The snapshot offers no default property that holds on it."""
+
+
 def default_property(session) -> ReachabilityProperty:
-    """A deterministic default property for CLI/benchmark use: inject at
-    the lexically-first topology interface, target the lexically-last
-    other device's first address."""
+    """A deterministic default property for CLI/benchmark use that holds
+    on the base: inject at the lexically-first topology interface and
+    target the first address, walking the other devices in reverse name
+    order and each device's addresses in order, that the base delivers
+    (:func:`evaluate_property`). Raises :class:`NoDefaultPropertyError`
+    when there is none."""
     snapshot = session.snapshot
-    topology = build_layer3_topology(snapshot)
-    edges = topology.edges()
+    edges = build_layer3_topology(snapshot).edges()
     if not edges:
-        raise ValueError(
+        raise NoDefaultPropertyError(
             "snapshot has no L3 adjacencies; give an explicit property"
         )
     src = min(edge.tail for edge in edges)
-    src_ip = next(
-        str(edge.tail_ip) for edge in edges if edge.tail == src
-    )
-    candidates = [
-        hostname
-        for hostname in snapshot.hostnames()
-        if hostname != src.node and snapshot.device(hostname).interface_ips()
-    ]
-    dst_host = candidates[-1] if candidates else src.node
-    dst_entries = sorted(snapshot.device(dst_host).interface_ips())
-    dst_ip = str(dst_entries[0][1])
-    return ReachabilityProperty(
-        src_node=src.node,
-        src_interface=src.interface,
-        dst_ip=dst_ip,
-        src_ip=src_ip,
+    src_ip = next(str(edge.tail_ip) for edge in edges if edge.tail == src)
+    for hostname in reversed(snapshot.hostnames()):
+        if hostname == src.node:
+            continue
+        for _iface, ip, _length in snapshot.device(hostname).interface_ips():
+            prop = ReachabilityProperty(src.node, src.interface, str(ip), src_ip)
+            if evaluate_property(session, prop).holds:
+                return prop
+    raise NoDefaultPropertyError(
+        f"no other device's address is delivered from {src.node}[{src.interface}] "
+        "on the base; give an explicit property"
     )

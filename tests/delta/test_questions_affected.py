@@ -135,7 +135,7 @@ class TestQuestionsAffected:
         assert routing and routing <= affected
         after = run_battery(store, "lab")
         assert not info.fallback
-        assert info.stages == {"igp": "reused", "bgp": "reused"}
+        assert info.stages["igp"] == info.stages["bgp"] == "reused"
         assert info.dirty_devices == ["net1-core2"]
         assert after["routes"] != before["routes"]
 

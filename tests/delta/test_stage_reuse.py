@@ -31,6 +31,7 @@ from repro.reachability.graph import (
     Transform,
 )
 from repro.reachability.queries import NetworkAnalyzer
+from repro.routing.engine import shown_names
 from repro.routing.topology import InterfaceId
 from repro.synth.networks import NETWORKS, network_by_name
 from repro.synth.special import net1
@@ -168,7 +169,7 @@ def test_variant_equals_scratch_and_reuses_what_did_not_move(loaded, kind):
     inert = kind == "ntp"
     assert (ours is base.analyzer) == inert
     assert (ours.encoder.engine is base.encoder.engine) == inert
-    assert info.analyzer.startswith("reused" if inert else "recomputed (")
+    assert info.stages["analyzer"].startswith("reused" if inert else "recomputed (")
     canonical = ours.encoder.engine.canonical, theirs.encoder.engine.canonical
     sink = next(n for n in theirs.graph.sink_nodes() if n[0] == "sink")
     reach = [a.destination_reachability(sink[1], sink[2]) for a in (ours, theirs)]
@@ -204,8 +205,18 @@ def test_variant_equals_scratch_and_reuses_what_did_not_move(loaded, kind):
         expected = (same_rib & same_links) - rebuilt
         assert set(ours.reused_pipelines) == expected
         assert not rebuilt & set(ours.reused_pipelines)
-    assert (info.reused_ribs, info.reused_fibs, info.reused_pipelines) == (
+    assert (info.reused["rib"], info.reused["fib"], info.reused["pipeline"]) == (
         len(same_rib), len(same_rib), len(expected),
+    )
+    # One row per stage the base offered (no lint stage here): FIBs
+    # reused exactly when every one is the base's object.
+    assert info.stages.keys() == {"igp", "bgp", "fibs", "analyzer"}
+    built = sorted(set(variant.snapshot.devices) - same_rib)
+    assert info.stages["fibs"] == (
+        f"recomputed (main RIBs of {shown_names(built)} changed)" if built else "reused"
+    )
+    assert info.fallback == any(
+        info.stages[stage].startswith("recomputed (") for stage in ("igp", "bgp")
     )
     if kind in ("static", "acl"):
         # Nothing these edits do leaves the device: it alone is rebuilt.
@@ -316,12 +327,79 @@ def test_validator_catches_a_corrupted_reused_pipeline():
         _validate(new)
 
 
+class TestStageTable:
+    """Each stage a delta builds adds its row to ``DeltaInfo.stages``
+    ("reused" or "recomputed (why)") where the base offered its output,
+    and its counts to ``DeltaInfo.reused``, each a ``delta.reuse.*``
+    counter."""
+
+    CONFIGS = net1(2)
+    TARGET = sorted(CONFIGS)[0]
+
+    def _delta(self, base, edit):
+        variant = base.delta({self.TARGET: edit(self.CONFIGS[self.TARGET])})
+        variant.analyzer
+        return variant
+
+    def _linted_base(self):
+        base = Session.from_texts(self.CONFIGS)
+        base.analyzer
+        base.lint()
+        return base
+
+    def test_an_inert_edit_reuses_every_stage(self):
+        variant = self._delta(self._linted_base(), irrelevant_edit)
+        assert variant.delta_info.stages == dict.fromkeys(
+            ("lint", "igp", "bgp", "fibs", "analyzer"), "reused"
+        )
+
+    def test_a_static_route_recomputes_the_edited_devices_fib(self):
+        base = self._linted_base()
+        hostname = base.snapshot.sources[self.TARGET]
+        variant = self._delta(base, relevant_edit)
+        assert variant.delta_info.stages == {
+            "lint": f"recomputed (lint inputs of {hostname} changed)",
+            "igp": "reused",
+            "bgp": "reused",
+            "fibs": f"recomputed (main RIBs of {hostname} changed)",
+            "analyzer": f"recomputed (config of {hostname} changed)",
+        }
+
+    def test_a_base_with_no_fibs_offers_no_fibs_row(self):
+        base = Session.from_texts(self.CONFIGS)
+        base.dataplane
+        info = self._delta(base, relevant_edit).delta_info
+        assert info.stages == {"igp": "reused", "bgp": "reused"}
+        assert info.reused == {"rib": len(self.CONFIGS) - 1, "fib": 0}
+
+    def test_every_reused_count_is_its_counter(self):
+        base = Session.from_texts(self.CONFIGS)
+        base.analyzer
+        obs.disable()
+        obs.reset()
+        obs.enable_metrics()
+        try:
+            infos = [
+                self._delta(base, edit).delta_info
+                for edit in (irrelevant_edit, relevant_edit)
+            ]
+            counter = obs.metrics().counter
+            keys = set().union(*(info.reused for info in infos))
+            assert keys == {"rib", "fib", "pipeline", "graft"}
+            for key in keys:
+                total = sum(info.reused.get(key, 0) for info in infos)
+                assert counter(f"delta.reuse.{key}") == total, key
+        finally:
+            obs.disable()
+            obs.reset()
+
+
 def test_reuse_is_counted_where_the_stage_runs():
-    """``DeltaInfo.reused_*``, the ``delta.reuse.*`` counters and the
+    """``DeltaInfo.reused``, the ``delta.reuse.*`` counters and the
     ``reused`` attribute of the ``bdd.graph_build`` span are one number
     each, filled in as the lazy stages run; the span and the ``bdd.*``
     counters also say how the fork was made and how many segments were
-    compressed, and the span, ``DeltaInfo.grafted_segments`` and the
+    compressed, and the span, ``DeltaInfo.reused["graft"]`` and the
     ``reachability.labels.*`` counters how many built segments grafted
     their labels."""
     configs = net1(2)
@@ -335,14 +413,14 @@ def test_reuse_is_counted_where_the_stage_runs():
     try:
         new = base.delta({target: relevant_edit(configs[target])}, validate=False)
         info, counter = new.delta_info, obs.metrics().counter
-        assert (info.reused_ribs, info.reused_fibs, info.reused_pipelines) == (0, 0, 0)
+        assert info.reused == {}
         assert counter("delta.reuse.devices") == devices
         new.dataplane
-        assert info.reused_ribs == counter("delta.reuse.rib") == devices - 1
-        assert info.reused_fibs == counter("delta.reuse.fib") == 0
+        assert info.reused["rib"] == counter("delta.reuse.rib") == devices - 1
+        assert "fib" not in info.reused and counter("delta.reuse.fib") == 0
         new.analyzer
-        assert info.reused_fibs == counter("delta.reuse.fib") == devices - 1
-        assert info.reused_pipelines == counter("delta.reuse.pipeline") == devices - 1
+        assert info.reused["fib"] == counter("delta.reuse.fib") == devices - 1
+        assert info.reused["pipeline"] == counter("delta.reuse.pipeline") == devices - 1
         builds = [
             e for e in obs.events()
             if e["type"] == "span" and e["name"] == "bdd.graph_build"
@@ -352,21 +430,22 @@ def test_reuse_is_counted_where_the_stage_runs():
              "fork": "trimmed", "grafted": 1}
         ]
         assert counter("bdd.fork.trimmed") == counter("bdd.segments.compressed") == 1
-        assert info.to_json()["reused_pipelines"] == devices - 1
+        assert info.to_json()["reused"]["pipeline"] == devices - 1
         # The one segment built grafted its labels onto the base's.
-        assert info.grafted_segments == counter("reachability.labels.grafted") == 1
+        assert info.reused["graft"] == counter("reachability.labels.grafted") == 1
+        assert counter("delta.reuse.graft") == 1
         assert counter("reachability.labels.folded") == 0
-        assert info.analyzer == "recomputed (config of net1-core0 changed)"
+        assert info.stages["analyzer"] == "recomputed (config of net1-core0 changed)"
         assert counter("delta.stage.analyzer.recomputed") == 1
         # An inert edit: every RIB and FIB taken, and the analyzer whole,
         # with no fork and no graph build.
         inert = base.delta({target: irrelevant_edit(configs[target])}, validate=False)
         inert.dataplane
-        assert inert.delta_info.reused_ribs == devices
+        assert inert.delta_info.reused["rib"] == devices
         assert inert.analyzer is base.analyzer
-        assert inert.delta_info.analyzer == "reused"
-        assert inert.delta_info.reused_fibs == devices
-        assert inert.delta_info.reused_pipelines == devices
+        assert inert.delta_info.stages["analyzer"] == "reused"
+        assert inert.delta_info.reused["fib"] == devices
+        assert inert.delta_info.reused["pipeline"] == devices
         assert counter("delta.reuse.devices") == 2 * devices
         assert counter("delta.stage.analyzer.reused") == 1
         assert [
@@ -433,7 +512,7 @@ class TestLifetimeAndLaziness:
         variant = base.delta(self._edit(2), validate=False)
         assert base.computed("analyzer") is None
         assert variant.analyzer.reused_pipelines == []
-        assert variant.delta_info.reused_fibs == len(self.CONFIGS) - 1
+        assert variant.delta_info.reused["fib"] == len(self.CONFIGS) - 1
         # The analyzer, the last stage, lets go of the base's outputs.
         assert variant.base_output("dataplane") is None and variant.base_output("fibs") is None
 
@@ -443,7 +522,8 @@ class TestLifetimeAndLaziness:
         variant = base.delta(self._edit(1), validate=False)
         with prov.recording() as recorder:
             fibs = variant.fibs
-        assert variant.delta_info.reused_fibs == 0
+        assert variant.delta_info.reused["fib"] == 0
+        assert variant.delta_info.stages["fibs"] == "recomputed (provenance is recording)"
         assert all(fibs[h] is not base.fibs[h] for h in fibs)
         assert {e.node for e in recorder.events if e.protocol == "fib"} == set(fibs)
 

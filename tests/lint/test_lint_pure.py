@@ -300,13 +300,13 @@ def test_an_inert_delta_carries_the_stage(metrics_mode, counted_builds):
     session.lint()
     inert = {**texts, target: irrelevant_edit(texts[target])}
     child = session.delta({target: inert[target]})
-    assert child.delta_info.lint == "reused"
+    assert child.delta_info.stages["lint"] == "reused"
     assert child.lint_stage.snapshot is child.snapshot
     assert child.lint_stage.lock is session.lint_stage.lock
     assert findings(child.lint()) == from_scratch(inert)
     assert counted_builds["analyze"] == 2  # base, scratch
     grandchild = child.delta({target: inert[target] + "ntp server 203.0.113.251\n"})
-    assert grandchild.delta_info.lint == "reused"
+    assert grandchild.delta_info.stages["lint"] == "reused"
     assert grandchild.lint_stage.lock is session.lint_stage.lock
     metrics = obs.metrics()
     assert metrics.counter("delta.stage.lint.reused") == 2
@@ -319,11 +319,11 @@ def test_a_moved_lint_projection_starts_a_new_stage(metrics_mode):
     linted offers none."""
     session = Session.from_texts(BASE)
     untouched = session.delta({"r3": BASE["r3"] + "ntp server 203.0.113.9\n"})
-    assert untouched.delta_info.lint is None
+    assert "lint" not in untouched.delta_info.stages
     session.lint()
     shifted = {**BASE, "r2": "! moved down one line\n" + BASE["r2"]}
     child = session.delta({"r2": shifted["r2"]})
-    assert child.delta_info.lint == "recomputed (lint inputs of r2 changed)"
+    assert child.delta_info.stages["lint"] == "recomputed (lint inputs of r2 changed)"
     assert child.lint_stage.lock is not session.lint_stage.lock
     ours, scratch = findings(child.lint()), from_scratch(shifted)
     assert ours == scratch

@@ -114,7 +114,7 @@ def test_a_base_and_its_inert_delta_take_turns_on_one_stage(monkeypatch):
     base = Session.from_texts(texts)
     base.lint_stage  # built empty: the delta carries it before any run
     sessions = {"base": base, "delta": base.delta({target: inert[target]})}
-    assert sessions["delta"].delta_info.lint == "reused"
+    assert sessions["delta"].delta_info.stages["lint"] == "reused"
     assert sessions["delta"].lint_stage.lock is base.lint_stage.lock
     calls = []
     real_analyze = runner.analyze

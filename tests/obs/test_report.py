@@ -250,6 +250,7 @@ def test_delta_section_names_every_stage_and_reuse_counter(tmp_path):
         "delta.reuse.rib": devices,
         "delta.stage.analyzer.reused": 1,
         "delta.stage.bgp.reused": 1,
+        "delta.stage.fibs.reused": 1,
         "delta.stage.igp.reused": 1,
     }
     assert section.splitlines()[1:] == [

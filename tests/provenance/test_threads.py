@@ -97,7 +97,7 @@ def test_recordings_closed_out_of_order_leave_recording_off():
     target = sorted(configs)[0]
     variant = base.delta({target: relevant_edit(configs[target])})
     variant.dataplane
-    assert variant.delta_info.stages == {"igp": "reused", "bgp": "reused"}
+    assert variant.delta_info.stages["igp"] == variant.delta_info.stages["bgp"] == "reused"
 
 
 def test_overlapping_explains_each_equal_their_solo_render(monkeypatch):

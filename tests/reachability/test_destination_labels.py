@@ -476,12 +476,12 @@ def test_registry_edits_graft_or_fold_to_the_fold(name):
         if kind == "ntp":
             # Nothing the graph reads moved: the base's analyzer, whole.
             assert new.analyzer is base.analyzer
-            assert new.delta_info.analyzer == "reused"
-            assert new.delta_info.grafted_segments == 0
+            assert new.delta_info.stages["analyzer"] == "reused"
+            assert "graft" not in new.delta_info.reused
             continue
         analyzer = _assert_built_labels_fold(new)
         assert (hostname in analyzer.grafted_segments) == grafts, kind
-        assert new.delta_info.grafted_segments == len(analyzer.grafted_segments)
+        assert new.delta_info.reused["graft"] == len(analyzer.grafted_segments)
 
 
 def test_a_graft_grafted_again_is_the_fold():

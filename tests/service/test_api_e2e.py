@@ -323,11 +323,10 @@ class TestPatchSnapshot:
         # new session's routing and took the analyzer, free for an inert
         # edit: it takes every stage, keeps every RIB and FIB, and keeps
         # the base's analyzer whole.
-        assert delta["stages"] == {"igp": "reused", "bgp": "reused"}
+        assert delta["stages"] == dict.fromkeys(("igp", "bgp", "fibs", "analyzer"), "reused")
         assert delta["fallback"] is False and delta["dirty_devices"] == []
-        assert delta["reused_devices"] == delta["reused_ribs"] == record["devices"]
-        assert delta["reused_fibs"] == delta["reused_pipelines"] == record["devices"]
-        assert delta["analyzer"] == "reused"
+        assert delta["reused_devices"] == delta["reused"]["rib"] == record["devices"]
+        assert delta["reused"]["fib"] == delta["reused"]["pipeline"] == record["devices"]
         # The replaced session answers questions and GET reflects it.
         status, one = client.get("/snapshots/lab")
         assert status == 200 and one["key"] == patched["key"]
@@ -389,14 +388,14 @@ class TestPatchSnapshot:
             "PATCH", "/snapshots/lab", {"configs": {target: static}}
         )
         assert status == 200
-        assert patched["delta"]["stages"] is not None
-        assert patched["delta"]["analyzer"] is None
+        assert {"igp", "bgp"} <= patched["delta"]["stages"].keys()
+        assert "analyzer" not in patched["delta"]["stages"]
         assert service.store.get("lab").computed("analyzer") is None
         before = _counters(client)
         status, _job = client.post("/snapshots/lab/questions/reachability", {})
         assert status == 200
         after = _counters(client)
-        assert service.store.get("lab").delta_info.analyzer.startswith("recomputed (")
+        assert service.store.get("lab").delta_info.stages["analyzer"].startswith("recomputed (")
         assert after["delta.stage.analyzer.recomputed"] == (
             before.get("delta.stage.analyzer.recomputed", 0) + 1
         )
@@ -422,7 +421,8 @@ class TestPatchSnapshot:
         assert status == 200
         # Not computed yet: unknown, not "nothing recomputed".
         delta = patched["delta"]
-        assert delta["stages"] is delta["fallback"] is delta["dirty_devices"] is None
+        assert not {"igp", "bgp"} & delta["stages"].keys()
+        assert delta["fallback"] is delta["dirty_devices"] is None
         recomputed = _counters(client).get("delta.stage.igp.recomputed", 0)
         before = _dispositions(client)
         status, _job = client.post("/snapshots/lab/questions/routes", {})
@@ -434,6 +434,40 @@ class TestPatchSnapshot:
         assert grown == {
             ("routes", "fallback_full"), ("undefined_references", "ok"),
         }
+
+    def test_a_job_beside_a_routing_recompute_is_not_fallback_full(
+        self, make_service
+    ):
+        """The disposition reads the session the job ran on: a debug
+        sleep on another snapshot, running while a question recomputes a
+        PATCHed snapshot's routing, is ``ok``."""
+        _, client = make_service(workers=2, debug=True)
+        configs = net1(2)
+        client.post("/snapshots", {"name": "lab", "configs": configs})
+        client.post("/snapshots", {"name": "idle", "configs": configs})
+        target = sorted(configs)[0]
+        cost = configs[target] + "interface Ethernet0\n ip ospf cost 77\n!\n"
+        status, _ = client.request("PATCH", "/snapshots/lab", {"configs": {target: cost}})
+        assert status == 200
+        before = _dispositions(client)
+        status, sleeper = client.post(
+            "/snapshots/idle/questions/sleep",
+            {"params": {"seconds": 2.0}, "wait": False},
+        )
+        assert status == 202
+        deadline = time.time() + 10
+        while client.get(f"/jobs/{sleeper['id']}")[1]["status"] == "queued":
+            assert time.time() < deadline
+            time.sleep(0.01)
+        status, _job = client.post("/snapshots/lab/questions/routes", {})
+        assert status == 200
+        assert client.get(f"/jobs/{sleeper['id']}")[1]["status"] == "running"
+        while client.get(f"/jobs/{sleeper['id']}")[1]["status"] == "running":
+            assert time.time() < deadline
+            time.sleep(0.01)
+        after = _dispositions(client)
+        grown = {key for key in after if after[key] > before.get(key, 0)}
+        assert grown == {("routes", "fallback_full"), ("sleep", "ok")}
 
     def test_patch_error_shapes(self, make_service):
         _, client = make_service()

@@ -14,6 +14,7 @@ import pytest
 from repro import obs
 from repro.obs.prom import parse_exposition
 from repro.parallel import fork_available, pmap
+from repro.synth.networks import network_by_name
 from repro.synth.special import net1
 
 
@@ -211,6 +212,31 @@ class TestPrometheusExposition:
             ]
             assert labelled == [({"snapshot": "reached"}, float(stats[key]))]
         assert service.store.get("routed").computed("analyzer") is None
+
+    def test_engine_gauges_have_one_sample_per_snapshot(self, make_raw):
+        """Two engines of different sizes: ``repro_bdd_nodes`` has one
+        labelled sample for each, and no unlabelled one left by whichever
+        engine answered last."""
+        service, client = make_raw()
+        for name, network in (("big", "NET3"), ("small", "NET1")):
+            configs = network_by_name(network).generate(1)
+            client.post("/snapshots", {"name": name, "configs": configs})
+            status, _, body = client.post(f"/snapshots/{name}/questions/reachability")
+            assert status == 200 and body["status"] == "done", body
+        status, _, raw = client.raw(
+            "GET", "/metrics", headers={"Accept": "text/plain"}
+        )
+        assert status == 200
+        samples = parse_exposition(raw.decode())["repro_bdd_nodes"]["samples"]
+        assert sorted(
+            ((labels, value) for _, labels, value in samples),
+            key=lambda sample: sorted(sample[0].items()),
+        ) == [
+            ({"snapshot": name}, float(
+                service.store.get(name).computed("analyzer").encoder.engine.num_nodes()
+            ))
+            for name in ("big", "small")
+        ]
 
     def test_a_mixed_run_scrapes_every_phase_once(self, make_raw):
         service, client = make_raw()

@@ -7,6 +7,7 @@ from repro.core.session import Session
 from repro.sweep.scenarios import (
     ALL_KINDS,
     BASE_SCENARIO_ID,
+    NoDefaultPropertyError,
     ReachabilityProperty,
     Verdict,
     default_property,
@@ -16,6 +17,7 @@ from repro.sweep.scenarios import (
     host_files,
     render_scenario_edits,
 )
+from repro.synth.networks import NETWORKS
 
 
 class TestEnumerateElements:
@@ -199,6 +201,24 @@ class TestVerdicts:
         a = default_property(Session.from_texts(lab_configs, cache=False))
         b = default_property(Session.from_texts(lab_configs, cache=False))
         assert a == b
+
+    @pytest.mark.parametrize("spec", NETWORKS, ids=lambda spec: spec.name)
+    def test_default_property_holds_on_every_registry_base(self, spec):
+        session = Session.from_texts(spec.generate(1), cache=False)
+        assert evaluate_property(session, default_property(session)).holds
+
+    def test_no_delivered_destination_is_a_typed_error(self):
+        """The one other device drops everything arriving at it."""
+        configs = {
+            "a.cfg": "hostname a\n!\ninterface Ethernet0\n"
+                     " ip address 10.0.0.1 255.255.255.252\n!\n",
+            "b.cfg": "hostname b\n!\nip access-list extended DROP\n deny ip any any\n!\n"
+                     "interface Ethernet0\n ip address 10.0.0.2 255.255.255.252\n"
+                     " ip access-group DROP in\n!\n",
+        }
+        session = Session.from_texts(configs, cache=False)
+        with pytest.raises(NoDefaultPropertyError, match=r"a\[Ethernet0\]"):
+            default_property(session)
 
     def test_base_scenario_id_reserved(self, lab_session):
         elements = enumerate_elements(lab_session.snapshot)
