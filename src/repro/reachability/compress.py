@@ -14,7 +14,7 @@ a single conjunction so the compressed edge costs one BDD op.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Set, Tuple
 
 from repro.bdd.engine import BddEngine
 from repro.reachability.graph import Compose, Constraint, Edge, EdgeFunction, Identity
@@ -52,9 +52,7 @@ def _compose(engine, first: EdgeFunction, second: EdgeFunction) -> EdgeFunction:
         return first
     if isinstance(first, Constraint) and isinstance(second, Constraint):
         return Constraint(
-            engine,
-            engine.and_(first.label, second.label),
-            f"{first.note} & {second.note}",
+            engine.and_(first.label, second.label), f"{first.note} & {second.note}"
         )
     parts: List[EdgeFunction] = []
     for fn in (first, second):
@@ -72,7 +70,7 @@ def _counted_nodes(
 
 
 def compress_edges(
-    edges: List[Edge], engine: BddEngine
+    edges: Sequence[Edge], engine: BddEngine
 ) -> Tuple[List[Edge], CompressionStats]:
     """Contract the simple nodes of ``edges``; returns the contracted
     list and before/after statistics.

@@ -10,7 +10,11 @@ zone-based firewalls set/test/erase zone bits (§4.2.3).
 Edge semantics are packaged as :class:`EdgeFunction` objects supporting
 forward and backward application, so the same graph serves forward
 reachability, the backward single-destination optimization, and the
-instrumented return-direction pass of bidirectional reachability.
+instrumented return-direction pass of bidirectional reachability. They
+are plain data, applied with the encoder passed at call time, and the
+graph is one :class:`Segment` per device: a value a delta's graph takes
+from its base's by identity where the device is due the same segment
+again (DESIGN.md, "Why a shared segment is taken as it is").
 """
 
 from __future__ import annotations
@@ -18,9 +22,9 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
-from repro.bdd.engine import FALSE, TRUE, BddEngine
+from repro.bdd.engine import FALSE, TRUE
 from repro.config.model import Device
 from repro.dataplane.acl import acl_permit_space
 from repro.dataplane.fib import Fib, FibActionType
@@ -29,6 +33,9 @@ from repro.hdr import fields as f
 from repro.hdr.headerspace import PacketEncoder
 from repro.hdr.ip import Prefix
 from repro.routing.topology import InterfaceId
+
+if TYPE_CHECKING:
+    from repro.reachability.compress import CompressionStats
 
 
 class Disposition(enum.Enum):
@@ -74,6 +81,12 @@ def disp_node(node: str, disposition: Disposition) -> GraphNode:
 class EdgeFunction:
     """Base edge semantics: how a packet set crosses an edge.
 
+    An edge function is plain data — notes, field names, values and
+    node-id labels — and is applied with the encoder its labels belong
+    to (``fn.forward(encoder, packet_set)``). It holds no engine, so a
+    delta's graph shares a reused segment's functions with its base's
+    as they are: a fork keeps the node ids they name.
+
     Edge functions are the graph's hot per-edge objects — one per FIB
     action, ACL hop and link — so every subclass declares ``__slots__``
     to drop the per-instance ``__dict__``.
@@ -81,15 +94,10 @@ class EdgeFunction:
 
     __slots__ = ()
 
-    def forward(self, packet_set: int) -> int:
+    def forward(self, encoder: PacketEncoder, packet_set: int) -> int:
         raise NotImplementedError
 
-    def backward(self, packet_set: int) -> int:
-        raise NotImplementedError
-
-    def rebind(self, encoder: PacketEncoder) -> "EdgeFunction":
-        """The same function on a fork of the encoder it was built on:
-        a fork keeps node ids, so labels carry over as they are."""
+    def backward(self, encoder: PacketEncoder, packet_set: int) -> int:
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -97,19 +105,13 @@ class EdgeFunction:
 
 
 class Identity(EdgeFunction):
-    __slots__ = ("_engine",)
+    __slots__ = ()
 
-    def __init__(self, engine: BddEngine):
-        self._engine = engine
-
-    def forward(self, packet_set: int) -> int:
+    def forward(self, encoder: PacketEncoder, packet_set: int) -> int:
         return packet_set
 
-    def backward(self, packet_set: int) -> int:
+    def backward(self, encoder: PacketEncoder, packet_set: int) -> int:
         return packet_set
-
-    def rebind(self, encoder: PacketEncoder) -> "Identity":
-        return Identity(encoder.engine)
 
     def describe(self) -> str:
         return "identity"
@@ -118,21 +120,16 @@ class Identity(EdgeFunction):
 class Constraint(EdgeFunction):
     """Intersect with a fixed packet set (FIB entry, ACL space, ...)."""
 
-    __slots__ = ("_engine", "label", "note")
+    __slots__ = ("label", "note")
 
-    def __init__(self, engine: BddEngine, label: int, note: str = ""):
-        self._engine = engine
+    def __init__(self, label: int, note: str = ""):
         self.label = label
         self.note = note
 
-    def forward(self, packet_set: int) -> int:
-        return self._engine.and_(packet_set, self.label)
+    def forward(self, encoder: PacketEncoder, packet_set: int) -> int:
+        return encoder.engine.and_(packet_set, self.label)
 
-    def backward(self, packet_set: int) -> int:
-        return self._engine.and_(packet_set, self.label)
-
-    def rebind(self, encoder: PacketEncoder) -> "Constraint":
-        return Constraint(encoder.engine, self.label, self.note)
+    backward = forward
 
     def describe(self) -> str:
         return f"constraint({self.note})" if self.note else "constraint"
@@ -140,36 +137,34 @@ class Constraint(EdgeFunction):
 
 class Transform(EdgeFunction):
     """A packet transformation (NAT rule set) with pass-through for
-    non-matching packets, built from a NatPipeline."""
+    non-matching packets, built from a NatPipeline. Its relations are
+    compiled on the encoder it is applied with."""
 
-    __slots__ = ("_encoder", "_pipeline", "note")
+    __slots__ = ("_pipeline", "note")
 
-    def __init__(self, encoder: PacketEncoder, pipeline: NatPipeline, note: str = ""):
-        self._encoder = encoder
+    def __init__(self, pipeline: NatPipeline, note: str = ""):
         self._pipeline = pipeline
         self.note = note
 
-    def forward(self, packet_set: int) -> int:
-        return self._pipeline.apply_symbolic(self._encoder, packet_set)
+    def forward(self, encoder: PacketEncoder, packet_set: int) -> int:
+        return self._pipeline.apply_symbolic(encoder, packet_set)
 
-    def backward(self, packet_set: int) -> int:
+    def backward(self, encoder: PacketEncoder, packet_set: int) -> int:
         # Preimage: packets that the pipeline maps into packet_set.
-        engine = self._encoder.engine
+        engine, layout = encoder.engine, encoder.layout
         remaining_pre = TRUE
         preimage_parts: List[int] = []
-        for step in self._pipeline.symbolic_steps(self._encoder):
+        for step in self._pipeline.symbolic_steps(encoder):
             # Packets matching this step: preimage through the relation.
             field = step.field
             out_map = engine.rename_map(
                 {
-                    self._encoder.layout.var(field, bit): self._encoder.layout.out_var(
-                        field, bit
-                    )
-                    for bit in range(self._encoder.layout.width(field))
+                    layout.var(field, bit): layout.out_var(field, bit)
+                    for bit in range(layout.width(field))
                 }
             )
             shifted = engine.rename(packet_set, out_map)
-            out_cube = engine.cube(self._encoder.layout.out_vars_of(field))
+            out_cube = engine.cube(layout.out_vars_of(field))
             pre = engine.and_exists(shifted, step.relation, out_cube)
             preimage_parts.append(engine.and_(pre, step.match))
             remaining_pre = engine.diff(remaining_pre, step.match)
@@ -177,39 +172,28 @@ class Transform(EdgeFunction):
         preimage_parts.append(engine.and_(packet_set, remaining_pre))
         return engine.or_all(preimage_parts)
 
-    def rebind(self, encoder: PacketEncoder) -> "Transform":
-        return Transform(encoder, self._pipeline, self.note)
-
     def describe(self) -> str:
         return f"transform({self.note})" if self.note else "transform"
 
 
 class AssignField(EdgeFunction):
-    """Set a field to a constant (zone tagging, waypoint marking)."""
+    """Set a field to a constant (zone tagging)."""
 
-    __slots__ = ("_encoder", "field_name", "value")
+    __slots__ = ("field_name", "value")
 
-    def __init__(self, encoder: PacketEncoder, field_name: str, value: int):
-        self._encoder = encoder
+    def __init__(self, field_name: str, value: int):
         self.field_name = field_name
         self.value = value
 
-    def forward(self, packet_set: int) -> int:
-        engine = self._encoder.engine
-        erased = self._encoder.erase(packet_set, [self.field_name])
-        return engine.and_(
-            erased, self._encoder.field_eq(self.field_name, self.value)
-        )
+    def forward(self, encoder: PacketEncoder, packet_set: int) -> int:
+        erased = encoder.erase(packet_set, [self.field_name])
+        return encoder.engine.and_(erased, encoder.field_eq(self.field_name, self.value))
 
-    def backward(self, packet_set: int) -> int:
-        engine = self._encoder.engine
-        narrowed = engine.and_(
-            packet_set, self._encoder.field_eq(self.field_name, self.value)
+    def backward(self, encoder: PacketEncoder, packet_set: int) -> int:
+        narrowed = encoder.engine.and_(
+            packet_set, encoder.field_eq(self.field_name, self.value)
         )
-        return self._encoder.erase(narrowed, [self.field_name])
-
-    def rebind(self, encoder: PacketEncoder) -> "AssignField":
-        return AssignField(encoder, self.field_name, self.value)
+        return encoder.erase(narrowed, [self.field_name])
 
     def describe(self) -> str:
         return f"assign({self.field_name}={self.value})"
@@ -218,26 +202,43 @@ class AssignField(EdgeFunction):
 class EraseField(EdgeFunction):
     """Existentially erase a field (leaving a firewall's zone scope)."""
 
-    __slots__ = ("_encoder", "field_name")
+    __slots__ = ("field_name",)
 
-    def __init__(self, encoder: PacketEncoder, field_name: str):
-        self._encoder = encoder
+    def __init__(self, field_name: str):
         self.field_name = field_name
 
-    def forward(self, packet_set: int) -> int:
-        return self._encoder.erase(packet_set, [self.field_name])
+    def forward(self, encoder: PacketEncoder, packet_set: int) -> int:
+        return encoder.erase(packet_set, [self.field_name])
 
-    def backward(self, packet_set: int) -> int:
-        # Preimage of erase for reachability: any pre-value whose erased
-        # image intersects the target. (Over-approximation-free here
-        # because erase only widens.)
-        return self._encoder.erase(packet_set, [self.field_name])
-
-    def rebind(self, encoder: PacketEncoder) -> "EraseField":
-        return EraseField(encoder, self.field_name)
+    # Preimage of erase for reachability: any pre-value whose erased
+    # image intersects the target. (Over-approximation-free here
+    # because erase only widens.)
+    backward = forward
 
     def describe(self) -> str:
         return f"erase({self.field_name})"
+
+
+class SetBit(EdgeFunction):
+    """Set one BDD variable to 1 (the waypoint marker)."""
+
+    __slots__ = ("level",)
+
+    def __init__(self, level: int):
+        self.level = level
+
+    def forward(self, encoder: PacketEncoder, packet_set: int) -> int:
+        engine = encoder.engine
+        erased = engine.exists(packet_set, engine.cube([self.level]))
+        return engine.and_(erased, engine.var(self.level))
+
+    def backward(self, encoder: PacketEncoder, packet_set: int) -> int:
+        engine = encoder.engine
+        narrowed = engine.and_(packet_set, engine.var(self.level))
+        return engine.exists(narrowed, engine.cube([self.level]))
+
+    def describe(self) -> str:
+        return f"set-bit({self.level})"
 
 
 class Compose(EdgeFunction):
@@ -248,22 +249,19 @@ class Compose(EdgeFunction):
     def __init__(self, parts: List[EdgeFunction]):
         self.parts = parts
 
-    def forward(self, packet_set: int) -> int:
+    def forward(self, encoder: PacketEncoder, packet_set: int) -> int:
         for part in self.parts:
-            packet_set = part.forward(packet_set)
+            packet_set = part.forward(encoder, packet_set)
             if packet_set == FALSE:
                 return FALSE
         return packet_set
 
-    def backward(self, packet_set: int) -> int:
+    def backward(self, encoder: PacketEncoder, packet_set: int) -> int:
         for part in reversed(self.parts):
-            packet_set = part.backward(packet_set)
+            packet_set = part.backward(encoder, packet_set)
             if packet_set == FALSE:
                 return FALSE
         return packet_set
-
-    def rebind(self, encoder: PacketEncoder) -> "Compose":
-        return Compose([part.rebind(encoder) for part in self.parts])
 
     def describe(self) -> str:
         return " ; ".join(part.describe() for part in self.parts)
@@ -276,21 +274,32 @@ class Edge:
     fn: EdgeFunction
 
 
+class Segment(NamedTuple):
+    """One device's part of the graph, as an analyzer built it: the
+    edges out of its own pipeline's nodes (compressed when the analyzer
+    compresses), the destination labels they were built from (node ids
+    below the analyzer's ``built_nodes``, for an edit's build to graft
+    onto) and its compression stats (None uncompressed). Only a ``src``
+    node is entered from another device's segment, so a segment
+    compresses on its own, and a delta's build that is due the same one
+    again takes it whole (DESIGN.md, "Delta engine")."""
+
+    edges: Tuple[Edge, ...]
+    labels: Dict[tuple, int]
+    stats: Optional["CompressionStats"] = None
+
+
 class ForwardingGraph:
     """The dataflow graph plus indices for traversal; immutable once
     built (a question that needs other edges builds a derived graph
-    from ``device_edges``)."""
+    from ``segments``). It holds no encoder: whoever walks it passes
+    the one its labels belong to."""
 
-    def __init__(self, encoder: PacketEncoder, device_edges: Dict[str, List[Edge]]):
-        self.encoder = encoder
-        #: hostname -> its segment: the edges out of its own pipeline's
-        #: nodes, as the analyzer uses them (compressed when it
-        #: compresses). Only a ``src`` node is entered from another
-        #: device's segment, so a segment compresses on its own and a
-        #: later build can take it whole (DESIGN.md, "Delta engine").
-        self.device_edges = device_edges
+    def __init__(self, segments: Dict[str, Segment]):
+        #: hostname -> its :class:`Segment`.
+        self.segments = segments
         self.edges: List[Edge] = [
-            edge for segment in device_edges.values() for edge in segment
+            edge for segment in segments.values() for edge in segment.edges
         ]
         self._out: Dict[GraphNode, List[Edge]] = {}
         self._in: Dict[GraphNode, List[Edge]] = {}
@@ -498,26 +507,25 @@ def device_pipeline(
             acl = device.acls.get(iface.incoming_acl)
             permit = acl_permit_space(acl, encoder) if acl else TRUE
             acl_point = ("in_acl", hostname, iface.name)
-            add_edge(current, acl_point, Identity(engine))
+            add_edge(current, acl_point, Identity())
             add_edge(
                 acl_point,
                 ("post_in_acl", hostname, iface.name),
-                Constraint(engine, permit, f"acl {iface.incoming_acl} permits"),
+                Constraint(permit, f"acl {iface.incoming_acl} permits"),
             )
             add_edge(
                 acl_point,
                 disp_node(hostname, Disposition.DENIED_IN),
-                Constraint(engine, engine.not_(permit), "acl denies"),
+                Constraint(engine.not_(permit), "acl denies"),
             )
             current = ("post_in_acl", hostname, iface.name)
         if iface.dst_nat_rules:
             nat_point = ("dst_nat", hostname, iface.name)
-            add_edge(current, nat_point, Identity(engine))
+            add_edge(current, nat_point, Identity())
             add_edge(
                 nat_point,
                 ("post_dst_nat", hostname, iface.name),
                 Transform(
-                    encoder,
                     NatPipeline(device, iface.dst_nat_rules, kind=None),
                     f"dst-nat {iface.name}",
                 ),
@@ -527,14 +535,14 @@ def device_pipeline(
             zone_name = device.zone_of_interface(iface.name)
             zone_value = zones.get(zone_name, 0) if zone_name else 0
             tag_point = ("zone_tag", hostname, iface.name)
-            add_edge(current, tag_point, Identity(engine))
+            add_edge(current, tag_point, Identity())
             add_edge(
                 tag_point,
                 fwd_node(hostname),
-                AssignField(encoder, f.ZONE_IN, zone_value),
+                AssignField(f.ZONE_IN, zone_value),
             )
         else:
-            add_edge(current, fwd_node(hostname), Identity(engine))
+            add_edge(current, fwd_node(hostname), Identity())
 
     # --- FIB lookup: fwd -> accept / out chains / drops ----------------
     # One edge per action, not per prefix: parallel constraint edges
@@ -543,12 +551,12 @@ def device_pipeline(
 
     def constrain(tail: GraphNode, label: tuple, head: GraphNode, note: str) -> None:
         if label in labels:
-            add_edge(tail, head, Constraint(engine, labels[label], note))
+            add_edge(tail, head, Constraint(labels[label], note))
 
     add_edge(
         fwd,
         disp_node(hostname, Disposition.ACCEPTED),
-        Constraint(engine, labels.get(_ACCEPT, FALSE), "destined to device"),
+        Constraint(labels.get(_ACCEPT, FALSE), "destined to device"),
     )
     for dropped in _DROP_DISPOSITIONS.values():
         constrain(fwd, ("drop", dropped), disp_node(hostname, dropped), dropped.value)
@@ -572,12 +580,11 @@ def device_pipeline(
             )
         if iface.src_nat_rules:
             nat_point = ("src_nat", hostname, iface.name)
-            add_edge(current, nat_point, Identity(engine))
+            add_edge(current, nat_point, Identity())
             add_edge(
                 nat_point,
                 ("post_src_nat", hostname, iface.name),
                 Transform(
-                    encoder,
                     NatPipeline(device, iface.src_nat_rules, kind=None),
                     f"src-nat {iface.name}",
                 ),
@@ -587,20 +594,20 @@ def device_pipeline(
             acl = device.acls.get(iface.outgoing_acl)
             permit = acl_permit_space(acl, encoder) if acl else TRUE
             acl_point = ("out_acl", hostname, iface.name)
-            add_edge(current, acl_point, Identity(engine))
+            add_edge(current, acl_point, Identity())
             add_edge(
                 acl_point,
                 ("post_out_acl", hostname, iface.name),
-                Constraint(engine, permit, f"acl {iface.outgoing_acl} permits"),
+                Constraint(permit, f"acl {iface.outgoing_acl} permits"),
             )
             add_edge(
                 acl_point,
                 disp_node(hostname, Disposition.DENIED_OUT),
-                Constraint(engine, engine.not_(permit), "acl denies"),
+                Constraint(engine.not_(permit), "acl denies"),
             )
             current = ("post_out_acl", hostname, iface.name)
         egress = ("egress", hostname, iface.name)
-        add_edge(current, egress, Identity(engine))
+        add_edge(current, egress, Identity())
         # On the wire: to the neighbour the FIB's next hop (or, on a
         # connected route, the destination) names, to a host of the
         # subnet, or out of the modelled network. The labels computed at
@@ -642,18 +649,18 @@ def _add_zone_policy(add_edge, encoder, device, iface_name, zones, current):
         )
     allowed = engine.or_all(allowed_parts)
     policy_point = ("zone_policy", hostname, iface_name)
-    add_edge(current, policy_point, Identity(engine))
+    add_edge(current, policy_point, Identity())
     add_edge(
         policy_point,
         disp_node(hostname, Disposition.DENIED_OUT),
-        Constraint(engine, engine.not_(allowed), "zone policy denies"),
+        Constraint(engine.not_(allowed), "zone policy denies"),
     )
     cleared = ("zone_clear", hostname, iface_name)
     add_edge(
         policy_point,
         cleared,
-        Constraint(engine, allowed, "zone policy permits"),
+        Constraint(allowed, "zone policy permits"),
     )
     erased = ("post_zone", hostname, iface_name)
-    add_edge(cleared, erased, EraseField(encoder, f.ZONE_IN))
+    add_edge(cleared, erased, EraseField(f.ZONE_IN))
     return erased

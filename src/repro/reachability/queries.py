@@ -32,7 +32,7 @@ from repro.hdr import fields as f
 from repro.hdr.headerspace import HeaderSpace, PacketEncoder
 from repro.hdr.ip import Ip, Prefix
 from repro.hdr.packet import Packet
-from repro.reachability.bddreach import backward_reachability, forward_reachability
+from repro.reachability.bddreach import propagate
 from repro.reachability.compress import CompressionStats, compress_edges
 from repro.reachability.examples import default_preferences
 from repro.reachability.graph import (
@@ -42,6 +42,8 @@ from repro.reachability.graph import (
     Edge,
     ForwardingGraph,
     GraphNode,
+    Segment,
+    SetBit,
     destination_labels,
     destination_markers,
     device_pipeline,
@@ -150,8 +152,8 @@ class NetworkAnalyzer:
         """``base``: the analyzer of a snapshot this one is an edit of,
         ``edited`` naming the devices whose config text differs. The
         build then starts on a private fork of the base's encoder as the
-        base's build left it and takes the base's segment, rebound, for
-        every device due the same one again: same text, same ``Fib``
+        base's build left it and takes the base's :class:`Segment` itself
+        for every device due the same one again: same text, same ``Fib``
         object, equal topology edges out of it, and the same
         ``compress`` (unless ``encoder`` is given). A segment it builds
         grafts its destination labels onto the base's where the device's
@@ -159,7 +161,7 @@ class NetworkAnalyzer:
         whole otherwise."""
         self.dataplane = dataplane
         self.fibs = fibs if fibs is not None else compute_fibs(dataplane)
-        reuse: Dict[str, List[Edge]] = {}
+        reuse: Dict[str, Segment] = {}
         fork = None
         if base is not None and encoder is None:
             encoder = base.encoder.fork(base.built_nodes)
@@ -168,8 +170,8 @@ class NetworkAnalyzer:
             base_links = base.dataplane.topology.node_edges
             if (base.compression is not None) == compress:
                 reuse = {
-                    hostname: edges
-                    for hostname, edges in base.graph.device_edges.items()
+                    hostname: segment
+                    for hostname, segment in base.graph.segments.items()
                     if hostname not in edited
                     and hostname in self.fibs
                     and self.fibs[hostname] is base.fibs.get(hostname)
@@ -180,11 +182,6 @@ class NetworkAnalyzer:
         self.encoder = encoder or PacketEncoder()
         snapshot = dataplane.snapshot
         built = len(snapshot.devices) - len(reuse)
-        #: hostname -> its segment's compression stats (when compressing).
-        self._segment_stats: Dict[str, CompressionStats] = {}
-        #: hostname -> its destination labels (all below ``built_nodes``),
-        #: for an edit's build to graft onto.
-        self._labels: Dict[str, Dict[tuple, int]] = {}
         #: Devices whose segment was built with labels grafted onto the
         #: base's; every other built segment folded its labels whole.
         self.grafted_segments: List[str] = []
@@ -192,29 +189,18 @@ class NetworkAnalyzer:
             "bdd.graph_build", devices=len(snapshot.devices), reused=len(reuse),
             compressed=built if compress else 0, fork=fork,
         ) as span:
-            segments: Dict[str, List[Edge]] = {}
-            for hostname in snapshot.hostnames():
-                if hostname in reuse:
-                    segments[hostname] = [
-                        Edge(edge.tail, edge.head, edge.fn.rebind(self.encoder))
-                        for edge in reuse[hostname]
-                    ]
-                    self._labels[hostname] = base._labels[hostname]
-                    if compress:
-                        self._segment_stats[hostname] = base._segment_stats[hostname]
-                    continue
-                device = snapshot.device(hostname)
-                labels = self._labels[hostname] = self._destination_labels(device, base)
-                edges = device_pipeline(self.encoder, device, labels, dataplane.topology)
-                if compress:
-                    edges, self._segment_stats[hostname] = compress_edges(
-                        edges, self.encoder.engine
-                    )
-                segments[hostname] = edges
-            self.graph = ForwardingGraph(self.encoder, segments)
+            self.graph = ForwardingGraph({
+                hostname: reuse.get(hostname) or self._segment(
+                    snapshot.device(hostname), base, compress
+                )
+                for hostname in snapshot.hostnames()
+            })
             span.set("grafted", len(self.grafted_segments))
         self.compression: Optional[CompressionStats] = (
-            CompressionStats.total(self._segment_stats.values()) if compress else None
+            CompressionStats.total(
+                segment.stats for segment in self.graph.segments.values()
+            )
+            if compress else None
         )
         if fork is not None:
             obs.add(f"bdd.fork.{fork}")
@@ -222,12 +208,23 @@ class NetworkAnalyzer:
             obs.add("bdd.segments.compressed", built)
         obs.add("reachability.labels.grafted", len(self.grafted_segments))
         obs.add("reachability.labels.folded", built - len(self.grafted_segments))
-        #: Devices whose pipeline came from ``base``.
+        #: Devices whose segment came from ``base``.
         self.reused_pipelines = sorted(reuse)
         #: Engine size as the build left it: what a fork for an edit keeps.
         self.built_nodes = self.encoder.engine.num_nodes()
         self._fates: Optional[Dict[Disposition, Dict[GraphNode, int]]] = None
         self._source_scopes: Optional[List[Tuple[GraphNode, int]]] = None
+
+    def _segment(
+        self, device: Device, base: Optional["NetworkAnalyzer"], compress: bool
+    ) -> Segment:
+        """The segment this build makes for ``device``."""
+        labels = self._destination_labels(device, base)
+        edges = device_pipeline(self.encoder, device, labels, self.dataplane.topology)
+        if not compress:
+            return Segment(tuple(edges), labels)
+        edges, stats = compress_edges(edges, self.encoder.engine)
+        return Segment(tuple(edges), labels, stats)
 
     def _destination_labels(
         self, device: Device, base: Optional["NetworkAnalyzer"]
@@ -237,14 +234,14 @@ class NetworkAnalyzer:
         device's, folded whole where they do not or there is no base."""
         hostname, topology = device.hostname, self.dataplane.topology
         fib = self.fibs[hostname]
-        kept = base._labels.get(hostname) if base is not None else None
+        kept = base.graph.segments.get(hostname) if base is not None else None
         if kept is not None:
             markers = destination_markers(device, topology)
             base_device = base.dataplane.snapshot.device(hostname)
             if markers == destination_markers(base_device, base.dataplane.topology):
                 self.grafted_segments.append(hostname)
                 return grafted_labels(
-                    kept, base.fibs[hostname], fib, markers, self.encoder
+                    kept.labels, base.fibs[hostname], fib, markers, self.encoder
                 )
         return destination_labels(device, fib, topology, self.encoder)
 
@@ -322,7 +319,7 @@ class NetworkAnalyzer:
         one a question derives from it."""
         engine = self.encoder.engine
         with obs.span("query.reachability", sources=len(sources)):
-            reach = forward_reachability(graph, sources)
+            reach = propagate(graph, self.encoder, sources)
             answer = ReachabilityAnswer(reach=reach)
             answer._or = engine.or_
             for node, packet_set in reach.items():
@@ -371,7 +368,7 @@ class NetworkAnalyzer:
                 if node[0] == "sink" and node[1] == hostname:
                     if interface is None or node[2] == interface:
                         targets[node] = headerspace_bdd
-            reach = backward_reachability(self.graph, targets)
+            reach = propagate(self.graph, self.encoder, targets, backward=True)
             self._touch_reach_coverage(reach)
             if obs.active():
                 obs.add("query.destination_reachability_runs")
@@ -408,7 +405,7 @@ class NetworkAnalyzer:
                 sinks.setdefault(fate, {})[node] = TRUE
             with obs.span("query.fates", dispositions=len(sinks)):
                 built = {
-                    fate: backward_reachability(self.graph, sinks[fate])
+                    fate: propagate(self.graph, self.encoder, sinks[fate], backward=True)
                     for fate in Disposition
                     if fate in sinks
                 }
@@ -531,14 +528,15 @@ class NetworkAnalyzer:
             raise ValueError(f"no such device in graph: {waypoint_hostname}")
         # A derived graph: the marker in front of the waypoint's
         # outgoing edges, which its own segment holds.
-        mark_fn = _SetBit(self.encoder, level)
-        device_edges = dict(self.graph.device_edges)
-        device_edges[waypoint_hostname] = [
+        mark_fn = SetBit(level)
+        segments = dict(self.graph.segments)
+        segment = segments[waypoint_hostname]
+        segments[waypoint_hostname] = segment._replace(edges=tuple(
             Edge(edge.tail, edge.head, Compose([mark_fn, edge.fn]))
             if edge.tail == waypoint else edge
-            for edge in device_edges[waypoint_hostname]
-        ]
-        graph = ForwardingGraph(self.encoder, device_edges)
+            for edge in segment.edges
+        ))
+        graph = ForwardingGraph(segments)
         # Sources start with the bit clear.
         scoped = {
             node: engine.and_(packet_set, unmarked)
@@ -586,7 +584,7 @@ class NetworkAnalyzer:
         swap = self._endpoint_swap_map()
         # A derived graph: each firewall's segment plus its session
         # fast-path edges (out of its own pipeline's nodes).
-        device_edges = dict(self.graph.device_edges)
+        segments = dict(self.graph.segments)
         for firewall, session_set in sessions.items():
             return_match = engine.permute(session_set, swap)
             fast_paths: List[Edge] = []
@@ -598,10 +596,11 @@ class NetworkAnalyzer:
                 if head in self.graph.nodes:
                     fast_paths.append(Edge(
                         node, head,
-                        Constraint(engine, return_match, "session fast path"),
+                        Constraint(return_match, "session fast path"),
                     ))
-            device_edges[firewall] = device_edges[firewall] + fast_paths
-        graph = ForwardingGraph(self.encoder, device_edges)
+            segment = segments[firewall]
+            segments[firewall] = segment._replace(edges=segment.edges + tuple(fast_paths))
+        graph = ForwardingGraph(segments)
         if sessions:
             forward_base = engine.or_all(sessions.values())
         else:
@@ -649,7 +648,7 @@ class NetworkAnalyzer:
         can traverse end to end."""
         engine = self.encoder.engine
         sources = sources if sources is not None else self.all_sources()
-        reach = forward_reachability(self.graph, sources)
+        reach = propagate(self.graph, self.encoder, sources)
         # Restrict to nodes with flow, then find cycles.
         import networkx as nx
 
@@ -672,7 +671,7 @@ class NetworkAnalyzer:
             survivor = reach.get(cycle_edges[0][0], FALSE)
             cycle_nodes = [cycle_edges[0][0]]
             for tail, head in cycle_edges:
-                survivor = digraph[tail][head]["fn"].forward(survivor)
+                survivor = digraph[tail][head]["fn"].forward(self.encoder, survivor)
                 cycle_nodes.append(head)
                 if survivor == FALSE:
                     break
@@ -692,24 +691,3 @@ class NetworkAnalyzer:
 #: Where a firewall's session table lets return traffic skip to: past
 #: the zone policy, and past the ingress ACL.
 _FAST_PATHS = {"zone_policy": "zone_clear", "in_acl": "post_in_acl"}
-
-
-class _SetBit:
-    """Edge function that sets one BDD variable to 1 (waypoint marker)."""
-
-    def __init__(self, encoder: PacketEncoder, level: int):
-        self._engine = encoder.engine
-        self._level = level
-
-    def forward(self, packet_set: int) -> int:
-        engine = self._engine
-        erased = engine.exists(packet_set, engine.cube([self._level]))
-        return engine.and_(erased, engine.var(self._level))
-
-    def backward(self, packet_set: int) -> int:
-        engine = self._engine
-        narrowed = engine.and_(packet_set, engine.var(self._level))
-        return engine.exists(narrowed, engine.cube([self._level]))
-
-    def describe(self) -> str:
-        return f"set-bit({self._level})"

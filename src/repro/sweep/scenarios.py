@@ -21,8 +21,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.config.loader import detect_syntax
 from repro.config.model import Snapshot
+from repro.delta.edits import passive_edit, shutdown_edit
 from repro.hdr import fields as f
 from repro.hdr.ip import Ip
 from repro.hdr.packet import Packet
@@ -246,27 +246,14 @@ def _render_ops(text: str, ops: Sequence[FailureOp]) -> str:
     side, flat ``set`` lines on the juniperish side), so an append never
     perturbs anything the operations don't name.
     """
-    syntax = detect_syntax(text)
-    lines: List[str] = []
     for _host, iface, op, area in sorted(ops):
-        if syntax == "juniperish":
-            if op == OP_SHUTDOWN:
-                lines.append(f"set interfaces {iface} disable")
-            elif op == OP_OSPF_PASSIVE:
-                lines.append(
-                    f"set protocols ospf area {area} interface {iface} passive"
-                )
-            else:
-                raise ValueError(f"unknown failure op {op!r}")
+        if op == OP_SHUTDOWN:
+            text = shutdown_edit(text, iface)
+        elif op == OP_OSPF_PASSIVE:
+            text = passive_edit(text, iface, area)
         else:
-            if op == OP_SHUTDOWN:
-                lines.append(f"interface {iface}\n shutdown\n!")
-            elif op == OP_OSPF_PASSIVE:
-                lines.append(f"interface {iface}\n ip ospf passive\n!")
-            else:
-                raise ValueError(f"unknown failure op {op!r}")
-    body = text if text.endswith("\n") else text + "\n"
-    return body + "\n".join(lines) + "\n"
+            raise ValueError(f"unknown failure op {op!r}")
+    return text
 
 
 def host_files(snapshot: Snapshot) -> Dict[str, str]:

@@ -20,6 +20,9 @@ def net1(num_spurs: int = 4) -> Dict[str, str]:
     router attaching a host subnet; one deliberate ACL asymmetry makes
     the multipath-consistency query return a genuine violation.
     """
+    if num_spurs < 2:
+        # The first spur dual-homes to ring[0] and ring[1].
+        raise ValueError(f"net1 needs at least 2 spurs, got {num_spurs}")
     builders: Dict[str, CiscoishBuilder] = {}
     link_counter = [0]
 

@@ -112,12 +112,12 @@ class TestTransformEdge:
             [NatRule(kind=NatKind.SOURCE, match_acl="M", pool=Prefix("100.64.0.0/24"))],
             kind=None,
         )
-        edge = Transform(enc, pipeline, "test")
+        edge = Transform(pipeline, "test")
         inside = enc.ip_in_prefix(f.SRC_IP, "192.168.0.0/16")
-        out = edge.forward(inside)
+        out = edge.forward(enc, inside)
         assert out == enc.ip_in_prefix(f.SRC_IP, "100.64.0.0/24")
         # Backward: whose packets could have produced the pool space?
-        pre = edge.backward(out)
+        pre = edge.backward(enc, out)
         assert engine.and_(pre, inside) == inside
 
     def test_backward_passthrough(self):
@@ -128,11 +128,11 @@ class TestTransformEdge:
             [NatRule(kind=NatKind.SOURCE, match_acl="M", pool=Prefix("100.64.0.0/24"))],
             kind=None,
         )
-        edge = Transform(enc, pipeline, "test")
+        edge = Transform(pipeline, "test")
         outside = enc.ip_in_prefix(f.SRC_IP, "172.16.0.0/12")
         # Non-matching traffic passes unchanged both ways.
-        assert edge.forward(outside) == outside
-        assert engine.and_(edge.backward(outside), outside) == outside
+        assert edge.forward(enc, outside) == outside
+        assert engine.and_(edge.backward(enc, outside), outside) == outside
 
     def test_backward_excludes_unreachable_outputs(self):
         enc = PacketEncoder()
@@ -142,11 +142,11 @@ class TestTransformEdge:
             [NatRule(kind=NatKind.SOURCE, match_acl="M", pool=Prefix("100.64.0.5/32"))],
             kind=None,
         )
-        edge = Transform(enc, pipeline, "test")
+        edge = Transform(pipeline, "test")
         # Target an output the rewrite can never produce for matching
         # traffic; only pass-through could reach it.
         target = enc.ip_eq(f.SRC_IP, "100.64.0.9")
-        pre = edge.backward(target)
+        pre = edge.backward(enc, target)
         inside = enc.ip_in_prefix(f.SRC_IP, "192.168.0.0/16")
         assert engine.and_(pre, inside) == FALSE
         assert engine.and_(pre, target) == target  # pass-through preimage

@@ -16,11 +16,13 @@ import weakref
 import pytest
 
 from repro import obs
+from repro.bdd.engine import BddEngine
 from repro.config.loader import detect_syntax
 from repro.core.session import Session
 from repro.delta import DeltaValidationError
 from repro.delta.edits import irrelevant_edit, relevant_edit
 from repro.delta.engine import _validate, graph_lines
+from repro.hdr.headerspace import PacketEncoder
 from repro.hdr.ip import Ip
 from repro.provenance import record as prov
 from repro.reachability.graph import (
@@ -204,6 +206,8 @@ def test_variant_equals_scratch_and_reuses_what_did_not_move(loaded, kind):
     else:
         expected = (same_rib & same_links) - rebuilt
         assert set(ours.reused_pipelines) == expected
+        for hostname in expected:  # taken whole, not copied
+            assert ours.graph.segments[hostname] is base.analyzer.graph.segments[hostname]
         assert not rebuilt & set(ours.reused_pipelines)
     assert (info.reused["rib"], info.reused["fib"], info.reused["pipeline"]) == (
         len(same_rib), len(same_rib), len(expected),
@@ -232,38 +236,28 @@ def test_variant_equals_scratch_and_reuses_what_did_not_move(loaded, kind):
         assert links[0].node_edges(owner) != links[1].node_edges(owner)
 
 
-def _rebound_kinds(variant, base, hostname):
+def _shared_kinds(variant, base, hostname):
     """The kinds of edge function, Compose parts included, in
     ``hostname``'s segment of ``variant``'s graph, which must be the
-    base's segment rebound part for part to the variant's encoder while
-    the base's stays bound to its own."""
-    analyzer, kinds = variant.analyzer, set()
+    base's segment itself: its functions hold no engine, so there is
+    nothing to bind to the variant's."""
+    analyzer = variant.analyzer
     assert hostname in analyzer.reused_pipelines
-    segment = analyzer.graph.device_edges[hostname]
-    base_segment = base.analyzer.graph.device_edges[hostname]
-    for edge, base_edge in zip(segment, base_segment, strict=True):
-        assert (edge.tail, edge.head) == (base_edge.tail, base_edge.head)
+    segment = analyzer.graph.segments[hostname]
+    assert segment is base.analyzer.graph.segments[hostname]
+    assert analyzer.encoder is not base.encoder
+    kinds = set()
+    for edge in segment.edges:
         kinds.add(type(edge.fn))
-        fns, base_fns = [edge.fn], [base_edge.fn]
-        if isinstance(edge.fn, Compose):
-            fns, base_fns = edge.fn.parts, base_edge.fn.parts
-        for fn, base_fn in zip(fns, base_fns, strict=True):
-            kinds.add(type(fn))
-            assert type(fn) is type(base_fn) and fn is not base_fn
-            bound = getattr(fn, "_encoder", None)
-            if bound is not None:
-                assert bound is analyzer.encoder and base_fn._encoder is base.encoder
-            else:
-                assert fn._engine is analyzer.encoder.engine
-                assert base_fn._engine is base.encoder.engine
+        kinds.update(type(part) for part in getattr(edge.fn, "parts", ()))
     return kinds
 
 
-def test_nat_and_zone_edges_are_rebound_and_queried():
+def test_nat_and_zone_segments_are_shared_and_queried():
     """NET8: the firewall's Transform / AssignField / EraseField edges
-    come from the base, bound to the variant's encoder; so do the parts
-    of a Compose, which the firewall's segment holds once its zones are
-    gone (its lookup edge then fuses with its source NAT)."""
+    are the base's, in the base's segment; so are the parts of a
+    Compose, which the firewall's segment holds once its zones are gone
+    (its lookup edge then fuses with its source NAT)."""
     configs = network_by_name("NET8").generate(1)
     zoneless = dict(configs, fw0="".join(
         line for line in configs["fw0"].splitlines(True)
@@ -271,7 +265,7 @@ def test_nat_and_zone_edges_are_rebound_and_queried():
     ))
     plain = Session.from_texts(zoneless)
     plain.analyzer
-    kinds = _rebound_kinds(
+    kinds = _shared_kinds(
         plain.delta({"inside2": relevant_edit(configs["inside2"])}), plain, "fw0"
     )
     assert {Compose, Transform, Constraint} <= kinds
@@ -279,7 +273,7 @@ def test_nat_and_zone_edges_are_rebound_and_queried():
     base.analyzer
     variant = base.delta({"inside2": relevant_edit(configs["inside2"])})
     analyzer = variant.analyzer
-    kinds = _rebound_kinds(variant, base, "fw0")
+    kinds = _shared_kinds(variant, base, "fw0")
     assert {Transform, AssignField, EraseField, Constraint} <= kinds
     # Queried through them: NAT'd, zone-checked traffic leaves at fw0.
     # The forward engine, because the sinks are what is asked about.
@@ -292,6 +286,28 @@ def test_nat_and_zone_edges_are_rebound_and_queried():
     }
     assert variant.multipath_consistency() is not None
     assert base.encoder.engine.num_nodes() == before  # the base's engine is untouched
+
+
+def _slot_values(fn):
+    """Every value held in a slot of edge function ``fn``, the parts of
+    a Compose walked into."""
+    for cls in type(fn).__mro__:
+        for slot in getattr(cls, "__slots__", ()):
+            value = getattr(fn, slot)
+            yield value
+            if isinstance(value, list):
+                for part in value:
+                    yield from _slot_values(part)
+
+
+def test_no_edge_function_holds_an_engine(loaded):
+    """Edge functions are plain data, applied with the encoder passed at
+    call time: what lets a delta's graph share its base's segments."""
+    _name, _configs, base, _edits = loaded
+    for edge in base.analyzer.graph.edges:
+        assert not hasattr(edge.fn, "__dict__"), edge.fn
+        for value in _slot_values(edge.fn):
+            assert not isinstance(value, (BddEngine, PacketEncoder)), edge.fn.describe()
 
 
 @pytest.mark.parametrize("base_compress", [True, False], ids=["compressed-base", "raw-base"])

@@ -10,7 +10,7 @@ from repro.core.session import Session
 from repro.delta.edits import relevant_edit
 from repro.delta.engine import graph_lines
 from repro.hdr.headerspace import PacketEncoder
-from repro.reachability.bddreach import backward_reachability, forward_reachability
+from repro.reachability.bddreach import propagate
 from repro.reachability.compress import CompressionStats, _compose, compress_edges
 from repro.reachability.graph import (
     Compose,
@@ -18,6 +18,7 @@ from repro.reachability.graph import (
     Edge,
     ForwardingGraph,
     Identity,
+    Segment,
 )
 from repro.reachability.queries import NetworkAnalyzer
 from repro.routing.engine import compute_dataplane
@@ -44,63 +45,60 @@ ip route 192.168.0.0 255.255.0.0 10.0.0.1
 class TestPropagationUnits:
     def _tiny_graph(self):
         encoder = PacketEncoder()
-        engine = encoder.engine
         constraint = encoder.ip_in_prefix("dst_ip", "10.0.0.0/8")
-        graph = ForwardingGraph(encoder, {"a": [
-            Edge(("src", "a", "i0"), ("mid", "a"), Identity(engine)),
-            Edge(("mid", "a"), ("sink", "b", "i0"), Constraint(engine, constraint, "tens only")),
-        ]})
+        graph = ForwardingGraph({"a": Segment((
+            Edge(("src", "a", "i0"), ("mid", "a"), Identity()),
+            Edge(("mid", "a"), ("sink", "b", "i0"), Constraint(constraint, "tens only")),
+        ), {})})
         return encoder, graph, constraint
 
     def test_forward_respects_constraints(self):
         encoder, graph, constraint = self._tiny_graph()
-        reach = forward_reachability(graph, {("src", "a", "i0"): TRUE})
+        reach = propagate(graph, encoder, {("src", "a", "i0"): TRUE})
         assert reach[("sink", "b", "i0")] == constraint
 
     def test_forward_from_empty_source(self):
         encoder, graph, _ = self._tiny_graph()
-        reach = forward_reachability(graph, {("src", "a", "i0"): FALSE})
+        reach = propagate(graph, encoder, {("src", "a", "i0"): FALSE})
         assert ("sink", "b", "i0") not in reach
 
     def test_backward_is_preimage(self):
         encoder, graph, constraint = self._tiny_graph()
-        reach = backward_reachability(graph, {("sink", "b", "i0"): TRUE})
+        reach = propagate(graph, encoder, {("sink", "b", "i0"): TRUE}, backward=True)
         assert reach[("src", "a", "i0")] == constraint
 
     def test_cycle_terminates(self):
         encoder = PacketEncoder()
-        engine = encoder.engine
-        graph = ForwardingGraph(encoder, {
-            "a": [Edge(("fwd", "a"), ("fwd", "b"), Identity(engine))],
-            "b": [Edge(("fwd", "b"), ("fwd", "a"), Identity(engine))],
+        graph = ForwardingGraph({
+            "a": Segment((Edge(("fwd", "a"), ("fwd", "b"), Identity()),), {}),
+            "b": Segment((Edge(("fwd", "b"), ("fwd", "a"), Identity()),), {}),
         })
-        reach = forward_reachability(graph, {("fwd", "a"): TRUE})
+        reach = propagate(graph, encoder, {("fwd", "a"): TRUE})
         assert reach[("fwd", "b")] == TRUE
 
 
 class TestCompose:
     def test_constraint_fusion(self):
         engine = BddEngine(8)
-        a = Constraint(engine, engine.var(0), "a")
-        b = Constraint(engine, engine.var(1), "b")
+        a = Constraint(engine.var(0), "a")
+        b = Constraint(engine.var(1), "b")
         fused = _compose(engine, a, b)
         assert isinstance(fused, Constraint)
         assert fused.label == engine.and_(engine.var(0), engine.var(1))
 
     def test_identity_elimination(self):
         engine = BddEngine(8)
-        a = Constraint(engine, engine.var(0), "a")
-        assert _compose(engine, Identity(engine), a) is a
-        assert _compose(engine, a, Identity(engine)) is a
+        a = Constraint(engine.var(0), "a")
+        assert _compose(engine, Identity(), a) is a
+        assert _compose(engine, a, Identity()) is a
 
     def test_compose_forward_backward(self):
-        engine = BddEngine(8)
-        chain = Compose(
-            [Constraint(engine, engine.var(0), ""), Constraint(engine, engine.var(1), "")]
-        )
-        result = chain.forward(TRUE)
+        encoder = PacketEncoder()
+        engine = encoder.engine
+        chain = Compose([Constraint(engine.var(0), ""), Constraint(engine.var(1), "")])
+        result = chain.forward(encoder, TRUE)
         assert result == engine.and_(engine.var(0), engine.var(1))
-        assert chain.backward(TRUE) == result
+        assert chain.backward(encoder, TRUE) == result
         assert ";" in chain.describe()
 
 
@@ -139,7 +137,9 @@ def test_compression_decomposes_by_device(name):
     raw = NetworkAnalyzer(session.dataplane, fibs=session.fibs, compress=False)
     engine = raw.encoder.engine
     whole, whole_stats = compress_edges(raw.graph.edges, engine)
-    parts = [compress_edges(edges, engine) for edges in raw.graph.device_edges.values()]
+    parts = [
+        compress_edges(segment.edges, engine) for segment in raw.graph.segments.values()
+    ]
     joined = [edge for edges, _stats in parts for edge in edges]
 
     def lines(edges):

@@ -43,9 +43,10 @@ from repro.synth.networks import NETWORKS, network_by_name
 from .apply_built_reference import destination_edges
 
 
-def _uncompressed_graph(dataplane, fibs, encoder):
-    """The forwarding graph as built, every device's pipeline whole."""
-    return NetworkAnalyzer(dataplane, encoder, fibs, compress=False).graph
+def _uncompressed(dataplane, fibs, encoder):
+    """An analyzer whose forwarding graph has every device's pipeline
+    whole."""
+    return NetworkAnalyzer(dataplane, encoder, fibs, compress=False)
 
 
 #: dst_ip no longer first, and its neighbours changed (as in
@@ -57,22 +58,23 @@ def _encoders():
     return PacketEncoder(), PacketEncoder(HeaderLayout(field_order=_PERMUTED))
 
 
-def _assert_reference_edges(dataplane, fibs, graph):
-    """The graph's destination-labelled edges are the reference's: tail,
-    head, ``describe()`` and — on the graph's own hash-consed engine, so
-    equal ids are equal canonical forms — label. Returns how many."""
+def _assert_reference_edges(dataplane, fibs, analyzer):
+    """The analyzer's destination-labelled edges are the reference's:
+    tail, head, ``describe()`` and — on the analyzer's own hash-consed
+    engine, so equal ids are equal canonical forms — label. Returns how
+    many."""
     compared = 0
-    for hostname, edges in graph.device_edges.items():
+    for hostname, segment in analyzer.graph.segments.items():
         built = [
             (edge.tail, edge.head, edge.fn.describe(), edge.fn.label)
-            for edge in edges
+            for edge in segment.edges
             if edge.tail[0] in ("fwd", "egress")
         ]
         expected = [
             (tail, head, f"constraint({note})", label)
             for tail, head, note, label in destination_edges(
                 dataplane.snapshot.device(hostname), fibs[hostname],
-                dataplane.topology, graph.encoder,
+                dataplane.topology, analyzer.encoder,
             )
         ]
         assert built == expected, hostname
@@ -80,12 +82,12 @@ def _assert_reference_edges(dataplane, fibs, graph):
     return compared
 
 
-def _assert_conserved(graph, hostnames):
+def _assert_conserved(analyzer, hostnames):
     """Nothing vanishes, nothing appears: every node of a modelled
     device that is not a sink leads somewhere, the lookup sends every
     packet somewhere, and what it sends out of an interface is what
     leaves the interface's egress."""
-    engine = graph.encoder.engine
+    graph, engine = analyzer.graph, analyzer.encoder.engine
     for node in graph.nodes:
         if node[0] not in ("sink", "disp") and node[1] in hostnames:
             assert graph.out_edges(node), f"dead end at {node}"
@@ -109,9 +111,9 @@ def test_registry_graphs_equal_the_reference_and_conserve(name):
     dataplane = compute_dataplane(snapshot)
     fibs = compute_fibs(dataplane)
     for encoder in _encoders():
-        graph = _uncompressed_graph(dataplane, fibs, encoder)
-        assert _assert_reference_edges(dataplane, fibs, graph) > 3 * len(fibs)
-        _assert_conserved(graph, set(fibs))
+        analyzer = _uncompressed(dataplane, fibs, encoder)
+        assert _assert_reference_edges(dataplane, fibs, analyzer) > 3 * len(fibs)
+        _assert_conserved(analyzer, set(fibs))
 
 
 def _forbidden_calls(build):
@@ -132,7 +134,7 @@ def test_a_graph_without_filters_is_built_with_no_apply():
     fibs = compute_fibs(dataplane)
     graphs = []
     assert _forbidden_calls(
-        lambda: graphs.append(_uncompressed_graph(dataplane, fibs, PacketEncoder()))
+        lambda: graphs.append(_uncompressed(dataplane, fibs, PacketEncoder()).graph)
     ) == (0, 0, 0)
     assert graphs[0].num_edges() > 1000
 
@@ -220,10 +222,10 @@ def _one_device(interfaces, links, routes, connected=True):
 
 
 def _check(dataplane, fibs, encoder):
-    graph = _uncompressed_graph(dataplane, fibs, encoder)
-    compared = _assert_reference_edges(dataplane, fibs, graph)
-    _assert_conserved(graph, {_R})
-    return graph, compared
+    analyzer = _uncompressed(dataplane, fibs, encoder)
+    compared = _assert_reference_edges(dataplane, fibs, analyzer)
+    _assert_conserved(analyzer, {_R})
+    return analyzer.graph, compared
 
 
 @given(
@@ -271,11 +273,11 @@ def test_random_fib_edits_graft_to_the_fold(
     base = NetworkAnalyzer(dataplane, _encoders()[permuted], fibs, compress=False)
     new = NetworkAnalyzer(dataplane, None, new_fibs, compress=False, base=base)
     assert new.grafted_segments == [_R]
-    assert new._labels[_R] == destination_labels(
+    assert new.graph.segments[_R].labels == destination_labels(
         dataplane.snapshot.device(_R), new_fibs[_R], dataplane.topology, new.encoder
     )
-    _assert_reference_edges(dataplane, new_fibs, new.graph)
-    _assert_conserved(new.graph, {_R})
+    _assert_reference_edges(dataplane, new_fibs, new)
+    _assert_conserved(new, {_R})
 
 
 _FORWARD = FibActionType.FORWARD
@@ -384,9 +386,9 @@ def test_static_route_out_of_a_dead_interface(interface, disposition):
     )
     assert symbolic == {trace.disposition.value for trace in traces} == {disposition}
 
-    graph = _uncompressed_graph(session.dataplane, session.fibs, PacketEncoder())
-    _assert_conserved(graph, set(session.fibs))
-    _assert_reference_edges(session.dataplane, session.fibs, graph)
+    analyzer = _uncompressed(session.dataplane, session.fibs, PacketEncoder())
+    _assert_conserved(analyzer, set(session.fibs))
+    _assert_reference_edges(session.dataplane, session.fibs, analyzer)
 
 
 # -- grafted labels on the registry ----------------------------------------
@@ -399,7 +401,7 @@ def _assert_built_labels_fold(session):
     built = set(session.snapshot.devices) - set(analyzer.reused_pipelines)
     assert set(analyzer.grafted_segments) <= built
     for hostname in sorted(built):
-        assert analyzer._labels[hostname] == destination_labels(
+        assert analyzer.graph.segments[hostname].labels == destination_labels(
             session.snapshot.device(hostname), session.fibs[hostname],
             session.dataplane.topology, analyzer.encoder,
         ), hostname
@@ -507,8 +509,9 @@ def test_a_graft_grafted_again_is_the_fold():
     # Back where it started: the base's labels, up to node ids.
     canonical = undone.encoder.engine.canonical
     assert {
-        label: canonical(node) for label, node in undone.analyzer._labels[hostname].items()
+        label: canonical(node)
+        for label, node in undone.analyzer.graph.segments[hostname].labels.items()
     } == {
         label: base.encoder.engine.canonical(node)
-        for label, node in base.analyzer._labels[hostname].items()
+        for label, node in base.analyzer.graph.segments[hostname].labels.items()
     }

@@ -187,10 +187,13 @@ def test_one_backward_pass_per_disposition_and_no_forward_pass(monkeypatch):
     space."""
     session = Session.from_texts(network_by_name("NET10").generate(1))
     analyzer = session.analyzer
-    backward = mock.Mock(wraps=queries.backward_reachability)
-    forward = mock.Mock(wraps=queries.forward_reachability)
-    monkeypatch.setattr(queries, "backward_reachability", backward)
-    monkeypatch.setattr(queries, "forward_reachability", forward)
+    walk = mock.Mock(wraps=queries.propagate)
+    monkeypatch.setattr(queries, "propagate", walk)
+
+    def count(backward):
+        return sum(
+            call.kwargs.get("backward", False) == backward for call in walk.call_args_list
+        )
 
     for shape in _shapes(session)[:3]:
         assert session.reachability(**shape).by_disposition
@@ -199,16 +202,16 @@ def test_one_backward_pass_per_disposition_and_no_forward_pass(monkeypatch):
         "delivered" if node[0] == "sink" else node[2]
         for node in analyzer.graph.sink_nodes()
     }
-    assert backward.call_count == len(present) == len(analyzer.fates())
-    assert forward.call_count == 0
+    assert count(backward=True) == len(present) == len(analyzer.fates())
+    assert count(backward=False) == 0
     for service_ip, port in _services(analyzer):
         service_reachable(analyzer, service_ip, port)
         service_unreachable(analyzer, service_ip, port)
     assert len(analyzer.multipath_consistency()) == 39
     for octet in range(1, 41):
         session.reachability(_web(session, octet))
-    assert backward.call_count == len(present)
-    assert forward.call_count == 0
+    assert count(backward=True) == len(present)
+    assert count(backward=False) == 0
 
 
 def test_multipath_and_fates_reach_metrics_without_tracing():

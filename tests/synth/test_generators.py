@@ -78,6 +78,15 @@ class TestBuilders:
         assert loopback_ip(1) == "192.168.0.1"
 
 
+def test_net1_names_its_minimum_spur_count():
+    """The first spur dual-homes to two ring routers, so one spur is too
+    few; the generator says so before building anything."""
+    for num_spurs in (1, 0):
+        with pytest.raises(ValueError, match="at least 2 spurs"):
+            net1(num_spurs)
+    assert len(net1(2)) == 4
+
+
 class TestFatTree:
     def test_structure(self):
         configs = fattree(k=4)
