@@ -50,6 +50,7 @@ from repro.provenance import Flow
 from repro.questions import coverage as qcov
 from repro.questions.params import ParamError
 from repro.questions.registry import QUESTIONS, bind, run_sweep
+from repro.reachability.queries import NetworkAnalyzer
 from repro.sweep import report as sweep_report
 from repro.sweep.scenarios import ALL_KINDS, host_files
 from repro.sweep.validate import DEFAULT_MAX_ELEMENTS, validate_network
@@ -293,18 +294,19 @@ def _validate_delta(network: str, configs: Configs) -> Validation:
     """Five single-device edits — routing-inert, a static route, an
     OSPF cost, an interface shut down (the device's graph markers move,
     so its labels are folded whole), and the static route again once a
-    query has grown the base's engine (so that the fork rebuilds the
-    unique table instead of trimming a copy): whatever the delta session
+    query has grown the base's engine (so that the fork copies the
+    query's nodes and operation caches): whatever the delta session
     took over from its base, its parsed snapshot, its FIBs, its
     forwarding graph and its lint findings (JSON, byte for byte) must
-    equal a cache-less from-scratch session's. Counts each row of
+    equal a cache-less from-scratch session's. On the grown base the
+    delta's ``reachability()`` must also equal, id for id, a scratch
+    analyzer's built on the delta's own encoder (``answers_compared``
+    counts the disposition sets). Counts each row of
     ``DeltaInfo.stages`` (``igp_reused``, ``fibs_recomputed``,
     ``lint_reused``, ``analyzer_reused``, ...), each count of
     ``DeltaInfo.reused`` (``reuse_rib``, ``reuse_fib``,
-    ``reuse_pipeline``, ``reuse_graft``), the segments whose labels were
-    folded whole (``labels_folded``) and how each fork was made
-    (``fork_trimmed``, ``fork_rebuilt``; the inert edit takes the base's
-    analyzer and forks nothing)."""
+    ``reuse_pipeline``, ``reuse_graft``) and the segments whose labels
+    were folded whole (``labels_folded``)."""
     base = Session.from_texts(configs)
     # Every stage computed, so that each edit has all of them to take.
     base.analyzer
@@ -345,16 +347,22 @@ def _validate_delta(network: str, configs: Configs) -> Validation:
         counts["labels_folded"] += (
             len(new.snapshot.devices) - reused["pipeline"] - reused["graft"]
         )
-        fork = "none"
-        if info.stages["analyzer"] != "reused":
-            fork = new.encoder.engine.fork_path
-            counts[f"fork_{fork}"] += 1
+        if grown:
+            ours = new.reachability().by_disposition
+            scratch = NetworkAnalyzer(new.dataplane, encoder=new.encoder)
+            theirs = scratch.source_reachability(new.source_map()).by_disposition
+            counts["answers_compared"] += len(ours.keys() | theirs.keys())
+            if ours != theirs:
+                failed.append(
+                    f"{label} edit on {target}: reachability differs from a "
+                    "scratch analyzer's in the delta's engine"
+                )
         for stage, outcome in info.stages.items():
             counts[f"{stage}_{outcome.split()[0]}"] += 1
         outcomes = ", ".join(f"{stage}: {outcome}" for stage, outcome in info.stages.items())
         legs.append(
             f"{label} edit: {outcomes}; {len(info.dirty_devices)} main RIB(s) rebuilt, "
-            f"fork {fork}, {reused['graft']} segment(s) grafted"
+            f"{reused['graft']} segment(s) grafted"
         )
     detail = f"{target}: " + "; ".join(legs)
     return Validation(len(edits), detail, failed, target, counts)

@@ -37,7 +37,6 @@ a packet header), so plain recursive formulations are safe and fast.
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import (
     Callable,
     Dict,
@@ -81,12 +80,35 @@ def unique_key(level: int, lo: int, hi: int) -> int:
     return (lo << 44) | (hi * 4096 + level)
 
 
-def _unique_keys(
-    levels: Iterable[int], los: Iterable[int], his: Iterable[int]
-) -> List[int]:
-    """:func:`unique_key` of each node of three parallel slices of the
-    node store (one comprehension, no call per node)."""
-    return [(lo << 44) | (hi * 4096 + level) for level, lo, hi in zip(levels, los, his)]
+#: Each operation cache by attribute name, with the number of node ids
+#: packed into the low ``ID_BITS``-wide fields of its keys and whether
+#: its values are node ids (``_sat_count``'s are counts): what
+#: :meth:`BddEngine.fork` reads to drop an entry naming a node the twin
+#: does not hold.
+_CACHES: Tuple[Tuple[str, int, bool], ...] = (
+    ("_and_cache", 2, True),
+    ("_or_cache", 2, True),
+    ("_xor_cache", 2, True),
+    ("_not_cache", 1, True),
+    ("_ite_cache", 3, True),
+    ("_exists_cache", 1, True),
+    ("_rename_cache", 1, True),
+    ("_andex_cache", 2, True),
+    ("_count_cache", 1, False),
+)
+_ID_MASK = (1 << ID_BITS) - 1
+
+
+def _names_only_ids_below(key: int, value: int, ids: int, value_is_id: bool, n: int) -> bool:
+    """Whether a cache entry whose key packs ``ids`` node ids in its low
+    fields names only ids below ``n``."""
+    if value_is_id and value >= n:
+        return False
+    for _ in range(ids):
+        if key & _ID_MASK >= n:
+            return False
+        key >>= ID_BITS
+    return True
 
 
 class BddEngine:
@@ -132,8 +154,6 @@ class BddEngine:
         # Cached single-variable nodes.
         self._var_nodes: Dict[int, int] = {}
         self._nvar_nodes: Dict[int, int] = {}
-        #: How :meth:`fork` built this engine's unique table, if it did.
-        self.fork_path: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Node construction
@@ -256,71 +276,85 @@ class BddEngine:
         """Total nodes ever allocated (includes both terminals)."""
         return len(self._level)
 
-    def fork(self, n: int) -> "BddEngine":
-        """A private engine holding this engine's first ``n`` nodes.
+    def fork(self) -> "BddEngine":
+        """A private engine that starts where this one stands: every
+        node, the unique table, every operation cache, the interned
+        cubes and rename maps and the variable nodes, copied.
 
         Ids are handed out in order and a node only points to lower ids,
-        so a prefix of the node store is an engine of its own: below
-        ``n`` every id names the same function in the twin (interned
-        cubes and rename maps keep their ids too), operation caches
-        start empty and the two grow apart. Only the append-only prefix
-        is read, so another thread may be using this engine meanwhile.
+        so every id of the twin names the function it names here, and
+        every copied cache entry is exact in the twin: an operation
+        whose operands did not change finds its answer. The two then
+        grow apart.
 
-        The twin's unique table is the cheaper of two constructions of
-        the same table (``fork_path`` names the one taken): while fewer
-        nodes were added since ``n`` than ``n``, a copy of this engine's
-        table with those ids popped (``"trimmed"``); else the table
-        rebuilt from the prefix (``"rebuilt"``).
+        No lock is taken: another thread may be querying this engine
+        meanwhile. The twin holds the ``n`` nodes the store had when the
+        fork began (``_hi``, the list ``_mk`` writes last, bounds ``n``,
+        so each of them is complete); its unique table maps exactly
+        those ids, and every cache entry and variable node it holds
+        names only them. ``_mk`` enters a node in the unique table after
+        the three lists, and a cache entry is written after the nodes it
+        names, so the copies break that only where the store grew while
+        they were taken, or a ``_mk`` was between the lists and the
+        table: only then are they repaired (:meth:`_trim_to`).
         """
-        # _hi is written last: every id below its length is complete.
-        if not 2 <= n <= len(self._hi):
-            raise ValueError(f"fork size {n} outside [2, {len(self._hi)}]")
+        n = len(self._hi)
         twin = BddEngine(self.num_vars)
         twin._level, twin._lo, twin._hi = self._level[:n], self._lo[:n], self._hi[:n]
-        if len(self._hi) - n < n:
-            # One C-level copy. _mk enters a node in the table last, so
-            # every id the copy holds is below the store's length read
-            # after it. (Not len(copy) + 2: dict.copy reads the length
-            # after allocating, when a collection may have let another
-            # thread add entries the copied table does not hold.)
-            twin._unique = unique = self._unique.copy()
-            end = len(self._hi)
-            for key in _unique_keys(
-                self._level[n:end], self._lo[n:end], self._hi[n:end]
-            ):
-                unique.pop(key, None)
-            twin.fork_path = "trimmed"
-        else:
-            keys = _unique_keys(
-                islice(twin._level, 2, None),
-                islice(twin._lo, 2, None),
-                islice(twin._hi, 2, None),
-            )
-            twin._unique = dict(zip(keys, range(2, n)))
-            twin.fork_path = "rebuilt"
+        # Each dict copy is one C-level call.
+        twin._unique = self._unique.copy()
+        for name, _ids, _value_is_id in _CACHES:
+            setattr(twin, name, getattr(self, name).copy())
+        twin._var_nodes = self._var_nodes.copy()
+        twin._nvar_nodes = self._nvar_nodes.copy()
+        # Cubes and maps are read after the caches: an entry names only
+        # a cube or map interned before it was written. Interning writes
+        # the list last, so the lookups are rebuilt from the lists.
         twin._cube_list = list(self._cube_list)
         twin._cubes = {key: i for i, key in enumerate(twin._cube_list)}
         twin._map_list = list(self._map_list)
         twin._maps = {
             tuple(sorted(m.items())): i for i, m in enumerate(twin._map_list)
         }
+        end = len(self._hi)
+        if end != n or len(twin._unique) != n - 2:
+            twin._trim_to(self, n, end)
         return twin
+
+    def _trim_to(self, original: "BddEngine", n: int, end: int) -> None:
+        """Repair this fork's copies of ``original``, taken while another
+        thread grew it from ``n`` to ``end`` nodes: the unique keys of
+        ids ``n … end - 1`` popped, every cache entry and variable node
+        naming one of them dropped, and any node below ``n`` whose
+        unique entry the copy missed (its ``_mk`` was between the lists
+        and the table) entered again."""
+        unique = self._unique
+        levels, los, his = original._level, original._lo, original._hi
+        for node in range(n, end):
+            unique.pop(unique_key(levels[node], los[node], his[node]), None)
+        levels, los, his = self._level, self._lo, self._hi
+        for node in range(n - 1, 1, -1):
+            if len(unique) == n - 2:
+                break
+            unique.setdefault(unique_key(levels[node], los[node], his[node]), node)
+        if end == n:
+            return
+        for name, ids, value_is_id in _CACHES:
+            setattr(self, name, {
+                key: value
+                for key, value in getattr(self, name).items()
+                if _names_only_ids_below(key, value, ids, value_is_id, n)
+            })
+        for name in ("_var_nodes", "_nvar_nodes"):
+            setattr(self, name, {
+                level: node for level, node in getattr(self, name).items() if node < n
+            })
 
     def stats(self) -> Dict[str, int]:
         """Engine size counters for telemetry: allocated nodes, the
         unique-table population, and total memoized operation-cache
         entries across all operation kinds."""
-        ops_cached = (
-            len(self._and_cache)
-            + len(self._or_cache)
-            + len(self._xor_cache)
-            + len(self._not_cache)
-            + len(self._ite_cache)
-            + len(self._exists_cache)
-            + len(self._rename_cache)
-            + len(self._andex_cache)
-            + len(self._count_cache)
-        )
+        ops_cached = sum(len(getattr(self, name)) for name, _, _ in _CACHES)
         return {
             "nodes": self.num_nodes(),
             "unique_table": len(self._unique),
@@ -927,12 +961,5 @@ class BddEngine:
 
     def clear_caches(self) -> None:
         """Drop all operation caches (useful for memory benchmarks)."""
-        self._and_cache.clear()
-        self._or_cache.clear()
-        self._xor_cache.clear()
-        self._not_cache.clear()
-        self._ite_cache.clear()
-        self._exists_cache.clear()
-        self._rename_cache.clear()
-        self._andex_cache.clear()
-        self._count_cache.clear()
+        for name, _, _ in _CACHES:
+            getattr(self, name).clear()

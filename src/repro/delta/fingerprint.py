@@ -29,9 +29,8 @@ description; an edit that shifts later lines of a file moves it.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import hashlib
-from typing import Dict, FrozenSet, List, NamedTuple, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from repro.config.model import Device, Snapshot
 
@@ -68,6 +67,25 @@ class RoutingFingerprint(NamedTuple):
 STAGES = RoutingFingerprint._fields
 
 
+#: Types whose values :func:`_canon` keeps as they are: the final
+#: ``repr`` renders them, and tells ``1`` from ``'1'``.
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+#: Per type met, its dataclass field names, or None for any other type.
+_FIELDS: Dict[type, Optional[Tuple[str, ...]]] = {}
+
+
+def _field_names(kind: type) -> Optional[Tuple[str, ...]]:
+    try:
+        return _FIELDS[kind]
+    except KeyError:
+        names = (
+            tuple(f.name for f in dataclasses.fields(kind))
+            if dataclasses.is_dataclass(kind) else None
+        )
+        _FIELDS[kind] = names
+        return names
+
+
 def _canon(
     value,
     without: FrozenSet[str] = _ANNOTATION_FIELDS,
@@ -75,14 +93,19 @@ def _canon(
 ) -> object:
     """A canonical, hashable rendering of (nested) model objects, the
     dataclass fields in ``without`` left out, and those in ``nested``
-    from the objects below."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+    from the objects below. Any other value is kept as it is, to be
+    rendered by the digest's one ``repr``."""
+    kind = type(value)
+    if kind in _PLAIN:
+        return value
+    names = _field_names(kind)
+    if names is not None:
         return (
-            type(value).__name__,
+            kind.__name__,
             tuple(
-                (f.name, _canon(getattr(value, f.name), nested, nested))
-                for f in dataclasses.fields(value)
-                if f.name not in without
+                (name, _canon(getattr(value, name), nested, nested))
+                for name in names
+                if name not in without
             ),
         )
     if isinstance(value, dict):
@@ -91,9 +114,7 @@ def _canon(
         return tuple(_canon(v, nested, nested) for v in value)
     if isinstance(value, (set, frozenset)):
         return tuple(sorted(str(v) for v in value))
-    if isinstance(value, enum.Enum):
-        return f"{type(value).__name__}.{value.name}"
-    return repr(value)
+    return value
 
 
 def _interfaces(device: Device) -> List[Tuple[str, str, Tuple]]:

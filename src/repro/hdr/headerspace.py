@@ -40,10 +40,10 @@ class PacketEncoder:
         self._field_cube_cache: Dict[Tuple[str, ...], int] = {}
         self._prefix_cache: Dict[Tuple[str, Prefix, bool], int] = {}
 
-    def fork(self, n: int) -> "PacketEncoder":
-        """An encoder over :meth:`BddEngine.fork` ``(n)``; its memos
-        refill from the forked unique table and cube list."""
-        return PacketEncoder(self.layout, self.engine.fork(n))
+    def fork(self) -> "PacketEncoder":
+        """An encoder over :meth:`BddEngine.fork`; its memos refill from
+        the forked unique table and cube list."""
+        return PacketEncoder(self.layout, self.engine.fork())
 
     # ------------------------------------------------------------------
     # Constraints on input variables

@@ -278,9 +278,9 @@ class Segment(NamedTuple):
     """One device's part of the graph, as an analyzer built it: the
     edges out of its own pipeline's nodes (compressed when the analyzer
     compresses), the destination labels they were built from (node ids
-    below the analyzer's ``built_nodes``, for an edit's build to graft
-    onto) and its compression stats (None uncompressed). Only a ``src``
-    node is entered from another device's segment, so a segment
+    of the analyzer's engine, which a fork keeps, for an edit's build to
+    graft onto) and its compression stats (None uncompressed). Only a
+    ``src`` node is entered from another device's segment, so a segment
     compresses on its own, and a delta's build that is due the same one
     again takes it whole (DESIGN.md, "Delta engine")."""
 

@@ -134,11 +134,11 @@ class NetworkAnalyzer:
     base's analyzer whole (``core.session._build_analyzer``): the two
     sessions then share one analyzer and one BDD engine, as two
     questions on one session do, and its ``.dataplane``, ``.fibs`` and
-    build records (``reused_pipelines``, ``grafted_segments``,
-    ``built_nodes``) are the base's. Only what the graph reads of them
-    is equal to the delta's own: its FIBs, links and devices (all but
-    the management plane); ``Session.validate_engines`` holds it against
-    the delta's own concrete engine."""
+    build records (``reused_pipelines``, ``grafted_segments``) are the
+    base's. Only what the graph reads of them is equal to the delta's
+    own: its FIBs, links and devices (all but the management plane);
+    ``Session.validate_engines`` holds it against the delta's own
+    concrete engine."""
 
     def __init__(
         self,
@@ -151,21 +151,20 @@ class NetworkAnalyzer:
     ):
         """``base``: the analyzer of a snapshot this one is an edit of,
         ``edited`` naming the devices whose config text differs. The
-        build then starts on a private fork of the base's encoder as the
-        base's build left it and takes the base's :class:`Segment` itself
-        for every device due the same one again: same text, same ``Fib``
-        object, equal topology edges out of it, and the same
-        ``compress`` (unless ``encoder`` is given). A segment it builds
+        build then starts on a private fork of the base's encoder as it
+        stands, nodes and operation caches included (every question the
+        base answered leaves the fork warmer), and takes the base's
+        :class:`Segment` itself for every device due the same one again:
+        same text, same ``Fib`` object, equal topology edges out of it,
+        and the same ``compress`` (unless ``encoder`` is given). A segment it builds
         grafts its destination labels onto the base's where the device's
         markers are the base's (:func:`grafted_labels`), and folds them
         whole otherwise."""
         self.dataplane = dataplane
         self.fibs = fibs if fibs is not None else compute_fibs(dataplane)
         reuse: Dict[str, Segment] = {}
-        fork = None
         if base is not None and encoder is None:
-            encoder = base.encoder.fork(base.built_nodes)
-            fork = encoder.engine.fork_path
+            encoder = base.encoder.fork()
             links = dataplane.topology.node_edges
             base_links = base.dataplane.topology.node_edges
             if (base.compression is not None) == compress:
@@ -187,7 +186,7 @@ class NetworkAnalyzer:
         self.grafted_segments: List[str] = []
         with obs.span(
             "bdd.graph_build", devices=len(snapshot.devices), reused=len(reuse),
-            compressed=built if compress else 0, fork=fork,
+            compressed=built if compress else 0, forked=base is not None,
         ) as span:
             self.graph = ForwardingGraph({
                 hostname: reuse.get(hostname) or self._segment(
@@ -202,16 +201,14 @@ class NetworkAnalyzer:
             )
             if compress else None
         )
-        if fork is not None:
-            obs.add(f"bdd.fork.{fork}")
+        if base is not None:
+            obs.add("bdd.fork")
         if compress:
             obs.add("bdd.segments.compressed", built)
         obs.add("reachability.labels.grafted", len(self.grafted_segments))
         obs.add("reachability.labels.folded", built - len(self.grafted_segments))
         #: Devices whose segment came from ``base``.
         self.reused_pipelines = sorted(reuse)
-        #: Engine size as the build left it: what a fork for an edit keeps.
-        self.built_nodes = self.encoder.engine.num_nodes()
         self._fates: Optional[Dict[Disposition, Dict[GraphNode, int]]] = None
         self._source_scopes: Optional[List[Tuple[GraphNode, int]]] = None
 

@@ -372,8 +372,44 @@ def _prefix_table(engine, n):
     }
 
 
+#: Per operation cache, the node ids its key packs (each ``ID_BITS``
+#: wide, lowest field last) and whether its value is a node id.
+_CACHE_IDS = {
+    "_and_cache": (2, True),
+    "_or_cache": (2, True),
+    "_xor_cache": (2, True),
+    "_not_cache": (1, True),
+    "_ite_cache": (3, True),
+    "_exists_cache": (1, True),
+    "_rename_cache": (1, True),
+    "_andex_cache": (2, True),
+    "_count_cache": (1, False),
+}
+
+
+def _assert_self_contained(engine):
+    """A fork's invariant: the unique table maps exactly the ids the
+    store holds, and every cache entry and variable node names only
+    those ids (and only interned cubes and rename maps)."""
+    assert {name for name in vars(engine) if name.endswith("_cache")} == set(_CACHE_IDS)
+    n, mask = engine.num_nodes(), (1 << ID_BITS) - 1
+    assert engine._unique == _prefix_table(engine, n)
+    for name, (ids, value_is_id) in _CACHE_IDS.items():
+        for key, value in getattr(engine, name).items():
+            assert not value_is_id or value < n, name
+            assert all((key >> (ID_BITS * i)) & mask < n for i in range(ids)), name
+    for key in engine._exists_cache:
+        assert key >> (ID_BITS + LEVEL_BITS) < len(engine._cube_list)
+    for key in engine._andex_cache:
+        assert key >> (2 * ID_BITS + LEVEL_BITS) < len(engine._cube_list)
+    for key in engine._rename_cache:
+        assert key >> ID_BITS < len(engine._map_list)
+    assert all(node < n for node in engine._var_nodes.values())
+    assert all(node < n for node in engine._nvar_nodes.values())
+
+
 class TestFork:
-    """``fork(n)``: the first ``n`` nodes as a private engine."""
+    """``fork()``: the whole engine, nodes and caches, as a private one."""
 
     @staticmethod
     def _grown():
@@ -390,51 +426,82 @@ class TestFork:
 
     def test_keeps_id_and_function_of_every_node_below_n(self):
         engine, _roots = self._grown()
+        engine.exists(engine.ite(engine.var(6), engine.var(7), engine.nvar(1)), engine.cube([6]))
         n = engine.num_nodes()
-        engine.or_(engine.var(6), engine.nvar(7))  # nodes the twin must not see
-        assert engine.num_nodes() > n
-        twin = engine.fork(n)
+        twin = engine.fork()
         assert twin.num_nodes() == n and twin.num_vars == engine.num_vars
         for node in range(n):
             assert twin.canonical(node) == engine.canonical(node)
-        stats = twin.stats()
-        assert stats["unique_table"] == n - 2 and stats["ops_cached"] == 0
-        # Hash-consing works on the copied prefix: rebuilding a function
-        # finds its nodes, it does not add them.
+        assert twin.stats() == engine.stats()
+        # Hash-consing works on the copied store, and the copied caches
+        # answer: rebuilding a function adds no node and no entry.
         assert twin.and_(
             twin.var(0), twin.or_(twin.var(1), twin.nvar(2))
         ) == engine.and_(engine.var(0), engine.or_(engine.var(1), engine.nvar(2)))
-        assert twin.num_nodes() == n
+        assert twin.stats() == engine.stats()
 
-    def test_size_outside_the_node_store_is_rejected(self):
-        engine, _roots = self._grown()
-        for n in (-1, 0, 1, engine.num_nodes() + 1):
-            with pytest.raises(ValueError, match="fork size"):
-                engine.fork(n)
-        assert engine.fork(2).num_nodes() == 2  # the terminals alone
-        assert engine.fork(engine.num_nodes()).num_nodes() == engine.num_nodes()
+    def test_copies_the_unique_table_and_every_cache(self):
+        """Every table the engine keeps is copied whole, and the copies
+        are the twin's own: the original growing after the fork leaves
+        them as they were."""
+        engine, roots = self._grown()
+        cube, rename = engine.cube([0, 3]), engine.rename_map({1: 0})
+        relation = engine.xor(engine.var(0), engine.var(1))
+        for root in roots:
+            engine.sat_count(engine.transform(engine.not_(root), relation, cube, rename))
+            engine.exists(engine.ite(root, relation, engine.var(7)), cube)
+        names = ["_unique", *_CACHE_IDS, "_var_nodes", "_nvar_nodes", "_cubes", "_maps"]
+        twin = engine.fork()
+        for name in names:
+            assert getattr(twin, name) == getattr(engine, name), name
+            assert getattr(twin, name) is not getattr(engine, name), name
+        assert twin._cube_list == engine._cube_list
+        assert twin._map_list == engine._map_list
+        assert all(getattr(twin, name) for name in _CACHE_IDS)
+        _assert_self_contained(twin)
+        copied = {name: dict(getattr(twin, name)) for name in names}
+        engine.or_all(engine.pinned(range(8), value) for value in range(40))
+        engine.cube([5])
+        assert {name: getattr(twin, name) for name in names} == copied
 
-    def test_unique_table_is_the_prefix_at_any_growth(self):
-        """With fewer nodes added since ``n`` than ``n`` the twin's
-        unique table is a trimmed copy, else a rebuilt one; at every
-        growth it is exactly the first ``n`` nodes' table."""
-        engine, _roots = self._grown()
-        n = engine.num_nodes()
+    def test_copies_taken_while_the_store_grows_are_repaired(self):
+        """What the thread querying the original does between the
+        fork's reads, done here at the worst moment: a query grows the
+        store just before the unique table is copied, or a ``_mk`` is
+        caught between the node lists and the table. The twin holds the
+        nodes the store had when the fork began, and nothing past them."""
+        engine, roots = self._grown()
+        cube = engine.cube([0, 3])
         values = iter(range(256))
-        for path, at_least in (("trimmed", 0), ("trimmed", 1), ("rebuilt", n)):
-            while engine.num_nodes() - n < at_least:
-                engine.pinned(range(8), next(values))
-            if at_least == 1:
-                assert engine.num_nodes() - n < n
-            twin = engine.fork(n)
-            assert twin.fork_path == path
-            assert twin._unique == _prefix_table(engine, n)
-        assert engine.fork_path is None  # not made by a fork
+
+        class GrowsFirst(dict):
+            def copy(self):
+                for root in roots:
+                    engine.and_exists(root, engine.pinned(range(8), next(values)), cube)
+                    engine.not_(engine.or_(root, engine.pinned(range(8), next(values))))
+                return dict.copy(self)
+
+        n = engine.num_nodes()
+        engine._unique = GrowsFirst(engine._unique)
+        twin = engine.fork()
+        assert engine.num_nodes() > n and twin.num_nodes() == n
+        _assert_self_contained(twin)
+        for root in roots:
+            assert twin.canonical(twin.and_exists(root, twin.var(6), cube)) == (
+                engine.canonical(engine.and_exists(root, engine.var(6), cube))
+            )
+        # A _mk's first half: the node is in the lists, not the table.
+        engine = BddEngine(4)
+        engine.var(0)
+        engine._level.append(1), engine._lo.append(FALSE), engine._hi.append(TRUE)
+        twin = engine.fork()
+        _assert_self_contained(twin)
+        assert twin.var(1) == 3 and twin.num_nodes() == 4
 
     def test_twin_and_original_grow_independently(self):
         engine, roots = self._grown()
         n = engine.num_nodes()
-        twin = engine.fork(n)
+        twin = engine.fork()
         on_twin = twin.and_(roots[0], twin.var(7))
         assert engine.num_nodes() == n  # the original did not move
         on_original = engine.or_(roots[1], engine.nvar(6))
@@ -454,7 +521,7 @@ class TestFork:
         rename = engine.rename_map({1: 0})
         relation = engine.xor(engine.var(0), engine.var(1))
         out_cube = engine.cube([0])
-        twin = engine.fork(engine.num_nodes())
+        twin = engine.fork()
         for root in roots:
             assert twin.canonical(twin.exists(root, cube)) == engine.canonical(
                 engine.exists(root, cube)
@@ -477,10 +544,15 @@ class TestFork:
     )
     @settings(max_examples=100, deadline=None)
     def test_same_operations_after_the_fork_agree(self, before, after):
+        """Operations after the fork, on nodes from before it and after,
+        and through the copied caches, give the same functions on the
+        twin as on the original."""
         engine = BddEngine(5)
         roots = [_build(engine, expr) for expr in before]
         cube = engine.cube([1, 3])
-        twin = engine.fork(engine.num_nodes())
+        for root in roots:
+            engine.and_exists(root, engine.not_(root), cube)
+        twin = engine.fork()
         for expr in after:
             ours, theirs = _build(engine, expr), _build(twin, expr)
             assert engine.canonical(ours) == twin.canonical(theirs)
@@ -492,11 +564,11 @@ class TestFork:
                     engine.and_exists(root, ours, cube)
                 ) == twin.canonical(twin.and_exists(root, theirs, cube))
 
-    def test_fork_while_another_thread_queries_the_original(self):
-        """A fork reads only the prefix below ``built_nodes``, which
-        nothing writes to again: taken while ``fates()`` grows the
-        original, it never raises and is the same engine it would have
-        been before the query started."""
+    def test_fork_while_another_thread_queries_the_original(self, monkeypatch):
+        """A fork takes no lock: taken while ``fates()`` grows the
+        original, it never raises, and every twin holds the invariant
+        (its unique table exactly its ids, its caches naming no other)
+        and answers as an engine forked while nothing ran does."""
         import sys
         import threading
 
@@ -505,12 +577,23 @@ class TestFork:
         from repro.synth.networks import network_by_name
 
         analyzer = Session.from_texts(network_by_name("NET6").generate(1)).analyzer
-        encoder, n = analyzer.encoder, analyzer.built_nodes
+        encoder = analyzer.encoder
+        n = encoder.engine.num_nodes()
         labels = sorted(
             {e.fn.label for e in analyzer.graph.edges if isinstance(e.fn, Constraint)}
         )
-        quiet = encoder.fork(n)
-        expected = [quiet.engine.canonical(label) for label in labels]
+        quiet = encoder.fork().engine
+        expected = [quiet.canonical(label) for label in labels]
+        pairs = list(zip(labels, labels[1:]))
+        answer = quiet.canonical(quiet.or_all(quiet.and_(a, b) for a, b in pairs))
+        repairs = []
+        trim_to = BddEngine._trim_to
+
+        def counted(twin, original, at, end):
+            repairs.append(end - at)
+            trim_to(twin, original, at, end)
+
+        monkeypatch.setattr(BddEngine, "_trim_to", counted)
         errors, twins = [], []
         started = threading.Event()
 
@@ -527,29 +610,23 @@ class TestFork:
         try:
             thread.start()
             assert started.wait(timeout=60)
-            while thread.is_alive() and len(twins) < 200:
-                twins.append(encoder.fork(n))
+            while thread.is_alive() and len(twins) < 100:
+                twins.append(encoder.fork().engine)
             thread.join(timeout=120)
         finally:
             sys.setswitchinterval(interval)
         assert not thread.is_alive() and not errors
         assert twins and encoder.engine.num_nodes() > n  # the query did run
-        # The first forks trim a copy of a table the query is growing;
-        # once it has grown past 2n they rebuild it.
-        paths = {twin.engine.fork_path for twin in twins}
-        assert "trimmed" in paths
-        for path in paths:
-            taken = [twin for twin in twins if twin.engine.fork_path == path]
-            for twin in taken[:: max(1, len(taken) // 5)]:
-                engine = twin.engine
-                assert engine.num_nodes() == n
-                assert [engine.canonical(label) for label in labels] == expected
-                assert engine._unique == quiet.engine._unique == _prefix_table(
-                    encoder.engine, n
-                )
-                # Usable: an operation over copied nodes allocates past n.
-                engine.or_all(engine.and_(a, b) for a, b in zip(labels, labels[1:]))
-                assert engine.num_nodes() >= n
+        # Forks ran while the store grew, and were repaired.
+        assert any(grown > 0 for grown in repairs)
+        sizes = sorted({twin.num_nodes() for twin in twins})
+        assert sizes[0] >= n and len(sizes) > 1
+        for twin in twins[:: max(1, len(twins) // 8)]:
+            _assert_self_contained(twin)
+            assert [twin.canonical(label) for label in labels] == expected
+            # Usable, on copied caches: an operation over copied nodes.
+            result = twin.or_all(twin.and_(a, b) for a, b in pairs)
+            assert twin.canonical(result) == answer
 
 
 class TestPackedKeys:

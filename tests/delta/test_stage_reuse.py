@@ -414,7 +414,7 @@ def test_reuse_is_counted_where_the_stage_runs():
     """``DeltaInfo.reused``, the ``delta.reuse.*`` counters and the
     ``reused`` attribute of the ``bdd.graph_build`` span are one number
     each, filled in as the lazy stages run; the span and the ``bdd.*``
-    counters also say how the fork was made and how many segments were
+    counters also say that the build forked and how many segments were
     compressed, and the span, ``DeltaInfo.reused["graft"]`` and the
     ``reachability.labels.*`` counters how many built segments grafted
     their labels."""
@@ -443,9 +443,9 @@ def test_reuse_is_counted_where_the_stage_runs():
         ]
         assert [e["attrs"] for e in builds] == [
             {"devices": devices, "reused": devices - 1, "compressed": 1,
-             "fork": "trimmed", "grafted": 1}
+             "forked": True, "grafted": 1}
         ]
-        assert counter("bdd.fork.trimmed") == counter("bdd.segments.compressed") == 1
+        assert counter("bdd.fork") == counter("bdd.segments.compressed") == 1
         assert info.to_json()["reused"]["pipeline"] == devices - 1
         # The one segment built grafted its labels onto the base's.
         assert info.reused["graft"] == counter("reachability.labels.grafted") == 1
@@ -468,13 +468,16 @@ def test_reuse_is_counted_where_the_stage_runs():
             e for e in obs.events()
             if e["type"] == "span" and e["name"] == "bdd.graph_build"
         ] == builds
-        assert counter("bdd.fork.trimmed") == 1 and counter("bdd.fork.rebuilt") == 0
-        # A base grown by a query past twice its build: the fork
-        # rebuilds the unique table instead of trimming a copy.
+        assert counter("bdd.fork") == 1
+        # A base grown by a query: the fork starts from every node and
+        # operation-cache entry the query left.
         base.reachability()
-        assert base.encoder.engine.num_nodes() >= 2 * base.analyzer.built_nodes
-        base.delta({target: relevant_edit(configs[target])}, validate=False).analyzer
-        assert (counter("bdd.fork.trimmed"), counter("bdd.fork.rebuilt")) == (1, 1)
+        grown = base.encoder.engine.stats()
+        again = base.delta({target: relevant_edit(configs[target])}, validate=False)
+        forked = again.analyzer.encoder.engine.stats()
+        assert forked["nodes"] >= grown["nodes"]
+        assert forked["ops_cached"] >= grown["ops_cached"]
+        assert counter("bdd.fork") == 2
         assert counter("bdd.segments.compressed") == 2
     finally:
         obs.disable()

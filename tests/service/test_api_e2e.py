@@ -348,8 +348,7 @@ class TestPatchSnapshot:
         assert status == 200
         after = client.get("/metrics")[1]["obs"]["counters"]
         assert service.store.get("lab").analyzer is not None
-        for name in ("bdd.fork.trimmed", "bdd.fork.rebuilt", "bdd.segments.compressed",
-                     "delta.reuse.pipeline"):
+        for name in ("bdd.fork", "bdd.segments.compressed", "delta.reuse.pipeline"):
             assert after.get(name, 0) == counters.get(name, 0), name
 
     def test_a_patch_reports_a_recomputed_stage(self, make_service):
